@@ -14,68 +14,17 @@
 //! the `H`-deep covered prefix without reading it, and replay exactly
 //! the `T`-record tail.
 
-use ladon_bench::microbench;
-use ladon_obs::{emit_figure, fields, Json};
-use ladon_state::{
-    static_lane_mask, CommitWal, ExecutionPipeline, FileBackend, Snapshot, SnapshotStore,
-    WalOptions, WalRecord, MERKLE_LANES,
+use ladon_bench::{
+    build_crashed_dir, microbench, recover_crashed_dir, scratch_dir, RECOVERY_WAL_OPTS as WAL_OPTS,
 };
-use ladon_types::{Block, Digest, TxOp};
+use ladon_obs::{emit_figure, fields, Json};
+use ladon_state::{ExecutionPipeline, MERKLE_LANES};
 
 const TAIL: u64 = 24;
-const BLOCK_TXS: u32 = 64;
-
-fn block(sn: u64, count: u32) -> Block {
-    Block::synthetic(sn, sn * count as u64, count)
-}
-
-/// Builds the crashed-compaction artifact set under `dir`: a segmented
-/// WAL holding all `history + TAIL` records plus a durable snapshot
-/// covering exactly `history` — and returns the expected post-recovery
-/// root (from a clean in-memory run).
-fn build_crashed_dir(
-    dir: &std::path::Path,
-    history: u64,
-    keyspace: u32,
-    wal_opts: WalOptions,
-) -> Digest {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).unwrap();
-
-    // The log: every record, appended through the real segmented WAL.
-    let mut wal = CommitWal::open(
-        Box::new(FileBackend::open_dir(dir.join("wal")).unwrap()),
-        wal_opts,
-    );
-    // The reference execution (in memory) that also donates the
-    // snapshot at the history cut.
-    let mut reference = ExecutionPipeline::in_memory(keyspace);
-    let mut snapshot: Option<Snapshot> = None;
-    for sn in 0..history + TAIL {
-        let b = block(sn, BLOCK_TXS);
-        let ops: Vec<TxOp> = b.batch.txs(keyspace).map(|tx| tx.op).collect();
-        wal.append(WalRecord::of_block(sn, &b, static_lane_mask(&ops)));
-        reference.execute(sn, &b);
-        if sn + 1 == history {
-            reference.checkpoint(1, Vec::new());
-            snapshot = reference.latest_snapshot().cloned();
-        }
-    }
-    assert_eq!(wal.write_failures(), 0);
-    // Persist the snapshot beside the (uncompacted) log — the exact disk
-    // a mid-compaction kill leaves behind.
-    let mut store = SnapshotStore::at_dir(dir).unwrap();
-    assert!(store.put(snapshot.expect("history must checkpoint")));
-    reference.state_root()
-}
 
 fn main() {
     println!("fig_recovery_scaling: lane-segmented WAL, partial + parallel replay\n");
     let full = std::env::var("LADON_SCALE").as_deref() == Ok("full");
-    let wal_opts = WalOptions {
-        lane_groups: 8,
-        segment_records: 8,
-    };
     let keyspace = 4096u32;
 
     // ------------------------------------------------------------------
@@ -93,13 +42,11 @@ fn main() {
     println!("  --------+---------+--------------+--------------+-----------------");
     let mut scanned_counts = Vec::new();
     for &history in histories {
-        let dir = std::env::temp_dir().join(format!(
-            "ladon-recovery-scaling-{}-{history}",
-            std::process::id()
-        ));
-        let expect_root = build_crashed_dir(&dir, history, keyspace, wal_opts);
-        let recovered = ExecutionPipeline::recover_opts(&dir, keyspace, 1, wal_opts).unwrap();
-        let stats = recovered.recovery_stats().clone();
+        let dir = scratch_dir("recovery-scaling", &history.to_string());
+        let expect_root = build_crashed_dir(&dir, history, TAIL, keyspace);
+        // The acceptance gate (inside): replayed records track the
+        // dirty tail, not the total log length.
+        let (stats, _) = recover_crashed_dir(&dir, history, TAIL, keyspace, expect_root);
         println!(
             "  {history:>7} | {:>7} | {:>12} | {:>12} | {:>16}",
             history + TAIL,
@@ -107,25 +54,16 @@ fn main() {
             stats.segments_scanned,
             stats.records_replayed
         );
-        // The acceptance gate: replayed records track the dirty tail,
-        // not the total log length.
-        assert_eq!(
-            stats.records_replayed, TAIL,
-            "history={history}: replay must touch exactly the tail"
-        );
-        assert_eq!(stats.replayed_txs, TAIL * BLOCK_TXS as u64);
-        assert_eq!(recovered.applied(), history + TAIL);
-        assert_eq!(recovered.state_root(), expect_root);
         // And the recovered root is worker-count invariant from the same
         // artifacts.
-        let par = ExecutionPipeline::recover_opts(&dir, keyspace, 4, wal_opts).unwrap();
+        let par = ExecutionPipeline::recover_opts(&dir, keyspace, 4, WAL_OPTS).unwrap();
         assert_eq!(par.state_root(), expect_root);
         assert_eq!(par.recovery_stats(), &stats);
         scanned_counts.push(stats.segments_scanned);
 
         // Informational wall clock (not a gate).
         let r = microbench(&format!("recover_history_{history:>4}"), 20, || {
-            ExecutionPipeline::recover_opts(&dir, keyspace, 1, wal_opts)
+            ExecutionPipeline::recover_opts(&dir, keyspace, 1, WAL_OPTS)
                 .unwrap()
                 .applied()
         });
@@ -135,7 +73,7 @@ fn main() {
     // Scanned segments track the tail (plus at most one straddler per
     // lane group — a group that missed a block near the snapshot cut has
     // shifted segment boundaries), never the history.
-    let scan_cap = (TAIL / wal_opts.segment_records as u64 + 2) * wal_opts.lane_groups as u64;
+    let scan_cap = (TAIL / WAL_OPTS.segment_records as u64 + 2) * WAL_OPTS.lane_groups as u64;
     assert!(
         scanned_counts.iter().all(|&s| s <= scan_cap),
         "segments scanned must be bounded by the tail ({scan_cap}), \
@@ -166,16 +104,12 @@ fn main() {
     println!("  ---------+-------------+----------------------------");
     let mut dirty = Vec::new();
     for &ks in &[4096u32, 64, 4] {
-        let dir =
-            std::env::temp_dir().join(format!("ladon-recovery-lanes-{}-{ks}", std::process::id()));
-        let expect_root = build_crashed_dir(&dir, 128, ks, wal_opts);
-        let recovered = ExecutionPipeline::recover_opts(&dir, ks, 1, wal_opts).unwrap();
-        let stats = recovered.recovery_stats();
+        let dir = scratch_dir("recovery-lanes", &ks.to_string());
+        let expect_root = build_crashed_dir(&dir, 128, TAIL, ks);
+        let (stats, _) = recover_crashed_dir(&dir, 128, TAIL, ks, expect_root);
         let lanes_hit = stats.records_per_lane.iter().filter(|&&c| c > 0).count();
         println!("  {ks:>8} | {:>11} | {lanes_hit:>27}", stats.dirty_lanes());
-        assert_eq!(stats.records_replayed, TAIL);
         assert_eq!(lanes_hit as u32, stats.dirty_lanes());
-        assert_eq!(recovered.state_root(), expect_root);
         dirty.push(stats.dirty_lanes());
         let _ = std::fs::remove_dir_all(&dir);
     }

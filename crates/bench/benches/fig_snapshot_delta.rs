@@ -5,224 +5,14 @@
 //!
 //! Every acceptance gate is stated in deterministic **counts** (chunk
 //! counts, wire bytes, cache build counts) — shared CI runners jitter,
-//! content addressing does not:
-//!
-//! 1. dirtying `k` of the 64 lanes ships exactly `k` chunks, for
-//!    k ∈ {1, 8, 64}, and shipped bytes grow with `k` while the
-//!    monolithic baseline stays proportional to full state size;
-//! 2. the delta-assembled snapshot is byte-identical to the monolithic
-//!    encode (lane roots and all);
-//! 3. the responder's [`ChunkCache`] never re-encodes an unchanged
-//!    lane — priming the next epoch's snapshot builds exactly the
-//!    dirty-lane chunks;
-//! 4. an interrupted install resumes from the durable chunk stash and
-//!    requests only the still-missing chunks.
+//! content addressing does not. The scenario and its gates live in
+//! [`ladon_bench::snapshot_delta_figure`], shared with `repro --smoke`.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
-
-use ladon_obs::{emit_figure, fields, Json};
-use ladon_state::{
-    delta_lanes, lane_of, ChunkCache, KvState, Snapshot, SnapshotChunk, SnapshotStore, MERKLE_LANES,
-};
-use ladon_types::WireSize;
-
-/// Keys in the base state — enough that every one of the 64 lanes is
-/// populated with distinct contents.
-const BASE_KEYS: u32 = 2048;
-/// Lanes dirtied per delta scenario.
-const DIRTY_KS: [usize; 3] = [1, 8, 64];
-
-fn base_state() -> KvState {
-    KvState::from_entries((0..BASE_KEYS).map(|k| (k, k as u64 * 37 + 11)))
-}
-
-/// First base key landing in each lane (index = lane).
-fn first_key_per_lane() -> Vec<u32> {
-    let mut keys = vec![u32::MAX; MERKLE_LANES as usize];
-    for k in 0..BASE_KEYS {
-        let lane = lane_of(k);
-        if keys[lane] == u32::MAX {
-            keys[lane] = k;
-        }
-    }
-    assert!(
-        keys.iter().all(|&k| k != u32::MAX),
-        "base state must populate all {MERKLE_LANES} lanes"
-    );
-    keys
-}
-
-/// The base state with exactly the first `k` lanes' contents changed.
-fn dirtied(base: &KvState, lane_keys: &[u32], k: usize) -> KvState {
-    let mut entries: BTreeMap<u32, u64> = base.entries().collect();
-    for &key in &lane_keys[..k] {
-        *entries.get_mut(&key).expect("lane key exists") += 1;
-    }
-    KvState::from_entries(entries)
-}
-
-/// The chunks a responder ships for `delta`, deduplicated by root
-/// (content addressing: lanes sharing a root share a chunk).
-fn shipped_chunks(snap: &Snapshot, delta: &[u32]) -> Vec<SnapshotChunk> {
-    let (_, chunks) = snap.split();
-    let mut sent = BTreeSet::new();
-    let mut out = Vec::new();
-    for &lane in delta {
-        let root = snap.lane_roots[lane as usize];
-        if sent.insert(root) {
-            let c = chunks
-                .iter()
-                .find(|c| c.root == root)
-                .expect("split covers every lane root")
-                .clone();
-            assert!(c.verify(), "shipped chunk must verify");
-            out.push(c);
-        }
-    }
-    out
-}
+use ladon_bench::snapshot_delta_figure;
+use ladon_obs::emit_figure;
 
 fn main() {
     println!("fig_snapshot_delta: bytes transferred \u{221d} changed lanes, not state size\n");
-
-    let base = base_state();
-    let lane_keys = first_key_per_lane();
-    let snap_a = Snapshot::capture(1, 64, 4096, Vec::new(), Vec::new(), &base);
-    assert!(snap_a.verify());
-    let monolithic_bytes = snap_a.wire_size();
-
-    // ------------------------------------------------------------------
-    // 1+2. k dirty lanes -> exactly k chunks; delta assembly is
-    //      byte-identical to the monolithic snapshot.
-    // ------------------------------------------------------------------
-    let mut chunk_counts = Vec::new();
-    let mut byte_counts = Vec::new();
-    for &k in &DIRTY_KS {
-        let kv_b = dirtied(&base, &lane_keys, k);
-        let snap_b = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &kv_b);
-        let delta = delta_lanes(&snap_b.lane_roots, &snap_a.lane_roots);
-        assert_eq!(
-            delta.len(),
-            k,
-            "k={k}: delta must be exactly the dirty lanes"
-        );
-
-        let shipped = shipped_chunks(&snap_b, &delta);
-        assert_eq!(shipped.len(), k, "k={k}: one chunk per dirty lane");
-        let bytes: u64 = shipped.iter().map(|c| c.wire_size()).sum();
-
-        // Reassemble from local (unchanged) chunks + shipped delta.
-        let (head, _) = snap_b.split();
-        assert!(head.verify());
-        let (_, local) = snap_a.split();
-        let mut parts: Vec<SnapshotChunk> = local
-            .into_iter()
-            .filter(|c| head.lane_roots.contains(&c.root))
-            .collect();
-        parts.extend(shipped.iter().cloned());
-        let rebuilt = Snapshot::assemble(head, &parts).expect("all lanes accounted for");
-        assert_eq!(
-            rebuilt.encode(),
-            snap_b.encode(),
-            "k={k}: delta-assembled snapshot must be byte-identical"
-        );
-        assert_eq!(rebuilt.lane_roots, snap_b.lane_roots);
-
-        println!(
-            "  k={k:>2} dirty lanes -> {} chunks, {} bytes shipped (monolithic: {} bytes)",
-            shipped.len(),
-            bytes,
-            monolithic_bytes
-        );
-        chunk_counts.push(shipped.len() as u64);
-        byte_counts.push(bytes);
-    }
-    assert!(byte_counts[0] < byte_counts[1] && byte_counts[1] < byte_counts[2]);
-    assert!(
-        byte_counts[0] * 8 < monolithic_bytes,
-        "single-lane delta must be a small fraction of full state"
-    );
-    println!("  -> chunks == k and bytes grow with k, not state size (verified)\n");
-
-    // ------------------------------------------------------------------
-    // 3. Unchanged lanes are never re-encoded across epochs.
-    // ------------------------------------------------------------------
-    let mut cache = ChunkCache::new();
-    let built_a = cache.prime(&snap_a);
-    assert_eq!(
-        built_a, MERKLE_LANES as u64,
-        "first prime builds every lane"
-    );
-    assert_eq!(cache.prime(&snap_a), 0, "re-priming builds nothing");
-    let kv_b8 = dirtied(&base, &lane_keys, 8);
-    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &kv_b8);
-    let built_b = cache.prime(&snap_b8);
-    assert_eq!(built_b, 8, "next epoch primes only the 8 dirty lanes");
-    let cache_encodes = cache.encodes();
-    assert_eq!(cache_encodes, MERKLE_LANES as u64 + 8);
-    println!(
-        "  ChunkCache: {built_a} builds at epoch 1, {built_b} at epoch 2 \
-         ({cache_encodes} total; unchanged lanes never re-encoded)\n"
-    );
-
-    // ------------------------------------------------------------------
-    // 4. Interrupted install: the durable stash survives restart and
-    //    only still-missing chunks are requested.
-    // ------------------------------------------------------------------
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("ladon-fig-snapshot-delta-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let delta8 = delta_lanes(&snap_b8.lane_roots, &snap_a.lane_roots);
-    let shipped8 = shipped_chunks(&snap_b8, &delta8);
-    let stash_n = shipped8.len() / 2;
-    {
-        let mut store = SnapshotStore::at_dir(&dir).expect("open store");
-        for c in &shipped8[..stash_n] {
-            assert!(store.stash_chunk(c.clone()), "stash verified chunk");
-        }
-    }
-    let store = SnapshotStore::at_dir(&dir).expect("reopen store");
-    assert_eq!(store.stash_len(), stash_n, "stash survives restart");
-    assert_eq!(store.decode_failures(), 0);
-    let mut advertised = snap_a.lane_roots.clone();
-    for c in store.stashed_chunks() {
-        advertised[c.lane as usize] = c.root;
-    }
-    let resume = delta_lanes(&snap_b8.lane_roots, &advertised);
-    assert_eq!(
-        resume.len(),
-        shipped8.len() - stash_n,
-        "resume requests only the missing chunks"
-    );
-    for c in store.stashed_chunks() {
-        assert!(
-            !resume.contains(&c.lane),
-            "stashed lanes are not re-requested"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "  resume: {stash_n} chunks stashed across restart, {} still missing \
-         (only those re-requested)\n",
-        resume.len()
-    );
-
-    emit_figure(
-        "fig_snapshot_delta",
-        fields(vec![
-            ("base_entries", Json::U64(BASE_KEYS as u64)),
-            ("monolithic_bytes", Json::U64(monolithic_bytes)),
-            ("chunks_k1", Json::U64(chunk_counts[0])),
-            ("bytes_k1", Json::U64(byte_counts[0])),
-            ("chunks_k8", Json::U64(chunk_counts[1])),
-            ("bytes_k8", Json::U64(byte_counts[1])),
-            ("chunks_k64", Json::U64(chunk_counts[2])),
-            ("bytes_k64", Json::U64(byte_counts[2])),
-            ("cache_encodes", Json::U64(cache_encodes)),
-            ("resume_missing_chunks", Json::U64(resume.len() as u64)),
-        ]),
-    );
+    emit_figure("fig_snapshot_delta", snapshot_delta_figure("bench"));
     println!("fig_snapshot_delta: all gates passed");
 }

@@ -20,16 +20,13 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
+use ladon_bench::{recovery_figure, snapshot_delta_figure};
 use ladon_core::{Behavior, MultiBftNode, NodeConfig, NodeMode, NodeMsg};
 use ladon_crypto::KeyRegistry;
 use ladon_obs::{fields, BenchReport, Json, BENCH_JSON_ENV};
 use ladon_sim::{ActorId, Context, Engine, NicNetwork, SimRng, Topology};
-use ladon_state::{
-    delta_lanes, lane_of, static_lane_mask, ChunkCache, CommitWal, ExecutionPipeline, FaultBackend,
-    FaultPlan, FileBackend, KvState, Snapshot, SnapshotChunk, SnapshotStore, WalOptions, WalRecord,
-    MERKLE_LANES,
-};
-use ladon_types::{Block, NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs, TxOp, WireSize};
+use ladon_state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
+use ladon_types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
 use ladon_workload::{run_experiment, ClientFleet, ExperimentConfig, Report};
 
 const TARGETS: [&str; 9] = [
@@ -187,21 +184,30 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
             ("latency_s_1s", Json::F64(straggler.mean_latency_s)),
         ]),
     );
+    let counter = |name: &str| base.metrics.counter(name);
+    let ratio = |num: u64, den: u64| {
+        if den > 0 {
+            num as f64 / den as f64
+        } else {
+            0.0
+        }
+    };
+    let wal_fsyncs = counter("wal.fsyncs");
+    let flush_barriers = counter("pipeline.flush_barriers");
     report.add_figure(
         "fig_wal_group_commit",
         fields(vec![
-            ("wal_fsyncs", Json::U64(base.wal_fsyncs)),
-            ("wal_bytes_written", Json::U64(base.wal_bytes_written)),
-            ("flush_barriers", Json::U64(base.flush_barriers)),
+            ("wal_fsyncs", Json::U64(wal_fsyncs)),
+            ("wal_bytes_written", Json::U64(counter("wal.bytes_written"))),
+            ("flush_barriers", Json::U64(flush_barriers)),
             (
                 "fsyncs_per_block",
-                Json::F64(if base.confirmed_blocks > 0 {
-                    base.wal_fsyncs as f64 / base.confirmed_blocks as f64
-                } else {
-                    0.0
-                }),
+                Json::F64(ratio(wal_fsyncs, base.confirmed_blocks)),
             ),
-            ("wall_wal_flush_ns", Json::U64(base.wall_wal_flush_ns)),
+            (
+                "wall_wal_flush_ns",
+                Json::U64(counter("pipeline.wall_wal_flush_ns")),
+            ),
         ]),
     );
     report.add_figure(
@@ -214,40 +220,37 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
             ),
             ("mean_ops_per_wave", Json::F64(base.mean_ops_per_wave)),
             ("executed_txs", Json::U64(base.executed_txs)),
-            ("wall_exec_ns", Json::U64(base.wall_exec_ns)),
+            ("wall_exec_ns", Json::U64(counter("pipeline.wall_exec_ns"))),
         ]),
     );
     // Pipelined durability: the failure alarm must be silent on a
     // healthy run (a nonzero count is exactly the swallowed-barrier bug
     // this figure exists to catch), and the cross-drain path must have
     // genuinely overlapped barriers with execution.
+    let pipelined_submits = counter("pipeline.pipelined_submits");
     assert_eq!(
         base.wal_flush_failures, 0,
         "healthy smoke run reported failed flush barriers"
     );
     assert!(
-        base.wal_pipelined_submits > 0,
+        pipelined_submits > 0,
         "the pipelined drain never overlapped a barrier"
     );
     report.add_figure(
         "fig_wal_pipeline",
         fields(vec![
             ("wal_flush_failures", Json::U64(base.wal_flush_failures)),
-            ("pipelined_submits", Json::U64(base.wal_pipelined_submits)),
-            ("flush_barriers", Json::U64(base.flush_barriers)),
+            ("pipelined_submits", Json::U64(pipelined_submits)),
+            ("flush_barriers", Json::U64(flush_barriers)),
             (
                 "fsyncs_per_barrier",
-                Json::F64(if base.flush_barriers > 0 {
-                    base.wal_fsyncs as f64 / base.flush_barriers as f64
-                } else {
-                    0.0
-                }),
+                Json::F64(ratio(wal_fsyncs, flush_barriers)),
             ),
         ]),
     );
     report.add_figure("trace_lifecycle", lifecycle_fields(&base));
-    report.add_figure("fig_recovery_scaling", recovery_fields(pass));
-    report.add_figure("fig_snapshot_delta", snapshot_delta_fields(pass));
+    report.add_figure("fig_recovery_scaling", recovery_figure(pass));
+    report.add_figure("fig_snapshot_delta", snapshot_delta_figure(pass));
     report.add_figure("fig_fault_matrix", fault_matrix_fields(pass));
     report
 }
@@ -360,7 +363,7 @@ fn fault_matrix_fields(pass: &str) -> Vec<(String, Json)> {
             n3.metrics.degraded_entries,
             n3.metrics.degraded_retries,
             u64::from(n3.mode() == NodeMode::Normal),
-            n3.metrics.wal_flush_failures,
+            n3.metrics.exec.perf.wal_flush_failures,
         )
     };
 
@@ -432,195 +435,4 @@ fn lifecycle_fields(report: &Report) -> Vec<(String, Json)> {
         ));
     }
     out
-}
-
-/// Crash-recovery smoke: a real segmented WAL plus a snapshot covering
-/// the history prefix (the mid-compaction-kill disk layout), recovered
-/// through the pipeline. All gates are deterministic counts.
-fn recovery_fields(pass: &str) -> Vec<(String, Json)> {
-    const HISTORY: u64 = 64;
-    const TAIL: u64 = 16;
-    const BLOCK_TXS: u32 = 64;
-    let keyspace = 4096u32;
-    let wal_opts = WalOptions {
-        lane_groups: 8,
-        segment_records: 8,
-    };
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("ladon-repro-smoke-{pass}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create smoke scratch dir");
-
-    let mut wal = CommitWal::open(
-        Box::new(FileBackend::open_dir(dir.join("wal")).expect("open wal dir")),
-        wal_opts,
-    );
-    let mut reference = ExecutionPipeline::in_memory(keyspace);
-    let mut snapshot: Option<Snapshot> = None;
-    for sn in 0..HISTORY + TAIL {
-        let b = Block::synthetic(sn, sn * BLOCK_TXS as u64, BLOCK_TXS);
-        let ops: Vec<TxOp> = b.batch.txs(keyspace).map(|tx| tx.op).collect();
-        wal.append(WalRecord::of_block(sn, &b, static_lane_mask(&ops)));
-        reference.execute(sn, &b);
-        if sn + 1 == HISTORY {
-            reference.checkpoint(1, Vec::new());
-            snapshot = reference.latest_snapshot().cloned();
-        }
-    }
-    assert_eq!(wal.write_failures(), 0);
-    let mut store = SnapshotStore::at_dir(&dir).expect("open snapshot store");
-    assert!(store.put(snapshot.expect("history must checkpoint")));
-    let expect_root = reference.state_root();
-    drop(wal);
-
-    let recover_started = Instant::now();
-    let recovered =
-        ExecutionPipeline::recover_opts(&dir, keyspace, 1, wal_opts).expect("recover pipeline");
-    let wall_recover_ns = recover_started.elapsed().as_nanos() as u64;
-    let stats = recovered.recovery_stats().clone();
-    assert_eq!(
-        recovered.state_root(),
-        expect_root,
-        "recovered root differs"
-    );
-    assert_eq!(
-        stats.records_replayed, TAIL,
-        "replay must touch the tail only"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    fields(vec![
-        ("log_records", Json::U64(HISTORY + TAIL)),
-        ("records_replayed", Json::U64(stats.records_replayed)),
-        ("segments_skipped", Json::U64(stats.segments_skipped)),
-        ("segments_scanned", Json::U64(stats.segments_scanned)),
-        ("dirty_lanes", Json::U64(stats.dirty_lanes() as u64)),
-        ("wall_recover_ns", Json::U64(wall_recover_ns)),
-    ])
-}
-
-/// `fig_snapshot_delta`: content-addressed delta sync ships chunks and
-/// bytes proportional to *changed lanes*, not state size. All fields
-/// are deterministic counts (chunk counts, wire bytes, cache builds) —
-/// the same gates as the standalone `fig_snapshot_delta` bench target.
-fn snapshot_delta_fields(pass: &str) -> Vec<(String, Json)> {
-    const BASE_KEYS: u32 = 2048;
-    const DIRTY_KS: [usize; 3] = [1, 8, 64];
-
-    let base = KvState::from_entries((0..BASE_KEYS).map(|k| (k, k as u64 * 37 + 11)));
-    // First base key landing in each lane (index = lane).
-    let mut lane_keys = vec![u32::MAX; MERKLE_LANES as usize];
-    for k in 0..BASE_KEYS {
-        let lane = lane_of(k);
-        if lane_keys[lane] == u32::MAX {
-            lane_keys[lane] = k;
-        }
-    }
-    assert!(lane_keys.iter().all(|&k| k != u32::MAX));
-    let dirtied = |k: usize| -> KvState {
-        let mut entries: std::collections::BTreeMap<u32, u64> = base.entries().collect();
-        for &key in &lane_keys[..k] {
-            *entries.get_mut(&key).expect("lane key exists") += 1;
-        }
-        KvState::from_entries(entries)
-    };
-    let shipped_for = |snap: &Snapshot, delta: &[u32]| -> Vec<SnapshotChunk> {
-        let (_, chunks) = snap.split();
-        let mut sent = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for &lane in delta {
-            let root = snap.lane_roots[lane as usize];
-            if sent.insert(root) {
-                let c = chunks
-                    .iter()
-                    .find(|c| c.root == root)
-                    .expect("split covers every lane root")
-                    .clone();
-                assert!(c.verify());
-                out.push(c);
-            }
-        }
-        out
-    };
-
-    let snap_a = Snapshot::capture(1, 64, 4096, Vec::new(), Vec::new(), &base);
-    assert!(snap_a.verify());
-    let monolithic_bytes = snap_a.wire_size();
-
-    // k dirty lanes -> exactly k chunks; delta assembly byte-identical.
-    let mut chunk_counts = Vec::new();
-    let mut byte_counts = Vec::new();
-    for &k in &DIRTY_KS {
-        let snap_b = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(k));
-        let delta = delta_lanes(&snap_b.lane_roots, &snap_a.lane_roots);
-        assert_eq!(delta.len(), k, "delta must be exactly the dirty lanes");
-        let shipped = shipped_for(&snap_b, &delta);
-        assert_eq!(shipped.len(), k, "one chunk per dirty lane");
-        let (head, _) = snap_b.split();
-        let (_, local) = snap_a.split();
-        let mut parts: Vec<SnapshotChunk> = local
-            .into_iter()
-            .filter(|c| head.lane_roots.contains(&c.root))
-            .collect();
-        parts.extend(shipped.iter().cloned());
-        let rebuilt = Snapshot::assemble(head, &parts).expect("all lanes accounted for");
-        assert_eq!(
-            rebuilt.encode(),
-            snap_b.encode(),
-            "delta install must be byte-identical"
-        );
-        chunk_counts.push(shipped.len() as u64);
-        byte_counts.push(shipped.iter().map(|c| c.wire_size()).sum::<u64>());
-    }
-    assert!(byte_counts[0] < byte_counts[1] && byte_counts[1] < byte_counts[2]);
-    assert!(byte_counts[0] * 8 < monolithic_bytes);
-
-    // Unchanged lanes are never re-encoded across epochs.
-    let mut cache = ChunkCache::new();
-    assert_eq!(cache.prime(&snap_a), MERKLE_LANES as u64);
-    assert_eq!(cache.prime(&snap_a), 0);
-    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(8));
-    assert_eq!(cache.prime(&snap_b8), 8, "only dirty lanes re-encoded");
-    let cache_encodes = cache.encodes();
-
-    // Interrupted install: the stash survives restart; only missing
-    // chunks are re-requested.
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "ladon-repro-snapdelta-{pass}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create snapdelta scratch dir");
-    let delta8 = delta_lanes(&snap_b8.lane_roots, &snap_a.lane_roots);
-    let shipped8 = shipped_for(&snap_b8, &delta8);
-    let stash_n = shipped8.len() / 2;
-    {
-        let mut store = SnapshotStore::at_dir(&dir).expect("open snapdelta store");
-        for c in &shipped8[..stash_n] {
-            assert!(store.stash_chunk(c.clone()));
-        }
-    }
-    let store = SnapshotStore::at_dir(&dir).expect("reopen snapdelta store");
-    assert_eq!(store.stash_len(), stash_n, "stash must survive restart");
-    assert_eq!(store.decode_failures(), 0);
-    let mut advertised = snap_a.lane_roots.clone();
-    for c in store.stashed_chunks() {
-        advertised[c.lane as usize] = c.root;
-    }
-    let resume = delta_lanes(&snap_b8.lane_roots, &advertised);
-    assert_eq!(resume.len(), shipped8.len() - stash_n);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    fields(vec![
-        ("base_entries", Json::U64(BASE_KEYS as u64)),
-        ("monolithic_bytes", Json::U64(monolithic_bytes)),
-        ("chunks_k1", Json::U64(chunk_counts[0])),
-        ("bytes_k1", Json::U64(byte_counts[0])),
-        ("chunks_k8", Json::U64(chunk_counts[1])),
-        ("bytes_k8", Json::U64(byte_counts[1])),
-        ("chunks_k64", Json::U64(chunk_counts[2])),
-        ("bytes_k64", Json::U64(byte_counts[2])),
-        ("cache_encodes", Json::U64(cache_encodes)),
-        ("resume_missing_chunks", Json::U64(resume.len() as u64)),
-    ])
 }

@@ -8,7 +8,15 @@
 //! provides the wall-clock measurement loop the micro targets use (the
 //! build environment has no crates.io access, so there is no criterion).
 
-use ladon_types::ProtocolKind;
+use ladon_obs::{fields, Json};
+use ladon_state::{
+    delta_lanes, lane_of, static_lane_mask, ChunkCache, CommitWal, ExecutionPipeline, FileBackend,
+    KvState, ReplayStats, Snapshot, SnapshotChunk, SnapshotStore, WalOptions, WalRecord,
+    MERKLE_LANES,
+};
+use ladon_types::{Block, Digest, ProtocolKind, TxOp, WireSize};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The five PBFT-family protocols in the paper's comparison order.
@@ -68,4 +76,287 @@ pub fn microbench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) -> MicroR
         res.per_sec()
     );
     res
+}
+
+/// A scratch directory under the system temp dir, unique per process
+/// and `tag`, emptied. The caller removes it when done.
+pub fn scratch_dir(what: &str, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ladon-{what}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// WAL layout of the recovery scenarios: small segments, so a short log
+/// already spans many of them.
+pub const RECOVERY_WAL_OPTS: WalOptions = WalOptions {
+    lane_groups: 8,
+    segment_records: 8,
+};
+/// Transactions per block in the recovery scenarios.
+pub const RECOVERY_BLOCK_TXS: u32 = 64;
+
+/// Builds the crashed-compaction artifact set under the empty `dir`
+/// (see [`scratch_dir`]): a segmented WAL holding all `history + tail`
+/// records plus a durable snapshot covering exactly `history` — the
+/// disk a kill in the middle of the compaction behind a checkpoint
+/// leaves. Returns the expected post-recovery root (from a clean
+/// in-memory run).
+pub fn build_crashed_dir(dir: &Path, history: u64, tail: u64, keyspace: u32) -> Digest {
+    // The log: every record, appended through the real segmented WAL.
+    let mut wal = CommitWal::open(
+        Box::new(FileBackend::open_dir(dir.join("wal")).expect("open wal dir")),
+        RECOVERY_WAL_OPTS,
+    );
+    // The reference execution (in memory) that also donates the
+    // snapshot at the history cut.
+    let mut reference = ExecutionPipeline::in_memory(keyspace);
+    let mut snapshot: Option<Snapshot> = None;
+    for sn in 0..history + tail {
+        let b = Block::synthetic(sn, sn * RECOVERY_BLOCK_TXS as u64, RECOVERY_BLOCK_TXS);
+        let ops: Vec<TxOp> = b.batch.txs(keyspace).map(|tx| tx.op).collect();
+        wal.append(WalRecord::of_block(sn, &b, static_lane_mask(&ops)));
+        reference.execute(sn, &b);
+        if sn + 1 == history {
+            reference.checkpoint(1, Vec::new());
+            snapshot = reference.latest_snapshot().cloned();
+        }
+    }
+    assert_eq!(wal.write_failures(), 0);
+    // Persist the snapshot beside the (uncompacted) log.
+    let mut store = SnapshotStore::at_dir(dir).expect("open snapshot store");
+    assert!(store.put(snapshot.expect("history must checkpoint")));
+    reference.state_root()
+}
+
+/// Recovers the directory [`build_crashed_dir`] left, single-worker, and
+/// gates the partial-replay contract: the recovered root is the clean
+/// run's, and replay touched exactly the `tail` records past the
+/// snapshot. Returns what the recovery touched and its wall time.
+pub fn recover_crashed_dir(
+    dir: &Path,
+    history: u64,
+    tail: u64,
+    keyspace: u32,
+    expect_root: Digest,
+) -> (ReplayStats, u64) {
+    let started = Instant::now();
+    let recovered = ExecutionPipeline::recover_opts(dir, keyspace, 1, RECOVERY_WAL_OPTS)
+        .expect("recover pipeline");
+    let wall_recover_ns = started.elapsed().as_nanos() as u64;
+    let stats = recovered.recovery_stats().clone();
+    assert_eq!(
+        stats.records_replayed, tail,
+        "history={history}: replay must touch exactly the tail"
+    );
+    assert_eq!(stats.replayed_txs, tail * RECOVERY_BLOCK_TXS as u64);
+    assert_eq!(recovered.applied(), history + tail);
+    assert_eq!(
+        recovered.state_root(),
+        expect_root,
+        "recovered root differs"
+    );
+    (stats, wall_recover_ns)
+}
+
+/// `fig_recovery_scaling`: one crashed-compaction recovery (64 covered
+/// records, 16 in the tail). Every gated field is a deterministic count.
+pub fn recovery_figure(tag: &str) -> Vec<(String, Json)> {
+    const HISTORY: u64 = 64;
+    const TAIL: u64 = 16;
+    let keyspace = 4096u32;
+    let dir = scratch_dir("fig-recovery", tag);
+    let expect_root = build_crashed_dir(&dir, HISTORY, TAIL, keyspace);
+    let (stats, wall_recover_ns) = recover_crashed_dir(&dir, HISTORY, TAIL, keyspace, expect_root);
+    let _ = std::fs::remove_dir_all(&dir);
+    fields(vec![
+        ("log_records", Json::U64(HISTORY + TAIL)),
+        ("records_replayed", Json::U64(stats.records_replayed)),
+        ("segments_skipped", Json::U64(stats.segments_skipped)),
+        ("segments_scanned", Json::U64(stats.segments_scanned)),
+        ("dirty_lanes", Json::U64(stats.dirty_lanes() as u64)),
+        ("wall_recover_ns", Json::U64(wall_recover_ns)),
+    ])
+}
+
+/// `fig_snapshot_delta`: content-addressed delta sync ships chunks and
+/// bytes proportional to *changed lanes*, not state size. Gates, all
+/// deterministic counts:
+///
+/// 1. dirtying `k` of the 64 lanes ships exactly `k` chunks, for
+///    k ∈ {1, 8, 64}, and shipped bytes grow with `k` while the
+///    monolithic baseline stays proportional to full state size;
+/// 2. the delta-assembled snapshot is byte-identical to the monolithic
+///    encode (lane roots and all);
+/// 3. the responder's [`ChunkCache`] never re-encodes an unchanged
+///    lane — priming the next epoch's snapshot builds exactly the
+///    dirty-lane chunks;
+/// 4. an interrupted install resumes from the durable chunk stash and
+///    requests only the still-missing chunks.
+pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
+    // Enough keys that every one of the 64 lanes is populated with
+    // distinct contents.
+    const BASE_KEYS: u32 = 2048;
+    const DIRTY_KS: [usize; 3] = [1, 8, 64];
+
+    let base = KvState::from_entries((0..BASE_KEYS).map(|k| (k, k as u64 * 37 + 11)));
+    // First base key landing in each lane (index = lane).
+    let mut lane_keys = vec![u32::MAX; MERKLE_LANES as usize];
+    for k in 0..BASE_KEYS {
+        let lane = lane_of(k);
+        if lane_keys[lane] == u32::MAX {
+            lane_keys[lane] = k;
+        }
+    }
+    assert!(
+        lane_keys.iter().all(|&k| k != u32::MAX),
+        "base state must populate all {MERKLE_LANES} lanes"
+    );
+    // The base state with exactly the first `k` lanes' contents changed.
+    let dirtied = |k: usize| -> KvState {
+        let mut entries: BTreeMap<u32, u64> = base.entries().collect();
+        for &key in &lane_keys[..k] {
+            *entries.get_mut(&key).expect("lane key exists") += 1;
+        }
+        KvState::from_entries(entries)
+    };
+    // The chunks a responder ships for `delta`, deduplicated by root
+    // (content addressing: lanes sharing a root share a chunk).
+    let shipped_chunks = |snap: &Snapshot, delta: &[u32]| -> Vec<SnapshotChunk> {
+        let (_, chunks) = snap.split();
+        let mut sent = BTreeSet::new();
+        let mut out = Vec::new();
+        for &lane in delta {
+            let root = snap.lane_roots[lane as usize];
+            if sent.insert(root) {
+                let c = chunks
+                    .iter()
+                    .find(|c| c.root == root)
+                    .expect("split covers every lane root")
+                    .clone();
+                assert!(c.verify(), "shipped chunk must verify");
+                out.push(c);
+            }
+        }
+        out
+    };
+
+    let snap_a = Snapshot::capture(1, 64, 4096, Vec::new(), Vec::new(), &base);
+    assert!(snap_a.verify());
+    let monolithic_bytes = snap_a.wire_size();
+
+    // 1+2. k dirty lanes -> exactly k chunks; delta assembly is
+    //      byte-identical to the monolithic snapshot.
+    let mut chunk_counts = Vec::new();
+    let mut byte_counts = Vec::new();
+    for &k in &DIRTY_KS {
+        let snap_b = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(k));
+        let delta = delta_lanes(&snap_b.lane_roots, &snap_a.lane_roots);
+        assert_eq!(
+            delta.len(),
+            k,
+            "k={k}: delta must be exactly the dirty lanes"
+        );
+        let shipped = shipped_chunks(&snap_b, &delta);
+        assert_eq!(shipped.len(), k, "k={k}: one chunk per dirty lane");
+        let bytes: u64 = shipped.iter().map(|c| c.wire_size()).sum();
+
+        // Reassemble from local (unchanged) chunks + shipped delta.
+        let (head, _) = snap_b.split();
+        assert!(head.verify());
+        let (_, local) = snap_a.split();
+        let mut parts: Vec<SnapshotChunk> = local
+            .into_iter()
+            .filter(|c| head.lane_roots.contains(&c.root))
+            .collect();
+        parts.extend(shipped.iter().cloned());
+        let rebuilt = Snapshot::assemble(head, &parts).expect("all lanes accounted for");
+        assert_eq!(
+            rebuilt.encode(),
+            snap_b.encode(),
+            "k={k}: delta-assembled snapshot must be byte-identical"
+        );
+        assert_eq!(rebuilt.lane_roots, snap_b.lane_roots);
+        println!(
+            "  k={k:>2} dirty lanes -> {} chunks, {bytes} bytes shipped \
+             (monolithic: {monolithic_bytes} bytes)",
+            shipped.len()
+        );
+        chunk_counts.push(shipped.len() as u64);
+        byte_counts.push(bytes);
+    }
+    assert!(byte_counts[0] < byte_counts[1] && byte_counts[1] < byte_counts[2]);
+    assert!(
+        byte_counts[0] * 8 < monolithic_bytes,
+        "single-lane delta must be a small fraction of full state"
+    );
+
+    // 3. Unchanged lanes are never re-encoded across epochs.
+    let mut cache = ChunkCache::new();
+    let built_a = cache.prime(&snap_a);
+    assert_eq!(
+        built_a, MERKLE_LANES as u64,
+        "first prime builds every lane"
+    );
+    assert_eq!(cache.prime(&snap_a), 0, "re-priming builds nothing");
+    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(8));
+    let built_b = cache.prime(&snap_b8);
+    assert_eq!(built_b, 8, "next epoch primes only the 8 dirty lanes");
+    let cache_encodes = cache.encodes();
+    assert_eq!(cache_encodes, MERKLE_LANES as u64 + 8);
+    println!(
+        "  ChunkCache: {built_a} builds at epoch 1, {built_b} at epoch 2 \
+         ({cache_encodes} total; unchanged lanes never re-encoded)"
+    );
+
+    // 4. Interrupted install: the durable stash survives restart and
+    //    only still-missing chunks are requested.
+    let dir = scratch_dir("fig-snapshot-delta", tag);
+    let delta8 = delta_lanes(&snap_b8.lane_roots, &snap_a.lane_roots);
+    let shipped8 = shipped_chunks(&snap_b8, &delta8);
+    let stash_n = shipped8.len() / 2;
+    {
+        let mut store = SnapshotStore::at_dir(&dir).expect("open store");
+        for c in &shipped8[..stash_n] {
+            assert!(store.stash_chunk(c.clone()), "stash verified chunk");
+        }
+    }
+    let store = SnapshotStore::at_dir(&dir).expect("reopen store");
+    assert_eq!(store.stash_len(), stash_n, "stash survives restart");
+    assert_eq!(store.decode_failures(), 0);
+    let mut advertised = snap_a.lane_roots.clone();
+    for c in store.stashed_chunks() {
+        advertised[c.lane as usize] = c.root;
+    }
+    let resume = delta_lanes(&snap_b8.lane_roots, &advertised);
+    assert_eq!(
+        resume.len(),
+        shipped8.len() - stash_n,
+        "resume requests only the missing chunks"
+    );
+    for c in store.stashed_chunks() {
+        assert!(
+            !resume.contains(&c.lane),
+            "stashed lanes are not re-requested"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "  resume: {stash_n} chunks stashed across restart, {} still missing \
+         (only those re-requested)",
+        resume.len()
+    );
+
+    fields(vec![
+        ("base_entries", Json::U64(BASE_KEYS as u64)),
+        ("monolithic_bytes", Json::U64(monolithic_bytes)),
+        ("chunks_k1", Json::U64(chunk_counts[0])),
+        ("bytes_k1", Json::U64(byte_counts[0])),
+        ("chunks_k8", Json::U64(chunk_counts[1])),
+        ("bytes_k8", Json::U64(byte_counts[1])),
+        ("chunks_k64", Json::U64(chunk_counts[2])),
+        ("bytes_k64", Json::U64(byte_counts[2])),
+        ("cache_encodes", Json::U64(cache_encodes)),
+        ("resume_missing_chunks", Json::U64(resume.len() as u64)),
+    ])
 }

@@ -24,11 +24,11 @@ use crate::predetermined::{BaselineKind, PredeterminedOrderer};
 use crate::sync::{select_chunk_lanes, SyncEntry, SyncRequest, SyncResponse};
 use ladon_crypto::{KeyRegistry, RankCert};
 use ladon_hotstuff::{HsConfig, HsInstance, HsRankMode};
-use ladon_obs::{Stage, TraceJournal};
+use ladon_obs::{SnapshotInto, Stage, TraceJournal};
 use ladon_pbft::{InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{
-    delta_lanes, ChunkCache, ExecOutcome, ExecutionPipeline, Snapshot, SnapshotChunk,
+    delta_lanes, ChunkCache, ExecOutcome, ExecutionPipeline, PipelineStats, Snapshot, SnapshotChunk,
 };
 use ladon_types::{
     Batch, Block, Digest, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig, TimeNs,
@@ -131,8 +131,6 @@ pub struct NodeMetrics {
     pub sync_requests: u64,
     /// Blocks installed from peers' sync responses.
     pub sync_installed: u64,
-    /// Transactions executed by the state machine (confirmed order).
-    pub executed_txs: u64,
     /// Execution state roots at epoch checkpoints `(time, epoch, root)`.
     pub state_roots: Vec<(TimeNs, u64, Digest)>,
     /// Peer snapshots installed (execution fast-forward).
@@ -150,12 +148,6 @@ pub struct NodeMetrics {
     /// (the lane root in the peer's head matched a lane we already
     /// held, so the lane was reconstructed in place, never shipped).
     pub snapshot_chunks_reused: u64,
-    /// Snapshot-store files (snapshots or stashed chunks) that failed to
-    /// read, decode, or verify when the store directory was scanned —
-    /// mirrored from [`ladon_state::ExecutionPipeline`]. Previously a
-    /// corrupt `snap-*.bin` was skipped silently; nonzero here means
-    /// recovery fell back past the newest checkpoint it should have had.
-    pub snapshot_decode_failures: u64,
     /// Confirmed `sn`s this replica never recorded a `ConfirmRecord` for
     /// because a snapshot install fast-forwarded past them (the
     /// confirm-record gap a log join on `sn` must tolerate). Summed over
@@ -166,87 +158,26 @@ pub struct NodeMetrics {
     /// Must stay 0; nonzero means a confirmation bug corrupted the
     /// execution order and the replica's root can no longer advance.
     pub exec_gaps: u64,
-    /// Durable WAL writes (segment appends, compaction rotations,
-    /// manifest publishes) that reported failure — mirrored from
-    /// [`ladon_state::ExecutionPipeline::wal_write_failures`] so silent
-    /// append failures surface in runs and test assertions. Must stay 0;
-    /// nonzero means a crash right now could lose acknowledged records
-    /// (the next successful compaction repairs the backend from the
-    /// in-memory mirror).
-    pub wal_write_failures: u64,
-    /// WAL fsync barriers issued, mirrored from the backend's
-    /// deterministic I/O counters
-    /// ([`ladon_state::ExecutionPipeline::wal_io_stats`]). Under group
-    /// commit this scales with confirmed-queue *drains* (one barrier per
-    /// touched lane group per batch), not with confirmed blocks.
-    pub wal_fsyncs: u64,
-    /// Segment bytes written to WAL storage (appends + compaction
-    /// rewrites), from the same counters.
-    pub wal_bytes_written: u64,
-    /// Topological waves executed by the dependency-DAG wave scheduler,
-    /// summed over batches — mirrored from
-    /// [`ladon_state::ExecutionPipeline::sched_stats`].
-    /// `executed_txs / exec_waves` is the mean exploitable parallelism
-    /// per wave; deterministic and worker-count invariant.
-    pub exec_waves: u64,
-    /// Cross-lane dependency edges the scheduler ordered (the
-    /// read-your-writes dependencies the old two-phase credit pass could
-    /// not express), from the same counters.
-    pub exec_cross_lane_edges: u64,
-    /// Ops in the fullest single wave seen, from the same counters.
-    pub exec_max_wave_ops: u32,
     /// Checkpoint quorums observed on a root different from ours.
     pub root_conflicts: u64,
-    /// Records dropped from torn/corrupt WAL segment tails at the last
-    /// recovery — mirrored from
-    /// [`ladon_state::ReplayStats::records_torn`] so fault-matrix
-    /// assertions can run at the `Report` level. Zero for nodes that
-    /// never recovered.
-    pub records_torn: u64,
-    /// Manifest-counted records missing from cleanly-ended segments at
-    /// the last recovery (a never-acknowledged suffix), from
-    /// [`ladon_state::ReplayStats::records_unacked_lost`].
-    pub records_unacked_lost: u64,
-    /// Scanned segments whose stream ended exactly at a batch trailer,
-    /// from [`ladon_state::ReplayStats::segments_clean_end`].
-    pub segments_clean_end: u64,
-    /// WAL-tail records re-executed at the last recovery, from
-    /// [`ladon_state::ReplayStats::records_replayed`].
-    pub records_replayed: u64,
-    /// Wall-clock nanoseconds inside WAL flush barriers (`wall_` = real
-    /// elapsed time, excluded from determinism gates), mirrored from
-    /// [`ladon_state::PipelinePerf`].
-    pub wall_wal_flush_ns: u64,
-    /// Wall-clock nanoseconds executing staged ops (DAG apply), from
-    /// the same counters.
+    /// Every counter the execution pipeline owns, as of its last drain,
+    /// checkpoint, snapshot install or durability retry — one copy of
+    /// [`ExecutionPipeline::stats`], never field-by-field.
+    pub exec: PipelineStats,
+    /// `exec.perf.wall_exec_ns`; read mid-run by `benchmark/`.
     pub wall_exec_ns: u64,
-    /// Flush barriers taken (denominator for per-barrier wall means).
+    /// `exec.io.fsyncs`; read mid-run by `benchmark/`.
+    pub wal_fsyncs: u64,
+    /// `exec.io.bytes_written`; read mid-run by `benchmark/`.
+    pub wal_bytes_written: u64,
+    /// `exec.perf.flush_barriers`; read mid-run by `benchmark/`.
     pub flush_barriers: u64,
-    /// Flush barriers whose durable step failed, mirrored from
-    /// [`ladon_state::PipelinePerf::wal_flush_failures`] — the alarm the
-    /// node raises **before** a drained range is treated as durable
-    /// (previously the outcome was swallowed inside the pipeline). Must
-    /// stay 0; nonzero means ranges were applied whose durability the
-    /// storage never confirmed.
-    pub wal_flush_failures: u64,
-    /// Barriers submitted while the previous barrier was still in
-    /// flight — genuine write/execute overlap windows, from
-    /// [`ladon_state::PipelinePerf::pipelined_submits`]. Deterministic
-    /// (identical in pipelined File mode and inline simulation).
-    pub wal_pipelined_submits: u64,
-    /// Peak records inside one in-flight barrier, from
-    /// [`ladon_state::PipelinePerf::inflight_records_peak`].
-    pub wal_inflight_records_peak: u64,
-    /// Per-barrier wall-clock token-wait samples (`wall_`, excluded from
-    /// determinism gates), from [`ladon_state::PipelinePerf`].
-    pub barrier_wait: ladon_obs::Histogram,
-    /// Per-barrier wall-clock in-flight (overlap) window samples, from
-    /// the same counters.
-    pub barrier_overlap: ladon_obs::Histogram,
+    /// `exec.perf.wall_wal_flush_ns`; read mid-run by `benchmark/`.
+    pub wall_wal_flush_ns: u64,
     /// `true` while the durability degradation state machine is in
     /// [`NodeMode::Degraded`]: a run of consecutive failed flush
-    /// barriers crossed `SystemConfig::wal_failure_degrade_threshold`,
-    /// so the node has stopped draining barriers, checkpointing, and
+    /// barriers crossed `WAL_FAILURE_DEGRADE_THRESHOLD`, so the node
+    /// has stopped draining barriers, checkpointing, and
     /// serving snapshots, and is retrying the durable path on a capped
     /// exponential backoff timer. Exported as the `node.mode` gauge.
     pub degraded: bool,
@@ -256,11 +187,6 @@ pub struct NodeMetrics {
     /// Durability retry attempts fired while degraded (each `T_RETRY`
     /// expiry, successful or not).
     pub degraded_retries: u64,
-    /// Stale per-lane chunk files pruned from the snapshot-store stash
-    /// at checkpoints (abandoned transfers whose roots no pending
-    /// install references any more), mirrored from
-    /// [`ladon_state::SnapshotStore`].
-    pub snapshot_chunks_pruned: u64,
     /// State-transfer probes whose responder never answered before the
     /// next probe window (per-responder health: feeds rotation backoff).
     pub sync_responder_timeouts: u64,
@@ -281,11 +207,10 @@ pub struct NodeMetrics {
     pub trace: TraceJournal,
 }
 
-impl ladon_obs::SnapshotInto for NodeMetrics {
+impl SnapshotInto for NodeMetrics {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("node.confirmed_blocks", self.confirms.len() as u64);
         registry.counter("node.confirmed_txs", self.confirmed_txs);
-        registry.counter("node.executed_txs", self.executed_txs);
         registry.counter("node.deposited_txs", self.deposited_txs);
         registry.counter("node.sync_requests", self.sync_requests);
         registry.counter("node.sync_installed", self.sync_installed);
@@ -294,39 +219,13 @@ impl ladon_obs::SnapshotInto for NodeMetrics {
         registry.counter("sync.snapshot_chunks_served", self.snapshot_chunks_served);
         registry.counter("sync.snapshot_bytes_served", self.snapshot_bytes_served);
         registry.counter("sync.snapshot_chunks_reused", self.snapshot_chunks_reused);
-        registry.counter(
-            "node.snapshot_decode_failures",
-            self.snapshot_decode_failures,
-        );
         registry.counter("node.skipped_sns", self.skipped_sns);
         registry.counter("node.exec_gaps", self.exec_gaps);
         registry.counter("node.root_conflicts", self.root_conflicts);
         registry.counter("node.view_changes", self.view_changes.len() as u64);
-        registry.counter("wal.write_failures", self.wal_write_failures);
-        registry.counter("wal.fsyncs", self.wal_fsyncs);
-        registry.counter("wal.bytes_written", self.wal_bytes_written);
-        registry.counter("exec.waves", self.exec_waves);
-        registry.counter("exec.cross_lane_edges", self.exec_cross_lane_edges);
-        registry.gauge("exec.max_wave_ops", self.exec_max_wave_ops as f64);
-        registry.counter("replay.records_torn", self.records_torn);
-        registry.counter("replay.records_unacked_lost", self.records_unacked_lost);
-        registry.counter("replay.segments_clean_end", self.segments_clean_end);
-        registry.counter("replay.records_replayed", self.records_replayed);
-        registry.counter("pipeline.wall_wal_flush_ns", self.wall_wal_flush_ns);
-        registry.counter("pipeline.wall_exec_ns", self.wall_exec_ns);
-        registry.counter("pipeline.flush_barriers", self.flush_barriers);
-        registry.counter("pipeline.wal_flush_failures", self.wal_flush_failures);
-        registry.counter("pipeline.pipelined_submits", self.wal_pipelined_submits);
-        registry.gauge(
-            "pipeline.inflight_records_peak",
-            self.wal_inflight_records_peak as f64,
-        );
-        registry.merge_histogram("pipeline.wall_barrier_wait_ns", &self.barrier_wait);
-        registry.merge_histogram("pipeline.wall_barrier_overlap_ns", &self.barrier_overlap);
         registry.gauge("node.mode", if self.degraded { 1.0 } else { 0.0 });
         registry.counter("node.degraded_entries", self.degraded_entries);
         registry.counter("node.degraded_retries", self.degraded_retries);
-        registry.counter("node.snapshot_chunks_pruned", self.snapshot_chunks_pruned);
         registry.counter("sync.responder_timeouts", self.sync_responder_timeouts);
         registry.counter(
             "sync.responders_quarantined",
@@ -334,6 +233,7 @@ impl ladon_obs::SnapshotInto for NodeMetrics {
         );
         registry.counter("sync.chunks_rejected", self.sync_chunks_rejected);
         registry.counter("sync.chunks_verified", self.sync_chunks_verified);
+        self.exec.snapshot_into(registry);
         self.trace.snapshot_into(registry);
     }
 }
@@ -358,23 +258,28 @@ const T_CRASH: u64 = 4;
 const T_SAMPLE: u64 = 5;
 const T_QUIET: u64 = 6;
 const T_SYNC: u64 = 7;
-/// Time-based flush policy: drain staged WAL records into a barrier
-/// submit even when the record-count threshold has not been reached
-/// (`SystemConfig::wal_flush_interval_ms`; 0 disables the timer).
-const T_FLUSH: u64 = 8;
 /// Durability retry while [`NodeMode::Degraded`]: re-attempts the failed
 /// durable path (resolve the in-flight barrier, rewrite every segment
 /// from the in-memory mirror) on a capped exponential backoff
-/// (`SystemConfig::wal_retry_backoff_ms` doubling up to
-/// `wal_retry_backoff_max_ms`).
+/// (`WAL_RETRY_BACKOFF_MS` doubling up to `WAL_RETRY_BACKOFF_MAX_MS`).
 const T_RETRY: u64 = 9;
 
 /// State-transfer probe period.
 const SYNC_PERIOD: TimeNs = TimeNs::from_millis(1000);
 
+/// Consecutive failed flush barriers (with no success in between) that
+/// flip a replica `Normal → Degraded`. Isolated hiccups alarm without
+/// degrading; a persistently failing backend crosses this quickly.
+const WAL_FAILURE_DEGRADE_THRESHOLD: u64 = 3;
+/// Delay before the first degraded-mode durability retry; doubles per
+/// failed attempt.
+const WAL_RETRY_BACKOFF_MS: u64 = 50;
+/// Cap on the doubled retry delay.
+const WAL_RETRY_BACKOFF_MAX_MS: u64 = 1000;
+
 /// Durability mode of the replica (the degradation state machine).
 ///
-/// `Normal → Degraded` when `wal_failure_degrade_threshold` consecutive
+/// `Normal → Degraded` when `WAL_FAILURE_DEGRADE_THRESHOLD` consecutive
 /// flush barriers fail: the node keeps *staging* confirmed blocks (they
 /// stay unacknowledged in the WAL front buffer and the pipeline's staged
 /// queue) but stops submitting new barriers, stops checkpointing, and
@@ -392,6 +297,17 @@ pub enum NodeMode {
     Normal,
     /// Durable path failing: staging only, retries on `T_RETRY`.
     Degraded,
+}
+
+/// Which barrier [`MultiBftNode::drain`] runs.
+#[derive(Clone, Copy)]
+enum Drain {
+    /// Submit what is staged; apply the previous batch
+    /// ([`ExecutionPipeline::submit_staged`]).
+    Pipelined,
+    /// Resolve, submit and complete everything
+    /// ([`ExecutionPipeline::flush_staged`]).
+    Full,
 }
 
 /// Per-peer state-transfer responder health. Verified chunks reset the
@@ -848,83 +764,84 @@ impl MultiBftNode {
         if i < self.cfg.sys.m {
             let mut broadcast = None;
             let mut pending_advance = None;
-            let degraded = self.mode == NodeMode::Degraded;
-            if let Some(pm) = &mut self.pacemaker {
-                // While degraded, consume the epoch-completion event but
-                // skip the checkpoint entirely: checkpointing flushes and
-                // compacts through the failing backend, and a root signed
-                // over an undurable prefix must never be broadcast. The
-                // cluster's quorum completes the epoch without us; we
-                // rejoin via `on_stable_checkpoint` / sync once recovered.
-                if pm.on_commit(i, rank) && !degraded {
-                    // Epoch complete: checkpoint the executed state (this
-                    // snapshots the KV contents and compacts the WAL) and
-                    // sign its root into the checkpoint message. The
-                    // snapshot also records each instance's commit-round
-                    // frontier so installers can fast-forward consensus
-                    // intake, not just the state machine.
-                    let epoch = pm.epoch();
-                    // The frontier goes under the quorum-signed manifest
-                    // root, so it must be replica-deterministic. PBFT
-                    // instances freeze at their epoch's last round by
-                    // checkpoint time; HotStuff heights depend on local
-                    // dummy-commit timing (and have no fast_forward), so
-                    // under HotStuff the snapshot is state-only: empty
-                    // frontier, installers skip the consensus jump.
-                    let frontier: Vec<u64> = if self.cfg.protocol == ProtocolKind::LadonHotStuff {
-                        Vec::new()
-                    } else {
-                        self.slots
-                            .iter()
-                            .take(self.cfg.sys.m)
-                            .filter_map(|s| match s {
-                                Slot::Pbft(inst) => Some(inst.committed_upto().0),
-                                Slot::Hs(_) => None,
-                            })
-                            .collect()
-                    };
-                    // Drain the cross-drain accumulation here (the
-                    // checkpoint would anyway) so the flushed `sn` range
-                    // is visible for lifecycle tracing.
-                    let flushed = self.exec.flush_staged();
-                    Self::trace_flushed(&mut self.metrics, flushed, now);
-                    let root = self.exec.checkpoint(epoch.0, frontier);
-                    // Every block below the new snapshot frontier is now
-                    // covered by a checkpoint: stamp the terminal
-                    // lifecycle stage for the swept range.
-                    for sn in self.ckpt_traced_upto..self.exec.applied() {
-                        let lane = Self::confirm_lane(&self.metrics, sn);
-                        self.metrics
-                            .trace
-                            .record(sn, lane, Stage::Checkpointed, now);
-                    }
-                    self.ckpt_traced_upto = self.exec.applied();
-                    // The checkpoint drains any staged accumulation and
-                    // compacts the WAL (segment rotation); surface any
-                    // failed rotation step — and the I/O + scheduling it
-                    // cost — immediately (`pm` holds the pacemaker
-                    // borrow, so the mirror is an associated call).
-                    Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
-                    // The new snapshot supersedes the previous one for
-                    // serving: drop cached chunk encodes for lane roots
-                    // it no longer references (unchanged lanes keep
-                    // their cached chunks — same root, same bytes).
-                    if let Some(snap) = self.exec.latest_snapshot() {
-                        self.chunk_cache.borrow_mut().retain(&snap.lane_roots);
-                    }
-                    // Same moment for the durable stash: drop chunk files
-                    // left behind by abandoned transfers — every root not
-                    // referenced by the still-pending install (if any) is
-                    // stale now that a newer local head exists.
-                    self.exec.prune_stale_chunks(&self.pending_sync_roots);
-                    self.metrics.snapshot_chunks_pruned = self.exec.snapshot_chunks_pruned();
-                    self.metrics.state_roots.push((now, epoch.0, root));
-                    let signer = self.cfg.registry.signer(self.cfg.me);
-                    broadcast = Some(pm.make_checkpoint(&signer, root));
-                    // A stable checkpoint fetched earlier via state
-                    // transfer may already prove this epoch complete.
-                    pending_advance = pm.try_pending_advance(now);
+            // While degraded, consume the epoch-completion event but
+            // skip the checkpoint entirely: checkpointing flushes and
+            // compacts through the failing backend, and a root signed
+            // over an undurable prefix must never be broadcast. The
+            // cluster's quorum completes the epoch without us; we
+            // rejoin via `on_stable_checkpoint` / sync once recovered.
+            let epoch_done = self
+                .pacemaker
+                .as_mut()
+                .is_some_and(|pm| pm.on_commit(i, rank));
+            if epoch_done && self.mode == NodeMode::Normal {
+                // Epoch complete: checkpoint the executed state (this
+                // snapshots the KV contents and compacts the WAL) and
+                // sign its root into the checkpoint message. The
+                // snapshot also records each instance's commit-round
+                // frontier so installers can fast-forward consensus
+                // intake, not just the state machine.
+                let epoch = self.epoch();
+                // The frontier goes under the quorum-signed manifest
+                // root, so it must be replica-deterministic. PBFT
+                // instances freeze at their epoch's last round by
+                // checkpoint time; HotStuff heights depend on local
+                // dummy-commit timing (and have no fast_forward), so
+                // under HotStuff the snapshot is state-only: empty
+                // frontier, installers skip the consensus jump.
+                let frontier: Vec<u64> = if self.cfg.protocol == ProtocolKind::LadonHotStuff {
+                    Vec::new()
+                } else {
+                    self.slots
+                        .iter()
+                        .take(self.cfg.sys.m)
+                        .filter_map(|s| match s {
+                            Slot::Pbft(inst) => Some(inst.committed_upto().0),
+                            Slot::Hs(_) => None,
+                        })
+                        .collect()
+                };
+                // Drain the cross-drain accumulation here (the
+                // checkpoint would anyway) so the flushed `sn` range
+                // is visible for lifecycle tracing.
+                self.drain(Drain::Full, now);
+                let root = self.exec.checkpoint(epoch, frontier);
+                // Every block below the new snapshot frontier is now
+                // covered by a checkpoint: stamp the terminal
+                // lifecycle stage for the swept range.
+                for sn in self.ckpt_traced_upto..self.exec.applied() {
+                    let lane = Self::confirm_lane(&self.metrics, sn);
+                    self.metrics
+                        .trace
+                        .record(sn, lane, Stage::Checkpointed, now);
                 }
+                self.ckpt_traced_upto = self.exec.applied();
+                // The new snapshot supersedes the previous one for
+                // serving: drop cached chunk encodes for lane roots
+                // it no longer references (unchanged lanes keep
+                // their cached chunks — same root, same bytes).
+                if let Some(snap) = self.exec.latest_snapshot() {
+                    self.chunk_cache.borrow_mut().retain(&snap.lane_roots);
+                }
+                // Same moment for the durable stash: drop chunk files
+                // left behind by abandoned transfers — every root not
+                // referenced by the still-pending install (if any) is
+                // stale now that a newer local head exists.
+                self.exec.prune_stale_chunks(&self.pending_sync_roots);
+                // The checkpoint compacted the WAL (segment rotation)
+                // and the prune reclaimed chunks: surface any failed
+                // rotation step, and the I/O it cost, immediately.
+                self.refresh_exec_stats();
+                self.metrics.state_roots.push((now, epoch, root));
+                let signer = self.cfg.registry.signer(self.cfg.me);
+                let pm = self
+                    .pacemaker
+                    .as_mut()
+                    .expect("an epoch completed, so a pacemaker exists");
+                broadcast = Some(pm.make_checkpoint(&signer, root));
+                // A stable checkpoint fetched earlier via state
+                // transfer may already prove this epoch complete.
+                pending_advance = pm.try_pending_advance(now);
             }
             if let Some(msg) = broadcast {
                 let wrapped = NodeMsg::Checkpoint(msg);
@@ -1034,33 +951,61 @@ impl MultiBftNode {
             // apply the *previous* batch whose barrier token just
             // resolved — in File mode batch N's write+fsync now runs on
             // the writer thread while the next drain stages batch N+1.
-            // Mirror (raising `wal_flush_failures`) BEFORE tracing the
-            // resolved range as flushed+applied: a failed barrier must
-            // alarm before any range is treated as durable. While
-            // degraded the drain is skipped: records keep *staging*
-            // (unacknowledged, memory only) but no new barrier touches
-            // the failing backend until a retry heals it.
-            let flushed = self.exec.submit_staged();
-            Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
-            Self::trace_flushed(&mut self.metrics, flushed, now);
+            // While degraded the drain is skipped: records keep
+            // *staging* (unacknowledged, memory only) but no new barrier
+            // touches the failing backend until a retry heals it.
+            self.drain(Drain::Pipelined, now);
         }
-        // Mirror the durability alarm and the I/O counters after every
-        // drain so a failed WAL write is visible the moment it happens,
-        // not only at the next checkpoint.
-        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
+    }
+
+    /// Runs one flush barrier and accounts for it, in the order every
+    /// caller needs: the pipeline's counters are copied out (raising
+    /// `wal_flush_failures` on a failed barrier) **before** the resolved
+    /// range is stamped `Flushed` + `Applied` — a failed barrier must
+    /// alarm before any range is treated as durable. Both stamps carry
+    /// the same timestamp (the flush and the DAG apply complete in the
+    /// same call; the wall-clock split lives in
+    /// [`ladon_state::PipelinePerf`]), while the sim-time
+    /// `staged → flushed` latency — how long a block waited on the
+    /// cross-drain barrier — is real and per-block. Handlers follow up
+    /// with [`Self::check_durability`] once, on their way out.
+    fn drain(&mut self, how: Drain, now: TimeNs) {
+        let flushed = match how {
+            Drain::Pipelined => self.exec.submit_staged(),
+            Drain::Full => self.exec.flush_staged(),
+        };
+        self.refresh_exec_stats();
+        for sn in flushed {
+            let lane = Self::confirm_lane(&self.metrics, sn);
+            self.metrics.trace.record(sn, lane, Stage::Flushed, now);
+            self.metrics.trace.record(sn, lane, Stage::Applied, now);
+        }
+    }
+
+    /// Copies the pipeline's counters into the metrics sink. Called
+    /// after everything that moves them: a drain, a checkpoint, a
+    /// snapshot install, a durability retry.
+    fn refresh_exec_stats(&mut self) {
+        let stats = self.exec.stats();
+        let m = &mut self.metrics;
+        m.wall_exec_ns = stats.perf.wall_exec_ns;
+        m.wal_fsyncs = stats.io.fsyncs;
+        m.wal_bytes_written = stats.io.bytes_written;
+        m.flush_barriers = stats.perf.flush_barriers;
+        m.wall_wal_flush_ns = stats.perf.wall_wal_flush_ns;
+        m.exec = stats;
     }
 
     /// Degradation trigger: call with `ctx` after any path that can
     /// resolve a flush barrier. Crossing
-    /// `wal_failure_degrade_threshold` consecutive failed barriers
+    /// `WAL_FAILURE_DEGRADE_THRESHOLD` consecutive failed barriers
     /// flips the node into [`NodeMode::Degraded`] and arms the first
     /// `T_RETRY` timer at the base backoff.
     fn check_durability(&mut self, ctx: &mut dyn Context<NodeMsg>) {
         if self.mode == NodeMode::Degraded {
             return;
         }
-        let threshold = self.cfg.sys.wal_failure_degrade_threshold as u64;
-        if self.exec.perf().consecutive_flush_failures >= threshold {
+        if self.exec.perf().consecutive_flush_failures >= WAL_FAILURE_DEGRADE_THRESHOLD {
             self.mode = NodeMode::Degraded;
             self.retry_attempt = 0;
             self.metrics.degraded = true;
@@ -1071,13 +1016,11 @@ impl MultiBftNode {
     }
 
     /// Arms the next `T_RETRY` expiry: base backoff doubled per failed
-    /// attempt, capped at `wal_retry_backoff_max_ms`.
+    /// attempt, capped at `WAL_RETRY_BACKOFF_MAX_MS`.
     fn arm_retry(&mut self, ctx: &mut dyn Context<NodeMsg>) {
-        let base = self.cfg.sys.wal_retry_backoff_ms as u64;
-        let cap = self.cfg.sys.wal_retry_backoff_max_ms as u64;
-        let delay = base
+        let delay = WAL_RETRY_BACKOFF_MS
             .saturating_mul(1u64 << self.retry_attempt.min(32))
-            .min(cap.max(base));
+            .min(WAL_RETRY_BACKOFF_MAX_MS);
         ctx.set_timer(TimeNs::from_millis(delay), enc(T_RETRY, 0, 0, 0));
     }
 
@@ -1095,13 +1038,8 @@ impl MultiBftNode {
         let now = ctx.now();
         self.metrics.degraded_retries += 1;
         if self.exec.retry_durability() {
-            let flushed = self.exec.flush_staged();
-            // Mirror (raising the alarm on a re-failed backlog barrier)
-            // before stamping the applied range — same
-            // alarm-before-durable ordering as the live drains.
-            Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
-            Self::trace_flushed(&mut self.metrics, flushed, now);
-            if self.exec.perf().consecutive_flush_failures == 0 {
+            self.drain(Drain::Full, now);
+            if self.metrics.exec.perf.consecutive_flush_failures == 0 {
                 // Backlog durable and applied: back to normal service.
                 self.mode = NodeMode::Normal;
                 self.retry_attempt = 0;
@@ -1111,25 +1049,11 @@ impl MultiBftNode {
             }
             // The repair succeeded but the backlog barrier failed again
             // (flutter): stay degraded, keep backing off.
+        } else {
+            self.refresh_exec_stats();
         }
-        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
         self.retry_attempt = self.retry_attempt.saturating_add(1);
         self.arm_retry(ctx);
-    }
-
-    /// Stamps `Flushed` + `Applied` lifecycle events for every block a
-    /// flush barrier just made durable and executed. Both carry the same
-    /// timestamp — the flush and the DAG apply complete in the same call;
-    /// the *wall-clock* split between them lives in
-    /// [`ladon_state::PipelinePerf`] — while the interesting sim-time
-    /// latency (`staged → flushed`: how long a block waited on the
-    /// cross-drain fsync barrier) is real and per-block.
-    fn trace_flushed(metrics: &mut NodeMetrics, flushed: std::ops::Range<u64>, now: TimeNs) {
-        for sn in flushed {
-            let lane = Self::confirm_lane(metrics, sn);
-            metrics.trace.record(sn, lane, Stage::Flushed, now);
-            metrics.trace.record(sn, lane, Stage::Applied, now);
-        }
     }
 
     /// Lane (producing instance) of a confirmed `sn`, looked up from the
@@ -1140,45 +1064,6 @@ impl MultiBftNode {
             .binary_search_by_key(&sn, |c| c.sn)
             .map(|i| metrics.confirms[i].instance)
             .unwrap_or(0)
-    }
-
-    /// Mirrors the execution pipeline's WAL health, I/O, scheduler, and
-    /// execution counters into a metrics sink. An associated function so
-    /// it stays callable while `self.pacemaker` is borrowed; `pub` so
-    /// tests driving a pipeline directly (fault matrix) can build
-    /// Report-level assertions from the same mirror.
-    pub fn mirror_exec_metrics(metrics: &mut NodeMetrics, exec: &ExecutionPipeline) {
-        metrics.wal_write_failures = exec.wal_write_failures();
-        let io = exec.wal_io_stats();
-        metrics.wal_fsyncs = io.fsyncs;
-        metrics.wal_bytes_written = io.bytes_written;
-        let sched = exec.sched_stats();
-        metrics.exec_waves = sched.waves;
-        metrics.exec_cross_lane_edges = sched.cross_lane_edges;
-        metrics.exec_max_wave_ops = sched.max_wave_ops;
-        metrics.snapshot_decode_failures = exec.snapshot_decode_failures();
-        metrics.snapshot_chunks_pruned = exec.snapshot_chunks_pruned();
-        let replay = exec.recovery_stats();
-        metrics.records_torn = replay.records_torn;
-        metrics.records_unacked_lost = replay.records_unacked_lost;
-        metrics.segments_clean_end = replay.segments_clean_end;
-        metrics.records_replayed = replay.records_replayed;
-        let perf = exec.perf();
-        metrics.wall_wal_flush_ns = perf.wall_wal_flush_ns;
-        metrics.wall_exec_ns = perf.wall_exec_ns;
-        metrics.flush_barriers = perf.flush_barriers;
-        metrics.wal_flush_failures = perf.wal_flush_failures;
-        metrics.wal_pipelined_submits = perf.pipelined_submits;
-        metrics.wal_inflight_records_peak = perf.inflight_records_peak;
-        metrics.barrier_wait = perf.barrier_wait.clone();
-        metrics.barrier_overlap = perf.barrier_overlap.clone();
-        // Executed txs advance at flush time (staged blocks are not
-        // executed yet), so the metric mirrors the pipeline's cumulative
-        // count instead of summing per-drain outcomes — the *local* one:
-        // totals inherited from an installed peer snapshot (or a
-        // restored pre-crash snapshot) are work this process never
-        // performed and must not inflate throughput readouts.
-        metrics.executed_txs = exec.locally_executed_txs();
     }
 
     // ------------------------------------------------------------------
@@ -1692,7 +1577,7 @@ impl MultiBftNode {
                         self.exec.clear_chunk_stash();
                         self.pending_sync_roots.clear();
                         self.sync_cursor = 0;
-                        Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
+                        self.refresh_exec_stats();
                         // The fast-forwarded prefix never gets
                         // ConfirmRecords here: surface the gap instead of
                         // leaving it implicit in a shorter log.
@@ -1893,17 +1778,6 @@ impl Actor<NodeMsg> for MultiBftNode {
         if let Some(every) = self.cfg.sample_interval {
             ctx.set_timer(every, enc(T_SAMPLE, 0, 0, 0));
         }
-        // Time-based flush policy: with a nonzero interval, staged WAL
-        // accumulations that never reach `wal_flush_max_records` are
-        // still drained into a barrier submit on a fixed cadence, so a
-        // lull in confirmations bounds (rather than defers forever) the
-        // unacknowledged window. Sim timers keep it deterministic.
-        if self.cfg.sys.wal_flush_interval_ms > 0 {
-            ctx.set_timer(
-                TimeNs::from_millis(self.cfg.sys.wal_flush_interval_ms as u64),
-                enc(T_FLUSH, 0, 0, 0),
-            );
-        }
     }
 
     fn on_message(&mut self, from: ActorId, msg: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
@@ -1984,27 +1858,6 @@ impl Actor<NodeMsg> for MultiBftNode {
                     self.send_sync_request(ctx);
                 }
                 ctx.set_timer(SYNC_PERIOD, enc(T_SYNC, 0, 0, 0));
-            }
-            T_FLUSH => {
-                // Drain whatever accumulated below the record-count
-                // threshold, and resolve any in-flight barrier token so
-                // its batch gets applied even if no further confirm ever
-                // arrives. Same alarm-before-durable ordering as the
-                // threshold drain in `record_confirms`. Skipped while
-                // degraded — no new barrier touches the failing backend.
-                if self.mode == NodeMode::Normal
-                    && (self.exec.staged_records() > 0 || self.exec.inflight_records() > 0)
-                {
-                    let now = ctx.now();
-                    let flushed = self.exec.submit_staged();
-                    Self::mirror_exec_metrics(&mut self.metrics, &self.exec);
-                    Self::trace_flushed(&mut self.metrics, flushed, now);
-                    self.check_durability(ctx);
-                }
-                ctx.set_timer(
-                    TimeNs::from_millis(self.cfg.sys.wal_flush_interval_ms as u64),
-                    enc(T_FLUSH, 0, 0, 0),
-                );
             }
             T_RETRY => {
                 self.retry_degraded(ctx);

@@ -5,10 +5,10 @@
 //! - [`registry`] — a unified metrics registry (counters, gauges,
 //!   log-bucketed histograms, per-actor series) with a deterministic,
 //!   order- and partition-invariant merge and a single
-//!   [`MetricsSnapshot::to_json`] exposition path. The existing counter
-//!   structs (`NodeMetrics`, `WalIoStats`, `CryptoCounters`,
-//!   `ExecSchedStats`, `ReplayStats`, `NetStats`) implement
-//!   [`SnapshotInto`] to dump into it.
+//!   [`MetricsSnapshot::to_json`] exposition path. Each counter struct
+//!   implements [`SnapshotInto`] in its home crate — the one place its
+//!   registry names are written — and [`MetricsSnapshot::counter`] reads
+//!   a merged counter back by name.
 //! - [`trace`] — per-block lifecycle tracing: a bounded ring-buffer
 //!   journal of timestamped stage transitions (submitted → proposed →
 //!   confirmed → WAL-staged → flushed → applied → checkpointed) with

@@ -236,8 +236,13 @@ impl MetricsRegistry {
         }
     }
 
+    /// Current value of a counter. Panics on a name no collection site
+    /// has written: a mistyped name must not read as a passing `== 0`.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match self.counters.get(name) {
+            Some(&v) => v,
+            None => panic!("no counter named {name:?} in the registry"),
+        }
     }
 
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
@@ -257,8 +262,9 @@ impl MetricsRegistry {
 }
 
 /// Anything that can dump its counters into the registry. Implemented
-/// by `NodeMetrics`, `WalIoStats`, `CryptoCounters`, `ExecSchedStats`,
-/// `ReplayStats`, and `NetStats` at their home crates.
+/// by each counter struct in its home crate; every registry name is
+/// written by exactly one impl (counters add, so a second writer would
+/// double the value).
 pub trait SnapshotInto {
     fn snapshot_into(&self, registry: &mut MetricsRegistry);
 }
@@ -273,6 +279,13 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
+    }
+
+    /// Value of the named counter, merged across everything snapshotted
+    /// in. Panics on an unknown name (see
+    /// [`MetricsRegistry::counter_value`]).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.registry.counter_value(name)
     }
 
     /// Merges another snapshot (same commutative semantics as the
@@ -397,11 +410,21 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.counter_value("x"), 7);
+        assert_eq!(ab.snapshot().counter("y"), 1);
         assert_eq!(ab.series("s"), Some(&[2, 0, 7][..]));
         assert_eq!(
             ab.snapshot().deterministic_json(),
             ba.snapshot().deterministic_json()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named \"no.such.name\"")]
+    fn reading_an_unknown_counter_panics() {
+        let mut r = MetricsRegistry::new();
+        r.counter("known", 0);
+        assert_eq!(r.snapshot().counter("known"), 0);
+        r.snapshot().counter("no.such.name");
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub use kv::{
     lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_EXEC_LANES, DEFAULT_KEYSPACE, MERKLE_LANES,
 };
 pub use pipeline::{
-    static_lane_mask, ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, ReplayStats,
+    static_lane_mask, ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats,
+    ReplayStats,
 };
 pub use snapshot::{delta_lanes, ChunkCache, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{

@@ -34,7 +34,10 @@
 
 use crate::kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_EXEC_LANES, MERKLE_LANES};
 use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotStore};
-use crate::wal::{CommitWal, FileBackend, WalBackend, WalLoadStats, WalOptions, WalRecord};
+use crate::wal::{
+    CommitWal, FileBackend, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
+};
+use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest, TxOp};
 use std::path::Path;
 
@@ -127,10 +130,9 @@ impl ReplayStats {
 
 /// Cumulative wave-scheduler accounting across every batch the pipeline
 /// executed (live drains and recovery replay alike) — the cost surface
-/// of the dependency-DAG executor, mirrored into `NodeMetrics` and the
-/// aggregated `Report`. All counts are deterministic: the schedule is a
-/// pure function of the ops' static lane access sets, never of worker
-/// count or timing (`fig_exec_dag` gates exactly this).
+/// of the dependency-DAG executor. All counts are deterministic: the
+/// schedule is a pure function of the ops' static lane access sets,
+/// never of worker count or timing (`fig_exec_dag` gates exactly this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
     /// Batches scheduled (one per flush of the staged drain, one per
@@ -192,7 +194,7 @@ pub struct PipelinePerf {
     pub barrier_overlap: ladon_obs::Histogram,
 }
 
-impl ladon_obs::SnapshotInto for PipelinePerf {
+impl SnapshotInto for PipelinePerf {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("pipeline.wall_wal_flush_ns", self.wall_wal_flush_ns);
         registry.counter("pipeline.wall_exec_ns", self.wall_exec_ns);
@@ -212,7 +214,7 @@ impl ladon_obs::SnapshotInto for PipelinePerf {
     }
 }
 
-impl ladon_obs::SnapshotInto for ExecSchedStats {
+impl SnapshotInto for ExecSchedStats {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("exec.batches", self.batches);
         registry.counter("exec.waves", self.waves);
@@ -222,7 +224,7 @@ impl ladon_obs::SnapshotInto for ExecSchedStats {
     }
 }
 
-impl ladon_obs::SnapshotInto for ReplayStats {
+impl SnapshotInto for ReplayStats {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("replay.segments_scanned", self.segments_scanned);
         registry.counter("replay.segments_skipped", self.segments_skipped);
@@ -234,6 +236,52 @@ impl ladon_obs::SnapshotInto for ReplayStats {
         registry.counter("replay.records_replayed", self.records_replayed);
         registry.counter("replay.replayed_txs", self.replayed_txs);
         registry.gauge("replay.dirty_lanes", self.dirty_lanes() as f64);
+    }
+}
+
+/// Every counter the execution pipeline owns, copied out at one instant
+/// by [`ExecutionPipeline::stats`] — the one value a node keeps and
+/// snapshots into the registry. Adding a pipeline counter is a field on
+/// the component struct (or here) plus its line in that struct's
+/// `SnapshotInto`; nothing downstream copies fields.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PipelineStats {
+    /// WAL backend I/O counters.
+    pub io: WalIoStats,
+    /// Wave-scheduler accounting.
+    pub sched: ExecSchedStats,
+    /// What the last recovery replayed (zeros for a fresh pipeline).
+    pub replay: ReplayStats,
+    /// Barrier accounting, including the `wal_flush_failures` alarm.
+    pub perf: PipelinePerf,
+    /// Durable WAL writes (appends, compaction rotations, manifest
+    /// publishes) that reported failure. Must stay 0: nonzero means a
+    /// crash right now could lose acknowledged records.
+    pub wal_write_failures: u64,
+    /// Snapshot-store files that failed to read, decode or verify when
+    /// the store directory was scanned.
+    pub snapshot_decode_failures: u64,
+    /// Stale stashed sync chunks reclaimed at checkpoints.
+    pub snapshot_chunks_pruned: u64,
+    /// Transactions this process executed itself (live drains plus
+    /// recovery replay), excluding totals inherited from a snapshot;
+    /// always equals the per-lane ledger's op sum.
+    pub locally_executed_txs: u64,
+}
+
+impl SnapshotInto for PipelineStats {
+    fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
+        self.io.snapshot_into(registry);
+        self.sched.snapshot_into(registry);
+        self.replay.snapshot_into(registry);
+        self.perf.snapshot_into(registry);
+        registry.counter("wal.write_failures", self.wal_write_failures);
+        registry.counter(
+            "node.snapshot_decode_failures",
+            self.snapshot_decode_failures,
+        );
+        registry.counter("node.snapshot_chunks_pruned", self.snapshot_chunks_pruned);
+        registry.counter("node.executed_txs", self.locally_executed_txs);
     }
 }
 
@@ -282,8 +330,7 @@ pub struct ExecutionPipeline {
     executed_txs: u64,
     /// Transactions executed by THIS pipeline's apply path — live
     /// drains plus recovery replay — excluding totals inherited from a
-    /// restored or installed snapshot. The per-process work counter the
-    /// node's metrics mirror.
+    /// restored or installed snapshot: the per-process work counter.
     local_txs: u64,
     /// Cumulative operation effects.
     effects: ExecEffects,
@@ -858,11 +905,6 @@ impl ExecutionPipeline {
         self.store.prune_stale_chunks(keep)
     }
 
-    /// Cumulative stale chunks reclaimed by [`Self::prune_stale_chunks`].
-    pub fn snapshot_chunks_pruned(&self) -> u64 {
-        self.store.chunks_pruned()
-    }
-
     /// Installs a verified peer snapshot when it is ahead of the local
     /// applied frontier. Returns `true` when state advanced. The caller
     /// must have authenticated the root against a quorum-signed stable
@@ -930,14 +972,6 @@ impl ExecutionPipeline {
         self.executed_txs
     }
 
-    /// Transactions executed by this pipeline instance's own apply path
-    /// (live drains + recovery replay) — excludes snapshot-inherited
-    /// totals, so it counts work this process actually performed and
-    /// always equals the per-lane ledger's op sum.
-    pub fn locally_executed_txs(&self) -> u64 {
-        self.local_txs
-    }
-
     /// Cumulative operation effects.
     pub fn effects(&self) -> ExecEffects {
         self.effects
@@ -950,8 +984,7 @@ impl ExecutionPipeline {
 
     /// Snapshot/chunk files that failed to read, decode, or verify on
     /// the last disk recovery. Nonzero means a rotted artifact silently
-    /// dropped the recovery floor (or a stashed chunk was lost) — the
-    /// `snapshot_decode_failures` alarm the node mirrors.
+    /// dropped the recovery floor (or a stashed chunk was lost).
     pub fn snapshot_decode_failures(&self) -> u64 {
         self.store.decode_failures()
     }
@@ -1018,6 +1051,21 @@ impl ExecutionPipeline {
         self.wal.segments()
     }
 
+    /// Every counter this pipeline owns, as of now (see
+    /// [`PipelineStats`]).
+    pub fn stats(&self) -> PipelineStats {
+        PipelineStats {
+            io: self.wal.io_stats(),
+            sched: self.sched,
+            replay: self.recovery.clone(),
+            perf: self.perf.clone(),
+            wal_write_failures: self.wal.write_failures(),
+            snapshot_decode_failures: self.store.decode_failures(),
+            snapshot_chunks_pruned: self.store.chunks_pruned(),
+            locally_executed_txs: self.local_txs,
+        }
+    }
+
     /// What the last rebuild (disk recovery or parts reconstruction)
     /// replayed. All zeros for a pipeline that started fresh.
     pub fn recovery_stats(&self) -> &ReplayStats {
@@ -1041,9 +1089,8 @@ impl ExecutionPipeline {
 
     /// The WAL backend's deterministic I/O counters (staged writes,
     /// fsync barriers, segment opens, bytes written) — the group-commit
-    /// cost surface, mirrored into `NodeMetrics` and the aggregated
-    /// `Report`.
-    pub fn wal_io_stats(&self) -> crate::wal::WalIoStats {
+    /// cost surface.
+    pub fn wal_io_stats(&self) -> WalIoStats {
         self.wal.io_stats()
     }
 

@@ -179,16 +179,6 @@ pub struct SystemConfig {
     /// confirm rates at the cost of acknowledgement latency: staged
     /// records are unacknowledged, and a crash loses exactly them.
     pub wal_flush_max_records: u32,
-    /// Time-based flush policy for the pipelined WAL writer: when > 0,
-    /// the node arms a recurring flush timer with this period and
-    /// submits whatever is staged (and resolves whatever is in flight)
-    /// on each tick, bounding the acknowledgement latency a large
-    /// `wal_flush_max_records` threshold can add under a lull in
-    /// confirms. `0` — the default — disables the timer; the size
-    /// threshold, epoch checkpoints, and snapshot installs remain the
-    /// only flush triggers. Deterministic in simulation: ticks are sim
-    /// timers, not wall clocks.
-    pub wal_flush_interval_ms: u32,
     /// Delta state sync: maximum snapshot chunks a responder packs into
     /// one `SyncResponse` (`1..=MERKLE_LANES`). A lagging replica
     /// advertises its own lane roots; the responder ships only lanes
@@ -199,24 +189,6 @@ pub struct SystemConfig {
     /// delta in one response (lowest sync latency); smaller values
     /// bound per-message bytes at millions-of-accounts state sizes.
     pub sync_chunks_per_response: u32,
-    /// Durability degradation trigger (≥ 1): consecutive failed WAL
-    /// flush barriers a node tolerates before it enters `Degraded` mode
-    /// — where it stops acknowledging/staging new confirmed blocks and
-    /// stops serving snapshots, and instead retries the failed flush on
-    /// a backoff timer until the backend heals (or a peer snapshot
-    /// reinstall overtakes it). `1` degrades on the first failure;
-    /// larger values ride out transient hiccups at the cost of more
-    /// alarmed-but-applied blocks before the gate closes.
-    pub wal_failure_degrade_threshold: u32,
-    /// Base delay of the degraded-mode flush retry timer, in
-    /// milliseconds (≥ 1). Each failed retry doubles the delay up to
-    /// [`Self::wal_retry_backoff_max_ms`]. Deterministic in simulation:
-    /// retries are sim timers, not wall clocks.
-    pub wal_retry_backoff_ms: u32,
-    /// Cap on the degraded-mode retry backoff, in milliseconds (≥ the
-    /// base): keeps a long outage probing at a bounded rate instead of
-    /// backing off into oblivion.
-    pub wal_retry_backoff_max_ms: u32,
     /// Responder-health quarantine threshold (≥ 1): consecutive sync
     /// chunks (or whole responses) from one responder that fail
     /// verification before the requester quarantines it — removing it
@@ -249,11 +221,7 @@ impl SystemConfig {
             wal_lane_groups: 8,
             wal_segment_records: 1024,
             wal_flush_max_records: 1,
-            wal_flush_interval_ms: 0,
             sync_chunks_per_response: MERKLE_LANES,
-            wal_failure_degrade_threshold: 3,
-            wal_retry_backoff_ms: 50,
-            wal_retry_backoff_max_ms: 1000,
             sync_quarantine_threshold: 3,
         }
     }
@@ -355,22 +323,6 @@ impl SystemConfig {
             return Err(LadonError::Config(format!(
                 "sync_chunks_per_response = {} must be in 1..={MERKLE_LANES}",
                 self.sync_chunks_per_response
-            )));
-        }
-        if self.wal_failure_degrade_threshold == 0 {
-            return Err(LadonError::Config(
-                "wal_failure_degrade_threshold must be > 0".into(),
-            ));
-        }
-        if self.wal_retry_backoff_ms == 0 {
-            return Err(LadonError::Config(
-                "wal_retry_backoff_ms must be > 0".into(),
-            ));
-        }
-        if self.wal_retry_backoff_max_ms < self.wal_retry_backoff_ms {
-            return Err(LadonError::Config(format!(
-                "wal_retry_backoff_max_ms = {} must be >= wal_retry_backoff_ms = {}",
-                self.wal_retry_backoff_max_ms, self.wal_retry_backoff_ms
             )));
         }
         if self.sync_quarantine_threshold == 0 {
@@ -482,13 +434,10 @@ mod tests {
         bad.wal_flush_max_records = 0;
         assert!(bad.validate().is_err());
 
-        assert_eq!(c.wal_flush_interval_ms, 0, "default = no flush timer");
-
         let mut ok = c;
         ok.wal_lane_groups = MERKLE_LANES;
         ok.wal_segment_records = 1;
         ok.wal_flush_max_records = 64;
-        ok.wal_flush_interval_ms = 5;
         ok.validate().unwrap();
     }
 
@@ -516,32 +465,13 @@ mod tests {
     #[test]
     fn fault_knobs_validated() {
         let c = SystemConfig::paper_default(16, NetEnv::Wan);
-        assert_eq!(c.wal_failure_degrade_threshold, 3);
-        assert_eq!(c.wal_retry_backoff_ms, 50);
-        assert_eq!(c.wal_retry_backoff_max_ms, 1000);
         assert_eq!(c.sync_quarantine_threshold, 3);
-
-        let mut bad = c.clone();
-        bad.wal_failure_degrade_threshold = 0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = c.clone();
-        bad.wal_retry_backoff_ms = 0;
-        assert!(bad.validate().is_err());
-
-        // The cap must not undercut the base delay.
-        let mut bad = c.clone();
-        bad.wal_retry_backoff_max_ms = bad.wal_retry_backoff_ms - 1;
-        assert!(bad.validate().is_err());
 
         let mut bad = c.clone();
         bad.sync_quarantine_threshold = 0;
         assert!(bad.validate().is_err());
 
         let mut ok = c;
-        ok.wal_failure_degrade_threshold = 1;
-        ok.wal_retry_backoff_ms = 1;
-        ok.wal_retry_backoff_max_ms = 1;
         ok.sync_quarantine_threshold = 1;
         ok.validate().unwrap();
     }

@@ -23,7 +23,10 @@ use std::collections::{BTreeMap, HashMap};
 /// milliseconds — that no testbed measurement could observe.
 pub const CS_CLOCK_TOLERANCE: TimeNs = TimeNs::from_millis(100);
 
-/// Aggregated results of one experiment run.
+/// Aggregated results of one experiment run: the values that need more
+/// than a sum (f+1 joins, ratios, reference-replica views, timelines).
+/// Every plain cross-replica counter is read by its registry name,
+/// `report.metrics.counter("wal.fsyncs")`.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Throughput in kilo-transactions per second over the measurement
@@ -76,48 +79,6 @@ pub struct Report {
     /// Fraction of those checkpoints where *every* reporting replica's
     /// root was identical (1.0 = perfect cross-replica state agreement).
     pub state_root_agreement: f64,
-    /// Total root conflicts observed by any replica's pacemaker (a quorum
-    /// signing a root that contradicts local execution; always 0 for
-    /// honest deterministic replicas).
-    pub root_conflicts: u64,
-    /// Peer snapshots installed across all replicas (execution
-    /// fast-forward during state transfer).
-    pub snapshot_installs: u64,
-    /// Confirmed `sn`s fast-forwarded over by snapshot installs, summed
-    /// across replicas: the prefix for which the installing replicas hold
-    /// no `ConfirmRecord`s (agreement checks join on `sn` for exactly
-    /// this reason). Nonzero whenever `snapshot_installs` is.
-    pub skipped_sns: u64,
-    /// Snapshot heads served to lagging peers, summed across replicas
-    /// (serve-side view of the installs above; one per snapshot-bearing
-    /// sync response, however many chunk rounds a transfer takes).
-    pub snapshots_served: u64,
-    /// Per-lane snapshot chunks shipped in sync responses, summed across
-    /// replicas. Under delta sync this scales with *changed* lanes, not
-    /// state size.
-    pub snapshot_chunks_served: u64,
-    /// Wire bytes behind `snapshot_chunks_served`, summed.
-    pub snapshot_bytes_served: u64,
-    /// Snapshot lanes requesters reconstructed from local state instead
-    /// of the wire (advertised lane roots matched the head), summed.
-    pub snapshot_chunks_reused: u64,
-    /// Snapshot-store files that failed to read/decode/verify at store
-    /// scans, summed across replicas. Previously swallowed; must be 0
-    /// unless a fault test corrupts the store on purpose.
-    pub snapshot_decode_failures: u64,
-    /// Failed durable WAL writes (segment appends, compaction rotations,
-    /// manifest publishes) summed across replicas. Must be 0 in every
-    /// healthy run: nonzero means some replica acknowledged blocks a
-    /// crash could have lost.
-    pub wal_write_failures: u64,
-    /// WAL fsync barriers issued, summed across replicas (deterministic
-    /// backend counters). Under group commit this tracks confirmed-queue
-    /// drains × touched lane groups, not confirmed blocks — the whole
-    /// point of batching the durability barrier.
-    pub wal_fsyncs: u64,
-    /// WAL segment bytes written (appends + compaction rewrites), summed
-    /// across replicas.
-    pub wal_bytes_written: u64,
     /// Topological waves the reference replica's dependency-DAG
     /// executor ran (deterministic; worker-count invariant).
     pub exec_waves: u64,
@@ -128,81 +89,31 @@ pub struct Report {
     /// Mean ops per wave at the reference replica (`executed_txs /
     /// exec_waves`) — the executor's mean exploitable parallelism.
     pub mean_ops_per_wave: f64,
-    /// Records dropped from torn WAL tails at recovery, summed across
-    /// replicas (genuinely acknowledged loss — the fault matrix asserts
-    /// on this at Report level).
-    pub records_torn: u64,
-    /// Never-acknowledged records missing from cleanly-ended segments at
-    /// recovery, summed across replicas.
-    pub records_unacked_lost: u64,
-    /// Scanned segments whose stream ended cleanly at a batch trailer,
-    /// summed across replicas.
-    pub segments_clean_end: u64,
-    /// WAL-tail records re-executed at recovery, summed across replicas.
-    pub records_replayed: u64,
-    /// Certificate verifications skipped via the per-instance
-    /// verified-cert cache over the measurement window (filled by the
-    /// runner from [`ladon_crypto::CryptoCounters`]) — the PR 5
-    /// cert-cache win, visible in run output.
-    pub qc_verify_hits: u64,
     /// Signature verifications actually performed over the window
-    /// (plain + aggregate), from the same counters.
+    /// (plain + aggregate; filled by the runner from
+    /// [`ladon_crypto::CryptoCounters`]).
     pub sig_verifies: u64,
     /// Messages dropped by the network model over the window, per
     /// sending actor (filled by the runner from `NetStats`).
     pub net_dropped: Vec<u64>,
-    /// Sum of [`Self::net_dropped`].
-    pub net_dropped_total: u64,
     /// Per-block lifecycle stage latencies at the reference replica:
     /// one summary per adjacent stage transition (`staged_to_flushed` is
     /// the cross-drain fsync-barrier wait, `flushed_to_applied` the DAG
     /// execution stage). Sim-time derived, so deterministic.
     pub stage_latencies: Vec<StageLatency>,
-    /// Wall-clock nanoseconds replicas spent inside WAL flush barriers,
-    /// summed (real elapsed time — the `wall_` obs convention, excluded
-    /// from determinism comparisons).
-    pub wall_wal_flush_ns: u64,
-    /// Wall-clock nanoseconds replicas spent executing staged ops
-    /// (dependency-DAG apply), summed.
-    pub wall_exec_ns: u64,
-    /// Flush barriers taken across replicas (denominator for
-    /// per-barrier wall-clock means).
-    pub flush_barriers: u64,
     /// Flush barriers whose durable step failed, summed across replicas
     /// — the alarm PR 7 un-swallowed: `flush_staged`/`submit_staged`
     /// used to discard the barrier outcome, so a failed fsync still
     /// reported its range as durable. Must be 0 in every healthy run;
     /// nonzero means ranges were applied whose durability storage never
     /// confirmed (deterministic, unlike the wall-clock barrier timers).
+    /// Same value as `metrics.counter("pipeline.wal_flush_failures")`;
+    /// a field because `benchmark/` reads it.
     pub wal_flush_failures: u64,
-    /// Barriers submitted while the previous barrier was still in
-    /// flight, summed across replicas — genuine write/execute overlap
-    /// windows under pipelined durability. Deterministic: inline
-    /// (simulation) and writer-thread (File) modes count identically.
-    pub wal_pipelined_submits: u64,
-    /// Times replicas entered `Degraded` durability mode (consecutive
-    /// failed flush barriers crossed the degrade threshold), summed
-    /// across replicas. Must be 0 in every healthy run.
-    pub degraded_entries: u64,
-    /// Durability retry attempts fired while degraded (`T_RETRY`
-    /// expiries, successful or not), summed across replicas.
-    pub degraded_retries: u64,
-    /// Stale stash chunk files pruned at checkpoints, summed across
-    /// replicas.
-    pub snapshot_chunks_pruned: u64,
-    /// State-transfer probes whose responder never answered before the
-    /// next probe window, summed across replicas.
-    pub sync_responder_timeouts: u64,
-    /// Responders quarantined for repeatedly unverifiable sync payloads,
-    /// summed across replicas (quarantine events). Must be 0 without a
-    /// Byzantine responder in the run.
-    pub sync_responders_quarantined: u64,
-    /// Sync-response chunks that failed verification, summed across
-    /// replicas.
-    pub sync_chunks_rejected: u64,
     /// The unified metrics snapshot: every replica's counters merged
-    /// through the order-invariant registry, plus run-level network and
-    /// crypto counters (filled by the runner). `to_json()` is the one
+    /// through the order-invariant registry (counters sum across
+    /// replicas), plus run-level network and crypto counters (filled by
+    /// the runner). `counter(name)` reads one; `to_json()` is the one
     /// exposition path; `deterministic_json()` must be byte-identical
     /// across same-seed runs.
     pub metrics: MetricsSnapshot,
@@ -382,36 +293,6 @@ pub fn aggregate(data: &RunData) -> Report {
     } else {
         1.0
     };
-    let root_conflicts = data.nodes.iter().map(|n| n.root_conflicts).sum();
-    let snapshot_installs = data.nodes.iter().map(|n| n.snapshot_installs).sum();
-    let skipped_sns = data.nodes.iter().map(|n| n.skipped_sns).sum();
-    let snapshots_served = data.nodes.iter().map(|n| n.snapshots_served).sum();
-    let snapshot_chunks_served = data.nodes.iter().map(|n| n.snapshot_chunks_served).sum();
-    let snapshot_bytes_served = data.nodes.iter().map(|n| n.snapshot_bytes_served).sum();
-    let snapshot_chunks_reused = data.nodes.iter().map(|n| n.snapshot_chunks_reused).sum();
-    let snapshot_decode_failures = data.nodes.iter().map(|n| n.snapshot_decode_failures).sum();
-    let wal_write_failures = data.nodes.iter().map(|n| n.wal_write_failures).sum();
-    let wal_fsyncs = data.nodes.iter().map(|n| n.wal_fsyncs).sum();
-    let wal_bytes_written = data.nodes.iter().map(|n| n.wal_bytes_written).sum();
-    let records_torn = data.nodes.iter().map(|n| n.records_torn).sum();
-    let records_unacked_lost = data.nodes.iter().map(|n| n.records_unacked_lost).sum();
-    let segments_clean_end = data.nodes.iter().map(|n| n.segments_clean_end).sum();
-    let records_replayed = data.nodes.iter().map(|n| n.records_replayed).sum();
-    let wall_wal_flush_ns = data.nodes.iter().map(|n| n.wall_wal_flush_ns).sum();
-    let wall_exec_ns = data.nodes.iter().map(|n| n.wall_exec_ns).sum();
-    let flush_barriers = data.nodes.iter().map(|n| n.flush_barriers).sum();
-    let wal_flush_failures = data.nodes.iter().map(|n| n.wal_flush_failures).sum();
-    let wal_pipelined_submits = data.nodes.iter().map(|n| n.wal_pipelined_submits).sum();
-    let degraded_entries = data.nodes.iter().map(|n| n.degraded_entries).sum();
-    let degraded_retries = data.nodes.iter().map(|n| n.degraded_retries).sum();
-    let snapshot_chunks_pruned = data.nodes.iter().map(|n| n.snapshot_chunks_pruned).sum();
-    let sync_responder_timeouts = data.nodes.iter().map(|n| n.sync_responder_timeouts).sum();
-    let sync_responders_quarantined = data
-        .nodes
-        .iter()
-        .map(|n| n.sync_responders_quarantined)
-        .sum();
-    let sync_chunks_rejected = data.nodes.iter().map(|n| n.sync_chunks_rejected).sum();
 
     // Reference-replica lifecycle stage latencies (sim-time ns →
     // milliseconds). Log2-bucketed, so p50/p99 carry bucket resolution.
@@ -436,6 +317,8 @@ pub fn aggregate(data: &RunData) -> Report {
         node.snapshot_into(&mut registry);
     }
     let metrics = registry.snapshot();
+    let executed_txs = reference.exec.locally_executed_txs;
+    let exec_waves = reference.exec.sched.waves;
 
     // Timeline: per-sample ktps at the reference replica (Fig. 8).
     let mut timeline = Vec::new();
@@ -479,50 +362,21 @@ pub fn aggregate(data: &RunData) -> Report {
         } else {
             0.0
         },
-        executed_txs: reference.executed_txs,
-        executed_ktps: reference.executed_txs as f64
-            / data.window_end.as_secs_f64().max(1e-9)
-            / 1e3,
-        exec_waves: reference.exec_waves,
-        exec_cross_lane_edges: reference.exec_cross_lane_edges,
-        mean_ops_per_wave: if reference.exec_waves > 0 {
-            reference.executed_txs as f64 / reference.exec_waves as f64
+        executed_txs,
+        executed_ktps: executed_txs as f64 / data.window_end.as_secs_f64().max(1e-9) / 1e3,
+        exec_waves,
+        exec_cross_lane_edges: reference.exec.sched.cross_lane_edges,
+        mean_ops_per_wave: if exec_waves > 0 {
+            executed_txs as f64 / exec_waves as f64
         } else {
             0.0
         },
         state_checkpoints,
         state_root_agreement,
-        root_conflicts,
-        snapshot_installs,
-        skipped_sns,
-        snapshots_served,
-        snapshot_chunks_served,
-        snapshot_bytes_served,
-        snapshot_chunks_reused,
-        snapshot_decode_failures,
-        wal_write_failures,
-        wal_fsyncs,
-        wal_bytes_written,
-        records_torn,
-        records_unacked_lost,
-        segments_clean_end,
-        records_replayed,
-        qc_verify_hits: 0,       // filled by the runner from CryptoCounters
         sig_verifies: 0,         // filled by the runner from CryptoCounters
         net_dropped: Vec::new(), // filled by the runner from NetStats
-        net_dropped_total: 0,
         stage_latencies,
-        wall_wal_flush_ns,
-        wall_exec_ns,
-        flush_barriers,
-        wal_flush_failures,
-        wal_pipelined_submits,
-        degraded_entries,
-        degraded_retries,
-        snapshot_chunks_pruned,
-        sync_responder_timeouts,
-        sync_responders_quarantined,
-        sync_chunks_rejected,
+        wal_flush_failures: metrics.counter("pipeline.wal_flush_failures"),
         metrics,
     }
 }
@@ -665,8 +519,8 @@ mod tests {
         nodes[3].skipped_sns = 5;
         nodes[3].snapshot_installs = 2;
         let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.skipped_sns, 15);
-        assert_eq!(rep.snapshot_installs, 3);
+        assert_eq!(rep.metrics.counter("node.skipped_sns"), 15);
+        assert_eq!(rep.metrics.counter("node.snapshot_installs"), 3);
     }
 
     #[test]
@@ -679,46 +533,33 @@ mod tests {
         nodes[2].snapshot_chunks_served = 3;
         nodes[2].snapshot_bytes_served = 300;
         nodes[3].snapshot_chunks_reused = 61;
-        nodes[1].snapshot_decode_failures = 1;
+        nodes[1].exec.snapshot_decode_failures = 1;
         let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.snapshots_served, 3);
-        assert_eq!(rep.snapshot_chunks_served, 12);
-        assert_eq!(rep.snapshot_bytes_served, 1200);
-        assert_eq!(rep.snapshot_chunks_reused, 61);
-        assert_eq!(rep.snapshot_decode_failures, 1);
-        // And the merged registry carries the same sums.
-        let reg = rep.metrics.registry();
-        assert_eq!(reg.counter_value("sync.snapshot_chunks_served"), 12);
-        assert_eq!(reg.counter_value("sync.snapshot_bytes_served"), 1200);
-        assert_eq!(reg.counter_value("sync.snapshot_chunks_reused"), 61);
-        assert_eq!(reg.counter_value("node.snapshots_served"), 3);
-        assert_eq!(reg.counter_value("node.snapshot_decode_failures"), 1);
+        let m = &rep.metrics;
+        assert_eq!(m.counter("sync.snapshot_chunks_served"), 12);
+        assert_eq!(m.counter("sync.snapshot_bytes_served"), 1200);
+        assert_eq!(m.counter("sync.snapshot_chunks_reused"), 61);
+        assert_eq!(m.counter("node.snapshots_served"), 3);
+        assert_eq!(m.counter("node.snapshot_decode_failures"), 1);
     }
 
     #[test]
-    fn wal_write_failures_summed_across_replicas() {
+    fn wal_failure_alarms_summed_across_replicas() {
         let mut nodes = empty_nodes(4);
-        nodes[0].wal_write_failures = 2;
-        nodes[2].wal_write_failures = 1;
+        nodes[0].exec.wal_write_failures = 2;
+        nodes[2].exec.wal_write_failures = 1;
+        nodes[1].exec.perf.wal_flush_failures = 1;
+        nodes[3].exec.perf.wal_flush_failures = 2;
+        nodes[0].exec.perf.pipelined_submits = 7;
+        nodes[2].exec.perf.pipelined_submits = 5;
         let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.wal_write_failures, 3);
+        assert_eq!(rep.metrics.counter("wal.write_failures"), 3);
+        assert_eq!(rep.metrics.counter("pipeline.wal_flush_failures"), 3);
+        assert_eq!(rep.wal_flush_failures, 3);
+        assert_eq!(rep.metrics.counter("pipeline.pipelined_submits"), 12);
         // And a healthy fleet reports zero.
         let rep = aggregate(&run_data(empty_nodes(4)));
-        assert_eq!(rep.wal_write_failures, 0);
-    }
-
-    #[test]
-    fn wal_flush_failures_summed_across_replicas() {
-        let mut nodes = empty_nodes(4);
-        nodes[1].wal_flush_failures = 1;
-        nodes[3].wal_flush_failures = 2;
-        nodes[0].wal_pipelined_submits = 7;
-        nodes[2].wal_pipelined_submits = 5;
-        let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.wal_flush_failures, 3);
-        assert_eq!(rep.wal_pipelined_submits, 12);
-        // And a healthy fleet reports zero failed barriers.
-        let rep = aggregate(&run_data(empty_nodes(4)));
+        assert_eq!(rep.metrics.counter("wal.write_failures"), 0);
         assert_eq!(rep.wal_flush_failures, 0);
     }
 
@@ -727,42 +568,38 @@ mod tests {
         let mut nodes = empty_nodes(4);
         nodes[1].degraded_entries = 2;
         nodes[1].degraded_retries = 5;
-        nodes[2].snapshot_chunks_pruned = 3;
+        nodes[2].exec.snapshot_chunks_pruned = 3;
         nodes[0].sync_responder_timeouts = 4;
         nodes[3].sync_responders_quarantined = 1;
         nodes[3].sync_chunks_rejected = 9;
         let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.degraded_entries, 2);
-        assert_eq!(rep.degraded_retries, 5);
-        assert_eq!(rep.snapshot_chunks_pruned, 3);
-        assert_eq!(rep.sync_responder_timeouts, 4);
-        assert_eq!(rep.sync_responders_quarantined, 1);
-        assert_eq!(rep.sync_chunks_rejected, 9);
-        // The unified registry carries the same counters.
-        let reg = rep.metrics.registry();
-        assert_eq!(reg.counter_value("node.degraded_entries"), 2);
-        assert_eq!(reg.counter_value("node.degraded_retries"), 5);
-        assert_eq!(reg.counter_value("node.snapshot_chunks_pruned"), 3);
-        assert_eq!(reg.counter_value("sync.responder_timeouts"), 4);
-        assert_eq!(reg.counter_value("sync.responders_quarantined"), 1);
-        assert_eq!(reg.counter_value("sync.chunks_rejected"), 9);
+        let m = &rep.metrics;
+        assert_eq!(m.counter("node.degraded_entries"), 2);
+        assert_eq!(m.counter("node.degraded_retries"), 5);
+        assert_eq!(m.counter("node.snapshot_chunks_pruned"), 3);
+        assert_eq!(m.counter("sync.responder_timeouts"), 4);
+        assert_eq!(m.counter("sync.responders_quarantined"), 1);
+        assert_eq!(m.counter("sync.chunks_rejected"), 9);
         // And a healthy fleet reports zero everywhere.
         let rep = aggregate(&run_data(empty_nodes(4)));
-        assert_eq!(rep.degraded_entries, 0);
-        assert_eq!(rep.sync_responders_quarantined, 0);
+        assert_eq!(rep.metrics.counter("node.degraded_entries"), 0);
+        assert_eq!(rep.metrics.counter("sync.responders_quarantined"), 0);
     }
 
     #[test]
     fn exec_scheduler_counters_surface_from_reference() {
         let mut nodes = empty_nodes(4);
-        nodes[0].executed_txs = 900;
-        nodes[0].exec_waves = 30;
-        nodes[0].exec_cross_lane_edges = 17;
-        nodes[2].exec_waves = 99; // non-reference replicas do not leak in
+        nodes[0].exec.locally_executed_txs = 900;
+        nodes[0].exec.sched.waves = 30;
+        nodes[0].exec.sched.cross_lane_edges = 17;
+        nodes[2].exec.sched.waves = 99; // non-reference replicas do not leak in
         let rep = aggregate(&run_data(nodes));
         assert_eq!(rep.exec_waves, 30);
         assert_eq!(rep.exec_cross_lane_edges, 17);
         assert!((rep.mean_ops_per_wave - 30.0).abs() < 1e-9);
+        // The registry sums across replicas; the Report fields are the
+        // reference replica's view.
+        assert_eq!(rep.metrics.counter("exec.waves"), 129);
         // No waves executed → no division blow-up.
         let rep = aggregate(&run_data(empty_nodes(4)));
         assert_eq!(rep.mean_ops_per_wave, 0.0);
@@ -771,13 +608,13 @@ mod tests {
     #[test]
     fn wal_io_counters_summed_across_replicas() {
         let mut nodes = empty_nodes(4);
-        nodes[0].wal_fsyncs = 7;
-        nodes[0].wal_bytes_written = 1000;
-        nodes[3].wal_fsyncs = 5;
-        nodes[3].wal_bytes_written = 400;
+        nodes[0].exec.io.fsyncs = 7;
+        nodes[0].exec.io.bytes_written = 1000;
+        nodes[3].exec.io.fsyncs = 5;
+        nodes[3].exec.io.bytes_written = 400;
         let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.wal_fsyncs, 12);
-        assert_eq!(rep.wal_bytes_written, 1400);
+        assert_eq!(rep.metrics.counter("wal.fsyncs"), 12);
+        assert_eq!(rep.metrics.counter("wal.bytes_written"), 1400);
     }
 
     #[test]

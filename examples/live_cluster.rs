@@ -22,10 +22,8 @@ fn main() {
     // Tone down the batch pipeline for a short wall-clock demo.
     sys.batch_size = 512;
     // Accumulate a few blocks per durability barrier so the writer
-    // thread has real batches to overlap, and bound the unacknowledged
-    // window with the time-based flush policy.
+    // thread has real batches to overlap.
     sys.wal_flush_max_records = 4;
-    sys.wal_flush_interval_ms = 20;
     let registry = KeyRegistry::generate(n, sys.opt_keys, 7);
 
     // One WAL directory per replica; file-backed pipelines spawn the
@@ -85,9 +83,9 @@ fn main() {
             node.metrics.commits.len(),
             node.metrics.confirms.len(),
             node.metrics.confirmed_txs,
-            node.metrics.flush_barriers,
-            node.metrics.wal_pipelined_submits,
-            node.metrics.wal_flush_failures,
+            node.metrics.exec.perf.flush_barriers,
+            node.metrics.exec.perf.pipelined_submits,
+            node.metrics.exec.perf.wal_flush_failures,
         );
     }
     println!(
@@ -104,7 +102,7 @@ fn main() {
         "the live cluster should confirm transactions"
     );
     assert_eq!(
-        node0.metrics.wal_flush_failures, 0,
+        node0.metrics.exec.perf.wal_flush_failures, 0,
         "no durability barrier may fail on a healthy disk"
     );
     // Dropping the actors joins each replica's WAL writer thread after

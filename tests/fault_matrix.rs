@@ -182,7 +182,7 @@ fn disk_full_degrades_then_recovers_at(lanes: u32) {
         );
         assert!(n3.metrics.trace.node_event_count("mode_normal") >= 1);
         assert!(
-            n3.metrics.wal_flush_failures > 0,
+            n3.metrics.exec.perf.wal_flush_failures > 0,
             "lanes={lanes}: the outage must have been loud, not silent"
         );
         // Execution resumed past the degraded window.

@@ -14,6 +14,7 @@ mod common;
 
 use common::{cluster, ClusterOpts, TestCluster};
 use ladon::core::{Behavior, MultiBftNode, NodeConfig, SyncRequest};
+use ladon::obs::{MetricsRegistry, SnapshotInto};
 use ladon::state::{
     CommitWal, ExecutionPipeline, FaultBackend, FileBackend, WalOptions, WalRecord,
     DEFAULT_KEYSPACE,
@@ -67,6 +68,76 @@ fn assert_lane_invariant(scenario: &str, roots: &[(u32, Digest)]) {
     );
 }
 
+/// One metrics path: the node's copy of the pipeline counters is
+/// current, and the node's registry — snapshotted alone — carries each
+/// of them exactly once. Counters add, so a name written by a second
+/// `SnapshotInto` impl would read double here.
+fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
+    let s = &node.metrics.exec;
+    assert_eq!(*s, node.exec.stats(), "replica {r}: stale pipeline stats");
+    let mut reg = MetricsRegistry::new();
+    node.metrics.snapshot_into(&mut reg);
+    for (name, want) in [
+        ("wal.appends", s.io.appends),
+        ("wal.fsyncs", s.io.fsyncs),
+        ("wal.segment_opens", s.io.segment_opens),
+        ("wal.bytes_written", s.io.bytes_written),
+        ("exec.batches", s.sched.batches),
+        ("exec.waves", s.sched.waves),
+        ("exec.scheduled_ops", s.sched.scheduled_ops),
+        ("exec.cross_lane_edges", s.sched.cross_lane_edges),
+        ("replay.segments_scanned", s.replay.segments_scanned),
+        ("replay.segments_skipped", s.replay.segments_skipped),
+        ("replay.records_below_floor", s.replay.records_below_floor),
+        ("replay.records_torn", s.replay.records_torn),
+        ("replay.records_unacked_lost", s.replay.records_unacked_lost),
+        ("replay.segments_clean_end", s.replay.segments_clean_end),
+        (
+            "replay.manifest_recovered",
+            s.replay.manifest_recovered as u64,
+        ),
+        ("replay.records_replayed", s.replay.records_replayed),
+        ("replay.replayed_txs", s.replay.replayed_txs),
+        ("pipeline.wall_wal_flush_ns", s.perf.wall_wal_flush_ns),
+        ("pipeline.wall_exec_ns", s.perf.wall_exec_ns),
+        ("pipeline.flush_barriers", s.perf.flush_barriers),
+        ("pipeline.wal_flush_failures", s.perf.wal_flush_failures),
+        ("pipeline.pipelined_submits", s.perf.pipelined_submits),
+        ("wal.write_failures", s.wal_write_failures),
+        ("node.snapshot_decode_failures", s.snapshot_decode_failures),
+        ("node.snapshot_chunks_pruned", s.snapshot_chunks_pruned),
+        ("node.executed_txs", s.locally_executed_txs),
+    ] {
+        assert_eq!(reg.counter_value(name), want, "replica {r}: {name}");
+    }
+    assert!(s.io.fsyncs > 0 && s.sched.waves > 0 && s.perf.flush_barriers > 0);
+    for (name, h) in [
+        ("pipeline.wall_barrier_wait_ns", &s.perf.barrier_wait),
+        ("pipeline.wall_barrier_overlap_ns", &s.perf.barrier_overlap),
+    ] {
+        assert_eq!(reg.histogram(name), Some(h), "replica {r}: {name}");
+    }
+    // The five scalars `benchmark/` reads come from the same copy.
+    let m = &node.metrics;
+    assert_eq!(
+        [
+            m.wall_exec_ns,
+            m.wal_fsyncs,
+            m.wal_bytes_written,
+            m.flush_barriers,
+            m.wall_wal_flush_ns
+        ],
+        [
+            s.perf.wall_exec_ns,
+            s.io.fsyncs,
+            s.io.bytes_written,
+            s.perf.flush_barriers,
+            s.perf.wall_wal_flush_ns
+        ],
+        "replica {r}"
+    );
+}
+
 #[test]
 fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     let mut c = cluster(ClusterOpts {
@@ -82,7 +153,7 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     for r in 0..4 {
         let node = c.node(r);
         assert!(
-            node.metrics.executed_txs > 0,
+            node.metrics.exec.locally_executed_txs > 0,
             "replica {r} executed nothing"
         );
         assert_eq!(
@@ -105,7 +176,7 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     for r in 0..4 {
         let m = &c.node(r).metrics;
         assert_eq!(
-            m.wal_write_failures, 0,
+            m.exec.wal_write_failures, 0,
             "replica {r} reported failed durable WAL writes"
         );
         assert!(m.wal_fsyncs > 0, "replica {r} reported no fsync barriers");
@@ -113,6 +184,9 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
             m.wal_bytes_written > 0,
             "replica {r} reported no WAL bytes written"
         );
+    }
+    for r in 0..4 {
+        assert_one_metrics_path(c.node(r), r);
     }
     // Checkpoints carry snapshots: the WAL is compacted behind them, the
     // manifest records the full lane-root vector, and the lane ledger
@@ -126,7 +200,7 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     );
     assert_eq!(
         node.exec.lane_ops().iter().sum::<u64>(),
-        node.metrics.executed_txs,
+        node.metrics.exec.locally_executed_txs,
         "lane ledger must account every executed op"
     );
     c.assert_agreement(&[0, 1, 2, 3]);
@@ -152,7 +226,7 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
     for r in 0..4 {
         let node = c.node(r);
         assert!(
-            node.metrics.executed_txs > 0,
+            node.metrics.exec.locally_executed_txs > 0,
             "replica {r} executed nothing"
         );
         assert_eq!(
@@ -207,7 +281,7 @@ fn straggler_catch_up_at(lanes: u32) -> Digest {
         "lanes={lanes}: a straggler must not stop epochs from checkpointing"
     );
     // The straggler executes the same log as everyone else.
-    assert!(c.node(1).metrics.executed_txs > 0);
+    assert!(c.node(1).metrics.exec.locally_executed_txs > 0);
     assert_eq!(c.node(0).exec.exec_lanes(), lanes);
     // A straggler is slow to *propose*, not to apply: it never lags the
     // snapshot-serving threshold, so no replica ships snapshot chunks —
@@ -412,7 +486,7 @@ fn disk_loss_at(lanes: u32) -> Digest {
          serve counters (served={served} chunks={chunks} bytes={bytes})"
     );
     for r in 0..4 {
-        assert_eq!(c.node(r).metrics.snapshot_decode_failures, 0);
+        assert_eq!(c.node(r).metrics.exec.snapshot_decode_failures, 0);
     }
     assert_root_agreement(&c, &[0, 1, 2, 3]);
     c.node(0).exec.state_root()
@@ -889,7 +963,10 @@ fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
         );
         for r in 0..4 {
             let m = &c.node(r).metrics;
-            assert_eq!(m.wal_write_failures, 0, "threshold={threshold} replica {r}");
+            assert_eq!(
+                m.exec.wal_write_failures, 0,
+                "threshold={threshold} replica {r}"
+            );
             assert_eq!(m.exec_gaps, 0, "threshold={threshold} replica {r}");
         }
         c.assert_agreement(&[0, 1, 2, 3]);
@@ -1043,9 +1120,10 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
     assert!(stats.records_replayed > 0, "the intact prefix must replay");
     assert!(stats.segments_clean_end > 0, "untouched segments end clean");
 
-    // The same chain the runner uses: pipeline -> NodeMetrics -> Report.
+    // The same chain the runner uses: pipeline stats -> NodeMetrics ->
+    // the Report's registry.
     let mut nodes = empty_nodes(4);
-    MultiBftNode::mirror_exec_metrics(&mut nodes[0], &recovered);
+    nodes[0].exec = recovered.stats();
     let report = aggregate(&RunData {
         nodes,
         f: 1,
@@ -1054,16 +1132,23 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
         reference: 0,
         waiting_blocks: 0,
     });
-    assert_eq!(report.records_torn, stats.records_torn);
-    assert_eq!(report.records_unacked_lost, stats.records_unacked_lost);
-    assert_eq!(report.records_replayed, stats.records_replayed);
-    assert_eq!(report.segments_clean_end, stats.segments_clean_end);
+    let m = &report.metrics;
+    assert_eq!(m.counter("replay.records_torn"), stats.records_torn);
+    assert_eq!(
+        m.counter("replay.records_unacked_lost"),
+        stats.records_unacked_lost
+    );
+    assert_eq!(m.counter("replay.records_replayed"), stats.records_replayed);
+    assert_eq!(
+        m.counter("replay.segments_clean_end"),
+        stats.segments_clean_end
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The un-swallowed barrier alarm (the PR 7 bugfix): a failed durability
 /// barrier must propagate `PipelinePerf::wal_flush_failures` →
-/// `NodeMetrics::wal_flush_failures` → `Report.wal_flush_failures`, in
+/// `NodeMetrics::exec` → `Report.wal_flush_failures`, in
 /// both the inline (simulation) and writer-thread (File) barrier modes.
 /// `flush_staged` used to discard the `CommitWal::flush()` outcome
 /// entirely and report the drained range as durable; now the range is
@@ -1125,13 +1210,14 @@ fn failed_flush_barrier_raises_alarm_through_report() {
         );
         assert!(p.wal_write_failures() > 0, "threaded={threaded}");
 
-        // pipeline → NodeMetrics → Report: the exact chain the runner
-        // uses, so fault outcomes are assertable from the top document.
+        // pipeline stats → NodeMetrics → Report: the exact chain the
+        // runner uses, so fault outcomes are assertable from the top
+        // document.
         let mut nodes = empty_nodes(4);
-        MultiBftNode::mirror_exec_metrics(&mut nodes[0], &p);
+        nodes[0].exec = p.stats();
         assert!(
-            nodes[0].wal_flush_failures >= 1,
-            "threaded={threaded}: NodeMetrics must mirror the alarm"
+            nodes[0].exec.perf.wal_flush_failures >= 1,
+            "threaded={threaded}: NodeMetrics must carry the alarm"
         );
         let report = aggregate(&RunData {
             nodes,

@@ -21,10 +21,11 @@ use std::process::Command;
 use std::time::Instant;
 
 use ladon_bench::{recovery_figure, snapshot_delta_figure};
+use ladon_core::sync::SYNC_QUARANTINE_THRESHOLD;
 use ladon_core::{Behavior, MultiBftNode, NodeConfig, NodeMode, NodeMsg};
 use ladon_crypto::KeyRegistry;
 use ladon_obs::{fields, BenchReport, Json, BENCH_JSON_ENV};
-use ladon_sim::{ActorId, Context, Engine, NicNetwork, SimRng, Topology};
+use ladon_sim::{Engine, NicNetwork, RecordingCtx, Topology};
 use ladon_state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
 use ladon_types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
 use ladon_workload::{run_experiment, ClientFleet, ExperimentConfig, Report};
@@ -255,27 +256,6 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
     report
 }
 
-/// Minimal context for driving node sync handlers outside the engine
-/// (the responder-quarantine exchange below).
-struct MiniCtx {
-    rng: SimRng,
-}
-
-impl Context<NodeMsg> for MiniCtx {
-    fn now(&self) -> TimeNs {
-        TimeNs(0)
-    }
-    fn self_id(&self) -> ActorId {
-        3
-    }
-    fn send_sized(&mut self, _to: ActorId, _msg: NodeMsg, _bytes: u64) {}
-    fn set_timer(&mut self, _delay: TimeNs, _id: u64) {}
-    fn crash(&mut self, _actor: ActorId) {}
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-}
-
 /// `fig_fault_matrix`: the durability degradation state machine and
 /// responder quarantine, exercised end-to-end in one seeded simulated
 /// deployment. Replica 3 journals through a [`FaultPlan`]-driven
@@ -372,23 +352,21 @@ fn fault_matrix_fields(pass: &str) -> Vec<(String, Json)> {
     // response past the threshold and is quarantined.
     let responder = engine.actor_as::<MultiBftNode>(0).expect("replica 0");
     let mut requester = MultiBftNode::new(node_cfg(3));
-    let mut ctx = MiniCtx {
-        rng: SimRng::new(SMOKE_SEED),
-    };
+    let mut ctx = RecordingCtx::<NodeMsg>::new(3, SMOKE_SEED);
     let req = requester.build_sync_request();
     let honest = responder
         .build_sync_response(&req)
         .expect("checkpointed responder serves a from-zero requester");
     assert!(honest.snapshot.is_some(), "snapshot must be worthwhile");
     let stale = honest.clone();
-    requester.on_sync_response_from(ReplicaId(0), honest, &mut ctx);
+    requester.on_sync_response(ReplicaId(0), honest, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1);
-    for _ in 0..sys.sync_quarantine_threshold {
-        requester.on_sync_response_from(ReplicaId(1), stale.clone(), &mut ctx);
+    for _ in 0..SYNC_QUARANTINE_THRESHOLD {
+        requester.on_sync_response(ReplicaId(1), stale.clone(), &mut ctx);
     }
     assert_eq!(requester.metrics.sync_responders_quarantined, 1);
     let stale_rejections = requester.responder_health()[1].rejected_chunks;
-    assert_eq!(stale_rejections, sys.sync_quarantine_threshold as u64);
+    assert_eq!(stale_rejections, SYNC_QUARANTINE_THRESHOLD as u64);
     let _ = std::fs::remove_dir_all(&dir);
 
     fields(vec![

@@ -9,10 +9,17 @@
 //! - [`node`]: the Multi-BFT replica composing `m` consensus instances,
 //!   the shared `curRank`, an orderer, the pacemaker, the execution
 //!   pipeline and fault injection — runnable under both the simulation
-//!   engine and the live runtime.
+//!   engine and the live runtime. Its handlers do I/O; the decisions
+//!   they act on live in the modules below.
+//! - [`instance`]: the consensus-instance seam — the only module that
+//!   knows PBFT from HotStuff.
 //! - [`msg`]: the replica's network message envelope.
 //! - [`sync`]: epoch state transfer for lagging replicas (§5.2.1),
-//!   extended with execution-snapshot fast-forward.
+//!   extended with execution-snapshot fast-forward, and the requester's
+//!   rotation / responder-health state machine.
+//! - [`durability`]: the `Normal ⇄ Degraded` durability state machine.
+//! - [`timer`]: the node's timers as a type.
+//! - [`metrics`]: what one node records.
 //!
 //! # Execution and durable state
 //!
@@ -30,21 +37,24 @@
 
 pub mod bucket;
 pub mod dqbft;
+pub mod durability;
 pub mod epoch;
+pub mod instance;
+pub mod metrics;
 pub mod msg;
 pub mod node;
 pub mod ordering;
 pub mod predetermined;
 pub mod sync;
+pub mod timer;
 
 pub use bucket::{Mempool, RotatingBuckets, TxGroup};
 pub use dqbft::DqbftOrderer;
+pub use durability::NodeMode;
 pub use epoch::{CheckpointMsg, EpochEvent, EpochPacemaker, StableCheckpoint};
+pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
-pub use node::{
-    Behavior, CommitRecord, ConfirmRecord, MultiBftNode, NodeConfig, NodeMetrics, NodeMode,
-    ResponderHealth,
-};
+pub use node::{Behavior, MultiBftNode, NodeConfig};
 pub use ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 pub use predetermined::{BaselineKind, PredeterminedOrderer};
-pub use sync::{snapshot_worthwhile, SyncEntry, SyncRequest, SyncResponse};
+pub use sync::{snapshot_worthwhile, ResponderHealth, SyncEntry, SyncRequest, SyncResponse};

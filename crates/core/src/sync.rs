@@ -38,12 +38,64 @@
 //! reconstructs unchanged lanes from its local state, and installs once
 //! every lane is accounted for — a Byzantine responder can still serve
 //! correct chunks or nothing.
+//!
+//! # The requester's rotation, as a state machine
+//!
+//! Who to ask next, and what an answer (or silence) does to a peer's
+//! standing, is [`StateTransfer`]: plain data plus pure decision methods
+//! (pick target, note timeout, score response, advance cursor). The node
+//! keeps only the I/O around them. Time is counted in **probe windows**
+//! (one per sync timer period, [`StateTransfer::open_probe_window`]).
+//!
+//! Per responder ([`ResponderHealth`]):
+//!
+//! ```mermaid
+//! stateDiagram-v2
+//!     [*] --> Healthy
+//!     Healthy --> BackedOff : probe unanswered for a full window
+//!     BackedOff --> BackedOff : unanswered again / skip doubles, cap 2^6 windows
+//!     BackedOff --> Healthy : skip window elapsed | any answer
+//!     Healthy --> Healthy : unverifiable answer (streak < 3)
+//!     Healthy --> Quarantined : 3rd consecutive unverifiable answer
+//!     Quarantined --> Quarantined : (never leaves)
+//! ```
+//!
+//! ```text
+//! state            event                                   next                 action
+//! ---------------  --------------------------------------  -------------------  ------------------------------
+//! any              picked as target                        same                 outstanding := (peer, window)
+//! any              its probe outstanding, window advanced  BackedOff(2^k more)  timeouts += 1; k = min(streak, 6)
+//! any              its probe outstanding, same window      same                 none (a chunked continuation
+//!                                                                               is not a timeout)
+//! BackedOff        skip windows elapsed                    Healthy              back in rotation
+//! any              answered: chunks verified, or useful    streak := 0          timeout backoff cleared
+//! any              answered: nothing useful, nothing bad   same                 timeout backoff cleared
+//! not Quarantined  answered: bad chunk or rejected head    streak += 1          timeout backoff cleared
+//! not Quarantined  ... and the streak reaches 3            Quarantined          node counts + traces the event
+//! Quarantined      answered (anything)                     Quarantined          scored, never re-admitted
+//! ```
+//!
+//! Target choice ([`StateTransfer::pick_target`]): round-robin from the
+//! cursor over peers that are neither self, nor `Quarantined`, nor still
+//! `BackedOff` in the current window.
+//!
+//! **Bounded exits.** (1) The timeout backoff exponent is capped at 6: a
+//! silent peer costs one probe per 64 windows at worst and is retried
+//! forever — crash faults heal. (2) If *every* peer is unhealthy, plain
+//! round-robin (skipping only self) resumes, quarantined peers included:
+//! health trades probe placement, never liveness. (3) A responder whose
+//! chunks keep failing is simply left behind — each partial response
+//! re-requests from the *next* peer with the cursor advanced
+//! ([`StateTransfer::advance_cursor`]), and the durable stash keeps what
+//! already verified.
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
-use ladon_state::{SnapshotChunk, SnapshotHead};
+use ladon_state::{delta_lanes, ChunkCache, Snapshot, SnapshotChunk, SnapshotHead, MERKLE_LANES};
 use ladon_types::{sizes, Block, Digest, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Snapshot serving minimum-gap policy: ship a snapshot only when the
 /// requester's applied frontier lags the responder's latest snapshot by
@@ -125,6 +177,289 @@ pub fn select_chunk_lanes(delta: &[u32], cursor: u32, cap: usize) -> (Vec<u32>, 
     (lanes, (delta.len().saturating_sub(cap)) as u32)
 }
 
+/// Consecutive unverifiable responses (a bad chunk, or a rejected
+/// snapshot head) from one responder before the requester quarantines it
+/// out of the rotation. Honest responders never ship an unverifiable
+/// chunk, so a small threshold only tolerates re-requests racing a
+/// responder's own state advance; unresponsive (as opposed to Byzantine)
+/// peers are handled separately by timeout backoff.
+pub const SYNC_QUARANTINE_THRESHOLD: u32 = 3;
+
+/// Cap on the timeout-backoff exponent: a silent responder is skipped
+/// for at most `2^6` probe windows before it is tried again.
+const TIMEOUT_BACKOFF_MAX_EXP: u32 = 6;
+
+/// Proposal-vs-commit gap (in rounds) at or above which an instance
+/// counts as off the live edge. Healthy Ladon-PBFT instances pipeline
+/// one round, so their gap never nears this.
+const LIVE_EDGE_GAP: u64 = 4;
+
+/// Per-peer state-transfer responder health. Verified chunks reset the
+/// failure streak; unverifiable responses and timeouts grow it.
+/// Timeouts put the responder on exponential probe backoff; repeated
+/// unverifiable payloads quarantine it outright (only a liveness
+/// fallback — every other peer also unhealthy — sends to it again).
+#[derive(Clone, Debug, Default)]
+pub struct ResponderHealth {
+    /// Chunks from this responder that verified into the stash.
+    pub verified_chunks: u64,
+    /// Chunks (or whole responses) that failed verification.
+    pub rejected_chunks: u64,
+    /// Probes this responder never answered before the next window.
+    pub timeouts: u64,
+    /// Consecutive unverifiable responses (quarantine trigger).
+    fail_streak: u32,
+    /// Consecutive timeouts (probe-backoff exponent).
+    timeout_streak: u32,
+    /// Probe window until which rotation skips this responder.
+    skip_until: u64,
+    /// Permanently distrusted (Byzantine payloads); rotation skips it.
+    pub quarantined: bool,
+}
+
+/// What one sync response amounted to, for scoring its sender.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ResponseOutcome {
+    /// Chunks that verified against the quorum-proven head.
+    pub ok_chunks: u64,
+    /// Chunks that did not.
+    pub bad_chunks: u64,
+    /// The response advertised a snapshot head we rejected (stale applied
+    /// frontier, root/checkpoint mismatch, failed proof). Counts like a
+    /// bad chunk: a stale-but-signed snapshot replayed forever would
+    /// otherwise stall the transfer without ever tripping chunk
+    /// verification.
+    pub head_rejected: bool,
+    /// Something else in it helped: a snapshot installed, a log entry
+    /// installed, or it carried a checkpoint.
+    pub useful: bool,
+}
+
+/// State-transfer bookkeeping of one replica: the requester's rotation
+/// and transfer cursor, and the responder's chunk cache (see the module
+/// docs for the transition table).
+#[derive(Default)]
+pub struct StateTransfer {
+    me: usize,
+    /// Round-robin cursor over peers.
+    rr: usize,
+    /// Per-instance proposal-vs-commit gap observed at the previous probe
+    /// (hysteresis: a gap that persists across two probes means the
+    /// missing rounds will never commit here on their own).
+    gap_snapshot: Vec<u64>,
+    /// Resume cursor for chunked snapshot transfers: the lane offset the
+    /// next [`SyncRequest`] asks the responder to continue serving from.
+    cursor: u32,
+    /// Lane roots of the last *accepted but not yet installed* snapshot
+    /// head — the stash chunks a checkpoint-time prune must keep. Empty
+    /// when no transfer is in flight.
+    pending_roots: Vec<Digest>,
+    responders: Vec<ResponderHealth>,
+    /// Monotonic count of probe windows (the clock responder backoff is
+    /// expressed in).
+    probes: u64,
+    /// The probe in flight: `(responder, window at send)`. Still present
+    /// when the next probe is sent ⇒ the responder may have timed out.
+    outstanding: Option<(usize, u64)>,
+    /// Serve-side cache of per-lane chunk encodes for the latest
+    /// snapshot, keyed by lane root: an unchanged lane is encoded once
+    /// per *content*, however many transfers or snapshots reference it.
+    /// `RefCell` because serving is `&self` (the sync tests drive it
+    /// directly) and the cache is pure memoization.
+    chunk_cache: RefCell<ChunkCache>,
+}
+
+impl StateTransfer {
+    /// Bookkeeping for replica `me` of `n`, hosting `m` instances.
+    pub fn new(me: usize, n: usize, m: usize) -> Self {
+        Self {
+            me,
+            gap_snapshot: vec![0; m],
+            responders: vec![ResponderHealth::default(); n],
+            ..Self::default()
+        }
+    }
+
+    /// Per-peer responder health (indexed by replica id).
+    pub fn responders(&self) -> &[ResponderHealth] {
+        &self.responders
+    }
+
+    /// The lane cursor the next request carries.
+    pub fn cursor(&self) -> u32 {
+        self.cursor
+    }
+
+    /// Lane roots of the transfer in flight (empty when none).
+    pub fn pending_roots(&self) -> &[Digest] {
+        &self.pending_roots
+    }
+
+    /// A sync timer period elapsed: the health clock ticks.
+    pub fn open_probe_window(&mut self) {
+        self.probes += 1;
+    }
+
+    /// Records `instance`'s proposal-vs-commit gap for this probe and
+    /// reports whether it sat off the live edge at the previous probe
+    /// *and* this one. Call once per instance per probe.
+    pub fn gap_persists(&mut self, instance: usize, gap_now: u64) -> bool {
+        let gap_before = std::mem::replace(&mut self.gap_snapshot[instance], gap_now);
+        gap_now >= LIVE_EDGE_GAP && gap_before >= LIVE_EDGE_GAP
+    }
+
+    /// Call before sending a request: if the previous one is still
+    /// unanswered *and* a full window has passed since it was sent, its
+    /// responder timed out — its streak grows and rotation skips it for
+    /// exponentially more windows (capped). Returns whether a timeout
+    /// was charged. A same-window re-request (chunked-transfer
+    /// continuation) never had a full window to be answered.
+    pub fn note_timeout(&mut self) -> bool {
+        let Some((peer, sent_in)) = self.outstanding.take() else {
+            return false;
+        };
+        if self.probes <= sent_in {
+            return false;
+        }
+        let h = &mut self.responders[peer];
+        h.timeouts += 1;
+        h.timeout_streak = h.timeout_streak.saturating_add(1);
+        h.skip_until = self.probes + (1u64 << h.timeout_streak.min(TIMEOUT_BACKOFF_MAX_EXP));
+        true
+    }
+
+    /// Picks the next responder — the first healthy peer in round-robin
+    /// order, or plain round-robin when none is healthy — and records
+    /// the probe as outstanding.
+    pub fn pick_target(&mut self) -> usize {
+        let n = self.responders.len();
+        let healthy = |peer: &usize| {
+            let h = &self.responders[*peer];
+            *peer != self.me && !h.quarantined && h.skip_until <= self.probes
+        };
+        let rotation = || (0..n).map(|k| (self.rr + k) % n);
+        let target = rotation()
+            .find(healthy)
+            .or_else(|| rotation().find(|&peer| peer != self.me))
+            .unwrap_or(self.me);
+        self.rr = (target + 1) % n;
+        self.outstanding = Some((target, self.probes));
+        target
+    }
+
+    /// Scores `peer`'s response. `None` when the sender cannot be scored
+    /// (not a peer: out of range, or ourselves); otherwise whether this
+    /// response *newly* quarantined it.
+    pub fn score_response(&mut self, peer: usize, outcome: ResponseOutcome) -> Option<bool> {
+        if peer == self.me {
+            return None;
+        }
+        let h = self.responders.get_mut(peer)?;
+        if self.outstanding.is_some_and(|(p, _)| p == peer) {
+            self.outstanding = None;
+        }
+        let bad = outcome.bad_chunks > 0 || outcome.head_rejected;
+        h.verified_chunks += outcome.ok_chunks;
+        h.rejected_chunks += outcome.bad_chunks + u64::from(outcome.head_rejected);
+        // It answered: whatever the payload quality, the peer is
+        // responsive — timeout backoff resets independently of the
+        // verification streak.
+        h.timeout_streak = 0;
+        h.skip_until = 0;
+        if bad {
+            h.fail_streak = h.fail_streak.saturating_add(1);
+            if !h.quarantined && h.fail_streak >= SYNC_QUARANTINE_THRESHOLD {
+                h.quarantined = true;
+                return Some(true);
+            }
+        } else if outcome.ok_chunks > 0 || outcome.useful {
+            h.fail_streak = 0;
+        }
+        Some(false)
+    }
+
+    /// A snapshot head was accepted: a transfer toward it is in flight
+    /// until [`Self::transfer_installed`] (or a newer head supersedes it).
+    pub fn transfer_started(&mut self, lane_roots: &[Digest]) {
+        self.pending_roots = lane_roots.to_vec();
+    }
+
+    /// The responder capped its response at `served` lanes: resume the
+    /// next request past the served window (wrapping with its scan).
+    pub fn advance_cursor(&mut self, served: u32) {
+        self.cursor = self.cursor.wrapping_add(served) % MERKLE_LANES;
+    }
+
+    /// The install landed: nothing is pending, the cursor starts over.
+    pub fn transfer_installed(&mut self) {
+        self.pending_roots.clear();
+        self.cursor = 0;
+    }
+
+    /// Responder side: the chunks of `snap` to ship for `req` — only
+    /// lanes whose roots differ from the requester's advertisement, at
+    /// most `cap`, cursor-resumable ([`select_chunk_lanes`]), deduplicated
+    /// by root within the response (all-empty lanes share one root — one
+    /// chunk reconstructs every one of them) — plus how many differing
+    /// lanes remain. Chunks come from the cache, so an unchanged lane is
+    /// encoded once per content, not once per transfer.
+    pub fn delta_chunks(
+        &self,
+        snap: &Snapshot,
+        req: &SyncRequest,
+        cap: usize,
+    ) -> (Vec<SnapshotChunk>, u32) {
+        let mut cache = self.chunk_cache.borrow_mut();
+        cache.prime(snap);
+        let delta = delta_lanes(&snap.lane_roots, &req.lane_roots);
+        let (lanes, remaining) = select_chunk_lanes(&delta, req.chunk_cursor, cap);
+        let mut sent = BTreeSet::new();
+        let mut chunks = Vec::new();
+        for lane in lanes {
+            let root = snap.lane_roots[lane as usize];
+            if sent.insert(root) {
+                chunks.extend(cache.get(&root).cloned());
+            }
+        }
+        (chunks, remaining)
+    }
+
+    /// Responder side: a new snapshot supersedes the previous one — drop
+    /// cached chunk encodes for lane roots it no longer references
+    /// (unchanged lanes keep theirs: same root, same bytes).
+    pub fn retain_chunks(&self, lane_roots: &[Digest]) {
+        self.chunk_cache.borrow_mut().retain(lane_roots);
+    }
+}
+
+/// Requester side: resolves every lane `head` names from the verified
+/// stash, else from a lane the local state already holds at that root
+/// (those were advertised, so the responder never shipped them —
+/// reconstructed in place and counted as reused), and assembles the
+/// snapshot. `None` while any lane is still missing.
+pub fn assemble_snapshot<'a>(
+    head: &SnapshotHead,
+    stashed: impl Fn(&Digest) -> Option<&'a SnapshotChunk>,
+    local: Vec<SnapshotChunk>,
+) -> Option<(Snapshot, u64)> {
+    let local: BTreeMap<Digest, SnapshotChunk> = local.into_iter().map(|c| (c.root, c)).collect();
+    let mut by_root: BTreeMap<Digest, SnapshotChunk> = BTreeMap::new();
+    let mut reused = 0u64;
+    for root in &head.lane_roots {
+        if by_root.contains_key(root) {
+            continue;
+        }
+        if let Some(c) = stashed(root) {
+            by_root.insert(*root, c.clone());
+        } else {
+            by_root.insert(*root, local.get(root)?.clone());
+            reused += 1;
+        }
+    }
+    let parts: Vec<SnapshotChunk> = by_root.into_values().collect();
+    Some((Snapshot::assemble(head.clone(), &parts)?, reused))
+}
+
 /// One fetched log entry: a committed block and the prepare QC binding its
 /// `(digest, rank)` to `(instance, round)`.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -196,6 +531,190 @@ impl WireSize for SyncResponse {
 mod tests {
     use super::*;
     use ladon_types::{Batch, BlockHeader, Digest, Rank, TimeNs};
+
+    const ME: usize = 3;
+
+    fn bad() -> ResponseOutcome {
+        ResponseOutcome {
+            bad_chunks: 1,
+            ..Default::default()
+        }
+    }
+
+    fn good() -> ResponseOutcome {
+        ResponseOutcome {
+            ok_chunks: 2,
+            ..Default::default()
+        }
+    }
+
+    /// Picks a target, lets a full window pass without an answer, and
+    /// charges the timeout. Returns who was picked.
+    fn probe_unanswered(st: &mut StateTransfer) -> usize {
+        let target = st.pick_target();
+        st.open_probe_window();
+        assert!(st.note_timeout(), "an unanswered full window is a timeout");
+        target
+    }
+
+    #[test]
+    fn rotation_is_round_robin_and_never_picks_self() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        let picks: Vec<usize> = (0..6).map(|_| st.pick_target()).collect();
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2]);
+        // Also when self sits in the middle of the ring.
+        let mut st = StateTransfer::new(1, 4, 4);
+        let picks: Vec<usize> = (0..6).map(|_| st.pick_target()).collect();
+        assert_eq!(picks, [0, 2, 3, 0, 2, 3]);
+    }
+
+    #[test]
+    fn rotation_skips_quarantined_and_backed_off_peers() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        // Peer 0 turns Byzantine: quarantined exactly at the threshold.
+        for i in 1..=SYNC_QUARANTINE_THRESHOLD {
+            let newly = st.score_response(0, bad()).expect("a peer is scorable");
+            assert_eq!(newly, i == SYNC_QUARANTINE_THRESHOLD, "response {i}");
+        }
+        assert!(st.responders()[0].quarantined);
+        assert_eq!(
+            st.score_response(0, bad()),
+            Some(false),
+            "quarantine is an event, counted once"
+        );
+        // Peer 1 goes silent for a window: backed off for 2 windows.
+        assert_eq!(probe_unanswered(&mut st), 1);
+        assert_eq!(st.responders()[1].timeouts, 1);
+        // Only peer 2 is healthy now, whatever the cursor says.
+        assert_eq!(st.pick_target(), 2);
+        assert_eq!(st.score_response(2, good()), Some(false));
+        assert_eq!(st.pick_target(), 2);
+        assert_eq!(st.score_response(2, good()), Some(false));
+        // Once peer 1's skip window elapses it is back in rotation;
+        // quarantined peer 0 is not.
+        st.open_probe_window();
+        st.open_probe_window();
+        let picks: Vec<usize> = (0..4)
+            .map(|_| {
+                let t = st.pick_target();
+                st.score_response(t, good());
+                t
+            })
+            .collect();
+        assert_eq!(picks, [1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn all_peers_unhealthy_falls_back_to_plain_round_robin() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        for peer in 0..3 {
+            for _ in 0..SYNC_QUARANTINE_THRESHOLD {
+                st.score_response(peer, bad());
+            }
+        }
+        assert!(st.responders()[..3].iter().all(|h| h.quarantined));
+        // Liveness over health: every peer is still asked in turn, and
+        // self is still never picked.
+        let picks: Vec<usize> = (0..6).map(|_| st.pick_target()).collect();
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn timeout_backoff_doubles_and_caps_at_64_windows() {
+        // n = 2: the only peer is always the (fallback) target, so its
+        // skip window is observable as the gap between timeouts.
+        let mut st = StateTransfer::new(1, 2, 1);
+        let mut skips = Vec::new();
+        for _ in 0..9 {
+            assert_eq!(probe_unanswered(&mut st), 0);
+            let h = &st.responders()[0];
+            skips.push(h.skip_until - st.probes);
+        }
+        assert_eq!(skips, [2, 4, 8, 16, 32, 64, 64, 64, 64]);
+        assert_eq!(st.responders()[0].timeouts, 9);
+        // Any answer — even an unverifiable one — proves the peer is
+        // responsive again and clears the backoff.
+        st.pick_target();
+        st.score_response(0, bad());
+        let h = &st.responders()[0];
+        assert_eq!((h.timeout_streak, h.skip_until), (0, 0));
+    }
+
+    #[test]
+    fn same_window_rerequest_is_not_a_timeout() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        st.open_probe_window();
+        assert!(!st.note_timeout(), "nothing outstanding yet");
+        assert_eq!(st.pick_target(), 0);
+        // A chunked-transfer continuation re-requests within the window.
+        assert!(!st.note_timeout());
+        assert_eq!(st.pick_target(), 1);
+        assert_eq!(st.responders()[0].timeouts, 0);
+        // An answered probe is not outstanding any more either.
+        st.score_response(1, good());
+        st.open_probe_window();
+        assert!(!st.note_timeout());
+    }
+
+    #[test]
+    fn unattributable_senders_are_not_scored() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        assert_eq!(st.score_response(ME, bad()), None, "ourselves");
+        assert_eq!(st.score_response(4, bad()), None, "not a replica");
+        assert_eq!(st.score_response(u32::MAX as usize, bad()), None);
+        assert!(st.responders().iter().all(|h| h.rejected_chunks == 0));
+    }
+
+    #[test]
+    fn verified_answers_reset_the_failure_streak_but_empty_ones_do_not() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        st.score_response(0, bad());
+        st.score_response(0, bad());
+        // Nothing useful, nothing bad: the streak stands.
+        st.score_response(0, ResponseOutcome::default());
+        assert_eq!(st.score_response(0, bad()), Some(true));
+        // A useful answer in between clears it.
+        st.score_response(1, bad());
+        st.score_response(1, bad());
+        let useful = ResponseOutcome {
+            useful: true,
+            ..Default::default()
+        };
+        st.score_response(1, useful);
+        assert_eq!(st.score_response(1, bad()), Some(false));
+        // A rejected head counts like a bad chunk.
+        let stale = ResponseOutcome {
+            head_rejected: true,
+            ..Default::default()
+        };
+        st.score_response(1, stale);
+        assert_eq!(st.score_response(1, stale), Some(true));
+        assert_eq!(st.responders()[1].rejected_chunks, 5);
+    }
+
+    #[test]
+    fn gap_hysteresis_needs_two_consecutive_probes_off_the_live_edge() {
+        let mut st = StateTransfer::new(ME, 4, 2);
+        assert!(!st.gap_persists(0, 9), "first sighting is not evidence");
+        assert!(st.gap_persists(0, 4), "still off the edge a probe later");
+        assert!(!st.gap_persists(0, 3), "caught up to within the edge");
+        assert!(!st.gap_persists(0, u64::MAX), "a fresh gap starts over");
+        assert!(!st.gap_persists(1, u64::MAX), "instances are independent");
+    }
+
+    #[test]
+    fn cursor_advances_by_the_served_window_and_wraps() {
+        let mut st = StateTransfer::new(ME, 4, 4);
+        st.advance_cursor(24);
+        st.advance_cursor(24);
+        assert_eq!(st.cursor(), 48);
+        st.advance_cursor(24);
+        assert_eq!(st.cursor(), 72 % MERKLE_LANES);
+        st.transfer_started(&[Digest::NIL; 2]);
+        assert_eq!(st.pending_roots().len(), 2);
+        st.transfer_installed();
+        assert_eq!((st.cursor(), st.pending_roots().len()), (0, 0));
+    }
 
     #[test]
     fn snapshot_policy_requires_minimum_gap() {

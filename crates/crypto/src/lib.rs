@@ -2,7 +2,7 @@
 //!
 //! # What is real and what is simulated
 //!
-//! - [`sha256`]: a complete, from-scratch SHA-256 (FIPS 180-4) used for all
+//! - [`mod@sha256`]: a complete, from-scratch SHA-256 (FIPS 180-4) used for all
 //!   digests. Validated against the standard test vectors.
 //! - [`hmac`]: HMAC-SHA-256 (RFC 2104), used as the MAC under the simulated
 //!   signature scheme.

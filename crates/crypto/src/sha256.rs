@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
 //! Supports incremental hashing via [`Sha256::update`] and one-shot hashing
-//! via [`sha256`]. Verified against the NIST test vectors in the unit tests
+//! via [`sha256()`]. Verified against the NIST test vectors in the unit tests
 //! and against an incremental-equals-oneshot property test.
 
 use crate::counters::{record, OpKind};

@@ -53,28 +53,11 @@ impl HsConfig {
     }
 }
 
-/// Effects requested by the state machine.
-#[derive(Clone, Debug)]
-pub enum Action {
-    /// Send to every other replica.
-    Broadcast(HsMsg),
-    /// Send to one replica.
-    Send(ReplicaId, HsMsg),
-    /// A block became partially committed (never emitted for dummies).
-    Committed(Block),
-    /// Start the liveness timer for the next height.
-    StartHeightTimer {
-        /// Height that must be certified before the timer fires.
-        height: Round,
-        /// View the timer belongs to.
-        view: View,
-    },
-    /// A view change was initiated.
-    ViewChangeStarted {
-        /// The view being requested.
-        view: View,
-    },
-}
+/// Effects requested by the state machine: the shared vocabulary over
+/// this instance's wire message. HotStuff emits `StartRoundTimer` with
+/// the *height* that must be certified before the timer fires, and never
+/// `StartViewChangeTimer` or `NewViewInstalled`.
+pub type Action = ladon_types::Action<HsMsg>;
 
 struct NodeEntry {
     node: HsNode,
@@ -424,8 +407,8 @@ impl HsInstance {
         } else {
             out.push(Action::Send(leader, HsMsg::Vote(vote)));
         }
-        out.push(Action::StartHeightTimer {
-            height: g.node.height.next(),
+        out.push(Action::StartRoundTimer {
+            round: g.node.height.next(),
             view: self.view,
         });
     }

@@ -101,7 +101,8 @@ impl BenchReport {
         self.json_value(false).render()
     }
 
-    /// Parses a report previously produced by [`render`] / [`to_json`].
+    /// Parses a report previously produced by [`Self::render`] /
+    /// [`Self::to_json`].
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         let root = Json::parse(text)?;
         let mut report = BenchReport::new();

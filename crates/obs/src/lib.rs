@@ -13,7 +13,7 @@
 //!   journal of timestamped stage transitions (submitted → proposed →
 //!   confirmed → WAL-staged → flushed → applied → checkpointed) with
 //!   incrementally maintained stage-latency histograms.
-//! - [`bench`] — the machine-readable `BENCH_*.json` format (emitter,
+//! - [`mod@bench`] — the machine-readable `BENCH_*.json` format (emitter,
 //!   parser, schema validator) that gives the repo a committed perf
 //!   trajectory.
 //! - [`json`] — the deterministic JSON value type underneath both.

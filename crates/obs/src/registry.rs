@@ -147,7 +147,7 @@ impl Histogram {
 }
 
 /// The unified registry. Collection sites call `counter` / `gauge` /
-/// `histogram` / `series`; exposition goes through [`snapshot`].
+/// `histogram` / `series`; exposition goes through [`Self::snapshot`].
 ///
 /// Names are flat, dot-separated strings (`"wal.fsyncs"`,
 /// `"trace.staged_to_flushed"`). `BTreeMap` keeps exposition ordering

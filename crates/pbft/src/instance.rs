@@ -80,39 +80,9 @@ impl InstanceConfig {
     }
 }
 
-/// Effects requested by the state machine.
-#[derive(Clone, Debug)]
-pub enum Action {
-    /// Send to every *other* replica (the instance has already processed
-    /// its own copy internally).
-    Broadcast(PbftMsg),
-    /// Send to one replica (never the local one).
-    Send(ReplicaId, PbftMsg),
-    /// A block became partially committed.
-    Committed(Block),
-    /// Ask the node to start the view-change timer for a round.
-    StartRoundTimer {
-        /// Round that must commit before the timer fires.
-        round: Round,
-        /// View the timer belongs to (stale timers are ignored).
-        view: View,
-    },
-    /// Ask the node to start a timer bounding view-change completion.
-    StartViewChangeTimer {
-        /// The pending view.
-        view: View,
-    },
-    /// A view change was initiated (metrics hook).
-    ViewChangeStarted {
-        /// The view being moved to.
-        view: View,
-    },
-    /// A new view was installed (metrics hook).
-    NewViewInstalled {
-        /// The installed view.
-        view: View,
-    },
-}
+/// Effects requested by the state machine: the shared vocabulary over
+/// this instance's wire message.
+pub type Action = ladon_types::Action<PbftMsg>;
 
 /// Per-round bookkeeping.
 #[derive(Default)]

@@ -29,7 +29,7 @@
 //!    `inserted · removed⁻¹ mod p` — one Fermat inverse per *root
 //!    finalization*, never on the per-write path, so writes stay O(1)
 //!    modular multiplies. The upgrade is localized behind
-//!    [`Lane::root`]; the lane-root domain is bumped to v3.)
+//!    `Lane::root`; the lane-root domain is bumped to v3.)
 //!
 //! 2. **Parallel execution.** A block's ops are scheduled into a
 //!    deterministic dependency DAG and executed wave by wave across

@@ -1088,7 +1088,7 @@ impl InFlightFlush {
 ///
 /// Split into a staging **front** (this struct: stage scratch, record
 /// mirror, acknowledgement bookkeeping) and a writer **back**
-/// ([`WalBack`]: segment handles, rolls, manifest publication). When the
+/// (`WalBack`: segment handles, rolls, manifest publication). When the
 /// backend [prefers a writer thread](WalBackend::prefers_writer_thread)
 /// the back runs each flush barrier on a dedicated thread —
 /// [`Self::submit_flush`] hands batch N to the writer and returns, and

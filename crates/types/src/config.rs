@@ -189,15 +189,6 @@ pub struct SystemConfig {
     /// delta in one response (lowest sync latency); smaller values
     /// bound per-message bytes at millions-of-accounts state sizes.
     pub sync_chunks_per_response: u32,
-    /// Responder-health quarantine threshold (≥ 1): consecutive sync
-    /// chunks (or whole responses) from one responder that fail
-    /// verification before the requester quarantines it — removing it
-    /// from the sync rotation entirely. Honest responders never ship an
-    /// unverifiable chunk, so a small threshold only tolerates
-    /// re-requests racing a responder's own state advance; unresponsive
-    /// (as opposed to Byzantine) peers are handled separately by
-    /// timeout-driven exponential backoff.
-    pub sync_quarantine_threshold: u32,
 }
 
 impl SystemConfig {
@@ -222,7 +213,6 @@ impl SystemConfig {
             wal_segment_records: 1024,
             wal_flush_max_records: 1,
             sync_chunks_per_response: MERKLE_LANES,
-            sync_quarantine_threshold: 3,
         }
     }
 
@@ -324,11 +314,6 @@ impl SystemConfig {
                 "sync_chunks_per_response = {} must be in 1..={MERKLE_LANES}",
                 self.sync_chunks_per_response
             )));
-        }
-        if self.sync_quarantine_threshold == 0 {
-            return Err(LadonError::Config(
-                "sync_quarantine_threshold must be > 0".into(),
-            ));
         }
         Ok(())
     }
@@ -459,20 +444,6 @@ mod tests {
 
         let mut ok = c;
         ok.sync_chunks_per_response = 1;
-        ok.validate().unwrap();
-    }
-
-    #[test]
-    fn fault_knobs_validated() {
-        let c = SystemConfig::paper_default(16, NetEnv::Wan);
-        assert_eq!(c.sync_quarantine_threshold, 3);
-
-        let mut bad = c.clone();
-        bad.sync_quarantine_threshold = 0;
-        assert!(bad.validate().is_err());
-
-        let mut ok = c;
-        ok.sync_quarantine_threshold = 1;
         ok.validate().unwrap();
     }
 

@@ -9,6 +9,7 @@
 //! [`ladon-pbft`]: https://docs.rs/ladon-pbft
 //! [`ladon-hotstuff`]: https://docs.rs/ladon-hotstuff
 
+pub mod action;
 pub mod block;
 pub mod config;
 pub mod error;
@@ -17,6 +18,7 @@ pub mod time;
 pub mod tx;
 pub mod wire;
 
+pub use action::Action;
 pub use block::{Block, BlockHeader, Digest, OrderKey};
 pub use config::{NetEnv, ProtocolKind, SystemConfig, MERKLE_LANES};
 pub use error::LadonError;

@@ -14,10 +14,11 @@
 mod common;
 
 use common::{cluster, ClusterOpts, TestCluster};
+use ladon::core::sync::SYNC_QUARANTINE_THRESHOLD;
 use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMode, NodeMsg};
-use ladon::sim::{ActorId, Context, SimRng};
+use ladon::sim::RecordingCtx;
 use ladon::state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
-use ladon::types::{Digest, ProtocolKind, ReplicaId, Round, SystemConfig, TimeNs};
+use ladon::types::{Digest, ProtocolKind, ReplicaId, Round, SystemConfig};
 use std::collections::BTreeMap;
 
 /// The lane counts the disk-full scenario runs at (the degraded →
@@ -355,41 +356,9 @@ fn crash_while_degraded_loses_only_unacknowledged_records() {
 // with sender attribution, no network in between.
 // ---------------------------------------------------------------------
 
-/// Minimal context for driving node handlers directly.
-struct DirectCtx {
-    rng: SimRng,
-    sent: Vec<(ActorId, NodeMsg)>,
-}
-
-impl DirectCtx {
-    fn new() -> Self {
-        Self {
-            rng: SimRng::new(7),
-            sent: Vec::new(),
-        }
-    }
-}
-
-impl Context<NodeMsg> for DirectCtx {
-    fn now(&self) -> TimeNs {
-        TimeNs(0)
-    }
-    fn self_id(&self) -> ActorId {
-        3
-    }
-    fn send_sized(&mut self, to: ActorId, msg: NodeMsg, _bytes: u64) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, _delay: TimeNs, _id: u64) {}
-    fn crash(&mut self, _actor: ActorId) {}
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-}
-
 /// A Byzantine responder that keeps replaying a stale-but-signed
 /// snapshot (old head + its genuine checkpoint proof) is quarantined
-/// after `sync_quarantine_threshold` consecutive rejections — and the
+/// after `SYNC_QUARANTINE_THRESHOLD` consecutive rejections — and the
 /// requester still syncs from honest peers afterwards.
 #[test]
 fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
@@ -416,7 +385,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         behavior: Behavior::default(),
         sample_interval: None,
     });
-    let mut ctx = DirectCtx::new();
+    let mut ctx = RecordingCtx::<NodeMsg>::new(3, 7);
 
     // Honest install from peer 0 first: the requester fast-forwards to
     // the snapshot, which also makes any replay of that snapshot stale.
@@ -427,7 +396,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .expect("a from-zero requester must be served");
     assert!(honest.snapshot.is_some());
     let stale = honest.clone();
-    requester.on_sync_response_from(ReplicaId(0), honest, &mut ctx);
+    requester.on_sync_response(ReplicaId(0), honest, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(requester.exec.applied(), snap.applied);
     let h0 = &requester.responder_health()[0];
@@ -440,13 +409,13 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
     // Peer 1 replays the same (now stale) snapshot over and over. Every
     // proof still verifies — only the applied frontier betrays it — and
     // after the threshold the responder is quarantined.
-    let threshold = c.sys.sync_quarantine_threshold;
+    let threshold = SYNC_QUARANTINE_THRESHOLD;
     for i in 0..threshold {
         assert!(
             !requester.responder_health()[1].quarantined,
             "quarantined after {i} rejections, threshold is {threshold}"
         );
-        requester.on_sync_response_from(ReplicaId(1), stale.clone(), &mut ctx);
+        requester.on_sync_response(ReplicaId(1), stale.clone(), &mut ctx);
     }
     let h1 = &requester.responder_health()[1];
     assert!(
@@ -486,7 +455,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .node(2)
         .build_sync_response(&req2)
         .expect("an honest peer must serve the lagging requester");
-    requester.on_sync_response_from(ReplicaId(2), resp2, &mut ctx);
+    requester.on_sync_response(ReplicaId(2), resp2, &mut ctx);
     assert_eq!(
         requester.metrics.snapshot_installs, 2,
         "quarantining one responder must not stop syncing from others"
@@ -496,31 +465,42 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
 }
 
 /// Degraded replicas stop serving snapshots (their own durable path is
-/// suspect) but keep serving log entries.
+/// suspect) but keep serving log entries. The replica is degraded the
+/// way production would degrade it: its fault-injected disk fills.
 #[test]
 fn degraded_replica_stops_serving_snapshots_but_serves_entries() {
+    let lanes = 4;
+    let dir = scratch_dir("fault-serve-gate", lanes);
+    let _ = std::fs::remove_dir_all(&dir);
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
-        submit_until_s: 12.0,
+        submit_until_s: 20.0,
+        exec_lanes: Some(lanes),
         ..Default::default()
     });
-    c.run_secs(15.0);
-    // A requester trailing the responder by a couple of rounds per
-    // instance with an empty state machine: the gap is inside the
-    // retained log window (entries servable) AND far enough behind in
-    // applied terms that a healthy responder would ship its snapshot.
-    let mut lagging = c.node(0).build_sync_request();
-    for r in &mut lagging.frontier {
-        *r = Round(r.0.saturating_sub(2));
-    }
-    lagging.applied = 0;
-    lagging.lane_roots = Vec::new();
+    let plan = FaultPlan::unlimited();
+    add_faulted_replica(&mut c, &dir, &plan, lanes);
+    // A requester trailing replica 3 by a couple of rounds per instance
+    // with an empty state machine: the gap is inside the retained log
+    // window (entries servable) AND far enough behind in applied terms
+    // that a healthy responder would ship its snapshot.
+    let lagging_behind = |c: &TestCluster| {
+        let mut req = c.node(3).build_sync_request();
+        for r in &mut req.frontier {
+            *r = Round(r.0.saturating_sub(2));
+        }
+        req.applied = 0;
+        req.lane_roots = Vec::new();
+        req
+    };
 
+    c.run_secs(8.0);
+    assert_eq!(c.node(3).mode(), NodeMode::Normal);
     let healthy_resp = c
-        .node(0)
-        .build_sync_response(&lagging)
+        .node(3)
+        .build_sync_response(&lagging_behind(&c))
         .expect("healthy replica serves");
     assert!(
         healthy_resp.snapshot.is_some(),
@@ -531,13 +511,17 @@ fn degraded_replica_stops_serving_snapshots_but_serves_entries() {
         "a healthy replica serves the retained log entries"
     );
 
-    // Same replica, forced Degraded: snapshot serving stops, entries
-    // remain. (`set_degraded_for_test` flips only the mode gate.)
-    let n0 = c.engine.actor_as_mut::<MultiBftNode>(0).unwrap();
-    n0.set_degraded_for_test();
+    // Same replica, disk full: snapshot serving stops, entries remain.
+    let _ = plan.clone().enospc_after(0);
+    c.run_secs(16.0);
+    assert_eq!(c.node(3).mode(), NodeMode::Degraded);
+    assert!(
+        c.node(3).exec.latest_snapshot().is_some(),
+        "the gate, not a missing snapshot, must be what withholds it"
+    );
     let degraded_resp = c
-        .node(0)
-        .build_sync_response(&lagging)
+        .node(3)
+        .build_sync_response(&lagging_behind(&c))
         .expect("entries must still be served");
     assert!(
         degraded_resp.snapshot.is_none(),
@@ -547,4 +531,5 @@ fn degraded_replica_stops_serving_snapshots_but_serves_entries() {
         !degraded_resp.entries.is_empty(),
         "log entries carry their own proofs and must still be served"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }

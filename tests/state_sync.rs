@@ -125,51 +125,27 @@ fn random_message_loss_repaired_by_state_transfer() {
 // ---------------------------------------------------------------------
 
 use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
-use ladon::sim::{ActorId, Context, SimRng};
+use ladon::sim::{ActorId, RecordingCtx};
 use ladon::state::ExecutionPipeline;
-use ladon::types::{ReplicaId, TimeNs};
+use ladon::types::ReplicaId;
 
-/// Minimal context for driving node handlers directly: records outgoing
-/// messages, ignores timers.
-struct DirectCtx {
-    rng: SimRng,
-    sent: Vec<(ActorId, NodeMsg)>,
+/// The context the handlers under test run against: replica 3's, seeded.
+fn direct_ctx() -> RecordingCtx<NodeMsg> {
+    RecordingCtx::new(3, 7)
 }
 
-impl DirectCtx {
-    fn new() -> Self {
-        Self {
-            rng: SimRng::new(7),
-            sent: Vec::new(),
-        }
-    }
-
-    /// Targets of the sync requests captured so far.
-    fn sync_req_targets(&self) -> Vec<ActorId> {
-        self.sent
-            .iter()
-            .filter(|(_, m)| matches!(m, NodeMsg::SyncReq(_)))
-            .map(|&(to, _)| to)
-            .collect()
-    }
+/// Targets of the sync requests captured so far.
+fn sync_req_targets(ctx: &RecordingCtx<NodeMsg>) -> Vec<ActorId> {
+    ctx.sent
+        .iter()
+        .filter(|(_, m)| matches!(m, NodeMsg::SyncReq(_)))
+        .map(|&(to, _)| to)
+        .collect()
 }
 
-impl Context<NodeMsg> for DirectCtx {
-    fn now(&self) -> TimeNs {
-        TimeNs(0)
-    }
-    fn self_id(&self) -> ActorId {
-        3
-    }
-    fn send_sized(&mut self, to: ActorId, msg: NodeMsg, _bytes: u64) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, _delay: TimeNs, _id: u64) {}
-    fn crash(&mut self, _actor: ActorId) {}
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-}
+/// The replica whose responses the requester is fed (attributed, so its
+/// responder health is scored like any network delivery).
+const RESPONDER: ReplicaId = ReplicaId(0);
 
 fn from_zero_node(c: &common::TestCluster, sys: ladon::types::SystemConfig) -> MultiBftNode {
     MultiBftNode::new(NodeConfig {
@@ -204,7 +180,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
         .clone();
 
     let mut requester = from_zero_node(&c, c.sys.clone());
-    let mut ctx = DirectCtx::new();
+    let mut ctx = direct_ctx();
     let req = requester.build_sync_request();
     let honest = responder
         .build_sync_response(&req)
@@ -225,7 +201,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
         }
     }
     assert!(tampered > 0);
-    requester.on_sync_response(byz, &mut ctx);
+    requester.on_sync_response(RESPONDER, byz, &mut ctx);
     assert_eq!(
         requester.metrics.snapshot_installs, 0,
         "an incomplete chunk set must not install"
@@ -257,7 +233,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
             chunk.lane
         );
     }
-    requester.on_sync_response(resp2, &mut ctx);
+    requester.on_sync_response(RESPONDER, resp2, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(
         requester.exec.lane_roots(),
@@ -271,6 +247,49 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
         "the stash must be cleared once the install lands"
     );
     assert_eq!(requester.metrics.skipped_sns, snap.applied);
+}
+
+/// State transfer is replica-to-replica: the same genuine, quorum-proved
+/// response that installs when a replica delivers it is dropped at the
+/// door when it arrives from a non-replica actor (ids >= n are the
+/// client fleet), leaving consensus, epoch and execution untouched.
+#[test]
+fn sync_response_from_a_non_replica_actor_is_dropped() {
+    use ladon::sim::Actor;
+    let mut c = cluster(ClusterOpts {
+        protocol: ProtocolKind::LadonPbft,
+        n: 4,
+        epoch_length: Some(16),
+        submit_until_s: 12.0,
+        ..Default::default()
+    });
+    c.run_secs(15.0);
+    let mut requester = from_zero_node(&c, c.sys.clone());
+    let mut ctx = direct_ctx();
+    let honest = c
+        .node(0)
+        .build_sync_response(&requester.build_sync_request())
+        .expect("a from-zero requester must be served");
+    assert!(honest.snapshot.is_some());
+
+    let untouched = (requester.commit_frontier(), requester.epoch(), 0);
+    requester.on_message(c.sys.n, NodeMsg::SyncResp(honest.clone()), &mut ctx);
+    assert_eq!(
+        (
+            requester.commit_frontier(),
+            requester.epoch(),
+            requester.exec.applied()
+        ),
+        untouched,
+        "a sync response from actor id n must not be installed"
+    );
+    assert_eq!(requester.metrics.snapshot_installs, 0);
+    assert_eq!(requester.metrics.sync_installed, 0);
+    assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
+
+    requester.on_message(0, NodeMsg::SyncResp(honest), &mut ctx);
+    assert_eq!(requester.metrics.snapshot_installs, 1);
+    assert!(requester.exec.applied() > 0);
 }
 
 /// Capped transfers resume: a response carrying `chunks_remaining > 0`
@@ -293,7 +312,7 @@ fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
     let mut sys = c.sys.clone();
     sys.sync_chunks_per_response = 8;
     let mut requester = from_zero_node(&c, sys);
-    let mut ctx = DirectCtx::new();
+    let mut ctx = direct_ctx();
     let req = requester.build_sync_request();
     assert_eq!(req.chunk_cursor, 0);
     let full = responder.build_sync_response(&req).expect("served");
@@ -305,10 +324,10 @@ fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
     partial.entries.clear();
     let rest = partial.chunks.split_off(1);
     partial.chunks_remaining = rest.len() as u32;
-    requester.on_sync_response(partial, &mut ctx);
+    requester.on_sync_response(RESPONDER, partial, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.stashed_chunk_count(), 1);
-    let targets = ctx.sync_req_targets();
+    let targets = sync_req_targets(&ctx);
     assert_eq!(
         targets.len(),
         1,
@@ -328,9 +347,9 @@ fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
     partial2.entries.clear();
     partial2.chunks = rest[..1].to_vec();
     partial2.chunks_remaining = (rest.len() - 1) as u32;
-    requester.on_sync_response(partial2, &mut ctx);
+    requester.on_sync_response(RESPONDER, partial2, &mut ctx);
     assert_eq!(requester.exec.stashed_chunk_count(), 2);
-    let targets = ctx.sync_req_targets();
+    let targets = sync_req_targets(&ctx);
     assert_eq!(targets.len(), 2);
     assert_ne!(
         targets[0], targets[1],
@@ -379,7 +398,7 @@ fn resume_after_crash_at(lanes: u32) -> ladon::types::Digest {
         },
         exec,
     );
-    let mut ctx = DirectCtx::new();
+    let mut ctx = direct_ctx();
 
     let req = requester.build_sync_request();
     let full = responder.build_sync_response(&req).expect("served");
@@ -392,7 +411,7 @@ fn resume_after_crash_at(lanes: u32) -> ladon::types::Digest {
     partial.entries.clear();
     partial.chunks.truncate(keep);
     partial.chunks_remaining = (total - keep) as u32;
-    requester.on_sync_response(partial, &mut ctx);
+    requester.on_sync_response(RESPONDER, partial, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.stashed_chunk_count(), keep);
     drop(requester);
@@ -433,7 +452,7 @@ fn resume_after_crash_at(lanes: u32) -> ladon::types::Digest {
     for chunk in &resp2.chunks {
         assert!(requester.exec.stashed_chunk(&chunk.root).is_none());
     }
-    requester.on_sync_response(resp2, &mut ctx);
+    requester.on_sync_response(RESPONDER, resp2, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1, "lanes={lanes}");
     assert_eq!(
         requester.exec.lane_roots(),

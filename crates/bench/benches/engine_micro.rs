@@ -4,19 +4,41 @@
 
 use ladon_bench::microbench;
 use ladon_core::{GlobalOrderer, LadonOrderer};
-use ladon_crypto::{sha256, AggregateSignature, KeyRegistry, Signature};
+use ladon_crypto::sha256::backend_name;
+use ladon_crypto::{
+    sha256, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
+};
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork};
 use ladon_types::{
-    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, WireSize,
+    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View, WireSize,
 };
 use std::hint::black_box;
 
 fn bench_crypto() {
     let data = vec![0xa5u8; 1024];
+    println!("sha256 backend: {}", backend_name());
     microbench("sha256_1kib", 20_000, || sha256(black_box(&data)));
+    // The reference rounds, whatever the CPU offers: what a host without
+    // SHA-NI gets from the row above.
+    microbench("sha256_1kib_portable", 20_000, || {
+        sha256_portable(black_box(&data))
+    });
 
     let reg = KeyRegistry::generate(32, 4, 1);
     let signer = reg.signer(ReplicaId(0));
+    // One prepare share: a 74-byte tag body (13 B domain, separator, 60 B
+    // of `prepare_bytes`), the commonest tag on the wire.
+    let digest = Digest([7; 32]);
+    microbench("hmac_tag_74b", 50_000, || {
+        QuorumCert::sign_share(
+            &signer,
+            View(1),
+            Round(2),
+            black_box(&digest),
+            InstanceId(3),
+            Rank(4),
+        )
+    });
     microbench("sign_64b", 50_000, || {
         Signature::sign(
             &signer,

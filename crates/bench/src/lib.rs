@@ -8,6 +8,8 @@
 //! provides the wall-clock measurement loop the micro targets use (the
 //! build environment has no crates.io access, so there is no criterion).
 
+#![forbid(unsafe_code)]
+
 use ladon_obs::{fields, Json};
 use ladon_state::{
     delta_lanes, lane_of, static_lane_mask, ChunkCache, CommitWal, ExecutionPipeline, FileBackend,

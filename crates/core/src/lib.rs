@@ -35,6 +35,8 @@
 //! machine instead of re-executing history, then replays only the WAL
 //! tail.
 
+#![forbid(unsafe_code)]
+
 pub mod bucket;
 pub mod dqbft;
 pub mod durability;

@@ -6,6 +6,11 @@
 //! run seed and acts as the verification oracle: `verify` recomputes the
 //! HMAC tag under the claimed signer's secret key.
 //!
+//! Key generation also derives each sub-key's [`HmacKey`] schedule, once;
+//! the registry and every [`Signer`] share those rows by `Arc`, and a tag
+//! streams `domain`, the separator and `msg` into the MAC as parts, so
+//! signing and verifying allocate nothing.
+//!
 //! # Security model of the simulation
 //!
 //! Honest actors are handed a [`Signer`] that wraps *only their own* secret
@@ -14,22 +19,11 @@
 //! within the simulation no adversary can produce a tag for another
 //! replica's key except by breaking HMAC-SHA-256.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
 use ladon_types::ReplicaId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// A 32-byte secret key.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(pub(crate) [u8; 32]);
-
-impl std::fmt::Debug for SecretKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        write!(f, "SecretKey(<redacted>)")
-    }
-}
 
 /// A public-key reference: `(replica, sub-key index)`.
 ///
@@ -48,7 +42,12 @@ pub struct PublicKey {
 pub struct Signer {
     /// The owning replica.
     pub replica: ReplicaId,
-    keys: Arc<Vec<SecretKey>>,
+    keys: Arc<[HmacKey]>,
+}
+
+/// The tag every signature carries: `HMAC(key, domain ‖ 0x1f ‖ msg)`.
+fn tag_under(key: &HmacKey, domain: &[u8], msg: &[u8]) -> [u8; 32] {
+    key.mac(&[domain, &[0x1f], msg])
 }
 
 impl Signer {
@@ -62,11 +61,7 @@ impl Signer {
     /// rank differences beyond the key budget.
     pub(crate) fn tag(&self, key_idx: u32, domain: &[u8], msg: &[u8]) -> [u8; 32] {
         let idx = (key_idx as usize).min(self.keys.len() - 1);
-        let mut data = Vec::with_capacity(domain.len() + msg.len() + 1);
-        data.extend_from_slice(domain);
-        data.push(0x1f);
-        data.extend_from_slice(msg);
-        hmac_sha256(&self.keys[idx].0, &data)
+        tag_under(&self.keys[idx], domain, msg)
     }
 
     /// The effective sub-key index after clamping.
@@ -89,7 +84,7 @@ struct RegistryInner {
     n: usize,
     opt_keys: u32,
     /// `keys[replica][key_idx]`.
-    keys: Vec<Vec<SecretKey>>,
+    keys: Vec<Arc<[HmacKey]>>,
 }
 
 impl KeyRegistry {
@@ -107,7 +102,7 @@ impl KeyRegistry {
                         h.update(&seed.to_le_bytes());
                         h.update(&(r as u32).to_le_bytes());
                         h.update(&k.to_le_bytes());
-                        SecretKey(h.finalize())
+                        HmacKey::new(&h.finalize())
                     })
                     .collect()
             })
@@ -139,7 +134,7 @@ impl KeyRegistry {
         );
         Signer {
             replica: r,
-            keys: Arc::new(self.inner.keys[r.as_usize()].clone()),
+            keys: Arc::clone(&self.inner.keys[r.as_usize()]),
         }
     }
 
@@ -147,11 +142,7 @@ impl KeyRegistry {
     pub(crate) fn tag_for(&self, pk: PublicKey, domain: &[u8], msg: &[u8]) -> Option<[u8; 32]> {
         let replica_keys = self.inner.keys.get(pk.replica.as_usize())?;
         let key = replica_keys.get(pk.key_idx as usize)?;
-        let mut data = Vec::with_capacity(domain.len() + msg.len() + 1);
-        data.extend_from_slice(domain);
-        data.push(0x1f);
-        data.extend_from_slice(msg);
-        Some(hmac_sha256(&key.0, &data))
+        Some(tag_under(key, domain, msg))
     }
 }
 
@@ -241,14 +232,5 @@ mod tests {
     fn signer_out_of_range_panics() {
         let reg = KeyRegistry::generate(4, 1, 1);
         let _ = reg.signer(ReplicaId(4));
-    }
-
-    #[test]
-    fn secret_key_debug_redacts() {
-        let reg = KeyRegistry::generate(1, 1, 1);
-        let s = reg.signer(ReplicaId(0));
-        // Nothing resembling key bytes in debug output.
-        let dbg = format!("{:?}", SecretKey(s.tag(0, b"", b"")));
-        assert!(dbg.contains("redacted"));
     }
 }

@@ -3,9 +3,19 @@
 //! # What is real and what is simulated
 //!
 //! - [`mod@sha256`]: a complete, from-scratch SHA-256 (FIPS 180-4) used for all
-//!   digests. Validated against the standard test vectors.
+//!   digests. Validated against the standard test vectors. It has two
+//!   backends behind one block-compression seam: the portable rounds are
+//!   the reference and the fallback; on an x86-64 CPU that reports the SHA
+//!   extensions the same blocks go through `sha256rnds2`/`msg1`/`msg2`
+//!   instead. The choice is made once per process from the CPU alone —
+//!   there is no feature, environment variable or config field — and the
+//!   two are differentially tested to produce identical bytes
+//!   ([`sha256_portable`] is the reference side).
 //! - [`hmac`]: HMAC-SHA-256 (RFC 2104), used as the MAC under the simulated
-//!   signature scheme.
+//!   signature scheme. A key's two pad blocks are absorbed once into an
+//!   [`hmac::HmacKey`] (64 bytes of chaining state); [`keys`] derives that
+//!   schedule for every sub-key at [`KeyRegistry::generate`], so a tag over
+//!   a body of up to 119 bytes is three compressions and no allocation.
 //! - [`fnv`]: FNV-1a 64-bit for non-adversarial hot-path hashing.
 //! - [`keys`] / [`sig`] / [`agg`]: a *simulated* PKI. A signature is
 //!   `HMAC(sk, domain ‖ msg)`; verification goes through a [`keys::KeyRegistry`]
@@ -19,6 +29,9 @@
 //! - [`counters`]: global operation counters used as the CPU-cost proxy for
 //!   Table 1 and the authenticator-complexity analysis of Appendix A.
 
+// The only `unsafe` in the workspace is the SHA-NI call in `sha256::shani`.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod agg;
 pub mod counters;
 pub mod fnv;
@@ -30,9 +43,9 @@ pub mod sig;
 
 pub use agg::{AggregateSignature, MultiKeyRankSig};
 pub use counters::{CryptoCounters, OpKind};
-pub use keys::{KeyRegistry, PublicKey, SecretKey};
+pub use keys::{KeyRegistry, PublicKey};
 pub use qc::{QuorumCert, RankCert};
-pub use sha256::{sha256, Sha256};
+pub use sha256::{sha256, sha256_portable, Sha256};
 pub use sig::Signature;
 
 use ladon_types::Digest;
@@ -77,6 +90,55 @@ mod tests {
         assert_eq!(d1, d2);
         b.count = 11;
         assert_ne!(digest_batch(&b), d1);
+    }
+
+    /// Tags, aggregates and cache keys are protocol bytes: these values
+    /// were printed by the commit before the SHA-NI / key-schedule rework
+    /// and must never move.
+    #[test]
+    fn golden_tags_are_pinned() {
+        use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, View};
+        let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let reg = KeyRegistry::generate(4, 2, 7);
+        let signer = |r: u32| reg.signer(ReplicaId(r));
+
+        let sig = Signature::sign(&signer(2), b"ladon/golden", b"tag bytes must not move");
+        assert_eq!(
+            hex(&sig.tag),
+            "fb54bdd939987bbf9688c4e7aca7b63c25c7d6a18dea6522c5b94d964d4ac328"
+        );
+        // Sub-key 1, and the longest body that still pads into two blocks.
+        let sig = Signature::sign_with_key(&signer(1), 1, b"ladon/golden", &[0xab; 119]);
+        assert_eq!(
+            hex(&sig.tag),
+            "e1afb5190571e568e9569a4d10c48c0ac19be8645a6e3997ba6fe76d5e55c76a"
+        );
+
+        let shares: Vec<Signature> = [0, 1, 3]
+            .map(|r| Signature::sign(&signer(r), b"ladon/golden", b"quorum"))
+            .to_vec();
+        let agg = AggregateSignature::aggregate(&shares, 4).unwrap();
+        assert!(agg.verify(&reg, b"ladon/golden", b"quorum"));
+        assert_eq!(
+            hex(&agg.combined),
+            "7d965b86434245e71d3995523a31e1a247f3bf5d0ecdd78ae00d6954a1599fee"
+        );
+
+        let (view, round, instance, rank) = (View(1), Round(3), InstanceId(2), Rank(9));
+        let digest = Digest([7u8; 32]);
+        let shares: Vec<Signature> = [0, 1, 3]
+            .map(|r| QuorumCert::sign_share(&signer(r), view, round, &digest, instance, rank))
+            .to_vec();
+        let qc = QuorumCert::from_shares(&shares, 4, view, round, instance, digest, rank).unwrap();
+        assert!(qc.verify(&reg, 3));
+        assert_eq!(
+            hex(&qc.agg.combined),
+            "6221e064b41fd9183db6190e5a3ed58dd70b22b522e6d8fcda3661c3cb50c9d7"
+        );
+        assert_eq!(
+            hex(&qc.cache_key()),
+            "2119e4fbfd3bcf0755b5150f47418b4b3d27ccf0840f907b3fcc676e54c33394"
+        );
     }
 
     #[test]

@@ -3,8 +3,26 @@
 //! Supports incremental hashing via [`Sha256::update`] and one-shot hashing
 //! via [`sha256()`]. Verified against the NIST test vectors in the unit tests
 //! and against an incremental-equals-oneshot property test.
+//!
+//! # Backends
+//!
+//! All block processing goes through one seam, `Backend::compress(state,
+//! blocks)`, which has two implementations producing identical bytes:
+//!
+//! - **portable** — the plain FIPS 180-4 rounds below. It is the reference
+//!   the other backend is tested against ([`sha256_portable`]) and the
+//!   fallback on every CPU.
+//! - **sha-ni** — the x86-64 SHA extensions (`sha256rnds2`/`msg1`/`msg2`),
+//!   in the private `shani` module, the only `unsafe` code in the crate.
+//!
+//! The backend is chosen once per process from what the CPU reports
+//! (`is_x86_feature_detected!`); there is nothing to configure.
 
 use crate::counters::{record, OpKind};
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -21,6 +39,50 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Which implementation of the compression function runs.
+#[derive(Clone, Copy)]
+enum Backend {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::Detected),
+}
+
+impl Backend {
+    /// The backend this process uses: SHA-NI when the CPU has it,
+    /// otherwise portable. Detected on first use, then fixed.
+    fn active() -> Self {
+        static ACTIVE: OnceLock<Backend> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if let Some(detected) = shani::Detected::new() {
+                return Backend::ShaNi(detected);
+            }
+            Backend::Portable
+        })
+    }
+
+    /// Folds `blocks` (a whole number of 64-byte blocks) into `state`.
+    #[inline]
+    fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self {
+            Backend::Portable => compress_portable(state, blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::ShaNi(detected) => detected.compress(state, blocks),
+        }
+    }
+}
+
+/// Name of the SHA-256 backend this process runs: `"sha-ni"` or
+/// `"portable"`. For benchmark output; nothing selects on it.
+pub fn backend_name() -> &'static str {
+    match Backend::active() {
+        Backend::Portable => "portable",
+        #[cfg(target_arch = "x86_64")]
+        Backend::ShaNi(_) => "sha-ni",
+    }
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -35,6 +97,7 @@ const H0: [u32; 8] = [
 /// ```
 #[derive(Clone)]
 pub struct Sha256 {
+    backend: Backend,
     state: [u32; 8],
     /// Unprocessed tail of the input (always < 64 bytes).
     buf: [u8; 64],
@@ -52,12 +115,29 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
+        Self::resume(H0, 0)
+    }
+
+    /// A hasher that has already absorbed `absorbed` bytes (a whole number
+    /// of blocks) and reached `state` — see [`Self::midstate`].
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
         Self {
-            state: H0,
+            backend: Backend::active(),
+            state,
             buf: [0u8; 64],
             buf_len: 0,
-            total_len: 0,
+            total_len: absorbed,
         }
+    }
+
+    /// The chaining value after the blocks absorbed so far.
+    ///
+    /// # Panics
+    /// Panics if the input so far is not a whole number of blocks.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "midstate only exists at a block boundary");
+        self.state
     }
 
     /// Absorbs `data` into the hash state.
@@ -71,26 +151,22 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            self.backend.compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        // Process whole blocks directly from the input.
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        // Whole blocks go straight from the caller's slice.
+        let (blocks, tail) = input.split_at(input.len() & !63);
+        if !blocks.is_empty() {
+            self.backend.compress(&mut self.state, blocks);
         }
 
         // Stash the tail.
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the 32-byte digest.
@@ -98,16 +174,17 @@ impl Sha256 {
         record(OpKind::Hash);
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update_no_len(&pad[..pad_len + 8]);
+        // Padding: 0x80, zeros, 64-bit big-endian length, in place in the
+        // tail buffer; a tail of 56+ bytes spills the length into one more
+        // block.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.backend.compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.backend.compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -115,15 +192,11 @@ impl Sha256 {
         }
         out
     }
+}
 
-    /// `update` without touching `total_len` (used for padding only).
-    fn update_no_len(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable backend: FIPS 180-4 §6.2.2, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -137,7 +210,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -160,20 +233,24 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
+    h.update(data);
+    h.finalize()
+}
+
+/// One-shot SHA-256 on the portable backend whatever the CPU offers: the
+/// reference the dispatched [`sha256()`] is tested and benchmarked against.
+pub fn sha256_portable(data: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.backend = Backend::Portable;
     h.update(data);
     h.finalize()
 }
@@ -245,5 +322,69 @@ mod tests {
             }
             assert_eq!(h.finalize(), d1, "len {len}");
         }
+    }
+
+    /// xorshift64: seeded bytes and split points without a dev-dependency.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// The dispatched backend against the portable reference. On a host
+    /// without SHA-NI both sides are the portable rounds and the test only
+    /// checks chunking; on a SHA-NI host it is the differential test.
+    #[test]
+    fn backends_agree_on_every_length_to_300() {
+        let mut next = rng(0x5eed);
+        let data: Vec<u8> = (0..300).map(|_| next() as u8).collect();
+        for len in 0..=300 {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_portable(&data[..len]),
+                "backend {} differs from portable at len {len}",
+                backend_name()
+            );
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_multi_kib_inputs_at_random_splits() {
+        let mut next = rng(0xfeed_f00d);
+        for case in 0..64 {
+            let len = 1024 + (next() % 8192) as usize;
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let expect = sha256_portable(&data);
+            let mut cuts: Vec<usize> = (0..(next() % 6))
+                .map(|_| (next() as usize) % (len + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for &cut in &cuts {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            h.update(&data[at..]);
+            assert_eq!(
+                h.finalize(),
+                expect,
+                "case {case}: len {len}, cuts {cuts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn midstate_resumes_where_it_left_off() {
+        let data = [0x42u8; 200];
+        let mut h = Sha256::new();
+        h.update(&data[..128]);
+        let mut resumed = Sha256::resume(h.midstate(), 128);
+        resumed.update(&data[128..]);
+        assert_eq!(resumed.finalize(), sha256(&data));
     }
 }

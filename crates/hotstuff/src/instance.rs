@@ -339,16 +339,19 @@ impl HsInstance {
             self.view = g.view;
         }
 
-        // Update curRank from the leader's disclosure (lines 15–17).
-        if self.cfg.mode == HsRankMode::Ladon && g.rank_m > cur.rank {
-            if let Some(qc) = &g.rank_qc {
-                if qc.rank == g.rank_m && qc.verify(&self.cfg.registry, q) {
-                    *cur = RankCert {
-                        rank: g.rank_m,
-                        cert: g.rank_qc.clone(),
-                    };
-                }
-            }
+        // Update curRank from the leader's disclosure (lines 15–17). A
+        // backup gets here only after `validate_rank` verified `rank_qc`
+        // as a certificate for exactly `rank_m`, so it is not verified
+        // again; our own proposal discloses our own curRank.
+        if self.cfg.mode == HsRankMode::Ladon
+            && from != self.cfg.me
+            && g.rank_m > cur.rank
+            && g.rank_qc.is_some()
+        {
+            *cur = RankCert {
+                rank: g.rank_m,
+                cert: g.rank_qc.clone(),
+            };
         }
 
         // Adopt the certified parent QC. Its 2f+1 votes also certify the
@@ -827,6 +830,39 @@ mod tests {
                 assert!(c.nodes[1].rejected > before);
             }
         }
+    }
+
+    #[test]
+    fn generic_above_cur_rank_verifies_each_certificate_once() {
+        use ladon_crypto::CryptoCounters;
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..3u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
+        let generic = acts
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(HsMsg::Generic(g)) => Some(g),
+                _ => None,
+            })
+            .expect("a proposal broadcasts its Generic");
+        // A backup that has not heard of any certified rank yet.
+        let mut cur = RankCert::genesis(Rank(0));
+        assert!(generic.rank_m > cur.rank && generic.rank_qc.is_some());
+
+        let before = CryptoCounters::snapshot();
+        c.nodes[1].on_message(
+            ReplicaId(0),
+            HsMsg::Generic(generic.clone()),
+            TimeNs::ZERO,
+            &mut cur,
+        );
+        let cost = CryptoCounters::snapshot().since(&before);
+        assert_eq!(c.nodes[1].rejected, 0);
+        assert!(cur.rank >= generic.rank_m, "the disclosure was adopted");
+        // `justify` and `rank_qc`, once each.
+        assert_eq!(cost.agg_verifies, 2);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! set — the HotStuff realization of Ladon's pipelined rank coordination.
 //! [`HsRankMode::None`] is the vanilla instance used by ISS-HotStuff.
 
+#![forbid(unsafe_code)]
+
 pub mod instance;
 pub mod msg;
 

@@ -26,6 +26,8 @@
 //! be byte-identical across same-seed simulation runs, and tests gate
 //! on exactly that.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod json;
 pub mod registry;

@@ -1004,14 +1004,13 @@ impl PbftInstance {
             return;
         }
         // Determine and certify the claimed rank.
-        let q = self.cfg.quorum();
         let claimed = match self.cfg.mode {
             RankMode::Plain => {
                 let claim = RankCert {
                     rank: r.signed.body.rank,
                     cert: r.qc.clone(),
                 };
-                if !claim.validate(&self.cfg.registry, q, self.epoch_min) {
+                if !self.rank_cert_verified(&claim) {
                     self.rejected += 1;
                     return;
                 }

@@ -14,6 +14,8 @@
 //! `ladon-core` hosts `m` instances per replica and wires their [`Action`]s
 //! to the network, the epoch pacemaker and the global ordering layer.
 
+#![forbid(unsafe_code)]
+
 pub mod instance;
 pub mod msg;
 pub mod testkit;

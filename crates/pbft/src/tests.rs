@@ -638,6 +638,42 @@ fn repeated_certificates_verify_once_via_cache() {
 }
 
 #[test]
+fn shared_cur_rank_certificate_in_rank_reports_verifies_once() {
+    // curRank is node-level, so the backups of one instance commonly
+    // report the very same certificate (adopted from another instance or
+    // from the leader's proposal). The leader pays for it once per round.
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    c.propose_and_run(0, test_batch(10, 5));
+    let shared = c.cur_ranks[0].clone();
+    assert!(shared.cert.is_some());
+    c.cur_ranks = vec![shared; 4];
+
+    c.now += ladon_types::TimeNs::from_millis(10);
+    let actions = c.nodes[0].propose(test_batch(20, 5), c.now, &mut c.cur_ranks[0]);
+    c.absorb(0, actions);
+    let (mut reports, mut agg_verifies, mut hits) = (0, 0, 0);
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        let who = to.as_usize();
+        let is_report = who == 0 && matches!(msg, PbftMsg::Rank(_));
+        let before = ladon_crypto::CryptoCounters::snapshot();
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        if is_report {
+            let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+            reports += 1;
+            agg_verifies += cost.agg_verifies;
+            hits += cost.qc_verify_hits;
+        }
+        c.absorb(who, actions);
+    }
+    assert_eq!(reports, 3, "one report per backup");
+    assert_eq!(c.nodes[0].rejected, 0);
+    assert!(agg_verifies <= 1, "{agg_verifies} aggregate verifications");
+    assert_eq!(agg_verifies + hits, 3, "every report was checked");
+    assert!(c.nodes[0].can_propose(), "the reports still count");
+}
+
+#[test]
 fn install_committed_abandons_lone_view_change() {
     // Replica 1 times out on round 2 alone (no one else joins), wedging
     // itself in an incompletable view change; installing the committed

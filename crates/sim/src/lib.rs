@@ -13,6 +13,8 @@
 //! - [`live`]: a threaded wall-clock runtime driving the *same* actors,
 //!   proving the protocol crates are runtime-agnostic.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod live;
 pub mod net;

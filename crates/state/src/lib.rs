@@ -37,6 +37,8 @@
 //! replica that recovers from `snapshot + WAL tail` rejoins with exactly
 //! the state it crashed with.
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod kv;
 pub mod pipeline;

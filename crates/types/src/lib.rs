@@ -9,6 +9,8 @@
 //! [`ladon-pbft`]: https://docs.rs/ladon-pbft
 //! [`ladon-hotstuff`]: https://docs.rs/ladon-hotstuff
 
+#![forbid(unsafe_code)]
+
 pub mod action;
 pub mod block;
 pub mod config;

@@ -10,6 +10,8 @@
 //! - [`analytical`]: the closed-form straggler model of §2.1 (Fig. 2a).
 //! - [`report`]: ASCII table rendering and benchmark scale presets.
 
+#![forbid(unsafe_code)]
+
 pub mod analytical;
 pub mod client;
 pub mod metrics;

@@ -10,7 +10,7 @@ mod common;
 
 use common::exec_block;
 use ladon::core::{GlobalOrderer, LadonOrderer, PredeterminedOrderer};
-use ladon::crypto::{sha256, AggregateSignature, KeyRegistry, Sha256, Signature};
+use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
     delta_lanes, lane_of, ExecOutcome, ExecutionPipeline, KvState, Snapshot, SnapshotChunk,
     WalOptions, DEFAULT_KEYSPACE, MERKLE_LANES,
@@ -157,25 +157,30 @@ proptest! {
         }
     }
 
-    /// SHA-256 incremental hashing equals one-shot for arbitrary chunkings.
+    /// SHA-256 incremental hashing equals one-shot for arbitrary chunkings,
+    /// through whichever backend this CPU dispatches to, and both equal
+    /// the portable reference. Inputs span many blocks so that chunks hit
+    /// the buffered path, the straight-from-the-slice path and both at
+    /// once. The shim does not shrink: a failure names its length and cuts.
     #[test]
     fn sha256_chunking_invariance(
-        data in proptest::collection::vec(any::<u8>(), 0..512),
+        data in proptest::collection::vec(any::<u8>(), 0..2048),
         cuts in proptest::collection::vec(any::<usize>(), 0..8),
     ) {
         let oneshot = sha256(&data);
+        prop_assert_eq!(oneshot, sha256_portable(&data), "len {}", data.len());
         let mut h = Sha256::new();
         let mut idx = 0usize;
         let mut points: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
         points.sort_unstable();
-        for p in points {
+        for &p in &points {
             if p > idx {
                 h.update(&data[idx..p]);
                 idx = p;
             }
         }
         h.update(&data[idx..]);
-        prop_assert_eq!(h.finalize(), oneshot);
+        prop_assert_eq!(h.finalize(), oneshot, "len {}, cuts {:?}", data.len(), points);
     }
 
     /// Aggregate signatures verify for any distinct signer subset and fail

@@ -1,6 +1,6 @@
 //! Microbenchmarks of the hot paths: SHA-256, simulated signatures,
-//! aggregate verification, the global ordering algorithm and raw engine
-//! event throughput. Plain timing loops (see `ladon_bench::microbench`).
+//! aggregate verification, the global ordering algorithm, raw engine
+//! event throughput and KV state execution. Plain timing loops (see `ladon_bench::microbench`).
 
 use ladon_bench::microbench;
 use ladon_core::{GlobalOrderer, LadonOrderer};
@@ -9,8 +9,10 @@ use ladon_crypto::{
     sha256, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
 };
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork};
+use ladon_state::{KvState, DEFAULT_KEYSPACE};
 use ladon_types::{
-    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View, WireSize,
+    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, TxId, TxOp,
+    View, WireSize,
 };
 use std::hint::black_box;
 
@@ -126,9 +128,36 @@ fn bench_engine() {
     });
 }
 
+/// The `state.kv` ledger rows in isolation, at the paper's block size:
+/// applying one 4096-op block (plan + map writes, no hashing), folding
+/// the keys it dirtied, and reading the root of a folded state.
+fn bench_state() {
+    let blocks: Vec<Vec<TxOp>> = (0..8u64)
+        .map(|b| {
+            (0..4096u64)
+                .map(|i| TxOp::for_id(TxId(b * 4096 + i), DEFAULT_KEYSPACE))
+                .collect()
+        })
+        .collect();
+    let mut state = KvState::new();
+    let mut next = 0usize;
+    microbench("kv_apply_4096_ops", 2_000, || {
+        next = (next + 1) % blocks.len();
+        state.apply_batch(&blocks[next])
+    });
+    microbench("kv_fold_after_4096_ops", 500, || {
+        next = (next + 1) % blocks.len();
+        state.apply_batch(&blocks[next]);
+        state.fold();
+    });
+    state.fold();
+    microbench("kv_root_folded", 5_000, || state.root());
+}
+
 fn main() {
     println!("engine_micro: hot-path microbenchmarks\n");
     bench_crypto();
     bench_ordering();
     bench_engine();
+    bench_state();
 }

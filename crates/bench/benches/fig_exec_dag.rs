@@ -1,20 +1,20 @@
-//! Dependency-DAG wave-scheduler benchmark (no paper analog): the
-//! executor schedules each batch's statically-known lane access sets
-//! into topological waves — Block-STM's optimistic parallelism, made
-//! deterministic by static scheduling — with full read-your-writes
-//! semantics and results bit-identical to a sequential reference.
+//! Dependency-DAG wave-plan benchmark (no paper analog): every batch's
+//! statically-known lane access sets are planned into topological waves
+//! — the lane-level parallelism the batch *has*. Ops execute in block
+//! order on one thread (see `ladon_state::kv`); the plan is the
+//! deterministic description of the batch, and this figure pins it.
 //!
 //! Every acceptance gate is stated in deterministic *counts* from
 //! [`ladon_state::BatchOutcome`] / [`ladon_state::ExecSchedStats`]
 //! (waves, ops per wave, cross-lane edges) — shared CI runners jitter,
-//! schedules do not:
+//! plans do not:
 //!
 //! 1. a conflict-free block collapses to ONE wave (zero cross-lane
 //!    edges);
 //! 2. a fully serial transfer chain degrades to one wave per op;
-//! 3. every counter — and every root — is invariant across worker
-//!    counts {1, 2, 4, 8};
-//! 4. a multi-block drain schedules as ONE batch-wide DAG, never more
+//! 3. a mixed derived workload plans the pinned counters, and
+//!    `apply_batch` equals folding `apply` over its ops;
+//! 4. a multi-block drain plans as ONE batch-wide DAG, never more
 //!    waves than the per-block sum (independent blocks overlap).
 
 use ladon_bench::microbench;
@@ -22,10 +22,8 @@ use ladon_obs::{emit_figure, fields, Json};
 use ladon_state::{lane_of, ExecutionPipeline, KvState, DEFAULT_KEYSPACE};
 use ladon_types::{Block, TxId, TxOp};
 
-const WORKERS: [u32; 4] = [1, 2, 4, 8];
-
 fn main() {
-    println!("fig_exec_dag: deterministic wave scheduling over static access sets\n");
+    println!("fig_exec_dag: the deterministic wave plan over static access sets\n");
 
     // ------------------------------------------------------------------
     // 1. Conflict-free block → one wave.
@@ -41,17 +39,11 @@ fn main() {
         }
     }
     println!("conflict-free: {} puts across distinct lanes", free.len());
-    for workers in WORKERS {
-        let mut s = KvState::with_exec_lanes(workers);
-        let out = s.apply_batch(&free);
-        assert_eq!(
-            out.waves, 1,
-            "workers={workers}: conflict-free must be 1 wave"
-        );
-        assert_eq!(out.max_wave_ops, free.len() as u32);
-        assert_eq!(out.cross_lane_edges, 0);
-    }
-    println!("  -> 1 wave, 0 cross-lane edges, at every worker count (verified)\n");
+    let out = KvState::new().apply_batch(&free);
+    assert_eq!(out.waves, 1, "conflict-free must be 1 wave");
+    assert_eq!(out.max_wave_ops, free.len() as u32);
+    assert_eq!(out.cross_lane_edges, 0);
+    println!("  -> 1 wave, 0 cross-lane edges (verified)\n");
 
     // ------------------------------------------------------------------
     // 2. Serial transfer chain → one wave per op.
@@ -72,83 +64,71 @@ fn main() {
         "serial chain: {} ops, each reading the previous credit",
         chain.len()
     );
-    for workers in WORKERS {
-        let mut s = KvState::with_exec_lanes(workers);
-        let out = s.apply_batch(&chain);
-        assert_eq!(
-            out.waves,
-            chain.len() as u32,
-            "workers={workers}: a serial chain must degrade to N waves"
-        );
-        assert_eq!(out.max_wave_ops, 1);
-    }
-    println!("  -> N ops = N waves, at every worker count (verified)\n");
+    let out = KvState::new().apply_batch(&chain);
+    assert_eq!(
+        out.waves,
+        chain.len() as u32,
+        "a serial chain must degrade to N waves"
+    );
+    assert_eq!(out.max_wave_ops, 1);
+    println!("  -> N ops = N waves (verified)\n");
 
     // ------------------------------------------------------------------
-    // 3. Mixed derived workload: counters and roots worker-invariant.
+    // 3. Mixed derived workload: pinned plan, sequential semantics.
     // ------------------------------------------------------------------
     let mixed: Vec<TxOp> = (0..4096u64).map(|i| TxOp::for_id(TxId(i), 512)).collect();
-    let mut shapes = Vec::new();
-    let mut roots = Vec::new();
     println!("mixed workload: 4096 derived ops over 512 keys");
-    println!("  workers | waves | max ops/wave | mean ops/wave | cross-lane edges");
-    println!("  --------+-------+--------------+---------------+-----------------");
-    for workers in WORKERS {
-        let mut s = KvState::with_exec_lanes(workers);
-        let out = s.apply_batch(&mixed);
-        println!(
-            "  {workers:>7} | {:>5} | {:>12} | {:>13.1} | {:>16}",
-            out.waves,
-            out.max_wave_ops,
-            mixed.len() as f64 / out.waves as f64,
-            out.cross_lane_edges,
-        );
-        shapes.push((out.waves, out.max_wave_ops, out.cross_lane_edges));
-        roots.push(s.root());
-    }
-    assert!(
-        shapes.windows(2).all(|w| w[0] == w[1]),
-        "scheduler counters must be worker-count invariant: {shapes:?}"
+    println!("  waves | max ops/wave | mean ops/wave | cross-lane edges");
+    println!("  ------+--------------+---------------+-----------------");
+    let mut s = KvState::new();
+    let out = s.apply_batch(&mixed);
+    println!(
+        "  {:>5} | {:>12} | {:>13.1} | {:>16}",
+        out.waves,
+        out.max_wave_ops,
+        mixed.len() as f64 / out.waves as f64,
+        out.cross_lane_edges,
     );
-    assert!(
-        roots.windows(2).all(|w| w[0] == w[1]),
-        "roots must be worker-count invariant: {roots:?}"
+    let shape = (out.waves, out.max_wave_ops, out.cross_lane_edges);
+    assert_eq!(
+        shape,
+        (213, 36, 2125),
+        "the plan of a fixed batch must not move"
     );
-    assert!(shapes[0].0 > 1, "a mixed workload must conflict somewhere");
-    // And the DAG result equals the sequential reference executor.
+    // And `apply_batch` equals folding `apply` over the ops in order.
     let mut reference = KvState::new();
     for op in &mixed {
         reference.apply(op);
     }
-    assert_eq!(roots[0], reference.root(), "DAG must equal sequential");
+    assert_eq!(s.root(), reference.root(), "batch must equal sequential");
     emit_figure(
         "fig_exec_dag_mixed",
         fields(vec![
             ("ops", Json::U64(mixed.len() as u64)),
-            ("waves", Json::U64(shapes[0].0 as u64)),
-            ("max_wave_ops", Json::U64(shapes[0].1 as u64)),
-            ("cross_lane_edges", Json::U64(shapes[0].2)),
+            ("waves", Json::U64(shape.0 as u64)),
+            ("max_wave_ops", Json::U64(shape.1 as u64)),
+            ("cross_lane_edges", Json::U64(shape.2)),
             (
                 "mean_ops_per_wave",
-                Json::F64(mixed.len() as f64 / shapes[0].0 as f64),
+                Json::F64(mixed.len() as f64 / shape.0 as f64),
             ),
         ]),
     );
-    println!("  -> counters + roots invariant across workers; equal to sequential (verified)\n");
+    println!("  -> counters pinned; state equal to sequential (verified)\n");
 
     // ------------------------------------------------------------------
-    // 4. Batch-wide DAG: a drained run of blocks schedules as ONE batch.
+    // 4. Batch-wide DAG: a drained run of blocks plans as ONE batch.
     // ------------------------------------------------------------------
     let keyspace = DEFAULT_KEYSPACE;
     let blocks: Vec<(u64, Block)> = (0..8u64)
         .map(|sn| (sn, Block::synthetic(sn, sn * 64, 64)))
         .collect();
-    let mut per_block = ExecutionPipeline::in_memory_with(keyspace, 4);
+    let mut per_block = ExecutionPipeline::in_memory(keyspace);
     for (sn, b) in &blocks {
         per_block.execute(*sn, b);
     }
     let per_block_sched = per_block.sched_stats();
-    let mut batched = ExecutionPipeline::in_memory_with(keyspace, 4);
+    let mut batched = ExecutionPipeline::in_memory(keyspace);
     batched.execute_batch(&blocks);
     let batched_sched = batched.sched_stats();
     println!(
@@ -170,17 +150,10 @@ fn main() {
         per_block.state_root(),
         "batched and per-block execution must agree on state"
     );
-    // Worker-count invariance holds at the pipeline level too.
-    let mut one_worker = ExecutionPipeline::in_memory_with(keyspace, 1);
-    one_worker.execute_batch(&blocks);
-    assert_eq!(one_worker.sched_stats(), batched_sched);
-    assert_eq!(one_worker.state_root(), batched.state_root());
-    println!(
-        "  -> independent blocks overlap in shared waves; counts worker-invariant (verified)\n"
-    );
+    println!("  -> independent blocks overlap in shared waves (verified)\n");
 
     // Informational wall clock (not a gate).
-    let mut s = KvState::with_exec_lanes(4);
+    let mut s = KvState::new();
     let mut round = 0u64;
     microbench("apply_batch_4096_mixed", 8, || {
         let ops: Vec<TxOp> = (0..4096u64)

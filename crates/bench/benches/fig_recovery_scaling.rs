@@ -23,7 +23,7 @@ use ladon_state::{ExecutionPipeline, MERKLE_LANES};
 const TAIL: u64 = 24;
 
 fn main() {
-    println!("fig_recovery_scaling: lane-segmented WAL, partial + parallel replay\n");
+    println!("fig_recovery_scaling: lane-segmented WAL, partial replay\n");
     let full = std::env::var("LADON_SCALE").as_deref() == Ok("full");
     let keyspace = 4096u32;
 
@@ -54,11 +54,6 @@ fn main() {
             stats.segments_scanned,
             stats.records_replayed
         );
-        // And the recovered root is worker-count invariant from the same
-        // artifacts.
-        let par = ExecutionPipeline::recover_opts(&dir, keyspace, 4, WAL_OPTS).unwrap();
-        assert_eq!(par.state_root(), expect_root);
-        assert_eq!(par.recovery_stats(), &stats);
         scanned_counts.push(stats.segments_scanned);
 
         // Informational wall clock (not a gate).

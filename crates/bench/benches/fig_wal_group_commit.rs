@@ -237,5 +237,5 @@ fn main() {
         *sn0
     );
     let _ = std::fs::remove_dir_all(&dir);
-    println!("\npipeline: batched drain recovers byte-identical root at 4 workers (verified)");
+    println!("\npipeline: batched drain recovers byte-identical root (verified)");
 }

@@ -1,6 +1,6 @@
 //! Pipelined-durability benchmark (no paper analog): the group-commit
 //! barrier runs on a dedicated writer thread, so batch N's write+fsync
-//! overlaps batch N-1's wave execution and batch N+1's staging — without
+//! overlaps batch N-1's execution and batch N+1's staging — without
 //! changing a single deterministic I/O count versus the synchronous
 //! barrier of PR 4.
 //!
@@ -8,7 +8,7 @@
 //! frontiers, in-flight depths, fsyncs per barrier) — never wall-clock.
 //! The overlap proof is a gated backend: while a barrier is provably
 //! incomplete (its append is parked at the gate), staging and the prior
-//! batch's DAG execution have already advanced.
+//! batch's execution have already advanced.
 
 use ladon_obs::{emit_figure, fields, Json};
 use ladon_state::{
@@ -25,8 +25,6 @@ const RECORDS: u64 = 256;
 const GROUPS: u32 = 4;
 /// The batch-size sweep of the count gate.
 const BATCHES: [u64; 3] = [4, 16, 64];
-/// Worker counts recovery must be byte-identical across.
-const WORKER_MATRIX: [u32; 2] = [1, 4];
 
 /// A synthetic record touching every lane (and so every lane group).
 fn full_mask_record(sn: u64) -> WalRecord {
@@ -169,21 +167,18 @@ fn main() {
         (perf.pipelined_submits, applied_mid_flight)
         // Drop joins the writer thread (gate channels close with it).
     };
-    // Reopen with plain storage at both worker counts: byte-identical.
+    // Reopen with plain storage: byte-identical.
     let mut reference = ExecutionPipeline::in_memory(keyspace);
     for (sn, b) in batch_of(0, 4) {
         reference.execute(sn, &b);
     }
-    for workers in WORKER_MATRIX {
-        let r = ExecutionPipeline::recover_opts(&dir, keyspace, workers, gate_opts).unwrap();
-        assert_eq!(r.applied(), 4, "workers={workers}");
-        assert_eq!(
-            r.state_root(),
-            reference.state_root(),
-            "workers={workers}: pipelined log must recover byte-identical \
-             to a per-record reference"
-        );
-    }
+    let r = ExecutionPipeline::recover_opts(&dir, keyspace, 4, gate_opts).unwrap();
+    assert_eq!(r.applied(), 4);
+    assert_eq!(
+        r.state_root(),
+        reference.state_root(),
+        "pipelined log must recover byte-identical to a per-record reference"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     println!(
         "gate: batch A applied ({overlap_applied} blocks) while batch B's barrier was \
@@ -294,8 +289,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 3. End-to-end: a pipelined file-backed pipeline drained with
-    //    submit_staged recovers byte-identical to per-record execution,
-    //    at both worker counts.
+    //    submit_staged recovers byte-identical to per-record execution.
     // ------------------------------------------------------------------
     let pipe_opts = WalOptions {
         lane_groups: GROUPS,
@@ -326,25 +320,15 @@ fn main() {
         );
         assert_eq!(p.state_root(), per_record.state_root());
     }
-    for workers in WORKER_MATRIX {
-        let recovered =
-            ExecutionPipeline::recover_opts(&dir, keyspace, workers, pipe_opts).unwrap();
-        assert_eq!(
-            recovered.applied(),
-            per_record.applied(),
-            "workers={workers}"
-        );
-        assert_eq!(
-            recovered.state_root(),
-            per_record.state_root(),
-            "workers={workers}: recovery from a pipelined log must be \
-             byte-identical to per-record execution"
-        );
-    }
+    let recovered = ExecutionPipeline::recover_opts(&dir, keyspace, 4, pipe_opts).unwrap();
+    assert_eq!(recovered.applied(), per_record.applied());
+    assert_eq!(
+        recovered.state_root(),
+        per_record.state_root(),
+        "recovery from a pipelined log must be byte-identical to \
+         per-record execution"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     emit_figure("fig_wal_pipeline", emitted);
-    println!(
-        "\npipeline: chunked submit_staged drain recovers byte-identical at \
-         workers {WORKER_MATRIX:?} (verified)"
-    );
+    println!("\npipeline: chunked submit_staged drain recovers byte-identical (verified)");
 }

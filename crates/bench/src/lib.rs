@@ -131,8 +131,7 @@ pub fn build_crashed_dir(dir: &Path, history: u64, tail: u64, keyspace: u32) -> 
     reference.state_root()
 }
 
-/// Recovers the directory [`build_crashed_dir`] left, single-worker, and
-/// gates the partial-replay contract: the recovered root is the clean
+/// Recovers the directory [`build_crashed_dir`] left and gates the partial-replay contract: the recovered root is the clean
 /// run's, and replay touched exactly the `tail` records past the
 /// snapshot. Returns what the recovery touched and its wall time.
 pub fn recover_crashed_dir(

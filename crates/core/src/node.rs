@@ -112,6 +112,9 @@ fn arm(ctx: &mut dyn Context<NodeMsg>, delay: TimeNs, timer: Timer) {
 /// The Multi-BFT replica.
 pub struct MultiBftNode {
     cfg: NodeConfig,
+    /// All replica actor ids except ours (actor id == replica id) — the
+    /// broadcast recipient list, a pure function of `cfg`.
+    peers: Vec<ActorId>,
     slots: Vec<Instance>,
     cur_rank: RankCert,
     orderer: Orderer,
@@ -146,8 +149,8 @@ pub struct MultiBftNode {
 
 impl MultiBftNode {
     /// Builds the node for `cfg.me` with a fresh in-memory execution
-    /// pipeline (the simulation default), sized and parallelized by the
-    /// system config's `exec_keyspace` / `exec_lanes` knobs.
+    /// pipeline (the simulation default), sized by the system config's
+    /// `exec_keyspace`.
     pub fn new(cfg: NodeConfig) -> Self {
         let exec = ExecutionPipeline::in_memory_opts(
             cfg.sys.exec_keyspace,
@@ -199,6 +202,7 @@ impl MultiBftNode {
 
         let applied_at_start = exec.applied();
         Self {
+            peers: (0..sys.n).filter(|&r| r != cfg.me.as_usize()).collect(),
             buckets: RotatingBuckets::new(m),
             mempool: Mempool::new(m, sys.tx_bytes),
             want_propose: vec![false; m + extra],
@@ -276,13 +280,6 @@ impl MultiBftNode {
         self.cfg.behavior.straggler_k.is_some()
     }
 
-    /// All replica actor ids except ours (actor id == replica id).
-    fn peers(&self) -> Vec<ActorId> {
-        (0..self.cfg.sys.n)
-            .filter(|&r| r != self.cfg.me.as_usize())
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Action plumbing
     // ------------------------------------------------------------------
@@ -305,7 +302,7 @@ impl MultiBftNode {
         let timeout = self.cfg.sys.view_change_timeout;
         for a in actions {
             match a {
-                Action::Broadcast(msg) => ctx.multicast(&self.peers(), msg),
+                Action::Broadcast(msg) => ctx.multicast(&self.peers, msg),
                 Action::Send(r, msg) if r == self.cfg.me => self.on_node_msg(r, msg, ctx),
                 Action::Send(r, msg) => ctx.send(r.as_usize(), msg),
                 Action::Committed(block) => self.on_committed(i, block, ctx),
@@ -442,7 +439,7 @@ impl MultiBftNode {
         // A stable checkpoint fetched earlier via state transfer may
         // already prove this epoch complete.
         let pending_advance = pm.try_pending_advance(now);
-        ctx.multicast(&self.peers(), msg);
+        ctx.multicast(&self.peers, msg);
         self.on_epoch_event(pending_advance, ctx);
     }
 

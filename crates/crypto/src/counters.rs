@@ -8,7 +8,14 @@
 //! is measured from the same counters.
 //!
 //! Counters are thread-local so the deterministic simulator (single thread)
-//! and parallel test runs never contend.
+//! and parallel test runs never contend. The flip side: work done on a
+//! thread other than the one that reads the counters is never counted.
+//! Up to PR 14 the state layer hashed its Merkle leaves on short-lived
+//! worker threads for every batch of 1024 ops or more, so the benchmark
+//! ledger's `crypto.hashes` on `exec_heavy_n4` read 152 per 4096-tx
+//! block there with the leaf hashes missing; since PR 15 execution and
+//! folding run on the caller's thread and every hash is counted, which
+//! makes that row not comparable across the two.
 
 use std::cell::Cell;
 

@@ -231,22 +231,27 @@ impl RankCert {
     /// Validates the claim: either it is the epoch minimum, or the attached
     /// QC verifies and certifies exactly this rank.
     pub fn validate(&self, registry: &KeyRegistry, quorum: usize, min_rank: Rank) -> bool {
-        self.validate_with(min_rank, |qc| qc.verify(registry, quorum))
+        Self::validate_claim(self.rank, self.cert.as_ref(), min_rank, |qc| {
+            qc.verify(registry, quorum)
+        })
     }
 
-    /// [`Self::validate`] with certificate verification delegated to
-    /// `verify_qc` — the single definition of the claim's structural
-    /// rules (certificate-free only at the epoch minimum; a certificate
-    /// must certify exactly the claimed rank), shared by the plain path
-    /// and callers that verify through a verified-cert cache.
-    pub fn validate_with(
-        &self,
+    /// [`Self::validate`] over a claim's borrowed parts — a message
+    /// carries one as a rank beside an optional certificate — with
+    /// certificate verification delegated to `verify_qc` (directly, or
+    /// through a verified-cert cache). The single definition of the
+    /// claim's structural rules (certificate-free only at the epoch
+    /// minimum; a certificate must certify exactly the claimed rank), so
+    /// the owned, borrowed, plain and cached paths can never diverge.
+    pub fn validate_claim(
+        rank: Rank,
+        cert: Option<&QuorumCert>,
         min_rank: Rank,
         verify_qc: impl FnOnce(&QuorumCert) -> bool,
     ) -> bool {
-        match &self.cert {
-            None => self.rank == min_rank,
-            Some(qc) => qc.rank == self.rank && verify_qc(qc),
+        match cert {
+            None => rank == min_rank,
+            Some(qc) => qc.rank == rank && verify_qc(qc),
         }
     }
 }

@@ -421,11 +421,9 @@ impl HsInstance {
     /// carried vote set.
     fn validate_rank(&self, g: &HsGeneric, q: usize) -> bool {
         // Certificate for the leader's claimed rank_m.
-        let claim = RankCert {
-            rank: g.rank_m,
-            cert: g.rank_qc.clone(),
-        };
-        if !claim.validate(&self.cfg.registry, q, self.epoch_min) {
+        if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_ref(), self.epoch_min, |qc| {
+            qc.verify(&self.cfg.registry, q)
+        }) {
             return false;
         }
         // Dummies reuse maxRank.

@@ -306,11 +306,12 @@ impl PbftInstance {
         true
     }
 
-    /// [`RankCert::validate`] through the verified-cert cache — the
-    /// structural rules live in [`RankCert::validate_with`], so the
-    /// cached and uncached paths can never diverge.
-    fn rank_cert_verified(&mut self, rc: &RankCert) -> bool {
-        rc.validate_with(self.epoch_min, |qc| self.qc_verified(qc))
+    /// [`RankCert::validate`] through the verified-cert cache, over a
+    /// claim's borrowed parts — the structural rules live in
+    /// [`RankCert::validate_claim`], so the cached and uncached paths
+    /// can never diverge.
+    fn rank_claim_verified(&mut self, rank: Rank, cert: Option<&QuorumCert>) -> bool {
+        RankCert::validate_claim(rank, cert, self.epoch_min, |qc| self.qc_verified(qc))
     }
 
     /// The leader of `view` for this instance: instances start led by the
@@ -692,7 +693,7 @@ impl PbftInstance {
                 if pp.round != self.view_start_round {
                     return RankCheck::Invalid;
                 }
-                if !self.rank_cert_verified(rc) {
+                if !self.rank_claim_verified(rc.rank, rc.cert.as_ref()) {
                     return RankCheck::Invalid;
                 }
                 self.check_expected_rank(pp.rank, rc.rank)
@@ -727,7 +728,9 @@ impl PbftInstance {
                     .map(|sr| sr.body.rank)
                     .max()
                     .expect("non-empty set");
-                if max_cert.rank != rank_m || !self.rank_cert_verified(max_cert) {
+                if max_cert.rank != rank_m
+                    || !self.rank_claim_verified(max_cert.rank, max_cert.cert.as_ref())
+                {
                     return RankCheck::Invalid;
                 }
                 self.check_expected_rank(pp.rank, rank_m)
@@ -1006,11 +1009,7 @@ impl PbftInstance {
         // Determine and certify the claimed rank.
         let claimed = match self.cfg.mode {
             RankMode::Plain => {
-                let claim = RankCert {
-                    rank: r.signed.body.rank,
-                    cert: r.qc.clone(),
-                };
-                if !self.rank_cert_verified(&claim) {
+                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_ref()) {
                     self.rejected += 1;
                     return;
                 }

@@ -10,85 +10,73 @@
 //! # Lanes
 //!
 //! The keyspace is partitioned into [`MERKLE_LANES`] fixed **lanes** by
-//! key hash ([`lane_of`]). Lanes serve two purposes:
+//! key hash ([`lane_of`]). Each lane has a content root: a **MuHash**
+//! multiset accumulator — the *product*, modulo the 256-bit prime
+//! `p = 2^256 − 189`, of the SHA-256 leaf hashes of its live entries —
+//! finalized with the entry count. The **state root** is a SHA-256 over
+//! the ordered lane-root vector, so computing it costs O(lanes),
+//! independent of the keyspace size. (Multiplication mod p is
+//! order-independent by construction — the property a content address
+//! needs — and finding a colliding multiset means solving a
+//! multiplicative-knapsack/discrete-log-style problem in `Z_p^*` rather
+//! than a Wagner generalized-birthday subset *sum*.)
 //!
-//! 1. **Incremental roots.** Each lane maintains a content root that is
-//!    updated in O(1) per write: a full **MuHash** multiset accumulator —
-//!    the *product*, modulo the 256-bit prime `p = 2^256 − 189`, of the
-//!    SHA-256 leaf hashes of its live entries — finalized with the entry
-//!    count. The **state root** is a SHA-256 over the ordered lane-root
-//!    vector — computing it costs O(lanes), independent of the keyspace
-//!    size, where the pre-lane design re-scanned every entry.
-//!    (Multiplication mod p is order-independent by construction — the
-//!    property a content address needs — and, unlike the additive
-//!    accumulator it replaced, finding a colliding multiset means
-//!    solving a multiplicative-knapsack/discrete-log-style problem in
-//!    `Z_p^*` rather than a Wagner generalized-birthday subset *sum*,
-//!    which closed the ROADMAP's noted gap. Removal divides: the lane
-//!    keeps separate insert/remove product accumulators and finalizes
-//!    `inserted · removed⁻¹ mod p` — one Fermat inverse per *root
-//!    finalization*, never on the per-write path, so writes stay O(1)
-//!    modular multiplies. The upgrade is localized behind
-//!    `Lane::root`; the lane-root domain is bumped to v3.)
+//! **The fold rule.** A lane root is a pure function of the lane's
+//! *live contents* and is read once per epoch, so no hashing happens on
+//! the write path: a write updates the map and, for a key first touched
+//! since the last fold, records the value it had then (the lane's dirty
+//! set, bounded by the keys touched since the last checkpoint).
+//! [`KvState::fold`] then multiplies, per dirty key *whose value
+//! actually changed*, the old leaf into a removal product and the new
+//! leaf into an insert product — a key rewritten ten times, or written
+//! back to its folded value, costs two hashes or none — and sets
+//! `folded ← folded · inserted · removed⁻¹`: one Fermat inverse per
+//! dirty lane per fold, none on a root read. The folded value is the
+//! canonical residue of the product over the live leaves, whatever the
+//! write history and wherever the folds fell — which is what makes the
+//! root a content address (history independence). [`KvState::root`] and
+//! [`KvState::lane_roots`] take `&self` and fold pending dirty keys
+//! into a local copy, so a read nobody folded for is still correct;
+//! folding first only makes it cheap.
 //!
-//! 2. **Parallel execution.** A block's ops are scheduled into a
-//!    deterministic dependency DAG and executed wave by wave across
-//!    `exec_lanes` parallel workers ([`KvState::apply_batch`]). The
-//!    schedule is a pure function of the ops' *static* lane access sets,
-//!    so its result — and therefore every root — is bit-identical for
-//!    *any* worker count: workers only split a wave's ops.
+//! # Execution
 //!
-//! # Wave scheduling (dependency-DAG execution)
+//! [`KvState::apply_batch`] applies a batch's ops **in block order on
+//! the calling thread** — full read-your-writes semantics, the same as
+//! folding [`KvState::apply`] over the ops. With hashing off the write
+//! path an op is a couple of `BTreeMap` operations, too small for any
+//! cross-thread hand-off to pay for itself.
 //!
-//! Each op's lane access set is statically known before execution: a
-//! `Put`/`Get` touches its key's lane, a `Transfer` touches the debit
-//! lane and (when different) the credit lane. Op B *depends on* op A iff
-//! A precedes B in block order and their lane sets intersect. The
-//! scheduler partitions the batch into **topological waves** with one
-//! linear pass: an op's wave is one past the deepest wave among the ops
-//! it depends on (per-lane tails carry that maximum). Within a wave no
-//! two ops share a lane, so a wave's ops commute — they read only
-//! pre-wave lane state and write disjoint lanes — and can be split
-//! across workers arbitrarily. Waves execute in order with a barrier
-//! between them.
+//! # Wave plan (the batch's dependency structure)
 //!
-//! Because conflicting ops execute in block order and non-conflicting
-//! ops commute, the final state (and every effect counter) is
-//! **bit-identical to a sequential in-order reference executor** — see
-//! [`KvState::apply`], which *is* that reference for a batch of one.
-//! Unlike the deferred-credit scheme this replaced, the semantics are
-//! full read-your-writes: an op can observe a cross-lane credit written
-//! by an earlier op of the same batch (the dependency edge forces it
-//! into a later wave). Conflict-free batches collapse to one wave; a
-//! fully serial transfer chain degrades to one wave per op; and the
-//! wave/edge counters in [`BatchOutcome`] are worker-count invariant by
-//! construction (`fig_exec_dag` gates exactly this).
+//! Alongside, every batch is *described* by a deterministic dependency
+//! DAG. Each op's lane access set is statically known: a `Put`/`Get`
+//! touches its key's lane, a `Transfer` touches the debit lane and
+//! (when different) the credit lane. Op B *depends on* op A iff A
+//! precedes B in block order and their lane sets intersect. One linear
+//! pass partitions the batch into **topological waves**: an op's wave is
+//! one past the deepest wave among the ops it depends on (per-lane tails
+//! carry that maximum). Within a wave no two ops share a lane, so a
+//! wave's ops commute. Conflict-free batches collapse to one wave; a
+//! fully serial transfer chain degrades to one wave per op.
+//!
+//! The plan is a pure function of the ops' static access sets and
+//! nothing executes by it: its counters in [`BatchOutcome`] (`waves`,
+//! `max_wave_ops`, `cross_lane_edges`) report how much lane-level
+//! parallelism a batch *has*. On the paper's 4096-tx blocks that is
+//! ~214 waves of ~21 ops — a few microseconds of map work per wave,
+//! less than one cross-thread barrier round costs, which is why block
+//! order on one thread is the executor.
 
 use ladon_crypto::Sha256;
 use ladon_types::{splitmix64, Digest, TxOp};
 use std::collections::BTreeMap;
-use std::sync::{Barrier, Mutex};
 
 pub use ladon_types::MERKLE_LANES;
 
 /// Default number of accounts the synthetic workload spreads ops over
 /// (see [`ladon_types::SystemConfig::exec_keyspace`] for the knob).
 pub const DEFAULT_KEYSPACE: u32 = 4096;
-
-/// Default parallel execution workers (see
-/// [`ladon_types::SystemConfig::exec_lanes`] for the knob).
-pub const DEFAULT_EXEC_LANES: u32 = 4;
-
-/// Below this many ops a batch is applied on the calling thread even when
-/// `exec_lanes > 1` — spawning workers costs more than the work.
-const PARALLEL_THRESHOLD: usize = 1024;
-
-/// Below this many ops in the batch's *fullest wave* the whole batch is
-/// applied sequentially too: no wave can occupy even a couple of
-/// workers, so a pool would only pay one barrier round per wave (e.g. a
-/// fully serial transfer chain plans N waves of 1 op — the worst case
-/// for a pool, and exactly where sequential execution is optimal).
-const MIN_PARALLEL_WAVE: usize = 8;
 
 /// The fixed lane a key lives in: a splitmix64 hash of the key, reduced
 /// modulo [`MERKLE_LANES`]. Hashing (rather than `key % lanes`) keeps the
@@ -128,10 +116,9 @@ impl ExecEffects {
 }
 
 /// What [`KvState::apply_batch`] did: summed effects, per-lane routing
-/// counts, and the wave-scheduler counters of the batch's dependency
-/// DAG. The scheduler counters are a pure function of the ops' static
-/// lane access sets — identical for every worker count (the property
-/// `fig_exec_dag` gates).
+/// counts, and the wave-plan counters describing the batch's dependency
+/// DAG — a pure function of the ops' static lane access sets (the
+/// property `fig_exec_dag` gates).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Summed operation effects.
@@ -146,7 +133,7 @@ pub struct BatchOutcome {
     /// Topological waves the batch's dependency DAG partitioned into
     /// (0 for an empty batch; 1 when no two ops share a lane).
     pub waves: u32,
-    /// Ops in the fullest wave — the batch's peak exploitable
+    /// Ops in the fullest wave — the batch's peak lane-level
     /// parallelism.
     pub max_wave_ops: u32,
     /// Immediate dependency edges whose shared lane is a *secondary*
@@ -277,8 +264,8 @@ fn mul_mod(a: &Acc, b: &Acc) -> Acc {
 }
 
 /// `a⁻¹ mod p` by Fermat (`a^(p−2)`), for `a ≠ 0`. ~510 modular
-/// multiplies — paid once per *root finalization* (and only when the
-/// lane has ever removed an entry), never on the per-write path.
+/// multiplies — paid once per dirty lane per fold (and only when the
+/// fold removes a leaf), never on the write path.
 fn inv_mod(a: &Acc) -> Acc {
     // p − 2 = 2^256 − 191.
     const EXP: Acc = [u64::MAX - 190, u64::MAX, u64::MAX, u64::MAX];
@@ -309,8 +296,8 @@ fn acc_bytes(a: &Acc) -> [u8; 32] {
 }
 
 // ---------------------------------------------------------------------
-// Wave scheduling: the deterministic dependency DAG over lane access
-// sets (see the module docs).
+// Wave plan: the deterministic dependency DAG over lane access sets
+// (see the module docs).
 // ---------------------------------------------------------------------
 
 /// The static lane access set of one op: its primary lane (the key's /
@@ -328,8 +315,8 @@ fn access_lanes(op: &TxOp) -> (usize, Option<usize>) {
     }
 }
 
-/// Per-lane scheduler tail while building a wave plan: the latest op
-/// that touched the lane.
+/// Per-lane tail while building a wave plan: the latest op that touched
+/// the lane.
 #[derive(Clone, Copy)]
 struct LaneTail {
     /// Wave that op landed in.
@@ -340,26 +327,28 @@ struct LaneTail {
     secondary: bool,
 }
 
-/// The counters a wave plan produces alongside the per-op wave indices
-/// (the fullest-wave count is derived from the wave populations by the
-/// caller).
+/// The counters a wave plan produces.
 #[derive(Clone, Copy, Debug, Default)]
 struct WaveStats {
     waves: u32,
+    max_wave_ops: u32,
     cross_lane_edges: u64,
 }
 
-/// Builds the batch's wave plan in one pass: `wave_of[i]` is op `i`'s
-/// topological wave (one past the deepest wave among the preceding ops
-/// whose lane sets intersect op `i`'s), `ops_per_lane` the primary-lane
-/// routing counts. Purely a function of the ops' static access sets —
-/// never of state or worker count.
-fn plan_waves(ops: &[TxOp], wave_of: &mut Vec<u32>, ops_per_lane: &mut [u32]) -> WaveStats {
-    wave_of.clear();
-    wave_of.reserve(ops.len());
+/// Builds the batch's wave plan in one pass: each op's topological wave
+/// is one past the deepest wave among the preceding ops whose lane sets
+/// intersect its own. `wave_ops` is scratch for the wave populations,
+/// `ops_per_lane` receives the primary-lane routing counts. Purely a
+/// function of the ops' static access sets — never of state.
+fn plan_waves<'a>(
+    ops: impl Iterator<Item = &'a TxOp>,
+    wave_ops: &mut Vec<u32>,
+    ops_per_lane: &mut [u32],
+) -> WaveStats {
+    wave_ops.clear();
     let mut tails: [Option<LaneTail>; MERKLE_LANES as usize] = [None; MERKLE_LANES as usize];
     let mut stats = WaveStats::default();
-    for (idx, op) in ops.iter().enumerate() {
+    for (idx, op) in ops.enumerate() {
         let (a, b) = access_lanes(op);
         ops_per_lane[a] += 1;
         let ta = tails[a];
@@ -386,8 +375,12 @@ fn plan_waves(ops: &[TxOp], wave_of: &mut Vec<u32>, ops_per_lane: &mut [u32]) ->
                 }
             }
         }
-        wave_of.push(wave);
-        stats.waves = stats.waves.max(wave + 1);
+        // A wave is at most one past the deepest so far.
+        if wave as usize == wave_ops.len() {
+            wave_ops.push(0);
+        }
+        wave_ops[wave as usize] += 1;
+        stats.max_wave_ops = stats.max_wave_ops.max(wave_ops[wave as usize]);
         let tail = LaneTail {
             wave,
             op: idx as u32,
@@ -401,12 +394,12 @@ fn plan_waves(ops: &[TxOp], wave_of: &mut Vec<u32>, ops_per_lane: &mut [u32]) ->
             });
         }
     }
+    stats.waves = wave_ops.len() as u32;
     stats
 }
 
-/// Applies one op with sequential (read-your-writes) semantics — the
-/// reference the wave executor is bit-identical to. Returns the credited
-/// lane when a cross-lane transfer moved value.
+/// Applies one op with sequential (read-your-writes) semantics. Returns
+/// the credited lane when a cross-lane transfer moved value.
 #[inline]
 fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) -> Option<usize> {
     match *op {
@@ -439,90 +432,27 @@ fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) -> Option<usize
     }
 }
 
-/// [`apply_op`] for the parallel wave executor: identical semantics,
-/// with each touched lane accessed under its mutex. Within a wave the
-/// locks are never contended — no two ops share a lane — they exist
-/// only to hand the worker provable exclusive access. Cross-lane
-/// transfers lock in ascending lane order (a deadlock-freedom backstop
-/// the disjointness invariant already implies). Credits are counted
-/// into the worker-local `credits` vector.
-#[inline]
-fn apply_op_locked(lanes: &[Mutex<Lane>], op: &TxOp, fx: &mut ExecEffects, credits: &mut [u32]) {
-    match *op {
-        TxOp::Put { key, value } => {
-            lanes[lane_of(key)].lock().unwrap().set(key, value);
-            fx.puts += 1;
-        }
-        TxOp::Get { key } => {
-            let _ = lanes[lane_of(key)].lock().unwrap().get(key);
-            fx.gets += 1;
-        }
-        TxOp::Transfer { from, to, amount } => {
-            let lf = lane_of(from);
-            let lt = lane_of(to);
-            if lf == lt {
-                let mut lane = lanes[lf].lock().unwrap();
-                let have = lane.get(from);
-                let moved = have.min(amount);
-                if moved == 0 || from == to {
-                    fx.empty_transfers += 1;
-                } else {
-                    lane.set(from, have - moved);
-                    let dest = lane.get(to);
-                    lane.set(to, dest.saturating_add(moved));
-                    fx.transfers += 1;
-                }
-            } else {
-                let (lo, hi) = (lf.min(lt), lf.max(lt));
-                let mut a = lanes[lo].lock().unwrap();
-                let mut b = lanes[hi].lock().unwrap();
-                let (src, dst) = if lf == lo {
-                    (&mut a, &mut b)
-                } else {
-                    (&mut b, &mut a)
-                };
-                let have = src.get(from);
-                let moved = have.min(amount);
-                if moved == 0 {
-                    fx.empty_transfers += 1;
-                } else {
-                    src.set(from, have - moved);
-                    let dest = dst.get(to);
-                    dst.set(to, dest.saturating_add(moved));
-                    fx.transfers += 1;
-                    credits[lt] += 1;
-                }
-            }
-        }
-    }
-}
-
-/// One Merkle lane: a shard of the key space with an incrementally
-/// maintained content root.
-///
-/// The MuHash accumulator is kept as a numerator/denominator pair —
-/// `inserted` multiplies in every leaf ever written, `removed` every
-/// leaf ever overwritten or deleted — so the per-write cost is one
-/// modular multiply. The canonical multiset value `inserted · removed⁻¹`
-/// (mod p) is computed only when a root is finalized; it depends on the
-/// live contents alone, never on the write history, which is what makes
-/// the root a content address.
+/// One Merkle lane: a shard of the key space with a lazily folded
+/// content root (the fold rule is in the module docs).
 #[derive(Clone, Debug)]
 struct Lane {
     /// Canonical contents: no zero-valued entries are ever stored.
     entries: BTreeMap<u32, u64>,
-    /// Product (mod `2^256 − 189`) of every inserted leaf's residue.
-    inserted: Acc,
-    /// Product (mod `2^256 − 189`) of every removed leaf's residue.
-    removed: Acc,
+    /// MuHash accumulator of the contents as of the last fold: the
+    /// product (mod `2^256 − 189`) of the live entries' leaf residues.
+    folded: Acc,
+    /// Keys written since the last fold, each with the value it had at
+    /// that fold (0 = absent). Empty exactly when `folded` describes
+    /// `entries`.
+    dirty: BTreeMap<u32, u64>,
 }
 
 impl Default for Lane {
     fn default() -> Self {
         Self {
             entries: BTreeMap::new(),
-            inserted: ACC_ONE,
-            removed: ACC_ONE,
+            folded: ACC_ONE,
+            dirty: BTreeMap::new(),
         }
     }
 }
@@ -534,37 +464,63 @@ impl Lane {
         self.entries.get(&key).copied().unwrap_or(0)
     }
 
-    /// Writes `key`, maintaining the accumulator: the old leaf's residue
-    /// multiplies into the removal product, the new one into the insert
-    /// product. Zero values delete (canonical form).
+    /// Writes `key` (zero values delete — canonical form) and, on the
+    /// key's first write since the last fold, remembers the value it
+    /// replaced. No hashing.
+    #[inline]
     fn set(&mut self, key: u32, value: u64) {
         let old = if value == 0 {
             self.entries.remove(&key)
         } else {
             self.entries.insert(key, value)
         };
-        if let Some(old) = old {
-            self.removed = mul_mod(&self.removed, &acc_of_leaf(&leaf_hash(key, old)));
+        self.dirty.entry(key).or_insert(old.unwrap_or(0));
+    }
+
+    /// The accumulator of the *current* contents: `folded` with every
+    /// dirty key whose value changed since the last fold divided out at
+    /// its old value and multiplied in at its new one.
+    fn current_acc(&self) -> Acc {
+        if self.dirty.is_empty() {
+            return self.folded;
         }
-        if value != 0 {
-            self.inserted = mul_mod(&self.inserted, &acc_of_leaf(&leaf_hash(key, value)));
+        let mut inserted = ACC_ONE;
+        let mut removed = ACC_ONE;
+        for (&key, &old) in &self.dirty {
+            let new = self.get(key);
+            if new == old {
+                continue;
+            }
+            if old != 0 {
+                removed = mul_mod(&removed, &acc_of_leaf(&leaf_hash(key, old)));
+            }
+            if new != 0 {
+                inserted = mul_mod(&inserted, &acc_of_leaf(&leaf_hash(key, new)));
+            }
+        }
+        let acc = mul_mod(&self.folded, &inserted);
+        if removed == ACC_ONE {
+            acc
+        } else {
+            mul_mod(&acc, &inv_mod(&removed))
         }
     }
 
+    /// Brings `folded` up to date with `entries` and empties the dirty
+    /// set.
+    fn fold(&mut self) {
+        self.folded = self.current_acc();
+        self.dirty.clear();
+    }
+
     /// The lane's content root: a digest over the entry count and the
-    /// finalized MuHash accumulator (`inserted · removed⁻¹ mod p`). The
-    /// Fermat inverse is paid here — per finalization, not per write —
-    /// and skipped entirely for lanes that never removed an entry.
+    /// accumulator of the current contents. One hash when the lane is
+    /// folded.
     fn root(&self) -> Digest {
-        let acc = if self.removed == ACC_ONE {
-            self.inserted
-        } else {
-            mul_mod(&self.inserted, &inv_mod(&self.removed))
-        };
         let mut h = Sha256::new();
         h.update(b"ladon/lane-root/v3");
         h.update(&(self.entries.len() as u64).to_le_bytes());
-        h.update(&acc_bytes(&acc));
+        h.update(&acc_bytes(&self.current_acc()));
         Digest(h.finalize())
     }
 }
@@ -573,20 +529,9 @@ impl Lane {
 #[derive(Clone, Debug)]
 pub struct KvState {
     lanes: Vec<Lane>,
-    /// Parallel workers used by [`Self::apply_batch`]. Has no effect on
-    /// any observable state or root — workers only split waves.
-    exec_lanes: u32,
-    /// Reusable per-op wave-index scratch for [`Self::apply_batch`]
+    /// Reusable wave-population scratch for [`Self::apply_batch`]'s plan
     /// (cleared between batches, capacity retained).
     wave_scratch: Vec<u32>,
-    /// Reusable wave-ordered op-index scratch (same lifecycle).
-    order_scratch: Vec<u32>,
-    /// Reusable per-wave population scratch (same lifecycle).
-    count_scratch: Vec<u32>,
-    /// Reusable per-wave cursor scratch for the counting sort (same
-    /// lifecycle; after the sort, `cursor[w]` is wave `w`'s END offset
-    /// and `cursor[w] - counts[w]` its start).
-    cursor_scratch: Vec<u32>,
 }
 
 impl Default for KvState {
@@ -596,7 +541,7 @@ impl Default for KvState {
 }
 
 impl PartialEq for KvState {
-    /// Content equality (worker count is a local tuning choice).
+    /// Content equality (whether a fold is pending is not content).
     fn eq(&self, other: &Self) -> bool {
         self.lanes
             .iter()
@@ -608,37 +553,24 @@ impl PartialEq for KvState {
 impl Eq for KvState {}
 
 impl KvState {
-    /// Empty state applying batches on the calling thread.
+    /// Empty state.
     pub fn new() -> Self {
-        Self::with_exec_lanes(1)
-    }
-
-    /// Empty state applying batches with `exec_lanes` parallel workers
-    /// (clamped to `1..=MERKLE_LANES`).
-    pub fn with_exec_lanes(exec_lanes: u32) -> Self {
         Self {
             lanes: vec![Lane::default(); MERKLE_LANES as usize],
-            exec_lanes: exec_lanes.clamp(1, MERKLE_LANES),
             wave_scratch: Vec::new(),
-            order_scratch: Vec::new(),
-            count_scratch: Vec::new(),
-            cursor_scratch: Vec::new(),
         }
     }
 
     /// Rebuilds state from canonical `(key, value)` entries (snapshot
-    /// install). Zero values are dropped to restore canonical form.
+    /// install), folded. Zero values are dropped to restore canonical
+    /// form.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut s = Self::new();
         for (k, v) in entries {
             s.lanes[lane_of(k)].set(k, v);
         }
+        s.fold();
         s
-    }
-
-    /// Sets the parallel worker count without touching contents.
-    pub fn set_exec_lanes(&mut self, exec_lanes: u32) {
-        self.exec_lanes = exec_lanes.clamp(1, MERKLE_LANES);
     }
 
     /// Number of live (nonzero) entries.
@@ -669,157 +601,54 @@ impl KvState {
     }
 
     /// Applies one operation with sequential (read-your-writes)
-    /// semantics, returning what it did. This *is* the reference
-    /// executor [`Self::apply_batch`] is bit-identical to: folding
-    /// `apply` over a batch's ops in order yields the same state.
+    /// semantics, returning what it did — [`Self::apply_batch`] for a
+    /// batch of one, without the plan.
     pub fn apply(&mut self, op: &TxOp) -> ExecEffects {
         let mut fx = ExecEffects::default();
         apply_op(&mut self.lanes, op, &mut fx);
         fx
     }
 
-    /// Applies a batch of ops through the deterministic wave scheduler:
-    /// plan the dependency DAG from the static lane access sets,
-    /// partition it into topological waves, and execute each wave's ops
-    /// across `exec_lanes` parallel workers with full read-your-writes
-    /// semantics. The final state, every effect counter, and the
-    /// scheduler counters are bit-identical to folding [`Self::apply`]
-    /// over the ops in order, for *any* worker count (see module docs).
-    pub fn apply_batch(&mut self, ops: &[TxOp]) -> BatchOutcome {
-        // The plan is computed unconditionally — its counters are part
-        // of the outcome and must not depend on whether the batch was
-        // worth parallelizing.
-        let mut wave_of = std::mem::take(&mut self.wave_scratch);
+    /// Applies a batch of ops in block order on the calling thread —
+    /// exactly folding [`Self::apply`] over them — and plans the batch's
+    /// dependency DAG from the static lane access sets for the outcome's
+    /// wave counters (see the module docs; nothing executes by the
+    /// plan). The ops are walked twice, hence the `Clone` bound.
+    pub fn apply_batch<'a, I>(&mut self, ops: I) -> BatchOutcome
+    where
+        I: IntoIterator<Item = &'a TxOp>,
+        I::IntoIter: Clone,
+    {
+        let ops = ops.into_iter();
         // The outcome's per-lane vectors are freshly allocated by
-        // necessity (they are returned); all sort bookkeeping below
-        // reuses warm scratch.
+        // necessity (they are returned).
         let mut ops_per_lane = vec![0u32; MERKLE_LANES as usize];
-        let stats = plan_waves(ops, &mut wave_of, &mut ops_per_lane);
-        // Wave populations (counting sort), in reused scratch.
-        let mut counts = std::mem::take(&mut self.count_scratch);
-        counts.clear();
-        counts.resize(stats.waves as usize, 0);
-        for &w in &wave_of {
-            counts[w as usize] += 1;
-        }
-        let max_wave_ops = counts.iter().copied().max().unwrap_or(0);
-
-        // The plan predicts the exploitable parallelism before a single
-        // thread is spawned: small batches and narrow DAGs (nothing in
-        // `max_wave_ops` worth splitting) run sequentially.
-        let workers =
-            if ops.len() < PARALLEL_THRESHOLD || (max_wave_ops as usize) < MIN_PARALLEL_WAVE {
-                1
-            } else {
-                self.exec_lanes.max(1) as usize
-            };
-        let mut effects = ExecEffects::default();
         let mut credits_per_lane = vec![0u32; MERKLE_LANES as usize];
-        if workers == 1 {
-            // Sequential execution IS the reference semantics; the wave
-            // order is a relaxation of block order, so plain block order
-            // is a valid (and cheapest) schedule.
-            for op in ops {
-                if let Some(l) = apply_op(&mut self.lanes, op, &mut effects) {
-                    credits_per_lane[l] += 1;
-                }
+        let stats = plan_waves(ops.clone(), &mut self.wave_scratch, &mut ops_per_lane);
+        let mut effects = ExecEffects::default();
+        for op in ops {
+            if let Some(l) = apply_op(&mut self.lanes, op, &mut effects) {
+                credits_per_lane[l] += 1;
             }
-        } else {
-            // Bucket op indices by wave, preserving block order within
-            // each wave: exclusive-prefix-sum cursors advance through
-            // the fill, leaving `cursor[w]` at wave `w`'s end offset.
-            let mut cursor = std::mem::take(&mut self.cursor_scratch);
-            cursor.clear();
-            cursor.resize(stats.waves as usize, 0);
-            let mut acc = 0u32;
-            for (w, &c) in counts.iter().enumerate() {
-                cursor[w] = acc;
-                acc += c;
-            }
-            let mut order = std::mem::take(&mut self.order_scratch);
-            order.clear();
-            order.resize(ops.len(), 0);
-            for (idx, &w) in wave_of.iter().enumerate() {
-                order[cursor[w as usize] as usize] = idx as u32;
-                cursor[w as usize] += 1;
-            }
-            // One worker pool for the whole batch (spawning per wave
-            // would dwarf the per-op hashing cost): workers sweep the
-            // waves in lockstep, separated by barriers. Within a wave
-            // every op's lane set is disjoint from every other op's, so
-            // each op applies immediately under its lanes' mutexes —
-            // which are never contended (disjointness), and exist only
-            // to give each worker exclusive &mut access the compiler
-            // can't prove. Reads see pre-wave state (no same-wave op
-            // shares the lanes), so the result is the sequential
-            // reference's, whatever the worker count. (Moving the 64
-            // lanes into mutexes and back is a few hundred bytes of
-            // shallow memcpy per parallel batch — amortized over the
-            // >= PARALLEL_THRESHOLD ops that got us here.)
-            let lanes: Vec<Mutex<Lane>> = std::mem::take(&mut self.lanes)
-                .into_iter()
-                .map(Mutex::new)
-                .collect();
-            let barrier = Barrier::new(workers);
-            let results: Vec<(ExecEffects, Vec<u32>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        let lanes = &lanes;
-                        let barrier = &barrier;
-                        let order = &order;
-                        let counts = &counts;
-                        let cursor = &cursor;
-                        s.spawn(move || {
-                            let mut fx = ExecEffects::default();
-                            let mut credits = vec![0u32; MERKLE_LANES as usize];
-                            for w in 0..counts.len() {
-                                let end = cursor[w] as usize;
-                                let wave = &order[end - counts[w] as usize..end];
-                                let chunk = wave.len().div_ceil(workers).max(1);
-                                if let Some(mine) = wave.chunks(chunk).nth(t) {
-                                    for &i in mine {
-                                        apply_op_locked(
-                                            lanes,
-                                            &ops[i as usize],
-                                            &mut fx,
-                                            &mut credits,
-                                        );
-                                    }
-                                }
-                                barrier.wait();
-                            }
-                            (fx, credits)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("execution worker panicked"))
-                    .collect()
-            });
-            self.lanes = lanes
-                .into_iter()
-                .map(|m| m.into_inner().expect("worker panicked holding a lane"))
-                .collect();
-            for (fx, credits) in results {
-                effects.absorb(fx);
-                for (lane, c) in credits.into_iter().enumerate() {
-                    credits_per_lane[lane] += c;
-                }
-            }
-            self.order_scratch = order;
-            self.cursor_scratch = cursor;
         }
-        self.count_scratch = counts;
-        self.wave_scratch = wave_of;
-
         BatchOutcome {
             effects,
             ops_per_lane,
             credits_per_lane,
             waves: stats.waves,
-            max_wave_ops,
+            max_wave_ops: stats.max_wave_ops,
             cross_lane_edges: stats.cross_lane_edges,
+        }
+    }
+
+    /// Folds every lane's pending writes into its accumulator (the fold
+    /// rule is in the module docs): at most two leaf hashes per key
+    /// written since the last fold, after which [`Self::root`] costs
+    /// `MERKLE_LANES + 1` hashes. Never changes a root — only what the
+    /// next read of one costs.
+    pub fn fold(&mut self) {
+        for lane in &mut self.lanes {
+            lane.fold();
         }
     }
 
@@ -831,8 +660,8 @@ impl KvState {
     }
 
     /// The two-level state root: SHA-256 over the ordered lane roots.
-    /// O(lanes), independent of the keyspace size — each lane root is
-    /// maintained incrementally on write.
+    /// O(lanes) on a folded state, independent of the keyspace size; on
+    /// an unfolded one it also pays the pending fold, into a local copy.
     pub fn root(&self) -> Digest {
         let roots = self.lane_roots();
         Self::root_of_lane_roots(&roots)
@@ -855,7 +684,16 @@ impl KvState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::hex32;
+    use ladon_crypto::CryptoCounters;
     use ladon_types::TxId;
+
+    /// SHA-256 finalizations `f` performs on this thread.
+    fn hashes_in(f: impl FnOnce()) -> u64 {
+        let before = CryptoCounters::snapshot();
+        f();
+        CryptoCounters::snapshot().since(&before).hashes
+    }
 
     #[test]
     fn root_is_content_addressed() {
@@ -962,8 +800,16 @@ mod tests {
         assert_eq!(lane.root(), one_entry, "re-insert must reproduce the root");
         // Overwrite round-trip: set → overwrite → set back.
         lane.set(7, 9);
+        let lane9 = lane.root();
         lane.set(7, 5);
         assert_eq!(lane.root(), one_entry);
+        // The same round trips with a fold after every write.
+        for (v, expect) in [(0, empty_root), (5, one_entry), (9, lane9), (5, one_entry)] {
+            lane.set(7, v);
+            lane.fold();
+            assert!(lane.dirty.is_empty());
+            assert_eq!(lane.root(), expect, "value {v}");
+        }
         // Two lanes holding {a} and {a, b} must differ even after the
         // second removes b (histories differ, contents decide).
         let mut other = Lane::default();
@@ -1010,59 +856,133 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_is_worker_count_invariant() {
-        // Includes cross-lane transfers; large enough to cross the
-        // parallel threshold so multi-worker paths actually run.
-        let ops: Vec<TxOp> = (0..4096u64).map(|i| TxOp::for_id(TxId(i), 512)).collect();
-        let mut roots = Vec::new();
-        let mut fx = Vec::new();
-        let mut sched = Vec::new();
-        for workers in [1, 2, 4, 8, 64] {
-            let mut s = KvState::with_exec_lanes(workers);
+    fn batch_apply_is_apply_in_order_with_pinned_plan_counters() {
+        // `apply_batch` is folding `apply` over the ops — entries, roots
+        // and effects — and the plan counters of these two fixed batches
+        // are the ones every earlier revision of the planner printed.
+        for (n, keyspace, plan) in [
+            (4096u64, 512u32, (213u32, 36u32, 2125u64)),
+            (2048, 96, (185, 27, 1057)),
+        ] {
+            let ops: Vec<TxOp> = (0..n).map(|i| TxOp::for_id(TxId(i), keyspace)).collect();
+            let mut reference = KvState::new();
+            let mut ref_fx = ExecEffects::default();
+            for op in &ops {
+                ref_fx.absorb(reference.apply(op));
+            }
+            let mut s = KvState::new();
             let out = s.apply_batch(&ops);
-            assert_eq!(out.effects.total(), ops.len() as u64);
+            assert_eq!(out.effects, ref_fx);
+            assert_eq!(out.effects.total(), n);
+            assert_eq!(out.ops_per_lane.iter().map(|&c| c as u64).sum::<u64>(), n);
+            assert!(s.entries().eq(reference.entries()));
+            assert_eq!(s.lane_roots(), reference.lane_roots());
+            assert_eq!(s.root(), reference.root());
             assert_eq!(
-                out.ops_per_lane.iter().map(|&c| c as u64).sum::<u64>(),
-                ops.len() as u64
+                (out.waves, out.max_wave_ops, out.cross_lane_edges),
+                plan,
+                "n={n}"
             );
-            roots.push(s.root());
-            fx.push(out.effects);
-            sched.push((out.waves, out.max_wave_ops, out.cross_lane_edges));
         }
-        assert!(roots.windows(2).all(|w| w[0] == w[1]), "{roots:?}");
-        assert!(fx.windows(2).all(|w| w[0] == w[1]), "{fx:?}");
-        // The scheduler counters are a pure function of the access sets:
-        // worker-count invariant, and nontrivial for a mixed workload.
-        assert!(sched.windows(2).all(|w| w[0] == w[1]), "{sched:?}");
-        assert!(sched[0].0 > 1, "4096 mixed ops must conflict: {sched:?}");
     }
 
     #[test]
-    fn batch_apply_matches_sequential_reference() {
-        // The wave executor must be bit-identical to folding `apply`
-        // over the ops in order — including effects — at every worker
-        // count, across the parallel threshold.
-        let ops: Vec<TxOp> = (0..2048u64).map(|i| TxOp::for_id(TxId(i), 96)).collect();
-        let mut reference = KvState::new();
-        let mut ref_fx = ExecEffects::default();
-        for op in &ops {
-            ref_fx.absorb(reference.apply(op));
+    fn roots_are_pinned() {
+        // No root byte may move: these are the values the eager
+        // (hash-on-write) accumulator produced for the same sequence.
+        let ops: Vec<TxOp> = (0..4096u64).map(|i| TxOp::for_id(TxId(i), 512)).collect();
+        let mut s = KvState::new();
+        s.apply_batch(&ops);
+        for k in 0..32u32 {
+            s.apply(&TxOp::Put { key: k, value: 0 });
         }
-        for workers in [1u32, 2, 4, 8] {
-            let mut s = KvState::with_exec_lanes(workers);
-            let out = s.apply_batch(&ops);
-            assert_eq!(out.effects, ref_fx, "workers={workers}");
-            assert_eq!(s.root(), reference.root(), "workers={workers}");
-            assert_eq!(s.lane_roots(), reference.lane_roots(), "workers={workers}");
+        for k in 16..48u32 {
+            s.apply(&TxOp::Put {
+                key: k,
+                value: k as u64 * 7 + 1,
+            });
         }
+        assert_eq!(s.len(), 494);
+        let check = |s: &KvState| {
+            let lanes = s.lane_roots();
+            assert_eq!(
+                hex32(&s.root()),
+                "568461a2f1dfcfedea680a8766a072d234a3ae1f2a0c41388b0465386e56e995"
+            );
+            assert_eq!(
+                hex32(&lanes[0]),
+                "187fc3ce1f85d0f30835b0dd6dfa1f21c2688c21438bb792fe4f802485ae8fda"
+            );
+            assert_eq!(
+                hex32(&lanes[17]),
+                "e52e1ed0731aaa4222f8f3931b2c9f9cc41288e4d9c8ffd5fcd990828ce77478"
+            );
+        };
+        check(&s);
+        s.fold();
+        check(&s);
+    }
+
+    #[test]
+    fn hashing_happens_at_fold_not_on_write() {
+        let ops: Vec<TxOp> = (0..4096u64).map(|i| TxOp::for_id(TxId(i), 512)).collect();
+        let written: std::collections::BTreeSet<u32> = ops
+            .iter()
+            .flat_map(|op| match *op {
+                TxOp::Put { key, .. } => vec![key],
+                TxOp::Transfer { from, to, .. } => vec![from, to],
+                TxOp::Get { .. } => vec![],
+            })
+            .collect();
+        let mut s = KvState::new();
+        assert_eq!(hashes_in(|| drop(s.apply_batch(&ops))), 0);
+        let fold = hashes_in(|| s.fold());
+        assert!(fold > 0 && fold <= 2 * written.len() as u64, "{fold}");
+        assert_eq!(hashes_in(|| s.fold()), 0, "nothing is dirty after a fold");
+        assert_eq!(
+            hashes_in(|| {
+                s.root();
+            }),
+            MERKLE_LANES as u64 + 1
+        );
+        // A key rewritten many times costs what one rewrite costs, and a
+        // key written back to its folded value costs nothing.
+        let was = s.get(1);
+        for v in 1..=10u64 {
+            s.apply(&TxOp::Put {
+                key: 1,
+                value: was + v,
+            });
+        }
+        assert_eq!(hashes_in(|| s.fold()), 2);
+        s.apply(&TxOp::Put { key: 1, value: 3 });
+        s.apply(&TxOp::Put {
+            key: 1,
+            value: was + 10,
+        });
+        assert_eq!(hashes_in(|| s.fold()), 0);
+    }
+
+    #[test]
+    fn unfolded_reads_equal_folded_reads() {
+        let ops: Vec<TxOp> = (0..600u64).map(|i| TxOp::for_id(TxId(i), 64)).collect();
+        let mut s = KvState::new();
+        s.apply_batch(&ops[..300]);
+        s.fold();
+        s.apply_batch(&ops[300..]);
+        let unfolded = (s.root(), s.lane_roots());
+        let mut folded = s.clone();
+        folded.fold();
+        assert_eq!((folded.root(), folded.lane_roots()), unfolded);
+        let rebuilt = KvState::from_entries(s.entries());
+        assert_eq!((rebuilt.root(), rebuilt.lane_roots()), unfolded);
     }
 
     #[test]
     fn same_block_cross_lane_credit_is_readable() {
         // Read-your-writes across lanes: a → b → c in ONE batch, where b
-        // starts empty. The deferred-credit scheme this replaced left c
-        // empty (the b → c transfer could not see the same-block
-        // credit); the DAG schedules it into a later wave.
+        // starts empty — the b → c transfer must see the same-block
+        // credit, and the plan puts it in a later wave.
         let a = 0u32;
         let b = (1..DEFAULT_KEYSPACE)
             .find(|&k| lane_of(k) != lane_of(a))
@@ -1083,27 +1003,19 @@ mod tests {
                 amount: 6,
             },
         ];
-        for workers in [1u32, 4] {
-            let mut s = KvState::with_exec_lanes(workers);
-            let out = s.apply_batch(&ops);
-            assert_eq!(s.get(a), 4, "workers={workers}");
-            assert_eq!(s.get(b), 0, "workers={workers}");
-            assert_eq!(s.get(c), 6, "workers={workers}: credit must be readable");
-            assert_eq!(out.effects.transfers, 2);
-            // Three ops in a strict chain: three waves. The put→debit
-            // edge shares lane(a) as both ops' primary lane (same-lane);
-            // the debit→credit edge shares lane(b), the first transfer's
-            // *credit* lane — the one cross-lane edge.
-            assert_eq!(out.waves, 3);
-            assert_eq!(out.max_wave_ops, 1);
-            assert_eq!(out.cross_lane_edges, 1);
-            // Sequential reference agrees.
-            let mut r = KvState::new();
-            for op in &ops {
-                r.apply(op);
-            }
-            assert_eq!(s.root(), r.root());
-        }
+        let mut s = KvState::new();
+        let out = s.apply_batch(&ops);
+        assert_eq!(s.get(a), 4);
+        assert_eq!(s.get(b), 0);
+        assert_eq!(s.get(c), 6, "credit must be readable");
+        assert_eq!(out.effects.transfers, 2);
+        // Three ops in a strict chain: three waves. The put→debit edge
+        // shares lane(a) as both ops' primary lane (same-lane); the
+        // debit→credit edge shares lane(b), the first transfer's
+        // *credit* lane — the one cross-lane edge.
+        assert_eq!(out.waves, 3);
+        assert_eq!(out.max_wave_ops, 1);
+        assert_eq!(out.cross_lane_edges, 1);
     }
 
     #[test]
@@ -1145,12 +1057,6 @@ mod tests {
         let out = s.apply_batch(&chain);
         assert_eq!(out.waves, chain.len() as u32, "a chain is fully serial");
         assert_eq!(out.max_wave_ops, 1);
-        // Both shapes are invariant across worker counts.
-        for workers in [2u32, 8] {
-            let mut s = KvState::with_exec_lanes(workers);
-            let o = s.apply_batch(&chain);
-            assert_eq!((o.waves, o.max_wave_ops), (out.waves, out.max_wave_ops));
-        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! - [`kv`]: a deterministic key-value state machine ([`KvState`]) sharded
 //!   into [`MERKLE_LANES`] fixed Merkle lanes by key hash. Blocks apply
-//!   across lanes with a configurable number of parallel workers
-//!   (`exec_lanes`), and each lane maintains an incrementally updated
-//!   content root, so the two-level state root costs O(lanes) — not
-//!   O(keyspace) — and is bit-identical for every worker count.
+//!   in block order on one thread, writes never hash, and each lane
+//!   folds the keys written since the last checkpoint into its content
+//!   root, so the two-level state root costs O(dirty keys + lanes) —
+//!   not O(keyspace).
 //! - [`wal`]: a segmented commit write-ahead log ([`CommitWal`]) of
 //!   confirmed block identities — checksummed, length-prefixed records
 //!   fanned out across per-lane-group segment chains under a checksummed
@@ -46,9 +46,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use faults::{FaultBackend, FaultPlan, FaultStore};
-pub use kv::{
-    lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_EXEC_LANES, DEFAULT_KEYSPACE, MERKLE_LANES,
-};
+pub use kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
     static_lane_mask, ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats,
     ReplayStats,

@@ -4,18 +4,21 @@
 //! For every confirmed block it (1) appends a [`WalRecord`] to the commit
 //! log, then (2) applies the block's derived transaction ops to the
 //! sharded KV state — WAL-before-apply, so a crash between the two
-//! replays the block on recovery instead of losing it. Application runs
-//! through the deterministic wave-scheduled dependency DAG over the
-//! fixed Merkle lanes with `exec_lanes` parallel workers (see
-//! [`crate::kv`]); a whole staged drain executes as one batch-wide DAG,
-//! so ops from independent blocks overlap in the same waves. The
-//! pipeline also keeps a per-lane ledger of how many ops each WAL
-//! record routed where and which `sn` last dirtied each lane. At every epoch checkpoint it captures a [`Snapshot`],
-//! compacts the WAL behind it, and returns the snapshot's manifest root —
-//! covering the execution position, frontier, and the ordered lane-root
-//! vector — which the checkpoint quorum signs. Checkpoint root cost is
-//! O(lanes), not O(keyspace): lane roots are maintained incrementally on
-//! write.
+//! replays the block on recovery instead of losing it. Ops apply in
+//! block order on the calling thread (see [`crate::kv`]); a whole staged
+//! drain is one batch, described by one batch-wide wave plan whose
+//! counters [`ExecSchedStats`] accumulates. The pipeline also keeps a
+//! per-lane ledger of how many ops each WAL record routed where and
+//! which `sn` last dirtied each lane. At every epoch checkpoint it folds
+//! the lanes' pending writes into their accumulators, captures a
+//! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
+//! manifest root — covering the execution position, frontier, and the
+//! ordered lane-root vector — which the checkpoint quorum signs.
+//! Checkpoint root cost is O(keys written since the last checkpoint +
+//! lanes), not O(keyspace).
+//!
+//! The `exec_lanes` parameter some constructors take is accepted for
+//! source compatibility with `benchmark/` and selects nothing.
 //!
 //! Recovery composes the two artifacts: install the latest snapshot, then
 //! re-execute the WAL tail ([`ExecutionPipeline::recover`] /
@@ -23,16 +26,15 @@
 //! is handed to the segmented WAL as a *floor*: sealed segments entirely
 //! below it are skipped without being read, so replay work is
 //! proportional to the dirty tail, not to the total log length — and the
-//! tail itself re-executes through the same lane-parallel
-//! [`crate::kv::KvState::apply_batch`] fan-out as live execution, so the
-//! recovered root is bit-identical for *any* `exec_lanes` worker count.
+//! tail itself re-executes through the same
+//! [`crate::kv::KvState::apply_batch`] as live execution.
 //! [`ReplayStats`] records what recovery touched (segments scanned vs
 //! skipped, records replayed per lane). Because execution is
 //! deterministic, the recovered root equals the pre-crash root — the
 //! crash-recovery example and the WAL-replay property test assert
 //! exactly this.
 
-use crate::kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_EXEC_LANES, MERKLE_LANES};
+use crate::kv::{lane_of, BatchOutcome, ExecEffects, KvState, MERKLE_LANES};
 use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotStore};
 use crate::wal::{
     CommitWal, FileBackend, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
@@ -128,20 +130,20 @@ impl ReplayStats {
     }
 }
 
-/// Cumulative wave-scheduler accounting across every batch the pipeline
-/// executed (live drains and recovery replay alike) — the cost surface
-/// of the dependency-DAG executor. All counts are deterministic: the
-/// schedule is a pure function of the ops' static lane access sets,
-/// never of worker count or timing (`fig_exec_dag` gates exactly this).
+/// Cumulative wave-plan accounting across every batch the pipeline
+/// executed (live drains and recovery replay alike) — the dependency
+/// structure of the executed batches. All counts are deterministic: the
+/// plan is a pure function of the ops' static lane access sets
+/// (`fig_exec_dag` gates exactly this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
-    /// Batches scheduled (one per flush of the staged drain, one per
+    /// Batches planned (one per flush of the staged drain, one per
     /// replayed record during recovery).
     pub batches: u64,
-    /// Topological waves executed, summed over batches.
+    /// Topological waves planned, summed over batches.
     pub waves: u64,
-    /// Ops scheduled, summed over batches (`scheduled_ops / waves` is
-    /// the mean exploitable parallelism per wave).
+    /// Ops planned, summed over batches (`scheduled_ops / waves` is the
+    /// mean lane-level parallelism per wave).
     pub scheduled_ops: u64,
     /// Cross-lane dependency edges observed (see
     /// [`crate::kv::BatchOutcome::cross_lane_edges`]).
@@ -151,7 +153,7 @@ pub struct ExecSchedStats {
 }
 
 /// Barrier accounting of the execution pipeline, cumulative: the
-/// wall-clock split between WAL durability (fsync-barrier wait) and DAG
+/// wall-clock split between WAL durability (fsync-barrier wait) and
 /// execution (apply_batch), plus the deterministic barrier counters the
 /// durability alarms and the pipelining gates ride on. The `wall_`
 /// names mark those fields non-deterministic by the obs convention —
@@ -161,7 +163,7 @@ pub struct PipelinePerf {
     /// Nanoseconds spent inside WAL flush barriers (submit + token
     /// wait).
     pub wall_wal_flush_ns: u64,
-    /// Nanoseconds spent executing staged ops (DAG apply + ledger).
+    /// Nanoseconds spent executing staged ops (apply + ledger).
     pub wall_exec_ns: u64,
     /// Flush barriers submitted (denominator for per-barrier means).
     pub flush_barriers: u64,
@@ -248,7 +250,7 @@ impl SnapshotInto for ReplayStats {
 pub struct PipelineStats {
     /// WAL backend I/O counters.
     pub io: WalIoStats,
-    /// Wave-scheduler accounting.
+    /// Wave-plan accounting.
     pub sched: ExecSchedStats,
     /// What the last recovery replayed (zeros for a fresh pipeline).
     pub replay: ReplayStats,
@@ -336,8 +338,6 @@ pub struct ExecutionPipeline {
     effects: ExecEffects,
     /// Accounts in the derived-op key space.
     keyspace: u32,
-    /// Parallel execution workers over the Merkle lanes.
-    exec_lanes: u32,
     /// Cumulative ops routed to each Merkle lane (length
     /// [`MERKLE_LANES`]) — the lane-load ledger behind the WAL: each
     /// appended record's ops are accounted to the lanes they dirtied.
@@ -358,7 +358,7 @@ pub struct ExecutionPipeline {
     /// neither acknowledged nor applied — WAL-before-apply holds at
     /// batch granularity — and a crash loses exactly them plus `staged`.
     inflight: Option<InFlightBatch>,
-    /// Cumulative wave-scheduler accounting.
+    /// Cumulative wave-plan accounting.
     sched: ExecSchedStats,
     /// What the last rebuild replayed (all zeros for fresh pipelines).
     recovery: ReplayStats,
@@ -367,26 +367,26 @@ pub struct ExecutionPipeline {
 }
 
 impl ExecutionPipeline {
-    /// In-memory pipeline with the default worker count (simulation
-    /// default).
+    /// In-memory pipeline (simulation default).
     pub fn in_memory(keyspace: u32) -> Self {
-        Self::in_memory_with(keyspace, DEFAULT_EXEC_LANES)
+        Self::fresh(CommitWal::in_memory_with(WalOptions::default()), keyspace)
     }
 
-    /// In-memory pipeline with an explicit parallel worker count.
-    pub fn in_memory_with(keyspace: u32, exec_lanes: u32) -> Self {
-        Self::in_memory_opts(keyspace, exec_lanes, WalOptions::default())
+    /// [`Self::in_memory`]; `exec_lanes` has no effect (see the module
+    /// docs).
+    pub fn in_memory_with(keyspace: u32, _exec_lanes: u32) -> Self {
+        Self::in_memory(keyspace)
     }
 
-    /// In-memory pipeline with explicit worker count and WAL segment
-    /// layout.
-    pub fn in_memory_opts(keyspace: u32, exec_lanes: u32, wal_opts: WalOptions) -> Self {
-        Self::fresh(CommitWal::in_memory_with(wal_opts), keyspace, exec_lanes)
+    /// In-memory pipeline with an explicit WAL segment layout;
+    /// `exec_lanes` has no effect (see the module docs).
+    pub fn in_memory_opts(keyspace: u32, _exec_lanes: u32, wal_opts: WalOptions) -> Self {
+        Self::fresh(CommitWal::in_memory_with(wal_opts), keyspace)
     }
 
-    fn fresh(wal: CommitWal, keyspace: u32, exec_lanes: u32) -> Self {
+    fn fresh(wal: CommitWal, keyspace: u32) -> Self {
         Self {
-            kv: KvState::with_exec_lanes(exec_lanes),
+            kv: KvState::new(),
             wal,
             store: SnapshotStore::in_memory(),
             applied: 0,
@@ -394,7 +394,6 @@ impl ExecutionPipeline {
             local_txs: 0,
             effects: ExecEffects::default(),
             keyspace,
-            exec_lanes,
             lane_ops: vec![0; MERKLE_LANES as usize],
             lane_last_sn: vec![None; MERKLE_LANES as usize],
             staged: Vec::new(),
@@ -407,23 +406,15 @@ impl ExecutionPipeline {
 
     /// Durable pipeline rooted at `dir` (`wal/` segment directory +
     /// `snap-*.bin`), recovering state from whatever the directory
-    /// already holds: snapshot install, then lane-parallel WAL-tail
-    /// replay that skips snapshot-covered segments without reading them.
+    /// already holds: snapshot install, then WAL-tail replay that skips
+    /// snapshot-covered segments without reading them.
     pub fn recover(dir: impl AsRef<Path>, keyspace: u32) -> std::io::Result<Self> {
-        Self::recover_with(dir, keyspace, DEFAULT_EXEC_LANES)
+        // The `exec_lanes` argument is ignored; any value does.
+        Self::recover_opts(dir, keyspace, 1, WalOptions::default())
     }
 
-    /// [`Self::recover`] with an explicit parallel worker count.
-    pub fn recover_with(
-        dir: impl AsRef<Path>,
-        keyspace: u32,
-        exec_lanes: u32,
-    ) -> std::io::Result<Self> {
-        Self::recover_opts(dir, keyspace, exec_lanes, WalOptions::default())
-    }
-
-    /// [`Self::recover`] with explicit worker count and WAL segment
-    /// layout.
+    /// [`Self::recover`] with an explicit WAL segment layout;
+    /// `exec_lanes` has no effect (see the module docs).
     pub fn recover_opts(
         dir: impl AsRef<Path>,
         keyspace: u32,
@@ -438,12 +429,13 @@ impl ExecutionPipeline {
 
     /// Durable pipeline whose WAL runs over a caller-supplied backend
     /// while snapshots persist under `dir` — the seam fault-injection
-    /// tests use to model storage that dies mid-protocol.
+    /// tests use to model storage that dies mid-protocol. `exec_lanes`
+    /// has no effect (see the module docs).
     pub fn recover_backend(
         dir: impl AsRef<Path>,
         backend: Box<dyn WalBackend>,
         keyspace: u32,
-        exec_lanes: u32,
+        _exec_lanes: u32,
         wal_opts: WalOptions,
     ) -> std::io::Result<Self> {
         let dir = dir.as_ref();
@@ -453,7 +445,6 @@ impl ExecutionPipeline {
             |floor| CommitWal::open_with_floor(backend, wal_opts, floor),
             store,
             keyspace,
-            exec_lanes,
         ))
     }
 
@@ -461,19 +452,18 @@ impl ExecutionPipeline {
     /// recovery path, shared by disk and byte-shipped variants). The
     /// opener receives the snapshot-covered floor so the segmented WAL
     /// can skip covered segments without reading them.
-    fn rebuild<F>(open_wal: F, store: SnapshotStore, keyspace: u32, exec_lanes: u32) -> Self
+    fn rebuild<F>(open_wal: F, store: SnapshotStore, keyspace: u32) -> Self
     where
         F: FnOnce(u64) -> CommitWal,
     {
         let snap = store.latest().cloned().filter(Snapshot::verify);
         let floor = snap.as_ref().map_or(0, |s| s.applied);
         let wal = open_wal(floor);
-        let mut p = Self::fresh(wal, keyspace, exec_lanes);
+        let mut p = Self::fresh(wal, keyspace);
         p.store = store;
         let mut stats = ReplayStats::from_load(p.wal.load_stats());
         if let Some(snap) = snap {
             p.kv = KvState::from_entries(snap.entries.iter().copied());
-            p.kv.set_exec_lanes(exec_lanes);
             p.applied = snap.applied;
             p.executed_txs = snap.executed_txs;
             p.restore_lane_ledger(&snap);
@@ -484,9 +474,7 @@ impl ExecutionPipeline {
         // after its compaction): applying misaligned records would produce
         // a silently divergent root, so stop at the gap instead — the
         // replica stays at the snapshot frontier and re-fetches the rest
-        // from peers. Each replayed block re-executes through the same
-        // lane-parallel apply as live execution, so the recovered root is
-        // identical for every worker count.
+        // from peers.
         let tail: Vec<WalRecord> = p
             .wal
             .records()
@@ -537,16 +525,6 @@ impl ExecutionPipeline {
     /// Reconstructs a pipeline from byte-shipped parts (in-sim restart and
     /// sync paths): an optional encoded snapshot plus a WAL-tail encoding.
     pub fn from_parts(snapshot: Option<&[u8]>, wal_bytes: &[u8], keyspace: u32) -> Self {
-        Self::from_parts_with(snapshot, wal_bytes, keyspace, DEFAULT_EXEC_LANES)
-    }
-
-    /// [`Self::from_parts`] with an explicit parallel worker count.
-    pub fn from_parts_with(
-        snapshot: Option<&[u8]>,
-        wal_bytes: &[u8],
-        keyspace: u32,
-        exec_lanes: u32,
-    ) -> Self {
         let mut store = SnapshotStore::in_memory();
         if let Some(bytes) = snapshot {
             if let Some(snap) = Snapshot::decode(bytes) {
@@ -559,7 +537,6 @@ impl ExecutionPipeline {
             |_floor| CommitWal::from_flat_bytes(wal_bytes, WalOptions::default()),
             store,
             keyspace,
-            exec_lanes,
         )
     }
 
@@ -640,14 +617,12 @@ impl ExecutionPipeline {
     /// return nothing is staged or in flight and every returned `sn` is
     /// applied. One WAL flush barrier per submitted batch (one fsync per
     /// touched lane group, however many drains accumulated), then the
-    /// batch's ops execute as **one batch-wide dependency DAG** — ops
-    /// from independent blocks overlap in the same waves; conflicting
-    /// ops keep block order — and the per-block ledger advances.
-    /// WAL-before-apply, preserved at batch granularity: a crash before
-    /// a batch's barrier completes loses only unacknowledged blocks, and
-    /// recovery replays a batched log byte-identically to a per-record
-    /// one (the DAG is sequentially equivalent, so replaying record by
-    /// record reproduces the same state).
+    /// batch's ops apply in block order and the per-block ledger
+    /// advances. WAL-before-apply, preserved at batch granularity: a
+    /// crash before a batch's barrier completes loses only
+    /// unacknowledged blocks, and recovery replays a batched log
+    /// byte-identically to a per-record one (replaying record by record
+    /// applies the same ops in the same order).
     ///
     /// Returns the dense `sn` range drained and applied (`start..end`,
     /// empty when nothing was pending) — the node's lifecycle tracer
@@ -675,8 +650,8 @@ impl ExecutionPipeline {
     /// The **pipelined** drain: hands everything staged to the WAL
     /// writer as one flush barrier and applies the *previous* submitted
     /// batch, so batch N's write+fsync proceeds on the writer while this
-    /// thread executes batch N-1's DAG (and stages batch N+1 into
-    /// double-buffered scratch). Acknowledgement and apply happen only
+    /// thread applies batch N-1 (and stages batch N+1 into double-buffered
+    /// scratch). Acknowledgement and apply happen only
     /// when a batch's barrier token resolves — WAL-before-apply holds at
     /// batch granularity, in submission order.
     ///
@@ -742,11 +717,11 @@ impl ExecutionPipeline {
         Some((ok, batch.blocks))
     }
 
-    /// Applies one completed batch's ops as a batch-wide DAG and
-    /// advances the per-block ledger. `ok = false` means the batch's
-    /// barrier failed: the blocks still apply (the WAL mirror is
-    /// authoritative) but the deterministic failure alarm is raised so
-    /// no caller can mistake the range for durable.
+    /// Applies one completed batch's ops as one batch and advances the
+    /// per-block ledger. `ok = false` means the batch's barrier failed:
+    /// the blocks still apply (the WAL mirror is authoritative) but the
+    /// deterministic failure alarm is raised so no caller can mistake
+    /// the range for durable.
     fn apply_blocks(&mut self, blocks: &[(u64, Vec<TxOp>)], ok: bool) -> std::ops::Range<u64> {
         if !ok {
             self.perf.wal_flush_failures += 1;
@@ -755,13 +730,8 @@ impl ExecutionPipeline {
             self.perf.consecutive_flush_failures = 0;
         }
         let first = blocks.first().map_or(self.applied, |(sn, _)| *sn);
-        let total: usize = blocks.iter().map(|(_, ops)| ops.len()).sum();
-        let mut flat: Vec<TxOp> = Vec::with_capacity(total);
-        for (_, ops) in blocks {
-            flat.extend_from_slice(ops);
-        }
         let exec_t0 = std::time::Instant::now();
-        let out = self.kv.apply_batch(&flat);
+        let out = self.kv.apply_batch(blocks.iter().flat_map(|(_, ops)| ops));
         self.absorb_outcome(&out);
         for (sn, ops) in blocks {
             self.account_block(*sn, ops);
@@ -793,9 +763,8 @@ impl ExecutionPipeline {
             .map_or(self.applied, |(sn, _)| sn + 1)
     }
 
-    /// Applies one block's derived ops through the wave executor
-    /// immediately (the recovery-replay path) and accounts it to the
-    /// per-lane ledger.
+    /// Applies one block's derived ops immediately (the recovery-replay
+    /// path) and accounts it to the per-lane ledger.
     fn apply_ops(&mut self, sn: u64, ops: &[TxOp]) -> u64 {
         let out = self.kv.apply_batch(ops);
         self.absorb_outcome(&out);
@@ -803,7 +772,7 @@ impl ExecutionPipeline {
         ops.len() as u64
     }
 
-    /// Folds a batch outcome into the cumulative effect and scheduler
+    /// Folds a batch outcome into the cumulative effect and wave-plan
     /// accounting.
     fn absorb_outcome(&mut self, out: &BatchOutcome) {
         self.effects.absorb(out.effects);
@@ -859,6 +828,7 @@ impl ExecutionPipeline {
         // cover every confirmed block, and compaction may not outrun
         // staged records.
         self.flush_staged();
+        self.kv.fold();
         let lane_covered_sn: Vec<u64> = self
             .lane_last_sn
             .iter()
@@ -918,7 +888,6 @@ impl ExecutionPipeline {
             return false;
         }
         self.kv = KvState::from_entries(snap.entries.iter().copied());
-        self.kv.set_exec_lanes(self.exec_lanes);
         self.applied = snap.applied;
         self.executed_txs = snap.executed_txs;
         self.restore_lane_ledger(snap);
@@ -928,8 +897,9 @@ impl ExecutionPipeline {
         true
     }
 
-    /// Current state root. O([`MERKLE_LANES`]) — folded from the
-    /// incrementally maintained lane roots, independent of state size.
+    /// Current state root. O([`MERKLE_LANES`]) right after a
+    /// checkpoint; otherwise it also hashes the keys written since (see
+    /// [`KvState::root`]).
     pub fn state_root(&self) -> Digest {
         self.kv.root()
     }
@@ -937,11 +907,6 @@ impl ExecutionPipeline {
     /// The ordered lane-root vector of the current state.
     pub fn lane_roots(&self) -> Vec<Digest> {
         self.kv.lane_roots()
-    }
-
-    /// Parallel execution workers this pipeline applies batches with.
-    pub fn exec_lanes(&self) -> u32 {
-        self.exec_lanes
     }
 
     /// Cumulative ops routed to each Merkle lane (length
@@ -1072,9 +1037,8 @@ impl ExecutionPipeline {
         &self.recovery
     }
 
-    /// Cumulative wave-scheduler accounting across every executed batch
-    /// (waves, ops, cross-lane dependency edges) — deterministic and
-    /// worker-count invariant.
+    /// Cumulative wave-plan accounting across every executed batch
+    /// (waves, ops, cross-lane dependency edges) — deterministic.
     pub fn sched_stats(&self) -> ExecSchedStats {
         self.sched
     }
@@ -1113,6 +1077,7 @@ impl ExecutionPipeline {
 mod tests {
     use super::*;
     use crate::kv::DEFAULT_KEYSPACE;
+    use crate::snapshot::hex32;
     use ladon_types::{Batch, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId};
 
     fn block(sn: u64, first_tx: u64, count: u32) -> Block {
@@ -1155,17 +1120,52 @@ mod tests {
     }
 
     #[test]
-    fn roots_are_worker_count_invariant() {
-        let mut roots = Vec::new();
-        for lanes in [1u32, 2, 8, 64] {
-            let mut p = ExecutionPipeline::in_memory_with(DEFAULT_KEYSPACE, lanes);
-            run_blocks(&mut p, 0, 20);
-            roots.push(p.state_root());
-        }
-        assert!(
-            roots.windows(2).all(|w| w[0] == w[1]),
-            "state roots must not depend on exec_lanes: {roots:?}"
+    fn checkpoint_artifacts_are_pinned() {
+        // State root, manifest root and every encoded snapshot byte are
+        // the ones the eager (hash-on-write) accumulator produced for
+        // this drain — so a snapshot written before the lazy fold still
+        // decodes and verifies, and `SNAP_VERSION` did not need to move.
+        let mut p = ExecutionPipeline::in_memory(512);
+        let blocks: Vec<(u64, Block)> = (0..8)
+            .map(|sn| (sn, Block::synthetic(sn, sn * 300, 300)))
+            .collect();
+        p.execute_batch(&blocks);
+        assert_eq!(
+            p.sched_stats(),
+            ExecSchedStats {
+                batches: 1,
+                waves: 126,
+                scheduled_ops: 2400,
+                cross_lane_edges: 1264,
+                max_wave_ops: 36,
+            }
         );
+        let manifest = p.checkpoint(1, vec![]);
+        assert_eq!(
+            hex32(&p.state_root()),
+            "7ae71d00d402c40a7a9ea6e58c90edcfa3880aa1f1ce27ea28dd783c3ed1b38f"
+        );
+        assert_eq!(
+            hex32(&manifest),
+            "8acb7153e977059a4a3c4360a0dcf09083b5c01e5a364af0909364439b4e6ca3"
+        );
+        let bytes = p.latest_snapshot().unwrap().encode();
+        assert_eq!(
+            hex32(&Digest(ladon_crypto::sha256(&bytes))),
+            "b61a825dea3ea49b8f752b0c195a775cc49ebe6cd7727bccc4f5cc12f3338f68"
+        );
+        assert!(Snapshot::decode(&bytes).is_some_and(|s| s.verify()));
+    }
+
+    #[test]
+    fn checkpoint_leaves_the_state_folded() {
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut p, 0, 6);
+        p.checkpoint(0, Vec::new());
+        let before = ladon_crypto::CryptoCounters::snapshot();
+        p.state_root();
+        let spent = ladon_crypto::CryptoCounters::snapshot().since(&before);
+        assert_eq!(spent.hashes, MERKLE_LANES as u64 + 1);
     }
 
     #[test]

@@ -573,7 +573,7 @@ impl WireSize for SnapshotChunk {
 /// Full 64-hex rendering of a digest (chunk file names; collisions in
 /// the 8-hex prefix used for snapshot names would be harmless there but
 /// not for content addressing).
-fn hex32(d: &Digest) -> String {
+pub(crate) fn hex32(d: &Digest) -> String {
     d.0.iter().map(|b| format!("{b:02x}")).collect()
 }
 

@@ -6,12 +6,10 @@ use serde::{Deserialize, Serialize};
 
 /// Number of fixed Merkle lanes the execution keyspace is partitioned
 /// into. This is a *protocol constant*, not a tuning knob: every key maps
-/// to one of these lanes by hash, each lane maintains an incrementally
-/// updated content root, and the checkpoint state root is a digest over
-/// the ordered lane-root vector. Keeping the partition fixed is what makes
-/// the state root bit-identical across replicas regardless of how many
-/// parallel execution workers ([`SystemConfig::exec_lanes`]) each replica
-/// runs — workers merely group lanes; they never change the lane layout.
+/// to one of these lanes by hash, each lane has a content root, and the
+/// checkpoint state root is a digest over the ordered lane-root vector.
+/// Keeping the partition fixed is what makes the state root bit-identical
+/// across replicas.
 pub const MERKLE_LANES: u32 = 64;
 
 /// Network environment preset (§6.1 deployment settings).
@@ -141,11 +139,9 @@ pub struct SystemConfig {
     /// produces nothing for this long. The paper's honest stragglers stay
     /// under this bound so the mechanisms do not fire.
     pub quiet_leader_timeout: TimeNs,
-    /// Parallel execution lanes: how many workers apply a confirmed
-    /// block's ops concurrently. Workers own disjoint groups of the
-    /// [`MERKLE_LANES`] fixed key partitions, so any value in
-    /// `1..=MERKLE_LANES` yields the same state roots — this knob trades
-    /// CPU parallelism only, never determinism.
+    /// Accepted (and validated to `1..=MERKLE_LANES`) for source
+    /// compatibility with `benchmark/`; no effect — execution applies
+    /// ops in block order on one thread.
     pub exec_lanes: u32,
     /// Accounts in the execution key space (the synthetic workload derives
     /// every op over `0..exec_keyspace`).

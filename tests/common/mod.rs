@@ -55,9 +55,6 @@ pub struct ClusterOpts {
     /// Probability each message is silently dropped (robustness tests;
     /// the paper assumes reliable links).
     pub loss_probability: f64,
-    /// Override the parallel execution-lane worker count (the
-    /// fault-scenario matrix runs every fault at ≥ 2 lane counts).
-    pub exec_lanes: Option<u32>,
     /// Override the execution keyspace size.
     pub exec_keyspace: Option<u32>,
     /// Override the cross-drain group-commit threshold (staged WAL
@@ -83,7 +80,6 @@ impl Default for ClusterOpts {
             view_timeout_s: None,
             partitions: Vec::new(),
             loss_probability: 0.0,
-            exec_lanes: None,
             exec_keyspace: None,
             wal_flush_max_records: None,
         }
@@ -101,9 +97,6 @@ pub fn cluster(opts: ClusterOpts) -> TestCluster {
     }
     if let Some(t) = opts.view_timeout_s {
         sys.view_change_timeout = TimeNs::from_secs_f64(t);
-    }
-    if let Some(l) = opts.exec_lanes {
-        sys.exec_lanes = l;
     }
     if let Some(k) = opts.exec_keyspace {
         sys.exec_keyspace = k;

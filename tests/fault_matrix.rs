@@ -21,12 +21,8 @@ use ladon::state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalO
 use ladon::types::{Digest, ProtocolKind, ReplicaId, Round, SystemConfig};
 use std::collections::BTreeMap;
 
-/// The lane counts the disk-full scenario runs at (the degraded →
-/// recovered root must be lane-count invariant like every other root).
-const LANE_MATRIX: [u32; 2] = [1, 4];
-
-fn scratch_dir(tag: &str, k: u32) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ladon-{tag}-{}-{k}", std::process::id()))
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ladon-{tag}-{}", std::process::id()))
 }
 
 fn wal_opts(sys: &SystemConfig) -> WalOptions {
@@ -39,7 +35,7 @@ fn wal_opts(sys: &SystemConfig) -> WalOptions {
 /// Swaps replica 3 for one journaling to `dir` through a fault-injecting
 /// WAL backend driven by `plan` (the plan handle stays with the caller:
 /// its shared atomics script faults mid-run deterministically).
-fn add_faulted_replica(c: &mut TestCluster, dir: &std::path::Path, plan: &FaultPlan, lanes: u32) {
+fn add_faulted_replica(c: &mut TestCluster, dir: &std::path::Path, plan: &FaultPlan) {
     let backend = FaultBackend::new(
         FileBackend::open_dir(dir.join("wal")).unwrap(),
         plan.clone(),
@@ -48,7 +44,7 @@ fn add_faulted_replica(c: &mut TestCluster, dir: &std::path::Path, plan: &FaultP
         dir,
         Box::new(backend),
         c.sys.exec_keyspace,
-        lanes,
+        c.sys.exec_lanes,
         wal_opts(&c.sys),
     )
     .unwrap();
@@ -95,13 +91,18 @@ fn assert_epoch_roots_match(c: &TestCluster, a: usize, b: usize) -> usize {
 /// artifacts and in-memory frontier can be compared exactly, then
 /// asserts a fresh process recovering from the directory reproduces the
 /// applied frontier and root byte-for-byte.
-fn assert_disk_coherent(c: &mut TestCluster, dir: &std::path::Path, lanes: u32, tag: &str) {
+fn assert_disk_coherent(c: &mut TestCluster, dir: &std::path::Path, tag: &str) {
     let n3 = c.engine.actor_as_mut::<MultiBftNode>(3).unwrap();
     n3.exec.flush_staged();
     let applied = n3.exec.applied();
     let root = n3.exec.state_root();
-    let recovered =
-        ExecutionPipeline::recover_opts(dir, c.sys.exec_keyspace, lanes, wal_opts(&c.sys)).unwrap();
+    let recovered = ExecutionPipeline::recover_opts(
+        dir,
+        c.sys.exec_keyspace,
+        c.sys.exec_lanes,
+        wal_opts(&c.sys),
+    )
+    .unwrap();
     assert_eq!(
         recovered.applied(),
         applied,
@@ -121,26 +122,26 @@ fn assert_disk_coherent(c: &mut TestCluster, dir: &std::path::Path, lanes: u32, 
 /// (c) keep retrying on backoff, (d) recover once space frees, and
 /// (e) end with checkpoint roots byte-identical to its never-degraded
 /// peers and a disk image that reproduces its state exactly.
-fn disk_full_degrades_then_recovers_at(lanes: u32) {
-    let dir = scratch_dir("fault-enospc", lanes);
+#[test]
+fn disk_full_degrades_then_recovers() {
+    let dir = scratch_dir("fault-enospc");
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         submit_until_s: 20.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     let plan = FaultPlan::unlimited();
-    add_faulted_replica(&mut c, &dir, &plan, lanes);
+    add_faulted_replica(&mut c, &dir, &plan);
 
     // Healthy warm-up: the replica journals durably.
     c.run_secs(6.0);
     assert_eq!(c.node(3).mode(), NodeMode::Normal);
     assert!(
         c.node(3).exec.applied() > 0,
-        "lanes={lanes}: no execution progress before the fault"
+        "no execution progress before the fault"
     );
 
     // The disk fills while the workload keeps running.
@@ -151,22 +152,22 @@ fn disk_full_degrades_then_recovers_at(lanes: u32) {
         assert_eq!(
             n3.mode(),
             NodeMode::Degraded,
-            "lanes={lanes}: ENOSPC under load must degrade the replica"
+            "ENOSPC under load must degrade the replica"
         );
         assert!(n3.metrics.degraded_entries >= 1);
         assert!(
             n3.metrics.degraded_retries >= 1,
-            "lanes={lanes}: the retry timer must have fired against the \
+            "the retry timer must have fired against the \
              still-full disk"
         );
         assert!(
             n3.metrics.trace.node_event_count("mode_degraded") >= 1,
-            "lanes={lanes}: the transition must reach the trace journal"
+            "the transition must reach the trace journal"
         );
         assert_eq!(
             n3.metrics.trace.node_event_count("mode_normal"),
             0,
-            "lanes={lanes}: no recovery is possible while the disk is full"
+            "no recovery is possible while the disk is full"
         );
     }
 
@@ -179,18 +180,15 @@ fn disk_full_degrades_then_recovers_at(lanes: u32) {
         assert_eq!(
             n3.mode(),
             NodeMode::Normal,
-            "lanes={lanes}: the replica must re-enter Normal once space frees"
+            "the replica must re-enter Normal once space frees"
         );
         assert!(n3.metrics.trace.node_event_count("mode_normal") >= 1);
         assert!(
             n3.metrics.exec.perf.wal_flush_failures > 0,
-            "lanes={lanes}: the outage must have been loud, not silent"
+            "the outage must have been loud, not silent"
         );
         // Execution resumed past the degraded window.
-        assert!(
-            n3.exec.applied() > 0,
-            "lanes={lanes}: no execution after recovery"
-        );
+        assert!(n3.exec.applied() > 0, "no execution after recovery");
     }
     // Checkpoint roots at every epoch shared with a healthy peer are
     // byte-identical: degradation deferred durability, it never forked
@@ -198,19 +196,12 @@ fn disk_full_degrades_then_recovers_at(lanes: u32) {
     let shared = assert_epoch_roots_match(&c, 3, 0);
     assert!(
         shared >= 1,
-        "lanes={lanes}: the recovered replica must checkpoint again \
+        "the recovered replica must checkpoint again \
          (no comparable epochs found)"
     );
     c.assert_agreement(&[0, 1, 2, 3]);
-    assert_disk_coherent(&mut c, &dir, lanes, &format!("enospc lanes={lanes}"));
+    assert_disk_coherent(&mut c, &dir, "enospc");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn disk_full_degrades_then_recovers_lane_matrix() {
-    for lanes in LANE_MATRIX {
-        disk_full_degrades_then_recovers_at(lanes);
-    }
 }
 
 /// Flapping fsync: two separate bursts of fsync failures flutter the
@@ -219,19 +210,17 @@ fn disk_full_degrades_then_recovers_lane_matrix() {
 /// coherent — the flutter never acknowledged an undurable range.
 #[test]
 fn fsync_flutter_degrades_twice_and_stays_coherent() {
-    let lanes = 4;
-    let dir = scratch_dir("fault-flutter", lanes);
+    let dir = scratch_dir("fault-flutter");
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         submit_until_s: 30.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     let plan = FaultPlan::unlimited();
-    add_faulted_replica(&mut c, &dir, &plan, lanes);
+    add_faulted_replica(&mut c, &dir, &plan);
 
     c.run_secs(5.0);
     // First burst: a flush job fsyncs every lane group it staged into,
@@ -270,7 +259,7 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
     let shared = assert_epoch_roots_match(&c, 3, 0);
     assert!(shared >= 1, "flutter: no comparable checkpoint epochs");
     c.assert_agreement(&[0, 1, 2, 3]);
-    assert_disk_coherent(&mut c, &dir, lanes, "flutter");
+    assert_disk_coherent(&mut c, &dir, "flutter");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -280,19 +269,17 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
 /// from peers, and converges.
 #[test]
 fn crash_while_degraded_loses_only_unacknowledged_records() {
-    let lanes = 4;
-    let dir = scratch_dir("fault-crash-degraded", lanes);
+    let dir = scratch_dir("fault-crash-degraded");
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         submit_until_s: 30.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     let plan = FaultPlan::unlimited();
-    add_faulted_replica(&mut c, &dir, &plan, lanes);
+    add_faulted_replica(&mut c, &dir, &plan);
 
     c.run_secs(6.0);
     let _ = plan.clone().enospc_after(0);
@@ -311,9 +298,13 @@ fn crash_while_degraded_loses_only_unacknowledged_records() {
     // artifacts with healthy storage: it holds at most the durable
     // prefix — the staged backlog vanished with the process, and that is
     // legal precisely because it was never acknowledged.
-    let recovered =
-        ExecutionPipeline::recover_opts(&dir, c.sys.exec_keyspace, lanes, wal_opts(&c.sys))
-            .unwrap();
+    let recovered = ExecutionPipeline::recover_opts(
+        &dir,
+        c.sys.exec_keyspace,
+        c.sys.exec_lanes,
+        wal_opts(&c.sys),
+    )
+    .unwrap();
     assert!(
         recovered.applied() <= pre_applied,
         "recovery must not conjure records the live replica never applied"
@@ -469,19 +460,17 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
 /// way production would degrade it: its fault-injected disk fills.
 #[test]
 fn degraded_replica_stops_serving_snapshots_but_serves_entries() {
-    let lanes = 4;
-    let dir = scratch_dir("fault-serve-gate", lanes);
+    let dir = scratch_dir("fault-serve-gate");
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         submit_until_s: 20.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     let plan = FaultPlan::unlimited();
-    add_faulted_replica(&mut c, &dir, &plan, lanes);
+    add_faulted_replica(&mut c, &dir, &plan);
     // A requester trailing replica 3 by a couple of rounds per instance
     // with an empty state machine: the gap is inside the retained log
     // window (entries servable) AND far enough behind in applied terms

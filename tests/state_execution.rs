@@ -4,11 +4,7 @@
 //! The core claim: at every stable checkpoint, all honest replicas'
 //! execution state roots are identical — under healthy runs, under
 //! stragglers, and across a crash + restart that recovers from the
-//! durable snapshot + WAL pair. With the sharded execution lanes the
-//! claim is strengthened to a **fault-scenario matrix**: every fault
-//! scenario runs at ≥ 2 execution-lane counts, and because lane workers
-//! never affect observable state, the runs must produce *identical*
-//! final roots.
+//! durable snapshot + WAL pair.
 
 mod common;
 
@@ -23,11 +19,6 @@ use ladon::types::{Digest, ProtocolKind, Round};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-
-/// The lane counts every fault scenario in the matrix runs at (4 is the
-/// config default; 1 is the degenerate sequential case the sharded roots
-/// must match bit-for-bit).
-const LANE_MATRIX: [u32; 2] = [1, 4];
 
 /// Collects `(epoch → roots reported across replicas)` from a cluster.
 fn roots_by_epoch(c: &TestCluster, replicas: &[usize]) -> BTreeMap<u64, Vec<Digest>> {
@@ -56,16 +47,6 @@ fn assert_root_agreement(c: &TestCluster, replicas: &[usize]) -> usize {
         );
     }
     checked
-}
-
-/// Asserts one fault scenario's per-lane-count final roots are identical:
-/// execution lanes are a parallelism knob, never a semantic one, even
-/// under faults.
-fn assert_lane_invariant(scenario: &str, roots: &[(u32, Digest)]) {
-    assert!(
-        roots.windows(2).all(|w| w[0].1 == w[1].1),
-        "{scenario}: final roots differ across lane counts: {roots:?}"
-    );
 }
 
 /// One metrics path: the node's copy of the pipeline counters is
@@ -254,15 +235,13 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
 }
 
 // ---------------------------------------------------------------------
-// Fault-scenario matrix: every scenario below runs at each lane count in
-// LANE_MATRIX and returns a final root for the cross-lane-count
-// invariance check (the simulation is deterministic per seed, and lane
-// workers must not perturb any observable state).
+// Fault scenarios.
 // ---------------------------------------------------------------------
 
 /// Straggler catch-up: one replica proposes at 1/10 rate with empty
 /// batches; epochs must still checkpoint with unanimous roots.
-fn straggler_catch_up_at(lanes: u32) -> Digest {
+#[test]
+fn straggler_cluster_still_agrees_on_state_roots() {
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
@@ -270,7 +249,6 @@ fn straggler_catch_up_at(lanes: u32) -> Digest {
         straggler_k: 10.0,
         epoch_length: Some(16),
         submit_until_s: 25.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     c.run_secs(30.0);
@@ -278,11 +256,10 @@ fn straggler_catch_up_at(lanes: u32) -> Digest {
     let checked = assert_root_agreement(&c, &[0, 1, 2, 3]);
     assert!(
         checked >= 1,
-        "lanes={lanes}: a straggler must not stop epochs from checkpointing"
+        "a straggler must not stop epochs from checkpointing"
     );
     // The straggler executes the same log as everyone else.
     assert!(c.node(1).metrics.exec.locally_executed_txs > 0);
-    assert_eq!(c.node(0).exec.exec_lanes(), lanes);
     // A straggler is slow to *propose*, not to apply: it never lags the
     // snapshot-serving threshold, so no replica ships snapshot chunks —
     // the minimum-gap policy holds at the serve counters.
@@ -295,35 +272,25 @@ fn straggler_catch_up_at(lanes: u32) -> Digest {
                 m.snapshot_bytes_served
             ),
             (0, 0, 0),
-            "lanes={lanes}: replica {r} served snapshot chunks in a \
-             cluster where nobody's applied frontier lagged"
+            "replica {r} served snapshot chunks in a cluster where \
+             nobody's applied frontier lagged"
         );
     }
     c.assert_agreement(&[0, 1, 2, 3]);
-    c.node(0).exec.state_root()
-}
-
-#[test]
-fn straggler_cluster_still_agrees_on_state_roots_across_lane_counts() {
-    let roots: Vec<(u32, Digest)> = LANE_MATRIX
-        .iter()
-        .map(|&l| (l, straggler_catch_up_at(l)))
-        .collect();
-    assert_lane_invariant("straggler catch-up", &roots);
 }
 
 /// Crash mid-epoch + restart: replica 3 crashes at 6 s; a new process
 /// recovers its execution state from the durable snapshot + WAL pair
 /// (byte-identical root, lane-root vector included), rejoins via state
 /// transfer, and ends the run agreeing with the cluster.
-fn crash_restart_mid_epoch_at(lanes: u32) -> Digest {
+#[test]
+fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         crash: Some((3, 6.0)),
         submit_until_s: 30.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     c.run_secs(10.0);
@@ -336,41 +303,26 @@ fn crash_restart_mid_epoch_at(lanes: u32) -> Digest {
     let pre_crash_applied = crashed.exec.applied();
     assert!(
         pre_crash_applied > 0,
-        "lanes={lanes}: the replica must have executed before crashing"
+        "the replica must have executed before crashing"
     );
     let (snap_bytes, wal_bytes) = crashed.exec.export_parts();
 
-    // Recovery: snapshot install + WAL replay reproduces the exact state,
-    // at *every* lane count (recover with the other lane count too).
-    for recover_lanes in LANE_MATRIX {
-        let recovered = ExecutionPipeline::from_parts_with(
-            snap_bytes.as_deref(),
-            &wal_bytes,
-            c.sys.exec_keyspace,
-            recover_lanes,
-        );
-        assert_eq!(recovered.applied(), pre_crash_applied);
-        assert_eq!(
-            recovered.state_root(),
-            pre_crash_root,
-            "lanes={lanes}→{recover_lanes}: snapshot + WAL replay must \
-             reproduce the pre-crash root"
-        );
-        assert_eq!(
-            recovered.lane_roots(),
-            pre_crash_lane_roots,
-            "lanes={lanes}→{recover_lanes}: recovered lane-root vector \
-             must be byte-identical"
-        );
-    }
+    // Recovery: snapshot install + WAL replay reproduces the exact state.
+    let recovered =
+        ExecutionPipeline::from_parts(snap_bytes.as_deref(), &wal_bytes, c.sys.exec_keyspace);
+    assert_eq!(recovered.applied(), pre_crash_applied);
+    assert_eq!(
+        recovered.state_root(),
+        pre_crash_root,
+        "snapshot + WAL replay must reproduce the pre-crash root"
+    );
+    assert_eq!(
+        recovered.lane_roots(),
+        pre_crash_lane_roots,
+        "recovered lane-root vector must be byte-identical"
+    );
 
     // Restart the process: same replica id, recovered pipeline, no crash.
-    let recovered = ExecutionPipeline::from_parts_with(
-        snap_bytes.as_deref(),
-        &wal_bytes,
-        c.sys.exec_keyspace,
-        lanes,
-    );
     let node = MultiBftNode::with_execution(
         NodeConfig {
             sys: c.sys.clone(),
@@ -389,35 +341,25 @@ fn crash_restart_mid_epoch_at(lanes: u32) -> Digest {
     let r3 = c.node(3);
     assert!(
         r3.metrics.sync_requests > 0,
-        "lanes={lanes}: restarted replica never asked for sync"
+        "restarted replica never asked for sync"
     );
     assert!(
         r3.metrics.sync_installed > 0 || r3.metrics.snapshot_installs > 0,
-        "lanes={lanes}: nothing was installed from peers"
+        "nothing was installed from peers"
     );
     // Execution moved past the recovered frontier.
     assert!(
         r3.exec.applied() > pre_crash_applied,
-        "lanes={lanes}: execution stalled at the recovered frontier ({pre_crash_applied})"
+        "execution stalled at the recovered frontier ({pre_crash_applied})"
     );
     // It rejoined the epoch schedule and agrees on every comparable root.
     assert_eq!(
         r3.epoch(),
         c.node(0).epoch(),
-        "lanes={lanes}: restarted replica must reach the cluster's epoch"
+        "restarted replica must reach the cluster's epoch"
     );
     assert_root_agreement(&c, &[0, 1, 2, 3]);
     c.assert_agreement(&[0, 1, 2]);
-    c.node(0).exec.state_root()
-}
-
-#[test]
-fn restarted_replica_recovers_via_snapshot_and_wal_replay_across_lane_counts() {
-    let roots: Vec<(u32, Digest)> = LANE_MATRIX
-        .iter()
-        .map(|&l| (l, crash_restart_mid_epoch_at(l)))
-        .collect();
-    assert_lane_invariant("crash-restart mid-epoch", &roots);
 }
 
 /// Worst-case restart: the replica lost its disk too (fresh execution
@@ -425,14 +367,14 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay_across_lane_counts() {
 /// quorum-signed stable checkpoint; the replica installs it, fast-forwards
 /// its state machine and consensus intake past the snapshotted history,
 /// and rejoins without re-executing from genesis.
-fn disk_loss_at(lanes: u32) -> Digest {
+#[test]
+fn disk_loss_recovers_via_peer_snapshot_install() {
     let mut c = cluster(ClusterOpts {
         protocol: ProtocolKind::LadonPbft,
         n: 4,
         epoch_length: Some(16),
         crash: Some((3, 6.0)),
         submit_until_s: 30.0,
-        exec_lanes: Some(lanes),
         ..Default::default()
     });
     c.run_secs(12.0);
@@ -454,15 +396,14 @@ fn disk_loss_at(lanes: u32) -> Digest {
     let r3 = c.node(3);
     assert!(
         r3.metrics.snapshot_installs > 0,
-        "lanes={lanes}: a from-zero replica must recover via a peer \
-         snapshot, not log replay"
+        "a from-zero replica must recover via a peer snapshot, not log replay"
     );
     // The fast-forwarded prefix is surfaced, not silent: the replica
     // skipped exactly the confirm records the snapshot covered.
     assert!(
         r3.metrics.skipped_sns > 0,
-        "lanes={lanes}: a snapshot install on a from-zero replica must \
-         report the fast-forwarded prefix as skipped sns"
+        "a snapshot install on a from-zero replica must report the \
+         fast-forwarded prefix as skipped sns"
     );
     assert!(r3.exec.applied() >= healthy_applied);
     assert_eq!(r3.epoch(), c.node(0).epoch());
@@ -482,20 +423,13 @@ fn disk_loss_at(lanes: u32) -> Digest {
         .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
     assert!(
         served > 0 && chunks > 0 && bytes > 0,
-        "lanes={lanes}: a from-zero install must show up in the peers' \
-         serve counters (served={served} chunks={chunks} bytes={bytes})"
+        "a from-zero install must show up in the peers' serve counters \
+         (served={served} chunks={chunks} bytes={bytes})"
     );
     for r in 0..4 {
         assert_eq!(c.node(r).metrics.exec.snapshot_decode_failures, 0);
     }
     assert_root_agreement(&c, &[0, 1, 2, 3]);
-    c.node(0).exec.state_root()
-}
-
-#[test]
-fn disk_loss_recovers_via_peer_snapshot_install_across_lane_counts() {
-    let roots: Vec<(u32, Digest)> = LANE_MATRIX.iter().map(|&l| (l, disk_loss_at(l))).collect();
-    assert_lane_invariant("disk loss + peer snapshot", &roots);
 }
 
 /// Snapshot serving minimum-gap policy: a replica one block behind the
@@ -583,8 +517,8 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
 // artifacts left behind must lose no committed block. Two levels:
 // record-level over a raw CommitWal (exercising the straddler-rewrite
 // window), and pipeline-level through a real checkpoint (snapshot +
-// compaction), with recovery roots asserted byte-identical at worker
-// counts {1, 4}.
+// compaction), with the recovered roots asserted byte-identical to the
+// pre-crash ones.
 // ---------------------------------------------------------------------
 
 /// Storage that "loses power" after a budgeted number of mutating
@@ -720,7 +654,7 @@ fn wal_compaction_crash_matrix_loses_no_record() {
 /// Pipeline-level matrix: a real epoch checkpoint (durable snapshot,
 /// then WAL compaction) is killed after `k` storage ops. Recovery from
 /// the surviving artifacts must reproduce the pre-crash frontier and a
-/// byte-identical root — at 1 worker and at 4 workers.
+/// byte-identical root.
 #[test]
 fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
     let wal_opts = WalOptions {
@@ -750,25 +684,22 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
             p.checkpoint(0, Vec::new());
             (p.state_root(), p.lane_roots())
         };
-        for lanes in LANE_MATRIX {
-            let r =
-                ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, lanes, wal_opts).unwrap();
-            assert_eq!(
-                r.applied(),
-                blocks,
-                "k={k} lanes={lanes}: compaction crash lost committed blocks"
-            );
-            assert_eq!(
-                r.state_root(),
-                pre_root,
-                "k={k} lanes={lanes}: recovered root differs from pre-crash root"
-            );
-            assert_eq!(
-                r.lane_roots(),
-                pre_lane_roots,
-                "k={k} lanes={lanes}: recovered lane-root vector differs"
-            );
-        }
+        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        assert_eq!(
+            r.applied(),
+            blocks,
+            "k={k}: compaction crash lost committed blocks"
+        );
+        assert_eq!(
+            r.state_root(),
+            pre_root,
+            "k={k}: recovered root differs from pre-crash root"
+        );
+        assert_eq!(
+            r.lane_roots(),
+            pre_lane_roots,
+            "k={k}: recovered lane-root vector differs"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -907,34 +838,31 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
                     }
                 }
             };
-            for lanes in LANE_MATRIX {
-                let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, lanes, wal_opts)
-                    .unwrap();
-                assert!(
-                    r.applied() >= acked,
-                    "k={k} lanes={lanes} flush={flush_staged}: an acknowledged \
-                     prefix was lost (recovered {} < acked {acked})",
-                    r.applied()
-                );
-                if !flush_staged {
-                    assert_eq!(
-                        r.applied(),
-                        4,
-                        "k={k} lanes={lanes}: unflushed accumulated records \
-                         must never be acknowledged"
-                    );
-                }
-                // Whatever survived re-executes to the identical root.
-                let mut reference = ExecutionPipeline::in_memory_with(DEFAULT_KEYSPACE, lanes);
-                for sn in 0..r.applied() {
-                    reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
-                }
+            let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+            assert!(
+                r.applied() >= acked,
+                "k={k} flush={flush_staged}: an acknowledged \
+                 prefix was lost (recovered {} < acked {acked})",
+                r.applied()
+            );
+            if !flush_staged {
                 assert_eq!(
-                    r.state_root(),
-                    reference.state_root(),
-                    "k={k} lanes={lanes} flush={flush_staged}"
+                    r.applied(),
+                    4,
+                    "k={k}: unflushed accumulated records \
+                     must never be acknowledged"
                 );
             }
+            // Whatever survived re-executes to the identical root.
+            let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+            for sn in 0..r.applied() {
+                reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+            }
+            assert_eq!(
+                r.state_root(),
+                reference.state_root(),
+                "k={k} flush={flush_staged}"
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -990,8 +918,8 @@ fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
 /// blocks drain through `execute_batch` (stage → one flush barrier →
 /// apply) while storage dies `k` ops in. Recovery from the surviving
 /// artifacts must hold every block of every cleanly-flushed batch and
-/// reproduce, at worker counts {1, 4}, a root byte-identical to a clean
-/// re-execution of exactly the recovered prefix.
+/// reproduce a root byte-identical to a clean re-execution of exactly
+/// the recovered prefix.
 #[test]
 fn batched_execution_crash_matrix_recovers_acked_prefix() {
     let wal_opts = WalOptions {
@@ -1030,35 +958,24 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
                 8
             }
         };
-        let mut roots = Vec::new();
-        for lanes in LANE_MATRIX {
-            let r =
-                ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, lanes, wal_opts).unwrap();
-            assert!(
-                r.applied() >= acked,
-                "k={k} lanes={lanes}: an acknowledged batch was lost \
-                 (recovered {} < acked {acked})",
-                r.applied()
-            );
-            // The recovered prefix — whatever survived past the ack
-            // floor — must re-execute to the identical root.
-            let mut reference = ExecutionPipeline::in_memory_with(DEFAULT_KEYSPACE, lanes);
-            for sn in 0..r.applied() {
-                reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
-            }
-            assert_eq!(
-                r.state_root(),
-                reference.state_root(),
-                "k={k} lanes={lanes}: recovered root diverges from a clean \
-                 re-execution of the recovered prefix"
-            );
-            roots.push((lanes, r.applied(), r.state_root()));
-        }
+        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         assert!(
-            roots
-                .windows(2)
-                .all(|w| (w[0].1, w[0].2) == (w[1].1, w[1].2)),
-            "k={k}: recovery differs across worker counts: {roots:?}"
+            r.applied() >= acked,
+            "k={k}: an acknowledged batch was lost \
+             (recovered {} < acked {acked})",
+            r.applied()
+        );
+        // The recovered prefix — whatever survived past the ack
+        // floor — must re-execute to the identical root.
+        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        for sn in 0..r.applied() {
+            reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+        }
+        assert_eq!(
+            r.state_root(),
+            reference.state_root(),
+            "k={k}: recovered root diverges from a clean \
+             re-execution of the recovered prefix"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1244,8 +1161,8 @@ fn failed_flush_barrier_raises_alarm_through_report() {
 /// double-buffered scratch mid-flight. Sweep contract, at every `k`:
 /// no acknowledgement before durability (nothing past a clean-barrier
 /// prefix is trusted), the staged-while-in-flight accumulation is never
-/// acknowledged, and recovery roots are byte-identical at worker counts
-/// {1, 4} and equal a clean re-execution of the recovered prefix.
+/// acknowledged, and the recovered root equals a clean re-execution of
+/// the recovered prefix.
 #[test]
 fn writer_thread_crash_matrix_never_acks_before_durability() {
     let wal_opts = WalOptions {
@@ -1316,39 +1233,28 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
             }
             // Process dies here: batch 4 (sns 6..8) was never flushed.
         };
-        let mut roots = Vec::new();
-        for lanes in LANE_MATRIX {
-            let r =
-                ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, lanes, wal_opts).unwrap();
-            assert!(
-                r.applied() >= acked,
-                "k={k} lanes={lanes}: an acknowledged prefix was lost \
-                 (recovered {} < acked {acked})",
-                r.applied()
-            );
-            assert!(
-                r.applied() <= 6,
-                "k={k} lanes={lanes}: the unflushed double-buffered \
-                 accumulation must never be acknowledged (recovered {})",
-                r.applied()
-            );
-            let mut reference = ExecutionPipeline::in_memory_with(DEFAULT_KEYSPACE, lanes);
-            for sn in 0..r.applied() {
-                reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
-            }
-            assert_eq!(
-                r.state_root(),
-                reference.state_root(),
-                "k={k} lanes={lanes}: recovered root diverges from a clean \
-                 re-execution of the recovered prefix"
-            );
-            roots.push((lanes, r.applied(), r.state_root()));
-        }
+        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         assert!(
-            roots
-                .windows(2)
-                .all(|w| (w[0].1, w[0].2) == (w[1].1, w[1].2)),
-            "k={k}: recovery differs across worker counts: {roots:?}"
+            r.applied() >= acked,
+            "k={k}: an acknowledged prefix was lost \
+             (recovered {} < acked {acked})",
+            r.applied()
+        );
+        assert!(
+            r.applied() <= 6,
+            "k={k}: the unflushed double-buffered \
+             accumulation must never be acknowledged (recovered {})",
+            r.applied()
+        );
+        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        for sn in 0..r.applied() {
+            reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+        }
+        assert_eq!(
+            r.state_root(),
+            reference.state_root(),
+            "k={k}: recovered root diverges from a clean \
+             re-execution of the recovered prefix"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

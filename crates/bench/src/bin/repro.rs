@@ -22,13 +22,12 @@ use std::time::Instant;
 
 use ladon_bench::{recovery_figure, snapshot_delta_figure};
 use ladon_core::sync::SYNC_QUARANTINE_THRESHOLD;
-use ladon_core::{Behavior, MultiBftNode, NodeConfig, NodeMode, NodeMsg};
-use ladon_crypto::KeyRegistry;
+use ladon_core::{MultiBftNode, NodeMode, NodeMsg};
 use ladon_obs::{fields, BenchReport, Json, BENCH_JSON_ENV};
-use ladon_sim::{Engine, NicNetwork, RecordingCtx, Topology};
+use ladon_sim::RecordingCtx;
 use ladon_state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
-use ladon_types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
-use ladon_workload::{run_experiment, ClientFleet, ExperimentConfig, Report};
+use ladon_types::{NetEnv, ProtocolKind, ReplicaId};
+use ladon_workload::{run_experiment, Deployment, ExperimentConfig, Report};
 
 const TARGETS: [&str; 9] = [
     "fig2_straggler_impact",
@@ -266,76 +265,45 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
 /// the threshold quarantines its sender. All gates are deterministic
 /// counts under the smoke seed.
 fn fault_matrix_fields(pass: &str) -> Vec<(String, Json)> {
-    let n = 4usize;
     let dir: PathBuf =
         std::env::temp_dir().join(format!("ladon-repro-faults-{pass}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut sys = SystemConfig::paper_default(n, NetEnv::Lan);
-    sys.epoch_length = 16;
-    sys.snapshot_min_lag = sys.snapshot_min_lag.min(16);
-    sys.validate().expect("smoke fault config");
-    let registry = KeyRegistry::generate(n, sys.opt_keys, SMOKE_SEED ^ 0x5eed);
-    let mut engine: Engine<NodeMsg> = Engine::new(
-        NicNetwork::new(Topology::paper(NetEnv::Lan, n + 1)),
-        SMOKE_SEED,
+    let mut d = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 12.0)
+            .with_epoch_length(16)
+            .with_seed(SMOKE_SEED),
     );
-    let node_cfg = |r: usize| NodeConfig {
-        sys: sys.clone(),
-        protocol: ProtocolKind::LadonPbft,
-        me: ReplicaId(r as u32),
-        registry: registry.clone(),
-        behavior: Behavior::default(),
-        sample_interval: None,
-    };
-    for r in 0..n {
-        engine.add_actor(Box::new(MultiBftNode::new(node_cfg(r))));
-    }
-    let tx_rate = sys.total_block_rate * sys.batch_size as f64;
-    engine.add_actor(Box::new(ClientFleet::new(
-        n,
-        sys.m,
-        tx_rate,
-        sys.tx_bytes,
-        TimeNs::from_secs_f64(12.0),
-    )));
     // Replica 3 journals durably through the fault-injecting backend.
     let plan = FaultPlan::unlimited();
     let backend = FaultBackend::new(
         FileBackend::open_dir(dir.join("wal")).expect("open faulted wal dir"),
         plan.clone(),
     );
-    let wal_opts = WalOptions {
-        lane_groups: sys.wal_lane_groups,
-        segment_records: sys.wal_segment_records,
-    };
     let exec = ExecutionPipeline::recover_backend(
         &dir,
         Box::new(backend),
-        sys.exec_keyspace,
-        sys.exec_lanes,
-        wal_opts,
+        d.sys.exec_keyspace,
+        d.sys.exec_lanes,
+        WalOptions::from(&d.sys),
     )
     .expect("recover faulted pipeline");
-    engine.restart_actor(3, Box::new(MultiBftNode::with_execution(node_cfg(3), exec)));
+    d.swap_replica(3, exec);
 
     // Healthy warm-up, then the disk fills under live load.
-    engine.run_until(TimeNs::from_secs_f64(4.0));
+    d.run_secs(4.0);
     let _ = plan.clone().enospc_after(0);
-    engine.run_until(TimeNs::from_secs_f64(9.0));
-    {
-        let n3 = engine.actor_as::<MultiBftNode>(3).expect("replica 3");
-        assert_eq!(
-            n3.mode(),
-            NodeMode::Degraded,
-            "ENOSPC under load must degrade the replica"
-        );
-    }
+    d.run_secs(9.0);
+    assert_eq!(
+        d.node(3).mode(),
+        NodeMode::Degraded,
+        "ENOSPC under load must degrade the replica"
+    );
     // Space frees; the next backoff retry repairs and the node recovers.
     plan.free_space();
-    engine.run_until(TimeNs::from_secs_f64(30.0));
+    d.run_secs(30.0);
     let (degraded_entries, degraded_retries, recovered, flush_failures) = {
-        let n3 = engine.actor_as::<MultiBftNode>(3).expect("replica 3");
+        let n3 = d.node(3);
         assert_eq!(n3.mode(), NodeMode::Normal, "replica must recover");
         assert!(n3.metrics.degraded_entries >= 1);
         assert!(n3.metrics.degraded_retries >= 1);
@@ -350,8 +318,8 @@ fn fault_matrix_fields(pass: &str) -> Vec<(String, Json)> {
     // Responder health: a from-zero requester installs an honest
     // snapshot, then a peer replays the same (now stale, still signed)
     // response past the threshold and is quarantined.
-    let responder = engine.actor_as::<MultiBftNode>(0).expect("replica 0");
-    let mut requester = MultiBftNode::new(node_cfg(3));
+    let responder = d.node(0);
+    let mut requester = MultiBftNode::new(d.node_config(3));
     let mut ctx = RecordingCtx::<NodeMsg>::new(3, SMOKE_SEED);
     let req = requester.build_sync_request();
     let honest = responder

@@ -25,7 +25,7 @@
 
 use ladon_crypto::keys::Signer;
 use ladon_crypto::{AggregateSignature, KeyRegistry, Signature};
-use ladon_types::{sizes, Digest, Epoch, Rank, ReplicaId, SystemConfig, TimeNs, WireSize};
+use ladon_types::{sizes, Digest, Epoch, Rank, ReplicaId, SystemConfig, WireSize};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,8 +120,6 @@ impl WireSize for StableCheckpoint {
 /// What the pacemaker asks the node to do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EpochEvent {
-    /// Broadcast this checkpoint message (we completed the epoch).
-    BroadcastCheckpoint(CheckpointMsg),
     /// A stable checkpoint formed: advance to the new epoch with the given
     /// rank range.
     Advance {
@@ -137,9 +135,7 @@ pub enum EpochEvent {
 /// The per-replica epoch pacemaker.
 pub struct EpochPacemaker {
     epoch: Epoch,
-    epoch_length: u64,
-    m: usize,
-    quorum: usize,
+    sys: SystemConfig,
     /// Instances that committed their `maxRank(e)` block this epoch.
     reached: BTreeSet<usize>,
     /// Checkpoint votes per epoch: signer → (claimed root, signature).
@@ -150,8 +146,6 @@ pub struct EpochPacemaker {
     /// we finish the epoch locally (peers moved on and will not re-send
     /// their individual checkpoint votes).
     pending_stable: BTreeMap<Epoch, StableCheckpoint>,
-    /// Total replica count (aggregate-signature bitmap width).
-    n: usize,
     sent_checkpoint: bool,
     /// The root we signed for the current epoch (set by
     /// [`Self::make_checkpoint`]).
@@ -162,8 +156,6 @@ pub struct EpochPacemaker {
     pub root_conflicts: u64,
     /// Epochs whose divergent quorum has already been counted.
     conflicted: BTreeSet<Epoch>,
-    /// Timestamped epoch advances (metrics: Fig. 8 epoch-change dips).
-    pub advances: Vec<(TimeNs, Epoch)>,
 }
 
 impl EpochPacemaker {
@@ -171,18 +163,14 @@ impl EpochPacemaker {
     pub fn new(cfg: &SystemConfig) -> Self {
         Self {
             epoch: Epoch(0),
-            epoch_length: cfg.epoch_length,
-            m: cfg.m,
-            quorum: cfg.quorum(),
+            sys: cfg.clone(),
             reached: BTreeSet::new(),
             votes: BTreeMap::new(),
             pending_stable: BTreeMap::new(),
-            n: cfg.n,
             sent_checkpoint: false,
             my_root: None,
             root_conflicts: 0,
             conflicted: BTreeSet::new(),
-            advances: Vec::new(),
         }
     }
 
@@ -192,7 +180,7 @@ impl EpochPacemaker {
     pub fn stable_checkpoint(&self, epoch: Epoch) -> Option<StableCheckpoint> {
         if let Some(votes) = self.votes.get(&epoch) {
             if let Some((root, shares)) = self.quorum_group(votes) {
-                if let Some(agg) = AggregateSignature::aggregate(&shares, self.n) {
+                if let Some(agg) = AggregateSignature::aggregate(&shares, self.sys.n) {
                     return Some(StableCheckpoint {
                         epoch,
                         state_root: root,
@@ -213,12 +201,13 @@ impl EpochPacemaker {
         &self,
         votes: &BTreeMap<ReplicaId, (Digest, Signature)>,
     ) -> Option<(Digest, Vec<Signature>)> {
+        let quorum = self.sys.quorum();
         let mut by_root: BTreeMap<Digest, Vec<Signature>> = BTreeMap::new();
         for (root, sig) in votes.values() {
             by_root.entry(*root).or_default().push(*sig);
         }
         by_root.into_iter().find_map(|(root, sigs)| {
-            (sigs.len() >= self.quorum).then(|| (root, sigs[..self.quorum].to_vec()))
+            (sigs.len() >= quorum).then(|| (root, sigs[..quorum].to_vec()))
         })
     }
 
@@ -237,15 +226,9 @@ impl EpochPacemaker {
         self.epoch
     }
 
-    /// Rank range of an epoch.
-    pub fn rank_range(&self, e: Epoch) -> (Rank, Rank) {
-        let min = e.0 * self.epoch_length;
-        (Rank(min), Rank(min + self.epoch_length - 1))
-    }
-
     /// `maxRank` of the current epoch.
     pub fn max_rank(&self) -> Rank {
-        self.rank_range(self.epoch).1
+        self.sys.rank_range(self.epoch).1
     }
 
     /// Notifies the pacemaker that `instance` partially committed a block
@@ -256,7 +239,7 @@ impl EpochPacemaker {
         if rank == self.max_rank() {
             self.reached.insert(instance);
         }
-        !self.sent_checkpoint && self.reached.len() == self.m
+        !self.sent_checkpoint && self.reached.len() == self.sys.m
     }
 
     /// Builds (and records) our checkpoint for the completed epoch at the
@@ -282,7 +265,6 @@ impl EpochPacemaker {
         from: ReplicaId,
         msg: &CheckpointMsg,
         registry: &KeyRegistry,
-        now: TimeNs,
     ) -> Option<EpochEvent> {
         if msg.epoch < self.epoch || from != msg.sig.signer() || !msg.verify(registry) {
             return None;
@@ -293,7 +275,7 @@ impl EpochPacemaker {
             let my_root = self.my_root.expect("sent_checkpoint implies my_root");
             if let Some((root, _)) = self.quorum_group(&self.votes[&self.epoch]) {
                 if root == my_root {
-                    return Some(self.advance_to_next(now));
+                    return Some(self.advance_to_next());
                 }
                 // A quorum agreed on a root we did not execute: divergence.
                 self.note_conflict(msg.epoch);
@@ -310,14 +292,13 @@ impl EpochPacemaker {
         &mut self,
         sc: &StableCheckpoint,
         registry: &KeyRegistry,
-        now: TimeNs,
     ) -> Option<EpochEvent> {
-        if sc.epoch < self.epoch || !sc.verify(registry, self.quorum) {
+        if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
             return None;
         }
         if sc.epoch == self.epoch && self.sent_checkpoint {
             if self.my_root == Some(sc.state_root) {
-                return Some(self.advance_to_next(now));
+                return Some(self.advance_to_next());
             }
             self.note_conflict(sc.epoch);
             return None;
@@ -329,13 +310,13 @@ impl EpochPacemaker {
     /// Applies a stashed stable checkpoint once the local epoch completes
     /// (call after [`Self::make_checkpoint`]). A stashed checkpoint whose
     /// root contradicts our execution is a conflict, not an advance.
-    pub fn try_pending_advance(&mut self, now: TimeNs) -> Option<EpochEvent> {
+    pub fn try_pending_advance(&mut self) -> Option<EpochEvent> {
         if !self.sent_checkpoint {
             return None;
         }
         if let Some(sc) = self.pending_stable.get(&self.epoch) {
             if self.my_root == Some(sc.state_root) {
-                return Some(self.advance_to_next(now));
+                return Some(self.advance_to_next());
             }
             let epoch = sc.epoch;
             self.note_conflict(epoch);
@@ -355,13 +336,12 @@ impl EpochPacemaker {
         &mut self,
         sc: &StableCheckpoint,
         registry: &KeyRegistry,
-        now: TimeNs,
     ) -> Option<EpochEvent> {
-        if sc.epoch < self.epoch || !sc.verify(registry, self.quorum) {
+        if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
             return None;
         }
         let next = Epoch(sc.epoch.0 + 1);
-        let (min, max) = self.rank_range(next);
+        let (min, max) = self.sys.rank_range(next);
         self.epoch = next;
         self.reached.clear();
         self.sent_checkpoint = false;
@@ -370,7 +350,6 @@ impl EpochPacemaker {
         self.pending_stable.retain(|e, _| e.0 + 1 >= next.0);
         // Keep the checkpoint: we can serve it onward to other laggers.
         self.pending_stable.insert(sc.epoch, sc.clone());
-        self.advances.push((now, next));
         Some(EpochEvent::Advance {
             epoch: next,
             min,
@@ -385,9 +364,9 @@ impl EpochPacemaker {
         }
     }
 
-    fn advance_to_next(&mut self, now: TimeNs) -> EpochEvent {
+    fn advance_to_next(&mut self) -> EpochEvent {
         let next = self.epoch.next();
-        let (min, max) = self.rank_range(next);
+        let (min, max) = self.sys.rank_range(next);
         self.epoch = next;
         self.reached.clear();
         self.sent_checkpoint = false;
@@ -396,7 +375,6 @@ impl EpochPacemaker {
         // checkpoint is what we serve to lagging replicas.
         self.votes.retain(|e, _| e.0 + 1 >= next.0);
         self.pending_stable.retain(|e, _| e.0 + 1 >= next.0);
-        self.advances.push((now, next));
         EpochEvent::Advance {
             epoch: next,
             min,
@@ -432,7 +410,7 @@ mod tests {
     fn complete_epoch(p: &mut EpochPacemaker, reg: &KeyRegistry, me: u32) -> CheckpointMsg {
         let max = p.max_rank();
         let mut ready = false;
-        for i in 0..p.m {
+        for i in 0..p.sys.m {
             ready = p.on_commit(i, max);
         }
         assert!(ready, "all instances at maxRank must complete the epoch");
@@ -461,11 +439,9 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         // Two more matching votes (quorum = 3 for n = 4).
         let m1 = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        assert!(p
-            .on_checkpoint(ReplicaId(1), &m1, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(1), &m1, &reg).is_none());
         let m2 = CheckpointMsg::sign(&reg.signer(ReplicaId(2)), Epoch(0), root());
-        let adv = p.on_checkpoint(ReplicaId(2), &m2, &reg, TimeNs::from_secs(3));
+        let adv = p.on_checkpoint(ReplicaId(2), &m2, &reg);
         match adv {
             Some(EpochEvent::Advance { epoch, min, max }) => {
                 assert_eq!(epoch, Epoch(1));
@@ -475,7 +451,6 @@ mod tests {
             other => panic!("expected advance, got {other:?}"),
         }
         assert_eq!(p.epoch(), Epoch(1));
-        assert_eq!(p.advances.len(), 1);
         assert_eq!(p.root_conflicts, 0);
     }
 
@@ -488,24 +463,18 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), other_root());
-            assert!(p
-                .on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO)
-                .is_none());
+            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
         }
         assert_eq!(p.epoch(), Epoch(0));
         assert_eq!(p.root_conflicts, 0, "no quorum on either root yet");
         let m = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), other_root());
-        assert!(p
-            .on_checkpoint(ReplicaId(3), &m, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(3), &m, &reg).is_none());
         assert_eq!(p.epoch(), Epoch(0), "divergent quorum must not advance us");
         assert_eq!(p.root_conflicts, 1);
         // Re-confirming messages for the same divergence do not inflate
         // the incident count.
         let again = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), other_root());
-        assert!(p
-            .on_checkpoint(ReplicaId(3), &again, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(3), &again, &reg).is_none());
         assert_eq!(p.root_conflicts, 1);
     }
 
@@ -515,16 +484,12 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         // Signature from replica 1 but claimed from replica 2.
         let forged = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        assert!(p
-            .on_checkpoint(ReplicaId(2), &forged, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(2), &forged, &reg).is_none());
         // Tampered root after signing.
         let mut tampered = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
         tampered.state_root = other_root();
         assert!(!tampered.verify(&reg));
-        assert!(p
-            .on_checkpoint(ReplicaId(1), &tampered, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(1), &tampered, &reg).is_none());
     }
 
     #[test]
@@ -534,15 +499,13 @@ mod tests {
         let (mut p, reg) = setup(1);
         for r in 1..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            assert!(p
-                .on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO)
-                .is_none());
+            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
         }
         // Now we finish locally; the next checkpoint (any, even a
         // duplicate) completes it.
         complete_epoch(&mut p, &reg, 0);
         let m = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        let adv = p.on_checkpoint(ReplicaId(1), &m, &reg, TimeNs::ZERO);
+        let adv = p.on_checkpoint(ReplicaId(1), &m, &reg);
         assert!(matches!(adv, Some(EpochEvent::Advance { .. })));
     }
 
@@ -553,7 +516,7 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO);
+            p.on_checkpoint(ReplicaId(r), &m, &reg);
         }
         // Advanced to epoch 1; epoch 0's stable checkpoint is retained.
         assert_eq!(p.epoch(), Epoch(1));
@@ -570,13 +533,13 @@ mod tests {
         // Three peers checkpoint epoch 0 while we never committed maxRank.
         for r in 1..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO);
+            p.on_checkpoint(ReplicaId(r), &m, &reg);
         }
         assert!(p.lag_evidence(), "quorum completed an epoch we did not");
         // Once we complete it ourselves the evidence clears (we advance).
         complete_epoch(&mut p, &reg, 0);
         let m = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        p.on_checkpoint(ReplicaId(1), &m, &reg, TimeNs::ZERO);
+        p.on_checkpoint(ReplicaId(1), &m, &reg);
         assert_eq!(p.epoch(), Epoch(1));
         assert!(!p.lag_evidence());
     }
@@ -591,17 +554,17 @@ mod tests {
         complete_epoch(&mut donor, &reg, 1);
         for r in 2..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            donor.on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO);
+            donor.on_checkpoint(ReplicaId(r), &m, &reg);
         }
         let sc = donor.stable_checkpoint(Epoch(0)).expect("donor quorum");
         assert_eq!(sc.state_root, root());
 
         // Receiving it early: stashed, no advance.
-        assert!(p.on_stable_checkpoint(&sc, &reg, TimeNs::ZERO).is_none());
+        assert!(p.on_stable_checkpoint(&sc, &reg).is_none());
         assert_eq!(p.epoch(), Epoch(0));
         // Local completion with the same root: the stash applies.
         complete_epoch(&mut p, &reg, 0);
-        let adv = p.try_pending_advance(TimeNs::from_secs(1));
+        let adv = p.try_pending_advance();
         assert!(matches!(adv, Some(EpochEvent::Advance { .. })));
         assert_eq!(p.epoch(), Epoch(1));
         // The replica that advanced via a fetched checkpoint can serve it
@@ -617,23 +580,19 @@ mod tests {
         complete_epoch(&mut donor, &reg, 1);
         for r in 2..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            donor.on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO);
+            donor.on_checkpoint(ReplicaId(r), &m, &reg);
         }
         let good = donor.stable_checkpoint(Epoch(0)).expect("donor quorum");
         let mut bad_epoch = good.clone();
         bad_epoch.epoch = Epoch(1); // signatures no longer cover the epoch
-        assert!(p
-            .on_stable_checkpoint(&bad_epoch, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_stable_checkpoint(&bad_epoch, &reg).is_none());
         assert!(
             p.stable_checkpoint(Epoch(1)).is_none(),
             "a forged checkpoint must not be stashed"
         );
         let mut bad_root = good;
         bad_root.state_root = other_root(); // root swap breaks signatures
-        assert!(p
-            .on_stable_checkpoint(&bad_root, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_stable_checkpoint(&bad_root, &reg).is_none());
     }
 
     #[test]
@@ -642,12 +601,10 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg, TimeNs::ZERO);
+            p.on_checkpoint(ReplicaId(r), &m, &reg);
         }
         assert_eq!(p.epoch(), Epoch(1));
         let stale = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), root());
-        assert!(p
-            .on_checkpoint(ReplicaId(3), &stale, &reg, TimeNs::ZERO)
-            .is_none());
+        assert!(p.on_checkpoint(ReplicaId(3), &stale, &reg).is_none());
     }
 }

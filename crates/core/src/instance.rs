@@ -202,6 +202,15 @@ impl Instance {
         }
     }
 
+    /// Messages the instance refused at its door.
+    #[cfg(test)]
+    pub(crate) fn rejected(&self) -> u64 {
+        match &self.proto {
+            Proto::Pbft(inst) => inst.rejected,
+            Proto::Hs(inst) => inst.rejected,
+        }
+    }
+
     /// Highest contiguously committed round (PBFT) or height (HotStuff).
     pub fn committed_upto(&self) -> Round {
         match &self.proto {

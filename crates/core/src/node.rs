@@ -87,6 +87,32 @@ enum Orderer {
     Dqbft(DqbftOrderer),
 }
 
+impl GlobalOrderer for Orderer {
+    fn on_partial_commit(&mut self, block: Block, now: TimeNs) -> Vec<ConfirmedBlock> {
+        match self {
+            Orderer::Ladon(o) => o.on_partial_commit(block, now),
+            Orderer::Pre(o) => o.on_partial_commit(block, now),
+            Orderer::Dqbft(o) => o.on_partial_commit(block, now),
+        }
+    }
+
+    fn confirmed_count(&self) -> u64 {
+        match self {
+            Orderer::Ladon(o) => o.confirmed_count(),
+            Orderer::Pre(o) => o.confirmed_count(),
+            Orderer::Dqbft(o) => o.confirmed_count(),
+        }
+    }
+
+    fn waiting_count(&self) -> usize {
+        match self {
+            Orderer::Ladon(o) => o.waiting_count(),
+            Orderer::Pre(o) => o.waiting_count(),
+            Orderer::Dqbft(o) => o.waiting_count(),
+        }
+    }
+}
+
 /// State-transfer probe period.
 const SYNC_PERIOD: TimeNs = TimeNs::from_millis(1000);
 
@@ -101,12 +127,14 @@ enum Drain {
     Full,
 }
 
-/// Arms `timer` on the calling node.
+/// Arms `timer` on the calling node. Views and rounds originate in peer
+/// messages, so a timer whose fields do not fit an id is not armed rather
+/// than trusted to fit: the instance doors reject such a view before it
+/// gets here, and a lost liveness timer is the worst a miss can cost.
 fn arm(ctx: &mut dyn Context<NodeMsg>, delay: TimeNs, timer: Timer) {
-    let id = timer
-        .encode()
-        .expect("views stay below 2^16 and rounds below 2^28 in any run a node can host");
-    ctx.set_timer(delay, id);
+    if let Ok(id) = timer.encode() {
+        ctx.set_timer(delay, id);
+    }
 }
 
 /// The Multi-BFT replica.
@@ -155,10 +183,7 @@ impl MultiBftNode {
         let exec = ExecutionPipeline::in_memory_opts(
             cfg.sys.exec_keyspace,
             cfg.sys.exec_lanes,
-            ladon_state::WalOptions {
-                lane_groups: cfg.sys.wal_lane_groups,
-                segment_records: cfg.sys.wal_segment_records,
-            },
+            ladon_state::WalOptions::from(&cfg.sys),
         );
         Self::with_execution(cfg, exec)
     }
@@ -242,20 +267,12 @@ impl MultiBftNode {
 
     /// Read access to the orderer's confirmed count.
     pub fn confirmed_count(&self) -> u64 {
-        match &self.orderer {
-            Orderer::Ladon(o) => o.confirmed_count(),
-            Orderer::Pre(o) => o.confirmed_count(),
-            Orderer::Dqbft(o) => o.confirmed_count(),
-        }
+        self.orderer.confirmed_count()
     }
 
     /// Blocks partially committed but awaiting global confirmation.
     pub fn waiting_count(&self) -> usize {
-        match &self.orderer {
-            Orderer::Ladon(o) => o.waiting_count(),
-            Orderer::Pre(o) => o.waiting_count(),
-            Orderer::Dqbft(o) => o.waiting_count(),
-        }
+        self.orderer.waiting_count()
     }
 
     /// The replica's current certified rank.
@@ -344,16 +361,9 @@ impl MultiBftNode {
         // and must be executed *before* the checkpoint's state root is
         // computed, so the root covers the whole epoch deterministically.
         let confirmed: Vec<ConfirmedBlock> = match &mut self.orderer {
-            Orderer::Ladon(o) => o.on_partial_commit(block, now),
-            Orderer::Pre(o) => o.on_partial_commit(block, now),
-            Orderer::Dqbft(o) => {
-                if i == self.cfg.sys.m {
-                    // The ordering instance sequenced a reference batch.
-                    o.on_sequenced(&block.batch.refs, now)
-                } else {
-                    o.on_partial_commit(block, now)
-                }
-            }
+            // The ordering instance sequenced a reference batch.
+            Orderer::Dqbft(o) if i == self.cfg.sys.m => o.on_sequenced(&block.batch.refs, now),
+            o => o.on_partial_commit(block, now),
         };
         self.record_confirms(confirmed, now);
 
@@ -438,7 +448,7 @@ impl MultiBftNode {
         let msg = NodeMsg::Checkpoint(pm.make_checkpoint(&signer, root));
         // A stable checkpoint fetched earlier via state transfer may
         // already prove this epoch complete.
-        let pending_advance = pm.try_pending_advance(now);
+        let pending_advance = pm.try_pending_advance();
         ctx.multicast(&self.peers, msg);
         self.on_epoch_event(pending_advance, ctx);
     }
@@ -647,11 +657,10 @@ impl MultiBftNode {
                 }
             }
             NodeMsg::Checkpoint(cp) => {
-                let now = ctx.now();
                 let Some(pm) = &mut self.pacemaker else {
                     return;
                 };
-                let ev = pm.on_checkpoint(from, &cp, &self.cfg.registry, now);
+                let ev = pm.on_checkpoint(from, &cp, &self.cfg.registry);
                 self.on_epoch_event(ev, ctx);
                 self.sync_pacemaker_metrics();
             }
@@ -773,7 +782,7 @@ impl MultiBftNode {
     /// when it has nothing useful. Pure with respect to the network (the
     /// sync tests drive it directly): log entries past the requester's
     /// frontier, plus — only when the requester's applied frontier lags
-    /// our latest snapshot by at least `sys.snapshot_min_lag` blocks
+    /// our latest snapshot by at least `sys.snapshot_min_lag()` blocks
     /// ([`crate::sync::snapshot_worthwhile`]) — the snapshot *head* and
     /// its proving checkpoint, with per-lane chunks for only the lanes
     /// whose roots differ from the requester's advertisement (delta
@@ -825,7 +834,7 @@ impl MultiBftNode {
                     && crate::sync::snapshot_worthwhile(
                         snap.applied,
                         req.applied,
-                        self.cfg.sys.snapshot_min_lag,
+                        self.cfg.sys.snapshot_min_lag(),
                     )
             });
             if let Some(snap) = servable {
@@ -929,7 +938,7 @@ impl MultiBftNode {
                         let ev = self
                             .pacemaker
                             .as_mut()
-                            .and_then(|p| p.fast_forward(cp, &self.cfg.registry, now));
+                            .and_then(|p| p.fast_forward(cp, &self.cfg.registry));
                         self.on_epoch_event(ev, ctx);
                     }
                 }
@@ -955,9 +964,9 @@ impl MultiBftNode {
                     // waiting for local completion could strand us. Jump
                     // the pacemaker; execution still proceeds strictly in
                     // confirmed order as entries install.
-                    p.fast_forward(cp, &self.cfg.registry, now)
+                    p.fast_forward(cp, &self.cfg.registry)
                 } else {
-                    p.on_stable_checkpoint(cp, &self.cfg.registry, now)
+                    p.on_stable_checkpoint(cp, &self.cfg.registry)
                 }
             });
             self.on_epoch_event(ev, ctx);
@@ -1312,6 +1321,46 @@ mod tests {
             let got = delivery_has_effect(host, 0, msg.clone());
             assert_eq!(got, handled, "{host:?} <- {msg:?}");
         }
+    }
+
+    /// One proposal from one Byzantine replica, valid in everything but a
+    /// view no timer id can carry: the instance door counts a rejection
+    /// and nothing else happens — no view adopted, no vote, no timer (the
+    /// vote's round timer used to panic `arm` on every honest node).
+    #[test]
+    fn hotstuff_proposal_in_an_unrepresentable_view_is_rejected() {
+        use ladon_hotstuff::msg::{node_bytes, DOMAIN_GENERIC};
+        use ladon_hotstuff::HsMsg;
+        let byz = ReplicaId(2);
+        // Instance 0's leader in view `v` is replica `v % n`.
+        let view = ladon_types::View((1 << 16) + byz.0 as u64);
+        let NodeMsg::Hs {
+            instance,
+            msg: HsMsg::Generic(mut g),
+        } = first_proposal(ProtocolKind::LadonHotStuff)
+        else {
+            panic!("a HotStuff leader's first message is its proposal");
+        };
+        g.view = view;
+        g.sig = ladon_crypto::Signature::sign(
+            &node(ProtocolKind::LadonHotStuff, byz.0)
+                .cfg
+                .registry
+                .signer(byz),
+            DOMAIN_GENERIC,
+            &node_bytes(view, g.node.height, &g.node.digest, instance, g.node.rank),
+        );
+        let msg = NodeMsg::Hs {
+            instance,
+            msg: HsMsg::Generic(g),
+        };
+
+        let mut n = node(ProtocolKind::LadonHotStuff, 1);
+        let mut ctx = RecordingCtx::new(1, 1);
+        n.on_message(byz.as_usize(), msg, &mut ctx);
+        assert_eq!(n.slots[0].rejected(), 1);
+        assert_eq!(n.slots[0].leader(), ReplicaId(0), "the view must not move");
+        assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
     }
 
     #[test]

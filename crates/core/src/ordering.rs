@@ -88,24 +88,6 @@ impl LadonOrderer {
         }
     }
 
-    /// Whether any instance holds out-of-order commits waiting for a
-    /// missing earlier round — the footprint of lost messages. Together
-    /// with an unchanged [`Self::intake_upto`] across a probe interval,
-    /// this is the state-transfer trigger for intake holes (§5.2.1).
-    pub fn has_intake_holes(&self) -> bool {
-        self.intake.iter().any(|it| !it.ooo.is_empty())
-    }
-
-    /// The highest contiguously committed round of `instance`'s intake.
-    pub fn intake_upto(&self, instance: usize) -> Round {
-        self.intake[instance].upto
-    }
-
-    /// Out-of-order commits parked behind `instance`'s lowest hole.
-    pub fn intake_ooo_len(&self, instance: usize) -> usize {
-        self.intake[instance].ooo.len()
-    }
-
     /// Fast-forwards the whole orderer past a snapshot boundary: instance
     /// `i`'s intake jumps to `frontier[i] = (round, rank)` — its last
     /// partially confirmed block in the snapshotted prefix — and the

@@ -26,6 +26,8 @@ const INSTANCE_SHIFT: u32 = KIND_BITS;
 const VIEW_SHIFT: u32 = INSTANCE_SHIFT + INSTANCE_BITS;
 const ROUND_SHIFT: u32 = VIEW_SHIFT + VIEW_BITS;
 const _: () = assert!(ROUND_SHIFT + ROUND_BITS == u64::BITS);
+// The HotStuff instance door admits exactly the views that fit the slot.
+const _: () = assert!(ladon_hotstuff::MAX_VIEW.0 == (1 << VIEW_BITS) - 1);
 
 /// A timer the node arms for itself. Instance-scoped kinds carry the
 /// instance index first.

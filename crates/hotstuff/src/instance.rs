@@ -20,6 +20,12 @@ use ladon_types::{
 };
 use std::collections::{BTreeMap, HashMap};
 
+/// The highest view an instance enters. Views are chosen by peers (a
+/// proposal or new-view names one) and the hosting node multiplexes them
+/// into 16 bits of its timer ids, so a message naming a higher view is
+/// rejected at the door like any other malformed input.
+pub const MAX_VIEW: View = View(u16::MAX as u64);
+
 /// Rank participation mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HsRankMode {
@@ -289,7 +295,7 @@ impl HsInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        if g.instance != self.cfg.instance || g.view < self.view {
+        if g.instance != self.cfg.instance || g.view < self.view || g.view > MAX_VIEW {
             self.rejected += 1;
             return;
         }
@@ -601,6 +607,7 @@ impl HsInstance {
     ) {
         if nv.instance != self.cfg.instance
             || nv.view <= self.view
+            || nv.view > MAX_VIEW
             || self.leader_of(nv.view) != self.cfg.me
         {
             self.rejected += 1;

@@ -12,5 +12,5 @@
 pub mod instance;
 pub mod msg;
 
-pub use instance::{Action, HsConfig, HsInstance, HsRankMode};
+pub use instance::{Action, HsConfig, HsInstance, HsRankMode, MAX_VIEW};
 pub use msg::{HsGeneric, HsMsg, HsNewView, HsNode, HsQc, HsVote};

@@ -86,7 +86,7 @@
 //! manifests; the backend moves bytes.
 
 use ladon_crypto::fnv::Fnv64;
-use ladon_types::{Batch, Block, Digest, MERKLE_LANES};
+use ladon_types::{Batch, Block, Digest, SystemConfig, MERKLE_LANES};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -157,6 +157,16 @@ impl Default for WalOptions {
         Self {
             lane_groups: 8,
             segment_records: 1024,
+        }
+    }
+}
+
+impl From<&SystemConfig> for WalOptions {
+    /// The WAL layout a deployment's system configuration asks for.
+    fn from(sys: &SystemConfig) -> Self {
+        Self {
+            lane_groups: sys.wal_lane_groups,
+            segment_records: sys.wal_segment_records,
         }
     }
 }

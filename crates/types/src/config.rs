@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 /// across replicas.
 pub const MERKLE_LANES: u32 = 64;
 
+/// Blocks of applied-frontier lag below which state transfer ships log
+/// entries only (see [`SystemConfig::snapshot_min_lag`]).
+const SNAPSHOT_MIN_LAG: u64 = 16;
+
 /// Network environment preset (§6.1 deployment settings).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum NetEnv {
@@ -146,12 +150,6 @@ pub struct SystemConfig {
     /// Accounts in the execution key space (the synthetic workload derives
     /// every op over `0..exec_keyspace`).
     pub exec_keyspace: u32,
-    /// Snapshot serving minimum gap: a sync responder ships its latest
-    /// execution snapshot only when the requester's applied frontier lags
-    /// it by at least this many blocks. Smaller gaps are repaired by log
-    /// entries alone — shipping a full-keyspace snapshot to a replica one
-    /// block behind wastes ~50 KiB per probe.
-    pub snapshot_min_lag: u64,
     /// Lane groups the commit WAL partitions the [`MERKLE_LANES`] Merkle
     /// lanes into (`1..=MERKLE_LANES`). Each group owns an independent
     /// segment chain, and a confirmed block's record is fanned out to the
@@ -204,7 +202,6 @@ impl SystemConfig {
             quiet_leader_timeout: TimeNs::from_secs(30),
             exec_lanes: 4,
             exec_keyspace: 4096,
-            snapshot_min_lag: 16,
             wal_lane_groups: 8,
             wal_segment_records: 1024,
             wal_flush_max_records: 1,
@@ -236,6 +233,19 @@ impl SystemConfig {
     pub fn rank_range(&self, epoch: Epoch) -> (Rank, Rank) {
         let min = epoch.0 * self.epoch_length;
         (Rank(min), Rank(min + self.epoch_length - 1))
+    }
+
+    /// Snapshot serving minimum gap: a sync responder ships its latest
+    /// execution snapshot only when the requester's applied frontier lags
+    /// it by at least this many blocks. Smaller gaps are repaired by log
+    /// entries alone — shipping a full-keyspace snapshot to a replica one
+    /// block behind wastes ~50 KiB per probe. Capped at one epoch:
+    /// snapshots are captured once per epoch and consensus instances only
+    /// retain roughly an epoch of committed rounds, so a larger threshold
+    /// would leave a deep lagger a dead zone where neither log entries
+    /// (pruned) nor a snapshot (gap "too small") repair it.
+    pub fn snapshot_min_lag(&self) -> u64 {
+        SNAPSHOT_MIN_LAG.min(self.epoch_length)
     }
 
     /// The epoch that owns a given rank.
@@ -278,18 +288,6 @@ impl SystemConfig {
         }
         if self.exec_keyspace == 0 {
             return Err(LadonError::Config("exec_keyspace must be > 0".into()));
-        }
-        // Snapshots are captured once per epoch and consensus instances
-        // only retain roughly an epoch of committed rounds: a min-lag
-        // threshold beyond one epoch's worth of blocks could leave a
-        // deep lagger a dead zone where neither log entries (pruned) nor
-        // a snapshot (gap "too small") repair it.
-        if self.snapshot_min_lag > self.epoch_length {
-            return Err(LadonError::Config(format!(
-                "snapshot_min_lag = {} must not exceed epoch_length = {} \
-                 (the consensus log retention window)",
-                self.snapshot_min_lag, self.epoch_length
-            )));
         }
         if self.wal_lane_groups == 0 || self.wal_lane_groups > MERKLE_LANES {
             return Err(LadonError::Config(format!(
@@ -366,7 +364,7 @@ mod tests {
         let c = SystemConfig::paper_default(16, NetEnv::Wan);
         assert_eq!(c.exec_lanes, 4);
         assert_eq!(c.exec_keyspace, 4096);
-        assert_eq!(c.snapshot_min_lag, 16);
+        assert_eq!(c.snapshot_min_lag(), 16);
 
         let mut bad = c.clone();
         bad.exec_lanes = 0;
@@ -381,14 +379,14 @@ mod tests {
         assert!(bad.validate().is_err());
 
         // A min-lag beyond the log retention window would strand deep
-        // laggers (neither entries nor snapshot served).
-        let mut bad = c.clone();
-        bad.snapshot_min_lag = bad.epoch_length + 1;
-        assert!(bad.validate().is_err());
+        // laggers (neither entries nor snapshot served), so a shrunken
+        // epoch pulls it down with it.
+        let mut short = c.clone();
+        short.epoch_length = 8;
+        assert_eq!(short.snapshot_min_lag(), 8);
 
         let mut ok = c;
         ok.exec_lanes = MERKLE_LANES;
-        ok.snapshot_min_lag = ok.epoch_length;
         ok.validate().unwrap();
     }
 

@@ -1,10 +1,8 @@
 //! Diagnostic runner: prints per-replica pipeline state for a small run.
 //! Useful when bringing up a new protocol composition.
 
-use ladon_core::{MultiBftNode, NodeMsg};
-use ladon_sim::Engine;
-use ladon_types::{NetEnv, ProtocolKind, TimeNs};
-use ladon_workload::ExperimentConfig;
+use ladon_types::{ProtocolKind, TimeNs};
+use ladon_workload::{Deployment, ExperimentConfig};
 
 fn main() {
     let proto = match std::env::args().nth(1).as_deref() {
@@ -24,39 +22,14 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5.0);
 
-    let cfg = ExperimentConfig::new(proto, n, NetEnv::Lan)
-        .duration_secs(secs)
-        .warmup_secs(0.0)
-        .with_seed(7);
-    let sys = cfg.system();
-    let registry = ladon_crypto::KeyRegistry::generate(n, sys.opt_keys, cfg.seed ^ 0x5eed);
-    let topo = ladon_sim::Topology::paper(cfg.env, n + 1);
-    let mut engine: Engine<NodeMsg> = Engine::new(ladon_sim::NicNetwork::new(topo), cfg.seed);
-    for r in 0..n {
-        engine.add_actor(Box::new(MultiBftNode::new(ladon_core::NodeConfig {
-            sys: sys.clone(),
-            protocol: proto,
-            me: ladon_types::ReplicaId(r as u32),
-            registry: registry.clone(),
-            behavior: ladon_core::Behavior::default(),
-            sample_interval: None,
-        })));
-    }
-    let end = TimeNs::from_secs_f64(secs);
-    engine.add_actor(Box::new(ladon_workload::ClientFleet::new(
-        n,
-        sys.m,
-        sys.total_block_rate * sys.batch_size as f64,
-        sys.tx_bytes,
-        end,
-    )));
+    let mut d = Deployment::build(&ExperimentConfig::scenario(proto, n, secs));
 
     let step = TimeNs::from_secs_f64(secs / 10.0);
     let mut t = TimeNs::ZERO;
     for _ in 0..10 {
         t += step;
-        engine.run_until(t);
-        let node = engine.actor_as::<MultiBftNode>(0).unwrap();
+        d.engine.run_until(t);
+        let node = d.node(0);
         println!(
             "t={:>6.2}s commits={:<5} confirms={:<5} waiting={:<4} txs={:<8} epoch={} curRank={} deposited={} events={}",
             t.as_secs_f64(),
@@ -67,12 +40,12 @@ fn main() {
             node.epoch(),
             node.cur_rank(),
             node.metrics.deposited_txs,
-            engine.events_processed(),
+            d.engine.events_processed(),
         );
     }
     println!("--- per-replica final ---");
     for r in 0..n {
-        let node = engine.actor_as::<MultiBftNode>(r).unwrap();
+        let node = d.node(r);
         println!(
             "r{r}: commits={} confirms={} txs={} vc={} epochs={:?}",
             node.metrics.commits.len(),

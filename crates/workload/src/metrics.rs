@@ -9,8 +9,8 @@
 
 use ladon_core::{ConfirmRecord, NodeMetrics};
 use ladon_obs::{MetricsRegistry, MetricsSnapshot, SnapshotInto};
-use ladon_types::{Digest, TimeNs};
-use std::collections::{BTreeMap, HashMap};
+use ladon_types::TimeNs;
+use std::collections::HashMap;
 
 /// Timestamp comparison tolerance for the causal-strength metric.
 ///
@@ -268,28 +268,13 @@ pub fn aggregate(data: &RunData) -> Report {
     let causal_strength = cs_over(true);
     let causal_strength_tx = cs_over(false);
 
-    // Cross-replica state-root agreement, per checkpointed epoch. Crashed
-    // or lagging replicas simply report fewer epochs; agreement is judged
-    // over whoever reported.
-    let mut roots_by_epoch: BTreeMap<u64, Vec<Digest>> = BTreeMap::new();
-    for node in &data.nodes {
-        for &(_, epoch, root) in &node.state_roots {
-            roots_by_epoch.entry(epoch).or_default().push(root);
-        }
-    }
-    let mut state_checkpoints = 0u64;
-    let mut agreeing = 0u64;
-    for roots in roots_by_epoch.values() {
-        if roots.len() < 2 {
-            continue;
-        }
-        state_checkpoints += 1;
-        if roots.windows(2).all(|w| w[0] == w[1]) {
-            agreeing += 1;
-        }
-    }
+    // Cross-replica state-root agreement, per checkpointed epoch, as the
+    // oracle judges it over whoever reported.
+    let evidence: Vec<_> = data.nodes.iter().enumerate().collect();
+    let mut divergent = Vec::new();
+    let state_checkpoints = crate::oracle::epoch_roots(&evidence, &mut divergent);
     let state_root_agreement = if state_checkpoints > 0 {
-        agreeing as f64 / state_checkpoints as f64
+        (state_checkpoints - divergent.len() as u64) as f64 / state_checkpoints as f64
     } else {
         1.0
     };

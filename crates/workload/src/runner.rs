@@ -1,12 +1,11 @@
-//! The experiment runner: builds a full simulated deployment from a
-//! configuration, runs it, and aggregates the paper's metrics.
+//! The experiment runner: an [`ExperimentConfig`] describes a run, the
+//! [`Deployment`] assembles it, and [`run_experiment`] drives it through
+//! warm-up and measurement and aggregates the paper's metrics.
 
-use crate::client::ClientFleet;
+use crate::deployment::Deployment;
 use crate::metrics::{aggregate, Report, RunData};
-use ladon_core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
-use ladon_crypto::{CryptoCounters, KeyRegistry};
-use ladon_sim::{Engine, NicNetwork, Topology};
-use ladon_types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
+use ladon_crypto::CryptoCounters;
+use ladon_types::{NetEnv, ProtocolKind, SystemConfig, TimeNs};
 
 /// Configuration of one experiment run.
 #[derive(Clone, Debug)]
@@ -45,6 +44,18 @@ pub struct ExperimentConfig {
     pub view_timeout_s: Option<f64>,
     /// Override the batch size (paper default 4096).
     pub batch_size: Option<u32>,
+    /// Explicit straggler replica ids; when non-empty they replace the
+    /// `1..=stragglers` convention (see [`Self::with_straggler_ids`]).
+    pub straggler_ids: Vec<usize>,
+    /// Partition windows `(replica, from_s, until_s)`: the replica is
+    /// disconnected from everyone inside the window.
+    pub partitions: Vec<(usize, f64, f64)>,
+    /// Probability each message is silently dropped (robustness
+    /// scenarios; the paper assumes reliable links).
+    pub loss_probability: f64,
+    /// Override the cross-drain group-commit threshold
+    /// ([`SystemConfig::wal_flush_max_records`]).
+    pub wal_flush_max_records: Option<u32>,
 }
 
 impl ExperimentConfig {
@@ -67,7 +78,23 @@ impl ExperimentConfig {
             epoch_length: None,
             view_timeout_s: None,
             batch_size: None,
+            straggler_ids: Vec::new(),
+            partitions: Vec::new(),
+            loss_probability: 0.0,
+            wal_flush_max_records: None,
         }
+    }
+
+    /// A scripted scenario rather than a measured experiment: LAN, seed
+    /// 7, no warm-up, clients submitting until `submit_until_s`. The
+    /// caller builds a [`Deployment`] from it and drives the clock itself
+    /// ([`Deployment::run_secs`]), usually past the submission deadline
+    /// so the tail drains.
+    pub fn scenario(protocol: ProtocolKind, n: usize, submit_until_s: f64) -> Self {
+        Self::new(protocol, n, NetEnv::Lan)
+            .warmup_secs(0.0)
+            .duration_secs(submit_until_s)
+            .with_seed(7)
     }
 
     /// Sets the measurement window.
@@ -85,6 +112,16 @@ impl ExperimentConfig {
     /// Adds `count` honest stragglers with factor `k`.
     pub fn with_stragglers(mut self, count: usize, k: f64) -> Self {
         self.stragglers = count;
+        self.straggler_k = k;
+        self
+    }
+
+    /// Slows exactly `replicas` by factor `k` and leaves every detector at
+    /// its default — for scenarios about what the protocol does *with* a
+    /// straggler in view of its timeouts. [`Self::with_stragglers`] is
+    /// the paper's §6.1 setting, which lifts the timeouts out of the way.
+    pub fn with_straggler_ids(mut self, replicas: &[usize], k: f64) -> Self {
+        self.straggler_ids = replicas.to_vec();
         self.straggler_k = k;
         self
     }
@@ -143,6 +180,24 @@ impl ExperimentConfig {
         self
     }
 
+    /// Disconnects `replica` from everyone between `from_s` and `until_s`.
+    pub fn with_partition(mut self, replica: usize, from_s: f64, until_s: f64) -> Self {
+        self.partitions.push((replica, from_s, until_s));
+        self
+    }
+
+    /// Drops each message independently with probability `p`.
+    pub fn with_loss(mut self, p: f64) -> Self {
+        self.loss_probability = p;
+        self
+    }
+
+    /// Overrides the cross-drain group-commit threshold.
+    pub fn with_wal_flush_max_records(mut self, records: u32) -> Self {
+        self.wal_flush_max_records = Some(records);
+        self
+    }
+
     /// Applies scale-preset measurement windows, stretching both warmup
     /// and duration when the run has stragglers (call *after*
     /// [`Self::with_stragglers`]). See [`crate::Scale::straggler_duration_s`].
@@ -171,9 +226,6 @@ impl ExperimentConfig {
         let mut sys = SystemConfig::paper_default(self.n, self.env);
         if let Some(l) = self.epoch_length {
             sys.epoch_length = l;
-            // Keep the snapshot-serving policy inside the (shrunken) log
-            // retention window.
-            sys.snapshot_min_lag = sys.snapshot_min_lag.min(l);
         }
         if let Some(t) = self.view_timeout_s {
             sys.view_change_timeout = TimeNs::from_secs_f64(t);
@@ -200,87 +252,54 @@ impl ExperimentConfig {
         if let Some(b) = self.batch_size {
             sys.batch_size = b;
         }
+        if let Some(t) = self.wal_flush_max_records {
+            sys.wal_flush_max_records = t;
+        }
         sys
+    }
+
+    /// Whether replica `r` straggles: one of the explicit ids if any were
+    /// given, otherwise ids `1..=stragglers` (replica 0 stays honest so
+    /// it can serve as DQBFT's ordering leader and the reference log).
+    pub(crate) fn is_straggler(&self, r: usize) -> bool {
+        if self.straggler_ids.is_empty() {
+            (1..=self.stragglers.min(self.n - 1)).contains(&r)
+        } else {
+            self.straggler_ids.contains(&r)
+        }
+    }
+
+    /// `(warmup end, measurement end)`; clients submit until the latter.
+    pub(crate) fn window(&self) -> (TimeNs, TimeNs) {
+        let warmup = TimeNs::from_secs_f64(self.warmup_s);
+        (warmup, warmup + TimeNs::from_secs_f64(self.duration_s))
     }
 }
 
 /// Runs one experiment and aggregates its report.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Report {
-    let sys = cfg.system();
-    sys.validate().expect("invalid experiment configuration");
-    let n = sys.n;
-    let f = sys.f();
-
-    let registry = KeyRegistry::generate(n, sys.opt_keys, cfg.seed ^ 0x5eed);
-    let topo = Topology::paper(cfg.env, n + 1); // +1 for the client fleet
-    let net = NicNetwork::new(topo);
-    let mut engine: Engine<NodeMsg> = Engine::new(net, cfg.seed);
-
-    let warmup = TimeNs::from_secs_f64(cfg.warmup_s);
-    let end = warmup + TimeNs::from_secs_f64(cfg.duration_s);
-
-    // Stragglers occupy replica ids 1..=count (replica 0 stays honest so
-    // it can serve as DQBFT's ordering leader and the reference log).
-    let straggler_ids: Vec<usize> = (1..=cfg.stragglers.min(n - 1)).collect();
-
-    for r in 0..n {
-        let behavior = Behavior {
-            straggler_k: straggler_ids.contains(&r).then_some(cfg.straggler_k),
-            rank_minimize: cfg.byzantine_stragglers && straggler_ids.contains(&r),
-            stale_rank_reports: cfg.stale_rank_reports,
-            crash_at: cfg
-                .crash
-                .and_then(|(cr, at)| (cr == r).then(|| TimeNs::from_secs_f64(at))),
-        };
-        let node = MultiBftNode::new(NodeConfig {
-            sys: sys.clone(),
-            protocol: cfg.protocol,
-            me: ReplicaId(r as u32),
-            registry: registry.clone(),
-            behavior,
-            sample_interval: cfg.sample_interval_s.map(TimeNs::from_secs_f64),
-        });
-        engine.add_actor(Box::new(node));
-    }
-
-    // Offered load: nominal capacity × load factor.
-    let tx_rate = sys.total_block_rate * sys.batch_size as f64 * cfg.load_factor;
-    engine.add_actor(Box::new(ClientFleet::new(
-        n,
-        sys.m,
-        tx_rate,
-        sys.tx_bytes,
-        end,
-    )));
+    let mut d = Deployment::build(cfg);
+    let n = d.sys.n;
+    let f = d.sys.f();
+    let (warmup, end) = cfg.window();
 
     // Warmup, snapshot, measure, snapshot.
     CryptoCounters::reset();
-    engine.run_until(warmup);
-    let stats0 = engine.stats().clone();
+    d.engine.run_until(warmup);
+    let stats0 = d.engine.stats().clone();
     let crypto0 = CryptoCounters::snapshot();
-    engine.run_until(end + TimeNs::from_millis(1));
-    let stats1 = engine.stats().clone().since(&stats0);
+    d.engine.run_until(end + TimeNs::from_millis(1));
+    let stats1 = d.engine.stats().clone().since(&stats0);
     let crypto1 = CryptoCounters::snapshot().since(&crypto0);
 
     // Reference replica: first honest, non-straggling, non-crashed.
     let crashed = cfg.crash.map(|(r, _)| r);
     let reference = (0..n)
-        .find(|r| Some(*r) != crashed && !straggler_ids.contains(r))
+        .find(|&r| Some(r) != crashed && !cfg.is_straggler(r))
         .unwrap_or(0);
 
-    let nodes: Vec<_> = (0..n)
-        .map(|r| {
-            engine
-                .actor_as::<MultiBftNode>(r)
-                .expect("replica actor")
-                .metrics
-                .clone()
-        })
-        .collect();
-    let waiting = engine
-        .actor_as::<MultiBftNode>(reference)
-        .map(|x| x.waiting_count())
-        .unwrap_or(0);
+    let nodes: Vec<_> = (0..n).map(|r| d.node(r).metrics.clone()).collect();
+    let waiting = d.node(reference).waiting_count();
 
     let mut report = aggregate(&RunData {
         nodes,
@@ -360,6 +379,48 @@ mod tests {
             .with_seed(7);
         let report = run_experiment(&cfg);
         assert!(report.committed_txs > 0, "{report:?}");
+    }
+
+    /// Pins three seeded runs to what the commit before `Deployment`
+    /// existed produced: assembling the cluster in one place moved no
+    /// event. The digest covers every deterministic counter, so a change
+    /// that adds or renames one re-pins it (print
+    /// `report.metrics.deterministic_json()` before and after, and check
+    /// the diff is only the counter you meant).
+    #[test]
+    fn seeded_runs_match_the_pre_deployment_pins() {
+        let pins = [
+            (
+                ProtocolKind::LadonPbft,
+                241_661,
+                86,
+                "1796fb101c7da30f769992a955b03178c2ecf9ee1504bd0e3d7d73d9c14172e3",
+            ),
+            (
+                ProtocolKind::LadonHotStuff,
+                258_007,
+                83,
+                "07e62a662f9f751d558647173c61998221fe67f19dc673acf392cfbd91fa682f",
+            ),
+            (
+                ProtocolKind::DqbftPbft,
+                241_632,
+                84,
+                "35edbb0ad5aa1dc1e5519e5eee8ea11fb3096053ba54f451eaf20ac4ee54c4bc",
+            ),
+        ];
+        for (protocol, committed_txs, confirmed_blocks, sha) in pins {
+            let cfg = ExperimentConfig::new(protocol, 4, NetEnv::Lan)
+                .duration_secs(2.0)
+                .warmup_secs(1.0)
+                .with_seed(11);
+            let report = run_experiment(&cfg);
+            assert_eq!(report.committed_txs, committed_txs, "{protocol:?}");
+            assert_eq!(report.confirmed_blocks, confirmed_blocks, "{protocol:?}");
+            let digest = ladon_crypto::sha256(report.metrics.deterministic_json().as_bytes());
+            let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, sha, "{protocol:?}");
+        }
     }
 
     #[test]

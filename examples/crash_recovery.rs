@@ -13,12 +13,9 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
-use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
-use ladon::crypto::KeyRegistry;
-use ladon::sim::{Engine, NicNetwork, Topology};
 use ladon::state::{ExecutionPipeline, DEFAULT_KEYSPACE};
-use ladon::types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
-use ladon::workload::{run_experiment, ClientFleet, ExperimentConfig};
+use ladon::types::{NetEnv, ProtocolKind};
+use ladon::workload::{run_experiment, Deployment, ExperimentConfig};
 
 fn fig8_timeline() {
     println!("Ladon-PBFT, n = 16, WAN; replica 3 crashes at t = 11 s; timeout 10 s\n");
@@ -67,50 +64,25 @@ fn fig8_timeline() {
 
 fn restart_from_snapshot() {
     println!("\n=== Act 2: restart from durable snapshot + WAL ===\n");
-    let n = 4;
-    let mut sys = SystemConfig::paper_default(n, NetEnv::Lan);
-    sys.epoch_length = 16; // frequent checkpoints for the demo
-    let registry = KeyRegistry::generate(n, sys.opt_keys, 0x5eed);
     let dir = std::env::temp_dir().join(format!("ladon-crash-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut engine: Engine<NodeMsg> =
-        Engine::new(NicNetwork::new(Topology::paper(NetEnv::Lan, n + 1)), 7);
-    for r in 0..n {
-        let cfg = NodeConfig {
-            sys: sys.clone(),
-            protocol: ProtocolKind::LadonPbft,
-            me: ReplicaId(r as u32),
-            registry: registry.clone(),
-            behavior: Behavior {
-                crash_at: (r == 3).then(|| TimeNs::from_secs(6)),
-                ..Default::default()
-            },
-            sample_interval: None,
-        };
-        // Replica 3 journals to disk; the others stay in memory.
-        let node = if r == 3 {
-            let exec = ExecutionPipeline::recover(&dir, DEFAULT_KEYSPACE)
-                .expect("create durable pipeline");
-            MultiBftNode::with_execution(cfg, exec)
-        } else {
-            MultiBftNode::new(cfg)
-        };
-        engine.add_actor(Box::new(node));
-    }
-    let tx_rate = sys.total_block_rate * sys.batch_size as f64;
-    engine.add_actor(Box::new(ClientFleet::new(
-        n,
-        sys.m,
-        tx_rate,
-        sys.tx_bytes,
-        TimeNs::from_secs(30),
-    )));
+    // n = 4, LAN, 30 s of load, replica 3 crashing at t = 6 s; 16-rank
+    // epochs give the demo frequent checkpoints.
+    let mut d = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 30.0)
+            .with_epoch_length(16)
+            .with_crash(3, 6.0),
+    );
+    // Replica 3 journals to disk; the others stay in memory.
+    let durable =
+        ExecutionPipeline::recover(&dir, DEFAULT_KEYSPACE).expect("create durable pipeline");
+    d.swap_replica(3, durable);
 
     // Run past the crash (t = 6 s): replica 3's process is gone, but its
     // WAL and snapshots survive on disk.
-    engine.run_until(TimeNs::from_secs(10));
-    let dead = engine.actor_as::<MultiBftNode>(3).unwrap();
+    d.run_secs(10.0);
+    let dead = d.node(3);
     let pre_root = dead.exec.state_root();
     let pre_applied = dead.exec.applied();
     println!(
@@ -133,22 +105,10 @@ fn restart_from_snapshot() {
     // being read, and only the dirty tail re-executes.
     print_recovery_breakdown(recovered.recovery_stats());
 
-    let node = MultiBftNode::with_execution(
-        NodeConfig {
-            sys: sys.clone(),
-            protocol: ProtocolKind::LadonPbft,
-            me: ReplicaId(3),
-            registry,
-            behavior: Behavior::default(),
-            sample_interval: None,
-        },
-        recovered,
-    );
-    engine.restart_actor(3, Box::new(node));
-    engine.run_until(TimeNs::from_secs(45));
+    d.swap_replica(3, recovered);
+    d.run_secs(45.0);
 
-    let r3 = engine.actor_as::<MultiBftNode>(3).unwrap();
-    let r0 = engine.actor_as::<MultiBftNode>(0).unwrap();
+    let (r3, r0) = (d.node(3), d.node(0));
     println!(
         "\nafter rejoin at t=45s: replica3 epoch={} applied={} root={}",
         r3.epoch(),

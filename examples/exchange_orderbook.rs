@@ -12,43 +12,22 @@
 //! cargo run --release --example exchange_orderbook
 //! ```
 
-use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
-use ladon::crypto::KeyRegistry;
-use ladon::sim::{Engine, NicNetwork, Topology};
-use ladon::types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
-use ladon::workload::ClientFleet;
+use ladon::types::{NetEnv, ProtocolKind, TimeNs};
+use ladon::workload::{Deployment, ExperimentConfig};
 
 /// Runs a deployment and returns the reference replica's confirmed log as
 /// `(sn, proposed_at, commit_observed_at, tx_count)`.
 fn confirmed_log(proto: ProtocolKind) -> Vec<(u64, TimeNs, TimeNs, u32)> {
-    let n = 8;
-    let sys = SystemConfig::paper_default(n, NetEnv::Wan);
-    let registry = KeyRegistry::generate(n, sys.opt_keys, 99);
-    let mut engine: Engine<NodeMsg> =
-        Engine::new(NicNetwork::new(Topology::paper(NetEnv::Wan, n + 1)), 99);
-    for r in 0..n {
-        engine.add_actor(Box::new(MultiBftNode::new(NodeConfig {
-            sys: sys.clone(),
-            protocol: proto,
-            me: ReplicaId(r as u32),
-            registry: registry.clone(),
-            behavior: Behavior {
-                straggler_k: (r == 1).then_some(8.0), // one straggling leader
-                ..Default::default()
-            },
-            sample_interval: None,
-        })));
-    }
-    engine.add_actor(Box::new(ClientFleet::new(
-        n,
-        sys.m,
-        sys.total_block_rate * sys.batch_size as f64,
-        sys.tx_bytes,
-        TimeNs::from_secs(28),
-    )));
-    engine.run_until(TimeNs::from_secs(30));
+    let mut d = Deployment::build(
+        &ExperimentConfig::new(proto, 8, NetEnv::Wan)
+            .warmup_secs(0.0)
+            .duration_secs(28.0)
+            .with_straggler_ids(&[1], 8.0) // one straggling leader
+            .with_seed(99),
+    );
+    d.run_secs(30.0);
 
-    let node = engine.actor_as::<MultiBftNode>(0).expect("replica 0");
+    let node = d.node(0);
     // Commit observation times from replica 0 (a lower bound for the
     // f+1 aggregate; adequate for the demonstration).
     let mut commit_at = std::collections::HashMap::new();

@@ -9,64 +9,40 @@
 //! cargo run --release --example live_cluster
 //! ```
 
-use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
-use ladon::crypto::KeyRegistry;
-use ladon::sim::{Actor, LiveRuntime, NicNetwork, Topology};
+use ladon::core::MultiBftNode;
+use ladon::sim::LiveRuntime;
 use ladon::state::{ExecutionPipeline, WalOptions};
-use ladon::types::{NetEnv, ProtocolKind, ReplicaId, SystemConfig, TimeNs};
-use ladon::workload::ClientFleet;
+use ladon::types::{NetEnv, ProtocolKind};
+use ladon::workload::{Deployment, ExperimentConfig};
 
 fn main() {
     let n = 4;
-    let mut sys = SystemConfig::paper_default(n, NetEnv::Lan);
-    // Tone down the batch pipeline for a short wall-clock demo.
-    sys.batch_size = 512;
-    // Accumulate a few blocks per durability barrier so the writer
-    // thread has real batches to overlap.
-    sys.wal_flush_max_records = 4;
-    let registry = KeyRegistry::generate(n, sys.opt_keys, 7);
+    let cfg = ExperimentConfig::new(ProtocolKind::LadonPbft, n, NetEnv::Lan)
+        .warmup_secs(0.0)
+        .duration_secs(3.0)
+        // Tone down the batch pipeline for a short wall-clock demo.
+        .with_batch_size(512)
+        // Accumulate a few blocks per durability barrier so the writer
+        // thread has real batches to overlap.
+        .with_wal_flush_max_records(4);
 
     // One WAL directory per replica; file-backed pipelines spawn the
     // per-node writer thread (LiveRuntime/File mode).
     let run_dir = std::env::temp_dir().join(format!("ladon-live-cluster-{}", std::process::id()));
-    let mut actors: Vec<Box<dyn Actor<NodeMsg> + Send>> = Vec::new();
-    for r in 0..n {
-        let wal_dir = run_dir.join(format!("replica-{r}"));
-        let exec = ExecutionPipeline::recover_opts(
-            &wal_dir,
+    let (actors, net) = Deployment::live_parts(&cfg, |sys, r| {
+        ExecutionPipeline::recover_opts(
+            run_dir.join(format!("replica-{r}")),
             sys.exec_keyspace,
             sys.exec_lanes,
-            WalOptions {
-                lane_groups: sys.wal_lane_groups,
-                segment_records: sys.wal_segment_records,
-            },
+            WalOptions::from(sys),
         )
-        .expect("open file-backed pipeline");
-        actors.push(Box::new(MultiBftNode::with_execution(
-            NodeConfig {
-                sys: sys.clone(),
-                protocol: ProtocolKind::LadonPbft,
-                me: ReplicaId(r as u32),
-                registry: registry.clone(),
-                behavior: Behavior::default(),
-                sample_interval: None,
-            },
-            exec,
-        )));
-    }
-    actors.push(Box::new(ClientFleet::new(
-        n,
-        sys.m,
-        sys.total_block_rate * sys.batch_size as f64,
-        sys.tx_bytes,
-        TimeNs::from_secs(3),
-    )));
+        .expect("open file-backed pipeline")
+    });
 
-    let topo = Topology::paper(NetEnv::Lan, n + 1);
     println!(
         "spawning {n} replica threads (+{n} WAL writer threads) + 1 client thread for 3 s of wall time…"
     );
-    let rt = LiveRuntime::spawn(actors, Box::new(NicNetwork::new(topo)), 42);
+    let rt = LiveRuntime::spawn(actors, net, cfg.seed);
     std::thread::sleep(std::time::Duration::from_secs(3));
     let stats = rt.stats();
     let finals = rt.shutdown();

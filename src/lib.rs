@@ -15,8 +15,9 @@
 //!   commit write-ahead log, and epoch-aligned snapshots with
 //!   content-addressed state roots (checkpoints attest to state, and
 //!   replicas recover from snapshot + WAL replay).
-//! - [`workload`]: clients, stragglers, Byzantine behaviors, metrics and
-//!   the experiment runner used by the benchmark harness.
+//! - [`workload`]: the client fleet, the one `Deployment` every cluster
+//!   is built by, the one safety `oracle` every run is judged by, metric
+//!   aggregation and the experiment runner used by the benchmark harness.
 //!
 //! # Examples
 //!

@@ -1,10 +1,7 @@
 //! Causality (§4.3, §6.4) and fault handling (Fig. 8) end to end.
 
-mod common;
-
-use common::{cluster, ClusterOpts};
 use ladon::types::{NetEnv, ProtocolKind};
-use ladon::workload::{run_experiment, ExperimentConfig};
+use ladon::workload::{run_experiment, Deployment, ExperimentConfig};
 
 #[test]
 fn ladon_preserves_causality_under_straggler() {
@@ -75,13 +72,9 @@ fn byzantine_rank_minimizers_cause_only_bounded_damage() {
 
 #[test]
 fn crash_triggers_view_change_and_recovery() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        crash: Some((2, 3.0)),
-        submit_until_s: 19.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 19.0).with_crash(2, 3.0),
+    );
     // View-change timeout is the paper's 10 s; run long enough to recover.
     c.run_secs(20.0);
     let honest = [0usize, 1, 3];
@@ -106,7 +99,7 @@ fn crash_triggers_view_change_and_recovery() {
         .map(|&r| c.node(r).metrics.new_views.len())
         .sum();
     assert!(nv_seen > 0, "a new view must install");
-    c.assert_agreement(&honest);
+    c.check(&honest).assert_safe();
     // Confirmation continued after recovery: blocks confirmed past the
     // crash + timeout horizon.
     let late_confirms = c
@@ -124,15 +117,10 @@ fn crash_triggers_view_change_and_recovery() {
 
 #[test]
 fn dqbft_sequences_through_ordering_instance() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::DqbftPbft,
-        n: 4,
-        submit_until_s: 5.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&ExperimentConfig::scenario(ProtocolKind::DqbftPbft, 4, 5.0));
     c.run_secs(6.0);
     assert!(c.node(0).metrics.confirmed_txs > 0);
-    c.assert_agreement(&[0, 1, 2, 3]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
 /// The SB failure detector `D` (§3.2): when a baseline (pre-determined
@@ -142,21 +130,18 @@ fn dqbft_sequences_through_ordering_instance() {
 /// though it collapses under timeout-evading stragglers.
 #[test]
 fn iss_quiet_leader_nil_delivery_unblocks_log() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::IssPbft,
-        n: 4,
-        crash: Some((2, 3.0)),
-        submit_until_s: 45.0,
-        // Keep the view change out of the way (its 10 s default would
-        // replace the crashed leader before the 30 s quiet detector
-        // fires) so this test isolates the ⊥-delivery path.
-        view_timeout_s: Some(600.0),
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::IssPbft, 4, 45.0)
+            .with_crash(2, 3.0)
+            // Keep the view change out of the way (its 10 s default would
+            // replace the crashed leader before the 30 s quiet detector
+            // fires) so this test isolates the ⊥-delivery path.
+            .with_view_timeout(600.0),
+    );
     // Default quiet timeout is 30 s; run past two detector windows.
     c.run_secs(70.0);
     let honest = [0usize, 1, 3];
-    c.assert_agreement(&honest);
+    c.check(&honest).assert_safe();
     // Confirmation continued after the crash + detector horizon: nils
     // filled the crashed instance's slots.
     let late = c

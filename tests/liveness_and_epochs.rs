@@ -1,21 +1,14 @@
 //! G-Liveness (§3.3) and epoch pacemaker behavior (§5.2.1) end to end.
 
-mod common;
-
-use common::{cluster, ClusterOpts};
 use ladon::types::ProtocolKind;
+use ladon::workload::{Deployment, ExperimentConfig};
 
 #[test]
 fn submitted_transactions_eventually_confirm() {
     // Submit for 3 s at 60% load, then let the pipeline drain: every
     // deposited transaction must be confirmed.
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        load_factor: 0.6,
-        submit_until_s: 3.0,
-        ..Default::default()
-    });
+    let mut c =
+        Deployment::build(&ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 3.0).load(0.6));
     c.run_secs(12.0);
     let node = c.node(0);
     let deposited: u64 = (0..4).map(|r| c.node(r).metrics.deposited_txs).sum();
@@ -31,13 +24,9 @@ fn submitted_transactions_eventually_confirm() {
 #[test]
 fn epochs_advance_and_ranks_respect_ranges() {
     // Short epochs force several boundary crossings.
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(8),
-        submit_until_s: 7.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 7.0).with_epoch_length(8),
+    );
     c.run_secs(8.0);
     let node = c.node(0);
     assert!(
@@ -70,34 +59,26 @@ fn epochs_advance_and_ranks_respect_ranges() {
 
 #[test]
 fn ladon_opt_also_advances_epochs() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonOptPbft,
-        n: 4,
-        epoch_length: Some(8),
-        submit_until_s: 5.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonOptPbft, 4, 5.0).with_epoch_length(8),
+    );
     c.run_secs(6.0);
     assert!(
         !c.node(0).metrics.epochs.is_empty(),
         "Ladon-opt must cross at least one epoch boundary"
     );
-    c.assert_agreement(&[0, 1, 2, 3]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
 #[test]
 fn straggler_slows_epoch_boundaries_but_not_confirmation() {
     // With a straggler, Ladon keeps confirming between boundaries; the
     // boundary stall is bounded by the straggler's proposal interval.
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        stragglers: vec![1],
-        straggler_k: 4.0,
-        epoch_length: Some(16),
-        submit_until_s: 9.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 9.0)
+            .with_straggler_ids(&[1], 4.0)
+            .with_epoch_length(16),
+    );
     c.run_secs(10.0);
     let node = c.node(0);
     assert!(node.metrics.confirmed_txs > 0);
@@ -110,12 +91,11 @@ fn straggler_slows_epoch_boundaries_but_not_confirmation() {
 
 #[test]
 fn hotstuff_liveness() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonHotStuff,
-        n: 4,
-        submit_until_s: 5.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&ExperimentConfig::scenario(
+        ProtocolKind::LadonHotStuff,
+        4,
+        5.0,
+    ));
     c.run_secs(8.0);
     assert!(c.node(0).metrics.confirmed_txs > 0);
     assert!(c.node(0).metrics.confirms.len() > 5);

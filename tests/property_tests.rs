@@ -3,12 +3,6 @@
 //! execution recovery (WAL replay from any snapshot prefix; torn-write
 //! tolerance of the segmented WAL).
 
-// Only `exec_block` is used from the shared harness here; the cluster
-// machinery stays dormant in this binary.
-#[allow(dead_code)]
-mod common;
-
-use common::exec_block;
 use ladon::core::{GlobalOrderer, LadonOrderer, PredeterminedOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
@@ -215,7 +209,7 @@ proptest! {
         let cut = cut % counts.len();
         let mut first_tx = 0u64;
         for (sn, &count) in counts.iter().enumerate() {
-            let block = exec_block(sn as u64, first_tx, count);
+            let block = Block::synthetic(sn as u64, first_tx, count);
             first_tx += count as u64;
             let out = p.execute(sn as u64, &block);
             prop_assert_eq!(out, ExecOutcome::Applied { txs: count as u64 });
@@ -244,7 +238,7 @@ proptest! {
         let mut p = ExecutionPipeline::in_memory(keyspace);
         let mut first_tx = 0u64;
         for (sn, &count) in counts.iter().enumerate() {
-            let block = exec_block(sn as u64, first_tx, count);
+            let block = Block::synthetic(sn as u64, first_tx, count);
             first_tx += count as u64;
             let out = p.execute(sn as u64, &block);
             prop_assert_eq!(out, ExecOutcome::Applied { txs: count as u64 });
@@ -279,7 +273,7 @@ proptest! {
         let mut older = ExecutionPipeline::in_memory_with(keyspace, 4);
         let mut first_tx = 0u64;
         for (sn, &count) in counts.iter().enumerate() {
-            let block = exec_block(sn as u64, first_tx, count);
+            let block = Block::synthetic(sn as u64, first_tx, count);
             first_tx += count as u64;
             full.execute(sn as u64, &block);
             if sn <= cut {
@@ -454,7 +448,7 @@ proptest! {
             let mut first_tx = 0u64;
             for (sn, &count) in counts.iter().enumerate() {
                 first_txs.push(first_tx);
-                let out = p.execute(sn as u64, &exec_block(sn as u64, first_tx, count));
+                let out = p.execute(sn as u64, &Block::synthetic(sn as u64, first_tx, count));
                 prop_assert_eq!(out, ExecOutcome::Applied { txs: count as u64 });
                 first_tx += count as u64;
                 if sn == cut {
@@ -506,7 +500,7 @@ proptest! {
         for sn in 0..applied {
             reference.execute(
                 sn,
-                &exec_block(sn, first_txs[sn as usize], counts[sn as usize]),
+                &Block::synthetic(sn, first_txs[sn as usize], counts[sn as usize]),
             );
         }
         prop_assert_eq!(r1.state_root(), reference.state_root());
@@ -534,7 +528,7 @@ proptest! {
         let mut first_tx = 0u64;
         for (sn, &count) in counts.iter().enumerate() {
             first_txs.push(first_tx);
-            reference.execute(sn as u64, &exec_block(sn as u64, first_tx, count));
+            reference.execute(sn as u64, &Block::synthetic(sn as u64, first_tx, count));
             first_tx += count as u64;
         }
         // Batched run over a real segmented on-disk WAL, the partition
@@ -553,7 +547,7 @@ proptest! {
                     .map(|sn| {
                         (
                             sn as u64,
-                            exec_block(sn as u64, first_txs[sn], counts[sn]),
+                            Block::synthetic(sn as u64, first_txs[sn], counts[sn]),
                         )
                     })
                     .collect();

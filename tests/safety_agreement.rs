@@ -2,21 +2,14 @@
 //! honest replicas' global logs must agree at every shared index, and
 //! confirmed blocks must eventually be confirmed everywhere.
 
-mod common;
-
-use common::{cluster, ClusterOpts};
 use ladon::types::ProtocolKind;
+use ladon::workload::{Deployment, ExperimentConfig};
 
 fn agreement_for(protocol: ProtocolKind, n: usize, secs: f64) {
-    let mut c = cluster(ClusterOpts {
-        protocol,
-        n,
-        submit_until_s: secs - 1.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&ExperimentConfig::scenario(protocol, n, secs - 1.0));
     c.run_secs(secs);
     let honest: Vec<usize> = (0..n).collect();
-    c.assert_agreement(&honest);
+    c.check(&honest).assert_safe();
     assert!(
         c.node(0).metrics.confirms.len() > 5,
         "{protocol:?}: too few confirmations to be meaningful"
@@ -65,29 +58,20 @@ fn iss_hotstuff_agreement() {
 
 #[test]
 fn agreement_survives_straggler_and_larger_cluster() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 7,
-        stragglers: vec![2],
-        submit_until_s: 5.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 7, 5.0).with_straggler_ids(&[2], 10.0),
+    );
     c.run_secs(6.0);
-    c.assert_agreement(&(0..7).collect::<Vec<_>>());
+    c.check(&(0..7).collect::<Vec<_>>()).assert_safe();
 }
 
 #[test]
 fn totality_logs_converge_after_quiescence() {
     // After submission stops and the network drains, every replica's log
     // has the same length (G-Totality for the finished prefix).
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        submit_until_s: 3.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 3.0));
     c.run_secs(10.0);
-    let lens: Vec<usize> = (0..4).map(|r| c.confirmed_log(r).len()).collect();
+    let lens: Vec<usize> = (0..4).map(|r| c.node(r).metrics.confirms.len()).collect();
     let min = *lens.iter().min().unwrap();
     let max = *lens.iter().max().unwrap();
     assert!(min > 0);

@@ -6,47 +6,21 @@
 //! stragglers, and across a crash + restart that recovers from the
 //! durable snapshot + WAL pair.
 
-mod common;
-
-use common::{cluster, ClusterOpts, TestCluster};
-use ladon::core::{Behavior, MultiBftNode, NodeConfig, SyncRequest};
+use ladon::core::{MultiBftNode, SyncRequest};
 use ladon::obs::{MetricsRegistry, SnapshotInto};
 use ladon::state::{
     CommitWal, ExecutionPipeline, FaultBackend, FileBackend, WalOptions, WalRecord,
     DEFAULT_KEYSPACE,
 };
-use ladon::types::{Digest, ProtocolKind, Round};
-use std::collections::BTreeMap;
+use ladon::types::{Block, Digest, ProtocolKind, Round};
+use ladon::workload::{Deployment, ExperimentConfig};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Collects `(epoch → roots reported across replicas)` from a cluster.
-fn roots_by_epoch(c: &TestCluster, replicas: &[usize]) -> BTreeMap<u64, Vec<Digest>> {
-    let mut out: BTreeMap<u64, Vec<Digest>> = BTreeMap::new();
-    for &r in replicas {
-        for &(_, epoch, root) in &c.node(r).metrics.state_roots {
-            out.entry(epoch).or_default().push(root);
-        }
-    }
-    out
-}
-
-/// Asserts every epoch reported by at least two of `replicas` has one
-/// unanimous root, and returns how many such epochs there were.
-fn assert_root_agreement(c: &TestCluster, replicas: &[usize]) -> usize {
-    let by_epoch = roots_by_epoch(c, replicas);
-    let mut checked = 0;
-    for (epoch, roots) in &by_epoch {
-        if roots.len() < 2 {
-            continue;
-        }
-        checked += 1;
-        assert!(
-            roots.windows(2).all(|w| w[0] == w[1]),
-            "state roots diverge at epoch {epoch}: {roots:?}"
-        );
-    }
-    checked
+/// The suite's cluster: n = 4 with 16-rank epochs, so a run of a few
+/// seconds crosses several checkpoints.
+fn short_epochs(protocol: ProtocolKind, submit_until_s: f64) -> ExperimentConfig {
+    ExperimentConfig::scenario(protocol, 4, submit_until_s).with_epoch_length(16)
 }
 
 /// One metrics path: the node's copy of the pipeline counters is
@@ -121,13 +95,7 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
 
 #[test]
 fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 10.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 10.0));
     c.run_secs(15.0);
 
     // Real execution happened everywhere.
@@ -142,8 +110,9 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
             "replica {r} saw a conflicting checkpoint quorum"
         );
     }
-    // Multiple epochs checkpointed, with unanimous roots at each.
-    let checked = assert_root_agreement(&c, &[0, 1, 2, 3]);
+    // Multiple epochs checkpointed, with unanimous roots at each, and
+    // one log.
+    let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
     assert!(
         checked >= 2,
         "need ≥ 2 comparable checkpoints, got {checked}"
@@ -184,7 +153,6 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
         node.metrics.exec.locally_executed_txs,
         "lane ledger must account every executed op"
     );
-    c.assert_agreement(&[0, 1, 2, 3]);
 }
 
 /// Under LadonHotStuff, snapshots are state-only: the commit height at
@@ -195,13 +163,7 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
 /// carry no consensus frontier.
 #[test]
 fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonHotStuff,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 10.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonHotStuff, 10.0));
     c.run_secs(15.0);
 
     for r in 0..4 {
@@ -223,7 +185,7 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
             );
         }
     }
-    let checked = assert_root_agreement(&c, &[0, 1, 2, 3]);
+    let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
     assert!(
         checked >= 1,
         "HotStuff epochs must still checkpoint, got {checked}"
@@ -242,18 +204,12 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
 /// batches; epochs must still checkpoint with unanimous roots.
 #[test]
 fn straggler_cluster_still_agrees_on_state_roots() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        stragglers: vec![1],
-        straggler_k: 10.0,
-        epoch_length: Some(16),
-        submit_until_s: 25.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &short_epochs(ProtocolKind::LadonPbft, 25.0).with_straggler_ids(&[1], 10.0),
+    );
     c.run_secs(30.0);
 
-    let checked = assert_root_agreement(&c, &[0, 1, 2, 3]);
+    let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
     assert!(
         checked >= 1,
         "a straggler must not stop epochs from checkpointing"
@@ -276,7 +232,6 @@ fn straggler_cluster_still_agrees_on_state_roots() {
              nobody's applied frontier lagged"
         );
     }
-    c.assert_agreement(&[0, 1, 2, 3]);
 }
 
 /// Crash mid-epoch + restart: replica 3 crashes at 6 s; a new process
@@ -285,14 +240,7 @@ fn straggler_cluster_still_agrees_on_state_roots() {
 /// transfer, and ends the run agreeing with the cluster.
 #[test]
 fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        crash: Some((3, 6.0)),
-        submit_until_s: 30.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 30.0).with_crash(3, 6.0));
     c.run_secs(10.0);
 
     // "Disk" contents at the moment of the crash: the snapshot from the
@@ -323,18 +271,7 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
     );
 
     // Restart the process: same replica id, recovered pipeline, no crash.
-    let node = MultiBftNode::with_execution(
-        NodeConfig {
-            sys: c.sys.clone(),
-            protocol: c.protocol,
-            me: ladon::types::ReplicaId(3),
-            registry: c.registry.clone(),
-            behavior: Behavior::default(),
-            sample_interval: None,
-        },
-        recovered,
-    );
-    c.engine.restart_actor(3, Box::new(node));
+    c.swap_replica(3, recovered);
     c.run_secs(55.0);
 
     // The restarted replica detected its lag and resynced.
@@ -358,8 +295,7 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
         c.node(0).epoch(),
         "restarted replica must reach the cluster's epoch"
     );
-    assert_root_agreement(&c, &[0, 1, 2, 3]);
-    c.assert_agreement(&[0, 1, 2]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
 /// Worst-case restart: the replica lost its disk too (fresh execution
@@ -369,28 +305,18 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
 /// and rejoins without re-executing from genesis.
 #[test]
 fn disk_loss_recovers_via_peer_snapshot_install() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        crash: Some((3, 6.0)),
-        submit_until_s: 30.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 30.0).with_crash(3, 6.0));
     c.run_secs(12.0);
     let healthy_applied = c.node(0).exec.applied();
     assert!(healthy_applied > 0);
 
     // Fresh node, empty pipeline: nothing survived the crash.
-    let node = MultiBftNode::new(NodeConfig {
-        sys: c.sys.clone(),
-        protocol: c.protocol,
-        me: ladon::types::ReplicaId(3),
-        registry: c.registry.clone(),
-        behavior: Behavior::default(),
-        sample_interval: None,
-    });
-    c.engine.restart_actor(3, Box::new(node));
+    let empty = ExecutionPipeline::in_memory_opts(
+        c.sys.exec_keyspace,
+        c.sys.exec_lanes,
+        WalOptions::from(&c.sys),
+    );
+    c.swap_replica(3, empty);
     c.run_secs(55.0);
 
     let r3 = c.node(3);
@@ -429,7 +355,7 @@ fn disk_loss_recovers_via_peer_snapshot_install() {
     for r in 0..4 {
         assert_eq!(c.node(r).metrics.exec.snapshot_decode_failures, 0);
     }
-    assert_root_agreement(&c, &[0, 1, 2, 3]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
 /// Snapshot serving minimum-gap policy: a replica one block behind the
@@ -438,13 +364,7 @@ fn disk_loss_recovers_via_peer_snapshot_install() {
 /// checkpoint.
 #[test]
 fn one_block_behind_gets_log_sync_not_snapshot() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 12.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 12.0));
     c.run_secs(15.0);
 
     let responder = c.node(0);
@@ -485,7 +405,7 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
     // A from-zero requester: lags by ≥ snapshot_min_lag, gets the
     // snapshot plus the checkpoint that proves it.
     assert!(
-        snap.applied >= c.sys.snapshot_min_lag,
+        snap.applied >= c.sys.snapshot_min_lag(),
         "run too short for the policy threshold"
     );
     let deep = SyncRequest {
@@ -677,7 +597,7 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
             )
             .unwrap();
             for sn in 0..blocks {
-                p.execute(sn, &common::exec_block(sn, sn * 50, 50));
+                p.execute(sn, &Block::synthetic(sn, sn * 50, 50));
             }
             assert_eq!(p.wal_write_failures(), 0, "k={k}: run must start clean");
             budget.store(k, Ordering::SeqCst);
@@ -787,7 +707,7 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
     };
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
-            .map(|sn| (sn, common::exec_block(sn, sn * 50, 50)))
+            .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
     for flush_staged in [false, true] {
@@ -856,7 +776,7 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
             // Whatever survived re-executes to the identical root.
             let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
             for sn in 0..r.applied() {
-                reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+                reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
             }
             assert_eq!(
                 r.state_root(),
@@ -875,16 +795,11 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
 #[test]
 fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
     let run = |threshold: u32| {
-        let mut c = cluster(ClusterOpts {
-            protocol: ProtocolKind::LadonPbft,
-            n: 4,
-            epoch_length: Some(16),
-            submit_until_s: 10.0,
-            wal_flush_max_records: Some(threshold),
-            ..Default::default()
-        });
+        let mut c = Deployment::build(
+            &short_epochs(ProtocolKind::LadonPbft, 10.0).with_wal_flush_max_records(threshold),
+        );
         c.run_secs(15.0);
-        let checked = assert_root_agreement(&c, &[0, 1, 2, 3]);
+        let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
         assert!(
             checked >= 2,
             "threshold={threshold}: epochs must checkpoint"
@@ -897,7 +812,6 @@ fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
             );
             assert_eq!(m.exec_gaps, 0, "threshold={threshold} replica {r}");
         }
-        c.assert_agreement(&[0, 1, 2, 3]);
         let m = &c.node(0).metrics;
         (m.wal_fsyncs, c.node(0).exec.state_root())
     };
@@ -928,7 +842,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
     };
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
-            .map(|sn| (sn, common::exec_block(sn, sn * 50, 50)))
+            .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
     for k in 0..=14i64 {
@@ -969,7 +883,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
         // floor — must re-execute to the identical root.
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         for sn in 0..r.applied() {
-            reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+            reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
         }
         assert_eq!(
             r.state_root(),
@@ -1083,7 +997,7 @@ fn failed_flush_barrier_raises_alarm_through_report() {
     };
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
-            .map(|sn| (sn, common::exec_block(sn, sn * 50, 50)))
+            .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
     for threaded in [false, true] {
@@ -1171,7 +1085,7 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
     };
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
-            .map(|sn| (sn, common::exec_block(sn, sn * 50, 50)))
+            .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
     for k in 0..=16i64 {
@@ -1248,7 +1162,7 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
         );
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         for sn in 0..r.applied() {
-            reference.execute(sn, &common::exec_block(sn, sn * 50, 50));
+            reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
         }
         assert_eq!(
             r.state_root(),

@@ -2,22 +2,17 @@
 //! fetches the log entries it missed, proves them against the stable
 //! checkpoint, and rejoins the current epoch.
 
-mod common;
-
-use common::{cluster, ClusterOpts};
 use ladon::types::ProtocolKind;
+use ladon::workload::oracle::Violation;
+use ladon::workload::{Deployment, ExperimentConfig};
 
 /// The partitioned replica misses a window of commits (including an epoch
 /// boundary), then catches up via sync and converges with the others.
 #[test]
 fn partitioned_replica_catches_up_via_state_transfer() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        partitions: vec![(3, 2.0, 6.0)],
-        submit_until_s: 25.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 25.0).with_partition(3, 2.0, 6.0),
+    );
     c.run_secs(30.0);
 
     let lagger = c.node(3);
@@ -38,7 +33,7 @@ fn partitioned_replica_catches_up_via_state_transfer() {
     // Its confirmed log converged: agreement at every shared sn, and its
     // frontier is near the healthy peers' (a snapshot install may leave a
     // gap in its records, but never a lagging frontier).
-    c.assert_agreement(&[0, 1, 2, 3]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
     let f0 = c.confirmed_frontier(0);
     let f3 = c.confirmed_frontier(3);
     assert!(
@@ -51,12 +46,11 @@ fn partitioned_replica_catches_up_via_state_transfer() {
 /// misfire at ordinary epoch boundaries.
 #[test]
 fn no_spurious_sync_requests_when_healthy() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        submit_until_s: 15.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(&ExperimentConfig::scenario(
+        ProtocolKind::LadonPbft,
+        4,
+        15.0,
+    ));
     c.run_secs(20.0);
     assert!(
         c.node(0).metrics.epochs.len() > 1,
@@ -70,16 +64,12 @@ fn no_spurious_sync_requests_when_healthy() {
 /// (no boundary crossed): the checkpoint-quorum evidence path.
 #[test]
 fn intra_epoch_holes_block_confirmation_until_synced() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        partitions: vec![(1, 1.0, 3.0)],
-        submit_until_s: 20.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 20.0).with_partition(1, 1.0, 3.0),
+    );
     c.run_secs(25.0);
     // Replica 1's log repaired: agreement holds and it kept confirming.
-    c.assert_agreement(&[0, 1, 2, 3]);
+    c.check(&[0, 1, 2, 3]).assert_safe();
     let f0 = c.confirmed_frontier(0);
     let f1 = c.confirmed_frontier(1);
     assert!(
@@ -94,15 +84,22 @@ fn intra_epoch_holes_block_confirmation_until_synced() {
 /// transfer repairs it — the cluster converges anyway.
 #[test]
 fn random_message_loss_repaired_by_state_transfer() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        loss_probability: 0.01,
-        submit_until_s: 25.0,
-        ..Default::default()
-    });
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 25.0).with_loss(0.01),
+    );
     c.run_secs(35.0);
-    c.assert_agreement(&[0, 1, 2, 3]);
+    // G-Agreement only. Outside the paper's reliable-link model the
+    // checkpoint roots do diverge: a replica whose intake still has holes
+    // from lost messages completes the epoch (every instance reached
+    // `maxRank`) and checkpoints a shorter confirmed prefix than its
+    // peers. The oracle reports it; making it hold is ROADMAP direction 4.
+    let verdict = c.check(&[0, 1, 2, 3]);
+    let forks: Vec<_> = verdict
+        .violations
+        .iter()
+        .filter(|v| matches!(v, Violation::Disagreement { .. }))
+        .collect();
+    assert!(forks.is_empty(), "{forks:?}");
     let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
     let max = *fronts.iter().max().unwrap();
     let min = *fronts.iter().min().unwrap();
@@ -124,10 +121,18 @@ fn random_message_loss_repaired_by_state_transfer() {
 // request/response handlers, no network in between.
 // ---------------------------------------------------------------------
 
-use ladon::core::{Behavior, MultiBftNode, NodeConfig, NodeMsg};
+use ladon::core::{MultiBftNode, NodeConfig, NodeMsg};
 use ladon::sim::{ActorId, RecordingCtx};
 use ladon::state::ExecutionPipeline;
 use ladon::types::ReplicaId;
+
+/// The responder side of every exchange below: short epochs, 12 s of
+/// load (run it to 15 s and replica 0 holds a checkpointed snapshot).
+fn checkpointed_cluster() -> Deployment {
+    Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 12.0).with_epoch_length(16),
+    )
+}
 
 /// The context the handlers under test run against: replica 3's, seeded.
 fn direct_ctx() -> RecordingCtx<NodeMsg> {
@@ -147,14 +152,10 @@ fn sync_req_targets(ctx: &RecordingCtx<NodeMsg>) -> Vec<ActorId> {
 /// responder health is scored like any network delivery).
 const RESPONDER: ReplicaId = ReplicaId(0);
 
-fn from_zero_node(c: &common::TestCluster, sys: ladon::types::SystemConfig) -> MultiBftNode {
+fn from_zero_node(c: &Deployment, sys: ladon::types::SystemConfig) -> MultiBftNode {
     MultiBftNode::new(NodeConfig {
         sys,
-        protocol: c.protocol,
-        me: ReplicaId(3),
-        registry: c.registry.clone(),
-        behavior: Behavior::default(),
-        sample_interval: None,
+        ..c.node_config(3)
     })
 }
 
@@ -164,13 +165,7 @@ fn from_zero_node(c: &common::TestCluster, sys: ladon::types::SystemConfig) -> M
 /// fetches only what is still missing before installing.
 #[test]
 fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 12.0,
-        ..Default::default()
-    });
+    let mut c = checkpointed_cluster();
     c.run_secs(15.0);
     let responder = c.node(0);
     let snap = responder
@@ -256,13 +251,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
 #[test]
 fn sync_response_from_a_non_replica_actor_is_dropped() {
     use ladon::sim::Actor;
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 12.0,
-        ..Default::default()
-    });
+    let mut c = checkpointed_cluster();
     c.run_secs(15.0);
     let mut requester = from_zero_node(&c, c.sys.clone());
     let mut ctx = direct_ctx();
@@ -298,13 +287,7 @@ fn sync_response_from_a_non_replica_actor_is_dropped() {
 /// responder that keeps serving garbage is simply left behind.
 #[test]
 fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 12.0,
-        ..Default::default()
-    });
+    let mut c = checkpointed_cluster();
     c.run_secs(15.0);
     let responder = c.node(0);
     assert!(responder.exec.latest_snapshot().is_some());
@@ -368,13 +351,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// responder's snapshot's.
 #[test]
 fn interrupted_chunked_install_resumes_from_stash() {
-    let mut c = cluster(ClusterOpts {
-        protocol: ProtocolKind::LadonPbft,
-        n: 4,
-        epoch_length: Some(16),
-        submit_until_s: 12.0,
-        ..Default::default()
-    });
+    let mut c = checkpointed_cluster();
     c.run_secs(15.0);
     let responder = c.node(0);
     let snap = responder
@@ -386,17 +363,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
     let dir = scratch_dir("chunk-resume");
     let _ = std::fs::remove_dir_all(&dir);
     let exec = ExecutionPipeline::recover(&dir, c.sys.exec_keyspace).expect("durable pipeline");
-    let mut requester = MultiBftNode::with_execution(
-        NodeConfig {
-            sys: c.sys.clone(),
-            protocol: c.protocol,
-            me: ReplicaId(3),
-            registry: c.registry.clone(),
-            behavior: Behavior::default(),
-            sample_interval: None,
-        },
-        exec,
-    );
+    let mut requester = MultiBftNode::with_execution(c.node_config(3), exec);
     let mut ctx = direct_ctx();
 
     let req = requester.build_sync_request();
@@ -425,17 +392,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
         "verified chunks must survive the crash"
     );
     assert_eq!(exec.snapshot_decode_failures(), 0);
-    let mut requester = MultiBftNode::with_execution(
-        NodeConfig {
-            sys: c.sys.clone(),
-            protocol: c.protocol,
-            me: ReplicaId(3),
-            registry: c.registry.clone(),
-            behavior: Behavior::default(),
-            sample_interval: None,
-        },
-        exec,
-    );
+    let mut requester = MultiBftNode::with_execution(c.node_config(3), exec);
 
     // Resume: only the missing chunks travel.
     let req2 = requester.build_sync_request();

@@ -19,13 +19,11 @@ use ladon_types::{Block, Digest, TxOp};
 
 /// Records appended per sweep point.
 const RECORDS: u64 = 256;
-/// Lane groups the sweep runs at (every record carries a full mask, so
-/// every batch touches all groups — the worst case for barrier counts).
-const GROUPS: u32 = 4;
 /// The batch-size sweep of the acceptance gate.
 const BATCHES: [u64; 4] = [1, 4, 16, 64];
 
-/// A synthetic record touching every lane (and so every lane group).
+/// A synthetic record touching every lane (a barrier's cost must not
+/// depend on the mask).
 fn full_mask_record(sn: u64) -> WalRecord {
     WalRecord {
         sn,
@@ -52,25 +50,22 @@ fn main() {
     // 1. Fsyncs per batch, flat across the batch-size sweep.
     // ------------------------------------------------------------------
     let opts = WalOptions {
-        lane_groups: GROUPS,
         // No mid-sweep segment rolls: the steady-state window must
         // isolate the group-commit barriers from the (amortized,
         // one-time) roll bookkeeping.
         segment_records: 4096,
+        ..WalOptions::default()
     };
-    println!("{RECORDS} full-mask records, {GROUPS} lane groups; steady-state window:");
+    println!("{RECORDS} full-mask records; steady-state window:");
     println!("  batch | flushes | fsyncs | fsyncs/batch | fsyncs/record | opens");
     println!("  ------+---------+--------+--------------+---------------+------");
-    let mut emitted = fields(vec![
-        ("records", Json::U64(RECORDS)),
-        ("lane_groups", Json::U64(GROUPS as u64)),
-    ]);
+    let mut emitted = fields(vec![("records", Json::U64(RECORDS))]);
     for &batch in &BATCHES {
         let dir = scratch(&format!("sweep-{batch}"));
         let _ = std::fs::remove_dir_all(&dir);
         let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts);
         let mut sn = 0u64;
-        // Warm batch: creates the active segments (write + manifest
+        // Warm batch: creates the active segment (write + manifest
         // publish, a one-time cost the steady-state window excludes).
         for _ in 0..batch {
             wal.append_buffered(full_mask_record(sn));
@@ -101,32 +96,23 @@ fn main() {
             s1.segment_opens,
         );
 
-        // THE gate: one fsync (and one staged write) per touched group
-        // per flushed batch — never per record — at every batch size.
-        assert_eq!(
-            fsyncs,
-            flushes * GROUPS as u64,
-            "batch={batch}: fsyncs must be 1 per group per batch"
-        );
-        assert_eq!(
-            writes,
-            flushes * GROUPS as u64,
-            "batch={batch}: writes must be 1 per group per batch"
-        );
-        // Every record's encoding lands exactly once per touched group,
-        // plus one batch trailer per (group, flush) closing the run at
-        // an acknowledgement boundary.
+        // THE gate: one fsync (and one staged write) per flushed batch
+        // — never per record — at every batch size.
+        assert_eq!(fsyncs, flushes, "batch={batch}: fsyncs must be 1 per batch");
+        assert_eq!(writes, flushes, "batch={batch}: writes must be 1 per batch");
+        // Every record's encoding lands exactly once, plus one batch
+        // trailer per flush closing the run at an acknowledgement
+        // boundary.
         assert_eq!(
             bytes,
-            steady_records * GROUPS as u64 * ENCODED_RECORD_LEN as u64
-                + flushes * GROUPS as u64 * TRAILER_LEN as u64,
-            "batch={batch}: staged bytes must match records × groups + trailers"
+            steady_records * ENCODED_RECORD_LEN as u64 + flushes * TRAILER_LEN as u64,
+            "batch={batch}: staged bytes must match records + trailers"
         );
         // Handle-cache gate: opens are O(segments) — one per active
         // segment ever created — not O(appends).
         assert_eq!(
-            s1.segment_opens, GROUPS as u64,
-            "batch={batch}: each active segment must be opened exactly once"
+            s1.segment_opens, 1,
+            "batch={batch}: the active segment must be opened exactly once"
         );
 
         emitted.push((
@@ -154,8 +140,8 @@ fn main() {
     }
     emit_figure("fig_wal_group_commit_sweep", emitted);
     println!(
-        "\n  -> fsyncs per batch constant at {GROUPS} (= touched groups) across a \
-         {}x batch-size sweep; fsyncs per record fall as 1/batch (verified)",
+        "\n  -> fsyncs per batch constant at 1 across a {}x batch-size sweep; \
+         fsyncs per record fall as 1/batch (verified)",
         BATCHES[BATCHES.len() - 1] / BATCHES[0]
     );
 
@@ -163,8 +149,8 @@ fn main() {
     // 2. Segment-file opens are O(segments) even across many rolls.
     // ------------------------------------------------------------------
     let roll_opts = WalOptions {
-        lane_groups: 2,
         segment_records: 8,
+        ..WalOptions::default()
     };
     let dir = scratch("rolls");
     let _ = std::fs::remove_dir_all(&dir);
@@ -183,11 +169,7 @@ fn main() {
         io.segment_opens, segments,
         "opens must equal segments created (O(segments))"
     );
-    assert_eq!(
-        io.appends,
-        128 * 2,
-        "every record stages once per touched group"
-    );
+    assert_eq!(io.appends, 128, "every record stages once");
     assert!(
         io.segment_opens < io.appends / 4,
         "opens must not scale with appends: {io:?}"
@@ -200,8 +182,8 @@ fn main() {
     // ------------------------------------------------------------------
     let keyspace = 4096u32;
     let pipe_opts = WalOptions {
-        lane_groups: GROUPS,
         segment_records: 64,
+        ..WalOptions::default()
     };
     let blocks: Vec<(u64, Block)> = (0..96u64)
         .map(|sn| (sn, Block::synthetic(sn, sn * 32, 32)))

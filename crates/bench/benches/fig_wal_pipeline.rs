@@ -2,7 +2,7 @@
 //! barrier runs on a dedicated writer thread, so batch N's write+fsync
 //! overlaps batch N-1's execution and batch N+1's staging — without
 //! changing a single deterministic I/O count versus the synchronous
-//! barrier of PR 4.
+//! barrier.
 //!
 //! Every acceptance gate is stated in deterministic *counts* (applied
 //! frontiers, in-flight depths, fsyncs per barrier) — never wall-clock.
@@ -21,12 +21,10 @@ use std::sync::Mutex;
 
 /// Records appended per sweep point (sweep section).
 const RECORDS: u64 = 256;
-/// Lane groups of the sweep (full-mask records touch every group).
-const GROUPS: u32 = 4;
 /// The batch-size sweep of the count gate.
 const BATCHES: [u64; 3] = [4, 16, 64];
 
-/// A synthetic record touching every lane (and so every lane group).
+/// A synthetic record touching every lane.
 fn full_mask_record(sn: u64) -> WalRecord {
     WalRecord {
         sn,
@@ -105,12 +103,12 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 1. THE overlap gate: wave execution proceeds while the next
-    //    barrier is provably incomplete. One lane group, so a barrier is
-    //    exactly one (gated) append + one fsync — no timeouts, no races.
+    //    barrier is provably incomplete. A barrier is exactly one
+    //    (gated) append + one fsync — no timeouts, no races.
     // ------------------------------------------------------------------
     let gate_opts = WalOptions {
-        lane_groups: 1,
         segment_records: 4096,
+        ..WalOptions::default()
     };
     let dir = scratch("gate");
     let _ = std::fs::remove_dir_all(&dir);
@@ -186,25 +184,24 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 2. Count parity with PR 4: the submit/complete split spends exactly
-    //    the synchronous barrier's I/O — one fsync and one staged write
-    //    per touched group per batch, byte counts identical — while every
-    //    steady-state batch stages into the double buffer mid-flight.
+    // 2. Count parity: the submit/complete split spends exactly the
+    //    synchronous barrier's I/O — one fsync and one staged write per
+    //    batch, byte counts identical — while every steady-state batch
+    //    stages into the double buffer mid-flight.
     // ------------------------------------------------------------------
     let opts = WalOptions {
-        lane_groups: GROUPS,
         segment_records: 4096,
+        ..WalOptions::default()
     };
-    println!("\n{RECORDS} full-mask records, {GROUPS} lane groups, overlapped barriers:");
+    println!("\n{RECORDS} full-mask records, overlapped barriers:");
     println!("  batch | flushes | fsyncs | fsyncs/batch | pipelined");
     println!("  ------+---------+--------+--------------+----------");
     let mut emitted = fields(vec![
         ("records", Json::U64(RECORDS)),
-        ("lane_groups", Json::U64(GROUPS as u64)),
         ("wal_flush_failures", Json::U64(0)),
         ("pipelined_submits", Json::U64(pipelined_submits)),
         ("flush_barriers", Json::U64(2)),
-        ("fsyncs_per_barrier", Json::F64(GROUPS as f64)),
+        ("fsyncs_per_barrier", Json::F64(1.0)),
         ("overlap_applied_mid_flight", Json::U64(overlap_applied)),
     ]);
     for &batch in &BATCHES {
@@ -216,7 +213,7 @@ fn main() {
             "file-backed WALs must route barriers through the writer thread"
         );
         let mut sn = 0u64;
-        // Warm batch: creates the active segments (one-time cost the
+        // Warm batch: creates the active segment (one-time cost the
         // steady-state window excludes).
         for _ in 0..batch {
             wal.append_buffered(full_mask_record(sn));
@@ -259,23 +256,20 @@ fn main() {
         // synchronous-barrier gates: pipelining moved the fsync off the
         // critical path, it did not add or reorder a single one.
         assert_eq!(
-            fsyncs,
-            flushes * GROUPS as u64,
-            "batch={batch}: fsyncs must stay 1 per group per batch"
+            fsyncs, flushes,
+            "batch={batch}: fsyncs must stay 1 per batch"
         );
         assert_eq!(
-            writes,
-            flushes * GROUPS as u64,
-            "batch={batch}: staged writes must stay 1 per group per batch"
+            writes, flushes,
+            "batch={batch}: staged writes must stay 1 per batch"
         );
         assert_eq!(
             bytes,
-            steady_records * GROUPS as u64 * ENCODED_RECORD_LEN as u64
-                + flushes * GROUPS as u64 * TRAILER_LEN as u64,
+            steady_records * ENCODED_RECORD_LEN as u64 + flushes * TRAILER_LEN as u64,
             "batch={batch}: byte counts must match the synchronous barrier's"
         );
         assert_eq!(
-            s1.segment_opens, GROUPS as u64,
+            s1.segment_opens, 1,
             "batch={batch}: handle cache unaffected by the writer thread"
         );
         emitted.push((
@@ -292,8 +286,8 @@ fn main() {
     //    submit_staged recovers byte-identical to per-record execution.
     // ------------------------------------------------------------------
     let pipe_opts = WalOptions {
-        lane_groups: GROUPS,
         segment_records: 64,
+        ..WalOptions::default()
     };
     let blocks: Vec<(u64, Block)> = (0..96u64)
         .map(|sn| (sn, Block::synthetic(sn, sn * 32, 32)))

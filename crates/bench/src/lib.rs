@@ -91,10 +91,12 @@ pub fn scratch_dir(what: &str, tag: &str) -> PathBuf {
 
 /// WAL layout of the recovery scenarios: small segments, so a short log
 /// already spans many of them.
-pub const RECOVERY_WAL_OPTS: WalOptions = WalOptions {
-    lane_groups: 8,
-    segment_records: 8,
-};
+pub fn recovery_wal_opts() -> WalOptions {
+    WalOptions {
+        segment_records: 8,
+        ..WalOptions::default()
+    }
+}
 /// Transactions per block in the recovery scenarios.
 pub const RECOVERY_BLOCK_TXS: u32 = 64;
 
@@ -108,7 +110,7 @@ pub fn build_crashed_dir(dir: &Path, history: u64, tail: u64, keyspace: u32) -> 
     // The log: every record, appended through the real segmented WAL.
     let mut wal = CommitWal::open(
         Box::new(FileBackend::open_dir(dir.join("wal")).expect("open wal dir")),
-        RECOVERY_WAL_OPTS,
+        recovery_wal_opts(),
     );
     // The reference execution (in memory) that also donates the
     // snapshot at the history cut.
@@ -142,7 +144,7 @@ pub fn recover_crashed_dir(
     expect_root: Digest,
 ) -> (ReplayStats, u64) {
     let started = Instant::now();
-    let recovered = ExecutionPipeline::recover_opts(dir, keyspace, 1, RECOVERY_WAL_OPTS)
+    let recovered = ExecutionPipeline::recover_opts(dir, keyspace, 1, recovery_wal_opts())
         .expect("recover pipeline");
     let wall_recover_ns = started.elapsed().as_nanos() as u64;
     let stats = recovered.recovery_stats().clone();
@@ -175,7 +177,6 @@ pub fn recovery_figure(tag: &str) -> Vec<(String, Json)> {
         ("records_replayed", Json::U64(stats.records_replayed)),
         ("segments_skipped", Json::U64(stats.segments_skipped)),
         ("segments_scanned", Json::U64(stats.segments_scanned)),
-        ("dirty_lanes", Json::U64(stats.dirty_lanes() as u64)),
         ("wall_recover_ns", Json::U64(wall_recover_ns)),
     ])
 }

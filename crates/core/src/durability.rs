@@ -55,12 +55,22 @@
 //! - **Normal** — barriers drain, checkpoints run, snapshots are served.
 //! - **Degraded** — confirmed blocks keep *staging* (unacknowledged, in
 //!   memory) but no new barrier touches the failing backend; no
-//!   checkpoint is taken (its root would cover an undurable prefix); no
 //!   snapshot is served (log entries still are — they carry their own
-//!   QCs). `Degraded → Normal` happens only after a retry rewrote the
-//!   log from the in-memory mirror *and* the staged backlog drained
-//!   through a clean barrier, which leaves the state roots byte-identical
-//!   to a never-degraded run.
+//!   QCs).
+//! - **Degraded × an epoch completes** — the replica *abstains*
+//!   (`EpochPacemaker::abstain`): no checkpoint is taken (its root
+//!   would cover an undurable prefix), nothing is signed or sent, and
+//!   the epoch advances on the peers' 2f+1 matching-root quorum. The
+//!   checkpoint is not deferred to recovery either — by then the state
+//!   is past the epoch boundary and the root would diverge — so an
+//!   abstained epoch leaves no entry in `state_roots`, and the next
+//!   epoch that completes while `Normal` checkpoints (and compacts the
+//!   WAL) as usual.
+//!
+//! `Degraded → Normal` happens only after a retry rewrote the log from
+//! the in-memory mirror *and* the staged backlog drained through a clean
+//! barrier, which leaves the state roots byte-identical to a
+//! never-degraded run.
 
 use ladon_types::TimeNs;
 

@@ -146,9 +146,11 @@ pub struct EpochPacemaker {
     /// we finish the epoch locally (peers moved on and will not re-send
     /// their individual checkpoint votes).
     pending_stable: BTreeMap<Epoch, StableCheckpoint>,
+    /// The current epoch completed locally and its checkpoint was made
+    /// ([`Self::make_checkpoint`]) or abstained from ([`Self::abstain`]).
     sent_checkpoint: bool,
     /// The root we signed for the current epoch (set by
-    /// [`Self::make_checkpoint`]).
+    /// [`Self::make_checkpoint`]; stays `None` after [`Self::abstain`]).
     my_root: Option<Digest>,
     /// Checkpoint quorums observed on a root different from ours —
     /// execution divergence, surfaced instead of advanced past. Counted
@@ -232,9 +234,12 @@ impl EpochPacemaker {
     }
 
     /// Notifies the pacemaker that `instance` partially committed a block
-    /// with `rank`. Returns `true` exactly once per epoch, when all `m`
-    /// instances have reached `maxRank(e)`: the node must then compute its
-    /// execution state root and call [`Self::make_checkpoint`].
+    /// with `rank`. Returns `true` once all `m` instances have reached
+    /// `maxRank(e)`, and keeps returning it on every later commit until
+    /// the epoch is closed: the node must close it in the same handler —
+    /// compute its execution state root and call
+    /// [`Self::make_checkpoint`], or call [`Self::abstain`] — because a
+    /// checkpoint taken any later covers a state past the epoch boundary.
     pub fn on_commit(&mut self, instance: usize, rank: Rank) -> bool {
         if rank == self.max_rank() {
             self.reached.insert(instance);
@@ -258,6 +263,32 @@ impl EpochPacemaker {
         msg
     }
 
+    /// Closes the completed epoch **without** a checkpoint of our own:
+    /// nothing is signed or sent, and the epoch advances on the peers'
+    /// 2f+1 matching-root quorum alone — at once when the votes already
+    /// collected (or a stashed stable checkpoint) prove it, otherwise on
+    /// a later [`Self::on_checkpoint`] / [`Self::on_stable_checkpoint`].
+    /// For a replica that may not checkpoint when the epoch completes
+    /// (its durable path is failing); call in place of
+    /// [`Self::make_checkpoint`], after [`Self::on_commit`] returned
+    /// `true`. With no root of our own there is nothing to compare the
+    /// quorum's against, so no conflict can be counted.
+    pub fn abstain(&mut self) -> Option<EpochEvent> {
+        debug_assert!(!self.sent_checkpoint, "epoch already closed");
+        self.sent_checkpoint = true;
+        let voted = self.votes.get(&self.epoch);
+        if voted.is_some_and(|v| self.quorum_group(v).is_some()) {
+            return Some(self.advance_to_next());
+        }
+        self.try_pending_advance()
+    }
+
+    /// Whether a quorum's root is one we can advance on: the root we
+    /// signed, or any root when we abstained.
+    fn agrees_with(&self, root: Digest) -> bool {
+        self.my_root.is_none_or(|mine| mine == root)
+    }
+
     /// Handles a checkpoint message from `from`. Returns the advance event
     /// when the stable checkpoint (2f+1 matching-root votes) forms.
     pub fn on_checkpoint(
@@ -272,9 +303,8 @@ impl EpochPacemaker {
         let votes = self.votes.entry(msg.epoch).or_default();
         votes.insert(from, (msg.state_root, msg.sig));
         if msg.epoch == self.epoch && self.sent_checkpoint {
-            let my_root = self.my_root.expect("sent_checkpoint implies my_root");
             if let Some((root, _)) = self.quorum_group(&self.votes[&self.epoch]) {
-                if root == my_root {
+                if self.agrees_with(root) {
                     return Some(self.advance_to_next());
                 }
                 // A quorum agreed on a root we did not execute: divergence.
@@ -297,7 +327,7 @@ impl EpochPacemaker {
             return None;
         }
         if sc.epoch == self.epoch && self.sent_checkpoint {
-            if self.my_root == Some(sc.state_root) {
+            if self.agrees_with(sc.state_root) {
                 return Some(self.advance_to_next());
             }
             self.note_conflict(sc.epoch);
@@ -309,13 +339,13 @@ impl EpochPacemaker {
 
     /// Applies a stashed stable checkpoint once the local epoch completes
     /// (call after [`Self::make_checkpoint`]). A stashed checkpoint whose
-    /// root contradicts our execution is a conflict, not an advance.
+    /// root contradicts the one we signed is a conflict, not an advance.
     pub fn try_pending_advance(&mut self) -> Option<EpochEvent> {
         if !self.sent_checkpoint {
             return None;
         }
         if let Some(sc) = self.pending_stable.get(&self.epoch) {
-            if self.my_root == Some(sc.state_root) {
+            if self.agrees_with(sc.state_root) {
                 return Some(self.advance_to_next());
             }
             let epoch = sc.epoch;
@@ -405,15 +435,20 @@ mod tests {
         (EpochPacemaker::new(&cfg), KeyRegistry::generate(4, 1, 3))
     }
 
+    /// Commits `maxRank` on every instance: the epoch is complete and
+    /// waits to be closed.
+    fn reach_max_everywhere(p: &mut EpochPacemaker) {
+        let max = p.max_rank();
+        for i in 0..p.sys.m {
+            p.on_commit(i, max);
+        }
+        assert!(p.on_commit(0, max), "still open: re-signalled until closed");
+    }
+
     /// Drives `p` through local epoch completion: commits `maxRank` on all
     /// `m` instances and makes the checkpoint at `root()`.
     fn complete_epoch(p: &mut EpochPacemaker, reg: &KeyRegistry, me: u32) -> CheckpointMsg {
-        let max = p.max_rank();
-        let mut ready = false;
-        for i in 0..p.sys.m {
-            ready = p.on_commit(i, max);
-        }
-        assert!(ready, "all instances at maxRank must complete the epoch");
+        reach_max_everywhere(p);
         p.make_checkpoint(&reg.signer(ReplicaId(me)), root())
     }
 
@@ -593,6 +628,101 @@ mod tests {
         let mut bad_root = good;
         bad_root.state_root = other_root(); // root swap breaks signatures
         assert!(p.on_stable_checkpoint(&bad_root, &reg).is_none());
+    }
+
+    #[test]
+    fn abstaining_with_the_quorum_already_collected_advances_at_once() {
+        let (mut p, reg) = setup(1);
+        for r in 1..=3u32 {
+            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
+            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+        }
+        reach_max_everywhere(&mut p);
+        let adv = p.abstain();
+        assert!(matches!(
+            adv,
+            Some(EpochEvent::Advance {
+                epoch: Epoch(1),
+                ..
+            })
+        ));
+        assert_eq!(p.root_conflicts, 0);
+        // The peers' quorum is retained and served onward; our own
+        // signature is not in it.
+        let sc = p
+            .stable_checkpoint(Epoch(0))
+            .expect("peers' quorum retained");
+        assert!(sc.verify(&reg, 3));
+        assert_eq!(sc.state_root, root());
+        // The next epoch opens like any other.
+        assert!(!p.on_commit(0, Rank(9)));
+    }
+
+    #[test]
+    fn abstaining_before_the_quorum_advances_when_it_arrives() {
+        let (mut p, reg) = setup(1);
+        reach_max_everywhere(&mut p);
+        assert!(p.abstain().is_none(), "no quorum yet");
+        assert!(!p.on_commit(0, p.max_rank()), "closed: not re-signalled");
+        assert!(!p.lag_evidence());
+        for r in 1..=2u32 {
+            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
+            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+        }
+        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), root());
+        let adv = p.on_checkpoint(ReplicaId(3), &m, &reg);
+        assert!(matches!(
+            adv,
+            Some(EpochEvent::Advance {
+                epoch: Epoch(1),
+                ..
+            })
+        ));
+        assert_eq!(p.root_conflicts, 0);
+
+        // The same through a whole stable checkpoint learned via sync.
+        let (mut q, _) = setup(1);
+        reach_max_everywhere(&mut q);
+        assert!(q.abstain().is_none());
+        let sc = p.stable_checkpoint(Epoch(0)).expect("quorum");
+        let adv = q.on_stable_checkpoint(&sc, &reg);
+        assert!(matches!(
+            adv,
+            Some(EpochEvent::Advance {
+                epoch: Epoch(1),
+                ..
+            })
+        ));
+
+        // And when that checkpoint was stashed before the epoch closed.
+        let (mut q, _) = setup(1);
+        assert!(q.on_stable_checkpoint(&sc, &reg).is_none());
+        reach_max_everywhere(&mut q);
+        let adv = q.abstain();
+        assert!(matches!(
+            adv,
+            Some(EpochEvent::Advance {
+                epoch: Epoch(1),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn abstaining_never_advances_or_conflicts_on_split_roots() {
+        // Peers disagree among themselves and no root reaches quorum:
+        // an abstainer has no root to side with, so it waits — and has
+        // nothing of its own a quorum could contradict.
+        let (mut p, reg) = setup(1);
+        reach_max_everywhere(&mut p);
+        assert!(p.abstain().is_none());
+        for (r, claimed) in [(1u32, root()), (2, other_root()), (3, root())] {
+            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), claimed);
+            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+        }
+        assert_eq!(p.epoch(), Epoch(0), "2 + 1 split votes are no quorum of 3");
+        assert_eq!(p.root_conflicts, 0);
+        assert!(p.stable_checkpoint(Epoch(0)).is_none());
     }
 
     #[test]

@@ -369,18 +369,22 @@ impl MultiBftNode {
 
         // Epoch pacemaker (Ladon protocols, real instances only).
         if i < self.cfg.sys.m {
-            // While degraded, consume the epoch-completion event but
-            // skip the checkpoint entirely: checkpointing flushes and
-            // compacts through the failing backend, and a root signed
-            // over an undurable prefix must never be broadcast. The
-            // cluster's quorum completes the epoch without us; we
-            // rejoin via `on_stable_checkpoint` / sync once recovered.
             let epoch_done = self
                 .pacemaker
                 .as_mut()
                 .is_some_and(|pm| pm.on_commit(i, rank));
             if epoch_done && self.durability.is_normal() {
                 self.checkpoint_epoch(ctx);
+            } else if epoch_done {
+                // While degraded, abstain from the epoch's checkpoint:
+                // checkpointing flushes and compacts through the failing
+                // backend, and a root signed over an undurable prefix
+                // must never be broadcast. Nor may it be taken later —
+                // by then the state is past the epoch boundary and the
+                // root would diverge from the quorum's. The peers'
+                // quorum completes the epoch without our vote.
+                let ev = self.pacemaker.as_mut().and_then(EpochPacemaker::abstain);
+                self.on_epoch_event(ev, ctx);
             }
             self.sync_pacemaker_metrics();
         }
@@ -461,8 +465,8 @@ impl MultiBftNode {
         // group-commit path; the flush + apply barrier runs once the
         // cross-drain accumulation reaches `wal_flush_max_records`
         // staged records (the default of 1 flushes every drain). A
-        // flushed accumulation is ONE durability barrier (one fsync per
-        // touched lane group, however many drains it spans) and ONE
+        // flushed accumulation is ONE durability barrier (one write and
+        // one fsync, however many drains it spans) and ONE
         // batch-wide dependency DAG, so ops from independent blocks
         // overlap in the same waves — WAL-before-apply, preserved at
         // accumulated-batch granularity. Staged records stay

@@ -519,8 +519,8 @@ mod tests {
         CommitWal::open(
             Box::new(backend),
             WalOptions {
-                lane_groups: 1,
                 segment_records: 64,
+                ..WalOptions::default()
             },
         )
     }

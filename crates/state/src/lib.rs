@@ -13,10 +13,11 @@
 //!   not O(keyspace).
 //! - [`wal`]: a segmented commit write-ahead log ([`CommitWal`]) of
 //!   confirmed block identities — checksummed, length-prefixed records
-//!   fanned out across per-lane-group segment chains under a checksummed
-//!   manifest, compacted by atomic segment rotation (never in-place
-//!   truncation) — over pluggable storage ([`MemBackend`] for
-//!   simulation, [`FileBackend`] for real durability).
+//!   in one chain of segment files under a checksummed manifest, one
+//!   write + one fsync per flushed batch, compacted by atomic segment
+//!   rotation (never in-place truncation) — over pluggable storage
+//!   ([`MemBackend`] for simulation, [`FileBackend`] for real
+//!   durability).
 //! - [`snapshot`]: epoch-aligned state snapshots ([`Snapshot`]) keyed by
 //!   their state root, with a [`SnapshotStore`] that can persist them
 //!   content-addressed on disk. Snapshots also split into per-lane
@@ -53,7 +54,6 @@ pub use pipeline::{
 };
 pub use snapshot::{delta_lanes, ChunkCache, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{
-    decode_records, decode_segment, group_of_lane, CommitWal, FileBackend, MemBackend,
-    SegmentDecode, SegmentMeta, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
-    ENCODED_RECORD_LEN, TRAILER_LEN,
+    decode_records, decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta,
+    WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,
 };

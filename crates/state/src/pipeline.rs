@@ -29,7 +29,7 @@
 //! tail itself re-executes through the same
 //! [`crate::kv::KvState::apply_batch`] as live execution.
 //! [`ReplayStats`] records what recovery touched (segments scanned vs
-//! skipped, records replayed per lane). Because execution is
+//! skipped, records replayed). Because execution is
 //! deterministic, the recovered root equals the pre-crash root — the
 //! crash-recovery example and the WAL-replay property test assert
 //! exactly this.
@@ -104,9 +104,6 @@ pub struct ReplayStats {
     /// Union lane mask of the replayed records: which Merkle lanes the
     /// replay actually touched.
     pub replayed_lane_mask: u64,
-    /// Replayed records per Merkle lane (length [`MERKLE_LANES`]; a
-    /// record counts toward every lane its mask touches).
-    pub records_per_lane: Vec<u64>,
 }
 
 impl ReplayStats {
@@ -119,7 +116,6 @@ impl ReplayStats {
             records_unacked_lost: load.records_unacked_lost,
             segments_clean_end: load.segments_clean_end,
             manifest_recovered: load.manifest_recovered,
-            records_per_lane: vec![0; MERKLE_LANES as usize],
             ..Self::default()
         }
     }
@@ -291,8 +287,8 @@ impl SnapshotInto for PipelineStats {
 /// when some op routes to Merkle lane `l`. Computed *before* execution
 /// (a transfer sets both its debit and its credit lane, whether or not
 /// the credit ends up moving value), so it is a conservative superset of
-/// the lanes the block dirties — exactly what the WAL needs to fan the
-/// record out to lane-group segments ahead of the apply.
+/// the lanes the block dirties. It rides in the block's WAL record and
+/// describes, on recovery, which lanes the replayed tail touched.
 pub fn static_lane_mask(ops: &[TxOp]) -> u64 {
     let mut mask = 0u64;
     for op in ops {
@@ -345,9 +341,9 @@ pub struct ExecutionPipeline {
     /// Per-lane `sn` high-water mark: the last WAL `sn` whose ops touched
     /// the lane, `None` while untouched. Lanes whose mark is below the
     /// latest snapshot's `applied` are clean — their lane roots were
-    /// unchanged by the WAL tail. The ledger drives the per-lane WAL
-    /// segment routing, is recorded in every snapshot's
-    /// `lane_covered_sn`, and is restored from it on recovery.
+    /// unchanged by the WAL tail. Descriptive only (nothing is routed
+    /// or skipped by it): it is recorded in every snapshot's
+    /// `lane_covered_sn` and restored from it on recovery.
     lane_last_sn: Vec<Option<u64>>,
     /// Blocks staged (WAL record buffered, ops derived) but not yet
     /// flushed + applied — the cross-drain group-commit accumulator.
@@ -490,12 +486,6 @@ impl ExecutionPipeline {
             stats.records_replayed += 1;
             stats.replayed_txs += ops.len() as u64;
             stats.replayed_lane_mask |= rec.lane_mask;
-            let mut mask = rec.lane_mask;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                stats.records_per_lane[lane] += 1;
-            }
             p.apply_ops(rec.sn, &ops);
             p.applied = rec.sn + 1;
         }
@@ -600,9 +590,9 @@ impl ExecutionPipeline {
         if sn > next {
             return ExecOutcome::Gap { expected: next };
         }
-        // Derive the ops once: their static lane mask routes the WAL
-        // record to per-lane-group segments, and the same vector then
-        // feeds the apply at flush time.
+        // Derive the ops once: their static lane mask rides in the WAL
+        // record, and the same vector then feeds the apply at flush
+        // time.
         let ops: Vec<TxOp> = block.batch.txs(self.keyspace).map(|tx| tx.op).collect();
         self.wal
             .append_buffered(WalRecord::of_block(sn, block, static_lane_mask(&ops)));
@@ -615,8 +605,8 @@ impl ExecutionPipeline {
     /// the pipeline: resolves any in-flight barrier (applying its
     /// batch), then submits and completes everything staged — so on
     /// return nothing is staged or in flight and every returned `sn` is
-    /// applied. One WAL flush barrier per submitted batch (one fsync per
-    /// touched lane group, however many drains accumulated), then the
+    /// applied. One WAL flush barrier per submitted batch (one write and
+    /// one fsync, however many drains accumulated), then the
     /// batch's ops apply in block order and the per-block ledger
     /// advances. WAL-before-apply, preserved at batch granularity: a
     /// crash before a batch's barrier completes loses only
@@ -788,8 +778,8 @@ impl ExecutionPipeline {
     /// in the block's static mask is marked dirtied by `sn`. The mask is
     /// a conservative superset of the lanes the block actually wrote
     /// (e.g. an empty transfer still marks its credit lane) — exactly
-    /// the superset the WAL already routed the record by, so ledger and
-    /// storage agree.
+    /// the superset the block's WAL record carries, so ledger and log
+    /// agree.
     fn account_block(&mut self, sn: u64, ops: &[TxOp]) {
         let mut mask = 0u64;
         for op in ops {
@@ -1354,16 +1344,13 @@ mod tests {
         run_blocks(&mut p, 0, 4);
         let s0 = p.wal_io_stats();
         assert!(s0.fsyncs > 0, "per-record appends must have synced");
-        // One 8-block batch: at most one fsync per touched lane group,
-        // independent of the batch size.
+        // One 8-block batch: one write and one fsync, independent of the
+        // batch size.
         let batch: Vec<(u64, Block)> = (4..12u64).map(|sn| (sn, block(sn, sn * 50, 50))).collect();
         p.execute_batch(&batch);
         let s1 = p.wal_io_stats();
-        let groups = 8; // WalOptions::default().lane_groups
-        assert!(
-            s1.fsyncs - s0.fsyncs <= groups,
-            "a batch must cost at most one fsync per lane group: {s0:?} -> {s1:?}"
-        );
+        assert_eq!(s1.appends - s0.appends, 1, "{s0:?} -> {s1:?}");
+        assert_eq!(s1.fsyncs - s0.fsyncs, 1, "{s0:?} -> {s1:?}");
         assert!(s1.bytes_written > s0.bytes_written);
     }
 

@@ -1,4 +1,4 @@
-//! The commit write-ahead log: segmented, per-lane-group storage.
+//! The commit write-ahead log: one segmented chain under a manifest.
 //!
 //! Every globally confirmed block is appended *before* it is applied to
 //! the state machine, so a crash between append and apply loses nothing:
@@ -15,45 +15,39 @@
 //! FNV-checksummed; a torn tail (partial final record, e.g. a crash
 //! mid-append) is detected and discarded on load.
 //!
-//! # Segments, lane groups, and the manifest
+//! # Segments and the manifest
 //!
-//! Storage is a set of **segment files**, never one monolithic log. The
-//! [`ladon_types::MERKLE_LANES`] lanes are partitioned into
-//! [`WalOptions::lane_groups`] contiguous **lane groups**; each group
-//! owns its own segment chain — sealed immutable segments plus one
-//! active segment — and a record is appended to the active segment of
-//! *every group its lane mask touches* (records are ~100-byte
-//! identities, so the duplication is noise next to the payloads they
-//! stand for). A small FNV-checksummed **manifest** names the live
-//! segment set with each segment's `(group, seq, sn-range, lane mask)`;
-//! it is the single source of truth for which files belong to the log,
-//! and it is replaced only via temp-file + fsync + atomic rename +
-//! directory fsync.
+//! Ladon's output is one total order, and the log is one sequence: a
+//! single chain of **segment files** — sealed immutable segments plus one
+//! active segment — holding each record exactly once, in `sn` order. A
+//! small FNV-checksummed **manifest** names the live segment set with
+//! each segment's `(seq, sn-range, record count)`; it is the single
+//! source of truth for which files belong to the log, and it is replaced
+//! only via temp-file + fsync + atomic rename + directory fsync.
 //!
 //! The layout buys two things:
 //!
 //! - **Crash-safe compaction.** Dropping the snapshot-covered prefix
-//!   writes *new* segment files for any straddling tail, atomically
+//!   writes a *new* segment file for the straddling tail, atomically
 //!   publishes a manifest naming the new set, and only then deletes the
 //!   old files — in-place truncation never happens, so a crash at any
 //!   byte of the protocol leaves either the complete old log or the
 //!   complete new one on disk (plus ignorable orphans).
 //! - **Partial recovery.** A snapshot covers every record below its
 //!   `applied` frontier, so recovery skips — without reading — every
-//!   segment whose `last_sn` sits below that floor, and a lane group
-//!   whose chain holds no tail records contributes nothing. Replay work
-//!   is proportional to the dirty tail, not to the total log length
-//!   (`fig_recovery_scaling` asserts exactly this with deterministic
-//!   record counts).
+//!   sealed segment whose `last_sn` sits below that floor. Replay work
+//!   is proportional to the tail past the snapshot, not to the total log
+//!   length (`fig_recovery_scaling` asserts exactly this with
+//!   deterministic record counts).
 //!
 //! # Group commit
 //!
 //! The write path is built around explicit **durability barriers**, not
-//! per-record fsyncs. [`CommitWal::append_buffered`] stages a record's
-//! encoding into a per-lane-group scratch buffer (no backend I/O, no
-//! steady-state allocation); [`CommitWal::flush`] then writes each
-//! touched group's staged bytes with **one** write and **one** fsync per
-//! group — however many records the batch held — via the backend's
+//! per-record fsyncs. [`CommitWal::append_buffered`] encodes a record
+//! into the stage buffer (no backend I/O, no steady-state allocation);
+//! [`CommitWal::flush`] then writes the staged bytes with **one** write
+//! and **one** fsync — however many records the batch held, whatever
+//! their lane masks — via the backend's
 //! [`WalBackend::append_segment_batch`] / [`WalBackend::sync_group`]
 //! split. A record is **acknowledged only after its batch's flush**
 //! returns: a crash between staging and flush loses only unacknowledged
@@ -74,19 +68,20 @@
 //! durability alarm) — while a stream that tears mid-record or
 //! mid-batch reports genuinely acknowledged loss (`records_torn`).
 //!
-//! Storage is pluggable behind [`WalBackend`]: [`MemBackend`] keeps the
-//! segment set in memory (simulation, tests), [`FileBackend`] maps it
-//! onto a directory of `wal-g*-*.seg` files, holding one cached open
-//! handle per group's active segment (opened once per segment lifetime,
-//! not per append) and fsyncing at group-sync barriers (examples,
-//! benches, durable deployments). Every backend keeps deterministic
+//! Storage is pluggable behind [`WalBackend`], a `(chain, seq)`-keyed
+//! segment store of which the WAL uses chain 0 only: [`MemBackend`]
+//! keeps the segment set in memory (simulation, tests), [`FileBackend`]
+//! maps it onto a directory of `wal-g*-*.seg` files, holding a cached
+//! open handle on the active segment (opened once per segment lifetime,
+//! not per append) and fsyncing at sync barriers (examples, benches,
+//! durable deployments). Every backend keeps deterministic
 //! write/fsync/open counters ([`WalIoStats`], same spirit as the crypto
 //! op counters) so benches and CI gate on *counts*, never wall-clock.
 //! The WAL itself is sans-IO: it encodes/decodes records, segments and
 //! manifests; the backend moves bytes.
 
 use ladon_crypto::fnv::Fnv64;
-use ladon_types::{Batch, Block, Digest, SystemConfig, MERKLE_LANES};
+use ladon_types::{Batch, Block, Digest, SystemConfig};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -127,27 +122,23 @@ fn trailer_bytes(count: u32) -> [u8; TRAILER_LEN] {
     out
 }
 
-/// Appends a batch trailer claiming `count` records now in the segment.
-fn encode_trailer(count: u32, out: &mut Vec<u8>) {
-    out.extend_from_slice(&trailer_bytes(count));
-}
+/// Manifest format version (first byte of the manifest file). v1 (the
+/// lane-group layout) is not decoded: it reads as present-but-undecodable
+/// and takes the lossless scan-and-rewrite path of
+/// [`CommitWal::open_with_floor`].
+const MANIFEST_VERSION: u8 = 2;
 
-/// Manifest format version (first byte of the manifest file).
-const MANIFEST_VERSION: u8 = 1;
+/// The one backend chain the log lives in (see [`WalBackend`]).
+const CHAIN: u32 = 0;
 
 /// Tuning knobs for the segmented layout (see
-/// [`ladon_types::SystemConfig::wal_segment_records`] /
-/// [`ladon_types::SystemConfig::wal_lane_groups`] for the config
+/// [`ladon_types::SystemConfig::wal_segment_records`] for the config
 /// surface).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalOptions {
-    /// Contiguous lane groups the [`MERKLE_LANES`] lanes are partitioned
-    /// into; each owns an independent segment chain. Clamped to
-    /// `1..=MERKLE_LANES`. The layout is fixed at log creation: reopening
-    /// an existing log adopts the group count recorded in its manifest,
-    /// so a changed knob takes effect on fresh logs only.
+    /// Kept for source compatibility with frozen `benchmark/`; no effect.
     pub lane_groups: u32,
-    /// Records an active segment holds before it is sealed and the group
+    /// Records the active segment holds before it is sealed and the log
     /// rolls to a fresh one. Clamped to ≥ 1.
     pub segment_records: u32,
 }
@@ -155,7 +146,7 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            lane_groups: 8,
+            lane_groups: 1,
             segment_records: 1024,
         }
     }
@@ -165,43 +156,10 @@ impl From<&SystemConfig> for WalOptions {
     /// The WAL layout a deployment's system configuration asks for.
     fn from(sys: &SystemConfig) -> Self {
         Self {
-            lane_groups: sys.wal_lane_groups,
             segment_records: sys.wal_segment_records,
+            ..Self::default()
         }
     }
-}
-
-impl WalOptions {
-    fn normalized(self) -> Self {
-        Self {
-            lane_groups: self.lane_groups.clamp(1, MERKLE_LANES),
-            segment_records: self.segment_records.max(1),
-        }
-    }
-}
-
-/// The lane group a lane belongs to: contiguous ranges of
-/// `MERKLE_LANES / groups` lanes.
-#[inline]
-pub fn group_of_lane(lane: u32, groups: u32) -> u32 {
-    (lane as u64 * groups as u64 / MERKLE_LANES as u64) as u32
-}
-
-/// The groups a record's lane mask touches, as a group bitmask. A record
-/// that routed no ops to any lane (an empty block) is homed to group 0 so
-/// the global log stays dense in every recovery.
-fn groups_of_mask(lane_mask: u64, groups: u32) -> u64 {
-    if lane_mask == 0 {
-        return 1;
-    }
-    let mut out = 0u64;
-    let mut mask = lane_mask;
-    while mask != 0 {
-        let lane = mask.trailing_zeros();
-        out |= 1 << group_of_lane(lane, groups);
-        mask &= mask - 1;
-    }
-    out
 }
 
 /// One confirmed-block entry in the commit log.
@@ -224,11 +182,11 @@ pub struct WalRecord {
     /// Total payload bytes (bandwidth accounting on replay).
     pub payload_bytes: u64,
     /// Bitmask of the Merkle lanes the block's ops route to (bit `l` =
-    /// lane `l`; [`MERKLE_LANES`] ≤ 64 by construction). Computed
+    /// lane `l`; [`ladon_types::MERKLE_LANES`] ≤ 64 by construction). Computed
     /// statically from the derived ops *before* execution — a
     /// conservative superset of the lanes the block dirties (a clamped
-    /// empty transfer still sets its target lane's bit) — and the key
-    /// that routes the record to lane-group segment chains.
+    /// empty transfer still sets its target lane's bit). Descriptive
+    /// only: recovery reports which lanes the replayed tail touched.
     pub lane_mask: u64,
     /// Payload digest (integrity binding to the consensus artifact).
     pub payload_digest: Digest,
@@ -413,9 +371,7 @@ pub fn decode_records(bytes: &[u8]) -> Vec<WalRecord> {
 /// Manifest entry for one live segment file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentMeta {
-    /// Owning lane group.
-    pub group: u32,
-    /// Monotonic sequence number (unique across groups; names the file).
+    /// Monotonic sequence number (names the file).
     pub seq: u64,
     /// Lowest record `sn` in the segment (meaningless when `records`
     /// is 0).
@@ -426,22 +382,18 @@ pub struct SegmentMeta {
     /// at the last manifest publish; the true count is re-derived from
     /// the file on open (appends do not rewrite the manifest).
     pub records: u32,
-    /// Union of the member records' lane masks.
-    pub lane_mask: u64,
-    /// Sealed segments are immutable; exactly one unsealed (active)
-    /// segment may exist per group.
+    /// Sealed segments are immutable; at most one unsealed (active)
+    /// segment exists.
     pub sealed: bool,
 }
 
 impl SegmentMeta {
-    fn fresh(group: u32, seq: u64) -> Self {
+    fn fresh(seq: u64) -> Self {
         Self {
-            group,
             seq,
             first_sn: 0,
             last_sn: 0,
             records: 0,
-            lane_mask: 0,
             sealed: false,
         }
     }
@@ -452,19 +404,18 @@ impl SegmentMeta {
         }
         self.last_sn = rec.sn;
         self.records += 1;
-        self.lane_mask |= rec.lane_mask;
     }
 }
 
 /// What a rotation does with one live segment (see
-/// [`CommitWal::rotate_segments`]).
+/// [`WalBack::rotate_segments`]).
 enum SegmentFate {
     /// Untouched; carried into the new manifest.
     Keep,
     /// Dropped entirely (every record is outside the surviving set).
     Delete,
     /// Replaced by a fresh file holding the mirror's records in
-    /// `first..=last` that route to the segment's group.
+    /// `first..=last`.
     Rewrite {
         /// First surviving `sn` (inclusive).
         first: u64,
@@ -478,30 +429,21 @@ enum SegmentFate {
 struct Manifest {
     /// Next unused segment sequence number.
     next_seq: u64,
-    /// The lane-group count the segment chains were laid out with (0 =
-    /// fresh/absent manifest). The layout is a *disk* property: a WAL
-    /// reopened under a different configured group count adopts this
-    /// value, otherwise record→group routing (appends, compaction
-    /// rewrites) would silently disagree with where the records live.
-    lane_groups: u32,
-    /// Live segments, ascending `(group, seq)`.
+    /// Live segments, ascending `seq`.
     segments: Vec<SegmentMeta>,
 }
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 8 + 4 + 8 + self.segments.len() * 45 + 8);
+        let mut out = Vec::with_capacity(1 + 8 + 8 + self.segments.len() * 29 + 8);
         out.push(MANIFEST_VERSION);
         out.extend_from_slice(&self.next_seq.to_le_bytes());
-        out.extend_from_slice(&self.lane_groups.to_le_bytes());
         out.extend_from_slice(&(self.segments.len() as u64).to_le_bytes());
         for s in &self.segments {
-            out.extend_from_slice(&s.group.to_le_bytes());
             out.extend_from_slice(&s.seq.to_le_bytes());
             out.extend_from_slice(&s.first_sn.to_le_bytes());
             out.extend_from_slice(&s.last_sn.to_le_bytes());
             out.extend_from_slice(&s.records.to_le_bytes());
-            out.extend_from_slice(&s.lane_mask.to_le_bytes());
             out.push(s.sealed as u8);
         }
         let checksum = Fnv64::new().write(&out).finish();
@@ -524,35 +466,26 @@ impl Manifest {
             Some(s)
         };
         let next_seq = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let lane_groups = u32::from_le_bytes(take(4)?.try_into().ok()?);
         let count = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
         if count > 1 << 20 {
             return None;
         }
         let mut segments = Vec::with_capacity(count.min(1 << 12));
         for _ in 0..count {
-            let group = u32::from_le_bytes(take(4)?.try_into().ok()?);
             let seq = u64::from_le_bytes(take(8)?.try_into().ok()?);
             let first_sn = u64::from_le_bytes(take(8)?.try_into().ok()?);
             let last_sn = u64::from_le_bytes(take(8)?.try_into().ok()?);
             let records = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            let lane_mask = u64::from_le_bytes(take(8)?.try_into().ok()?);
             let sealed = take(1)?[0] != 0;
             segments.push(SegmentMeta {
-                group,
                 seq,
                 first_sn,
                 last_sn,
                 records,
-                lane_mask,
                 sealed,
             });
         }
-        Some(Self {
-            next_seq,
-            lane_groups,
-            segments,
-        })
+        Some(Self { next_seq, segments })
     }
 }
 
@@ -568,11 +501,11 @@ impl Manifest {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalIoStats {
     /// Staged segment writes ([`WalBackend::append_segment_batch`]
-    /// calls — one per touched group per flushed batch, however many
-    /// records the batch held).
+    /// calls — one per flushed batch, however many records the batch
+    /// held, plus one per segment roll the batch crossed).
     pub appends: u64,
     /// Durability barriers actually issued (`fsync`/`fdatasync`-class
-    /// syscalls: group syncs, whole-file rewrites, manifest publishes,
+    /// syscalls: sync barriers, whole-file rewrites, manifest publishes,
     /// directory syncs).
     pub fsyncs: u64,
     /// Segment file handles opened for appending — O(segments) under the
@@ -602,16 +535,21 @@ impl ladon_obs::SnapshotInto for WalIoStats {
 /// manifest *atomically* (a reader sees the old bytes or the new bytes,
 /// never a mix); [`Self::write_segment`] is durable (fsynced) before it
 /// returns `true`; and a staged [`Self::append_segment_batch`] is
-/// guaranteed durable only once the group's next [`Self::sync_group`]
+/// guaranteed durable only once the chain's next [`Self::sync_group`]
 /// returns `true` — the fsync barrier group commit amortizes over a
 /// whole batch of appends.
+///
+/// Segments are keyed `(group, seq)`. The `group: u32` argument is kept
+/// for source compatibility with frozen `benchmark/`; no effect — the
+/// WAL stores its one chain under group 0, and a backend is a dumb store
+/// that treats the pair as an opaque name.
 pub trait WalBackend: Send {
     /// Stages one run — `records` followed by its closing batch
     /// `trailer` — at the end of segment `seq` of `group`, creating the
     /// file if absent. Two slices so the (large) record bytes stream
     /// straight from the flush's staging buffer with no concatenation
     /// copy; backends write them back-to-back as one logical append.
-    /// **Not durable** until the group's next [`Self::sync_group`] — a
+    /// **Not durable** until the chain's next [`Self::sync_group`] — a
     /// crash before the barrier may lose the staged suffix (it reads
     /// back as a torn tail).
     fn append_segment_batch(
@@ -622,8 +560,8 @@ pub trait WalBackend: Send {
         trailer: &[u8],
     ) -> bool;
     /// Durability barrier: forces every staged append in `group` to
-    /// stable storage. One fsync per touched group per flushed batch —
-    /// the whole point of group commit.
+    /// stable storage. One fsync per flushed batch — the whole point of
+    /// group commit.
     fn sync_group(&mut self, group: u32) -> bool;
     /// Creates-or-replaces segment `seq` of `group` with exactly `bytes`,
     /// durably (compaction rewrite target; truncates any orphan at the
@@ -759,8 +697,8 @@ struct ActiveHandle {
 /// the new manifest intact.
 pub struct FileBackend {
     dir: PathBuf,
-    /// Cached open handle of each group's current append target (at most
-    /// one active segment per group by WAL invariant).
+    /// Cached open handle of each chain's current append target (at most
+    /// one active segment per chain by WAL invariant).
     active: std::collections::HashMap<u32, ActiveHandle>,
     stats: WalIoStats,
 }
@@ -988,16 +926,15 @@ pub struct WalLoadStats {
     /// Segments skipped without reading: their `last_sn` sat below the
     /// snapshot-covered floor.
     pub segments_skipped: u64,
-    /// Distinct records loaded into the mirror (deduplicated across lane
-    /// groups).
+    /// Distinct records loaded into the mirror.
     pub records_loaded: u64,
-    /// Records discarded because they sat below the floor (straddling
-    /// segments keep covered records on disk until compaction).
+    /// Records discarded because they sat below the floor (a straddling
+    /// segment keeps covered records on disk until compaction).
     pub records_below_floor: u64,
     /// Records lost from a segment whose stream **tore mid-batch** (did
     /// not end at a batch trailer), measured against the manifest's
-    /// last-published count (a lower bound of what was durably appended;
-    /// duplicates in other groups may still have recovered the records).
+    /// last-published count (a lower bound of what was durably
+    /// appended).
     pub records_torn: u64,
     /// Manifest-counted records missing from a segment whose stream ends
     /// **cleanly at a batch trailer**: every acknowledged batch is fully
@@ -1011,11 +948,13 @@ pub struct WalLoadStats {
     /// a clean end of log (normal shutdown, or a crash strictly between
     /// batch flushes).
     pub segments_clean_end: u64,
-    /// True when a manifest file existed but failed to decode, and the
-    /// live set was rebuilt by scanning every segment on disk. Data is
-    /// preserved (nothing is swept as an orphan in this mode), but the
-    /// skip-unread optimization is unavailable for this open and the
-    /// event deserves operator attention.
+    /// True when a manifest file existed but failed to decode (bit rot,
+    /// a read error, or the pre-v2 lane-group layout) or storage still
+    /// held a pre-v2 file under another chain, and the log was rebuilt
+    /// by scanning every segment on disk. Data is preserved
+    /// (nothing is swept as an orphan before the rebuilt log is
+    /// published), but the skip-unread optimization is unavailable for
+    /// this open and the event deserves operator attention.
     pub manifest_recovered: bool,
 }
 
@@ -1028,7 +967,7 @@ pub struct WalLoadStats {
 struct WalBack {
     backend: Box<dyn WalBackend>,
     opts: WalOptions,
-    /// The live segment set (manifest mirror), ascending `(group, seq)`.
+    /// The live segment set (manifest mirror), ascending `seq`.
     segments: Vec<SegmentMeta>,
     /// Next unused segment sequence number.
     next_seq: u64,
@@ -1040,23 +979,15 @@ struct WalBack {
     write_failures: u64,
 }
 
-/// One flush barrier's worth of double-buffered stage scratch: the
-/// per-group record encodings plus the records behind them. Shuttles to
-/// the writer with its [`WalBack`] and returns emptied (capacity
-/// retained) for reuse, so staging never blocks on an in-flight flush
-/// and steady-state flushing allocates nothing.
+/// One flush barrier's worth of staged records, in `sn` order, with
+/// their encodings. Shuttles to the writer with its [`WalBack`] and is
+/// recycled (cleared, capacity retained) once the barrier completes, so
+/// staging never blocks on an in-flight flush and steady-state flushing
+/// allocates nothing.
+#[derive(Default)]
 struct FlushJob {
-    bytes: Vec<Vec<u8>>,
-    recs: Vec<Vec<WalRecord>>,
-}
-
-impl FlushJob {
-    fn empty(groups: usize) -> Self {
-        Self {
-            bytes: vec![Vec::new(); groups],
-            recs: vec![Vec::new(); groups],
-        }
-    }
+    bytes: Vec<u8>,
+    recs: Vec<WalRecord>,
 }
 
 /// The dedicated writer thread (pipelined mode only): receives
@@ -1073,36 +1004,31 @@ struct WalWriter {
 /// A submitted-but-uncompleted flush barrier: the records it carries
 /// are **not acknowledged** (absent from the mirror) until
 /// [`CommitWal::complete_flush`] resolves the barrier token.
-enum InFlightFlush {
+struct InFlightFlush {
+    /// Records inside the barrier.
+    len: usize,
+    /// The last of them (what the dense-`sn` check needs while the job
+    /// is away).
+    last_sn: u64,
     /// Inline mode (simulation): the barrier already ran at submit time;
-    /// its outcome is parked here so acknowledgement still happens at
-    /// complete time — the pipeline observes the identical submit/apply
-    /// structure in both modes, keeping seeded runs bit-deterministic.
-    Done { ok: bool, records: Vec<WalRecord> },
-    /// Pipelined mode: the back (and the batch's bytes) are on the
-    /// writer thread; completing blocks until it reports.
-    Sent { records: Vec<WalRecord> },
-}
-
-impl InFlightFlush {
-    fn records(&self) -> &[WalRecord] {
-        match self {
-            InFlightFlush::Done { records, .. } | InFlightFlush::Sent { records } => records,
-        }
-    }
+    /// its job and outcome are parked here so acknowledgement still
+    /// happens at complete time — the pipeline observes the identical
+    /// submit/apply structure in both modes, keeping seeded runs
+    /// bit-deterministic. `None` in pipelined mode: the back and the job
+    /// are on the writer thread, and completing blocks until it reports.
+    done: Option<(FlushJob, bool)>,
 }
 
 /// The commit log: an in-memory mirror of the records past the last
-/// snapshot, plus a segmented storage backend holding their encoding
-/// fanned out across lane-group chains.
+/// snapshot, plus a segmented storage backend holding their encoding.
 ///
-/// Split into a staging **front** (this struct: stage scratch, record
+/// Split into a staging **front** (this struct: stage buffer, record
 /// mirror, acknowledgement bookkeeping) and a writer **back**
-/// (`WalBack`: segment handles, rolls, manifest publication). When the
-/// backend [prefers a writer thread](WalBackend::prefers_writer_thread)
+/// (`WalBack`: the active segment, rolls, manifest publication). When
+/// the backend [prefers a writer thread](WalBackend::prefers_writer_thread)
 /// the back runs each flush barrier on a dedicated thread —
 /// [`Self::submit_flush`] hands batch N to the writer and returns, and
-/// batch N+1 stages into double-buffered scratch while N's fsync is in
+/// batch N+1 stages into the second buffer while N's fsync is in
 /// flight; [`Self::complete_flush`] resolves the barrier token,
 /// acknowledges the batch into the mirror, and surfaces the barrier's
 /// outcome. [`Self::flush`] remains the synchronous submit+complete
@@ -1111,32 +1037,21 @@ pub struct CommitWal {
     /// The writer back. `None` exactly while a pipelined flush is in
     /// flight (the back is on the writer thread).
     back: Option<WalBack>,
-    opts: WalOptions,
     /// Records currently in the log (ascending, dense `sn`).
     records: Vec<WalRecord>,
     /// Accounting of the open-time load.
     load_stats: WalLoadStats,
-    /// Per-group staged record encodings awaiting the next flush barrier
-    /// (index = lane group; cleared-but-capacity-retained between
-    /// batches, so steady-state staging allocates nothing).
-    stage_bytes: Vec<Vec<u8>>,
-    /// The staged records behind `stage_bytes`, per group (same
-    /// lifecycle; needed to absorb segment metadata at flush).
-    stage_recs: Vec<Vec<WalRecord>>,
-    /// Staged records in `sn` order, not yet acknowledged: they join the
-    /// mirror only when their batch's flush barrier *completes*.
-    pending: Vec<WalRecord>,
-    /// Record-encoding scratch (one encode per record, reused across
-    /// appends — no steady-state allocation on the hot path).
-    enc_buf: Vec<u8>,
+    /// Records staged for the next flush barrier: unacknowledged — they
+    /// join the mirror only when their batch's barrier *completes*.
+    stage: FlushJob,
     /// The dedicated writer thread (pipelined mode only).
     writer: Option<WalWriter>,
     /// The submitted-but-uncompleted barrier, if any (depth ≤ 1: the
-    /// stage scratch is double-buffered, not N-buffered).
+    /// stage buffer is double-buffered, not N-buffered).
     inflight: Option<InFlightFlush>,
-    /// The second stage-scratch buffer set, recycled from completed
-    /// flush jobs.
-    spare: Option<FlushJob>,
+    /// The second stage buffer, recycled from the last completed
+    /// barrier.
+    spare: FlushJob,
     /// Backend I/O counters and write-failure count as of the last
     /// submit — what [`Self::io_stats`] / [`Self::write_failures`]
     /// report while the back is on the writer (counters reflect
@@ -1157,99 +1072,93 @@ impl CommitWal {
     /// records below the floor are dropped from the mirror. The skipped
     /// segments stay in the manifest so a later [`Self::compact`] can
     /// delete them.
-    pub fn open_with_floor(mut backend: Box<dyn WalBackend>, opts: WalOptions, floor: u64) -> Self {
-        let mut opts = opts.normalized();
+    pub fn open_with_floor(backend: Box<dyn WalBackend>, mut opts: WalOptions, floor: u64) -> Self {
+        opts.segment_records = opts.segment_records.max(1);
         let mut stats = WalLoadStats::default();
-        // An *absent* manifest means a fresh log; a *present but
-        // undecodable* one (bit rot, read error) must NOT be treated the
-        // same — an empty "authoritative" set would let the orphan sweep
-        // below delete every intact segment on disk. Fall back to
-        // rebuilding the live set by scanning storage instead: every
-        // record survives, at the cost of reading everything once.
-        let manifest = match backend.load_manifest() {
-            None => Manifest::default(),
-            Some(bytes) => match Manifest::decode(&bytes) {
-                Some(m) => m,
-                None => {
-                    stats.manifest_recovered = true;
-                    // All scanned segments are marked sealed: their true
-                    // fill is unknown, and appending to more than one
-                    // unsealed segment per group would break sn order.
-                    let segments = backend
-                        .list_segments()
-                        .into_iter()
-                        .map(|(group, seq)| {
-                            let mut meta = SegmentMeta::fresh(group, seq);
-                            meta.sealed = true;
-                            // Force a scan: claim one record so the
-                            // floor-skip (which trusts meta) never fires.
-                            meta.records = 1;
-                            meta.last_sn = u64::MAX;
-                            meta
-                        })
-                        .collect::<Vec<_>>();
-                    let next_seq = segments.iter().map(|s| s.seq + 1).max().unwrap_or(0);
-                    Manifest {
-                        next_seq,
-                        lane_groups: 0,
-                        segments,
-                    }
-                }
-            },
+        let mut back = WalBack {
+            backend,
+            opts,
+            segments: Vec::new(),
+            next_seq: 0,
+            write_failures: 0,
         };
-        // The lane-group layout is a property of the on-disk chains, not
-        // of this process's config: adopt the manifest's grouping so
-        // appends and compaction rewrites route records to the chains
-        // they actually live in. A changed `wal_lane_groups` knob takes
-        // effect on fresh logs only.
-        if manifest.lane_groups != 0 {
-            opts.lane_groups = manifest.lane_groups.clamp(1, MERKLE_LANES);
-        }
-
-        // Orphan cleanup: files on disk the manifest does not reference
-        // are leftovers of a mid-compaction or mid-roll crash. The
-        // manifest is authoritative; drop them so stale bytes can never
-        // resurface. (Skipped in manifest-recovery mode, where every
-        // file on disk IS the live set.)
-        if !stats.manifest_recovered {
-            let referenced: std::collections::BTreeSet<(u32, u64)> =
-                manifest.segments.iter().map(|s| (s.group, s.seq)).collect();
-            for (group, seq) in backend.list_segments() {
-                if !referenced.contains(&(group, seq)) {
-                    let _ = backend.delete_segment(group, seq);
-                }
-            }
-        }
+        // An *absent* manifest means a fresh log; a *present but
+        // undecodable* one (bit rot, read error, the pre-v2 layout) must
+        // NOT be treated the same — an empty "authoritative" set would
+        // let the orphan sweep delete every intact segment on disk. Fall
+        // back to scanning every segment in storage, whatever chain it
+        // was written under: every record survives, at the cost of
+        // reading everything once. A file under another chain forces the
+        // same scan whatever the manifest says: it is a pre-v2 leftover
+        // whose re-homing below never committed, and a manifest published
+        // since (whose metas cannot say "chain 3") does not account for
+        // it.
+        let listed = back.backend.list_segments();
+        let foreign: Vec<(u32, u64)> = listed
+            .iter()
+            .copied()
+            .filter(|&(chain, _)| chain != CHAIN)
+            .collect();
+        let manifest = back.backend.load_manifest();
+        let decoded = manifest.as_deref().map(Manifest::decode);
+        let scan = matches!(decoded, Some(None)) || !foreign.is_empty();
+        let live: Vec<(u32, SegmentMeta)> = if scan {
+            stats.manifest_recovered = true;
+            back.next_seq = listed.iter().map(|&(_, seq)| seq + 1).max().unwrap_or(0);
+            // Sealed (the true fill is unknown, and only one segment may
+            // be active) and claiming a record past any floor, so the
+            // floor-skip — which trusts the meta — never fires.
+            let scanned = |(chain, seq)| {
+                let meta = SegmentMeta {
+                    last_sn: u64::MAX,
+                    records: 1,
+                    sealed: true,
+                    ..SegmentMeta::fresh(seq)
+                };
+                (chain, meta)
+            };
+            listed.into_iter().map(scanned).collect()
+        } else {
+            let manifest = decoded.flatten().unwrap_or_default();
+            back.next_seq = manifest.next_seq;
+            back.segments = manifest.segments;
+            // Files the manifest does not reference are leftovers of a
+            // mid-compaction or mid-roll crash.
+            back.sweep_orphans();
+            let named = std::mem::take(&mut back.segments);
+            named.into_iter().map(|meta| (CHAIN, meta)).collect()
+        };
 
         // Load the live set, floor-skipping covered segments, and
         // re-derive each scanned segment's metadata from its actual
-        // content (active segments grew past their manifest entry;
-        // corrupt tails shrink it).
-        let mut segments = Vec::with_capacity(manifest.segments.len());
+        // content (the active segment grew past its manifest entry;
+        // corrupt tails shrink it). `sn`-keyed, so a record the pre-v2
+        // layout stored under several chains loads once.
         let mut by_sn: BTreeMap<u64, WalRecord> = BTreeMap::new();
-        for meta in &manifest.segments {
+        for (chain, meta) in live {
             if meta.records > 0 && meta.last_sn < floor && meta.sealed {
                 stats.segments_skipped += 1;
-                segments.push(*meta);
+                back.segments.push(meta);
                 continue;
             }
             stats.segments_scanned += 1;
-            let bytes = backend
-                .read_segment(meta.group, meta.seq)
+            let bytes = back
+                .backend
+                .read_segment(chain, meta.seq)
                 .unwrap_or_default();
             let dec = decode_segment(&bytes);
             if dec.clean_end {
                 stats.segments_clean_end += 1;
             }
             // The manifest's last-published count is a lower bound of
-            // what was durably appended — for active segments too (their
-            // count is published at creation and at compaction rewrite).
-            // Decoding fewer means records are missing from this chain;
-            // the batch trailer says which kind: a stream that ends
-            // cleanly at a trailer lost only a suffix that was never
-            // part of an acknowledged batch (a failed write that already
-            // alarmed), while a mid-batch tear is a genuine torn loss.
-            // Not meaningful in manifest-recovery mode, where the counts
+            // what was durably appended — for the active segment too
+            // (its count is published at creation and at compaction
+            // rewrite). Decoding fewer means records are missing; the
+            // batch trailer says which kind: a stream that ends cleanly
+            // at a trailer lost only a suffix that was never part of an
+            // acknowledged batch (a failed write that already alarmed),
+            // while a mid-batch tear is a genuine torn loss. Not
+            // meaningful in manifest-recovery mode, where the counts
             // above are fabricated.
             let decoded = dec.records;
             if !stats.manifest_recovered && (decoded.len() as u32) < meta.records {
@@ -1260,7 +1169,7 @@ impl CommitWal {
                     stats.records_torn += shortfall;
                 }
             }
-            let mut fresh = SegmentMeta::fresh(meta.group, meta.seq);
+            let mut fresh = SegmentMeta::fresh(meta.seq);
             fresh.sealed = meta.sealed;
             for rec in decoded {
                 fresh.absorb(&rec);
@@ -1270,7 +1179,7 @@ impl CommitWal {
                     by_sn.entry(rec.sn).or_insert(rec);
                 }
             }
-            segments.push(fresh);
+            back.segments.push(fresh);
         }
 
         // The mirror is the longest dense run from the lowest loaded sn:
@@ -1285,36 +1194,45 @@ impl CommitWal {
         }
         stats.records_loaded = records.len() as u64;
 
-        let groups = opts.lane_groups as usize;
-        let pipelined = backend.prefers_writer_thread();
+        // After a scan recovery, re-home the whole mirror in one sealed
+        // chain-0 segment through the shared rotation and leave a
+        // decodable manifest behind — the next open is a normal one. A
+        // crash or failed write before the publish leaves every old
+        // file, so the next open re-enters scan recovery with all data
+        // intact (the partial new file simply joins the scan and
+        // deduplicates).
+        if stats.manifest_recovered {
+            let mut whole = Some(SegmentFate::Rewrite {
+                first: 0,
+                last: u64::MAX,
+            });
+            back.rotate_segments(&records, |_| whole.take().unwrap_or(SegmentFate::Delete));
+            // Only a re-homing that committed may delete what the pre-v2
+            // layout kept under other chains. If it aborted, the scanned
+            // metas still stand in `segments` with their chain stripped,
+            // and those files hold the only durable copy of their
+            // records: no rotation ever deletes them (the orphan sweep
+            // stays inside chain 0), and while one exists every open
+            // comes back here.
+            if back.write_failures == 0 {
+                for (chain, seq) in foreign {
+                    if !back.backend.delete_segment(chain, seq) {
+                        back.write_failures += 1;
+                    }
+                }
+            }
+        }
+        let pipelined = back.backend.prefers_writer_thread();
         let mut wal = Self {
-            back: Some(WalBack {
-                backend,
-                opts,
-                segments,
-                next_seq: manifest.next_seq,
-                write_failures: 0,
-            }),
-            opts,
+            back: Some(back),
             records,
             load_stats: stats,
-            stage_bytes: vec![Vec::new(); groups],
-            stage_recs: vec![Vec::new(); groups],
-            pending: Vec::new(),
-            enc_buf: Vec::new(),
+            stage: FlushJob::default(),
             writer: None,
             inflight: None,
-            spare: None,
+            spare: FlushJob::default(),
             stats_at_submit: (WalIoStats::default(), 0),
         };
-        // After a scan-recovery the old chains' lane grouping is
-        // unknowable, so rewrite storage from the mirror under the
-        // current options and leave a decodable manifest behind — the
-        // next open is a normal one.
-        if stats.manifest_recovered {
-            let back = wal.back.as_mut().expect("back present at open");
-            back.rebuild_from(&wal.records);
-        }
         if pipelined {
             wal.spawn_writer();
         }
@@ -1332,18 +1250,15 @@ impl CommitWal {
     }
 
     /// An in-memory WAL seeded from a flat record encoding (the sync /
-    /// restart-from-bytes path: [`Self::to_bytes`] on the sender side).
+    /// restart-from-bytes path: [`Self::to_bytes`] on the sender side):
+    /// every decoded record staged, then one flush barrier.
     pub fn from_flat_bytes(bytes: &[u8], opts: WalOptions) -> Self {
         let mut wal = Self::in_memory_with(opts);
         for rec in decode_records(bytes) {
-            wal.append(rec);
+            wal.append_buffered(rec);
         }
+        wal.flush();
         wal
-    }
-
-    /// The segment options in effect.
-    pub fn options(&self) -> WalOptions {
-        self.opts
     }
 
     /// Accounting of the open-time load (segment skips, torn tails).
@@ -1370,8 +1285,8 @@ impl CommitWal {
     }
 
     /// Appends one confirmed-block record durably: stage + flush as a
-    /// batch of one (one fsync per touched group). Callers with more than
-    /// one record in hand should use [`Self::append_buffered`] +
+    /// batch of one (one write, one fsync). Callers with more than one
+    /// record in hand should use [`Self::append_buffered`] +
     /// [`Self::flush`] so the fsync barrier amortizes over the batch.
     pub fn append(&mut self, rec: WalRecord) {
         self.append_buffered(rec);
@@ -1379,11 +1294,10 @@ impl CommitWal {
     }
 
     /// Stages one confirmed-block record for the next [`Self::flush`]:
-    /// encodes it once (into a reused scratch buffer) and copies the
-    /// encoding into the staging buffer of every lane-group chain its
-    /// mask touches. **No backend I/O happens here** — the record is
-    /// unacknowledged (absent from [`Self::records`]) until its batch's
-    /// flush returns, and a crash before that loses it by design.
+    /// encodes it once, straight into the stage buffer. **No backend I/O
+    /// happens here** — the record is unacknowledged (absent from
+    /// [`Self::records`]) until its batch's flush returns, and a crash
+    /// before that loses it by design.
     pub fn append_buffered(&mut self, rec: WalRecord) {
         debug_assert!(
             self.last_known_sn().is_none_or(|sn| sn + 1 == rec.sn),
@@ -1391,17 +1305,8 @@ impl CommitWal {
             self.last_known_sn(),
             rec.sn
         );
-        self.enc_buf.clear();
-        rec.encode_into(&mut self.enc_buf);
-        debug_assert_eq!(self.enc_buf.len(), ENCODED_RECORD_LEN);
-        let mut groups = groups_of_mask(rec.lane_mask, self.opts.lane_groups);
-        while groups != 0 {
-            let group = groups.trailing_zeros() as usize;
-            groups &= groups - 1;
-            self.stage_bytes[group].extend_from_slice(&self.enc_buf);
-            self.stage_recs[group].push(rec);
-        }
-        self.pending.push(rec);
+        rec.encode_into(&mut self.stage.bytes);
+        self.stage.recs.push(rec);
     }
 
     /// The group-commit barrier, synchronous form: resolves any
@@ -1426,48 +1331,43 @@ impl CommitWal {
     /// Submits everything staged as one flush barrier and returns
     /// without waiting for durability. In pipelined mode the write+fsync
     /// runs on the writer thread while the caller keeps working (new
-    /// records stage into the double-buffered scratch); inline mode runs
-    /// the barrier here but still parks the outcome, so the
-    /// submit→complete structure is identical in both modes. The batch's
-    /// records stay unacknowledged until [`Self::complete_flush`].
+    /// records stage into the second buffer); inline mode runs the
+    /// barrier here but still parks the outcome, so the submit→complete
+    /// structure is identical in both modes. The batch's records stay
+    /// unacknowledged until [`Self::complete_flush`].
     ///
     /// Returns `false` (no barrier submitted) when nothing is staged. At
     /// most one barrier may be in flight: complete the previous one
     /// first.
     pub fn submit_flush(&mut self) -> bool {
-        if self.pending.is_empty() {
+        let Some(last) = self.stage.recs.last() else {
             return false;
-        }
+        };
         assert!(
             self.inflight.is_none(),
             "submit_flush: a flush barrier is already in flight; complete it first"
         );
-        let groups = self.opts.lane_groups as usize;
-        let spare = self.spare.take().unwrap_or_else(|| FlushJob::empty(groups));
-        let mut job = FlushJob {
-            bytes: std::mem::replace(&mut self.stage_bytes, spare.bytes),
-            recs: std::mem::replace(&mut self.stage_recs, spare.recs),
-        };
-        let records = std::mem::take(&mut self.pending);
+        let (len, last_sn) = (self.stage.recs.len(), last.sn);
+        let job = std::mem::replace(&mut self.stage, std::mem::take(&mut self.spare));
         let mut back = self
             .back
             .take()
             .expect("back present when no barrier is in flight");
         self.stats_at_submit = (back.backend.io_stats(), back.write_failures);
-        match &self.writer {
+        let done = match &self.writer {
             None => {
-                let ok = back.flush_batch(&mut job);
+                let ok = back.flush_batch(&job);
                 self.back = Some(back);
-                self.spare = Some(job);
-                self.inflight = Some(InFlightFlush::Done { ok, records });
+                Some((job, ok))
             }
             Some(w) => {
                 w.submit
                     .send((back, job))
                     .expect("WAL writer thread is alive");
-                self.inflight = Some(InFlightFlush::Sent { records });
+                None
             }
-        }
+        };
+        self.inflight = Some(InFlightFlush { len, last_sn, done });
         true
     }
 
@@ -1478,20 +1378,20 @@ impl CommitWal {
     /// alarmed, not durable. Returns `None` when no barrier is in
     /// flight.
     pub fn complete_flush(&mut self) -> Option<bool> {
-        match self.inflight.take()? {
-            InFlightFlush::Done { ok, mut records } => {
-                self.records.append(&mut records);
-                Some(ok)
-            }
-            InFlightFlush::Sent { mut records } => {
-                let w = self.writer.as_ref().expect("Sent implies a writer");
+        let (mut job, ok) = match self.inflight.take()?.done {
+            Some(done) => done,
+            None => {
+                let w = self.writer.as_ref().expect("in flight implies a writer");
                 let (back, job, ok) = w.done.recv().expect("WAL writer thread died");
                 self.back = Some(back);
-                self.spare = Some(job);
-                self.records.append(&mut records);
-                Some(ok)
+                (job, ok)
             }
-        }
+        };
+        self.records.extend_from_slice(&job.recs);
+        job.bytes.clear();
+        job.recs.clear();
+        self.spare = job;
+        Some(ok)
     }
 
     /// True while a submitted barrier awaits [`Self::complete_flush`].
@@ -1502,17 +1402,16 @@ impl CommitWal {
     /// Records inside the in-flight barrier, if any: submitted to the
     /// writer but not yet acknowledged.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.as_ref().map_or(0, |f| f.records().len())
+        self.inflight.as_ref().map_or(0, |f| f.len)
     }
 
     /// Highest sn known to the front across all acknowledgement states:
     /// staged, in flight, or mirrored.
     fn last_known_sn(&self) -> Option<u64> {
-        self.pending
-            .last()
-            .or_else(|| self.inflight.as_ref().and_then(|f| f.records().last()))
-            .or(self.records.last())
-            .map(|r| r.sn)
+        let staged = self.stage.recs.last().map(|r| r.sn);
+        let inflight = self.inflight.as_ref().map(|f| f.last_sn);
+        let acked = self.records.last().map(|r| r.sn);
+        staged.or(inflight).or(acked)
     }
 
     fn spawn_writer(&mut self) {
@@ -1521,8 +1420,8 @@ impl CommitWal {
         let handle = std::thread::Builder::new()
             .name("ladon-wal-writer".into())
             .spawn(move || {
-                while let Ok((mut back, mut job)) = submit_rx.recv() {
-                    let ok = back.flush_batch(&mut job);
+                while let Ok((mut back, job)) = submit_rx.recv() {
+                    let ok = back.flush_batch(&job);
                     if done_tx.send((back, job, ok)).is_err() {
                         break;
                     }
@@ -1539,7 +1438,7 @@ impl CommitWal {
     /// Records staged by [`Self::append_buffered`] but not yet flushed —
     /// unacknowledged, and lost by a crash right now.
     pub fn staged_len(&self) -> usize {
-        self.pending.len()
+        self.stage.recs.len()
     }
 
     /// The backend's deterministic I/O counters (writes, fsyncs, segment
@@ -1578,14 +1477,25 @@ impl CommitWal {
         self.records.is_empty()
     }
 
+    /// Drains every staged and in-flight record into the mirror
+    /// (acknowledged or alarmed) and hands out the back, home from the
+    /// writer, next to the mirror — what every rotation starts from:
+    /// rotation rewrites straddlers from the mirror, so no record may
+    /// vanish between a stage and a rotation.
+    fn settled(&mut self) -> (&mut WalBack, &mut Vec<WalRecord>) {
+        self.flush();
+        let back = self.back.as_mut().expect("back home after flush");
+        (back, &mut self.records)
+    }
+
     /// Drops records with `sn < upto` (they are covered by a snapshot).
     ///
     /// Storage-side this is the atomic segment rotation, never an
     /// in-place truncation:
     ///
-    /// 1. fully covered segments are marked for deletion; straddling
-    ///    segments get their surviving tail written to *new* segment
-    ///    files (fsynced);
+    /// 1. fully covered segments are marked for deletion; the straddling
+    ///    segment gets its surviving tail written to a *new* segment
+    ///    file (fsynced);
     /// 2. a manifest naming the new live set is published atomically
     ///    (temp + fsync + rename + dir-fsync) — the commit point;
     /// 3. only then are the old files deleted.
@@ -1597,13 +1507,8 @@ impl CommitWal {
     /// sweeps away. No step ever modifies a file the current manifest
     /// references.
     pub fn compact(&mut self, upto: u64) {
-        // Rotation rewrites straddlers from the mirror: staged records
-        // must be acknowledged (or alarmed) first so none can vanish
-        // between a stage and a rotation — and the drain guarantees the
-        // back is home from the writer.
-        self.flush();
-        let keep_from = self.records.partition_point(|r| r.sn < upto);
-        let back = self.back.as_mut().expect("back home after flush");
+        let (back, records) = self.settled();
+        let keep_from = records.partition_point(|r| r.sn < upto);
         let affected = back
             .segments
             .iter()
@@ -1612,17 +1517,15 @@ impl CommitWal {
             return;
         }
         // Mirror first: it is authoritative regardless of storage luck.
-        self.records.drain(..keep_from);
-        let back = self.back.as_mut().expect("back home after flush");
-        back.rotate_segments(&self.records, |meta| {
+        records.drain(..keep_from);
+        back.rotate_segments(records, |meta| {
             if meta.records == 0 || meta.first_sn >= upto {
                 SegmentFate::Keep
             } else if meta.last_sn < upto {
                 SegmentFate::Delete
             } else {
                 // Straddler: the surviving tail, capped at the
-                // straddler's own range — the group's later segments
-                // keep theirs.
+                // straddler's own range — later segments keep theirs.
                 SegmentFate::Rewrite {
                     first: upto,
                     last: meta.last_sn,
@@ -1646,17 +1549,12 @@ impl CommitWal {
     /// manifest still governs a readable log and the caller should
     /// retry later.
     pub fn repair_backend(&mut self) -> bool {
-        // Drain staged/in-flight records into the mirror first (they may
-        // alarm if the backend is still broken — the rotation below
-        // rewrites them from the mirror regardless).
-        self.flush();
-        let before = self
-            .back
-            .as_ref()
-            .expect("back home after flush")
-            .write_failures;
-        let back = self.back.as_mut().expect("back home after flush");
-        back.rotate_segments(&self.records, |meta| {
+        // The drain may alarm if the backend is still broken — the
+        // rotation rewrites the drained records from the mirror
+        // regardless.
+        let (back, records) = self.settled();
+        let before = back.write_failures;
+        back.rotate_segments(records, |meta| {
             if meta.records == 0 {
                 SegmentFate::Keep
             } else {
@@ -1666,7 +1564,6 @@ impl CommitWal {
                 }
             }
         });
-        let back = self.back.as_ref().expect("back home after rotation");
         back.write_failures == before
     }
 
@@ -1675,19 +1572,17 @@ impl CommitWal {
     /// Records the mirror no longer holds (covered, torn, or past the
     /// gap) are dropped with their segments.
     pub fn truncate_from(&mut self, from_sn: u64) {
-        self.flush();
-        let cut = self.records.partition_point(|r| r.sn < from_sn);
-        let back = self.back.as_mut().expect("back home after flush");
+        let (back, records) = self.settled();
+        let cut = records.partition_point(|r| r.sn < from_sn);
         let affected = back
             .segments
             .iter()
             .any(|s| s.records > 0 && s.last_sn >= from_sn);
-        if cut == self.records.len() && !affected {
+        if cut == records.len() && !affected {
             return;
         }
-        self.records.truncate(cut);
-        let back = self.back.as_mut().expect("back home after flush");
-        back.rotate_segments(&self.records, |meta| {
+        records.truncate(cut);
+        back.rotate_segments(records, |meta| {
             if meta.records == 0 || meta.last_sn < from_sn {
                 SegmentFate::Keep
             } else if meta.first_sn >= from_sn {
@@ -1737,112 +1632,92 @@ impl Drop for CommitWal {
 }
 
 impl WalBack {
-    /// The group-commit barrier body: writes every staged group's bytes
-    /// with **one** backend write + **one** fsync per touched group
-    /// (plus the amortized segment-roll bookkeeping). Runs on the writer
-    /// thread in pipelined mode, inline otherwise; the front
+    /// The group-commit barrier body: writes the job's staged bytes with
+    /// **one** backend write + **one** fsync (plus the amortized
+    /// segment-roll bookkeeping when the batch crosses a roll). Runs on
+    /// the writer thread in pipelined mode, inline otherwise; the front
     /// acknowledges the batch's records only once the outcome computed
-    /// here resolves. The job's buffers come back emptied with capacity
-    /// retained (the double-buffering recycle).
-    fn flush_batch(&mut self, job: &mut FlushJob) -> bool {
+    /// here resolves.
+    fn flush_batch(&mut self, job: &FlushJob) -> bool {
+        debug_assert_eq!(job.bytes.len(), job.recs.len() * ENCODED_RECORD_LEN);
         let mut failed = false;
         let mut sealed_any = false;
-        for group in 0..self.opts.lane_groups {
-            let g = group as usize;
-            if job.recs[g].is_empty() {
+        let mut at = 0usize;
+        while at < job.recs.len() {
+            let idx = match self.segments.iter().position(|s| !s.sealed) {
+                Some(idx) => idx,
+                None => {
+                    // Mid-batch roll: the just-sealed segment's staged
+                    // bytes must be durable BEFORE a manifest naming its
+                    // record count is published — the load path treats
+                    // manifest counts as a lower bound of what was
+                    // durably appended, and publishing first would turn
+                    // an unacknowledged in-flight batch into a false
+                    // `records_torn` alarm after a crash. (A no-op when
+                    // nothing is staged, i.e. the roll opens the batch.)
+                    if !self.backend.sync_group(CHAIN) {
+                        failed = true;
+                    }
+                    // Roll a fresh active segment: create the (empty)
+                    // file, then publish the manifest that references it
+                    // — BEFORE any record bytes land in it. Appending
+                    // first would open a crash window in which a
+                    // durably-written record sits in a file the manifest
+                    // never named, and the next open's orphan sweep
+                    // would delete it. A crash between create and
+                    // publish leaves only an ignorable empty orphan.
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    if !self.backend.write_segment(CHAIN, seq, &[]) {
+                        failed = true;
+                    }
+                    self.segments.push(SegmentMeta::fresh(seq));
+                    if !self.publish_manifest() {
+                        failed = true;
+                    }
+                    self.segments.len() - 1
+                }
+            };
+            // A reopened log may hold an overfull unsealed segment
+            // (smaller `segment_records` knob than the one it was
+            // written under): seal it and roll rather than underflow.
+            let room = self
+                .opts
+                .segment_records
+                .saturating_sub(self.segments[idx].records) as usize;
+            if room == 0 {
+                self.segments[idx].sealed = true;
+                sealed_any = true;
                 continue;
             }
-            // Take the scratch out (returned, emptied, below) so the
-            // borrow does not fight the segment-roll bookkeeping.
-            let recs = std::mem::take(&mut job.recs[g]);
-            let bytes = std::mem::take(&mut job.bytes[g]);
-            debug_assert_eq!(bytes.len(), recs.len() * ENCODED_RECORD_LEN);
-            let mut at = 0usize;
-            while at < recs.len() {
-                let idx = match self.active_segment(group) {
-                    Some(idx) => idx,
-                    None => {
-                        // Mid-batch roll: the just-sealed segment's
-                        // staged bytes must be durable BEFORE a manifest
-                        // naming its record count is published — the load
-                        // path treats manifest counts as a lower bound of
-                        // what was durably appended, and publishing first
-                        // would turn an unacknowledged in-flight batch
-                        // into a false `records_torn` alarm after a
-                        // crash. (A no-op when the group has nothing
-                        // staged, i.e. the roll opens the batch.)
-                        if !self.backend.sync_group(group) {
-                            failed = true;
-                        }
-                        // Roll a fresh active segment for the group:
-                        // create the (empty) file, then publish the
-                        // manifest that references it — BEFORE any record
-                        // bytes land in it. Appending first would open a
-                        // crash window in which a durably-written record
-                        // sits in a file the manifest never named, and
-                        // the next open's orphan sweep would delete it. A
-                        // crash between create and publish leaves only an
-                        // ignorable empty orphan.
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
-                        if !self.backend.write_segment(group, seq, &[]) {
-                            failed = true;
-                        }
-                        self.segments.push(SegmentMeta::fresh(group, seq));
-                        self.segments.sort_unstable_by_key(|s| (s.group, s.seq));
-                        if !self.publish_manifest() {
-                            failed = true;
-                        }
-                        self.segment_index(group, seq).expect("just inserted")
-                    }
-                };
-                // A reopened log may hold an overfull unsealed segment
-                // (smaller `segment_records` knob than the one it was
-                // written under): seal it and roll rather than underflow.
-                let room = self
-                    .opts
-                    .segment_records
-                    .saturating_sub(self.segments[idx].records) as usize;
-                if room == 0 {
-                    self.segments[idx].sealed = true;
-                    sealed_any = true;
-                    continue;
-                }
-                // Fixed-size encodings make the batch splittable at any
-                // record boundary without re-encoding: one contiguous
-                // byte range per (segment, run) straight from the
-                // staging buffer (no concatenation copy), closed by the
-                // run's batch trailer so the on-disk stream ends at an
-                // acknowledgement boundary after every flush.
-                let take = room.min(recs.len() - at);
-                let range = at * ENCODED_RECORD_LEN..(at + take) * ENCODED_RECORD_LEN;
-                let (grp, seq) = (self.segments[idx].group, self.segments[idx].seq);
-                let trailer = trailer_bytes(self.segments[idx].records + take as u32);
-                if !self
-                    .backend
-                    .append_segment_batch(grp, seq, &bytes[range], &trailer)
-                {
-                    failed = true;
-                }
-                let meta = &mut self.segments[idx];
-                for rec in &recs[at..at + take] {
-                    meta.absorb(rec);
-                }
-                if meta.records >= self.opts.segment_records {
-                    meta.sealed = true;
-                    sealed_any = true;
-                }
-                at += take;
-            }
-            // The durability barrier for everything staged in the group.
-            if !self.backend.sync_group(group) {
+            // Fixed-size encodings make the batch splittable at any
+            // record boundary without re-encoding: one contiguous byte
+            // range per (segment, run) straight from the stage buffer
+            // (no concatenation copy), closed by the run's batch trailer
+            // so the on-disk stream ends at an acknowledgement boundary
+            // after every flush.
+            let take = room.min(job.recs.len() - at);
+            let range = at * ENCODED_RECORD_LEN..(at + take) * ENCODED_RECORD_LEN;
+            let meta = &mut self.segments[idx];
+            let trailer = trailer_bytes(meta.records + take as u32);
+            if !self
+                .backend
+                .append_segment_batch(CHAIN, meta.seq, &job.bytes[range], &trailer)
+            {
                 failed = true;
             }
-            let (mut recs, mut bytes) = (recs, bytes);
-            recs.clear();
-            bytes.clear();
-            job.recs[g] = recs;
-            job.bytes[g] = bytes;
+            for rec in &job.recs[at..at + take] {
+                meta.absorb(rec);
+            }
+            if meta.records >= self.opts.segment_records {
+                meta.sealed = true;
+                sealed_any = true;
+            }
+            at += take;
+        }
+        // The durability barrier for everything the batch staged.
+        if !self.backend.sync_group(CHAIN) {
+            failed = true;
         }
         // Seal events only refresh metadata of already-referenced files;
         // deferring their publish to the end opens no sweep window.
@@ -1855,78 +1730,18 @@ impl WalBack {
         !failed
     }
 
-    /// Rewrites the whole backend from the mirror under the current
-    /// options — the manifest-recovery path, where the on-disk chains'
-    /// original lane grouping is unknowable (routing rewrites through
-    /// the wrong grouping could drop records from every chain they live
-    /// in). Same commit discipline as [`Self::rotate_segments`]: new
-    /// files first (one durable write per segment), manifest publish as
-    /// the commit point, old files deleted last — and an abort before
-    /// the commit point on any failed write. A crash or abort before
-    /// the publish leaves the (still undecodable) old manifest, so the
-    /// next open re-enters scan recovery with all data intact (the
-    /// partial new files simply join the scan and deduplicate).
-    fn rebuild_from(&mut self, records: &[WalRecord]) {
-        let old: Vec<(u32, u64)> = self.segments.iter().map(|s| (s.group, s.seq)).collect();
-        let mut ok = true;
-        let mut new_segments: Vec<SegmentMeta> = Vec::new();
-        for group in 0..self.opts.lane_groups {
-            let group_bit = 1u64 << group;
-            let mut bytes = Vec::new();
-            let mut meta = SegmentMeta::fresh(group, 0);
-            for rec in records {
-                if groups_of_mask(rec.lane_mask, self.opts.lane_groups) & group_bit == 0 {
-                    continue;
-                }
-                rec.encode_into(&mut bytes);
-                meta.absorb(rec);
-                if meta.records >= self.opts.segment_records {
-                    meta.sealed = true;
-                    meta.seq = self.next_seq;
-                    self.next_seq += 1;
-                    encode_trailer(meta.records, &mut bytes);
-                    ok &= self.backend.write_segment(group, meta.seq, &bytes);
-                    new_segments.push(meta);
-                    bytes = Vec::new();
-                    meta = SegmentMeta::fresh(group, 0);
-                }
-            }
-            if meta.records > 0 {
-                meta.seq = self.next_seq;
-                self.next_seq += 1;
-                encode_trailer(meta.records, &mut bytes);
-                ok &= self.backend.write_segment(group, meta.seq, &bytes);
-                new_segments.push(meta);
-            }
-        }
-        if !ok {
-            self.write_failures += 1;
-            return;
-        }
-        new_segments.sort_unstable_by_key(|s| (s.group, s.seq));
-        self.segments = new_segments;
-        if !self.publish_manifest() {
-            self.write_failures += 1;
-            return;
-        }
-        for (group, seq) in old {
-            if !self.backend.delete_segment(group, seq) {
-                self.write_failures += 1;
-            }
-        }
-    }
-
-    /// The atomic segment rotation behind [`CommitWal::compact`] and
-    /// [`CommitWal::truncate_from`], never an in-place truncation:
+    /// The atomic segment rotation behind [`CommitWal::compact`],
+    /// [`CommitWal::truncate_from`], [`CommitWal::repair_backend`] and
+    /// scan recovery, never an in-place truncation:
     ///
-    /// 1. each live segment is kept, marked for deletion, or — when it
-    ///    straddles the cut — has its surviving `first..=last` records
-    ///    rewritten (from `records`, the front's mirror, restricted to
-    ///    the records routed to its group) to a *new* fsynced segment
+    /// 1. each live segment is kept, dropped, or — when it straddles the
+    ///    cut — has its surviving `first..=last` records rewritten (from
+    ///    `records`, the front's mirror) to a *new* fsynced segment
     ///    file;
     /// 2. a manifest naming the new live set is published atomically
     ///    (temp + fsync + rename + dir-fsync) — the commit point;
-    /// 3. only then are the replaced files deleted.
+    /// 3. only then is every chain-0 file the new set does not name
+    ///    deleted.
     ///
     /// A crash (or a failed write) anywhere in the protocol leaves a
     /// readable log: before the commit point the old manifest still
@@ -1936,30 +1751,23 @@ impl WalBack {
     fn rotate_segments(
         &mut self,
         records: &[WalRecord],
-        fate: impl Fn(&SegmentMeta) -> SegmentFate,
+        mut fate: impl FnMut(&SegmentMeta) -> SegmentFate,
     ) {
         let mut ok = true;
         let mut new_segments: Vec<SegmentMeta> = Vec::with_capacity(self.segments.len());
-        let mut delete: Vec<(u32, u64)> = Vec::new();
-        for meta in self.segments.clone() {
-            match fate(&meta) {
-                SegmentFate::Keep => new_segments.push(meta),
-                SegmentFate::Delete => delete.push((meta.group, meta.seq)),
+        for meta in &self.segments {
+            match fate(meta) {
+                SegmentFate::Keep => new_segments.push(*meta),
+                SegmentFate::Delete => {}
                 SegmentFate::Rewrite { first, last } => {
-                    let group_bit = 1u64 << meta.group;
                     let mut bytes = Vec::new();
-                    let mut fresh = SegmentMeta::fresh(meta.group, self.next_seq);
+                    let mut fresh = SegmentMeta::fresh(self.next_seq);
                     fresh.sealed = meta.sealed;
-                    for rec in records {
-                        if (first..=last).contains(&rec.sn)
-                            && groups_of_mask(rec.lane_mask, self.opts.lane_groups) & group_bit != 0
-                        {
-                            rec.encode_into(&mut bytes);
-                            fresh.absorb(rec);
-                        }
+                    for rec in records.iter().filter(|r| (first..=last).contains(&r.sn)) {
+                        rec.encode_into(&mut bytes);
+                        fresh.absorb(rec);
                     }
                     self.next_seq += 1;
-                    delete.push((meta.group, meta.seq));
                     if fresh.records == 0 {
                         // Nothing survives (e.g. the mirror lost the
                         // range to corruption): just drop the segment.
@@ -1967,8 +1775,8 @@ impl WalBack {
                     }
                     // A rewrite is one acknowledged batch: close it with
                     // a trailer so the fresh stream ends cleanly.
-                    encode_trailer(fresh.records, &mut bytes);
-                    if !self.backend.write_segment(fresh.group, fresh.seq, &bytes) {
+                    bytes.extend_from_slice(&trailer_bytes(fresh.records));
+                    if !self.backend.write_segment(CHAIN, fresh.seq, &bytes) {
                         ok = false;
                     }
                     new_segments.push(fresh);
@@ -1979,13 +1787,13 @@ impl WalBack {
             // New files did not all reach storage: abort the rotation.
             // The old manifest still names the complete old set, which
             // remains untouched on disk; the orphaned new files are
-            // swept on the next open.
+            // swept after the next rotation that commits, or on open.
             self.write_failures += 1;
             return;
         }
 
         // The commit point.
-        new_segments.sort_unstable_by_key(|s| (s.group, s.seq));
+        new_segments.sort_unstable_by_key(|s| s.seq);
         self.segments = new_segments;
         if !self.publish_manifest() {
             // Old manifest still governs; old files still intact. Keep
@@ -1993,32 +1801,28 @@ impl WalBack {
             self.write_failures += 1;
             return;
         }
+        self.sweep_orphans();
+    }
 
-        // Old files are now unreferenced; delete them.
-        for (group, seq) in delete {
-            if !self.backend.delete_segment(group, seq) {
-                // Harmless (orphan swept on next open), but surface it.
+    /// Deletes every segment file of the chain that the live set — just
+    /// loaded from, or just published as, the manifest — does not name:
+    /// what a rotation replaced and leftovers of a crashed or aborted
+    /// one. Files the pre-v2 layout kept under other chains are not
+    /// orphans: only the open-time re-homing, once committed, deletes
+    /// them.
+    fn sweep_orphans(&mut self) {
+        for (chain, seq) in self.backend.list_segments() {
+            let orphan = chain == CHAIN && !self.segments.iter().any(|s| s.seq == seq);
+            if orphan && !self.backend.delete_segment(chain, seq) {
+                // Harmless (swept again next time), but surface it.
                 self.write_failures += 1;
             }
         }
     }
 
-    fn active_segment(&self, group: u32) -> Option<usize> {
-        self.segments
-            .iter()
-            .position(|s| s.group == group && !s.sealed)
-    }
-
-    fn segment_index(&self, group: u32, seq: u64) -> Option<usize> {
-        self.segments
-            .iter()
-            .position(|s| s.group == group && s.seq == seq)
-    }
-
     fn publish_manifest(&mut self) -> bool {
         let manifest = Manifest {
             next_seq: self.next_seq,
-            lane_groups: self.opts.lane_groups,
             segments: self.segments.clone(),
         };
         self.backend.publish_manifest(&manifest.encode())
@@ -2028,6 +1832,7 @@ impl WalBack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ladon_types::MERKLE_LANES;
     use std::sync::{Arc, Mutex};
 
     /// A [`MemBackend`] whose storage survives the WAL that owns it, so
@@ -2093,10 +1898,10 @@ mod tests {
         }
     }
 
-    fn opts(groups: u32, seg: u32) -> WalOptions {
+    fn opts(seg: u32) -> WalOptions {
         WalOptions {
-            lane_groups: groups,
             segment_records: seg,
+            ..WalOptions::default()
         }
     }
 
@@ -2143,7 +1948,7 @@ mod tests {
         let plan = FaultPlan::unlimited();
         let mut wal = CommitWal::open(
             Box::new(FaultBackend::new(disk.clone(), plan.clone())),
-            opts(2, 4),
+            opts(4),
         );
         for sn in 0..6 {
             wal.append(rec(sn));
@@ -2164,51 +1969,16 @@ mod tests {
         assert!(wal.repair_backend(), "repair succeeds once space is freed");
         drop(wal);
         // The repaired on-disk log holds every mirrored record.
-        let reopened = CommitWal::open(Box::new(disk), opts(2, 4));
+        let reopened = CommitWal::open(Box::new(disk), opts(4));
         assert_eq!(reopened.len(), 10);
         assert_eq!(reopened.records().last().unwrap().sn, 9);
     }
 
     #[test]
-    fn lane_groups_partition_contiguously() {
-        for groups in [1u32, 2, 4, 8, 16, 64] {
-            let mut seen = vec![0u32; groups as usize];
-            let mut last = 0u32;
-            for lane in 0..MERKLE_LANES {
-                let g = group_of_lane(lane, groups);
-                assert!(g < groups);
-                assert!(g >= last, "groups must be contiguous in lane order");
-                last = g;
-                seen[g as usize] += 1;
-            }
-            assert!(seen.iter().all(|&c| c > 0), "no empty group at {groups}");
-        }
-        // Empty masks are homed to group 0 (dense log even for empty
-        // blocks).
-        assert_eq!(groups_of_mask(0, 8), 1);
-        // A full mask touches every group.
-        assert_eq!(groups_of_mask(u64::MAX, 8).count_ones(), 8);
-    }
-
-    #[test]
-    fn records_fan_out_to_touched_groups_only() {
-        let mut wal = CommitWal::in_memory_with(opts(8, 1024));
-        // Lane 0 → group 0; lane 63 → group 7.
-        wal.append(rec_masked(0, 1 << 0));
-        wal.append(rec_masked(1, 1 << 63));
-        wal.append(rec_masked(2, (1 << 0) | (1 << 63)));
-        let groups: Vec<u32> = wal.segments().iter().map(|s| s.group).collect();
-        assert_eq!(groups, vec![0, 7]);
-        assert_eq!(wal.segments()[0].records, 2); // sns 0, 2
-        assert_eq!(wal.segments()[1].records, 2); // sns 1, 2
-        assert_eq!(wal.len(), 3, "mirror holds each record once");
-    }
-
-    #[test]
-    fn segments_roll_and_reopen_merges_groups() {
+    fn segments_roll_and_reopen() {
         let disk = SharedMem::default();
         {
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4, 4));
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..20 {
                 wal.append(rec(sn));
             }
@@ -2217,8 +1987,8 @@ mod tests {
                 "4-record segments must have sealed by 20 appends"
             );
         }
-        let wal = CommitWal::open(Box::new(disk), opts(4, 4));
-        assert_eq!(wal.len(), 20, "reopen must merge all groups losslessly");
+        let wal = CommitWal::open(Box::new(disk), opts(4));
+        assert_eq!(wal.len(), 20, "reopen must load every segment losslessly");
         for (i, r) in wal.records().iter().enumerate() {
             assert_eq!(*r, rec(i as u64));
         }
@@ -2226,7 +1996,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_snapshotted_prefix() {
-        let mut wal = CommitWal::in_memory_with(opts(4, 8));
+        let mut wal = CommitWal::in_memory_with(opts(8));
         for sn in 0..20 {
             wal.append(rec(sn));
         }
@@ -2247,12 +2017,12 @@ mod tests {
     fn open_with_floor_skips_covered_segments() {
         let disk = SharedMem::default();
         {
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(2, 4));
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..32 {
                 wal.append(rec(sn));
             }
         }
-        let wal = CommitWal::open_with_floor(Box::new(disk), opts(2, 4), 24);
+        let wal = CommitWal::open_with_floor(Box::new(disk), opts(4), 24);
         let stats = wal.load_stats();
         assert!(
             stats.segments_skipped > 0,
@@ -2271,13 +2041,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ladon-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut wal =
-                CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4, 3));
+            let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
             for sn in 0..8 {
                 wal.append(rec(sn));
             }
         }
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4, 3));
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
         assert_eq!(wal.len(), 8);
         assert_eq!(wal.records()[7], rec(7));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2287,7 +2056,7 @@ mod tests {
     fn file_compaction_is_atomic_rename_and_delete() {
         let dir = std::env::temp_dir().join(format!("ladon-wal-compact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(2, 4));
+        let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
         for sn in 0..20 {
             wal.append(rec(sn));
         }
@@ -2312,49 +2081,154 @@ mod tests {
             "compaction must shrink the segment set: {before:?} -> {after:?}"
         );
         drop(wal);
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(2, 4));
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
         assert_eq!(wal.len(), 2);
         assert_eq!(wal.records()[0].sn, 18);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn corrupt_manifest_recovers_by_scan_and_loses_nothing() {
-        let dir = std::env::temp_dir().join(format!("ladon-wal-badman-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut wal =
-                CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4, 3));
-            for sn in 0..14 {
-                wal.append(rec(sn));
+    /// Lays `dir` out as the pre-v2 WAL wrote it with four lane groups
+    /// and 3-record segments: each record under every chain its mask
+    /// touches (overlapping `sn`s across chains), plus a version-1
+    /// manifest naming the lot.
+    fn write_v1_layout(dir: &Path, records: &[WalRecord]) {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut manifest = Vec::new();
+        let mut next_seq = 0u64;
+        let mut segments = 0u64;
+        for group in 0..4u32 {
+            let lanes = 0xffffu64 << (16 * group);
+            let chain: Vec<&WalRecord> = records
+                .iter()
+                .filter(|r| r.lane_mask & lanes != 0)
+                .collect();
+            for seg in chain.chunks(3) {
+                let mut bytes = Vec::new();
+                let mut mask = 0u64;
+                for rec in seg {
+                    rec.encode_into(&mut bytes);
+                    mask |= rec.lane_mask;
+                }
+                bytes.extend_from_slice(&trailer_bytes(seg.len() as u32));
+                std::fs::write(dir.join(FileBackend::segment_name(group, next_seq)), bytes)
+                    .unwrap();
+                manifest.extend_from_slice(&group.to_le_bytes());
+                manifest.extend_from_slice(&next_seq.to_le_bytes());
+                manifest.extend_from_slice(&seg[0].sn.to_le_bytes());
+                manifest.extend_from_slice(&seg[seg.len() - 1].sn.to_le_bytes());
+                manifest.extend_from_slice(&(seg.len() as u32).to_le_bytes());
+                manifest.extend_from_slice(&mask.to_le_bytes());
+                manifest.push((seg.len() == 3) as u8);
+                next_seq += 1;
+                segments += 1;
             }
         }
-        // Bit-rot the manifest: one flipped byte must NOT read as "empty
-        // authoritative set" (which would sweep every segment as an
-        // orphan).
-        let manifest_path = dir.join("wal.manifest");
-        let mut bytes = std::fs::read(&manifest_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&manifest_path, &bytes).unwrap();
+        let mut out = vec![1u8]; // MANIFEST_VERSION 1
+        out.extend_from_slice(&next_seq.to_le_bytes());
+        out.extend_from_slice(&4u32.to_le_bytes()); // lane-group count
+        out.extend_from_slice(&segments.to_le_bytes());
+        out.extend_from_slice(&manifest);
+        let checksum = Fnv64::new().write(&out).finish();
+        out.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(dir.join("wal.manifest"), out).unwrap();
+    }
 
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4, 3));
-        assert!(wal.load_stats().manifest_recovered);
-        assert_eq!(wal.len(), 14, "scan recovery must preserve every record");
-        for (i, r) in wal.records().iter().enumerate() {
-            assert_eq!(*r, rec(i as u64));
+    #[test]
+    fn corrupt_manifest_recovers_by_scan_and_loses_nothing() {
+        // Every record touches its own lane's chain, every other one the
+        // last chain too: the pre-v2 layout stores those twice.
+        let records: Vec<WalRecord> = (0..14u64)
+            .map(|sn| rec_masked(sn, 1 << (16 * (sn % 4)) | (sn % 2) << 63))
+            .collect();
+        for layout in ["bit-rot", "pre-v2"] {
+            let dir = std::env::temp_dir()
+                .join(format!("ladon-wal-badman-{layout}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let open = || CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
+            if layout == "pre-v2" {
+                write_v1_layout(&dir, &records);
+                let names = FileBackend::open_dir(&dir).unwrap().list_segments();
+                assert!(names.iter().any(|&(chain, _)| chain != 0), "{names:?}");
+                assert!(names.len() > 14usize.div_ceil(3), "overlap: {names:?}");
+            } else {
+                let mut wal = open();
+                for rec in &records {
+                    wal.append(*rec);
+                }
+                drop(wal);
+                // Bit-rot the manifest: one flipped byte must NOT read
+                // as "empty authoritative set" (which would sweep every
+                // segment as an orphan).
+                let manifest_path = dir.join("wal.manifest");
+                let mut bytes = std::fs::read(&manifest_path).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+                std::fs::write(&manifest_path, &bytes).unwrap();
+            }
+
+            let wal = open();
+            assert!(wal.load_stats().manifest_recovered, "{layout}");
+            assert_eq!(
+                wal.records(),
+                records,
+                "{layout}: scan recovery must preserve every record, once"
+            );
+            assert_eq!(
+                wal.write_failures(),
+                0,
+                "{layout}: the storage rebuild itself must succeed"
+            );
+            drop(wal);
+            // The rebuild left a decodable manifest and one chain holding
+            // each record once: the next open is normal and still holds
+            // everything.
+            let wal = open();
+            assert!(!wal.load_stats().manifest_recovered, "{layout}");
+            assert_eq!(wal.records(), records, "{layout}");
+            let stored: u32 = wal.segments().iter().map(|s| s.records).sum();
+            assert_eq!(stored, 14, "{layout}: {:?}", wal.segments());
+            let names = FileBackend::open_dir(&dir).unwrap().list_segments();
+            assert_eq!(names.len(), wal.segments().len(), "{layout}: {names:?}");
+            assert!(names.iter().all(|&(chain, _)| chain == 0), "{names:?}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(
-            wal.write_failures(),
-            0,
-            "the storage rebuild itself must succeed"
-        );
+
+        // A pre-v2 directory whose re-homing write fails: the open goes
+        // on with the mirror, and nothing it publishes or sweeps
+        // afterwards — a roll, a compaction — may cost a record still
+        // stored only under another chain.
+        let dir = std::env::temp_dir().join(format!("ladon-wal-rehome-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_v1_layout(&dir, &records);
+        let plan = crate::faults::FaultPlan::unlimited().fail_nth_write(0);
+        let faulty = crate::faults::FaultBackend::new(FileBackend::open_dir(&dir).unwrap(), plan);
+        let mut wal = CommitWal::open(Box::new(faulty), opts(3));
+        assert!(wal.load_stats().manifest_recovered);
+        assert_eq!(wal.write_failures(), 1, "the re-homing write must alarm");
+        assert_eq!(wal.records(), records);
+        wal.append(rec(14));
+        wal.compact(4);
+        assert_eq!(wal.write_failures(), 1, "roll and compaction run clean");
         drop(wal);
-        // The rebuild left a decodable manifest: the next open is normal
-        // and still holds everything.
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4, 3));
+        let survivors: Vec<WalRecord> = records[4..].iter().copied().chain([rec(14)]).collect();
+        let reopen = || {
+            let backend = Box::new(FileBackend::open_dir(&dir).unwrap());
+            CommitWal::open_with_floor(backend, opts(3), 4)
+        };
+        let wal = reopen();
+        assert!(
+            wal.load_stats().manifest_recovered,
+            "files under other chains force the scan until re-homed"
+        );
+        assert_eq!(wal.records(), survivors, "every record, once");
+        assert_eq!(wal.write_failures(), 0);
+        drop(wal);
+        let wal = reopen();
         assert!(!wal.load_stats().manifest_recovered);
-        assert_eq!(wal.len(), 14);
+        assert_eq!(wal.records(), survivors);
+        let names = FileBackend::open_dir(&dir).unwrap().list_segments();
+        assert_eq!(names.len(), wal.segments().len(), "{names:?}");
+        assert!(names.iter().all(|&(chain, _)| chain == 0), "{names:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2363,8 +2237,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ladon-wal-orphan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut wal =
-                CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(2, 4));
+            let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
             for sn in 0..6 {
                 wal.append(rec(sn));
             }
@@ -2372,7 +2245,7 @@ mod tests {
         // A mid-compaction crash leaves a new-tail file the manifest
         // never came to reference.
         std::fs::write(dir.join(FileBackend::segment_name(0, 99)), b"garbage").unwrap();
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(2, 4));
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
         assert_eq!(wal.len(), 6, "orphans must not perturb the log");
         assert!(
             !dir.join(FileBackend::segment_name(0, 99)).exists(),
@@ -2382,42 +2255,10 @@ mod tests {
     }
 
     #[test]
-    fn reopening_with_different_lane_groups_adopts_disk_layout() {
-        // The manifest records the grouping the chains were laid out
-        // with; a process configured differently must adopt it, or
-        // compaction rewrites would route records to chains they do not
-        // live in and silently drop them.
-        let disk = SharedMem::default();
-        {
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8, 4));
-            for sn in 0..20 {
-                wal.append(rec(sn));
-            }
-        }
-        let mut wal = CommitWal::open(Box::new(disk.clone()), opts(2, 4));
-        assert_eq!(
-            wal.options().lane_groups,
-            8,
-            "the on-disk layout must win over the configured knob"
-        );
-        assert_eq!(wal.len(), 20);
-        // Appends and a mid-segment compaction still route correctly.
-        for sn in 20..26 {
-            wal.append(rec(sn));
-        }
-        wal.compact(18);
-        assert_eq!(wal.write_failures(), 0);
-        drop(wal);
-        let wal = CommitWal::open(Box::new(disk), opts(2, 4));
-        let sns: Vec<u64> = wal.records().iter().map(|r| r.sn).collect();
-        assert_eq!(sns, (18..26).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn truncate_from_preserves_sealed_and_drops_suffix() {
         let disk = SharedMem::default();
         {
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(2, 4));
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..10 {
                 wal.append(rec(sn));
             }
@@ -2425,35 +2266,29 @@ mod tests {
             assert_eq!(wal.len(), 6);
             assert_eq!(wal.write_failures(), 0);
             // A rewritten head of a sealed segment stays sealed: at most
-            // one unsealed segment per group survives.
-            for group in 0..2 {
-                let unsealed = wal
-                    .segments()
-                    .iter()
-                    .filter(|s| s.group == group && !s.sealed)
-                    .count();
-                assert!(unsealed <= 1, "group {group} has {unsealed} unsealed");
-            }
+            // one unsealed segment survives.
+            let unsealed = wal.segments().iter().filter(|s| !s.sealed).count();
+            assert!(unsealed <= 1, "{unsealed} unsealed: {:?}", wal.segments());
         }
-        let wal = CommitWal::open(Box::new(disk), opts(2, 4));
+        let wal = CommitWal::open(Box::new(disk), opts(4));
         let sns: Vec<u64> = wal.records().iter().map(|r| r.sn).collect();
         assert_eq!(sns, (0..6).collect::<Vec<_>>());
     }
 
     #[test]
     fn flat_bytes_roundtrip_for_sync() {
-        let mut wal = CommitWal::in_memory_with(opts(8, 4));
+        let mut wal = CommitWal::in_memory_with(opts(4));
         for sn in 0..10 {
             wal.append(rec(sn));
         }
         let shipped = wal.to_bytes();
-        let rebuilt = CommitWal::from_flat_bytes(&shipped, opts(2, 100));
+        let rebuilt = CommitWal::from_flat_bytes(&shipped, opts(100));
         assert_eq!(rebuilt.records(), wal.records());
     }
 
     #[test]
     fn staged_records_are_unacknowledged_until_flush() {
-        let mut wal = CommitWal::in_memory_with(opts(4, 1024));
+        let mut wal = CommitWal::in_memory_with(opts(1024));
         wal.append_buffered(rec(0));
         wal.append_buffered(rec(1));
         assert_eq!(wal.len(), 0, "staged records must not be acknowledged");
@@ -2469,37 +2304,36 @@ mod tests {
     }
 
     #[test]
-    fn flush_is_one_fsync_per_touched_group_per_batch() {
-        let mut wal = CommitWal::in_memory_with(opts(4, 1024));
-        // Warm batch: creates the active segments (rolls publish
-        // manifests, which cost extra one-time fsyncs).
-        for sn in 0..4 {
-            wal.append_buffered(rec_masked(sn, u64::MAX));
-        }
-        assert!(wal.flush());
-        let s0 = wal.io_stats();
-        // Steady state: each batch of 16 full-mask records must cost
-        // exactly one write and one fsync per group, not per record.
-        for batch in 0..3u64 {
-            for i in 0..16 {
-                wal.append_buffered(rec_masked(4 + batch * 16 + i, u64::MAX));
+    fn steady_state_barrier_is_one_write_and_one_fsync() {
+        // Whatever the batch size and whatever the records' lane masks,
+        // a barrier that crosses no segment roll costs exactly one
+        // backend write and one fsync, and stores each record once.
+        let mut wal = CommitWal::in_memory_with(opts(1024));
+        // Warm batch: creates the active segment (the roll publishes a
+        // manifest, which costs extra one-time fsyncs).
+        wal.append(rec(0));
+        let mut sn = 1u64;
+        for mask in [0, 1 << 17, u64::MAX] {
+            for k in [1u64, 4, 16, 64] {
+                let s0 = wal.io_stats();
+                for _ in 0..k {
+                    wal.append_buffered(rec_masked(sn, mask));
+                    sn += 1;
+                }
+                assert!(wal.flush());
+                let s1 = wal.io_stats();
+                assert_eq!(s1.appends - s0.appends, 1, "k={k} mask={mask:#x}");
+                assert_eq!(s1.fsyncs - s0.fsyncs, 1, "k={k} mask={mask:#x}");
+                assert_eq!(
+                    s1.bytes_written - s0.bytes_written,
+                    k * ENCODED_RECORD_LEN as u64 + TRAILER_LEN as u64,
+                    "k={k} mask={mask:#x}: each encoding lands once, plus one trailer"
+                );
+                assert_eq!(s1.segment_opens, s0.segment_opens);
             }
-            assert!(wal.flush());
         }
-        let s1 = wal.io_stats();
-        assert_eq!(s1.fsyncs - s0.fsyncs, 3 * 4, "1 fsync per group per batch");
-        assert_eq!(
-            s1.appends - s0.appends,
-            3 * 4,
-            "1 write per group per batch"
-        );
-        assert_eq!(
-            s1.bytes_written - s0.bytes_written,
-            3 * 4 * (16 * ENCODED_RECORD_LEN as u64 + TRAILER_LEN as u64),
-            "every record's encoding lands once per touched group, plus \
-             one batch trailer per run"
-        );
-        assert_eq!(wal.len(), 52);
+        assert_eq!(wal.len() as u64, sn);
+        assert_eq!(wal.segments().len(), 1);
     }
 
     #[test]
@@ -2508,7 +2342,7 @@ mod tests {
         // staged bytes across rolls without losing order or records.
         let disk = SharedMem::default();
         {
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(2, 4));
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for batch in 0..3u64 {
                 for i in 0..10 {
                     wal.append_buffered(rec(batch * 10 + i));
@@ -2522,7 +2356,7 @@ mod tests {
                 wal.segments()
             );
         }
-        let wal = CommitWal::open(Box::new(disk), opts(2, 4));
+        let wal = CommitWal::open(Box::new(disk), opts(4));
         assert_eq!(wal.len(), 30, "reopen must recover every flushed record");
         for (i, r) in wal.records().iter().enumerate() {
             assert_eq!(*r, rec(i as u64));
@@ -2539,8 +2373,8 @@ mod tests {
         let per_record = SharedMem::default();
         let batched = SharedMem::default();
         {
-            let mut a = CommitWal::open(Box::new(per_record.clone()), opts(4, 8));
-            let mut b = CommitWal::open(Box::new(batched.clone()), opts(4, 8));
+            let mut a = CommitWal::open(Box::new(per_record.clone()), opts(8));
+            let mut b = CommitWal::open(Box::new(batched.clone()), opts(8));
             for sn in 0..30 {
                 a.append(rec(sn));
             }
@@ -2561,8 +2395,8 @@ mod tests {
             assert_eq!(da.records, db.records, "segment {key:?} records differ");
             assert!(da.clean_end && db.clean_end, "both streams end cleanly");
         }
-        let wa = CommitWal::open(Box::new(per_record), opts(4, 8));
-        let wb = CommitWal::open(Box::new(batched), opts(4, 8));
+        let wa = CommitWal::open(Box::new(per_record), opts(8));
+        let wb = CommitWal::open(Box::new(batched), opts(8));
         assert_eq!(wa.records(), wb.records());
     }
 
@@ -2571,8 +2405,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ladon-wal-trailer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut wal =
-                CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(1, 4));
+            let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
             for batch in 0..3u64 {
                 for i in 0..4 {
                     wal.append_buffered(rec(batch * 4 + i));
@@ -2582,7 +2415,7 @@ mod tests {
         }
         // Healthy reopen: every scanned stream ends at a trailer.
         {
-            let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(1, 4));
+            let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
             let stats = wal.load_stats();
             assert_eq!(stats.records_torn, 0);
             assert_eq!(stats.records_unacked_lost, 0);
@@ -2604,7 +2437,7 @@ mod tests {
         let victim = &segs[0];
         let bytes = std::fs::read(victim).unwrap();
         std::fs::write(victim, &bytes[..bytes.len() - TRAILER_LEN - 7]).unwrap();
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(1, 4));
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
         let stats = wal.load_stats();
         assert!(
             stats.records_torn > 0,
@@ -2612,95 +2445,6 @@ mod tests {
         );
         assert_eq!(stats.records_unacked_lost, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Storage that drops one staged append on the floor (reporting the
-    /// failure) while every other operation — including the manifest
-    /// publish that absorbs the staged records' metadata — succeeds.
-    /// Models a transient write error the WAL alarms on.
-    struct DropOneAppend {
-        inner: SharedMem,
-        drop_at: u64,
-        appends: u64,
-    }
-
-    impl WalBackend for DropOneAppend {
-        fn append_segment_batch(
-            &mut self,
-            group: u32,
-            seq: u64,
-            records: &[u8],
-            trailer: &[u8],
-        ) -> bool {
-            self.appends += 1;
-            if self.appends == self.drop_at {
-                return false;
-            }
-            self.inner
-                .append_segment_batch(group, seq, records, trailer)
-        }
-        fn sync_group(&mut self, group: u32) -> bool {
-            self.inner.sync_group(group)
-        }
-        fn write_segment(&mut self, group: u32, seq: u64, bytes: &[u8]) -> bool {
-            self.inner.write_segment(group, seq, bytes)
-        }
-        fn read_segment(&mut self, group: u32, seq: u64) -> Option<Vec<u8>> {
-            self.inner.read_segment(group, seq)
-        }
-        fn delete_segment(&mut self, group: u32, seq: u64) -> bool {
-            self.inner.delete_segment(group, seq)
-        }
-        fn publish_manifest(&mut self, bytes: &[u8]) -> bool {
-            self.inner.publish_manifest(bytes)
-        }
-        fn load_manifest(&mut self) -> Option<Vec<u8>> {
-            self.inner.load_manifest()
-        }
-        fn list_segments(&mut self) -> Vec<(u32, u64)> {
-            self.inner.list_segments()
-        }
-        fn io_stats(&self) -> WalIoStats {
-            self.inner.io_stats()
-        }
-    }
-
-    #[test]
-    fn never_acknowledged_suffix_is_not_counted_as_torn() {
-        // A failed append whose batch still seals into the manifest used
-        // to read back as `records_torn` — but those records were never
-        // acknowledged (the flush alarmed). The trailer proves the
-        // stream ends at the previous acknowledgement boundary, so the
-        // shortfall now lands in `records_unacked_lost`.
-        let disk = SharedMem::default();
-        {
-            let backend = DropOneAppend {
-                inner: disk.clone(),
-                drop_at: 2, // the second batch's single-group append
-                appends: 0,
-            };
-            let mut wal = CommitWal::open(Box::new(backend), opts(1, 4));
-            for i in 0..2 {
-                wal.append_buffered(rec(i));
-            }
-            assert!(wal.flush(), "first batch lands clean");
-            for i in 2..4 {
-                wal.append_buffered(rec(i));
-            }
-            assert!(!wal.flush(), "the dropped append must alarm");
-            assert_eq!(wal.write_failures(), 1);
-        }
-        let wal = CommitWal::open(Box::new(disk), opts(1, 4));
-        let stats = wal.load_stats();
-        assert_eq!(
-            stats.records_torn, 0,
-            "never-acknowledged records must not read as torn: {stats:?}"
-        );
-        assert!(
-            stats.records_unacked_lost > 0,
-            "the alarmed suffix is classified unacknowledged: {stats:?}"
-        );
-        assert_eq!(wal.len(), 2, "the acknowledged prefix survives");
     }
 
     /// Storage whose staged appends fail (nothing lands, `false`
@@ -2754,54 +2498,92 @@ mod tests {
     }
 
     #[test]
+    fn never_acknowledged_suffix_is_not_counted_as_torn() {
+        // A failed append whose batch still seals into the manifest used
+        // to read back as `records_torn` — but those records were never
+        // acknowledged (the flush alarmed). The trailer proves the
+        // stream ends at the previous acknowledgement boundary, so the
+        // shortfall now lands in `records_unacked_lost`. The log ends at
+        // the alarmed batch: no later batch lands behind it.
+        let disk = SharedMem::default();
+        let failing = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        {
+            let backend = FailingAppends {
+                inner: disk.clone(),
+                failing: failing.clone(),
+            };
+            let mut wal = CommitWal::open(Box::new(backend), opts(4));
+            for i in 0..2 {
+                wal.append_buffered(rec(i));
+            }
+            assert!(wal.flush(), "first batch lands clean");
+            failing.store(true, std::sync::atomic::Ordering::SeqCst);
+            for i in 2..4 {
+                wal.append_buffered(rec(i));
+            }
+            assert!(!wal.flush(), "the dropped append must alarm");
+            assert_eq!(wal.write_failures(), 1);
+        }
+        let wal = CommitWal::open(Box::new(disk), opts(4));
+        let stats = wal.load_stats();
+        assert_eq!(
+            stats.records_torn, 0,
+            "never-acknowledged records must not read as torn: {stats:?}"
+        );
+        assert!(
+            stats.records_unacked_lost > 0,
+            "the alarmed suffix is classified unacknowledged: {stats:?}"
+        );
+        assert_eq!(wal.len(), 2, "the acknowledged prefix survives");
+    }
+
+    #[test]
     fn failed_write_without_crash_reopens_as_unacked_lost_never_torn() {
         // An alarmed failed write whose batch the NEXT seal publishes
-        // (inflated count in the manifest) must reopen as
-        // `records_unacked_lost` — the stream still ends at the previous
-        // acknowledgement trailer — never as `records_torn`. Swept at
-        // both ends of the lane-group matrix.
-        for groups in [1u32, 4] {
-            let disk = SharedMem::default();
-            let failing = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            {
-                let backend = FailingAppends {
-                    inner: disk.clone(),
-                    failing: failing.clone(),
-                };
-                // segment_records = 4: the failed batch's absorbed
-                // records fill and seal every chain's segment, so the
-                // seal publishes the inflated count.
-                let mut wal = CommitWal::open(Box::new(backend), opts(groups, 4));
-                wal.append_buffered(rec_masked(0, u64::MAX));
-                wal.append_buffered(rec_masked(1, u64::MAX));
-                assert!(wal.flush(), "groups={groups}: first batch lands clean");
-                failing.store(true, std::sync::atomic::Ordering::SeqCst);
-                wal.append_buffered(rec_masked(2, u64::MAX));
-                wal.append_buffered(rec_masked(3, u64::MAX));
-                assert!(!wal.flush(), "groups={groups}: the failed batch must alarm");
-                assert_eq!(wal.write_failures(), 1);
-                failing.store(false, std::sync::atomic::Ordering::SeqCst);
-                wal.append_buffered(rec_masked(4, u64::MAX));
-                wal.append_buffered(rec_masked(5, u64::MAX));
-                assert!(wal.flush(), "groups={groups}: post-alarm batch lands clean");
-            }
-            let wal = CommitWal::open(Box::new(disk), opts(groups, 4));
-            let stats = wal.load_stats();
-            assert_eq!(
-                stats.records_torn, 0,
-                "groups={groups}: an alarmed failed write must never read as torn: {stats:?}"
-            );
-            assert_eq!(
-                stats.records_unacked_lost,
-                2 * groups as u64,
-                "groups={groups}: every chain lost exactly the failed batch: {stats:?}"
-            );
-            assert_eq!(
-                wal.len(),
-                2,
-                "groups={groups}: the acknowledged prefix below the gap survives"
-            );
+        // (inflated count in the manifest) used to read back as
+        // `records_torn` — but those records were never acknowledged
+        // (the flush alarmed). The trailer proves the stream ends at the
+        // previous acknowledgement boundary, so the shortfall reopens as
+        // `records_unacked_lost`.
+        let disk = SharedMem::default();
+        let failing = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        {
+            let backend = FailingAppends {
+                inner: disk.clone(),
+                failing: failing.clone(),
+            };
+            // segment_records = 4: the failed batch's absorbed records
+            // fill and seal the segment, so the seal publishes the
+            // inflated count.
+            let mut wal = CommitWal::open(Box::new(backend), opts(4));
+            wal.append_buffered(rec(0));
+            wal.append_buffered(rec(1));
+            assert!(wal.flush(), "first batch lands clean");
+            failing.store(true, std::sync::atomic::Ordering::SeqCst);
+            wal.append_buffered(rec(2));
+            wal.append_buffered(rec(3));
+            assert!(!wal.flush(), "the failed batch must alarm");
+            assert_eq!(wal.write_failures(), 1);
+            failing.store(false, std::sync::atomic::Ordering::SeqCst);
+            wal.append_buffered(rec(4));
+            wal.append_buffered(rec(5));
+            assert!(wal.flush(), "post-alarm batch lands clean");
         }
+        let wal = CommitWal::open(Box::new(disk), opts(4));
+        let stats = wal.load_stats();
+        assert_eq!(
+            stats.records_torn, 0,
+            "an alarmed failed write must never read as torn: {stats:?}"
+        );
+        assert_eq!(
+            stats.records_unacked_lost, 2,
+            "exactly the failed batch is lost: {stats:?}"
+        );
+        assert_eq!(
+            wal.len(),
+            2,
+            "the acknowledged prefix below the gap survives"
+        );
     }
 
     /// Storage that (a) asks for the writer thread and (b) gates every
@@ -2868,7 +2650,7 @@ mod tests {
                 entered: entered_tx,
                 release: release_rx,
             }),
-            opts(1, 1024),
+            opts(1024),
         );
         assert!(wal.pipelined(), "the backend asked for the writer thread");
         wal.append_buffered(rec(0));
@@ -2904,7 +2686,7 @@ mod tests {
         // Dropping the WAL resolves/joins the writer; the storage must
         // hold every acknowledged record.
         drop(wal);
-        let reopened = CommitWal::open(Box::new(disk), opts(1, 1024));
+        let reopened = CommitWal::open(Box::new(disk), opts(1024));
         assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.load_stats().records_torn, 0);
         assert_eq!(reopened.load_stats().records_unacked_lost, 0);
@@ -2916,7 +2698,7 @@ mod tests {
         // composition costs: same backend op counts, same bytes, same
         // storage content.
         let run = |split: bool| -> (WalIoStats, Vec<u8>) {
-            let mut wal = CommitWal::in_memory_with(opts(2, 8));
+            let mut wal = CommitWal::in_memory_with(opts(8));
             for batch in 0..4u64 {
                 for i in 0..3u64 {
                     wal.append_buffered(rec(batch * 3 + i));
@@ -2940,9 +2722,9 @@ mod tests {
     fn file_backend_opens_are_per_segment_not_per_append() {
         let dir = std::env::temp_dir().join(format!("ladon-wal-opens-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(2, 8));
+        let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(8));
         for sn in 0..64 {
-            wal.append(rec_masked(sn, u64::MAX)); // every record, both groups
+            wal.append(rec_masked(sn, u64::MAX));
         }
         assert_eq!(wal.write_failures(), 0);
         let io = wal.io_stats();
@@ -2951,7 +2733,7 @@ mod tests {
             io.segment_opens, segments,
             "each segment must be opened exactly once over its lifetime"
         );
-        assert_eq!(io.appends, 64 * 2, "one staged write per record per group");
+        assert_eq!(io.appends, 64, "one staged write per batch-of-one");
         assert!(
             io.segment_opens < io.appends,
             "open count must not scale with appends: {io:?}"

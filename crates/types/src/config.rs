@@ -150,17 +150,10 @@ pub struct SystemConfig {
     /// Accounts in the execution key space (the synthetic workload derives
     /// every op over `0..exec_keyspace`).
     pub exec_keyspace: u32,
-    /// Lane groups the commit WAL partitions the [`MERKLE_LANES`] Merkle
-    /// lanes into (`1..=MERKLE_LANES`). Each group owns an independent
-    /// segment chain, and a confirmed block's record is fanned out to the
-    /// chains its ops' lanes map to — the layout that lets recovery skip
-    /// whole chains a snapshot already covers and replay only dirty
-    /// lanes. More groups = finer recovery selectivity, more per-append
-    /// fan-out (records are ~100-byte identities, so the duplication is
-    /// cheap).
+    /// Kept for source compatibility with frozen `benchmark/`; no effect.
     pub wal_lane_groups: u32,
     /// Records a WAL segment holds before it is sealed (immutable) and
-    /// its lane group rolls to a fresh active segment (≥ 1). Smaller
+    /// the log rolls to a fresh active segment (≥ 1). Smaller
     /// segments = finer-grained compaction deletes and recovery skips,
     /// more manifest churn.
     pub wal_segment_records: u32,
@@ -202,7 +195,7 @@ impl SystemConfig {
             quiet_leader_timeout: TimeNs::from_secs(30),
             exec_lanes: 4,
             exec_keyspace: 4096,
-            wal_lane_groups: 8,
+            wal_lane_groups: 1,
             wal_segment_records: 1024,
             wal_flush_max_records: 1,
             sync_chunks_per_response: MERKLE_LANES,
@@ -288,12 +281,6 @@ impl SystemConfig {
         }
         if self.exec_keyspace == 0 {
             return Err(LadonError::Config("exec_keyspace must be > 0".into()));
-        }
-        if self.wal_lane_groups == 0 || self.wal_lane_groups > MERKLE_LANES {
-            return Err(LadonError::Config(format!(
-                "wal_lane_groups = {} must be in 1..={MERKLE_LANES}",
-                self.wal_lane_groups
-            )));
         }
         if self.wal_segment_records == 0 {
             return Err(LadonError::Config("wal_segment_records must be > 0".into()));
@@ -393,16 +380,7 @@ mod tests {
     #[test]
     fn wal_knobs_validated() {
         let c = SystemConfig::paper_default(16, NetEnv::Wan);
-        assert_eq!(c.wal_lane_groups, 8);
         assert_eq!(c.wal_segment_records, 1024);
-
-        let mut bad = c.clone();
-        bad.wal_lane_groups = 0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = c.clone();
-        bad.wal_lane_groups = MERKLE_LANES + 1;
-        assert!(bad.validate().is_err());
 
         let mut bad = c.clone();
         bad.wal_segment_records = 0;
@@ -414,7 +392,6 @@ mod tests {
         assert!(bad.validate().is_err());
 
         let mut ok = c;
-        ok.wal_lane_groups = MERKLE_LANES;
         ok.wal_segment_records = 1;
         ok.wal_flush_max_records = 64;
         ok.validate().unwrap();

@@ -155,8 +155,8 @@ fn partial_replay_breakdown() {
     let dir = std::env::temp_dir().join(format!("ladon-partial-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let wal_opts = WalOptions {
-        lane_groups: 8,
         segment_records: 8,
+        ..WalOptions::default()
     };
     let block = |sn: u64| Block::synthetic(sn, sn * 64, 64);
     let pre_root = {
@@ -210,15 +210,8 @@ fn print_recovery_breakdown(stats: &ladon::state::ReplayStats) {
         stats.replayed_txs,
         stats.records_below_floor,
     );
-    let busiest = stats
-        .records_per_lane
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, c)| c)
-        .map(|(lane, c)| format!("lane {lane}: {c} records"))
-        .unwrap_or_default();
     println!(
-        "                      replay touched {} of 64 lanes (busiest: {busiest})",
+        "                      replay touched {} of 64 lanes",
         stats.dirty_lanes(),
     );
 }

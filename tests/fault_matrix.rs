@@ -15,7 +15,7 @@ use ladon::core::sync::SYNC_QUARANTINE_THRESHOLD;
 use ladon::core::{MultiBftNode, NodeMode, NodeMsg};
 use ladon::sim::RecordingCtx;
 use ladon::state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
-use ladon::types::{ProtocolKind, ReplicaId, Round};
+use ladon::types::{Digest, ProtocolKind, ReplicaId, Round};
 use ladon::workload::{Deployment, ExperimentConfig};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -165,8 +165,10 @@ fn disk_full_degrades_then_recovers() {
 
 /// Flapping fsync: two separate bursts of fsync failures flutter the
 /// replica Normal → Degraded → Normal twice. Every entry is counted,
-/// recovery completes after each burst, and the final disk image is
-/// coherent — the flutter never acknowledged an undurable range.
+/// recovery completes after each burst, an epoch that completed while
+/// the replica was Degraded was abstained from (never checkpointed
+/// late), and the final disk image is coherent — the flutter never
+/// acknowledged an undurable range.
 #[test]
 fn fsync_flutter_degrades_twice_and_stays_coherent() {
     let dir = scratch_dir("fault-flutter");
@@ -176,10 +178,11 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
     add_faulted_replica(&mut c, &dir, &plan);
 
     c.run_secs(5.0);
-    // First burst: a flush job fsyncs every lane group it staged into,
-    // so the budget is sized in *barriers*: enough failing syncs to
-    // cross the consecutive-failure threshold, finite so the backoff
-    // retries exhaust the burst and repair.
+    // First burst: a flush barrier is one fsync, so the budget is sized
+    // in *barriers*: enough failing syncs to cross the
+    // consecutive-failure threshold and hold the replica Degraded across
+    // an epoch boundary, finite so the backoff retries exhaust the burst
+    // and repair.
     let _ = plan.clone().fail_fsyncs(64);
     c.run_secs(10.0);
     assert!(
@@ -205,6 +208,35 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
     assert_eq!(n3.mode(), NodeMode::Normal);
     assert!(n3.metrics.trace.node_event_count("mode_degraded") >= 2);
     assert!(n3.metrics.trace.node_event_count("mode_normal") >= 2);
+    assert_eq!(
+        n3.metrics.sync_requests, 0,
+        "abstaining keeps the replica in step: nothing to sync"
+    );
+
+    // An epoch the peers completed while replica 3 was Degraded has no
+    // checkpoint here — not then, and not late over a later state — and
+    // the next epoch, completed while Normal, has the quorum's root.
+    let roots = |r: usize| -> std::collections::BTreeMap<u64, Digest> {
+        let roots = &c.node(r).metrics.state_roots;
+        roots
+            .iter()
+            .map(|&(_, epoch, root)| (epoch, root))
+            .collect()
+    };
+    let (mine, quorum) = (roots(3), roots(0));
+    let crossed = n3.metrics.epochs.iter().map(|&(_, entered)| entered - 1);
+    let abstained: Vec<u64> = crossed.filter(|e| !mine.contains_key(e)).collect();
+    assert!(
+        !abstained.is_empty(),
+        "a burst must have held the replica Degraded across an epoch boundary"
+    );
+    for e in abstained {
+        assert!(quorum.contains_key(&e), "epoch {e}: the peers checkpointed");
+        let Some((next, root)) = mine.range(e + 1..).next() else {
+            panic!("epoch {e}: no checkpoint taken after abstaining");
+        };
+        assert_eq!(root, &quorum[next], "epoch {next} after abstaining");
+    }
 
     // Quiesce, then the durability contract: nothing applied that the
     // disk cannot reproduce.

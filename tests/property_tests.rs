@@ -437,7 +437,7 @@ proptest! {
         offset in any::<usize>(),
         truncate in any::<bool>(),
     ) {
-        let wal_opts = WalOptions { lane_groups: 4, segment_records: 3 };
+        let wal_opts = WalOptions { segment_records: 3, ..WalOptions::default() };
         let dir = scratch_dir("torn");
         let _ = std::fs::remove_dir_all(&dir);
         let cut = cut % counts.len();
@@ -521,7 +521,7 @@ proptest! {
         splits in proptest::collection::vec(1usize..6, 1..12),
         mid_checkpoint in any::<bool>(),
     ) {
-        let wal_opts = WalOptions { lane_groups: 4, segment_records: 3 };
+        let wal_opts = WalOptions { segment_records: 3, ..WalOptions::default() };
         // Per-record reference, in memory.
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         let mut first_txs = Vec::with_capacity(counts.len());

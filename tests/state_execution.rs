@@ -9,7 +9,7 @@
 use ladon::core::{MultiBftNode, SyncRequest};
 use ladon::obs::{MetricsRegistry, SnapshotInto};
 use ladon::state::{
-    CommitWal, ExecutionPipeline, FaultBackend, FileBackend, WalOptions, WalRecord,
+    CommitWal, ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions, WalRecord,
     DEFAULT_KEYSPACE,
 };
 use ladon::types::{Block, Digest, ProtocolKind, Round};
@@ -466,8 +466,62 @@ fn scratch_dir(tag: &str, k: i64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ladon-{tag}-{}-{k}", std::process::id()))
 }
 
-/// A synthetic record whose lane mask walks the lanes (so both lane
-/// groups see traffic).
+/// Small segments, so a dozen records already roll and seal several.
+fn small_segments() -> WalOptions {
+    WalOptions {
+        segment_records: 4,
+        ..WalOptions::default()
+    }
+}
+
+/// What the budgeted window of one kill-sweep run did to storage.
+struct Window {
+    /// Mutating storage ops issued since the kill budget was armed.
+    ops: u64,
+    /// Ops the budget denied.
+    denied: u64,
+}
+
+impl Window {
+    /// The window that opened when `plan` had seen `armed_at` ops.
+    fn since(plan: &FaultPlan, armed_at: u64) -> Self {
+        Window {
+            ops: plan.mutating_ops() - armed_at,
+            denied: plan.injected_faults(),
+        }
+    }
+}
+
+/// Drives one crash matrix: a clean pass of `scenario` (unlimited
+/// budget) counts the mutating storage ops its budgeted window issues,
+/// then the scenario reruns with storage dying `k` ops into the window
+/// for every `k` in `0..=ops` — so the sweep spans every storage op of
+/// the scenario by construction, whatever a barrier, roll or rotation
+/// costs in ops. Each run gets its own scratch directory. Every `k`
+/// short of `ops` must kill something, and the last one must be a clean
+/// run again.
+fn kill_sweep(tag: &str, scenario: impl Fn(i64, &std::path::Path) -> Window) {
+    let run = |k: i64| {
+        let dir = scratch_dir(tag, k);
+        let _ = std::fs::remove_dir_all(&dir);
+        let window = scenario(k, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        window
+    };
+    let clean = run(i64::MAX);
+    assert_eq!(clean.denied, 0, "{tag}: the unbudgeted pass must be clean");
+    for k in 0..=clean.ops as i64 {
+        let window = run(k);
+        assert_eq!(
+            window.denied == 0,
+            k == clean.ops as i64,
+            "{tag} k={k} of {}: exactly the last run survives its window",
+            clean.ops
+        );
+    }
+}
+
+/// A synthetic record whose lane mask walks the lanes.
 fn raw_record(sn: u64) -> WalRecord {
     WalRecord {
         sn,
@@ -489,17 +543,13 @@ fn raw_record(sn: u64) -> WalRecord {
 /// was acknowledged with a clean durability alarm must survive reopen.
 #[test]
 fn wal_append_crash_matrix_preserves_acked_records() {
-    let opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
-    for k in 0..=24i64 {
-        let dir = scratch_dir("append-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    let opts = small_segments();
+    kill_sweep("append-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(k));
+        let backend = crash_backend(dir, &budget, false);
+        let plan = backend.plan();
         let mut acked = 0u64;
         {
-            let backend = crash_backend(&dir, &budget, false);
             let mut wal = CommitWal::open(Box::new(backend), opts);
             for sn in 0..12 {
                 wal.append(raw_record(sn));
@@ -510,7 +560,7 @@ fn wal_append_crash_matrix_preserves_acked_records() {
                 }
             }
         }
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts);
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(dir).unwrap()), opts);
         assert!(
             wal.len() as u64 >= acked,
             "k={k}: {acked} records were acked clean but only {} survived",
@@ -519,8 +569,8 @@ fn wal_append_crash_matrix_preserves_acked_records() {
         for sn in 0..wal.len() as u64 {
             assert_eq!(wal.records()[sn as usize], raw_record(sn), "k={k}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, 0)
+    });
 }
 
 /// Record-level matrix: a mid-log compaction (which exercises the
@@ -529,31 +579,29 @@ fn wal_append_crash_matrix_preserves_acked_records() {
 /// storage must still hold every record past the covered floor, densely.
 #[test]
 fn wal_compaction_crash_matrix_loses_no_record() {
-    let opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let opts = small_segments();
     let records = 30u64;
     let upto = 18u64; // mid-segment: forces a straddler rewrite
-    for k in 0..=16i64 {
-        let dir = scratch_dir("wal-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    kill_sweep("wal-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
+        let backend = crash_backend(dir, &budget, false);
+        let plan = backend.plan();
+        let armed_at;
         {
-            let backend = crash_backend(&dir, &budget, false);
             let mut wal = CommitWal::open(Box::new(backend), opts);
             for sn in 0..records {
                 wal.append(raw_record(sn));
             }
             assert_eq!(wal.write_failures(), 0, "k={k}: healthy run must be clean");
             // The power will die k storage ops into the compaction.
+            armed_at = plan.mutating_ops();
             budget.store(k, Ordering::SeqCst);
             wal.compact(upto);
             // Process dies here; whatever reached disk is what recovery
             // gets.
         }
         let wal =
-            CommitWal::open_with_floor(Box::new(FileBackend::open_dir(&dir).unwrap()), opts, upto);
+            CommitWal::open_with_floor(Box::new(FileBackend::open_dir(dir).unwrap()), opts, upto);
         let tail: Vec<u64> = wal.records().iter().map(|r| r.sn).collect();
         let expect: Vec<u64> = (upto..records).collect();
         assert_eq!(
@@ -567,8 +615,8 @@ fn wal_compaction_crash_matrix_loses_no_record() {
                 "k={k}: record {sn} content changed across the crash"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, armed_at)
+    });
 }
 
 /// Pipeline-level matrix: a real epoch checkpoint (durable snapshot,
@@ -577,19 +625,16 @@ fn wal_compaction_crash_matrix_loses_no_record() {
 /// byte-identical root.
 #[test]
 fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
-    let wal_opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let wal_opts = small_segments();
     let blocks = 16u64;
-    for k in 0..=12i64 {
-        let dir = scratch_dir("ckpt-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    kill_sweep("ckpt-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
+        let backend = crash_backend(&dir.join("wal"), &budget, false);
+        let plan = backend.plan();
+        let armed_at;
         let (pre_root, pre_lane_roots) = {
-            let backend = crash_backend(&dir.join("wal"), &budget, false);
             let mut p = ExecutionPipeline::recover_backend(
-                &dir,
+                dir,
                 Box::new(backend),
                 DEFAULT_KEYSPACE,
                 1,
@@ -600,11 +645,12 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
                 p.execute(sn, &Block::synthetic(sn, sn * 50, 50));
             }
             assert_eq!(p.wal_write_failures(), 0, "k={k}: run must start clean");
+            armed_at = plan.mutating_ops();
             budget.store(k, Ordering::SeqCst);
             p.checkpoint(0, Vec::new());
             (p.state_root(), p.lane_roots())
         };
-        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         assert_eq!(
             r.applied(),
             blocks,
@@ -620,8 +666,8 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
             pre_lane_roots,
             "k={k}: recovered lane-root vector differs"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, armed_at)
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -641,17 +687,13 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
 /// nothing corrupted after it.
 #[test]
 fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
-    let opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
-    for k in 0..=28i64 {
-        let dir = scratch_dir("group-commit-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    let opts = small_segments();
+    kill_sweep("group-commit-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(k));
+        let backend = crash_backend(dir, &budget, false);
+        let plan = backend.plan();
         let mut acked = 0u64;
         {
-            let backend = crash_backend(&dir, &budget, false);
             let mut wal = CommitWal::open(Box::new(backend), opts);
             let mut sn = 0u64;
             for _batch in 0..5 {
@@ -673,7 +715,7 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
             wal.append_buffered(raw_record(sn + 1));
             assert_eq!(wal.staged_len(), 2);
         }
-        let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts);
+        let wal = CommitWal::open(Box::new(FileBackend::open_dir(dir).unwrap()), opts);
         assert!(
             wal.len() as u64 >= acked,
             "k={k}: {acked} records were acknowledged by clean flushes \
@@ -687,8 +729,8 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
                 "k={k}: record {sn} corrupted across the crash"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, 0)
+    });
 }
 
 /// Cross-drain group-commit matrix (`wal_flush_max_records` semantics):
@@ -701,31 +743,26 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
 /// deferred flush must land every accumulated drain.
 #[test]
 fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
-    let wal_opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let wal_opts = small_segments();
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
     for flush_staged in [false, true] {
-        for k in 0..=14i64 {
-            let dir = scratch_dir(
-                if flush_staged {
-                    "cross-drain-flush"
-                } else {
-                    "cross-drain-die"
-                },
-                k,
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+        let tag = if flush_staged {
+            "cross-drain-flush"
+        } else {
+            "cross-drain-die"
+        };
+        kill_sweep(tag, |k, dir| {
             let budget = Arc::new(AtomicI64::new(i64::MAX));
+            let backend = crash_backend(&dir.join("wal"), &budget, false);
+            let plan = backend.plan();
+            let armed_at;
             let acked = {
-                let backend = crash_backend(&dir.join("wal"), &budget, false);
                 let mut p = ExecutionPipeline::recover_backend(
-                    &dir,
+                    dir,
                     Box::new(backend),
                     DEFAULT_KEYSPACE,
                     1,
@@ -736,6 +773,7 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
                 // budget while three further drains accumulate staged.
                 p.execute_batch(&batch_of(0, 4));
                 assert_eq!(p.wal_write_failures(), 0, "k={k}: run must start clean");
+                armed_at = plan.mutating_ops();
                 budget.store(k, Ordering::SeqCst);
                 p.stage_blocks(&batch_of(4, 2));
                 p.stage_blocks(&batch_of(6, 2));
@@ -758,7 +796,7 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
                     }
                 }
             };
-            let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+            let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
             assert!(
                 r.applied() >= acked,
                 "k={k} flush={flush_staged}: an acknowledged \
@@ -783,8 +821,8 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
                 reference.state_root(),
                 "k={k} flush={flush_staged}"
             );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+            Window::since(&plan, armed_at)
+        });
     }
 }
 
@@ -836,23 +874,20 @@ fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
 /// the recovered prefix.
 #[test]
 fn batched_execution_crash_matrix_recovers_acked_prefix() {
-    let wal_opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let wal_opts = small_segments();
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
-    for k in 0..=14i64 {
-        let dir = scratch_dir("batched-exec-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    kill_sweep("batched-exec-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
+        let backend = crash_backend(&dir.join("wal"), &budget, false);
+        let plan = backend.plan();
+        let armed_at;
         let acked = {
-            let backend = crash_backend(&dir.join("wal"), &budget, false);
             let mut p = ExecutionPipeline::recover_backend(
-                &dir,
+                dir,
                 Box::new(backend),
                 DEFAULT_KEYSPACE,
                 1,
@@ -864,6 +899,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
             p.execute_batch(&batch_of(0, 4));
             p.execute_batch(&batch_of(4, 4));
             assert_eq!(p.wal_write_failures(), 0, "k={k}: run must start clean");
+            armed_at = plan.mutating_ops();
             budget.store(k, Ordering::SeqCst);
             p.execute_batch(&batch_of(8, 4));
             if p.wal_write_failures() == 0 {
@@ -872,7 +908,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
                 8
             }
         };
-        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         assert!(
             r.applied() >= acked,
             "k={k}: an acknowledged batch was lost \
@@ -891,8 +927,8 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
             "k={k}: recovered root diverges from a clean \
              re-execution of the recovered prefix"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, armed_at)
+    });
 }
 
 /// Report-level fault surfacing: a torn WAL tail must show up not just
@@ -906,10 +942,7 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
     use ladon::types::{Block, TimeNs, TxOp};
     use ladon::workload::{aggregate, metrics::empty_nodes, RunData};
 
-    let opts = WalOptions {
-        lane_groups: 1,
-        segment_records: 4,
-    };
+    let opts = small_segments();
     let keyspace = DEFAULT_KEYSPACE;
     let dir = scratch_dir("report-torn", 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -991,10 +1024,7 @@ fn failed_flush_barrier_raises_alarm_through_report() {
     use ladon::types::TimeNs;
     use ladon::workload::{aggregate, metrics::empty_nodes, RunData};
 
-    let wal_opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let wal_opts = small_segments();
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
@@ -1079,23 +1109,20 @@ fn failed_flush_barrier_raises_alarm_through_report() {
 /// the recovered prefix.
 #[test]
 fn writer_thread_crash_matrix_never_acks_before_durability() {
-    let wal_opts = WalOptions {
-        lane_groups: 2,
-        segment_records: 4,
-    };
+    let wal_opts = small_segments();
     let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
         (from..from + n)
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
-    for k in 0..=16i64 {
-        let dir = scratch_dir("writer-crash", k);
-        let _ = std::fs::remove_dir_all(&dir);
+    kill_sweep("writer-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
+        let backend = crash_backend(&dir.join("wal"), &budget, true);
+        let plan = backend.plan();
+        let armed_at;
         let acked = {
-            let backend = crash_backend(&dir.join("wal"), &budget, true);
             let mut p = ExecutionPipeline::recover_backend(
-                &dir,
+                dir,
                 Box::new(backend),
                 DEFAULT_KEYSPACE,
                 1,
@@ -1125,6 +1152,7 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
             // The budgeted window: batch 3's barrier runs on the writer
             // thread (submit → write → fsync → ack token) with `k` ops of
             // storage life left.
+            armed_at = plan.mutating_ops();
             budget.store(k, Ordering::SeqCst);
             p.stage_blocks(&batch_of(4, 2));
             p.submit_staged();
@@ -1147,7 +1175,7 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
             }
             // Process dies here: batch 4 (sns 6..8) was never flushed.
         };
-        let r = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         assert!(
             r.applied() >= acked,
             "k={k}: an acknowledged prefix was lost \
@@ -1170,6 +1198,6 @@ fn writer_thread_crash_matrix_never_acks_before_durability() {
             "k={k}: recovered root diverges from a clean \
              re-execution of the recovered prefix"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        Window::since(&plan, armed_at)
+    });
 }

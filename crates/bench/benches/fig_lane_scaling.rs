@@ -194,8 +194,4 @@ fn main() {
         epoch += 1;
         warm.checkpoint(epoch, vec![0; 16])
     });
-    println!(
-        "  (dirty lanes before a checkpoint: {} of {MERKLE_LANES})",
-        warm.dirty_lanes()
-    );
 }

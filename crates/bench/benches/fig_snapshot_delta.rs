@@ -4,7 +4,7 @@
 //! transferred are proportional to *changed lanes*, not state size.
 //!
 //! Every acceptance gate is stated in deterministic **counts** (chunk
-//! counts, wire bytes, cache build counts) — shared CI runners jitter,
+//! counts, wire bytes, lanes reused) — shared CI runners jitter,
 //! content addressing does not. The scenario and its gates live in
 //! [`ladon_bench::snapshot_delta_figure`], shared with `repro --smoke`.
 

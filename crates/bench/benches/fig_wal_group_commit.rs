@@ -12,10 +12,10 @@
 use ladon_bench::microbench;
 use ladon_obs::{emit_figure, fields, Json};
 use ladon_state::{
-    static_lane_mask, CommitWal, ExecutionPipeline, FileBackend, WalOptions, WalRecord,
-    ENCODED_RECORD_LEN, TRAILER_LEN,
+    CommitWal, ExecutionPipeline, FileBackend, WalOptions, WalRecord, ENCODED_RECORD_LEN,
+    TRAILER_LEN,
 };
-use ladon_types::{Block, Digest, TxOp};
+use ladon_types::{Block, Digest};
 
 /// Records appended per sweep point.
 const RECORDS: u64 = 256;
@@ -34,7 +34,6 @@ fn full_mask_record(sn: u64) -> WalRecord {
         count: 64,
         bucket: 0,
         payload_bytes: 32_000,
-        lane_mask: u64::MAX,
         payload_digest: Digest([sn as u8; 32]),
     }
 }
@@ -208,15 +207,6 @@ fn main() {
         recovered.state_root(),
         per_record.state_root(),
         "recovery from a batched log must be byte-identical to per-record"
-    );
-    // The record stream itself is checkable: a record's mask still
-    // matches its block's derived ops (batching changed the barriers,
-    // not the bytes).
-    let (sn0, b0) = &blocks[0];
-    let ops: Vec<TxOp> = b0.batch.txs(keyspace).map(|tx| tx.op).collect();
-    assert_eq!(
-        WalRecord::of_block(*sn0, b0, static_lane_mask(&ops)).sn,
-        *sn0
     );
     let _ = std::fs::remove_dir_all(&dir);
     println!("\npipeline: batched drain recovers byte-identical root (verified)");

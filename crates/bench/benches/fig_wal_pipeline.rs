@@ -35,7 +35,6 @@ fn full_mask_record(sn: u64) -> WalRecord {
         count: 64,
         bucket: 0,
         payload_bytes: 32_000,
-        lane_mask: u64::MAX,
         payload_digest: Digest([sn as u8; 32]),
     }
 }

@@ -12,11 +12,10 @@
 
 use ladon_obs::{fields, Json};
 use ladon_state::{
-    delta_lanes, lane_of, static_lane_mask, ChunkCache, CommitWal, ExecutionPipeline, FileBackend,
-    KvState, ReplayStats, Snapshot, SnapshotChunk, SnapshotStore, WalOptions, WalRecord,
-    MERKLE_LANES,
+    delta_lanes, lane_of, CommitWal, ExecutionPipeline, FileBackend, KvState, ReplayStats,
+    Snapshot, SnapshotChunk, SnapshotStore, WalOptions, WalRecord, MERKLE_LANES,
 };
-use ladon_types::{Block, Digest, ProtocolKind, TxOp, WireSize};
+use ladon_types::{Block, Digest, ProtocolKind, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -118,8 +117,7 @@ pub fn build_crashed_dir(dir: &Path, history: u64, tail: u64, keyspace: u32) -> 
     let mut snapshot: Option<Snapshot> = None;
     for sn in 0..history + tail {
         let b = Block::synthetic(sn, sn * RECOVERY_BLOCK_TXS as u64, RECOVERY_BLOCK_TXS);
-        let ops: Vec<TxOp> = b.batch.txs(keyspace).map(|tx| tx.op).collect();
-        wal.append(WalRecord::of_block(sn, &b, static_lane_mask(&ops)));
+        wal.append(WalRecord::of_block(sn, &b));
         reference.execute(sn, &b);
         if sn + 1 == history {
             reference.checkpoint(1, Vec::new());
@@ -188,13 +186,14 @@ pub fn recovery_figure(tag: &str) -> Vec<(String, Json)> {
 /// 1. dirtying `k` of the 64 lanes ships exactly `k` chunks, for
 ///    k ∈ {1, 8, 64}, and shipped bytes grow with `k` while the
 ///    monolithic baseline stays proportional to full state size;
-/// 2. the delta-assembled snapshot is byte-identical to the monolithic
-///    encode (lane roots and all);
-/// 3. the responder's [`ChunkCache`] never re-encodes an unchanged
-///    lane — priming the next epoch's snapshot builds exactly the
-///    dirty-lane chunks;
-/// 4. an interrupted install resumes from the durable chunk stash and
+/// 2. the snapshot assembled from the shipped delta plus the receiver's
+///    own unchanged lanes is byte-identical to the donor's encode (lane
+///    roots and all);
+/// 3. an interrupted install resumes from the durable chunk stash and
 ///    requests only the still-missing chunks.
+///
+/// (A former gate counted a responder cache's chunk encodes; a snapshot
+/// now holds its chunks, so serving has nothing left to encode.)
 pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
     // Enough keys that every one of the 64 lanes is populated with
     // distinct contents.
@@ -225,35 +224,29 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
     // The chunks a responder ships for `delta`, deduplicated by root
     // (content addressing: lanes sharing a root share a chunk).
     let shipped_chunks = |snap: &Snapshot, delta: &[u32]| -> Vec<SnapshotChunk> {
-        let (_, chunks) = snap.split();
         let mut sent = BTreeSet::new();
         let mut out = Vec::new();
         for &lane in delta {
-            let root = snap.lane_roots[lane as usize];
-            if sent.insert(root) {
-                let c = chunks
-                    .iter()
-                    .find(|c| c.root == root)
-                    .expect("split covers every lane root")
-                    .clone();
+            let c = &snap.chunks[lane as usize];
+            if sent.insert(c.root) {
                 assert!(c.verify(), "shipped chunk must verify");
-                out.push(c);
+                out.push(c.clone());
             }
         }
         out
     };
 
-    let snap_a = Snapshot::capture(1, 64, 4096, Vec::new(), Vec::new(), &base);
+    let snap_a = Snapshot::capture(1, 64, 4096, Vec::new(), &base);
     assert!(snap_a.verify());
-    let monolithic_bytes = snap_a.wire_size();
+    let monolithic_bytes = snap_a.encode().len() as u64;
 
     // 1+2. k dirty lanes -> exactly k chunks; delta assembly is
     //      byte-identical to the monolithic snapshot.
     let mut chunk_counts = Vec::new();
     let mut byte_counts = Vec::new();
     for &k in &DIRTY_KS {
-        let snap_b = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(k));
-        let delta = delta_lanes(&snap_b.lane_roots, &snap_a.lane_roots);
+        let snap_b = Snapshot::capture(2, 128, 8192, Vec::new(), &dirtied(k));
+        let delta = delta_lanes(&snap_b.head.lane_roots, &snap_a.head.lane_roots);
         assert_eq!(
             delta.len(),
             k,
@@ -263,22 +256,19 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
         assert_eq!(shipped.len(), k, "k={k}: one chunk per dirty lane");
         let bytes: u64 = shipped.iter().map(|c| c.wire_size()).sum();
 
-        // Reassemble from local (unchanged) chunks + shipped delta.
-        let (head, _) = snap_b.split();
-        assert!(head.verify());
-        let (_, local) = snap_a.split();
-        let mut parts: Vec<SnapshotChunk> = local
-            .into_iter()
-            .filter(|c| head.lane_roots.contains(&c.root))
-            .collect();
-        parts.extend(shipped.iter().cloned());
-        let rebuilt = Snapshot::assemble(head, &parts).expect("all lanes accounted for");
+        // Reassemble from the shipped delta + the local (base) state's
+        // unchanged lanes.
+        assert!(snap_b.head.verify());
+        let fetched = |root: &Digest| shipped.iter().find(|c| c.root == *root);
+        let (rebuilt, reused) = Snapshot::assemble(snap_b.head.clone(), fetched, &base)
+            .expect("all lanes accounted for");
         assert_eq!(
             rebuilt.encode(),
             snap_b.encode(),
             "k={k}: delta-assembled snapshot must be byte-identical"
         );
-        assert_eq!(rebuilt.lane_roots, snap_b.lane_roots);
+        assert_eq!(reused as usize, MERKLE_LANES as usize - k);
+        assert!(rebuilt.verify());
         println!(
             "  k={k:>2} dirty lanes -> {} chunks, {bytes} bytes shipped \
              (monolithic: {monolithic_bytes} bytes)",
@@ -293,28 +283,12 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
         "single-lane delta must be a small fraction of full state"
     );
 
-    // 3. Unchanged lanes are never re-encoded across epochs.
-    let mut cache = ChunkCache::new();
-    let built_a = cache.prime(&snap_a);
-    assert_eq!(
-        built_a, MERKLE_LANES as u64,
-        "first prime builds every lane"
-    );
-    assert_eq!(cache.prime(&snap_a), 0, "re-priming builds nothing");
-    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), Vec::new(), &dirtied(8));
-    let built_b = cache.prime(&snap_b8);
-    assert_eq!(built_b, 8, "next epoch primes only the 8 dirty lanes");
-    let cache_encodes = cache.encodes();
-    assert_eq!(cache_encodes, MERKLE_LANES as u64 + 8);
-    println!(
-        "  ChunkCache: {built_a} builds at epoch 1, {built_b} at epoch 2 \
-         ({cache_encodes} total; unchanged lanes never re-encoded)"
-    );
+    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), &dirtied(8));
 
-    // 4. Interrupted install: the durable stash survives restart and
+    // 3. Interrupted install: the durable stash survives restart and
     //    only still-missing chunks are requested.
     let dir = scratch_dir("fig-snapshot-delta", tag);
-    let delta8 = delta_lanes(&snap_b8.lane_roots, &snap_a.lane_roots);
+    let delta8 = delta_lanes(&snap_b8.head.lane_roots, &snap_a.head.lane_roots);
     let shipped8 = shipped_chunks(&snap_b8, &delta8);
     let stash_n = shipped8.len() / 2;
     {
@@ -326,11 +300,11 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
     let store = SnapshotStore::at_dir(&dir).expect("reopen store");
     assert_eq!(store.stash_len(), stash_n, "stash survives restart");
     assert_eq!(store.decode_failures(), 0);
-    let mut advertised = snap_a.lane_roots.clone();
+    let mut advertised = snap_a.head.lane_roots.clone();
     for c in store.stashed_chunks() {
         advertised[c.lane as usize] = c.root;
     }
-    let resume = delta_lanes(&snap_b8.lane_roots, &advertised);
+    let resume = delta_lanes(&snap_b8.head.lane_roots, &advertised);
     assert_eq!(
         resume.len(),
         shipped8.len() - stash_n,
@@ -358,7 +332,6 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
         ("bytes_k8", Json::U64(byte_counts[1])),
         ("chunks_k64", Json::U64(chunk_counts[2])),
         ("bytes_k64", Json::U64(byte_counts[2])),
-        ("cache_encodes", Json::U64(cache_encodes)),
         ("resume_missing_chunks", Json::U64(resume.len() as u64)),
     ])
 }

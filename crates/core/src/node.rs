@@ -33,14 +33,14 @@ use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 use crate::predetermined::{BaselineKind, PredeterminedOrderer};
 use crate::sync::{
-    assemble_snapshot, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry, SyncRequest,
+    delta_chunks, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry, SyncRequest,
     SyncResponse,
 };
 use crate::timer::Timer;
 use ladon_crypto::{KeyRegistry, RankCert};
 use ladon_obs::Stage;
 use ladon_sim::{Actor, ActorId, Context};
-use ladon_state::{ExecOutcome, ExecutionPipeline, Snapshot};
+use ladon_state::{ExecOutcome, ExecutionPipeline, SnapshotHead};
 use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig,
     TimeNs, WireSize,
@@ -158,7 +158,7 @@ pub struct MultiBftNode {
     inst_commits: Vec<u64>,
     /// The execution pipeline: KV state machine + commit WAL + snapshots.
     pub exec: ExecutionPipeline,
-    /// State-transfer requester rotation and responder chunk cache.
+    /// State-transfer requester rotation and transfer cursor.
     sync: StateTransfer,
     /// The epoch the buckets are rotated to (tracks pacemaker advances,
     /// including multi-epoch fast-forwards after a snapshot install).
@@ -430,14 +430,9 @@ impl MultiBftNode {
                 .record(sn, lane, Stage::Checkpointed, now);
         }
         self.ckpt_traced_upto = self.exec.applied();
-        // The new snapshot supersedes the previous one for serving.
-        if let Some(snap) = self.exec.latest_snapshot() {
-            self.sync.retain_chunks(&snap.lane_roots);
-        }
-        // Same moment for the durable stash: drop chunk files left
-        // behind by abandoned transfers — every root not referenced by
-        // the still-pending install (if any) is stale now that a newer
-        // local head exists.
+        // The durable stash: drop chunk files left behind by abandoned
+        // transfers — every root not referenced by the still-pending
+        // install (if any) is stale now that a newer local head exists.
         self.exec.prune_stale_chunks(self.sync.pending_roots());
         // The checkpoint compacted the WAL (segment rotation) and the
         // prune reclaimed chunks: surface any failed rotation step, and
@@ -794,9 +789,9 @@ impl MultiBftNode {
     /// At most `sys.sync_chunks_per_response` delta lanes are served per
     /// response, scanning from `req.chunk_cursor` with wraparound;
     /// `chunks_remaining > 0` tells the requester to come back with an
-    /// advanced cursor. Chunks come from the [`ladon_state::ChunkCache`], so an
-    /// unchanged lane is encoded once per content, not once per
-    /// transfer. A barely-behind replica gets log sync alone; shipping
+    /// advanced cursor. The snapshot is held as its head plus lane
+    /// chunks, so serving copies what is asked for and encodes nothing.
+    /// A barely-behind replica gets log sync alone; shipping
     /// snapshot chunks for a one-block gap wastes the wire cost where a
     /// single entry suffices.
     pub fn build_sync_response(&self, req: &SyncRequest) -> Option<SyncResponse> {
@@ -836,19 +831,19 @@ impl MultiBftNode {
             let servable = self.exec.latest_snapshot().filter(|snap| {
                 self.durability.is_normal()
                     && crate::sync::snapshot_worthwhile(
-                        snap.applied,
+                        snap.head.applied,
                         req.applied,
                         self.cfg.sys.snapshot_min_lag(),
                     )
             });
             if let Some(snap) = servable {
                 let proof = pm
-                    .stable_checkpoint(Epoch(snap.epoch))
-                    .filter(|cp| cp.state_root == snap.root);
+                    .stable_checkpoint(Epoch(snap.head.epoch))
+                    .filter(|cp| cp.state_root == snap.head.root);
                 if let Some(cp) = proof {
                     let cap = self.cfg.sys.sync_chunks_per_response as usize;
-                    (chunks, chunks_remaining) = self.sync.delta_chunks(snap, req, cap);
-                    snapshot = Some(snap.head());
+                    (chunks, chunks_remaining) = delta_chunks(snap, req, cap);
+                    snapshot = Some(snap.head.clone());
                     checkpoint = Some(cp);
                 }
             }
@@ -926,25 +921,22 @@ impl MultiBftNode {
                 // checkpoint-time prune must preserve its stash entries
                 // until the install lands.
                 self.sync.transfer_started(&head.lane_roots);
-                let stash = &self.exec;
-                let assembled =
-                    assemble_snapshot(head, |r| stash.stashed_chunk(r), stash.lane_chunks());
-                if let Some((snap, reused)) = assembled {
-                    if self.exec.install_snapshot(&snap) {
-                        snapshot_installed = true;
-                        self.metrics.snapshot_chunks_reused += reused;
-                        self.after_snapshot_install(&snap, applied_before);
-                        // The installed snapshot supplies everything up
-                        // to and including cp.epoch, so the pacemaker
-                        // can jump straight past it instead of
-                        // completing each old epoch locally (whose
-                        // stable checkpoints peers may have pruned).
-                        let ev = self
-                            .pacemaker
-                            .as_mut()
-                            .and_then(|p| p.fast_forward(cp, &self.cfg.registry));
-                        self.on_epoch_event(ev, ctx);
-                    }
+                // Installs once every lane is in the stash or already
+                // sits in the local state under the head's root.
+                if let Some(reused) = self.exec.install_from_stash(head) {
+                    snapshot_installed = true;
+                    self.metrics.snapshot_chunks_reused += reused;
+                    self.after_snapshot_install(head, applied_before);
+                    // The installed snapshot supplies everything up to
+                    // and including cp.epoch, so the pacemaker can jump
+                    // straight past it instead of completing each old
+                    // epoch locally (whose stable checkpoints peers may
+                    // have pruned).
+                    let ev = self
+                        .pacemaker
+                        .as_mut()
+                        .and_then(|p| p.fast_forward(cp, &self.cfg.registry));
+                    self.on_epoch_event(ev, ctx);
                 }
             }
         }
@@ -1005,7 +997,7 @@ impl MultiBftNode {
 
     /// Bookkeeping once a peer snapshot is installed, and the consensus
     /// layers' jump past the snapshotted prefix.
-    fn after_snapshot_install(&mut self, snap: &Snapshot, applied_before: u64) {
+    fn after_snapshot_install(&mut self, snap: &SnapshotHead, applied_before: u64) {
         self.metrics.snapshot_installs += 1;
         // Installing drains staged blocks and compacts the WAL behind
         // the snapshot; the stash has served its purpose, on disk and in

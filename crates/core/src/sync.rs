@@ -33,9 +33,11 @@
 //! request's `chunk_cursor` so a deep transfer resumes across
 //! responses, peer rotations, and requester crashes. Bytes shipped are
 //! therefore proportional to the **changed lanes**, not the state size.
-//! The requester verifies each chunk against the head's lane-root
-//! vector on arrival, stashes it (persistently, when disk-backed),
-//! reconstructs unchanged lanes from its local state, and installs once
+//! A snapshot is held as its head plus 64 lane chunks, so serving is
+//! indexing ([`delta_chunks`]). The requester verifies each chunk
+//! against the head's lane-root vector on arrival, stashes it
+//! (persistently, when disk-backed), fills unchanged lanes from its
+//! local state ([`ladon_state::Snapshot::assemble`]), and installs once
 //! every lane is accounted for — a Byzantine responder can still serve
 //! correct chunks or nothing.
 //!
@@ -91,11 +93,10 @@
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
-use ladon_state::{delta_lanes, ChunkCache, Snapshot, SnapshotChunk, SnapshotHead, MERKLE_LANES};
+use ladon_state::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, MERKLE_LANES};
 use ladon_types::{sizes, Block, Digest, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Snapshot serving minimum-gap policy: ship a snapshot only when the
 /// requester's applied frontier lags the responder's latest snapshot by
@@ -177,6 +178,25 @@ pub fn select_chunk_lanes(delta: &[u32], cursor: u32, cap: usize) -> (Vec<u32>, 
     (lanes, (delta.len().saturating_sub(cap)) as u32)
 }
 
+/// Responder side: the chunks of `snap` to ship for `req` — only lanes
+/// whose roots differ from the requester's advertisement, at most `cap`,
+/// cursor-resumable ([`select_chunk_lanes`]), deduplicated by root
+/// within the response (all-empty lanes share one root — one chunk fills
+/// every one of them) — plus how many differing lanes remain. The
+/// snapshot holds its chunks in lane order: serving is indexing.
+pub fn delta_chunks(snap: &Snapshot, req: &SyncRequest, cap: usize) -> (Vec<SnapshotChunk>, u32) {
+    let delta = delta_lanes(&snap.head.lane_roots, &req.lane_roots);
+    let (lanes, remaining) = select_chunk_lanes(&delta, req.chunk_cursor, cap);
+    let mut sent = BTreeSet::new();
+    let chunks = lanes
+        .into_iter()
+        .map(|lane| &snap.chunks[lane as usize])
+        .filter(|chunk| sent.insert(chunk.root))
+        .cloned()
+        .collect();
+    (chunks, remaining)
+}
+
 /// Consecutive unverifiable responses (a bad chunk, or a rejected
 /// snapshot head) from one responder before the requester quarantines it
 /// out of the rotation. Honest responders never ship an unverifiable
@@ -236,8 +256,7 @@ pub struct ResponseOutcome {
 }
 
 /// State-transfer bookkeeping of one replica: the requester's rotation
-/// and transfer cursor, and the responder's chunk cache (see the module
-/// docs for the transition table).
+/// and transfer cursor (see the module docs for the transition table).
 #[derive(Default)]
 pub struct StateTransfer {
     me: usize,
@@ -261,12 +280,6 @@ pub struct StateTransfer {
     /// The probe in flight: `(responder, window at send)`. Still present
     /// when the next probe is sent ⇒ the responder may have timed out.
     outstanding: Option<(usize, u64)>,
-    /// Serve-side cache of per-lane chunk encodes for the latest
-    /// snapshot, keyed by lane root: an unchanged lane is encoded once
-    /// per *content*, however many transfers or snapshots reference it.
-    /// `RefCell` because serving is `&self` (the sync tests drive it
-    /// directly) and the cache is pure memoization.
-    chunk_cache: RefCell<ChunkCache>,
 }
 
 impl StateTransfer {
@@ -395,69 +408,6 @@ impl StateTransfer {
         self.pending_roots.clear();
         self.cursor = 0;
     }
-
-    /// Responder side: the chunks of `snap` to ship for `req` — only
-    /// lanes whose roots differ from the requester's advertisement, at
-    /// most `cap`, cursor-resumable ([`select_chunk_lanes`]), deduplicated
-    /// by root within the response (all-empty lanes share one root — one
-    /// chunk reconstructs every one of them) — plus how many differing
-    /// lanes remain. Chunks come from the cache, so an unchanged lane is
-    /// encoded once per content, not once per transfer.
-    pub fn delta_chunks(
-        &self,
-        snap: &Snapshot,
-        req: &SyncRequest,
-        cap: usize,
-    ) -> (Vec<SnapshotChunk>, u32) {
-        let mut cache = self.chunk_cache.borrow_mut();
-        cache.prime(snap);
-        let delta = delta_lanes(&snap.lane_roots, &req.lane_roots);
-        let (lanes, remaining) = select_chunk_lanes(&delta, req.chunk_cursor, cap);
-        let mut sent = BTreeSet::new();
-        let mut chunks = Vec::new();
-        for lane in lanes {
-            let root = snap.lane_roots[lane as usize];
-            if sent.insert(root) {
-                chunks.extend(cache.get(&root).cloned());
-            }
-        }
-        (chunks, remaining)
-    }
-
-    /// Responder side: a new snapshot supersedes the previous one — drop
-    /// cached chunk encodes for lane roots it no longer references
-    /// (unchanged lanes keep theirs: same root, same bytes).
-    pub fn retain_chunks(&self, lane_roots: &[Digest]) {
-        self.chunk_cache.borrow_mut().retain(lane_roots);
-    }
-}
-
-/// Requester side: resolves every lane `head` names from the verified
-/// stash, else from a lane the local state already holds at that root
-/// (those were advertised, so the responder never shipped them —
-/// reconstructed in place and counted as reused), and assembles the
-/// snapshot. `None` while any lane is still missing.
-pub fn assemble_snapshot<'a>(
-    head: &SnapshotHead,
-    stashed: impl Fn(&Digest) -> Option<&'a SnapshotChunk>,
-    local: Vec<SnapshotChunk>,
-) -> Option<(Snapshot, u64)> {
-    let local: BTreeMap<Digest, SnapshotChunk> = local.into_iter().map(|c| (c.root, c)).collect();
-    let mut by_root: BTreeMap<Digest, SnapshotChunk> = BTreeMap::new();
-    let mut reused = 0u64;
-    for root in &head.lane_roots {
-        if by_root.contains_key(root) {
-            continue;
-        }
-        if let Some(c) = stashed(root) {
-            by_root.insert(*root, c.clone());
-        } else {
-            by_root.insert(*root, local.get(root)?.clone());
-            reused += 1;
-        }
-    }
-    let parts: Vec<SnapshotChunk> = by_root.into_values().collect();
-    Some((Snapshot::assemble(head.clone(), &parts)?, reused))
 }
 
 /// One fetched log entry: a committed block and the prepare QC binding its
@@ -492,16 +442,15 @@ pub struct SyncResponse {
     /// The manifest head of the responder's latest execution snapshot,
     /// when it is ahead of the requester's applied frontier. The
     /// receiver recomputes its manifest root — which covers the
-    /// `applied`/`frontier`/`executed_txs` metadata, the per-lane
-    /// covered-sn vector, and the **lane-root vector** — and checks it
-    /// against `checkpoint.state_root` before trusting anything, so a
-    /// Byzantine responder can serve correct state or nothing: neither
-    /// the contents nor the metadata the installer fast-forwards by can
-    /// be forged. The contents arrive separately in `chunks`, each
-    /// verified against the head's lane roots. Installing restores the
-    /// requester's per-lane ledger from the covered-sn vector, so its
-    /// next checkpoint and its segmented WAL routing continue from the
-    /// donor's frontier as if it had executed the history itself.
+    /// `applied`/`frontier`/`executed_txs` metadata and the **lane-root
+    /// vector** — and checks it against `checkpoint.state_root` before
+    /// trusting anything, so a Byzantine responder can serve correct
+    /// state or nothing: neither the contents nor the metadata the
+    /// installer fast-forwards by can be forged. The contents arrive
+    /// separately in `chunks`, each verified against the head's lane
+    /// roots. Nothing descriptive rides along: the installer's next
+    /// checkpoint root is a function of the state and its position, so
+    /// it equals the donor's.
     pub snapshot: Option<SnapshotHead>,
     /// The delta: chunks for lanes whose roots differ from the
     /// requester's advertisement, ascending from its cursor (wrapping),
@@ -849,7 +798,7 @@ mod tests {
                 value: k as u64 + 1,
             });
         }
-        let snap = ladon_state::Snapshot::capture(2, 500, 10_000, vec![0; 4], vec![400; 64], &kv);
+        let snap = ladon_state::Snapshot::capture(2, 500, 10_000, vec![0; 4], &kv);
         let (head, chunks) = snap.split();
         let without = SyncResponse {
             checkpoint: None,

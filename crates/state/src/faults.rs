@@ -509,7 +509,6 @@ mod tests {
             count: 10,
             bucket: 0,
             payload_bytes: 100,
-            lane_mask: 1 << (sn % 64),
             payload_digest: Digest([sn as u8; 32]),
         }
     }

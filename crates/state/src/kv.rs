@@ -115,21 +115,13 @@ impl ExecEffects {
     }
 }
 
-/// What [`KvState::apply_batch`] did: summed effects, per-lane routing
-/// counts, and the wave-plan counters describing the batch's dependency
-/// DAG — a pure function of the ops' static lane access sets (the
-/// property `fig_exec_dag` gates).
+/// What [`KvState::apply_batch`] did: summed effects and the wave-plan
+/// counters describing the batch's dependency DAG — a pure function of
+/// the ops' static lane access sets (the property `fig_exec_dag` gates).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Summed operation effects.
     pub effects: ExecEffects,
-    /// Ops routed to each Merkle lane by their *primary* lane — the
-    /// key's lane, or a transfer's debit lane (length [`MERKLE_LANES`]).
-    pub ops_per_lane: Vec<u32>,
-    /// Cross-lane credits that actually moved value into each Merkle
-    /// lane (length [`MERKLE_LANES`]) — a lane can be dirtied by credits
-    /// alone, so dirtiness tracking must consider both vectors.
-    pub credits_per_lane: Vec<u32>,
     /// Topological waves the batch's dependency DAG partitioned into
     /// (0 for an empty batch; 1 when no two ops share a lane).
     pub waves: u32,
@@ -295,6 +287,32 @@ fn acc_bytes(a: &Acc) -> [u8; 32] {
     out
 }
 
+/// The accumulator of a lane holding exactly `entries`: the product of
+/// their leaf residues.
+fn acc_of_entries(entries: &[(u32, u64)]) -> Acc {
+    entries.iter().fold(ACC_ONE, |acc, &(k, v)| {
+        mul_mod(&acc, &acc_of_leaf(&leaf_hash(k, v)))
+    })
+}
+
+/// A lane's content root: a digest over its live entry count and the
+/// accumulator of those entries.
+fn lane_root(len: usize, acc: &Acc) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"ladon/lane-root/v3");
+    h.update(&(len as u64).to_le_bytes());
+    h.update(&acc_bytes(acc));
+    Digest(h.finalize())
+}
+
+/// The content root of a lane holding exactly `entries` — what a
+/// snapshot chunk is verified against, one lane at a time and without
+/// building a map. Canonical form (distinct keys, no zero values) is the
+/// caller's to check.
+pub fn lane_root_of(entries: &[(u32, u64)]) -> Digest {
+    lane_root(entries.len(), &acc_of_entries(entries))
+}
+
 // ---------------------------------------------------------------------
 // Wave plan: the deterministic dependency DAG over lane access sets
 // (see the module docs).
@@ -337,20 +355,14 @@ struct WaveStats {
 
 /// Builds the batch's wave plan in one pass: each op's topological wave
 /// is one past the deepest wave among the preceding ops whose lane sets
-/// intersect its own. `wave_ops` is scratch for the wave populations,
-/// `ops_per_lane` receives the primary-lane routing counts. Purely a
-/// function of the ops' static access sets — never of state.
-fn plan_waves<'a>(
-    ops: impl Iterator<Item = &'a TxOp>,
-    wave_ops: &mut Vec<u32>,
-    ops_per_lane: &mut [u32],
-) -> WaveStats {
+/// intersect its own. `wave_ops` is scratch for the wave populations.
+/// Purely a function of the ops' static access sets — never of state.
+fn plan_waves<'a>(ops: impl Iterator<Item = &'a TxOp>, wave_ops: &mut Vec<u32>) -> WaveStats {
     wave_ops.clear();
     let mut tails: [Option<LaneTail>; MERKLE_LANES as usize] = [None; MERKLE_LANES as usize];
     let mut stats = WaveStats::default();
     for (idx, op) in ops.enumerate() {
         let (a, b) = access_lanes(op);
-        ops_per_lane[a] += 1;
         let ta = tails[a];
         let tb = b.and_then(|l| tails[l]);
         let mut wave = 0u32;
@@ -398,20 +410,17 @@ fn plan_waves<'a>(
     stats
 }
 
-/// Applies one op with sequential (read-your-writes) semantics. Returns
-/// the credited lane when a cross-lane transfer moved value.
+/// Applies one op with sequential (read-your-writes) semantics.
 #[inline]
-fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) -> Option<usize> {
+fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) {
     match *op {
         TxOp::Put { key, value } => {
             lanes[lane_of(key)].set(key, value);
             fx.puts += 1;
-            None
         }
         TxOp::Get { key } => {
             let _ = lanes[lane_of(key)].get(key);
             fx.gets += 1;
-            None
         }
         TxOp::Transfer { from, to, amount } => {
             let lf = lane_of(from);
@@ -419,14 +428,12 @@ fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) -> Option<usize
             let moved = have.min(amount);
             if moved == 0 || from == to {
                 fx.empty_transfers += 1;
-                None
             } else {
                 lanes[lf].set(from, have - moved);
                 let lt = lane_of(to);
                 let dest = lanes[lt].get(to);
                 lanes[lt].set(to, dest.saturating_add(moved));
                 fx.transfers += 1;
-                (lt != lf).then_some(lt)
             }
         }
     }
@@ -517,11 +524,7 @@ impl Lane {
     /// accumulator of the current contents. One hash when the lane is
     /// folded.
     fn root(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"ladon/lane-root/v3");
-        h.update(&(self.entries.len() as u64).to_le_bytes());
-        h.update(&acc_bytes(&self.current_acc()));
-        Digest(h.finalize())
+        lane_root(self.entries.len(), &self.current_acc())
     }
 }
 
@@ -561,9 +564,9 @@ impl KvState {
         }
     }
 
-    /// Rebuilds state from canonical `(key, value)` entries (snapshot
-    /// install), folded. Zero values are dropped to restore canonical
-    /// form.
+    /// Builds state from `(key, value)` entries in any order, folded
+    /// (tests and figures; the bucket-by-lane loop). Zero values are
+    /// dropped to restore canonical form.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut s = Self::new();
         for (k, v) in entries {
@@ -571,6 +574,26 @@ impl KvState {
         }
         s.fold();
         s
+    }
+
+    /// Rebuilds state from one canonical entry run per lane, in lane
+    /// order (snapshot install and recovery), folded. Each lane map is
+    /// built from its run as is: the caller has verified the runs
+    /// (canonical, confined to their lane).
+    pub fn from_lanes<'a>(runs: impl IntoIterator<Item = &'a [(u32, u64)]>) -> Self {
+        let mut lanes: Vec<Lane> = runs
+            .into_iter()
+            .map(|run| Lane {
+                entries: run.iter().copied().collect(),
+                folded: acc_of_entries(run),
+                dirty: BTreeMap::new(),
+            })
+            .collect();
+        lanes.resize_with(MERKLE_LANES as usize, Lane::default);
+        Self {
+            lanes,
+            wave_scratch: Vec::new(),
+        }
     }
 
     /// Number of live (nonzero) entries.
@@ -588,8 +611,14 @@ impl KvState {
         self.lanes[lane_of(key)].get(key)
     }
 
+    /// One lane's live entries in ascending key order (snapshot capture
+    /// reads the 64 lane maps as they are — no merge, no sort).
+    pub fn lane_entries(&self, lane: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.lanes[lane].entries.iter().map(|(&k, &v)| (k, v))
+    }
+
     /// Canonical `(key, value)` entries in ascending key order, merged
-    /// across lanes (snapshot capture).
+    /// across lanes (assertions and figures).
     pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> {
         let mut out: Vec<(u32, u64)> = self
             .lanes
@@ -620,21 +649,13 @@ impl KvState {
         I::IntoIter: Clone,
     {
         let ops = ops.into_iter();
-        // The outcome's per-lane vectors are freshly allocated by
-        // necessity (they are returned).
-        let mut ops_per_lane = vec![0u32; MERKLE_LANES as usize];
-        let mut credits_per_lane = vec![0u32; MERKLE_LANES as usize];
-        let stats = plan_waves(ops.clone(), &mut self.wave_scratch, &mut ops_per_lane);
+        let stats = plan_waves(ops.clone(), &mut self.wave_scratch);
         let mut effects = ExecEffects::default();
         for op in ops {
-            if let Some(l) = apply_op(&mut self.lanes, op, &mut effects) {
-                credits_per_lane[l] += 1;
-            }
+            apply_op(&mut self.lanes, op, &mut effects);
         }
         BatchOutcome {
             effects,
-            ops_per_lane,
-            credits_per_lane,
             waves: stats.waves,
             max_wave_ops: stats.max_wave_ops,
             cross_lane_edges: stats.cross_lane_edges,
@@ -654,7 +675,7 @@ impl KvState {
 
     /// The ordered lane-root vector (length [`MERKLE_LANES`]) — the
     /// Merkle leaves the state root digests, recorded verbatim in every
-    /// snapshot manifest.
+    /// snapshot head.
     pub fn lane_roots(&self) -> Vec<Digest> {
         self.lanes.iter().map(Lane::root).collect()
     }
@@ -874,7 +895,6 @@ mod tests {
             let out = s.apply_batch(&ops);
             assert_eq!(out.effects, ref_fx);
             assert_eq!(out.effects.total(), n);
-            assert_eq!(out.ops_per_lane.iter().map(|&c| c as u64).sum::<u64>(), n);
             assert!(s.entries().eq(reference.entries()));
             assert_eq!(s.lane_roots(), reference.lane_roots());
             assert_eq!(s.root(), reference.root());
@@ -935,7 +955,12 @@ mod tests {
             })
             .collect();
         let mut s = KvState::new();
-        assert_eq!(hashes_in(|| drop(s.apply_batch(&ops))), 0);
+        assert_eq!(
+            hashes_in(|| {
+                s.apply_batch(&ops);
+            }),
+            0
+        );
         let fold = hashes_in(|| s.fold());
         assert!(fold > 0 && fold <= 2 * written.len() as u64, "{fold}");
         assert_eq!(hashes_in(|| s.fold()), 0, "nothing is dirty after a fold");
@@ -1060,26 +1085,29 @@ mod tests {
     }
 
     #[test]
-    fn credit_only_lanes_are_reported() {
-        // Two keys in different lanes: the credited lane sees no phase-1
-        // op, only a phase-2 credit — and must still be reported dirty.
+    fn credit_only_lanes_change_their_root() {
+        // Two keys in different lanes: the credited lane sees no op of
+        // its own, only the credit — and its root must still move.
         let a = 0u32;
         let b = (1..DEFAULT_KEYSPACE)
             .find(|&k| lane_of(k) != lane_of(a))
             .expect("some key lands in another lane");
         let mut s = KvState::new();
         s.apply(&TxOp::Put { key: a, value: 10 });
+        let before = s.lane_roots();
         let out = s.apply_batch(&[TxOp::Transfer {
             from: a,
             to: b,
             amount: 4,
         }]);
         assert_eq!(out.effects.transfers, 1);
-        assert_eq!(out.ops_per_lane[lane_of(a)], 1);
-        assert_eq!(out.ops_per_lane[lane_of(b)], 0);
-        assert_eq!(out.credits_per_lane[lane_of(b)], 1);
-        assert_eq!(out.credits_per_lane[lane_of(a)], 0);
         assert_eq!(s.get(b), 4);
+        let changed: Vec<usize> = (0..MERKLE_LANES as usize)
+            .filter(|&l| before[l] != s.lane_roots()[l])
+            .collect();
+        let mut expect = vec![lane_of(a), lane_of(b)];
+        expect.sort_unstable();
+        assert_eq!(changed, expect);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!   rotation (never in-place truncation) — over pluggable storage
 //!   ([`MemBackend`] for simulation, [`FileBackend`] for real
 //!   durability).
-//! - [`snapshot`]: epoch-aligned state snapshots ([`Snapshot`]) keyed by
-//!   their state root, with a [`SnapshotStore`] that can persist them
-//!   content-addressed on disk. Snapshots also split into per-lane
-//!   chunks ([`SnapshotChunk`]) content-addressed by lane root for
-//!   delta state sync: a receiver fetches only lanes whose roots
-//!   changed and reassembles byte-identically.
+//! - [`snapshot`]: epoch-aligned state snapshots ([`Snapshot`]) kept the
+//!   way they are shipped — a manifest head ([`SnapshotHead`]) plus one
+//!   chunk per lane ([`SnapshotChunk`]) content-addressed by lane root —
+//!   with a [`SnapshotStore`] that can persist them on disk. Delta state
+//!   sync falls out of the shape: a receiver fetches only lanes whose
+//!   roots changed and reassembles byte-identically.
 //! - [`pipeline`]: the [`ExecutionPipeline`] gluing the three together:
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
 //!   plus snapshot install and crash recovery (snapshot + WAL replay).
@@ -49,10 +49,9 @@ pub mod wal;
 pub use faults::{FaultBackend, FaultPlan, FaultStore};
 pub use kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
-    static_lane_mask, ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats,
-    ReplayStats,
+    ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,
 };
-pub use snapshot::{delta_lanes, ChunkCache, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
+pub use snapshot::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{
     decode_records, decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta,
     WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,

@@ -7,10 +7,8 @@
 //! replays the block on recovery instead of losing it. Ops apply in
 //! block order on the calling thread (see [`crate::kv`]); a whole staged
 //! drain is one batch, described by one batch-wide wave plan whose
-//! counters [`ExecSchedStats`] accumulates. The pipeline also keeps a
-//! per-lane ledger of how many ops each WAL record routed where and
-//! which `sn` last dirtied each lane. At every epoch checkpoint it folds
-//! the lanes' pending writes into their accumulators, captures a
+//! counters [`ExecSchedStats`] accumulates. At every epoch checkpoint it
+//! folds the lanes' pending writes into their accumulators, captures a
 //! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
 //! manifest root — covering the execution position, frontier, and the
 //! ordered lane-root vector — which the checkpoint quorum signs.
@@ -34,8 +32,8 @@
 //! crash-recovery example and the WAL-replay property test assert
 //! exactly this.
 
-use crate::kv::{lane_of, BatchOutcome, ExecEffects, KvState, MERKLE_LANES};
-use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotStore};
+use crate::kv::{BatchOutcome, ExecEffects, KvState};
+use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 use crate::wal::{
     CommitWal, FileBackend, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
 };
@@ -101,9 +99,6 @@ pub struct ReplayStats {
     pub records_replayed: u64,
     /// Transactions those records re-executed.
     pub replayed_txs: u64,
-    /// Union lane mask of the replayed records: which Merkle lanes the
-    /// replay actually touched.
-    pub replayed_lane_mask: u64,
 }
 
 impl ReplayStats {
@@ -118,11 +113,6 @@ impl ReplayStats {
             manifest_recovered: load.manifest_recovered,
             ..Self::default()
         }
-    }
-
-    /// Lanes the replay dirtied (popcount of the union mask).
-    pub fn dirty_lanes(&self) -> u32 {
-        self.replayed_lane_mask.count_ones()
     }
 }
 
@@ -159,7 +149,7 @@ pub struct PipelinePerf {
     /// Nanoseconds spent inside WAL flush barriers (submit + token
     /// wait).
     pub wall_wal_flush_ns: u64,
-    /// Nanoseconds spent executing staged ops (apply + ledger).
+    /// Nanoseconds spent executing staged ops.
     pub wall_exec_ns: u64,
     /// Flush barriers submitted (denominator for per-barrier means).
     pub flush_barriers: u64,
@@ -233,7 +223,6 @@ impl SnapshotInto for ReplayStats {
         registry.counter("replay.manifest_recovered", self.manifest_recovered as u64);
         registry.counter("replay.records_replayed", self.records_replayed);
         registry.counter("replay.replayed_txs", self.replayed_txs);
-        registry.gauge("replay.dirty_lanes", self.dirty_lanes() as f64);
     }
 }
 
@@ -262,8 +251,7 @@ pub struct PipelineStats {
     /// Stale stashed sync chunks reclaimed at checkpoints.
     pub snapshot_chunks_pruned: u64,
     /// Transactions this process executed itself (live drains plus
-    /// recovery replay), excluding totals inherited from a snapshot;
-    /// always equals the per-lane ledger's op sum.
+    /// recovery replay), excluding totals inherited from a snapshot.
     pub locally_executed_txs: u64,
 }
 
@@ -283,33 +271,13 @@ impl SnapshotInto for PipelineStats {
     }
 }
 
-/// The static lane-routing mask of a block's derived ops: bit `l` set
-/// when some op routes to Merkle lane `l`. Computed *before* execution
-/// (a transfer sets both its debit and its credit lane, whether or not
-/// the credit ends up moving value), so it is a conservative superset of
-/// the lanes the block dirties. It rides in the block's WAL record and
-/// describes, on recovery, which lanes the replayed tail touched.
-pub fn static_lane_mask(ops: &[TxOp]) -> u64 {
-    let mut mask = 0u64;
-    for op in ops {
-        match *op {
-            TxOp::Put { key, .. } | TxOp::Get { key } => mask |= 1 << lane_of(key),
-            TxOp::Transfer { from, to, .. } => {
-                mask |= 1 << lane_of(from);
-                mask |= 1 << lane_of(to);
-            }
-        }
-    }
-    mask
-}
+/// A drained run of confirmed blocks: `(sn, derived ops)` in order.
+type StagedBlocks = Vec<(u64, Vec<TxOp>)>;
 
 /// A batch whose WAL barrier is in flight: submitted to the writer by
 /// [`ExecutionPipeline::submit_staged`], token not yet resolved. The
 /// blocks' derived ops ride along so the apply can run at completion —
 /// after durability, never before.
-/// A drained run of confirmed blocks: `(sn, derived ops)` in order.
-type StagedBlocks = Vec<(u64, Vec<TxOp>)>;
-
 struct InFlightBatch {
     blocks: StagedBlocks,
     /// When the barrier was submitted (feeds the overlap histogram).
@@ -334,21 +302,10 @@ pub struct ExecutionPipeline {
     effects: ExecEffects,
     /// Accounts in the derived-op key space.
     keyspace: u32,
-    /// Cumulative ops routed to each Merkle lane (length
-    /// [`MERKLE_LANES`]) — the lane-load ledger behind the WAL: each
-    /// appended record's ops are accounted to the lanes they dirtied.
-    lane_ops: Vec<u64>,
-    /// Per-lane `sn` high-water mark: the last WAL `sn` whose ops touched
-    /// the lane, `None` while untouched. Lanes whose mark is below the
-    /// latest snapshot's `applied` are clean — their lane roots were
-    /// unchanged by the WAL tail. Descriptive only (nothing is routed
-    /// or skipped by it): it is recorded in every snapshot's
-    /// `lane_covered_sn` and restored from it on recovery.
-    lane_last_sn: Vec<Option<u64>>,
     /// Blocks staged (WAL record buffered, ops derived) but not yet
     /// flushed + applied — the cross-drain group-commit accumulator.
     /// Staged blocks are unacknowledged: a crash loses exactly them.
-    staged: Vec<(u64, Vec<TxOp>)>,
+    staged: StagedBlocks,
     /// The batch whose WAL barrier is in flight (submitted via
     /// [`Self::submit_staged`], token not yet resolved). Its blocks are
     /// neither acknowledged nor applied — WAL-before-apply holds at
@@ -390,8 +347,6 @@ impl ExecutionPipeline {
             local_txs: 0,
             effects: ExecEffects::default(),
             keyspace,
-            lane_ops: vec![0; MERKLE_LANES as usize],
-            lane_last_sn: vec![None; MERKLE_LANES as usize],
             staged: Vec::new(),
             inflight: None,
             sched: ExecSchedStats::default(),
@@ -453,16 +408,13 @@ impl ExecutionPipeline {
         F: FnOnce(u64) -> CommitWal,
     {
         let snap = store.latest().cloned().filter(Snapshot::verify);
-        let floor = snap.as_ref().map_or(0, |s| s.applied);
+        let floor = snap.as_ref().map_or(0, |s| s.head.applied);
         let wal = open_wal(floor);
         let mut p = Self::fresh(wal, keyspace);
         p.store = store;
         let mut stats = ReplayStats::from_load(p.wal.load_stats());
         if let Some(snap) = snap {
-            p.kv = KvState::from_entries(snap.entries.iter().copied());
-            p.applied = snap.applied;
-            p.executed_txs = snap.executed_txs;
-            p.restore_lane_ledger(&snap);
+            p.restore(&snap);
         }
         // Replay the WAL tail past the snapshot. A gap between the
         // snapshot's applied frontier and the first tail record means the
@@ -485,8 +437,8 @@ impl ExecutionPipeline {
             let ops: Vec<TxOp> = rec.batch().txs(p.keyspace).map(|tx| tx.op).collect();
             stats.records_replayed += 1;
             stats.replayed_txs += ops.len() as u64;
-            stats.replayed_lane_mask |= rec.lane_mask;
-            p.apply_ops(rec.sn, &ops);
+            let out = p.kv.apply_batch(&ops);
+            p.absorb_outcome(&out);
             p.applied = rec.sn + 1;
         }
         // A dangling suffix the replay could not reach (its first record
@@ -501,15 +453,12 @@ impl ExecutionPipeline {
         p
     }
 
-    /// Restores the per-lane dirtiness ledger from a snapshot's
-    /// covered-sn vector (every mark is below `applied`, so restored
-    /// lanes read as clean until the tail re-dirties them).
-    fn restore_lane_ledger(&mut self, snap: &Snapshot) {
-        if snap.lane_covered_sn.len() == MERKLE_LANES as usize {
-            for (lane, &covered) in snap.lane_covered_sn.iter().enumerate() {
-                self.lane_last_sn[lane] = covered.checked_sub(1);
-            }
-        }
+    /// Adopts a *verified* snapshot's state and execution position: each
+    /// lane map is built from its chunk.
+    fn restore(&mut self, snap: &Snapshot) {
+        self.kv = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
+        self.applied = snap.head.applied;
+        self.executed_txs = snap.head.executed_txs;
     }
 
     /// Reconstructs a pipeline from byte-shipped parts (in-sim restart and
@@ -590,12 +539,9 @@ impl ExecutionPipeline {
         if sn > next {
             return ExecOutcome::Gap { expected: next };
         }
-        // Derive the ops once: their static lane mask rides in the WAL
-        // record, and the same vector then feeds the apply at flush
-        // time.
+        // Derive the ops once: the vector feeds the apply at flush time.
         let ops: Vec<TxOp> = block.batch.txs(self.keyspace).map(|tx| tx.op).collect();
-        self.wal
-            .append_buffered(WalRecord::of_block(sn, block, static_lane_mask(&ops)));
+        self.wal.append_buffered(WalRecord::of_block(sn, block));
         let txs = ops.len() as u64;
         self.staged.push((sn, ops));
         ExecOutcome::Applied { txs }
@@ -607,8 +553,8 @@ impl ExecutionPipeline {
     /// return nothing is staged or in flight and every returned `sn` is
     /// applied. One WAL flush barrier per submitted batch (one write and
     /// one fsync, however many drains accumulated), then the
-    /// batch's ops apply in block order and the per-block ledger
-    /// advances. WAL-before-apply, preserved at batch granularity: a
+    /// batch's ops apply in block order. WAL-before-apply, preserved at
+    /// batch granularity: a
     /// crash before a batch's barrier completes loses only
     /// unacknowledged blocks, and recovery replays a batched log
     /// byte-identically to a per-record one (replaying record by record
@@ -708,7 +654,7 @@ impl ExecutionPipeline {
     }
 
     /// Applies one completed batch's ops as one batch and advances the
-    /// per-block ledger. `ok = false` means the batch's barrier failed:
+    /// applied frontier. `ok = false` means the batch's barrier failed:
     /// the blocks still apply (the WAL mirror is authoritative) but the
     /// deterministic failure alarm is raised so no caller can mistake
     /// the range for durable.
@@ -723,10 +669,7 @@ impl ExecutionPipeline {
         let exec_t0 = std::time::Instant::now();
         let out = self.kv.apply_batch(blocks.iter().flat_map(|(_, ops)| ops));
         self.absorb_outcome(&out);
-        for (sn, ops) in blocks {
-            self.account_block(*sn, ops);
-            self.applied = sn + 1;
-        }
+        self.applied = blocks.last().map_or(self.applied, |(sn, _)| sn + 1);
         self.perf.wall_exec_ns += exec_t0.elapsed().as_nanos() as u64;
         first..self.applied
     }
@@ -753,57 +696,17 @@ impl ExecutionPipeline {
             .map_or(self.applied, |(sn, _)| sn + 1)
     }
 
-    /// Applies one block's derived ops immediately (the recovery-replay
-    /// path) and accounts it to the per-lane ledger.
-    fn apply_ops(&mut self, sn: u64, ops: &[TxOp]) -> u64 {
-        let out = self.kv.apply_batch(ops);
-        self.absorb_outcome(&out);
-        self.account_block(sn, ops);
-        ops.len() as u64
-    }
-
-    /// Folds a batch outcome into the cumulative effect and wave-plan
-    /// accounting.
+    /// Folds a batch outcome into the cumulative effect, transaction and
+    /// wave-plan accounting (an op is a transaction).
     fn absorb_outcome(&mut self, out: &BatchOutcome) {
         self.effects.absorb(out.effects);
+        self.executed_txs += out.effects.total();
+        self.local_txs += out.effects.total();
         self.sched.batches += 1;
         self.sched.waves += out.waves as u64;
         self.sched.scheduled_ops += out.effects.total();
         self.sched.cross_lane_edges += out.cross_lane_edges;
         self.sched.max_wave_ops = self.sched.max_wave_ops.max(out.max_wave_ops);
-    }
-
-    /// Accounts one block to the per-lane ledger from its ops' *static*
-    /// access sets: every op counts at its primary lane, and every lane
-    /// in the block's static mask is marked dirtied by `sn`. The mask is
-    /// a conservative superset of the lanes the block actually wrote
-    /// (e.g. an empty transfer still marks its credit lane) — exactly
-    /// the superset the block's WAL record carries, so ledger and log
-    /// agree.
-    fn account_block(&mut self, sn: u64, ops: &[TxOp]) {
-        let mut mask = 0u64;
-        for op in ops {
-            match *op {
-                TxOp::Put { key, .. } | TxOp::Get { key } => {
-                    let lane = lane_of(key);
-                    self.lane_ops[lane] += 1;
-                    mask |= 1 << lane;
-                }
-                TxOp::Transfer { from, to, .. } => {
-                    let lane = lane_of(from);
-                    self.lane_ops[lane] += 1;
-                    mask |= 1 << lane;
-                    mask |= 1 << lane_of(to);
-                }
-            }
-        }
-        while mask != 0 {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            self.lane_last_sn[lane] = Some(sn);
-        }
-        self.executed_txs += ops.len() as u64;
-        self.local_txs += ops.len() as u64;
     }
 
     /// Epoch checkpoint: captures a snapshot of the current state, compacts
@@ -812,27 +715,15 @@ impl ExecutionPipeline {
     /// with its contents). Called exactly when the epoch's blocks are all
     /// confirmed. `frontier` must be replica-deterministic — pass an empty
     /// vector when it is not (state-only snapshot, see
-    /// [`crate::snapshot::Snapshot::frontier`]).
+    /// [`crate::snapshot::SnapshotHead::frontier`]).
     pub fn checkpoint(&mut self, epoch: u64, frontier: Vec<u64>) -> Digest {
         // Drain any cross-drain accumulation first: the snapshot must
         // cover every confirmed block, and compaction may not outrun
         // staged records.
         self.flush_staged();
         self.kv.fold();
-        let lane_covered_sn: Vec<u64> = self
-            .lane_last_sn
-            .iter()
-            .map(|s| s.map_or(0, |sn| sn + 1))
-            .collect();
-        let snap = Snapshot::capture(
-            epoch,
-            self.applied,
-            self.executed_txs,
-            frontier,
-            lane_covered_sn,
-            &self.kv,
-        );
-        let root = snap.root;
+        let snap = Snapshot::capture(epoch, self.applied, self.executed_txs, frontier, &self.kv);
+        let root = snap.head.root;
         // Compact only when the snapshot is durably stored: dropping the
         // WAL prefix a failed snapshot was meant to cover would make the
         // covered blocks unrecoverable after a crash.
@@ -874,20 +765,17 @@ impl ExecutionPipeline {
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
         self.flush_staged();
-        if snap.applied <= self.applied || !snap.verify() {
+        if snap.head.applied <= self.applied || !snap.verify() {
             return false;
         }
-        self.kv = KvState::from_entries(snap.entries.iter().copied());
-        self.applied = snap.applied;
-        self.executed_txs = snap.executed_txs;
-        self.restore_lane_ledger(snap);
+        self.restore(snap);
         if self.store.put(snap.clone()) {
             self.wal.compact(self.applied);
         }
         true
     }
 
-    /// Current state root. O([`MERKLE_LANES`]) right after a
+    /// Current state root. O([`crate::MERKLE_LANES`]) right after a
     /// checkpoint; otherwise it also hashes the keys written since (see
     /// [`KvState::root`]).
     pub fn state_root(&self) -> Digest {
@@ -897,23 +785,6 @@ impl ExecutionPipeline {
     /// The ordered lane-root vector of the current state.
     pub fn lane_roots(&self) -> Vec<Digest> {
         self.kv.lane_roots()
-    }
-
-    /// Cumulative ops routed to each Merkle lane (length
-    /// [`MERKLE_LANES`]).
-    pub fn lane_ops(&self) -> &[u64] {
-        &self.lane_ops
-    }
-
-    /// Lanes dirtied by the current WAL tail: their last-touched `sn` is
-    /// at or past the applied frontier of the latest snapshot (every lane
-    /// root outside this set is already covered by the snapshot).
-    pub fn dirty_lanes(&self) -> usize {
-        let covered = self.store.latest().map(|s| s.applied).unwrap_or(0);
-        self.lane_last_sn
-            .iter()
-            .filter(|sn| sn.is_some_and(|sn| sn >= covered))
-            .count()
     }
 
     /// Confirmed blocks applied (the next expected `sn`).
@@ -952,6 +823,20 @@ impl ExecutionPipeline {
         self.store.stash_chunk(chunk)
     }
 
+    /// The delta install: assembles `head`'s snapshot from the chunk
+    /// stash plus the lanes the local state already holds under the
+    /// head's roots ([`Snapshot::assemble`]) and installs it
+    /// ([`Self::install_snapshot`], which verifies it). Returns how many
+    /// lanes came from local state, or `None` when nothing was installed
+    /// — a lane is still missing, or the snapshot is not ahead. The
+    /// caller must have authenticated `head` against a quorum-signed
+    /// stable checkpoint.
+    pub fn install_from_stash(&mut self, head: &SnapshotHead) -> Option<u64> {
+        let fetched = |root: &Digest| self.store.stashed_chunk(root);
+        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, &self.kv)?;
+        self.install_snapshot(&snap).then_some(reused)
+    }
+
     /// The stashed chunk content-addressed by `root`, if held.
     pub fn stashed_chunk(&self, root: &Digest) -> Option<&SnapshotChunk> {
         self.store.stashed_chunk(root)
@@ -972,27 +857,6 @@ impl ExecutionPipeline {
     /// completed or was abandoned.
     pub fn clear_chunk_stash(&mut self) {
         self.store.clear_stash()
-    }
-
-    /// The current local state decomposed into per-lane chunks, each
-    /// content-addressed by its live lane root — what a delta installer
-    /// reuses for lanes whose roots already match the target manifest.
-    /// One pass over the entries, O(state).
-    pub fn lane_chunks(&self) -> Vec<SnapshotChunk> {
-        let roots = self.kv.lane_roots();
-        let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); MERKLE_LANES as usize];
-        for (k, v) in self.kv.entries() {
-            buckets[lane_of(k)].push((k, v));
-        }
-        buckets
-            .into_iter()
-            .enumerate()
-            .map(|(lane, entries)| SnapshotChunk {
-                lane: lane as u32,
-                root: roots[lane],
-                entries,
-            })
-            .collect()
     }
 
     /// Records currently in the WAL tail (past the last snapshot).
@@ -1066,7 +930,7 @@ impl ExecutionPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::DEFAULT_KEYSPACE;
+    use crate::kv::{DEFAULT_KEYSPACE, MERKLE_LANES};
     use crate::snapshot::hex32;
     use ladon_types::{Batch, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId};
 
@@ -1111,10 +975,11 @@ mod tests {
 
     #[test]
     fn checkpoint_artifacts_are_pinned() {
-        // State root, manifest root and every encoded snapshot byte are
-        // the ones the eager (hash-on-write) accumulator produced for
-        // this drain — so a snapshot written before the lazy fold still
-        // decodes and verifies, and `SNAP_VERSION` did not need to move.
+        // The wave-plan counters and the state root are the ones every
+        // executor generation produced for this drain (state never
+        // moved). The manifest root and the encoded bytes are format
+        // generation 8's: manifest domain v4 (no descriptive covered-sn
+        // vector under the signed root), entries stored lane by lane.
         let mut p = ExecutionPipeline::in_memory(512);
         let blocks: Vec<(u64, Block)> = (0..8)
             .map(|sn| (sn, Block::synthetic(sn, sn * 300, 300)))
@@ -1137,12 +1002,12 @@ mod tests {
         );
         assert_eq!(
             hex32(&manifest),
-            "8acb7153e977059a4a3c4360a0dcf09083b5c01e5a364af0909364439b4e6ca3"
+            "eb7b73130fa7b5e9ef0afcc9005cd1a8aa147f233107da16a0cbaa42860e5ab8"
         );
         let bytes = p.latest_snapshot().unwrap().encode();
         assert_eq!(
             hex32(&Digest(ladon_crypto::sha256(&bytes))),
-            "b61a825dea3ea49b8f752b0c195a775cc49ebe6cd7727bccc4f5cc12f3338f68"
+            "66e3b5775e3914201f0f6ada3365788011649091251913995a9dc70fca724c59"
         );
         assert!(Snapshot::decode(&bytes).is_some_and(|s| s.verify()));
     }
@@ -1156,24 +1021,6 @@ mod tests {
         p.state_root();
         let spent = ladon_crypto::CryptoCounters::snapshot().since(&before);
         assert_eq!(spent.hashes, MERKLE_LANES as u64 + 1);
-    }
-
-    #[test]
-    fn lane_ledger_tracks_wal_tail() {
-        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        run_blocks(&mut p, 0, 8);
-        assert_eq!(p.lane_ops().iter().sum::<u64>(), 8 * 50);
-        assert!(p.dirty_lanes() > 0);
-        // A checkpoint covers every dirtied lane.
-        p.checkpoint(0, Vec::new());
-        assert_eq!(p.dirty_lanes(), 0, "snapshot must cover all lanes");
-        // One 50-op block dirties at most 100 lanes (each op touches at
-        // most one phase-1 lane plus one credited lane), clamped to the
-        // lane count.
-        run_blocks(&mut p, 8, 1);
-        let dirty = p.dirty_lanes();
-        let cap = 100.min(MERKLE_LANES as usize);
-        assert!((1..=cap).contains(&dirty), "dirty lanes = {dirty}");
     }
 
     #[test]
@@ -1317,8 +1164,8 @@ mod tests {
         assert_eq!(p.applied(), 5, "checkpoint must cover staged blocks");
         assert_eq!(p.staged_records(), 0);
         let snap = p.latest_snapshot().unwrap();
-        assert_eq!(snap.applied, 5);
-        assert_eq!(snap.root, root);
+        assert_eq!(snap.head.applied, 5);
+        assert_eq!(snap.head.root, root);
         assert_eq!(p.wal_len(), 0, "compaction follows the drained flush");
     }
 
@@ -1361,7 +1208,7 @@ mod tests {
         assert_eq!(p.wal_len(), 10);
         let root = p.checkpoint(0, Vec::new());
         assert_eq!(p.wal_len(), 0);
-        assert_eq!(p.latest_snapshot().map(|s| s.root), Some(root));
+        assert_eq!(p.latest_snapshot().map(|s| s.head.root), Some(root));
         run_blocks(&mut p, 10, 3);
         assert_eq!(p.wal_len(), 3);
     }
@@ -1404,9 +1251,8 @@ mod tests {
         run_blocks(&mut donor, 0, 8);
         donor.checkpoint(0, Vec::new());
         let mut snap = donor.latest_snapshot().unwrap().clone();
-        if let Some(e) = snap.entries.first_mut() {
-            e.1 ^= 1;
-        }
+        let victim = snap.chunks.iter_mut().find(|c| !c.entries.is_empty());
+        victim.expect("a populated lane").entries[0].1 ^= 1;
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         assert!(!lagger.install_snapshot(&snap));
         assert_eq!(lagger.applied(), 0);

@@ -1,36 +1,41 @@
 //! Epoch-aligned, content-addressed state snapshots.
 //!
-//! A [`Snapshot`] freezes the full canonical KV contents at an epoch
-//! boundary together with the execution position (`applied` confirmed
-//! blocks, cumulative executed transactions), the ordered **lane-root
-//! vector** of the sharded state ([`crate::kv::KvState::lane_roots`]),
-//! and the *manifest root* the whole snapshot hashes to. The root covers
-//! every field an installer acts on — epoch, `applied`, `executed_txs`,
-//! `frontier`, and the lane roots (which commit to the KV contents) —
-//! not just the entries: execution is deterministic, so honest replicas
-//! completing the same epoch produce identical manifests, and the
-//! checkpoint quorum's signature over the root therefore attests to the
-//! metadata as much as to the state. Snapshots are *content-addressed*:
-//! the root is recomputable from the fields, so a receiver can verify a
-//! snapshot in isolation ([`Snapshot::verify`]) and then check the root
-//! against the quorum-signed `StableCheckpoint` before installing — a
-//! Byzantine peer can serve a correct snapshot or nothing, and cannot
-//! splice a forged `applied` or `frontier` onto genuine entries.
+//! A [`Snapshot`] is kept the way it is shipped: a [`SnapshotHead`] —
+//! the epoch, the execution position (`applied` confirmed blocks,
+//! cumulative executed transactions), the consensus `frontier`, the
+//! ordered **lane-root vector** of the sharded state
+//! ([`crate::kv::KvState::lane_roots`]) and the *manifest root* all of it
+//! hashes to — plus one [`SnapshotChunk`] per Merkle lane, in lane
+//! order, holding that lane's canonical contents under the lane root the
+//! head names. It has that one shape in memory, in `snap-*.bin` and on
+//! the wire: capture reads the 64 lane maps in key order, a responder
+//! serves `chunks[lane]`, an installer builds each lane map from its
+//! chunk — a lane is a shard of the root and the unit of transfer, and
+//! nothing flattens, re-sorts or re-buckets entries in between.
 //!
-//! # Chunked wire form (delta state sync)
+//! The manifest root covers every field an installer acts on — epoch,
+//! `applied`, `executed_txs`, `frontier`, and the lane roots (which
+//! commit to the KV contents) — not just the entries: execution is
+//! deterministic, so honest replicas completing the same epoch produce
+//! identical manifests, and the checkpoint quorum's signature over the
+//! root therefore attests to the metadata as much as to the state.
+//! Snapshots are *content-addressed*: the root is recomputable from the
+//! fields, so a receiver can verify a snapshot in isolation
+//! ([`Snapshot::verify`]) and then check the root against the
+//! quorum-signed `StableCheckpoint` before installing — a Byzantine peer
+//! can serve a correct snapshot or nothing, and cannot splice a forged
+//! `applied` or `frontier` onto genuine entries.
 //!
-//! A snapshot also has a **chunked** wire form: [`Snapshot::split`]
-//! decomposes it into a small [`SnapshotHead`] (every manifest field,
-//! no entries) plus one [`SnapshotChunk`] per Merkle lane, each
-//! content-addressed by its **lane root** — a name the quorum-signed
-//! manifest already commits to, so per-chunk verification
-//! ([`SnapshotChunk::verify`]) adds no new trust. A receiver that holds
-//! *any* prior state can compare lane-root vectors ([`delta_lanes`]),
-//! fetch only the lanes that changed, reconstruct the rest from local
-//! state, and [`Snapshot::assemble`] a snapshot byte-identical to the
-//! monolithic encode. Responders serve chunks from a [`ChunkCache`]
-//! keyed by lane root, so an unchanged lane is encoded once ever —
-//! dedupe across epochs falls out of content addressing.
+//! # Delta state sync
+//!
+//! Each chunk is content-addressed by its **lane root** — a name the
+//! quorum-signed head already commits to, so per-chunk verification
+//! ([`SnapshotChunk::verify`], one lane's root recomputed from its
+//! entries) adds no new trust. A receiver that holds *any* prior state
+//! compares lane-root vectors ([`delta_lanes`]), fetches only the lanes
+//! that changed, and [`Snapshot::assemble`] fills every other lane slot
+//! from its own state's lane of the same root; the result encodes
+//! byte-identically to the donor's snapshot.
 //!
 //! The [`SnapshotStore`] retains the latest snapshot in memory and, when
 //! given a directory, persists each snapshot to
@@ -40,49 +45,24 @@
 //! delta install survives a crash and resumes with only the missing
 //! lanes.
 
-use crate::kv::{lane_of, KvState};
+use crate::kv::{lane_of, lane_root_of, KvState};
 use ladon_crypto::fnv::Fnv64;
 use ladon_types::{sizes, Digest, WireSize, MERKLE_LANES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Snapshot format version. v5: the lane roots switched from the
-/// addition-mod-p set hash to full multiplicative MuHash (lane-root
-/// domain v3, [`crate::kv`]), so every root differs from v4 even though
-/// the wire layout is unchanged. v4 and earlier snapshots hash
-/// differently and would *silently* fail [`Snapshot::verify`] — which
-/// `rebuild`'s `.filter(Snapshot::verify)` would treat as "no snapshot",
-/// dropping the floor to 0 over a WAL already compacted past it — so
-/// they are rejected at decode instead, and a restarting replica falls
-/// back to peer sync rather than trusting a stale-format artifact.
-/// (v4 itself added the per-lane covered-sn vector to the manifest.)
-///
-/// v6 marks the wave-scheduled executor's **semantics change** (PR 5):
-/// execution is now read-your-writes — a same-block op observes earlier
-/// cross-lane credits the old two-phase scheme deferred — so replaying
-/// a WAL tail on top of a v5 (old-executor) snapshot would produce a
-/// root that matches *neither* the pre-crash state nor an upgraded
-/// cluster's re-execution, silently diverging from the quorum-signed
-/// checkpoints. The wire layout is unchanged; v5 is rejected at decode
-/// (same precedent as v4→v5) so a restarting replica falls back to
-/// peer sync instead of mixing executor generations in one history.
-///
-/// v7 marks the **chunked wire-form generation** (delta state sync):
-/// snapshots now also travel as per-lane chunks content-addressed by
-/// their lane roots, the store persists partially fetched verified
-/// chunks (`chunk-*.bin`) alongside snapshots, and install may
-/// reconstruct a snapshot from local lanes plus remote chunks. A v6
-/// artifact predates that accounting: a rolled-forward replica finding
-/// one next to a chunk stash could adopt it as the resume baseline for
-/// a delta fetch it never started, advertising lane roots it does not
-/// hold. The monolithic wire layout itself is unchanged; v6 is rejected
-/// at decode (the v4→v5→v6 precedent) so a restarting replica falls
-/// back to peer sync rather than mixing sync generations in one
-/// directory.
-const SNAP_VERSION: u8 = 7;
+/// Snapshot format version. v8 is the native form: the head, then the 64
+/// lanes' entry runs in lane order, under manifest-root domain v4. Older
+/// generations (a flat, globally sorted entry list and a descriptive
+/// per-lane covered-sn vector under the signed root) hash to different
+/// manifest roots, so none of them can match a checkpoint this
+/// generation signs; they are rejected at decode, with no decode branch,
+/// and a restarting replica that finds one falls back to peer sync
+/// (counted in [`SnapshotStore::decode_failures`]).
+const SNAP_VERSION: u8 = 8;
 
-/// Chunk-file format version (independent of [`SNAP_VERSION`]: chunks
-/// are an on-disk/wire detail of the v7+ generation, named by content).
+/// Chunk-file format version (independent of [`SNAP_VERSION`]: a chunk
+/// is named by its content, whatever snapshot it travels toward).
 const CHUNK_VERSION: u8 = 1;
 
 /// Computes the attested manifest root: a digest over the snapshot's
@@ -95,11 +75,10 @@ fn manifest_root(
     applied: u64,
     executed_txs: u64,
     frontier: &[u64],
-    lane_covered_sn: &[u64],
     lane_roots: &[Digest],
 ) -> Digest {
     let mut h = ladon_crypto::Sha256::new();
-    h.update(b"ladon/snapshot-manifest/v3");
+    h.update(b"ladon/snapshot-manifest/v4");
     h.update(&epoch.to_le_bytes());
     h.update(&applied.to_le_bytes());
     h.update(&executed_txs.to_le_bytes());
@@ -107,18 +86,78 @@ fn manifest_root(
     for &r in frontier {
         h.update(&r.to_le_bytes());
     }
-    h.update(&(lane_covered_sn.len() as u64).to_le_bytes());
-    for &c in lane_covered_sn {
-        h.update(&c.to_le_bytes());
-    }
     h.update(&KvState::root_of_lane_roots(lane_roots).0);
     Digest(h.finalize())
 }
 
-/// A frozen execution state at an epoch boundary.
+/// Appends an entry run — count, then `(key, value)` pairs.
+fn put_entries(out: &mut Vec<u8>, entries: &[(u32, u64)]) {
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for &(k, v) in entries {
+        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends the FNV checksum of everything written so far.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let checksum = Fnv64::new().write(&out).finish();
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// A read cursor over the payload of a [`seal`]ed encoding.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// Checks the version byte and the trailing checksum; the cursor
+    /// starts past the version byte.
+    fn open(bytes: &'a [u8], version: u8) -> Option<Self> {
+        if bytes.len() < 1 + 8 || bytes[0] != version {
+            return None;
+        }
+        let (payload, sum) = bytes.split_at(bytes.len() - 8);
+        let expect = u64::from_le_bytes(sum.try_into().ok()?);
+        (Fnv64::new().write(payload).finish() == expect).then_some(Self(&payload[1..]))
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn digest(&mut self) -> Option<Digest> {
+        Some(Digest(self.take(32)?.try_into().ok()?))
+    }
+
+    /// An entry run written by [`put_entries`]. The claimed count is
+    /// checked against the bytes left before anything is allocated.
+    fn entries(&mut self) -> Option<Vec<(u32, u64)>> {
+        let len = self.u64()? as usize;
+        if len > self.0.len() / 12 {
+            return None;
+        }
+        (0..len).map(|_| Some((self.u32()?, self.u64()?))).collect()
+    }
+}
+
+/// A snapshot's manifest head: every quorum-attested field, no contents.
+/// [`SnapshotHead::verify`] recomputes the manifest root over the
+/// metadata — it authenticates the *lane-root vector* (and the rest)
+/// without holding any entries, and each chunk is then verified against
+/// its lane root independently.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// The epoch whose completion this snapshot captures.
+pub struct SnapshotHead {
+    /// The epoch whose completion the snapshot captures.
     pub epoch: u64,
     /// Confirmed blocks applied (the next expected `sn`).
     pub applied: u64,
@@ -136,297 +175,10 @@ pub struct Snapshot {
     /// Empty for state-only snapshots (HotStuff instances, whose commit
     /// height at epoch completion is not replica-deterministic).
     pub frontier: Vec<u64>,
-    /// Per-lane covered-sn vector (length [`MERKLE_LANES`], or empty for
-    /// snapshots captured outside a pipeline): `lane_covered_sn[l]` is
-    /// one past the last `sn` whose ops routed to Merkle lane `l` at
-    /// capture time (0 = the lane was never touched). Every lane is
-    /// fully covered up to `applied` — this vector records how *stale*
-    /// each lane is below that bar, which is what lets a recovering
-    /// replica rebuild its per-lane ledger without replay and lets the
-    /// storage layer reason about which WAL segments a lane still needs.
-    /// Replica-deterministic (derived from the confirmed op stream), so
-    /// it sits under the quorum-signed manifest root like every other
-    /// field an installer acts on.
-    pub lane_covered_sn: Vec<u64>,
     /// Ordered lane roots of the sharded state at capture time (length
-    /// [`MERKLE_LANES`]). Redundant with `entries` — and checked against
-    /// them on [`Self::verify`] — but shipped so an installer can audit
-    /// which lanes differ from its own state without rehashing anything.
-    pub lane_roots: Vec<Digest>,
-    /// Canonical state contents, ascending key order, no zero values.
-    pub entries: Vec<(u32, u64)>,
-}
-
-impl Snapshot {
-    /// Captures the current state of `kv` at `epoch`. `lane_covered_sn`
-    /// is the pipeline's per-lane dirtiness ledger (empty when the
-    /// caller keeps none).
-    pub fn capture(
-        epoch: u64,
-        applied: u64,
-        executed_txs: u64,
-        frontier: Vec<u64>,
-        lane_covered_sn: Vec<u64>,
-        kv: &KvState,
-    ) -> Self {
-        let lane_roots = kv.lane_roots();
-        Self {
-            epoch,
-            applied,
-            executed_txs,
-            root: manifest_root(
-                epoch,
-                applied,
-                executed_txs,
-                &frontier,
-                &lane_covered_sn,
-                &lane_roots,
-            ),
-            frontier,
-            lane_covered_sn,
-            lane_roots,
-            entries: kv.entries().collect(),
-        }
-    }
-
-    /// Recomputes the lane roots from the entries and the manifest root
-    /// from every field, and compares. Tampering with the entries *or*
-    /// the metadata (`applied`, `frontier`, `lane_roots`, …) fails this
-    /// check; re-hashing around the tampering instead changes `root`,
-    /// which then no longer matches the quorum-signed checkpoint root.
-    pub fn verify(&self) -> bool {
-        let computed = KvState::from_entries(self.entries.iter().copied()).lane_roots();
-        computed == self.lane_roots
-            && manifest_root(
-                self.epoch,
-                self.applied,
-                self.executed_txs,
-                &self.frontier,
-                &self.lane_covered_sn,
-                &self.lane_roots,
-            ) == self.root
-    }
-
-    /// The state root the lane-root vector folds to — what a replica's
-    /// own [`KvState::root`] reports after installing this snapshot.
-    pub fn state_root(&self) -> Digest {
-        KvState::root_of_lane_roots(&self.lane_roots)
-    }
-
-    /// Serializes to the versioned binary format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            1 + 8 * 3
-                + 32
-                + 8
-                + self.frontier.len() * 8
-                + 8
-                + self.lane_covered_sn.len() * 8
-                + 8
-                + self.lane_roots.len() * 32
-                + 8
-                + self.entries.len() * 12
-                + 8,
-        );
-        out.push(SNAP_VERSION);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.applied.to_le_bytes());
-        out.extend_from_slice(&self.executed_txs.to_le_bytes());
-        out.extend_from_slice(&self.root.0);
-        out.extend_from_slice(&(self.frontier.len() as u64).to_le_bytes());
-        for &r in &self.frontier {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.lane_covered_sn.len() as u64).to_le_bytes());
-        for &c in &self.lane_covered_sn {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.lane_roots.len() as u64).to_le_bytes());
-        for r in &self.lane_roots {
-            out.extend_from_slice(&r.0);
-        }
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for &(k, v) in &self.entries {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let checksum = Fnv64::new().write(&out).finish();
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Deserializes, checking version and checksum (not the root; call
-    /// [`Self::verify`] for that). v2 and earlier formats are rejected
-    /// here — their roots have different semantics.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 1 + 24 + 32 + 8 + 8 + 8 || bytes[0] != SNAP_VERSION {
-            return None;
-        }
-        let (payload, sum) = bytes.split_at(bytes.len() - 8);
-        let expect = u64::from_le_bytes(sum.try_into().ok()?);
-        if Fnv64::new().write(payload).finish() != expect {
-            return None;
-        }
-        let mut at = 1usize;
-        let mut take = |n: usize| {
-            let s = payload.get(at..at + n)?;
-            at += n;
-            Some(s)
-        };
-        let epoch = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let applied = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let executed_txs = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let mut root = [0u8; 32];
-        root.copy_from_slice(take(32)?);
-        let flen = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
-        if flen > 1 << 16 {
-            return None;
-        }
-        let mut frontier = Vec::with_capacity(flen);
-        for _ in 0..flen {
-            frontier.push(u64::from_le_bytes(take(8)?.try_into().ok()?));
-        }
-        let clen = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
-        if clen > 4 * MERKLE_LANES as usize {
-            return None;
-        }
-        let mut lane_covered_sn = Vec::with_capacity(clen);
-        for _ in 0..clen {
-            lane_covered_sn.push(u64::from_le_bytes(take(8)?.try_into().ok()?));
-        }
-        let llen = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
-        if llen > 4 * MERKLE_LANES as usize {
-            return None;
-        }
-        let mut lane_roots = Vec::with_capacity(llen);
-        for _ in 0..llen {
-            let mut r = [0u8; 32];
-            r.copy_from_slice(take(32)?);
-            lane_roots.push(Digest(r));
-        }
-        let len = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
-        let mut entries = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            let k = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            let v = u64::from_le_bytes(take(8)?.try_into().ok()?);
-            entries.push((k, v));
-        }
-        Some(Self {
-            epoch,
-            applied,
-            executed_txs,
-            root: Digest(root),
-            frontier,
-            lane_covered_sn,
-            lane_roots,
-            entries,
-        })
-    }
-
-    /// Content-addressed file name: `snap-<epoch>-<root8>.bin`.
-    pub fn file_name(&self) -> String {
-        format!("snap-{:08}-{}.bin", self.epoch, self.root.short_hex())
-    }
-
-    /// The manifest head: every field of this snapshot except the
-    /// entries (those travel as per-lane chunks).
-    pub fn head(&self) -> SnapshotHead {
-        SnapshotHead {
-            epoch: self.epoch,
-            applied: self.applied,
-            executed_txs: self.executed_txs,
-            root: self.root,
-            frontier: self.frontier.clone(),
-            lane_covered_sn: self.lane_covered_sn.clone(),
-            lane_roots: self.lane_roots.clone(),
-        }
-    }
-
-    /// Decomposes into the chunked wire form: the manifest head plus one
-    /// chunk per Merkle lane, each named by its lane root. Entries stay
-    /// in ascending key order within each chunk (they were globally
-    /// sorted), so [`Self::assemble`] round-trips byte-identically.
-    pub fn split(&self) -> (SnapshotHead, Vec<SnapshotChunk>) {
-        let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); MERKLE_LANES as usize];
-        for &(k, v) in &self.entries {
-            buckets[lane_of(k)].push((k, v));
-        }
-        let chunks = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(lane, entries)| SnapshotChunk {
-                lane: lane as u32,
-                root: self.lane_roots[lane],
-                entries,
-            })
-            .collect();
-        (self.head(), chunks)
-    }
-
-    /// Reconstructs a monolithic snapshot from a head plus chunks.
-    /// Chunks are matched to lanes **by root** (content addressing: two
-    /// empty lanes share one root and therefore one chunk); every lane
-    /// of the head must be satisfied. Returns `None` when a lane has no
-    /// matching chunk. The result's encode is byte-identical to the
-    /// snapshot [`Self::split`] started from — callers still run
-    /// [`Self::verify`] on it, which re-derives every lane root from
-    /// the merged entries.
-    pub fn assemble(head: SnapshotHead, chunks: &[SnapshotChunk]) -> Option<Snapshot> {
-        if head.lane_roots.len() != MERKLE_LANES as usize {
-            return None;
-        }
-        let by_root: BTreeMap<Digest, &SnapshotChunk> =
-            chunks.iter().map(|c| (c.root, c)).collect();
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        for root in &head.lane_roots {
-            entries.extend_from_slice(&by_root.get(root)?.entries);
-        }
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        Some(Snapshot {
-            epoch: head.epoch,
-            applied: head.applied,
-            executed_txs: head.executed_txs,
-            root: head.root,
-            frontier: head.frontier,
-            lane_covered_sn: head.lane_covered_sn,
-            lane_roots: head.lane_roots,
-            entries,
-        })
-    }
-}
-
-/// The lanes of `snap_roots` whose content differs from `have_roots` —
-/// the chunks a delta sync must actually ship. A missing or
-/// wrong-length advertisement means nothing can be reused: every lane
-/// differs.
-pub fn delta_lanes(snap_roots: &[Digest], have_roots: &[Digest]) -> Vec<u32> {
-    (0..snap_roots.len() as u32)
-        .filter(|&l| have_roots.get(l as usize) != Some(&snap_roots[l as usize]))
-        .collect()
-}
-
-/// A snapshot's manifest head: every quorum-attested field except the
-/// entries. [`SnapshotHead::verify`] recomputes the manifest root over
-/// the metadata — it authenticates the *lane-root vector* (and the
-/// rest) without holding any contents, and each arriving chunk is then
-/// verified against its lane root independently. Head verification plus
-/// per-chunk verification together check exactly what
-/// [`Snapshot::verify`] checks on the assembled whole.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotHead {
-    /// See [`Snapshot::epoch`].
-    pub epoch: u64,
-    /// See [`Snapshot::applied`].
-    pub applied: u64,
-    /// See [`Snapshot::executed_txs`].
-    pub executed_txs: u64,
-    /// Manifest root (what checkpoint quorums sign).
-    pub root: Digest,
-    /// See [`Snapshot::frontier`].
-    pub frontier: Vec<u64>,
-    /// See [`Snapshot::lane_covered_sn`].
-    pub lane_covered_sn: Vec<u64>,
-    /// Ordered lane roots — the content addresses of the 64 chunks.
+    /// [`MERKLE_LANES`]) — the content addresses of the 64 chunks, and
+    /// what an installer compares with its own state to see which lanes
+    /// differ without rehashing anything.
     pub lane_roots: Vec<Digest>,
 }
 
@@ -434,7 +186,9 @@ impl SnapshotHead {
     /// Recomputes the manifest root from the metadata and compares. A
     /// head that passes binds its lane-root vector under the root the
     /// quorum-signed checkpoint attests — chunks can then be verified
-    /// against those roots one at a time.
+    /// against those roots one at a time. Forging `applied`, `frontier`
+    /// or a lane root fails here; re-hashing around the forgery changes
+    /// `root`, which then no longer matches the signed checkpoint.
     pub fn verify(&self) -> bool {
         self.lane_roots.len() == MERKLE_LANES as usize
             && manifest_root(
@@ -442,12 +196,12 @@ impl SnapshotHead {
                 self.applied,
                 self.executed_txs,
                 &self.frontier,
-                &self.lane_covered_sn,
                 &self.lane_roots,
             ) == self.root
     }
 
-    /// The state root the lane-root vector folds to.
+    /// The state root the lane-root vector folds to — what a replica's
+    /// own [`KvState::root`] reports after installing the snapshot.
     pub fn state_root(&self) -> Digest {
         KvState::root_of_lane_roots(&self.lane_roots)
     }
@@ -460,31 +214,27 @@ impl WireSize for SnapshotHead {
             + 8
             + self.frontier.len() as u64 * 8
             + 8
-            + self.lane_covered_sn.len() as u64 * 8
-            + 8
             + self.lane_roots.len() as u64 * sizes::DIGEST
     }
 }
 
 /// One Merkle lane's canonical contents, content-addressed by the lane
-/// root the snapshot manifest already commits to.
+/// root the snapshot head already commits to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotChunk {
-    /// The lane the chunk was captured from. Matching at assembly time
-    /// is by `root`, not by this index — empty lanes share one root and
-    /// one chunk — but the index pins [`Self::verify`]'s confinement
-    /// check.
+    /// The lane the chunk was captured from; pins [`Self::verify`]'s
+    /// confinement check.
     pub lane: u32,
-    /// The lane root: SHA-256 content address of `entries`, and the
-    /// value at index `lane` of the manifest's lane-root vector.
+    /// The lane root: content address of `entries`, and the value at
+    /// index `lane` of the head's lane-root vector.
     pub root: Digest,
     /// The lane's live entries, ascending key order, no zero values.
     pub entries: Vec<(u32, u64)>,
 }
 
 impl SnapshotChunk {
-    /// Recomputes the lane root from the entries and compares, after
-    /// checking canonical form: strictly ascending keys (no
+    /// Recomputes this one lane's root from the entries and compares,
+    /// after checking canonical form: strictly ascending keys (no
     /// duplicates), no zero values, and every key confined to `lane` —
     /// without the confinement check a chunk could smuggle entries of
     /// *other* lanes past an empty lane's root. A verified chunk is
@@ -501,58 +251,28 @@ impl SnapshotChunk {
             }
             prev = Some(k);
         }
-        KvState::from_entries(self.entries.iter().copied()).lane_roots()[self.lane as usize]
-            == self.root
+        lane_root_of(&self.entries) == self.root
     }
 
     /// Serializes to the versioned chunk-file format (version byte,
     /// lane, root, entries, FNV checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 4 + 32 + 8 + self.entries.len() * 12 + 8);
+        let mut out = Vec::with_capacity(self.wire_size() as usize);
         out.push(CHUNK_VERSION);
         out.extend_from_slice(&self.lane.to_le_bytes());
         out.extend_from_slice(&self.root.0);
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for &(k, v) in &self.entries {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let checksum = Fnv64::new().write(&out).finish();
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        put_entries(&mut out, &self.entries);
+        seal(out)
     }
 
     /// Deserializes, checking version and checksum (not the root; call
     /// [`Self::verify`] for that).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 1 + 4 + 32 + 8 + 8 || bytes[0] != CHUNK_VERSION {
-            return None;
-        }
-        let (payload, sum) = bytes.split_at(bytes.len() - 8);
-        let expect = u64::from_le_bytes(sum.try_into().ok()?);
-        if Fnv64::new().write(payload).finish() != expect {
-            return None;
-        }
-        let mut at = 1usize;
-        let mut take = |n: usize| {
-            let s = payload.get(at..at + n)?;
-            at += n;
-            Some(s)
-        };
-        let lane = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let mut root = [0u8; 32];
-        root.copy_from_slice(take(32)?);
-        let len = u64::from_le_bytes(take(8)?.try_into().ok()?) as usize;
-        let mut entries = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            let k = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            let v = u64::from_le_bytes(take(8)?.try_into().ok()?);
-            entries.push((k, v));
-        }
+        let mut r = Reader::open(bytes, CHUNK_VERSION)?;
         Some(Self {
-            lane,
-            root: Digest(root),
-            entries,
+            lane: r.u32()?,
+            root: r.digest()?,
+            entries: r.entries()?,
         })
     }
 
@@ -577,122 +297,190 @@ pub(crate) fn hex32(d: &Digest) -> String {
     d.0.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// A responder-side cache of encoded chunks keyed by lane root.
-///
-/// Content addressing makes this a dedupe across epochs for free: when
-/// a new snapshot dirties `k` of the 64 lanes, [`ChunkCache::prime`]
-/// builds exactly `k` new chunks — the other lane roots are already
-/// resident, so unchanged lanes are never re-encoded, per request *or*
-/// per epoch. [`ChunkCache::retain`] prunes at checkpoint time to the
-/// latest snapshot's roots.
-#[derive(Default)]
-pub struct ChunkCache {
-    chunks: BTreeMap<Digest, SnapshotChunk>,
-    encodes: u64,
-    hits: u64,
+/// A frozen execution state at an epoch boundary, in its shipped form.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Snapshot {
+    /// The manifest: everything the checkpoint quorum signs.
+    pub head: SnapshotHead,
+    /// The contents, one chunk per Merkle lane in lane order:
+    /// `chunks[l].lane == l` and `chunks[l].root == head.lane_roots[l]`
+    /// ([`Self::verify`] checks both, and each chunk against its root).
+    pub chunks: Vec<SnapshotChunk>,
 }
 
-impl ChunkCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensures every lane of `snap` has a resident chunk, building only
-    /// the missing ones (one pass over the entries, bucketing only keys
-    /// whose lane is missing). Returns how many chunks were built.
-    pub fn prime(&mut self, snap: &Snapshot) -> u64 {
-        let missing: Vec<bool> = snap
-            .lane_roots
-            .iter()
-            .map(|r| !self.chunks.contains_key(r))
+impl Snapshot {
+    /// Captures the current state of `kv` at `epoch`: each lane map is
+    /// read in key order into its chunk.
+    pub fn capture(
+        epoch: u64,
+        applied: u64,
+        executed_txs: u64,
+        frontier: Vec<u64>,
+        kv: &KvState,
+    ) -> Self {
+        let lane_roots = kv.lane_roots();
+        let chunks = (0..MERKLE_LANES)
+            .map(|lane| SnapshotChunk {
+                lane,
+                root: lane_roots[lane as usize],
+                entries: kv.lane_entries(lane as usize).collect(),
+            })
             .collect();
-        if !missing.iter().any(|&m| m) {
-            return 0;
+        let root = manifest_root(epoch, applied, executed_txs, &frontier, &lane_roots);
+        Self {
+            head: SnapshotHead {
+                epoch,
+                applied,
+                executed_txs,
+                root,
+                frontier,
+                lane_roots,
+            },
+            chunks,
         }
-        let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); MERKLE_LANES as usize];
-        for &(k, v) in &snap.entries {
-            let lane = lane_of(k);
-            if missing[lane] {
-                buckets[lane].push((k, v));
-            }
+    }
+
+    /// [`SnapshotHead::verify`] plus every chunk verifying at its slot:
+    /// lane `l`'s chunk sits at index `l`, carries the root the head
+    /// names for `l`, and its entries recompute to it. Tampering with
+    /// the entries *or* the metadata fails this check.
+    pub fn verify(&self) -> bool {
+        self.head.verify()
+            && self.chunks.len() == self.head.lane_roots.len()
+            && self.chunks.iter().enumerate().all(|(lane, c)| {
+                c.lane as usize == lane && c.root == self.head.lane_roots[lane] && c.verify()
+            })
+    }
+
+    /// Serializes to the versioned binary format: the head, then each
+    /// lane's entry run in lane order (a chunk's lane and root are its
+    /// position and the head's lane root), then the FNV checksum.
+    pub fn encode(&self) -> Vec<u8> {
+        let entries: usize = self.chunks.iter().map(|c| c.entries.len()).sum();
+        let mut out = Vec::with_capacity(
+            self.head.wire_size() as usize + self.chunks.len() * 8 + entries * 12 + 8,
+        );
+        out.push(SNAP_VERSION);
+        out.extend_from_slice(&self.head.epoch.to_le_bytes());
+        out.extend_from_slice(&self.head.applied.to_le_bytes());
+        out.extend_from_slice(&self.head.executed_txs.to_le_bytes());
+        out.extend_from_slice(&self.head.root.0);
+        out.extend_from_slice(&(self.head.frontier.len() as u64).to_le_bytes());
+        for &r in &self.head.frontier {
+            out.extend_from_slice(&r.to_le_bytes());
         }
-        let mut built = 0u64;
-        for (lane, entries) in buckets.into_iter().enumerate() {
-            if !missing[lane] {
-                continue;
-            }
-            let root = snap.lane_roots[lane];
-            // Two empty lanes share a root; count the build once.
-            if self
-                .chunks
-                .insert(
-                    root,
-                    SnapshotChunk {
-                        lane: lane as u32,
-                        root,
-                        entries,
-                    },
-                )
-                .is_none()
-            {
-                built += 1;
-            }
+        out.extend_from_slice(&(self.head.lane_roots.len() as u64).to_le_bytes());
+        for r in &self.head.lane_roots {
+            out.extend_from_slice(&r.0);
         }
-        self.encodes += built;
-        built
-    }
-
-    /// The chunk named by `root`, if resident (counts a serve hit).
-    pub fn get(&mut self, root: &Digest) -> Option<&SnapshotChunk> {
-        let found = self.chunks.get(root);
-        if found.is_some() {
-            self.hits += 1;
+        for c in &self.chunks {
+            put_entries(&mut out, &c.entries);
         }
-        found
+        seal(out)
     }
 
-    /// Drops every chunk whose root is not in `keep` (checkpoint-time
-    /// pruning to the latest snapshot's lane roots).
-    pub fn retain(&mut self, keep: &[Digest]) {
-        self.chunks.retain(|root, _| keep.contains(root));
+    /// Deserializes, checking version, checksum and shape — exactly
+    /// [`MERKLE_LANES`] lane roots, one entry run each — but not the
+    /// roots; call [`Self::verify`] for that. Every older format
+    /// generation is rejected here.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader::open(bytes, SNAP_VERSION)?;
+        let (epoch, applied, executed_txs) = (r.u64()?, r.u64()?, r.u64()?);
+        let root = r.digest()?;
+        let flen = r.u64()? as usize;
+        if flen > 1 << 16 {
+            return None;
+        }
+        let frontier = (0..flen).map(|_| r.u64()).collect::<Option<Vec<u64>>>()?;
+        if r.u64()? != MERKLE_LANES as u64 {
+            return None;
+        }
+        let lane_roots = (0..MERKLE_LANES)
+            .map(|_| r.digest())
+            .collect::<Option<Vec<Digest>>>()?;
+        let chunks = (0..MERKLE_LANES)
+            .map(|lane| {
+                Some(SnapshotChunk {
+                    lane,
+                    root: lane_roots[lane as usize],
+                    entries: r.entries()?,
+                })
+            })
+            .collect::<Option<Vec<SnapshotChunk>>>()?;
+        Some(Self {
+            head: SnapshotHead {
+                epoch,
+                applied,
+                executed_txs,
+                root,
+                frontier,
+                lane_roots,
+            },
+            chunks,
+        })
     }
 
-    /// Chunks built since construction (the "unchanged lanes are never
-    /// re-encoded" gate counts exactly this).
-    pub fn encodes(&self) -> u64 {
-        self.encodes
+    /// Content-addressed file name: `snap-<epoch>-<root8>.bin`.
+    pub fn file_name(&self) -> String {
+        format!(
+            "snap-{:08}-{}.bin",
+            self.head.epoch,
+            self.head.root.short_hex()
+        )
     }
 
-    /// Cache hits served.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// The chunked wire form: the head plus the 64 lane chunks — a clone
+    /// of what is held.
+    pub fn split(&self) -> (SnapshotHead, Vec<SnapshotChunk>) {
+        (self.head.clone(), self.chunks.clone())
     }
 
-    /// Resident chunk count.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+    /// Requester side of a delta install: fills each lane slot of `head`
+    /// from the verified chunk `fetched` holds under that lane's root
+    /// or, when `local`'s lane already has the root, from that lane
+    /// (those were advertised, so the responder never shipped them).
+    /// Returns the snapshot and how many lanes came from `local`, or
+    /// `None` while any lane is still missing. The result encodes
+    /// byte-identically to the donor's snapshot; installing it still
+    /// runs [`Self::verify`].
+    pub fn assemble<'a>(
+        head: SnapshotHead,
+        fetched: impl Fn(&Digest) -> Option<&'a SnapshotChunk>,
+        local: &KvState,
+    ) -> Option<(Snapshot, u64)> {
+        if head.lane_roots.len() != MERKLE_LANES as usize {
+            return None;
+        }
+        let have = local.lane_roots();
+        let mut reused = 0u64;
+        let mut chunks = Vec::with_capacity(have.len());
+        for (lane, &root) in head.lane_roots.iter().enumerate() {
+            let entries = match fetched(&root) {
+                Some(chunk) => chunk.entries.clone(),
+                None if have[lane] == root => {
+                    reused += 1;
+                    local.lane_entries(lane).collect()
+                }
+                None => return None,
+            };
+            chunks.push(SnapshotChunk {
+                lane: lane as u32,
+                root,
+                entries,
+            });
+        }
+        Some((Snapshot { head, chunks }, reused))
     }
 }
 
-impl WireSize for Snapshot {
-    fn wire_size(&self) -> u64 {
-        1 + 24
-            + sizes::DIGEST
-            + 8
-            + self.frontier.len() as u64 * 8
-            + 8
-            + self.lane_covered_sn.len() as u64 * 8
-            + 8
-            + self.lane_roots.len() as u64 * sizes::DIGEST
-            + 8
-            + self.entries.len() as u64 * 12
-            + 8
-    }
+/// The lanes of `snap_roots` whose content differs from `have_roots` —
+/// the chunks a delta sync must actually ship. A missing or
+/// wrong-length advertisement means nothing can be reused: every lane
+/// differs.
+pub fn delta_lanes(snap_roots: &[Digest], have_roots: &[Digest]) -> Vec<u32> {
+    (0..snap_roots.len() as u32)
+        .filter(|&l| have_roots.get(l as usize) != Some(&snap_roots[l as usize]))
+        .collect()
 }
 
 /// Holds the latest snapshot, optionally persisting each one to disk.
@@ -729,7 +517,10 @@ impl SnapshotStore {
     /// Disk-backed store rooted at `dir`; loads the newest existing
     /// snapshot (highest epoch, verified) and every verified stashed
     /// chunk, if any. Files that fail to read, decode, or verify are
-    /// skipped *and counted* in [`Self::decode_failures`].
+    /// skipped *and counted* in [`Self::decode_failures`]; a bad
+    /// `chunk-*.bin` is also deleted — a stashed chunk is a re-fetchable
+    /// cache entry, and a torn one left in place would block its own
+    /// content-addressed replacement and re-alarm at every open.
     pub fn at_dir(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -745,7 +536,7 @@ impl SnapshotStore {
                     .and_then(|bytes| Snapshot::decode(&bytes))
                 {
                     Some(snap) if snap.verify() => {
-                        if best.as_ref().is_none_or(|b| snap.epoch > b.epoch) {
+                        if best.as_ref().is_none_or(|b| snap.head.epoch > b.head.epoch) {
                             best = Some(snap);
                         }
                     }
@@ -759,7 +550,10 @@ impl SnapshotStore {
                     Some(chunk) if chunk.verify() => {
                         stash.insert(chunk.root, chunk);
                     }
-                    _ => decode_failures += 1,
+                    _ => {
+                        decode_failures += 1;
+                        let _ = std::fs::remove_file(&path);
+                    }
                 }
             }
         }
@@ -792,6 +586,10 @@ impl SnapshotStore {
             let target = dir.join(chunk.file_name());
             if !target.exists() {
                 persisted = std::fs::write(&target, chunk.encode()).is_ok();
+                if !persisted {
+                    // Never leave a partial file under a content address.
+                    let _ = std::fs::remove_file(&target);
+                }
             }
         }
         self.stash.insert(chunk.root, chunk);
@@ -872,7 +670,7 @@ impl SnapshotStore {
                         name.strip_prefix("snap-").and_then(|s| s.split('-').next())
                     {
                         if let Ok(e) = epoch_str.parse::<u64>() {
-                            if e + 1 < snap.epoch {
+                            if e + 1 < snap.head.epoch {
                                 let _ = std::fs::remove_file(entry.path());
                             }
                         }
@@ -920,47 +718,81 @@ mod tests {
         kv
     }
 
+    /// A lookup over a slice of chunks, by root (what the stash does).
+    fn by_root<'a>(chunks: &'a [SnapshotChunk]) -> impl Fn(&Digest) -> Option<&'a SnapshotChunk> {
+        move |root| chunks.iter().find(|c| c.root == *root)
+    }
+
+    /// Rewrites the version byte and re-seals (a well-formed artifact of
+    /// another format generation, not a corrupted one).
+    fn with_version(mut bytes: Vec<u8>, version: u8) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 8);
+        bytes[0] = version;
+        seal(bytes)
+    }
+
     #[test]
     fn encode_decode_roundtrip_verifies() {
         let kv = sample_state();
-        let snap = Snapshot::capture(
-            3,
-            120,
-            5000,
-            vec![7, 9, 11],
-            vec![60; MERKLE_LANES as usize],
-            &kv,
-        );
+        let snap = Snapshot::capture(3, 120, 5000, vec![7, 9, 11], &kv);
         assert!(snap.verify());
-        assert_eq!(snap.lane_roots.len(), MERKLE_LANES as usize);
-        assert_eq!(snap.state_root(), kv.root());
+        assert_eq!(snap.head.lane_roots.len(), MERKLE_LANES as usize);
+        assert_eq!(snap.chunks.len(), MERKLE_LANES as usize);
+        assert_eq!(snap.head.state_root(), kv.root());
         let decoded = Snapshot::decode(&snap.encode()).expect("decode");
         assert_eq!(decoded, snap);
         assert!(decoded.verify());
-        // The lane-root vector round-trips byte-identically.
-        assert_eq!(decoded.lane_roots, snap.lane_roots);
+        // Installing it rebuilds the captured state, lane by lane.
+        let restored = KvState::from_lanes(decoded.chunks.iter().map(|c| c.entries.as_slice()));
+        assert_eq!(restored, kv);
+        assert_eq!(restored.lane_roots(), snap.head.lane_roots);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let snap = Snapshot::capture(1, 10, 100, vec![2], Vec::new(), &sample_state());
+        let snap = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
         let mut bytes = snap.encode();
         bytes[40] ^= 1;
         assert!(Snapshot::decode(&bytes).is_none(), "checksum must catch it");
         // A tampered-but-rechecksummed snapshot fails the content check.
         let mut tampered = snap.clone();
-        if !tampered.entries.is_empty() {
-            tampered.entries[0].1 += 1;
-        }
+        let victim = tampered.chunks.iter_mut().find(|c| !c.entries.is_empty());
+        victim.unwrap().entries[0].1 += 1;
         assert!(!tampered.verify());
+        assert!(Snapshot::decode(&tampered.encode()).is_some_and(|s| !s.verify()));
+        // Chunks out of their slots fail it too.
+        let mut swapped = snap.clone();
+        swapped.chunks.swap(0, 1);
+        assert!(!swapped.verify());
+        let mut short = snap;
+        short.chunks.pop();
+        assert!(!short.verify());
     }
 
     #[test]
-    fn prior_version_rejected_at_decode() {
-        let snap = Snapshot::capture(1, 10, 100, vec![2], Vec::new(), &sample_state());
-        let mut bytes = snap.encode();
-        bytes[0] = 2; // masquerade as the v2 (pre-lane) format
-        assert!(Snapshot::decode(&bytes).is_none(), "v2 must be rejected");
+    fn other_generations_and_shapes_rejected_at_decode() {
+        let snap = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
+        let bytes = snap.encode();
+        assert!(Snapshot::decode(&with_version(bytes.clone(), SNAP_VERSION)).is_some());
+        for version in [2, 7, SNAP_VERSION + 1] {
+            assert!(
+                Snapshot::decode(&with_version(bytes.clone(), version)).is_none(),
+                "v{version} must be rejected"
+            );
+        }
+        // A lane-root count other than 64, and an entry count the
+        // payload cannot hold, are refused before anything is built.
+        let lanes_at = 1 + 24 + 32 + 8 + 8;
+        let mut hostile = bytes.clone();
+        hostile[lanes_at..lanes_at + 8].copy_from_slice(&63u64.to_le_bytes());
+        assert!(Snapshot::decode(&with_version(hostile, SNAP_VERSION)).is_none());
+        let run_at = lanes_at + 8 + 64 * 32;
+        let mut hostile = bytes.clone();
+        hostile[run_at..run_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Snapshot::decode(&with_version(hostile, SNAP_VERSION)).is_none());
+        for cut in [0, 1, 8, 80, bytes.len() - 9] {
+            assert!(Snapshot::decode(&bytes[..cut]).is_none(), "cut {cut}");
+        }
     }
 
     #[test]
@@ -970,74 +802,69 @@ mod tests {
         // genuine entries: verify() catches the splice, and recomputing
         // the root around it would break the match with the quorum-signed
         // checkpoint root instead.
-        let snap = Snapshot::capture(
-            4,
-            200,
-            9000,
-            vec![11, 13],
-            vec![150; MERKLE_LANES as usize],
-            &sample_state(),
-        );
+        let snap = Snapshot::capture(4, 200, 9000, vec![11, 13], &sample_state());
         assert!(snap.verify());
-
-        let mut forged = snap.clone();
-        forged.applied = u64::MAX; // "skip all future blocks"
-        assert!(!forged.verify());
-
-        let mut forged = snap.clone();
-        forged.frontier = vec![u64::MAX, u64::MAX];
-        assert!(!forged.verify());
-
-        let mut forged = snap.clone();
-        forged.executed_txs += 1;
-        assert!(!forged.verify());
-
-        let mut forged = snap.clone();
-        forged.epoch += 1;
-        assert!(!forged.verify());
-
-        // A forged lane-root vector no longer matches the entries.
-        let mut forged = snap.clone();
-        forged.lane_roots[0] = Digest([0xab; 32]);
-        assert!(!forged.verify());
+        let forge = |f: fn(&mut SnapshotHead)| {
+            let mut forged = snap.clone();
+            f(&mut forged.head);
+            assert!(!forged.head.verify());
+            assert!(!forged.verify());
+        };
+        forge(|h| h.applied = u64::MAX); // "skip all future blocks"
+        forge(|h| h.frontier = vec![u64::MAX, u64::MAX]);
+        forge(|h| h.executed_txs += 1);
+        forge(|h| h.epoch += 1);
+        forge(|h| h.lane_roots[0] = Digest([0xab; 32]));
+        forge(|h| h.lane_roots.truncate(63));
     }
 
     #[test]
     fn split_assemble_roundtrips_byte_identically() {
         let kv = sample_state();
-        let snap = Snapshot::capture(
-            3,
-            120,
-            5000,
-            vec![7, 9, 11],
-            vec![60; MERKLE_LANES as usize],
-            &kv,
-        );
+        let snap = Snapshot::capture(3, 120, 5000, vec![7, 9, 11], &kv);
         let (head, chunks) = snap.split();
         assert!(head.verify());
         assert_eq!(chunks.len(), MERKLE_LANES as usize);
         assert!(chunks.iter().all(SnapshotChunk::verify));
-        assert_eq!(head.state_root(), snap.state_root());
+        assert_eq!(head.state_root(), snap.head.state_root());
         // Chunk files round-trip too.
         for c in &chunks {
             assert_eq!(SnapshotChunk::decode(&c.encode()).as_ref(), Some(c));
         }
-        let rebuilt = Snapshot::assemble(head.clone(), &chunks).expect("all lanes present");
-        assert_eq!(rebuilt, snap);
-        assert_eq!(rebuilt.encode(), snap.encode(), "byte-identical wire form");
-        // A missing non-empty lane blocks assembly.
+        // Everything fetched, nothing local.
+        let empty = KvState::new();
         let nonempty: Vec<SnapshotChunk> = chunks
             .iter()
             .filter(|c| !c.entries.is_empty())
-            .skip(1)
             .cloned()
             .collect();
-        assert!(Snapshot::assemble(head, &nonempty).is_none());
+        let (rebuilt, reused) =
+            Snapshot::assemble(head.clone(), by_root(&chunks), &empty).expect("all lanes present");
+        assert_eq!(rebuilt, snap);
+        assert_eq!(rebuilt.encode(), snap.encode(), "byte-identical wire form");
+        assert_eq!(reused, 0);
+        // An empty local lane already holds every empty lane's root:
+        // those slots need no chunk at all.
+        let (rebuilt, reused) =
+            Snapshot::assemble(head.clone(), by_root(&nonempty), &empty).expect("assemble");
+        assert_eq!(rebuilt, snap);
+        assert_eq!(reused as usize, chunks.len() - nonempty.len());
+        // Nothing fetched, every lane from an identical local state.
+        let (rebuilt, reused) =
+            Snapshot::assemble(head.clone(), |_| None, &kv).expect("all lanes local");
+        assert_eq!(rebuilt.encode(), snap.encode());
+        assert_eq!(reused, MERKLE_LANES as u64);
+        // A missing non-empty lane blocks assembly.
+        assert!(Snapshot::assemble(head.clone(), by_root(&nonempty[1..]), &empty).is_none());
+        // So does a head of the wrong shape, without a panic.
+        let mut short = head;
+        short.lane_roots.pop();
+        assert!(Snapshot::assemble(short, by_root(&chunks), &empty).is_none());
     }
 
     #[test]
     fn chunk_verification_rejects_tampering() {
-        let snap = Snapshot::capture(1, 10, 100, vec![2], Vec::new(), &sample_state());
+        let snap = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
         let (head, chunks) = snap.split();
         let victim = chunks.iter().find(|c| c.entries.len() >= 2).unwrap();
 
@@ -1050,6 +877,8 @@ mod tests {
         let mut forged = victim.clone();
         forged.lane = (forged.lane + 1) % MERKLE_LANES;
         assert!(!forged.verify());
+        forged.lane = MERKLE_LANES;
+        assert!(!forged.verify());
 
         // Smuggling a foreign-lane entry past an *empty* lane's root:
         // the confinement check catches what the root alone cannot.
@@ -1058,10 +887,17 @@ mod tests {
         forged.entries = victim.entries.clone();
         assert!(!forged.verify());
 
-        // Duplicate keys / unsorted order break canonical form.
+        // Duplicate keys / unsorted order / zero values break canonical
+        // form.
         let mut forged = victim.clone();
         let first = forged.entries[0];
         forged.entries.insert(0, first);
+        assert!(!forged.verify());
+        let mut forged = victim.clone();
+        forged.entries.swap(0, 1);
+        assert!(!forged.verify());
+        let mut forged = victim.clone();
+        forged.entries[0].1 = 0;
         assert!(!forged.verify());
 
         // A tampered head no longer matches the manifest root.
@@ -1075,44 +911,26 @@ mod tests {
 
     #[test]
     fn delta_lanes_names_exactly_the_changed_lanes() {
-        let a = Snapshot::capture(1, 10, 100, Vec::new(), Vec::new(), &sample_state());
+        let a = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
         let mut kv = sample_state();
         kv.apply(&TxOp::Put { key: 3, value: 999 });
-        let b = Snapshot::capture(2, 20, 200, Vec::new(), Vec::new(), &kv);
-        let delta = delta_lanes(&b.lane_roots, &a.lane_roots);
+        let b = Snapshot::capture(2, 20, 200, Vec::new(), &kv);
+        let delta = delta_lanes(&b.head.lane_roots, &a.head.lane_roots);
         assert_eq!(delta, vec![lane_of(3) as u32]);
         // No prior state (or a wrong-length advertisement) = all lanes.
-        assert_eq!(delta_lanes(&b.lane_roots, &[]).len(), MERKLE_LANES as usize);
+        assert_eq!(
+            delta_lanes(&b.head.lane_roots, &[]).len(),
+            MERKLE_LANES as usize
+        );
         // Identical state = nothing to ship.
-        assert!(delta_lanes(&a.lane_roots, &a.lane_roots).is_empty());
-    }
-
-    #[test]
-    fn chunk_cache_never_reencodes_unchanged_lanes() {
-        let mut cache = ChunkCache::new();
-        let a = Snapshot::capture(1, 10, 100, Vec::new(), Vec::new(), &sample_state());
-        let distinct_roots = {
-            let mut r = a.lane_roots.clone();
-            r.sort_unstable_by_key(|d| d.0);
-            r.dedup();
-            r.len() as u64
-        };
-        assert_eq!(cache.prime(&a), distinct_roots);
-        // Priming the same snapshot again builds nothing.
-        assert_eq!(cache.prime(&a), 0);
-
-        // Dirty exactly one lane: exactly one new chunk is built.
-        let mut kv = sample_state();
-        kv.apply(&TxOp::Put { key: 3, value: 999 });
-        let b = Snapshot::capture(2, 20, 200, Vec::new(), Vec::new(), &kv);
-        assert_eq!(cache.prime(&b), 1);
-        assert_eq!(cache.encodes(), distinct_roots + 1);
-
-        // Serving counts hits; retain prunes to the newest roots.
-        assert!(cache.get(&b.lane_roots[lane_of(3)]).is_some());
-        assert_eq!(cache.hits(), 1);
-        cache.retain(&b.lane_roots);
-        assert!(cache.get(&a.lane_roots[lane_of(3)]).is_none());
+        assert!(delta_lanes(&a.head.lane_roots, &a.head.lane_roots).is_empty());
+        // The one shipped chunk plus the older state's lanes assemble the
+        // newer snapshot.
+        let shipped = [b.chunks[lane_of(3)].clone()];
+        let (rebuilt, reused) =
+            Snapshot::assemble(b.head.clone(), by_root(&shipped), &sample_state()).unwrap();
+        assert_eq!(rebuilt.encode(), b.encode());
+        assert_eq!(reused, MERKLE_LANES as u64 - 1);
     }
 
     #[test]
@@ -1122,8 +940,8 @@ mod tests {
         let (old_name, new_name);
         {
             let mut store = SnapshotStore::at_dir(&dir).unwrap();
-            let old = Snapshot::capture(1, 10, 100, vec![2], Vec::new(), &sample_state());
-            let new = Snapshot::capture(2, 20, 200, vec![4], Vec::new(), &sample_state());
+            let old = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
+            let new = Snapshot::capture(2, 20, 200, vec![4], &sample_state());
             old_name = old.file_name();
             new_name = new.file_name();
             store.put(old);
@@ -1138,9 +956,13 @@ mod tests {
         let store = SnapshotStore::at_dir(&dir).unwrap();
         // The floor silently dropped to the previous epoch — but the
         // drop is now counted, not silent.
-        assert_eq!(store.latest().map(|s| s.epoch), Some(1));
+        assert_eq!(store.latest().map(|s| s.head.epoch), Some(1));
         assert_eq!(store.decode_failures(), 1);
         assert!(dir.join(&old_name).exists());
+        // A snapshot is not a cache: the rotted file is left for the
+        // operator, and alarms again.
+        assert!(path.exists());
+        assert_eq!(SnapshotStore::at_dir(&dir).unwrap().decode_failures(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1148,10 +970,12 @@ mod tests {
     fn chunk_stash_survives_restart_and_counts_rot() {
         let dir = std::env::temp_dir().join(format!("ladon-chunk-stash-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let snap = Snapshot::capture(1, 10, 100, Vec::new(), Vec::new(), &sample_state());
-        let (_, chunks) = snap.split();
-        let nonempty: Vec<&SnapshotChunk> =
-            chunks.iter().filter(|c| !c.entries.is_empty()).collect();
+        let snap = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
+        let nonempty: Vec<&SnapshotChunk> = snap
+            .chunks
+            .iter()
+            .filter(|c| !c.entries.is_empty())
+            .collect();
         assert!(nonempty.len() >= 2);
         {
             let mut store = SnapshotStore::at_dir(&dir).unwrap();
@@ -1159,17 +983,24 @@ mod tests {
             assert!(store.stash_chunk(nonempty[1].clone()));
             assert_eq!(store.stash_len(), 2);
         }
-        // Rot one persisted chunk file.
+        // Tear one persisted chunk file (a crash mid-write).
         let path = dir.join(nonempty[1].file_name());
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 1;
-        std::fs::write(&path, bytes).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
         let mut store = SnapshotStore::at_dir(&dir).unwrap();
         assert_eq!(store.stash_len(), 1, "only the intact chunk survives");
         assert_eq!(store.decode_failures(), 1);
         assert!(store.stashed_chunk(&nonempty[0].root).is_some());
+        assert!(!path.exists(), "a bad stashed chunk is deleted, not kept");
+        // The re-fetched chunk takes the torn one's place — on disk, not
+        // just in memory — and the alarm does not repeat.
+        assert!(store.stash_chunk(nonempty[1].clone()));
+        drop(store);
+        let mut store = SnapshotStore::at_dir(&dir).unwrap();
+        assert_eq!(store.stash_len(), 2, "the replacement must be durable");
+        assert_eq!(store.decode_failures(), 0);
+        assert_eq!(store.stashed_chunk(&nonempty[1].root), Some(nonempty[1]));
         store.clear_stash();
         assert_eq!(store.stash_len(), 0);
         assert!(!dir.join(nonempty[0].file_name()).exists());
@@ -1180,10 +1011,12 @@ mod tests {
     fn prune_stale_chunks_drops_unreferenced_files_only() {
         let dir = std::env::temp_dir().join(format!("ladon-chunk-prune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let snap = Snapshot::capture(1, 10, 100, Vec::new(), Vec::new(), &sample_state());
-        let (_, chunks) = snap.split();
-        let nonempty: Vec<&SnapshotChunk> =
-            chunks.iter().filter(|c| !c.entries.is_empty()).collect();
+        let snap = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
+        let nonempty: Vec<&SnapshotChunk> = snap
+            .chunks
+            .iter()
+            .filter(|c| !c.entries.is_empty())
+            .collect();
         assert!(nonempty.len() >= 2);
         let mut store = SnapshotStore::at_dir(&dir).unwrap();
         assert!(store.stash_chunk(nonempty[0].clone()));
@@ -1208,25 +1041,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = SnapshotStore::at_dir(&dir).unwrap();
-            store.put(Snapshot::capture(
-                1,
-                10,
-                100,
-                vec![2],
-                Vec::new(),
-                &sample_state(),
-            ));
-            store.put(Snapshot::capture(
-                2,
-                20,
-                200,
-                vec![4],
-                Vec::new(),
-                &sample_state(),
-            ));
+            store.put(Snapshot::capture(1, 10, 100, vec![2], &sample_state()));
+            store.put(Snapshot::capture(2, 20, 200, vec![4], &sample_state()));
         }
         let store = SnapshotStore::at_dir(&dir).unwrap();
-        assert_eq!(store.latest().map(|s| s.epoch), Some(2));
+        assert_eq!(store.latest().map(|s| s.head.epoch), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,9 +7,8 @@
 //! [`crate::kv`]).
 //!
 //! A record stores the block *identity* — `(sn, instance, round, rank)`,
-//! the batch coordinates `(first_tx, count, bucket)`, the payload digest
-//! and the **lane mask** of the Merkle lanes the block's ops route to —
-//! not the payload itself: the synthetic workload derives each
+//! the batch coordinates `(first_tx, count, bucket)` and the payload
+//! digest — not the payload itself: the synthetic workload derives each
 //! transaction's op from its id ([`ladon_types::TxOp::for_id`]), so the
 //! identity is sufficient to re-execute. Records are length-prefixed and
 //! FNV-checksummed; a torn tail (partial final record, e.g. a crash
@@ -23,7 +22,10 @@
 //! small FNV-checksummed **manifest** names the live segment set with
 //! each segment's `(seq, sn-range, record count)`; it is the single
 //! source of truth for which files belong to the log, and it is replaced
-//! only via temp-file + fsync + atomic rename + directory fsync.
+//! only via temp-file + fsync + atomic rename + directory fsync. A process
+//! appends only to segments it created: an open seals every segment it
+//! finds, so whatever a crash tore at a segment's end stays at the end of
+//! an immutable file and no later batch is ever written behind it.
 //!
 //! The layout buys two things:
 //!
@@ -46,11 +48,10 @@
 //! per-record fsyncs. [`CommitWal::append_buffered`] encodes a record
 //! into the stage buffer (no backend I/O, no steady-state allocation);
 //! [`CommitWal::flush`] then writes the staged bytes with **one** write
-//! and **one** fsync — however many records the batch held, whatever
-//! their lane masks — via the backend's
-//! [`WalBackend::append_segment_batch`] / [`WalBackend::sync_group`]
-//! split. A record is **acknowledged only after its batch's flush**
-//! returns: a crash between staging and flush loses only unacknowledged
+//! and **one** fsync — however many records the batch held — via the
+//! backend's [`WalBackend::append_segment_batch`] /
+//! [`WalBackend::sync_group`] split. A record is **acknowledged only
+//! after its batch's flush** returns: a crash between staging and flush loses only unacknowledged
 //! records, never a previously-flushed one (the crash matrix in
 //! `tests/state_execution.rs` sweeps a kill across exactly this
 //! boundary). [`CommitWal::append`] remains as the batch-of-one
@@ -86,13 +87,14 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Record format version (first byte of every record body). v2 adds the
-/// 64-bit lane mask; v1 records (no mask) are rejected, which reads as a
-/// corrupt log — pre-segment WAL files are not carried forward.
-const WAL_VERSION: u8 = 2;
+/// Record format version (first byte of every record body). v3 is the
+/// block identity alone; older records (v2 carried a descriptive lane
+/// mask) are rejected, which reads as a corrupt log — the restarting
+/// replica falls back to peer sync.
+const WAL_VERSION: u8 = 3;
 /// Encoded body size: version + sn + instance + round + rank + first_tx +
-/// count + bucket + payload_bytes + lane_mask + digest.
-const BODY_LEN: usize = 1 + 8 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8 + 32;
+/// count + bucket + payload_bytes + digest.
+const BODY_LEN: usize = 1 + 8 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 32;
 
 /// Every record encodes to this exact size (length prefix + body +
 /// checksum) — what lets a staged batch be split across a segment roll
@@ -181,21 +183,13 @@ pub struct WalRecord {
     pub bucket: u32,
     /// Total payload bytes (bandwidth accounting on replay).
     pub payload_bytes: u64,
-    /// Bitmask of the Merkle lanes the block's ops route to (bit `l` =
-    /// lane `l`; [`ladon_types::MERKLE_LANES`] ≤ 64 by construction). Computed
-    /// statically from the derived ops *before* execution — a
-    /// conservative superset of the lanes the block dirties (a clamped
-    /// empty transfer still sets its target lane's bit). Descriptive
-    /// only: recovery reports which lanes the replayed tail touched.
-    pub lane_mask: u64,
     /// Payload digest (integrity binding to the consensus artifact).
     pub payload_digest: Digest,
 }
 
 impl WalRecord {
-    /// Builds the record for confirmed block `sn` with the lane routing
-    /// mask of its derived ops.
-    pub fn of_block(sn: u64, block: &Block, lane_mask: u64) -> Self {
+    /// Builds the record for confirmed block `sn`.
+    pub fn of_block(sn: u64, block: &Block) -> Self {
         Self {
             sn,
             instance: block.index().0,
@@ -205,7 +199,6 @@ impl WalRecord {
             count: block.batch.count,
             bucket: block.batch.bucket,
             payload_bytes: block.batch.payload_bytes,
-            lane_mask,
             payload_digest: block.header.payload_digest,
         }
     }
@@ -239,7 +232,6 @@ impl WalRecord {
         put(&self.count.to_le_bytes());
         put(&self.bucket.to_le_bytes());
         put(&self.payload_bytes.to_le_bytes());
-        put(&self.lane_mask.to_le_bytes());
         put(&self.payload_digest.0);
         debug_assert_eq!(at, BODY_LEN);
         let checksum = Fnv64::new().write(&body).finish();
@@ -268,7 +260,6 @@ impl WalRecord {
         let count = u32le(take(4));
         let bucket = u32le(take(4));
         let payload_bytes = u64le(take(8));
-        let lane_mask = u64le(take(8));
         let mut digest = [0u8; 32];
         digest.copy_from_slice(take(32));
         Some(Self {
@@ -280,7 +271,6 @@ impl WalRecord {
             count,
             bucket,
             payload_bytes,
-            lane_mask,
             payload_digest: Digest(digest),
         })
     }
@@ -1134,7 +1124,17 @@ impl CommitWal {
         // content (the active segment grew past its manifest entry;
         // corrupt tails shrink it). `sn`-keyed, so a record the pre-v2
         // layout stored under several chains loads once.
+        //
+        // A process appends only to segments it created: every scanned
+        // segment comes back **sealed** (and one holding no record is
+        // dropped), so the next flush rolls a fresh file. Re-activating
+        // the previous process's active segment would append behind
+        // whatever a crash mid-append tore at its end — where no decode
+        // ever reaches — and silently lose every later acknowledged
+        // batch at the next restart; sealed, the torn bytes sit inert at
+        // the end of an immutable file.
         let mut by_sn: BTreeMap<u64, WalRecord> = BTreeMap::new();
+        let mut resealed = false;
         for (chain, meta) in live {
             if meta.records > 0 && meta.last_sn < floor && meta.sealed {
                 stats.segments_skipped += 1;
@@ -1169,8 +1169,10 @@ impl CommitWal {
                     stats.records_torn += shortfall;
                 }
             }
-            let mut fresh = SegmentMeta::fresh(meta.seq);
-            fresh.sealed = meta.sealed;
+            let mut fresh = SegmentMeta {
+                sealed: true,
+                ..SegmentMeta::fresh(meta.seq)
+            };
             for rec in decoded {
                 fresh.absorb(&rec);
                 if rec.sn < floor {
@@ -1179,7 +1181,10 @@ impl CommitWal {
                     by_sn.entry(rec.sn).or_insert(rec);
                 }
             }
-            back.segments.push(fresh);
+            resealed |= !meta.sealed || fresh.records == 0;
+            if fresh.records > 0 {
+                back.segments.push(fresh);
+            }
         }
 
         // The mirror is the longest dense run from the lowest loaded sn:
@@ -1221,6 +1226,14 @@ impl CommitWal {
                     }
                 }
             }
+        } else if resealed {
+            // Publish the sealed set once, before anything is appended;
+            // dropped (empty) segments become orphans only after it.
+            if back.publish_manifest() {
+                back.sweep_orphans();
+            } else {
+                back.write_failures += 1;
+            }
         }
         let pipelined = back.backend.prefers_writer_thread();
         let mut wal = Self {
@@ -1233,6 +1246,14 @@ impl CommitWal {
             spare: FlushJob::default(),
             stats_at_submit: (WalIoStats::default(), 0),
         };
+        // The mirror ended at the first gap; whatever lies past it was
+        // kept out of the mirror but still sits in live segments. It can
+        // never replay, and left in storage it would shadow — the load
+        // is `sn`-keyed, first wins — the records appended in its place
+        // from here on, at the next open.
+        if let Some(last) = wal.records.last().map(|r| r.sn) {
+            wal.truncate_from(last + 1);
+        }
         if pipelined {
             wal.spawn_writer();
         }
@@ -1678,18 +1699,12 @@ impl WalBack {
                     self.segments.len() - 1
                 }
             };
-            // A reopened log may hold an overfull unsealed segment
-            // (smaller `segment_records` knob than the one it was
-            // written under): seal it and roll rather than underflow.
+            // An unsealed segment is one this process rolled, and it
+            // seals the moment it fills: there is always room.
             let room = self
                 .opts
                 .segment_records
                 .saturating_sub(self.segments[idx].records) as usize;
-            if room == 0 {
-                self.segments[idx].sealed = true;
-                sealed_any = true;
-                continue;
-            }
             // Fixed-size encodings make the batch splittable at any
             // record boundary without re-encoding: one contiguous byte
             // range per (segment, run) straight from the stage buffer
@@ -1832,7 +1847,6 @@ impl WalBack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ladon_types::MERKLE_LANES;
     use std::sync::{Arc, Mutex};
 
     /// A [`MemBackend`] whose storage survives the WAL that owns it, so
@@ -1880,10 +1894,6 @@ mod tests {
     }
 
     fn rec(sn: u64) -> WalRecord {
-        rec_masked(sn, 1 << (sn % MERKLE_LANES as u64))
-    }
-
-    fn rec_masked(sn: u64, lane_mask: u64) -> WalRecord {
         WalRecord {
             sn,
             instance: (sn % 4) as u32,
@@ -1893,7 +1903,6 @@ mod tests {
             count: 7,
             bucket: 1,
             payload_bytes: 3500,
-            lane_mask,
             payload_digest: Digest([sn as u8; 32]),
         }
     }
@@ -1939,6 +1948,118 @@ mod tests {
         bytes[2 * record_size + 10] ^= 0xff; // flip a bit inside record 2
         let decoded = decode_records(&bytes);
         assert_eq!(decoded.len(), 2, "replay must stop at the bad checksum");
+    }
+
+    #[test]
+    fn older_record_generations_are_rejected_at_decode() {
+        let mut wal = CommitWal::in_memory();
+        for sn in 0..3 {
+            wal.append(rec(sn));
+        }
+        let bytes = wal.to_bytes();
+        assert_eq!(bytes.len(), 3 * ENCODED_RECORD_LEN);
+        // Record 1 as generation 2 wrote its version byte, checksum
+        // recomputed: well-formed, but not ours — the log ends before it.
+        for version in [1, 2, WAL_VERSION + 1] {
+            let mut other = bytes.clone();
+            let body = ENCODED_RECORD_LEN + 4..2 * ENCODED_RECORD_LEN - 8;
+            other[body.start] = version;
+            let sum = Fnv64::new().write(&other[body.clone()]).finish();
+            other[body.end..body.end + 8].copy_from_slice(&sum.to_le_bytes());
+            let dec = decode_segment(&other);
+            assert_eq!(dec.records, [rec(0)], "v{version}");
+            assert!(!dec.clean_end);
+        }
+    }
+
+    #[test]
+    fn reopen_seals_what_it_finds_and_never_appends_behind_a_tear() {
+        let disk = SharedMem::default();
+        {
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
+            for sn in 0..5 {
+                wal.append(rec(sn));
+            }
+            assert!(wal.segments().iter().all(|s| !s.sealed));
+        }
+        // A crash mid-append: the active segment ends in a partial record.
+        {
+            let mut mem = disk.0.lock().unwrap();
+            let seg = mem.segments.get_mut(&(CHAIN, 0)).unwrap();
+            seg.truncate(seg.len() - 30);
+        }
+        {
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
+            assert_eq!(wal.len(), 4);
+            assert!(
+                wal.segments().iter().all(|s| s.sealed),
+                "a found segment is never appended to: {:?}",
+                wal.segments()
+            );
+            for sn in 4..7 {
+                wal.append(rec(sn));
+            }
+            assert_eq!(wal.write_failures(), 0);
+            assert_eq!(wal.segments().len(), 2, "the first flush rolled");
+        }
+        let wal = CommitWal::open(Box::new(disk.clone()), opts(8));
+        let sns: Vec<u64> = wal.records().iter().map(|r| r.sn).collect();
+        assert_eq!(sns, (0..7).collect::<Vec<_>>());
+        drop(wal);
+        // A segment holding no record at all (the tear hit its first
+        // append) is dropped rather than kept as a sealed husk.
+        {
+            let mut mem = disk.0.lock().unwrap();
+            let last = *mem.segments.keys().max().unwrap();
+            mem.segments.get_mut(&last).unwrap().truncate(10);
+        }
+        let wal = CommitWal::open(Box::new(disk.clone()), opts(8));
+        assert_eq!(wal.len(), 4);
+        assert_eq!(wal.segments().len(), 1);
+        assert_eq!(wal.write_failures(), 0);
+        assert_eq!(disk.0.lock().unwrap().segments.len(), 1, "husk swept");
+    }
+
+    #[test]
+    fn records_past_a_gap_leave_storage_with_the_mirror() {
+        let disk = SharedMem::default();
+        {
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
+            for sn in 0..12 {
+                wal.append(rec(sn));
+            }
+        }
+        // Rot record 5 (second of the middle segment): 8..=11 dangle.
+        disk.0
+            .lock()
+            .unwrap()
+            .segments
+            .get_mut(&(CHAIN, 1))
+            .unwrap()[ENCODED_RECORD_LEN + 20] ^= 0xff;
+        let other = |sn: u64| WalRecord {
+            first_tx: 1_000_000 + sn,
+            ..rec(sn)
+        };
+        {
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
+            assert_eq!(wal.len(), 5);
+            assert!(
+                wal.segments().iter().all(|s| s.last_sn <= 4),
+                "stale segments must go: {:?}",
+                wal.segments()
+            );
+            for sn in 5..10 {
+                wal.append(other(sn));
+            }
+            assert_eq!(wal.write_failures(), 0);
+        }
+        let wal = CommitWal::open(Box::new(disk), opts(4));
+        let expect: Vec<WalRecord> = (0..5).map(rec).chain((5..10).map(other)).collect();
+        assert_eq!(
+            wal.records(),
+            expect,
+            "no stale record may shadow or extend"
+        );
     }
 
     #[test]
@@ -2088,34 +2209,32 @@ mod tests {
     }
 
     /// Lays `dir` out as the pre-v2 WAL wrote it with four lane groups
-    /// and 3-record segments: each record under every chain its mask
-    /// touches (overlapping `sn`s across chains), plus a version-1
-    /// manifest naming the lot.
-    fn write_v1_layout(dir: &Path, records: &[WalRecord]) {
+    /// and 3-record segments: each record under every chain its (then
+    /// recorded) lane mask touches — overlapping `sn`s across chains —
+    /// plus a version-1 manifest naming the lot.
+    fn write_v1_layout(dir: &Path, records: &[(WalRecord, u64)]) {
         std::fs::create_dir_all(dir).unwrap();
         let mut manifest = Vec::new();
         let mut next_seq = 0u64;
         let mut segments = 0u64;
         for group in 0..4u32 {
             let lanes = 0xffffu64 << (16 * group);
-            let chain: Vec<&WalRecord> = records
-                .iter()
-                .filter(|r| r.lane_mask & lanes != 0)
-                .collect();
+            let chain: Vec<&(WalRecord, u64)> =
+                records.iter().filter(|(_, m)| m & lanes != 0).collect();
             for seg in chain.chunks(3) {
                 let mut bytes = Vec::new();
                 let mut mask = 0u64;
-                for rec in seg {
+                for (rec, touched) in seg {
                     rec.encode_into(&mut bytes);
-                    mask |= rec.lane_mask;
+                    mask |= touched;
                 }
                 bytes.extend_from_slice(&trailer_bytes(seg.len() as u32));
                 std::fs::write(dir.join(FileBackend::segment_name(group, next_seq)), bytes)
                     .unwrap();
                 manifest.extend_from_slice(&group.to_le_bytes());
                 manifest.extend_from_slice(&next_seq.to_le_bytes());
-                manifest.extend_from_slice(&seg[0].sn.to_le_bytes());
-                manifest.extend_from_slice(&seg[seg.len() - 1].sn.to_le_bytes());
+                manifest.extend_from_slice(&seg[0].0.sn.to_le_bytes());
+                manifest.extend_from_slice(&seg[seg.len() - 1].0.sn.to_le_bytes());
                 manifest.extend_from_slice(&(seg.len() as u32).to_le_bytes());
                 manifest.extend_from_slice(&mask.to_le_bytes());
                 manifest.push((seg.len() == 3) as u8);
@@ -2137,16 +2256,17 @@ mod tests {
     fn corrupt_manifest_recovers_by_scan_and_loses_nothing() {
         // Every record touches its own lane's chain, every other one the
         // last chain too: the pre-v2 layout stores those twice.
-        let records: Vec<WalRecord> = (0..14u64)
-            .map(|sn| rec_masked(sn, 1 << (16 * (sn % 4)) | (sn % 2) << 63))
+        let masked: Vec<(WalRecord, u64)> = (0..14u64)
+            .map(|sn| (rec(sn), 1 << (16 * (sn % 4)) | (sn % 2) << 63))
             .collect();
+        let records: Vec<WalRecord> = masked.iter().map(|(r, _)| *r).collect();
         for layout in ["bit-rot", "pre-v2"] {
             let dir = std::env::temp_dir()
                 .join(format!("ladon-wal-badman-{layout}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let open = || CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
             if layout == "pre-v2" {
-                write_v1_layout(&dir, &records);
+                write_v1_layout(&dir, &masked);
                 let names = FileBackend::open_dir(&dir).unwrap().list_segments();
                 assert!(names.iter().any(|&(chain, _)| chain != 0), "{names:?}");
                 assert!(names.len() > 14usize.div_ceil(3), "overlap: {names:?}");
@@ -2199,7 +2319,7 @@ mod tests {
         // stored only under another chain.
         let dir = std::env::temp_dir().join(format!("ladon-wal-rehome-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_v1_layout(&dir, &records);
+        write_v1_layout(&dir, &masked);
         let plan = crate::faults::FaultPlan::unlimited().fail_nth_write(0);
         let faulty = crate::faults::FaultBackend::new(FileBackend::open_dir(&dir).unwrap(), plan);
         let mut wal = CommitWal::open(Box::new(faulty), opts(3));
@@ -2305,32 +2425,30 @@ mod tests {
 
     #[test]
     fn steady_state_barrier_is_one_write_and_one_fsync() {
-        // Whatever the batch size and whatever the records' lane masks,
-        // a barrier that crosses no segment roll costs exactly one
-        // backend write and one fsync, and stores each record once.
+        // Whatever the batch size, a barrier that crosses no segment
+        // roll costs exactly one backend write and one fsync, and stores
+        // each record once.
         let mut wal = CommitWal::in_memory_with(opts(1024));
         // Warm batch: creates the active segment (the roll publishes a
         // manifest, which costs extra one-time fsyncs).
         wal.append(rec(0));
         let mut sn = 1u64;
-        for mask in [0, 1 << 17, u64::MAX] {
-            for k in [1u64, 4, 16, 64] {
-                let s0 = wal.io_stats();
-                for _ in 0..k {
-                    wal.append_buffered(rec_masked(sn, mask));
-                    sn += 1;
-                }
-                assert!(wal.flush());
-                let s1 = wal.io_stats();
-                assert_eq!(s1.appends - s0.appends, 1, "k={k} mask={mask:#x}");
-                assert_eq!(s1.fsyncs - s0.fsyncs, 1, "k={k} mask={mask:#x}");
-                assert_eq!(
-                    s1.bytes_written - s0.bytes_written,
-                    k * ENCODED_RECORD_LEN as u64 + TRAILER_LEN as u64,
-                    "k={k} mask={mask:#x}: each encoding lands once, plus one trailer"
-                );
-                assert_eq!(s1.segment_opens, s0.segment_opens);
+        for k in [1u64, 4, 16, 64] {
+            let s0 = wal.io_stats();
+            for _ in 0..k {
+                wal.append_buffered(rec(sn));
+                sn += 1;
             }
+            assert!(wal.flush());
+            let s1 = wal.io_stats();
+            assert_eq!(s1.appends - s0.appends, 1, "k={k}");
+            assert_eq!(s1.fsyncs - s0.fsyncs, 1, "k={k}");
+            assert_eq!(
+                s1.bytes_written - s0.bytes_written,
+                k * ENCODED_RECORD_LEN as u64 + TRAILER_LEN as u64,
+                "k={k}: each encoding lands once, plus one trailer"
+            );
+            assert_eq!(s1.segment_opens, s0.segment_opens);
         }
         assert_eq!(wal.len() as u64, sn);
         assert_eq!(wal.segments().len(), 1);
@@ -2724,7 +2842,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(8));
         for sn in 0..64 {
-            wal.append(rec_masked(sn, u64::MAX));
+            wal.append(rec(sn));
         }
         assert_eq!(wal.write_failures(), 0);
         let io = wal.io_stats();

@@ -210,10 +210,6 @@ fn print_recovery_breakdown(stats: &ladon::state::ReplayStats) {
         stats.replayed_txs,
         stats.records_below_floor,
     );
-    println!(
-        "                      replay touched {} of 64 lanes",
-        stats.dirty_lanes(),
-    );
 }
 
 fn main() {

@@ -344,7 +344,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
     let stale = honest.clone();
     requester.on_sync_response(ReplicaId(0), honest, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1);
-    assert_eq!(requester.exec.applied(), snap.applied);
+    assert_eq!(requester.exec.applied(), snap.head.applied);
     let h0 = &requester.responder_health()[0];
     assert!(
         h0.verified_chunks > 0,
@@ -387,7 +387,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .expect("longer run must checkpoint")
         .clone();
     assert!(
-        newer.applied > snap.applied,
+        newer.head.applied > snap.head.applied,
         "the longer run must produce a newer snapshot"
     );
     let req2 = requester.build_sync_request();

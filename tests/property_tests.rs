@@ -247,21 +247,24 @@ proptest! {
         p.checkpoint(0, vec![0; 4]);
         prop_assert_eq!((p.state_root(), p.lane_roots()), unfolded);
         let snap = p.latest_snapshot().unwrap();
-        prop_assert_eq!(&snap.lane_roots, &p.lane_roots());
+        prop_assert_eq!(&snap.head.lane_roots, &p.lane_roots());
         let decoded = ladon::state::Snapshot::decode(&snap.encode()).expect("decode");
-        prop_assert_eq!(&decoded.lane_roots, &snap.lane_roots);
+        prop_assert_eq!(&decoded.head.lane_roots, &snap.head.lane_roots);
         prop_assert!(decoded.verify());
         let restored = ExecutionPipeline::from_parts(Some(&snap.encode()), &[], keyspace);
         prop_assert_eq!(restored.lane_roots(), p.lane_roots());
         prop_assert_eq!(restored.state_root(), p.state_root());
     }
 
-    /// Chunked wire form ≡ monolithic: for arbitrary executed states the
+    /// Chunked wire form ≡ stored form: for arbitrary executed states the
     /// snapshot splits into one chunk per Merkle lane, every chunk
     /// verifies against its lane root and round-trips encode/decode, and
     /// reassembly — from the full chunk set, or from *delta* chunks plus
-    /// lanes reconstructed out of an older local state whose roots
-    /// already match — reproduces the monolithic snapshot byte for byte.
+    /// the lanes an older local state already holds under the same roots
+    /// — reproduces the donor's snapshot byte for byte, installs to the
+    /// donor's lane roots, and leaves an installer whose *next*
+    /// checkpoint root equals the donor's (nothing descriptive is left
+    /// under the signed root to disagree on).
     #[test]
     fn chunked_snapshot_roundtrips_byte_identically(
         counts in proptest::collection::vec(0u32..96, 2..24),
@@ -281,7 +284,7 @@ proptest! {
             }
         }
         full.checkpoint(0, vec![0; 4]);
-        let snap = full.latest_snapshot().unwrap();
+        let snap = full.latest_snapshot().unwrap().clone();
         let (head, chunks) = snap.split();
         prop_assert_eq!(chunks.len(), MERKLE_LANES as usize);
         prop_assert!(head.verify());
@@ -290,16 +293,31 @@ proptest! {
             let decoded = SnapshotChunk::decode(&chunk.encode()).expect("chunk decode");
             prop_assert_eq!(decoded.encode(), chunk.encode());
         }
-        let rebuilt = Snapshot::assemble(head.clone(), &chunks).expect("assemble");
+        let all = |root: &Digest| chunks.iter().find(|c| c.root == *root);
+        let (rebuilt, _) =
+            Snapshot::assemble(head.clone(), all, &KvState::new()).expect("assemble");
         prop_assert_eq!(rebuilt.encode(), snap.encode());
 
         // Delta reassembly: ship only the changed lanes; every other
-        // lane comes from the older state's local chunks.
-        let delta = delta_lanes(&snap.lane_roots, &older.lane_roots());
-        let mut parts = older.lane_chunks();
-        parts.extend(chunks.iter().filter(|c| delta.contains(&c.lane)).cloned());
-        let rebuilt = Snapshot::assemble(head, &parts).expect("delta assemble");
+        // lane comes from the older local state.
+        let delta = delta_lanes(&head.lane_roots, &older.lane_roots());
+        let shipped: Vec<&SnapshotChunk> =
+            chunks.iter().filter(|c| delta.contains(&c.lane)).collect();
+        let fetched = |root: &Digest| shipped.iter().copied().find(|c| c.root == *root);
+        let (rebuilt, reused) =
+            Snapshot::assemble(head, fetched, older.kv()).expect("delta assemble");
         prop_assert_eq!(rebuilt.encode(), snap.encode());
+        prop_assert!(reused as usize >= MERKLE_LANES as usize - delta.len());
+
+        // Install (a no-op only when the older state is not behind), then
+        // one more block and a checkpoint on both sides.
+        prop_assert_eq!(older.install_snapshot(&rebuilt), cut + 1 < counts.len());
+        prop_assert_eq!(older.lane_roots(), full.lane_roots());
+        let sn = counts.len() as u64;
+        let next = Block::synthetic(sn, first_tx, 40);
+        full.execute(sn, &next);
+        older.execute(sn, &next);
+        prop_assert_eq!(older.checkpoint(1, vec![1; 4]), full.checkpoint(1, vec![1; 4]));
     }
 
     /// `apply_batch` is folding `apply` over the ops in order: for random
@@ -426,9 +444,11 @@ proptest! {
     /// must (a) never panic, (b) stop at the longest valid replayable
     /// prefix — never below the snapshot, never above the pre-corruption
     /// head — (c) be idempotent: recovering again from what the first
-    /// recovery left behind yields the same frontier and roots, and
+    /// recovery left behind yields the same frontier and roots,
     /// (d) match a clean in-memory re-execution of exactly the recovered
-    /// prefix.
+    /// prefix, and (e) resume: blocks executed behind clean barriers
+    /// *after* the recovery are all there at the next one — nothing is
+    /// ever appended behind the damage.
     #[test]
     fn torn_segment_write_recovers_longest_valid_prefix(
         counts in proptest::collection::vec(0u32..48, 4..20),
@@ -436,6 +456,7 @@ proptest! {
         victim in any::<usize>(),
         offset in any::<usize>(),
         truncate in any::<bool>(),
+        extra in 1u64..6,
     ) {
         let wal_opts = WalOptions { segment_records: 3, ..WalOptions::default() };
         let dir = scratch_dir("torn");
@@ -484,7 +505,7 @@ proptest! {
             }
         }
 
-        let r1 = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        let mut r1 = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         let again = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
         let applied = r1.applied();
         prop_assert!(
@@ -505,6 +526,21 @@ proptest! {
         }
         prop_assert_eq!(r1.state_root(), reference.state_root());
         prop_assert_eq!(r1.executed_txs(), reference.executed_txs());
+
+        // Resume on the recovered log, then crash-free restart.
+        drop(again);
+        for sn in applied..applied + extra {
+            let block = Block::synthetic(sn, 1_000_000 + sn * 48, 32);
+            prop_assert_eq!(r1.execute(sn, &block), ExecOutcome::Applied { txs: 32 });
+            reference.execute(sn, &block);
+        }
+        let stats = r1.stats();
+        prop_assert_eq!((stats.wal_write_failures, stats.perf.wal_flush_failures), (0, 0));
+        drop(r1);
+        let r2 = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
+        prop_assert_eq!(r2.applied(), applied + extra);
+        prop_assert_eq!(r2.state_root(), reference.state_root());
+        prop_assert_eq!(r2.executed_txs(), reference.executed_txs());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

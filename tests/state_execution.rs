@@ -10,9 +10,9 @@ use ladon::core::{MultiBftNode, SyncRequest};
 use ladon::obs::{MetricsRegistry, SnapshotInto};
 use ladon::state::{
     CommitWal, ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions, WalRecord,
-    DEFAULT_KEYSPACE,
+    DEFAULT_KEYSPACE, ENCODED_RECORD_LEN, TRAILER_LEN,
 };
-use ladon::types::{Block, Digest, ProtocolKind, Round};
+use ladon::types::{Block, Digest, ProtocolKind, Round, SystemConfig};
 use ladon::workload::{Deployment, ExperimentConfig};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -139,19 +139,19 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
         assert_one_metrics_path(c.node(r), r);
     }
     // Checkpoints carry snapshots: the WAL is compacted behind them, the
-    // manifest records the full lane-root vector, and the lane ledger
-    // accounts every executed op to a lane.
+    // head records the full lane-root vector, and nothing was inherited
+    // from a peer — every executed transaction was executed here.
     let node = c.node(0);
     let snap = node.exec.latest_snapshot().expect("checkpointed");
     assert_eq!(
-        snap.lane_roots.len(),
+        snap.head.lane_roots.len(),
         ladon::state::MERKLE_LANES as usize,
         "snapshot must carry the complete lane-root vector"
     );
     assert_eq!(
-        node.exec.lane_ops().iter().sum::<u64>(),
-        node.metrics.exec.locally_executed_txs,
-        "lane ledger must account every executed op"
+        node.exec.stats().locally_executed_txs,
+        node.exec.executed_txs(),
+        "a replica that installed nothing executed its whole history itself"
     );
 }
 
@@ -180,7 +180,7 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
         assert_eq!(node.metrics.exec_gaps, 0, "replica {r} hit an exec gap");
         if let Some(snap) = node.exec.latest_snapshot() {
             assert!(
-                snap.frontier.is_empty(),
+                snap.head.frontier.is_empty(),
                 "HotStuff snapshots must be state-only (empty frontier)"
             );
         }
@@ -298,25 +298,102 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
     c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
+/// A durable directory as the previous format generation left it: a
+/// well-formed snapshot whose version byte reads 7 over WAL segments
+/// whose records' version bytes read 2, every checksum recomputed —
+/// another generation's artifacts, not bit rot. There is no decode
+/// branch for either: opening it must come up empty-handed without a
+/// panic — nothing restored, nothing replayed, the refused snapshot
+/// counted — and the replica falls back to peer sync.
+fn old_generation_pipeline(tag: &str, sys: &SystemConfig) -> ExecutionPipeline {
+    use ladon::crypto::fnv::Fnv64;
+    let dir = scratch_dir(tag, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        ExecutionPipeline::recover_opts(&dir, sys.exec_keyspace, 1, WalOptions::from(sys)).unwrap()
+    };
+    {
+        let mut p = open();
+        for sn in 0..10 {
+            p.execute(sn, &Block::synthetic(sn, sn * 40, 40));
+            if sn == 5 {
+                p.checkpoint(0, Vec::new());
+            }
+        }
+        assert_eq!((p.applied(), p.wal_len()), (10, 4));
+    }
+    let reseal = |bytes: &mut [u8], body: std::ops::Range<usize>| {
+        let sum = Fnv64::new().write(&bytes[body.clone()]).finish();
+        bytes[body.end..body.end + 8].copy_from_slice(&sum.to_le_bytes());
+    };
+    let files = |d: &std::path::Path| -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect()
+    };
+    let (mut snaps, mut records) = (0, 0);
+    for path in files(&dir).into_iter().chain(files(&dir.join("wal"))) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("snap-") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[0] = 7;
+            let payload = bytes.len() - 8;
+            reseal(&mut bytes, 0..payload);
+            std::fs::write(&path, bytes).unwrap();
+            snaps += 1;
+        } else if name.ends_with(".seg") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mut at = 0;
+            while at + 4 <= bytes.len() {
+                if bytes[at..at + 4] == u32::MAX.to_le_bytes() {
+                    at += TRAILER_LEN;
+                    continue;
+                }
+                bytes[at + 4] = 2;
+                reseal(&mut bytes, at + 4..at + ENCODED_RECORD_LEN - 8);
+                at += ENCODED_RECORD_LEN;
+                records += 1;
+            }
+            std::fs::write(&path, bytes).unwrap();
+        }
+    }
+    assert_eq!((snaps, records), (1, 4), "the directory must hold both");
+    let p = open();
+    assert_eq!(p.applied(), 0);
+    assert_eq!(p.wal_len(), 0);
+    assert_eq!(p.snapshot_decode_failures(), 1);
+    assert!(p.latest_snapshot().is_none());
+    assert_eq!(p.recovery_stats().records_replayed, 0);
+    assert_eq!(p.state_root(), ExecutionPipeline::in_memory(1).state_root());
+    p
+}
+
 /// Worst-case restart: the replica lost its disk too (fresh execution
-/// pipeline, applied = 0). Peers serve their latest snapshot with its
-/// quorum-signed stable checkpoint; the replica installs it, fast-forwards
-/// its state machine and consensus intake past the snapshotted history,
-/// and rejoins without re-executing from genesis.
+/// pipeline, applied = 0) — or kept a disk only an older format
+/// generation can read, which comes to the same. Peers serve their latest
+/// snapshot with its quorum-signed stable checkpoint; the replica installs
+/// it, fast-forwards its state machine and consensus intake past the
+/// snapshotted history, and rejoins without re-executing from genesis.
 #[test]
 fn disk_loss_recovers_via_peer_snapshot_install() {
+    disk_loss_scenario(|sys| {
+        // Fresh node, empty pipeline: nothing survived the crash.
+        ExecutionPipeline::in_memory_opts(sys.exec_keyspace, sys.exec_lanes, WalOptions::from(sys))
+    });
+    disk_loss_scenario(|sys| old_generation_pipeline("old-generation", sys));
+    let _ = std::fs::remove_dir_all(scratch_dir("old-generation", 0));
+}
+
+fn disk_loss_scenario(restart_with: impl FnOnce(&SystemConfig) -> ExecutionPipeline) {
     let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 30.0).with_crash(3, 6.0));
     c.run_secs(12.0);
     let healthy_applied = c.node(0).exec.applied();
     assert!(healthy_applied > 0);
 
-    // Fresh node, empty pipeline: nothing survived the crash.
-    let empty = ExecutionPipeline::in_memory_opts(
-        c.sys.exec_keyspace,
-        c.sys.exec_lanes,
-        WalOptions::from(&c.sys),
-    );
-    c.swap_replica(3, empty);
+    let restarted = restart_with(&c.sys);
+    assert_eq!(restarted.applied(), 0);
+    c.swap_replica(3, restarted);
     c.run_secs(55.0);
 
     let r3 = c.node(3);
@@ -352,7 +429,7 @@ fn disk_loss_recovers_via_peer_snapshot_install() {
         "a from-zero install must show up in the peers' serve counters \
          (served={served} chunks={chunks} bytes={bytes})"
     );
-    for r in 0..4 {
+    for r in 0..3 {
         assert_eq!(c.node(r).metrics.exec.snapshot_decode_failures, 0);
     }
     c.check(&[0, 1, 2, 3]).assert_safe();
@@ -372,7 +449,7 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
         .exec
         .latest_snapshot()
         .expect("responder must have checkpointed");
-    assert!(snap.applied > 1, "need history to lag behind");
+    assert!(snap.head.applied > 1, "need history to lag behind");
     let m = c.sys.m;
 
     // A requester one block behind the snapshot, with a near-tip commit
@@ -381,7 +458,7 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
     // request): log sync only.
     let near = SyncRequest {
         epoch: ladon::types::Epoch(responder.epoch()),
-        applied: snap.applied - 1,
+        applied: snap.head.applied - 1,
         frontier: responder
             .commit_frontier()
             .iter()
@@ -405,7 +482,7 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
     // A from-zero requester: lags by ≥ snapshot_min_lag, gets the
     // snapshot plus the checkpoint that proves it.
     assert!(
-        snap.applied >= c.sys.snapshot_min_lag(),
+        snap.head.applied >= c.sys.snapshot_min_lag(),
         "run too short for the policy threshold"
     );
     let deep = SyncRequest {
@@ -419,14 +496,16 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
         .build_sync_response(&deep)
         .expect("a deep lagger must be served");
     let shipped = resp.snapshot.expect("deep lag must ship the snapshot head");
-    assert_eq!(shipped.applied, snap.applied);
+    assert_eq!(shipped.applied, snap.head.applied);
     assert!(shipped.verify(), "served head must self-verify");
     let cp = resp.checkpoint.expect("snapshot must come with its proof");
     assert_eq!(cp.state_root, shipped.root);
     // A from-zero advertisement differs on every lane: the served chunks
     // (deduplicated by root) must reassemble the snapshot byte-for-byte.
     assert_eq!(resp.chunks_remaining, 0, "default cap serves all 64 lanes");
-    let rebuilt = ladon::state::Snapshot::assemble(shipped, &resp.chunks)
+    let fetched = |root: &Digest| resp.chunks.iter().find(|c| c.root == *root);
+    let nothing_local = ladon::state::KvState::new();
+    let (rebuilt, _) = ladon::state::Snapshot::assemble(shipped, fetched, &nothing_local)
         .expect("full-delta chunk set must reassemble");
     assert_eq!(rebuilt.encode(), snap.encode());
 }
@@ -521,7 +600,7 @@ fn kill_sweep(tag: &str, scenario: impl Fn(i64, &std::path::Path) -> Window) {
     }
 }
 
-/// A synthetic record whose lane mask walks the lanes.
+/// A synthetic record.
 fn raw_record(sn: u64) -> WalRecord {
     WalRecord {
         sn,
@@ -532,7 +611,6 @@ fn raw_record(sn: u64) -> WalRecord {
         count: 10,
         bucket: 0,
         payload_bytes: 5000,
-        lane_mask: 1 << (sn % 64),
         payload_digest: Digest([sn as u8; 32]),
     }
 }
@@ -938,8 +1016,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
 /// the top-level document.
 #[test]
 fn torn_wal_recovery_surfaces_replay_stats_in_report() {
-    use ladon::state::{static_lane_mask, TRAILER_LEN};
-    use ladon::types::{Block, TimeNs, TxOp};
+    use ladon::types::TimeNs;
     use ladon::workload::{aggregate, metrics::empty_nodes, RunData};
 
     let opts = small_segments();
@@ -954,8 +1031,7 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
         );
         for sn in 0..12u64 {
             let b = Block::synthetic(sn, sn * 16, 16);
-            let ops: Vec<TxOp> = b.batch.txs(keyspace).map(|tx| tx.op).collect();
-            wal.append_buffered(WalRecord::of_block(sn, &b, static_lane_mask(&ops)));
+            wal.append_buffered(WalRecord::of_block(sn, &b));
             if sn % 4 == 3 {
                 assert!(wal.flush());
             }
@@ -1006,6 +1082,118 @@ fn torn_wal_recovery_surfaces_replay_stats_in_report() {
     assert_eq!(
         m.counter("replay.segments_clean_end"),
         stats.segments_clean_end
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash mid-append leaves a partial record at the end of the active
+/// segment. The recovering process must not append behind it: bytes past
+/// a tear are never decoded, so every block acknowledged after the
+/// recovery — behind clean barriers, with no alarm anywhere — would be
+/// gone at the next restart. A process appends only to segments it
+/// created; what it finds, it seals.
+#[test]
+fn blocks_acknowledged_after_a_torn_tail_survive_the_next_restart() {
+    let dir = scratch_dir("torn-resume", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, WalOptions::default());
+    let block = |sn: u64| Block::synthetic(sn, sn * 50, 50);
+    {
+        let mut p = open().unwrap();
+        for sn in 0..5 {
+            p.execute(sn, &block(sn));
+        }
+    }
+    // The crash: the last append's bytes only partly reached the file.
+    let segs: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    assert_eq!(segs.len(), 1, "five records sit in the one active segment");
+    let bytes = std::fs::read(&segs[0]).unwrap();
+    std::fs::write(&segs[0], &bytes[..bytes.len() - 30]).unwrap();
+    {
+        let mut p = open().unwrap();
+        assert_eq!(p.applied(), 4, "the longest intact prefix recovers");
+        assert_eq!(p.recovery_stats().records_torn, 0);
+        for sn in 4..7 {
+            p.execute(sn, &block(sn));
+        }
+        let stats = p.stats();
+        assert_eq!(stats.wal_write_failures, 0);
+        assert_eq!(stats.perf.wal_flush_failures, 0);
+        assert_eq!(
+            stats.perf.flush_barriers, 3,
+            "three clean, acknowledged barriers"
+        );
+    }
+    let p = open().unwrap();
+    assert_eq!(p.applied(), 7, "acknowledged blocks must survive a restart");
+    let stats = p.recovery_stats();
+    assert_eq!(stats.records_replayed, 7);
+    assert_eq!((stats.records_torn, stats.records_unacked_lost), (0, 0));
+    let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+    for sn in 0..7 {
+        reference.execute(sn, &block(sn));
+    }
+    assert_eq!(p.state_root(), reference.state_root());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Corruption in the middle of the log opens a gap: the records past it
+/// can never replay (their position is unprovable), and the recovering
+/// replica re-executes those `sn`s with whatever the cluster really
+/// confirmed. The stale records must be gone from *storage*, not just
+/// from the in-memory mirror — a later restart loads by `sn`, and a
+/// surviving stale record would shadow the block that was actually
+/// executed in its place.
+#[test]
+fn stale_records_past_a_gap_cannot_shadow_reexecuted_blocks() {
+    let dir = scratch_dir("stale-shadow", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, small_segments());
+    {
+        let mut p = open().unwrap();
+        for sn in 0..12 {
+            p.execute(sn, &Block::synthetic(sn, sn * 50, 50));
+        }
+    }
+    // Rot the second record of the middle segment: sns 0..=4 survive,
+    // 5..=7 are lost, 8..=11 dangle past the gap in an intact segment.
+    let mut segs: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    segs.sort();
+    assert_eq!(segs.len(), 3);
+    let mut bytes = std::fs::read(&segs[1]).unwrap();
+    bytes[ENCODED_RECORD_LEN + 20] ^= 0xff;
+    std::fs::write(&segs[1], bytes).unwrap();
+
+    // The cluster's real history differs from the stale tail's.
+    let real = |sn: u64| Block::synthetic(sn, 1_000_000 + sn * 50, 30);
+    let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+    for sn in 0..5 {
+        reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
+    }
+    {
+        let mut p = open().unwrap();
+        assert_eq!(p.applied(), 5);
+        for sn in 5..10 {
+            p.execute(sn, &real(sn));
+            reference.execute(sn, &real(sn));
+        }
+        assert_eq!(p.wal_write_failures(), 0);
+        assert_eq!(p.state_root(), reference.state_root());
+    }
+    let p = open().unwrap();
+    assert_eq!(p.applied(), 10, "no stale record may extend the log");
+    assert_eq!(
+        p.state_root(),
+        reference.state_root(),
+        "a stale record replayed in place of the executed block"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

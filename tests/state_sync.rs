@@ -232,16 +232,87 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(
         requester.exec.lane_roots(),
-        snap.lane_roots,
+        snap.head.lane_roots,
         "delta-synced lane roots must be byte-identical to the snapshot's"
     );
-    assert_eq!(requester.exec.applied(), snap.applied);
+    assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(
         requester.exec.stashed_chunk_count(),
         0,
         "the stash must be cleared once the install lands"
     );
-    assert_eq!(requester.metrics.skipped_sns, snap.applied);
+    assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
+}
+
+/// Hostile shapes are refused where responses are handled, without a
+/// panic and without touching state: a chunk that is perfectly
+/// self-consistent but is not what the quorum-signed head names at its
+/// lane (another state's lane, or a lane index past the vector), and a
+/// head whose lane-root vector is not 64 long or whose metadata was
+/// forged under the genuine checkpoint. The honest response still
+/// installs afterwards.
+#[test]
+fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
+    use ladon::state::{KvState, Snapshot};
+    use ladon::types::TxOp;
+    let mut c = checkpointed_cluster();
+    c.run_secs(15.0);
+    let mut requester = from_zero_node(&c, c.sys.clone());
+    let mut ctx = direct_ctx();
+    let mut honest = c
+        .node(0)
+        .build_sync_response(&requester.build_sync_request())
+        .expect("a from-zero requester must be served");
+    honest.entries.clear();
+    let head = honest.snapshot.clone().expect("served with its head");
+
+    // Chunks of some other state: each verifies on its own, none is a
+    // member of this head.
+    let mut other = KvState::new();
+    for key in 0..256 {
+        other.apply(&TxOp::Put { key, value: 7 });
+    }
+    let foreign = Snapshot::capture(0, 1, 1, Vec::new(), &other).chunks;
+    assert!(foreign.iter().all(|c| c.verify()));
+    let mut past_the_vector = honest.chunks[0].clone();
+    past_the_vector.lane = 64;
+    let mut resp = honest.clone();
+    resp.chunks = foreign[..3].to_vec();
+    resp.chunks.push(past_the_vector);
+    resp.chunks_remaining = 0;
+    requester.on_sync_response(RESPONDER, resp, &mut ctx);
+    assert_eq!(requester.metrics.sync_chunks_rejected, 4);
+    assert_eq!(requester.metrics.sync_chunks_verified, 0);
+    assert_eq!(requester.exec.stashed_chunk_count(), 0);
+
+    // Heads: the wrong shape, then forged fields under the real proof.
+    let forgeries: [fn(&mut ladon::state::SnapshotHead); 5] = [
+        |h| h.lane_roots.truncate(63),
+        |h| h.lane_roots.push(ladon::types::Digest([9; 32])),
+        |h| h.applied += 1,
+        |h| h.frontier[0] += 1,
+        |h| h.lane_roots[5] = ladon::types::Digest([9; 32]),
+    ];
+    for forge in forgeries {
+        let mut resp = honest.clone();
+        let mut forged = head.clone();
+        forge(&mut forged);
+        assert!(!forged.verify());
+        resp.snapshot = Some(forged);
+        requester.on_sync_response(RESPONDER, resp, &mut ctx);
+    }
+    assert_eq!(requester.metrics.snapshot_installs, 0);
+    assert_eq!(requester.exec.applied(), 0);
+    assert_eq!(requester.exec.stashed_chunk_count(), 0);
+    assert_eq!(
+        requester.responder_health()[RESPONDER.as_usize()].rejected_chunks,
+        4 + 5,
+        "every refusal is scored against its sender"
+    );
+
+    requester.on_sync_response(ReplicaId(1), honest, &mut ctx);
+    assert_eq!(requester.metrics.snapshot_installs, 1);
+    assert_eq!(requester.exec.lane_roots(), head.lane_roots);
 }
 
 /// State transfer is replica-to-replica: the same genuine, quorum-proved
@@ -412,7 +483,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(
         requester.exec.lane_roots(),
-        snap.lane_roots,
+        snap.head.lane_roots,
         "resumed delta install must reproduce the \
          snapshot's lane roots byte-identically"
     );

@@ -1,13 +1,17 @@
 //! Microbenchmarks of the hot paths: SHA-256, simulated signatures,
 //! aggregate verification, the global ordering algorithm, raw engine
-//! event throughput and KV state execution. Plain timing loops (see `ladon_bench::microbench`).
+//! event throughput (bare, and with a deep queue of real envelopes), one
+//! PBFT round at n = 16 and KV state execution. Plain timing loops (see
+//! `ladon_bench::microbench`); printed, not gated.
 
 use ladon_bench::microbench;
-use ladon_core::{GlobalOrderer, LadonOrderer};
+use ladon_core::{ClientTxs, GlobalOrderer, LadonOrderer, NodeMsg};
 use ladon_crypto::sha256::backend_name;
 use ladon_crypto::{
     sha256, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
 };
+use ladon_pbft::testkit::{test_batch, Cluster};
+use ladon_pbft::RankMode;
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork};
 use ladon_state::{KvState, DEFAULT_KEYSPACE};
 use ladon_types::{
@@ -128,6 +132,61 @@ fn bench_engine() {
     });
 }
 
+/// Starts 256 client-group envelopes and passes every envelope it gets
+/// on to the next actor.
+struct PassOn;
+impl Actor<NodeMsg> for PassOn {
+    fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+        for i in 0..256 {
+            let group = ClientTxs {
+                bucket: 0,
+                first_tx: TxId(i),
+                count: 1,
+                payload_bytes: 500,
+                arrival_sum_ns: 0,
+                earliest: TimeNs::ZERO,
+                forwarded: false,
+            };
+            self.on_message(0, NodeMsg::ClientTxs(group), ctx);
+        }
+    }
+    fn on_message(&mut self, _from: ActorId, m: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
+        ctx.send((ctx.self_id() + 1) % 16, m);
+    }
+    fn on_timer(&mut self, _t: u64, _ctx: &mut dyn Context<NodeMsg>) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// What one queued event costs when the queue is as deep as a 16-replica
+/// run keeps it (4096 deliveries in flight) and the payload is the real
+/// envelope: one pop and one push per event, handlers doing nothing.
+fn bench_event_queue() {
+    let latency = TimeNs::from_micros(10);
+    let mut e: Engine<NodeMsg> = Engine::new(IdealNetwork { latency }, 1);
+    for _ in 0..16 {
+        e.add_actor(Box::new(PassOn));
+    }
+    println!("(envelope: {} bytes)", std::mem::size_of::<NodeMsg>());
+    microbench("event_queue_push_pop", 2_000_000, || e.step());
+}
+
+/// One PBFT round through the testkit at n = 16 (Plain ranks): a
+/// proposal, 510 deliveries, 16 commits.
+fn bench_pbft_round() {
+    let mut c = Cluster::new(16, RankMode::Plain, u64::MAX / 2);
+    let mut round = 0u64;
+    microbench("pbft_round_n16", 300, || {
+        round += 1;
+        c.propose_and_run(0, test_batch(round * 32, 32));
+        c.committed[0].len()
+    });
+}
+
 /// The `state.kv` ledger rows in isolation, at the paper's block size:
 /// applying one 4096-op block (plan + map writes, no hashing), folding
 /// the keys it dirtied, and reading the root of a folded state.
@@ -159,5 +218,7 @@ fn main() {
     bench_crypto();
     bench_ordering();
     bench_engine();
+    bench_event_queue();
+    bench_pbft_round();
     bench_state();
 }

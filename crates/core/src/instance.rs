@@ -35,16 +35,26 @@
 //! A message of the other protocol's kind (a [`NodeMsg::Pbft`] reaching a
 //! HotStuff instance or vice versa) is ignored: honest peers run one
 //! protocol, so it can only be noise.
+//!
+//! # One cert cache per replica
+//!
+//! The same certificate reaches a replica on many instances — `curRank`
+//! is node-level state, so its certificate rides in rank reports, votes
+//! and proposals of all `m` of them. [`Instance::new`] therefore installs
+//! the node's one [`CertCache`] in whichever state machine it builds, and
+//! a certificate verified through one instance is a hit through every
+//! other.
 
 use crate::msg::NodeMsg;
 use crate::node::NodeConfig;
 use ladon_crypto::keys::Signer;
-use ladon_crypto::{QuorumCert, RankCert};
+use ladon_crypto::{CertCache, QuorumCert, RankCert};
 use ladon_hotstuff::{HsConfig, HsInstance, HsRankMode};
 use ladon_pbft::{InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, TimeNs, View,
 };
+use std::sync::Arc;
 use std::vec::IntoIter;
 
 /// One hosted consensus instance, PBFT or chained HotStuff.
@@ -72,9 +82,6 @@ pub struct LagEvidence {
 }
 
 /// Everything that can happen to an instance.
-// Lives on the stack for the length of one `step` call; boxing the
-// message variant would cost an allocation per delivered message.
-#[allow(clippy::large_enum_variant)]
 pub enum Input {
     /// The local leader proposes this batch (the caller checked
     /// [`Instance::can_propose`]).
@@ -92,7 +99,7 @@ pub enum Input {
     /// A committed block fetched from a peer, with its prepare QC (PBFT);
     /// yields no effects when it was not useful (already held, bad
     /// certificate).
-    Install(Block, QuorumCert),
+    Install(Block, Arc<QuorumCert>),
 }
 
 /// An instance's pending effects, lifted into the node's envelope as
@@ -130,8 +137,9 @@ impl Instance {
     /// Builds instance `i` of the replica described by `cfg`: HotStuff or
     /// PBFT by protocol family, ranked (Ladon) or vanilla, confined to
     /// epoch 0's rank range when ranked. Index `m` exists only under
-    /// DQBFT — its dedicated vanilla ordering instance.
-    pub fn new(cfg: &NodeConfig, signer: &Signer, i: usize) -> Self {
+    /// DQBFT — its dedicated vanilla ordering instance. The instance
+    /// verifies certificates through `certs`, the replica's one cache.
+    pub fn new(cfg: &NodeConfig, signer: &Signer, i: usize, certs: &CertCache) -> Self {
         let sys = &cfg.sys;
         let id = InstanceId(i as u32);
         let (emin, emax) = sys.rank_range(Epoch(0));
@@ -149,7 +157,9 @@ impl Instance {
                 signer: signer.clone(),
                 mode,
             };
-            Proto::Hs(HsInstance::new(hs, emin, emax))
+            let mut inst = HsInstance::new(hs, emin, emax);
+            inst.share_cert_cache(certs.clone());
+            Proto::Hs(inst)
         } else {
             // (DQBFT's ordering instance is vanilla like its siblings.)
             let mode = match cfg.protocol {
@@ -180,7 +190,9 @@ impl Instance {
                 mode,
                 strategy,
             };
-            Proto::Pbft(PbftInstance::new(pbft, lo, hi))
+            let mut inst = PbftInstance::new(pbft, lo, hi);
+            inst.share_cert_cache(certs.clone());
+            Proto::Pbft(inst)
         };
         Self { id, proto }
     }
@@ -298,7 +310,11 @@ impl Instance {
 
     /// Committed blocks past `from`, each with its prepare QC, for a
     /// lagging peer. HotStuff serves none.
-    pub fn committed_entries_from(&self, from: Round, limit: usize) -> Vec<(Block, QuorumCert)> {
+    pub fn committed_entries_from(
+        &self,
+        from: Round,
+        limit: usize,
+    ) -> Vec<(Block, Arc<QuorumCert>)> {
         match &self.proto {
             Proto::Pbft(inst) => inst.committed_entries_from(from, limit),
             Proto::Hs(_) => Vec::new(),

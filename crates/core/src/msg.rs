@@ -4,6 +4,13 @@
 //! per-instance consensus traffic (PBFT or HotStuff), epoch checkpoint
 //! messages, and client transaction groups (possibly relayed once toward
 //! the bucket's current leader, per the paper's step ① relay semantics).
+//!
+//! The envelope is what the engine queues and every broadcast clones per
+//! recipient, so it is kept small (at most 128 bytes, asserted below):
+//! votes, rank reports and client groups travel inline, while the bulky
+//! payloads — proposals, view-change bundles, sync responses — sit
+//! behind an `Arc` inside their message types and certificates are
+//! `Arc`-shared wherever one is carried.
 
 use crate::epoch::CheckpointMsg;
 use crate::sync::{SyncRequest, SyncResponse};
@@ -11,6 +18,7 @@ use ladon_hotstuff::HsMsg;
 use ladon_pbft::PbftMsg;
 use ladon_types::{InstanceId, TimeNs, TxId, WireSize};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A group of client transactions addressed to a bucket.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -34,7 +42,6 @@ pub struct ClientTxs {
 
 /// All messages exchanged between replicas (and from clients).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)]
 pub enum NodeMsg {
     /// PBFT instance traffic.
     Pbft {
@@ -55,7 +62,7 @@ pub enum NodeMsg {
     /// A lagging replica requesting missing log entries (§5.2.1).
     SyncReq(SyncRequest),
     /// The entries + stable checkpoint answering a [`NodeMsg::SyncReq`].
-    SyncResp(SyncResponse),
+    SyncResp(Arc<SyncResponse>),
     /// Client transaction group (step ① / relay).
     ClientTxs(ClientTxs),
 }
@@ -76,6 +83,14 @@ impl WireSize for NodeMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The engine stores one envelope per queued delivery and a broadcast
+    /// copies one per recipient: a variant that grows past this belongs
+    /// behind an `Arc` inside its message type.
+    #[test]
+    fn envelope_stays_small() {
+        assert!(std::mem::size_of::<NodeMsg>() <= 128);
+    }
 
     #[test]
     fn client_txs_size_includes_payload() {

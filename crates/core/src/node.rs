@@ -37,7 +37,7 @@ use crate::sync::{
     SyncResponse,
 };
 use crate::timer::Timer;
-use ladon_crypto::{KeyRegistry, RankCert};
+use ladon_crypto::{CertCache, KeyRegistry, RankCert};
 use ladon_obs::Stage;
 use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{ExecOutcome, ExecutionPipeline, SnapshotHead};
@@ -45,6 +45,7 @@ use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig,
     TimeNs, WireSize,
 };
+use std::sync::Arc;
 
 /// Fault/behavior injection for one replica (§6.1 straggler settings).
 #[derive(Clone, Debug, Default)]
@@ -199,8 +200,11 @@ impl MultiBftNode {
         let signer = cfg.registry.signer(cfg.me);
         // DQBFT gets one extra vanilla instance (index m) for sequencing.
         let extra = usize::from(cfg.protocol == ProtocolKind::DqbftPbft);
+        // One verified-certificate cache for the replica: every instance
+        // holds a handle, so a certificate met on one is a hit on all.
+        let certs = CertCache::new(cfg.registry.clone(), sys.quorum());
         let slots: Vec<Instance> = (0..m + extra)
-            .map(|i| Instance::new(&cfg, &signer, i))
+            .map(|i| Instance::new(&cfg, &signer, i, &certs))
             .collect();
 
         let orderer = match cfg.protocol {
@@ -664,7 +668,8 @@ impl MultiBftNode {
                 self.sync_pacemaker_metrics();
             }
             NodeMsg::SyncReq(req) => self.on_sync_request(from, req, ctx),
-            NodeMsg::SyncResp(resp) => self.on_sync_response(from, resp, ctx),
+            // Sent to us alone: the unwrap moves, it does not copy.
+            NodeMsg::SyncResp(resp) => self.on_sync_response(from, Arc::unwrap_or_clone(resp), ctx),
             NodeMsg::ClientTxs(group) => self.on_client_txs(group, ctx),
         }
     }
@@ -773,7 +778,7 @@ impl MultiBftNode {
                 self.metrics.snapshot_bytes_served +=
                     resp.chunks.iter().map(|c| c.wire_size()).sum::<u64>();
             }
-            ctx.send(from.as_usize(), NodeMsg::SyncResp(resp));
+            ctx.send(from.as_usize(), NodeMsg::SyncResp(Arc::new(resp)));
         }
     }
 
@@ -1332,11 +1337,12 @@ mod tests {
         let view = ladon_types::View((1 << 16) + byz.0 as u64);
         let NodeMsg::Hs {
             instance,
-            msg: HsMsg::Generic(mut g),
+            msg: HsMsg::Generic(g),
         } = first_proposal(ProtocolKind::LadonHotStuff)
         else {
             panic!("a HotStuff leader's first message is its proposal");
         };
+        let mut g = Arc::unwrap_or_clone(g);
         g.view = view;
         g.sig = ladon_crypto::Signature::sign(
             &node(ProtocolKind::LadonHotStuff, byz.0)
@@ -1348,7 +1354,7 @@ mod tests {
         );
         let msg = NodeMsg::Hs {
             instance,
-            msg: HsMsg::Generic(g),
+            msg: HsMsg::Generic(Arc::new(g)),
         };
 
         let mut n = node(ProtocolKind::LadonHotStuff, 1);
@@ -1357,6 +1363,86 @@ mod tests {
         assert_eq!(n.slots[0].rejected(), 1);
         assert_eq!(n.slots[0].leader(), ReplicaId(0), "the view must not move");
         assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
+    }
+
+    /// A first-round pre-prepare on `instance` from its view-0 leader,
+    /// citing `cert` as the leader's rank certificate.
+    fn preprepare_citing(instance: u32, cert: &Arc<ladon_crypto::QuorumCert>) -> NodeMsg {
+        use ladon_pbft::msg::{phase_bytes, PrePrepare, RankProof, DOMAIN_PREPREPARE};
+        let leader = node(ProtocolKind::LadonPbft, instance)
+            .cfg
+            .registry
+            .signer(ReplicaId(instance));
+        let (view, round, instance) = (ladon_types::View(0), Round(1), InstanceId(instance));
+        let (batch, rank) = (Batch::empty(0), cert.rank.next());
+        let digest = ladon_crypto::digest_batch(&batch);
+        let body = phase_bytes(view, round, &digest, instance, rank);
+        let pp = PrePrepare {
+            view,
+            round,
+            instance,
+            rank,
+            digest,
+            batch,
+            proposed_at: TimeNs::ZERO,
+            rank_proof: RankProof::FirstRound(RankCert::certified(cert.clone())),
+            sig: ladon_crypto::Signature::sign(&leader, DOMAIN_PREPREPARE, &body),
+        };
+        let msg = ladon_pbft::PbftMsg::PrePrepare(Arc::new(pp));
+        NodeMsg::Pbft { instance, msg }
+    }
+
+    #[test]
+    fn one_cert_cache_per_replica_shared_by_its_instances() {
+        use ladon_crypto::{CryptoCounters, QuorumCert};
+        let registry = node(ProtocolKind::LadonPbft, 0).cfg.registry;
+        // A certificate for instance 0's round 1 at rank 5.
+        let (view, round, rank) = (ladon_types::View(0), Round(1), Rank(5));
+        let digest = ladon_types::Digest([7; 32]);
+        let shares: Vec<_> = (0..3)
+            .map(|r| {
+                let signer = registry.signer(ReplicaId(r));
+                QuorumCert::sign_share(&signer, view, round, &digest, InstanceId(0), rank)
+            })
+            .collect();
+        let cert = QuorumCert::from_shares(&shares, N, view, round, InstanceId(0), digest, rank)
+            .map(Arc::new)
+            .expect("distinct signers");
+
+        // Delivers instance `i`'s citation of `cert` to `n` and reports
+        // (refused, agg_verifies, qc_verify_hits).
+        let deliver = |n: &mut MultiBftNode, i: u32, cert: &Arc<QuorumCert>| {
+            let mut ctx = RecordingCtx::new(3, 1);
+            let refused_before = n.slots[i as usize].rejected();
+            let before = CryptoCounters::snapshot();
+            n.on_message(i as usize, preprepare_citing(i, cert), &mut ctx);
+            let cost = CryptoCounters::snapshot().since(&before);
+            let refused = n.slots[i as usize].rejected() - refused_before;
+            (refused, cost.agg_verifies, cost.qc_verify_hits)
+        };
+        let mut three = node(ProtocolKind::LadonPbft, 3);
+        assert_eq!(deliver(&mut three, 0, &cert), (0, 1, 0));
+        assert_eq!(deliver(&mut three, 1, &cert), (0, 0, 1));
+
+        // A twin with one flipped signature byte is a different key: it
+        // misses the cache, fails verification, and is refused.
+        let mut twin = QuorumCert::clone(&cert);
+        twin.agg.combined[0] ^= 1;
+        assert_eq!(deliver(&mut three, 2, &Arc::new(twin)), (1, 1, 0));
+
+        // Another replica has verified nothing yet: no store is shared.
+        let mut two = node(ProtocolKind::LadonPbft, 2);
+        assert_eq!(deliver(&mut two, 0, &cert), (0, 1, 0));
+
+        // Entering the next epoch forgets the old epoch's certificates.
+        let (min, max) = three.cfg.sys.rank_range(Epoch(1));
+        let advance = EpochEvent::Advance {
+            epoch: Epoch(1),
+            min,
+            max,
+        };
+        three.on_epoch_event(Some(advance), &mut RecordingCtx::new(3, 1));
+        assert_eq!(deliver(&mut three, 2, &cert), (0, 1, 0));
     }
 
     #[test]

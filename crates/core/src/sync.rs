@@ -97,6 +97,7 @@ use ladon_state::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, MERKLE_LAN
 use ladon_types::{sizes, Block, Digest, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Snapshot serving minimum-gap policy: ship a snapshot only when the
 /// requester's applied frontier lags the responder's latest snapshot by
@@ -419,8 +420,8 @@ pub struct SyncEntry {
     /// The committed block (with payload — this is the one transfer that
     /// genuinely re-ships data the replica missed).
     pub block: Block,
-    /// Certificate for the block.
-    pub qc: QuorumCert,
+    /// Certificate for the block (the responder's own copy, shared).
+    pub qc: Arc<QuorumCert>,
 }
 
 impl WireSize for SyncEntry {
@@ -774,7 +775,7 @@ mod tests {
         let entry = SyncEntry {
             instance: InstanceId(0),
             block,
-            qc,
+            qc: Arc::new(qc),
         };
         let resp = SyncResponse {
             checkpoint: None,

@@ -46,7 +46,8 @@ thread_local! {
 
 /// Records one verified-certificate cache hit: a `QuorumCert`/`RankCert`
 /// whose full verification was skipped because the identical certificate
-/// (matched by content digest) already verified on this instance. Not an
+/// (matched by content digest) already verified on this replica
+/// ([`crate::CertCache`]). Not an
 /// [`OpKind`] — a hit is work *avoided*, so it contributes nothing to
 /// the CPU proxy; the counter exists to make the dedupe observable.
 #[inline]
@@ -80,9 +81,10 @@ pub struct CryptoCounters {
     pub agg_signs: u64,
     /// Aggregate verifications.
     pub agg_verifies: u64,
-    /// Certificate verifications skipped via the per-instance
-    /// verified-cert cache (the same cert carried by multiple messages —
-    /// new-view bundles, rank proofs, sync entries — verifies once).
+    /// Certificate verifications skipped via the replica's
+    /// [`crate::CertCache`] (the same cert carried by multiple messages —
+    /// rank reports and votes on every instance, new-view bundles, rank
+    /// proofs, sync entries — verifies once).
     pub qc_verify_hits: u64,
 }
 

@@ -25,7 +25,8 @@
 //!   Aggregate signatures carry a signer bitmap plus an XOR-combined tag,
 //!   mirroring BLS aggregation's interface and size behaviour.
 //! - [`qc`]: quorum certificates over `(digest, rank)` pairs, the artifact
-//!   Algorithm 2 calls `QC`.
+//!   Algorithm 2 calls `QC`, and the per-replica [`CertCache`] that makes
+//!   a certificate carried by many messages cost one verification.
 //! - [`counters`]: global operation counters used as the CPU-cost proxy for
 //!   Table 1 and the authenticator-complexity analysis of Appendix A.
 
@@ -44,7 +45,7 @@ pub mod sig;
 pub use agg::{AggregateSignature, MultiKeyRankSig};
 pub use counters::{CryptoCounters, OpKind};
 pub use keys::{KeyRegistry, PublicKey};
-pub use qc::{QuorumCert, RankCert};
+pub use qc::{CertCache, QuorumCert, RankCert};
 pub use sha256::{sha256, sha256_portable, Sha256};
 pub use sig::Signature;
 

@@ -5,12 +5,46 @@
 //! same certificate doubles as the *rank certificate* a replica attaches to
 //! its rank messages (Line 25: `curRank.QC ← agg(premsg)`), which is how a
 //! leader proves the highest collected rank is authentic and not stale.
+//!
+//! # One certificate, many carriers
+//!
+//! A certificate is built once and then rides in many messages: a
+//! replica's `curRank` certificate is attached to every rank report and
+//! HotStuff vote it sends on every instance, a block's prepare QC sits in
+//! its round state, in view-change bundles and in sync entries. Carriers
+//! therefore hold it as `Arc<QuorumCert>` — attaching it is a pointer
+//! bump, not a copy of the signer list.
+//!
+//! # [`CertCache`]: verify a certificate once per replica
+//!
+//! The receiving side has the mirror-image problem: the same certificate
+//! arrives on all `m` instances of a replica, and each arrival used to
+//! pay a full aggregate verification. A replica owns one [`CertCache`]
+//! and every instance it hosts verifies certificates through it. The
+//! contract:
+//!
+//! - **Content-keyed.** The key is [`QuorumCert::cache_key`], a SHA-256
+//!   over every certified field *and* the signature material, so a forged
+//!   twin differing in one byte never hits.
+//! - **Only successes are stored**; a failed verification is paid again
+//!   on every arrival.
+//! - **Bound to its verifier.** A cache is built for one
+//!   `(registry, quorum)` pair and verifies with nothing else, so a hit
+//!   can only stand in for the check that would have run.
+//! - **Bounded.** [`CERT_CACHE_MAX`] keys, dropped wholesale when full;
+//!   cleared when the replica enters a new epoch (old-epoch certificates
+//!   do not legitimately re-arrive).
+//! - **Per replica.** Clones of a cache share one store — that is how a
+//!   node hands it to its instances — and a store is never shared between
+//!   replicas: what one replica verified proves nothing to another.
 
 use crate::agg::AggregateSignature;
 use crate::keys::{KeyRegistry, Signer};
 use crate::sig::Signature;
 use ladon_types::{Digest, InstanceId, Rank, Round, View, WireSize};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Signing domain for prepare-phase messages.
 pub const DOMAIN_PREPARE: &[u8] = b"ladon/prepare";
@@ -146,11 +180,11 @@ impl QuorumCert {
 
     /// A collision-resistant content digest of the *complete*
     /// certificate — every certified field plus the aggregate signature's
-    /// signer set and combined tag — for per-instance verified-cert
-    /// caches: two certs with equal keys are byte-identical, so a cached
-    /// successful [`Self::verify`] transfers. A forged cert differing in
-    /// any byte (including the signature material) keys differently and
-    /// never hits the cache.
+    /// signer set and combined tag — the key of a [`CertCache`]: two
+    /// certs with equal keys are byte-identical, so a cached successful
+    /// [`Self::verify`] transfers. A forged cert differing in any byte
+    /// (including the signature material) keys differently and never
+    /// hits the cache.
     pub fn cache_key(&self) -> [u8; 32] {
         use crate::sha256::Sha256;
         let mut h = Sha256::new();
@@ -197,6 +231,79 @@ impl WireSize for QuorumCert {
     }
 }
 
+/// Keys a [`CertCache`] holds before it is dropped wholesale.
+/// Certificates are per-(instance, round, view) and the cache clears on
+/// epoch advance, so this is a backstop against message floods, not a
+/// working-set size.
+pub const CERT_CACHE_MAX: usize = 1024;
+
+/// A replica's store of certificates it has already verified (see the
+/// module docs for the contract). Cloning yields another handle to the
+/// same store.
+#[derive(Clone)]
+pub struct CertCache {
+    registry: KeyRegistry,
+    quorum: usize,
+    store: Arc<Mutex<CertStore>>,
+}
+
+#[derive(Default)]
+struct CertStore {
+    /// `minRank` of the epoch the keys belong to.
+    epoch_min: Rank,
+    verified: BTreeSet<[u8; 32]>,
+}
+
+impl CertCache {
+    /// An empty cache that verifies against `registry` at `quorum`.
+    pub fn new(registry: KeyRegistry, quorum: usize) -> Self {
+        Self {
+            registry,
+            quorum,
+            store: Arc::default(),
+        }
+    }
+
+    fn store(&self) -> std::sync::MutexGuard<'_, CertStore> {
+        // Every update leaves the set valid, so a holder that panicked
+        // cannot have left it half-written.
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`QuorumCert::verify`], paid once per distinct certificate: an
+    /// identical cert that already verified through any handle of this
+    /// cache skips the aggregate verification and counts a
+    /// [`crate::CryptoCounters::qc_verify_hits`].
+    pub fn verified(&self, qc: &QuorumCert) -> bool {
+        let key = qc.cache_key();
+        let mut store = self.store();
+        if store.verified.contains(&key) {
+            crate::counters::record_qc_verify_hit();
+            return true;
+        }
+        if !qc.verify(&self.registry, self.quorum) {
+            return false;
+        }
+        if store.verified.len() >= CERT_CACHE_MAX {
+            store.verified.clear();
+        }
+        store.verified.insert(key);
+        true
+    }
+
+    /// The replica entered the epoch whose rank range starts at
+    /// `epoch_min`: forget the previous epoch's certificates. Every
+    /// instance of the replica reports the same advance; only the first
+    /// report of an epoch clears.
+    pub fn advance_epoch(&self, epoch_min: Rank) {
+        let mut store = self.store();
+        if epoch_min > store.epoch_min {
+            store.epoch_min = epoch_min;
+            store.verified.clear();
+        }
+    }
+}
+
 /// A replica's certified current-highest rank (`curRank` in Algorithm 2).
 ///
 /// A rank equal to the epoch's `minRank` needs no certificate (nothing has
@@ -207,8 +314,9 @@ impl WireSize for QuorumCert {
 pub struct RankCert {
     /// The claimed rank.
     pub rank: Rank,
-    /// Certificate, absent only for the epoch-minimum rank.
-    pub cert: Option<QuorumCert>,
+    /// Certificate, absent only for the epoch-minimum rank. Shared: the
+    /// same certificate is attached to every report the replica sends.
+    pub cert: Option<Arc<QuorumCert>>,
 }
 
 impl RankCert {
@@ -221,7 +329,8 @@ impl RankCert {
     }
 
     /// A certified rank claim.
-    pub fn certified(cert: QuorumCert) -> Self {
+    pub fn certified(cert: impl Into<Arc<QuorumCert>>) -> Self {
+        let cert = cert.into();
         Self {
             rank: cert.rank,
             cert: Some(cert),
@@ -231,7 +340,7 @@ impl RankCert {
     /// Validates the claim: either it is the epoch minimum, or the attached
     /// QC verifies and certifies exactly this rank.
     pub fn validate(&self, registry: &KeyRegistry, quorum: usize, min_rank: Rank) -> bool {
-        Self::validate_claim(self.rank, self.cert.as_ref(), min_rank, |qc| {
+        Self::validate_claim(self.rank, self.cert.as_deref(), min_rank, |qc| {
             qc.verify(registry, quorum)
         })
     }
@@ -341,9 +450,75 @@ mod tests {
         let qc = make_qc(&reg, &[0, 1, 2], Rank(9));
         let rc = RankCert {
             rank: Rank(12), // claims more than the QC certifies
-            cert: Some(qc),
+            cert: Some(Arc::new(qc)),
         };
         assert!(!rc.validate(&reg, 3, Rank(0)));
+    }
+
+    /// `(agg_verifies, qc_verify_hits)` spent by `f`.
+    fn cert_cost(f: impl FnOnce() -> bool) -> (bool, u64, u64) {
+        let before = crate::CryptoCounters::snapshot();
+        let ok = f();
+        let cost = crate::CryptoCounters::snapshot().since(&before);
+        (ok, cost.agg_verifies, cost.qc_verify_hits)
+    }
+
+    #[test]
+    fn cert_cache_verifies_once_and_only_caches_successes() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let cache = CertCache::new(reg.clone(), 3);
+        let qc = make_qc(&reg, &[0, 1, 2], Rank(9));
+        assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 1, 0));
+        assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 0, 1));
+        // Another handle of the same replica's cache sees the same store.
+        let handle = cache.clone();
+        assert_eq!(cert_cost(|| handle.verified(&qc)), (true, 0, 1));
+
+        // A twin with one flipped signature byte keys differently: it
+        // misses, fails, and fails again — failures are never stored.
+        let mut twin = qc.clone();
+        twin.agg.combined[7] ^= 1;
+        assert_eq!(cert_cost(|| cache.verified(&twin)), (false, 1, 0));
+        assert_eq!(cert_cost(|| cache.verified(&twin)), (false, 1, 0));
+        // So does a valid aggregate short of this cache's quorum.
+        let thin = make_qc(&reg, &[0, 1], Rank(9));
+        assert_eq!(cert_cost(|| cache.verified(&thin)), (false, 0, 0));
+    }
+
+    #[test]
+    fn cert_cache_clears_once_per_epoch_and_is_never_shared_by_construction() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let cache = CertCache::new(reg.clone(), 3);
+        let qc = make_qc(&reg, &[0, 1, 2], Rank(9));
+        assert!(cache.verified(&qc));
+
+        // Every instance of the replica reports the advance; the first
+        // report clears, the rest find the epoch already entered.
+        cache.advance_epoch(Rank(64));
+        assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 1, 0));
+        cache.advance_epoch(Rank(64));
+        assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 0, 1));
+        cache.advance_epoch(Rank(128));
+        assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 1, 0));
+
+        // A second replica's cache starts empty however much the first
+        // has verified: `new` is the only way to get a store.
+        let other = CertCache::new(reg, 3);
+        assert_eq!(cert_cost(|| other.verified(&qc)), (true, 1, 0));
+    }
+
+    #[test]
+    fn cert_cache_is_bounded() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let cache = CertCache::new(reg.clone(), 3);
+        let cert = |rank| make_qc(&reg, &[0, 1, 2], Rank(rank));
+        for rank in 0..CERT_CACHE_MAX as u64 {
+            assert!(cache.verified(&cert(rank)));
+        }
+        assert_eq!(cert_cost(|| cache.verified(&cert(0))), (true, 0, 1));
+        // One more than it holds: dropped wholesale, then refilled.
+        assert!(cache.verified(&cert(CERT_CACHE_MAX as u64)));
+        assert_eq!(cert_cost(|| cache.verified(&cert(0))), (true, 1, 0));
     }
 
     #[test]

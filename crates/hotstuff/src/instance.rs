@@ -7,6 +7,16 @@
 //! proposal). Ladon rank collection rides the vote path: every vote
 //! carries the voter's `curRank` and its certificate.
 //!
+//! State follows the chain's live tail: nodes more than three heights
+//! below the commit frontier are dropped as it advances, and vote maps
+//! at or below it are collected, so an instance holds a handful of nodes
+//! however long it runs. Certificates — every proposal's `justify`, the
+//! rank certificates proposals and votes carry — are verified through
+//! the replica's [`CertCache`] (installed by the hosting node with
+//! [`HsInstance::share_cert_cache`]; an instance built on its own holds
+//! a private one), so the `curRank` certificate that rides on all `m`
+//! instances is verified once per replica.
+//!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 
 use crate::msg::{
@@ -14,11 +24,15 @@ use crate::msg::{
     DOMAIN_VOTE,
 };
 use ladon_crypto::keys::Signer;
-use ladon_crypto::{AggregateSignature, KeyRegistry, RankCert, Sha256, Signature};
+use ladon_crypto::{CertCache, KeyRegistry, RankCert, Sha256, Signature};
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// Heights kept below the commit frontier: the 3-chain tail.
+const CHAIN_TAIL: u64 = 3;
 
 /// The highest view an instance enters. Views are chosen by peers (a
 /// proposal or new-view names one) and the hosting node multiplexes them
@@ -73,15 +87,20 @@ struct NodeEntry {
 /// The chained HotStuff instance.
 pub struct HsInstance {
     cfg: HsConfig,
+    /// Where certificates are verified: the replica's cache when the
+    /// hosting node shared one, a private one otherwise.
+    certs: CertCache,
     view: View,
-    /// All known nodes by digest.
+    /// Known nodes by digest, from [`CHAIN_TAIL`] heights below the
+    /// commit frontier up.
     nodes: HashMap<Digest, NodeEntry>,
-    /// Nodes by height (happy path: exactly one per height).
+    /// Nodes by height (happy path: exactly one per height), over the
+    /// same span as `nodes`.
     by_height: BTreeMap<Round, Digest>,
     /// Highest certified node (the `genericQC`).
     generic_qc: HsQc,
     /// Votes collected by the leader for its latest proposal.
-    votes: HashMap<Digest, BTreeMap<ReplicaId, HsVote>>,
+    votes: HashMap<Digest, BTreeMap<ReplicaId, Arc<HsVote>>>,
     /// Highest height proposed by the local leader.
     proposed_height: Round,
     /// Highest contiguously committed height.
@@ -125,6 +144,7 @@ impl HsInstance {
     pub fn new(cfg: HsConfig, epoch_min: Rank, epoch_max: Rank) -> Self {
         Self {
             generic_qc: HsQc::genesis(cfg.n, cfg.instance),
+            certs: CertCache::new(cfg.registry.clone(), cfg.quorum()),
             cfg,
             view: View(0),
             nodes: HashMap::new(),
@@ -140,6 +160,13 @@ impl HsInstance {
             rejected: 0,
             view_changes_completed: 0,
         }
+    }
+
+    /// Verifies certificates through `certs` from now on — the hosting
+    /// node's one cache for all the instances of its replica, which must
+    /// have been built over this instance's registry and quorum.
+    pub fn share_cert_cache(&mut self, certs: CertCache) {
+        self.certs = certs;
     }
 
     /// Leader of `view` (rotates from the instance index).
@@ -178,7 +205,7 @@ impl HsInstance {
         if !self.is_leader() || self.stopped_for_epoch {
             return false;
         }
-        self.generic_qc.height >= self.proposed_height
+        self.generic_qc.height() >= self.proposed_height
     }
 
     /// Whether the next proposal would be an epoch-flush dummy.
@@ -193,6 +220,7 @@ impl HsInstance {
         self.epoch_max = max;
         self.stopped_for_epoch = false;
         self.dummies_left = 0;
+        self.certs.advance_epoch(min);
     }
 
     /// Leader entry point: extend the chain with `batch` (or a dummy when
@@ -205,7 +233,7 @@ impl HsInstance {
         let mut out = Vec::new();
 
         let parent_qc = self.generic_qc.clone();
-        let height = parent_qc.height.next();
+        let height = parent_qc.height().next();
         let dummy = self.dummies_left > 0;
         let batch = if dummy { Batch::empty(0) } else { batch };
 
@@ -216,7 +244,7 @@ impl HsInstance {
         let digest = node_digest(
             self.cfg.instance,
             height,
-            &parent_qc.node,
+            &parent_qc.node(),
             &batch,
             rank,
             dummy,
@@ -224,7 +252,7 @@ impl HsInstance {
         let node = HsNode {
             height,
             digest,
-            parent: parent_qc.node,
+            parent: parent_qc.node(),
             batch,
             rank,
             proposed_at: now,
@@ -243,9 +271,9 @@ impl HsInstance {
         }
 
         // The vote set justifying the rank (the votes for the parent).
-        let vote_set: Vec<HsVote> = if self.cfg.mode == HsRankMode::Ladon {
+        let vote_set: Vec<Arc<HsVote>> = if self.cfg.mode == HsRankMode::Ladon {
             self.votes
-                .get(&parent_qc.node)
+                .get(&parent_qc.node())
                 .map(|m| m.values().take(self.cfg.quorum()).cloned().collect())
                 .unwrap_or_default()
         } else {
@@ -254,7 +282,7 @@ impl HsInstance {
 
         let bytes = node_bytes(self.view, height, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_GENERIC, &bytes);
-        let generic = HsGeneric {
+        let generic = Arc::new(HsGeneric {
             view: self.view,
             instance: self.cfg.instance,
             node,
@@ -263,10 +291,10 @@ impl HsInstance {
             rank_qc: cur.cert.clone(),
             vote_set,
             sig,
-        };
+        });
         self.proposed_height = height;
         out.push(Action::Broadcast(HsMsg::Generic(generic.clone())));
-        self.handle_generic(self.cfg.me, generic, now, cur, &mut out);
+        self.handle_generic(self.cfg.me, &generic, now, cur, &mut out);
         out
     }
 
@@ -280,7 +308,7 @@ impl HsInstance {
     ) -> Vec<Action> {
         let mut out = Vec::new();
         match msg {
-            HsMsg::Generic(g) => self.handle_generic(from, g, now, cur, &mut out),
+            HsMsg::Generic(g) => self.handle_generic(from, &g, now, cur, &mut out),
             HsMsg::Vote(v) => self.handle_vote(from, v, cur, &mut out),
             HsMsg::NewView(nv) => self.handle_new_view(from, nv, now, cur, &mut out),
         }
@@ -290,7 +318,7 @@ impl HsInstance {
     fn handle_generic(
         &mut self,
         from: ReplicaId,
-        g: HsGeneric,
+        g: &HsGeneric,
         _now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
@@ -300,6 +328,13 @@ impl HsInstance {
             return;
         }
         if from != self.leader_of(g.view) {
+            self.rejected += 1;
+            return;
+        }
+        // At or below the commit frontier the chain is settled (and its
+        // nodes may be pruned): a replayed proposal must not be stored
+        // and voted on again.
+        if g.node.height <= self.committed_upto {
             self.rejected += 1;
             return;
         }
@@ -326,14 +361,14 @@ impl HsInstance {
                 g.node.dummy,
             );
             if expect != g.node.digest
-                || g.node.parent != g.justify.node
-                || g.node.height != g.justify.height.next()
-                || !g.justify.verify(&self.cfg.registry, q)
+                || g.node.parent != g.justify.node()
+                || g.node.height != g.justify.height().next()
+                || !g.justify.verified(&self.certs)
             {
                 self.rejected += 1;
                 return;
             }
-            if self.cfg.mode == HsRankMode::Ladon && !self.validate_rank(&g, q) {
+            if self.cfg.mode == HsRankMode::Ladon && !self.validate_rank(g, q) {
                 self.rejected += 1;
                 return;
             }
@@ -364,12 +399,12 @@ impl HsInstance {
         // parent's rank, so it doubles as a rank certificate (Appendix D);
         // adopting it keeps curRank in step with the pipelined chain even
         // before the parent commits.
-        if g.justify.height > self.generic_qc.height {
+        if g.justify.height() > self.generic_qc.height() {
             self.generic_qc = g.justify.clone();
         }
         if self.cfg.mode == HsRankMode::Ladon
             && !g.justify.is_genesis()
-            && g.justify.rank > cur.rank
+            && g.justify.rank() > cur.rank
         {
             *cur = RankCert::certified(g.justify.to_rank_qc());
         }
@@ -400,7 +435,7 @@ impl HsInstance {
                 g.node.rank,
             ),
         );
-        let vote = HsVote {
+        let vote = Arc::new(HsVote {
             view: g.view,
             height: g.node.height,
             instance: self.cfg.instance,
@@ -409,7 +444,7 @@ impl HsInstance {
             rank_m: cur.rank,
             rank_qc: cur.cert.clone(),
             sig: vote_sig,
-        };
+        });
         let leader = self.leader_of(self.view);
         if leader == self.cfg.me {
             self.handle_vote(self.cfg.me, vote, cur, out);
@@ -427,8 +462,8 @@ impl HsInstance {
     /// carried vote set.
     fn validate_rank(&self, g: &HsGeneric, q: usize) -> bool {
         // Certificate for the leader's claimed rank_m.
-        if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_ref(), self.epoch_min, |qc| {
-            qc.verify(&self.cfg.registry, q)
+        if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_deref(), self.epoch_min, |qc| {
+            self.certs.verified(qc)
         }) {
             return false;
         }
@@ -447,7 +482,7 @@ impl HsInstance {
         if !g.vote_set.is_empty() {
             let mut signers = std::collections::BTreeSet::new();
             for v in &g.vote_set {
-                if v.node != g.justify.node || v.rank_m > g.rank_m {
+                if v.node != g.justify.node() || v.rank_m > g.rank_m {
                     return false;
                 }
                 if !v
@@ -492,9 +527,25 @@ impl HsInstance {
                 }));
             }
         }
+        // Nothing reads a node below the frontier's 3-chain tail again.
+        let keep_from = Round(self.committed_upto.0.saturating_sub(CHAIN_TAIL));
+        if self
+            .by_height
+            .first_key_value()
+            .is_some_and(|(h, _)| *h < keep_from)
+        {
+            self.by_height = self.by_height.split_off(&keep_from);
+            self.nodes.retain(|_, e| e.node.height >= keep_from);
+        }
     }
 
-    fn handle_vote(&mut self, from: ReplicaId, v: HsVote, cur: &mut RankCert, _out: &mut [Action]) {
+    fn handle_vote(
+        &mut self,
+        from: ReplicaId,
+        v: Arc<HsVote>,
+        cur: &mut RankCert,
+        _out: &mut [Action],
+    ) {
         if v.instance != self.cfg.instance
             || self.leader_of(self.view) != self.cfg.me
             || from != v.sig.signer()
@@ -513,7 +564,7 @@ impl HsInstance {
         // Leader-side curRank update (Algorithm 3 lines 38–42).
         if self.cfg.mode == HsRankMode::Ladon && v.rank_m > cur.rank {
             let ok = match &v.rank_qc {
-                Some(qc) => qc.rank >= v.rank_m && qc.verify(&self.cfg.registry, self.cfg.quorum()),
+                Some(qc) => qc.rank >= v.rank_m && self.certs.verified(qc),
                 None => v.rank_m == self.epoch_min,
             };
             if ok {
@@ -523,48 +574,38 @@ impl HsInstance {
                 };
             }
         }
-        let votes = self.votes.entry(v.node).or_default();
-        votes.insert(from, v.clone());
-        if votes.len() >= self.cfg.quorum() && self.generic_qc.node != v.node {
+        let (view, height, node, rank) = (v.view, v.height, v.node, v.rank);
+        let votes = self.votes.entry(node).or_default();
+        votes.insert(from, v);
+        if votes.len() >= self.cfg.quorum() && self.generic_qc.node() != node {
             // Form the QC for this node (generateQC, Algorithm 3 line 3).
             let shares: Vec<Signature> = votes
                 .values()
                 .take(self.cfg.quorum())
                 .map(|x| x.sig)
                 .collect();
-            if let Some(agg) = AggregateSignature::aggregate(&shares, self.cfg.n) {
-                let qc = HsQc {
-                    view: v.view,
-                    height: v.height,
-                    instance: v.instance,
-                    node: v.node,
-                    rank: v.rank,
-                    agg,
-                };
+            let (n, instance) = (self.cfg.n, self.cfg.instance);
+            if let Some(qc) = HsQc::from_votes(&shares, n, view, height, instance, node, rank) {
                 // Forming the QC certifies the node's rank (the HotStuff
                 // analog of Algorithm 2 line 25): without this the pipelined
                 // leader would reuse a stale curRank and assign its next node
                 // the same rank, breaking Lemma 2's intra-instance
                 // monotonicity — and with it global-order agreement, since
                 // ordering keys are (rank, instance).
-                if self.cfg.mode == HsRankMode::Ladon && qc.rank > cur.rank {
+                if self.cfg.mode == HsRankMode::Ladon && qc.rank() > cur.rank {
                     *cur = RankCert::certified(qc.to_rank_qc());
                 }
-                if qc.height > self.generic_qc.height {
+                if qc.height() > self.generic_qc.height() {
                     self.generic_qc = qc;
                 }
             }
         }
-        // Garbage-collect vote maps for long-committed heights.
+        // Garbage-collect vote maps at or below the commit frontier, by
+        // the height the (verified) votes themselves name.
         if self.votes.len() > 64 {
             let horizon = self.committed_upto;
-            let nodes = &self.nodes;
-            self.votes.retain(|d, _| {
-                nodes
-                    .get(d)
-                    .map(|e| e.node.height > horizon)
-                    .unwrap_or(true)
-            });
+            self.votes
+                .retain(|_, m| m.values().next().is_some_and(|v| v.height > horizon));
         }
     }
 
@@ -575,7 +616,9 @@ impl HsInstance {
         if view != self.view || self.stopped_for_epoch {
             return out;
         }
-        if self.by_height.contains_key(&height) {
+        // A height at or below the commit frontier was certified long
+        // ago, whether or not its node is still held.
+        if height <= self.committed_upto || self.by_height.contains_key(&height) {
             return out;
         }
         let new_view = self.view.next();
@@ -618,21 +661,22 @@ impl HsInstance {
                 || !nv
                     .sig
                     .verify(&self.cfg.registry, DOMAIN_NEWVIEW, &nv.view.0.to_le_bytes())
-                || !nv.justify.verify(&self.cfg.registry, self.cfg.quorum()))
+                || !nv.justify.verified(&self.certs))
         {
             self.rejected += 1;
             return;
         }
-        if nv.justify.height > self.generic_qc.height {
+        if nv.justify.height() > self.generic_qc.height() {
             self.generic_qc = nv.justify.clone();
         }
-        let entry = self.new_views.entry(nv.view).or_default();
-        entry.insert(from, nv.clone());
+        let view = nv.view;
+        let entry = self.new_views.entry(view).or_default();
+        entry.insert(from, nv);
         if entry.len() >= self.cfg.quorum() {
             // Install the new view; the next propose() extends generic_qc.
-            self.view = nv.view;
-            self.proposed_height = self.generic_qc.height;
-            self.new_views.retain(|v, _| *v > nv.view);
+            self.view = view;
+            self.proposed_height = self.generic_qc.height();
+            self.new_views.retain(|v, _| *v > view);
             self.view_changes_completed += 1;
         }
     }
@@ -823,12 +867,13 @@ mod tests {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
         let acts = c.nodes[0].propose(batch(0, 5), TimeNs::ZERO, &mut c.curs[0].clone());
         for a in acts {
-            if let Action::Broadcast(HsMsg::Generic(mut g)) = a {
+            if let Action::Broadcast(HsMsg::Generic(g)) = a {
+                let mut g = Arc::unwrap_or_clone(g);
                 g.node.rank = Rank(50); // forge the rank
                 let before = c.nodes[1].rejected;
                 c.nodes[1].on_message(
                     ReplicaId(0),
-                    HsMsg::Generic(g),
+                    HsMsg::Generic(Arc::new(g)),
                     TimeNs::ZERO,
                     &mut c.curs[1],
                 );
@@ -866,8 +911,124 @@ mod tests {
         let cost = CryptoCounters::snapshot().since(&before);
         assert_eq!(c.nodes[1].rejected, 0);
         assert!(cur.rank >= generic.rank_m, "the disclosure was adopted");
-        // `justify` and `rank_qc`, once each.
-        assert_eq!(cost.agg_verifies, 2);
+        // `justify` and `rank_qc` are each checked once — and here they
+        // are the same certificate (the QC the leader just formed is its
+        // curRank), so the second check is a cache hit.
+        assert_eq!(generic.rank_qc, Some(generic.justify.to_rank_qc()));
+        assert_eq!((cost.agg_verifies, cost.qc_verify_hits), (1, 1));
+    }
+
+    #[test]
+    fn chain_state_follows_the_live_tail() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, u64::MAX / 2);
+        for i in 0..500u64 {
+            c.propose(0, batch(i * 10, 3));
+        }
+        for (r, node) in c.nodes.iter().enumerate() {
+            assert_eq!(node.committed_upto(), Round(497), "replica {r}");
+            assert_eq!(c.committed[r].len(), 497, "replica {r}");
+            assert!(node.nodes.len() <= 8, "replica {r}: {}", node.nodes.len());
+            assert_eq!(node.by_height.len(), node.nodes.len());
+            assert!(node.votes.len() <= 65, "replica {r}: {}", node.votes.len());
+            assert_eq!(node.rejected, 0);
+        }
+    }
+
+    #[test]
+    fn stale_timer_for_a_pruned_height_emits_nothing() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..20u64 {
+            c.propose(0, batch(i * 10, 3));
+        }
+        // Height 5 was certified and committed long ago and its node is
+        // gone; its 10-second timer must not read "never proposed".
+        assert!(!c.nodes[1].by_height.contains_key(&Round(5)));
+        assert!(c.nodes[1].on_height_timer(Round(5), View(0)).is_empty());
+        assert_eq!(c.nodes[1].view(), View(0));
+        // A height nobody proposed still times out.
+        assert!(!c.nodes[1].on_height_timer(Round(21), View(0)).is_empty());
+    }
+
+    #[test]
+    fn replayed_proposal_below_the_frontier_is_dropped() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        c.propose(0, batch(0, 3));
+        let acts = c.nodes[0].propose(batch(10, 3), TimeNs::ZERO, &mut c.curs[0]);
+        let replay = acts
+            .iter()
+            .find_map(|a| match a {
+                Action::Broadcast(m @ HsMsg::Generic(_)) => Some(m.clone()),
+                _ => None,
+            })
+            .expect("a proposal broadcasts its Generic");
+        c.absorb(0, acts);
+        c.run();
+        for i in 2..20u64 {
+            c.propose(0, batch(i * 10, 3));
+        }
+        // The genuine height-2 proposal again: it must not be stored and
+        // voted on a second time.
+        let held = c.nodes[1].nodes.len();
+        let acts = c.nodes[1].on_message(ReplicaId(0), replay, TimeNs::ZERO, &mut c.curs[1]);
+        assert!(acts.is_empty(), "{acts:?}");
+        assert_eq!(c.nodes[1].rejected, 1);
+        assert_eq!(c.nodes[1].nodes.len(), held);
+    }
+
+    #[test]
+    fn certificate_met_on_one_instance_is_a_hit_on_another() {
+        use ladon_crypto::CryptoCounters;
+        // Replica 3 hosts instances 0 and 1 behind one cache, as the node
+        // wires them. Instance 0 is the cluster below; instance 1 is led
+        // by replica 1.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let registry = c.nodes[0].cfg_registry();
+        let instance_one = |me: u32| {
+            HsInstance::new(
+                HsConfig {
+                    instance: InstanceId(1),
+                    me: ReplicaId(me),
+                    n: 4,
+                    registry: registry.clone(),
+                    signer: registry.signer(ReplicaId(me)),
+                    mode: HsRankMode::Ladon,
+                },
+                Rank(0),
+                Rank(1000),
+            )
+        };
+        let certs = CertCache::new(registry.clone(), 3);
+        c.nodes[3].share_cert_cache(certs.clone());
+        let mut on_one = instance_one(3);
+        on_one.share_cert_cache(certs);
+
+        // Instance 0 runs four heights: replica 3 verified height 3's QC
+        // as the fourth proposal's `justify` and adopted it as curRank.
+        for i in 0..4u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let cert = c.curs[3].cert.clone().expect("adopted from a justify");
+
+        // Instance 1's leader cites that certificate for its rank.
+        let proposal = instance_one(1)
+            .propose(batch(0, 5), TimeNs::ZERO, &mut RankCert::certified(cert))
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(m) => Some(m),
+                _ => None,
+            })
+            .expect("a proposal broadcasts its Generic");
+        let deliver = |to: &mut HsInstance| {
+            let before = CryptoCounters::snapshot();
+            let mut cur = RankCert::genesis(Rank(0));
+            to.on_message(ReplicaId(1), proposal.clone(), TimeNs::ZERO, &mut cur);
+            let cost = CryptoCounters::snapshot().since(&before);
+            assert_eq!(to.rejected, 0);
+            (cost.agg_verifies, cost.qc_verify_hits)
+        };
+        assert_eq!(deliver(&mut on_one), (0, 1));
+        // A replica that never met it pays for it: caches are per replica.
+        assert_eq!(deliver(&mut instance_one(2)), (1, 0));
     }
 
     #[test]
@@ -906,7 +1067,7 @@ mod tests {
         for i in 0..4u64 {
             c.propose(0, batch(i * 10, 3));
         }
-        let mut qc = c.curs[0].cert.clone().expect("certified");
+        let mut qc = Arc::unwrap_or_clone(c.curs[0].cert.clone().expect("certified"));
         let reg = c.nodes[0].cfg_registry();
         assert!(qc.verify(&reg, 3));
         assert!(!qc.verify(&reg, 4), "quorum threshold enforced");

@@ -5,11 +5,22 @@
 //! the leader's rank information; votes flow back to the leader carrying
 //! each replica's current highest rank (`rank_m`) and its certificate, so
 //! rank collection rides the consensus traffic exactly as in Ladon-PBFT.
+//!
+//! Certificates are shared, not copied: an [`HsQc`] *is* an
+//! `Arc<QuorumCert>` in the vote domain, so the QC a leader forms, the
+//! `justify` of its next proposal, the `curRank` certificate every
+//! replica then attaches to its votes on all instances, and the key the
+//! replica's [`ladon_crypto::CertCache`] knows it by are one allocation
+//! and one identity. Proposals and votes travel behind an `Arc` inside
+//! [`HsMsg`]: a vote is written once by its voter, kept by the leader
+//! and cited — not copied — in the next proposal's vote set. Every
+//! [`WireSize`] is what it was by value.
 
 use ladon_crypto::qc::CertDomain;
 use ladon_crypto::{AggregateSignature, QuorumCert, Signature};
 use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Signing domain for generic (proposal) messages.
 pub const DOMAIN_GENERIC: &[u8] = b"ladon/hs/generic";
@@ -32,77 +43,92 @@ pub fn node_bytes(
 }
 
 /// A quorum certificate over a tree node (aggregated votes).
+///
+/// The votes cover the same canonical `(view, height, node, instance,
+/// rank)` bytes as PBFT prepare shares, under [`CertDomain::HsVote`], so
+/// the certificate is held as the [`QuorumCert`] it doubles as
+/// (Appendix D: the QC produced by `generateQC` certifies the node's
+/// rank, playing the role PBFT's aggregated prepares play in Algorithm 2
+/// line 25) — with `round` the node's height and `digest` its digest.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct HsQc {
-    /// View the votes were cast in.
-    pub view: View,
-    /// Height of the certified node.
-    pub height: Round,
-    /// Instance the node belongs to.
-    pub instance: InstanceId,
-    /// Digest of the certified node.
-    pub node: Digest,
-    /// Rank of the certified node.
-    pub rank: Rank,
-    /// The aggregated vote signatures.
-    pub agg: AggregateSignature,
-}
+pub struct HsQc(Arc<QuorumCert>);
 
 impl HsQc {
+    /// Aggregates the vote shares for the node `(height, node, rank)`
+    /// voted on in `view`; `None` if they do not aggregate (empty, or two
+    /// from one replica).
+    pub fn from_votes(
+        shares: &[Signature],
+        n: usize,
+        view: View,
+        height: Round,
+        instance: InstanceId,
+        node: Digest,
+        rank: Rank,
+    ) -> Option<Self> {
+        let domain = CertDomain::HsVote;
+        QuorumCert::from_shares_in(shares, n, view, height, instance, node, rank, domain)
+            .map(|qc| Self(Arc::new(qc)))
+    }
+
     /// The genesis certificate (height 0, nil digest).
     pub fn genesis(n: usize, instance: InstanceId) -> Self {
-        Self {
+        Self(Arc::new(QuorumCert {
             view: View(0),
-            height: Round(0),
+            round: Round(0),
             instance,
-            node: Digest::NIL,
+            digest: Digest::NIL,
             rank: Rank(0),
+            domain: CertDomain::HsVote,
             agg: AggregateSignature {
                 signers: Vec::new(),
                 combined: [0u8; 32],
                 n: n as u32,
             },
-        }
+        }))
     }
 
     /// True for the genesis certificate.
     pub fn is_genesis(&self) -> bool {
-        self.height == Round(0)
+        self.height() == Round(0)
+    }
+
+    /// Height of the certified node.
+    pub fn height(&self) -> Round {
+        self.0.round
+    }
+
+    /// Digest of the certified node.
+    pub fn node(&self) -> Digest {
+        self.0.digest
+    }
+
+    /// Rank of the certified node.
+    pub fn rank(&self) -> Rank {
+        self.0.rank
     }
 
     /// Verifies the certificate (genesis verifies vacuously).
     pub fn verify(&self, registry: &ladon_crypto::KeyRegistry, quorum: usize) -> bool {
-        if self.is_genesis() {
-            return true;
-        }
-        if !self.agg.has_quorum(quorum) {
-            return false;
-        }
-        let bytes = node_bytes(self.view, self.height, &self.node, self.instance, self.rank);
-        self.agg.verify(registry, DOMAIN_VOTE, &bytes)
+        self.is_genesis() || self.0.verify(registry, quorum)
     }
 
-    /// Re-casts this vote QC as a rank certificate (Appendix D: the QC
-    /// produced by `generateQC` certifies the node's rank, playing the role
-    /// PBFT's aggregated prepares play in Algorithm 2 line 25). The shares
-    /// cover the same canonical bytes, so the certificate verifies under
-    /// [`CertDomain::HsVote`].
-    pub fn to_rank_qc(&self) -> QuorumCert {
-        QuorumCert {
-            view: self.view,
-            round: self.height,
-            instance: self.instance,
-            digest: self.node,
-            rank: self.rank,
-            domain: CertDomain::HsVote,
-            agg: self.agg.clone(),
-        }
+    /// [`Self::verify`] through a replica's cert cache: the same
+    /// certificate met again — as another proposal's `justify`, or as the
+    /// rank certificate of a vote or proposal on any instance — is a hit.
+    pub fn verified(&self, certs: &ladon_crypto::CertCache) -> bool {
+        self.is_genesis() || certs.verified(&self.0)
+    }
+
+    /// This vote QC as a rank certificate: the same allocation.
+    pub fn to_rank_qc(&self) -> Arc<QuorumCert> {
+        self.0.clone()
     }
 }
 
 impl WireSize for HsQc {
     fn wire_size(&self) -> u64 {
-        sizes::MSG_HEADER + sizes::DIGEST + self.agg.wire_size()
+        self.0.wire_size()
     }
 }
 
@@ -148,7 +174,7 @@ pub struct HsVote {
     /// The voter's current highest rank (`rank_m`).
     pub rank_m: Rank,
     /// Certificate for `rank_m` (absent at the epoch minimum).
-    pub rank_qc: Option<QuorumCert>,
+    pub rank_qc: Option<Arc<QuorumCert>>,
     /// Signature over the node bytes.
     pub sig: Signature,
 }
@@ -186,10 +212,10 @@ pub struct HsGeneric {
     /// propagated so backups can update their own `curRank` (lines 15–17).
     pub rank_m: Rank,
     /// Certificate for `rank_m`.
-    pub rank_qc: Option<QuorumCert>,
+    pub rank_qc: Option<Arc<QuorumCert>>,
     /// The 2f+1 votes justifying the rank choice (the Ladon `voteSet`;
     /// empty in vanilla mode).
-    pub vote_set: Vec<HsVote>,
+    pub vote_set: Vec<Arc<HsVote>>,
     /// Leader signature over the node bytes.
     pub sig: Signature,
 }
@@ -226,12 +252,12 @@ impl WireSize for HsNewView {
 
 /// All chained-HotStuff instance messages.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)]
 pub enum HsMsg {
     /// Leader proposal.
-    Generic(HsGeneric),
-    /// Replica vote (sent to the leader).
-    Vote(HsVote),
+    Generic(Arc<HsGeneric>),
+    /// Replica vote (sent to the leader, which keeps this very copy and
+    /// cites it in the next proposal's vote set).
+    Vote(Arc<HsVote>),
     /// View-change request.
     NewView(HsNewView),
 }

@@ -9,6 +9,33 @@
 //! of [`Action`]s (sends, commits, timer requests) and performs no I/O, so
 //! it runs identically under the discrete-event engine, the live threaded
 //! runtime, and direct unit-test drivers.
+//!
+//! # What a round keeps, and for how long
+//!
+//! State is proportional to the rounds *in flight*. A `RoundState`
+//! moves through three stages and sheds what the next one cannot read:
+//!
+//! | stage | entered when | holds |
+//! |---|---|---|
+//! | **open** | first vote or the pre-prepare arrives | the proposal (`digest`, `rank`, `batch`, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
+//! | **prepared** | 2f+1 matching prepares (`sent_commit`) | the proposal, `prepare_qc`; the prepare tally is **freed** — its shares now live in the QC; the commit tally |
+//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc` (state transfer and view changes serve from them) until the epoch horizon collects the round; the commit tally is **freed** |
+//!
+//! (The two phases decide independently: a replica that sees the commit
+//! quorum first commits while its prepare tally is still open.) A tally
+//! is read only while its phase is undecided, so a vote for a decided
+//! phase — a `Prepare` after `sent_commit`, a `Commit` after `committed` —
+//! can change nothing and is dropped at the door, *before* its signature
+//! is checked. Behind the commit frontier nothing re-opens: a pre-prepare
+//! for a round at or below it is refused, and a vote for one whose state
+//! has been collected is dropped, so a replayed or late message cannot
+//! resurrect a round. A view change re-opens every uncommitted round
+//! (both tallies dropped, flags cleared).
+//!
+//! Certificates are verified through the replica's
+//! [`ladon_crypto::CertCache`]: the hosting node installs one handle in
+//! all its instances ([`PbftInstance::share_cert_cache`]); an instance
+//! built on its own holds a private cache of the same type.
 
 use crate::msg::{
     NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
@@ -17,12 +44,13 @@ use crate::msg::{
 };
 use ladon_crypto::keys::Signer;
 use ladon_crypto::{
-    digest_batch, AggregateSignature, KeyRegistry, QuorumCert, RankCert, Signature,
+    digest_batch, AggregateSignature, CertCache, KeyRegistry, QuorumCert, RankCert, Signature,
 };
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How the instance participates in rank coordination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +112,58 @@ impl InstanceConfig {
 /// this instance's wire message.
 pub type Action = ladon_types::Action<PbftMsg>;
 
-/// Per-round bookkeeping.
+/// What a tally keeps of one vote: the pair the quorum rule compares and
+/// the share a QC aggregates.
+#[derive(Clone, Copy)]
+struct VoteSlot {
+    digest: Digest,
+    rank: Rank,
+    sig: Signature,
+}
+
+/// The votes of one phase of one round: one slot per replica, indexed by
+/// sender, so a sender's later vote replaces its earlier one and the
+/// slots read back in replica order (the order QC shares aggregate in).
+struct Tally {
+    slots: Box<[Option<VoteSlot>]>,
+    filled: usize,
+}
+
+impl Tally {
+    fn new(n: usize) -> Self {
+        Self {
+            slots: vec![None; n].into_boxed_slice(),
+            filled: 0,
+        }
+    }
+
+    /// Records `from`'s vote; `false` if `from` is not a replica.
+    fn record(&mut self, from: ReplicaId, vote: VoteSlot) -> bool {
+        let Some(slot) = self.slots.get_mut(from.as_usize()) else {
+            return false;
+        };
+        self.filled += usize::from(slot.is_none());
+        *slot = Some(vote);
+        true
+    }
+
+    /// The votes for `(d, rank)`, in replica order.
+    fn matching<'a>(&'a self, d: &'a Digest, rank: Rank) -> impl Iterator<Item = &'a VoteSlot> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(move |v| v.digest == *d && v.rank == rank)
+    }
+
+    /// Whether `q` votes match `(d, rank)`. The recount runs only once
+    /// `q` slots are filled, and a phase that reaches its quorum drops
+    /// its tally, so the fault-free path recounts once per phase.
+    fn has_quorum(&self, d: &Digest, rank: Rank, q: usize) -> bool {
+        self.filled >= q && self.matching(d, rank).count() >= q
+    }
+}
+
+/// Per-round bookkeeping (see the module docs for what each stage keeps).
 #[derive(Default)]
 struct RoundState {
     /// Set once a valid pre-prepare (or certified re-proposal) is adopted.
@@ -92,29 +171,33 @@ struct RoundState {
     rank: Rank,
     batch: Option<Batch>,
     proposed_at: TimeNs,
-    /// Prepare votes received, keyed by sender (kept whole for QC shares).
-    prepares: BTreeMap<ReplicaId, PhaseVote>,
-    /// Commit votes received.
-    commits: BTreeMap<ReplicaId, PhaseVote>,
+    /// Prepare votes; `None` before the first one and once `sent_commit`.
+    prepares: Option<Tally>,
+    /// Commit votes; `None` before the first one and once `committed`.
+    commits: Option<Tally>,
     sent_prepare: bool,
     sent_commit: bool,
     committed: bool,
-    prepare_qc: Option<QuorumCert>,
+    prepare_qc: Option<Arc<QuorumCert>>,
 }
 
 impl RoundState {
-    fn matching_prepares(&self, d: &Digest, rank: Rank) -> usize {
-        self.prepares
-            .values()
-            .filter(|v| v.digest == *d && v.rank == rank)
-            .count()
+    /// Whether `phase` is decided for this round, i.e. nothing reads its
+    /// votes any more.
+    fn decided(&self, phase: Phase) -> bool {
+        match phase {
+            Phase::Prepare => self.sent_commit,
+            Phase::Commit => self.committed,
+        }
     }
 
-    fn matching_commits(&self, d: &Digest, rank: Rank) -> usize {
-        self.commits
-            .values()
-            .filter(|v| v.digest == *d && v.rank == rank)
-            .count()
+    /// Re-opens the round for a new view: votes of the old one cannot
+    /// count toward it.
+    fn reopen(&mut self) {
+        self.prepares = None;
+        self.commits = None;
+        self.sent_prepare = false;
+        self.sent_commit = false;
     }
 }
 
@@ -152,7 +235,11 @@ impl ViewPlan {
     ///   in the global order thanks to the `round` tie-break in
     ///   [`ladon_types::OrderKey`]. Vanilla mode keeps its `rank = round`
     ///   invariant instead.
-    pub fn from_vcs(vcs: &[ViewChange], mode: RankMode, epoch_min: Rank) -> Self {
+    pub fn from_vcs<'a>(
+        vcs: impl IntoIterator<Item = &'a ViewChange>,
+        mode: RankMode,
+        epoch_min: Rank,
+    ) -> Self {
         let mut by_round: BTreeMap<Round, PreparedEntry> = BTreeMap::new();
         let mut max_lc = Round(0);
         for vc in vcs {
@@ -222,7 +309,7 @@ pub struct PbftInstance {
     stopped_for_epoch: bool,
     /// Pre-prepares that failed only because our epoch lags; retried on
     /// [`PbftInstance::advance_epoch`].
-    pending_epoch: Vec<(ReplicaId, PrePrepare)>,
+    pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>)>,
     /// Pre-prepares and votes from a view we have not installed yet
     /// (or from the pending view while a view change is in flight),
     /// replayed after [`PbftInstance::adopt_new_view`]. Without this
@@ -233,36 +320,28 @@ pub struct PbftInstance {
     /// View-change state.
     in_view_change: bool,
     pending_view: View,
-    view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
+    view_changes: BTreeMap<View, BTreeMap<ReplicaId, Arc<ViewChange>>>,
     /// First round of the current epoch (GC horizon for view changes).
     epoch_start_round: Round,
-    /// Content digests of certificates this instance has already
-    /// verified successfully. The same `QuorumCert`/`RankCert` is
-    /// carried by many messages — every pre-prepare's rank proof in
-    /// Plain mode, view-change bundles re-embedded in new-views, sync
-    /// entries re-served across probes — and each copy used to pay a
-    /// full aggregate verification. Keyed by the collision-resistant
-    /// [`QuorumCert::cache_key`] (which covers the signature material,
-    /// so a forged twin never hits); bounded by [`QC_CACHE_MAX`] and
-    /// cleared on epoch advance. Hits are counted in
-    /// [`ladon_crypto::CryptoCounters::qc_verify_hits`].
-    verified_certs: BTreeSet<[u8; 32]>,
+    /// Where certificates are verified: the replica's cache when the
+    /// hosting node shared one, a private one otherwise. The same
+    /// `QuorumCert` is carried by many messages — rank reports on every
+    /// instance, every pre-prepare's rank proof in Plain mode,
+    /// view-change bundles re-embedded in new-views, sync entries
+    /// re-served across probes — and pays one aggregate verification.
+    certs: CertCache,
     /// Count of messages rejected by validation (observability).
     pub rejected: u64,
     /// Count of view changes completed on this replica.
     pub view_changes_completed: u64,
 }
 
-/// Verified-cert cache bound: certificates are per-(round, view) and the
-/// cache clears on epoch advance, so this is a backstop against
-/// pathological message floods, not a working-set size.
-const QC_CACHE_MAX: usize = 1024;
-
 impl PbftInstance {
     /// Creates the instance at view 0, round 1, with the given epoch-0
     /// rank range.
     pub fn new(cfg: InstanceConfig, epoch_min: Rank, epoch_max: Rank) -> Self {
         Self {
+            certs: CertCache::new(cfg.registry.clone(), cfg.quorum()),
             cfg,
             view: View(0),
             view_start_round: Round(1),
@@ -279,39 +358,42 @@ impl PbftInstance {
             pending_view: View(0),
             view_changes: BTreeMap::new(),
             epoch_start_round: Round(0),
-            verified_certs: BTreeSet::new(),
             rejected: 0,
             view_changes_completed: 0,
         }
     }
 
-    /// Verifies a quorum certificate through the per-instance
-    /// verified-cert cache: an identical cert (by content digest,
-    /// signature material included) that already verified here skips the
-    /// aggregate verification and counts a `qc_verify_hits`. Only
-    /// successes are cached.
-    fn qc_verified(&mut self, qc: &QuorumCert) -> bool {
-        let key = qc.cache_key();
-        if self.verified_certs.contains(&key) {
-            ladon_crypto::counters::record_qc_verify_hit();
-            return true;
-        }
-        if !qc.verify(&self.cfg.registry, self.cfg.quorum()) {
-            return false;
-        }
-        if self.verified_certs.len() >= QC_CACHE_MAX {
-            self.verified_certs.clear();
-        }
-        self.verified_certs.insert(key);
-        true
+    /// Verifies certificates through `certs` from now on — the hosting
+    /// node's one cache for all the instances of its replica, which must
+    /// have been built over this instance's registry and quorum.
+    pub fn share_cert_cache(&mut self, certs: CertCache) {
+        self.certs = certs;
     }
 
-    /// [`RankCert::validate`] through the verified-cert cache, over a
-    /// claim's borrowed parts — the structural rules live in
+    /// [`RankCert::validate`] through the cert cache, over a claim's
+    /// borrowed parts — the structural rules live in
     /// [`RankCert::validate_claim`], so the cached and uncached paths
     /// can never diverge.
-    fn rank_claim_verified(&mut self, rank: Rank, cert: Option<&QuorumCert>) -> bool {
-        RankCert::validate_claim(rank, cert, self.epoch_min, |qc| self.qc_verified(qc))
+    fn rank_claim_verified(&self, rank: Rank, cert: Option<&QuorumCert>) -> bool {
+        RankCert::validate_claim(rank, cert, self.epoch_min, |qc| self.certs.verified(qc))
+    }
+
+    /// Vote slots currently allocated across all rounds (`n` per open
+    /// tally): what the instance holds per round *in flight*. Zero at
+    /// quiescence on the fault-free path, however long the run.
+    pub fn live_vote_slots(&self) -> usize {
+        self.rounds
+            .values()
+            .flat_map(|st| [&st.prepares, &st.commits])
+            .flatten()
+            .map(|t| t.slots.len())
+            .sum()
+    }
+
+    /// Rounds with any state held (open, prepared or committed and not
+    /// yet collected).
+    pub fn rounds_held(&self) -> usize {
+        self.rounds.len()
     }
 
     /// The leader of `view` for this instance: instances start led by the
@@ -389,8 +471,8 @@ impl PbftInstance {
         self.stopped_for_epoch = false;
         self.epoch_start_round = self.committed_upto;
         // Old-epoch certificates will not legitimately re-arrive; keep
-        // the verified-cert cache bounded by the live epoch.
-        self.verified_certs.clear();
+        // the cert cache bounded by the live epoch.
+        self.certs.advance_epoch(min);
         // Garbage-collect state from two epochs ago; the previous epoch is
         // kept for late votes and view changes.
         let keep_from = Round(self.epoch_start_round.0.saturating_sub(64));
@@ -401,7 +483,7 @@ impl PbftInstance {
         let mut out = Vec::new();
         let pending = std::mem::take(&mut self.pending_epoch);
         for (from, pp) in pending {
-            self.handle_preprepare(from, pp, now, cur, &mut out);
+            self.handle_preprepare(from, &pp, now, cur, &mut out);
         }
         out
     }
@@ -458,7 +540,7 @@ impl PbftInstance {
         let body =
             ladon_crypto::qc::prepare_bytes(self.view, round, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_PREPREPARE, &body);
-        let pp = PrePrepare {
+        let pp = Arc::new(PrePrepare {
             view: self.view,
             round,
             instance: self.cfg.instance,
@@ -468,11 +550,11 @@ impl PbftInstance {
             proposed_at: now,
             rank_proof: proof,
             sig,
-        };
+        });
         self.next_round = self.next_round.next();
         out.push(Action::Broadcast(PbftMsg::PrePrepare(pp.clone())));
         // Process our own copy (leader acts as a backup of its instance).
-        self.handle_preprepare(self.cfg.me, pp, now, cur, &mut out);
+        self.handle_preprepare(self.cfg.me, &pp, now, cur, &mut out);
         out
     }
 
@@ -483,7 +565,7 @@ impl PbftInstance {
             RankMode::None => (Rank(round.0), RankProof::None),
             _ if round == self.view_start_round => {
                 let rank = Rank((cur.rank.0 + 1).min(self.epoch_max.0));
-                (rank, RankProof::FirstRound(Box::new(cur.clone())))
+                (rank, RankProof::FirstRound(cur.clone()))
             }
             RankMode::Plain => {
                 let prev = round.prev().expect("non-first round has a predecessor");
@@ -512,13 +594,7 @@ impl PbftInstance {
                     rank: rank_m,
                     cert: max_report.qc.clone(),
                 };
-                (
-                    rank,
-                    RankProof::Plain {
-                        rank_set,
-                        max_cert: Box::new(max_cert),
-                    },
-                )
+                (rank, RankProof::Plain { rank_set, max_cert })
             }
             RankMode::Opt => {
                 let prev = round.prev().expect("non-first round has a predecessor");
@@ -574,11 +650,11 @@ impl PbftInstance {
         out: &mut Vec<Action>,
     ) {
         match msg {
-            PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, pp, now, cur, out),
+            PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, now, cur, out),
             PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, out),
             PbftMsg::Rank(r) => self.handle_rank_report(from, r, out),
             PbftMsg::ViewChange(vc) => self.handle_view_change(from, vc, now, cur, out),
-            PbftMsg::NewView(nv) => self.handle_new_view(from, nv, now, cur, out),
+            PbftMsg::NewView(nv) => self.handle_new_view(from, &nv, now, cur, out),
         }
     }
 
@@ -589,7 +665,7 @@ impl PbftInstance {
     fn handle_preprepare(
         &mut self,
         from: ReplicaId,
-        pp: PrePrepare,
+        pp: &Arc<PrePrepare>,
         now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
@@ -599,7 +675,7 @@ impl PbftInstance {
             return;
         }
         if pp.view > self.view || (pp.view == self.view && self.in_view_change) {
-            self.buffer_view_msg(from, PbftMsg::PrePrepare(pp));
+            self.buffer_view_msg(from, PbftMsg::PrePrepare(pp.clone()));
             return;
         }
         if pp.view < self.view || from != self.leader_of(pp.view) {
@@ -614,7 +690,11 @@ impl PbftInstance {
             self.rejected += 1; // Already have a proposal for this round.
             return;
         }
-        if pp.round <= self.committed_upto && self.rounds.contains_key(&pp.round) {
+        // At or below the commit frontier there is nothing left to
+        // propose — whether the round's state is still held or was
+        // collected (epoch horizon, snapshot fast-forward): a replayed
+        // genuine pre-prepare must not re-open it.
+        if pp.round <= self.committed_upto {
             self.rejected += 1;
             return;
         }
@@ -628,11 +708,11 @@ impl PbftInstance {
                 self.rejected += 1;
                 return;
             }
-            match self.validate_rank_proof(&pp) {
+            match self.validate_rank_proof(pp) {
                 RankCheck::Ok => {}
                 RankCheck::EpochAhead => {
                     // The leader is in a future epoch; retry after advance.
-                    self.pending_epoch.push((from, pp));
+                    self.pending_epoch.push((from, pp.clone()));
                     return;
                 }
                 RankCheck::Invalid => {
@@ -645,7 +725,7 @@ impl PbftInstance {
         let st = self.rounds.entry(pp.round).or_default();
         st.digest = Some(pp.digest);
         st.rank = pp.rank;
-        st.batch = Some(pp.batch);
+        st.batch = Some(pp.batch.clone());
         st.proposed_at = pp.proposed_at;
 
         // Enter the prepare phase (Algorithm 2 lines 13–17).
@@ -676,10 +756,10 @@ impl PbftInstance {
     }
 
     /// Validates the pre-prepare's rank and proof (prepare-phase checks of
-    /// §5.2.2 / §5.3). Certificate verifications go through the
-    /// per-instance verified-cert cache, so the same `max_cert` carried
-    /// by a re-sent or re-proposed pre-prepare verifies once.
-    fn validate_rank_proof(&mut self, pp: &PrePrepare) -> RankCheck {
+    /// §5.2.2 / §5.3). Certificate verifications go through the cert
+    /// cache, so a `max_cert` this replica has met on any instance
+    /// verifies once.
+    fn validate_rank_proof(&self, pp: &PrePrepare) -> RankCheck {
         let q = self.cfg.quorum();
         match (&self.cfg.mode, &pp.rank_proof) {
             (RankMode::None, RankProof::None) => {
@@ -693,7 +773,7 @@ impl PbftInstance {
                 if pp.round != self.view_start_round {
                     return RankCheck::Invalid;
                 }
-                if !self.rank_claim_verified(rc.rank, rc.cert.as_ref()) {
+                if !self.rank_claim_verified(rc.rank, rc.cert.as_deref()) {
                     return RankCheck::Invalid;
                 }
                 self.check_expected_rank(pp.rank, rc.rank)
@@ -729,7 +809,7 @@ impl PbftInstance {
                     .max()
                     .expect("non-empty set");
                 if max_cert.rank != rank_m
-                    || !self.rank_claim_verified(max_cert.rank, max_cert.cert.as_ref())
+                    || !self.rank_claim_verified(max_cert.rank, max_cert.cert.as_deref())
                 {
                     return RankCheck::Invalid;
                 }
@@ -816,6 +896,17 @@ impl PbftInstance {
             self.rejected += 1;
             return;
         }
+        // A vote nothing can read is dropped before its signature is
+        // checked: its phase is already decided for the round, or the
+        // round is behind the commit frontier and its state collected (a
+        // late vote must not resurrect it).
+        let moot = match self.rounds.get(&v.round) {
+            Some(st) => st.decided(v.phase),
+            None => v.round <= self.committed_upto,
+        };
+        if moot {
+            return;
+        }
         if from != self.cfg.me {
             let body = v.signing_bytes();
             if !v.sig.verify(&self.cfg.registry, v.phase.domain(), &body) {
@@ -823,14 +914,23 @@ impl PbftInstance {
                 return;
             }
         }
+        let n = self.cfg.n;
         let st = self.rounds.entry(v.round).or_default();
-        match v.phase {
-            Phase::Prepare => {
-                st.prepares.insert(from, v);
-            }
-            Phase::Commit => {
-                st.commits.insert(from, v);
-            }
+        let tally = match v.phase {
+            Phase::Prepare => &mut st.prepares,
+            Phase::Commit => &mut st.commits,
+        };
+        let vote = VoteSlot {
+            digest: v.digest,
+            rank: v.rank,
+            sig: v.sig,
+        };
+        if !tally
+            .get_or_insert_with(|| Tally::new(n))
+            .record(from, vote)
+        {
+            self.rejected += 1;
+            return;
         }
         self.try_advance(v.round, now, cur, out);
     }
@@ -853,14 +953,18 @@ impl PbftInstance {
         };
         let rank = st.rank;
 
+        // A tally exists only while its phase is undecided (`handle_vote`
+        // is the one place that opens one, and it turns decided phases
+        // away), so reaching the quorum is what decides the phase — and
+        // ends the tally.
+        let quorum = |t: &mut Tally| t.has_quorum(&digest, rank, q);
+
         // Enter the commit phase on 2f+1 matching prepares.
-        if !st.sent_commit && st.matching_prepares(&digest, rank) >= q {
+        if let Some(prepares) = st.prepares.take_if(quorum) {
             st.sent_commit = true;
             // Aggregate the prepare shares into the QC (line 25).
-            let shares: Vec<Signature> = st
-                .prepares
-                .values()
-                .filter(|v| v.digest == digest && v.rank == rank)
+            let shares: Vec<Signature> = prepares
+                .matching(&digest, rank)
                 .take(q)
                 .map(|v| v.sig)
                 .collect();
@@ -873,7 +977,8 @@ impl PbftInstance {
                 digest,
                 rank,
             )
-            .expect("distinct signers by map construction");
+            .expect("distinct signers: one slot per replica");
+            let qc = Arc::new(qc);
             st.prepare_qc = Some(qc.clone());
 
             let commit_share = Signature::sign(
@@ -912,7 +1017,7 @@ impl PbftInstance {
         }
 
         // Final commit on 2f+1 matching commits (lines 31–35).
-        if !st.committed && st.matching_commits(&digest, rank) >= q {
+        if st.commits.take_if(quorum).is_some() {
             st.committed = true;
             let batch = st.batch.clone().expect("digest implies batch");
             let block = Block {
@@ -1009,7 +1114,7 @@ impl PbftInstance {
         // Determine and certify the claimed rank.
         let claimed = match self.cfg.mode {
             RankMode::Plain => {
-                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_ref()) {
+                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_deref()) {
                     self.rejected += 1;
                     return;
                 }
@@ -1020,7 +1125,7 @@ impl PbftInstance {
                 let claimed = r.signed.body.rank.offset(k);
                 let valid = match &r.qc {
                     // Clamped sub-keys under-report, so `>=` suffices.
-                    Some(qc) => qc.rank >= claimed && self.qc_verified(qc),
+                    Some(qc) => qc.rank >= claimed && self.certs.verified(qc),
                     None => claimed == self.epoch_min,
                 };
                 if !valid {
@@ -1112,21 +1217,21 @@ impl PbftInstance {
             let mut sub = Vec::new();
             self.handle_view_change(
                 self.cfg.me,
-                vc,
+                Arc::new(vc),
                 TimeNs::ZERO,
                 &mut RankCert::genesis(self.epoch_min),
                 &mut sub,
             );
             out.append(&mut sub);
         } else {
-            out.push(Action::Send(new_leader, PbftMsg::ViewChange(vc)));
+            out.push(Action::Send(new_leader, PbftMsg::ViewChange(Arc::new(vc))));
         }
     }
 
     fn handle_view_change(
         &mut self,
         from: ReplicaId,
-        vc: ViewChange,
+        vc: Arc<ViewChange>,
         now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
@@ -1154,18 +1259,18 @@ impl PbftInstance {
                 if entry.qc.digest != entry.digest
                     || entry.qc.rank != entry.rank
                     || entry.qc.round != entry.round
-                    || !self.qc_verified(&entry.qc)
+                    || !self.certs.verified(&entry.qc)
                 {
                     self.rejected += 1;
                     return;
                 }
             }
         }
-        let entry = self.view_changes.entry(vc.new_view).or_default();
-        entry.insert(from, vc.clone());
-        let count = entry.len();
-        if count >= self.cfg.quorum() {
-            self.install_new_view(vc.new_view, now, cur, out);
+        let new_view = vc.new_view;
+        let entry = self.view_changes.entry(new_view).or_default();
+        entry.insert(from, vc);
+        if entry.len() >= self.cfg.quorum() {
+            self.install_new_view(new_view, now, cur, out);
         }
     }
 
@@ -1186,14 +1291,15 @@ impl PbftInstance {
             sig: Signature::sign(&self.cfg.signer, DOMAIN_NEWVIEW, &[0u8; 28]),
         };
         nv.sig = Signature::sign(&self.cfg.signer, DOMAIN_NEWVIEW, &nv.signing_bytes());
+        let nv = Arc::new(nv);
         out.push(Action::Broadcast(PbftMsg::NewView(nv.clone())));
-        self.adopt_new_view(nv, now, cur, out);
+        self.adopt_new_view(&nv, now, cur, out);
     }
 
     fn handle_new_view(
         &mut self,
         from: ReplicaId,
-        nv: NewView,
+        nv: &NewView,
         now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
@@ -1233,7 +1339,7 @@ impl PbftInstance {
                     if e.qc.digest != e.digest
                         || e.qc.rank != e.rank
                         || e.qc.round != e.round
-                        || !self.qc_verified(&e.qc)
+                        || !self.certs.verified(&e.qc)
                     {
                         self.rejected += 1;
                         return;
@@ -1255,12 +1361,13 @@ impl PbftInstance {
     /// the per-instance log stays contiguous, and resumes normal operation.
     fn adopt_new_view(
         &mut self,
-        nv: NewView,
+        nv: &NewView,
         now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        let plan = ViewPlan::from_vcs(&nv.vcs, self.cfg.mode, self.epoch_min);
+        let vcs = nv.vcs.iter().map(|vc| &**vc);
+        let plan = ViewPlan::from_vcs(vcs, self.cfg.mode, self.epoch_min);
         self.view = nv.view;
         self.in_view_change = false;
         self.view_start_round = plan.resume_from;
@@ -1279,10 +1386,7 @@ impl PbftInstance {
             if st.committed {
                 continue;
             }
-            st.prepares.clear();
-            st.commits.clear();
-            st.sent_prepare = false;
-            st.sent_commit = false;
+            st.reopen();
             if !planned.contains(r) {
                 st.digest = None;
                 st.batch = None;
@@ -1369,7 +1473,7 @@ impl PbftInstance {
         let buffered = std::mem::take(&mut self.pending_view_msgs);
         for (from, msg) in buffered {
             match msg {
-                PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, pp, now, cur, out),
+                PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, now, cur, out),
                 PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, out),
                 _ => {}
             }
@@ -1392,7 +1496,11 @@ impl PbftInstance {
     /// the prepare QC that certifies it — the "missing log entries" a
     /// lagging replica fetches (§5.2.1). Stops at the first hole or at a
     /// round whose state was garbage-collected.
-    pub fn committed_entries_from(&self, from: Round, limit: usize) -> Vec<(Block, QuorumCert)> {
+    pub fn committed_entries_from(
+        &self,
+        from: Round,
+        limit: usize,
+    ) -> Vec<(Block, Arc<QuorumCert>)> {
         let mut out = Vec::new();
         let mut round = from.next();
         while out.len() < limit {
@@ -1436,7 +1544,7 @@ impl PbftInstance {
     pub fn install_committed(
         &mut self,
         block: Block,
-        qc: QuorumCert,
+        qc: Arc<QuorumCert>,
         now: TimeNs,
         cur: &mut RankCert,
     ) -> Vec<Action> {
@@ -1448,7 +1556,7 @@ impl PbftInstance {
             || qc.digest != h.payload_digest
             || qc.rank != h.rank
             || digest_batch(&block.batch) != h.payload_digest
-            || !self.qc_verified(&qc)
+            || !self.certs.verified(&qc)
         {
             self.rejected += 1;
             return out;
@@ -1468,6 +1576,7 @@ impl PbftInstance {
         st.proposed_at = block.proposed_at;
         st.prepare_qc = Some(qc.clone());
         st.committed = true;
+        st.commits = None;
         while self
             .rounds
             .get(&self.committed_upto.next())
@@ -1494,7 +1603,9 @@ impl PbftInstance {
             let buffered = std::mem::take(&mut self.pending_view_msgs);
             for (from, msg) in buffered {
                 match msg {
-                    PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, pp, now, cur, &mut out),
+                    PbftMsg::PrePrepare(pp) => {
+                        self.handle_preprepare(from, &pp, now, cur, &mut out)
+                    }
                     PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, &mut out),
                     _ => {}
                 }

@@ -3,10 +3,21 @@
 //! Messages are tuples `⟨type, v, n, d, i, rank⟩_σ` (§5.2.2). Each body has
 //! a canonical byte encoding under a per-type signing domain, so tags can
 //! never be replayed across message kinds, views, rounds or instances.
+//!
+//! # Sharing
+//!
+//! A vote or rank report is small and travels inline. The three bulky
+//! messages — [`PrePrepare`], [`ViewChange`], [`NewView`] — sit behind an
+//! `Arc` inside [`PbftMsg`], and certificates are `Arc<QuorumCert>`
+//! wherever a message carries one: a broadcast clones pointers, the
+//! envelope stays small enough to queue by value, and handlers borrow.
+//! None of this is visible on the wire — every [`WireSize`] is what it
+//! was when the messages were held by value.
 
 use ladon_crypto::{AggregateSignature, QuorumCert, RankCert, Signature};
 use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Signing domain for pre-prepare messages.
 pub const DOMAIN_PREPREPARE: &[u8] = b"ladon/pbft/preprepare";
@@ -83,7 +94,7 @@ pub struct RankReport {
     pub signed: SignedRank,
     /// Certificate for the claimed rank (`curRank.QC`); `None` only when
     /// the claim equals the epoch minimum.
-    pub qc: Option<QuorumCert>,
+    pub qc: Option<Arc<QuorumCert>>,
 }
 
 impl WireSize for RankReport {
@@ -99,14 +110,14 @@ pub enum RankProof {
     None,
     /// Round 1 of a view: the leader's own rank claim
     /// (`rankSet[n] ← ⟨rank, v, n−1, ⊥, i, curRank.rank⟩_σ`, §5.2.2).
-    FirstRound(Box<RankCert>),
+    FirstRound(RankCert),
     /// Plain Ladon-PBFT: the full `rankSet` of 2f+1 signed rank messages
     /// plus the QC certifying the chosen maximum (§5.2.2).
     Plain {
         /// The collected rank messages (proves the max was chosen fairly).
         rank_set: Vec<SignedRank>,
         /// Certificate for the maximum rank in the set.
-        max_cert: Box<RankCert>,
+        max_cert: RankCert,
     },
     /// Ladon-opt (§5.3): one aggregate signature over the round's common
     /// rank message; each signer's sub-key index encodes its rank offset
@@ -252,7 +263,7 @@ pub struct PreparedEntry {
     /// Original proposal timestamp.
     pub proposed_at: TimeNs,
     /// The prepare QC proving 2f+1 replicas prepared it.
-    pub qc: QuorumCert,
+    pub qc: Arc<QuorumCert>,
 }
 
 impl WireSize for PreparedEntry {
@@ -322,8 +333,9 @@ pub struct NewView {
     pub view: View,
     /// Instance.
     pub instance: InstanceId,
-    /// The `2f + 1` view-change messages justifying this view.
-    pub vcs: Vec<ViewChange>,
+    /// The `2f + 1` view-change messages justifying this view, shared
+    /// with the copies the new leader collected.
+    pub vcs: Vec<Arc<ViewChange>>,
     /// Leader signature.
     pub sig: Signature,
 }
@@ -347,18 +359,17 @@ impl WireSize for NewView {
 
 /// All PBFT instance messages.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)]
 pub enum PbftMsg {
     /// Leader proposal.
-    PrePrepare(PrePrepare),
+    PrePrepare(Arc<PrePrepare>),
     /// Prepare/commit vote.
     Vote(PhaseVote),
     /// Rank report (backup → leader, commit phase).
     Rank(RankReport),
     /// View change request.
-    ViewChange(ViewChange),
+    ViewChange(Arc<ViewChange>),
     /// New view installation.
-    NewView(NewView),
+    NewView(Arc<NewView>),
 }
 
 impl WireSize for PbftMsg {
@@ -425,7 +436,7 @@ mod tests {
             sig,
         };
         assert!(pp.wire_size() > 2_000_000);
-        assert!(PbftMsg::PrePrepare(pp).wire_size() > 2_000_000);
+        assert!(PbftMsg::PrePrepare(Arc::new(pp)).wire_size() > 2_000_000);
     }
 
     #[test]
@@ -446,7 +457,7 @@ mod tests {
             .collect();
         let plain = RankProof::Plain {
             rank_set: set,
-            max_cert: Box::new(RankCert::genesis(Rank(0))),
+            max_cert: RankCert::genesis(Rank(0)),
         };
         let sigs: Vec<Signature> = (0..22).map(mk_sig).collect();
         let agg = AggregateSignature::aggregate(&sigs, 32).unwrap();

@@ -1,10 +1,11 @@
 //! Instance-level tests: normal case, rank rules, epochs, view changes,
 //! and the Appendix-B leader behaviors.
 
-use crate::instance::{RankMode, RankStrategy};
+use crate::instance::{PbftInstance, RankMode, RankStrategy};
 use crate::msg::{PbftMsg, RankProof};
 use crate::testkit::{test_batch, Cluster};
 use ladon_types::{Rank, Round, View};
+use std::sync::Arc;
 
 #[test]
 fn happy_path_single_round_commits_everywhere() {
@@ -126,12 +127,13 @@ fn preprepare_with_wrong_digest_is_rejected() {
     let actions = c.nodes[0].propose(test_batch(0, 10), c.now, &mut c.cur_ranks[0].clone());
     // Tamper with the batch inside the broadcast pre-prepare.
     for a in actions {
-        if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(mut pp)) = a {
+        if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(pp)) = a {
+            let mut pp = Arc::unwrap_or_clone(pp);
             pp.batch.count += 1; // digest no longer matches
             let before = c.nodes[1].rejected;
             let acts = c.nodes[1].on_message(
                 ladon_types::ReplicaId(0),
-                PbftMsg::PrePrepare(pp),
+                PbftMsg::PrePrepare(Arc::new(pp)),
                 c.now,
                 &mut c.cur_ranks[1],
             );
@@ -150,17 +152,18 @@ fn forged_rank_proof_is_rejected() {
     c.now += ladon_types::TimeNs::from_millis(1);
     let actions = c.nodes[0].propose(test_batch(10, 10), c.now, &mut c.cur_ranks[0]);
     for a in actions {
-        if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(mut pp)) = a {
+        if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(pp)) = a {
+            let mut pp = Arc::unwrap_or_clone(pp);
             // Claim rank 100 with a certificate-free "genesis" cert.
             pp.rank = Rank(100);
-            pp.rank_proof = RankProof::FirstRound(Box::new(ladon_crypto::RankCert {
+            pp.rank_proof = RankProof::FirstRound(ladon_crypto::RankCert {
                 rank: Rank(99),
                 cert: None,
-            }));
+            });
             let before = c.nodes[1].rejected;
             let acts = c.nodes[1].on_message(
                 ladon_types::ReplicaId(0),
-                PbftMsg::PrePrepare(pp),
+                PbftMsg::PrePrepare(Arc::new(pp)),
                 c.now,
                 &mut c.cur_ranks[1],
             );
@@ -334,7 +337,7 @@ mod view_plan {
             rank: Rank(rank),
             batch: test_batch(round * 100, 1),
             proposed_at: ladon_types::TimeNs::ZERO,
-            qc: QuorumCert {
+            qc: std::sync::Arc::new(QuorumCert {
                 view: View(qc_view),
                 round: Round(round),
                 instance: InstanceId(0),
@@ -346,7 +349,7 @@ mod view_plan {
                     combined: [0; 32],
                     n: 4,
                 },
-            },
+            }),
         }
     }
 
@@ -412,7 +415,7 @@ mod view_plan {
         let old = entry(2, 5, 0);
         let mut new = entry(2, 6, 1);
         new.digest = Digest([0xcc; 32]);
-        new.qc.digest = new.digest;
+        std::sync::Arc::make_mut(&mut new.qc).digest = new.digest;
         let plan = ViewPlan::from_vcs(
             &[vc(1, vec![old]), vc(1, vec![new.clone()])],
             RankMode::Plain,
@@ -710,4 +713,224 @@ fn install_committed_abandons_lone_view_change() {
         .any(|a| matches!(a, crate::Action::Committed(_))));
     assert!(!c.nodes[1].in_view_change());
     assert_eq!(c.nodes[1].committed_upto(), Round(2));
+}
+
+// ---------------------------------------------------------------------
+// State is per round in flight: tallies end at decision, collected
+// rounds stay collected, a vote nothing can read costs nothing
+// ---------------------------------------------------------------------
+
+/// Has the leader propose and returns the pre-prepare it broadcast, with
+/// the proposal's effects queued but nothing delivered yet.
+fn propose_capturing(c: &mut Cluster, first_tx: u64) -> Arc<crate::msg::PrePrepare> {
+    c.now += ladon_types::TimeNs::from_millis(10);
+    let actions = c.nodes[0].propose(test_batch(first_tx, 5), c.now, &mut c.cur_ranks[0]);
+    let pp = actions
+        .iter()
+        .find_map(|a| match a {
+            crate::Action::Broadcast(PbftMsg::PrePrepare(pp)) => Some(pp.clone()),
+            _ => None,
+        })
+        .expect("a proposal broadcasts its pre-prepare");
+    c.absorb(0, actions);
+    pp
+}
+
+/// Three rounds committed by replicas 0, 2 and 3 while replica 1 hears
+/// nothing of rounds 2 and 3; replica 1 then jumps its frontier to round
+/// 3 (a snapshot install), which collects its state for rounds 1..=3.
+/// Returns the cluster, round 2's genuine pre-prepare and a genuine
+/// prepare vote for round 2 — both from replica 0.
+fn replica_one_fast_forwarded() -> (Cluster, Arc<crate::msg::PrePrepare>, crate::msg::PhaseVote) {
+    let one = ladon_types::ReplicaId(1);
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    let mut replay = None;
+    for round in 2..=3u64 {
+        let pp = propose_capturing(&mut c, round * 10);
+        while let Some((to, from, msg)) = c.queue.pop_front() {
+            if to == one {
+                if let (2, 0, PbftMsg::Vote(v)) = (round, from.0, &msg) {
+                    if v.phase == crate::msg::Phase::Prepare {
+                        replay = Some((pp.clone(), *v));
+                    }
+                }
+                continue;
+            }
+            let who = to.as_usize();
+            let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+            c.absorb(who, actions);
+        }
+    }
+    assert_eq!(c.committed[0].len(), 3);
+    assert_eq!(c.nodes[1].committed_upto(), Round(1));
+    c.nodes[1].fast_forward(Round(3));
+    assert_eq!(c.nodes[1].committed_upto(), Round(3));
+    assert_eq!(c.nodes[1].rounds_held(), 0);
+    let (pp, vote) = replay.expect("replica 0 sent replica 1 its round-2 prepare");
+    (c, pp, vote)
+}
+
+#[test]
+fn replayed_preprepare_cannot_reopen_a_collected_round() {
+    // Every check but one passes on the replayed message: it is the
+    // genuine round-2 proposal, from the view's leader, for a round whose
+    // state is gone. It used to re-create the round and draw a prepare
+    // broadcast for a block behind the commit frontier.
+    let (mut c, pp, _) = replica_one_fast_forwarded();
+    let before = c.nodes[1].rejected;
+    let actions = c.nodes[1].on_message(
+        ladon_types::ReplicaId(0),
+        PbftMsg::PrePrepare(pp),
+        c.now,
+        &mut c.cur_ranks[1],
+    );
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!(c.nodes[1].rejected, before + 1);
+    assert_eq!(c.nodes[1].rounds_held(), 0);
+}
+
+#[test]
+fn late_vote_cannot_resurrect_a_collected_round() {
+    let (mut c, _, vote) = replica_one_fast_forwarded();
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    let actions = c.nodes[1].on_message(
+        ladon_types::ReplicaId(0),
+        PbftMsg::Vote(vote),
+        c.now,
+        &mut c.cur_ranks[1],
+    );
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!(
+        c.nodes[1].rounds_held(),
+        0,
+        "no empty round state is left behind"
+    );
+    assert_eq!(c.nodes[1].live_vote_slots(), 0);
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert_eq!(cost.verifies, 0, "nothing can read the vote: not checked");
+}
+
+#[test]
+fn vote_slots_track_rounds_in_flight_not_rounds_run() {
+    // The window: a replica holds vote slots for the rounds whose phases
+    // are still open — here at most one round, two phases, n slots each —
+    // and none once the cluster is quiet, whether 50 rounds ran or 200.
+    let n = 16;
+    let mut c = Cluster::new(n, RankMode::Plain, u64::MAX / 2);
+    let (mut peak, mut at_50) = (0, None);
+    for round in 1..=200u64 {
+        propose_capturing(&mut c, round * 10);
+        while let Some((to, from, msg)) = c.queue.pop_front() {
+            let who = to.as_usize();
+            let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+            c.absorb(who, actions);
+            if who == 5 {
+                peak = peak.max(c.nodes[5].live_vote_slots());
+            }
+        }
+        if round == 50 {
+            at_50 = Some(
+                c.nodes
+                    .iter()
+                    .map(PbftInstance::live_vote_slots)
+                    .sum::<usize>(),
+            );
+        }
+    }
+    let at_200: usize = c.nodes.iter().map(PbftInstance::live_vote_slots).sum();
+    assert_eq!(c.committed[5].len(), 200);
+    assert_eq!(at_50, Some(at_200));
+    assert_eq!(at_200, 0, "every phase decided, every tally freed");
+    assert!(peak > 0 && peak <= 2 * n * 2, "peak {peak}");
+    // The committed log itself is kept (state transfer serves from it).
+    assert_eq!(c.nodes[5].rounds_held(), 200);
+}
+
+#[test]
+fn decided_phase_vote_is_free_and_a_forged_live_vote_is_refused() {
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    let one = ladon_types::ReplicaId(1);
+
+    // Round 1 runs to the end, keeping the votes replica 1 was sent.
+    propose_capturing(&mut c, 0);
+    let mut late = Vec::new();
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        if let (true, PbftMsg::Vote(v)) = (to == one, &msg) {
+            late.push((from, *v));
+        }
+        let who = to.as_usize();
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    assert_eq!(c.committed[1].len(), 1);
+    assert_eq!(late.len(), 6, "a prepare and a commit from each peer");
+
+    // Replayed now, both phases decided: no signature work, no effect —
+    // not even for a vote whose tag is garbage.
+    let rejected = c.nodes[1].rejected;
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    for (from, mut v) in late {
+        for garble in [0, 0xff] {
+            v.sig.tag[0] ^= garble;
+            let actions = c.nodes[1].on_message(from, PbftMsg::Vote(v), c.now, &mut c.cur_ranks[1]);
+            assert!(actions.is_empty());
+        }
+    }
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert_eq!((cost.verifies, cost.agg_verifies, cost.hashes), (0, 0, 0));
+    assert_eq!(c.nodes[1].rejected, rejected);
+    assert_eq!(c.nodes[1].live_vote_slots(), 0);
+
+    // Round 2: replica 1 adopts the proposal (its own prepare is vote 1
+    // of 3) and gets replica 0's genuine prepare (vote 2). A forged
+    // prepare "from" replica 2 must not be the third.
+    propose_capturing(&mut c, 10);
+    let mut to_one = Vec::new();
+    c.queue.retain(|(to, from, msg)| {
+        if *to == one {
+            to_one.push((*from, msg.clone()));
+        }
+        *to != one
+    });
+    for (from, msg) in to_one {
+        let actions = c.nodes[1].on_message(from, msg, c.now, &mut c.cur_ranks[1]);
+        c.absorb(1, actions);
+    }
+    let own_prepare = c
+        .queue
+        .iter()
+        .find_map(|(_, from, msg)| match msg {
+            PbftMsg::Vote(v) if *from == one => Some(*v),
+            _ => None,
+        })
+        .expect("replica 1 voted");
+    let mut forged = own_prepare;
+    forged.sig = ladon_crypto::QuorumCert::sign_share(
+        &c.registry.signer(one), // not replica 2's key
+        forged.view,
+        forged.round,
+        &forged.digest,
+        forged.instance,
+        forged.rank,
+    );
+    forged.sig.pk.replica = ladon_types::ReplicaId(2);
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    let actions = c.nodes[1].on_message(
+        ladon_types::ReplicaId(2),
+        PbftMsg::Vote(forged),
+        c.now,
+        &mut c.cur_ranks[1],
+    );
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert_eq!(cost.verifies, 1, "a live vote is checked");
+    assert_eq!(c.nodes[1].rejected, rejected + 1);
+    assert!(
+        actions.is_empty(),
+        "two votes are not a quorum: {actions:?}"
+    );
+
+    // The genuine third vote is what moves the round on.
+    c.run_to_quiescence();
+    assert_eq!(c.committed[1].len(), 2);
 }

@@ -128,7 +128,7 @@ mod view_plan_props {
             rank: Rank(rank),
             batch: ladon_pbft::testkit::test_batch(round, 1),
             proposed_at: TimeNs::ZERO,
-            qc: QuorumCert {
+            qc: std::sync::Arc::new(QuorumCert {
                 view: View(0),
                 round: Round(round),
                 instance: InstanceId(0),
@@ -140,7 +140,7 @@ mod view_plan_props {
                     combined: [0; 32],
                     n: 4,
                 },
-            },
+            }),
         }
     }
 

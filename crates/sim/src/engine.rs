@@ -6,6 +6,22 @@
 //! run is bit-reproducible given its seed. The same [`Actor`] trait is
 //! driven in real time by [`crate::live::LiveRuntime`].
 //!
+//! # The queue orders keys, not events
+//!
+//! A pending event is two things: *when* it happens and *what* happens.
+//! Only the first takes part in ordering, so only the first goes through
+//! the priority queue: the heap holds 24-byte keys — `(time, seq,
+//! slot)` — and the payload (recipient, message or timer id) waits in a
+//! slab slot the key points at. A sift moves 24 bytes per level instead
+//! of a whole message envelope; a payload is written once when scheduled
+//! and read once when dispatched. Freed slots go on a free list and are
+//! reused, so a steady-state run schedules without allocating.
+//!
+//! The order is exactly what it was when the heap held whole events:
+//! keys compare by `(time, seq)`, `seq` is unique per scheduled event,
+//! and `slot` — which slab cell happened to be free — sits last in the
+//! comparison, where a unique `seq` never lets it decide.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +62,7 @@ use crate::rng::SimRng;
 use crate::trace::NetStats;
 use ladon_types::{TimeNs, WireSize};
 use std::any::Any;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Index of an actor within an engine.
@@ -83,11 +99,16 @@ pub trait Context<M: WireSize + Clone> {
         self.send_sized(to, msg, bytes);
     }
 
-    /// Sends `msg` to every id in `targets` (cloning the message).
+    /// Sends `msg` to every id in `targets`, in order: a clone to each
+    /// but the last, which gets `msg` itself.
     fn multicast(&mut self, targets: &[ActorId], msg: M) {
-        for &t in targets {
+        let Some((&last, rest)) = targets.split_last() else {
+            return;
+        };
+        for &t in rest {
             self.send(t, msg.clone());
         }
+        self.send(last, msg);
     }
 }
 
@@ -114,43 +135,69 @@ enum EventKind<M> {
     Timer { id: u64 },
 }
 
-struct Event<M> {
+/// What the heap orders: due time, then scheduling sequence. Field order
+/// is comparison order; `slot` only locates the payload.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     time: TimeNs,
     seq: u64,
-    to: ActorId,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// What a key points at.
+struct Pending<M> {
+    to: ActorId,
+    kind: EventKind<M>,
 }
 
 struct EngineCore<M> {
     now: TimeNs,
     seq: u64,
-    queue: BinaryHeap<Event<M>>,
+    /// Earliest key first (`Reverse`: `BinaryHeap` is a max-heap).
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Payloads of the queued keys; `None` cells are on `free`.
+    slab: Vec<Option<Pending<M>>>,
+    free: Vec<u32>,
     net: Box<dyn Network>,
     rng: SimRng,
     stats: NetStats,
     crashed: Vec<bool>,
     events_processed: u64,
+}
+
+impl<M> EngineCore<M> {
+    /// Queues `kind` for `to` at `time`, behind everything already
+    /// scheduled for that instant.
+    fn schedule(&mut self, time: TimeNs, to: ActorId, kind: EventKind<M>) {
+        self.seq += 1;
+        let pending = Some(Pending { to, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = pending;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 events in flight");
+                self.slab.push(pending);
+                slot
+            }
+        };
+        self.queue.push(Reverse(Key {
+            time,
+            seq: self.seq,
+            slot,
+        }));
+    }
+
+    /// Removes the earliest event, if any, with its due time.
+    fn pop(&mut self) -> Option<(TimeNs, Pending<M>)> {
+        let Reverse(key) = self.queue.pop()?;
+        let pending = self.slab[key.slot as usize]
+            .take()
+            .expect("a queued key points at a filled slot");
+        self.free.push(key.slot);
+        Some((key.time, pending))
+    }
 }
 
 struct SimCtx<'a, M> {
@@ -178,31 +225,17 @@ impl<M: WireSize + Clone> Context<M> for SimCtx<'_, M> {
         {
             Some(at) => {
                 debug_assert!(at >= core.now, "network produced a delivery in the past");
-                core.seq += 1;
-                core.queue.push(Event {
-                    time: at,
-                    seq: core.seq,
-                    to,
-                    kind: EventKind::Deliver {
-                        from: self.self_id,
-                        msg,
-                        bytes,
-                    },
-                });
+                let from = self.self_id;
+                core.schedule(at, to, EventKind::Deliver { from, msg, bytes });
             }
             None => core.stats.on_drop(self.self_id),
         }
     }
 
     fn set_timer(&mut self, delay: TimeNs, id: u64) {
-        let core = &mut *self.core;
-        core.seq += 1;
-        core.queue.push(Event {
-            time: core.now + delay,
-            seq: core.seq,
-            to: self.self_id,
-            kind: EventKind::Timer { id },
-        });
+        let at = self.core.now + delay;
+        self.core
+            .schedule(at, self.self_id, EventKind::Timer { id });
     }
 
     fn crash(&mut self, actor: ActorId) {
@@ -232,6 +265,8 @@ impl<M: WireSize + Clone> Engine<M> {
                 now: TimeNs::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
                 net: Box::new(net),
                 rng: SimRng::new(seed),
                 stats: NetStats::default(),
@@ -275,13 +310,7 @@ impl<M: WireSize + Clone> Engine<M> {
     /// Schedules a timer for `actor` at absolute time `at` from outside
     /// the run (e.g. fault injection before starting).
     pub fn schedule_timer(&mut self, actor: ActorId, at: TimeNs, id: u64) {
-        self.core.seq += 1;
-        self.core.queue.push(Event {
-            time: at,
-            seq: self.core.seq,
-            to: actor,
-            kind: EventKind::Timer { id },
-        });
+        self.core.schedule(at, actor, EventKind::Timer { id });
     }
 
     /// Marks an actor as crashed from outside the run.
@@ -340,26 +369,26 @@ impl<M: WireSize + Clone> Engine<M> {
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        let Some(ev) = self.core.queue.pop() else {
+        let Some((time, Pending { to, kind })) = self.core.pop() else {
             return false;
         };
-        debug_assert!(ev.time >= self.core.now, "time went backwards");
-        self.core.now = ev.time;
+        debug_assert!(time >= self.core.now, "time went backwards");
+        self.core.now = time;
         self.core.events_processed += 1;
-        if self.core.crashed[ev.to] {
+        if self.core.crashed[to] {
             return true; // Crashed actors swallow events.
         }
         let mut ctx = SimCtx {
             core: &mut self.core,
-            self_id: ev.to,
+            self_id: to,
         };
-        match ev.kind {
+        match kind {
             EventKind::Deliver { from, msg, bytes } => {
-                ctx.core.stats.on_recv(ev.to, bytes);
-                self.actors[ev.to].on_message(from, msg, &mut ctx);
+                ctx.core.stats.on_recv(to, bytes);
+                self.actors[to].on_message(from, msg, &mut ctx);
             }
             EventKind::Timer { id } => {
-                self.actors[ev.to].on_timer(id, &mut ctx);
+                self.actors[to].on_timer(id, &mut ctx);
             }
         }
         true
@@ -373,7 +402,7 @@ impl<M: WireSize + Clone> Engine<M> {
         self.start_if_needed();
         loop {
             match self.core.queue.peek() {
-                Some(ev) if ev.time < deadline => {
+                Some(Reverse(key)) if key.time < deadline => {
                     self.step();
                 }
                 _ => break,
@@ -521,6 +550,86 @@ mod tests {
             .map(|&(_, _, id)| id)
             .collect();
         assert_eq!(timer_ids, vec![100, 200]);
+    }
+
+    #[test]
+    fn heap_orders_small_keys() {
+        assert!(std::mem::size_of::<Key>() <= 24);
+    }
+
+    /// Logs every timer and delivery; a timer id of 100 or more also
+    /// sends itself to the actor.
+    struct Log(Vec<u64>);
+    impl Actor<Num> for Log {
+        fn on_message(&mut self, _from: ActorId, msg: Num, _ctx: &mut dyn Context<Num>) {
+            self.0.push(1000 + msg.0);
+        }
+        fn on_timer(&mut self, id: u64, ctx: &mut dyn Context<Num>) {
+            self.0.push(id);
+            if id >= 100 {
+                ctx.send(ctx.self_id(), Num(id));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn same_instant_order_survives_slot_reuse() {
+        let latency = TimeNs::from_millis(1);
+        let mut e = Engine::new(IdealNetwork { latency }, 7);
+        e.add_actor(Box::new(Log(Vec::new())));
+        // Three timers fill slots 0, 1, 2 and fire, freeing them in that
+        // order — so the free list hands them back as 2, 1, 0.
+        for id in 1..=3 {
+            e.schedule_timer(0, TimeNs::from_millis(1), id);
+        }
+        e.run_until(TimeNs::from_millis(2));
+        assert_eq!(e.core.free, vec![0, 1, 2]);
+        // Same instant, scheduled 100, 200, 300: seq ascends while the
+        // slots descend. A fourth timer is due when their sends arrive.
+        for id in [100, 200, 300] {
+            e.schedule_timer(0, TimeNs::from_millis(5), id);
+        }
+        e.schedule_timer(0, TimeNs::from_millis(6), 4);
+        let slots: Vec<u32> = e.core.queue.iter().map(|k| k.0.slot).collect();
+        assert!(slots.contains(&0) && slots.contains(&3), "{slots:?}");
+        e.run_until(TimeNs::from_secs(1));
+        // Schedule order at 5 ms; at 6 ms the timer (scheduled before the
+        // sends existed) and then the deliveries in send order.
+        let log: &Log = e.actor_as(0).unwrap();
+        assert_eq!(log.0, [1, 2, 3, 100, 200, 300, 4, 1100, 1200, 1300]);
+        // Nothing pending: every slot is back on the free list.
+        assert_eq!(e.core.free.len(), e.core.slab.len());
+        assert!(e.core.slab.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn multicast_reaches_every_target_in_order() {
+        let mut e = engine2(false);
+        e.add_actor(Box::new(Recorder {
+            log: vec![],
+            reply: false,
+        }));
+        let mut ctx = SimCtx {
+            core: &mut e.core,
+            self_id: 0,
+        };
+        ctx.multicast(&[2, 1], Num(9));
+        ctx.multicast(&[], Num(1));
+        assert_eq!(e.stats().msgs_sent[0], 2);
+        let order: Vec<ActorId> = {
+            let mut keys: Vec<Key> = e.core.queue.iter().map(|k| k.0).collect();
+            keys.sort();
+            keys.iter()
+                .map(|k| e.core.slab[k.slot as usize].as_ref().unwrap().to)
+                .collect()
+        };
+        assert_eq!(order, [2, 1]);
     }
 
     #[test]

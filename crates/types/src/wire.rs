@@ -47,6 +47,15 @@ pub trait WireSize {
     fn wire_size(&self) -> u64;
 }
 
+/// Shared ownership is a property of the process, not of the wire: a
+/// message held behind an `Arc` (so a broadcast clones a pointer) costs
+/// what the message costs.
+impl<T: WireSize + ?Sized> WireSize for std::sync::Arc<T> {
+    fn wire_size(&self) -> u64 {
+        (**self).wire_size()
+    }
+}
+
 impl WireSize for crate::tx::Batch {
     fn wire_size(&self) -> u64 {
         // Count/offset metadata plus the payload itself.

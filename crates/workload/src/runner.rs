@@ -386,12 +386,14 @@ mod tests {
     /// event. The digest covers every deterministic counter, so a change
     /// that adds, renames or moves one re-pins it (print
     /// `report.metrics.deterministic_json()` before and after, and check
-    /// the diff is only the counter you meant). Re-pinned twice since:
-    /// the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
+    /// the diff is only the counter you meant). Re-pinned three times
+    /// since: the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
     /// `wal.bytes_written` and `wal.segment_opens`; the mask-free record
     /// (8 B shorter) moved `wal.bytes_written` again and the replay
-    /// gauge counting touched lanes went with the lane ledger — nothing
-    /// else either time.
+    /// gauge counting touched lanes went with the lane ledger; dropping
+    /// votes for decided phases unverified and verifying a certificate
+    /// once per replica moved `crypto.{hashes, verifies, agg_verifies,
+    /// qc_verify_hits}` — nothing else any time.
     #[test]
     fn seeded_runs_match_the_pre_deployment_pins() {
         let pins = [
@@ -399,19 +401,19 @@ mod tests {
                 ProtocolKind::LadonPbft,
                 241_661,
                 86,
-                "bd2e8c6672cd5f0d5c5e696b4c7cfd0cfc71a2b8d403e2ce8cbb9367108cb73a",
+                "26f85bad102d65f6816ead7f20948ed3db32041641bcad2fd2a938fd317dcbf6",
             ),
             (
                 ProtocolKind::LadonHotStuff,
                 258_007,
                 83,
-                "66cff35c0370bb634570a304310e9afca6ff47b3d1085c2a9998a5fbfc7a6074",
+                "61f9000d28fd48525637e01d82632e58888a36e1cd66bc11ae2afd4255f63813",
             ),
             (
                 ProtocolKind::DqbftPbft,
                 241_632,
                 84,
-                "53c52cdc3d89054c91b0c669dce62b52d7cdc1c7e37d6d6533a51e0d974fd183",
+                "1e6992b3f0681f5bbc3269f26e9882bcc58390b30c4ec135b4e2ddd94e453bee",
             ),
         ];
         for (protocol, committed_txs, confirmed_blocks, sha) in pins {

@@ -333,7 +333,7 @@ fn sync_response_from_a_non_replica_actor_is_dropped() {
     assert!(honest.snapshot.is_some());
 
     let untouched = (requester.commit_frontier(), requester.epoch(), 0);
-    requester.on_message(c.sys.n, NodeMsg::SyncResp(honest.clone()), &mut ctx);
+    requester.on_message(c.sys.n, NodeMsg::SyncResp(honest.clone().into()), &mut ctx);
     assert_eq!(
         (
             requester.commit_frontier(),
@@ -347,7 +347,7 @@ fn sync_response_from_a_non_replica_actor_is_dropped() {
     assert_eq!(requester.metrics.sync_installed, 0);
     assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
 
-    requester.on_message(0, NodeMsg::SyncResp(honest), &mut ctx);
+    requester.on_message(0, NodeMsg::SyncResp(honest.into()), &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert!(requester.exec.applied() > 0);
 }

@@ -8,6 +8,17 @@
 //! [`Actions`] already lifted into [`NodeMsg`] envelopes, so one handler
 //! performs them whichever protocol produced them.
 //!
+//! # Rounds
+//!
+//! Under both protocols a committed [`Block`]'s `round` is the ordinal
+//! of the block among those its instance has emitted — 1, 2, 3, … with
+//! no holes — which is what the ordering layer's per-instance intake
+//! counts. PBFT commits one block per round, so the two coincide.
+//! HotStuff's chain also holds three epoch-flush dummies per epoch that
+//! take heights and are never emitted: there [`Instance::committed_upto`]
+//! and the round of an [`Input::RoundTimer`] are chain *heights*, private
+//! to the instance, and run ahead of the emitted rounds.
+//!
 //! # What HotStuff does not have
 //!
 //! This is the single statement of the "state-only snapshot / no log
@@ -223,7 +234,9 @@ impl Instance {
         }
     }
 
-    /// Highest contiguously committed round (PBFT) or height (HotStuff).
+    /// Highest contiguously committed round (PBFT) or chain height
+    /// (HotStuff — dummies included, so not a block's `round`; see the
+    /// module docs).
     pub fn committed_upto(&self) -> Round {
         match &self.proto {
             Proto::Pbft(inst) => inst.committed_upto(),

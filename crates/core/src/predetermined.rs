@@ -163,10 +163,8 @@ impl PredeterminedOrderer {
         }
         // Fill slots owned by removed instances at the confirmation head.
         loop {
-            let (i, round) = self.slot_of(self.next_sn + self.waiting.len() as u64);
             let head = self.next_sn;
             let (hi, hround) = self.slot_of(head);
-            let _ = (i, round);
             match self.removed_from[hi.as_usize()] {
                 Some(from) if hround.0 >= from && !self.waiting.contains_key(&head) => {
                     self.waiting.insert(head, nil_block(hi, hround, now));

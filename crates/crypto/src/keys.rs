@@ -51,11 +51,6 @@ fn tag_under(key: &HmacKey, domain: &[u8], msg: &[u8]) -> [u8; 32] {
 }
 
 impl Signer {
-    /// Number of sub-keys `K`.
-    pub fn key_count(&self) -> u32 {
-        self.keys.len() as u32
-    }
-
     /// Produces the raw HMAC tag for `(domain, msg)` under sub-key
     /// `key_idx`, clamped to the last key (`K − 1`) as §5.3 prescribes for
     /// rank differences beyond the key budget.

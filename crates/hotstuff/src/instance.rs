@@ -105,6 +105,11 @@ pub struct HsInstance {
     proposed_height: Round,
     /// Highest contiguously committed height.
     committed_upto: Round,
+    /// Blocks emitted so far: the [`BlockHeader::round`] of the last
+    /// `Action::Committed`. Epoch-flush dummies occupy heights and are
+    /// never emitted, so this trails `committed_upto` by three per
+    /// completed epoch.
+    emitted: u64,
     /// Epoch rank range.
     epoch_min: Rank,
     epoch_max: Rank,
@@ -152,6 +157,7 @@ impl HsInstance {
             votes: HashMap::new(),
             proposed_height: Round(0),
             committed_upto: Round(0),
+            emitted: 0,
             epoch_min,
             epoch_max,
             dummies_left: 0,
@@ -189,7 +195,8 @@ impl HsInstance {
         self.cfg.registry.clone()
     }
 
-    /// Highest contiguously committed height.
+    /// Highest contiguously committed height — dummies included, so not
+    /// the round of the last emitted block.
     pub fn committed_upto(&self) -> Round {
         self.committed_upto
     }
@@ -500,7 +507,14 @@ impl HsInstance {
         true
     }
 
-    /// Commits all uncommitted non-dummy nodes up to `height` (in order).
+    /// Commits all uncommitted nodes up to `height` (in order) and emits
+    /// the non-dummy ones, numbered by what is emitted: a block's `round`
+    /// is its ordinal among the instance's real blocks, which is what the
+    /// ordering layer's per-instance intake counts; heights stay private
+    /// to the chain. The ordinal is counted from genesis, so a replica
+    /// that cannot commit the chain from its first node (a hole no peer
+    /// refills, a state-only snapshot install) has no way to rejoin the
+    /// numbering and stays wedged: there is no HotStuff `fast_forward`.
     fn commit_through(&mut self, height: Round, out: &mut Vec<Action>) {
         while self.committed_upto < height {
             let next = self.committed_upto.next();
@@ -515,10 +529,11 @@ impl HsInstance {
             entry.committed = true;
             self.committed_upto = next;
             if !entry.node.dummy {
+                self.emitted += 1;
                 out.push(Action::Committed(Block {
                     header: BlockHeader {
                         index: self.cfg.instance,
-                        round: entry.node.height,
+                        round: Round(self.emitted),
                         rank: entry.node.rank,
                         payload_digest: entry.node.digest,
                     },
@@ -834,6 +849,18 @@ mod tests {
             c.nodes[r].advance_epoch(Rank(4), Rank(7));
         }
         assert!(c.nodes[0].can_propose());
+        // The three dummies took heights 4..=6 and were never emitted:
+        // epoch 1's first block sits at height 7 and is emitted as the
+        // round after the last emitted one, on every replica.
+        for i in 3..7u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        for (r, l) in c.committed.iter().enumerate() {
+            let rounds: Vec<Round> = l.iter().map(Block::round).collect();
+            assert_eq!(rounds, (1..=4).map(Round).collect::<Vec<_>>(), "{r}");
+            assert_eq!(l[3].rank(), Rank(4), "replica {r}");
+            assert_eq!(c.nodes[r].committed_upto(), Round(7), "replica {r}");
+        }
     }
 
     #[test]

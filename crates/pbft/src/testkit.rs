@@ -7,7 +7,7 @@
 
 use crate::instance::{Action, InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use crate::msg::PbftMsg;
-use ladon_crypto::{digest_batch, KeyRegistry, RankCert};
+use ladon_crypto::{KeyRegistry, RankCert};
 use ladon_types::{Batch, Block, InstanceId, Rank, ReplicaId, Round, TimeNs, TxId, View};
 use std::collections::VecDeque;
 
@@ -208,10 +208,5 @@ impl Cluster {
         let mut out = reference.cloned().unwrap_or_default();
         out.sort_by_key(|b| b.round());
         out
-    }
-
-    /// Convenience: digest of a test batch.
-    pub fn digest_of(batch: &Batch) -> ladon_types::Digest {
-        digest_batch(batch)
     }
 }

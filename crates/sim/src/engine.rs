@@ -287,11 +287,6 @@ impl<M: WireSize + Clone> Engine<M> {
         id
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> TimeNs {
         self.core.now

@@ -7,22 +7,17 @@
 //! into one reusable, deterministic toolkit:
 //!
 //! - [`FaultPlan`]: a shared, atomically-scripted schedule of storage
-//!   faults — a kill budget (power loss after N mutating ops), fail the
-//!   Nth write, ENOSPC after K bytes (optionally self-healing after a
-//!   number of denials, modeling an operator freeing space), a run of
-//!   fsync failures, a torn tail on the next append, seeded random
-//!   failures, and injected per-op latency. All knobs are plain atomics
-//!   behind `Arc`s, so a test or bench holds a clone of the plan and
-//!   re-scripts it *while the backend is in use* — including from the
-//!   other side of the WAL writer thread.
+//!   faults — a kill budget (power loss after N mutating ops), ENOSPC
+//!   after K bytes (optionally self-healing after a number of denials,
+//!   modeling an operator freeing space), a run of fsync failures, a
+//!   torn tail on the next append, and seeded random failures. All
+//!   knobs are plain atomics behind `Arc`s, so a test or bench holds a
+//!   clone of the plan and re-scripts it *while the backend is in use*
+//!   — including from the other side of the WAL writer thread.
 //! - [`FaultBackend`]: a [`WalBackend`] wrapper that consults the plan
 //!   on every mutating operation. Reads always pass through (the bytes
 //!   that reached storage are readable; that is what crash recovery
 //!   consumes).
-//! - [`FaultStore`]: filesystem-level snapshot-artifact faults (torn
-//!   snapshot tails, corrupted or deleted chunk files) against a
-//!   [`SnapshotStore`](crate::SnapshotStore) directory, for driving the
-//!   store's decode-failure and re-fetch paths.
 //!
 //! Determinism contract: with the same plan script and the same
 //! operation sequence, the same operations fail — across runs, machines,
@@ -30,7 +25,6 @@
 //! randomness; the seeded mode uses its own xorshift stream.
 
 use crate::wal::{WalBackend, WalIoStats};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,8 +39,6 @@ pub struct FaultPlan {
     /// kill-budget discipline the crash matrices rely on: op `k` is the
     /// first to fail when the budget starts at `k`.
     budget: Arc<AtomicI64>,
-    /// 0-based index of a single mutating op to fail, or -1 for none.
-    fail_nth: Arc<AtomicI64>,
     /// Bytes of append/write capacity left before ENOSPC. `i64::MAX`
     /// means unlimited.
     space_left: Arc<AtomicI64>,
@@ -66,10 +58,6 @@ pub struct FaultPlan {
     /// Tear the next `append_segment_batch`: write only a prefix of the
     /// records and no trailer, then report failure.
     torn_next: Arc<AtomicBool>,
-    /// Per-mutating-op injected latency, in microseconds (0 = none).
-    /// Real `thread::sleep` — for benches and examples, not for
-    /// deterministic assertions.
-    latency_us: Arc<AtomicU64>,
     /// Seeded random-failure stream: xorshift64 state (0 = disabled).
     rng: Arc<AtomicU64>,
     /// Fail probability numerator out of 1000, for the seeded stream.
@@ -91,7 +79,6 @@ impl FaultPlan {
     pub fn unlimited() -> Self {
         FaultPlan {
             budget: Arc::new(AtomicI64::new(i64::MAX)),
-            fail_nth: Arc::new(AtomicI64::new(-1)),
             space_left: Arc::new(AtomicI64::new(i64::MAX)),
             heal_after_denials: Arc::new(AtomicI64::new(0)),
             enospc_denials: Arc::new(AtomicU64::new(0)),
@@ -99,7 +86,6 @@ impl FaultPlan {
             fsync_cycle: Arc::new(AtomicU64::new(0)),
             fsync_clock: Arc::new(AtomicU64::new(0)),
             torn_next: Arc::new(AtomicBool::new(false)),
-            latency_us: Arc::new(AtomicU64::new(0)),
             rng: Arc::new(AtomicU64::new(0)),
             fail_per_mille: Arc::new(AtomicU64::new(0)),
             ops: Arc::new(AtomicU64::new(0)),
@@ -124,20 +110,6 @@ impl FaultPlan {
         plan.rng.store(seed.max(1), Ordering::SeqCst);
         plan.fail_per_mille.store(per_mille, Ordering::SeqCst);
         plan
-    }
-
-    /// Storage dies (all mutating ops fail) after `n` further mutating
-    /// operations.
-    pub fn kill_after(self, n: i64) -> Self {
-        self.budget.store(n, Ordering::SeqCst);
-        self
-    }
-
-    /// Fail exactly the `n`-th (0-based, counted from plan creation)
-    /// mutating operation.
-    pub fn fail_nth_write(self, n: i64) -> Self {
-        self.fail_nth.store(n, Ordering::SeqCst);
-        self
     }
 
     /// ENOSPC: byte-consuming writes fail once `bytes` of capacity are
@@ -176,20 +148,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sleep this long on every mutating op (benches/examples only).
-    pub fn with_latency_us(self, us: u64) -> Self {
-        self.latency_us.store(us, Ordering::SeqCst);
-        self
-    }
-
     /// Restore unlimited space immediately (the operator freed the disk).
     pub fn free_space(&self) {
         self.space_left.store(i64::MAX, Ordering::SeqCst);
-    }
-
-    /// The shared kill-budget cell, for sweeps that re-arm it mid-run.
-    pub fn budget_handle(&self) -> Arc<AtomicI64> {
-        self.budget.clone()
     }
 
     /// Mutating operations the plan has observed.
@@ -206,25 +167,14 @@ impl FaultPlan {
         self.injected.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn maybe_sleep(&self) {
-        let us = self.latency_us.load(Ordering::SeqCst);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-    }
-
     /// Gate one mutating operation consuming `bytes` of capacity.
     /// Returns `false` when the plan denies it. Always decrements the
     /// kill budget (exact crash-matrix semantics) and always advances
     /// the op counter, whatever else triggers.
     fn permit(&self, bytes: usize) -> bool {
-        self.maybe_sleep();
-        let op = self.ops.fetch_add(1, Ordering::SeqCst);
+        self.ops.fetch_add(1, Ordering::SeqCst);
         let mut ok = true;
         if self.budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
-            ok = false;
-        }
-        if self.fail_nth.load(Ordering::SeqCst) == op as i64 {
             ok = false;
         }
         if bytes > 0 && !self.take_space(bytes) {
@@ -413,86 +363,6 @@ impl<B: WalBackend> WalBackend for FaultBackend<B> {
     }
 }
 
-/// Filesystem-level fault injection against a snapshot-store directory:
-/// tears and corruption applied to the `snap-*.bin` / `chunk-*.bin`
-/// artifacts a [`SnapshotStore`](crate::SnapshotStore) persists, for
-/// driving its decode-failure and re-fetch paths deterministically.
-pub struct FaultStore {
-    dir: PathBuf,
-    plan: FaultPlan,
-}
-
-impl FaultStore {
-    pub fn at_dir(dir: impl AsRef<Path>, plan: FaultPlan) -> Self {
-        FaultStore {
-            dir: dir.as_ref().to_path_buf(),
-            plan,
-        }
-    }
-
-    fn artifacts(&self, prefix: &str) -> Vec<PathBuf> {
-        let mut found: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(prefix) && n.ends_with(".bin"))
-            })
-            .collect();
-        found.sort();
-        found
-    }
-
-    /// Truncate the last `bytes` off every snapshot file (torn tail).
-    /// Returns how many artifacts were mangled.
-    pub fn tear_snapshots(&self, bytes: u64) -> u64 {
-        self.mangle(self.artifacts("snap-"), |path| {
-            let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let f = std::fs::OpenOptions::new().write(true).open(path);
-            if let Ok(f) = f {
-                let _ = f.set_len(len.saturating_sub(bytes));
-                return true;
-            }
-            false
-        })
-    }
-
-    /// Flip one byte in every stashed chunk file (content corruption a
-    /// content-addressed reader must reject). Returns the count mangled.
-    pub fn corrupt_chunks(&self) -> u64 {
-        self.mangle(self.artifacts("chunk-"), |path| {
-            if let Ok(mut bytes) = std::fs::read(path) {
-                if let Some(b) = bytes.last_mut() {
-                    *b ^= 0xff;
-                    return std::fs::write(path, bytes).is_ok();
-                }
-            }
-            false
-        })
-    }
-
-    /// Delete every stashed chunk file (lost stash). Returns the count.
-    pub fn delete_chunks(&self) -> u64 {
-        self.mangle(self.artifacts("chunk-"), |path| {
-            std::fs::remove_file(path).is_ok()
-        })
-    }
-
-    fn mangle(&self, paths: Vec<PathBuf>, op: impl Fn(&Path) -> bool) -> u64 {
-        let mut n = 0;
-        for p in paths {
-            if op(&p) {
-                self.plan.note_injected();
-                n += 1;
-            }
-        }
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,15 +408,6 @@ mod tests {
         // Re-arming the shared cell mid-run restores storage.
         budget.store(5, std::sync::atomic::Ordering::SeqCst);
         assert!(plan.permit(0));
-    }
-
-    #[test]
-    fn fail_nth_write_fails_exactly_once() {
-        let plan = FaultPlan::unlimited().fail_nth_write(1);
-        assert!(plan.permit(1));
-        assert!(!plan.permit(1));
-        assert!(plan.permit(1));
-        assert_eq!(plan.injected_faults(), 1);
     }
 
     #[test]

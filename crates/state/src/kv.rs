@@ -117,7 +117,8 @@ impl ExecEffects {
 
 /// What [`KvState::apply_batch`] did: summed effects and the wave-plan
 /// counters describing the batch's dependency DAG — a pure function of
-/// the ops' static lane access sets (the property `fig_exec_dag` gates).
+/// the ops' static lane access sets (pinned by this module's
+/// `wave_plan_shapes` and `batch_apply_is_apply_in_order_…` tests).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Summed operation effects.

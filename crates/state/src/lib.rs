@@ -28,9 +28,9 @@
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
 //!   plus snapshot install and crash recovery (snapshot + WAL replay).
 //! - [`faults`]: deterministic, scriptable storage-fault injection
-//!   ([`FaultPlan`] driving [`FaultBackend`] / [`FaultStore`]) so every
-//!   failure path above can be exercised from tests, benches, and the
-//!   simulator with the same reusable machinery.
+//!   ([`FaultPlan`] driving [`FaultBackend`]) so every WAL failure path
+//!   above can be exercised from tests, benches, and the simulator with
+//!   the same reusable machinery.
 //!
 //! Determinism contract: executing the same confirmed block sequence from
 //! the same starting state always yields the same state root, so honest
@@ -46,7 +46,7 @@ pub mod pipeline;
 pub mod snapshot;
 pub mod wal;
 
-pub use faults::{FaultBackend, FaultPlan, FaultStore};
+pub use faults::{FaultBackend, FaultPlan};
 pub use kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
     ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,

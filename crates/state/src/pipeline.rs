@@ -119,8 +119,7 @@ impl ReplayStats {
 /// Cumulative wave-plan accounting across every batch the pipeline
 /// executed (live drains and recovery replay alike) — the dependency
 /// structure of the executed batches. All counts are deterministic: the
-/// plan is a pure function of the ops' static lane access sets
-/// (`fig_exec_dag` gates exactly this).
+/// plan is a pure function of the ops' static lane access sets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
     /// Batches planned (one per flush of the staged drain, one per
@@ -848,11 +847,6 @@ impl ExecutionPipeline {
         self.store.stashed_chunks()
     }
 
-    /// Stashed chunk count.
-    pub fn stashed_chunk_count(&self) -> usize {
-        self.store.stash_len()
-    }
-
     /// Drops the chunk stash (and its files): the pending delta install
     /// completed or was abandoned.
     pub fn clear_chunk_stash(&mut self) {
@@ -1052,6 +1046,11 @@ mod tests {
         assert_eq!(batched.executed_txs(), per_block.executed_txs());
         assert_eq!(batched.state_root(), per_block.state_root());
         assert_eq!(batched.lane_roots(), per_block.lane_roots());
+        // One drain plans as one batch-wide DAG, in which independent
+        // blocks share waves.
+        let (b, pb) = (batched.sched_stats(), per_block.sched_stats());
+        assert_eq!((b.batches, pb.batches), (3, 20));
+        assert!(b.waves <= pb.waves, "{b:?} vs {pb:?}");
         // And the batched WAL recovers to the identical state.
         let (snap, wal) = batched.export_parts();
         let recovered = ExecutionPipeline::from_parts(snap.as_deref(), &wal, DEFAULT_KEYSPACE);
@@ -1153,6 +1152,82 @@ mod tests {
         sync.execute_batch(&[(2, block(2, 100, 50))]);
         assert_eq!(p.wal_io_stats(), sync.wal_io_stats());
         assert_eq!(p.state_root(), sync.state_root());
+    }
+
+    #[test]
+    fn writer_thread_applies_a_batch_while_the_next_barrier_is_in_flight() {
+        // Every barrier's append parks at a gate until released, so "B's
+        // barrier has not completed" is a state the test holds, not a
+        // race it hopes to win.
+        use crate::wal::tests::{GatedAppends, SharedMem};
+        let disk = SharedMem::default();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let gated = GatedAppends {
+            inner: disk.clone(),
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let wal = CommitWal::open(Box::new(gated), WalOptions::default());
+        let mut p = ExecutionPipeline::fresh(wal, DEFAULT_KEYSPACE);
+        p.stage_blocks(&[(0, block(0, 0, 50)), (1, block(1, 50, 50))]);
+        assert!(p.submit_staged().is_empty(), "first submit applies nothing");
+        entered.recv().expect("A's barrier reaches the gate");
+        assert_eq!(p.inflight_records(), 2, "A in flight");
+        assert_eq!(p.applied(), 0, "no apply before A's token resolves");
+        p.stage_blocks(&[(2, block(2, 100, 50)), (3, block(3, 150, 50))]);
+        assert_eq!(p.staged_records(), 2, "staging proceeds mid-flight");
+        release.send(()).unwrap();
+        assert_eq!(p.submit_staged(), 0..2, "A applies once its token resolves");
+        entered.recv().expect("B's barrier reaches the gate");
+        assert_eq!(p.applied(), 2, "A executed while B's barrier is parked");
+        assert_eq!(p.inflight_records(), 2, "B still in flight");
+        assert!(p.sched_stats().waves > 0);
+        release.send(()).unwrap();
+        assert_eq!(p.flush_staged(), 2..4, "the drain resolves B");
+        assert_eq!(p.applied(), 4);
+        let perf = p.perf();
+        assert_eq!(perf.wal_flush_failures, 0);
+        assert_eq!(perf.flush_barriers, 2);
+        assert_eq!(perf.pipelined_submits, 1, "B's submit overlapped A");
+        drop(p); // joins the writer
+        let reopen =
+            |floor| CommitWal::open_with_floor(Box::new(disk), WalOptions::default(), floor);
+        let r = ExecutionPipeline::rebuild(reopen, SnapshotStore::in_memory(), DEFAULT_KEYSPACE);
+        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut reference, 0, 4);
+        assert_eq!(r.applied(), 4);
+        assert_eq!(r.state_root(), reference.state_root());
+    }
+
+    #[test]
+    fn file_backed_submit_staged_drain_recovers_like_per_block_execution() {
+        let dir = std::env::temp_dir().join(format!("ladon-exec-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = WalOptions {
+            segment_records: 64,
+            ..WalOptions::default()
+        };
+        let blocks: Vec<(u64, Block)> = (0..96u64).map(|sn| (sn, block(sn, sn * 50, 50))).collect();
+        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut reference, 0, 96);
+        {
+            let mut p = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, opts).unwrap();
+            assert!(p.wal.pipelined(), "file-backed barriers run on the writer");
+            for chunk in blocks.chunks(8) {
+                p.stage_blocks(chunk);
+                p.submit_staged();
+            }
+            p.flush_staged();
+            let perf = p.perf();
+            assert_eq!(perf.wal_flush_failures, 0);
+            assert_eq!(perf.pipelined_submits, 11, "every submit but the first");
+            assert_eq!(p.state_root(), reference.state_root());
+        }
+        let recovered = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, opts).unwrap();
+        assert_eq!(recovered.applied(), 96);
+        assert_eq!(recovered.state_root(), reference.state_root());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

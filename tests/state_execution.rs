@@ -121,8 +121,8 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     // (appends, segment rolls, compaction rotations) wrote cleanly — and
     // the group-commit I/O counters surface real work: fsync barriers
     // were issued (durability is not a no-op) and bytes landed.
-    // (`fig_wal_group_commit` gates the amortization itself with exact
-    // counts.)
+    // (`steady_state_barrier_is_one_write_and_one_fsync` in the state
+    // crate pins the amortization itself with exact counts.)
     for r in 0..4 {
         let m = &c.node(r).metrics;
         assert_eq!(

@@ -202,7 +202,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
         "an incomplete chunk set must not install"
     );
     assert_eq!(
-        requester.exec.stashed_chunk_count(),
+        requester.exec.stashed_chunks().count(),
         total - tampered,
         "every clean chunk must survive the Byzantine ones' rejection"
     );
@@ -237,7 +237,7 @@ fn byzantine_chunks_rejected_per_chunk_without_discarding_verified_ones() {
     );
     assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(
-        requester.exec.stashed_chunk_count(),
+        requester.exec.stashed_chunks().count(),
         0,
         "the stash must be cleared once the install lands"
     );
@@ -283,7 +283,7 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     requester.on_sync_response(RESPONDER, resp, &mut ctx);
     assert_eq!(requester.metrics.sync_chunks_rejected, 4);
     assert_eq!(requester.metrics.sync_chunks_verified, 0);
-    assert_eq!(requester.exec.stashed_chunk_count(), 0);
+    assert_eq!(requester.exec.stashed_chunks().count(), 0);
 
     // Heads: the wrong shape, then forged fields under the real proof.
     let forgeries: [fn(&mut ladon::state::SnapshotHead); 5] = [
@@ -303,7 +303,7 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     }
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.applied(), 0);
-    assert_eq!(requester.exec.stashed_chunk_count(), 0);
+    assert_eq!(requester.exec.stashed_chunks().count(), 0);
     assert_eq!(
         requester.responder_health()[RESPONDER.as_usize()].rejected_chunks,
         4 + 5,
@@ -380,7 +380,7 @@ fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
     partial.chunks_remaining = rest.len() as u32;
     requester.on_sync_response(RESPONDER, partial, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 0);
-    assert_eq!(requester.exec.stashed_chunk_count(), 1);
+    assert_eq!(requester.exec.stashed_chunks().count(), 1);
     let targets = sync_req_targets(&ctx);
     assert_eq!(
         targets.len(),
@@ -402,7 +402,7 @@ fn partial_chunk_responses_trigger_cursor_resume_and_peer_rotation() {
     partial2.chunks = rest[..1].to_vec();
     partial2.chunks_remaining = (rest.len() - 1) as u32;
     requester.on_sync_response(RESPONDER, partial2, &mut ctx);
-    assert_eq!(requester.exec.stashed_chunk_count(), 2);
+    assert_eq!(requester.exec.stashed_chunks().count(), 2);
     let targets = sync_req_targets(&ctx);
     assert_eq!(targets.len(), 2);
     assert_ne!(
@@ -450,7 +450,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
     partial.chunks_remaining = (total - keep) as u32;
     requester.on_sync_response(RESPONDER, partial, &mut ctx);
     assert_eq!(requester.metrics.snapshot_installs, 0);
-    assert_eq!(requester.exec.stashed_chunk_count(), keep);
+    assert_eq!(requester.exec.stashed_chunks().count(), keep);
     drop(requester);
 
     // Restart from the same directory: the stash is reloaded from its
@@ -458,7 +458,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
     let exec =
         ExecutionPipeline::recover(&dir, c.sys.exec_keyspace).expect("recovery must succeed");
     assert_eq!(
-        exec.stashed_chunk_count(),
+        exec.stashed_chunks().count(),
         keep,
         "verified chunks must survive the crash"
     );
@@ -487,7 +487,7 @@ fn interrupted_chunked_install_resumes_from_stash() {
         "resumed delta install must reproduce the \
          snapshot's lane roots byte-identically"
     );
-    assert_eq!(requester.exec.stashed_chunk_count(), 0);
+    assert_eq!(requester.exec.stashed_chunks().count(), 0);
     drop(requester);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,36 +21,59 @@
 //! multiplicative-knapsack/discrete-log-style problem in `Z_p^*` rather
 //! than a Wagner generalized-birthday subset *sum*.)
 //!
+//! A lane *is* a flat, linear-probed, power-of-two table of 16-byte
+//! slots `{ key, state, value }` — no tree, no per-entry allocation. One
+//! 64-bit mix of the key places it: the low bits name the lane, the high
+//! half the slot where its probe starts (bits the lane index does not
+//! use, since every key of a lane shares the low ones). A value of 0
+//! means *absent* (canonical form), so a deleted key stays behind as a
+//! zero placeholder — keys probed past it must stay findable — and the
+//! next rebuild drops it. A table is rebuilt when an insert would pass
+//! load ⅞, at the size that holds what is kept at load ≤ ½: larger,
+//! smaller, or the same size minus its placeholders, so churn cannot
+//! grow it. The table has no key order. The one consumer of key order,
+//! a snapshot chunk ([`KvState::lane_entries`]), sorts a lane's live
+//! entries when it is captured — **sorted only at capture**, once per
+//! epoch, never per op.
+//!
 //! **The fold rule.** A lane root is a pure function of the lane's
 //! *live contents* and is read once per epoch, so no hashing happens on
-//! the write path: a write updates the map and, for a key first touched
-//! since the last fold, records the value it had then (the lane's dirty
-//! set, bounded by the keys touched since the last checkpoint).
-//! [`KvState::fold`] then multiplies, per dirty key *whose value
-//! actually changed*, the old leaf into a removal product and the new
-//! leaf into an insert product — a key rewritten ten times, or written
-//! back to its folded value, costs two hashes or none — and sets
-//! `folded ← folded · inserted · removed⁻¹`: one Fermat inverse per
-//! dirty lane per fold, none on a root read. The folded value is the
-//! canonical residue of the product over the live leaves, whatever the
-//! write history and wherever the folds fell — which is what makes the
-//! root a content address (history independence). [`KvState::root`] and
-//! [`KvState::lane_roots`] take `&self` and fold pending dirty keys
+//! the write path. The slot carries the fold state: a write to a `Clean`
+//! slot (or a new key) marks it `Dirty` and pushes `(slot, value at the
+//! last fold)` onto the lane's **dirty list** — one push per key touched
+//! since the last checkpoint, however often it is rewritten, and no
+//! second lookup to find out. [`KvState::fold`] then multiplies, per
+//! dirty key *whose value actually changed*, the old leaf into a removal
+//! product and the new leaf into an insert product — a key rewritten ten
+//! times, or written back to its folded value, costs two hashes or none
+//! — and sets `folded ← folded · inserted · removed⁻¹`. MuHash does not
+//! care in which order the dirty list is walked. The inverses of all
+//! dirty lanes' removal products come from **one** Fermat inverse per
+//! fold (Montgomery's trick: prefix products, invert the total,
+//! back-substitute — three multiplies per lane); a root read of an
+//! unfolded state pays a lane's own inverse instead. The folded value is
+//! the canonical residue of the product over the live leaves, whatever
+//! the write history and wherever the folds fell — which is what makes
+//! the root a content address (history independence). [`KvState::root`]
+//! and [`KvState::lane_roots`] take `&self` and fold pending dirty keys
 //! into a local copy, so a read nobody folded for is still correct;
 //! folding first only makes it cheap.
 //!
 //! # Execution
 //!
 //! [`KvState::apply_batch`] applies a batch's ops **in block order on
-//! the calling thread** — full read-your-writes semantics, the same as
-//! folding [`KvState::apply`] over the ops. With hashing off the write
-//! path an op is a couple of `BTreeMap` operations, too small for any
+//! the calling thread** — full read-your-writes semantics — in a
+//! **single pass**: each key is hashed once, the hash names the lane for
+//! the wave plan below and the slot for the probe, and a
+//! read-modify-write reuses its probe. A `Put` or `Get` is one probe, a
+//! `Transfer` two. [`KvState::apply`] is the batch of one through the
+//! same code. At a few tens of nanoseconds an op is too small for any
 //! cross-thread hand-off to pay for itself.
 //!
 //! # Wave plan (the batch's dependency structure)
 //!
-//! Alongside, every batch is *described* by a deterministic dependency
-//! DAG. Each op's lane access set is statically known: a `Put`/`Get`
+//! In the same pass, every batch is *described* by a deterministic
+//! dependency DAG. Each op's lane access set is statically known: a `Put`/`Get`
 //! touches its key's lane, a `Transfer` touches the debit lane and
 //! (when different) the credit lane. Op B *depends on* op A iff A
 //! precedes B in block order and their lane sets intersect. One linear
@@ -64,13 +87,12 @@
 //! nothing executes by it: its counters in [`BatchOutcome`] (`waves`,
 //! `max_wave_ops`, `cross_lane_edges`) report how much lane-level
 //! parallelism a batch *has*. On the paper's 4096-tx blocks that is
-//! ~214 waves of ~21 ops — a few microseconds of map work per wave,
-//! less than one cross-thread barrier round costs, which is why block
-//! order on one thread is the executor.
+//! ~214 waves of ~21 ops — half a microsecond of table work per wave,
+//! far less than one cross-thread barrier round costs, which is why
+//! block order on one thread is the executor.
 
 use ladon_crypto::Sha256;
 use ladon_types::{splitmix64, Digest, TxOp};
-use std::collections::BTreeMap;
 
 pub use ladon_types::MERKLE_LANES;
 
@@ -78,13 +100,30 @@ pub use ladon_types::MERKLE_LANES;
 /// (see [`ladon_types::SystemConfig::exec_keyspace`] for the knob).
 pub const DEFAULT_KEYSPACE: u32 = 4096;
 
+/// The one 64-bit mix of a key that places it: reduced modulo
+/// [`MERKLE_LANES`] it names the lane ([`lane_of`]), and its high half
+/// names the slot within the lane's table. Every key of a lane agrees on
+/// the low bits, so the slot index has to come from bits the lane index
+/// does not use — or a lane's keys would all probe from a few slots.
+#[inline]
+fn key_hash(key: u32) -> u64 {
+    let mut state = key as u64 ^ 0x1ad0_0000_0000_00a1;
+    splitmix64(&mut state)
+}
+
+/// A key's hash and the lane it names.
+#[inline]
+fn locate(key: u32) -> (u64, usize) {
+    let hash = key_hash(key);
+    (hash, (hash % MERKLE_LANES as u64) as usize)
+}
+
 /// The fixed lane a key lives in: a splitmix64 hash of the key, reduced
 /// modulo [`MERKLE_LANES`]. Hashing (rather than `key % lanes`) keeps the
 /// synthetic workload's low dense keys spread across every lane.
 #[inline]
 pub fn lane_of(key: u32) -> usize {
-    let mut state = key as u64 ^ 0x1ad0_0000_0000_00a1;
-    (splitmix64(&mut state) % MERKLE_LANES as u64) as usize
+    locate(key).1
 }
 
 /// Counters of applied operations (per block or cumulative).
@@ -257,7 +296,7 @@ fn mul_mod(a: &Acc, b: &Acc) -> Acc {
 }
 
 /// `a⁻¹ mod p` by Fermat (`a^(p−2)`), for `a ≠ 0`. ~510 modular
-/// multiplies — paid once per dirty lane per fold (and only when the
+/// multiplies — paid once per fold ([`invert_all`]; and only when the
 /// fold removes a leaf), never on the write path.
 fn inv_mod(a: &Acc) -> Acc {
     // p − 2 = 2^256 − 191.
@@ -314,25 +353,34 @@ pub fn lane_root_of(entries: &[(u32, u64)]) -> Digest {
     lane_root(entries.len(), &acc_of_entries(entries))
 }
 
+/// Replaces every residue with its inverse mod p by Montgomery's trick:
+/// prefix products, ONE [`inv_mod`] of the total, back-substitution —
+/// three multiplies per residue instead of a Fermat inverse each. The
+/// residues are nonzero ([`acc_of_leaf`] never yields 0 and p is
+/// prime); a product of 1 (nothing to divide out) skips the inverse.
+fn invert_all(values: &mut [Acc]) {
+    let mut total = ACC_ONE;
+    let mut prefix = Vec::with_capacity(values.len());
+    for v in values.iter() {
+        prefix.push(total);
+        total = mul_mod(&total, v);
+    }
+    let mut inv = if total == ACC_ONE {
+        ACC_ONE
+    } else {
+        inv_mod(&total)
+    };
+    for (v, before) in values.iter_mut().zip(prefix).rev() {
+        let own = mul_mod(&inv, &before);
+        inv = mul_mod(&inv, v);
+        *v = own;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Wave plan: the deterministic dependency DAG over lane access sets
 // (see the module docs).
 // ---------------------------------------------------------------------
-
-/// The static lane access set of one op: its primary lane (the key's /
-/// debit lane) plus, for a cross-lane transfer, the distinct credit
-/// lane.
-#[inline]
-fn access_lanes(op: &TxOp) -> (usize, Option<usize>) {
-    match *op {
-        TxOp::Put { key, .. } | TxOp::Get { key } => (lane_of(key), None),
-        TxOp::Transfer { from, to, .. } => {
-            let a = lane_of(from);
-            let b = lane_of(to);
-            (a, (b != a).then_some(b))
-        }
-    }
-}
 
 /// Per-lane tail while building a wave plan: the latest op that touched
 /// the lane.
@@ -346,26 +394,38 @@ struct LaneTail {
     secondary: bool,
 }
 
-/// The counters a wave plan produces.
-#[derive(Clone, Copy, Debug, Default)]
-struct WaveStats {
-    waves: u32,
+/// A batch's wave plan, built one op at a time while the batch applies:
+/// each op's topological wave is one past the deepest wave among the
+/// preceding ops whose lane sets intersect its own. Purely a function
+/// of the ops' static access sets — never of state.
+struct WavePlan<'a> {
+    tails: [Option<LaneTail>; MERKLE_LANES as usize],
+    /// Ops per wave so far (the state's scratch, capacity retained).
+    wave_ops: &'a mut Vec<u32>,
+    ops: u32,
     max_wave_ops: u32,
     cross_lane_edges: u64,
 }
 
-/// Builds the batch's wave plan in one pass: each op's topological wave
-/// is one past the deepest wave among the preceding ops whose lane sets
-/// intersect its own. `wave_ops` is scratch for the wave populations.
-/// Purely a function of the ops' static access sets — never of state.
-fn plan_waves<'a>(ops: impl Iterator<Item = &'a TxOp>, wave_ops: &mut Vec<u32>) -> WaveStats {
-    wave_ops.clear();
-    let mut tails: [Option<LaneTail>; MERKLE_LANES as usize] = [None; MERKLE_LANES as usize];
-    let mut stats = WaveStats::default();
-    for (idx, op) in ops.enumerate() {
-        let (a, b) = access_lanes(op);
-        let ta = tails[a];
-        let tb = b.and_then(|l| tails[l]);
+impl<'a> WavePlan<'a> {
+    fn new(wave_ops: &'a mut Vec<u32>) -> Self {
+        wave_ops.clear();
+        Self {
+            tails: [None; MERKLE_LANES as usize],
+            wave_ops,
+            ops: 0,
+            max_wave_ops: 0,
+            cross_lane_edges: 0,
+        }
+    }
+
+    /// Places the next op, given its static lane access set: its primary
+    /// lane `a` (the key's / debit lane) plus, for a cross-lane
+    /// transfer, the distinct credit lane `b`.
+    #[inline]
+    fn place(&mut self, a: usize, b: Option<usize>) {
+        let ta = self.tails[a];
+        let tb = b.and_then(|l| self.tails[l]);
         let mut wave = 0u32;
         if let Some(t) = ta {
             wave = wave.max(t.wave + 1);
@@ -378,154 +438,288 @@ fn plan_waves<'a>(ops: impl Iterator<Item = &'a TxOp>, wave_ops: &mut Vec<u32>) 
         // (credit) lane of either endpoint: a same-primary-lane edge
         // would be ordered by per-lane sequencing alone.
         match (ta, tb) {
-            (Some(x), Some(y)) if x.op == y.op => stats.cross_lane_edges += 1,
+            (Some(x), Some(y)) if x.op == y.op => self.cross_lane_edges += 1,
             (xa, yb) => {
                 if xa.is_some_and(|x| x.secondary) {
-                    stats.cross_lane_edges += 1;
+                    self.cross_lane_edges += 1;
                 }
                 if yb.is_some() {
-                    stats.cross_lane_edges += 1;
+                    self.cross_lane_edges += 1;
                 }
             }
         }
         // A wave is at most one past the deepest so far.
-        if wave as usize == wave_ops.len() {
-            wave_ops.push(0);
+        if wave as usize == self.wave_ops.len() {
+            self.wave_ops.push(0);
         }
-        wave_ops[wave as usize] += 1;
-        stats.max_wave_ops = stats.max_wave_ops.max(wave_ops[wave as usize]);
+        self.wave_ops[wave as usize] += 1;
+        self.max_wave_ops = self.max_wave_ops.max(self.wave_ops[wave as usize]);
         let tail = LaneTail {
             wave,
-            op: idx as u32,
+            op: self.ops,
             secondary: false,
         };
-        tails[a] = Some(tail);
+        self.tails[a] = Some(tail);
         if let Some(bl) = b {
-            tails[bl] = Some(LaneTail {
+            self.tails[bl] = Some(LaneTail {
                 secondary: true,
                 ..tail
             });
         }
-    }
-    stats.waves = wave_ops.len() as u32;
-    stats
-}
-
-/// Applies one op with sequential (read-your-writes) semantics.
-#[inline]
-fn apply_op(lanes: &mut [Lane], op: &TxOp, fx: &mut ExecEffects) {
-    match *op {
-        TxOp::Put { key, value } => {
-            lanes[lane_of(key)].set(key, value);
-            fx.puts += 1;
-        }
-        TxOp::Get { key } => {
-            let _ = lanes[lane_of(key)].get(key);
-            fx.gets += 1;
-        }
-        TxOp::Transfer { from, to, amount } => {
-            let lf = lane_of(from);
-            let have = lanes[lf].get(from);
-            let moved = have.min(amount);
-            if moved == 0 || from == to {
-                fx.empty_transfers += 1;
-            } else {
-                lanes[lf].set(from, have - moved);
-                let lt = lane_of(to);
-                let dest = lanes[lt].get(to);
-                lanes[lt].set(to, dest.saturating_add(moved));
-                fx.transfers += 1;
-            }
-        }
+        self.ops += 1;
     }
 }
 
-/// One Merkle lane: a shard of the key space with a lazily folded
-/// content root (the fold rule is in the module docs).
+// ---------------------------------------------------------------------
+// Lane: a flat open-addressed table that carries its own fold state.
+// ---------------------------------------------------------------------
+
+/// What a slot holds, relative to the lane's last fold.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum SlotState {
+    /// No key: a probe stops here.
+    #[default]
+    Empty,
+    /// A key whose value is the one the last fold saw.
+    Clean,
+    /// A key written since the last fold; the lane's dirty list holds
+    /// the value it had then.
+    Dirty,
+}
+
+/// One 16-byte table slot; the default one is empty. A value of 0 means
+/// the key is absent (canonical form) — an empty slot holds 0 too, so a
+/// probe for an absent key ends at its value — and a deleted key stays
+/// behind as a zero placeholder (linear probing must not lose the keys
+/// probed past it) until the next rehash drops it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    key: u32,
+    state: SlotState,
+    value: u64,
+}
+
+/// Smallest table a lane holds.
+const MIN_SLOTS: usize = 8;
+
+/// Table size that holds `n` keys at load ≤ ½. A table is rebuilt when
+/// an insert would push it past load ⅞, so at least ⅜ of the new table
+/// is inserts away from the next rebuild.
+fn slots_for(n: usize) -> usize {
+    (2 * n).next_power_of_two().max(MIN_SLOTS)
+}
+
+/// One Merkle lane: a shard of the key space as a linear-probed,
+/// power-of-two table, with a lazily folded content root (the fold rule
+/// is in the module docs).
 #[derive(Clone, Debug)]
 struct Lane {
-    /// Canonical contents: no zero-valued entries are ever stored.
-    entries: BTreeMap<u32, u64>,
+    slots: Vec<Slot>,
+    /// Non-empty slots, zero placeholders included (the load).
+    used: usize,
+    /// Slots with a nonzero value: the lane's entry count.
+    live: usize,
     /// MuHash accumulator of the contents as of the last fold: the
     /// product (mod `2^256 − 189`) of the live entries' leaf residues.
     folded: Acc,
-    /// Keys written since the last fold, each with the value it had at
-    /// that fold (0 = absent). Empty exactly when `folded` describes
-    /// `entries`.
-    dirty: BTreeMap<u32, u64>,
-}
-
-impl Default for Lane {
-    fn default() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-            folded: ACC_ONE,
-            dirty: BTreeMap::new(),
-        }
-    }
+    /// One `(slot index, value at the last fold)` per `Dirty` slot
+    /// (0 = absent then), in first-write order. Empty exactly when
+    /// `folded` describes the contents.
+    dirty: Vec<(u32, u64)>,
 }
 
 impl Lane {
+    fn with_slots(slots: usize) -> Self {
+        Self {
+            slots: vec![Slot::default(); slots],
+            used: 0,
+            live: 0,
+            folded: ACC_ONE,
+            dirty: Vec::new(),
+        }
+    }
+
+    /// A folded lane holding exactly the canonical `run`, its table
+    /// built at its final size.
+    fn from_run(run: &[(u32, u64)]) -> Self {
+        debug_assert!(
+            run.windows(2).all(|w| w[0].0 < w[1].0) && run.iter().all(|&(_, v)| v != 0),
+            "a lane run is canonical: strictly ascending keys, no zero values"
+        );
+        let mut lane = Self::with_slots(slots_for(run.len()));
+        for &(key, value) in run {
+            lane.place(Slot {
+                key,
+                state: SlotState::Clean,
+                value,
+            });
+        }
+        lane.used = run.len();
+        lane.live = run.len();
+        lane.folded = acc_of_entries(run);
+        lane
+    }
+
+    /// Where `hash`'s probe sequence starts. The lane index took the
+    /// hash's low bits ([`lane_of`]), which every key of this lane
+    /// shares; the slot index comes from the high half.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// The one probe: the slot holding `key` and `true`, or the empty
+    /// slot a new `key` would take and `false`. Terminates because the
+    /// load never exceeds ⅞.
+    #[inline]
+    fn probe(&self, hash: u64, key: u32) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = &self.slots[i];
+            if slot.state == SlotState::Empty {
+                return (i, false);
+            }
+            if slot.key == key {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
     /// Reads `key` (0 when absent).
     #[inline]
-    fn get(&self, key: u32) -> u64 {
-        self.entries.get(&key).copied().unwrap_or(0)
+    fn get(&self, hash: u64, key: u32) -> u64 {
+        self.slots[self.probe(hash, key).0].value
     }
 
-    /// Writes `key` (zero values delete — canonical form) and, on the
-    /// key's first write since the last fold, remembers the value it
-    /// replaced. No hashing.
+    /// Overwrites the occupied slot `i` and, on its first write since
+    /// the last fold, remembers the value it replaced. No hashing.
     #[inline]
-    fn set(&mut self, key: u32, value: u64) {
-        let old = if value == 0 {
-            self.entries.remove(&key)
-        } else {
-            self.entries.insert(key, value)
-        };
-        self.dirty.entry(key).or_insert(old.unwrap_or(0));
+    fn write(&mut self, i: usize, value: u64) {
+        let slot = &mut self.slots[i];
+        if slot.state == SlotState::Clean {
+            slot.state = SlotState::Dirty;
+            self.dirty.push((i as u32, slot.value));
+        }
+        self.live = self.live + (value != 0) as usize - (slot.value != 0) as usize;
+        slot.value = value;
     }
 
-    /// The accumulator of the *current* contents: `folded` with every
-    /// dirty key whose value changed since the last fold divided out at
-    /// its old value and multiplied in at its new one.
-    fn current_acc(&self) -> Acc {
-        if self.dirty.is_empty() {
-            return self.folded;
+    /// Takes the empty slot `i` that [`Self::probe`] found for an absent
+    /// `key`, rebuilding the table first if that would pass load ⅞.
+    fn insert(&mut self, mut i: usize, hash: u64, key: u32, value: u64) {
+        debug_assert!(value != 0, "absent keys are not stored");
+        if self.used == self.slots.len() / 8 * 7 {
+            self.rehash();
+            i = self.probe(hash, key).0;
         }
-        let mut inserted = ACC_ONE;
-        let mut removed = ACC_ONE;
-        for (&key, &old) in &self.dirty {
-            let new = self.get(key);
-            if new == old {
+        self.slots[i] = Slot {
+            key,
+            state: SlotState::Dirty,
+            value,
+        };
+        self.dirty.push((i as u32, 0));
+        self.used += 1;
+        self.live += 1;
+    }
+
+    /// `key ← f(key)` in one probe. Zero is absent: writing 0 deletes,
+    /// and writing 0 to an absent key does nothing.
+    #[inline]
+    fn update(&mut self, hash: u64, key: u32, f: impl FnOnce(u64) -> u64) {
+        let (i, found) = self.probe(hash, key);
+        let value = f(self.slots[i].value);
+        if found {
+            self.write(i, value);
+        } else if value != 0 {
+            self.insert(i, hash, key, value);
+        }
+    }
+
+    /// Moves `slot` into the table (rebuilds only: its key is not in it).
+    fn place(&mut self, slot: Slot) -> usize {
+        let i = self.probe(key_hash(slot.key), slot.key).0;
+        self.slots[i] = slot;
+        i
+    }
+
+    /// Rebuilds the table at the size its contents need — larger,
+    /// smaller or the same — dropping the zero placeholders and
+    /// re-indexing the dirty list. What stays: live entries, and deleted
+    /// ones the pending fold still has to divide out.
+    fn rehash(&mut self) {
+        let gone = |&&(i, was): &&(u32, u64)| was != 0 && self.slots[i as usize].value == 0;
+        let kept = self.live + self.dirty.iter().filter(gone).count();
+        let mut old =
+            std::mem::replace(&mut self.slots, vec![Slot::default(); slots_for(kept + 1)]);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.retain_mut(|(i, was)| {
+            let slot = std::mem::take(&mut old[*i as usize]);
+            let keep = slot.value != 0 || *was != 0;
+            if keep {
+                *i = self.place(slot) as u32;
+            }
+            keep
+        });
+        self.dirty = dirty;
+        for slot in old {
+            if slot.value != 0 {
+                self.place(slot);
+            }
+        }
+        self.used = kept;
+    }
+
+    /// The lane's live entries, in table order.
+    fn live_entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let live = self.slots.iter().filter(|s| s.value != 0);
+        live.map(|s| (s.key, s.value))
+    }
+
+    /// The fold's two products: `folded` times the new leaf of every
+    /// dirty key whose value changed since the last fold, and the
+    /// product of their old leaves, still to be divided out. MuHash is
+    /// order-independent, so the dirty list is walked as it lies.
+    fn fold_parts(&self) -> (Acc, Acc) {
+        let (mut acc, mut removed) = (self.folded, ACC_ONE);
+        for &(i, old) in &self.dirty {
+            let slot = &self.slots[i as usize];
+            if slot.value == old {
                 continue;
             }
             if old != 0 {
-                removed = mul_mod(&removed, &acc_of_leaf(&leaf_hash(key, old)));
+                removed = mul_mod(&removed, &acc_of_leaf(&leaf_hash(slot.key, old)));
             }
-            if new != 0 {
-                inserted = mul_mod(&inserted, &acc_of_leaf(&leaf_hash(key, new)));
+            if slot.value != 0 {
+                acc = mul_mod(&acc, &acc_of_leaf(&leaf_hash(slot.key, slot.value)));
             }
         }
-        let acc = mul_mod(&self.folded, &inserted);
-        if removed == ACC_ONE {
-            acc
-        } else {
-            mul_mod(&acc, &inv_mod(&removed))
+        (acc, removed)
+    }
+
+    /// The accumulator of the *current* contents, paying this lane's own
+    /// inverse ([`KvState::fold`] shares one across lanes).
+    fn current_acc(&self) -> Acc {
+        match self.fold_parts() {
+            (acc, ACC_ONE) => acc,
+            (acc, removed) => mul_mod(&acc, &inv_mod(&removed)),
         }
     }
 
-    /// Brings `folded` up to date with `entries` and empties the dirty
-    /// set.
-    fn fold(&mut self) {
-        self.folded = self.current_acc();
-        self.dirty.clear();
+    /// Ends a fold: `acc` describes the contents, nothing is dirty.
+    fn settle(&mut self, acc: Acc) {
+        self.folded = acc;
+        for (i, _) in self.dirty.drain(..) {
+            self.slots[i as usize].state = SlotState::Clean;
+        }
     }
 
     /// The lane's content root: a digest over the entry count and the
     /// accumulator of the current contents. One hash when the lane is
     /// folded.
     fn root(&self) -> Digest {
-        lane_root(self.entries.len(), &self.current_acc())
+        lane_root(self.live, &self.current_acc())
     }
 }
 
@@ -545,12 +739,12 @@ impl Default for KvState {
 }
 
 impl PartialEq for KvState {
-    /// Content equality (whether a fold is pending is not content).
+    /// Content equality: the same live entries. Table size, probe order,
+    /// zero placeholders and whether a fold is pending are not content.
     fn eq(&self, other: &Self) -> bool {
-        self.lanes
-            .iter()
-            .zip(&other.lanes)
-            .all(|(a, b)| a.entries == b.entries)
+        self.lanes.iter().zip(&other.lanes).all(|(a, b)| {
+            a.live == b.live && a.live_entries().all(|(k, v)| b.get(key_hash(k), k) == v)
+        })
     }
 }
 
@@ -559,38 +753,29 @@ impl Eq for KvState {}
 impl KvState {
     /// Empty state.
     pub fn new() -> Self {
-        Self {
-            lanes: vec![Lane::default(); MERKLE_LANES as usize],
-            wave_scratch: Vec::new(),
-        }
+        Self::from_lanes([])
     }
 
     /// Builds state from `(key, value)` entries in any order, folded
-    /// (tests and figures; the bucket-by-lane loop). Zero values are
-    /// dropped to restore canonical form.
+    /// (tests and figures). Zero values are dropped to restore canonical
+    /// form.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut s = Self::new();
         for (k, v) in entries {
-            s.lanes[lane_of(k)].set(k, v);
+            let (hash, lane) = locate(k);
+            s.lanes[lane].update(hash, k, |_| v);
         }
         s.fold();
         s
     }
 
     /// Rebuilds state from one canonical entry run per lane, in lane
-    /// order (snapshot install and recovery), folded. Each lane map is
-    /// built from its run as is: the caller has verified the runs
-    /// (canonical, confined to their lane).
+    /// order (snapshot install and recovery), folded. Each lane table is
+    /// built from its run as is, at its final size: the caller has
+    /// verified the runs (canonical, confined to their lane).
     pub fn from_lanes<'a>(runs: impl IntoIterator<Item = &'a [(u32, u64)]>) -> Self {
-        let mut lanes: Vec<Lane> = runs
-            .into_iter()
-            .map(|run| Lane {
-                entries: run.iter().copied().collect(),
-                folded: acc_of_entries(run),
-                dirty: BTreeMap::new(),
-            })
-            .collect();
-        lanes.resize_with(MERKLE_LANES as usize, Lane::default);
+        let mut lanes: Vec<Lane> = runs.into_iter().map(Lane::from_run).collect();
+        lanes.resize_with(MERKLE_LANES as usize, || Lane::with_slots(MIN_SLOTS));
         Self {
             lanes,
             wave_scratch: Vec::new(),
@@ -599,78 +784,107 @@ impl KvState {
 
     /// Number of live (nonzero) entries.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.entries.len()).sum()
+        self.lanes.iter().map(|l| l.live).sum()
     }
 
     /// True when no entry is set.
     pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.entries.is_empty())
+        self.len() == 0
     }
 
     /// Reads `key` (0 when absent).
     pub fn get(&self, key: u32) -> u64 {
-        self.lanes[lane_of(key)].get(key)
+        let (hash, lane) = locate(key);
+        self.lanes[lane].get(hash, key)
     }
 
-    /// One lane's live entries in ascending key order (snapshot capture
-    /// reads the 64 lane maps as they are — no merge, no sort).
-    pub fn lane_entries(&self, lane: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.lanes[lane].entries.iter().map(|(&k, &v)| (k, v))
+    /// One lane's live entries in ascending key order: collected from
+    /// the table and sorted here, straight into the `Vec` a snapshot
+    /// chunk keeps — once per capture, never per op.
+    pub fn lane_entries(&self, lane: usize) -> Vec<(u32, u64)> {
+        let mut out = Vec::with_capacity(self.lanes[lane].live);
+        out.extend(self.lanes[lane].live_entries());
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
     }
 
     /// Canonical `(key, value)` entries in ascending key order, merged
     /// across lanes (assertions and figures).
     pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self
-            .lanes
-            .iter()
-            .flat_map(|l| l.entries.iter().map(|(&k, &v)| (k, v)))
-            .collect();
+        let mut out: Vec<(u32, u64)> = self.lanes.iter().flat_map(Lane::live_entries).collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out.into_iter()
     }
 
     /// Applies one operation with sequential (read-your-writes)
-    /// semantics, returning what it did — [`Self::apply_batch`] for a
-    /// batch of one, without the plan.
+    /// semantics, returning what it did: [`Self::apply_batch`] of one.
     pub fn apply(&mut self, op: &TxOp) -> ExecEffects {
-        let mut fx = ExecEffects::default();
-        apply_op(&mut self.lanes, op, &mut fx);
-        fx
+        self.apply_batch(std::iter::once(op)).effects
     }
 
-    /// Applies a batch of ops in block order on the calling thread —
-    /// exactly folding [`Self::apply`] over them — and plans the batch's
-    /// dependency DAG from the static lane access sets for the outcome's
-    /// wave counters (see the module docs; nothing executes by the
-    /// plan). The ops are walked twice, hence the `Clone` bound.
-    pub fn apply_batch<'a, I>(&mut self, ops: I) -> BatchOutcome
-    where
-        I: IntoIterator<Item = &'a TxOp>,
-        I::IntoIter: Clone,
-    {
-        let ops = ops.into_iter();
-        let stats = plan_waves(ops.clone(), &mut self.wave_scratch);
+    /// Applies a batch of ops in block order on the calling thread, with
+    /// sequential (read-your-writes) semantics, and in the same pass
+    /// plans the batch's dependency DAG for the outcome's wave counters
+    /// (see the module docs; nothing executes by the plan). Each key is
+    /// hashed once: the hash names the lane for the plan and the slot
+    /// for the probe, and a read-modify-write reuses its probe.
+    pub fn apply_batch<'a>(&mut self, ops: impl IntoIterator<Item = &'a TxOp>) -> BatchOutcome {
+        let mut plan = WavePlan::new(&mut self.wave_scratch);
         let mut effects = ExecEffects::default();
         for op in ops {
-            apply_op(&mut self.lanes, op, &mut effects);
+            match *op {
+                TxOp::Put { key, value } => {
+                    let (hash, lane) = locate(key);
+                    plan.place(lane, None);
+                    self.lanes[lane].update(hash, key, |_| value);
+                    effects.puts += 1;
+                }
+                TxOp::Get { key } => {
+                    let (hash, lane) = locate(key);
+                    plan.place(lane, None);
+                    let _ = self.lanes[lane].get(hash, key);
+                    effects.gets += 1;
+                }
+                TxOp::Transfer { from, to, amount } => {
+                    let ((debit, a), (credit, b)) = (locate(from), locate(to));
+                    plan.place(a, (b != a).then_some(b));
+                    // An absent source reads 0, so a nonzero `moved`
+                    // means `i` is `from`'s slot.
+                    let i = self.lanes[a].probe(debit, from).0;
+                    let have = self.lanes[a].slots[i].value;
+                    let moved = have.min(amount);
+                    if moved == 0 || from == to {
+                        effects.empty_transfers += 1;
+                    } else {
+                        self.lanes[a].write(i, have - moved);
+                        self.lanes[b].update(credit, to, |dest| dest.saturating_add(moved));
+                        effects.transfers += 1;
+                    }
+                }
+            }
         }
         BatchOutcome {
             effects,
-            waves: stats.waves,
-            max_wave_ops: stats.max_wave_ops,
-            cross_lane_edges: stats.cross_lane_edges,
+            waves: plan.wave_ops.len() as u32,
+            max_wave_ops: plan.max_wave_ops,
+            cross_lane_edges: plan.cross_lane_edges,
         }
     }
 
     /// Folds every lane's pending writes into its accumulator (the fold
     /// rule is in the module docs): at most two leaf hashes per key
-    /// written since the last fold, after which [`Self::root`] costs
+    /// written since the last fold and one modular inverse shared by all
+    /// lanes (Montgomery's trick), after which [`Self::root`] costs
     /// `MERKLE_LANES + 1` hashes. Never changes a root — only what the
     /// next read of one costs.
     pub fn fold(&mut self) {
-        for lane in &mut self.lanes {
-            lane.fold();
+        let dirty = self.lanes.iter_mut().filter(|l| !l.dirty.is_empty());
+        let mut lanes: Vec<&mut Lane> = dirty.collect();
+        let (accs, mut removed): (Vec<Acc>, Vec<Acc>) =
+            lanes.iter().map(|l| l.fold_parts()).unzip();
+        invert_all(&mut removed);
+        for ((lane, acc), inv) in lanes.iter_mut().zip(accs).zip(removed) {
+            lane.settle(mul_mod(&acc, &inv));
         }
     }
 
@@ -811,33 +1025,37 @@ mod tests {
         // Round-trip: inserting then removing an entry restores the
         // empty lane's root exactly (numerator/denominator finalize to
         // the identity), across interleaved histories.
-        let empty_root = Lane::default().root();
-        let mut lane = Lane::default();
-        lane.set(7, 5);
+        let empty_root = Lane::with_slots(MIN_SLOTS).root();
+        let set = |lane: &mut Lane, key: u32, value: u64| {
+            lane.update(key_hash(key), key, |_| value);
+        };
+        let mut lane = Lane::with_slots(MIN_SLOTS);
+        set(&mut lane, 7, 5);
         let one_entry = lane.root();
         assert_ne!(one_entry, empty_root);
-        lane.set(7, 0);
+        set(&mut lane, 7, 0);
         assert_eq!(lane.root(), empty_root, "insert/remove must round-trip");
-        lane.set(7, 5);
+        set(&mut lane, 7, 5);
         assert_eq!(lane.root(), one_entry, "re-insert must reproduce the root");
         // Overwrite round-trip: set → overwrite → set back.
-        lane.set(7, 9);
+        set(&mut lane, 7, 9);
         let lane9 = lane.root();
-        lane.set(7, 5);
+        set(&mut lane, 7, 5);
         assert_eq!(lane.root(), one_entry);
         // The same round trips with a fold after every write.
         for (v, expect) in [(0, empty_root), (5, one_entry), (9, lane9), (5, one_entry)] {
-            lane.set(7, v);
-            lane.fold();
+            set(&mut lane, 7, v);
+            let acc = lane.current_acc();
+            lane.settle(acc);
             assert!(lane.dirty.is_empty());
             assert_eq!(lane.root(), expect, "value {v}");
         }
         // Two lanes holding {a} and {a, b} must differ even after the
         // second removes b (histories differ, contents decide).
-        let mut other = Lane::default();
-        other.set(7, 5);
-        other.set(9, 3);
-        other.set(9, 0);
+        let mut other = Lane::with_slots(MIN_SLOTS);
+        set(&mut other, 7, 5);
+        set(&mut other, 9, 3);
+        set(&mut other, 9, 0);
         assert_eq!(other.root(), one_entry);
         // Duplicated leaves must not cancel to the empty multiset the
         // way the old XOR accumulator's did: two entries with identical
@@ -845,6 +1063,235 @@ mod tests {
         let x = acc_of_leaf(&leaf_hash(7, 5));
         assert_ne!(mul_mod(&x, &x), ACC_ONE);
         assert_ne!(mul_mod(&x, &x), x);
+    }
+
+    /// The table's size, for the tests that watch it grow and shrink.
+    fn slots(s: &KvState) -> usize {
+        s.lanes.iter().map(|l| l.slots.len()).sum()
+    }
+
+    #[test]
+    fn content_is_not_layout() {
+        // The same 300 entries by three histories: built in order and
+        // folded; written in reverse through bigger values, plus 300
+        // keys the others never saw, put and then deleted, nothing
+        // folded; and installed from a snapshot's runs.
+        let content = |k: u32| (k, k as u64 * 3 + 1);
+        let a = KvState::from_entries((0..300).map(content));
+        let mut b = KvState::new();
+        for k in (0..600u32).rev() {
+            b.apply(&TxOp::Put { key: k, value: 99 });
+        }
+        for k in 0..600u32 {
+            let value = if k < 300 { content(k).1 } else { 0 };
+            b.apply(&TxOp::Put { key: k, value });
+        }
+        let runs: Vec<Vec<(u32, u64)>> = (0..MERKLE_LANES as usize)
+            .map(|l| a.lane_entries(l))
+            .collect();
+        let c = KvState::from_lanes(runs.iter().map(Vec::as_slice));
+        assert!(slots(&b) > slots(&a), "b's tables grew for 600 keys");
+        assert!(b
+            .lanes
+            .iter()
+            .any(|l| l.used > l.live && !l.dirty.is_empty()));
+        for other in [&b, &c] {
+            assert!(a == *other);
+            assert!(*other == a);
+            assert_eq!((other.len(), other.is_empty()), (300, false));
+            assert!(other.entries().eq(a.entries()));
+            assert_eq!(other.lane_roots(), a.lane_roots());
+        }
+        b.apply(&TxOp::Put { key: 7, value: 5 });
+        assert!(a != b);
+        assert!(b != a);
+        // Emptied again, a state equals the one that never held a key.
+        let mut d = a.clone();
+        for k in 0..300u32 {
+            d.apply(&TxOp::Put { key: k, value: 0 });
+        }
+        assert!(d == KvState::new() && d.is_empty() && d.entries().next().is_none());
+        assert_eq!(d.root(), KvState::new().root());
+    }
+
+    #[test]
+    fn writing_zero_to_an_absent_key_is_a_noop() {
+        let mut s = KvState::new();
+        s.apply(&TxOp::Put { key: 9, value: 0 });
+        let fx = s.apply(&TxOp::Transfer {
+            from: 9,
+            to: 10,
+            amount: 4,
+        });
+        assert_eq!(fx.empty_transfers, 1);
+        assert!(s.lanes.iter().all(|l| l.used == 0 && l.dirty.is_empty()));
+        assert_eq!(hashes_in(|| s.fold()), 0);
+    }
+
+    #[test]
+    fn churn_reclaims_placeholders() {
+        // Put-then-delete of distinct keys, twenty times what the tables
+        // ever hold together, around a resident set of 100: a deleted
+        // key's placeholder is dropped at the next rebuild, whether a
+        // fold came in between (every 64 keys here) or never.
+        for fold_every in [64u32, u32::MAX] {
+            let mut s = KvState::from_entries((0..100).map(|k| (k, 1)));
+            let resident = slots(&s);
+            let mut peak = 0;
+            for k in 0..40 * resident as u32 {
+                let key = 1_000 + k;
+                s.apply(&TxOp::Put { key, value: 7 });
+                s.apply(&TxOp::Put { key, value: 0 });
+                if k % fold_every == fold_every - 1 {
+                    s.fold();
+                }
+                peak = peak.max(slots(&s));
+            }
+            assert!(peak <= 2 * resident, "{peak} slots for {resident}");
+            assert_eq!(s.len(), 100);
+            assert_eq!(
+                s.root(),
+                KvState::from_entries((0..100).map(|k| (k, 1))).root()
+            );
+        }
+    }
+
+    #[test]
+    fn rehash_while_dirty_keeps_the_fold_exact() {
+        // 29 keys of one lane, none folded: the table doubles three
+        // times (8 → 64) under a dirty list that has to follow its
+        // slots — among them a folded key deleted since (kept: the fold
+        // must still divide it out) and a key put and deleted since
+        // (dropped with its dirty entry: the fold owes it nothing).
+        let lane0: Vec<u32> = (0..).filter(|&k| lane_of(k) == 0).take(40).collect();
+        let mut s = KvState::from_entries([(lane0[0], 5), (lane0[1], 6)]);
+        s.apply(&TxOp::Put {
+            key: lane0[0],
+            value: 0,
+        });
+        s.apply(&TxOp::Put {
+            key: lane0[2],
+            value: 9,
+        });
+        s.apply(&TxOp::Put {
+            key: lane0[2],
+            value: 0,
+        });
+        assert_eq!((s.lanes[0].slots.len(), s.lanes[0].dirty.len()), (8, 2));
+        for &key in &lane0[3..32] {
+            s.apply(&TxOp::Put { key, value: 1 });
+        }
+        let lane = &s.lanes[0];
+        assert_eq!((lane.slots.len(), lane.live, lane.used), (64, 30, 31));
+        assert_eq!(lane.dirty.len(), 30, "the put-then-deleted key is gone");
+        for &(i, _) in &lane.dirty {
+            assert_eq!(lane.slots[i as usize].state, SlotState::Dirty);
+        }
+        let expect = KvState::from_entries(
+            std::iter::once((lane0[1], 6)).chain(lane0[3..32].iter().map(|&k| (k, 1))),
+        );
+        assert_eq!(s.lane_roots(), expect.lane_roots());
+        s.fold();
+        assert_eq!(s.lane_roots(), expect.lane_roots());
+        assert!(s == expect);
+    }
+
+    #[test]
+    fn one_inverse_per_fold_equals_one_per_lane() {
+        // Four kinds of lane in one fold: only inserts, only removals,
+        // both, and none. The shared inverse must leave every lane at
+        // the accumulator its own Fermat inverse computes.
+        let keys_of = |lane: usize| (0u32..).filter(move |&k| lane_of(k) == lane);
+        let mut s = KvState::from_entries((1..=3).flat_map(|l| keys_of(l).take(6)).map(|k| (k, 4)));
+        for key in keys_of(0).take(5) {
+            s.apply(&TxOp::Put { key, value: 8 });
+        }
+        for key in keys_of(1).take(3) {
+            s.apply(&TxOp::Put { key, value: 0 });
+        }
+        for (n, key) in keys_of(2).take(9).enumerate() {
+            let value = n as u64 % 3;
+            s.apply(&TxOp::Put { key, value });
+        }
+        let expect: Vec<Acc> = s.lanes.iter().map(Lane::current_acc).collect();
+        let removes = |l: &Lane| l.fold_parts().1 != ACC_ONE;
+        let shape = |l: &Lane| (l.dirty.is_empty(), removes(l));
+        assert_eq!(shape(&s.lanes[0]), (false, false));
+        assert_eq!(shape(&s.lanes[1]), (false, true));
+        assert_eq!(shape(&s.lanes[2]), (false, true));
+        assert_eq!(shape(&s.lanes[3]), (true, false));
+        s.fold();
+        let folded: Vec<Acc> = s.lanes.iter().map(|l| l.folded).collect();
+        assert_eq!(folded, expect);
+        assert!(s.lanes.iter().all(|l| l.dirty.is_empty()));
+        assert_eq!(s.lanes[3].folded, acc_of_entries(&s.lane_entries(3)));
+        // The trick itself: every residue inverted, an empty slice and
+        // an all-ones slice (no inverse to pay) included.
+        let mut values: Vec<Acc> = (1..=5u64).map(|v| acc_of_leaf(&leaf_hash(1, v))).collect();
+        values.push(ACC_ONE);
+        let orig = values.clone();
+        invert_all(&mut values);
+        for (v, inv) in orig.iter().zip(&values) {
+            assert_eq!(mul_mod(v, inv), ACC_ONE);
+        }
+        invert_all(&mut []);
+        let mut ones = [ACC_ONE; 3];
+        invert_all(&mut ones);
+        assert_eq!(ones, [ACC_ONE; 3]);
+    }
+
+    #[test]
+    fn probes_per_find_stay_short() {
+        // Under `TxOp::for_id`'s uniform keys a find is a couple of
+        // probes. A linear probe's length is the distance from the
+        // key's home slot to the slot `probe` returns, so the count
+        // needs no hook on the hot path. What it relies on: a table is
+        // rebuilt before an insert passes load 7/8 and rebuilt to load
+        // <= 1/2, so a lane sits between 1/4 and 7/8 full (asserted
+        // below, and that the tables together sit near 1/2) — and the
+        // slot index is independent of `lane_of`: were it taken from
+        // the bits all keys of a lane share, every key of a lane would
+        // start its probe in the same 1/64th of the table and the mean
+        // would be in the tens.
+        for keyspace in [4096u32, 1 << 20] {
+            let mut s = KvState::new();
+            let warm = 4 * keyspace as u64;
+            for i in 0..warm {
+                s.apply(&TxOp::for_id(TxId(i), keyspace));
+            }
+            let (used, size) = s.lanes.iter().fold((0, 0), |(u, c), l| {
+                assert!(l.used * 8 <= l.slots.len() * 7 && l.used * 4 >= l.slots.len());
+                (u + l.used, c + l.slots.len())
+            });
+            let load = used as f64 / size as f64;
+            assert!(
+                (0.4..=0.7).contains(&load),
+                "keyspace {keyspace}: load {load}"
+            );
+            let (mut finds, mut probes, mut max) = (0u64, 0u64, 0u64);
+            for i in warm..warm + keyspace as u64 {
+                let op = TxOp::for_id(TxId(i), keyspace);
+                let keys = match op {
+                    TxOp::Put { key, .. } | TxOp::Get { key } => [Some(key), None],
+                    TxOp::Transfer { from, to, .. } => [Some(from), Some(to)],
+                };
+                for key in keys.into_iter().flatten() {
+                    let (hash, lane) = locate(key);
+                    let lane = &s.lanes[lane];
+                    let (i, _) = lane.probe(hash, key);
+                    let steps = (i.wrapping_sub(lane.home(hash)) & (lane.slots.len() - 1)) + 1;
+                    finds += 1;
+                    probes += steps as u64;
+                    max = max.max(steps as u64);
+                }
+                s.apply(&op);
+            }
+            let mean = probes as f64 / finds as f64;
+            assert!(
+                mean <= 2.5 && max <= 48,
+                "keyspace {keyspace}: mean {mean}, max {max}"
+            );
+        }
     }
 
     #[test]

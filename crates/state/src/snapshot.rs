@@ -309,8 +309,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the current state of `kv` at `epoch`: each lane map is
-    /// read in key order into its chunk.
+    /// Captures the current state of `kv` at `epoch`: each lane's live
+    /// entries are sorted by key straight into its chunk.
     pub fn capture(
         epoch: u64,
         applied: u64,
@@ -323,7 +323,7 @@ impl Snapshot {
             .map(|lane| SnapshotChunk {
                 lane,
                 root: lane_roots[lane as usize],
-                entries: kv.lane_entries(lane as usize).collect(),
+                entries: kv.lane_entries(lane as usize),
             })
             .collect();
         let root = manifest_root(epoch, applied, executed_txs, &frontier, &lane_roots);
@@ -459,7 +459,7 @@ impl Snapshot {
                 Some(chunk) => chunk.entries.clone(),
                 None if have[lane] == root => {
                     reused += 1;
-                    local.lane_entries(lane).collect()
+                    local.lane_entries(lane)
                 }
                 None => return None,
             };

@@ -421,6 +421,126 @@ proptest! {
         prop_assert_eq!(folded.lane_roots(), rebuilt.lane_roots());
     }
 
+    /// The flat lane table against the model it replaced, a plain
+    /// `BTreeMap<u32, u64>`: random `Put` (incl. value 0 and values that
+    /// saturate a credit) / `Transfer` (incl. `from == to` and an empty
+    /// source) / `Get` over keyspaces {1, 64, 4096, 1 << 20}, keys at
+    /// `u32::MAX`, and a pool of keys confined to ONE lane. Every case
+    /// opens by putting 40 pool keys unfolded — the lane's table grows
+    /// 8 → 16 → 32 → 64 (three rehashes, where the keyspace has 29 keys
+    /// in a lane) while every slot is dirty — and then cuts the ops into
+    /// batches at arbitrary points, folding at some of the cuts. After
+    /// every batch the table and the model agree on entries, length and
+    /// every touched key; the root is the root of the state rebuilt
+    /// from the model; `apply_batch` equals folding `apply` (a twin that
+    /// never folds) and plans the same counters on either; and a
+    /// snapshot captured from the table rebuilds an equal state with
+    /// equal lane roots.
+    #[test]
+    fn kv_table_matches_btreemap_model(
+        shape in 0usize..4,
+        raw in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), any::<u32>(), 0u64..6, any::<u8>()),
+            1..300,
+        ),
+    ) {
+        use std::collections::BTreeMap;
+        let keyspace = [1u32, 64, 4096, 1 << 20][shape];
+        let pool: Vec<u32> = (0..keyspace.min(1 << 14))
+            .filter(|&k| lane_of(k) == lane_of(0))
+            .take(160)
+            .collect();
+        let key = |mode: u8, r: u32| match mode >> 3 {
+            0 => u32::MAX - r % 3,
+            1..=12 => pool[r as usize % pool.len()],
+            _ => r % keyspace,
+        };
+        let mut ops: Vec<TxOp> = pool.iter().take(40).map(|&k| TxOp::Put { key: k, value: 9 }).collect();
+        let mut cuts = vec![(ops.len(), false)];
+        for &(kind, r1, r2, v, flags) in &raw {
+            let value = [0, 1, 2, 3, u64::MAX - 1, u64::MAX][v as usize];
+            let (k1, k2) = (key(kind, r1), key(kind.rotate_left(3), r2));
+            ops.push(match kind & 7 {
+                0..=2 => TxOp::Put { key: k1, value },
+                3 => TxOp::Get { key: k1 },
+                4 => TxOp::Transfer { from: k1, to: k1, amount: value },
+                _ => TxOp::Transfer { from: k1, to: k2, amount: value },
+            });
+            if flags & 7 == 0 {
+                cuts.push((ops.len(), flags & 8 != 0));
+            }
+        }
+        cuts.push((ops.len(), true));
+
+        let set = |m: &mut BTreeMap<u32, u64>, k: u32, v: u64| {
+            if v == 0 { m.remove(&k) } else { m.insert(k, v) };
+        };
+        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut kv = KvState::new();
+        let mut twin = KvState::new();
+        let mut done = 0usize;
+        for &(upto, fold_here) in &cuts {
+            let batch = &ops[done..upto];
+            done = upto;
+            let mut model_fx = ladon::state::ExecEffects::default();
+            for op in batch {
+                match *op {
+                    TxOp::Put { key, value } => {
+                        set(&mut model, key, value);
+                        model_fx.puts += 1;
+                    }
+                    TxOp::Get { .. } => model_fx.gets += 1,
+                    TxOp::Transfer { from, to, amount } => {
+                        let have = model.get(&from).copied().unwrap_or(0);
+                        let moved = have.min(amount);
+                        if moved == 0 || from == to {
+                            model_fx.empty_transfers += 1;
+                        } else {
+                            set(&mut model, from, have - moved);
+                            let dest = model.get(&to).copied().unwrap_or(0);
+                            set(&mut model, to, dest.saturating_add(moved));
+                            model_fx.transfers += 1;
+                        }
+                    }
+                }
+            }
+            let mut replay = twin.clone();
+            let mut twin_fx = ladon::state::ExecEffects::default();
+            for op in batch {
+                twin_fx.absorb(twin.apply(op));
+            }
+            let out = kv.apply_batch(batch);
+            prop_assert_eq!(out.effects, model_fx);
+            prop_assert_eq!(twin_fx, model_fx);
+            prop_assert_eq!(&replay.apply_batch(batch), &out, "the plan is no function of the table");
+            if fold_here {
+                kv.fold();
+            }
+
+            prop_assert!(kv.entries().eq(model.iter().map(|(&k, &v)| (k, v))));
+            prop_assert_eq!(kv.len(), model.len());
+            prop_assert_eq!(kv.is_empty(), model.is_empty());
+            for op in batch {
+                let touched = match *op {
+                    TxOp::Put { key, .. } | TxOp::Get { key } => [key, key],
+                    TxOp::Transfer { from, to, .. } => [from, to],
+                };
+                for k in touched {
+                    prop_assert_eq!(kv.get(k), model.get(&k).copied().unwrap_or(0), "key {}", k);
+                }
+            }
+            let rebuilt = KvState::from_entries(model.iter().map(|(&k, &v)| (k, v)));
+            prop_assert_eq!(kv.root(), rebuilt.root());
+            prop_assert_eq!(twin.root(), rebuilt.root());
+            prop_assert!(kv == twin && kv == rebuilt && replay == kv);
+            let snap = Snapshot::capture(0, 0, 0, Vec::new(), &kv);
+            prop_assert!(snap.verify());
+            let installed = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
+            prop_assert!(installed == kv);
+            prop_assert_eq!(installed.lane_roots(), kv.lane_roots());
+        }
+    }
+
     /// Bucket rotation is always a permutation of instances.
     #[test]
     fn bucket_rotation_is_permutation(m in 1usize..32, rotations in 0usize..64) {

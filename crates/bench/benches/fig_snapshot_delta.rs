@@ -13,6 +13,6 @@ use ladon_obs::emit_figure;
 
 fn main() {
     println!("fig_snapshot_delta: bytes transferred \u{221d} changed lanes, not state size\n");
-    emit_figure("fig_snapshot_delta", snapshot_delta_figure("bench"));
+    emit_figure("fig_snapshot_delta", snapshot_delta_figure());
     println!("fig_snapshot_delta: all gates passed");
 }

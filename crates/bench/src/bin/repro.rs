@@ -254,7 +254,7 @@ fn run_smoke_suite(pass: &str) -> BenchReport {
     );
     report.add_figure("trace_lifecycle", lifecycle_fields(&base));
     report.add_figure("fig_recovery_scaling", recovery_figure(pass));
-    report.add_figure("fig_snapshot_delta", snapshot_delta_figure(pass));
+    report.add_figure("fig_snapshot_delta", snapshot_delta_figure());
     report.add_figure("fig_fault_matrix", fault_matrix_fields(pass));
     report
 }

@@ -188,13 +188,8 @@ pub fn recovery_figure(tag: &str) -> Vec<(String, Json)> {
 ///    monolithic baseline stays proportional to full state size;
 /// 2. the snapshot assembled from the shipped delta plus the receiver's
 ///    own unchanged lanes is byte-identical to the donor's encode (lane
-///    roots and all);
-/// 3. an interrupted install resumes from the durable chunk stash and
-///    requests only the still-missing chunks.
-///
-/// (A former gate counted a responder cache's chunk encodes; a snapshot
-/// now holds its chunks, so serving has nothing left to encode.)
-pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
+///    roots and all).
+pub fn snapshot_delta_figure() -> Vec<(String, Json)> {
     // Enough keys that every one of the 64 lanes is populated with
     // distinct contents.
     const BASE_KEYS: u32 = 2048;
@@ -283,46 +278,6 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
         "single-lane delta must be a small fraction of full state"
     );
 
-    let snap_b8 = Snapshot::capture(2, 128, 8192, Vec::new(), &dirtied(8));
-
-    // 3. Interrupted install: the durable stash survives restart and
-    //    only still-missing chunks are requested.
-    let dir = scratch_dir("fig-snapshot-delta", tag);
-    let delta8 = delta_lanes(&snap_b8.head.lane_roots, &snap_a.head.lane_roots);
-    let shipped8 = shipped_chunks(&snap_b8, &delta8);
-    let stash_n = shipped8.len() / 2;
-    {
-        let mut store = SnapshotStore::at_dir(&dir).expect("open store");
-        for c in &shipped8[..stash_n] {
-            assert!(store.stash_chunk(c.clone()), "stash verified chunk");
-        }
-    }
-    let store = SnapshotStore::at_dir(&dir).expect("reopen store");
-    assert_eq!(store.stash_len(), stash_n, "stash survives restart");
-    assert_eq!(store.decode_failures(), 0);
-    let mut advertised = snap_a.head.lane_roots.clone();
-    for c in store.stashed_chunks() {
-        advertised[c.lane as usize] = c.root;
-    }
-    let resume = delta_lanes(&snap_b8.head.lane_roots, &advertised);
-    assert_eq!(
-        resume.len(),
-        shipped8.len() - stash_n,
-        "resume requests only the missing chunks"
-    );
-    for c in store.stashed_chunks() {
-        assert!(
-            !resume.contains(&c.lane),
-            "stashed lanes are not re-requested"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "  resume: {stash_n} chunks stashed across restart, {} still missing \
-         (only those re-requested)",
-        resume.len()
-    );
-
     fields(vec![
         ("base_entries", Json::U64(BASE_KEYS as u64)),
         ("monolithic_bytes", Json::U64(monolithic_bytes)),
@@ -332,6 +287,5 @@ pub fn snapshot_delta_figure(tag: &str) -> Vec<(String, Json)> {
         ("bytes_k8", Json::U64(byte_counts[1])),
         ("chunks_k64", Json::U64(chunk_counts[2])),
         ("bytes_k64", Json::U64(byte_counts[2])),
-        ("resume_missing_chunks", Json::U64(resume.len() as u64)),
     ])
 }

@@ -132,7 +132,7 @@ pub struct NodeMetrics {
     /// Sync-response chunks that failed verification against the
     /// quorum-proven head (Byzantine or corrupt responder payloads).
     pub sync_chunks_rejected: u64,
-    /// Sync-response chunks that verified and entered the stash.
+    /// Sync-response chunks that verified against a quorum-proven head.
     pub sync_chunks_verified: u64,
     /// Per-block lifecycle journal: timestamped stage transitions
     /// (submitted → proposed → confirmed → staged → flushed → applied →

@@ -26,15 +26,15 @@
 use crate::bucket::{Mempool, RotatingBuckets, TxGroup};
 use crate::dqbft::DqbftOrderer;
 use crate::durability::{Durability, DurabilityEvent, DurabilityStep, NodeMode};
-use crate::epoch::{EpochEvent, EpochPacemaker};
+use crate::epoch::{EpochEvent, EpochPacemaker, StableCheckpoint};
 use crate::instance::{Input, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 use crate::predetermined::{BaselineKind, PredeterminedOrderer};
 use crate::sync::{
-    delta_chunks, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry, SyncRequest,
-    SyncResponse,
+    delta_chunks, snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry,
+    SyncRequest, SyncResponse, SYNC_MAX_BLOCKS, SYNC_PER_INSTANCE,
 };
 use crate::timer::Timer;
 use ladon_crypto::{CertCache, KeyRegistry, RankCert};
@@ -434,13 +434,8 @@ impl MultiBftNode {
                 .record(sn, lane, Stage::Checkpointed, now);
         }
         self.ckpt_traced_upto = self.exec.applied();
-        // The durable stash: drop chunk files left behind by abandoned
-        // transfers — every root not referenced by the still-pending
-        // install (if any) is stale now that a newer local head exists.
-        self.exec.prune_stale_chunks(self.sync.pending_roots());
-        // The checkpoint compacted the WAL (segment rotation) and the
-        // prune reclaimed chunks: surface any failed rotation step, and
-        // the I/O it cost, immediately.
+        // The checkpoint compacted the WAL (segment rotation): surface
+        // any failed rotation step, and the I/O it cost, immediately.
         self.refresh_exec_stats();
         self.metrics.state_roots.push((now, epoch, root));
         let signer = self.cfg.registry.signer(self.cfg.me);
@@ -729,31 +724,20 @@ impl MultiBftNode {
 
     /// Builds the state-transfer request this replica would send right
     /// now. Pure with respect to the network (the sync fault tests drive
-    /// the request/response exchange directly). The lane-root
-    /// advertisement is the *effective* held roots: local state roots,
-    /// overridden per lane by any chunk already verified into the stash —
-    /// so a transfer resumed across responses (or a crash) re-fetches
-    /// only the lanes still missing.
+    /// the request/response exchange directly).
     pub fn build_sync_request(&self) -> SyncRequest {
-        let mut lane_roots = self.exec.lane_roots();
-        for chunk in self.exec.stashed_chunks() {
-            if let Some(slot) = lane_roots.get_mut(chunk.lane as usize) {
-                *slot = chunk.root;
-            }
-        }
         SyncRequest {
             epoch: Epoch(self.epoch()),
             applied: self.exec.applied(),
             frontier: self.commit_frontier(),
-            lane_roots,
-            chunk_cursor: self.sync.cursor(),
+            lane_roots: self.exec.lane_roots(),
         }
     }
 
     /// Sends one state-transfer request to the next *healthy* peer in
     /// round-robin order (see [`StateTransfer`] for how silence and bad
     /// payloads move a peer out of the rotation, and why that never
-    /// costs liveness).
+    /// costs liveness). Called once per probe window.
     fn send_sync_request(&mut self, ctx: &mut dyn Context<NodeMsg>) {
         if self.sync.note_timeout() {
             self.metrics.sync_responder_timeouts += 1;
@@ -784,212 +768,115 @@ impl MultiBftNode {
 
     /// Builds the response this replica would serve for `req`, or `None`
     /// when it has nothing useful. Pure with respect to the network (the
-    /// sync tests drive it directly): log entries past the requester's
-    /// frontier, plus — only when the requester's applied frontier lags
-    /// our latest snapshot by at least `sys.snapshot_min_lag()` blocks
-    /// ([`crate::sync::snapshot_worthwhile`]) — the snapshot *head* and
-    /// its proving checkpoint, with per-lane chunks for only the lanes
-    /// whose roots differ from the requester's advertisement (delta
-    /// sync): bytes shipped scale with changed lanes, not state size.
-    /// At most `sys.sync_chunks_per_response` delta lanes are served per
-    /// response, scanning from `req.chunk_cursor` with wraparound;
-    /// `chunks_remaining > 0` tells the requester to come back with an
-    /// advanced cursor. The snapshot is held as its head plus lane
-    /// chunks, so serving copies what is asked for and encodes nothing.
-    /// A barely-behind replica gets log sync alone; shipping
-    /// snapshot chunks for a one-block gap wastes the wire cost where a
-    /// single entry suffices.
+    /// sync tests drive it directly). Three parts: the snapshot with its
+    /// proving checkpoint (`serve_snapshot`), otherwise an epoch proof
+    /// alone (`serve_checkpoint`), and log entries (`serve_entries`)
+    /// either way.
     pub fn build_sync_response(&self, req: &SyncRequest) -> Option<SyncResponse> {
-        let m = self.cfg.sys.m;
-        if req.frontier.len() != m {
+        if req.frontier.len() != self.cfg.sys.m {
             return None;
         }
+        // A served snapshot's checkpoint doubles as the epoch proof.
+        let mut resp = self.serve_snapshot(req).unwrap_or_else(|| SyncResponse {
+            checkpoint: self.serve_checkpoint(req),
+            ..SyncResponse::default()
+        });
+        resp.entries = self.serve_entries(req);
+        (!resp.entries.is_empty() || resp.checkpoint.is_some()).then_some(resp)
+    }
+
+    /// Log entries past the requester's frontier, each with its QC.
+    fn serve_entries(&self, req: &SyncRequest) -> Vec<SyncEntry> {
         let mut entries = Vec::new();
-        'outer: for (i, inst) in self.slots[..m].iter().enumerate() {
-            for (block, qc) in
-                inst.committed_entries_from(req.frontier[i], crate::sync::SYNC_PER_INSTANCE)
-            {
+        for (i, inst) in self.slots[..self.cfg.sys.m].iter().enumerate() {
+            for (block, qc) in inst.committed_entries_from(req.frontier[i], SYNC_PER_INSTANCE) {
                 entries.push(SyncEntry {
                     instance: InstanceId(i as u32),
                     block,
                     qc,
                 });
-                if entries.len() >= crate::sync::SYNC_MAX_BLOCKS {
-                    break 'outer;
+                if entries.len() >= SYNC_MAX_BLOCKS {
+                    return entries;
                 }
             }
         }
-        // Execution fast-forward: when our latest snapshot is far enough
-        // ahead of the requester's applied frontier (the minimum-gap
-        // serving policy) AND we can prove its root with the matching
-        // stable checkpoint, ship both. The checkpoint then also serves
-        // as the requester's epoch proof.
-        let mut checkpoint = None;
-        let mut snapshot = None;
-        let mut chunks = Vec::new();
-        let mut chunks_remaining = 0;
-        if let Some(pm) = &self.pacemaker {
-            // A degraded replica stops serving snapshots: its own durable
-            // path is failing, so it must not become the source other
-            // replicas fast-forward their state from. Log entries are
-            // still served — they carry their own QCs.
-            let servable = self.exec.latest_snapshot().filter(|snap| {
-                self.durability.is_normal()
-                    && crate::sync::snapshot_worthwhile(
-                        snap.head.applied,
-                        req.applied,
-                        self.cfg.sys.snapshot_min_lag(),
-                    )
-            });
-            if let Some(snap) = servable {
-                let proof = pm
-                    .stable_checkpoint(Epoch(snap.head.epoch))
-                    .filter(|cp| cp.state_root == snap.head.root);
-                if let Some(cp) = proof {
-                    let cap = self.cfg.sys.sync_chunks_per_response as usize;
-                    (chunks, chunks_remaining) = delta_chunks(snap, req, cap);
-                    snapshot = Some(snap.head.clone());
-                    checkpoint = Some(cp);
-                }
-            }
-            if checkpoint.is_none() {
-                checkpoint = pm.stable_checkpoint(req.epoch);
-            }
-            if checkpoint.is_none() && pm.epoch() > req.epoch.next() {
-                // The requester is so far behind that its epoch's stable
-                // checkpoint has been pruned (we retain two). Serve the
-                // newest one we hold: a verified future-epoch checkpoint
-                // lets the requester fast-forward its pacemaker and rejoin
-                // the live epoch schedule while log entries repair the
-                // gap.
-                let latest_complete = Epoch(pm.epoch().0 - 1);
-                checkpoint = pm.stable_checkpoint(latest_complete);
-            }
-        }
-        if entries.is_empty() && checkpoint.is_none() {
+        entries
+    }
+
+    /// Execution fast-forward: when our latest snapshot is at least
+    /// `sys.snapshot_min_lag()` blocks ahead of the requester's applied
+    /// frontier ([`snapshot_worthwhile`] — a barely-behind
+    /// replica gets log sync alone) AND we can prove its root with the
+    /// matching stable checkpoint, that checkpoint, the snapshot *head*,
+    /// and the chunk of every lane whose root differs from the
+    /// requester's advertisement (delta sync): bytes shipped scale with
+    /// changed lanes, not state size. The snapshot is held as its head
+    /// plus lane chunks, so serving copies what is asked for and encodes
+    /// nothing.
+    fn serve_snapshot(&self, req: &SyncRequest) -> Option<SyncResponse> {
+        // A degraded replica stops serving snapshots: its own durable
+        // path is failing, so it must not become the source other
+        // replicas fast-forward their state from. Log entries are
+        // still served — they carry their own QCs.
+        if !self.durability.is_normal() {
             return None;
         }
+        let min_lag = self.cfg.sys.snapshot_min_lag();
+        let snap = self
+            .exec
+            .latest_snapshot()
+            .filter(|snap| snapshot_worthwhile(snap.head.applied, req.applied, min_lag))?;
+        let cp = self
+            .pacemaker
+            .as_ref()?
+            .stable_checkpoint(Epoch(snap.head.epoch))
+            .filter(|cp| cp.state_root == snap.head.root)?;
         Some(SyncResponse {
-            checkpoint,
-            snapshot,
-            chunks,
-            chunks_remaining,
-            entries,
+            checkpoint: Some(cp),
+            snapshot: Some(snap.head.clone()),
+            chunks: delta_chunks(snap, req),
+            entries: Vec::new(),
         })
     }
 
-    /// Verifies and installs a peer's sync response, then scores `from`'s
-    /// responder health from the outcome ([`StateTransfer::score_response`]).
+    /// The epoch proof served without a snapshot: the requested epoch's
+    /// stable checkpoint, or the newest one we hold when the requester's
+    /// has been pruned.
+    fn serve_checkpoint(&self, req: &SyncRequest) -> Option<StableCheckpoint> {
+        let pm = self.pacemaker.as_ref()?;
+        pm.stable_checkpoint(req.epoch).or_else(|| {
+            // The requester is so far behind that its epoch's stable
+            // checkpoint has been pruned (we retain two). Serve the
+            // newest one we hold: a verified future-epoch checkpoint
+            // lets the requester fast-forward its pacemaker and rejoin
+            // the live epoch schedule while log entries repair the gap.
+            if pm.epoch() > req.epoch.next() {
+                pm.stable_checkpoint(Epoch(pm.epoch().0 - 1))
+            } else {
+                None
+            }
+        })
+    }
+
+    /// Verifies and installs a peer's sync response — snapshot, then
+    /// checkpoint, then entries — and scores `from`'s responder health
+    /// from the three steps' combined outcome
+    /// ([`StateTransfer::score_response`]).
     pub fn on_sync_response(
         &mut self,
         from: ReplicaId,
         resp: SyncResponse,
         ctx: &mut dyn Context<NodeMsg>,
     ) {
-        let now = ctx.now();
-        let mut outcome = ResponseOutcome::default();
-        // Snapshot fast-forward: only with a verified stable checkpoint
-        // whose quorum-signed root matches the snapshot head's manifest
-        // root. The head alone proves the lane-root vector; each chunk
-        // then verifies independently against its lane root, so a
-        // Byzantine responder can corrupt at most its own chunks — a bad
-        // chunk is dropped per-chunk without discarding verified ones.
-        let mut snapshot_installed = false;
-        let mut head_accepted = false;
-        if let (Some(cp), Some(head)) = (&resp.checkpoint, &resp.snapshot) {
-            let applied_before = self.exec.applied();
-            if cp.epoch.0 == head.epoch
-                && cp.state_root == head.root
-                && head.verify()
-                && head.applied > applied_before
-                && cp.verify(&self.cfg.registry, self.cfg.sys.quorum())
-            {
-                head_accepted = true;
-                // Stash every chunk that verifies against the head's
-                // lane-root vector: membership (the root is one the head
-                // actually names for that lane) plus content (entries
-                // recompute to the root, stay in-lane, stay canonical).
-                // The stash is content-addressed and durable, so chunks
-                // survive across responses and crashes; mismatched
-                // chunks are rejected here one by one.
-                for chunk in &resp.chunks {
-                    if head.lane_roots.get(chunk.lane as usize) == Some(&chunk.root)
-                        && chunk.verify()
-                    {
-                        outcome.ok_chunks += 1;
-                        self.exec.stash_chunk(chunk.clone());
-                    } else {
-                        outcome.bad_chunks += 1;
-                    }
-                }
-                // A transfer is now in flight toward this head: a
-                // checkpoint-time prune must preserve its stash entries
-                // until the install lands.
-                self.sync.transfer_started(&head.lane_roots);
-                // Installs once every lane is in the stash or already
-                // sits in the local state under the head's root.
-                if let Some(reused) = self.exec.install_from_stash(head) {
-                    snapshot_installed = true;
-                    self.metrics.snapshot_chunks_reused += reused;
-                    self.after_snapshot_install(head, applied_before);
-                    // The installed snapshot supplies everything up to
-                    // and including cp.epoch, so the pacemaker can jump
-                    // straight past it instead of completing each old
-                    // epoch locally (whose stable checkpoints peers may
-                    // have pruned).
-                    let ev = self
-                        .pacemaker
-                        .as_mut()
-                        .and_then(|p| p.fast_forward(cp, &self.cfg.registry));
-                    self.on_epoch_event(ev, ctx);
-                }
-            }
-        }
-        // Partial transfer: the responder capped this response and more
-        // delta lanes remain. Advance the cursor past the served window
-        // and re-request immediately (the stash keeps what already
-        // verified, the refreshed advertisement shrinks the delta).
-        // `send_sync_request` rotates round-robin, so a responder whose
-        // chunks keep failing verification is simply left behind for the
-        // next peer.
-        if head_accepted && !snapshot_installed && resp.chunks_remaining > 0 {
-            self.sync
-                .advance_cursor(self.cfg.sys.sync_chunks_per_response);
-            self.send_sync_request(ctx);
-        }
-        if let Some(cp) = resp.checkpoint.as_ref().filter(|_| !snapshot_installed) {
-            let ev = self.pacemaker.as_mut().and_then(|p| {
-                if cp.epoch > p.epoch() {
-                    // A whole completed epoch we have not even entered:
-                    // our own epoch's proof may be pruned cluster-wide, so
-                    // waiting for local completion could strand us. Jump
-                    // the pacemaker; execution still proceeds strictly in
-                    // confirmed order as entries install.
-                    p.fast_forward(cp, &self.cfg.registry)
-                } else {
-                    p.on_stable_checkpoint(cp, &self.cfg.registry)
-                }
-            });
-            self.on_epoch_event(ev, ctx);
+        let mut outcome = self.install_snapshot(&resp);
+        if let Some(cp) = &resp.checkpoint {
+            // `useful` so far means exactly "the snapshot installed".
+            self.apply_checkpoint(cp, outcome.useful, ctx);
+            outcome.useful = true;
         }
         self.sync_pacemaker_metrics();
-        outcome.head_rejected = resp.snapshot.is_some() && !head_accepted;
-        outcome.useful = snapshot_installed || resp.checkpoint.is_some();
-        for e in resp.entries {
-            let i = e.instance.as_usize();
-            if i >= self.cfg.sys.m {
-                continue;
-            }
-            let input = Input::Install(e.block, e.qc);
-            let mut actions = self.slots[i]
-                .step(input, now, &mut self.cur_rank)
-                .peekable();
-            if actions.peek().is_some() {
-                self.metrics.sync_installed += 1;
-                outcome.useful = true;
-            }
-            self.handle_actions(i, actions, ctx);
-        }
+        outcome.useful |= self.install_entries(resp.entries, ctx);
+        let now = ctx.now();
         if let Some(newly_quarantined) = self.sync.score_response(from.as_usize(), outcome) {
             self.metrics.sync_chunks_verified += outcome.ok_chunks;
             self.metrics.sync_chunks_rejected += outcome.bad_chunks;
@@ -1000,19 +887,113 @@ impl MultiBftNode {
         }
     }
 
+    /// Snapshot fast-forward: only with a verified stable checkpoint
+    /// whose quorum-signed root matches the snapshot head's manifest
+    /// root. The head alone proves the lane-root vector; each chunk then
+    /// verifies against it — membership (its root is the one the head
+    /// names for that lane) plus content (entries recompute to the root,
+    /// stay in-lane, stay canonical). The response installs as a whole or
+    /// not at all: one bad chunk, or one lane neither shipped nor held
+    /// locally under the head's root, and nothing of it is kept.
+    /// `useful` in the returned outcome means the snapshot installed;
+    /// the pacemaker's jump past it is the checkpoint step's.
+    fn install_snapshot(&mut self, resp: &SyncResponse) -> ResponseOutcome {
+        let mut outcome = ResponseOutcome::default();
+        let Some(head) = &resp.snapshot else {
+            return outcome;
+        };
+        outcome.head_rejected = !resp.checkpoint.as_ref().is_some_and(|cp| {
+            cp.epoch.0 == head.epoch
+                && cp.state_root == head.root
+                && head.verify()
+                && head.applied > self.exec.applied()
+                && cp.verify(&self.cfg.registry, self.cfg.sys.quorum())
+        });
+        if outcome.head_rejected {
+            return outcome;
+        }
+        for chunk in &resp.chunks {
+            if head.lane_roots.get(chunk.lane as usize) == Some(&chunk.root) && chunk.verify() {
+                outcome.ok_chunks += 1;
+            } else {
+                outcome.bad_chunks += 1;
+            }
+        }
+        if outcome.bad_chunks > 0 {
+            return outcome;
+        }
+        // Blocks staged or in flight already have their ConfirmRecords
+        // and the install flushes them first: the prefix this replica
+        // never recorded starts at the staging frontier, not at `applied`.
+        let recorded_upto = self.exec.next_sn();
+        if let Some(reused) = self.exec.install_delta(head, &resp.chunks) {
+            outcome.useful = true;
+            self.metrics.snapshot_chunks_reused += reused;
+            self.after_snapshot_install(head, recorded_upto);
+        }
+        outcome
+    }
+
+    /// Hands a response's checkpoint to the pacemaker, which verifies
+    /// it. `installed`: the snapshot it proves was just installed.
+    fn apply_checkpoint(
+        &mut self,
+        cp: &StableCheckpoint,
+        installed: bool,
+        ctx: &mut dyn Context<NodeMsg>,
+    ) {
+        let ev = self.pacemaker.as_mut().and_then(|p| {
+            if installed || cp.epoch > p.epoch() {
+                // Jump the pacemaker. Either the installed snapshot
+                // supplies everything up to and including cp.epoch, so
+                // there is no old epoch left to complete locally (and
+                // peers may have pruned its stable checkpoint); or this
+                // is a whole completed epoch we have not even entered:
+                // our own epoch's proof may be pruned cluster-wide, so
+                // waiting for local completion could strand us, and
+                // execution still proceeds strictly in confirmed order
+                // as entries install.
+                p.fast_forward(cp, &self.cfg.registry)
+            } else {
+                p.on_stable_checkpoint(cp, &self.cfg.registry)
+            }
+        });
+        self.on_epoch_event(ev, ctx);
+    }
+
+    /// Feeds fetched log entries through their instances (which verify
+    /// each QC). Returns whether any of them installed.
+    fn install_entries(&mut self, entries: Vec<SyncEntry>, ctx: &mut dyn Context<NodeMsg>) -> bool {
+        let now = ctx.now();
+        let mut installed = false;
+        for e in entries {
+            let i = e.instance.as_usize();
+            if i >= self.cfg.sys.m {
+                continue;
+            }
+            let input = Input::Install(e.block, e.qc);
+            let mut actions = self.slots[i]
+                .step(input, now, &mut self.cur_rank)
+                .peekable();
+            if actions.peek().is_some() {
+                self.metrics.sync_installed += 1;
+                installed = true;
+            }
+            self.handle_actions(i, actions, ctx);
+        }
+        installed
+    }
+
     /// Bookkeeping once a peer snapshot is installed, and the consensus
     /// layers' jump past the snapshotted prefix.
-    fn after_snapshot_install(&mut self, snap: &SnapshotHead, applied_before: u64) {
+    fn after_snapshot_install(&mut self, snap: &SnapshotHead, recorded_upto: u64) {
         self.metrics.snapshot_installs += 1;
-        // Installing drains staged blocks and compacts the WAL behind
-        // the snapshot; the stash has served its purpose, on disk and in
-        // memory.
-        self.exec.clear_chunk_stash();
-        self.sync.transfer_installed();
+        // Installing drained staged blocks and compacted the WAL behind
+        // the snapshot.
         self.refresh_exec_stats();
         // The fast-forwarded prefix never gets ConfirmRecords here:
         // surface the gap instead of leaving it implicit in a shorter log.
-        self.metrics.skipped_sns += snap.applied - applied_before;
+        self.metrics.skipped_sns += snap.applied - recorded_upto;
         // The prefix was never traced here either — jump the
         // checkpoint-trace frontier so the next epoch sweep does not
         // stamp blocks this replica never processed.
@@ -1151,7 +1132,8 @@ impl Actor<NodeMsg> for MultiBftNode {
                 // Each probe window advances the health clock responder
                 // backoff is expressed in (timeout detection happens in
                 // `send_sync_request`, where the previous outstanding
-                // probe is inspected).
+                // probe is inspected — this is its only caller, so a
+                // probe still outstanding there has had a full window).
                 self.sync.open_probe_window();
                 if self.sync_lagging() {
                     self.send_sync_request(ctx);

@@ -22,30 +22,32 @@
 //! ordering, epoch pacemaker), so catching up eventually re-arms the
 //! pacemaker and the replica rejoins the current epoch.
 //!
-//! # Delta state sync (chunked snapshots)
+//! # Delta state sync
 //!
-//! Deep lag is repaired by snapshot, and snapshots travel **chunked**:
-//! the requester advertises its own lane roots in the [`SyncRequest`],
-//! and the responder ships the quorum-attested manifest head
-//! ([`ladon_state::SnapshotHead`]) plus only the chunks whose lane
-//! roots differ from the advertisement ([`ladon_state::delta_lanes`]) —
-//! at most `sync_chunks_per_response` per message, ascending from the
-//! request's `chunk_cursor` so a deep transfer resumes across
-//! responses, peer rotations, and requester crashes. Bytes shipped are
-//! therefore proportional to the **changed lanes**, not the state size.
-//! A snapshot is held as its head plus 64 lane chunks, so serving is
-//! indexing ([`delta_chunks`]). The requester verifies each chunk
-//! against the head's lane-root vector on arrival, stashes it
-//! (persistently, when disk-backed), fills unchanged lanes from its
-//! local state ([`ladon_state::Snapshot::assemble`]), and installs once
-//! every lane is accounted for — a Byzantine responder can still serve
-//! correct chunks or nothing.
+//! Deep lag is repaired by snapshot, in one exchange: the requester
+//! advertises its own lane roots in the [`SyncRequest`], and the
+//! responder ships the quorum-attested manifest head
+//! ([`ladon_state::SnapshotHead`]) plus every chunk whose lane root
+//! differs from the advertisement ([`ladon_state::delta_lanes`]) in that
+//! one response. Bytes shipped are therefore proportional to the
+//! **changed lanes**, not the state size — and the whole state of a
+//! from-zero requester is ~52 KB, 2.6 % of one 4096-tx block, in a
+//! message that already carries up to [`SYNC_MAX_BLOCKS`] blocks. A
+//! snapshot is held as its head plus 64 lane chunks, so serving is
+//! indexing ([`delta_chunks`]). The requester verifies each chunk against
+//! the head's lane-root vector, fills unchanged lanes from its local
+//! state ([`ladon_state::Snapshot::assemble`]) and installs in the
+//! handler call that received the response. A response installs as a
+//! whole or leaves nothing behind: with any chunk bad or any lane
+//! missing, nothing is installed and nothing is kept, the sender is
+//! scored, and the next probe asks the next healthy peer for the delta
+//! again — a Byzantine responder can serve a correct delta or nothing.
 //!
 //! # The requester's rotation, as a state machine
 //!
 //! Who to ask next, and what an answer (or silence) does to a peer's
 //! standing, is [`StateTransfer`]: plain data plus pure decision methods
-//! (pick target, note timeout, score response, advance cursor). The node
+//! (pick target, note timeout, score response). The node
 //! keeps only the I/O around them. Time is counted in **probe windows**
 //! (one per sync timer period, [`StateTransfer::open_probe_window`]).
 //!
@@ -67,8 +69,6 @@
 //! ---------------  --------------------------------------  -------------------  ------------------------------
 //! any              picked as target                        same                 outstanding := (peer, window)
 //! any              its probe outstanding, window advanced  BackedOff(2^k more)  timeouts += 1; k = min(streak, 6)
-//! any              its probe outstanding, same window      same                 none (a chunked continuation
-//!                                                                               is not a timeout)
 //! BackedOff        skip windows elapsed                    Healthy              back in rotation
 //! any              answered: chunks verified, or useful    streak := 0          timeout backoff cleared
 //! any              answered: nothing useful, nothing bad   same                 timeout backoff cleared
@@ -86,14 +86,13 @@
 //! forever — crash faults heal. (2) If *every* peer is unhealthy, plain
 //! round-robin (skipping only self) resumes, quarantined peers included:
 //! health trades probe placement, never liveness. (3) A responder whose
-//! chunks keep failing is simply left behind — each partial response
-//! re-requests from the *next* peer with the cursor advanced
-//! ([`StateTransfer::advance_cursor`]), and the durable stash keeps what
-//! already verified.
+//! chunks keep failing is simply left behind — nothing of its response is
+//! kept, the next probe goes to the *next* peer, and the third bad answer
+//! in a row quarantines it.
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
-use ladon_state::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, MERKLE_LANES};
+use ladon_state::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead};
 use ladon_types::{sizes, Block, Digest, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -132,23 +131,15 @@ pub struct SyncRequest {
     /// The requester's highest contiguously committed round, per instance
     /// (`frontier[i]` for instance `i`; length `m`).
     pub frontier: Vec<Round>,
-    /// The requester's *effective* lane roots: its local state's
-    /// lane-root vector, overridden per lane by any verified chunk it
-    /// has already stashed for a pending delta install. The responder
+    /// The requester's local state's lane-root vector. The responder
     /// serves only chunks whose roots differ
     /// ([`ladon_state::delta_lanes`]) — lanes the requester already
-    /// holds (locally or stashed, including across a crash) are never
-    /// re-shipped. Empty (or wrong-length) means nothing can be reused
-    /// and every lane differs. Purely an optimization hint: a forged
-    /// advertisement only changes *which* chunks come back, and every
-    /// chunk is verified against the quorum-attested head on arrival.
+    /// holds are never shipped. Empty (or wrong-length) means nothing can
+    /// be reused and every lane differs. Purely an optimization hint: a
+    /// forged advertisement only changes *which* chunks come back, and
+    /// every chunk is verified against the quorum-attested head on
+    /// arrival.
     pub lane_roots: Vec<Digest>,
-    /// Resume cursor: the lane the responder starts its (wrapping,
-    /// ascending) delta scan at. A requester mid-transfer sets this one
-    /// past the last lane it received, so successive capped responses
-    /// cover the delta without re-shipping the prefix even before the
-    /// stash updates the advertisement.
-    pub chunk_cursor: u32,
 }
 
 impl WireSize for SyncRequest {
@@ -156,46 +147,23 @@ impl WireSize for SyncRequest {
         sizes::MSG_HEADER
             + 16
             + 8 * self.frontier.len() as u64
-            + 4
             + sizes::DIGEST * self.lane_roots.len() as u64
     }
 }
 
-/// The responder's chunk schedule for one response: of the differing
-/// lanes `delta` (ascending, from [`ladon_state::delta_lanes`]), serve
-/// at most `cap` starting at `cursor` and wrapping — so a requester
-/// advancing its cursor walks the whole delta in `⌈delta/cap⌉`
-/// responses regardless of where it started. Returns the lanes to ship
-/// plus how many differing lanes remain unshipped (`chunks_remaining`).
-pub fn select_chunk_lanes(delta: &[u32], cursor: u32, cap: usize) -> (Vec<u32>, u32) {
-    let cap = cap.max(1);
-    let pivot = delta.partition_point(|&l| l < cursor);
-    let lanes: Vec<u32> = delta[pivot..]
-        .iter()
-        .chain(delta[..pivot].iter())
-        .take(cap)
-        .copied()
-        .collect();
-    (lanes, (delta.len().saturating_sub(cap)) as u32)
-}
-
-/// Responder side: the chunks of `snap` to ship for `req` — only lanes
-/// whose roots differ from the requester's advertisement, at most `cap`,
-/// cursor-resumable ([`select_chunk_lanes`]), deduplicated by root
-/// within the response (all-empty lanes share one root — one chunk fills
-/// every one of them) — plus how many differing lanes remain. The
-/// snapshot holds its chunks in lane order: serving is indexing.
-pub fn delta_chunks(snap: &Snapshot, req: &SyncRequest, cap: usize) -> (Vec<SnapshotChunk>, u32) {
-    let delta = delta_lanes(&snap.head.lane_roots, &req.lane_roots);
-    let (lanes, remaining) = select_chunk_lanes(&delta, req.chunk_cursor, cap);
+/// Responder side: the chunks of `snap` to ship for `req` — every lane
+/// whose root differs from the requester's advertisement, deduplicated by
+/// root (all-empty lanes share one root — one chunk fills every one of
+/// them). The snapshot holds its chunks in lane order: serving is
+/// indexing.
+pub fn delta_chunks(snap: &Snapshot, req: &SyncRequest) -> Vec<SnapshotChunk> {
     let mut sent = BTreeSet::new();
-    let chunks = lanes
+    delta_lanes(&snap.head.lane_roots, &req.lane_roots)
         .into_iter()
         .map(|lane| &snap.chunks[lane as usize])
         .filter(|chunk| sent.insert(chunk.root))
         .cloned()
-        .collect();
-    (chunks, remaining)
+        .collect()
 }
 
 /// Consecutive unverifiable responses (a bad chunk, or a rejected
@@ -222,7 +190,7 @@ const LIVE_EDGE_GAP: u64 = 4;
 /// fallback — every other peer also unhealthy — sends to it again).
 #[derive(Clone, Debug, Default)]
 pub struct ResponderHealth {
-    /// Chunks from this responder that verified into the stash.
+    /// Chunks from this responder that verified against a proven head.
     pub verified_chunks: u64,
     /// Chunks (or whole responses) that failed verification.
     pub rejected_chunks: u64,
@@ -257,7 +225,7 @@ pub struct ResponseOutcome {
 }
 
 /// State-transfer bookkeeping of one replica: the requester's rotation
-/// and transfer cursor (see the module docs for the transition table).
+/// (see the module docs for the transition table).
 #[derive(Default)]
 pub struct StateTransfer {
     me: usize,
@@ -267,20 +235,13 @@ pub struct StateTransfer {
     /// (hysteresis: a gap that persists across two probes means the
     /// missing rounds will never commit here on their own).
     gap_snapshot: Vec<u64>,
-    /// Resume cursor for chunked snapshot transfers: the lane offset the
-    /// next [`SyncRequest`] asks the responder to continue serving from.
-    cursor: u32,
-    /// Lane roots of the last *accepted but not yet installed* snapshot
-    /// head — the stash chunks a checkpoint-time prune must keep. Empty
-    /// when no transfer is in flight.
-    pending_roots: Vec<Digest>,
     responders: Vec<ResponderHealth>,
     /// Monotonic count of probe windows (the clock responder backoff is
     /// expressed in).
     probes: u64,
-    /// The probe in flight: `(responder, window at send)`. Still present
-    /// when the next probe is sent ⇒ the responder may have timed out.
-    outstanding: Option<(usize, u64)>,
+    /// The responder of the probe in flight. Still present when the next
+    /// probe is sent — one per window — ⇒ it timed out.
+    outstanding: Option<usize>,
 }
 
 impl StateTransfer {
@@ -299,16 +260,6 @@ impl StateTransfer {
         &self.responders
     }
 
-    /// The lane cursor the next request carries.
-    pub fn cursor(&self) -> u32 {
-        self.cursor
-    }
-
-    /// Lane roots of the transfer in flight (empty when none).
-    pub fn pending_roots(&self) -> &[Digest] {
-        &self.pending_roots
-    }
-
     /// A sync timer period elapsed: the health clock ticks.
     pub fn open_probe_window(&mut self) {
         self.probes += 1;
@@ -322,19 +273,14 @@ impl StateTransfer {
         gap_now >= LIVE_EDGE_GAP && gap_before >= LIVE_EDGE_GAP
     }
 
-    /// Call before sending a request: if the previous one is still
-    /// unanswered *and* a full window has passed since it was sent, its
-    /// responder timed out — its streak grows and rotation skips it for
-    /// exponentially more windows (capped). Returns whether a timeout
-    /// was charged. A same-window re-request (chunked-transfer
-    /// continuation) never had a full window to be answered.
+    /// Call before sending a request (one per probe window): if the
+    /// previous one is still unanswered its responder timed out — its
+    /// streak grows and rotation skips it for exponentially more windows
+    /// (capped). Returns whether a timeout was charged.
     pub fn note_timeout(&mut self) -> bool {
-        let Some((peer, sent_in)) = self.outstanding.take() else {
+        let Some(peer) = self.outstanding.take() else {
             return false;
         };
-        if self.probes <= sent_in {
-            return false;
-        }
         let h = &mut self.responders[peer];
         h.timeouts += 1;
         h.timeout_streak = h.timeout_streak.saturating_add(1);
@@ -357,7 +303,7 @@ impl StateTransfer {
             .or_else(|| rotation().find(|&peer| peer != self.me))
             .unwrap_or(self.me);
         self.rr = (target + 1) % n;
-        self.outstanding = Some((target, self.probes));
+        self.outstanding = Some(target);
         target
     }
 
@@ -369,7 +315,7 @@ impl StateTransfer {
             return None;
         }
         let h = self.responders.get_mut(peer)?;
-        if self.outstanding.is_some_and(|(p, _)| p == peer) {
+        if self.outstanding == Some(peer) {
             self.outstanding = None;
         }
         let bad = outcome.bad_chunks > 0 || outcome.head_rejected;
@@ -390,24 +336,6 @@ impl StateTransfer {
             h.fail_streak = 0;
         }
         Some(false)
-    }
-
-    /// A snapshot head was accepted: a transfer toward it is in flight
-    /// until [`Self::transfer_installed`] (or a newer head supersedes it).
-    pub fn transfer_started(&mut self, lane_roots: &[Digest]) {
-        self.pending_roots = lane_roots.to_vec();
-    }
-
-    /// The responder capped its response at `served` lanes: resume the
-    /// next request past the served window (wrapping with its scan).
-    pub fn advance_cursor(&mut self, served: u32) {
-        self.cursor = self.cursor.wrapping_add(served) % MERKLE_LANES;
-    }
-
-    /// The install landed: nothing is pending, the cursor starts over.
-    pub fn transfer_installed(&mut self) {
-        self.pending_roots.clear();
-        self.cursor = 0;
     }
 }
 
@@ -432,7 +360,7 @@ impl WireSize for SyncEntry {
 
 /// A peer's response: integrity proof plus missing entries, optionally
 /// with an execution snapshot for state fast-forward.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Debug, Serialize, Deserialize)]
 pub struct SyncResponse {
     /// Stable checkpoint proving an epoch completed. When `snapshot` is
     /// present this is the checkpoint of the *snapshot's* epoch — its
@@ -453,15 +381,11 @@ pub struct SyncResponse {
     /// checkpoint root is a function of the state and its position, so
     /// it equals the donor's.
     pub snapshot: Option<SnapshotHead>,
-    /// The delta: chunks for lanes whose roots differ from the
-    /// requester's advertisement, ascending from its cursor (wrapping),
-    /// at most `sync_chunks_per_response`. Lanes the requester already
-    /// holds are reconstructed locally and never shipped.
+    /// The delta: the chunk of every lane whose root differs from the
+    /// requester's advertisement, ascending by lane, one per distinct
+    /// root. Lanes the requester already holds are reconstructed locally
+    /// and never shipped.
     pub chunks: Vec<SnapshotChunk>,
-    /// Differing lanes the cap left unserved — nonzero tells the
-    /// requester to probe again (cursor advanced) instead of waiting
-    /// for the next lag probe period.
-    pub chunks_remaining: u32,
     /// Missing log entries past the requester's frontier.
     pub entries: Vec<SyncEntry>,
 }
@@ -472,7 +396,6 @@ impl WireSize for SyncResponse {
             + self.checkpoint.as_ref().map_or(0, WireSize::wire_size)
             + self.snapshot.as_ref().map_or(0, WireSize::wire_size)
             + self.chunks.iter().map(WireSize::wire_size).sum::<u64>()
-            + 4
             + self.entries.iter().map(WireSize::wire_size).sum::<u64>()
     }
 }
@@ -591,19 +514,15 @@ mod tests {
     }
 
     #[test]
-    fn same_window_rerequest_is_not_a_timeout() {
+    fn an_answered_probe_is_not_a_timeout() {
         let mut st = StateTransfer::new(ME, 4, 4);
         st.open_probe_window();
         assert!(!st.note_timeout(), "nothing outstanding yet");
         assert_eq!(st.pick_target(), 0);
-        // A chunked-transfer continuation re-requests within the window.
-        assert!(!st.note_timeout());
-        assert_eq!(st.pick_target(), 1);
-        assert_eq!(st.responders()[0].timeouts, 0);
-        // An answered probe is not outstanding any more either.
-        st.score_response(1, good());
+        st.score_response(0, good());
         st.open_probe_window();
         assert!(!st.note_timeout());
+        assert_eq!(st.responders()[0].timeouts, 0);
     }
 
     #[test]
@@ -653,20 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_advances_by_the_served_window_and_wraps() {
-        let mut st = StateTransfer::new(ME, 4, 4);
-        st.advance_cursor(24);
-        st.advance_cursor(24);
-        assert_eq!(st.cursor(), 48);
-        st.advance_cursor(24);
-        assert_eq!(st.cursor(), 72 % MERKLE_LANES);
-        st.transfer_started(&[Digest::NIL; 2]);
-        assert_eq!(st.pending_roots().len(), 2);
-        st.transfer_installed();
-        assert_eq!((st.cursor(), st.pending_roots().len()), (0, 0));
-    }
-
-    #[test]
     fn snapshot_policy_requires_minimum_gap() {
         // A 1-block-behind replica gets log sync, not a snapshot.
         assert!(!snapshot_worthwhile(100, 99, 16));
@@ -689,14 +594,12 @@ mod tests {
             applied: 0,
             frontier: vec![Round(0); 4],
             lane_roots: Vec::new(),
-            chunk_cursor: 0,
         };
         let big = SyncRequest {
             epoch: Epoch(1),
             applied: 0,
             frontier: vec![Round(0); 128],
             lane_roots: Vec::new(),
-            chunk_cursor: 0,
         };
         assert!(big.wire_size() > small.wire_size());
         assert_eq!(big.wire_size() - small.wire_size(), 8 * 124);
@@ -707,30 +610,6 @@ mod tests {
             advertised.wire_size() - small.wire_size(),
             64 * sizes::DIGEST
         );
-    }
-
-    #[test]
-    fn chunk_selection_caps_and_resumes() {
-        let delta: Vec<u32> = vec![3, 10, 20, 40, 63];
-        // Uncapped: everything from the cursor, wrapping.
-        let (lanes, remaining) = select_chunk_lanes(&delta, 0, 64);
-        assert_eq!(lanes, delta);
-        assert_eq!(remaining, 0);
-        // Capped: ascending from the cursor, remainder reported.
-        let (lanes, remaining) = select_chunk_lanes(&delta, 0, 2);
-        assert_eq!(lanes, vec![3, 10]);
-        assert_eq!(remaining, 3);
-        // The requester resumes one past the last received lane.
-        let (lanes, remaining) = select_chunk_lanes(&delta, 11, 2);
-        assert_eq!(lanes, vec![20, 40]);
-        assert_eq!(remaining, 3);
-        // Wrapping covers lanes below the cursor.
-        let (lanes, _) = select_chunk_lanes(&delta, 41, 3);
-        assert_eq!(lanes, vec![63, 3, 10]);
-        // Empty delta: nothing to ship.
-        let (lanes, remaining) = select_chunk_lanes(&[], 7, 4);
-        assert!(lanes.is_empty());
-        assert_eq!(remaining, 0);
     }
 
     #[test]
@@ -781,7 +660,6 @@ mod tests {
             checkpoint: None,
             snapshot: None,
             chunks: Vec::new(),
-            chunks_remaining: 0,
             entries: vec![entry],
         };
         assert!(
@@ -805,14 +683,12 @@ mod tests {
             checkpoint: None,
             snapshot: None,
             chunks: Vec::new(),
-            chunks_remaining: 0,
             entries: Vec::new(),
         };
         let full = SyncResponse {
             checkpoint: None,
             snapshot: Some(head.clone()),
             chunks: chunks.clone(),
-            chunks_remaining: 0,
             entries: Vec::new(),
         };
         // A full transfer still carries every entry's bytes.
@@ -824,7 +700,6 @@ mod tests {
             checkpoint: None,
             snapshot: Some(head),
             chunks: vec![one.clone()],
-            chunks_remaining: 0,
             entries: Vec::new(),
         };
         assert!(delta.wire_size() < full.wire_size());

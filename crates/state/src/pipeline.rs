@@ -247,8 +247,6 @@ pub struct PipelineStats {
     /// Snapshot-store files that failed to read, decode or verify when
     /// the store directory was scanned.
     pub snapshot_decode_failures: u64,
-    /// Stale stashed sync chunks reclaimed at checkpoints.
-    pub snapshot_chunks_pruned: u64,
     /// Transactions this process executed itself (live drains plus
     /// recovery replay), excluding totals inherited from a snapshot.
     pub locally_executed_txs: u64,
@@ -265,7 +263,6 @@ impl SnapshotInto for PipelineStats {
             "node.snapshot_decode_failures",
             self.snapshot_decode_failures,
         );
-        registry.counter("node.snapshot_chunks_pruned", self.snapshot_chunks_pruned);
         registry.counter("node.executed_txs", self.locally_executed_txs);
     }
 }
@@ -748,18 +745,25 @@ impl ExecutionPipeline {
         ok
     }
 
-    /// Drops stashed sync chunks whose lane roots no pending head
-    /// references (checkpoint-time reclamation; see
-    /// [`SnapshotStore::prune_stale_chunks`]). Returns the count pruned.
-    pub fn prune_stale_chunks(&mut self, keep: &[Digest]) -> u64 {
-        self.store.prune_stale_chunks(keep)
+    /// The delta install, and the one way a peer's state gets in:
+    /// assembles `head`'s snapshot from `chunks` (looked up by lane root)
+    /// plus the lanes the local state already holds under the head's
+    /// roots ([`Snapshot::assemble`]), and installs it when it is ahead
+    /// of the local applied frontier. Returns how many lanes came from
+    /// local state, or `None` when nothing was installed — a lane is
+    /// missing, the assembled snapshot fails [`Snapshot::verify`], or it
+    /// is not ahead — in which case nothing of `chunks` is kept. The
+    /// caller must have authenticated `head` against a quorum-signed
+    /// stable checkpoint.
+    pub fn install_delta(&mut self, head: &SnapshotHead, chunks: &[SnapshotChunk]) -> Option<u64> {
+        let fetched = |root: &Digest| chunks.iter().find(|c| c.root == *root);
+        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, &self.kv)?;
+        self.install_snapshot(&snap).then_some(reused)
     }
 
-    /// Installs a verified peer snapshot when it is ahead of the local
-    /// applied frontier. Returns `true` when state advanced. The caller
-    /// must have authenticated the root against a quorum-signed stable
-    /// checkpoint; this method re-checks only content consistency.
-    pub fn install_snapshot(&mut self, snap: &Snapshot) -> bool {
+    /// Installs a snapshot when it verifies and is ahead of the local
+    /// applied frontier. Returns `true` when state advanced.
+    fn install_snapshot(&mut self, snap: &Snapshot) -> bool {
         // Staged blocks must settle before the frontier jumps: flushing
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
@@ -807,50 +811,11 @@ impl ExecutionPipeline {
         self.store.latest()
     }
 
-    /// Snapshot/chunk files that failed to read, decode, or verify on
-    /// the last disk recovery. Nonzero means a rotted artifact silently
-    /// dropped the recovery floor (or a stashed chunk was lost).
+    /// Snapshot files that failed to read, decode, or verify on the
+    /// last disk recovery. Nonzero means a rotted artifact silently
+    /// dropped the recovery floor.
     pub fn snapshot_decode_failures(&self) -> u64 {
         self.store.decode_failures()
-    }
-
-    /// Stashes a verified delta-sync chunk (persisted content-addressed
-    /// when disk-backed) so a partially fetched install survives a
-    /// crash. The caller must have verified the chunk against the
-    /// manifest head's lane root.
-    pub fn stash_chunk(&mut self, chunk: SnapshotChunk) -> bool {
-        self.store.stash_chunk(chunk)
-    }
-
-    /// The delta install: assembles `head`'s snapshot from the chunk
-    /// stash plus the lanes the local state already holds under the
-    /// head's roots ([`Snapshot::assemble`]) and installs it
-    /// ([`Self::install_snapshot`], which verifies it). Returns how many
-    /// lanes came from local state, or `None` when nothing was installed
-    /// — a lane is still missing, or the snapshot is not ahead. The
-    /// caller must have authenticated `head` against a quorum-signed
-    /// stable checkpoint.
-    pub fn install_from_stash(&mut self, head: &SnapshotHead) -> Option<u64> {
-        let fetched = |root: &Digest| self.store.stashed_chunk(root);
-        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, &self.kv)?;
-        self.install_snapshot(&snap).then_some(reused)
-    }
-
-    /// The stashed chunk content-addressed by `root`, if held.
-    pub fn stashed_chunk(&self, root: &Digest) -> Option<&SnapshotChunk> {
-        self.store.stashed_chunk(root)
-    }
-
-    /// Every stashed delta-sync chunk (assembly input / resume
-    /// advertisement).
-    pub fn stashed_chunks(&self) -> impl Iterator<Item = &SnapshotChunk> {
-        self.store.stashed_chunks()
-    }
-
-    /// Drops the chunk stash (and its files): the pending delta install
-    /// completed or was abandoned.
-    pub fn clear_chunk_stash(&mut self) {
-        self.store.clear_stash()
     }
 
     /// Records currently in the WAL tail (past the last snapshot).
@@ -874,7 +839,6 @@ impl ExecutionPipeline {
             perf: self.perf.clone(),
             wal_write_failures: self.wal.write_failures(),
             snapshot_decode_failures: self.store.decode_failures(),
-            snapshot_chunks_pruned: self.store.chunks_pruned(),
             locally_executed_txs: self.local_txs,
         }
     }

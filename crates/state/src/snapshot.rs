@@ -39,16 +39,14 @@
 //!
 //! The [`SnapshotStore`] retains the latest snapshot in memory and, when
 //! given a directory, persists each snapshot to
-//! `snap-<epoch>-<root8>.bin` and re-loads the newest on recovery. It
-//! also stashes verified in-flight chunks (as content-addressed
-//! `chunk-<root>.bin` files when disk-backed) so a partially fetched
-//! delta install survives a crash and resumes with only the missing
-//! lanes.
+//! `snap-<epoch>-<root8>.bin` and re-loads the newest on recovery.
+//! Those are the only files it reads or writes: a peer's delta is
+//! assembled and installed in one call, so a fetched chunk never outlives
+//! the response that carried it.
 
 use crate::kv::{lane_of, lane_root_of, KvState};
 use ladon_crypto::fnv::Fnv64;
 use ladon_types::{sizes, Digest, WireSize, MERKLE_LANES};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Snapshot format version. v8 is the native form: the head, then the 64
@@ -60,10 +58,6 @@ use std::path::{Path, PathBuf};
 /// and a restarting replica that finds one falls back to peer sync
 /// (counted in [`SnapshotStore::decode_failures`]).
 const SNAP_VERSION: u8 = 8;
-
-/// Chunk-file format version (independent of [`SNAP_VERSION`]: a chunk
-/// is named by its content, whatever snapshot it travels toward).
-const CHUNK_VERSION: u8 = 1;
 
 /// Computes the attested manifest root: a digest over the snapshot's
 /// complete manifest — epoch, execution position, consensus frontier, and
@@ -253,48 +247,12 @@ impl SnapshotChunk {
         }
         lane_root_of(&self.entries) == self.root
     }
-
-    /// Serializes to the versioned chunk-file format (version byte,
-    /// lane, root, entries, FNV checksum).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_size() as usize);
-        out.push(CHUNK_VERSION);
-        out.extend_from_slice(&self.lane.to_le_bytes());
-        out.extend_from_slice(&self.root.0);
-        put_entries(&mut out, &self.entries);
-        seal(out)
-    }
-
-    /// Deserializes, checking version and checksum (not the root; call
-    /// [`Self::verify`] for that).
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::open(bytes, CHUNK_VERSION)?;
-        Some(Self {
-            lane: r.u32()?,
-            root: r.digest()?,
-            entries: r.entries()?,
-        })
-    }
-
-    /// Content-addressed file name: `chunk-<root-hex>.bin`. Purely by
-    /// root — identical content (e.g. every empty lane) dedupes to one
-    /// file.
-    pub fn file_name(&self) -> String {
-        format!("chunk-{}.bin", hex32(&self.root))
-    }
 }
 
 impl WireSize for SnapshotChunk {
     fn wire_size(&self) -> u64 {
         1 + 4 + sizes::DIGEST + 8 + self.entries.len() as u64 * 12 + 8
     }
-}
-
-/// Full 64-hex rendering of a digest (chunk file names; collisions in
-/// the 8-hex prefix used for snapshot names would be harmless there but
-/// not for content addressing).
-pub(crate) fn hex32(d: &Digest) -> String {
-    d.0.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// A frozen execution state at an epoch boundary, in its shipped form.
@@ -436,7 +394,7 @@ impl Snapshot {
     }
 
     /// Requester side of a delta install: fills each lane slot of `head`
-    /// from the verified chunk `fetched` holds under that lane's root
+    /// from the chunk `fetched` holds under that lane's root
     /// or, when `local`'s lane already has the root, from that lane
     /// (those were advertised, so the responder never shipped them).
     /// Returns the snapshot and how many lanes came from `local`, or
@@ -484,22 +442,14 @@ pub fn delta_lanes(snap_roots: &[Digest], have_roots: &[Digest]) -> Vec<u32> {
 }
 
 /// Holds the latest snapshot, optionally persisting each one to disk.
-/// Also stashes verified in-flight delta-sync chunks so a partially
-/// fetched install survives a restart.
 pub struct SnapshotStore {
     dir: Option<PathBuf>,
     latest: Option<Snapshot>,
-    /// Verified chunks awaiting assembly, keyed by lane root.
-    stash: BTreeMap<Digest, SnapshotChunk>,
-    /// `snap-*.bin` / `chunk-*.bin` files that failed to read, decode,
-    /// or verify on recovery. A rotted newest snapshot silently drops
-    /// the recovery floor to the previous epoch — this counter is the
-    /// signal that it happened.
+    /// `snap-*.bin` files that failed to read, decode, or verify on
+    /// recovery. A rotted newest snapshot silently drops the recovery
+    /// floor to the previous epoch — this counter is the signal that it
+    /// happened.
     decode_failures: u64,
-    /// Stale stashed chunks dropped by [`Self::prune_stale_chunks`] —
-    /// the checkpoint-time reclamation that stops the durable stash
-    /// growing unboundedly across epochs.
-    chunks_pruned: u64,
 }
 
 impl SnapshotStore {
@@ -508,24 +458,19 @@ impl SnapshotStore {
         Self {
             dir: None,
             latest: None,
-            stash: BTreeMap::new(),
             decode_failures: 0,
-            chunks_pruned: 0,
         }
     }
 
     /// Disk-backed store rooted at `dir`; loads the newest existing
-    /// snapshot (highest epoch, verified) and every verified stashed
-    /// chunk, if any. Files that fail to read, decode, or verify are
-    /// skipped *and counted* in [`Self::decode_failures`]; a bad
-    /// `chunk-*.bin` is also deleted — a stashed chunk is a re-fetchable
-    /// cache entry, and a torn one left in place would block its own
-    /// content-addressed replacement and re-alarm at every open.
+    /// snapshot (highest epoch, verified), if any. `snap-*.bin` files
+    /// that fail to read, decode, or verify are skipped *and counted* in
+    /// [`Self::decode_failures`]; any other file is neither read nor
+    /// counted.
     pub fn at_dir(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut best: Option<Snapshot> = None;
-        let mut stash = BTreeMap::new();
         let mut decode_failures = 0u64;
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
@@ -542,27 +487,12 @@ impl SnapshotStore {
                     }
                     _ => decode_failures += 1,
                 }
-            } else if name.starts_with("chunk-") && name.ends_with(".bin") {
-                match std::fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| SnapshotChunk::decode(&bytes))
-                {
-                    Some(chunk) if chunk.verify() => {
-                        stash.insert(chunk.root, chunk);
-                    }
-                    _ => {
-                        decode_failures += 1;
-                        let _ = std::fs::remove_file(&path);
-                    }
-                }
             }
         }
         Ok(Self {
             dir: Some(dir),
             latest: best,
-            stash,
             decode_failures,
-            chunks_pruned: 0,
         })
     }
 
@@ -574,82 +504,6 @@ impl SnapshotStore {
     /// Recovery-time files that failed to read/decode/verify.
     pub fn decode_failures(&self) -> u64 {
         self.decode_failures
-    }
-
-    /// Stashes a verified chunk (persisting it content-addressed when
-    /// disk-backed), keyed by its lane root. Returns `false` when a
-    /// disk-backed store failed to persist — the chunk is still usable
-    /// in memory, but will not survive a crash.
-    pub fn stash_chunk(&mut self, chunk: SnapshotChunk) -> bool {
-        let mut persisted = true;
-        if let Some(dir) = &self.dir {
-            let target = dir.join(chunk.file_name());
-            if !target.exists() {
-                persisted = std::fs::write(&target, chunk.encode()).is_ok();
-                if !persisted {
-                    // Never leave a partial file under a content address.
-                    let _ = std::fs::remove_file(&target);
-                }
-            }
-        }
-        self.stash.insert(chunk.root, chunk);
-        persisted
-    }
-
-    /// The stashed chunk named by `root`, if any.
-    pub fn stashed_chunk(&self, root: &Digest) -> Option<&SnapshotChunk> {
-        self.stash.get(root)
-    }
-
-    /// Every stashed chunk (assembly input).
-    pub fn stashed_chunks(&self) -> impl Iterator<Item = &SnapshotChunk> {
-        self.stash.values()
-    }
-
-    /// Stashed chunk count.
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Drops every stashed chunk whose lane root is **not** in `keep`
-    /// (with its `chunk-*.bin` file, when disk-backed), returning how
-    /// many were pruned. Called at checkpoint with the roots of the
-    /// still-pending sync target (empty when no chunked install is in
-    /// flight): once no newer head references a stashed root, the chunk
-    /// can never be assembled into anything and only bloats the
-    /// directory across epochs.
-    pub fn prune_stale_chunks(&mut self, keep: &[Digest]) -> u64 {
-        let stale: Vec<Digest> = self
-            .stash
-            .keys()
-            .filter(|root| !keep.contains(root))
-            .copied()
-            .collect();
-        for root in &stale {
-            if let Some(chunk) = self.stash.remove(root) {
-                if let Some(dir) = &self.dir {
-                    let _ = std::fs::remove_file(dir.join(chunk.file_name()));
-                }
-            }
-        }
-        self.chunks_pruned += stale.len() as u64;
-        stale.len() as u64
-    }
-
-    /// Cumulative chunks dropped by [`Self::prune_stale_chunks`].
-    pub fn chunks_pruned(&self) -> u64 {
-        self.chunks_pruned
-    }
-
-    /// Drops the stash (and its files): the pending install completed
-    /// or was abandoned.
-    pub fn clear_stash(&mut self) {
-        if let Some(dir) = &self.dir {
-            for chunk in self.stash.values() {
-                let _ = std::fs::remove_file(dir.join(chunk.file_name()));
-            }
-        }
-        self.stash.clear();
     }
 
     /// Records (and persists) a new snapshot; keeps only the newest two on
@@ -702,6 +556,12 @@ impl SnapshotStore {
     }
 }
 
+/// Full 64-hex rendering of a digest (the state crate's pinned roots).
+#[cfg(test)]
+pub(crate) fn hex32(d: &Digest) -> String {
+    d.0.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,7 +578,8 @@ mod tests {
         kv
     }
 
-    /// A lookup over a slice of chunks, by root (what the stash does).
+    /// A lookup over a slice of chunks, by root (what `install_delta`
+    /// does over a response's chunks).
     fn by_root<'a>(chunks: &'a [SnapshotChunk]) -> impl Fn(&Digest) -> Option<&'a SnapshotChunk> {
         move |root| chunks.iter().find(|c| c.root == *root)
     }
@@ -827,10 +688,6 @@ mod tests {
         assert_eq!(chunks.len(), MERKLE_LANES as usize);
         assert!(chunks.iter().all(SnapshotChunk::verify));
         assert_eq!(head.state_root(), snap.head.state_root());
-        // Chunk files round-trip too.
-        for c in &chunks {
-            assert_eq!(SnapshotChunk::decode(&c.encode()).as_ref(), Some(c));
-        }
         // Everything fetched, nothing local.
         let empty = KvState::new();
         let nonempty: Vec<SnapshotChunk> = chunks
@@ -963,75 +820,6 @@ mod tests {
         // operator, and alarms again.
         assert!(path.exists());
         assert_eq!(SnapshotStore::at_dir(&dir).unwrap().decode_failures(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chunk_stash_survives_restart_and_counts_rot() {
-        let dir = std::env::temp_dir().join(format!("ladon-chunk-stash-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let snap = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
-        let nonempty: Vec<&SnapshotChunk> = snap
-            .chunks
-            .iter()
-            .filter(|c| !c.entries.is_empty())
-            .collect();
-        assert!(nonempty.len() >= 2);
-        {
-            let mut store = SnapshotStore::at_dir(&dir).unwrap();
-            assert!(store.stash_chunk(nonempty[0].clone()));
-            assert!(store.stash_chunk(nonempty[1].clone()));
-            assert_eq!(store.stash_len(), 2);
-        }
-        // Tear one persisted chunk file (a crash mid-write).
-        let path = dir.join(nonempty[1].file_name());
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-
-        let mut store = SnapshotStore::at_dir(&dir).unwrap();
-        assert_eq!(store.stash_len(), 1, "only the intact chunk survives");
-        assert_eq!(store.decode_failures(), 1);
-        assert!(store.stashed_chunk(&nonempty[0].root).is_some());
-        assert!(!path.exists(), "a bad stashed chunk is deleted, not kept");
-        // The re-fetched chunk takes the torn one's place — on disk, not
-        // just in memory — and the alarm does not repeat.
-        assert!(store.stash_chunk(nonempty[1].clone()));
-        drop(store);
-        let mut store = SnapshotStore::at_dir(&dir).unwrap();
-        assert_eq!(store.stash_len(), 2, "the replacement must be durable");
-        assert_eq!(store.decode_failures(), 0);
-        assert_eq!(store.stashed_chunk(&nonempty[1].root), Some(nonempty[1]));
-        store.clear_stash();
-        assert_eq!(store.stash_len(), 0);
-        assert!(!dir.join(nonempty[0].file_name()).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prune_stale_chunks_drops_unreferenced_files_only() {
-        let dir = std::env::temp_dir().join(format!("ladon-chunk-prune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let snap = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
-        let nonempty: Vec<&SnapshotChunk> = snap
-            .chunks
-            .iter()
-            .filter(|c| !c.entries.is_empty())
-            .collect();
-        assert!(nonempty.len() >= 2);
-        let mut store = SnapshotStore::at_dir(&dir).unwrap();
-        assert!(store.stash_chunk(nonempty[0].clone()));
-        assert!(store.stash_chunk(nonempty[1].clone()));
-        // A checkpoint whose pending head still references chunk 0:
-        // chunk 1 is stale and goes, file included; chunk 0 stays.
-        assert_eq!(store.prune_stale_chunks(&[nonempty[0].root]), 1);
-        assert_eq!(store.stash_len(), 1);
-        assert!(dir.join(nonempty[0].file_name()).exists());
-        assert!(!dir.join(nonempty[1].file_name()).exists());
-        // No pending head at all: everything goes.
-        assert_eq!(store.prune_stale_chunks(&[]), 1);
-        assert_eq!(store.stash_len(), 0);
-        assert!(!dir.join(nonempty[0].file_name()).exists());
-        assert_eq!(store.chunks_pruned(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -166,16 +166,6 @@ pub struct SystemConfig {
     /// confirm rates at the cost of acknowledgement latency: staged
     /// records are unacknowledged, and a crash loses exactly them.
     pub wal_flush_max_records: u32,
-    /// Delta state sync: maximum snapshot chunks a responder packs into
-    /// one `SyncResponse` (`1..=MERKLE_LANES`). A lagging replica
-    /// advertises its own lane roots; the responder ships only lanes
-    /// whose roots differ, at most this many per response, and the
-    /// requester resumes from a cursor — so a transfer is paced in
-    /// bounded messages and a partially fetched install survives peer
-    /// rotation and crashes. The default of [`MERKLE_LANES`] ships any
-    /// delta in one response (lowest sync latency); smaller values
-    /// bound per-message bytes at millions-of-accounts state sizes.
-    pub sync_chunks_per_response: u32,
 }
 
 impl SystemConfig {
@@ -198,7 +188,6 @@ impl SystemConfig {
             wal_lane_groups: 1,
             wal_segment_records: 1024,
             wal_flush_max_records: 1,
-            sync_chunks_per_response: MERKLE_LANES,
         }
     }
 
@@ -289,12 +278,6 @@ impl SystemConfig {
             return Err(LadonError::Config(
                 "wal_flush_max_records must be > 0".into(),
             ));
-        }
-        if self.sync_chunks_per_response == 0 || self.sync_chunks_per_response > MERKLE_LANES {
-            return Err(LadonError::Config(format!(
-                "sync_chunks_per_response = {} must be in 1..={MERKLE_LANES}",
-                self.sync_chunks_per_response
-            )));
         }
         Ok(())
     }
@@ -394,27 +377,6 @@ mod tests {
         let mut ok = c;
         ok.wal_segment_records = 1;
         ok.wal_flush_max_records = 64;
-        ok.validate().unwrap();
-    }
-
-    #[test]
-    fn sync_knobs_validated() {
-        let c = SystemConfig::paper_default(16, NetEnv::Wan);
-        assert_eq!(
-            c.sync_chunks_per_response, MERKLE_LANES,
-            "default = whole delta in one response"
-        );
-
-        let mut bad = c.clone();
-        bad.sync_chunks_per_response = 0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = c.clone();
-        bad.sync_chunks_per_response = MERKLE_LANES + 1;
-        assert!(bad.validate().is_err());
-
-        let mut ok = c;
-        ok.sync_chunks_per_response = 1;
         ok.validate().unwrap();
     }
 

@@ -553,7 +553,7 @@ mod tests {
         let mut nodes = empty_nodes(4);
         nodes[1].degraded_entries = 2;
         nodes[1].degraded_retries = 5;
-        nodes[2].exec.snapshot_chunks_pruned = 3;
+        nodes[2].exec.snapshot_decode_failures = 3;
         nodes[0].sync_responder_timeouts = 4;
         nodes[3].sync_responders_quarantined = 1;
         nodes[3].sync_chunks_rejected = 9;
@@ -561,7 +561,7 @@ mod tests {
         let m = &rep.metrics;
         assert_eq!(m.counter("node.degraded_entries"), 2);
         assert_eq!(m.counter("node.degraded_retries"), 5);
-        assert_eq!(m.counter("node.snapshot_chunks_pruned"), 3);
+        assert_eq!(m.counter("node.snapshot_decode_failures"), 3);
         assert_eq!(m.counter("sync.responder_timeouts"), 4);
         assert_eq!(m.counter("sync.responders_quarantined"), 1);
         assert_eq!(m.counter("sync.chunks_rejected"), 9);

@@ -386,14 +386,16 @@ mod tests {
     /// event. The digest covers every deterministic counter, so a change
     /// that adds, renames or moves one re-pins it (print
     /// `report.metrics.deterministic_json()` before and after, and check
-    /// the diff is only the counter you meant). Re-pinned three times
+    /// the diff is only the counter you meant). Re-pinned four times
     /// since: the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
     /// `wal.bytes_written` and `wal.segment_opens`; the mask-free record
     /// (8 B shorter) moved `wal.bytes_written` again and the replay
     /// gauge counting touched lanes went with the lane ledger; dropping
     /// votes for decided phases unverified and verifying a certificate
     /// once per replica moved `crypto.{hashes, verifies, agg_verifies,
-    /// qc_verify_hits}` — nothing else any time.
+    /// qc_verify_hits}`; the `node.` key counting pruned sync chunks
+    /// (always 0) went with the chunk stash it counted — nothing else any
+    /// time.
     #[test]
     fn seeded_runs_match_the_pre_deployment_pins() {
         let pins = [
@@ -401,19 +403,19 @@ mod tests {
                 ProtocolKind::LadonPbft,
                 241_661,
                 86,
-                "26f85bad102d65f6816ead7f20948ed3db32041641bcad2fd2a938fd317dcbf6",
+                "58943a1c9f2873f4ceef2248aa567fd3f3a17e95cc91f9d14c0a672f083072df",
             ),
             (
                 ProtocolKind::LadonHotStuff,
                 258_007,
                 83,
-                "61f9000d28fd48525637e01d82632e58888a36e1cd66bc11ae2afd4255f63813",
+                "91195b3232f78bdde439f1e6d19a566793ce0341b3395e3ed1caa40bf06ab459",
             ),
             (
                 ProtocolKind::DqbftPbft,
                 241_632,
                 84,
-                "1e6992b3f0681f5bbc3269f26e9882bcc58390b30c4ec135b4e2ddd94e453bee",
+                "48c879544aee1dbf0c5d464192e65982329b56ba4449dc31148abad982541c1b",
             ),
         ];
         for (protocol, committed_txs, confirmed_blocks, sha) in pins {

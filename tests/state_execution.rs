@@ -60,7 +60,6 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
         ("pipeline.pipelined_submits", s.perf.pipelined_submits),
         ("wal.write_failures", s.wal_write_failures),
         ("node.snapshot_decode_failures", s.snapshot_decode_failures),
-        ("node.snapshot_chunks_pruned", s.snapshot_chunks_pruned),
         ("node.executed_txs", s.locally_executed_txs),
     ] {
         assert_eq!(reg.counter_value(name), want, "replica {r}: {name}");
@@ -465,7 +464,6 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
             .map(|r| Round(r.0.saturating_sub(1)))
             .collect(),
         lane_roots: Vec::new(),
-        chunk_cursor: 0,
     };
     let resp = responder
         .build_sync_response(&near)
@@ -490,7 +488,6 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
         applied: 0,
         frontier: vec![Round(0); m],
         lane_roots: Vec::new(),
-        chunk_cursor: 0,
     };
     let resp = responder
         .build_sync_response(&deep)
@@ -502,7 +499,6 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
     assert_eq!(cp.state_root, shipped.root);
     // A from-zero advertisement differs on every lane: the served chunks
     // (deduplicated by root) must reassemble the snapshot byte-for-byte.
-    assert_eq!(resp.chunks_remaining, 0, "default cap serves all 64 lanes");
     let fetched = |root: &Digest| resp.chunks.iter().find(|c| c.root == *root);
     let nothing_local = ladon::state::KvState::new();
     let (rebuilt, _) = ladon::state::Snapshot::assemble(shipped, fetched, &nothing_local)

@@ -8,7 +8,7 @@ use ladon_bench::microbench;
 use ladon_core::{ClientTxs, GlobalOrderer, LadonOrderer, NodeMsg};
 use ladon_crypto::sha256::backend_name;
 use ladon_crypto::{
-    sha256, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
+    sha256, sha256_parts, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
 };
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
@@ -30,12 +30,18 @@ fn bench_crypto() {
         sha256_portable(black_box(&data))
     });
 
+    // One Merkle leaf: domain, key, value — 31 bytes in three parts.
+    let (key, value) = (7u32.to_le_bytes(), 9u64.to_le_bytes());
+    microbench("sha256_leaf_31B", 50_000, || {
+        sha256_parts(&[b"ladon/state-leaf/v1", black_box(&key), &value])
+    });
+
     let reg = KeyRegistry::generate(32, 4, 1);
     let signer = reg.signer(ReplicaId(0));
     // One prepare share: a 74-byte tag body (13 B domain, separator, 60 B
     // of `prepare_bytes`), the commonest tag on the wire.
     let digest = Digest([7; 32]);
-    microbench("hmac_tag_74b", 50_000, || {
+    microbench("hmac_tag_74B", 50_000, || {
         QuorumCert::sign_share(
             &signer,
             View(1),
@@ -63,6 +69,24 @@ fn bench_crypto() {
     microbench("agg_verify_22_of_32", 5_000, || {
         agg.verify(&reg, b"agg", b"common")
     });
+    // A quorum certificate at n = 16: eleven signers of one 74-byte body.
+    let shares: Vec<Signature> = (0..11)
+        .map(|r| {
+            let signer = reg.signer(ReplicaId(r));
+            QuorumCert::sign_share(&signer, View(1), Round(2), &digest, InstanceId(3), Rank(4))
+        })
+        .collect();
+    let qc = QuorumCert::from_shares(
+        &shares,
+        16,
+        View(1),
+        Round(2),
+        InstanceId(3),
+        digest,
+        Rank(4),
+    )
+    .unwrap();
+    microbench("agg_verify_q11", 10_000, || black_box(&qc).verify(&reg, 11));
 }
 
 fn bench_ordering() {

@@ -47,17 +47,22 @@ impl AggregateSignature {
         if signers.windows(2).any(|w| w[0].0 == w[1].0) {
             return None;
         }
+        Some(Self {
+            signers,
+            combined: Self::combine(sigs.iter().map(|s| s.tag)),
+            n: n as u32,
+        })
+    }
+
+    /// What constituent tags combine to: their XOR.
+    pub fn combine(tags: impl IntoIterator<Item = [u8; 32]>) -> [u8; 32] {
         let mut combined = [0u8; 32];
-        for s in sigs {
-            for (c, t) in combined.iter_mut().zip(s.tag.iter()) {
+        for tag in tags {
+            for (c, t) in combined.iter_mut().zip(tag) {
                 *c ^= t;
             }
         }
-        Some(Self {
-            signers,
-            combined,
-            n: n as u32,
-        })
+        combined
     }
 
     /// Verifies that every listed signer signed `(domain, msg)` under its
@@ -71,19 +76,7 @@ impl AggregateSignature {
         if self.signers.windows(2).any(|w| w[0].0 >= w[1].0) {
             return false;
         }
-        let mut expect = [0u8; 32];
-        for &(replica, key_idx) in &self.signers {
-            let pk = crate::keys::PublicKey { replica, key_idx };
-            match registry.tag_for(pk, domain, msg) {
-                Some(tag) => {
-                    for (e, t) in expect.iter_mut().zip(tag.iter()) {
-                        *e ^= t;
-                    }
-                }
-                None => return false,
-            }
-        }
-        expect == self.combined
+        registry.combined_tag_for(&self.signers, domain, msg) == Some(self.combined)
     }
 
     /// Number of constituent signatures.
@@ -219,6 +212,60 @@ mod tests {
         let mut agg = AggregateSignature::aggregate(&sigs, 4).unwrap();
         agg.signers.swap(0, 1);
         assert!(!agg.verify(&reg, b"d", b"m"));
+    }
+
+    /// Signers go through the MAC two at a time: an odd count, an even
+    /// one, a quorum of 16 and all of 16 — over a tag body that pads on
+    /// the stack and over one that has to stream — combine to the XOR of
+    /// the tags computed one by one.
+    #[test]
+    fn paired_verification_equals_single_tags_for_any_signer_count() {
+        let reg = setup(16, 2);
+        for msg in [&[0x42u8; 60][..], &[0x42u8; 300][..]] {
+            for count in [1u32, 2, 11, 16] {
+                let sigs: Vec<Signature> = (0..count)
+                    .map(|r| Signature::sign_with_key(&reg.signer(ReplicaId(r)), r % 2, b"d", msg))
+                    .collect();
+                let mut agg = AggregateSignature::aggregate(&sigs, 16).unwrap();
+                let singles = sigs.iter().map(|sig| {
+                    let tag = reg.tag_for(sig.pk, b"d", msg).unwrap();
+                    assert_eq!(tag, sig.tag);
+                    tag
+                });
+                assert_eq!(agg.combined, AggregateSignature::combine(singles));
+                assert!(agg.verify(&reg, b"d", msg), "{count} signers");
+                // The wrong sub-key for the last signer — paired or odd
+                // one out — is caught.
+                agg.signers[count as usize - 1].1 ^= 1;
+                assert!(!agg.verify(&reg, b"d", msg), "{count} signers");
+                // And a key that does not exist fails, whichever slot of
+                // a pair it sits in.
+                agg.signers[count as usize - 1].1 = 9;
+                assert!(!agg.verify(&reg, b"d", msg), "{count} signers");
+            }
+        }
+    }
+
+    /// The counters keep their meaning: a tag is two finished hashes, an
+    /// aggregate verification one `agg_verifies` and its signers' tags.
+    #[test]
+    fn counters_keep_their_meaning() {
+        use crate::counters::CryptoCounters;
+        let reg = setup(16, 1);
+        let sigs = sigs_over(&reg, &(0..11).collect::<Vec<_>>(), b"d", &[7; 60]);
+        let agg = AggregateSignature::aggregate(&sigs, 16).unwrap();
+        let before = CryptoCounters::snapshot();
+        let sig = Signature::sign(&reg.signer(ReplicaId(3)), b"d", &[7; 60]);
+        let cost = CryptoCounters::snapshot().since(&before);
+        assert_eq!((cost.signs, cost.hashes), (1, 2));
+        let before = CryptoCounters::snapshot();
+        assert!(sig.verify(&reg, b"d", &[7; 60]));
+        let cost = CryptoCounters::snapshot().since(&before);
+        assert_eq!((cost.verifies, cost.hashes), (1, 2));
+        let before = CryptoCounters::snapshot();
+        assert!(agg.verify(&reg, b"d", &[7; 60]));
+        let cost = CryptoCounters::snapshot().since(&before);
+        assert_eq!((cost.agg_verifies, cost.verifies, cost.hashes), (1, 0, 22));
     }
 
     #[test]

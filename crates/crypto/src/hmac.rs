@@ -8,10 +8,25 @@
 //! `HMAC(k, m) = H((k ⊕ opad) ‖ H((k ⊕ ipad) ‖ m))`, and both padded keys
 //! are exactly one SHA-256 block, so everything that depends on the key
 //! alone is two compressions. [`HmacKey`] does them once and keeps the two
-//! chaining values; each tag then resumes from them, which for a message of
-//! up to 119 bytes is 3 compressions instead of 5.
+//! chaining values; each tag then resumes from them.
+//!
+//! # A tag is three compressions and one backend call
+//!
+//! A body of up to 119 bytes — every tag the protocols make: votes, shares
+//! and proposals are 74–82 bytes with their domain, a rank report 44 — is
+//! gathered and padded on the stack (one or two blocks) and handed to the
+//! backend together with the two midstates: it compresses the body from
+//! the inner one and the resulting digest, as the one padded block it
+//! always is, from the outer one. On SHA-NI the digest never leaves
+//! registers in between. A longer body streams; the body's length
+//! selects, and the bytes are RFC 2104's either way.
+//!
+//! Tags of *one* body under *many* keys — an aggregate's signers — take
+//! the same call two keys at a time (`HmacKey::mac_lanes`): the body is
+//! padded once, both inner states read its one message schedule, and the
+//! two dependency chains overlap.
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{digest_after, hmac_short, sha256, with_padded, Padded, Sha256};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
@@ -57,13 +72,34 @@ impl HmacKey {
     /// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)` without materializing
     /// the concatenation.
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
-        let mut inner = Sha256::resume(self.inner, BLOCK as u64);
-        for part in parts {
-            inner.update(part);
-        }
-        let mut outer = Sha256::resume(self.outer, BLOCK as u64);
-        outer.update(&inner.finalize());
-        outer.finalize()
+        let short = Self::with_short_body(parts, |body| {
+            let [tag] = Self::mac_lanes([self], body);
+            tag
+        });
+        short.unwrap_or_else(|| {
+            let inner = digest_after(self.inner, BLOCK as u64, parts);
+            digest_after(self.outer, BLOCK as u64, &[&inner])
+        })
+    }
+
+    /// Calls `f` with the tag body `parts[0] ‖ parts[1] ‖ …` padded
+    /// behind the key block, for [`Self::mac_lanes`]; `None`, without
+    /// calling it, when the body is longer than 119 bytes and has to
+    /// stream through [`Self::mac`].
+    #[inline]
+    pub(crate) fn with_short_body<R>(
+        parts: &[&[u8]],
+        f: impl FnOnce(Padded<'_>) -> R,
+    ) -> Option<R> {
+        with_padded(BLOCK as u64, parts, f)
+    }
+
+    /// `keys[l].mac(body)` for every `l`, all in one backend call.
+    pub(crate) fn mac_lanes<const N: usize>(
+        keys: [&HmacKey; N],
+        body: Padded<'_>,
+    ) -> [[u8; 32]; N] {
+        hmac_short(keys.map(|k| (&k.inner, &k.outer)), body)
     }
 }
 
@@ -166,6 +202,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every body length to 200 — the one-shot path up to 119 bytes, both
+    /// of its padding edges (55/56, 119/120) and the streamed path beyond
+    /// — cut into two parts at every point and into more at random ones.
+    #[test]
+    fn mac_matches_two_pass_at_every_length_and_cut() {
+        let material: Vec<u8> = (0..=255u8).cycle().skip(3).take(200).collect();
+        let mut x = 0x5eed_cafe_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        for key in [&b"k"[..], &[0xaa; 32], &[0x55; 131]] {
+            let schedule = HmacKey::new(key);
+            for len in 0..=200 {
+                let body = &material[..len];
+                let expect = two_pass(key, body);
+                for cut in 0..=len {
+                    let (a, b) = body.split_at(cut);
+                    assert_eq!(schedule.mac(&[a, b]), expect, "len {len}, cut {cut}");
+                }
+                let mut cuts: Vec<usize> = (0..next() % 5).map(|_| next() % (len + 1)).collect();
+                cuts.extend([0, len]);
+                cuts.sort_unstable();
+                let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &body[w[0]..w[1]]).collect();
+                assert_eq!(schedule.mac(&parts), expect, "len {len}, cuts {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_lanes_are_two_macs() {
+        let keys = [HmacKey::new(b"left"), HmacKey::new(&[7; 64])];
+        for len in [0, 44, 55, 56, 74, 119] {
+            let data = vec![0x3c; len];
+            let two = HmacKey::with_short_body(&[&data], |body| {
+                HmacKey::mac_lanes([&keys[0], &keys[1]], body)
+            });
+            let singles = [keys[0].mac(&[&data]), keys[1].mac(&[&data])];
+            assert_eq!(two, Some(singles), "len {len}");
+        }
+        assert!(HmacKey::with_short_body(&[&[0; 120]], |_| ()).is_none());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! Key generation also derives each sub-key's [`HmacKey`] schedule, once;
 //! the registry and every [`Signer`] share those rows by `Arc`, and a tag
-//! streams `domain`, the separator and `msg` into the MAC as parts, so
-//! signing and verifying allocate nothing.
+//! hands `domain`, the separator and `msg` to the MAC as parts, so
+//! signing and verifying allocate nothing. An aggregate's signers all
+//! tag one body: the registry pads it once and takes them through the
+//! MAC two at a time.
 //!
 //! # Security model of the simulation
 //!
@@ -45,9 +47,14 @@ pub struct Signer {
     keys: Arc<[HmacKey]>,
 }
 
+/// The body of every tag: `domain ‖ 0x1f ‖ msg`.
+fn tag_parts<'a>(domain: &'a [u8], msg: &'a [u8]) -> [&'a [u8]; 3] {
+    [domain, &[0x1f], msg]
+}
+
 /// The tag every signature carries: `HMAC(key, domain ‖ 0x1f ‖ msg)`.
 fn tag_under(key: &HmacKey, domain: &[u8], msg: &[u8]) -> [u8; 32] {
-    key.mac(&[domain, &[0x1f], msg])
+    key.mac(&tag_parts(domain, msg))
 }
 
 impl Signer {
@@ -133,11 +140,57 @@ impl KeyRegistry {
         }
     }
 
+    fn key(&self, replica: ReplicaId, key_idx: u32) -> Option<&HmacKey> {
+        self.inner
+            .keys
+            .get(replica.as_usize())?
+            .get(key_idx as usize)
+    }
+
     /// Oracle tag recomputation for verification.
     pub(crate) fn tag_for(&self, pk: PublicKey, domain: &[u8], msg: &[u8]) -> Option<[u8; 32]> {
-        let replica_keys = self.inner.keys.get(pk.replica.as_usize())?;
-        let key = replica_keys.get(pk.key_idx as usize)?;
-        Some(tag_under(key, domain, msg))
+        Some(tag_under(self.key(pk.replica, pk.key_idx)?, domain, msg))
+    }
+
+    /// XOR of the tags of `(domain, msg)` under every key in `signers` —
+    /// what an aggregate of their signatures combines to — or `None` if a
+    /// key does not exist. The signers share one body, so it is padded
+    /// once and they go through the MAC two at a time.
+    pub(crate) fn combined_tag_for(
+        &self,
+        signers: &[(ReplicaId, u32)],
+        domain: &[u8],
+        msg: &[u8],
+    ) -> Option<[u8; 32]> {
+        let mut combined = [0u8; 32];
+        let mut fold = |tag: [u8; 32]| combined.iter_mut().zip(tag).for_each(|(c, t)| *c ^= t);
+        let key = |&(replica, key_idx): &(ReplicaId, u32)| self.key(replica, key_idx);
+        let parts = tag_parts(domain, msg);
+        let paired = HmacKey::with_short_body(&parts, |body| {
+            let mut pairs = signers.chunks_exact(2);
+            for pair in pairs.by_ref() {
+                let keys = [key(&pair[0])?, key(&pair[1])?];
+                HmacKey::mac_lanes(keys, body)
+                    .into_iter()
+                    .for_each(&mut fold);
+            }
+            if let [odd] = pairs.remainder() {
+                HmacKey::mac_lanes([key(odd)?], body)
+                    .into_iter()
+                    .for_each(&mut fold);
+            }
+            Some(())
+        });
+        match paired {
+            Some(every_key_exists) => every_key_exists?,
+            // Too long to pad on the stack: streamed, one signer at a time.
+            None => {
+                for signer in signers {
+                    fold(key(signer)?.mac(&parts));
+                }
+            }
+        }
+        Some(combined)
     }
 }
 

@@ -10,12 +10,17 @@
 //!   instead. The choice is made once per process from the CPU alone —
 //!   there is no feature, environment variable or config field — and the
 //!   two are differentially tested to produce identical bytes
-//!   ([`sha256_portable`] is the reference side).
+//!   ([`sha256_portable`] is the reference side). A one-shot hash of at
+//!   most 119 bytes ([`sha256_parts`]: a Merkle leaf, a lane root, a node
+//!   or batch digest) is padded on the stack and is one backend call;
+//!   longer inputs stream. The length selects, nothing else does.
 //! - [`hmac`]: HMAC-SHA-256 (RFC 2104), used as the MAC under the simulated
 //!   signature scheme. A key's two pad blocks are absorbed once into an
 //!   [`hmac::HmacKey`] (64 bytes of chaining state); [`keys`] derives that
 //!   schedule for every sub-key at [`KeyRegistry::generate`], so a tag over
-//!   a body of up to 119 bytes is three compressions and no allocation.
+//!   a body of up to 119 bytes — every tag the protocols make — is three
+//!   compressions in one backend call and no allocation: the padded body
+//!   from the inner midstate, its digest from the outer one.
 //! - [`fnv`]: FNV-1a 64-bit for non-adversarial hot-path hashing.
 //! - [`keys`] / [`sig`] / [`agg`]: a *simulated* PKI. A signature is
 //!   `HMAC(sk, domain ‖ msg)`; verification goes through a [`keys::KeyRegistry`]
@@ -23,7 +28,11 @@
 //!   actors never learn other replicas' secret keys, so unforgeability holds
 //!   for every adversary the experiments model (see DESIGN.md §5).
 //!   Aggregate signatures carry a signer bitmap plus an XOR-combined tag,
-//!   mirroring BLS aggregation's interface and size behaviour.
+//!   mirroring BLS aggregation's interface and size behaviour. Verifying
+//!   one recomputes every signer's tag over the one common body: the body
+//!   is padded once and the signers go through the MAC two per backend
+//!   call (on SHA-NI two interleaved lanes over one message schedule; the
+//!   portable backend runs the same seam one key after the other).
 //! - [`qc`]: quorum certificates over `(digest, rank)` pairs, the artifact
 //!   Algorithm 2 calls `QC`, and the per-replica [`CertCache`] that makes
 //!   a certificate carried by many messages cost one verification.
@@ -46,7 +55,7 @@ pub use agg::{AggregateSignature, MultiKeyRankSig};
 pub use counters::{CryptoCounters, OpKind};
 pub use keys::{KeyRegistry, PublicKey};
 pub use qc::{CertCache, QuorumCert, RankCert};
-pub use sha256::{sha256, sha256_portable, Sha256};
+pub use sha256::{sha256, sha256_parts, sha256_portable, Sha256};
 pub use sig::Signature;
 
 use ladon_types::Digest;
@@ -62,17 +71,21 @@ pub fn digest_bytes(data: &[u8]) -> Digest {
 /// digest commits to the batch identity `(first_tx, count, payload_bytes)`,
 /// which uniquely identifies the batch contents in the simulation.
 pub fn digest_batch(batch: &ladon_types::Batch) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"ladon/batch");
-    h.update(&batch.first_tx.0.to_le_bytes());
-    h.update(&batch.count.to_le_bytes());
-    h.update(&batch.payload_bytes.to_le_bytes());
-    h.update(&batch.bucket.to_le_bytes());
+    // Only DQBFT's ordering instance carries references; every other
+    // batch is 35 bytes and one backend call.
+    let mut refs = Vec::with_capacity(batch.refs.len() * 12);
     for &(i, r) in &batch.refs {
-        h.update(&i.to_le_bytes());
-        h.update(&r.to_le_bytes());
+        refs.extend_from_slice(&i.to_le_bytes());
+        refs.extend_from_slice(&r.to_le_bytes());
     }
-    Digest(h.finalize())
+    Digest(sha256_parts(&[
+        b"ladon/batch",
+        &batch.first_tx.0.to_le_bytes(),
+        &batch.count.to_le_bytes(),
+        &batch.payload_bytes.to_le_bytes(),
+        &batch.bucket.to_le_bytes(),
+        &refs,
+    ]))
 }
 
 #[cfg(test)]

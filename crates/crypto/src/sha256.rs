@@ -1,19 +1,36 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
 //! Supports incremental hashing via [`Sha256::update`] and one-shot hashing
-//! via [`sha256()`]. Verified against the NIST test vectors in the unit tests
-//! and against an incremental-equals-oneshot property test.
+//! via [`sha256()`] / [`sha256_parts`]. Verified against the NIST test
+//! vectors in the unit tests and against an incremental-equals-oneshot
+//! property test.
+//!
+//! # Short inputs take one backend call
+//!
+//! An input of at most 119 bytes (`SHORT_MAX`) pads into one or two
+//! blocks. A one-shot hash of such an input (`with_padded`) gathers its
+//! parts and the padding on the stack and hands the backend all of it at
+//! once; anything longer streams through [`Sha256`]. The input's length
+//! selects, the bytes are the same either way, and every tag body, Merkle
+//! leaf, lane root and node digest in the workspace is on the short side.
 //!
 //! # Backends
 //!
-//! All block processing goes through one seam, `Backend::compress(state,
-//! blocks)`, which has two implementations producing identical bytes:
+//! All block processing goes through one seam with two entries —
+//! `Backend::compress(state, blocks)`, and `Backend::hmac_lanes`, the
+//! whole short-body HMAC tail (inner blocks, then the inner digest as the
+//! outer block) for `N` keys over one body — which has two
+//! implementations producing identical bytes:
 //!
-//! - **portable** — the plain FIPS 180-4 rounds below. It is the reference
-//!   the other backend is tested against ([`sha256_portable`]) and the
-//!   fallback on every CPU.
+//! - **portable** — the plain FIPS 180-4 rounds below; its `hmac_lanes`
+//!   is `compress` twice per key. It is the reference the other backend
+//!   is tested against ([`sha256_portable`]) and the fallback on every
+//!   CPU.
 //! - **sha-ni** — the x86-64 SHA extensions (`sha256rnds2`/`msg1`/`msg2`),
 //!   in the private `shani` module, the only `unsafe` code in the crate.
+//!   Its `hmac_lanes` keeps the inner digest in registers and interleaves
+//!   two keys: one block's rounds are one long dependency chain, and a
+//!   second independent chain fills its stalls.
 //!
 //! The backend is chosen once per process from what the CPU reports
 //! (`is_x86_feature_detected!`); there is nothing to configure.
@@ -71,7 +88,34 @@ impl Backend {
             Backend::ShaNi(detected) => detected.compress(state, blocks),
         }
     }
+
+    /// `N` short HMACs of one body in one call, lane `l` under the key
+    /// schedule `keys[l]` = (inner, outer) chaining values. Each lane
+    /// resumes its inner hash, absorbs `body` (the padded tail: a whole
+    /// number of blocks), then resumes its outer hash and absorbs that
+    /// 32-byte digest as the padded end of a 96-byte message. Returns the
+    /// lanes' final chaining values.
+    #[inline]
+    fn hmac_lanes<const N: usize>(self, keys: [KeySchedule<'_>; N], body: &[u8]) -> [[u32; 8]; N] {
+        debug_assert_eq!(body.len() % 64, 0);
+        match self {
+            Backend::Portable => keys.map(|(inner, outer)| {
+                let (mut inner, mut outer) = (*inner, *outer);
+                compress_portable(&mut inner, body);
+                let digest = digest_bytes(&inner);
+                with_padded(64, &[&digest], |tail| compress_portable(&mut outer, tail.0))
+                    .expect("32 bytes are short");
+                outer
+            }),
+            #[cfg(target_arch = "x86_64")]
+            Backend::ShaNi(detected) => detected.hmac_lanes(keys, body),
+        }
+    }
 }
+
+/// An HMAC key schedule, borrowed where it lives: the chaining values
+/// after the key's ipad block and after its opad block.
+pub(crate) type KeySchedule<'a> = (&'a [u32; 8], &'a [u32; 8]);
 
 /// Name of the SHA-256 backend this process runs: `"sha-ni"` or
 /// `"portable"`. For benchmark output; nothing selects on it.
@@ -170,8 +214,13 @@ impl Sha256 {
     }
 
     /// Finishes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub fn finalize(self) -> [u8; 32] {
         record(OpKind::Hash);
+        digest_bytes(&self.finish())
+    }
+
+    /// Pads, compresses the tail and returns the final chaining value.
+    fn finish(mut self) -> [u32; 8] {
         let bit_len = self.total_len.wrapping_mul(8);
 
         // Padding: 0x80, zeros, 64-bit big-endian length, in place in the
@@ -185,13 +234,91 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.backend.compress(&mut self.state, &self.buf);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.state
     }
+}
+
+/// A final chaining value as the digest's bytes.
+fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The longest input whose padding (`0x80`, zeros, the 64-bit length)
+/// still fits a second block.
+const SHORT_MAX: usize = 119;
+
+/// The tail of a message, padded: the one or two whole blocks the
+/// compression function still has to read. Only [`with_padded`] makes one.
+#[derive(Clone, Copy)]
+pub(crate) struct Padded<'a>(&'a [u8]);
+
+/// Calls `f` with `parts` concatenated and padded as the end of a message
+/// that has already absorbed `absorbed` bytes (a whole number of blocks).
+/// `None`, without calling `f`, when the parts are longer than
+/// [`SHORT_MAX`] together. The padded blocks live in this frame: `f`
+/// borrows them, nothing is moved.
+#[inline]
+pub(crate) fn with_padded<R>(
+    absorbed: u64,
+    parts: &[&[u8]],
+    f: impl FnOnce(Padded<'_>) -> R,
+) -> Option<R> {
+    debug_assert_eq!(absorbed % 64, 0);
+    let body: usize = parts.iter().map(|p| p.len()).sum();
+    if body > SHORT_MAX {
+        return None;
+    }
+    let mut buf = [0u8; 128];
+    let mut at = 0;
+    for part in parts {
+        buf[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    buf[body] = 0x80;
+    let len = if body < 56 { 64 } else { 128 };
+    let bit_len = (absorbed + body as u64).wrapping_mul(8);
+    buf[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+    Some(f(Padded(&buf[..len])))
+}
+
+/// SHA-256 of the message that reached `state` after `absorbed` bytes and
+/// ends with `parts`: one backend call when they pad into two blocks,
+/// streamed otherwise. Counts one hash.
+#[inline]
+pub(crate) fn digest_after(state: [u32; 8], absorbed: u64, parts: &[&[u8]]) -> [u8; 32] {
+    record(OpKind::Hash);
+    let backend = Backend::active();
+    let short = with_padded(absorbed, parts, |tail| {
+        let mut state = state;
+        backend.compress(&mut state, tail.0);
+        state
+    });
+    let state = short.unwrap_or_else(|| {
+        let mut h = Sha256::resume(state, absorbed);
+        for part in parts {
+            h.update(part);
+        }
+        h.finish()
+    });
+    digest_bytes(&state)
+}
+
+/// `HMAC` tags of one short `body` — padded behind the one key block —
+/// under `N` key schedules at once, in one backend call. Counts the `2 N`
+/// hashes it finishes.
+pub(crate) fn hmac_short<const N: usize>(
+    keys: [KeySchedule<'_>; N],
+    body: Padded<'_>,
+) -> [[u8; 32]; N] {
+    for _ in 0..2 * N {
+        record(OpKind::Hash);
+    }
+    let states = Backend::active().hmac_lanes(keys, body.0);
+    states.map(|state| digest_bytes(&state))
 }
 
 /// The portable backend: FIPS 180-4 §6.2.2, one block at a time.
@@ -241,9 +368,13 @@ fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
 
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_parts(&[data])
+}
+
+/// One-shot SHA-256 of `parts[0] ‖ parts[1] ‖ …` without materializing
+/// the concatenation.
+pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
+    digest_after(H0, 0, parts)
 }
 
 /// One-shot SHA-256 on the portable backend whatever the CPU offers: the
@@ -376,6 +507,87 @@ mod tests {
                 "case {case}: len {len}, cuts {cuts:?}"
             );
         }
+    }
+
+    /// Every short length, cut into parts everywhere: the one-shot path
+    /// (whatever the backend) against the streamed portable rounds, on
+    /// both sides of the one- and two-block paddings and of the bound
+    /// where one-shot hands over to streaming.
+    #[test]
+    fn one_shot_equals_streaming_portable_at_every_short_length_and_cut() {
+        let mut next = rng(0x0a11_5e75);
+        let data: Vec<u8> = (0..=SHORT_MAX + 9).map(|_| next() as u8).collect();
+        for len in 0..data.len() {
+            let body = &data[..len];
+            assert_eq!(with_padded(0, &[body], |_| ()).is_some(), len <= SHORT_MAX);
+            let expect = sha256_portable(body);
+            for cut in 0..=len {
+                let (a, b) = body.split_at(cut);
+                assert_eq!(sha256_parts(&[a, b]), expect, "len {len}, cut {cut}");
+            }
+            let (a, rest) = body.split_at(next() as usize % (len + 1));
+            let (b, c) = rest.split_at(next() as usize % (rest.len() + 1));
+            assert_eq!(sha256_parts(&[a, &[], b, c]), expect, "len {len}");
+        }
+    }
+
+    /// The HMAC tail on each backend's seam against the two streamed
+    /// portable hashes it stands for — and two lanes against two single
+    /// calls.
+    #[test]
+    fn hmac_lanes_equal_streamed_digests_on_both_backends() {
+        let mut next = rng(0x1a2e5);
+        let mut state = || -> [u32; 8] { std::array::from_fn(|_| next() as u32) };
+        let keys: Vec<([u32; 8], [u32; 8])> = (0..16).map(|_| (state(), state())).collect();
+        let data: Vec<u8> = (0..SHORT_MAX).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0, 1, 44, 55, 56, 74, 82, SHORT_MAX] {
+            // The reference: both hashes streamed through the portable rounds.
+            let portable_after = |state: [u32; 8], tail: &[u8]| {
+                let mut h = Sha256::resume(state, 64);
+                h.backend = Backend::Portable;
+                h.update(tail);
+                digest_bytes(&h.finish())
+            };
+            let streamed = |&(inner, outer): &([u32; 8], [u32; 8])| {
+                portable_after(outer, &portable_after(inner, &data[..len]))
+            };
+            with_padded(64, &[&data[..len]], |body| {
+                for backend in [Backend::Portable, Backend::active()] {
+                    for pair in keys.chunks_exact(2) {
+                        let [a, b] = [&pair[0], &pair[1]].map(|k| (&k.0, &k.1));
+                        let two = backend.hmac_lanes([a, b], body.0);
+                        let [one_a] = backend.hmac_lanes([a], body.0);
+                        let [one_b] = backend.hmac_lanes([b], body.0);
+                        assert_eq!(two, [one_a, one_b], "len {len}");
+                        let two = two.map(|state| digest_bytes(&state));
+                        let expect = [streamed(&pair[0]), streamed(&pair[1])];
+                        assert_eq!(two, expect, "len {len}");
+                    }
+                }
+            })
+            .expect("short");
+        }
+    }
+
+    #[test]
+    fn every_finished_digest_counts_one_hash() {
+        use crate::counters::CryptoCounters;
+        use std::hint::black_box;
+        let hashes = |f: &dyn Fn()| {
+            let before = CryptoCounters::snapshot();
+            f();
+            CryptoCounters::snapshot().since(&before).hashes
+        };
+        assert_eq!(hashes(&|| _ = black_box(sha256(&[1; 31]))), 1);
+        assert_eq!(hashes(&|| _ = black_box(sha256(&[1; 500]))), 1);
+        let long = [&[1u8; 60][..], &[2; 60]];
+        assert_eq!(hashes(&|| _ = black_box(sha256_parts(&long))), 1);
+        with_padded(64, &[&[7; 74]], |body| {
+            let one = || _ = black_box(hmac_short([(&H0, &H0)], body));
+            let two = || _ = black_box(hmac_short([(&H0, &H0); 2], body));
+            assert_eq!((hashes(&one), hashes(&two)), (2, 4));
+        })
+        .expect("short");
     }
 
     #[test]

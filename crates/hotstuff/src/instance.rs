@@ -17,6 +17,14 @@
 //! a private one), so the `curRank` certificate that rides on all `m`
 //! instances is verified once per replica.
 //!
+//! A quorum is checked once per proposal. The leader's vote set is the
+//! votes its `justify` aggregates — votes that arrive after the QC formed
+//! are moot: not MAC-checked, not stored, though the rank they report is
+//! still learned through its certificate — and a backup that has verified
+//! `justify` accepts the set only as that very quorum (see
+//! `validate_rank`), so a proposal costs a backup one signature check and
+//! at most two aggregate checks however many votes it carries.
+//!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 
 use crate::msg::{
@@ -24,7 +32,7 @@ use crate::msg::{
     DOMAIN_VOTE,
 };
 use ladon_crypto::keys::Signer;
-use ladon_crypto::{CertCache, KeyRegistry, RankCert, Sha256, Signature};
+use ladon_crypto::{sha256_parts, AggregateSignature, CertCache, KeyRegistry, RankCert, Signature};
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
 };
@@ -133,15 +141,15 @@ fn node_digest(
     rank: Rank,
     dummy: bool,
 ) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"ladon/hs/node");
-    h.update(&instance.0.to_le_bytes());
-    h.update(&height.0.to_le_bytes());
-    h.update(&parent.0);
-    h.update(&ladon_crypto::digest_batch(batch).0);
-    h.update(&rank.0.to_le_bytes());
-    h.update(&[dummy as u8]);
-    Digest(h.finalize())
+    Digest(sha256_parts(&[
+        b"ladon/hs/node",
+        &instance.0.to_le_bytes(),
+        &height.0.to_le_bytes(),
+        &parent.0,
+        &ladon_crypto::digest_batch(batch).0,
+        &rank.0.to_le_bytes(),
+        &[dummy as u8],
+    ]))
 }
 
 impl HsInstance {
@@ -277,14 +285,17 @@ impl HsInstance {
             }
         }
 
-        // The vote set justifying the rank (the votes for the parent).
-        let vote_set: Vec<Arc<HsVote>> = if self.cfg.mode == HsRankMode::Ladon {
-            self.votes
-                .get(&parent_qc.node())
-                .map(|m| m.values().take(self.cfg.quorum()).cloned().collect())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        // The vote set justifying the rank: the parent's votes, exactly
+        // those `justify` aggregates and in its signer order — all of
+        // them or, when we did not collect them ourselves (the first
+        // proposal of a view), none.
+        let vote_set: Vec<Arc<HsVote>> = match self.votes.get(&parent_qc.node()) {
+            Some(votes) if self.cfg.mode == HsRankMode::Ladon => {
+                let signers = parent_qc.cert().agg.signers.iter();
+                let held = signers.map(|(replica, _)| votes.get(replica).cloned());
+                held.collect::<Option<_>>().unwrap_or_default()
+            }
+            _ => Vec::new(),
         };
 
         let bytes = node_bytes(self.view, height, &digest, self.cfg.instance, rank);
@@ -345,7 +356,6 @@ impl HsInstance {
             self.rejected += 1;
             return;
         }
-        let q = self.cfg.quorum();
         if from != self.cfg.me {
             let bytes = node_bytes(
                 g.view,
@@ -375,7 +385,7 @@ impl HsInstance {
                 self.rejected += 1;
                 return;
             }
-            if self.cfg.mode == HsRankMode::Ladon && !self.validate_rank(g, q) {
+            if self.cfg.mode == HsRankMode::Ladon && !self.validate_rank(g) {
                 self.rejected += 1;
                 return;
             }
@@ -466,8 +476,17 @@ impl HsInstance {
 
     /// Validates a Ladon proposal's rank: `rank = min(rank_m + 1, maxRank)`
     /// where `rank_m` is certified by `rank_qc` and consistent with the
-    /// carried vote set.
-    fn validate_rank(&self, g: &HsGeneric, q: usize) -> bool {
+    /// carried vote set. The caller has verified `g.justify`.
+    ///
+    /// No vote in the set is MAC-checked. A vote's tag covers `(view,
+    /// height, node, instance, rank)` — not `rank_m` — so checking it
+    /// proves only "this replica voted for the parent", and the verified
+    /// `justify` proves exactly that for each of its signers. The set is
+    /// therefore held to *be* `justify`'s quorum: same signers in the same
+    /// order, same five signed fields; the XOR of the carried tags against
+    /// `justify`'s combined tag then refuses a set whose tags are not the
+    /// ones that were aggregated.
+    fn validate_rank(&self, g: &HsGeneric) -> bool {
         // Certificate for the leader's claimed rank_m.
         if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_deref(), self.epoch_min, |qc| {
             self.certs.verified(qc)
@@ -483,28 +502,24 @@ impl HsInstance {
         if g.node.rank != expect {
             return false;
         }
-        // Vote-set consistency: after the first proposal of a view, 2f+1
-        // votes for the parent must justify that no higher certified rank
-        // was hidden (each vote's rank_m <= claimed rank_m).
-        if !g.vote_set.is_empty() {
-            let mut signers = std::collections::BTreeSet::new();
-            for v in &g.vote_set {
-                if v.node != g.justify.node() || v.rank_m > g.rank_m {
-                    return false;
-                }
-                if !v
-                    .sig
-                    .verify(&self.cfg.registry, DOMAIN_VOTE, &v.signing_bytes())
-                {
-                    return false;
-                }
-                signers.insert(v.sig.signer());
-            }
-            if signers.len() < q {
-                return false;
-            }
+        // Vote-set consistency: after the first proposal of a view, the
+        // 2f+1 votes behind `justify` must show that no higher certified
+        // rank was hidden (each vote's rank_m <= claimed rank_m).
+        if g.vote_set.is_empty() {
+            return true;
         }
-        true
+        let qc = g.justify.cert();
+        if g.vote_set.len() != qc.agg.signers.len() {
+            return false;
+        }
+        let aligned = g.vote_set.iter().zip(&qc.agg.signers).all(|(v, &signer)| {
+            (v.sig.pk.replica, v.sig.pk.key_idx) == signer
+                && (v.view, v.height, v.instance, v.node, v.rank)
+                    == (qc.view, qc.round, qc.instance, qc.digest, qc.rank)
+                && v.rank_m <= g.rank_m
+        });
+        aligned
+            && AggregateSignature::combine(g.vote_set.iter().map(|v| v.sig.tag)) == qc.agg.combined
     }
 
     /// Commits all uncommitted nodes up to `height` (in order) and emits
@@ -568,7 +583,14 @@ impl HsInstance {
             self.rejected += 1;
             return;
         }
+        // A vote at or below the highest certified height can change
+        // nothing: its node's QC exists (or a QC that displaced it does),
+        // so it is neither MAC-checked nor stored — the vote set of the
+        // next proposal is the QC's own signers. Its rank claim still
+        // counts: `rank_qc` certifies that, the vote's tag never did.
+        let moot = v.height <= self.generic_qc.height();
         if from != self.cfg.me
+            && !moot
             && !v
                 .sig
                 .verify(&self.cfg.registry, DOMAIN_VOTE, &v.signing_bytes())
@@ -589,16 +611,17 @@ impl HsInstance {
                 };
             }
         }
+        if moot {
+            return;
+        }
         let (view, height, node, rank) = (v.view, v.height, v.node, v.rank);
         let votes = self.votes.entry(node).or_default();
         votes.insert(from, v);
-        if votes.len() >= self.cfg.quorum() && self.generic_qc.node() != node {
-            // Form the QC for this node (generateQC, Algorithm 3 line 3).
-            let shares: Vec<Signature> = votes
-                .values()
-                .take(self.cfg.quorum())
-                .map(|x| x.sig)
-                .collect();
+        if votes.len() >= self.cfg.quorum() {
+            // Form the QC for this node (generateQC, Algorithm 3 line 3)
+            // from every vote held: the quorum's, since later ones are
+            // moot.
+            let shares: Vec<Signature> = votes.values().map(|x| x.sig).collect();
             let (n, instance) = (self.cfg.n, self.cfg.instance);
             if let Some(qc) = HsQc::from_votes(&shares, n, view, height, instance, node, rank) {
                 // Forming the QC certifies the node's rank (the HotStuff
@@ -610,9 +633,8 @@ impl HsInstance {
                 if self.cfg.mode == HsRankMode::Ladon && qc.rank() > cur.rank {
                     *cur = RankCert::certified(qc.to_rank_qc());
                 }
-                if qc.height() > self.generic_qc.height() {
-                    self.generic_qc = qc;
-                }
+                // Not moot, so above every height certified so far.
+                self.generic_qc = qc;
             }
         }
         // Garbage-collect vote maps at or below the commit frontier, by
@@ -913,17 +935,7 @@ mod tests {
     fn generic_above_cur_rank_verifies_each_certificate_once() {
         use ladon_crypto::CryptoCounters;
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
-        for i in 0..3u64 {
-            c.propose(0, batch(i * 10, 5));
-        }
-        let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
-        let generic = acts
-            .into_iter()
-            .find_map(|a| match a {
-                Action::Broadcast(HsMsg::Generic(g)) => Some(g),
-                _ => None,
-            })
-            .expect("a proposal broadcasts its Generic");
+        let generic = Arc::new(fourth_proposal(&mut c));
         // A backup that has not heard of any certified rank yet.
         let mut cur = RankCert::genesis(Rank(0));
         assert!(generic.rank_m > cur.rank && generic.rank_qc.is_some());
@@ -940,9 +952,264 @@ mod tests {
         assert!(cur.rank >= generic.rank_m, "the disclosure was adopted");
         // `justify` and `rank_qc` are each checked once — and here they
         // are the same certificate (the QC the leader just formed is its
-        // curRank), so the second check is a cache hit.
+        // curRank), so the second check is a cache hit. The only plain
+        // verification is the leader's signature: the quorum behind the
+        // vote set was checked once, as `justify`.
         assert_eq!(generic.rank_qc, Some(generic.justify.to_rank_qc()));
-        assert_eq!((cost.agg_verifies, cost.qc_verify_hits), (1, 1));
+        assert_eq!(generic.vote_set.len(), 3);
+        assert_eq!(
+            (cost.verifies, cost.agg_verifies, cost.qc_verify_hits),
+            (1, 1, 1)
+        );
+    }
+
+    /// The fourth proposal of a fresh n = 4 cluster: its `justify` is the
+    /// height-3 QC of replicas {0, 1, 2} and its vote set their votes.
+    fn fourth_proposal(c: &mut HsCluster) -> HsGeneric {
+        for i in 0..3u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
+        let generic = acts
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(HsMsg::Generic(g)) => Some(g),
+                _ => None,
+            })
+            .expect("a proposal broadcasts its Generic");
+        Arc::unwrap_or_clone(generic)
+    }
+
+    /// Delivers `g` to backup 1 of a cluster that accepted three heights
+    /// and reports `(rejected delta, actions, curRank afterwards)`.
+    fn deliver_to_backup(c: &mut HsCluster, g: HsGeneric) -> (u64, Vec<Action>, RankCert) {
+        let mut cur = RankCert::genesis(Rank(0));
+        let before = c.nodes[1].rejected;
+        let acts = c.nodes[1].on_message(
+            ReplicaId(0),
+            HsMsg::Generic(Arc::new(g)),
+            TimeNs::ZERO,
+            &mut cur,
+        );
+        (c.nodes[1].rejected - before, acts, cur)
+    }
+
+    #[test]
+    fn vote_set_must_be_the_justify_quorum_itself() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let good = fourth_proposal(&mut c);
+        let signers: Vec<ReplicaId> = good.vote_set.iter().map(|v| v.sig.signer()).collect();
+        assert_eq!(signers, [ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+        assert_eq!(signers.len(), good.justify.cert().agg.signers.len());
+
+        // Replica 3 did vote for the parent (too late to be in the QC):
+        // a genuine, correctly signed vote that `justify` does not cover.
+        let registry = c.nodes[0].cfg_registry();
+        let mut outsider = (*good.vote_set[0]).clone();
+        outsider.sig = Signature::sign(
+            &registry.signer(ReplicaId(3)),
+            DOMAIN_VOTE,
+            &outsider.signing_bytes(),
+        );
+        assert!(outsider
+            .sig
+            .verify(&registry, DOMAIN_VOTE, &outsider.signing_bytes()));
+
+        let edit = |f: &dyn Fn(&mut Vec<Arc<HsVote>>)| {
+            let mut g = good.clone();
+            f(&mut g.vote_set);
+            g
+        };
+        let edit_vote = |f: &dyn Fn(&mut HsVote)| edit(&|set| f(Arc::make_mut(&mut set[1])));
+        let cases: Vec<(&str, HsGeneric)> = vec![
+            ("signer dropped", edit(&|set| drop(set.pop()))),
+            (
+                "signer added",
+                edit(&|set| set.push(Arc::new(outsider.clone()))),
+            ),
+            (
+                "signer replaced",
+                edit(&|set| set[2] = Arc::new(outsider.clone())),
+            ),
+            ("signers reordered", edit(&|set| set.swap(0, 1))),
+            ("signer repeated", edit(&|set| set[1] = set[0].clone())),
+            ("another view", edit_vote(&|v| v.view = View(1))),
+            ("another height", edit_vote(&|v| v.height = Round(2))),
+            ("another rank", edit_vote(&|v| v.rank = Rank(9))),
+            ("another node", edit_vote(&|v| v.node = Digest([9; 32]))),
+            (
+                "another instance",
+                edit_vote(&|v| v.instance = InstanceId(1)),
+            ),
+            ("another sub-key", edit_vote(&|v| v.sig.pk.key_idx = 1)),
+            ("tag bit flipped", edit_vote(&|v| v.sig.tag[31] ^= 0x80)),
+            (
+                "a voter knew a higher rank",
+                edit_vote(&|v| v.rank_m = Rank(500)),
+            ),
+        ];
+        for (what, forged) in cases {
+            let (rejected, acts, cur) = deliver_to_backup(&mut c, forged);
+            assert_eq!(rejected, 1, "{what}");
+            assert!(acts.is_empty(), "{what}: {acts:?}");
+            assert_eq!(cur, RankCert::genesis(Rank(0)), "{what}");
+        }
+        // The set as the leader sent it is accepted by the same backup.
+        let rank_m = good.rank_m;
+        let (rejected, acts, cur) = deliver_to_backup(&mut c, good);
+        assert_eq!(rejected, 0);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Send(_, HsMsg::Vote(_)))));
+        assert!(cur.rank >= rank_m);
+    }
+
+    #[test]
+    fn height_zero_certificate_is_not_genesis() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let registry = c.nodes[0].cfg_registry();
+        // "Height 0" with a digest of the forger's choosing, signed by the
+        // forger alone: nothing a quorum ever voted for.
+        let fake_parent = Digest([0xbd; 32]);
+        let share = Signature::sign(
+            &registry.signer(ReplicaId(0)),
+            DOMAIN_VOTE,
+            &node_bytes(View(0), Round(0), &fake_parent, InstanceId(0), Rank(0)),
+        );
+        let forged = HsQc::from_votes(
+            &[share],
+            4,
+            View(0),
+            Round(0),
+            InstanceId(0),
+            fake_parent,
+            Rank(0),
+        )
+        .expect("one share aggregates");
+        assert!(!forged.is_genesis());
+        assert!(!forged.verify(&registry, 3));
+
+        // As the `justify` of a height-1 proposal, otherwise well formed.
+        let (height, rank, payload) = (Round(1), Rank(1), batch(0, 5));
+        let digest = node_digest(InstanceId(0), height, &fake_parent, &payload, rank, false);
+        let generic = HsGeneric {
+            view: View(0),
+            instance: InstanceId(0),
+            node: HsNode {
+                height,
+                digest,
+                parent: fake_parent,
+                batch: payload,
+                rank,
+                proposed_at: TimeNs::ZERO,
+                dummy: false,
+            },
+            justify: forged.clone(),
+            rank_m: Rank(0),
+            rank_qc: None,
+            vote_set: Vec::new(),
+            sig: Signature::sign(
+                &registry.signer(ReplicaId(0)),
+                DOMAIN_GENERIC,
+                &node_bytes(View(0), height, &digest, InstanceId(0), rank),
+            ),
+        };
+        let (rejected, acts, _) = deliver_to_backup(&mut c, generic);
+        assert_eq!(rejected, 1);
+        assert!(acts.is_empty(), "{acts:?}");
+
+        // And as the `justify` of a new-view sent to view 1's leader.
+        let nv = HsNewView {
+            view: View(1),
+            instance: InstanceId(0),
+            justify: forged,
+            sig: Signature::sign(
+                &registry.signer(ReplicaId(0)),
+                DOMAIN_NEWVIEW,
+                &View(1).0.to_le_bytes(),
+            ),
+        };
+        let before = c.nodes[1].rejected;
+        c.nodes[1].on_message(
+            ReplicaId(0),
+            HsMsg::NewView(nv),
+            TimeNs::ZERO,
+            &mut c.curs[1],
+        );
+        assert_eq!(c.nodes[1].rejected, before + 1);
+        assert!(c.nodes[1].new_views.is_empty());
+        assert!(c.nodes[1].generic_qc.is_genesis());
+    }
+
+    #[test]
+    fn votes_after_the_quorum_are_moot_but_their_rank_claim_counts() {
+        use ladon_crypto::CryptoCounters;
+        // n = 7: a quorum of 5 (the leader's own vote and four others),
+        // two votes left over.
+        let mut c = HsCluster::new(7, HsRankMode::Ladon, 1000);
+        let acts = c.nodes[0].propose(batch(0, 5), TimeNs::ZERO, &mut c.curs[0]);
+        c.absorb(0, acts);
+        let mut votes = Vec::new();
+        while let Some((to, from, m)) = c.queue.pop_front() {
+            for a in c.nodes[to].on_message(from, m, TimeNs::ZERO, &mut c.curs[to]) {
+                if let Action::Send(_, HsMsg::Vote(v)) = a {
+                    votes.push((ReplicaId(to as u32), v));
+                }
+            }
+        }
+        assert_eq!(votes.len(), 6);
+        let node = votes[0].1.node;
+        let deliver = |c: &mut HsCluster, (from, v): (ReplicaId, Arc<HsVote>)| {
+            let before = CryptoCounters::snapshot();
+            c.nodes[0].on_message(from, HsMsg::Vote(v), TimeNs::ZERO, &mut c.curs[0]);
+            CryptoCounters::snapshot().since(&before)
+        };
+        let late = votes.split_off(4);
+        for vote in votes {
+            assert_eq!(deliver(&mut c, vote).verifies, 1);
+        }
+        assert_eq!(c.nodes[0].generic_qc.node(), node);
+        assert_eq!(c.nodes[0].votes[&node].len(), 5);
+
+        // A plain late vote: not checked, not stored, nothing rejected.
+        let [plain, (from, claimant)]: [_; 2] = late.try_into().expect("two left");
+        let cost = deliver(&mut c, plain);
+        assert_eq!((cost.verifies, cost.agg_verifies), (0, 0));
+        assert_eq!(c.nodes[0].votes[&node].len(), 5);
+
+        // A late vote whose voter knows a higher certified rank: the
+        // certificate is what proves the claim, and it is still checked.
+        let registry = c.nodes[0].cfg_registry();
+        let (elsewhere, high) = (Digest([5; 32]), Rank(50));
+        let shares: Vec<Signature> = (0..5)
+            .map(|r| {
+                Signature::sign(
+                    &registry.signer(ReplicaId(r)),
+                    DOMAIN_VOTE,
+                    &node_bytes(View(0), Round(9), &elsewhere, InstanceId(1), high),
+                )
+            })
+            .collect();
+        let cert = HsQc::from_votes(
+            &shares,
+            7,
+            View(0),
+            Round(9),
+            InstanceId(1),
+            elsewhere,
+            high,
+        )
+        .expect("distinct signers")
+        .to_rank_qc();
+        let mut claimant = Arc::unwrap_or_clone(claimant);
+        claimant.rank_m = high;
+        claimant.rank_qc = Some(cert);
+        assert!(c.curs[0].rank < high);
+        let cost = deliver(&mut c, (from, Arc::new(claimant)));
+        assert_eq!((cost.verifies, cost.agg_verifies), (0, 1));
+        assert_eq!(c.curs[0].rank, high);
+        assert_eq!(c.nodes[0].votes[&node].len(), 5);
+        assert_eq!(c.nodes[0].rejected, 0);
     }
 
     #[test]

@@ -88,9 +88,21 @@ impl HsQc {
         }))
     }
 
-    /// True for the genesis certificate.
+    /// True for the genesis certificate — the one [`Self::genesis`]
+    /// builds — and for nothing else: a certificate that merely names
+    /// height 0 goes through real verification (and fails it, having no
+    /// quorum to show).
     pub fn is_genesis(&self) -> bool {
-        self.height() == Round(0)
+        let qc = &*self.0;
+        (qc.view, qc.round, qc.digest, qc.rank) == (View(0), Round(0), Digest::NIL, Rank(0))
+            && qc.domain == CertDomain::HsVote
+            && qc.agg.signers.is_empty()
+            && qc.agg.combined == [0u8; 32]
+    }
+
+    /// The certificate itself: the certified fields and the aggregate.
+    pub fn cert(&self) -> &QuorumCert {
+        &self.0
     }
 
     /// Height of the certified node.
@@ -108,7 +120,7 @@ impl HsQc {
         self.0.rank
     }
 
-    /// Verifies the certificate (genesis verifies vacuously).
+    /// Verifies the certificate (only genesis verifies vacuously).
     pub fn verify(&self, registry: &ladon_crypto::KeyRegistry, quorum: usize) -> bool {
         self.is_genesis() || self.0.verify(registry, quorum)
     }
@@ -213,8 +225,16 @@ pub struct HsGeneric {
     pub rank_m: Rank,
     /// Certificate for `rank_m`.
     pub rank_qc: Option<Arc<QuorumCert>>,
-    /// The 2f+1 votes justifying the rank choice (the Ladon `voteSet`;
-    /// empty in vanilla mode).
+    /// The votes justifying the rank choice (the Ladon `voteSet`): the
+    /// votes `justify` aggregates, one per signer and in its signer order
+    /// — or none (vanilla mode; the first proposal of a view). A vote's
+    /// tag covers `(view, height, node, instance, rank)`, not `rank_m`, so
+    /// it proves "this replica voted for the parent" and no more; the
+    /// verified `justify` proves that for exactly its signers, so a
+    /// backup holds the set to *be* that quorum (same signers, same five
+    /// fields) and checks no tag again. The XOR of the carried tags must
+    /// equal `justify`'s combined tag: a set assembled from other tags
+    /// than the aggregated ones is malformed.
     pub vote_set: Vec<Arc<HsVote>>,
     /// Leader signature over the node bytes.
     pub sig: Signature,

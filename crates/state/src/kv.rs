@@ -91,7 +91,7 @@
 //! far less than one cross-thread barrier round costs, which is why
 //! block order on one thread is the executor.
 
-use ladon_crypto::Sha256;
+use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};
 
 pub use ladon_types::MERKLE_LANES;
@@ -178,11 +178,11 @@ pub struct BatchOutcome {
 /// SHA-256 leaf hash of one live entry.
 #[inline]
 fn leaf_hash(key: u32, value: u64) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"ladon/state-leaf/v1");
-    h.update(&key.to_le_bytes());
-    h.update(&value.to_le_bytes());
-    h.finalize()
+    sha256_parts(&[
+        b"ladon/state-leaf/v1",
+        &key.to_le_bytes(),
+        &value.to_le_bytes(),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -338,11 +338,11 @@ fn acc_of_entries(entries: &[(u32, u64)]) -> Acc {
 /// A lane's content root: a digest over its live entry count and the
 /// accumulator of those entries.
 fn lane_root(len: usize, acc: &Acc) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"ladon/lane-root/v3");
-    h.update(&(len as u64).to_le_bytes());
-    h.update(&acc_bytes(acc));
-    Digest(h.finalize())
+    Digest(sha256_parts(&[
+        b"ladon/lane-root/v3",
+        &(len as u64).to_le_bytes(),
+        &acc_bytes(acc),
+    ]))
 }
 
 /// The content root of a lane holding exactly `entries` — what a

@@ -386,7 +386,7 @@ mod tests {
     /// event. The digest covers every deterministic counter, so a change
     /// that adds, renames or moves one re-pins it (print
     /// `report.metrics.deterministic_json()` before and after, and check
-    /// the diff is only the counter you meant). Re-pinned four times
+    /// the diff is only the counter you meant). Re-pinned five times
     /// since: the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
     /// `wal.bytes_written` and `wal.segment_opens`; the mask-free record
     /// (8 B shorter) moved `wal.bytes_written` again and the replay
@@ -394,8 +394,11 @@ mod tests {
     /// votes for decided phases unverified and verifying a certificate
     /// once per replica moved `crypto.{hashes, verifies, agg_verifies,
     /// qc_verify_hits}`; the `node.` key counting pruned sync chunks
-    /// (always 0) went with the chunk stash it counted — nothing else any
-    /// time.
+    /// (always 0) went with the chunk stash it counted; accepting a
+    /// HotStuff vote set under its verified `justify` and dropping moot
+    /// votes unverified moved `LadonHotStuff`'s `crypto.{hashes,
+    /// verifies}` (4 710 → 3 430, 961 → 321), that run alone — nothing
+    /// else any time.
     #[test]
     fn seeded_runs_match_the_pre_deployment_pins() {
         let pins = [
@@ -409,7 +412,7 @@ mod tests {
                 ProtocolKind::LadonHotStuff,
                 258_007,
                 83,
-                "91195b3232f78bdde439f1e6d19a566793ce0341b3395e3ed1caa40bf06ab459",
+                "8ed54e2c02b1e2441e7d8dae44ed4eb59443538a871f5dfd6b36c4b2ad554ba1",
             ),
             (
                 ProtocolKind::DqbftPbft,

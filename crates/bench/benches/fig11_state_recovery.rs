@@ -2,7 +2,7 @@
 //! analog): raw state-machine apply throughput, epoch checkpoint cost,
 //! and restart-from-snapshot+WAL recovery latency as the WAL tail grows.
 
-use ladon_bench::microbench;
+use ladon_bench::{microbench, scratch_dir};
 use ladon_state::{ExecutionPipeline, DEFAULT_KEYSPACE};
 use ladon_types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId};
 
@@ -55,10 +55,13 @@ fn main() {
         warm.checkpoint(epoch, vec![0; 16])
     });
 
-    // Recovery latency: snapshot + WAL tails of growing length.
+    // Recovery latency: snapshot + WAL tails of growing length, recovered
+    // from a scratch directory the way a restarted replica recovers.
     println!();
     for tail in [0u64, 16, 64, 256] {
-        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let dir = scratch_dir("fig11", &tail.to_string());
+        let recover = || ExecutionPipeline::recover(&dir, DEFAULT_KEYSPACE).expect("recover");
+        let mut p = recover();
         for sn in 0..64 {
             p.execute(sn, &block(sn, 4096));
         }
@@ -66,13 +69,14 @@ fn main() {
         for sn in 64..64 + tail {
             p.execute(sn, &block(sn, 4096));
         }
-        let (snap, wal) = p.export_parts();
         let expect_root = p.state_root();
+        drop(p);
         let name = format!("recover_snapshot+wal_tail_{tail:>3}_blocks");
         microbench(&name, 200, || {
-            let rec = ExecutionPipeline::from_parts(snap.as_deref(), &wal, DEFAULT_KEYSPACE);
+            let rec = recover();
             assert_eq!(rec.state_root(), expect_root);
             rec.applied()
         });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

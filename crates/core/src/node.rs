@@ -419,9 +419,8 @@ impl MultiBftNode {
             .iter()
             .filter_map(Instance::checkpoint_frontier)
             .collect();
-        // Drain the cross-drain accumulation here (the checkpoint would
-        // anyway) so the flushed `sn` range is visible for lifecycle
-        // tracing.
+        // Drain the pipeline here (the checkpoint would anyway) so the
+        // flushed `sn` range is visible for lifecycle tracing.
         self.drain(Drain::Full, now);
         let root = self.exec.checkpoint(epoch, frontier);
         // Every block below the new snapshot frontier is now covered by
@@ -455,17 +454,16 @@ impl MultiBftNode {
         if confirmed.is_empty() {
             return;
         }
-        // The whole confirmed drain stages through the pipeline's
-        // group-commit path; the flush + apply barrier runs once the
-        // cross-drain accumulation reaches `wal_flush_max_records`
-        // staged records (the default of 1 flushes every drain). A
-        // flushed accumulation is ONE durability barrier (one write and
-        // one fsync, however many drains it spans) and ONE
-        // batch-wide dependency DAG, so ops from independent blocks
-        // overlap in the same waves — WAL-before-apply, preserved at
-        // accumulated-batch granularity. Staged records stay
-        // unacknowledged until their flush: a crash loses exactly them,
-        // never a flushed block.
+        // The whole confirmed drain stages through the pipeline: each
+        // block's WAL record is buffered, and that record is all the
+        // pipeline keeps of it. A drain that staged something submits
+        // ONE durability barrier (one write and one fsync, however many
+        // blocks the drain held), and the records that barrier
+        // acknowledges apply as ONE batch-wide dependency DAG, so ops
+        // from independent blocks overlap in the same waves —
+        // WAL-before-apply, preserved at batch granularity. Staged
+        // records stay unacknowledged until their barrier completes: a
+        // crash loses exactly them, never an acknowledged block.
         let mut batch: Vec<(u64, Block)> = Vec::with_capacity(confirmed.len());
         for c in confirmed {
             self.metrics.note_confirmed(c.sn, &c.block, now);
@@ -497,16 +495,14 @@ impl MultiBftNode {
                 }
             }
         }
-        if self.durability.is_normal()
-            && self.exec.staged_records() as u64 >= self.cfg.sys.wal_flush_max_records.max(1) as u64
-        {
-            // Pipelined drain: submit this accumulation's barrier and
-            // apply the *previous* batch whose barrier token just
-            // resolved — in File mode batch N's write+fsync now runs on
-            // the writer thread while the next drain stages batch N+1.
-            // While degraded the drain is skipped: records keep
-            // *staging* (unacknowledged, memory only) but no new barrier
-            // touches the failing backend until a retry heals it.
+        if self.durability.is_normal() && self.exec.staged_records() > 0 {
+            // Pipelined drain: submit this drain's barrier and apply the
+            // *previous* batch whose barrier token just resolved — in
+            // File mode batch N's write+fsync now runs on the writer
+            // thread while the next drain stages batch N+1. While
+            // degraded the drain is skipped: records keep *staging*
+            // (unacknowledged, memory only) but no new barrier touches
+            // the failing backend until a retry heals it.
             self.drain(Drain::Pipelined, now);
         }
     }
@@ -519,8 +515,8 @@ impl MultiBftNode {
     /// the same timestamp (the flush and the DAG apply complete in the
     /// same call; the wall-clock split lives in
     /// [`ladon_state::PipelinePerf`]), while the sim-time
-    /// `staged → flushed` latency — how long a block waited on the
-    /// cross-drain barrier — is real and per-block. Handlers follow up
+    /// `staged → flushed` latency — how long a block waited on its
+    /// barrier — is real and per-block. Handlers follow up
     /// with [`Self::check_durability`] once, on their way out.
     fn drain(&mut self, how: Drain, now: TimeNs) {
         let flushed = match how {

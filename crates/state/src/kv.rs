@@ -93,6 +93,7 @@
 
 use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};
+use std::borrow::Borrow;
 
 pub use ladon_types::MERKLE_LANES;
 
@@ -827,12 +828,17 @@ impl KvState {
     /// plans the batch's dependency DAG for the outcome's wave counters
     /// (see the module docs; nothing executes by the plan). Each key is
     /// hashed once: the hash names the lane for the plan and the slot
-    /// for the probe, and a read-modify-write reuses its probe.
-    pub fn apply_batch<'a>(&mut self, ops: impl IntoIterator<Item = &'a TxOp>) -> BatchOutcome {
+    /// for the probe, and a read-modify-write reuses its probe. Ops come
+    /// by reference or by value, so a caller can stream derived ops
+    /// without collecting them first.
+    pub fn apply_batch<O: Borrow<TxOp>>(
+        &mut self,
+        ops: impl IntoIterator<Item = O>,
+    ) -> BatchOutcome {
         let mut plan = WavePlan::new(&mut self.wave_scratch);
         let mut effects = ExecEffects::default();
         for op in ops {
-            match *op {
+            match *op.borrow() {
                 TxOp::Put { key, value } => {
                     let (hash, lane) = locate(key);
                     plan.place(lane, None);
@@ -1477,7 +1483,7 @@ mod tests {
             },
         ];
         let mut s = KvState::new();
-        let out = s.apply_batch(&ops);
+        let out = s.apply_batch(ops);
         assert_eq!(s.get(a), 4);
         assert_eq!(s.get(b), 0);
         assert_eq!(s.get(c), 6, "credit must be readable");
@@ -1543,7 +1549,7 @@ mod tests {
         let mut s = KvState::new();
         s.apply(&TxOp::Put { key: a, value: 10 });
         let before = s.lane_roots();
-        let out = s.apply_batch(&[TxOp::Transfer {
+        let out = s.apply_batch([TxOp::Transfer {
             from: a,
             to: b,
             amount: 4,

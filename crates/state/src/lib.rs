@@ -53,6 +53,6 @@ pub use pipeline::{
 };
 pub use snapshot::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{
-    decode_records, decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta,
-    WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,
+    decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta, WalBackend,
+    WalIoStats, WalLoadStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,
 };

@@ -1,14 +1,19 @@
 //! The execution pipeline: confirmed blocks in, durable state out.
 //!
 //! [`ExecutionPipeline`] is the single entry point `ladon-core` feeds.
-//! For every confirmed block it (1) appends a [`WalRecord`] to the commit
-//! log, then (2) applies the block's derived transaction ops to the
-//! sharded KV state — WAL-before-apply, so a crash between the two
-//! replays the block on recovery instead of losing it. Ops apply in
-//! block order on the calling thread (see [`crate::kv`]); a whole staged
-//! drain is one batch, described by one batch-wide wave plan whose
-//! counters [`ExecSchedStats`] accumulates. At every epoch checkpoint it
-//! folds the lanes' pending writes into their accumulators, captures a
+//! A confirmed block is its [`WalRecord`]: staging a block is
+//! [`CommitWal::append_buffered`] and nothing else — the pipeline keeps
+//! no copy of its own, so the log's staged and in-flight records *are*
+//! the blocks between confirmation and apply. A record is acknowledged
+//! only by a flush barrier the pipeline submitted, and the call that
+//! acknowledges it applies it: the record's ops, derived from its
+//! `(first_tx, count)`, stream into the sharded KV state —
+//! WAL-before-apply, so a crash between the two replays the block on
+//! recovery instead of losing it. Ops apply in block order on the
+//! calling thread (see [`crate::kv`]); everything one barrier
+//! acknowledges is one batch, described by one batch-wide wave plan
+//! whose counters [`ExecSchedStats`] accumulates. At every epoch
+//! checkpoint it folds the lanes' pending writes into their accumulators, captures a
 //! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
 //! manifest root — covering the execution position, frontier, and the
 //! ordered lane-root vector — which the checkpoint quorum signs.
@@ -19,13 +24,15 @@
 //! source compatibility with `benchmark/` and selects nothing.
 //!
 //! Recovery composes the two artifacts: install the latest snapshot, then
-//! re-execute the WAL tail ([`ExecutionPipeline::recover`] /
-//! [`ExecutionPipeline::from_parts`]). The snapshot's `applied` frontier
+//! re-execute the WAL tail, one record per batch
+//! ([`ExecutionPipeline::recover`] → [`ExecutionPipeline::recover_backend`],
+//! the one way back from storage). The snapshot's `applied` frontier
 //! is handed to the segmented WAL as a *floor*: sealed segments entirely
 //! below it are skipped without being read, so replay work is
 //! proportional to the dirty tail, not to the total log length — and the
-//! tail itself re-executes through the same
-//! [`crate::kv::KvState::apply_batch`] as live execution.
+//! tail itself re-executes through the same apply step as live
+//! execution. A peer's state comes in one way only,
+//! [`ExecutionPipeline::install_delta`].
 //! [`ReplayStats`] records what recovery touched (segments scanned vs
 //! skipped, records replayed). Because execution is
 //! deterministic, the recovered root equals the pre-crash root — the
@@ -38,7 +45,7 @@ use crate::wal::{
     CommitWal, FileBackend, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
 };
 use ladon_obs::SnapshotInto;
-use ladon_types::{Block, Digest, TxOp};
+use ladon_types::{Block, Digest};
 use std::path::Path;
 
 /// What [`ExecutionPipeline::execute`] did with a block.
@@ -122,7 +129,7 @@ impl ReplayStats {
 /// plan is a pure function of the ops' static lane access sets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
-    /// Batches planned (one per flush of the staged drain, one per
+    /// Batches planned (one per completed flush barrier, one per
     /// replayed record during recovery).
     pub batches: u64,
     /// Topological waves planned, summed over batches.
@@ -267,25 +274,19 @@ impl SnapshotInto for PipelineStats {
     }
 }
 
-/// A drained run of confirmed blocks: `(sn, derived ops)` in order.
-type StagedBlocks = Vec<(u64, Vec<TxOp>)>;
-
-/// A batch whose WAL barrier is in flight: submitted to the writer by
-/// [`ExecutionPipeline::submit_staged`], token not yet resolved. The
-/// blocks' derived ops ride along so the apply can run at completion —
-/// after durability, never before.
-struct InFlightBatch {
-    blocks: StagedBlocks,
-    /// When the barrier was submitted (feeds the overlap histogram).
-    submitted_at: std::time::Instant,
-}
-
 /// The replica's execution pipeline.
 pub struct ExecutionPipeline {
     kv: KvState,
+    /// The commit log, and the only place a block lives between its
+    /// confirmation and its apply: its staged records are the blocks
+    /// staged, its in-flight barrier's records the blocks submitted.
+    /// Neither is acknowledged nor applied — WAL-before-apply holds at
+    /// batch granularity — and a crash loses exactly them.
     wal: CommitWal,
     store: SnapshotStore,
-    /// Confirmed blocks applied so far; the next expected `sn`.
+    /// Confirmed blocks applied so far. Every record the WAL has
+    /// acknowledged is applied; in-flight and staged records follow it
+    /// densely.
     applied: u64,
     /// Cumulative transactions executed (consensus position: restored
     /// from snapshots, advanced by every applied block).
@@ -298,21 +299,15 @@ pub struct ExecutionPipeline {
     effects: ExecEffects,
     /// Accounts in the derived-op key space.
     keyspace: u32,
-    /// Blocks staged (WAL record buffered, ops derived) but not yet
-    /// flushed + applied — the cross-drain group-commit accumulator.
-    /// Staged blocks are unacknowledged: a crash loses exactly them.
-    staged: StagedBlocks,
-    /// The batch whose WAL barrier is in flight (submitted via
-    /// [`Self::submit_staged`], token not yet resolved). Its blocks are
-    /// neither acknowledged nor applied — WAL-before-apply holds at
-    /// batch granularity — and a crash loses exactly them plus `staged`.
-    inflight: Option<InFlightBatch>,
     /// Cumulative wave-plan accounting.
     sched: ExecSchedStats,
     /// What the last rebuild replayed (all zeros for fresh pipelines).
     recovery: ReplayStats,
     /// Wall-clock split of the flush barrier (see [`PipelinePerf`]).
     perf: PipelinePerf,
+    /// When the last barrier was submitted (feeds the overlap
+    /// histogram).
+    submitted_at: std::time::Instant,
 }
 
 impl ExecutionPipeline {
@@ -343,11 +338,10 @@ impl ExecutionPipeline {
             local_txs: 0,
             effects: ExecEffects::default(),
             keyspace,
-            staged: Vec::new(),
-            inflight: None,
             sched: ExecSchedStats::default(),
             recovery: ReplayStats::default(),
             perf: PipelinePerf::default(),
+            submitted_at: std::time::Instant::now(),
         }
     }
 
@@ -388,55 +382,45 @@ impl ExecutionPipeline {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let store = SnapshotStore::at_dir(dir)?;
-        Ok(Self::rebuild(
-            |floor| CommitWal::open_with_floor(backend, wal_opts, floor),
-            store,
-            keyspace,
-        ))
+        Ok(Self::rebuild(backend, wal_opts, store, keyspace))
     }
 
-    /// Rebuilds a pipeline from a snapshot store plus a WAL opener (the
-    /// recovery path, shared by disk and byte-shipped variants). The
-    /// opener receives the snapshot-covered floor so the segmented WAL
-    /// can skip covered segments without reading them.
-    fn rebuild<F>(open_wal: F, store: SnapshotStore, keyspace: u32) -> Self
-    where
-        F: FnOnce(u64) -> CommitWal,
-    {
+    /// The one recovery path: installs the store's latest verified
+    /// snapshot, opens the WAL in `backend` with the snapshot-covered
+    /// floor (so covered segments are skipped unread), and replays the
+    /// tail through the live apply step, one record per batch.
+    fn rebuild(
+        backend: Box<dyn WalBackend>,
+        wal_opts: WalOptions,
+        store: SnapshotStore,
+        keyspace: u32,
+    ) -> Self {
         let snap = store.latest().cloned().filter(Snapshot::verify);
         let floor = snap.as_ref().map_or(0, |s| s.head.applied);
-        let wal = open_wal(floor);
-        let mut p = Self::fresh(wal, keyspace);
+        let mut p = Self::fresh(
+            CommitWal::open_with_floor(backend, wal_opts, floor),
+            keyspace,
+        );
         p.store = store;
         let mut stats = ReplayStats::from_load(p.wal.load_stats());
         if let Some(snap) = snap {
             p.restore(&snap);
         }
-        // Replay the WAL tail past the snapshot. A gap between the
-        // snapshot's applied frontier and the first tail record means the
-        // artifacts are inconsistent (e.g. the newest snapshot was lost
-        // after its compaction): applying misaligned records would produce
-        // a silently divergent root, so stop at the gap instead — the
-        // replica stays at the snapshot frontier and re-fetches the rest
-        // from peers.
-        let tail: Vec<WalRecord> = p
-            .wal
-            .records()
-            .iter()
-            .filter(|r| r.sn >= p.applied)
-            .copied()
-            .collect();
-        for rec in tail {
-            if rec.sn != p.applied {
-                break;
+        // The mirror is dense and holds nothing below the floor, so the
+        // tail replays exactly when it starts at the applied frontier. A
+        // gap there means the artifacts are inconsistent (e.g. the
+        // newest snapshot was lost after its compaction): applying
+        // misaligned records would produce a silently divergent root, so
+        // replay nothing instead — the replica stays at the snapshot
+        // frontier and re-fetches the rest from peers.
+        let from = p.applied;
+        if p.wal.records().first().is_some_and(|r| r.sn == from) {
+            for at in 0..p.wal.len() {
+                p.apply_records(at..at + 1);
             }
-            let ops: Vec<TxOp> = rec.batch().txs(p.keyspace).map(|tx| tx.op).collect();
-            stats.records_replayed += 1;
-            stats.replayed_txs += ops.len() as u64;
-            let out = p.kv.apply_batch(&ops);
-            p.absorb_outcome(&out);
-            p.applied = rec.sn + 1;
         }
+        stats.records_replayed = p.applied - from;
+        stats.replayed_txs = p.local_txs;
         // A dangling suffix the replay could not reach (its first record
         // sits above the frontier — corruption opened a gap below it) is
         // unreplayable here forever: drop it so the dense-append
@@ -457,33 +441,6 @@ impl ExecutionPipeline {
         self.executed_txs = snap.head.executed_txs;
     }
 
-    /// Reconstructs a pipeline from byte-shipped parts (in-sim restart and
-    /// sync paths): an optional encoded snapshot plus a WAL-tail encoding.
-    pub fn from_parts(snapshot: Option<&[u8]>, wal_bytes: &[u8], keyspace: u32) -> Self {
-        let mut store = SnapshotStore::in_memory();
-        if let Some(bytes) = snapshot {
-            if let Some(snap) = Snapshot::decode(bytes) {
-                if snap.verify() {
-                    store.put(snap);
-                }
-            }
-        }
-        Self::rebuild(
-            |_floor| CommitWal::from_flat_bytes(wal_bytes, WalOptions::default()),
-            store,
-            keyspace,
-        )
-    }
-
-    /// Exports `(latest snapshot encoding, WAL-tail encoding)` — the exact
-    /// inputs [`Self::from_parts`] consumes.
-    pub fn export_parts(&self) -> (Option<Vec<u8>>, Vec<u8>) {
-        (
-            self.store.latest().map(Snapshot::encode),
-            self.wal.to_bytes(),
-        )
-    }
-
     /// Executes confirmed block `sn` immediately (stage + flush as a
     /// batch of one). Blocks must arrive in dense global order; anything
     /// at or below the staged/applied frontier is skipped (the snapshot
@@ -499,10 +456,7 @@ impl ExecutionPipeline {
 
     /// Executes a drained run of confirmed blocks through **one WAL
     /// group-commit barrier**: [`Self::stage_blocks`] followed by
-    /// [`Self::flush_staged`]. Callers that want to amortize further —
-    /// accumulate staged records across several confirmed-queue drains
-    /// and flush on a size threshold (`SystemConfig::wal_flush_max_records`)
-    /// — call the two halves themselves.
+    /// [`Self::flush_staged`].
     ///
     /// Outcomes are index-aligned with `blocks`, with the same per-block
     /// skip/gap discipline as [`Self::execute`] (a gap refuses the block
@@ -514,11 +468,11 @@ impl ExecutionPipeline {
     }
 
     /// Stages a drained run of confirmed blocks: each applicable block's
-    /// WAL record is buffered (no backend I/O) and its derived ops are
-    /// queued for the next [`Self::flush_staged`]. Staged blocks are
-    /// **unacknowledged and unapplied** — a crash before the flush loses
-    /// exactly them, and neither [`Self::applied`] nor the state root
-    /// moves until the flush.
+    /// WAL record is buffered (no backend I/O) for the next barrier.
+    /// Staged blocks are **unacknowledged and unapplied** — a crash
+    /// before their barrier completes loses exactly them, and neither
+    /// [`Self::applied`] nor the state root moves until it does. Staging
+    /// accumulates across calls until a barrier is submitted.
     pub fn stage_blocks(&mut self, blocks: &[(u64, Block)]) -> Vec<ExecOutcome> {
         blocks
             .iter()
@@ -526,7 +480,8 @@ impl ExecutionPipeline {
             .collect()
     }
 
-    /// Stages one block (see [`Self::stage_blocks`]).
+    /// Stages one block (see [`Self::stage_blocks`]): its WAL record is
+    /// all the pipeline keeps of it.
     fn stage_block(&mut self, sn: u64, block: &Block) -> ExecOutcome {
         let next = self.next_sn();
         if sn < next {
@@ -535,12 +490,10 @@ impl ExecutionPipeline {
         if sn > next {
             return ExecOutcome::Gap { expected: next };
         }
-        // Derive the ops once: the vector feeds the apply at flush time.
-        let ops: Vec<TxOp> = block.batch.txs(self.keyspace).map(|tx| tx.op).collect();
         self.wal.append_buffered(WalRecord::of_block(sn, block));
-        let txs = ops.len() as u64;
-        self.staged.push((sn, ops));
-        ExecOutcome::Applied { txs }
+        ExecOutcome::Applied {
+            txs: block.batch.count as u64,
+        }
     }
 
     /// The **synchronous** durability + apply barrier for everything in
@@ -565,15 +518,9 @@ impl ExecutionPipeline {
     /// `write_failures`), and callers must consult it before treating
     /// the range as durable.
     pub fn flush_staged(&mut self) -> std::ops::Range<u64> {
-        let first = self
-            .inflight
-            .as_ref()
-            .and_then(|b| b.blocks.first().map(|(sn, _)| *sn))
-            .or_else(|| self.staged.first().map(|(sn, _)| *sn))
-            .unwrap_or(self.applied);
+        let first = self.applied;
         self.complete_inflight();
-        if !self.staged.is_empty() {
-            self.submit_batch();
+        if self.submit_barrier() {
             self.complete_inflight();
         }
         first..self.applied
@@ -598,15 +545,13 @@ impl ExecutionPipeline {
         // Resolve the previous token first (the writer is one-deep), but
         // apply only after the new batch is on the writer: the apply is
         // the work the in-flight barrier overlaps with.
-        let prior = self.take_resolved_inflight();
-        if prior.is_some() && !self.staged.is_empty() {
+        let prior = self.resolve_barrier();
+        let submitted = self.submit_barrier();
+        if prior.is_some() && submitted {
             self.perf.pipelined_submits += 1;
         }
-        if !self.staged.is_empty() {
-            self.submit_batch();
-        }
         match prior {
-            Some((ok, blocks)) => self.apply_blocks(&blocks, ok),
+            Some(acked) => self.apply_records(acked),
             None => self.applied..self.applied,
         }
     }
@@ -614,82 +559,91 @@ impl ExecutionPipeline {
     /// Resolves the in-flight barrier (if any) and applies its batch.
     /// Returns the applied range, or `None` when nothing was in flight.
     pub fn complete_inflight(&mut self) -> Option<std::ops::Range<u64>> {
-        let (ok, blocks) = self.take_resolved_inflight()?;
-        Some(self.apply_blocks(&blocks, ok))
+        let acked = self.resolve_barrier()?;
+        Some(self.apply_records(acked))
     }
 
-    /// Submits the staged batch as one WAL flush barrier (must be
-    /// nonempty; no barrier may be in flight).
-    fn submit_batch(&mut self) {
-        debug_assert!(self.inflight.is_none());
-        let blocks = std::mem::take(&mut self.staged);
+    /// Submits everything staged as one WAL flush barrier (no barrier
+    /// may be in flight). Returns `false` when nothing was staged.
+    fn submit_barrier(&mut self) -> bool {
+        let records = self.wal.staged_len() as u64;
         let t0 = std::time::Instant::now();
-        self.wal.submit_flush();
+        if !self.wal.submit_flush() {
+            return false;
+        }
         self.perf.wall_wal_flush_ns += t0.elapsed().as_nanos() as u64;
         self.perf.flush_barriers += 1;
-        self.perf.inflight_records_peak = self.perf.inflight_records_peak.max(blocks.len() as u64);
-        self.inflight = Some(InFlightBatch {
-            blocks,
-            submitted_at: std::time::Instant::now(),
-        });
+        self.perf.inflight_records_peak = self.perf.inflight_records_peak.max(records);
+        self.submitted_at = std::time::Instant::now();
+        true
     }
 
-    /// Waits out the in-flight barrier token and hands back its batch
-    /// with the barrier outcome. Does **not** apply.
-    fn take_resolved_inflight(&mut self) -> Option<(bool, StagedBlocks)> {
-        let batch = self.inflight.take()?;
+    /// Waits out the in-flight barrier token and accounts its outcome:
+    /// `false` raises the deterministic failure alarm, so no caller can
+    /// mistake the batch for durable — its records still apply (the WAL
+    /// mirror is authoritative). Returns the mirror positions of the
+    /// records the barrier acknowledged; does **not** apply them.
+    fn resolve_barrier(&mut self) -> Option<std::ops::Range<usize>> {
+        if !self.wal.has_inflight_flush() {
+            return None;
+        }
         self.perf
             .barrier_overlap
-            .observe(batch.submitted_at.elapsed().as_nanos() as u64);
+            .observe(self.submitted_at.elapsed().as_nanos() as u64);
+        let from = self.wal.len();
         let t0 = std::time::Instant::now();
-        let ok = self.wal.complete_flush().unwrap_or(true);
+        let ok = self.wal.complete_flush()?;
         let wait = t0.elapsed().as_nanos() as u64;
         self.perf.wall_wal_flush_ns += wait;
         self.perf.barrier_wait.observe(wait);
-        Some((ok, batch.blocks))
-    }
-
-    /// Applies one completed batch's ops as one batch and advances the
-    /// applied frontier. `ok = false` means the batch's barrier failed:
-    /// the blocks still apply (the WAL mirror is authoritative) but the
-    /// deterministic failure alarm is raised so no caller can mistake
-    /// the range for durable.
-    fn apply_blocks(&mut self, blocks: &[(u64, Vec<TxOp>)], ok: bool) -> std::ops::Range<u64> {
-        if !ok {
+        if ok {
+            self.perf.consecutive_flush_failures = 0;
+        } else {
             self.perf.wal_flush_failures += 1;
             self.perf.consecutive_flush_failures += 1;
-        } else {
-            self.perf.consecutive_flush_failures = 0;
         }
-        let first = blocks.first().map_or(self.applied, |(sn, _)| *sn);
-        let exec_t0 = std::time::Instant::now();
-        let out = self.kv.apply_batch(blocks.iter().flat_map(|(_, ops)| ops));
+        Some(from..self.wal.len())
+    }
+
+    /// The one apply step, shared by live barriers and recovery replay:
+    /// applies the acknowledged records at mirror positions `at` as one
+    /// batch — each record's ops derived from its `(first_tx, count)`
+    /// and streamed into the state — and advances the applied frontier
+    /// past them. Returns the `sn` range applied.
+    fn apply_records(&mut self, at: std::ops::Range<usize>) -> std::ops::Range<u64> {
+        let first = self.applied;
+        let records = &self.wal.records()[at];
+        let Some(last) = records.last() else {
+            return first..first;
+        };
+        debug_assert_eq!(records[0].sn, first, "acknowledged records apply densely");
+        let keyspace = self.keyspace;
+        let t0 = std::time::Instant::now();
+        let out = self
+            .kv
+            .apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
+        self.applied = last.sn + 1;
         self.absorb_outcome(&out);
-        self.applied = blocks.last().map_or(self.applied, |(sn, _)| sn + 1);
-        self.perf.wall_exec_ns += exec_t0.elapsed().as_nanos() as u64;
+        self.perf.wall_exec_ns += t0.elapsed().as_nanos() as u64;
         first..self.applied
     }
 
-    /// Blocks staged but not yet submitted — the size the cross-drain
-    /// flush policy thresholds on. Unacknowledged: a crash right now
-    /// loses exactly these (plus any in-flight batch).
+    /// Blocks staged but not yet submitted. Unacknowledged: a crash
+    /// right now loses exactly these (plus any in-flight batch).
     pub fn staged_records(&self) -> usize {
-        self.staged.len()
+        self.wal.staged_len()
     }
 
     /// Blocks submitted to the WAL writer whose barrier token has not
     /// resolved — unacknowledged and unapplied.
     pub fn inflight_records(&self) -> usize {
-        self.inflight.as_ref().map_or(0, |b| b.blocks.len())
+        self.wal.inflight_len()
     }
 
-    /// The next `sn` the pipeline will accept (dense-order frontier over
-    /// applied + in-flight + staged blocks).
+    /// The next `sn` the pipeline will accept: the dense-order frontier
+    /// over applied, in-flight and staged blocks.
     pub fn next_sn(&self) -> u64 {
-        self.staged
-            .last()
-            .or_else(|| self.inflight.as_ref().and_then(|b| b.blocks.last()))
-            .map_or(self.applied, |(sn, _)| sn + 1)
+        self.applied + (self.wal.inflight_len() + self.wal.staged_len()) as u64
     }
 
     /// Folds a batch outcome into the cumulative effect, transaction and
@@ -713,9 +667,8 @@ impl ExecutionPipeline {
     /// vector when it is not (state-only snapshot, see
     /// [`crate::snapshot::SnapshotHead::frontier`]).
     pub fn checkpoint(&mut self, epoch: u64, frontier: Vec<u64>) -> Digest {
-        // Drain any cross-drain accumulation first: the snapshot must
-        // cover every confirmed block, and compaction may not outrun
-        // staged records.
+        // Drain whatever is staged or in flight first: the snapshot must
+        // cover every confirmed block.
         self.flush_staged();
         self.kv.fold();
         let snap = Snapshot::capture(epoch, self.applied, self.executed_txs, frontier, &self.kv);
@@ -729,13 +682,15 @@ impl ExecutionPipeline {
         root
     }
 
-    /// Degraded-mode repair: resolves any in-flight barrier, then asks
-    /// the WAL to rewrite the backend from its authoritative mirror
-    /// ([`CommitWal::repair_backend`]). Returns `true` when the backend
-    /// fully caught up with the mirror — every previously alarmed
-    /// record is durable again, [`PipelinePerf::consecutive_flush_failures`]
-    /// resets, and the caller may drain staged blocks and resume
-    /// acknowledging.
+    /// Degraded-mode repair: resolves (and applies) any in-flight
+    /// barrier, then asks the WAL to rewrite the backend from its
+    /// acknowledged mirror ([`CommitWal::repair_backend`]). Staged
+    /// blocks are left staged — they reach storage through the caller's
+    /// next barrier ([`Self::flush_staged`]), and are applied there.
+    /// Returns `true` when the backend fully caught up with the mirror —
+    /// every previously alarmed record is durable again,
+    /// [`PipelinePerf::consecutive_flush_failures`] resets, and the
+    /// caller may drain the staged backlog and resume acknowledging.
     pub fn retry_durability(&mut self) -> bool {
         self.complete_inflight();
         let ok = self.wal.repair_backend();
@@ -790,7 +745,7 @@ impl ExecutionPipeline {
         self.kv.lane_roots()
     }
 
-    /// Confirmed blocks applied (the next expected `sn`).
+    /// Confirmed blocks applied (the first `sn` not yet applied).
     pub fn applied(&self) -> u64 {
         self.applied
     }
@@ -843,8 +798,8 @@ impl ExecutionPipeline {
         }
     }
 
-    /// What the last rebuild (disk recovery or parts reconstruction)
-    /// replayed. All zeros for a pipeline that started fresh.
+    /// What the last recovery replayed. All zeros for a pipeline that
+    /// started fresh.
     pub fn recovery_stats(&self) -> &ReplayStats {
         &self.recovery
     }
@@ -890,6 +845,7 @@ mod tests {
     use super::*;
     use crate::kv::{DEFAULT_KEYSPACE, MERKLE_LANES};
     use crate::snapshot::hex32;
+    use crate::wal::tests::SharedMem;
     use ladon_types::{Batch, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId};
 
     fn block(sn: u64, first_tx: u64, count: u32) -> Block {
@@ -981,17 +937,79 @@ mod tests {
         assert_eq!(spent.hashes, MERKLE_LANES as u64 + 1);
     }
 
+    /// An in-memory pipeline whose WAL storage outlives it.
+    fn on_disk(disk: &SharedMem) -> ExecutionPipeline {
+        let wal = CommitWal::open(Box::new(disk.clone()), WalOptions::default());
+        ExecutionPipeline::fresh(wal, DEFAULT_KEYSPACE)
+    }
+
+    /// What a restart of `p` recovers — its latest snapshot plus the WAL
+    /// `disk` holds — through the path every recovery takes.
+    fn restart(p: &ExecutionPipeline, disk: &SharedMem) -> ExecutionPipeline {
+        let mut store = SnapshotStore::in_memory();
+        if let Some(snap) = p.latest_snapshot() {
+            store.put(snap.clone());
+        }
+        let backend = Box::new(disk.clone());
+        ExecutionPipeline::rebuild(backend, WalOptions::default(), store, DEFAULT_KEYSPACE)
+    }
+
     #[test]
-    fn recovery_from_parts_reproduces_root() {
-        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+    fn recovery_from_snapshot_and_wal_tail_reproduces_root() {
+        let disk = SharedMem::default();
+        let mut p = on_disk(&disk);
         run_blocks(&mut p, 0, 12);
         p.checkpoint(0, Vec::new());
         run_blocks(&mut p, 12, 7); // tail past the snapshot
-        let (snap, wal) = p.export_parts();
-        let recovered = ExecutionPipeline::from_parts(snap.as_deref(), &wal, DEFAULT_KEYSPACE);
+        let recovered = restart(&p, &disk);
+        assert_eq!(recovered.recovery_stats().records_replayed, 7);
         assert_eq!(recovered.applied(), p.applied());
         assert_eq!(recovered.executed_txs(), p.executed_txs());
         assert_eq!(recovered.state_root(), p.state_root());
+    }
+
+    #[test]
+    fn repair_with_a_staged_backlog_acks_each_block_once() {
+        // Every step must keep the one lifecycle: nothing acknowledged is
+        // left unapplied, the frontier is applied + in flight + staged,
+        // and a barrier is counted exactly when storage sees an append.
+        fn check(p: &ExecutionPipeline, last: &mut (u64, u64), step: &str) {
+            assert!(
+                p.wal_len() as u64 <= p.applied(),
+                "{step}: {} acknowledged, {} applied",
+                p.wal_len(),
+                p.applied()
+            );
+            let pending = (p.inflight_records() + p.staged_records()) as u64;
+            assert_eq!(p.applied() + pending, p.next_sn(), "{step}");
+            let now = (p.perf().flush_barriers, p.wal_io_stats().appends);
+            assert_eq!(
+                now.0 != last.0,
+                now.1 != last.1,
+                "{step}: {last:?} -> {now:?}"
+            );
+            *last = now;
+        }
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let mut last = (0, 0);
+        run_blocks(&mut p, 0, 1);
+        check(&p, &mut last, "apply 1");
+        p.stage_blocks(&[(1, block(1, 50, 50)), (2, block(2, 100, 50))]);
+        check(&p, &mut last, "stage 2");
+        assert!(p.retry_durability());
+        check(&p, &mut last, "repair");
+        assert_eq!(
+            (p.applied(), p.staged_records()),
+            (1, 2),
+            "the backlog waits"
+        );
+        p.flush_staged();
+        check(&p, &mut last, "flush");
+        assert_eq!(last, (2, 2));
+        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut reference, 0, 3);
+        assert_eq!(p.applied(), 3);
+        assert_eq!(p.state_root(), reference.state_root());
     }
 
     #[test]
@@ -999,7 +1017,8 @@ mod tests {
         let mut per_block = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut per_block, 0, 20);
 
-        let mut batched = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let disk = SharedMem::default();
+        let mut batched = on_disk(&disk);
         let blocks: Vec<(u64, Block)> = (0..20u64).map(|sn| (sn, block(sn, sn * 50, 50))).collect();
         for chunk in blocks.chunks(7) {
             for out in batched.execute_batch(chunk) {
@@ -1016,8 +1035,7 @@ mod tests {
         assert_eq!((b.batches, pb.batches), (3, 20));
         assert!(b.waves <= pb.waves, "{b:?} vs {pb:?}");
         // And the batched WAL recovers to the identical state.
-        let (snap, wal) = batched.export_parts();
-        let recovered = ExecutionPipeline::from_parts(snap.as_deref(), &wal, DEFAULT_KEYSPACE);
+        let recovered = restart(&batched, &disk);
         assert_eq!(recovered.state_root(), per_block.state_root());
         assert_eq!(recovered.applied(), 20);
     }
@@ -1123,7 +1141,7 @@ mod tests {
         // Every barrier's append parks at a gate until released, so "B's
         // barrier has not completed" is a state the test holds, not a
         // race it hopes to win.
-        use crate::wal::tests::{GatedAppends, SharedMem};
+        use crate::wal::tests::GatedAppends;
         let disk = SharedMem::default();
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
@@ -1155,9 +1173,12 @@ mod tests {
         assert_eq!(perf.flush_barriers, 2);
         assert_eq!(perf.pipelined_submits, 1, "B's submit overlapped A");
         drop(p); // joins the writer
-        let reopen =
-            |floor| CommitWal::open_with_floor(Box::new(disk), WalOptions::default(), floor);
-        let r = ExecutionPipeline::rebuild(reopen, SnapshotStore::in_memory(), DEFAULT_KEYSPACE);
+        let r = ExecutionPipeline::rebuild(
+            Box::new(disk),
+            WalOptions::default(),
+            SnapshotStore::in_memory(),
+            DEFAULT_KEYSPACE,
+        );
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut reference, 0, 4);
         assert_eq!(r.applied(), 4);

@@ -46,16 +46,21 @@
 //!
 //! The write path is built around explicit **durability barriers**, not
 //! per-record fsyncs. [`CommitWal::append_buffered`] encodes a record
-//! into the stage buffer (no backend I/O, no steady-state allocation);
-//! [`CommitWal::flush`] then writes the staged bytes with **one** write
-//! and **one** fsync — however many records the batch held — via the
-//! backend's [`WalBackend::append_segment_batch`] /
-//! [`WalBackend::sync_group`] split. A record is **acknowledged only
-//! after its batch's flush** returns: a crash between staging and flush loses only unacknowledged
-//! records, never a previously-flushed one (the crash matrix in
-//! `tests/state_execution.rs` sweeps a kill across exactly this
-//! boundary). [`CommitWal::append`] remains as the batch-of-one
-//! composition of the two.
+//! into the stage buffer (no backend I/O, no steady-state allocation) —
+//! it is the only way a record enters the log, and the execution
+//! pipeline stages a confirmed block through it and keeps no copy of
+//! its own. [`CommitWal::submit_flush`] then writes everything staged
+//! with **one** write and **one** fsync — however many records the
+//! batch held — via the backend's [`WalBackend::append_segment_batch`] /
+//! [`WalBackend::sync_group`] split, and [`CommitWal::complete_flush`]
+//! acknowledges the batch into the mirror. A record is **acknowledged
+//! only when its barrier completes**: a crash between staging and
+//! completion loses only unacknowledged records, never a previously
+//! acknowledged one (the crash matrix in `tests/state_execution.rs`
+//! sweeps a kill across exactly this boundary). Nothing else
+//! acknowledges a record — compaction and repair rewrite acknowledged
+//! records only. [`CommitWal::flush`] (submit + complete) and
+//! [`CommitWal::append`] (one record, flushed) are thin compositions.
 //!
 //! Every contiguous run a flush appends (and every compaction rewrite)
 //! is closed by a checksummed **batch trailer** ([`TRAILER_LEN`] bytes:
@@ -98,7 +103,7 @@
 //! | 4096 tx (the paper's) | 6 / 6 | 3 684 · 4 341 (+18 %) |
 
 use ladon_crypto::fnv::Fnv64;
-use ladon_types::{Batch, Block, Digest, SystemConfig};
+use ladon_types::{Batch, Block, Digest, SystemConfig, TxId, TxOp};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -218,17 +223,15 @@ impl WalRecord {
         }
     }
 
-    /// The batch this record re-materializes for replay.
-    pub fn batch(&self) -> Batch {
-        Batch {
-            first_tx: ladon_types::TxId(self.first_tx),
+    /// The ops the record's block applies: [`Batch::txs`] over the
+    /// record's `(first_tx, count)`, the block's own derivation.
+    pub(crate) fn ops(&self, keyspace: u32) -> impl Iterator<Item = TxOp> {
+        let batch = Batch {
+            first_tx: TxId(self.first_tx),
             count: self.count,
-            payload_bytes: self.payload_bytes,
-            arrival_sum_ns: 0,
-            earliest_arrival: ladon_types::TimeNs::ZERO,
-            bucket: self.bucket,
-            refs: Vec::new(),
-        }
+            ..Batch::default()
+        };
+        batch.txs(keyspace).map(|tx| tx.op)
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -297,9 +300,6 @@ impl WalRecord {
 pub struct SegmentDecode {
     /// Every intact record, in stream order (trailers skipped).
     pub records: Vec<WalRecord>,
-    /// The record count claimed by the last intact trailer (0 when the
-    /// stream holds none).
-    pub last_trailer_count: u32,
     /// True when the stream was consumed completely and ended exactly at
     /// a trailer (or was empty): a **clean end of log** — every byte
     /// after the last acknowledged batch is accounted for. False means
@@ -330,7 +330,6 @@ pub fn decode_segment(bytes: &[u8]) -> SegmentDecode {
                 at_boundary = false;
                 break; // corrupt trailer: stop trusting the tail
             }
-            out.last_trailer_count = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
             at += TRAILER_LEN;
             at_boundary = true;
             continue;
@@ -360,13 +359,6 @@ pub fn decode_segment(bytes: &[u8]) -> SegmentDecode {
     }
     out.clean_end = at == bytes.len() && at_boundary;
     out
-}
-
-/// Decodes every intact record in `bytes` (trailer bookkeeping
-/// discarded; also accepts trailer-free flat streams like
-/// [`CommitWal::to_bytes`]).
-pub fn decode_records(bytes: &[u8]) -> Vec<WalRecord> {
-    decode_segment(bytes).records
 }
 
 // ---------------------------------------------------------------------
@@ -1250,18 +1242,6 @@ impl CommitWal {
         Self::open(Box::new(MemBackend::default()), opts)
     }
 
-    /// An in-memory WAL seeded from a flat record encoding (the sync /
-    /// restart-from-bytes path: [`Self::to_bytes`] on the sender side):
-    /// every decoded record staged, then one flush barrier.
-    pub fn from_flat_bytes(bytes: &[u8], opts: WalOptions) -> Self {
-        let mut wal = Self::in_memory_with(opts);
-        for rec in decode_records(bytes) {
-            wal.append_buffered(rec);
-        }
-        wal.flush();
-        wal
-    }
-
     /// Accounting of the open-time load (segment skips, torn tails).
     pub fn load_stats(&self) -> WalLoadStats {
         self.load_stats
@@ -1478,14 +1458,18 @@ impl CommitWal {
         self.records.is_empty()
     }
 
-    /// Drains every staged and in-flight record into the mirror
-    /// (acknowledged or alarmed) and hands out the back, home from the
-    /// writer, next to the mirror — what every rotation starts from:
-    /// rotation rewrites straddlers from the mirror, so no record may
-    /// vanish between a stage and a rotation.
+    /// Resolves the in-flight barrier, if any, and hands out the back,
+    /// home from the writer, next to the mirror — what every rotation
+    /// starts from. A rotation rewrites acknowledged records only:
+    /// staged records stay staged and reach storage through a barrier
+    /// of their own, so nothing is acknowledged here that the caller did
+    /// not submit.
     fn settled(&mut self) -> (&mut WalBack, &mut Vec<WalRecord>) {
-        self.flush();
-        let back = self.back.as_mut().expect("back home after flush");
+        let _ = self.complete_flush();
+        let back = self
+            .back
+            .as_mut()
+            .expect("back home once no barrier is in flight");
         (back, &mut self.records)
     }
 
@@ -1544,15 +1528,12 @@ impl CommitWal {
     /// and a successful rewrite makes every mirrored record durable
     /// again in one shot.
     ///
-    /// Returns `true` when the whole repair (rewrite + manifest
-    /// publish + old-file deletes, plus the initial staged-record
-    /// drain) ran without a single backend failure; on `false` the old
-    /// manifest still governs a readable log and the caller should
-    /// retry later.
+    /// Only acknowledged records are rewritten; a staged backlog is left
+    /// for the caller's next barrier. Returns `true` when the whole
+    /// repair (rewrite + manifest publish + old-file deletes) ran
+    /// without a single backend failure; on `false` the old manifest
+    /// still governs a readable log and the caller should retry later.
     pub fn repair_backend(&mut self) -> bool {
-        // The drain may alarm if the backend is still broken — the
-        // rotation rewrites the drained records from the mirror
-        // regardless.
         let (back, records) = self.settled();
         let before = back.write_failures;
         back.rotate_segments(records, |meta| {
@@ -1595,17 +1576,6 @@ impl CommitWal {
                 }
             }
         });
-    }
-
-    /// The whole log as bytes (for shipping a WAL tail over sync).
-    /// Acknowledged records only: staged and in-flight records are not
-    /// yet durable and never ship.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        for r in &self.records {
-            r.encode_into(&mut bytes);
-        }
-        bytes
     }
 }
 
@@ -1892,50 +1862,60 @@ pub(crate) mod tests {
         }
     }
 
+    impl SharedMem {
+        /// The stored bytes of segment `seq`.
+        fn segment(&self, seq: u64) -> Vec<u8> {
+            self.0.lock().unwrap().segments[&(CHAIN, seq)].clone()
+        }
+    }
+
+    /// The stored segment of one flushed batch of records `0..n`: `n`
+    /// records closed by one trailer.
+    fn one_batch(n: u64) -> Vec<u8> {
+        let disk = SharedMem::default();
+        let mut wal = CommitWal::open(Box::new(disk.clone()), opts(1024));
+        for sn in 0..n {
+            wal.append_buffered(rec(sn));
+        }
+        assert!(wal.flush());
+        disk.segment(0)
+    }
+
     #[test]
     fn roundtrip_and_dense_append() {
-        let mut wal = CommitWal::in_memory();
+        let disk = SharedMem::default();
+        let mut wal = CommitWal::open(Box::new(disk.clone()), opts(1024));
         for sn in 0..10 {
             wal.append(rec(sn));
         }
-        let decoded = decode_records(&wal.to_bytes());
-        assert_eq!(decoded.len(), 10);
-        assert_eq!(decoded[3], rec(3));
+        let dec = decode_segment(&disk.segment(0));
+        assert_eq!(dec.records.len(), 10);
+        assert_eq!(dec.records[3], rec(3));
+        assert!(dec.clean_end);
     }
 
     #[test]
     fn torn_tail_is_discarded() {
-        let mut wal = CommitWal::in_memory();
-        for sn in 0..5 {
-            wal.append(rec(sn));
-        }
-        let mut bytes = wal.to_bytes();
-        bytes.truncate(bytes.len() - 3); // partial final record
-        let decoded = decode_records(&bytes);
-        assert_eq!(decoded.len(), 4);
+        let mut bytes = one_batch(5);
+        bytes.truncate(bytes.len() - TRAILER_LEN - 3); // partial final record
+        let dec = decode_segment(&bytes);
+        assert_eq!(dec.records.len(), 4);
+        assert!(!dec.clean_end);
     }
 
     #[test]
     fn corrupt_record_stops_the_replay() {
-        let mut wal = CommitWal::in_memory();
-        for sn in 0..5 {
-            wal.append(rec(sn));
-        }
-        let mut bytes = wal.to_bytes();
-        let record_size = bytes.len() / 5;
-        bytes[2 * record_size + 10] ^= 0xff; // flip a bit inside record 2
-        let decoded = decode_records(&bytes);
-        assert_eq!(decoded.len(), 2, "replay must stop at the bad checksum");
+        let mut bytes = one_batch(5);
+        bytes[2 * ENCODED_RECORD_LEN + 10] ^= 0xff; // flip a bit inside record 2
+        let dec = decode_segment(&bytes);
+        assert_eq!(dec.records.len(), 2, "replay must stop at the bad checksum");
+        assert!(!dec.clean_end);
     }
 
     #[test]
     fn older_record_generations_are_rejected_at_decode() {
-        let mut wal = CommitWal::in_memory();
-        for sn in 0..3 {
-            wal.append(rec(sn));
-        }
-        let bytes = wal.to_bytes();
-        assert_eq!(bytes.len(), 3 * ENCODED_RECORD_LEN);
+        let bytes = one_batch(3);
+        assert_eq!(bytes.len(), 3 * ENCODED_RECORD_LEN + TRAILER_LEN);
         // Record 1 as generation 2 wrote its version byte, checksum
         // recomputed: well-formed, but not ours — the log ends before it.
         for version in [1, 2, WAL_VERSION + 1] {
@@ -2095,21 +2075,26 @@ pub(crate) mod tests {
 
     #[test]
     fn compaction_drops_snapshotted_prefix() {
-        let mut wal = CommitWal::in_memory_with(opts(8));
+        let disk = SharedMem::default();
+        let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
         for sn in 0..20 {
             wal.append(rec(sn));
         }
         wal.compact(15);
         assert_eq!(wal.len(), 5);
         assert_eq!(wal.records()[0].sn, 15);
-        // Backend rewritten too: reopening sees only the tail.
-        let reopened = decode_records(&wal.to_bytes());
-        assert_eq!(reopened.len(), 5);
         // No live segment still reaches below the cut.
         assert!(wal
             .segments()
             .iter()
             .all(|s| s.records == 0 || s.first_sn >= 15));
+        // Backend rewritten too: reopening sees only the tail.
+        drop(wal);
+        let reopened = CommitWal::open(Box::new(disk), opts(8));
+        assert_eq!(
+            reopened.records(),
+            &(15..20).map(rec).collect::<Vec<_>>()[..]
+        );
     }
 
     #[test]
@@ -2284,17 +2269,6 @@ pub(crate) mod tests {
         let wal = CommitWal::open(Box::new(disk), opts(4));
         let sns: Vec<u64> = wal.records().iter().map(|r| r.sn).collect();
         assert_eq!(sns, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn flat_bytes_roundtrip_for_sync() {
-        let mut wal = CommitWal::in_memory_with(opts(4));
-        for sn in 0..10 {
-            wal.append(rec(sn));
-        }
-        let shipped = wal.to_bytes();
-        let rebuilt = CommitWal::from_flat_bytes(&shipped, opts(100));
-        assert_eq!(rebuilt.records(), wal.records());
     }
 
     #[test]
@@ -2719,8 +2693,9 @@ pub(crate) mod tests {
         // The split barrier must cost exactly what the synchronous
         // composition costs: same backend op counts, same bytes, same
         // storage content.
-        let run = |split: bool| -> (WalIoStats, Vec<u8>) {
-            let mut wal = CommitWal::in_memory_with(opts(8));
+        let run = |split: bool| -> (WalIoStats, BTreeMap<(u32, u64), Vec<u8>>) {
+            let disk = SharedMem::default();
+            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
             for batch in 0..4u64 {
                 for i in 0..3u64 {
                     wal.append_buffered(rec(batch * 3 + i));
@@ -2732,7 +2707,8 @@ pub(crate) mod tests {
                     assert!(wal.flush());
                 }
             }
-            (wal.io_stats(), wal.to_bytes())
+            let segments = disk.0.lock().unwrap().segments.clone();
+            (wal.io_stats(), segments)
         };
         let (io_split, bytes_split) = run(true);
         let (io_flush, bytes_flush) = run(false);

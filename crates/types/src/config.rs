@@ -157,15 +157,6 @@ pub struct SystemConfig {
     /// segments = finer-grained compaction deletes and recovery skips,
     /// more manifest churn.
     pub wal_segment_records: u32,
-    /// Cross-drain group-commit threshold (≥ 1): the node accumulates
-    /// staged WAL records across confirmed-queue drains and issues the
-    /// flush + apply barrier once at least this many are staged (epoch
-    /// checkpoints and snapshot installs always drain first). `1` —
-    /// the default — flushes every drain, i.e. plain per-drain group
-    /// commit. Larger values amortize fsync barriers further under high
-    /// confirm rates at the cost of acknowledgement latency: staged
-    /// records are unacknowledged, and a crash loses exactly them.
-    pub wal_flush_max_records: u32,
 }
 
 impl SystemConfig {
@@ -187,7 +178,6 @@ impl SystemConfig {
             exec_keyspace: 4096,
             wal_lane_groups: 1,
             wal_segment_records: 1024,
-            wal_flush_max_records: 1,
         }
     }
 
@@ -273,11 +263,6 @@ impl SystemConfig {
         }
         if self.wal_segment_records == 0 {
             return Err(LadonError::Config("wal_segment_records must be > 0".into()));
-        }
-        if self.wal_flush_max_records == 0 {
-            return Err(LadonError::Config(
-                "wal_flush_max_records must be > 0".into(),
-            ));
         }
         Ok(())
     }
@@ -369,14 +354,8 @@ mod tests {
         bad.wal_segment_records = 0;
         assert!(bad.validate().is_err());
 
-        assert_eq!(c.wal_flush_max_records, 1, "default = flush every drain");
-        let mut bad = c.clone();
-        bad.wal_flush_max_records = 0;
-        assert!(bad.validate().is_err());
-
         let mut ok = c;
         ok.wal_segment_records = 1;
-        ok.wal_flush_max_records = 64;
         ok.validate().unwrap();
     }
 

@@ -161,14 +161,17 @@ impl Batch {
         }
     }
 
-    /// Iterator over the member transaction ids.
-    pub fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
-        (0..self.count as u64).map(move |k| TxId(self.first_tx.0 + k))
+    /// Iterator over the member transaction ids (it borrows nothing:
+    /// the ids are `(first_tx, count)`).
+    pub fn tx_ids(&self) -> impl Iterator<Item = TxId> {
+        let first = self.first_tx.0;
+        (first..first + self.count as u64).map(TxId)
     }
 
     /// Iterator over the member transactions with their derived ops (see
-    /// [`TxOp::for_id`]), over a `keyspace`-account state machine.
-    pub fn txs(&self, keyspace: u32) -> impl Iterator<Item = Tx> + '_ {
+    /// [`TxOp::for_id`]), over a `keyspace`-account state machine — the
+    /// one derivation live execution and WAL replay both apply.
+    pub fn txs(&self, keyspace: u32) -> impl Iterator<Item = Tx> {
         self.tx_ids().map(move |id| Tx {
             id,
             op: TxOp::for_id(id, keyspace),

@@ -98,7 +98,7 @@ pub struct Report {
     pub net_dropped: Vec<u64>,
     /// Per-block lifecycle stage latencies at the reference replica:
     /// one summary per adjacent stage transition (`staged_to_flushed` is
-    /// the cross-drain fsync-barrier wait, `flushed_to_applied` the DAG
+    /// the fsync-barrier wait, `flushed_to_applied` the DAG
     /// execution stage). Sim-time derived, so deterministic.
     pub stage_latencies: Vec<StageLatency>,
     /// Flush barriers whose durable step failed, summed across replicas

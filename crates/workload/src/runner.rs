@@ -53,9 +53,6 @@ pub struct ExperimentConfig {
     /// Probability each message is silently dropped (robustness
     /// scenarios; the paper assumes reliable links).
     pub loss_probability: f64,
-    /// Override the cross-drain group-commit threshold
-    /// ([`SystemConfig::wal_flush_max_records`]).
-    pub wal_flush_max_records: Option<u32>,
 }
 
 impl ExperimentConfig {
@@ -81,7 +78,6 @@ impl ExperimentConfig {
             straggler_ids: Vec::new(),
             partitions: Vec::new(),
             loss_probability: 0.0,
-            wal_flush_max_records: None,
         }
     }
 
@@ -192,12 +188,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Overrides the cross-drain group-commit threshold.
-    pub fn with_wal_flush_max_records(mut self, records: u32) -> Self {
-        self.wal_flush_max_records = Some(records);
-        self
-    }
-
     /// Applies scale-preset measurement windows, stretching both warmup
     /// and duration when the run has stragglers (call *after*
     /// [`Self::with_stragglers`]). See [`crate::Scale::straggler_duration_s`].
@@ -251,9 +241,6 @@ impl ExperimentConfig {
         }
         if let Some(b) = self.batch_size {
             sys.batch_size = b;
-        }
-        if let Some(t) = self.wal_flush_max_records {
-            sys.wal_flush_max_records = t;
         }
         sys
     }

@@ -21,10 +21,7 @@ fn main() {
         .warmup_secs(0.0)
         .duration_secs(3.0)
         // Tone down the batch pipeline for a short wall-clock demo.
-        .with_batch_size(512)
-        // Accumulate a few blocks per durability barrier so the writer
-        // thread has real batches to overlap.
-        .with_wal_flush_max_records(4);
+        .with_batch_size(512);
 
     // One WAL directory per replica; file-backed pipelines spawn the
     // per-node writer thread (LiveRuntime/File mode).

@@ -173,21 +173,36 @@ fn disk_full_degrades_then_recovers() {
 fn fsync_flutter_degrades_twice_and_stays_coherent() {
     let dir = scratch_dir("fault-flutter");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut c = cluster(30.0);
+    // The matrix's cluster with 64-tx blocks: each burst holds the
+    // replica Degraded for about a minute (see below), and small blocks
+    // keep that much simulated load cheap. A barrier is one fsync
+    // whatever the block size.
+    let mut c = Deployment::build(
+        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 140.0)
+            .with_epoch_length(16)
+            .with_batch_size(64),
+    );
     let plan = FaultPlan::unlimited();
     add_faulted_replica(&mut c, &dir, &plan);
 
     c.run_secs(5.0);
     // First burst: a flush barrier is one fsync, so the budget is sized
-    // in *barriers*: enough failing syncs to cross the
-    // consecutive-failure threshold and hold the replica Degraded across
-    // an epoch boundary, finite so the backoff retries exhaust the burst
-    // and repair.
+    // in *barriers*. A few failing drains cross the consecutive-failure
+    // threshold; while Degraded nothing but a retry touches storage, and
+    // a retry spends one failing fsync on a backoff that doubles from
+    // 50 ms to its 1 s cap — so 64 failures hold the replica Degraded
+    // for ~57 s (60 retries; across several epoch boundaries), and the
+    // burst, being finite, exhausts against the retries and the replica
+    // repairs.
     let _ = plan.clone().fail_fsyncs(64);
-    c.run_secs(10.0);
+    c.run_secs(70.0);
     assert!(
         c.node(3).metrics.degraded_entries >= 1,
         "first fsync burst must degrade the replica"
+    );
+    assert!(
+        c.node(3).metrics.degraded_retries >= 32,
+        "the burst is spent by retries, one failing fsync each"
     );
     assert_eq!(
         c.node(3).mode(),
@@ -197,7 +212,7 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
 
     // Second burst: the state machine must re-enter cleanly, not latch.
     let _ = plan.clone().fail_fsyncs(64);
-    c.run_secs(20.0);
+    c.run_secs(135.0);
     let n3 = c.node(3);
     assert!(
         n3.metrics.degraded_entries >= 2,
@@ -240,7 +255,7 @@ fn fsync_flutter_degrades_twice_and_stays_coherent() {
 
     // Quiesce, then the durability contract: nothing applied that the
     // disk cannot reproduce.
-    c.run_secs(45.0);
+    c.run_secs(155.0);
     let shared = c.check(&[3, 0]).assert_safe().shared_epochs;
     assert!(shared >= 1, "flutter: no comparable checkpoint epochs");
     c.check(&[0, 1, 2, 3]).assert_safe();

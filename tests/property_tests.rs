@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants:
 //! ordering determinism, rank monotonicity, crypto roundtrips, and
 //! execution recovery (WAL replay from any snapshot prefix; torn-write
-//! tolerance of the segmented WAL).
+//! tolerance of the segmented WAL — both over real scratch directories).
 
 use ladon::core::{GlobalOrderer, LadonOrderer, PredeterminedOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
@@ -197,15 +197,19 @@ proptest! {
     }
 
     /// WAL replay from *any* snapshot prefix reproduces the same state
-    /// root: execute a random block sequence, checkpoint at a random cut,
-    /// keep executing, then rebuild a pipeline from the exported snapshot
-    /// + WAL tail and compare roots, applied frontiers and tx counts.
+    /// root: execute a random block sequence over a durable pipeline,
+    /// checkpoint at a random cut, keep executing, then recover a new
+    /// pipeline from the directory's snapshot + WAL tail and compare
+    /// roots, applied frontiers and tx counts. File I/O, but at the
+    /// default case count: recovery is the property that matters most.
     #[test]
     fn wal_replay_from_any_snapshot_prefix_reproduces_root(
         counts in proptest::collection::vec(0u32..96, 1..40),
         cut in any::<usize>(),
     ) {
-        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let dir = scratch_dir("replay");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut p = ExecutionPipeline::recover(&dir, DEFAULT_KEYSPACE).unwrap();
         let cut = cut % counts.len();
         let mut first_tx = 0u64;
         for (sn, &count) in counts.iter().enumerate() {
@@ -218,12 +222,12 @@ proptest! {
                 p.checkpoint(0, vec![0; 4]);
             }
         }
-        let (snap, wal) = p.export_parts();
-        let recovered =
-            ExecutionPipeline::from_parts(snap.as_deref(), &wal, DEFAULT_KEYSPACE);
+        let recovered = ExecutionPipeline::recover(&dir, DEFAULT_KEYSPACE).unwrap();
+        prop_assert_eq!(recovered.recovery_stats().records_replayed, (counts.len() - cut - 1) as u64);
         prop_assert_eq!(recovered.applied(), p.applied());
         prop_assert_eq!(recovered.executed_txs(), p.executed_txs());
         prop_assert_eq!(recovered.state_root(), p.state_root());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// For arbitrary op sequences (random block sizes over a random
@@ -251,7 +255,8 @@ proptest! {
         let decoded = ladon::state::Snapshot::decode(&snap.encode()).expect("decode");
         prop_assert_eq!(&decoded.head.lane_roots, &snap.head.lane_roots);
         prop_assert!(decoded.verify());
-        let restored = ExecutionPipeline::from_parts(Some(&snap.encode()), &[], keyspace);
+        let mut restored = ExecutionPipeline::in_memory(keyspace);
+        prop_assert!(restored.install_delta(&snap.head, &snap.chunks).is_some());
         prop_assert_eq!(restored.lane_roots(), p.lane_roots());
         prop_assert_eq!(restored.state_root(), p.state_root());
     }

@@ -233,17 +233,23 @@ fn straggler_cluster_still_agrees_on_state_roots() {
     }
 }
 
-/// Crash mid-epoch + restart: replica 3 crashes at 6 s; a new process
-/// recovers its execution state from the durable snapshot + WAL pair
-/// (byte-identical root, lane-root vector included), rejoins via state
-/// transfer, and ends the run agreeing with the cluster.
+/// Crash mid-epoch + restart: replica 3 runs on a durable directory,
+/// crashes at 6 s, and a new process recovers its execution state from
+/// the snapshot + WAL pair on disk (byte-identical root, lane-root vector
+/// included), rejoins via state transfer, and ends the run agreeing with
+/// the cluster.
 #[test]
 fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
     let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonPbft, 30.0).with_crash(3, 6.0));
+    let dir = scratch_dir("restarted-replica", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let keyspace = c.sys.exec_keyspace;
+    let recover = || ExecutionPipeline::recover(&dir, keyspace).unwrap();
+    c.swap_replica(3, recover());
     c.run_secs(10.0);
 
-    // "Disk" contents at the moment of the crash: the snapshot from the
-    // last completed epoch plus the WAL tail past it.
+    // What the crashed process had: the snapshot from the last completed
+    // epoch plus the WAL tail past it, all on disk.
     let crashed = c.node(3);
     let pre_crash_root = crashed.exec.state_root();
     let pre_crash_lane_roots = crashed.exec.lane_roots();
@@ -252,11 +258,9 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
         pre_crash_applied > 0,
         "the replica must have executed before crashing"
     );
-    let (snap_bytes, wal_bytes) = crashed.exec.export_parts();
 
     // Recovery: snapshot install + WAL replay reproduces the exact state.
-    let recovered =
-        ExecutionPipeline::from_parts(snap_bytes.as_deref(), &wal_bytes, c.sys.exec_keyspace);
+    let recovered = recover();
     assert_eq!(recovered.applied(), pre_crash_applied);
     assert_eq!(
         recovered.state_root(),
@@ -295,6 +299,7 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
         "restarted replica must reach the cluster's epoch"
     );
     c.check(&[0, 1, 2, 3]).assert_safe();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A durable directory as the previous format generation left it: a
@@ -807,10 +812,10 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
     });
 }
 
-/// Cross-drain group-commit matrix (`wal_flush_max_records` semantics):
-/// several confirmed-queue drains accumulate as *staged* blocks — WAL
-/// records buffered, nothing applied, nothing acknowledged — before one
-/// deferred flush makes them durable. The matrix kills storage `k` ops
+/// Cross-drain group-commit matrix: several `stage_blocks` calls
+/// accumulate as *staged* blocks — WAL records buffered, nothing
+/// applied, nothing acknowledged — before one deferred flush makes them
+/// durable. The matrix kills storage `k` ops
 /// into the run and, for each `k`, also dies once with the accumulation
 /// never flushed at all. Staged-but-unflushed records must NEVER be
 /// acknowledged: recovery may hold only the flushed prefix, and a clean
@@ -898,46 +903,6 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
             Window::since(&plan, armed_at)
         });
     }
-}
-
-/// Cross-drain group commit end-to-end: a cluster running with an
-/// accumulation threshold must agree on every checkpoint root exactly
-/// like the per-drain default (epoch checkpoints force the drain), while
-/// spending no more fsync barriers.
-#[test]
-fn cross_drain_threshold_cluster_agrees_and_amortizes_fsyncs() {
-    let run = |threshold: u32| {
-        let mut c = Deployment::build(
-            &short_epochs(ProtocolKind::LadonPbft, 10.0).with_wal_flush_max_records(threshold),
-        );
-        c.run_secs(15.0);
-        let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
-        assert!(
-            checked >= 2,
-            "threshold={threshold}: epochs must checkpoint"
-        );
-        for r in 0..4 {
-            let m = &c.node(r).metrics;
-            assert_eq!(
-                m.exec.wal_write_failures, 0,
-                "threshold={threshold} replica {r}"
-            );
-            assert_eq!(m.exec_gaps, 0, "threshold={threshold} replica {r}");
-        }
-        let m = &c.node(0).metrics;
-        (m.wal_fsyncs, c.node(0).exec.state_root())
-    };
-    let (fsyncs_default, root_default) = run(1);
-    let (fsyncs_batched, root_batched) = run(8);
-    assert_eq!(
-        root_default, root_batched,
-        "the flush threshold must never change state"
-    );
-    assert!(
-        fsyncs_batched <= fsyncs_default,
-        "accumulating drains must not cost more barriers: \
-         {fsyncs_batched} > {fsyncs_default}"
-    );
 }
 
 /// Pipeline-level matrix over the batched execution path: confirmed

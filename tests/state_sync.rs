@@ -460,7 +460,8 @@ fn stale_requester_is_served_a_partial_delta_and_reuses_its_own_lanes() {
     let snap = responder_snapshot(&c);
     assert!(snap.head.applied >= older.head.applied + c.sys.snapshot_min_lag());
 
-    let exec = ExecutionPipeline::from_parts(Some(&older.encode()), &[], c.sys.exec_keyspace);
+    let mut exec = ExecutionPipeline::in_memory(c.sys.exec_keyspace);
+    assert!(exec.install_delta(&older.head, &older.chunks).is_some());
     assert!(exec.lane_roots() == older.head.lane_roots && exec.applied() > 0);
     let mut requester = MultiBftNode::with_execution(c.node_config(3), exec);
     let mut ctx = direct_ctx();

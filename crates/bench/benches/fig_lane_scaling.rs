@@ -12,30 +12,9 @@
 
 use ladon_bench::microbench;
 use ladon_crypto::{CryptoCounters, Sha256};
-use ladon_obs::{emit_figure, fields, Json};
 use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
-use ladon_types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId, TxOp};
-
-fn block(sn: u64, count: u32) -> Block {
-    Block {
-        header: BlockHeader {
-            index: InstanceId((sn % 16) as u32),
-            round: Round(sn / 16 + 1),
-            rank: Rank(sn),
-            payload_digest: Digest([sn as u8; 32]),
-        },
-        batch: Batch {
-            first_tx: TxId(sn * count as u64),
-            count,
-            payload_bytes: count as u64 * 500,
-            arrival_sum_ns: 0,
-            earliest_arrival: TimeNs::ZERO,
-            bucket: 0,
-            refs: Vec::new(),
-        },
-        proposed_at: TimeNs::ZERO,
-    }
-}
+use ladon_types::{Block, Digest, TxOp};
+use ladon_workload::{scale, Scale};
 
 /// The seed's root algorithm: one SHA-256 pass over every canonical
 /// entry. Kept here as the scaling baseline the lane roots replace.
@@ -61,7 +40,7 @@ fn hashes_in(f: impl FnOnce()) -> u64 {
 fn main() {
     println!("fig_lane_scaling: sharded execution lanes & incremental Merkle roots\n");
 
-    let full = std::env::var("LADON_SCALE").as_deref() == Ok("full");
+    let full = scale() == Scale::Full;
 
     // ------------------------------------------------------------------
     // 1. Checkpoint-root cost vs keyspace size.
@@ -148,21 +127,6 @@ fn main() {
         "a fold must cost 2 x {DIRTY_KEYS} dirty keys at any keyspace and \
          any writes per key, got {fold_hashes:?}"
     );
-    emit_figure(
-        "fig_lane_scaling",
-        fields(vec![
-            ("merkle_lanes", Json::U64(MERKLE_LANES as u64)),
-            ("hashes_per_incremental_root", Json::U64(root_hashes[0])),
-            ("hashes_per_fold", Json::U64(fold_hashes[0])),
-            ("dirty_keys", Json::U64(DIRTY_KEYS as u64)),
-            (
-                "keyspace_sweep_factor",
-                Json::U64((keyspaces.last().unwrap() / keyspaces.first().unwrap()) as u64),
-            ),
-            ("wall_incremental_root_growth", Json::F64(incr_growth)),
-            ("wall_full_scan_root_growth", Json::F64(scan_growth)),
-        ]),
-    );
 
     // ------------------------------------------------------------------
     // 2. Apply throughput.
@@ -172,7 +136,7 @@ fn main() {
     let r = microbench("execute_blocks", 50, || {
         let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         for sn in 0..blocks {
-            p.execute(sn, &block(sn, 4096));
+            p.execute(sn, &Block::synthetic(sn, sn * 4096, 4096));
         }
         p.executed_txs()
     });
@@ -187,7 +151,7 @@ fn main() {
     println!();
     let mut warm = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
     for sn in 0..16 {
-        warm.execute(sn, &block(sn, 4096));
+        warm.execute(sn, &Block::synthetic(sn, sn * 4096, 4096));
     }
     let mut epoch = 0u64;
     microbench("pipeline_checkpoint", 500, || {

@@ -17,14 +17,14 @@
 use ladon_bench::{
     build_crashed_dir, microbench, recover_crashed_dir, recovery_wal_opts, scratch_dir,
 };
-use ladon_obs::{emit_figure, fields, Json};
 use ladon_state::ExecutionPipeline;
+use ladon_workload::{scale, Scale};
 
 const TAIL: u64 = 24;
 
 fn main() {
     println!("fig_recovery_scaling: segmented WAL, partial replay\n");
-    let full = std::env::var("LADON_SCALE").as_deref() == Ok("full");
+    let full = scale() == Scale::Full;
     let keyspace = 4096u32;
 
     // Replay work vs total log length (fixed tail).
@@ -53,12 +53,11 @@ fn main() {
         scanned_counts.push(stats.segments_scanned);
 
         // Informational wall clock (not a gate).
-        let r = microbench(&format!("recover_history_{history:>4}"), 20, || {
+        microbench(&format!("recover_history_{history:>4}"), 20, || {
             ExecutionPipeline::recover_opts(&dir, keyspace, 1, recovery_wal_opts())
                 .unwrap()
                 .applied()
         });
-        let _ = r;
         let _ = std::fs::remove_dir_all(&dir);
     }
     // Scanned segments track the tail (plus the straddler at the
@@ -68,18 +67,6 @@ fn main() {
         scanned_counts.iter().all(|&s| s <= scan_cap),
         "segments scanned must be bounded by the tail ({scan_cap}), \
          not grow with history: {scanned_counts:?}"
-    );
-    emit_figure(
-        "fig_recovery_scaling_sweep",
-        fields(vec![
-            ("tail_records", Json::U64(TAIL)),
-            ("records_replayed", Json::U64(TAIL)),
-            ("max_history", Json::U64(*histories.last().unwrap())),
-            (
-                "max_segments_scanned",
-                Json::U64(*scanned_counts.iter().max().unwrap()),
-            ),
-        ]),
     );
     println!(
         "\n  -> records replayed constant at {TAIL} across a {}x log-length sweep (verified)",

@@ -9,10 +9,9 @@
 //! [`ladon_bench::snapshot_delta_figure`], shared with `repro --smoke`.
 
 use ladon_bench::snapshot_delta_figure;
-use ladon_obs::emit_figure;
 
 fn main() {
     println!("fig_snapshot_delta: bytes transferred \u{221d} changed lanes, not state size\n");
-    emit_figure("fig_snapshot_delta", snapshot_delta_figure());
+    snapshot_delta_figure();
     println!("fig_snapshot_delta: all gates passed");
 }

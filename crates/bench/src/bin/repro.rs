@@ -1,9 +1,10 @@
-//! `repro`: one-shot driver that regenerates every table and figure in
-//! sequence (the same code paths as the individual bench targets), for
-//! producing a complete paper-vs-measured record in one run.
+//! `repro`: regenerates the paper's figures and tables in-process, one
+//! [`ladon_bench::FIGURES`] entry after another, for a complete
+//! paper-vs-measured record in one run.
 //!
 //! ```sh
-//! cargo run --release -p ladon-bench --bin repro            # quick scale
+//! cargo run --release -p ladon-bench --bin repro            # every figure, quick scale
+//! cargo run --release -p ladon-bench --bin repro -- --figure fig5_scalability
 //! LADON_SCALE=full cargo run --release -p ladon-bench --bin repro
 //!
 //! # CI mode: in-process seeded experiments, machine-readable output,
@@ -12,34 +13,21 @@
 //! cargo run --release -p ladon-bench --bin repro -- --smoke --out BENCH_repro.json
 //! ```
 //!
-//! In the full (no-arg) mode, `LADON_BENCH_JSON` is forwarded to every
-//! spawned bench target, so their [`ladon_obs::emit_figure`] calls
-//! accumulate into the same document.
+//! `--figure <name>` may repeat; an unknown name fails and lists the
+//! valid ones. `--out` (default `BENCH_repro.json`) applies to
+//! `--smoke` only.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::time::Instant;
 
-use ladon_bench::{recovery_figure, snapshot_delta_figure};
+use ladon_bench::{recovery_figure, snapshot_delta_figure, FIGURES};
 use ladon_core::sync::SYNC_QUARANTINE_THRESHOLD;
 use ladon_core::{MultiBftNode, NodeMode, NodeMsg};
-use ladon_obs::{fields, BenchReport, Json, BENCH_JSON_ENV};
+use ladon_obs::{fields, BenchReport, Json};
 use ladon_sim::RecordingCtx;
 use ladon_state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
 use ladon_types::{NetEnv, ProtocolKind, ReplicaId};
-use ladon_workload::{run_experiment, Deployment, ExperimentConfig, Report};
-
-const TARGETS: [&str; 9] = [
-    "fig2_straggler_impact",
-    "fig5_scalability",
-    "fig6_straggler_count",
-    "fig7_byzantine_stragglers",
-    "fig8_crash_recovery",
-    "tab1_resources",
-    "tab2_causality",
-    "fig10_hotstuff",
-    "appendix_complexity",
-];
+use ladon_workload::{run_experiment, scale, Deployment, ExperimentConfig, Report};
 
 /// Seed of every smoke-mode experiment. The determinism self-gate runs
 /// the whole suite twice with this seed and requires the `wall_`-free
@@ -48,53 +36,27 @@ const SMOKE_SEED: u64 = 7;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let value_after = |i: usize| args.get(i + 1).map(String::as_str);
     if args.iter().any(|a| a == "--smoke") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .or_else(|| std::env::var(BENCH_JSON_ENV).ok())
-            .unwrap_or_else(|| "BENCH_repro.json".to_string());
-        smoke(Path::new(&out));
+        let out = args.iter().position(|a| a == "--out").and_then(value_after);
+        smoke(Path::new(out.unwrap_or("BENCH_repro.json")));
         return;
     }
-    full_suite();
-}
-
-/// The legacy full run: spawn every figure/table bench target.
-fn full_suite() {
-    println!(
-        "Ladon reproduction driver — running {} figure/table targets",
-        TARGETS.len()
-    );
-    let bench_json = std::env::var(BENCH_JSON_ENV).ok();
-    let mut failures = Vec::new();
-    for t in TARGETS {
-        println!("\n>>> cargo bench --bench {t}");
-        let mut cmd = Command::new("cargo");
-        cmd.args(["bench", "-p", "ladon-bench", "--bench", t]);
-        if let Some(path) = &bench_json {
-            cmd.env(BENCH_JSON_ENV, path);
-        }
-        match cmd.status() {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("{t} exited with {s}");
-                failures.push(t);
-            }
-            Err(e) => {
-                eprintln!("{t} failed to launch: {e}");
-                failures.push(t);
-            }
-        }
+    let mut selected = Vec::new();
+    for (i, _) in args.iter().enumerate().filter(|(_, a)| *a == "--figure") {
+        let name = value_after(i).unwrap_or_default();
+        let Some(fig) = FIGURES.iter().find(|f| f.name == name) else {
+            let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            eprintln!("unknown figure `{name}`; valid: {}", valid.join(", "));
+            std::process::exit(2);
+        };
+        selected.push(fig);
     }
-    if failures.is_empty() {
-        println!("\nall targets completed");
-    } else {
-        eprintln!("\nfailed targets: {failures:?}");
-        std::process::exit(1);
+    if selected.is_empty() {
+        selected = FIGURES.iter().collect();
     }
+    let sc = scale();
+    selected.iter().for_each(|fig| fig.print(sc));
 }
 
 /// CI smoke mode: small seeded in-process experiments covering every

@@ -1,35 +1,30 @@
-//! Shared helpers for the benchmark harness.
+//! The benchmark harness.
 //!
-//! Each bench target regenerates one paper table or figure (DESIGN.md §3).
-//! Paper-reported values are embedded as annotations so the printed output
-//! reads as a paper-vs-measured record.
+//! [`FIGURES`] is the paper's figures and tables as data, one entry
+//! each; the `repro` bin runs them (`repro --figure <name>` for one).
+//! The rest are the scenarios `repro --smoke` and the bench targets
+//! share: the crashed-compaction recovery and the delta-sync figure.
 //!
-//! All targets are plain `harness = false` binaries; [`microbench`]
-//! provides the wall-clock measurement loop the micro targets use (the
-//! build environment has no crates.io access, so there is no criterion).
+//! The bench targets (count gates and microbenchmarks, no paper figure)
+//! are plain `harness = false` binaries; [`microbench`] provides their
+//! wall-clock measurement loop (the build environment has no crates.io
+//! access, so there is no criterion).
 
 #![forbid(unsafe_code)]
+
+mod figures;
+
+pub use figures::{Built, Case, Figure, Rows, FIGURES};
 
 use ladon_obs::{fields, Json};
 use ladon_state::{
     delta_lanes, lane_of, CommitWal, ExecutionPipeline, FileBackend, KvState, ReplayStats,
     Snapshot, SnapshotChunk, SnapshotStore, WalOptions, WalRecord, MERKLE_LANES,
 };
-use ladon_types::{Block, Digest, ProtocolKind, WireSize};
+use ladon_types::{Block, Digest, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// The five PBFT-family protocols in the paper's comparison order.
-pub const PBFT_PROTOCOLS: [ProtocolKind; 5] = ProtocolKind::PBFT_FAMILY;
-
-/// Standard banner for a figure/table target.
-pub fn banner(id: &str, what: &str, scale: ladon_workload::Scale) {
-    println!("\n################################################################");
-    println!("# {id}: {what}");
-    println!("# scale = {scale:?} (set LADON_SCALE=medium|full for larger sweeps)");
-    println!("################################################################");
-}
 
 /// One measured micro-benchmark result.
 #[derive(Clone, Copy, Debug)]

@@ -26,7 +26,7 @@
 //!   `HMAC(sk, domain ‖ msg)`; verification goes through a [`keys::KeyRegistry`]
 //!   that acts as the trusted PKI oracle. Within the simulation Byzantine
 //!   actors never learn other replicas' secret keys, so unforgeability holds
-//!   for every adversary the experiments model (see DESIGN.md §5).
+//!   for every adversary the experiments model.
 //!   Aggregate signatures carry a signer bitmap plus an XOR-combined tag,
 //!   mirroring BLS aggregation's interface and size behaviour. Verifying
 //!   one recomputes every signer's tag over the one common body: the body

@@ -1,6 +1,5 @@
-//! Machine-readable benchmark emission: the `BENCH_*.json` format, its
-//! schema validator, and the environment plumbing that lets `fig_*`
-//! benches and the `repro` bin accumulate figures into one file.
+//! Machine-readable benchmark emission: the `BENCH_*.json` format and
+//! its schema validator.
 //!
 //! A [`BenchReport`] is a flat two-level document:
 //!
@@ -19,21 +18,12 @@
 //! [`BenchReport::deterministic_json`] strips `wall_*` fields, and the
 //! determinism gate compares that subset across seeded runs, while the
 //! committed file keeps the wall-clock numbers as the perf trajectory.
-//!
-//! Emission is cooperative across processes: `repro` runs each `fig_*`
-//! bench with `LADON_BENCH_JSON` pointing at one path; each bench calls
-//! [`emit_figure`], which load-merges-saves so figures accumulate.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::json::Json;
 use crate::registry::is_wall_metric;
-
-/// Environment variable naming the `BENCH_*.json` accumulation path.
-/// When unset, [`emit_figure`] is a no-op (normal `cargo bench` runs
-/// stay side-effect free).
-pub const BENCH_JSON_ENV: &str = "LADON_BENCH_JSON";
 
 /// A machine-readable benchmark report: metadata plus named figures.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -224,37 +214,6 @@ pub fn fields(pairs: Vec<(&str, Json)>) -> Vec<(String, Json)> {
     pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
-/// Emits one figure into the report file named by `LADON_BENCH_JSON`.
-///
-/// No-op when the variable is unset. Load-merge-save so concurrent
-/// `fig_*` benches launched sequentially by `repro` accumulate into one
-/// document. Errors are printed, not panicked — a broken emission path
-/// must not fail the bench run itself (CI validates the file after).
-pub fn emit_figure(figure: &str, fields: Vec<(String, Json)>) {
-    let Ok(path) = std::env::var(BENCH_JSON_ENV) else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let path = Path::new(&path);
-    let mut report = if path.exists() {
-        match BenchReport::load(path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("obs: cannot load {}: {e}; starting fresh", path.display());
-                BenchReport::new()
-            }
-        }
-    } else {
-        BenchReport::new()
-    };
-    report.add_figure(figure, fields);
-    if let Err(e) = report.save(path) {
-        eprintln!("obs: cannot save {}: {e}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,21 +284,5 @@ mod tests {
         let schema_ok =
             BenchSchema::parse(r#"{"required_figures": {"fig5_scalability": ["ktps"]}}"#).unwrap();
         assert!(clean.validate(&schema_ok).is_empty());
-    }
-
-    #[test]
-    fn emit_figure_accumulates_via_env() {
-        let dir = std::env::temp_dir().join(format!("obs-bench-test-{}", std::process::id()));
-        let path = dir.join("BENCH_test.json");
-        let _ = std::fs::remove_file(&path);
-        // Serialize access to the process-global env var.
-        std::env::set_var(BENCH_JSON_ENV, path.as_os_str());
-        emit_figure("a", fields(vec![("x", Json::U64(1))]));
-        emit_figure("b", fields(vec![("y", Json::U64(2))]));
-        std::env::remove_var(BENCH_JSON_ENV);
-        let report = BenchReport::load(&path).unwrap();
-        assert_eq!(report.figures.len(), 2);
-        assert_eq!(report.figures["a"]["x"], Json::U64(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -33,7 +33,7 @@ pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use bench::{emit_figure, fields, BenchReport, BenchSchema, BENCH_JSON_ENV};
+pub use bench::{fields, BenchReport, BenchSchema};
 pub use json::Json;
 pub use registry::{
     is_wall_metric, Histogram, MetricsRegistry, MetricsSnapshot, SnapshotInto, HISTOGRAM_BUCKETS,

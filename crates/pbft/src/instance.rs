@@ -1186,7 +1186,7 @@ impl PbftInstance {
 
         // Collect prepared (and committed) rounds of the current epoch so
         // the new leader can re-propose anything that may have committed
-        // somewhere (see DESIGN.md §4 on view-change scope).
+        // somewhere.
         let prepared: Vec<PreparedEntry> = self
             .rounds
             .iter()

@@ -1,6 +1,6 @@
 //! Deterministic discrete-event simulation substrate for Ladon.
 //!
-//! This crate replaces the paper's AWS testbed (DESIGN.md §5):
+//! This crate replaces the paper's AWS testbed (§6.1):
 //!
 //! - [`engine`]: the event loop — actors, timers, deterministic ordering.
 //! - [`net`]: network models charging per-NIC bandwidth and propagation

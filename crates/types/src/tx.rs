@@ -5,7 +5,7 @@
 //! transaction bytes, so we model a batch as *counts plus byte sizes plus
 //! arrival-time statistics* rather than materializing 2 MB payloads. The
 //! network model still charges the full payload size to NIC queues, so
-//! bandwidth effects are preserved (see DESIGN.md §5).
+//! bandwidth effects are preserved.
 
 use crate::time::TimeNs;
 use serde::{Deserialize, Serialize};

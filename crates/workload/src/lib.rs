@@ -9,8 +9,8 @@
 //! - [`oracle`]: the one safety judge — agreement joined on `sn`, equal
 //!   checkpoint roots per epoch, no execution gaps, no root conflicts.
 //! - [`runner`]: [`run_experiment`] = build → warm up → measure →
-//!   [`aggregate`] into a [`Report`] (the entry point every bench target
-//!   uses).
+//!   [`aggregate`] into a [`Report`] (what every run of a paper figure
+//!   in `ladon_bench::FIGURES` goes through).
 //! - [`metrics`]: cross-replica aggregation — f+1-confirmed throughput,
 //!   end-to-end latency, causal strength (§6.4), timelines.
 //! - [`analytical`]: the closed-form straggler model of §2.1 (Fig. 2a).

@@ -2,7 +2,7 @@
 //!
 //! The paper's figures are line plots; the harness prints the same series
 //! as aligned ASCII tables with a `paper:` annotation column where the
-//! paper reports a comparable number, so `bench_output.txt` reads as a
+//! paper reports a comparable number, so `repro`'s output reads as a
 //! paper-vs-measured record.
 
 use std::fmt::Write as _;
@@ -86,7 +86,7 @@ pub fn cs_fmt(v: f64) -> String {
 }
 
 /// Reads the benchmark scale from `LADON_SCALE` (`quick` default, `full`
-/// for paper-scale sweeps). Quick keeps `cargo bench` under a few minutes.
+/// for paper-scale sweeps). Quick keeps all of `repro` to a few minutes.
 pub fn scale() -> Scale {
     match std::env::var("LADON_SCALE").as_deref() {
         Ok("full") => Scale::Full,

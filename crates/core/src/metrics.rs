@@ -69,8 +69,8 @@ pub struct NodeMetrics {
     pub state_roots: Vec<(TimeNs, u64, Digest)>,
     /// Peer snapshots installed (execution fast-forward).
     pub snapshot_installs: u64,
-    /// Snapshot heads served to lagging peers (one per sync response that
-    /// carried a snapshot, however many chunk rounds the transfer takes).
+    /// Snapshots served to lagging peers: one per sync response that
+    /// carried one (a transfer is one response).
     pub snapshots_served: u64,
     /// Per-lane snapshot chunks shipped in sync responses. With delta
     /// sync this scales with *changed* lanes, not state size — a

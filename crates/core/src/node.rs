@@ -159,7 +159,7 @@ pub struct MultiBftNode {
     inst_commits: Vec<u64>,
     /// The execution pipeline: KV state machine + commit WAL + snapshots.
     pub exec: ExecutionPipeline,
-    /// State-transfer requester rotation and transfer cursor.
+    /// State-transfer requester rotation and responder health.
     sync: StateTransfer,
     /// The epoch the buckets are rotated to (tracks pacemaker advances,
     /// including multi-epoch fast-forwards after a snapshot install).

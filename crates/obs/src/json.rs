@@ -3,7 +3,7 @@
 //! The observability layer needs machine-readable exposition without a
 //! crates.io dependency (the build image is offline, and the vendored
 //! `serde` shim has no JSON backend). This module provides exactly what
-//! the registry and bench emitters need:
+//! the registry and the wall-clock benchmark's reports need:
 //!
 //! - **Deterministic rendering**: object members render in insertion
 //!   order (the registry inserts from `BTreeMap`s, so keys are sorted),
@@ -12,12 +12,9 @@
 //!   value always renders to the same bytes. This is what makes
 //!   "byte-identical snapshot JSON across seeded runs" a testable gate.
 //! - **No NaN leakage**: JSON has no NaN/Infinity literal. A non-finite
-//!   float renders as `null`, and the schema validator treats `null` in
-//!   a numeric field as a hard failure — a NaN can never silently pass
-//!   CI inside a committed `BENCH_*.json`.
-//! - **A parser** sufficient for reading back our own output and the
-//!   checked-in schema file (objects, arrays, strings with standard
-//!   escapes, numbers, booleans, null).
+//!   float renders as `null`, never as an unparseable token.
+//! - **A parser** sufficient for reading back our own output (objects,
+//!   arrays, strings with standard escapes, numbers, booleans, null).
 
 use std::fmt::Write as _;
 
@@ -78,14 +75,6 @@ impl Json {
         }
     }
 
-    /// The object members, when it is an object.
-    pub fn members(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// The array items, when it is an array.
     pub fn items(&self) -> Option<&[Json]> {
         match self {
@@ -101,8 +90,8 @@ impl Json {
         out
     }
 
-    /// Renders with two-space indentation (the committed-file format:
-    /// stable, diffable line per leaf).
+    /// Renders with two-space indentation (stable, diffable: one line
+    /// per leaf).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);
@@ -203,7 +192,7 @@ fn indent(out: &mut String, depth: usize) {
 /// Floats render via shortest-roundtrip `Display` (deterministic and
 /// platform-independent); a value without a fractional part keeps a
 /// trailing `.0` so integers and floats stay distinguishable; non-finite
-/// values become `null` (caught later by the schema validator).
+/// values become `null`.
 fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");

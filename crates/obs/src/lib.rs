@@ -13,27 +13,23 @@
 //!   journal of timestamped stage transitions (submitted → proposed →
 //!   confirmed → WAL-staged → flushed → applied → checkpointed) with
 //!   incrementally maintained stage-latency histograms.
-//! - [`mod@bench`] — the machine-readable `BENCH_*.json` format (emitter,
-//!   parser, schema validator) that gives the repo a committed perf
-//!   trajectory.
-//! - [`json`] — the deterministic JSON value type underneath both.
+//! - [`json`] — the deterministic JSON value type the registry renders
+//!   into (and the wall-clock `benchmark/` writes its reports with).
 //!
 //! ## The `wall_` convention
 //!
-//! Metric and field names whose final segment starts with `wall_` are
-//! wall-clock measurements: real, useful, and non-deterministic. The
-//! `deterministic_json()` renderings exclude them; everything else must
-//! be byte-identical across same-seed simulation runs, and tests gate
-//! on exactly that.
+//! Metric names whose final segment starts with `wall_` are wall-clock
+//! measurements: real, useful, and non-deterministic.
+//! [`MetricsSnapshot::deterministic_json`] excludes them; everything else
+//! must be byte-identical across same-seed simulation runs, and tests
+//! gate on exactly that.
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use bench::{fields, BenchReport, BenchSchema};
 pub use json::Json;
 pub use registry::{
     is_wall_metric, Histogram, MetricsRegistry, MetricsSnapshot, SnapshotInto, HISTOGRAM_BUCKETS,

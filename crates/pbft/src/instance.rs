@@ -52,6 +52,12 @@ use ladon_types::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Capacity of each buffer of messages held for later — the
+/// future-view buffer and the future-epoch buffer. A message that
+/// arrives at a full buffer is rejected, so a Byzantine flood of
+/// far-future messages costs an honest replica only this much memory.
+pub(crate) const MAX_PENDING_MSGS: usize = 8192;
+
 /// How the instance participates in rank coordination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RankMode {
@@ -307,8 +313,9 @@ pub struct PbftInstance {
     epoch_max: Rank,
     /// Set after proposing the `maxRank(e)` block (Algorithm 2 line 9).
     stopped_for_epoch: bool,
-    /// Pre-prepares that failed only because our epoch lags; retried on
-    /// [`PbftInstance::advance_epoch`].
+    /// Pre-prepares that failed only because our epoch lags (or, in Opt
+    /// mode, because their previous round is unseen); retried on
+    /// [`PbftInstance::advance_epoch`]. Bounded by [`MAX_PENDING_MSGS`].
     pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>)>,
     /// Pre-prepares and votes from a view we have not installed yet
     /// (or from the pending view while a view change is in flight),
@@ -712,7 +719,13 @@ impl PbftInstance {
                 RankCheck::Ok => {}
                 RankCheck::EpochAhead => {
                     // The leader is in a future epoch; retry after advance.
-                    self.pending_epoch.push((from, pp.clone()));
+                    // Checked before the rank aggregate, so the buffer
+                    // is bounded: a leader may sign any number of them.
+                    push_bounded(
+                        &mut self.pending_epoch,
+                        (from, pp.clone()),
+                        &mut self.rejected,
+                    );
                     return;
                 }
                 RankCheck::Invalid => {
@@ -1480,16 +1493,9 @@ impl PbftInstance {
         }
     }
 
-    /// Buffers a message from a view newer than the installed one. The
-    /// buffer is bounded; a Byzantine flood of far-future messages costs
-    /// honest replicas only this much memory.
+    /// Buffers a message from a view newer than the installed one.
     fn buffer_view_msg(&mut self, from: ReplicaId, msg: PbftMsg) {
-        const MAX_PENDING_VIEW_MSGS: usize = 8192;
-        if self.pending_view_msgs.len() < MAX_PENDING_VIEW_MSGS {
-            self.pending_view_msgs.push((from, msg));
-        } else {
-            self.rejected += 1;
-        }
+        push_bounded(&mut self.pending_view_msgs, (from, msg), &mut self.rejected);
     }
 
     /// Committed blocks with rounds in `(from, from + limit]`, each with
@@ -1668,6 +1674,16 @@ impl PbftInstance {
             .filter(|st| st.committed)
             .map(|st| st.rank)
             .max()
+    }
+}
+
+/// Holds `item` in `buf` for later unless the buffer is at
+/// [`MAX_PENDING_MSGS`]; an overflow counts in `rejected`.
+fn push_bounded<T>(buf: &mut Vec<T>, item: T, rejected: &mut u64) {
+    if buf.len() < MAX_PENDING_MSGS {
+        buf.push(item);
+    } else {
+        *rejected += 1;
     }
 }
 

@@ -1,10 +1,11 @@
 //! Instance-level tests: normal case, rank rules, epochs, view changes,
 //! and the Appendix-B leader behaviors.
 
-use crate::instance::{PbftInstance, RankMode, RankStrategy};
-use crate::msg::{PbftMsg, RankProof};
+use crate::instance::{PbftInstance, RankMode, RankStrategy, MAX_PENDING_MSGS};
+use crate::msg::{PbftMsg, RankProof, DOMAIN_PREPREPARE};
 use crate::testkit::{test_batch, Cluster};
-use ladon_types::{Rank, Round, View};
+use ladon_crypto::Signature;
+use ladon_types::{Rank, ReplicaId, Round, View};
 use std::sync::Arc;
 
 #[test]
@@ -171,6 +172,38 @@ fn forged_rank_proof_is_rejected() {
             assert!(c.nodes[1].rejected > before);
         }
     }
+}
+
+#[test]
+fn far_future_opt_preprepares_cannot_grow_the_epoch_buffer() {
+    // Under Opt ranks a pre-prepare whose previous round is unseen is
+    // held for retry before its rank aggregate is checked, so nothing
+    // but the leader's own signature gates it: a Byzantine leader can
+    // make a backup hold as many far-future rounds as it cares to sign.
+    let mut c = Cluster::new(4, RankMode::Opt, 1_000_000);
+    c.propose_and_run(0, test_batch(0, 10));
+    let honest = propose_capturing(&mut c, 10);
+    let leader = c.registry.signer(ReplicaId(0));
+    let rejected = c.nodes[1].rejected;
+    let flood = 10_000u64;
+    for round in 3..3 + flood {
+        let mut pp = (*honest).clone();
+        pp.round = Round(round);
+        pp.sig = Signature::sign(&leader, DOMAIN_PREPREPARE, &pp.signing_bytes());
+        let actions = c.nodes[1].on_message(
+            ReplicaId(0),
+            PbftMsg::PrePrepare(Arc::new(pp)),
+            c.now,
+            &mut c.cur_ranks[1],
+        );
+        assert!(actions.is_empty());
+    }
+    assert_eq!(c.nodes[1].epoch_backlog(), MAX_PENDING_MSGS);
+    assert_eq!(
+        c.nodes[1].rejected - rejected,
+        flood - MAX_PENDING_MSGS as u64,
+        "every pre-prepare past the bound is counted, not held"
+    );
 }
 
 #[test]

@@ -758,7 +758,7 @@ impl KvState {
     }
 
     /// Builds state from `(key, value)` entries in any order, folded
-    /// (tests and figures). Zero values are dropped to restore canonical
+    /// (tests). Zero values are dropped to restore canonical
     /// form.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut s = Self::new();
@@ -1440,6 +1440,33 @@ mod tests {
             value: was + 10,
         });
         assert_eq!(hashes_in(|| s.fold()), 0);
+
+        // Neither cost grows with the keyspace, nor with how often a
+        // dirty key was written in between: a fold is 2 hashes per dirty
+        // key, a folded root MERKLE_LANES + 1.
+        const DIRTY: u32 = 128;
+        for keyspace in [1 << 12, 1 << 15, 1 << 17] {
+            let mut s = KvState::from_entries((0..keyspace).map(|k| (k, k as u64 + 1)));
+            for writes_per_key in [1u64, 10] {
+                for w in 0..writes_per_key {
+                    for k in 0..DIRTY {
+                        s.apply(&TxOp::Put {
+                            key: k * 31 % keyspace,
+                            value: 7 + writes_per_key * 100 + w,
+                        });
+                    }
+                }
+                let at = format!("keyspace {keyspace}, {writes_per_key} writes per key");
+                assert_eq!(hashes_in(|| s.fold()), 2 * DIRTY as u64, "{at}");
+                assert_eq!(
+                    hashes_in(|| {
+                        s.root();
+                    }),
+                    MERKLE_LANES as u64 + 1,
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -788,6 +788,51 @@ mod tests {
             Snapshot::assemble(b.head.clone(), by_root(&shipped), &sample_state()).unwrap();
         assert_eq!(rebuilt.encode(), b.encode());
         assert_eq!(reused, MERKLE_LANES as u64 - 1);
+
+        // Over a state that populates every lane, k dirty lanes ship
+        // exactly k chunks (deduplicated by root, as a responder ships
+        // them), the bytes grow with k, and one lane's delta is a small
+        // fraction of the whole snapshot.
+        let base = KvState::from_entries((0..2048u32).map(|k| (k, k as u64 * 37 + 11)));
+        let mut lane_key = vec![None; MERKLE_LANES as usize];
+        for k in 0..2048u32 {
+            lane_key[lane_of(k)].get_or_insert(k);
+        }
+        assert!(lane_key.iter().all(Option::is_some), "every lane populated");
+        let old = Snapshot::capture(1, 64, 4096, Vec::new(), &base);
+        let whole = old.encode().len() as u64;
+        let mut shipped_bytes = Vec::new();
+        for k in [1, 8, 64] {
+            let mut kv = base.clone();
+            for &key in lane_key[..k].iter().flatten() {
+                let value = kv.get(key) + 1;
+                kv.apply(&TxOp::Put { key, value });
+            }
+            let new = Snapshot::capture(2, 128, 8192, Vec::new(), &kv);
+            let delta = delta_lanes(&new.head.lane_roots, &old.head.lane_roots);
+            let mut roots = std::collections::BTreeSet::new();
+            let shipped: Vec<SnapshotChunk> = delta
+                .iter()
+                .map(|&lane| &new.chunks[lane as usize])
+                .filter(|c| roots.insert(c.root))
+                .cloned()
+                .collect();
+            assert_eq!((delta.len(), shipped.len()), (k, k), "k={k}");
+            let (rebuilt, reused) =
+                Snapshot::assemble(new.head.clone(), by_root(&shipped), &base).unwrap();
+            assert_eq!(rebuilt.encode(), new.encode(), "k={k}");
+            assert_eq!(reused, (MERKLE_LANES as usize - k) as u64);
+            shipped_bytes.push(shipped.iter().map(WireSize::wire_size).sum::<u64>());
+        }
+        assert!(
+            shipped_bytes.windows(2).all(|w| w[0] < w[1]),
+            "{shipped_bytes:?}"
+        );
+        assert!(
+            shipped_bytes[0] * 8 < whole,
+            "one lane {} B vs whole {whole} B",
+            shipped_bytes[0]
+        );
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //!   `applied` frontier, so recovery skips — without reading — every
 //!   sealed segment whose `last_sn` sits below that floor. Replay work
 //!   is proportional to the tail past the snapshot, not to the total log
-//!   length (`fig_recovery_scaling` asserts exactly this with
-//!   deterministic record counts).
+//!   length (`recovery_replays_the_tail_not_the_log` in
+//!   `tests/state_execution.rs` asserts exactly this with deterministic
+//!   record counts).
 //!
 //! # Group commit
 //!

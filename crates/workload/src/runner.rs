@@ -386,40 +386,83 @@ mod tests {
     /// votes unverified moved `LadonHotStuff`'s `crypto.{hashes,
     /// verifies}` (4 710 → 3 430, 961 → 321), that run alone — nothing
     /// else any time.
+    ///
+    /// Two more rows pin a Ladon-PBFT run over 16-rank epochs, so its
+    /// window crosses checkpoints and compactions (the 64-rank rows
+    /// never checkpoint), with and without a 10× straggler.
     #[test]
     fn seeded_runs_match_the_pre_deployment_pins() {
+        let short = |protocol| {
+            ExperimentConfig::new(protocol, 4, NetEnv::Lan)
+                .duration_secs(2.0)
+                .warmup_secs(1.0)
+                .with_seed(11)
+        };
+        let checkpointing = ExperimentConfig::new(ProtocolKind::LadonPbft, 4, NetEnv::Lan)
+            .duration_secs(3.0)
+            .warmup_secs(2.0)
+            .with_epoch_length(16)
+            .with_seed(7);
         let pins = [
             (
-                ProtocolKind::LadonPbft,
+                short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
                 "58943a1c9f2873f4ceef2248aa567fd3f3a17e95cc91f9d14c0a672f083072df",
             ),
             (
-                ProtocolKind::LadonHotStuff,
+                short(ProtocolKind::LadonHotStuff),
                 258_007,
                 83,
                 "8ed54e2c02b1e2441e7d8dae44ed4eb59443538a871f5dfd6b36c4b2ad554ba1",
             ),
             (
-                ProtocolKind::DqbftPbft,
+                short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
                 "48c879544aee1dbf0c5d464192e65982329b56ba4449dc31148abad982541c1b",
             ),
+            (
+                checkpointing.clone(),
+                327_657,
+                155,
+                "6e15459a75ffa66cce8b0acc9334926d58fa6ccf6817de6e0e4c92a73a373a14",
+            ),
+            (
+                checkpointing.with_stragglers(1, 10.0),
+                136_791,
+                80,
+                "07028f1fade2fa25857e8363d340abfcf49730892fbe6dcae5cef50d2be97dc4",
+            ),
         ];
-        for (protocol, committed_txs, confirmed_blocks, sha) in pins {
-            let cfg = ExperimentConfig::new(protocol, 4, NetEnv::Lan)
-                .duration_secs(2.0)
-                .warmup_secs(1.0)
-                .with_seed(11);
-            let report = run_experiment(&cfg);
-            assert_eq!(report.committed_txs, committed_txs, "{protocol:?}");
-            assert_eq!(report.confirmed_blocks, confirmed_blocks, "{protocol:?}");
-            let digest = ladon_crypto::sha256(report.metrics.deterministic_json().as_bytes());
-            let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(hex, sha, "{protocol:?}");
-        }
+        let reports: Vec<_> = pins
+            .into_iter()
+            .map(|(cfg, committed_txs, confirmed_blocks, sha)| {
+                let report = run_experiment(&cfg);
+                let run = format!("{:?}, {} stragglers", cfg.protocol, cfg.stragglers);
+                assert_eq!(report.committed_txs, committed_txs, "{run}");
+                assert_eq!(report.confirmed_blocks, confirmed_blocks, "{run}");
+                let digest = ladon_crypto::sha256(report.metrics.deterministic_json().as_bytes());
+                let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(hex, sha, "{run}");
+                report
+            })
+            .collect();
+        // The straggler-free checkpointing run's WAL, summed over
+        // replicas: no barrier failed, barriers overlapped execution, and
+        // an fsync is a barrier's (rolls, rotations and manifest
+        // publishes are the amortized rest).
+        let metrics = &reports[3].metrics;
+        assert_eq!(metrics.counter("pipeline.wal_flush_failures"), 0);
+        assert!(metrics.counter("pipeline.pipelined_submits") > 0);
+        let (fsyncs, barriers) = (
+            metrics.counter("wal.fsyncs"),
+            metrics.counter("pipeline.flush_barriers"),
+        );
+        assert!(
+            2 * fsyncs <= 3 * barriers,
+            "{fsyncs} fsyncs, {barriers} barriers"
+        );
     }
 
     #[test]

@@ -146,6 +146,22 @@ fn disk_full_degrades_then_recovers() {
         );
         // Execution resumed past the degraded window.
         assert!(n3.exec.applied() > 0, "no execution after recovery");
+        // Every injected fault is accounted for: 4 failed barriers, the
+        // manifest publish of the first one's segment roll (the epoch-3
+        // checkpoint at 5.97 s had compacted the whole log away, so that
+        // barrier opened a fresh segment), and 11 failed retries (one
+        // denied rewrite each) before the 12th repaired the disk — 16 =
+        // 4 + 1 + (12 − 1). A run whose fault window holds no roll reads
+        // `failures + retries − 1`.
+        assert_eq!(
+            (
+                plan.injected_faults(),
+                n3.metrics.exec.perf.wal_flush_failures,
+                n3.metrics.degraded_retries,
+                n3.metrics.degraded_entries,
+            ),
+            (16, 4, 12, 1)
+        );
     }
     // Checkpoint roots at every epoch shared with a healthy peer are
     // byte-identical: degradation deferred durability, it never forked
@@ -383,7 +399,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         h1.quarantined,
         "{threshold} stale replays must quarantine the responder"
     );
-    assert!(h1.rejected_chunks >= threshold as u64);
+    assert_eq!(h1.rejected_chunks, threshold as u64);
     assert_eq!(requester.metrics.sync_responders_quarantined, 1);
     assert_eq!(
         requester.metrics.snapshot_installs, 1,

@@ -9,11 +9,12 @@
 use ladon::core::{MultiBftNode, SyncRequest};
 use ladon::obs::{MetricsRegistry, SnapshotInto};
 use ladon::state::{
-    CommitWal, ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions, WalRecord,
-    DEFAULT_KEYSPACE, ENCODED_RECORD_LEN, TRAILER_LEN,
+    CommitWal, ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, SnapshotStore, WalOptions,
+    WalRecord, DEFAULT_KEYSPACE, ENCODED_RECORD_LEN, TRAILER_LEN,
 };
 use ladon::types::{Block, Digest, ProtocolKind, Round, SystemConfig};
 use ladon::workload::{Deployment, ExperimentConfig};
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -747,6 +748,62 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
         );
         Window::since(&plan, armed_at)
     });
+}
+
+/// The disk a kill between a checkpoint's durable snapshot and the
+/// compaction behind it leaves under `dir`: a WAL holding all
+/// `history + tail` records (64-tx blocks) beside a snapshot covering
+/// exactly `history`. Returns the root of a clean in-memory run.
+fn uncompacted_checkpoint_dir(dir: &Path, history: u64, tail: u64, opts: WalOptions) -> Digest {
+    let backend = FileBackend::open_dir(dir.join("wal")).unwrap();
+    let mut wal = CommitWal::open(Box::new(backend), opts);
+    let mut clean = ExecutionPipeline::in_memory(4096);
+    let mut snapshot = None;
+    for sn in 0..history + tail {
+        let b = Block::synthetic(sn, sn * 64, 64);
+        wal.append_buffered(WalRecord::of_block(sn, &b));
+        clean.execute(sn, &b);
+        if sn + 1 == history {
+            clean.checkpoint(1, Vec::new());
+            snapshot = clean.latest_snapshot().cloned();
+        }
+    }
+    assert!(wal.flush());
+    let mut store = SnapshotStore::at_dir(dir).unwrap();
+    assert!(store.put(snapshot.expect("the history checkpointed")));
+    clean.state_root()
+}
+
+/// Partial replay: recovery from an uncompacted checkpoint replays the
+/// tail past the snapshot and scans only the segments holding it, at
+/// every depth of covered history — the log's length does not show.
+#[test]
+fn recovery_replays_the_tail_not_the_log() {
+    const TAIL: u64 = 24;
+    let opts = WalOptions {
+        segment_records: 8,
+        ..WalOptions::default()
+    };
+    // The tail's segments, the straddler at the snapshot cut, and the
+    // active segment.
+    let scan_cap = TAIL / opts.segment_records as u64 + 2;
+    for history in [64, 256, 1024] {
+        let dir = scratch_dir("replay-tail", history as i64);
+        let _ = std::fs::remove_dir_all(&dir);
+        let clean_root = uncompacted_checkpoint_dir(&dir, history, TAIL, opts);
+        let recovered = ExecutionPipeline::recover_opts(&dir, 4096, 1, opts).unwrap();
+        let stats = recovered.recovery_stats();
+        assert_eq!(stats.records_replayed, TAIL, "history {history}");
+        assert_eq!(stats.replayed_txs, TAIL * 64, "history {history}");
+        assert!(
+            stats.segments_scanned <= scan_cap,
+            "history {history}: {} segments scanned, cap {scan_cap}",
+            stats.segments_scanned
+        );
+        assert_eq!(recovered.applied(), history + TAIL);
+        assert_eq!(recovered.state_root(), clean_root, "history {history}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------

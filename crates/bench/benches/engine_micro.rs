@@ -13,7 +13,7 @@ use ladon_crypto::{
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork};
-use ladon_state::{KvState, DEFAULT_KEYSPACE};
+use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE};
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, TxId, TxOp,
     View, WireSize,
@@ -212,9 +212,20 @@ fn bench_pbft_round() {
 }
 
 /// The `state.kv` ledger rows in isolation, at the paper's block size:
-/// applying one 4096-op block (plan + map writes, no hashing), folding
-/// the keys it dirtied, and reading the root of a folded state.
+/// executing one 4096-tx block the way a replica does (WAL record, op
+/// derivation, plan and apply), applying 4096 pre-derived ops (plan +
+/// table writes, no hashing), folding the keys they dirtied, and reading
+/// the root of a folded state.
 fn bench_state() {
+    let mut pipe = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+    let mut sn = 0u64;
+    microbench("kv_execute_4096_tx_block", 2_000, || {
+        let block = Block::synthetic(sn, sn * 4096, 4096);
+        let out = pipe.execute_batch(&[(sn, block)]);
+        sn += 1;
+        out
+    });
+
     let blocks: Vec<Vec<TxOp>> = (0..8u64)
         .map(|b| {
             (0..4096u64)

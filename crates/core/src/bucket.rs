@@ -129,7 +129,7 @@ impl Mempool {
                 self.pending -= take as u64;
                 if take < g.count {
                     // Split: push back the remainder.
-                    g.first_tx = TxId(g.first_tx.0 + take as u64);
+                    g.first_tx = TxId(g.first_tx.0.wrapping_add(take as u64));
                     g.count -= take;
                     g.arrival_sum_ns -= mean as u128 * take as u128;
                     self.buckets[b as usize].push_front(g);
@@ -211,6 +211,26 @@ mod tests {
         // The split remainder is still cuttable.
         let b2 = mp.cut_batch(&[0, 1], 100);
         assert_eq!(b2.count, 5);
+        assert_eq!(mp.pending(), 0);
+    }
+
+    #[test]
+    fn a_group_split_at_the_top_of_the_id_space_keeps_its_remainder() {
+        let mut mp = Mempool::new(1, 500);
+        mp.deposit(
+            0,
+            TxGroup {
+                first_tx: TxId(u64::MAX - 1),
+                count: 4,
+                arrival_sum_ns: 400,
+                earliest: TimeNs(100),
+            },
+        );
+        let head = mp.cut_batch(&[0], 3);
+        let ids: Vec<_> = head.tx_ids().collect();
+        assert_eq!(ids, vec![TxId(u64::MAX - 1), TxId(u64::MAX), TxId(0)]);
+        let rest = mp.cut_batch(&[0], 100);
+        assert_eq!((rest.first_tx, rest.count), (TxId(1), 1));
         assert_eq!(mp.pending(), 0);
     }
 

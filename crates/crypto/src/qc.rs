@@ -185,25 +185,43 @@ impl QuorumCert {
     /// [`Self::verify`] transfers. A forged cert differing in any byte
     /// (including the signature material) keys differently and never
     /// hits the cache.
+    ///
+    /// The fixed-size fields are laid out in one stack buffer and
+    /// absorbed in one `update`; the signers follow eight 8-byte entries
+    /// per `update`.
     pub fn cache_key(&self) -> [u8; 32] {
         use crate::sha256::Sha256;
-        let mut h = Sha256::new();
-        h.update(b"ladon/qc-cache/v1");
-        h.update(&self.view.0.to_le_bytes());
-        h.update(&self.round.0.to_le_bytes());
-        h.update(&self.instance.0.to_le_bytes());
-        h.update(&self.digest.0);
-        h.update(&self.rank.0.to_le_bytes());
-        h.update(&[match self.domain {
+        const TAG: &[u8] = b"ladon/qc-cache/v1";
+        const HEADER_LEN: usize = TAG.len() + 8 + 8 + 4 + 32 + 8 + 1 + 4 + 32 + 4;
+        let mut header = [0u8; HEADER_LEN];
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            header[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        put(TAG);
+        put(&self.view.0.to_le_bytes());
+        put(&self.round.0.to_le_bytes());
+        put(&self.instance.0.to_le_bytes());
+        put(&self.digest.0);
+        put(&self.rank.0.to_le_bytes());
+        put(&[match self.domain {
             CertDomain::Prepare => 0u8,
             CertDomain::HsVote => 1u8,
         }]);
-        h.update(&self.agg.n.to_le_bytes());
-        h.update(&self.agg.combined);
-        h.update(&(self.agg.signers.len() as u32).to_le_bytes());
-        for (replica, key_idx) in &self.agg.signers {
-            h.update(&replica.0.to_le_bytes());
-            h.update(&key_idx.to_le_bytes());
+        put(&self.agg.n.to_le_bytes());
+        put(&self.agg.combined);
+        put(&(self.agg.signers.len() as u32).to_le_bytes());
+        debug_assert_eq!(at, HEADER_LEN);
+        let mut h = Sha256::new();
+        h.update(&header);
+        for signers in self.agg.signers.chunks(8) {
+            let mut chunk = [0u8; 64];
+            for (entry, (replica, key_idx)) in chunk.chunks_exact_mut(8).zip(signers) {
+                entry[..4].copy_from_slice(&replica.0.to_le_bytes());
+                entry[4..].copy_from_slice(&key_idx.to_le_bytes());
+            }
+            h.update(&chunk[..8 * signers.len()]);
         }
         h.finalize()
     }
@@ -519,6 +537,43 @@ mod tests {
         // One more than it holds: dropped wholesale, then refilled.
         assert!(cache.verified(&cert(CERT_CACHE_MAX as u64)));
         assert_eq!(cert_cost(|| cache.verified(&cert(0))), (true, 1, 0));
+    }
+
+    /// The cache key streamed one field and one signer half at a time:
+    /// the encoding [`QuorumCert::cache_key`] must keep byte for byte.
+    fn streamed_cache_key(qc: &QuorumCert) -> [u8; 32] {
+        let mut h = crate::sha256::Sha256::new();
+        h.update(b"ladon/qc-cache/v1");
+        h.update(&qc.view.0.to_le_bytes());
+        h.update(&qc.round.0.to_le_bytes());
+        h.update(&qc.instance.0.to_le_bytes());
+        h.update(&qc.digest.0);
+        h.update(&qc.rank.0.to_le_bytes());
+        h.update(&[qc.domain as u8]);
+        h.update(&qc.agg.n.to_le_bytes());
+        h.update(&qc.agg.combined);
+        h.update(&(qc.agg.signers.len() as u32).to_le_bytes());
+        for (replica, key_idx) in &qc.agg.signers {
+            h.update(&replica.0.to_le_bytes());
+            h.update(&key_idx.to_le_bytes());
+        }
+        h.finalize()
+    }
+
+    #[test]
+    fn cache_key_is_the_streamed_encoding_at_every_signer_count() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let mut qc = make_qc(&reg, &[0, 1, 2], Rank(9));
+        for domain in [CertDomain::Prepare, CertDomain::HsVote] {
+            qc.domain = domain;
+            for signers in 0..=25u32 {
+                qc.agg.signers = (0..signers).map(|r| (ReplicaId(r), r * 7 + 1)).collect();
+                let before = crate::CryptoCounters::snapshot();
+                let key = qc.cache_key();
+                assert_eq!(crate::CryptoCounters::snapshot().since(&before).hashes, 1);
+                assert_eq!(key, streamed_cache_key(&qc), "{signers} signers");
+            }
+        }
     }
 
     #[test]

@@ -86,10 +86,15 @@
 //! The plan is a pure function of the ops' static access sets and
 //! nothing executes by it: its counters in [`BatchOutcome`] (`waves`,
 //! `max_wave_ops`, `cross_lane_edges`) report how much lane-level
-//! parallelism a batch *has*. On the paper's 4096-tx blocks that is
-//! ~214 waves of ~21 ops — half a microsecond of table work per wave,
-//! far less than one cross-thread barrier round costs, which is why
-//! block order on one thread is the executor.
+//! parallelism a batch *has*. It keeps one plain `u64` per lane — one
+//! past the wave of the latest op that touched the lane, and, when the
+//! lane was that op's credit lane, which lane the op debited — so
+//! placing an op is the larger of two shifted words and a few compares,
+//! with no `Option` to test. On the paper's 4096-tx blocks the plan is
+//! ~214 waves of ~21 ops — under half a microsecond of table work per
+//! wave (the `engine_micro` `kv_apply_4096_ops` row over 214), far less
+//! than one cross-thread barrier round costs, which is why block order
+//! on one thread is the executor.
 
 use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};
@@ -383,27 +388,27 @@ fn invert_all(values: &mut [Acc]) {
 // (see the module docs).
 // ---------------------------------------------------------------------
 
-/// Per-lane tail while building a wave plan: the latest op that touched
-/// the lane.
-#[derive(Clone, Copy)]
-struct LaneTail {
-    /// Wave that op landed in.
-    wave: u32,
-    /// The op's index within the batch.
-    op: u32,
-    /// True when the lane was that op's *secondary* (credit) lane.
-    secondary: bool,
-}
+/// Bits of a lane tail below its wave: the `via` field.
+const TAIL_WAVE_SHIFT: u32 = 8;
+const _: () = assert!(MERKLE_LANES < 1 << TAIL_WAVE_SHIFT);
 
 /// A batch's wave plan, built one op at a time while the batch applies:
 /// each op's topological wave is one past the deepest wave among the
 /// preceding ops whose lane sets intersect its own. Purely a function
 /// of the ops' static access sets — never of state.
+///
+/// A lane's tail is one word describing the latest op that touched it:
+/// `(wave + 1) << TAIL_WAVE_SHIFT | via`, 0 while untouched. `via` is 0
+/// when the lane was that op's primary lane and `primary lane + 1` when
+/// it was its secondary (credit) lane. The word's high part is one past
+/// the tail's wave, so an op's wave is the larger of its lanes' words
+/// shifted down. No op index is kept: the ops touching a lane have
+/// strictly increasing waves, so a secondary tail via `b` is the very op
+/// at lane `b`'s tail exactly when the two waves are equal.
 struct WavePlan<'a> {
-    tails: [Option<LaneTail>; MERKLE_LANES as usize],
+    tails: [u64; MERKLE_LANES as usize],
     /// Ops per wave so far (the state's scratch, capacity retained).
     wave_ops: &'a mut Vec<u32>,
-    ops: u32,
     max_wave_ops: u32,
     cross_lane_edges: u64,
 }
@@ -412,9 +417,8 @@ impl<'a> WavePlan<'a> {
     fn new(wave_ops: &'a mut Vec<u32>) -> Self {
         wave_ops.clear();
         Self {
-            tails: [None; MERKLE_LANES as usize],
+            tails: [0; MERKLE_LANES as usize],
             wave_ops,
-            ops: 0,
             max_wave_ops: 0,
             cross_lane_edges: 0,
         }
@@ -426,48 +430,32 @@ impl<'a> WavePlan<'a> {
     #[inline]
     fn place(&mut self, a: usize, b: Option<usize>) {
         let ta = self.tails[a];
-        let tb = b.and_then(|l| self.tails[l]);
-        let mut wave = 0u32;
-        if let Some(t) = ta {
-            wave = wave.max(t.wave + 1);
-        }
-        if let Some(t) = tb {
-            wave = wave.max(t.wave + 1);
-        }
         // Immediate dependency edges (per-lane transitive reduction). An
         // edge is *cross-lane* when its shared lane is a secondary
         // (credit) lane of either endpoint: a same-primary-lane edge
-        // would be ordered by per-lane sequencing alone.
-        match (ta, tb) {
-            (Some(x), Some(y)) if x.op == y.op => self.cross_lane_edges += 1,
-            (xa, yb) => {
-                if xa.is_some_and(|x| x.secondary) {
-                    self.cross_lane_edges += 1;
-                }
-                if yb.is_some() {
-                    self.cross_lane_edges += 1;
-                }
-            }
+        // would be ordered by per-lane sequencing alone. When `a`'s tail
+        // is the credit side of the op at `b`'s tail, that one op is one
+        // edge, not two.
+        let via = ta & ((1 << TAIL_WAVE_SHIFT) - 1);
+        let mut wave = ta >> TAIL_WAVE_SHIFT;
+        let mut edges = (via != 0) as u64;
+        if let Some(b) = b {
+            let tb = self.tails[b];
+            let same_op = via == b as u64 + 1 && ta >> TAIL_WAVE_SHIFT == tb >> TAIL_WAVE_SHIFT;
+            edges += (tb != 0) as u64 - same_op as u64;
+            wave = wave.max(tb >> TAIL_WAVE_SHIFT);
+            self.tails[b] = (wave + 1) << TAIL_WAVE_SHIFT | (a as u64 + 1);
         }
+        self.tails[a] = (wave + 1) << TAIL_WAVE_SHIFT;
+        self.cross_lane_edges += edges;
         // A wave is at most one past the deepest so far.
-        if wave as usize == self.wave_ops.len() {
+        let wave = wave as usize;
+        if wave == self.wave_ops.len() {
             self.wave_ops.push(0);
         }
-        self.wave_ops[wave as usize] += 1;
-        self.max_wave_ops = self.max_wave_ops.max(self.wave_ops[wave as usize]);
-        let tail = LaneTail {
-            wave,
-            op: self.ops,
-            secondary: false,
-        };
-        self.tails[a] = Some(tail);
-        if let Some(bl) = b {
-            self.tails[bl] = Some(LaneTail {
-                secondary: true,
-                ..tail
-            });
-        }
-        self.ops += 1;
+        let ops = &mut self.wave_ops[wave];
+        *ops += 1;
+        self.max_wave_ops = self.max_wave_ops.max(*ops);
     }
 }
 
@@ -1563,6 +1551,135 @@ mod tests {
         let out = s.apply_batch(&chain);
         assert_eq!(out.waves, chain.len() as u32, "a chain is fully serial");
         assert_eq!(out.max_wave_ops, 1);
+    }
+
+    /// An op's static lane access set: its primary lane and, for a
+    /// cross-lane transfer, the distinct credit lane.
+    fn lanes_of(op: &TxOp) -> (usize, Option<usize>) {
+        match *op {
+            TxOp::Put { key, .. } | TxOp::Get { key } => (lane_of(key), None),
+            TxOp::Transfer { from, to, .. } => {
+                let (a, b) = (lane_of(from), lane_of(to));
+                (a, (b != a).then_some(b))
+            }
+        }
+    }
+
+    /// The planner before lane tails became words, kept as the
+    /// reference: per lane an `Option` of the latest op's `(wave, op
+    /// index, secondary)`. Returns `(waves, max_wave_ops,
+    /// cross_lane_edges)`.
+    fn reference_plan(ops: &[TxOp]) -> (u32, u32, u64) {
+        let mut tails: [Option<(u32, u32, bool)>; MERKLE_LANES as usize] =
+            [None; MERKLE_LANES as usize];
+        let mut wave_ops: Vec<u32> = Vec::new();
+        let mut edges = 0u64;
+        for (i, op) in ops.iter().enumerate() {
+            let (a, b) = lanes_of(op);
+            let ta = tails[a];
+            let tb = b.and_then(|l| tails[l]);
+            let wave = [ta, tb].iter().flatten().map(|t| t.0 + 1).max();
+            let wave = wave.unwrap_or(0);
+            match (ta, tb) {
+                (Some(x), Some(y)) if x.1 == y.1 => edges += 1,
+                (xa, yb) => edges += xa.is_some_and(|x| x.2) as u64 + yb.is_some() as u64,
+            }
+            if wave as usize == wave_ops.len() {
+                wave_ops.push(0);
+            }
+            wave_ops[wave as usize] += 1;
+            tails[a] = Some((wave, i as u32, false));
+            if let Some(b) = b {
+                tails[b] = Some((wave, i as u32, true));
+            }
+        }
+        let max = wave_ops.iter().copied().max().unwrap_or(0);
+        (wave_ops.len() as u32, max, edges)
+    }
+
+    fn plan_of(out: &BatchOutcome) -> (u32, u32, u64) {
+        (out.waves, out.max_wave_ops, out.cross_lane_edges)
+    }
+
+    #[test]
+    fn packed_plan_matches_the_reference_planner() {
+        // Nine keys over three lanes, so every op meets a recent tail:
+        // same-lane and self transfers, a transfer back across the
+        // lanes the previous transfer touched (both tails one op), and
+        // a credit lane whose debit lane moved on since (a secondary
+        // tail that is no longer the other lane's).
+        let lanes: Vec<usize> = (0..MERKLE_LANES as usize).step_by(21).take(3).collect();
+        let keys: Vec<u32> = lanes
+            .iter()
+            .flat_map(|&l| (0u32..).filter(move |&k| lane_of(k) == l).take(3))
+            .collect();
+        let (a, b, c) = (keys[0], keys[3], keys[6]);
+        let t = |from, to| TxOp::Transfer {
+            from,
+            to,
+            amount: 1,
+        };
+        let crafted = [
+            vec![],
+            vec![t(a, b), t(b, a)],
+            vec![t(a, b), t(a, b), t(a, a), t(a, keys[1])],
+            vec![t(b, a), TxOp::Put { key: b, value: 1 }, t(a, b)],
+            vec![t(b, a), t(b, c), t(a, b), t(c, a), TxOp::Get { key: a }],
+        ];
+        let mut seed = 0x0dd_ba11_u64;
+        let mut draw = |n: u64| splitmix64(&mut seed) % n;
+        let mut batches = crafted.to_vec();
+        for _ in 0..400 {
+            let len = draw(96);
+            let batch = (0..len)
+                .map(|_| {
+                    let key = keys[draw(9) as usize];
+                    match draw(4) {
+                        0 => TxOp::Put { key, value: 1 },
+                        1 => TxOp::Get { key },
+                        _ => t(key, keys[draw(9) as usize]),
+                    }
+                })
+                .collect();
+            batches.push(batch);
+        }
+        for keyspace in [64u32, 512, DEFAULT_KEYSPACE] {
+            batches.push((0..4096).map(|i| TxOp::for_id(TxId(i), keyspace)).collect());
+        }
+        let mut s = KvState::new();
+        for ops in &batches {
+            assert_eq!(plan_of(&s.apply_batch(ops)), reference_plan(ops), "{ops:?}");
+        }
+        // The credit lane's tail is the first transfer's, the debit
+        // lane's the put's: two edges, not the one a same-op pair is.
+        assert_eq!(plan_of(&s.apply_batch(&crafted[3])), (3, 1, 2));
+        assert_eq!(plan_of(&s.apply_batch(&[] as &[TxOp])), (0, 0, 0));
+
+        // A multi-record drain plans as one batch: the pipeline's
+        // counters equal the reference over the records' ops, in order,
+        // empty blocks included.
+        let mut pipe = crate::ExecutionPipeline::in_memory(512);
+        let blocks: Vec<(u64, ladon_types::Block)> = [37u32, 0, 512, 1, 200, 0, 96]
+            .iter()
+            .enumerate()
+            .map(|(sn, &count)| {
+                let sn = sn as u64;
+                (sn, ladon_types::Block::synthetic(sn, sn * 1_000, count))
+            })
+            .collect();
+        pipe.execute_batch(&blocks);
+        let ops: Vec<TxOp> = blocks
+            .iter()
+            .flat_map(|(_, b)| b.batch.txs(512).map(|tx| tx.op))
+            .collect();
+        let sched = pipe.sched_stats();
+        let (waves, max_wave_ops, edges) = reference_plan(&ops);
+        assert_eq!(sched.batches, 1);
+        assert_eq!(sched.scheduled_ops, ops.len() as u64);
+        assert_eq!(
+            (sched.waves, sched.max_wave_ops, sched.cross_lane_edges),
+            (waves as u64, max_wave_ops, edges)
+        );
     }
 
     #[test]

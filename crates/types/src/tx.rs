@@ -70,17 +70,33 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 impl TxOp {
     /// Derives the deterministic operation of transaction `id` over a key
     /// space of `keyspace` accounts. Mix: 50% put, 30% transfer, 20% get.
+    ///
+    /// Two splitmix64 outputs `a`, `b` drive it: the key is `a` and a
+    /// transfer's credit account `b >> 32`, each reduced modulo
+    /// `keyspace`. A power-of-two keyspace (the default 4096 is one)
+    /// reduces with a mask, which is the same residue without a 64-bit
+    /// division; any other keyspace keeps `%`, since a multiply-by-
+    /// reciprocal reduction measured no faster than the division it would
+    /// replace on the workspace's default x86-64 target.
     pub fn for_id(id: TxId, keyspace: u32) -> Self {
         debug_assert!(keyspace > 0);
         let mut state = id.0 ^ 0x1ad0_0000_0000_0001;
         let a = splitmix64(&mut state);
         let b = splitmix64(&mut state);
-        let key = (a % keyspace as u64) as u32;
+        let reduce = |x: u64| {
+            let residue = if keyspace.is_power_of_two() {
+                x & (keyspace as u64 - 1)
+            } else {
+                x % keyspace as u64
+            };
+            residue as u32
+        };
+        let key = reduce(a);
         match b % 10 {
             0..=4 => TxOp::Put { key, value: b >> 8 },
             5..=7 => TxOp::Transfer {
                 from: key,
-                to: ((b >> 32) % keyspace as u64) as u32,
+                to: reduce(b >> 32),
                 amount: (b & 0xffff) + 1,
             },
             _ => TxOp::Get { key },
@@ -162,10 +178,12 @@ impl Batch {
     }
 
     /// Iterator over the member transaction ids (it borrows nothing:
-    /// the ids are `(first_tx, count)`).
+    /// the ids are `(first_tx, count)`). Always exactly `count` ids:
+    /// a batch whose ids pass `u64::MAX` wraps to 0, since a peer
+    /// chooses `first_tx`.
     pub fn tx_ids(&self) -> impl Iterator<Item = TxId> {
         let first = self.first_tx.0;
-        (first..first + self.count as u64).map(TxId)
+        (0..self.count as u64).map(move |i| TxId(first.wrapping_add(i)))
     }
 
     /// Iterator over the member transactions with their derived ops (see
@@ -206,5 +224,58 @@ mod tests {
         assert_eq!(b.mean_arrival(), Some(TimeNs(250)));
         let ids: Vec<_> = b.tx_ids().collect();
         assert_eq!(ids, vec![TxId(10), TxId(11), TxId(12), TxId(13)]);
+    }
+
+    #[test]
+    fn ids_past_the_top_of_the_id_space_wrap() {
+        let b = Batch {
+            first_tx: TxId(u64::MAX - 1),
+            count: 4,
+            ..Batch::default()
+        };
+        let ids: Vec<_> = b.tx_ids().collect();
+        assert_eq!(
+            ids,
+            vec![TxId(u64::MAX - 1), TxId(u64::MAX), TxId(0), TxId(1)]
+        );
+        let ops: Vec<_> = b.txs(4096).map(|tx| tx.op).collect();
+        let derived: Vec<_> = ids.iter().map(|&id| TxOp::for_id(id, 4096)).collect();
+        assert_eq!(ops, derived);
+    }
+
+    /// [`TxOp::for_id`] as it was first written: every reduction a `%`.
+    fn for_id_by_division(id: TxId, keyspace: u32) -> TxOp {
+        let mut state = id.0 ^ 0x1ad0_0000_0000_0001;
+        let a = splitmix64(&mut state);
+        let b = splitmix64(&mut state);
+        let key = (a % keyspace as u64) as u32;
+        match b % 10 {
+            0..=4 => TxOp::Put { key, value: b >> 8 },
+            5..=7 => TxOp::Transfer {
+                from: key,
+                to: ((b >> 32) % keyspace as u64) as u32,
+                amount: (b & 0xffff) + 1,
+            },
+            _ => TxOp::Get { key },
+        }
+    }
+
+    #[test]
+    fn derivation_equals_the_division_formula() {
+        let mut seed = 0x5eed_f1d5_u64;
+        let ids: Vec<TxId> = (0..100_000)
+            .map(|_| TxId(splitmix64(&mut seed)))
+            .chain([TxId(0), TxId(u64::MAX)])
+            .collect();
+        let keyspaces = [1, 2, 3, 10, 64, 1000, 4095, 4096, 4097, 1 << 20, u32::MAX];
+        for keyspace in keyspaces {
+            for &id in &ids {
+                assert_eq!(
+                    TxOp::for_id(id, keyspace),
+                    for_id_by_division(id, keyspace),
+                    "id {id:?}, keyspace {keyspace}"
+                );
+            }
+        }
     }
 }

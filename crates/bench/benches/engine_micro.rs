@@ -1,8 +1,9 @@
 //! Microbenchmarks of the hot paths: SHA-256, simulated signatures,
 //! aggregate verification, the global ordering algorithm, raw engine
-//! event throughput (bare, and with a deep queue of real envelopes), one
-//! PBFT round at n = 16 and KV state execution. Plain timing loops (see
-//! `ladon_bench::microbench`); printed, not gated.
+//! event throughput (bare, with a deep queue of real envelopes, and with
+//! the timer-heavy queue a WAN run keeps), one PBFT round at n = 16 and
+//! KV state execution. Plain timing loops (see `ladon_bench::microbench`);
+//! printed, not gated.
 
 use ladon_bench::microbench;
 use ladon_core::{ClientTxs, GlobalOrderer, LadonOrderer, NodeMsg};
@@ -12,11 +13,11 @@ use ladon_crypto::{
 };
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
-use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork};
+use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork, NicNetwork, Topology};
 use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE};
 use ladon_types::{
-    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, TxId, TxOp,
-    View, WireSize,
+    Batch, Block, BlockHeader, Digest, InstanceId, NetEnv, Rank, ReplicaId, Round, TimeNs, TxId,
+    TxOp, View, WireSize,
 };
 use std::hint::black_box;
 
@@ -156,22 +157,26 @@ fn bench_engine() {
     });
 }
 
+/// A one-transaction client group, the envelope both queue benches pass.
+fn client_group(i: u64) -> NodeMsg {
+    NodeMsg::ClientTxs(ClientTxs {
+        bucket: 0,
+        first_tx: TxId(i),
+        count: 1,
+        payload_bytes: 500,
+        arrival_sum_ns: 0,
+        earliest: TimeNs::ZERO,
+        forwarded: false,
+    })
+}
+
 /// Starts 256 client-group envelopes and passes every envelope it gets
 /// on to the next actor.
 struct PassOn;
 impl Actor<NodeMsg> for PassOn {
     fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
         for i in 0..256 {
-            let group = ClientTxs {
-                bucket: 0,
-                first_tx: TxId(i),
-                count: 1,
-                payload_bytes: 500,
-                arrival_sum_ns: 0,
-                earliest: TimeNs::ZERO,
-                forwarded: false,
-            };
-            self.on_message(0, NodeMsg::ClientTxs(group), ctx);
+            self.on_message(0, client_group(i), ctx);
         }
     }
     fn on_message(&mut self, _from: ActorId, m: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
@@ -197,6 +202,49 @@ fn bench_event_queue() {
     }
     println!("(envelope: {} bytes)", std::mem::size_of::<NodeMsg>());
     microbench("event_queue_push_pop", 2_000_000, || e.step());
+}
+
+/// One of 16 WAN replicas as the engine sees `straggler_n16`'s: 344
+/// ten-second timers pending that fire and re-arm doing nothing, and 63
+/// envelopes each passed on to a random other replica on arrival.
+struct TimerHeavy;
+const ROUND_TIMEOUT: TimeNs = TimeNs::from_secs(10);
+impl Actor<NodeMsg> for TimerHeavy {
+    fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+        for k in 0..344 {
+            ctx.set_timer(TimeNs(ROUND_TIMEOUT.0 * (k + 1) / 344), 0);
+        }
+        for i in 0..63 {
+            self.on_message(0, client_group(i), ctx);
+        }
+    }
+    fn on_message(&mut self, _from: ActorId, m: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
+        let hop = 1 + ctx.rng().next_below(15) as usize;
+        ctx.send((ctx.self_id() + hop) % 16, m);
+    }
+    fn on_timer(&mut self, _t: u64, ctx: &mut dyn Context<NodeMsg>) {
+        ctx.set_timer(ROUND_TIMEOUT, 0);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// What one event costs in the queue mix measured on `straggler_n16`:
+/// about 5 500 pending ten-second timers and 1 000 NIC deliveries over 16
+/// receivers. The first 11 simulated seconds, in which every start-up
+/// timer fires once, run before timing.
+fn bench_event_queue_timer_heavy() {
+    let net = NicNetwork::new(Topology::paper(NetEnv::Wan, 16));
+    let mut e: Engine<NodeMsg> = Engine::new(net, 1);
+    for _ in 0..16 {
+        e.add_actor(Box::new(TimerHeavy));
+    }
+    e.run_for(TimeNs::from_secs(11));
+    microbench("event_queue_timer_heavy", 2_000_000, || e.step());
 }
 
 /// One PBFT round through the testkit at n = 16 (Plain ranks): a
@@ -254,6 +302,7 @@ fn main() {
     bench_ordering();
     bench_engine();
     bench_event_queue();
+    bench_event_queue_timer_heavy();
     bench_pbft_round();
     bench_state();
 }

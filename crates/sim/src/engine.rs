@@ -6,21 +6,44 @@
 //! run is bit-reproducible given its seed. The same [`Actor`] trait is
 //! driven in real time by [`crate::live::LiveRuntime`].
 //!
-//! # The queue orders keys, not events
+//! # An event waits in its stream
 //!
-//! A pending event is two things: *when* it happens and *what* happens.
-//! Only the first takes part in ordering, so only the first goes through
-//! the priority queue: the heap holds 24-byte keys — `(time, seq,
-//! slot)` — and the payload (recipient, message or timer id) waits in a
-//! slab slot the key points at. A sift moves 24 bytes per level instead
-//! of a whole message envelope; a payload is written once when scheduled
-//! and read once when dispatched. Freed slots go on a free list and are
-//! reused, so a steady-state run schedules without allocating.
+//! Most pending events are already in the order they fire, once they are
+//! grouped the right way. The queue keeps them in FIFO *streams*, each
+//! entry a `(time, seq)` key with its payload beside it, moved in once
+//! and out once:
 //!
-//! The order is exactly what it was when the heap held whole events:
-//! keys compare by `(time, seq)`, `seq` is unique per scheduled event,
-//! and `slot` — which slab cell happened to be free — sits last in the
-//! comparison, where a unique `seq` never lets it decide.
+//! - a delivery (sender, message, size) joins its recipient's stream,
+//!   except a self-send, which joins the one loopback stream;
+//! - a timer joins the stream of its delay, as 16 bytes of recipient and
+//!   timer id. The delays share a fixed table of 32 streams; a stream
+//!   takes a new delay only while it is empty.
+//!
+//! A small binary heap orders the streams' head keys, one per non-empty
+//! stream (20 on average in a 16-replica WAN run), so a pop is one sift
+//! on a cache-hot heap and a push onto a non-empty stream is an append.
+//!
+//! An event whose key is below its stream's tail, or a timer whose delay
+//! finds no stream, goes to a fallback map ordered by key; a pop takes
+//! the smaller of the heads' top and the fallback's first. A stream is a
+//! hint, never a correctness input: events come out in exactly `(time,
+//! seq)` order for any [`Network`], and `seq` is unique per scheduled
+//! event, so a seeded run is the one a single heap of every key gives.
+//!
+//! Why each stream stays in order, so the fallback stays empty:
+//!
+//! - **Time never goes back.** `now` only moves to a popped event's time
+//!   or a `run_until` deadline, and [`Engine::schedule_timer`] moves an
+//!   instant in the past up to `now`.
+//! - **Deliveries to one recipient.** [`NicNetwork`](crate::NicNetwork)
+//!   delivers at `rx_done ≥ rx_free[to]` and then raises `rx_free[to]` to
+//!   `rx_done`, so whoever sends, deliveries to one receiver are
+//!   scheduled in non-decreasing time. [`IdealNetwork`](crate::IdealNetwork)
+//!   adds one constant to `now`.
+//! - **Self-sends.** Loopback is a constant 10 µs after `now`.
+//! - **Timers of one delay.** `now + d` for a fixed `d`.
+//! - **Ties.** Equal times within a stream keep schedule order, because
+//!   `seq` grows with every push.
 //!
 //! # Examples
 //!
@@ -63,7 +86,8 @@ use crate::trace::NetStats;
 use ladon_types::{TimeNs, WireSize};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Index of an actor within an engine.
 pub type ActorId = usize;
@@ -135,69 +159,169 @@ enum EventKind<M> {
     Timer { id: u64 },
 }
 
-/// What the heap orders: due time, then scheduling sequence. Field order
-/// is comparison order; `slot` only locates the payload.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    time: TimeNs,
-    seq: u64,
-    slot: u32,
-}
+/// When an event fires: due time, then scheduling sequence. `seq` is
+/// unique, so no two keys are equal.
+type Key = (TimeNs, u64);
 
-/// What a key points at.
+/// What happens when a key comes due.
 struct Pending<M> {
     to: ActorId,
     kind: EventKind<M>,
 }
 
+/// Streams that serve timers, one delay each at a time. A bound, not a
+/// setting: an actor that uses more distinct delays at once sends the
+/// extra ones to the fallback instead of growing the stream set.
+const TIMER_STREAMS: usize = 32;
+
+/// Pending events in FIFO streams merged by their heads (module docs).
+struct Queue<M> {
+    seq: u64,
+    /// `TIMER_STREAMS` streams of `(recipient, timer id)`.
+    timers: Vec<VecDeque<(Key, (ActorId, u64))>>,
+    /// The delay each timer stream serves; any, while it is empty.
+    delays: Vec<TimeNs>,
+    /// Deliveries: self-sends in stream 0, the others to `to` in `1 + to`.
+    deliveries: Vec<VecDeque<(Key, Pending<M>)>>,
+    /// The head key of every non-empty stream, timer stream `s` as `s`
+    /// and delivery stream `s` as `TIMER_STREAMS + s` (`Reverse`:
+    /// earliest on top).
+    heads: BinaryHeap<Reverse<(Key, usize)>>,
+    /// Events that would have broken their stream's order.
+    fallback: BTreeMap<Key, Pending<M>>,
+    /// Events ever sent to `fallback`.
+    fallbacks: u64,
+}
+
+/// Appends `item` to `fifo`, stream `s`, unless `key` is below its tail;
+/// hands `item` back then.
+fn append<T>(
+    heads: &mut BinaryHeap<Reverse<(Key, usize)>>,
+    fifo: &mut VecDeque<(Key, T)>,
+    s: usize,
+    key: Key,
+    item: T,
+) -> Result<(), T> {
+    match fifo.back() {
+        Some(&(tail, _)) if key < tail => return Err(item),
+        Some(_) => {}
+        None => heads.push(Reverse((key, s))),
+    }
+    fifo.push_back((key, item));
+    Ok(())
+}
+
+/// Takes `fifo`'s head, with the key of the entry behind it.
+fn take<T>(fifo: &mut VecDeque<(Key, T)>) -> ((Key, T), Option<Key>) {
+    let head = fifo.pop_front().expect("a stream in `heads` has a head");
+    (head, fifo.front().map(|&(key, _)| key))
+}
+
+impl<M> Queue<M> {
+    fn new() -> Self {
+        Self {
+            seq: 0,
+            timers: (0..TIMER_STREAMS).map(|_| VecDeque::new()).collect(),
+            delays: vec![TimeNs::ZERO; TIMER_STREAMS],
+            deliveries: Vec::new(),
+            heads: BinaryHeap::new(),
+            fallback: BTreeMap::new(),
+            fallbacks: 0,
+        }
+    }
+
+    /// The key of an event due at `time`, behind everything already
+    /// scheduled for that instant.
+    fn next_key(&mut self, time: TimeNs) -> Key {
+        self.seq += 1;
+        (time, self.seq)
+    }
+
+    /// Files an event that fits no stream.
+    fn file(&mut self, key: Key, pending: Pending<M>) {
+        self.fallbacks += 1;
+        self.fallback.insert(key, pending);
+    }
+
+    /// Queues a delivery at `time`.
+    fn deliver(&mut self, time: TimeNs, from: ActorId, to: ActorId, msg: M, bytes: u64) {
+        let s = if from == to { 0 } else { 1 + to };
+        if s >= self.deliveries.len() {
+            self.deliveries.resize_with(s + 1, VecDeque::new);
+        }
+        let key = self.next_key(time);
+        let kind = EventKind::Deliver { from, msg, bytes };
+        let (fifo, pending) = (&mut self.deliveries[s], Pending { to, kind });
+        if let Err(pending) = append(&mut self.heads, fifo, TIMER_STREAMS + s, key, pending) {
+            self.file(key, pending);
+        }
+    }
+
+    /// Queues timer `id` for `to` at `now + delay`.
+    fn timer(&mut self, now: TimeNs, delay: TimeNs, to: ActorId, id: u64) {
+        let key = self.next_key(now + delay);
+        let stream = self.timer_stream(delay);
+        let (heads, timers) = (&mut self.heads, &mut self.timers);
+        if stream.is_none_or(|s| append(heads, &mut timers[s], s, key, (to, id)).is_err()) {
+            let kind = EventKind::Timer { id };
+            self.file(key, Pending { to, kind });
+        }
+    }
+
+    /// The stream serving `delay`: the one keyed by it, else the first
+    /// empty one, re-keyed; `None` if every stream is busy with another
+    /// delay.
+    fn timer_stream(&mut self, delay: TimeNs) -> Option<usize> {
+        if let Some(s) = self.delays.iter().position(|&d| d == delay) {
+            return Some(s);
+        }
+        let s = self.timers.iter().position(VecDeque::is_empty)?;
+        self.delays[s] = delay;
+        Some(s)
+    }
+
+    /// Due time of the earliest event.
+    fn next_time(&self) -> Option<TimeNs> {
+        let head = self.heads.peek().map(|Reverse(((time, _), _))| *time);
+        let fallback = self.fallback.first_key_value().map(|((time, _), _)| *time);
+        head.into_iter().chain(fallback).min()
+    }
+
+    /// Removes the earliest event, if any, with its due time.
+    fn pop(&mut self) -> Option<(TimeNs, Pending<M>)> {
+        let head = self.heads.peek().map(|Reverse((key, _))| *key);
+        let first = self.fallback.first_key_value().map(|(key, _)| *key);
+        if first.is_some_and(|f| head.is_none_or(|h| f < h)) {
+            return self.fallback.pop_first().map(|((time, _), p)| (time, p));
+        }
+        let mut top = self.heads.peek_mut()?;
+        let s = top.0 .1;
+        let ((key, pending), next) = match s.checked_sub(TIMER_STREAMS) {
+            None => {
+                let ((key, (to, id)), next) = take(&mut self.timers[s]);
+                let kind = EventKind::Timer { id };
+                ((key, Pending { to, kind }), next)
+            }
+            Some(d) => take(&mut self.deliveries[d]),
+        };
+        match next {
+            Some(next) => top.0 .0 = next,
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some((key.0, pending))
+    }
+}
+
 struct EngineCore<M> {
     now: TimeNs,
-    seq: u64,
-    /// Earliest key first (`Reverse`: `BinaryHeap` is a max-heap).
-    queue: BinaryHeap<Reverse<Key>>,
-    /// Payloads of the queued keys; `None` cells are on `free`.
-    slab: Vec<Option<Pending<M>>>,
-    free: Vec<u32>,
+    queue: Queue<M>,
     net: Box<dyn Network>,
     rng: SimRng,
     stats: NetStats,
     crashed: Vec<bool>,
     events_processed: u64,
-}
-
-impl<M> EngineCore<M> {
-    /// Queues `kind` for `to` at `time`, behind everything already
-    /// scheduled for that instant.
-    fn schedule(&mut self, time: TimeNs, to: ActorId, kind: EventKind<M>) {
-        self.seq += 1;
-        let pending = Some(Pending { to, kind });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = pending;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("under 2^32 events in flight");
-                self.slab.push(pending);
-                slot
-            }
-        };
-        self.queue.push(Reverse(Key {
-            time,
-            seq: self.seq,
-            slot,
-        }));
-    }
-
-    /// Removes the earliest event, if any, with its due time.
-    fn pop(&mut self) -> Option<(TimeNs, Pending<M>)> {
-        let Reverse(key) = self.queue.pop()?;
-        let pending = self.slab[key.slot as usize]
-            .take()
-            .expect("a queued key points at a filled slot");
-        self.free.push(key.slot);
-        Some((key.time, pending))
-    }
 }
 
 struct SimCtx<'a, M> {
@@ -225,17 +349,15 @@ impl<M: WireSize + Clone> Context<M> for SimCtx<'_, M> {
         {
             Some(at) => {
                 debug_assert!(at >= core.now, "network produced a delivery in the past");
-                let from = self.self_id;
-                core.schedule(at, to, EventKind::Deliver { from, msg, bytes });
+                core.queue.deliver(at, self.self_id, to, msg, bytes);
             }
             None => core.stats.on_drop(self.self_id),
         }
     }
 
     fn set_timer(&mut self, delay: TimeNs, id: u64) {
-        let at = self.core.now + delay;
-        self.core
-            .schedule(at, self.self_id, EventKind::Timer { id });
+        let core = &mut *self.core;
+        core.queue.timer(core.now, delay, self.self_id, id);
     }
 
     fn crash(&mut self, actor: ActorId) {
@@ -263,10 +385,7 @@ impl<M: WireSize + Clone> Engine<M> {
         Self {
             core: EngineCore {
                 now: TimeNs::ZERO,
-                seq: 0,
-                queue: BinaryHeap::new(),
-                slab: Vec::new(),
-                free: Vec::new(),
+                queue: Queue::new(),
                 net: Box::new(net),
                 rng: SimRng::new(seed),
                 stats: NetStats::default(),
@@ -304,8 +423,12 @@ impl<M: WireSize + Clone> Engine<M> {
 
     /// Schedules a timer for `actor` at absolute time `at` from outside
     /// the run (e.g. fault injection before starting).
+    ///
+    /// An `at` already past fires at [`Engine::now`], after the events
+    /// already due then: the clock never runs backwards.
     pub fn schedule_timer(&mut self, actor: ActorId, at: TimeNs, id: u64) {
-        self.core.schedule(at, actor, EventKind::Timer { id });
+        let (now, queue) = (self.core.now, &mut self.core.queue);
+        queue.timer(now, at.saturating_sub(now), actor, id);
     }
 
     /// Marks an actor as crashed from outside the run.
@@ -364,7 +487,7 @@ impl<M: WireSize + Clone> Engine<M> {
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        let Some((time, Pending { to, kind })) = self.core.pop() else {
+        let Some((time, Pending { to, kind })) = self.core.queue.pop() else {
             return false;
         };
         debug_assert!(time >= self.core.now, "time went backwards");
@@ -395,13 +518,8 @@ impl<M: WireSize + Clone> Engine<M> {
     /// `run_until` calls partition time cleanly.
     pub fn run_until(&mut self, deadline: TimeNs) {
         self.start_if_needed();
-        loop {
-            match self.core.queue.peek() {
-                Some(Reverse(key)) if key.time < deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while self.core.queue.next_time().is_some_and(|t| t < deadline) {
+            self.step();
         }
         if self.core.now < deadline {
             self.core.now = deadline;
@@ -418,7 +536,9 @@ impl<M: WireSize + Clone> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::IdealNetwork;
+    use crate::net::{IdealNetwork, NicNetwork};
+    use crate::topology::Topology;
+    use ladon_types::NetEnv;
 
     #[derive(Clone)]
     struct Num(u64);
@@ -548,8 +668,152 @@ mod tests {
     }
 
     #[test]
-    fn heap_orders_small_keys() {
-        assert!(std::mem::size_of::<Key>() <= 24);
+    fn a_timer_scheduled_in_the_past_fires_now() {
+        let mut e = engine2(false);
+        e.schedule_timer(0, TimeNs::from_millis(10), 1);
+        assert!(e.step());
+        // One timer due now, then one already past: the past one fires
+        // at 10 ms too, behind the one due then.
+        e.schedule_timer(0, TimeNs::from_millis(10), 2);
+        e.schedule_timer(0, TimeNs::from_millis(5), 3);
+        e.run_until(TimeNs::from_secs(1));
+        let a: &Recorder = e.actor_as(0).unwrap();
+        let ten = TimeNs::from_millis(10);
+        assert_eq!(a.log, [1, 2, 3].map(|id| (ten, usize::MAX, id)));
+    }
+
+    #[test]
+    fn the_heap_holds_one_small_key_per_busy_stream() {
+        assert!(std::mem::size_of::<Reverse<(Key, usize)>>() <= 24);
+        let mut q: Queue<Num> = Queue::new();
+        for i in 0..1_000 {
+            q.timer(TimeNs::ZERO, TimeNs::from_secs(10), i % 4, i as u64);
+            q.deliver(TimeNs::from_micros(i as u64), 0, 1 + i % 3, Num(0), 8);
+        }
+        q.deliver(TimeNs::from_micros(5), 2, 2, Num(0), 8);
+        // One timer stream, three recipients, loopback.
+        assert_eq!(q.heads.len(), 5);
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 2_001);
+        assert!(q.heads.is_empty());
+        assert_eq!(q.fallbacks, 0);
+    }
+
+    /// The queue against the order it must reproduce, a heap of `(time,
+    /// seq)` keys, over seeded schedules: deliveries to three in-order
+    /// recipients, self-sends, a recipient whose times go backwards, and
+    /// timers at 40 delays (more than `TIMER_STREAMS`), all in whole
+    /// milliseconds so that streams tie; pops interleaved, then a drain.
+    #[test]
+    fn queue_pops_in_the_reference_heap_order() {
+        let ms = TimeNs::from_millis;
+        let (mut fallbacks, mut ties, mut table_full) = (0, 0, 0);
+        for seed in 0..64 {
+            let mut rng = SimRng::new(seed);
+            let mut q: Queue<Num> = Queue::new();
+            let mut reference: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+            let mut now = TimeNs::ZERO;
+            let mut rx_free = [TimeNs::ZERO; 4];
+            for step in 0..3_000u64 {
+                let draining = step >= 2_000;
+                if draining || rng.chance(0.4) {
+                    assert_eq!(
+                        q.next_time(),
+                        reference.peek().map(|Reverse((time, _))| *time)
+                    );
+                    let Some(Reverse((time, seq))) = reference.pop() else {
+                        assert!(q.pop().is_none());
+                        continue;
+                    };
+                    let (at, Pending { kind, .. }) =
+                        q.pop().expect("as many events as the reference");
+                    let id = match kind {
+                        EventKind::Deliver { msg, .. } => msg.0,
+                        EventKind::Timer { id } => id,
+                    };
+                    assert_eq!((at, id), (time, seq), "seed {seed}, step {step}");
+                    ties += u64::from(time == now);
+                    now = time;
+                    continue;
+                }
+                let seq = q.seq + 1;
+                let to = rng.next_below(4) as usize;
+                let time = match rng.next_below(4) {
+                    0 => {
+                        let delay = ms(rng.next_below(40));
+                        q.timer(now, delay, to, seq);
+                        now + delay
+                    }
+                    1 if to > 0 => {
+                        rx_free[to] = rx_free[to].max(now) + ms(rng.next_below(3));
+                        q.deliver(rx_free[to], 0, to, Num(seq), 8);
+                        rx_free[to]
+                    }
+                    2 => {
+                        q.deliver(now + ms(1), to, to, Num(seq), 8);
+                        now + ms(1)
+                    }
+                    _ => {
+                        let at = now + ms(rng.next_below(20));
+                        q.deliver(at, 1, 0, Num(seq), 8);
+                        at
+                    }
+                };
+                reference.push(Reverse((time, seq)));
+                table_full += u64::from(q.timers.iter().all(|t| !t.is_empty()));
+            }
+            assert!(q.heads.is_empty() && q.fallback.is_empty());
+            fallbacks += q.fallbacks;
+        }
+        assert!(fallbacks > 1_000 && ties > 1_000, "{fallbacks} {ties}");
+        assert!(table_full > 1_000, "{table_full}");
+    }
+
+    /// Sends every actor, itself included, a message of a random size on
+    /// each tick, and keeps two slower timers armed.
+    struct Gossip;
+    const GOSSIP_TIMERS: [TimeNs; 3] = [
+        TimeNs::from_millis(20),
+        TimeNs::from_millis(70),
+        TimeNs::from_secs(10),
+    ];
+    impl Actor<Num> for Gossip {
+        fn on_start(&mut self, ctx: &mut dyn Context<Num>) {
+            for (id, delay) in GOSSIP_TIMERS.into_iter().enumerate() {
+                ctx.set_timer(delay, id as u64);
+            }
+        }
+        fn on_message(&mut self, _from: ActorId, _msg: Num, _ctx: &mut dyn Context<Num>) {}
+        fn on_timer(&mut self, id: u64, ctx: &mut dyn Context<Num>) {
+            ctx.set_timer(GOSSIP_TIMERS[id as usize], id);
+            if id == 0 {
+                for to in 0..16 {
+                    let bytes = 100 + ctx.rng().next_below(20_000);
+                    ctx.send_sized(to, Num(0), bytes);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The stream gate: under the WAN NIC model every delivery and timer
+    /// arrives in its stream's order, so nothing takes the fallback. A
+    /// network-model change that breaks per-receiver order fails here
+    /// instead of only slowing the engine down.
+    #[test]
+    fn nic_deliveries_and_timers_never_take_the_fallback() {
+        let net = NicNetwork::new(Topology::paper(NetEnv::Wan, 16));
+        let mut e = Engine::new(net, 7);
+        for _ in 0..16 {
+            e.add_actor(Box::new(Gossip));
+        }
+        e.run_until(TimeNs::from_secs(3));
+        assert!(e.events_processed() > 30_000, "{}", e.events_processed());
+        assert_eq!(e.core.queue.fallbacks, 0);
     }
 
     /// Logs every timer and delivery; a timer id of 100 or more also
@@ -574,33 +838,35 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_order_survives_slot_reuse() {
+    fn same_instant_order_survives_storage_reuse() {
         let latency = TimeNs::from_millis(1);
         let mut e = Engine::new(IdealNetwork { latency }, 7);
         e.add_actor(Box::new(Log(Vec::new())));
-        // Three timers fill slots 0, 1, 2 and fire, freeing them in that
-        // order — so the free list hands them back as 2, 1, 0.
+        // Three 1 ms timers fill one stream and fire, leaving its ring
+        // buffer empty with its head three cells in.
         for id in 1..=3 {
             e.schedule_timer(0, TimeNs::from_millis(1), id);
         }
         e.run_until(TimeNs::from_millis(2));
-        assert_eq!(e.core.free, vec![0, 1, 2]);
-        // Same instant, scheduled 100, 200, 300: seq ascends while the
-        // slots descend. A fourth timer is due when their sends arrive.
+        let stream = e.core.queue.timer_stream(TimeNs::from_millis(1)).unwrap();
+        let capacity = e.core.queue.timers[stream].capacity();
+        // Same instant and delay, scheduled 100, 200, 300: they reuse
+        // those cells and wrap around the buffer's end. A fourth timer is
+        // due when their sends arrive.
         for id in [100, 200, 300] {
-            e.schedule_timer(0, TimeNs::from_millis(5), id);
+            e.schedule_timer(0, TimeNs::from_millis(3), id);
         }
-        e.schedule_timer(0, TimeNs::from_millis(6), 4);
-        let slots: Vec<u32> = e.core.queue.iter().map(|k| k.0.slot).collect();
-        assert!(slots.contains(&0) && slots.contains(&3), "{slots:?}");
+        e.schedule_timer(0, TimeNs::from_millis(4), 4);
+        let fifo = &e.core.queue.timers[stream];
+        assert_eq!(fifo.capacity(), capacity);
+        assert!(!fifo.as_slices().1.is_empty(), "the stream wraps");
         e.run_until(TimeNs::from_secs(1));
-        // Schedule order at 5 ms; at 6 ms the timer (scheduled before the
+        // Schedule order at 3 ms; at 4 ms the timer (scheduled before the
         // sends existed) and then the deliveries in send order.
         let log: &Log = e.actor_as(0).unwrap();
         assert_eq!(log.0, [1, 2, 3, 100, 200, 300, 4, 1100, 1200, 1300]);
-        // Nothing pending: every slot is back on the free list.
-        assert_eq!(e.core.free.len(), e.core.slab.len());
-        assert!(e.core.slab.iter().all(Option::is_none));
+        assert!(e.core.queue.heads.is_empty());
+        assert_eq!(e.core.queue.fallbacks, 0);
     }
 
     #[test]
@@ -617,13 +883,9 @@ mod tests {
         ctx.multicast(&[2, 1], Num(9));
         ctx.multicast(&[], Num(1));
         assert_eq!(e.stats().msgs_sent[0], 2);
-        let order: Vec<ActorId> = {
-            let mut keys: Vec<Key> = e.core.queue.iter().map(|k| k.0).collect();
-            keys.sort();
-            keys.iter()
-                .map(|k| e.core.slab[k.slot as usize].as_ref().unwrap().to)
-                .collect()
-        };
+        let order: Vec<ActorId> = std::iter::from_fn(|| e.core.queue.pop())
+            .map(|(_, pending)| pending.to)
+            .collect();
         assert_eq!(order, [2, 1]);
     }
 

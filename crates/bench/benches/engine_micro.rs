@@ -261,8 +261,8 @@ fn bench_pbft_round() {
 
 /// The `state.kv` ledger rows in isolation, at the paper's block size:
 /// executing one 4096-tx block the way a replica does (WAL record, op
-/// derivation, plan and apply), applying 4096 pre-derived ops (plan +
-/// table writes, no hashing), folding the keys they dirtied, and reading
+/// derivation and apply), applying 4096 pre-derived ops (table writes,
+/// no hashing), folding the keys they dirtied, and reading
 /// the root of a folded state.
 fn bench_state() {
     let mut pipe = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);

@@ -183,7 +183,6 @@ impl MultiBftNode {
     pub fn new(cfg: NodeConfig) -> Self {
         let exec = ExecutionPipeline::in_memory_opts(
             cfg.sys.exec_keyspace,
-            cfg.sys.exec_lanes,
             ladon_state::WalOptions::from(&cfg.sys),
         );
         Self::with_execution(cfg, exec)
@@ -459,8 +458,7 @@ impl MultiBftNode {
         // pipeline keeps of it. A drain that staged something submits
         // ONE durability barrier (one write and one fsync, however many
         // blocks the drain held), and the records that barrier
-        // acknowledges apply as ONE batch-wide dependency DAG, so ops
-        // from independent blocks overlap in the same waves —
+        // acknowledges apply as ONE batch, in block order —
         // WAL-before-apply, preserved at batch granularity. Staged
         // records stay unacknowledged until their barrier completes: a
         // crash loses exactly them, never an acknowledged block.
@@ -512,7 +510,7 @@ impl MultiBftNode {
     /// `wal_flush_failures` on a failed barrier) **before** the resolved
     /// range is stamped `Flushed` + `Applied` — a failed barrier must
     /// alarm before any range is treated as durable. Both stamps carry
-    /// the same timestamp (the flush and the DAG apply complete in the
+    /// the same timestamp (the flush and the apply complete in the
     /// same call; the wall-clock split lives in
     /// [`ladon_state::PipelinePerf`]), while the sim-time
     /// `staged → flushed` latency — how long a block waited on its

@@ -6,7 +6,7 @@
 //! confirmed → WAL-staged → flushed → applied → checkpointed) using
 //! `ctx.now()` — the sim clock in simulation, the monotonic wall clock
 //! in `LiveRuntime` (both surface as `TimeNs`). Stage-latency
-//! breakdowns — e.g. fsync-barrier wait (`staged→flushed`) vs. DAG
+//! breakdowns — e.g. fsync-barrier wait (`staged→flushed`) vs.
 //! execution time (`flushed→applied`) — are then queryable from the
 //! journal alone.
 //!
@@ -35,7 +35,7 @@ pub enum Stage {
     WalStaged = 3,
     /// WAL flush barrier completed; record durable.
     Flushed = 4,
-    /// Transactions applied to the state machine (DAG execution done).
+    /// Transactions applied to the state machine.
     Applied = 5,
     /// Covered by a checkpoint (Merkle root published).
     Checkpointed = 6,

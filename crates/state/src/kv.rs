@@ -63,38 +63,12 @@
 //!
 //! [`KvState::apply_batch`] applies a batch's ops **in block order on
 //! the calling thread** — full read-your-writes semantics — in a
-//! **single pass**: each key is hashed once, the hash names the lane for
-//! the wave plan below and the slot for the probe, and a
-//! read-modify-write reuses its probe. A `Put` or `Get` is one probe, a
-//! `Transfer` two. [`KvState::apply`] is the batch of one through the
-//! same code. At a few tens of nanoseconds an op is too small for any
-//! cross-thread hand-off to pay for itself.
-//!
-//! # Wave plan (the batch's dependency structure)
-//!
-//! In the same pass, every batch is *described* by a deterministic
-//! dependency DAG. Each op's lane access set is statically known: a `Put`/`Get`
-//! touches its key's lane, a `Transfer` touches the debit lane and
-//! (when different) the credit lane. Op B *depends on* op A iff A
-//! precedes B in block order and their lane sets intersect. One linear
-//! pass partitions the batch into **topological waves**: an op's wave is
-//! one past the deepest wave among the ops it depends on (per-lane tails
-//! carry that maximum). Within a wave no two ops share a lane, so a
-//! wave's ops commute. Conflict-free batches collapse to one wave; a
-//! fully serial transfer chain degrades to one wave per op.
-//!
-//! The plan is a pure function of the ops' static access sets and
-//! nothing executes by it: its counters in [`BatchOutcome`] (`waves`,
-//! `max_wave_ops`, `cross_lane_edges`) report how much lane-level
-//! parallelism a batch *has*. It keeps one plain `u64` per lane — one
-//! past the wave of the latest op that touched the lane, and, when the
-//! lane was that op's credit lane, which lane the op debited — so
-//! placing an op is the larger of two shifted words and a few compares,
-//! with no `Option` to test. On the paper's 4096-tx blocks the plan is
-//! ~214 waves of ~21 ops — under half a microsecond of table work per
-//! wave (the `engine_micro` `kv_apply_4096_ops` row over 214), far less
-//! than one cross-thread barrier round costs, which is why block order
-//! on one thread is the executor.
+//! **single pass**: each key is hashed once, the hash names the lane and
+//! the slot where the probe starts, and a read-modify-write reuses its
+//! probe. A `Put` or `Get` is one probe, a `Transfer` two.
+//! [`KvState::apply`] is the batch of one through the same code. At a
+//! few tens of nanoseconds an op is too small for any cross-thread
+//! hand-off to pay for itself.
 
 use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};
@@ -158,27 +132,6 @@ impl ExecEffects {
         self.transfers += other.transfers;
         self.empty_transfers += other.empty_transfers;
     }
-}
-
-/// What [`KvState::apply_batch`] did: summed effects and the wave-plan
-/// counters describing the batch's dependency DAG — a pure function of
-/// the ops' static lane access sets (pinned by this module's
-/// `wave_plan_shapes` and `batch_apply_is_apply_in_order_…` tests).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Summed operation effects.
-    pub effects: ExecEffects,
-    /// Topological waves the batch's dependency DAG partitioned into
-    /// (0 for an empty batch; 1 when no two ops share a lane).
-    pub waves: u32,
-    /// Ops in the fullest wave — the batch's peak lane-level
-    /// parallelism.
-    pub max_wave_ops: u32,
-    /// Immediate dependency edges whose shared lane is a *secondary*
-    /// (cross-lane credit) lane of either endpoint — the dependencies
-    /// the old per-lane two-phase scheme could not order within a block,
-    /// and exactly what the DAG buys read-your-writes semantics for.
-    pub cross_lane_edges: u64,
 }
 
 /// SHA-256 leaf hash of one live entry.
@@ -380,82 +333,6 @@ fn invert_all(values: &mut [Acc]) {
         let own = mul_mod(&inv, &before);
         inv = mul_mod(&inv, v);
         *v = own;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Wave plan: the deterministic dependency DAG over lane access sets
-// (see the module docs).
-// ---------------------------------------------------------------------
-
-/// Bits of a lane tail below its wave: the `via` field.
-const TAIL_WAVE_SHIFT: u32 = 8;
-const _: () = assert!(MERKLE_LANES < 1 << TAIL_WAVE_SHIFT);
-
-/// A batch's wave plan, built one op at a time while the batch applies:
-/// each op's topological wave is one past the deepest wave among the
-/// preceding ops whose lane sets intersect its own. Purely a function
-/// of the ops' static access sets — never of state.
-///
-/// A lane's tail is one word describing the latest op that touched it:
-/// `(wave + 1) << TAIL_WAVE_SHIFT | via`, 0 while untouched. `via` is 0
-/// when the lane was that op's primary lane and `primary lane + 1` when
-/// it was its secondary (credit) lane. The word's high part is one past
-/// the tail's wave, so an op's wave is the larger of its lanes' words
-/// shifted down. No op index is kept: the ops touching a lane have
-/// strictly increasing waves, so a secondary tail via `b` is the very op
-/// at lane `b`'s tail exactly when the two waves are equal.
-struct WavePlan<'a> {
-    tails: [u64; MERKLE_LANES as usize],
-    /// Ops per wave so far (the state's scratch, capacity retained).
-    wave_ops: &'a mut Vec<u32>,
-    max_wave_ops: u32,
-    cross_lane_edges: u64,
-}
-
-impl<'a> WavePlan<'a> {
-    fn new(wave_ops: &'a mut Vec<u32>) -> Self {
-        wave_ops.clear();
-        Self {
-            tails: [0; MERKLE_LANES as usize],
-            wave_ops,
-            max_wave_ops: 0,
-            cross_lane_edges: 0,
-        }
-    }
-
-    /// Places the next op, given its static lane access set: its primary
-    /// lane `a` (the key's / debit lane) plus, for a cross-lane
-    /// transfer, the distinct credit lane `b`.
-    #[inline]
-    fn place(&mut self, a: usize, b: Option<usize>) {
-        let ta = self.tails[a];
-        // Immediate dependency edges (per-lane transitive reduction). An
-        // edge is *cross-lane* when its shared lane is a secondary
-        // (credit) lane of either endpoint: a same-primary-lane edge
-        // would be ordered by per-lane sequencing alone. When `a`'s tail
-        // is the credit side of the op at `b`'s tail, that one op is one
-        // edge, not two.
-        let via = ta & ((1 << TAIL_WAVE_SHIFT) - 1);
-        let mut wave = ta >> TAIL_WAVE_SHIFT;
-        let mut edges = (via != 0) as u64;
-        if let Some(b) = b {
-            let tb = self.tails[b];
-            let same_op = via == b as u64 + 1 && ta >> TAIL_WAVE_SHIFT == tb >> TAIL_WAVE_SHIFT;
-            edges += (tb != 0) as u64 - same_op as u64;
-            wave = wave.max(tb >> TAIL_WAVE_SHIFT);
-            self.tails[b] = (wave + 1) << TAIL_WAVE_SHIFT | (a as u64 + 1);
-        }
-        self.tails[a] = (wave + 1) << TAIL_WAVE_SHIFT;
-        self.cross_lane_edges += edges;
-        // A wave is at most one past the deepest so far.
-        let wave = wave as usize;
-        if wave == self.wave_ops.len() {
-            self.wave_ops.push(0);
-        }
-        let ops = &mut self.wave_ops[wave];
-        *ops += 1;
-        self.max_wave_ops = self.max_wave_ops.max(*ops);
     }
 }
 
@@ -716,9 +593,6 @@ impl Lane {
 #[derive(Clone, Debug)]
 pub struct KvState {
     lanes: Vec<Lane>,
-    /// Reusable wave-population scratch for [`Self::apply_batch`]'s plan
-    /// (cleared between batches, capacity retained).
-    wave_scratch: Vec<u32>,
 }
 
 impl Default for KvState {
@@ -765,10 +639,7 @@ impl KvState {
     pub fn from_lanes<'a>(runs: impl IntoIterator<Item = &'a [(u32, u64)]>) -> Self {
         let mut lanes: Vec<Lane> = runs.into_iter().map(Lane::from_run).collect();
         lanes.resize_with(MERKLE_LANES as usize, || Lane::with_slots(MIN_SLOTS));
-        Self {
-            lanes,
-            wave_scratch: Vec::new(),
-        }
+        Self { lanes }
     }
 
     /// Number of live (nonzero) entries.
@@ -808,40 +679,34 @@ impl KvState {
     /// Applies one operation with sequential (read-your-writes)
     /// semantics, returning what it did: [`Self::apply_batch`] of one.
     pub fn apply(&mut self, op: &TxOp) -> ExecEffects {
-        self.apply_batch(std::iter::once(op)).effects
+        self.apply_batch(std::iter::once(op))
     }
 
     /// Applies a batch of ops in block order on the calling thread, with
-    /// sequential (read-your-writes) semantics, and in the same pass
-    /// plans the batch's dependency DAG for the outcome's wave counters
-    /// (see the module docs; nothing executes by the plan). Each key is
-    /// hashed once: the hash names the lane for the plan and the slot
-    /// for the probe, and a read-modify-write reuses its probe. Ops come
-    /// by reference or by value, so a caller can stream derived ops
-    /// without collecting them first.
+    /// sequential (read-your-writes) semantics, and returns their summed
+    /// effects. Each key is hashed once: the hash names the lane and the
+    /// slot the probe starts at, and a read-modify-write reuses its
+    /// probe. Ops come by reference or by value, so a caller can stream
+    /// derived ops without collecting them first.
     pub fn apply_batch<O: Borrow<TxOp>>(
         &mut self,
         ops: impl IntoIterator<Item = O>,
-    ) -> BatchOutcome {
-        let mut plan = WavePlan::new(&mut self.wave_scratch);
+    ) -> ExecEffects {
         let mut effects = ExecEffects::default();
         for op in ops {
             match *op.borrow() {
                 TxOp::Put { key, value } => {
                     let (hash, lane) = locate(key);
-                    plan.place(lane, None);
                     self.lanes[lane].update(hash, key, |_| value);
                     effects.puts += 1;
                 }
                 TxOp::Get { key } => {
                     let (hash, lane) = locate(key);
-                    plan.place(lane, None);
                     let _ = self.lanes[lane].get(hash, key);
                     effects.gets += 1;
                 }
                 TxOp::Transfer { from, to, amount } => {
                     let ((debit, a), (credit, b)) = (locate(from), locate(to));
-                    plan.place(a, (b != a).then_some(b));
                     // An absent source reads 0, so a nonzero `moved`
                     // means `i` is `from`'s slot.
                     let i = self.lanes[a].probe(debit, from).0;
@@ -857,12 +722,7 @@ impl KvState {
                 }
             }
         }
-        BatchOutcome {
-            effects,
-            waves: plan.wave_ops.len() as u32,
-            max_wave_ops: plan.max_wave_ops,
-            cross_lane_edges: plan.cross_lane_edges,
-        }
+        effects
     }
 
     /// Folds every lane's pending writes into its accumulator (the fold
@@ -1319,14 +1179,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_is_apply_in_order_with_pinned_plan_counters() {
+    fn batch_apply_is_apply_in_order() {
         // `apply_batch` is folding `apply` over the ops — entries, roots
-        // and effects — and the plan counters of these two fixed batches
-        // are the ones every earlier revision of the planner printed.
-        for (n, keyspace, plan) in [
-            (4096u64, 512u32, (213u32, 36u32, 2125u64)),
-            (2048, 96, (185, 27, 1057)),
-        ] {
+        // and effects.
+        for (n, keyspace) in [(4096u64, 512u32), (2048, 96)] {
             let ops: Vec<TxOp> = (0..n).map(|i| TxOp::for_id(TxId(i), keyspace)).collect();
             let mut reference = KvState::new();
             let mut ref_fx = ExecEffects::default();
@@ -1334,17 +1190,12 @@ mod tests {
                 ref_fx.absorb(reference.apply(op));
             }
             let mut s = KvState::new();
-            let out = s.apply_batch(&ops);
-            assert_eq!(out.effects, ref_fx);
-            assert_eq!(out.effects.total(), n);
+            let fx = s.apply_batch(&ops);
+            assert_eq!(fx, ref_fx);
+            assert_eq!(fx.total(), n);
             assert!(s.entries().eq(reference.entries()));
             assert_eq!(s.lane_roots(), reference.lane_roots());
             assert_eq!(s.root(), reference.root());
-            assert_eq!(
-                (out.waves, out.max_wave_ops, out.cross_lane_edges),
-                plan,
-                "n={n}"
-            );
         }
     }
 
@@ -1476,7 +1327,7 @@ mod tests {
     fn same_block_cross_lane_credit_is_readable() {
         // Read-your-writes across lanes: a → b → c in ONE batch, where b
         // starts empty — the b → c transfer must see the same-block
-        // credit, and the plan puts it in a later wave.
+        // credit.
         let a = 0u32;
         let b = (1..DEFAULT_KEYSPACE)
             .find(|&k| lane_of(k) != lane_of(a))
@@ -1498,188 +1349,11 @@ mod tests {
             },
         ];
         let mut s = KvState::new();
-        let out = s.apply_batch(ops);
+        let fx = s.apply_batch(ops);
         assert_eq!(s.get(a), 4);
         assert_eq!(s.get(b), 0);
         assert_eq!(s.get(c), 6, "credit must be readable");
-        assert_eq!(out.effects.transfers, 2);
-        // Three ops in a strict chain: three waves. The put→debit edge
-        // shares lane(a) as both ops' primary lane (same-lane); the
-        // debit→credit edge shares lane(b), the first transfer's
-        // *credit* lane — the one cross-lane edge.
-        assert_eq!(out.waves, 3);
-        assert_eq!(out.max_wave_ops, 1);
-        assert_eq!(out.cross_lane_edges, 1);
-    }
-
-    #[test]
-    fn wave_plan_shapes() {
-        // Conflict-free: puts to keys in distinct lanes collapse to one
-        // wave with zero cross-lane edges.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut free = Vec::new();
-        for k in 0..DEFAULT_KEYSPACE {
-            if seen.insert(lane_of(k)) {
-                free.push(TxOp::Put { key: k, value: 1 });
-                if free.len() == 32 {
-                    break;
-                }
-            }
-        }
-        assert_eq!(free.len(), 32);
-        let mut s = KvState::new();
-        let out = s.apply_batch(&free);
-        assert_eq!(out.waves, 1);
-        assert_eq!(out.max_wave_ops, 32);
-        assert_eq!(out.cross_lane_edges, 0);
-
-        // Serial chain: each transfer reads the previous one's credit,
-        // so the DAG degrades to one wave per op.
-        let keys: Vec<u32> = (0..DEFAULT_KEYSPACE).take(17).collect();
-        let mut chain = vec![TxOp::Put {
-            key: keys[0],
-            value: 1000,
-        }];
-        for w in keys.windows(2) {
-            chain.push(TxOp::Transfer {
-                from: w[0],
-                to: w[1],
-                amount: 10,
-            });
-        }
-        let mut s = KvState::new();
-        let out = s.apply_batch(&chain);
-        assert_eq!(out.waves, chain.len() as u32, "a chain is fully serial");
-        assert_eq!(out.max_wave_ops, 1);
-    }
-
-    /// An op's static lane access set: its primary lane and, for a
-    /// cross-lane transfer, the distinct credit lane.
-    fn lanes_of(op: &TxOp) -> (usize, Option<usize>) {
-        match *op {
-            TxOp::Put { key, .. } | TxOp::Get { key } => (lane_of(key), None),
-            TxOp::Transfer { from, to, .. } => {
-                let (a, b) = (lane_of(from), lane_of(to));
-                (a, (b != a).then_some(b))
-            }
-        }
-    }
-
-    /// The planner before lane tails became words, kept as the
-    /// reference: per lane an `Option` of the latest op's `(wave, op
-    /// index, secondary)`. Returns `(waves, max_wave_ops,
-    /// cross_lane_edges)`.
-    fn reference_plan(ops: &[TxOp]) -> (u32, u32, u64) {
-        let mut tails: [Option<(u32, u32, bool)>; MERKLE_LANES as usize] =
-            [None; MERKLE_LANES as usize];
-        let mut wave_ops: Vec<u32> = Vec::new();
-        let mut edges = 0u64;
-        for (i, op) in ops.iter().enumerate() {
-            let (a, b) = lanes_of(op);
-            let ta = tails[a];
-            let tb = b.and_then(|l| tails[l]);
-            let wave = [ta, tb].iter().flatten().map(|t| t.0 + 1).max();
-            let wave = wave.unwrap_or(0);
-            match (ta, tb) {
-                (Some(x), Some(y)) if x.1 == y.1 => edges += 1,
-                (xa, yb) => edges += xa.is_some_and(|x| x.2) as u64 + yb.is_some() as u64,
-            }
-            if wave as usize == wave_ops.len() {
-                wave_ops.push(0);
-            }
-            wave_ops[wave as usize] += 1;
-            tails[a] = Some((wave, i as u32, false));
-            if let Some(b) = b {
-                tails[b] = Some((wave, i as u32, true));
-            }
-        }
-        let max = wave_ops.iter().copied().max().unwrap_or(0);
-        (wave_ops.len() as u32, max, edges)
-    }
-
-    fn plan_of(out: &BatchOutcome) -> (u32, u32, u64) {
-        (out.waves, out.max_wave_ops, out.cross_lane_edges)
-    }
-
-    #[test]
-    fn packed_plan_matches_the_reference_planner() {
-        // Nine keys over three lanes, so every op meets a recent tail:
-        // same-lane and self transfers, a transfer back across the
-        // lanes the previous transfer touched (both tails one op), and
-        // a credit lane whose debit lane moved on since (a secondary
-        // tail that is no longer the other lane's).
-        let lanes: Vec<usize> = (0..MERKLE_LANES as usize).step_by(21).take(3).collect();
-        let keys: Vec<u32> = lanes
-            .iter()
-            .flat_map(|&l| (0u32..).filter(move |&k| lane_of(k) == l).take(3))
-            .collect();
-        let (a, b, c) = (keys[0], keys[3], keys[6]);
-        let t = |from, to| TxOp::Transfer {
-            from,
-            to,
-            amount: 1,
-        };
-        let crafted = [
-            vec![],
-            vec![t(a, b), t(b, a)],
-            vec![t(a, b), t(a, b), t(a, a), t(a, keys[1])],
-            vec![t(b, a), TxOp::Put { key: b, value: 1 }, t(a, b)],
-            vec![t(b, a), t(b, c), t(a, b), t(c, a), TxOp::Get { key: a }],
-        ];
-        let mut seed = 0x0dd_ba11_u64;
-        let mut draw = |n: u64| splitmix64(&mut seed) % n;
-        let mut batches = crafted.to_vec();
-        for _ in 0..400 {
-            let len = draw(96);
-            let batch = (0..len)
-                .map(|_| {
-                    let key = keys[draw(9) as usize];
-                    match draw(4) {
-                        0 => TxOp::Put { key, value: 1 },
-                        1 => TxOp::Get { key },
-                        _ => t(key, keys[draw(9) as usize]),
-                    }
-                })
-                .collect();
-            batches.push(batch);
-        }
-        for keyspace in [64u32, 512, DEFAULT_KEYSPACE] {
-            batches.push((0..4096).map(|i| TxOp::for_id(TxId(i), keyspace)).collect());
-        }
-        let mut s = KvState::new();
-        for ops in &batches {
-            assert_eq!(plan_of(&s.apply_batch(ops)), reference_plan(ops), "{ops:?}");
-        }
-        // The credit lane's tail is the first transfer's, the debit
-        // lane's the put's: two edges, not the one a same-op pair is.
-        assert_eq!(plan_of(&s.apply_batch(&crafted[3])), (3, 1, 2));
-        assert_eq!(plan_of(&s.apply_batch(&[] as &[TxOp])), (0, 0, 0));
-
-        // A multi-record drain plans as one batch: the pipeline's
-        // counters equal the reference over the records' ops, in order,
-        // empty blocks included.
-        let mut pipe = crate::ExecutionPipeline::in_memory(512);
-        let blocks: Vec<(u64, ladon_types::Block)> = [37u32, 0, 512, 1, 200, 0, 96]
-            .iter()
-            .enumerate()
-            .map(|(sn, &count)| {
-                let sn = sn as u64;
-                (sn, ladon_types::Block::synthetic(sn, sn * 1_000, count))
-            })
-            .collect();
-        pipe.execute_batch(&blocks);
-        let ops: Vec<TxOp> = blocks
-            .iter()
-            .flat_map(|(_, b)| b.batch.txs(512).map(|tx| tx.op))
-            .collect();
-        let sched = pipe.sched_stats();
-        let (waves, max_wave_ops, edges) = reference_plan(&ops);
-        assert_eq!(sched.batches, 1);
-        assert_eq!(sched.scheduled_ops, ops.len() as u64);
-        assert_eq!(
-            (sched.waves, sched.max_wave_ops, sched.cross_lane_edges),
-            (waves as u64, max_wave_ops, edges)
-        );
+        assert_eq!(fx.transfers, 2);
     }
 
     #[test]
@@ -1693,12 +1367,12 @@ mod tests {
         let mut s = KvState::new();
         s.apply(&TxOp::Put { key: a, value: 10 });
         let before = s.lane_roots();
-        let out = s.apply_batch([TxOp::Transfer {
+        let fx = s.apply_batch([TxOp::Transfer {
             from: a,
             to: b,
             amount: 4,
         }]);
-        assert_eq!(out.effects.transfers, 1);
+        assert_eq!(fx.transfers, 1);
         assert_eq!(s.get(b), 4);
         let changed: Vec<usize> = (0..MERKLE_LANES as usize)
             .filter(|&l| before[l] != s.lane_roots()[l])

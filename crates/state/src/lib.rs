@@ -47,12 +47,12 @@ pub mod snapshot;
 pub mod wal;
 
 pub use faults::{FaultBackend, FaultPlan};
-pub use kv::{lane_of, BatchOutcome, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
+pub use kv::{lane_of, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
     ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,
 };
 pub use snapshot::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{
     decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta, WalBackend,
-    WalIoStats, WalLoadStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,
+    WalIoStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,
 };

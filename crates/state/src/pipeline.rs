@@ -11,8 +11,7 @@
 //! WAL-before-apply, so a crash between the two replays the block on
 //! recovery instead of losing it. Ops apply in block order on the
 //! calling thread (see [`crate::kv`]); everything one barrier
-//! acknowledges is one batch, described by one batch-wide wave plan
-//! whose counters [`ExecSchedStats`] accumulates. At every epoch
+//! acknowledges is one batch. At every epoch
 //! checkpoint it folds the lanes' pending writes into their accumulators, captures a
 //! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
 //! manifest root — covering the execution position, frontier, and the
@@ -39,11 +38,9 @@
 //! crash-recovery example and the WAL-replay property test assert
 //! exactly this.
 
-use crate::kv::{BatchOutcome, ExecEffects, KvState};
+use crate::kv::{ExecEffects, KvState};
 use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
-use crate::wal::{
-    CommitWal, FileBackend, WalBackend, WalIoStats, WalLoadStats, WalOptions, WalRecord,
-};
+use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, WalRecord};
 use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest};
 use std::path::Path;
@@ -72,10 +69,10 @@ pub enum ExecOutcome {
 }
 
 /// What the last recovery (rebuild from snapshot + WAL) touched:
-/// segment-level skip accounting from the storage layer plus
-/// record-level replay accounting from the pipeline. The partial-replay
-/// contract in numbers — `records_replayed` tracks the dirty tail, never
-/// the total log length.
+/// segment- and record-level load accounting, filled by
+/// [`CommitWal::open_with_floor`], plus the two replay counts the
+/// pipeline adds. The partial-replay contract in numbers —
+/// `records_replayed` tracks the dirty tail, never the total log length.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Segments read and decoded on open.
@@ -108,40 +105,19 @@ pub struct ReplayStats {
     pub replayed_txs: u64,
 }
 
-impl ReplayStats {
-    fn from_load(load: WalLoadStats) -> Self {
-        Self {
-            segments_scanned: load.segments_scanned,
-            segments_skipped: load.segments_skipped,
-            records_below_floor: load.records_below_floor,
-            records_torn: load.records_torn,
-            records_unacked_lost: load.records_unacked_lost,
-            segments_clean_end: load.segments_clean_end,
-            manifest_recovered: load.manifest_recovered,
-            ..Self::default()
-        }
-    }
-}
-
-/// Cumulative wave-plan accounting across every batch the pipeline
-/// executed (live drains and recovery replay alike) — the dependency
-/// structure of the executed batches. All counts are deterministic: the
-/// plan is a pure function of the ops' static lane access sets.
+/// What [`ExecutionPipeline::sched_stats`] returns, in the shape frozen
+/// `benchmark/` reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
-    /// Batches planned (one per completed flush barrier, one per
-    /// replayed record during recovery).
+    /// Batches applied: one per completed flush barrier, one per
+    /// replayed record during recovery.
     pub batches: u64,
-    /// Topological waves planned, summed over batches.
+    /// Always 0: nothing plans waves. Kept for source compatibility
+    /// with frozen `benchmark/`.
     pub waves: u64,
-    /// Ops planned, summed over batches (`scheduled_ops / waves` is the
-    /// mean lane-level parallelism per wave).
+    /// Ops applied — the same number as
+    /// [`PipelineStats::locally_executed_txs`].
     pub scheduled_ops: u64,
-    /// Cross-lane dependency edges observed (see
-    /// [`crate::kv::BatchOutcome::cross_lane_edges`]).
-    pub cross_lane_edges: u64,
-    /// Ops in the fullest single wave seen.
-    pub max_wave_ops: u32,
 }
 
 /// Barrier accounting of the execution pipeline, cumulative: the
@@ -208,16 +184,6 @@ impl SnapshotInto for PipelinePerf {
     }
 }
 
-impl SnapshotInto for ExecSchedStats {
-    fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
-        registry.counter("exec.batches", self.batches);
-        registry.counter("exec.waves", self.waves);
-        registry.counter("exec.scheduled_ops", self.scheduled_ops);
-        registry.counter("exec.cross_lane_edges", self.cross_lane_edges);
-        registry.gauge("exec.max_wave_ops", self.max_wave_ops as f64);
-    }
-}
-
 impl SnapshotInto for ReplayStats {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("replay.segments_scanned", self.segments_scanned);
@@ -241,8 +207,8 @@ impl SnapshotInto for ReplayStats {
 pub struct PipelineStats {
     /// WAL backend I/O counters.
     pub io: WalIoStats,
-    /// Wave-plan accounting.
-    pub sched: ExecSchedStats,
+    /// Batches applied (see [`ExecSchedStats::batches`]).
+    pub batches: u64,
     /// What the last recovery replayed (zeros for a fresh pipeline).
     pub replay: ReplayStats,
     /// Barrier accounting, including the `wal_flush_failures` alarm.
@@ -262,7 +228,7 @@ pub struct PipelineStats {
 impl SnapshotInto for PipelineStats {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         self.io.snapshot_into(registry);
-        self.sched.snapshot_into(registry);
+        registry.counter("exec.batches", self.batches);
         self.replay.snapshot_into(registry);
         self.perf.snapshot_into(registry);
         registry.counter("wal.write_failures", self.wal_write_failures);
@@ -299,8 +265,8 @@ pub struct ExecutionPipeline {
     effects: ExecEffects,
     /// Accounts in the derived-op key space.
     keyspace: u32,
-    /// Cumulative wave-plan accounting.
-    sched: ExecSchedStats,
+    /// Batches applied (live barriers and replayed records).
+    batches: u64,
     /// What the last rebuild replayed (all zeros for fresh pipelines).
     recovery: ReplayStats,
     /// Wall-clock split of the flush barrier (see [`PipelinePerf`]).
@@ -322,9 +288,8 @@ impl ExecutionPipeline {
         Self::in_memory(keyspace)
     }
 
-    /// In-memory pipeline with an explicit WAL segment layout;
-    /// `exec_lanes` has no effect (see the module docs).
-    pub fn in_memory_opts(keyspace: u32, _exec_lanes: u32, wal_opts: WalOptions) -> Self {
+    /// In-memory pipeline with an explicit WAL segment layout.
+    pub fn in_memory_opts(keyspace: u32, wal_opts: WalOptions) -> Self {
         Self::fresh(CommitWal::in_memory_with(wal_opts), keyspace)
     }
 
@@ -338,7 +303,7 @@ impl ExecutionPipeline {
             local_txs: 0,
             effects: ExecEffects::default(),
             keyspace,
-            sched: ExecSchedStats::default(),
+            batches: 0,
             recovery: ReplayStats::default(),
             perf: PipelinePerf::default(),
             submitted_at: std::time::Instant::now(),
@@ -402,7 +367,7 @@ impl ExecutionPipeline {
             keyspace,
         );
         p.store = store;
-        let mut stats = ReplayStats::from_load(p.wal.load_stats());
+        let mut stats = p.wal.load_stats().clone();
         if let Some(snap) = snap {
             p.restore(&snap);
         }
@@ -619,11 +584,15 @@ impl ExecutionPipeline {
         debug_assert_eq!(records[0].sn, first, "acknowledged records apply densely");
         let keyspace = self.keyspace;
         let t0 = std::time::Instant::now();
-        let out = self
+        let fx = self
             .kv
             .apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
         self.applied = last.sn + 1;
-        self.absorb_outcome(&out);
+        // An op is a transaction.
+        self.effects.absorb(fx);
+        self.executed_txs += fx.total();
+        self.local_txs += fx.total();
+        self.batches += 1;
         self.perf.wall_exec_ns += t0.elapsed().as_nanos() as u64;
         first..self.applied
     }
@@ -644,19 +613,6 @@ impl ExecutionPipeline {
     /// over applied, in-flight and staged blocks.
     pub fn next_sn(&self) -> u64 {
         self.applied + (self.wal.inflight_len() + self.wal.staged_len()) as u64
-    }
-
-    /// Folds a batch outcome into the cumulative effect, transaction and
-    /// wave-plan accounting (an op is a transaction).
-    fn absorb_outcome(&mut self, out: &BatchOutcome) {
-        self.effects.absorb(out.effects);
-        self.executed_txs += out.effects.total();
-        self.local_txs += out.effects.total();
-        self.sched.batches += 1;
-        self.sched.waves += out.waves as u64;
-        self.sched.scheduled_ops += out.effects.total();
-        self.sched.cross_lane_edges += out.cross_lane_edges;
-        self.sched.max_wave_ops = self.sched.max_wave_ops.max(out.max_wave_ops);
     }
 
     /// Epoch checkpoint: captures a snapshot of the current state, compacts
@@ -789,7 +745,7 @@ impl ExecutionPipeline {
     pub fn stats(&self) -> PipelineStats {
         PipelineStats {
             io: self.wal.io_stats(),
-            sched: self.sched,
+            batches: self.batches,
             replay: self.recovery.clone(),
             perf: self.perf.clone(),
             wal_write_failures: self.wal.write_failures(),
@@ -804,10 +760,13 @@ impl ExecutionPipeline {
         &self.recovery
     }
 
-    /// Cumulative wave-plan accounting across every executed batch
-    /// (waves, ops, cross-lane dependency edges) — deterministic.
+    /// Batches and ops applied so far (see [`ExecSchedStats`]).
     pub fn sched_stats(&self) -> ExecSchedStats {
-        self.sched
+        ExecSchedStats {
+            batches: self.batches,
+            waves: 0,
+            scheduled_ops: self.local_txs,
+        }
     }
 
     /// Failed durable writes (WAL appends/compactions that did not reach
@@ -889,9 +848,9 @@ mod tests {
 
     #[test]
     fn checkpoint_artifacts_are_pinned() {
-        // The wave-plan counters and the state root are the ones every
-        // executor generation produced for this drain (state never
-        // moved). The manifest root and the encoded bytes are format
+        // The state root is the one every executor generation produced
+        // for this drain (state never moved), applied as one batch. The
+        // manifest root and the encoded bytes are format
         // generation 8's: manifest domain v4 (no descriptive covered-sn
         // vector under the signed root), entries stored lane by lane.
         let mut p = ExecutionPipeline::in_memory(512);
@@ -903,10 +862,8 @@ mod tests {
             p.sched_stats(),
             ExecSchedStats {
                 batches: 1,
-                waves: 126,
+                waves: 0,
                 scheduled_ops: 2400,
-                cross_lane_edges: 1264,
-                max_wave_ops: 36,
             }
         );
         let manifest = p.checkpoint(1, vec![]);
@@ -1029,11 +986,9 @@ mod tests {
         assert_eq!(batched.executed_txs(), per_block.executed_txs());
         assert_eq!(batched.state_root(), per_block.state_root());
         assert_eq!(batched.lane_roots(), per_block.lane_roots());
-        // One drain plans as one batch-wide DAG, in which independent
-        // blocks share waves.
+        // One drain applies as one batch.
         let (b, pb) = (batched.sched_stats(), per_block.sched_stats());
         assert_eq!((b.batches, pb.batches), (3, 20));
-        assert!(b.waves <= pb.waves, "{b:?} vs {pb:?}");
         // And the batched WAL recovers to the identical state.
         let recovered = restart(&batched, &disk);
         assert_eq!(recovered.state_root(), per_block.state_root());
@@ -1082,7 +1037,7 @@ mod tests {
         assert_eq!(p.applied(), 2, "staged blocks must not apply");
         assert_eq!(p.state_root(), root_before);
         assert_eq!(p.wal_len(), 2, "staged records must not be acknowledged");
-        // The flush applies everything as one batch-wide DAG.
+        // The flush applies everything as one batch.
         p.flush_staged();
         assert_eq!(p.applied(), 5);
         assert_eq!(p.staged_records(), 0);
@@ -1164,7 +1119,7 @@ mod tests {
         entered.recv().expect("B's barrier reaches the gate");
         assert_eq!(p.applied(), 2, "A executed while B's barrier is parked");
         assert_eq!(p.inflight_records(), 2, "B still in flight");
-        assert!(p.sched_stats().waves > 0);
+        assert_eq!(p.sched_stats().batches, 1);
         release.send(()).unwrap();
         assert_eq!(p.flush_staged(), 2..4, "the drain resolves B");
         assert_eq!(p.applied(), 4);
@@ -1234,15 +1189,15 @@ mod tests {
         let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         let s0 = p.sched_stats();
         assert_eq!(s0, ExecSchedStats::default());
-        // One accumulated two-drain flush = ONE batch-wide DAG.
+        // One accumulated two-drain flush = ONE batch.
         p.stage_blocks(&[(0, block(0, 0, 50))]);
         p.stage_blocks(&[(1, block(1, 50, 50))]);
         p.flush_staged();
         let s1 = p.sched_stats();
-        assert_eq!(s1.batches, 1, "one flush = one scheduled batch");
+        assert_eq!(s1.batches, 1, "one flush = one batch");
         assert_eq!(s1.scheduled_ops, 100);
-        assert!(s1.waves >= 1);
-        assert!(s1.max_wave_ops >= 1);
+        assert_eq!(s1.scheduled_ops, p.stats().locally_executed_txs);
+        assert_eq!(s1.waves, 0);
     }
 
     #[test]

@@ -103,6 +103,7 @@
 //! | 32 tx (shipped) | 3 / 6 — a tie | 114.2 · 115.9 |
 //! | 4096 tx (the paper's) | 6 / 6 | 3 684 · 4 341 (+18 %) |
 
+use crate::pipeline::ReplayStats;
 use ladon_crypto::fnv::Fnv64;
 use ladon_types::{Batch, Block, Digest, SystemConfig, TxId, TxOp};
 use std::collections::BTreeMap;
@@ -909,47 +910,6 @@ impl WalBackend for FileBackend {
 // The WAL manager
 // ---------------------------------------------------------------------
 
-/// What [`CommitWal::open_with_floor`] did: segment- and record-level
-/// accounting of the load, the raw material for recovery reporting
-/// ([`crate::pipeline::ReplayStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalLoadStats {
-    /// Segments read and decoded.
-    pub segments_scanned: u64,
-    /// Segments skipped without reading: their `last_sn` sat below the
-    /// snapshot-covered floor.
-    pub segments_skipped: u64,
-    /// Distinct records loaded into the mirror.
-    pub records_loaded: u64,
-    /// Records discarded because they sat below the floor (a straddling
-    /// segment keeps covered records on disk until compaction).
-    pub records_below_floor: u64,
-    /// Records lost from a segment whose stream **tore mid-batch** (did
-    /// not end at a batch trailer), measured against the manifest's
-    /// last-published count (a lower bound of what was durably
-    /// appended).
-    pub records_torn: u64,
-    /// Manifest-counted records missing from a segment whose stream ends
-    /// **cleanly at a batch trailer**: every acknowledged batch is fully
-    /// present, so the shortfall is a suffix that was absorbed into the
-    /// metadata but never durably appended as part of an acknowledged
-    /// batch (e.g. a failed write that already raised the durability
-    /// alarm) — never-acknowledged records, no longer miscounted as
-    /// torn.
-    pub records_unacked_lost: u64,
-    /// Scanned segments whose stream ended exactly at a batch trailer —
-    /// a clean end of log (normal shutdown, or a crash strictly between
-    /// batch flushes).
-    pub segments_clean_end: u64,
-    /// True when a manifest file existed but failed to decode (bit rot,
-    /// a read error, another format generation), and the log was rebuilt
-    /// by scanning every segment on disk. Data is preserved
-    /// (nothing is swept as an orphan before the rebuilt log is
-    /// published), but the skip-unread optimization is unavailable for
-    /// this open and the event deserves operator attention.
-    pub manifest_recovered: bool,
-}
-
 /// The writer back half of the commit log: owns the storage backend,
 /// the live segment set (manifest mirror), segment rolls, and manifest
 /// publication. In pipelined mode the whole struct shuttles to a
@@ -1032,7 +992,7 @@ pub struct CommitWal {
     /// Records currently in the log (ascending, dense `sn`).
     records: Vec<WalRecord>,
     /// Accounting of the open-time load.
-    load_stats: WalLoadStats,
+    load_stats: ReplayStats,
     /// Records staged for the next flush barrier: unacknowledged — they
     /// join the mirror only when their batch's barrier *completes*.
     stage: FlushJob,
@@ -1066,7 +1026,7 @@ impl CommitWal {
     /// delete them.
     pub fn open_with_floor(backend: Box<dyn WalBackend>, mut opts: WalOptions, floor: u64) -> Self {
         opts.segment_records = opts.segment_records.max(1);
-        let mut stats = WalLoadStats::default();
+        let mut stats = ReplayStats::default();
         let mut back = WalBack {
             backend,
             opts,
@@ -1185,7 +1145,6 @@ impl CommitWal {
             }
             records.push(rec);
         }
-        stats.records_loaded = records.len() as u64;
 
         // After a scan recovery, rewrite the whole mirror as one sealed
         // segment through the shared rotation and leave a decodable
@@ -1243,9 +1202,10 @@ impl CommitWal {
         Self::open(Box::new(MemBackend::default()), opts)
     }
 
-    /// Accounting of the open-time load (segment skips, torn tails).
-    pub fn load_stats(&self) -> WalLoadStats {
-        self.load_stats
+    /// Accounting of the open-time load (segment skips, torn tails):
+    /// the storage half of [`ReplayStats`], its replay counts 0.
+    pub fn load_stats(&self) -> &ReplayStats {
+        &self.load_stats
     }
 
     /// The live segment set (manifest mirror). Only callable at rest —
@@ -2114,11 +2074,7 @@ pub(crate) mod tests {
             "sealed segments below the floor must be skipped unread: {stats:?}"
         );
         assert_eq!(wal.records().first().map(|r| r.sn), Some(24));
-        assert_eq!(wal.len(), 8);
-        assert_eq!(
-            stats.records_loaded, 8,
-            "only the tail is mirrored: {stats:?}"
-        );
+        assert_eq!(wal.len(), 8, "only the tail is mirrored");
     }
 
     #[test]

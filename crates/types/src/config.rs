@@ -243,11 +243,27 @@ impl SystemConfig {
         if self.epoch_length == 0 {
             return Err(LadonError::Config("epoch_length must be > 0".into()));
         }
-        if self.total_block_rate <= 0.0 || self.total_block_rate.is_nan() {
+        // An infinite (or huge) rate rounds the proposal interval to 0.
+        if self.total_block_rate <= 0.0
+            || self.total_block_rate.is_nan()
+            || self.proposal_interval() == TimeNs::ZERO
+        {
             return Err(LadonError::Config(format!(
-                "total_block_rate = {} must be positive",
+                "total_block_rate = {} must be positive and leave a nonzero proposal interval",
                 self.total_block_rate
             )));
+        }
+        if self.batch_size == 0 {
+            return Err(LadonError::Config("batch_size must be > 0".into()));
+        }
+        // A zero timer re-arms at its own instant: the run livelocks.
+        if self.view_change_timeout == TimeNs::ZERO {
+            return Err(LadonError::Config("view_change_timeout must be > 0".into()));
+        }
+        if self.quiet_leader_timeout == TimeNs::ZERO {
+            return Err(LadonError::Config(
+                "quiet_leader_timeout must be > 0".into(),
+            ));
         }
         if self.opt_keys == 0 {
             return Err(LadonError::Config("opt_keys must be > 0".into()));
@@ -361,21 +377,43 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        let mut c = SystemConfig::paper_default(16, NetEnv::Wan);
-        c.n = 3;
-        assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::paper_default(16, NetEnv::Wan);
-        c.m = 17;
-        assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::paper_default(16, NetEnv::Wan);
-        c.epoch_length = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::paper_default(16, NetEnv::Wan);
-        c.total_block_rate = 0.0;
-        assert!(c.validate().is_err());
+        // A zero timer re-arms at its own instant and livelocks the run;
+        // a zero batch confirms blocks but no transactions; an infinite
+        // or huge rate rounds the proposal interval to 0.
+        type Break = fn(&mut SystemConfig);
+        let base = SystemConfig::paper_default(16, NetEnv::Wan);
+        let cases: [(&str, Break); 11] = [
+            ("n", |c| c.n = 3),
+            ("m", |c| c.m = 17),
+            ("epoch_length", |c| c.epoch_length = 0),
+            ("total_block_rate", |c| c.total_block_rate = 0.0),
+            ("total_block_rate", |c| c.total_block_rate = -1.0),
+            ("total_block_rate", |c| c.total_block_rate = f64::NAN),
+            ("total_block_rate", |c| c.total_block_rate = f64::INFINITY),
+            ("total_block_rate", |c| c.total_block_rate = 1e11),
+            ("batch_size", |c| c.batch_size = 0),
+            ("view_change_timeout", |c| {
+                c.view_change_timeout = TimeNs::ZERO
+            }),
+            ("quiet_leader_timeout", |c| {
+                c.quiet_leader_timeout = TimeNs::ZERO
+            }),
+        ];
+        for (field, break_it) in cases {
+            let mut c = base.clone();
+            break_it(&mut c);
+            let err = c.validate().expect_err(field).to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        // The smallest legal values pass: a 1 ns timer, a one-tx batch,
+        // and a rate whose proposal interval is 1 ns.
+        let mut c = base;
+        c.view_change_timeout = TimeNs(1);
+        c.quiet_leader_timeout = TimeNs(1);
+        c.batch_size = 1;
+        c.total_block_rate = 1.6e10;
+        assert_eq!(c.proposal_interval(), TimeNs(1));
+        c.validate().unwrap();
     }
 
     #[test]

@@ -79,16 +79,6 @@ pub struct Report {
     /// Fraction of those checkpoints where *every* reporting replica's
     /// root was identical (1.0 = perfect cross-replica state agreement).
     pub state_root_agreement: f64,
-    /// Topological waves the reference replica's dependency-DAG
-    /// executor ran (deterministic; worker-count invariant).
-    pub exec_waves: u64,
-    /// Cross-lane dependency edges the reference replica's scheduler
-    /// ordered — the read-your-writes dependencies the old two-phase
-    /// credit pass deferred.
-    pub exec_cross_lane_edges: u64,
-    /// Mean ops per wave at the reference replica (`executed_txs /
-    /// exec_waves`) — the executor's mean exploitable parallelism.
-    pub mean_ops_per_wave: f64,
     /// Signature verifications actually performed over the window
     /// (plain + aggregate; filled by the runner from
     /// [`ladon_crypto::CryptoCounters`]).
@@ -98,8 +88,8 @@ pub struct Report {
     pub net_dropped: Vec<u64>,
     /// Per-block lifecycle stage latencies at the reference replica:
     /// one summary per adjacent stage transition (`staged_to_flushed` is
-    /// the fsync-barrier wait, `flushed_to_applied` the DAG
-    /// execution stage). Sim-time derived, so deterministic.
+    /// the fsync-barrier wait, `flushed_to_applied` the execution
+    /// stage). Sim-time derived, so deterministic.
     pub stage_latencies: Vec<StageLatency>,
     /// Flush barriers whose durable step failed, summed across replicas
     /// — the alarm PR 7 un-swallowed: `flush_staged`/`submit_staged`
@@ -303,7 +293,6 @@ pub fn aggregate(data: &RunData) -> Report {
     }
     let metrics = registry.snapshot();
     let executed_txs = reference.exec.locally_executed_txs;
-    let exec_waves = reference.exec.sched.waves;
 
     // Timeline: per-sample ktps at the reference replica (Fig. 8).
     let mut timeline = Vec::new();
@@ -349,13 +338,6 @@ pub fn aggregate(data: &RunData) -> Report {
         },
         executed_txs,
         executed_ktps: executed_txs as f64 / data.window_end.as_secs_f64().max(1e-9) / 1e3,
-        exec_waves,
-        exec_cross_lane_edges: reference.exec.sched.cross_lane_edges,
-        mean_ops_per_wave: if exec_waves > 0 {
-            executed_txs as f64 / exec_waves as f64
-        } else {
-            0.0
-        },
         state_checkpoints,
         state_root_agreement,
         sig_verifies: 0,         // filled by the runner from CryptoCounters
@@ -569,25 +551,6 @@ mod tests {
         let rep = aggregate(&run_data(empty_nodes(4)));
         assert_eq!(rep.metrics.counter("node.degraded_entries"), 0);
         assert_eq!(rep.metrics.counter("sync.responders_quarantined"), 0);
-    }
-
-    #[test]
-    fn exec_scheduler_counters_surface_from_reference() {
-        let mut nodes = empty_nodes(4);
-        nodes[0].exec.locally_executed_txs = 900;
-        nodes[0].exec.sched.waves = 30;
-        nodes[0].exec.sched.cross_lane_edges = 17;
-        nodes[2].exec.sched.waves = 99; // non-reference replicas do not leak in
-        let rep = aggregate(&run_data(nodes));
-        assert_eq!(rep.exec_waves, 30);
-        assert_eq!(rep.exec_cross_lane_edges, 17);
-        assert!((rep.mean_ops_per_wave - 30.0).abs() < 1e-9);
-        // The registry sums across replicas; the Report fields are the
-        // reference replica's view.
-        assert_eq!(rep.metrics.counter("exec.waves"), 129);
-        // No waves executed → no division blow-up.
-        let rep = aggregate(&run_data(empty_nodes(4)));
-        assert_eq!(rep.mean_ops_per_wave, 0.0);
     }
 
     #[test]

@@ -373,7 +373,7 @@ mod tests {
     /// event. The digest covers every deterministic counter, so a change
     /// that adds, renames or moves one re-pins it (print
     /// `report.metrics.deterministic_json()` before and after, and check
-    /// the diff is only the counter you meant). Re-pinned five times
+    /// the diff is only the counter you meant). Re-pinned six times
     /// since: the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
     /// `wal.bytes_written` and `wal.segment_opens`; the mask-free record
     /// (8 B shorter) moved `wal.bytes_written` again and the replay
@@ -384,8 +384,9 @@ mod tests {
     /// (always 0) went with the chunk stash it counted; accepting a
     /// HotStuff vote set under its verified `justify` and dropping moot
     /// votes unverified moved `LadonHotStuff`'s `crypto.{hashes,
-    /// verifies}` (4 710 → 3 430, 961 → 321), that run alone — nothing
-    /// else any time.
+    /// verifies}` (4 710 → 3 430, 961 → 321), that run alone; the wave
+    /// plan's `exec.{waves, scheduled_ops, cross_lane_edges,
+    /// max_wave_ops}` keys went with the plan — nothing else any time.
     ///
     /// Two more rows pin a Ladon-PBFT run over 16-rank epochs, so its
     /// window crosses checkpoints and compactions (the 64-rank rows
@@ -408,31 +409,31 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "58943a1c9f2873f4ceef2248aa567fd3f3a17e95cc91f9d14c0a672f083072df",
+                "67db73843369b4508468ae53384440cd0707e729419e9b74549b4ca47509f899",
             ),
             (
                 short(ProtocolKind::LadonHotStuff),
                 258_007,
                 83,
-                "8ed54e2c02b1e2441e7d8dae44ed4eb59443538a871f5dfd6b36c4b2ad554ba1",
+                "336904f11a62dc653b91349e99d5acf573fd7ceb3dd700541e358703c74812fe",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
-                "48c879544aee1dbf0c5d464192e65982329b56ba4449dc31148abad982541c1b",
+                "1ce94c2ced447754ae97db076f403fce2619e90c24934cddb29749074a5cb640",
             ),
             (
                 checkpointing.clone(),
                 327_657,
                 155,
-                "6e15459a75ffa66cce8b0acc9334926d58fa6ccf6817de6e0e4c92a73a373a14",
+                "b75eb123ff7dcd318c8cf10a0e39e57da2e8a0367edd7ab711d5b63fbd9168e9",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "07028f1fade2fa25857e8363d340abfcf49730892fbe6dcae5cef50d2be97dc4",
+                "3527129e6210105413eb60bbb1d8d5ee304ba30815204a4a98ab795c44ea55e1",
             ),
         ];
         let reports: Vec<_> = pins
@@ -463,6 +464,20 @@ mod tests {
             2 * fsyncs <= 3 * barriers,
             "{fsyncs} fsyncs, {barriers} barriers"
         );
+    }
+
+    /// A zero view timeout re-arms at its own instant and the run never
+    /// ends; validation refuses it before a cluster is built.
+    #[test]
+    fn zero_view_timeout_fails_validation() {
+        let cfg = ExperimentConfig::new(ProtocolKind::LadonPbft, 4, NetEnv::Lan);
+        assert!(cfg
+            .clone()
+            .with_view_timeout(0.0)
+            .system()
+            .validate()
+            .is_err());
+        cfg.system().validate().unwrap();
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn main() {
         ExecutionPipeline::recover_opts(
             run_dir.join(format!("replica-{r}")),
             sys.exec_keyspace,
-            sys.exec_lanes,
+            1,
             WalOptions::from(sys),
         )
         .expect("open file-backed pipeline")

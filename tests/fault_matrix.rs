@@ -43,7 +43,7 @@ fn add_faulted_replica(c: &mut Deployment, dir: &std::path::Path, plan: &FaultPl
         dir,
         Box::new(backend),
         c.sys.exec_keyspace,
-        c.sys.exec_lanes,
+        1,
         WalOptions::from(&c.sys),
     )
     .unwrap();
@@ -59,13 +59,9 @@ fn assert_disk_coherent(c: &mut Deployment, dir: &std::path::Path, tag: &str) {
     n3.exec.flush_staged();
     let applied = n3.exec.applied();
     let root = n3.exec.state_root();
-    let recovered = ExecutionPipeline::recover_opts(
-        dir,
-        c.sys.exec_keyspace,
-        c.sys.exec_lanes,
-        WalOptions::from(&c.sys),
-    )
-    .unwrap();
+    let recovered =
+        ExecutionPipeline::recover_opts(dir, c.sys.exec_keyspace, 1, WalOptions::from(&c.sys))
+            .unwrap();
     assert_eq!(
         recovered.applied(),
         applied,
@@ -308,13 +304,9 @@ fn crash_while_degraded_loses_only_unacknowledged_records() {
     // artifacts with healthy storage: it holds at most the durable
     // prefix — the staged backlog vanished with the process, and that is
     // legal precisely because it was never acknowledged.
-    let recovered = ExecutionPipeline::recover_opts(
-        &dir,
-        c.sys.exec_keyspace,
-        c.sys.exec_lanes,
-        WalOptions::from(&c.sys),
-    )
-    .unwrap();
+    let recovered =
+        ExecutionPipeline::recover_opts(&dir, c.sys.exec_keyspace, 1, WalOptions::from(&c.sys))
+            .unwrap();
     assert!(
         recovered.applied() <= pre_applied,
         "recovery must not conjure records the live replica never applied"

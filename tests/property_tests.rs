@@ -327,12 +327,9 @@ proptest! {
     /// transfer/cross-lane workloads (derived ops over a random keyspace,
     /// plus a crafted chain where an op must read a same-block cross-lane
     /// credit), the entries, ALL 64 lane roots, the state root and the
-    /// effects are identical. The wave plan beside it is a function of
-    /// the ops' access sets alone: the same batch on a different starting
-    /// state plans the same counters, and they respect the plan's
-    /// structural bounds (the kv unit tests pin them for fixed batches).
+    /// effects are identical.
     #[test]
-    fn dag_executor_matches_sequential_reference(
+    fn batch_apply_matches_sequential_reference(
         ids in proptest::collection::vec(any::<u64>(), 1..1400),
         keyspace in 8u32..256,
         seeds in proptest::collection::vec((any::<u32>(), 1u64..10_000), 0..12),
@@ -366,25 +363,13 @@ proptest! {
         }
 
         let mut s = KvState::new();
-        let out = s.apply_batch(&ops);
-        prop_assert_eq!(out.effects, ref_fx);
+        prop_assert_eq!(s.apply_batch(&ops), ref_fx);
         prop_assert_eq!(
             s.lane_roots(), reference.lane_roots(),
             "all 64 lane roots must match the sequential reference"
         );
         prop_assert_eq!(s.root(), reference.root());
         prop_assert!(s.entries().eq(reference.entries()));
-
-        let shape = (out.waves, out.max_wave_ops, out.cross_lane_edges);
-        let again = s.apply_batch(&ops);
-        prop_assert_eq!(
-            (again.waves, again.max_wave_ops, again.cross_lane_edges), shape,
-            "the plan must not depend on the state the batch applies to"
-        );
-        let n = ops.len() as u64;
-        prop_assert!(out.waves >= 1 && out.waves as u64 <= n);
-        prop_assert!(out.max_wave_ops >= 1 && out.max_wave_ops <= MERKLE_LANES);
-        prop_assert!(out.waves as u64 * out.max_wave_ops as u64 >= n);
     }
 
     /// The lazily folded accumulator is history independent: arbitrary
@@ -436,7 +421,7 @@ proptest! {
     /// every batch the table and the model agree on entries, length and
     /// every touched key; the root is the root of the state rebuilt
     /// from the model; `apply_batch` equals folding `apply` (a twin that
-    /// never folds) and plans the same counters on either; and a
+    /// never folds) and applied to a copy of the twin ends equal; and a
     /// snapshot captured from the table rebuilds an equal state with
     /// equal lane roots.
     #[test]
@@ -512,10 +497,10 @@ proptest! {
             for op in batch {
                 twin_fx.absorb(twin.apply(op));
             }
-            let out = kv.apply_batch(batch);
-            prop_assert_eq!(out.effects, model_fx);
+            let fx = kv.apply_batch(batch);
+            prop_assert_eq!(fx, model_fx);
             prop_assert_eq!(twin_fx, model_fx);
-            prop_assert_eq!(&replay.apply_batch(batch), &out, "the plan is no function of the table");
+            prop_assert_eq!(replay.apply_batch(batch), fx);
             if fold_here {
                 kv.fold();
             }

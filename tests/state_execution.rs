@@ -38,10 +38,7 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
         ("wal.fsyncs", s.io.fsyncs),
         ("wal.segment_opens", s.io.segment_opens),
         ("wal.bytes_written", s.io.bytes_written),
-        ("exec.batches", s.sched.batches),
-        ("exec.waves", s.sched.waves),
-        ("exec.scheduled_ops", s.sched.scheduled_ops),
-        ("exec.cross_lane_edges", s.sched.cross_lane_edges),
+        ("exec.batches", s.batches),
         ("replay.segments_scanned", s.replay.segments_scanned),
         ("replay.segments_skipped", s.replay.segments_skipped),
         ("replay.records_below_floor", s.replay.records_below_floor),
@@ -65,7 +62,7 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
     ] {
         assert_eq!(reg.counter_value(name), want, "replica {r}: {name}");
     }
-    assert!(s.io.fsyncs > 0 && s.sched.waves > 0 && s.perf.flush_barriers > 0);
+    assert!(s.io.fsyncs > 0 && s.batches > 0 && s.perf.flush_barriers > 0);
     for (name, h) in [
         ("pipeline.wall_barrier_wait_ns", &s.perf.barrier_wait),
         ("pipeline.wall_barrier_overlap_ns", &s.perf.barrier_overlap),
@@ -384,7 +381,7 @@ fn old_generation_pipeline(tag: &str, sys: &SystemConfig) -> ExecutionPipeline {
 fn disk_loss_recovers_via_peer_snapshot_install() {
     disk_loss_scenario(|sys| {
         // Fresh node, empty pipeline: nothing survived the crash.
-        ExecutionPipeline::in_memory_opts(sys.exec_keyspace, sys.exec_lanes, WalOptions::from(sys))
+        ExecutionPipeline::in_memory_opts(sys.exec_keyspace, WalOptions::from(sys))
     });
     disk_loss_scenario(|sys| old_generation_pipeline("old-generation", sys));
     let _ = std::fs::remove_dir_all(scratch_dir("old-generation", 0));

@@ -1,5 +1,6 @@
 //! Microbenchmarks of the hot paths: SHA-256, simulated signatures,
-//! aggregate verification, the global ordering algorithm, raw engine
+//! aggregate verification, a cert-cache hit, a block's lifecycle trace,
+//! the global ordering algorithm, raw engine
 //! event throughput (bare, with a deep queue of real envelopes, and with
 //! the timer-heavy queue a WAN run keeps), one PBFT round at n = 16 and
 //! KV state execution. Plain timing loops (see `ladon_bench::microbench`);
@@ -9,8 +10,10 @@ use ladon_bench::microbench;
 use ladon_core::{ClientTxs, GlobalOrderer, LadonOrderer, NodeMsg};
 use ladon_crypto::sha256::backend_name;
 use ladon_crypto::{
-    sha256, sha256_parts, sha256_portable, AggregateSignature, KeyRegistry, QuorumCert, Signature,
+    sha256, sha256_parts, sha256_portable, AggregateSignature, CertCache, KeyRegistry, QuorumCert,
+    Signature,
 };
+use ladon_obs::{Stage, TraceJournal};
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork, NicNetwork, Topology};
@@ -20,6 +23,7 @@ use ladon_types::{
     TxOp, View, WireSize,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_crypto() {
     let data = vec![0xa5u8; 1024];
@@ -88,6 +92,41 @@ fn bench_crypto() {
     )
     .unwrap();
     microbench("agg_verify_q11", 10_000, || black_box(&qc).verify(&reg, 11));
+
+    // The same certificate met again, as a replica meets its peers'
+    // `curRank` certificate on every instance: through the allocation the
+    // cache holds, and through an equal one.
+    let certs = CertCache::new(reg.clone(), 11);
+    let qc = Arc::new(qc);
+    assert!(certs.verified(&qc));
+    microbench("cert_cache_hit_q11 (same Arc)", 200_000, || {
+        certs.verified(black_box(&qc))
+    });
+    let equal = Arc::new((*qc).clone());
+    microbench("cert_cache_hit_q11 (equal)", 200_000, || {
+        certs.verified(black_box(&equal))
+    });
+}
+
+/// One block's lifecycle through a node's trace journal: six stages as
+/// it is confirmed, staged, flushed and applied, and the seventh when a
+/// checkpoint sweeps the last 64 blocks.
+fn bench_trace() {
+    let mut journal = TraceJournal::new();
+    let mut sn = 0u64;
+    microbench("trace_record_lifecycle", 200_000, || {
+        let lane = (sn % 16) as u32;
+        for (k, &stage) in Stage::ALL[..6].iter().enumerate() {
+            journal.record(sn, lane, stage, TimeNs(sn * 1_000 + k as u64));
+        }
+        sn += 1;
+        if sn.is_multiple_of(64) {
+            for swept in sn - 64..sn {
+                journal.record(swept, 0, Stage::Checkpointed, TimeNs(sn * 1_000));
+            }
+        }
+        journal.recorded()
+    });
 }
 
 fn bench_ordering() {
@@ -299,6 +338,7 @@ fn bench_state() {
 fn main() {
     println!("engine_micro: hot-path microbenchmarks\n");
     bench_crypto();
+    bench_trace();
     bench_ordering();
     bench_engine();
     bench_event_queue();

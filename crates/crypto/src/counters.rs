@@ -46,8 +46,8 @@ thread_local! {
 
 /// Records one verified-certificate cache hit: a `QuorumCert`/`RankCert`
 /// whose full verification was skipped because the identical certificate
-/// (matched by content digest) already verified on this replica
-/// ([`crate::CertCache`]). Not an
+/// (the one stored under its combined tag, equal in every field) already
+/// verified on this replica ([`crate::CertCache`]). Not an
 /// [`OpKind`] — a hit is work *avoided*, so it contributes nothing to
 /// the CPU proxy; the counter exists to make the dedupe observable.
 #[inline]

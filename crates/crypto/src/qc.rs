@@ -23,17 +23,22 @@
 //! and every instance it hosts verifies certificates through it. The
 //! contract:
 //!
-//! - **Content-keyed.** The key is [`QuorumCert::cache_key`], a SHA-256
-//!   over every certified field *and* the signature material, so a forged
-//!   twin differing in one byte never hits.
+//! - **Stored and compared.** The cache keeps the `Arc<QuorumCert>` it
+//!   verified, indexed by the aggregate's combined tag, and hits only
+//!   when that stored certificate equals the one presented in every field
+//!   and in the signature material: a forged twin differing in one byte
+//!   never hits, even one that keeps the genuine tag and so lands on the
+//!   genuine entry. The certificate a message carries is usually the very
+//!   allocation the cache holds, and then the comparison is one pointer
+//!   test; a lookup computes no SHA-256.
 //! - **Only successes are stored**; a failed verification is paid again
 //!   on every arrival.
 //! - **Bound to its verifier.** A cache is built for one
 //!   `(registry, quorum)` pair and verifies with nothing else, so a hit
 //!   can only stand in for the check that would have run.
-//! - **Bounded.** [`CERT_CACHE_MAX`] keys, dropped wholesale when full;
-//!   cleared when the replica enters a new epoch (old-epoch certificates
-//!   do not legitimately re-arrive).
+//! - **Bounded.** [`CERT_CACHE_MAX`] certificates, dropped wholesale
+//!   when full; cleared when the replica enters a new epoch (old-epoch
+//!   certificates do not legitimately re-arrive).
 //! - **Per replica.** Clones of a cache share one store — that is how a
 //!   node hands it to its instances — and a store is never shared between
 //!   replicas: what one replica verified proves nothing to another.
@@ -43,7 +48,7 @@ use crate::keys::{KeyRegistry, Signer};
 use crate::sig::Signature;
 use ladon_types::{Digest, InstanceId, Rank, Round, View, WireSize};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Signing domain for prepare-phase messages.
@@ -178,54 +183,6 @@ impl QuorumCert {
         })
     }
 
-    /// A collision-resistant content digest of the *complete*
-    /// certificate — every certified field plus the aggregate signature's
-    /// signer set and combined tag — the key of a [`CertCache`]: two
-    /// certs with equal keys are byte-identical, so a cached successful
-    /// [`Self::verify`] transfers. A forged cert differing in any byte
-    /// (including the signature material) keys differently and never
-    /// hits the cache.
-    ///
-    /// The fixed-size fields are laid out in one stack buffer and
-    /// absorbed in one `update`; the signers follow eight 8-byte entries
-    /// per `update`.
-    pub fn cache_key(&self) -> [u8; 32] {
-        use crate::sha256::Sha256;
-        const TAG: &[u8] = b"ladon/qc-cache/v1";
-        const HEADER_LEN: usize = TAG.len() + 8 + 8 + 4 + 32 + 8 + 1 + 4 + 32 + 4;
-        let mut header = [0u8; HEADER_LEN];
-        let mut at = 0;
-        let mut put = |bytes: &[u8]| {
-            header[at..at + bytes.len()].copy_from_slice(bytes);
-            at += bytes.len();
-        };
-        put(TAG);
-        put(&self.view.0.to_le_bytes());
-        put(&self.round.0.to_le_bytes());
-        put(&self.instance.0.to_le_bytes());
-        put(&self.digest.0);
-        put(&self.rank.0.to_le_bytes());
-        put(&[match self.domain {
-            CertDomain::Prepare => 0u8,
-            CertDomain::HsVote => 1u8,
-        }]);
-        put(&self.agg.n.to_le_bytes());
-        put(&self.agg.combined);
-        put(&(self.agg.signers.len() as u32).to_le_bytes());
-        debug_assert_eq!(at, HEADER_LEN);
-        let mut h = Sha256::new();
-        h.update(&header);
-        for signers in self.agg.signers.chunks(8) {
-            let mut chunk = [0u8; 64];
-            for (entry, (replica, key_idx)) in chunk.chunks_exact_mut(8).zip(signers) {
-                entry[..4].copy_from_slice(&replica.0.to_le_bytes());
-                entry[4..].copy_from_slice(&key_idx.to_le_bytes());
-            }
-            h.update(&chunk[..8 * signers.len()]);
-        }
-        h.finalize()
-    }
-
     /// Verifies the certificate: quorum of distinct signers over the
     /// canonical bytes.
     pub fn verify(&self, registry: &KeyRegistry, quorum: usize) -> bool {
@@ -249,7 +206,7 @@ impl WireSize for QuorumCert {
     }
 }
 
-/// Keys a [`CertCache`] holds before it is dropped wholesale.
+/// Certificates a [`CertCache`] holds before it is dropped wholesale.
 /// Certificates are per-(instance, round, view) and the cache clears on
 /// epoch advance, so this is a backstop against message floods, not a
 /// working-set size.
@@ -267,9 +224,11 @@ pub struct CertCache {
 
 #[derive(Default)]
 struct CertStore {
-    /// `minRank` of the epoch the keys belong to.
+    /// `minRank` of the epoch the certificates belong to.
     epoch_min: Rank,
-    verified: BTreeSet<[u8; 32]>,
+    /// Every certificate that verified, by its combined tag: a lookup is
+    /// one probe and one `==` against what is stored.
+    verified: HashMap<[u8; 32], Arc<QuorumCert>>,
 }
 
 impl CertCache {
@@ -291,11 +250,11 @@ impl CertCache {
     /// [`QuorumCert::verify`], paid once per distinct certificate: an
     /// identical cert that already verified through any handle of this
     /// cache skips the aggregate verification and counts a
-    /// [`crate::CryptoCounters::qc_verify_hits`].
-    pub fn verified(&self, qc: &QuorumCert) -> bool {
-        let key = qc.cache_key();
+    /// [`crate::CryptoCounters::qc_verify_hits`]. Identical means equal
+    /// in every field; the same allocation is equal without a field read.
+    pub fn verified(&self, qc: &Arc<QuorumCert>) -> bool {
         let mut store = self.store();
-        if store.verified.contains(&key) {
+        if store.verified.get(&qc.agg.combined) == Some(qc) {
             crate::counters::record_qc_verify_hit();
             return true;
         }
@@ -305,7 +264,7 @@ impl CertCache {
         if store.verified.len() >= CERT_CACHE_MAX {
             store.verified.clear();
         }
-        store.verified.insert(key);
+        store.verified.insert(qc.agg.combined, Arc::clone(qc));
         true
     }
 
@@ -358,7 +317,7 @@ impl RankCert {
     /// Validates the claim: either it is the epoch minimum, or the attached
     /// QC verifies and certifies exactly this rank.
     pub fn validate(&self, registry: &KeyRegistry, quorum: usize, min_rank: Rank) -> bool {
-        Self::validate_claim(self.rank, self.cert.as_deref(), min_rank, |qc| {
+        Self::validate_claim(self.rank, self.cert.as_ref(), min_rank, |qc| {
             qc.verify(registry, quorum)
         })
     }
@@ -372,9 +331,9 @@ impl RankCert {
     /// the owned, borrowed, plain and cached paths can never diverge.
     pub fn validate_claim(
         rank: Rank,
-        cert: Option<&QuorumCert>,
+        cert: Option<&Arc<QuorumCert>>,
         min_rank: Rank,
-        verify_qc: impl FnOnce(&QuorumCert) -> bool,
+        verify_qc: impl FnOnce(&Arc<QuorumCert>) -> bool,
     ) -> bool {
         match cert {
             None => rank == min_rank,
@@ -485,29 +444,67 @@ mod tests {
     fn cert_cache_verifies_once_and_only_caches_successes() {
         let reg = KeyRegistry::generate(4, 1, 5);
         let cache = CertCache::new(reg.clone(), 3);
-        let qc = make_qc(&reg, &[0, 1, 2], Rank(9));
+        let qc = Arc::new(make_qc(&reg, &[0, 1, 2], Rank(9)));
         assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 1, 0));
         assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 0, 1));
         // Another handle of the same replica's cache sees the same store.
         let handle = cache.clone();
         assert_eq!(cert_cost(|| handle.verified(&qc)), (true, 0, 1));
 
-        // A twin with one flipped signature byte keys differently: it
-        // misses, fails, and fails again — failures are never stored.
-        let mut twin = qc.clone();
+        // A twin with one flipped signature byte misses, fails, and fails
+        // again — failures are never stored.
+        let mut twin = (*qc).clone();
         twin.agg.combined[7] ^= 1;
+        let twin = Arc::new(twin);
         assert_eq!(cert_cost(|| cache.verified(&twin)), (false, 1, 0));
         assert_eq!(cert_cost(|| cache.verified(&twin)), (false, 1, 0));
         // So does a valid aggregate short of this cache's quorum.
-        let thin = make_qc(&reg, &[0, 1], Rank(9));
+        let thin = Arc::new(make_qc(&reg, &[0, 1], Rank(9)));
         assert_eq!(cert_cost(|| cache.verified(&thin)), (false, 0, 0));
+    }
+
+    /// The store is indexed by the combined tag alone, so a twin that
+    /// keeps the genuine tag lands on the genuine entry: the comparison,
+    /// not the index, must refuse it.
+    #[test]
+    fn cert_cache_hits_only_on_identical_content() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let cache = CertCache::new(reg.clone(), 3);
+        let qc = Arc::new(make_qc(&reg, &[0, 1, 2], Rank(9)));
+        assert!(cache.verified(&qc));
+        type Edit = fn(&mut QuorumCert);
+        let edits: [(&str, Edit); 7] = [
+            ("rank", |q| q.rank = Rank(10)),
+            ("digest", |q| q.digest.0[0] ^= 1),
+            ("round", |q| q.round = q.round.next()),
+            ("view", |q| q.view = q.view.next()),
+            ("instance", |q| q.instance = InstanceId(q.instance.0 + 1)),
+            ("domain", |q| q.domain = CertDomain::HsVote),
+            ("signers", |q| q.agg.signers[2] = (ReplicaId(3), 0)),
+        ];
+        for (field, edit) in edits {
+            let mut twin = (*qc).clone();
+            edit(&mut twin);
+            assert_eq!(twin.agg.combined, qc.agg.combined);
+            let twin = Arc::new(twin);
+            assert_eq!(
+                cert_cost(|| cache.verified(&twin)),
+                (false, 1, 0),
+                "{field}"
+            );
+            assert_eq!(cert_cost(|| cache.verified(&qc)), (true, 0, 1), "{field}");
+        }
+        // An equal certificate in another allocation is the same
+        // certificate: it hits without a verification.
+        let copy = Arc::new((*qc).clone());
+        assert_eq!(cert_cost(|| cache.verified(&copy)), (true, 0, 1));
     }
 
     #[test]
     fn cert_cache_clears_once_per_epoch_and_is_never_shared_by_construction() {
         let reg = KeyRegistry::generate(4, 1, 5);
         let cache = CertCache::new(reg.clone(), 3);
-        let qc = make_qc(&reg, &[0, 1, 2], Rank(9));
+        let qc = Arc::new(make_qc(&reg, &[0, 1, 2], Rank(9)));
         assert!(cache.verified(&qc));
 
         // Every instance of the replica reports the advance; the first
@@ -529,7 +526,7 @@ mod tests {
     fn cert_cache_is_bounded() {
         let reg = KeyRegistry::generate(4, 1, 5);
         let cache = CertCache::new(reg.clone(), 3);
-        let cert = |rank| make_qc(&reg, &[0, 1, 2], Rank(rank));
+        let cert = |rank| Arc::new(make_qc(&reg, &[0, 1, 2], Rank(rank)));
         for rank in 0..CERT_CACHE_MAX as u64 {
             assert!(cache.verified(&cert(rank)));
         }
@@ -537,43 +534,6 @@ mod tests {
         // One more than it holds: dropped wholesale, then refilled.
         assert!(cache.verified(&cert(CERT_CACHE_MAX as u64)));
         assert_eq!(cert_cost(|| cache.verified(&cert(0))), (true, 1, 0));
-    }
-
-    /// The cache key streamed one field and one signer half at a time:
-    /// the encoding [`QuorumCert::cache_key`] must keep byte for byte.
-    fn streamed_cache_key(qc: &QuorumCert) -> [u8; 32] {
-        let mut h = crate::sha256::Sha256::new();
-        h.update(b"ladon/qc-cache/v1");
-        h.update(&qc.view.0.to_le_bytes());
-        h.update(&qc.round.0.to_le_bytes());
-        h.update(&qc.instance.0.to_le_bytes());
-        h.update(&qc.digest.0);
-        h.update(&qc.rank.0.to_le_bytes());
-        h.update(&[qc.domain as u8]);
-        h.update(&qc.agg.n.to_le_bytes());
-        h.update(&qc.agg.combined);
-        h.update(&(qc.agg.signers.len() as u32).to_le_bytes());
-        for (replica, key_idx) in &qc.agg.signers {
-            h.update(&replica.0.to_le_bytes());
-            h.update(&key_idx.to_le_bytes());
-        }
-        h.finalize()
-    }
-
-    #[test]
-    fn cache_key_is_the_streamed_encoding_at_every_signer_count() {
-        let reg = KeyRegistry::generate(4, 1, 5);
-        let mut qc = make_qc(&reg, &[0, 1, 2], Rank(9));
-        for domain in [CertDomain::Prepare, CertDomain::HsVote] {
-            qc.domain = domain;
-            for signers in 0..=25u32 {
-                qc.agg.signers = (0..signers).map(|r| (ReplicaId(r), r * 7 + 1)).collect();
-                let before = crate::CryptoCounters::snapshot();
-                let key = qc.cache_key();
-                assert_eq!(crate::CryptoCounters::snapshot().since(&before).hashes, 1);
-                assert_eq!(key, streamed_cache_key(&qc), "{signers} signers");
-            }
-        }
     }
 
     #[test]

@@ -488,7 +488,7 @@ impl HsInstance {
     /// ones that were aggregated.
     fn validate_rank(&self, g: &HsGeneric) -> bool {
         // Certificate for the leader's claimed rank_m.
-        if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_deref(), self.epoch_min, |qc| {
+        if !RankCert::validate_claim(g.rank_m, g.rank_qc.as_ref(), self.epoch_min, |qc| {
             self.certs.verified(qc)
         }) {
             return false;

@@ -9,9 +9,9 @@
 //! Certificates are shared, not copied: an [`HsQc`] *is* an
 //! `Arc<QuorumCert>` in the vote domain, so the QC a leader forms, the
 //! `justify` of its next proposal, the `curRank` certificate every
-//! replica then attaches to its votes on all instances, and the key the
-//! replica's [`ladon_crypto::CertCache`] knows it by are one allocation
-//! and one identity. Proposals and votes travel behind an `Arc` inside
+//! replica then attaches to its votes on all instances, and the entry
+//! the replica's [`ladon_crypto::CertCache`] stores are one allocation,
+//! so a cache hit on it is a pointer comparison. Proposals and votes travel behind an `Arc` inside
 //! [`HsMsg`]: a vote is written once by its voter, kept by the leader
 //! and cited — not copied — in the next proposal's vote set. Every
 //! [`WireSize`] is what it was by value.

@@ -15,7 +15,7 @@
 //! incrementally as events arrive, so latency histograms cover the
 //! whole run even after old events are evicted from the ring.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ladon_types::time::TimeNs;
 
@@ -96,10 +96,11 @@ pub struct TraceJournal {
     events: Vec<TraceEvent>,
     head: usize,
     capacity: usize,
-    /// Last seen (stage, time) per in-flight sn, to compute adjacent
-    /// transition latencies incrementally. Entries are retired when the
-    /// block reaches `Checkpointed` (or evicted beyond the window).
-    inflight: BTreeMap<u64, (Stage, TimeNs)>,
+    /// Last seen (sn, stage, time) per in-flight sn, in sn order, to
+    /// compute adjacent transition latencies incrementally. Entries are
+    /// retired when the block reaches `Checkpointed` (or evicted beyond
+    /// the window, smallest sn first).
+    inflight: VecDeque<(u64, Stage, TimeNs)>,
     /// `latency[i]` = histogram of (stage i → stage i+1) latencies, ns.
     latency: [Histogram; Stage::ALL.len() - 1],
     recorded: u64,
@@ -127,7 +128,7 @@ impl TraceJournal {
             events: Vec::new(),
             head: 0,
             capacity: capacity.max(1),
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             latency: Default::default(),
             recorded: 0,
             dropped_transitions: 0,
@@ -182,16 +183,17 @@ impl TraceJournal {
         }
         self.recorded += 1;
 
-        match self.inflight.get(&sn).copied() {
-            None => {
+        match self.inflight_slot(sn) {
+            Err(slot) => {
                 // A terminal stage with no history (e.g. a checkpoint
                 // sweeping sns that predate the journal) records the
                 // event but opens no in-flight entry.
                 if stage != Stage::Checkpointed {
-                    self.inflight.insert(sn, (stage, at));
+                    self.inflight.insert(slot, (sn, stage, at));
                 }
             }
-            Some((prev_stage, prev_at)) => {
+            Ok(slot) => {
+                let (_, prev_stage, prev_at) = self.inflight[slot];
                 if prev_stage.next() == Some(stage) {
                     let delta = at.0.saturating_sub(prev_at.0);
                     self.latency[prev_stage as usize].observe(delta);
@@ -199,18 +201,40 @@ impl TraceJournal {
                     self.dropped_transitions += 1;
                 }
                 if stage == Stage::Checkpointed {
-                    self.inflight.remove(&sn);
+                    self.inflight.remove(slot);
                 } else {
-                    self.inflight.insert(sn, (stage, at));
+                    self.inflight[slot] = (sn, stage, at);
                 }
             }
         }
-        // Bound the in-flight map too: retire the oldest sn if a
+        // Bound the in-flight window too: retire the oldest sn if a
         // pathological workload never completes blocks.
         if self.inflight.len() > self.capacity {
-            if let Some((&oldest, _)) = self.inflight.iter().next() {
-                self.inflight.remove(&oldest);
-            }
+            self.inflight.pop_front();
+        }
+    }
+
+    /// `Ok` with the in-flight position of `sn`, or `Err` with the
+    /// position that keeps the window in sn order. Blocks enter in sn
+    /// order and leave from the front, so the window is dense but for
+    /// sns it never saw: `sn` is looked for as far from the back as it is
+    /// below the last sn, and searched for only when that slot holds
+    /// another.
+    fn inflight_slot(&self, sn: u64) -> Result<usize, usize> {
+        let len = self.inflight.len();
+        let Some(back) = self
+            .inflight
+            .back()
+            .and_then(|&(last, ..)| last.checked_sub(sn))
+        else {
+            return Err(len);
+        };
+        let slot = usize::try_from(back)
+            .ok()
+            .and_then(|back| (len - 1).checked_sub(back));
+        match slot {
+            Some(i) if self.inflight[i].0 == sn => Ok(i),
+            _ => self.inflight.binary_search_by_key(&sn, |&(s, ..)| s),
         }
     }
 
@@ -349,6 +373,141 @@ mod tests {
         // All 10 transitions observed despite eviction.
         assert_eq!(j.stage_latency(Stage::WalStaged).unwrap().count(), 10);
         assert!((j.stage_latency(Stage::WalStaged).unwrap().mean() - 50.0).abs() < 1e-9);
+    }
+
+    /// The in-flight bookkeeping as it was kept in a `BTreeMap`: the
+    /// reference the sn-ordered window must match step for step.
+    struct MapJournal {
+        inflight: BTreeMap<u64, (Stage, TimeNs)>,
+        latency: [Histogram; Stage::ALL.len() - 1],
+        recorded: u64,
+        dropped_transitions: u64,
+        capacity: usize,
+    }
+
+    impl MapJournal {
+        fn record(&mut self, sn: u64, stage: Stage, at: TimeNs) {
+            self.recorded += 1;
+            match self.inflight.get(&sn).copied() {
+                None => {
+                    if stage != Stage::Checkpointed {
+                        self.inflight.insert(sn, (stage, at));
+                    }
+                }
+                Some((prev_stage, prev_at)) => {
+                    if prev_stage.next() == Some(stage) {
+                        let delta = at.0.saturating_sub(prev_at.0);
+                        self.latency[prev_stage as usize].observe(delta);
+                    } else {
+                        self.dropped_transitions += 1;
+                    }
+                    if stage == Stage::Checkpointed {
+                        self.inflight.remove(&sn);
+                    } else {
+                        self.inflight.insert(sn, (stage, at));
+                    }
+                }
+            }
+            if self.inflight.len() > self.capacity {
+                if let Some((&oldest, _)) = self.inflight.iter().next() {
+                    self.inflight.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inflight_window_matches_the_ordered_map() {
+        const CAPACITY: usize = 8;
+        let mut j = TraceJournal::with_capacity(CAPACITY);
+        let mut reference = MapJournal {
+            inflight: BTreeMap::new(),
+            latency: Default::default(),
+            recorded: 0,
+            dropped_transitions: 0,
+            capacity: CAPACITY,
+        };
+        // splitmix64: the sequence depends on the seed alone.
+        let mut seed = 0x7ace_u64;
+        let mut draw = |bound: u64| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let (mut frontier, mut now, mut last_sn) = (20u64, 0u64, 20u64);
+        let mut jumps = 0;
+        for step in 0..20_000 {
+            now += draw(50);
+            let mut steps: Vec<(u64, Stage)> = Vec::new();
+            let front = reference
+                .inflight
+                .keys()
+                .next()
+                .copied()
+                .unwrap_or(frontier);
+            let sn = match draw(20) {
+                // A new block at the frontier.
+                0..=5 => {
+                    frontier += 1;
+                    frontier
+                }
+                // Interleaved: any sn a little behind the frontier.
+                6..=11 => frontier.saturating_sub(draw(12)),
+                // Repeated: the sn of the previous step.
+                12..=13 => last_sn,
+                // Below the front of the window.
+                14 => front.saturating_sub(1 + draw(4)),
+                // A checkpoint sweep over a run at the front.
+                15..=16 => {
+                    let from = front.saturating_sub(draw(3));
+                    steps.extend((from..from + draw(12)).map(|sn| (sn, Stage::Checkpointed)));
+                    from
+                }
+                // A forward jump, rarely.
+                17 if draw(40) == 0 => {
+                    jumps += 1;
+                    frontier += 10_000;
+                    frontier
+                }
+                _ => frontier.saturating_sub(draw(3)),
+            };
+            if steps.is_empty() {
+                let next = match reference.inflight.get(&sn) {
+                    None => Stage::Submitted as u64,
+                    Some((prev, _)) => match draw(8) {
+                        // Mostly the next stage; sometimes a skipped, a
+                        // repeated or an earlier one.
+                        0..=4 => *prev as u64 + 1,
+                        5 => *prev as u64 + 2,
+                        6 => *prev as u64,
+                        _ => draw(Stage::ALL.len() as u64),
+                    },
+                };
+                let stage = Stage::ALL[(next as usize).min(Stage::ALL.len() - 1)];
+                steps.push((sn, stage));
+            }
+            for (sn, stage) in steps {
+                j.record(sn, 0, stage, t(now));
+                reference.record(sn, stage, t(now));
+                last_sn = sn;
+                let expect = reference
+                    .inflight
+                    .iter()
+                    .map(|(&sn, &(st, at))| (sn, st, at));
+                assert!(j.inflight.iter().copied().eq(expect), "step {step}");
+                assert_eq!(j.inflight.len(), reference.inflight.len(), "step {step}");
+                assert_eq!(j.recorded(), reference.recorded, "step {step}");
+                assert_eq!(j.dropped_transitions(), reference.dropped_transitions);
+                let latencies = j.stage_latencies().into_iter().map(|(_, h)| h);
+                assert!(latencies.eq(reference.latency.iter()), "step {step}");
+            }
+        }
+        // The sequence reached every case it was written for.
+        assert!(jumps > 0);
+        assert!(reference.latency.iter().all(|h| h.count() > 0));
+        assert!(reference.dropped_transitions > 0);
     }
 
     #[test]

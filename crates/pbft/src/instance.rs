@@ -381,7 +381,7 @@ impl PbftInstance {
     /// borrowed parts — the structural rules live in
     /// [`RankCert::validate_claim`], so the cached and uncached paths
     /// can never diverge.
-    fn rank_claim_verified(&self, rank: Rank, cert: Option<&QuorumCert>) -> bool {
+    fn rank_claim_verified(&self, rank: Rank, cert: Option<&Arc<QuorumCert>>) -> bool {
         RankCert::validate_claim(rank, cert, self.epoch_min, |qc| self.certs.verified(qc))
     }
 
@@ -786,7 +786,7 @@ impl PbftInstance {
                 if pp.round != self.view_start_round {
                     return RankCheck::Invalid;
                 }
-                if !self.rank_claim_verified(rc.rank, rc.cert.as_deref()) {
+                if !self.rank_claim_verified(rc.rank, rc.cert.as_ref()) {
                     return RankCheck::Invalid;
                 }
                 self.check_expected_rank(pp.rank, rc.rank)
@@ -822,7 +822,7 @@ impl PbftInstance {
                     .max()
                     .expect("non-empty set");
                 if max_cert.rank != rank_m
-                    || !self.rank_claim_verified(max_cert.rank, max_cert.cert.as_deref())
+                    || !self.rank_claim_verified(max_cert.rank, max_cert.cert.as_ref())
                 {
                     return RankCheck::Invalid;
                 }
@@ -1127,7 +1127,7 @@ impl PbftInstance {
         // Determine and certify the claimed rank.
         let claimed = match self.cfg.mode {
             RankMode::Plain => {
-                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_deref()) {
+                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_ref()) {
                     self.rejected += 1;
                     return;
                 }

@@ -8,10 +8,11 @@
 //! votes of every phase arrive after it is decided — plus a duplicated
 //! vote every 23 deliveries and an equivocating prepare vote in three
 //! rounds. The digest covers every emitted action, field by field, in
-//! emission order, and the `cache_key` of every certificate a replica
-//! formed or holds at the end. The pinned values were printed by the
-//! commit before the vote tally, the `Arc`-shared messages and the
-//! replica-wide cert cache went in.
+//! emission order, and a SHA-256 over every field of every certificate a
+//! replica formed or holds at the end ([`cert_digest`]: the encoding the
+//! cert cache was once keyed by, kept here so the pins never move). The
+//! pinned values were printed by the commit before the vote tally, the
+//! `Arc`-shared messages and the replica-wide cert cache went in.
 
 use ladon_crypto::{QuorumCert, RankCert, Sha256, Signature};
 use ladon_pbft::testkit::{test_batch, Cluster};
@@ -33,6 +34,27 @@ impl Shuffle {
     }
 }
 
+/// A certificate's every certified field and its signature material,
+/// hashed in one fixed layout.
+fn cert_digest(qc: &QuorumCert) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(b"ladon/qc-cache/v1");
+    h.update(&qc.view.0.to_le_bytes());
+    h.update(&qc.round.0.to_le_bytes());
+    h.update(&qc.instance.0.to_le_bytes());
+    h.update(&qc.digest.0);
+    h.update(&qc.rank.0.to_le_bytes());
+    h.update(&[qc.domain as u8]);
+    h.update(&qc.agg.n.to_le_bytes());
+    h.update(&qc.agg.combined);
+    h.update(&(qc.agg.signers.len() as u32).to_le_bytes());
+    for (replica, key_idx) in &qc.agg.signers {
+        h.update(&replica.0.to_le_bytes());
+        h.update(&key_idx.to_le_bytes());
+    }
+    h.finalize()
+}
+
 struct Transcript(Sha256);
 
 impl Transcript {
@@ -48,7 +70,7 @@ impl Transcript {
 
     fn cert(&mut self, qc: Option<&QuorumCert>) {
         match qc {
-            Some(qc) => self.0.update(&qc.cache_key()),
+            Some(qc) => self.0.update(&cert_digest(qc)),
             None => self.0.update(&[0]),
         }
     }

@@ -44,6 +44,7 @@ use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, Wal
 use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest};
 use std::path::Path;
+use std::time::Instant;
 
 /// What [`ExecutionPipeline::execute`] did with a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,6 +165,14 @@ pub struct PipelinePerf {
     pub barrier_overlap: ladon_obs::Histogram,
 }
 
+/// Nanoseconds from `mark` to now, moving `mark` to now.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*mark).as_nanos() as u64;
+    *mark = now;
+    ns
+}
+
 impl SnapshotInto for PipelinePerf {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("pipeline.wall_wal_flush_ns", self.wall_wal_flush_ns);
@@ -273,7 +282,7 @@ pub struct ExecutionPipeline {
     perf: PipelinePerf,
     /// When the last barrier was submitted (feeds the overlap
     /// histogram).
-    submitted_at: std::time::Instant,
+    submitted_at: Instant,
 }
 
 impl ExecutionPipeline {
@@ -306,7 +315,7 @@ impl ExecutionPipeline {
             batches: 0,
             recovery: ReplayStats::default(),
             perf: PipelinePerf::default(),
-            submitted_at: std::time::Instant::now(),
+            submitted_at: Instant::now(),
         }
     }
 
@@ -380,8 +389,9 @@ impl ExecutionPipeline {
         // frontier and re-fetches the rest from peers.
         let from = p.applied;
         if p.wal.records().first().is_some_and(|r| r.sn == from) {
+            let mut mark = Instant::now();
             for at in 0..p.wal.len() {
-                p.apply_records(at..at + 1);
+                p.apply_records(at..at + 1, &mut mark);
             }
         }
         stats.records_replayed = p.applied - from;
@@ -484,9 +494,10 @@ impl ExecutionPipeline {
     /// the range as durable.
     pub fn flush_staged(&mut self) -> std::ops::Range<u64> {
         let first = self.applied;
-        self.complete_inflight();
-        if self.submit_barrier() {
-            self.complete_inflight();
+        let mut mark = Instant::now();
+        self.complete_inflight_from(&mut mark);
+        if self.submit_barrier(&mut mark) {
+            self.complete_inflight_from(&mut mark);
         }
         first..self.applied
     }
@@ -510,13 +521,14 @@ impl ExecutionPipeline {
         // Resolve the previous token first (the writer is one-deep), but
         // apply only after the new batch is on the writer: the apply is
         // the work the in-flight barrier overlaps with.
-        let prior = self.resolve_barrier();
-        let submitted = self.submit_barrier();
+        let mut mark = Instant::now();
+        let prior = self.resolve_barrier(&mut mark);
+        let submitted = self.submit_barrier(&mut mark);
         if prior.is_some() && submitted {
             self.perf.pipelined_submits += 1;
         }
         match prior {
-            Some(acked) => self.apply_records(acked),
+            Some(acked) => self.apply_records(acked, &mut mark),
             None => self.applied..self.applied,
         }
     }
@@ -524,22 +536,31 @@ impl ExecutionPipeline {
     /// Resolves the in-flight barrier (if any) and applies its batch.
     /// Returns the applied range, or `None` when nothing was in flight.
     pub fn complete_inflight(&mut self) -> Option<std::ops::Range<u64>> {
-        let acked = self.resolve_barrier()?;
-        Some(self.apply_records(acked))
+        self.complete_inflight_from(&mut Instant::now())
+    }
+
+    /// [`Self::complete_inflight`] on the clock reading `mark`.
+    fn complete_inflight_from(&mut self, mark: &mut Instant) -> Option<std::ops::Range<u64>> {
+        let acked = self.resolve_barrier(mark)?;
+        Some(self.apply_records(acked, mark))
     }
 
     /// Submits everything staged as one WAL flush barrier (no barrier
     /// may be in flight). Returns `false` when nothing was staged.
-    fn submit_barrier(&mut self) -> bool {
+    ///
+    /// This step and the two below are timed from `mark`, the clock
+    /// reading the previous step ended on, and each moves it to the
+    /// reading it ends on: one reading closes one interval and opens the
+    /// next, so a pipelined drain reads the clock four times.
+    fn submit_barrier(&mut self, mark: &mut Instant) -> bool {
         let records = self.wal.staged_len() as u64;
-        let t0 = std::time::Instant::now();
         if !self.wal.submit_flush() {
             return false;
         }
-        self.perf.wall_wal_flush_ns += t0.elapsed().as_nanos() as u64;
+        self.perf.wall_wal_flush_ns += lap(mark);
         self.perf.flush_barriers += 1;
         self.perf.inflight_records_peak = self.perf.inflight_records_peak.max(records);
-        self.submitted_at = std::time::Instant::now();
+        self.submitted_at = *mark;
         true
     }
 
@@ -548,17 +569,16 @@ impl ExecutionPipeline {
     /// mistake the batch for durable — its records still apply (the WAL
     /// mirror is authoritative). Returns the mirror positions of the
     /// records the barrier acknowledged; does **not** apply them.
-    fn resolve_barrier(&mut self) -> Option<std::ops::Range<usize>> {
+    fn resolve_barrier(&mut self, mark: &mut Instant) -> Option<std::ops::Range<usize>> {
         if !self.wal.has_inflight_flush() {
             return None;
         }
         self.perf
             .barrier_overlap
-            .observe(self.submitted_at.elapsed().as_nanos() as u64);
+            .observe(mark.duration_since(self.submitted_at).as_nanos() as u64);
         let from = self.wal.len();
-        let t0 = std::time::Instant::now();
         let ok = self.wal.complete_flush()?;
-        let wait = t0.elapsed().as_nanos() as u64;
+        let wait = lap(mark);
         self.perf.wall_wal_flush_ns += wait;
         self.perf.barrier_wait.observe(wait);
         if ok {
@@ -575,7 +595,11 @@ impl ExecutionPipeline {
     /// batch — each record's ops derived from its `(first_tx, count)`
     /// and streamed into the state — and advances the applied frontier
     /// past them. Returns the `sn` range applied.
-    fn apply_records(&mut self, at: std::ops::Range<usize>) -> std::ops::Range<u64> {
+    fn apply_records(
+        &mut self,
+        at: std::ops::Range<usize>,
+        mark: &mut Instant,
+    ) -> std::ops::Range<u64> {
         let first = self.applied;
         let records = &self.wal.records()[at];
         let Some(last) = records.last() else {
@@ -583,7 +607,6 @@ impl ExecutionPipeline {
         };
         debug_assert_eq!(records[0].sn, first, "acknowledged records apply densely");
         let keyspace = self.keyspace;
-        let t0 = std::time::Instant::now();
         let fx = self
             .kv
             .apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
@@ -593,7 +616,7 @@ impl ExecutionPipeline {
         self.executed_txs += fx.total();
         self.local_txs += fx.total();
         self.batches += 1;
-        self.perf.wall_exec_ns += t0.elapsed().as_nanos() as u64;
+        self.perf.wall_exec_ns += lap(mark);
         first..self.applied
     }
 

@@ -409,13 +409,13 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "67db73843369b4508468ae53384440cd0707e729419e9b74549b4ca47509f899",
+                "d6e48c73ec26e8dceb340fd903e0e44c9ec04f5718044570433a8774cfafc122",
             ),
             (
                 short(ProtocolKind::LadonHotStuff),
                 258_007,
                 83,
-                "336904f11a62dc653b91349e99d5acf573fd7ceb3dd700541e358703c74812fe",
+                "ab04a59e6855fd462ffc5b9cf20e4a98a6f5a90a6e94570f9cb4318b495557e0",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
@@ -427,13 +427,13 @@ mod tests {
                 checkpointing.clone(),
                 327_657,
                 155,
-                "b75eb123ff7dcd318c8cf10a0e39e57da2e8a0367edd7ab711d5b63fbd9168e9",
+                "880bc1f2b269bfe490cc611d04e7d52f9ade64cfbff14ad1f6f872cc91e1db16",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "3527129e6210105413eb60bbb1d8d5ee304ba30815204a4a98ab795c44ea55e1",
+                "e6e360266e3eaf9c002fb4a12690cce99b846ffec42255ffb5edb700c81fe410",
             ),
         ];
         let reports: Vec<_> = pins

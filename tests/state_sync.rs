@@ -83,8 +83,8 @@ fn skipped_sns_excludes_blocks_in_flight_at_install() {
         );
         // G-Agreement only: on the 4..9 window replica 3 checkpoints
         // epoch 2 over a shorter confirmed prefix than its peers — the
-        // divergent-root defect of ROADMAP 2(c), here without message
-        // loss, and the same at the parent commit.
+        // divergent-root defect of ROADMAP direction 1(a), here without
+        // message loss.
         let verdict = c.check(&[0, 1, 2, 3]);
         assert!(
             !verdict
@@ -150,7 +150,8 @@ fn random_message_loss_repaired_by_state_transfer() {
     // checkpoint roots do diverge: a replica whose intake still has holes
     // from lost messages completes the epoch (every instance reached
     // `maxRank`) and checkpoints a shorter confirmed prefix than its
-    // peers. The oracle reports it; making it hold is ROADMAP direction 4.
+    // peers. The oracle reports it; making it hold is ROADMAP direction
+    // 1(a).
     let verdict = c.check(&[0, 1, 2, 3]);
     let forks: Vec<_> = verdict
         .violations

@@ -273,8 +273,8 @@ impl Instance {
                     Input::Message(from, NodeMsg::Pbft { msg, .. }) => {
                         inst.on_message(from, msg, now, cur)
                     }
-                    Input::RoundTimer(round, view) => inst.on_round_timer(round, view),
-                    Input::ViewChangeTimer(view) => inst.on_view_change_timer(view),
+                    Input::RoundTimer(round, view) => inst.on_round_timer(round, view, now, cur),
+                    Input::ViewChangeTimer(view) => inst.on_view_change_timer(view, now, cur),
                     Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, now, cur),
                     Input::Install(block, qc) => inst.install_committed(block, qc, now, cur),
                     Input::Message(..) => return Actions::None,

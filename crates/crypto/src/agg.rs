@@ -1,5 +1,4 @@
-//! Simulated aggregate signatures (§3.2 "aggregated signature scheme") and
-//! the Ladon-opt multi-key rank encoding (§5.3).
+//! Simulated aggregate signatures (§3.2 "aggregated signature scheme").
 //!
 //! The interface mirrors BLS aggregation: `agg({σ_r}) → σ`, and
 //! `verifyAgg((pk_r, m_r)_r, σ) → 0/1` where signer identities and their
@@ -8,6 +7,12 @@
 //! verifier recomputes each constituent tag through the registry oracle
 //! and checks the combination. Verification is *counted* as one aggregate
 //! operation, matching the paper's authenticator-complexity accounting.
+//!
+//! The sub-key index is how Ladon-opt encodes a rank (§5.3): a replica
+//! signs its round's common rank message with sub-key `k = curRank −
+//! base` ([`crate::Signature::sign_with_key`], clamped to the last key),
+//! so reports of different ranks still aggregate. The encoding and its
+//! decode are the PBFT rank report's.
 
 use crate::counters::{record, OpKind};
 use crate::keys::KeyRegistry;
@@ -106,55 +111,10 @@ impl WireSize for AggregateSignature {
     }
 }
 
-/// The Ladon-opt rank message signature (§5.3).
-///
-/// Replica `r` whose current highest rank is `curRank` signs the *common*
-/// round message with sub-key `k = curRank − commitRank`; the leader
-/// recovers `rank_r = commitRank + k` from the key index. Differences
-/// beyond the key budget `K` use key `K − 1` (the paper's "Kth key"), which
-/// *under-reports* the rank — safe, because ranks only need to be lower
-/// bounds to preserve monotonicity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct MultiKeyRankSig {
-    /// The underlying signature (sub-key index = encoded rank difference).
-    pub sig: Signature,
-}
-
-impl MultiKeyRankSig {
-    /// Signs the common message encoding `cur_rank − base_rank` in the key.
-    pub fn sign(
-        signer: &crate::keys::Signer,
-        cur_rank: ladon_types::Rank,
-        base_rank: ladon_types::Rank,
-        domain: &[u8],
-        msg: &[u8],
-    ) -> Self {
-        let k = cur_rank.diff(base_rank);
-        let k = u32::try_from(k).unwrap_or(u32::MAX);
-        Self {
-            sig: Signature::sign_with_key(signer, k, domain, msg),
-        }
-    }
-
-    /// The rank this signature encodes, relative to `base_rank`.
-    ///
-    /// Note: if the true difference exceeded `K − 1`, this is a lower bound
-    /// (clamped), exactly as in the paper.
-    pub fn encoded_rank(&self, base_rank: ladon_types::Rank) -> ladon_types::Rank {
-        base_rank.offset(self.sig.pk.key_idx as u64)
-    }
-
-    /// Verifies against the registry.
-    pub fn verify(&self, registry: &KeyRegistry, domain: &[u8], msg: &[u8]) -> bool {
-        self.sig.verify(registry, domain, msg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::KeyRegistry;
-    use ladon_types::Rank;
 
     fn setup(n: usize, k: u32) -> KeyRegistry {
         KeyRegistry::generate(n, k, 99)
@@ -266,58 +226,6 @@ mod tests {
         assert!(agg.verify(&reg, b"d", &[7; 60]));
         let cost = CryptoCounters::snapshot().since(&before);
         assert_eq!((cost.agg_verifies, cost.verifies, cost.hashes), (1, 0, 22));
-    }
-
-    #[test]
-    fn multikey_rank_encoding_roundtrip() {
-        let reg = setup(4, 8);
-        let s = reg.signer(ReplicaId(1));
-        let base = Rank(10);
-        let cur = Rank(13);
-        let mk = MultiKeyRankSig::sign(&s, cur, base, b"rank", b"round5");
-        assert_eq!(mk.encoded_rank(base), Rank(13));
-        assert!(mk.verify(&reg, b"rank", b"round5"));
-    }
-
-    #[test]
-    fn multikey_clamps_beyond_budget() {
-        let reg = setup(4, 4); // K = 4, max encodable diff = 3.
-        let s = reg.signer(ReplicaId(0));
-        let base = Rank(10);
-        let mk = MultiKeyRankSig::sign(&s, Rank(100), base, b"rank", b"m");
-        // Clamped: reports base + (K − 1), a safe lower bound.
-        assert_eq!(mk.encoded_rank(base), Rank(13));
-        assert!(mk.verify(&reg, b"rank", b"m"));
-    }
-
-    #[test]
-    fn multikey_aggregates_like_any_signature() {
-        // The point of §5.3: different ranks, same signed bytes, one agg.
-        let reg = setup(4, 8);
-        let base = Rank(20);
-        let msg = b"round9";
-        let sigs: Vec<Signature> = (0..3u32)
-            .map(|r| {
-                MultiKeyRankSig::sign(
-                    &reg.signer(ReplicaId(r)),
-                    Rank(20 + r as u64), // ranks 20, 21, 22
-                    base,
-                    b"rank",
-                    msg,
-                )
-                .sig
-            })
-            .collect();
-        let agg = AggregateSignature::aggregate(&sigs, 4).unwrap();
-        assert!(agg.verify(&reg, b"rank", msg));
-        assert_eq!(agg.max_key_idx(), 2); // k_m = 22 − 20.
-                                          // Leader recovers each replica's rank from its key index.
-        let recovered: Vec<Rank> = agg
-            .signers
-            .iter()
-            .map(|&(_, k)| base.offset(k as u64))
-            .collect();
-        assert_eq!(recovered, vec![Rank(20), Rank(21), Rank(22)]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod qc;
 pub mod sha256;
 pub mod sig;
 
-pub use agg::{AggregateSignature, MultiKeyRankSig};
+pub use agg::AggregateSignature;
 pub use counters::{CryptoCounters, OpKind};
 pub use keys::{KeyRegistry, PublicKey};
 pub use qc::{CertCache, QuorumCert, RankCert};

@@ -340,6 +340,23 @@ impl RankCert {
             Some(qc) => qc.rank == rank && verify_qc(qc),
         }
     }
+
+    /// [`Self::validate_claim`] for a claim that may sit *below* its
+    /// certificate's rank: a rank only needs to be a certified lower bound
+    /// to keep ranks monotonic. A Ladon-opt report clamped to the last
+    /// sub-key under-reports this way (§5.3), and so may a HotStuff vote's
+    /// `rank_m`. Certificate-free still only at the epoch minimum.
+    pub fn validate_lower_bound(
+        rank: Rank,
+        cert: Option<&Arc<QuorumCert>>,
+        min_rank: Rank,
+        verify_qc: impl FnOnce(&Arc<QuorumCert>) -> bool,
+    ) -> bool {
+        match cert {
+            None => rank == min_rank,
+            Some(qc) => qc.rank >= rank && verify_qc(qc),
+        }
+    }
 }
 
 impl WireSize for RankCert {
@@ -430,6 +447,27 @@ mod tests {
             cert: Some(Arc::new(qc)),
         };
         assert!(!rc.validate(&reg, 3, Rank(0)));
+    }
+
+    #[test]
+    fn lower_bound_claims_may_sit_below_their_certificate() {
+        let reg = KeyRegistry::generate(4, 1, 5);
+        let qc = Arc::new(make_qc(&reg, &[0, 1, 2], Rank(9)));
+        let check = |rank: Rank, cert: Option<&Arc<QuorumCert>>| {
+            let verify = |qc: &Arc<QuorumCert>| qc.verify(&reg, 3);
+            (
+                RankCert::validate_claim(rank, cert, Rank(2), verify),
+                RankCert::validate_lower_bound(rank, cert, Rank(2), verify),
+            )
+        };
+        assert_eq!(check(Rank(9), Some(&qc)), (true, true));
+        assert_eq!(check(Rank(5), Some(&qc)), (false, true));
+        assert_eq!(check(Rank(10), Some(&qc)), (false, false));
+        assert_eq!(check(Rank(2), None), (true, true));
+        assert_eq!(check(Rank(5), None), (false, false));
+        let mut forged = (*qc).clone();
+        forged.agg.combined[0] ^= 1;
+        assert_eq!(check(Rank(5), Some(&Arc::new(forged))), (false, false));
     }
 
     /// `(agg_verifies, qc_verify_hits)` spent by `f`.

@@ -198,11 +198,6 @@ impl HsInstance {
         self.view
     }
 
-    /// The key registry this instance verifies against.
-    pub fn cfg_registry(&self) -> ladon_crypto::KeyRegistry {
-        self.cfg.registry.clone()
-    }
-
     /// Highest contiguously committed height — dummies included, so not
     /// the round of the last emitted block.
     pub fn committed_upto(&self) -> Round {
@@ -312,23 +307,25 @@ impl HsInstance {
         });
         self.proposed_height = height;
         out.push(Action::Broadcast(HsMsg::Generic(generic.clone())));
-        self.handle_generic(self.cfg.me, &generic, now, cur, &mut out);
+        self.handle_generic(self.cfg.me, &generic, cur, &mut out);
         out
     }
 
-    /// Main entry point for network messages.
+    /// Main entry point for network messages. No handler reads the clock
+    /// (a proposal carries its own `proposed_at`); `_now` keeps the
+    /// signature the PBFT instance shares.
     pub fn on_message(
         &mut self,
         from: ReplicaId,
         msg: HsMsg,
-        now: TimeNs,
+        _now: TimeNs,
         cur: &mut RankCert,
     ) -> Vec<Action> {
         let mut out = Vec::new();
         match msg {
-            HsMsg::Generic(g) => self.handle_generic(from, &g, now, cur, &mut out),
-            HsMsg::Vote(v) => self.handle_vote(from, v, cur, &mut out),
-            HsMsg::NewView(nv) => self.handle_new_view(from, nv, now, cur, &mut out),
+            HsMsg::Generic(g) => self.handle_generic(from, &g, cur, &mut out),
+            HsMsg::Vote(v) => self.handle_vote(from, v, cur),
+            HsMsg::NewView(nv) => self.handle_new_view(from, nv),
         }
         out
     }
@@ -337,7 +334,6 @@ impl HsInstance {
         &mut self,
         from: ReplicaId,
         g: &HsGeneric,
-        _now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
@@ -464,7 +460,7 @@ impl HsInstance {
         });
         let leader = self.leader_of(self.view);
         if leader == self.cfg.me {
-            self.handle_vote(self.cfg.me, vote, cur, out);
+            self.handle_vote(self.cfg.me, vote, cur);
         } else {
             out.push(Action::Send(leader, HsMsg::Vote(vote)));
         }
@@ -569,13 +565,7 @@ impl HsInstance {
         }
     }
 
-    fn handle_vote(
-        &mut self,
-        from: ReplicaId,
-        v: Arc<HsVote>,
-        cur: &mut RankCert,
-        _out: &mut [Action],
-    ) {
+    fn handle_vote(&mut self, from: ReplicaId, v: Arc<HsVote>, cur: &mut RankCert) {
         if v.instance != self.cfg.instance
             || self.leader_of(self.view) != self.cfg.me
             || from != v.sig.signer()
@@ -598,18 +588,18 @@ impl HsInstance {
             self.rejected += 1;
             return;
         }
-        // Leader-side curRank update (Algorithm 3 lines 38–42).
-        if self.cfg.mode == HsRankMode::Ladon && v.rank_m > cur.rank {
-            let ok = match &v.rank_qc {
-                Some(qc) => qc.rank >= v.rank_m && self.certs.verified(qc),
-                None => v.rank_m == self.epoch_min,
+        // Leader-side curRank update (Algorithm 3 lines 38–42); the claim
+        // need only be a certified lower bound.
+        if self.cfg.mode == HsRankMode::Ladon
+            && v.rank_m > cur.rank
+            && RankCert::validate_lower_bound(v.rank_m, v.rank_qc.as_ref(), self.epoch_min, |qc| {
+                self.certs.verified(qc)
+            })
+        {
+            *cur = RankCert {
+                rank: v.rank_m,
+                cert: v.rank_qc.clone(),
             };
-            if ok {
-                *cur = RankCert {
-                    rank: v.rank_m,
-                    cert: v.rank_qc.clone(),
-                };
-            }
         }
         if moot {
             return;
@@ -669,22 +659,14 @@ impl HsInstance {
         out.push(Action::ViewChangeStarted { view: new_view });
         let leader = self.leader_of(new_view);
         if leader == self.cfg.me {
-            let mut cur = RankCert::genesis(self.epoch_min);
-            self.handle_new_view(self.cfg.me, nv, TimeNs::ZERO, &mut cur, &mut out);
+            self.handle_new_view(self.cfg.me, nv);
         } else {
             out.push(Action::Send(leader, HsMsg::NewView(nv)));
         }
         out
     }
 
-    fn handle_new_view(
-        &mut self,
-        from: ReplicaId,
-        nv: HsNewView,
-        _now: TimeNs,
-        _cur: &mut RankCert,
-        _out: &mut Vec<Action>,
-    ) {
+    fn handle_new_view(&mut self, from: ReplicaId, nv: HsNewView) {
         if nv.instance != self.cfg.instance
             || nv.view <= self.view
             || nv.view > MAX_VIEW
@@ -1004,7 +986,7 @@ mod tests {
 
         // Replica 3 did vote for the parent (too late to be in the QC):
         // a genuine, correctly signed vote that `justify` does not cover.
-        let registry = c.nodes[0].cfg_registry();
+        let registry = c.nodes[0].cfg.registry.clone();
         let mut outsider = (*good.vote_set[0]).clone();
         outsider.sig = Signature::sign(
             &registry.signer(ReplicaId(3)),
@@ -1067,7 +1049,7 @@ mod tests {
     #[test]
     fn height_zero_certificate_is_not_genesis() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
-        let registry = c.nodes[0].cfg_registry();
+        let registry = c.nodes[0].cfg.registry.clone();
         // "Height 0" with a digest of the forger's choosing, signed by the
         // forger alone: nothing a quorum ever voted for.
         let fake_parent = Digest([0xbd; 32]);
@@ -1179,7 +1161,7 @@ mod tests {
 
         // A late vote whose voter knows a higher certified rank: the
         // certificate is what proves the claim, and it is still checked.
-        let registry = c.nodes[0].cfg_registry();
+        let registry = c.nodes[0].cfg.registry.clone();
         let (elsewhere, high) = (Digest([5; 32]), Rank(50));
         let shares: Vec<Signature> = (0..5)
             .map(|r| {
@@ -1276,7 +1258,7 @@ mod tests {
         // wires them. Instance 0 is the cluster below; instance 1 is led
         // by replica 1.
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
-        let registry = c.nodes[0].cfg_registry();
+        let registry = c.nodes[0].cfg.registry.clone();
         let instance_one = |me: u32| {
             HsInstance::new(
                 HsConfig {
@@ -1352,7 +1334,7 @@ mod tests {
         }
         // And the vote QC re-verifies as a rank certificate.
         let qc = c.curs[0].cert.clone().expect("certified");
-        assert!(qc.verify(&c.nodes[0].cfg_registry(), 3));
+        assert!(qc.verify(&c.nodes[0].cfg.registry, 3));
     }
 
     #[test]
@@ -1362,7 +1344,7 @@ mod tests {
             c.propose(0, batch(i * 10, 3));
         }
         let mut qc = Arc::unwrap_or_clone(c.curs[0].cert.clone().expect("certified"));
-        let reg = c.nodes[0].cfg_registry();
+        let reg = c.nodes[0].cfg.registry.clone();
         assert!(qc.verify(&reg, 3));
         assert!(!qc.verify(&reg, 4), "quorum threshold enforced");
         qc.rank = Rank(qc.rank.0 + 1);

@@ -38,8 +38,8 @@
 //! built on its own holds a private cache of the same type.
 
 use crate::msg::{
-    NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
-    SignedRank, ViewChange, DOMAIN_COMMIT, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK,
+    phase_bytes, NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody,
+    RankProof, RankReport, SignedRank, ViewChange, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK,
     DOMAIN_VIEWCHANGE,
 };
 use ladon_crypto::keys::Signer;
@@ -195,6 +195,15 @@ impl RoundState {
             Phase::Prepare => self.sent_commit,
             Phase::Commit => self.committed,
         }
+    }
+
+    /// Adopts a proposal: a pre-prepare, a certified re-proposal or a nil
+    /// fill.
+    fn adopt(&mut self, digest: Digest, rank: Rank, batch: Batch, proposed_at: TimeNs) {
+        self.digest = Some(digest);
+        self.rank = rank;
+        self.batch = Some(batch);
+        self.proposed_at = proposed_at;
     }
 
     /// Re-opens the round for a new view: votes of the old one cannot
@@ -523,15 +532,7 @@ impl PbftInstance {
         {
             if let Some(prev) = round.prev() {
                 let fresh = self.build_rank_report(prev, cur);
-                let claimed = match self.cfg.mode {
-                    RankMode::Plain => fresh.signed.body.rank,
-                    RankMode::Opt => fresh
-                        .signed
-                        .body
-                        .rank
-                        .offset(fresh.signed.sig.pk.key_idx as u64),
-                    RankMode::None => unreachable!(),
-                };
+                let claimed = self.claimed_rank(&fresh);
                 self.rank_reports
                     .entry(prev)
                     .or_default()
@@ -544,8 +545,7 @@ impl PbftInstance {
             self.stopped_for_epoch = true;
         }
 
-        let body =
-            ladon_crypto::qc::prepare_bytes(self.view, round, &digest, self.cfg.instance, rank);
+        let body = phase_bytes(self.view, round, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_PREPREPARE, &body);
         let pp = Arc::new(PrePrepare {
             view: self.view,
@@ -567,67 +567,47 @@ impl PbftInstance {
 
     /// Computes the rank and proof for the proposal of `round`
     /// (Algorithm 2 lines 1–6 plus the §5.3 optimization).
-    fn choose_rank(&mut self, round: Round, cur: &RankCert) -> (Rank, RankProof) {
-        match self.cfg.mode {
-            RankMode::None => (Rank(round.0), RankProof::None),
-            _ if round == self.view_start_round => {
-                let rank = Rank((cur.rank.0 + 1).min(self.epoch_max.0));
-                (rank, RankProof::FirstRound(cur.clone()))
-            }
-            RankMode::Plain => {
-                let prev = round.prev().expect("non-first round has a predecessor");
-                let reports = self.rank_reports.get(&prev).expect("can_propose checked");
-                // Sort reports by claimed rank.
-                let mut claims: Vec<(&RankReport, Rank)> =
-                    reports.values().map(|(r, claimed)| (r, *claimed)).collect();
-                claims.sort_by_key(|&(_, c)| c);
-                let q = self.cfg.quorum();
-                let chosen: Vec<(&RankReport, Rank)> = match self.cfg.strategy {
-                    // Honest: any 2f+1 including the maximum claim.
-                    RankStrategy::Honest | RankStrategy::HonestStale => {
-                        claims.iter().rev().take(q).cloned().collect()
-                    }
-                    // Byzantine: the lowest 2f+1 claims (Appendix B case 3).
-                    RankStrategy::MinimizeLowest => claims.iter().take(q).cloned().collect(),
-                };
-                let (max_report, rank_m) = chosen
-                    .iter()
-                    .max_by_key(|&&(_, c)| c)
-                    .copied()
-                    .expect("quorum is non-empty");
-                let rank = Rank((rank_m.0 + 1).min(self.epoch_max.0));
-                let rank_set: Vec<SignedRank> = chosen.iter().map(|(r, _)| r.signed).collect();
-                let max_cert = RankCert {
-                    rank: rank_m,
-                    cert: max_report.qc.clone(),
-                };
-                (rank, RankProof::Plain { rank_set, max_cert })
-            }
-            RankMode::Opt => {
-                let prev = round.prev().expect("non-first round has a predecessor");
-                let reports = self.rank_reports.get(&prev).expect("can_propose checked");
-                let base = reports
-                    .values()
-                    .next()
-                    .map(|(r, _)| r.signed.body.rank)
-                    .expect("quorum is non-empty");
-                let mut entries: Vec<&RankReport> = reports.values().map(|(r, _)| r).collect();
-                // Sort by encoded offset k (the sub-key index).
-                entries.sort_by_key(|r| r.signed.sig.pk.key_idx);
-                let q = self.cfg.quorum();
-                let chosen: Vec<&RankReport> = match self.cfg.strategy {
-                    RankStrategy::Honest | RankStrategy::HonestStale => {
-                        entries.iter().rev().take(q).cloned().collect()
-                    }
-                    RankStrategy::MinimizeLowest => entries.iter().take(q).cloned().collect(),
-                };
-                let sigs: Vec<Signature> = chosen.iter().map(|r| r.signed.sig).collect();
-                let agg = AggregateSignature::aggregate(&sigs, self.cfg.n)
-                    .expect("distinct signers by construction");
-                let k_m = agg.max_key_idx() as u64;
-                let rank = Rank((base.0 + k_m + 1).min(self.epoch_max.0));
-                (rank, RankProof::Opt { agg, base })
-            }
+    fn choose_rank(&self, round: Round, cur: &RankCert) -> (Rank, RankProof) {
+        if self.cfg.mode == RankMode::None {
+            return (Rank(round.0), RankProof::None);
+        }
+        let next = |rank_m: Rank| Rank((rank_m.0 + 1).min(self.epoch_max.0));
+        if round == self.view_start_round {
+            return (next(cur.rank), RankProof::FirstRound(cur.clone()));
+        }
+        let prev = round.prev().expect("non-first round has a predecessor");
+        let reports = self.rank_reports.get(&prev).expect("can_propose checked");
+        // The quorum: the 2f+1 highest claims, so the maximum is among
+        // them — or, for a minimizer, the 2f+1 lowest (Appendix B case 3).
+        let mut quorum: Vec<&(RankReport, Rank)> = reports.values().collect();
+        quorum.sort_by_key(|(_, claimed)| *claimed);
+        if self.cfg.strategy != RankStrategy::MinimizeLowest {
+            quorum.reverse();
+        }
+        quorum.truncate(self.cfg.quorum());
+        if self.cfg.mode == RankMode::Plain {
+            let (max_report, rank_m) = quorum
+                .iter()
+                .max_by_key(|(_, claimed)| *claimed)
+                .copied()
+                .expect("quorum is non-empty");
+            let max_cert = RankCert {
+                rank: *rank_m,
+                cert: max_report.qc.clone(),
+            };
+            let rank_set = quorum.iter().map(|(r, _)| r.signed).collect();
+            (next(*rank_m), RankProof::Plain { rank_set, max_cert })
+        } else {
+            let base = reports
+                .values()
+                .next()
+                .map(|(r, _)| r.signed.body.rank)
+                .expect("quorum is non-empty");
+            let sigs: Vec<Signature> = quorum.iter().map(|(r, _)| r.signed.sig).collect();
+            let agg = AggregateSignature::aggregate(&sigs, self.cfg.n)
+                .expect("distinct signers by construction");
+            let rank_m = base.offset(agg.max_key_idx().into());
+            (next(rank_m), RankProof::Opt { agg, base })
         }
     }
 
@@ -659,7 +639,7 @@ impl PbftInstance {
         match msg {
             PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, now, cur, out),
             PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, out),
-            PbftMsg::Rank(r) => self.handle_rank_report(from, r, out),
+            PbftMsg::Rank(r) => self.handle_rank_report(from, r),
             PbftMsg::ViewChange(vc) => self.handle_view_change(from, vc, now, cur, out),
             PbftMsg::NewView(nv) => self.handle_new_view(from, &nv, now, cur, out),
         }
@@ -736,36 +716,38 @@ impl PbftInstance {
         }
 
         let st = self.rounds.entry(pp.round).or_default();
-        st.digest = Some(pp.digest);
-        st.rank = pp.rank;
-        st.batch = Some(pp.batch.clone());
-        st.proposed_at = pp.proposed_at;
+        st.adopt(pp.digest, pp.rank, pp.batch.clone(), pp.proposed_at);
+        self.cast_prepare(pp.round, now, cur, out);
+    }
 
-        // Enter the prepare phase (Algorithm 2 lines 13–17).
-        if !st.sent_prepare {
-            st.sent_prepare = true;
-            let share = QuorumCert::sign_share(
-                &self.cfg.signer,
-                pp.view,
-                pp.round,
-                &pp.digest,
-                self.cfg.instance,
-                pp.rank,
-            );
-            let vote = PhaseVote {
-                phase: Phase::Prepare,
-                view: pp.view,
-                round: pp.round,
-                instance: self.cfg.instance,
-                digest: pp.digest,
-                rank: pp.rank,
-                sig: share,
-            };
-            out.push(Action::Broadcast(PbftMsg::Vote(vote)));
-            self.handle_vote(self.cfg.me, vote, now, cur, out);
-        } else {
-            self.try_advance(pp.round, now, cur, out);
-        }
+    /// Enters the prepare phase of `round`, whose proposal was just
+    /// adopted (Algorithm 2 lines 13–17): broadcasts this replica's
+    /// prepare vote, then counts it. A round is voted on once per view.
+    fn cast_prepare(
+        &mut self,
+        round: Round,
+        now: TimeNs,
+        cur: &mut RankCert,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(st) = self.rounds.get_mut(&round) else {
+            return;
+        };
+        let (Some(digest), false) = (st.digest, st.sent_prepare) else {
+            return;
+        };
+        st.sent_prepare = true;
+        let vote = PhaseVote::sign(
+            &self.cfg.signer,
+            Phase::Prepare,
+            self.view,
+            round,
+            self.cfg.instance,
+            digest,
+            st.rank,
+        );
+        out.push(Action::Broadcast(PbftMsg::Vote(vote)));
+        self.handle_vote(self.cfg.me, vote, now, cur, out);
     }
 
     /// Validates the pre-prepare's rank and proof (prepare-phase checks of
@@ -774,31 +756,23 @@ impl PbftInstance {
     /// verifies once.
     fn validate_rank_proof(&self, pp: &PrePrepare) -> RankCheck {
         let q = self.cfg.quorum();
-        match (&self.cfg.mode, &pp.rank_proof) {
-            (RankMode::None, RankProof::None) => {
-                if pp.rank == Rank(pp.round.0) {
-                    RankCheck::Ok
-                } else {
-                    RankCheck::Invalid
-                }
-            }
-            (RankMode::Plain | RankMode::Opt, RankProof::FirstRound(rc)) => {
-                if pp.round != self.view_start_round {
-                    return RankCheck::Invalid;
-                }
-                if !self.rank_claim_verified(rc.rank, rc.cert.as_ref()) {
+        // A rank set or aggregate answers the reports of the previous
+        // round of the same view; a view's first round has none.
+        let prev = pp
+            .round
+            .prev()
+            .filter(|_| pp.round != self.view_start_round);
+        match (self.cfg.mode, &pp.rank_proof, prev) {
+            (RankMode::None, RankProof::None, _) if pp.rank == Rank(pp.round.0) => RankCheck::Ok,
+            (RankMode::Plain | RankMode::Opt, RankProof::FirstRound(rc), _) => {
+                if pp.round != self.view_start_round
+                    || !self.rank_claim_verified(rc.rank, rc.cert.as_ref())
+                {
                     return RankCheck::Invalid;
                 }
                 self.check_expected_rank(pp.rank, rc.rank)
             }
-            (RankMode::Plain, RankProof::Plain { rank_set, max_cert }) => {
-                if pp.round == self.view_start_round {
-                    return RankCheck::Invalid;
-                }
-                let prev = match pp.round.prev() {
-                    Some(p) => p,
-                    None => return RankCheck::Invalid,
-                };
+            (RankMode::Plain, RankProof::Plain { rank_set, max_cert }, Some(prev)) => {
                 // 2f+1 distinct signers, correct view/round/instance.
                 let mut signers = BTreeSet::new();
                 for sr in rank_set {
@@ -828,14 +802,7 @@ impl PbftInstance {
                 }
                 self.check_expected_rank(pp.rank, rank_m)
             }
-            (RankMode::Opt, RankProof::Opt { agg, base }) => {
-                if pp.round == self.view_start_round {
-                    return RankCheck::Invalid;
-                }
-                let prev = match pp.round.prev() {
-                    Some(p) => p,
-                    None => return RankCheck::Invalid,
-                };
+            (RankMode::Opt, RankProof::Opt { agg, base }, Some(prev)) => {
                 if !agg.has_quorum(q) {
                     return RankCheck::Invalid;
                 }
@@ -859,8 +826,7 @@ impl PbftInstance {
                 if !agg.verify(&self.cfg.registry, DOMAIN_RANK, &body.bytes()) {
                     return RankCheck::Invalid;
                 }
-                let k_m = agg.max_key_idx() as u64;
-                self.check_expected_rank(pp.rank, Rank(base.0 + k_m))
+                self.check_expected_rank(pp.rank, base.offset(agg.max_key_idx().into()))
             }
             _ => RankCheck::Invalid,
         }
@@ -994,20 +960,15 @@ impl PbftInstance {
             let qc = Arc::new(qc);
             st.prepare_qc = Some(qc.clone());
 
-            let commit_share = Signature::sign(
+            let vote = PhaseVote::sign(
                 &self.cfg.signer,
-                DOMAIN_COMMIT,
-                &crate::msg::phase_bytes(self.view, round, &digest, self.cfg.instance, rank),
-            );
-            let vote = PhaseVote {
-                phase: Phase::Commit,
-                view: self.view,
+                Phase::Commit,
+                self.view,
                 round,
-                instance: self.cfg.instance,
+                self.cfg.instance,
                 digest,
                 rank,
-                sig: commit_share,
-            };
+            );
             out.push(Action::Broadcast(PbftMsg::Vote(vote)));
 
             // Update curRank (lines 23–26) and report it (lines 27–28).
@@ -1018,7 +979,7 @@ impl PbftInstance {
                 let report = self.build_rank_report(round, cur);
                 let leader = self.leader_of(self.view);
                 if leader == self.cfg.me {
-                    self.handle_rank_report(self.cfg.me, report, out);
+                    self.handle_rank_report(self.cfg.me, report);
                 } else {
                     out.push(Action::Send(leader, PbftMsg::Rank(report)));
                 }
@@ -1043,13 +1004,7 @@ impl PbftInstance {
                 batch,
                 proposed_at: st.proposed_at,
             };
-            while self
-                .rounds
-                .get(&self.committed_upto.next())
-                .is_some_and(|r| r.committed)
-            {
-                self.committed_upto = self.committed_upto.next();
-            }
+            self.extend_frontier();
             out.push(Action::Committed(block));
             out.push(Action::StartRoundTimer {
                 round: round.next(),
@@ -1058,51 +1013,46 @@ impl PbftInstance {
         }
     }
 
-    /// Builds this replica's rank report for the commit phase of `round`.
+    /// Builds this replica's rank report for the commit phase of `round`
+    /// (Algorithm 2 lines 27–28). Plain reports `curRank` itself, signed
+    /// with the base key. Opt (§5.3) signs the round's *common* body —
+    /// `base`, the round's rank — with sub-key `k = curRank − base`, so
+    /// the reports aggregate; a `k` past the key budget clamps to the last
+    /// key and under-reports.
     fn build_rank_report(&self, round: Round, cur: &RankCert) -> RankReport {
-        match self.cfg.mode {
-            RankMode::Plain => {
-                let body = RankBody {
-                    view: self.view,
-                    round,
-                    instance: self.cfg.instance,
-                    rank: cur.rank,
-                };
-                let sig = Signature::sign(&self.cfg.signer, DOMAIN_RANK, &body.bytes());
-                RankReport {
-                    signed: SignedRank { body, sig },
-                    qc: cur.cert.clone(),
-                }
-            }
+        let (rank, k) = match self.cfg.mode {
             RankMode::Opt => {
-                // §5.3: sign the *common* body (base = this round's rank)
-                // with sub-key k = curRank − base.
-                let base = self
-                    .rounds
-                    .get(&round)
-                    .map(|st| st.rank)
-                    .unwrap_or(self.epoch_min);
-                let body = RankBody {
-                    view: self.view,
-                    round,
-                    instance: self.cfg.instance,
-                    rank: base,
-                };
-                let k = u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX);
-                let sig = Signature::sign_with_key(&self.cfg.signer, k, DOMAIN_RANK, &body.bytes());
-                RankReport {
-                    signed: SignedRank { body, sig },
-                    qc: cur.cert.clone(),
-                }
+                let base = self.rounds.get(&round).map_or(self.epoch_min, |st| st.rank);
+                (base, u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX))
             }
-            RankMode::None => unreachable!("rank reports are disabled in vanilla mode"),
+            RankMode::Plain | RankMode::None => (cur.rank, 0),
+        };
+        let body = RankBody {
+            view: self.view,
+            round,
+            instance: self.cfg.instance,
+            rank,
+        };
+        let sig = Signature::sign_with_key(&self.cfg.signer, k, DOMAIN_RANK, &body.bytes());
+        RankReport {
+            signed: SignedRank { body, sig },
+            qc: cur.cert.clone(),
+        }
+    }
+
+    /// The rank a report claims: its body's, plus (Opt, §5.3) the sub-key
+    /// offset it was signed with.
+    fn claimed_rank(&self, r: &RankReport) -> Rank {
+        match self.cfg.mode {
+            RankMode::Opt => r.signed.body.rank.offset(r.signed.sig.pk.key_idx.into()),
+            RankMode::Plain | RankMode::None => r.signed.body.rank,
         }
     }
 
     /// Leader-side rank report intake (Algorithm 2 lines 37–41 are the
     /// replica-side `curRank` update; here the leader also accumulates the
     /// 2f+1 reports it needs to propose the next round).
-    fn handle_rank_report(&mut self, from: ReplicaId, r: RankReport, _out: &mut [Action]) {
+    fn handle_rank_report(&mut self, from: ReplicaId, r: RankReport) {
         if self.cfg.mode == RankMode::None {
             self.rejected += 1;
             return;
@@ -1124,31 +1074,20 @@ impl PbftInstance {
             self.rejected += 1;
             return;
         }
-        // Determine and certify the claimed rank.
-        let claimed = match self.cfg.mode {
-            RankMode::Plain => {
-                if !self.rank_claim_verified(r.signed.body.rank, r.qc.as_ref()) {
-                    self.rejected += 1;
-                    return;
-                }
-                r.signed.body.rank
-            }
-            RankMode::Opt => {
-                let k = r.signed.sig.pk.key_idx as u64;
-                let claimed = r.signed.body.rank.offset(k);
-                let valid = match &r.qc {
-                    // Clamped sub-keys under-report, so `>=` suffices.
-                    Some(qc) => qc.rank >= claimed && self.certs.verified(qc),
-                    None => claimed == self.epoch_min,
-                };
-                if !valid {
-                    self.rejected += 1;
-                    return;
-                }
-                claimed
-            }
-            RankMode::None => unreachable!(),
+        // Certify the claim: exactly in Plain, as a lower bound in Opt,
+        // whose clamped sub-keys under-report.
+        let claimed = self.claimed_rank(&r);
+        let certified = if self.cfg.mode == RankMode::Plain {
+            self.rank_claim_verified(claimed, r.qc.as_ref())
+        } else {
+            RankCert::validate_lower_bound(claimed, r.qc.as_ref(), self.epoch_min, |qc| {
+                self.certs.verified(qc)
+            })
         };
+        if !certified {
+            self.rejected += 1;
+            return;
+        }
         self.rank_reports
             .entry(r.signed.body.round)
             .or_default()
@@ -1159,9 +1098,15 @@ impl PbftInstance {
     // View changes
     // ------------------------------------------------------------------
 
-    /// Node callback: the round timer fired. Starts a view change if the
-    /// round has not committed and the view is unchanged.
-    pub fn on_round_timer(&mut self, round: Round, view: View) -> Vec<Action> {
+    /// Node callback: the round timer fired at `now`. Starts a view
+    /// change if the round has not committed and the view is unchanged.
+    pub fn on_round_timer(
+        &mut self,
+        round: Round,
+        view: View,
+        now: TimeNs,
+        cur: &mut RankCert,
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         if view != self.view || self.in_view_change {
             return out;
@@ -1174,21 +1119,30 @@ impl PbftInstance {
         if self.stopped_for_epoch {
             return out;
         }
-        self.start_view_change(&mut out);
+        self.start_view_change(now, cur, &mut out);
         out
     }
 
-    /// Node callback: the view-change completion timer fired.
-    pub fn on_view_change_timer(&mut self, view: View) -> Vec<Action> {
+    /// Node callback: the view-change completion timer fired at `now`.
+    pub fn on_view_change_timer(
+        &mut self,
+        view: View,
+        now: TimeNs,
+        cur: &mut RankCert,
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         if self.in_view_change && self.pending_view == view {
             // Escalate to the next view.
-            self.start_view_change(&mut out);
+            self.start_view_change(now, cur, &mut out);
         }
         out
     }
 
-    fn start_view_change(&mut self, out: &mut Vec<Action>) {
+    /// Sends this replica's view change to the next view's leader. When
+    /// that is this replica, its own message may complete the quorum and
+    /// install the view here and now: the nil fills are stamped `now`,
+    /// and replayed votes update `cur`.
+    fn start_view_change(&mut self, now: TimeNs, cur: &mut RankCert, out: &mut Vec<Action>) {
         let new_view = if self.in_view_change {
             self.pending_view.next()
         } else {
@@ -1213,32 +1167,35 @@ impl PbftInstance {
                 qc: st.prepare_qc.clone().expect("filtered on qc"),
             })
             .collect();
-
-        let mut vc = ViewChange {
+        let vc = Arc::new(ViewChange::sign(
+            &self.cfg.signer,
             new_view,
-            instance: self.cfg.instance,
-            last_committed: self.committed_upto,
+            self.cfg.instance,
+            self.committed_upto,
             prepared,
-            sig: Signature::sign(&self.cfg.signer, DOMAIN_VIEWCHANGE, &[0u8; 28]),
-        };
-        vc.sig = Signature::sign(&self.cfg.signer, DOMAIN_VIEWCHANGE, &vc.signing_bytes());
+        ));
 
         out.push(Action::ViewChangeStarted { view: new_view });
         out.push(Action::StartViewChangeTimer { view: new_view });
         let new_leader = self.leader_of(new_view);
         if new_leader == self.cfg.me {
-            let mut sub = Vec::new();
-            self.handle_view_change(
-                self.cfg.me,
-                Arc::new(vc),
-                TimeNs::ZERO,
-                &mut RankCert::genesis(self.epoch_min),
-                &mut sub,
-            );
-            out.append(&mut sub);
+            self.handle_view_change(self.cfg.me, vc, now, cur, out);
         } else {
-            out.push(Action::Send(new_leader, PbftMsg::ViewChange(Arc::new(vc))));
+            out.push(Action::Send(new_leader, PbftMsg::ViewChange(vc)));
         }
+    }
+
+    /// Whether a prepared entry of a view change is what its certificate
+    /// certifies: the QC names this instance and the entry's round, digest
+    /// and rank, the batch a re-proposal would adopt is the one the digest
+    /// names, and the QC verifies (through the cert cache).
+    fn entry_certified(&self, e: &PreparedEntry) -> bool {
+        e.qc.instance == self.cfg.instance
+            && e.qc.round == e.round
+            && e.qc.digest == e.digest
+            && e.qc.rank == e.rank
+            && digest_batch(&e.batch) == e.digest
+            && self.certs.verified(&e.qc)
     }
 
     fn handle_view_change(
@@ -1252,32 +1209,19 @@ impl PbftInstance {
         if vc.instance != self.cfg.instance
             || vc.new_view <= self.view
             || self.leader_of(vc.new_view) != self.cfg.me
+            || from != vc.sig.signer()
         {
             self.rejected += 1;
             return;
         }
-        if from != vc.sig.signer() {
-            self.rejected += 1;
-            return;
-        }
-        if from != self.cfg.me {
-            if !vc
+        if from != self.cfg.me
+            && (!vc
                 .sig
                 .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
-            {
-                self.rejected += 1;
-                return;
-            }
-            for entry in &vc.prepared {
-                if entry.qc.digest != entry.digest
-                    || entry.qc.rank != entry.rank
-                    || entry.qc.round != entry.round
-                    || !self.certs.verified(&entry.qc)
-                {
-                    self.rejected += 1;
-                    return;
-                }
-            }
+                || !vc.prepared.iter().all(|e| self.entry_certified(e)))
+        {
+            self.rejected += 1;
+            return;
         }
         let new_view = vc.new_view;
         let entry = self.view_changes.entry(new_view).or_default();
@@ -1297,13 +1241,12 @@ impl PbftInstance {
         out: &mut Vec<Action>,
     ) {
         let vcs = self.view_changes.remove(&view).expect("quorum present");
-        let mut nv = NewView {
+        let nv = NewView::sign(
+            &self.cfg.signer,
             view,
-            instance: self.cfg.instance,
-            vcs: vcs.into_values().collect(),
-            sig: Signature::sign(&self.cfg.signer, DOMAIN_NEWVIEW, &[0u8; 28]),
-        };
-        nv.sig = Signature::sign(&self.cfg.signer, DOMAIN_NEWVIEW, &nv.signing_bytes());
+            self.cfg.instance,
+            vcs.into_values().collect(),
+        );
         let nv = Arc::new(nv);
         out.push(Action::Broadcast(PbftMsg::NewView(nv.clone())));
         self.adopt_new_view(&nv, now, cur, out);
@@ -1317,50 +1260,33 @@ impl PbftInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        if nv.instance != self.cfg.instance || nv.view <= self.view {
-            self.rejected += 1;
-            return;
-        }
-        if from != self.leader_of(nv.view) || from != nv.sig.signer() {
+        if nv.instance != self.cfg.instance
+            || nv.view <= self.view
+            || from != self.leader_of(nv.view)
+            || from != nv.sig.signer()
+        {
             self.rejected += 1;
             return;
         }
         if from != self.cfg.me {
-            if !nv
-                .sig
-                .verify(&self.cfg.registry, DOMAIN_NEWVIEW, &nv.signing_bytes())
-            {
-                self.rejected += 1;
-                return;
-            }
             // The embedded view-change quorum must be individually valid:
             // 2f+1 distinct signers, each message for this view/instance,
             // every prepared entry certified by its QC.
-            let q = self.cfg.quorum();
-            let mut signers = BTreeSet::new();
-            for vc in &nv.vcs {
-                if vc.new_view != nv.view
-                    || vc.instance != nv.instance
-                    || !vc
+            let vc_valid = |vc: &Arc<ViewChange>| {
+                vc.new_view == nv.view
+                    && vc.instance == nv.instance
+                    && vc
                         .sig
                         .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
-                {
-                    self.rejected += 1;
-                    return;
-                }
-                for e in &vc.prepared {
-                    if e.qc.digest != e.digest
-                        || e.qc.rank != e.rank
-                        || e.qc.round != e.round
-                        || !self.certs.verified(&e.qc)
-                    {
-                        self.rejected += 1;
-                        return;
-                    }
-                }
-                signers.insert(vc.sig.signer());
-            }
-            if signers.len() < q {
+                    && vc.prepared.iter().all(|e| self.entry_certified(e))
+            };
+            let signers: BTreeSet<ReplicaId> = nv.vcs.iter().map(|vc| vc.sig.signer()).collect();
+            if !nv
+                .sig
+                .verify(&self.cfg.registry, DOMAIN_NEWVIEW, &nv.signing_bytes())
+                || !nv.vcs.iter().all(vc_valid)
+                || signers.len() < self.cfg.quorum()
+            {
                 self.rejected += 1;
                 return;
             }
@@ -1411,85 +1337,37 @@ impl PbftInstance {
         // Nil-fill the gap rounds (classical PBFT's null requests): rounds
         // below the resume point that no quorum member saw certified cannot
         // have committed anywhere (quorum intersection), so every replica
-        // prepares the same ⊥ block for them.
-        for &(round, rank) in &plan.nils {
+        // prepares the same ⊥ block for them. Then re-run the prepare
+        // phase of every certified re-proposal.
+        let nils = plan
+            .nils
+            .iter()
+            .map(|&(round, rank)| (round, Digest::NIL, rank, Batch::empty(0), now));
+        let reproposals = plan
+            .reproposals
+            .into_iter()
+            .map(|e| (e.round, e.digest, e.rank, e.batch, e.proposed_at));
+        for (round, digest, rank, batch, proposed_at) in nils.chain(reproposals) {
             let st = self.rounds.entry(round).or_default();
             if st.committed {
                 continue;
             }
-            st.digest = Some(Digest::NIL);
-            st.rank = rank;
-            st.batch = Some(Batch::empty(0));
-            st.proposed_at = now;
-            st.sent_prepare = true;
-            let share = QuorumCert::sign_share(
-                &self.cfg.signer,
-                self.view,
-                round,
-                &Digest::NIL,
-                self.cfg.instance,
-                rank,
-            );
-            let vote = PhaseVote {
-                phase: Phase::Prepare,
-                view: self.view,
-                round,
-                instance: self.cfg.instance,
-                digest: Digest::NIL,
-                rank,
-                sig: share,
-            };
-            out.push(Action::Broadcast(PbftMsg::Vote(vote)));
-            self.handle_vote(self.cfg.me, vote, now, cur, out);
-        }
-
-        for e in plan.reproposals {
-            let st = self.rounds.entry(e.round).or_default();
-            if st.committed {
-                continue;
-            }
-            st.digest = Some(e.digest);
-            st.rank = e.rank;
-            st.batch = Some(e.batch);
-            st.proposed_at = e.proposed_at;
-            if !st.sent_prepare {
-                st.sent_prepare = true;
-                let share = QuorumCert::sign_share(
-                    &self.cfg.signer,
-                    self.view,
-                    e.round,
-                    &e.digest,
-                    self.cfg.instance,
-                    e.rank,
-                );
-                let vote = PhaseVote {
-                    phase: Phase::Prepare,
-                    view: self.view,
-                    round: e.round,
-                    instance: self.cfg.instance,
-                    digest: e.digest,
-                    rank: e.rank,
-                    sig: share,
-                };
-                out.push(Action::Broadcast(PbftMsg::Vote(vote)));
-                self.handle_vote(self.cfg.me, vote, now, cur, out);
-            }
+            st.adopt(digest, rank, batch, proposed_at);
+            self.cast_prepare(round, now, cur, out);
         }
         // Restart the liveness timer for the first uncommitted round.
         out.push(Action::StartRoundTimer {
             round: self.committed_upto.next(),
             view: self.view,
         });
+        self.replay_view_msgs(now, cur, out);
+    }
 
-        // Replay traffic that arrived for this view before we installed it
-        // (still-future messages re-buffer themselves).
-        let buffered = std::mem::take(&mut self.pending_view_msgs);
-        for (from, msg) in buffered {
-            match msg {
-                PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, now, cur, out),
-                PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, out),
-                _ => {}
-            }
+    /// Replays the traffic held behind a view change (a message still
+    /// ahead of the installed view buffers itself again).
+    fn replay_view_msgs(&mut self, now: TimeNs, cur: &mut RankCert, out: &mut Vec<Action>) {
+        for (from, msg) in std::mem::take(&mut self.pending_view_msgs) {
+            self.dispatch(from, msg, now, cur, out);
         }
     }
 
@@ -1583,13 +1461,7 @@ impl PbftInstance {
         st.prepare_qc = Some(qc.clone());
         st.committed = true;
         st.commits = None;
-        while self
-            .rounds
-            .get(&self.committed_upto.next())
-            .is_some_and(|s| s.committed)
-        {
-            self.committed_upto = self.committed_upto.next();
-        }
+        self.extend_frontier();
         // A fetched certificate is also a rank certificate (Algorithm 2
         // line 25): catching up must advance curRank, or our next rank
         // reports would undercut blocks we just learned about.
@@ -1606,16 +1478,7 @@ impl PbftInstance {
         // brings us along as usual.
         if self.in_view_change {
             self.in_view_change = false;
-            let buffered = std::mem::take(&mut self.pending_view_msgs);
-            for (from, msg) in buffered {
-                match msg {
-                    PbftMsg::PrePrepare(pp) => {
-                        self.handle_preprepare(from, &pp, now, cur, &mut out)
-                    }
-                    PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, &mut out),
-                    _ => {}
-                }
-            }
+            self.replay_view_msgs(now, cur, &mut out);
         }
         out
     }
@@ -1633,10 +1496,15 @@ impl PbftInstance {
         }
         self.committed_upto = round;
         self.rounds = self.rounds.split_off(&round.next());
+        self.extend_frontier();
+    }
+
+    /// Moves the commit frontier over the committed rounds right above it.
+    fn extend_frontier(&mut self) {
         while self
             .rounds
             .get(&self.committed_upto.next())
-            .is_some_and(|s| s.committed)
+            .is_some_and(|st| st.committed)
         {
             self.committed_upto = self.committed_upto.next();
         }

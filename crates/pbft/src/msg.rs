@@ -14,7 +14,8 @@
 //! None of this is visible on the wire — every [`WireSize`] is what it
 //! was when the messages were held by value.
 
-use ladon_crypto::{AggregateSignature, QuorumCert, RankCert, Signature};
+use ladon_crypto::keys::Signer;
+use ladon_crypto::{AggregateSignature, QuorumCert, RankCert, Sha256, Signature};
 use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -230,6 +231,30 @@ pub struct PhaseVote {
 }
 
 impl PhaseVote {
+    /// `signer`'s vote in `phase` for `(digest, rank)` at `(view, round,
+    /// instance)`: [`phase_bytes`] signed under [`Phase::domain`] — a
+    /// prepare vote is a share of the round's [`QuorumCert`].
+    pub fn sign(
+        signer: &Signer,
+        phase: Phase,
+        view: View,
+        round: Round,
+        instance: InstanceId,
+        digest: Digest,
+        rank: Rank,
+    ) -> Self {
+        let body = phase_bytes(view, round, &digest, instance, rank);
+        Self {
+            phase,
+            view,
+            round,
+            instance,
+            digest,
+            rank,
+            sig: Signature::sign(signer, phase.domain(), &body),
+        }
+    }
+
     /// The bytes this vote signs.
     pub fn signing_bytes(&self) -> [u8; 60] {
         phase_bytes(
@@ -296,14 +321,57 @@ pub struct ViewChange {
 }
 
 impl ViewChange {
-    /// Canonical signing bytes (header fields only; the prepared entries
-    /// are certified by their own QCs).
-    pub fn signing_bytes(&self) -> [u8; 28] {
-        let mut out = [0u8; 28];
-        out[0..8].copy_from_slice(&self.new_view.0.to_le_bytes());
-        out[8..16].copy_from_slice(&self.last_committed.0.to_le_bytes());
-        out[16..20].copy_from_slice(&self.instance.0.to_le_bytes());
-        out[20..28].copy_from_slice(&(self.prepared.len() as u64).to_le_bytes());
+    /// `signer`'s view change to `new_view`.
+    pub fn sign(
+        signer: &Signer,
+        new_view: View,
+        instance: InstanceId,
+        last_committed: Round,
+        prepared: Vec<PreparedEntry>,
+    ) -> Self {
+        let bytes = Self::bytes(new_view, instance, last_committed, &prepared);
+        Self {
+            new_view,
+            instance,
+            last_committed,
+            prepared,
+            sig: Signature::sign(signer, DOMAIN_VIEWCHANGE, &bytes),
+        }
+    }
+
+    /// Canonical signing bytes: the header, then a SHA-256 over every
+    /// prepared entry's `(round, digest, rank, qc.view)`, so a relaying
+    /// new leader cannot rewrite what the sender reported (classical
+    /// PBFT signs its prepared set for the same reason). An entry's batch
+    /// is bound through its digest, which receivers check.
+    pub fn signing_bytes(&self) -> [u8; 60] {
+        Self::bytes(
+            self.new_view,
+            self.instance,
+            self.last_committed,
+            &self.prepared,
+        )
+    }
+
+    fn bytes(
+        new_view: View,
+        instance: InstanceId,
+        last_committed: Round,
+        prepared: &[PreparedEntry],
+    ) -> [u8; 60] {
+        let mut entries = Sha256::new();
+        for e in prepared {
+            entries.update(&e.round.0.to_le_bytes());
+            entries.update(&e.digest.0);
+            entries.update(&e.rank.0.to_le_bytes());
+            entries.update(&e.qc.view.0.to_le_bytes());
+        }
+        let mut out = [0u8; 60];
+        out[0..8].copy_from_slice(&new_view.0.to_le_bytes());
+        out[8..16].copy_from_slice(&last_committed.0.to_le_bytes());
+        out[16..20].copy_from_slice(&instance.0.to_le_bytes());
+        out[20..28].copy_from_slice(&(prepared.len() as u64).to_le_bytes());
+        out[28..60].copy_from_slice(&entries.finalize());
         out
     }
 }
@@ -323,7 +391,9 @@ impl WireSize for ViewChange {
 /// nil-fill plan from this set with the same deterministic function
 /// ([`crate::instance::ViewPlan::from_vcs`]) instead of trusting
 /// leader-chosen fields, so a Byzantine leader cannot skip or reorder
-/// rounds within one new-view message. (It can still send *different*
+/// rounds within one new-view message, and since each view change signs
+/// its entries ([`ViewChange::signing_bytes`]) it cannot rewrite what a
+/// member reported either. (It can still send *different*
 /// quorums to different backups — then their prepares never match, the
 /// round times out, and the next view change removes it, exactly as in
 /// PBFT.)
@@ -341,12 +411,33 @@ pub struct NewView {
 }
 
 impl NewView {
-    /// Canonical signing bytes.
+    /// `signer`'s new-view message installing `view` on the quorum `vcs`.
+    pub fn sign(
+        signer: &Signer,
+        view: View,
+        instance: InstanceId,
+        vcs: Vec<Arc<ViewChange>>,
+    ) -> Self {
+        let bytes = Self::bytes(view, instance, vcs.len());
+        Self {
+            view,
+            instance,
+            vcs,
+            sig: Signature::sign(signer, DOMAIN_NEWVIEW, &bytes),
+        }
+    }
+
+    /// Canonical signing bytes: the header. Each embedded view change
+    /// carries its sender's signature over its own entries.
     pub fn signing_bytes(&self) -> [u8; 28] {
+        Self::bytes(self.view, self.instance, self.vcs.len())
+    }
+
+    fn bytes(view: View, instance: InstanceId, vcs: usize) -> [u8; 28] {
         let mut out = [0u8; 28];
-        out[0..8].copy_from_slice(&self.view.0.to_le_bytes());
-        out[16..20].copy_from_slice(&self.instance.0.to_le_bytes());
-        out[20..28].copy_from_slice(&(self.vcs.len() as u64).to_le_bytes());
+        out[0..8].copy_from_slice(&view.0.to_le_bytes());
+        out[16..20].copy_from_slice(&instance.0.to_le_bytes());
+        out[20..28].copy_from_slice(&(vcs as u64).to_le_bytes());
         out
     }
 }

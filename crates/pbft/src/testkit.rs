@@ -173,7 +173,8 @@ impl Cluster {
             if self.crashed[who] {
                 continue;
             }
-            let actions = self.nodes[who].on_round_timer(round, view);
+            let actions =
+                self.nodes[who].on_round_timer(round, view, self.now, &mut self.cur_ranks[who]);
             self.absorb(who, actions);
         }
         self.run_to_quiescence();

@@ -2,9 +2,9 @@
 //! and the Appendix-B leader behaviors.
 
 use crate::instance::{PbftInstance, RankMode, RankStrategy, MAX_PENDING_MSGS};
-use crate::msg::{PbftMsg, RankProof, DOMAIN_PREPREPARE};
+use crate::msg::{PbftMsg, RankProof, ViewChange, DOMAIN_PREPREPARE};
 use crate::testkit::{test_batch, Cluster};
-use ladon_crypto::Signature;
+use ladon_crypto::{QuorumCert, Signature};
 use ladon_types::{Rank, ReplicaId, Round, View};
 use std::sync::Arc;
 
@@ -270,6 +270,138 @@ fn view_change_repropose_preserves_prepared_block() {
     assert_eq!(blocks[0].round(), Round(1));
 }
 
+/// Two rounds commit under replica 0, which then crashes; replicas 2 and
+/// 3 time out on round 3 and replica 1's own view change completes the
+/// quorum. Returns the cluster (the new view reached no backup yet) and
+/// the new-view message replica 1 broadcast.
+fn new_view_completed_by_the_new_leader() -> (Cluster, Arc<crate::msg::NewView>) {
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    for i in 0..2 {
+        c.propose_and_run(0, test_batch(i * 10, 5));
+    }
+    c.crashed[0] = true;
+    for who in [2, 3] {
+        let actions = c.nodes[who].on_round_timer(Round(3), View(0), c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    c.run_to_quiescence();
+    let actions = c.nodes[1].on_round_timer(Round(3), View(0), c.now, &mut c.cur_ranks[1]);
+    let nv = actions
+        .iter()
+        .find_map(|a| match a {
+            crate::Action::Broadcast(PbftMsg::NewView(nv)) => Some(nv.clone()),
+            _ => None,
+        })
+        .expect("the leader's own view change completes the quorum");
+    (c, nv)
+}
+
+#[test]
+fn new_view_that_rewrites_a_view_change_is_refused() {
+    // A view change signs the entries it reports, an entry's batch must
+    // match its digest, and its certificate must be this instance's: a
+    // Byzantine new leader that rewrites an honest member's entries,
+    // swaps the batch one of them carries, or cites another instance's
+    // certificate in its own view change is refused and installs nothing.
+    fn vc_of(nv: &mut crate::msg::NewView, signer: u32) -> &mut crate::msg::ViewChange {
+        let vc = nv
+            .vcs
+            .iter_mut()
+            .find(|vc| vc.sig.signer() == ReplicaId(signer));
+        Arc::make_mut(vc.expect("a view change by that replica"))
+    }
+    type Edit = fn(&Cluster, &mut crate::msg::NewView);
+    let edits: [(&str, Edit); 3] = [
+        ("an entry replaced by another", |_, nv| {
+            let prepared = &mut vc_of(nv, 2).prepared;
+            prepared[0] = prepared[1].clone();
+        }),
+        ("a batch altered", |_, nv| {
+            vc_of(nv, 2).prepared[0].batch = test_batch(999, 7);
+        }),
+        ("another instance's certificate", |c, nv| {
+            let vc = vc_of(nv, 1);
+            let e = &mut vc.prepared[0];
+            let (view, instance) = (e.qc.view, ladon_types::InstanceId(1));
+            let shares: Vec<Signature> = [0, 2, 3]
+                .map(|r| {
+                    let signer = c.registry.signer(ReplicaId(r));
+                    QuorumCert::sign_share(&signer, view, e.round, &e.digest, instance, e.rank)
+                })
+                .to_vec();
+            let qc = QuorumCert::from_shares(&shares, 4, view, e.round, instance, e.digest, e.rank);
+            e.qc = Arc::new(qc.expect("distinct signers"));
+            let prepared = std::mem::take(&mut vc.prepared);
+            let signer = c.registry.signer(ReplicaId(1));
+            *vc = ViewChange::sign(
+                &signer,
+                vc.new_view,
+                vc.instance,
+                vc.last_committed,
+                prepared,
+            );
+        }),
+    ];
+    for (what, edit) in edits {
+        let (mut c, nv) = new_view_completed_by_the_new_leader();
+        let mut forged = (*nv).clone();
+        assert!(forged.vcs.iter().all(|vc| vc.prepared.len() == 2));
+        edit(&c, &mut forged);
+        let rejected = c.nodes[2].rejected;
+        let actions = c.nodes[2].on_message(
+            ReplicaId(1),
+            PbftMsg::NewView(Arc::new(forged)),
+            c.now,
+            &mut c.cur_ranks[2],
+        );
+        assert_eq!(c.nodes[2].rejected, rejected + 1, "{what}");
+        assert!(
+            !actions
+                .iter()
+                .any(|a| matches!(a, crate::Action::NewViewInstalled { .. })),
+            "{what}: {actions:?}"
+        );
+        assert_eq!(c.nodes[2].view(), View(0), "{what}");
+
+        // The new view as the leader sent it installs.
+        c.nodes[2].on_message(
+            ReplicaId(1),
+            PbftMsg::NewView(nv),
+            c.now,
+            &mut c.cur_ranks[2],
+        );
+        assert_eq!(c.nodes[2].view(), View(1), "{what}");
+    }
+}
+
+#[test]
+fn nil_fill_completed_by_the_new_leader_carries_its_timer_clock() {
+    // Round 2 is lost while round 3 commits; the leader crashes. The new
+    // leader's own view change completes the quorum, from its round
+    // timer: the nil block it fills round 2 with is stamped with that
+    // timer's clock, as on every backup, not with time zero.
+    let mut c = Cluster::new(4, RankMode::None, u64::MAX);
+    c.propose_and_run(0, test_batch(0, 5));
+    c.now += ladon_types::TimeNs::from_millis(10);
+    drop(c.nodes[0].propose(test_batch(100, 5), c.now, &mut c.cur_ranks[0]));
+    c.propose_and_run(0, test_batch(200, 5));
+    c.crashed[0] = true;
+    for who in [2, 3] {
+        let actions = c.nodes[who].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    c.run_to_quiescence();
+    c.now += ladon_types::TimeNs::from_millis(10);
+    let actions = c.nodes[1].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[1]);
+    c.absorb(1, actions);
+    c.run_to_quiescence();
+
+    let blocks = c.assert_agreement();
+    assert_eq!(blocks.len(), 3);
+    assert!(blocks[1].is_nil());
+    assert_eq!(blocks[1].proposed_at, c.now);
+}
+
 #[test]
 fn stale_round_timer_is_ignored() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
@@ -278,7 +410,7 @@ fn stale_round_timer_is_ignored() {
     c.fire_round_timers(Round(1), View(0));
     assert_eq!(c.nodes[1].view(), View(0));
     // A timer from a stale view is also ignored.
-    let acts = c.nodes[1].on_round_timer(Round(2), View(5));
+    let acts = c.nodes[1].on_round_timer(Round(2), View(5), c.now, &mut c.cur_ranks[1]);
     assert!(acts.is_empty());
 }
 
@@ -733,7 +865,7 @@ fn install_committed_abandons_lone_view_change() {
     assert_eq!(c.committed[1].len(), 1, "replica 1 missed round 2");
 
     // Replica 1's round-2 timer fires; its lone view change goes nowhere.
-    let acts = c.nodes[1].on_round_timer(Round(2), View(0));
+    let acts = c.nodes[1].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[1]);
     c.absorb(1, acts);
     c.queue.clear(); // its view-change message is never answered
     assert!(c.nodes[1].in_view_change());

@@ -1,10 +1,12 @@
 //! Property-based tests of the PBFT instance's rank machinery:
 //! MR-Monotonicity (Lemma 2) under random delivery interleavings, epoch
-//! clamping, and opt-mode equivalence.
+//! clamping, opt-mode equivalence, and the opt encoding past its key
+//! budget.
 
+use ladon_crypto::{QuorumCert, RankCert};
 use ladon_pbft::testkit::{test_batch, Cluster};
-use ladon_pbft::RankMode;
-use ladon_types::Rank;
+use ladon_pbft::{PbftMsg, RankMode};
+use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View};
 use proptest::prelude::*;
 
 /// Runs `rounds` proposals with the queue drained in an order driven by
@@ -96,6 +98,56 @@ fn opt_mode_epoch_crossing_preserves_ranks() {
     for w in blocks.windows(2) {
         assert!(w[1].rank() > w[0].rank());
     }
+}
+
+#[test]
+fn opt_report_past_the_key_budget_under_reports_and_is_accepted() {
+    // §5.3: a backup whose certified curRank sits K or more above the
+    // round's base signs with the last sub-key, so its report claims
+    // exactly base + K − 1 — a lower bound of what its certificate proves,
+    // which the leader accepts and proposes one above.
+    let mut c = Cluster::new(4, RankMode::Opt, 1000);
+    let k = u64::from(c.registry.opt_keys());
+    c.propose_and_run(0, test_batch(0, 4));
+    c.propose_and_run(0, test_batch(10, 4));
+
+    // Backup 2 learned a much higher certified rank on another instance.
+    let (view, round, instance, digest) = (View(0), Round(9), InstanceId(1), Digest([9; 32]));
+    let high = Rank(40);
+    let shares: Vec<_> = (0..3)
+        .map(|r| {
+            let signer = c.registry.signer(ReplicaId(r));
+            QuorumCert::sign_share(&signer, view, round, &digest, instance, high)
+        })
+        .collect();
+    let cert = QuorumCert::from_shares(&shares, 4, view, round, instance, digest, high);
+    c.cur_ranks[2] = RankCert::certified(cert.expect("distinct signers"));
+
+    c.now += TimeNs::from_millis(10);
+    let actions = c.nodes[0].propose(test_batch(20, 4), c.now, &mut c.cur_ranks[0]);
+    c.absorb(0, actions);
+    let (rejected, mut report) = (c.nodes[0].rejected, None);
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        if let (2, PbftMsg::Rank(r)) = (from.0, &msg) {
+            report = Some(r.clone());
+        }
+        let who = to.as_usize();
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    let report = report.expect("backup 2 reported to the leader");
+    let base = report.signed.body.rank;
+    assert_eq!(base, Rank(3), "the round's rank");
+    assert!(high.diff(base) >= k);
+    assert_eq!(u64::from(report.signed.sig.pk.key_idx), k - 1);
+    assert_eq!(
+        c.nodes[0].rejected, rejected,
+        "the under-report is accepted"
+    );
+
+    c.propose_and_run(0, test_batch(30, 4));
+    let blocks = c.assert_agreement();
+    assert_eq!(blocks.last().unwrap().rank(), base.offset(k));
 }
 
 #[test]

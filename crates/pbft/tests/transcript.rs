@@ -13,11 +13,18 @@
 //! cert cache was once keyed by, kept here so the pins never move). The
 //! pinned values were printed by the commit before the vote tally, the
 //! `Arc`-shared messages and the replica-wide cert cache went in.
+//!
+//! A second scenario pins the view-change path the same way
+//! ([`view_change_transcript`]).
 
 use ladon_crypto::{QuorumCert, RankCert, Sha256, Signature};
+use ladon_pbft::msg::DOMAIN_RANK;
 use ladon_pbft::testkit::{test_batch, Cluster};
-use ladon_pbft::{Action, PbftMsg, Phase, PhaseVote, RankMode, RankProof, ViewChange};
-use ladon_types::{Block, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
+use ladon_pbft::{
+    Action, PbftMsg, Phase, PhaseVote, RankBody, RankMode, RankProof, RankReport, SignedRank,
+    ViewChange,
+};
+use ladon_types::{Block, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View};
 
 const ROUNDS: u64 = 20;
 
@@ -317,5 +324,173 @@ fn emitted_bytes_match_the_pinned_transcripts() {
     ];
     for (n, mode, pin) in pins {
         assert_eq!(transcript(n, mode), pin, "n = {n}, {mode:?}");
+    }
+}
+
+/// Has `leader` propose its next round, recording what it emits.
+fn propose(c: &mut Cluster, t: &mut Transcript, leader: usize, first_tx: u64) {
+    c.now += TimeNs::from_millis(10);
+    assert!(
+        c.nodes[leader].can_propose(),
+        "replica {leader} cannot propose"
+    );
+    let batch = test_batch(first_tx, 8);
+    let actions = c.nodes[leader].propose(batch, c.now, &mut c.cur_ranks[leader]);
+    t.actions(leader, &actions);
+    c.absorb(leader, actions);
+}
+
+/// Fires `who`'s round timer for `round` of view 0, recording what it
+/// emits.
+fn round_timer(c: &mut Cluster, t: &mut Transcript, who: usize, round: Round) {
+    let actions = c.nodes[who].on_round_timer(round, View(0), c.now, &mut c.cur_ranks[who]);
+    t.actions(who, &actions);
+    c.absorb(who, actions);
+}
+
+/// Delivers the queue until it is empty, dropping what `keep` refuses and
+/// recording every action. A `NewView` waits while anything else is
+/// queued, so the new leader's votes of the new view reach each backup
+/// before the view does and are replayed from its view buffer.
+fn deliver(c: &mut Cluster, t: &mut Transcript, keep: impl Fn(ReplicaId, &PbftMsg) -> bool) {
+    while !c.queue.is_empty() {
+        let next = c
+            .queue
+            .iter()
+            .position(|(_, _, m)| !matches!(m, PbftMsg::NewView(_)))
+            .unwrap_or(0);
+        let (to, from, msg) = c.queue.remove(next).expect("index below len");
+        let who = to.as_usize();
+        if c.crashed[who] || !keep(to, &msg) {
+            continue;
+        }
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        t.actions(who, &actions);
+        c.absorb(who, actions);
+    }
+}
+
+fn is_vote(m: &PbftMsg, phase: Phase) -> bool {
+    matches!(m, PbftMsg::Vote(v) if v.phase == phase)
+}
+
+/// The view-change scenario, in one FIFO order, returning the transcript
+/// digest in hex. Replica 0 leads view 0 and replica 1 view 1:
+///
+/// 1. rounds 1–2 commit everywhere;
+/// 2. round 3 prepares everywhere and commits nowhere (a certified
+///    re-proposal);
+/// 3. round 4's prepares reach only the leader, and `2f` backups report a
+///    rank for it anyway, so the leader may propose round 5 — a round
+///    below a certified one that no view-change member can certify (the
+///    nil-filled gap; under at most `f` faults this cannot happen, which is
+///    why the reports are injected);
+/// 4. round 5 prepares everywhere and commits nowhere;
+/// 5. the leader crashes; `2f` backups' round timers fire, and the new
+///    leader's own view change, from its own timer, completes the quorum;
+/// 6. the new view's votes reach the backups before the new view does;
+/// 7. the new leader proposes rounds 6 and 7.
+fn view_change_transcript(n: usize, mode: RankMode) -> String {
+    let mut c = Cluster::new(n, mode, u64::MAX / 2);
+    let mut t = Transcript(Sha256::new());
+    let f = (n - 1) / 3;
+    let all = |_: ReplicaId, _: &PbftMsg| true;
+    let no_commits = |_: ReplicaId, m: &PbftMsg| !is_vote(m, Phase::Commit);
+
+    for round in 1..=2 {
+        propose(&mut c, &mut t, 0, round * 100);
+        deliver(&mut c, &mut t, all);
+    }
+    propose(&mut c, &mut t, 0, 300);
+    deliver(&mut c, &mut t, no_commits);
+
+    propose(&mut c, &mut t, 0, 400);
+    let leader = ReplicaId(0);
+    deliver(&mut c, &mut t, |to, m| {
+        !is_vote(m, Phase::Commit) && (!is_vote(m, Phase::Prepare) || to == leader)
+    });
+    let cert = c.cur_ranks[0].clone();
+    assert_eq!(cert.rank, Rank(4), "the leader certified round 4");
+    for r in n - 2 * f..n {
+        let from = ReplicaId(r as u32);
+        let body = RankBody {
+            view: View(0),
+            round: Round(4),
+            instance: InstanceId(0),
+            rank: cert.rank,
+        };
+        let sig = Signature::sign(&c.registry.signer(from), DOMAIN_RANK, &body.bytes());
+        let report = RankReport {
+            signed: SignedRank { body, sig },
+            qc: cert.cert.clone(),
+        };
+        c.queue.push_back((leader, from, PbftMsg::Rank(report)));
+    }
+    deliver(&mut c, &mut t, all);
+
+    propose(&mut c, &mut t, 0, 500);
+    deliver(&mut c, &mut t, no_commits);
+
+    c.crashed[0] = true;
+    c.now += TimeNs::from_millis(10);
+    for who in 2..2 + 2 * f {
+        round_timer(&mut c, &mut t, who, Round(3));
+    }
+    deliver(&mut c, &mut t, all);
+    c.now += TimeNs::from_millis(10);
+    round_timer(&mut c, &mut t, 1, Round(3));
+    deliver(&mut c, &mut t, all);
+
+    for round in 6..=7 {
+        propose(&mut c, &mut t, 1, round * 100);
+        deliver(&mut c, &mut t, all);
+    }
+
+    for r in 1..n {
+        assert_eq!(c.nodes[r].view(), View(1), "replica {r}");
+        let entries = c.nodes[r].committed_entries_from(Round(0), 7);
+        let first_txs: Vec<u64> = entries.iter().map(|(b, _)| b.batch.first_tx.0).collect();
+        assert_eq!(first_txs, [100, 200, 300, 0, 500, 600, 700], "replica {r}");
+        assert!(entries[3].0.is_nil(), "replica {r}");
+        assert_eq!(c.nodes[r].rejected, 0, "replica {r}");
+        for (block, qc) in entries {
+            t.block(&block);
+            t.cert(Some(&*qc));
+        }
+        t.rank_cert(&c.cur_ranks[r]);
+    }
+    t.0.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn view_change_bytes_match_the_pinned_transcripts() {
+    let pins = [
+        (
+            4,
+            RankMode::Plain,
+            "383dc9b72e2d62ce0256863444ca2306551d624d8b5e55b247c57d61f45624a4",
+        ),
+        (
+            4,
+            RankMode::Opt,
+            "b0ed228f66cbe782a85421707027fc9871db3e89d6b17baeffb8d48f2f90ac74",
+        ),
+        (
+            7,
+            RankMode::Plain,
+            "88533bf1e0b5ff810664aee3e334183c32d75d49c5f78ad2754753514e8a718c",
+        ),
+        (
+            7,
+            RankMode::Opt,
+            "3679c52da898da3992ca288a83c368029dd1594df0d1ba6c3c7fe08082bc59ef",
+        ),
+    ];
+    let got: Vec<String> = pins
+        .iter()
+        .map(|&(n, mode, _)| view_change_transcript(n, mode))
+        .collect();
+    for ((n, mode, pin), got) in pins.into_iter().zip(got) {
+        assert_eq!(got, pin, "n = {n}, {mode:?}");
     }
 }

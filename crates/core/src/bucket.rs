@@ -13,52 +13,30 @@
 use ladon_types::{Batch, InstanceId, TimeNs, TxId};
 use std::collections::VecDeque;
 
-/// The rotating bucket assignment.
-#[derive(Clone, Debug)]
+/// The rotating bucket assignment: one bucket per instance, each served
+/// by the instance `(bucket + epoch) mod m` — a function of the epoch
+/// alone, so every replica that agrees on the epoch agrees on it.
+#[derive(Clone, Copy, Debug)]
 pub struct RotatingBuckets {
-    /// Number of buckets (the paper uses one per instance).
-    num_buckets: usize,
-    /// Number of instances.
-    m: usize,
-    /// Rotation offset (incremented each epoch).
-    offset: usize,
+    /// Number of instances (and of buckets).
+    m: u64,
 }
 
 impl RotatingBuckets {
-    /// One bucket per instance, unrotated.
+    /// One bucket per instance.
     pub fn new(m: usize) -> Self {
-        Self {
-            num_buckets: m,
-            m,
-            offset: 0,
-        }
+        Self { m: m as u64 }
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.num_buckets
+    /// The instance serving `bucket` in `epoch`.
+    pub fn instance_of(&self, bucket: u32, epoch: u64) -> InstanceId {
+        InstanceId(((u64::from(bucket) + epoch % self.m) % self.m) as u32)
     }
 
-    /// The bucket a transaction hashes into.
-    pub fn bucket_of(&self, tx_hash: u64) -> u32 {
-        (tx_hash % self.num_buckets as u64) as u32
-    }
-
-    /// The instance currently assigned to `bucket`.
-    pub fn instance_of(&self, bucket: u32) -> InstanceId {
-        InstanceId(((bucket as usize + self.offset) % self.m) as u32)
-    }
-
-    /// The buckets currently assigned to `instance`.
-    pub fn buckets_of(&self, instance: InstanceId) -> Vec<u32> {
-        (0..self.num_buckets as u32)
-            .filter(|&b| self.instance_of(b) == instance)
-            .collect()
-    }
-
-    /// Rotates the assignment (called on epoch advance).
-    pub fn rotate(&mut self) {
-        self.offset = (self.offset + 1) % self.m;
+    /// The bucket `instance` serves in `epoch` (the inverse of
+    /// [`Self::instance_of`]).
+    pub fn bucket_served_by(&self, instance: InstanceId, epoch: u64) -> u32 {
+        ((u64::from(instance.0) + self.m - epoch % self.m) % self.m) as u32
     }
 }
 
@@ -106,35 +84,33 @@ impl Mempool {
         self.buckets[bucket as usize].push_back(group);
     }
 
-    /// Cuts a batch of up to `max_txs` transactions from the given buckets
-    /// (Algorithm 2's `cutBatch`). Splits groups when needed. The batch's
-    /// `bucket` field records the first contributing bucket.
-    pub fn cut_batch(&mut self, buckets: &[u32], max_txs: u32) -> Batch {
-        let mut batch = Batch::empty(buckets.first().copied().unwrap_or(0));
+    /// Cuts a batch of up to `max_txs` transactions from `bucket`
+    /// (Algorithm 2's `cutBatch`), splitting a group when needed.
+    pub fn cut_batch(&mut self, bucket: u32, max_txs: u32) -> Batch {
+        let mut batch = Batch::empty(bucket);
         let mut remaining = max_txs;
-        for &b in buckets {
-            while remaining > 0 {
-                let Some(mut g) = self.buckets[b as usize].pop_front() else {
-                    break;
-                };
-                let take = g.count.min(remaining);
-                let mean = (g.arrival_sum_ns / g.count.max(1) as u128) as u64;
-                if batch.count == 0 {
-                    batch.first_tx = g.first_tx;
-                }
-                batch.count += take;
-                batch.arrival_sum_ns += mean as u128 * take as u128;
-                batch.earliest_arrival = batch.earliest_arrival.min(g.earliest);
-                remaining -= take;
-                self.pending -= take as u64;
-                if take < g.count {
-                    // Split: push back the remainder.
-                    g.first_tx = TxId(g.first_tx.0.wrapping_add(take as u64));
-                    g.count -= take;
-                    g.arrival_sum_ns -= mean as u128 * take as u128;
-                    self.buckets[b as usize].push_front(g);
-                    break;
-                }
+        let queue = &mut self.buckets[bucket as usize];
+        while remaining > 0 {
+            let Some(mut g) = queue.pop_front() else {
+                break;
+            };
+            let take = g.count.min(remaining);
+            let mean = (g.arrival_sum_ns / g.count.max(1) as u128) as u64;
+            if batch.count == 0 {
+                batch.first_tx = g.first_tx;
+            }
+            batch.count += take;
+            batch.arrival_sum_ns += mean as u128 * take as u128;
+            batch.earliest_arrival = batch.earliest_arrival.min(g.earliest);
+            remaining -= take;
+            self.pending -= take as u64;
+            if take < g.count {
+                // Split: push back the remainder.
+                g.first_tx = TxId(g.first_tx.0.wrapping_add(take as u64));
+                g.count -= take;
+                g.arrival_sum_ns -= mean as u128 * take as u128;
+                queue.push_front(g);
+                break;
             }
         }
         batch.payload_bytes = batch.count as u64 * self.tx_bytes;
@@ -148,39 +124,28 @@ mod tests {
 
     #[test]
     fn buckets_partition_and_rotate() {
-        let mut rb = RotatingBuckets::new(4);
+        let rb = RotatingBuckets::new(4);
         // Every bucket maps to exactly one instance; all instances covered.
-        let mut seen: Vec<u32> = (0..4).map(|b| rb.instance_of(b).0).collect();
+        let mut seen: Vec<u32> = (0..4).map(|b| rb.instance_of(b, 0).0).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
-        let before = rb.instance_of(0);
-        rb.rotate();
-        let after = rb.instance_of(0);
-        assert_ne!(before, after);
-        assert_eq!(after, InstanceId((before.0 + 1) % 4));
+        for epoch in [0, 1, 5, u64::MAX] {
+            let here = rb.instance_of(0, epoch);
+            assert_eq!(rb.bucket_served_by(here, epoch), 0);
+            if let Some(next) = epoch.checked_add(1) {
+                assert_eq!(rb.instance_of(0, next), InstanceId((here.0 + 1) % 4));
+            }
+        }
     }
 
     #[test]
     fn every_bucket_eventually_visits_every_instance() {
-        // Lemma 5's engine: after m rotations bucket 0 has been assigned
-        // to every instance.
-        let mut rb = RotatingBuckets::new(5);
-        let mut visited = std::collections::BTreeSet::new();
-        for _ in 0..5 {
-            visited.insert(rb.instance_of(0).0);
-            rb.rotate();
-        }
+        // Lemma 5's engine: over m epochs bucket 0 is assigned to every
+        // instance.
+        let rb = RotatingBuckets::new(5);
+        let visited: std::collections::BTreeSet<u32> =
+            (0..5).map(|epoch| rb.instance_of(0, epoch).0).collect();
         assert_eq!(visited.len(), 5);
-    }
-
-    #[test]
-    fn bucket_of_is_stable_partition() {
-        let rb = RotatingBuckets::new(8);
-        for h in 0..1000u64 {
-            let b = rb.bucket_of(h);
-            assert!(b < 8);
-            assert_eq!(b, rb.bucket_of(h));
-        }
     }
 
     #[test]
@@ -204,13 +169,15 @@ mod tests {
                 earliest: TimeNs(80),
             },
         );
-        let b = mp.cut_batch(&[0, 1], 15);
-        assert_eq!(b.count, 15);
-        assert_eq!(b.payload_bytes, 15 * 500);
-        assert_eq!(mp.pending(), 5);
-        // The split remainder is still cuttable.
-        let b2 = mp.cut_batch(&[0, 1], 100);
-        assert_eq!(b2.count, 5);
+        let b = mp.cut_batch(0, 7);
+        assert_eq!((b.bucket, b.count), (0, 7));
+        assert_eq!(b.payload_bytes, 7 * 500);
+        assert_eq!(mp.pending(), 13);
+        // The split remainder is still cuttable; other buckets untouched.
+        let b2 = mp.cut_batch(0, 100);
+        assert_eq!(b2.count, 3);
+        assert_eq!(mp.pending(), 10);
+        assert_eq!(mp.cut_batch(1, 100).first_tx, TxId(10));
         assert_eq!(mp.pending(), 0);
     }
 
@@ -226,10 +193,10 @@ mod tests {
                 earliest: TimeNs(100),
             },
         );
-        let head = mp.cut_batch(&[0], 3);
+        let head = mp.cut_batch(0, 3);
         let ids: Vec<_> = head.tx_ids().collect();
         assert_eq!(ids, vec![TxId(u64::MAX - 1), TxId(u64::MAX), TxId(0)]);
-        let rest = mp.cut_batch(&[0], 100);
+        let rest = mp.cut_batch(0, 100);
         assert_eq!((rest.first_tx, rest.count), (TxId(1), 1));
         assert_eq!(mp.pending(), 0);
     }
@@ -237,7 +204,7 @@ mod tests {
     #[test]
     fn cut_batch_empty_bucket_gives_empty_batch() {
         let mut mp = Mempool::new(1, 500);
-        let b = mp.cut_batch(&[0], 100);
+        let b = mp.cut_batch(0, 100);
         assert!(b.is_empty());
         assert_eq!(b.payload_bytes, 0);
     }
@@ -254,8 +221,8 @@ mod tests {
                 earliest: TimeNs(100),
             },
         );
-        let b1 = mp.cut_batch(&[0], 2);
-        let b2 = mp.cut_batch(&[0], 2);
+        let b1 = mp.cut_batch(0, 2);
+        let b2 = mp.cut_batch(0, 2);
         assert_eq!(b1.mean_arrival(), Some(TimeNs(100)));
         assert_eq!(b2.mean_arrival(), Some(TimeNs(100)));
     }

@@ -225,15 +225,6 @@ impl Instance {
         }
     }
 
-    /// Messages the instance refused at its door.
-    #[cfg(test)]
-    pub(crate) fn rejected(&self) -> u64 {
-        match &self.proto {
-            Proto::Pbft(inst) => inst.rejected,
-            Proto::Hs(inst) => inst.rejected,
-        }
-    }
-
     /// Highest contiguously committed round (PBFT) or chain height
     /// (HotStuff — dummies included, so not a block's `round`; see the
     /// module docs).
@@ -348,6 +339,17 @@ impl Instance {
                 },
             }),
             Proto::Hs(_) => None,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Instance {
+    /// Messages the instance refused at its door.
+    pub(crate) fn rejected(&self) -> u64 {
+        match &self.proto {
+            Proto::Pbft(inst) => inst.rejected,
+            Proto::Hs(inst) => inst.rejected,
         }
     }
 }

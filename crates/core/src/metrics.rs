@@ -134,10 +134,12 @@ pub struct NodeMetrics {
     pub sync_chunks_rejected: u64,
     /// Sync-response chunks that verified against a quorum-proven head.
     pub sync_chunks_verified: u64,
-    /// Per-block lifecycle journal: timestamped stage transitions
-    /// (submitted → proposed → confirmed → staged → flushed → applied →
-    /// checkpointed) with incrementally maintained stage-latency
-    /// histograms. Timestamps come from `ctx.now()` — sim time in
+    /// Client transaction groups refused at the door because they named
+    /// a bucket that does not exist (`bucket >= m`).
+    pub refused_client_groups: u64,
+    /// Per-block lifecycle journal: one latency histogram per stage
+    /// transition (submitted → proposed → confirmed → flushed →
+    /// checkpointed). Timestamps come from `ctx.now()` — sim time in
     /// simulation, the monotonic wall clock under `LiveRuntime`.
     pub trace: TraceJournal,
 }
@@ -154,18 +156,17 @@ impl NodeMetrics {
         if !b.is_nil() {
             self.confirmed_txs += b.batch.count as u64;
         }
-        let lane = b.index().0;
         let submitted = if b.batch.count > 0 {
             TimeNs((b.batch.arrival_sum_ns / b.batch.count as u128) as u64)
         } else {
             b.proposed_at
         };
-        self.trace.record(sn, lane, Stage::Submitted, submitted);
-        self.trace.record(sn, lane, Stage::Proposed, b.proposed_at);
-        self.trace.record(sn, lane, Stage::Confirmed, now);
+        self.trace.record(sn, 0, Stage::Submitted, submitted);
+        self.trace.record(sn, 0, Stage::Proposed, b.proposed_at);
+        self.trace.record(sn, 0, Stage::Confirmed, now);
         self.confirms.push(ConfirmRecord {
             sn,
-            instance: lane,
+            instance: b.index().0,
             round: b.round().0,
             rank: b.rank().0,
             tx_count: b.batch.count,
@@ -174,31 +175,6 @@ impl NodeMetrics {
             time: now,
             is_nil: b.is_nil(),
         });
-    }
-
-    /// Lane (producing instance) of a confirmed `sn`, 0 for an `sn` the
-    /// log does not hold. The log is in `sn` order and dense except
-    /// across a snapshot install, so the record sits as far from the
-    /// tail as its `sn` is below the last one; only a slot that holds
-    /// another `sn` (the lookup crossed an install gap) costs a search.
-    pub fn lane_of(&self, sn: u64) -> u32 {
-        let Some(back) = self.confirms.last().and_then(|l| l.sn.checked_sub(sn)) else {
-            return 0;
-        };
-        let slot = usize::try_from(back)
-            .ok()
-            .and_then(|back| (self.confirms.len() - 1).checked_sub(back));
-        match slot.map(|i| &self.confirms[i]) {
-            Some(c) if c.sn == sn => c.instance,
-            _ => self.lane_by_search(sn),
-        }
-    }
-
-    /// [`Self::lane_of`] by binary search: the path across an install gap.
-    fn lane_by_search(&self, sn: u64) -> u32 {
-        self.confirms
-            .binary_search_by_key(&sn, |c| c.sn)
-            .map_or(0, |i| self.confirms[i].instance)
     }
 
     /// Takes a fresh copy of the pipeline's counters (and refreshes the
@@ -239,49 +215,8 @@ impl SnapshotInto for NodeMetrics {
         );
         registry.counter("sync.chunks_rejected", self.sync_chunks_rejected);
         registry.counter("sync.chunks_verified", self.sync_chunks_verified);
+        registry.counter("node.refused_client_groups", self.refused_client_groups);
         self.exec.snapshot_into(registry);
         self.trace.snapshot_into(registry);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn confirm(sn: u64) -> ConfirmRecord {
-        ConfirmRecord {
-            sn,
-            instance: (sn % 7) as u32 + 1,
-            round: 0,
-            rank: 0,
-            tx_count: 0,
-            arrival_sum_ns: 0,
-            proposed_at: TimeNs::ZERO,
-            time: TimeNs::ZERO,
-            is_nil: false,
-        }
-    }
-
-    /// A log that starts after an install (sns 3..10), jumps a second
-    /// install gap (10..20) and ends at 29: every sn up to past the end
-    /// gets the lane a linear scan finds, by the tail path and by the
-    /// search alike, and 0 where the log holds nothing.
-    #[test]
-    fn lane_of_agrees_with_a_scan_across_install_gaps() {
-        let mut m = NodeMetrics::default();
-        assert_eq!(m.lane_of(0), 0, "an empty log holds nothing");
-        m.confirms = (3..10).chain(20..30).map(confirm).collect();
-        for sn in 0..40 {
-            let scan = m
-                .confirms
-                .iter()
-                .find(|c| c.sn == sn)
-                .map_or(0, |c| c.instance);
-            assert_eq!(m.lane_of(sn), scan, "sn {sn}");
-            assert_eq!(m.lane_by_search(sn), scan, "sn {sn}");
-            let held = (3..10).contains(&sn) || (20..30).contains(&sn);
-            assert_eq!(scan != 0, held, "sn {sn}");
-        }
-        assert_eq!(m.lane_of(u64::MAX), 0);
     }
 }

@@ -161,9 +161,6 @@ pub struct MultiBftNode {
     pub exec: ExecutionPipeline,
     /// State-transfer requester rotation and responder health.
     sync: StateTransfer,
-    /// The epoch the buckets are rotated to (tracks pacemaker advances,
-    /// including multi-epoch fast-forwards after a snapshot install).
-    bucket_epoch: u64,
     /// `sn` frontier below which `Checkpointed` trace events have been
     /// recorded (checkpoints sweep `ckpt_traced_upto..applied`; snapshot
     /// installs jump it without recording — the fast-forwarded prefix
@@ -241,7 +238,6 @@ impl MultiBftNode {
             pacemaker,
             exec,
             sync: StateTransfer::new(cfg.me.as_usize(), sys.n, m),
-            bucket_epoch: 0,
             ckpt_traced_upto: applied_at_start,
             durability: Durability::default(),
             metrics: NodeMetrics::default(),
@@ -426,10 +422,7 @@ impl MultiBftNode {
         // a checkpoint: stamp the terminal lifecycle stage for the swept
         // range.
         for sn in self.ckpt_traced_upto..self.exec.applied() {
-            let lane = self.metrics.lane_of(sn);
-            self.metrics
-                .trace
-                .record(sn, lane, Stage::Checkpointed, now);
+            self.metrics.trace.record(sn, 0, Stage::Checkpointed, now);
         }
         self.ckpt_traced_upto = self.exec.applied();
         // The checkpoint compacted the WAL (segment rotation): surface
@@ -473,24 +466,13 @@ impl MultiBftNode {
         // refused (the pipeline never misapplies) and counted — loud in
         // debug runs, a metric alarm in release.
         for (i, out) in self.exec.stage_blocks(&batch).into_iter().enumerate() {
-            match out {
-                ExecOutcome::Applied { .. } => {
-                    // Staged into the WAL buffer — durability pending the
-                    // next flush barrier.
-                    let (sn, block) = &batch[i];
-                    self.metrics
-                        .trace
-                        .record(*sn, block.index().0, Stage::WalStaged, now);
-                }
-                ExecOutcome::Skipped => {}
-                ExecOutcome::Gap { expected } => {
-                    debug_assert!(
-                        false,
-                        "confirmed sn {} above expected {expected}",
-                        batch[i].0
-                    );
-                    self.metrics.exec_gaps += 1;
-                }
+            if let ExecOutcome::Gap { expected } = out {
+                debug_assert!(
+                    false,
+                    "confirmed sn {} above expected {expected}",
+                    batch[i].0
+                );
+                self.metrics.exec_gaps += 1;
             }
         }
         if self.durability.is_normal() && self.exec.staged_records() > 0 {
@@ -508,14 +490,13 @@ impl MultiBftNode {
     /// Runs one flush barrier and accounts for it, in the order every
     /// caller needs: the pipeline's counters are copied out (raising
     /// `wal_flush_failures` on a failed barrier) **before** the resolved
-    /// range is stamped `Flushed` + `Applied` — a failed barrier must
-    /// alarm before any range is treated as durable. Both stamps carry
-    /// the same timestamp (the flush and the apply complete in the
-    /// same call; the wall-clock split lives in
-    /// [`ladon_state::PipelinePerf`]), while the sim-time
-    /// `staged → flushed` latency — how long a block waited on its
-    /// barrier — is real and per-block. Handlers follow up
-    /// with [`Self::check_durability`] once, on their way out.
+    /// range is stamped `Flushed` — a failed barrier must alarm before
+    /// any range is treated as durable. The flush and the apply complete
+    /// in the same call (the wall-clock split lives in
+    /// [`ladon_state::PipelinePerf`]), so one stamp covers both, and the
+    /// sim-time `confirmed → flushed` latency is how long a block waited
+    /// on its barrier. Handlers follow up with
+    /// [`Self::check_durability`] once, on their way out.
     fn drain(&mut self, how: Drain, now: TimeNs) {
         let flushed = match how {
             Drain::Pipelined => self.exec.submit_staged(),
@@ -523,9 +504,7 @@ impl MultiBftNode {
         };
         self.refresh_exec_stats();
         for sn in flushed {
-            let lane = self.metrics.lane_of(sn);
-            self.metrics.trace.record(sn, lane, Stage::Flushed, now);
-            self.metrics.trace.record(sn, lane, Stage::Applied, now);
+            self.metrics.trace.record(sn, 0, Stage::Flushed, now);
         }
     }
 
@@ -548,7 +527,7 @@ impl MultiBftNode {
         if let DurabilityStep::Degraded(retry_in) = step {
             self.metrics.degraded = true;
             self.metrics.degraded_entries += 1;
-            self.metrics.trace.note_event("mode_degraded", ctx.now());
+            self.metrics.trace.note_event("mode_degraded");
             arm(ctx, retry_in, Timer::Retry);
         }
     }
@@ -579,7 +558,7 @@ impl MultiBftNode {
         {
             DurabilityStep::Recovered => {
                 self.metrics.degraded = false;
-                self.metrics.trace.note_event("mode_normal", now);
+                self.metrics.trace.note_event("mode_normal");
             }
             DurabilityStep::RetryIn(delay) => arm(ctx, delay, Timer::Retry),
             step => unreachable!("a repair attempt while degraded cannot yield {step:?}"),
@@ -624,8 +603,9 @@ impl MultiBftNode {
             // epoch-flush dummies are empty by definition.
             Batch::empty(0)
         } else {
-            let buckets = self.buckets.buckets_of(InstanceId(i as u32));
-            self.mempool.cut_batch(&buckets, batch_size)
+            let epoch = self.epoch();
+            let bucket = self.buckets.bucket_served_by(InstanceId(i as u32), epoch);
+            self.mempool.cut_batch(bucket, batch_size)
         };
 
         // Phase 3 (mutable): propose and plumb the actions.
@@ -664,19 +644,13 @@ impl MultiBftNode {
     }
 
     /// Acts on what the pacemaker reported: on an advance, installs the
-    /// next epoch in every instance and rotates the buckets.
+    /// next epoch in every instance (the buckets rotate with the epoch).
     fn on_epoch_event(&mut self, ev: Option<EpochEvent>, ctx: &mut dyn Context<NodeMsg>) {
         let Some(EpochEvent::Advance { epoch, min, max }) = ev else {
             return;
         };
         let now = ctx.now();
         self.metrics.epochs.push((now, epoch.0));
-        // One rotation per epoch crossed keeps bucket→instance assignment
-        // aligned with peers even across a multi-epoch fast-forward.
-        while self.bucket_epoch < epoch.0 {
-            self.buckets.rotate();
-            self.bucket_epoch += 1;
-        }
         for i in 0..self.cfg.sys.m {
             self.step(i, Input::AdvanceEpoch(min, max), ctx);
         }
@@ -870,13 +844,12 @@ impl MultiBftNode {
         }
         self.sync_pacemaker_metrics();
         outcome.useful |= self.install_entries(resp.entries, ctx);
-        let now = ctx.now();
         if let Some(newly_quarantined) = self.sync.score_response(from.as_usize(), outcome) {
             self.metrics.sync_chunks_verified += outcome.ok_chunks;
             self.metrics.sync_chunks_rejected += outcome.bad_chunks;
             if newly_quarantined {
                 self.metrics.sync_responders_quarantined += 1;
-                self.metrics.trace.note_event("responder_quarantined", now);
+                self.metrics.trace.note_event("responder_quarantined");
             }
         }
     }
@@ -1019,9 +992,14 @@ impl MultiBftNode {
     }
 
     /// Step ① relay semantics: deposit if we lead the bucket's instance,
-    /// otherwise forward once toward the leader we believe is current.
+    /// otherwise forward once toward the leader we believe is current. A
+    /// group for a bucket that does not exist is refused and counted.
     fn on_client_txs(&mut self, group: ClientTxs, ctx: &mut dyn Context<NodeMsg>) {
-        let instance = self.buckets.instance_of(group.bucket);
+        if group.bucket as usize >= self.cfg.sys.m {
+            self.metrics.refused_client_groups += 1;
+            return;
+        }
+        let instance = self.buckets.instance_of(group.bucket, self.epoch());
         let i = instance.as_usize();
         let leader = self.slots[i].leader();
         if leader == self.cfg.me || group.forwarded {
@@ -1453,5 +1431,35 @@ mod tests {
         };
         n.on_message(N, NodeMsg::ClientTxs(group), &mut ctx);
         assert_eq!(n.metrics.deposited_txs, 5);
+    }
+
+    /// A group naming bucket `m` or beyond — from the client fleet or
+    /// from a replica, relayed or not — is refused at the door and
+    /// counted: nothing indexes the mempool with it.
+    #[test]
+    fn a_client_group_for_a_bucket_that_does_not_exist_is_refused() {
+        let mut n = node(ProtocolKind::LadonPbft, 0);
+        let mut ctx = RecordingCtx::new(0, 1);
+        let mut refused = 0;
+        for bucket in [N as u32, u32::MAX] {
+            for forwarded in [true, false] {
+                for from in [N, 1] {
+                    let group = ClientTxs {
+                        bucket,
+                        first_tx: ladon_types::TxId(0),
+                        count: 5,
+                        payload_bytes: 2500,
+                        arrival_sum_ns: 0,
+                        earliest: TimeNs::ZERO,
+                        forwarded,
+                    };
+                    n.on_message(from, NodeMsg::ClientTxs(group), &mut ctx);
+                    refused += 1;
+                }
+            }
+        }
+        assert_eq!(n.metrics.refused_client_groups, refused);
+        assert_eq!(n.metrics.deposited_txs, 0);
+        assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
     }
 }

@@ -140,12 +140,6 @@ impl CryptoCounters {
             + self.hashes as f64 * 1.0)
             / 1e6
     }
-
-    /// Total signature verifications (plain + aggregate), the headline
-    /// verify cost the cert cache avoids.
-    pub fn sig_verifies(&self) -> u64 {
-        self.verifies + self.agg_verifies
-    }
 }
 
 impl ladon_obs::SnapshotInto for CryptoCounters {

@@ -9,10 +9,9 @@
 //!   implements [`SnapshotInto`] in its home crate — the one place its
 //!   registry names are written — and [`MetricsSnapshot::counter`] reads
 //!   a merged counter back by name.
-//! - [`trace`] — per-block lifecycle tracing: a bounded ring-buffer
-//!   journal of timestamped stage transitions (submitted → proposed →
-//!   confirmed → WAL-staged → flushed → applied → checkpointed) with
-//!   incrementally maintained stage-latency histograms.
+//! - [`trace`] — per-block lifecycle tracing: one latency histogram per
+//!   adjacent pair of stages (submitted → proposed → confirmed → flushed
+//!   → checkpointed), fed as blocks move through them.
 //! - [`json`] — the deterministic JSON value type the registry renders
 //!   into (and the wall-clock `benchmark/` writes its reports with).
 //!
@@ -34,4 +33,4 @@ pub use json::Json;
 pub use registry::{
     is_wall_metric, Histogram, MetricsRegistry, MetricsSnapshot, SnapshotInto, HISTOGRAM_BUCKETS,
 };
-pub use trace::{Stage, TraceEvent, TraceJournal, DEFAULT_JOURNAL_CAPACITY};
+pub use trace::{Stage, TraceJournal, DEFAULT_JOURNAL_CAPACITY};

@@ -1,19 +1,17 @@
-//! Per-block lifecycle tracing: a bounded ring-buffer journal of
-//! timestamped stage transitions.
+//! Per-block lifecycle tracing: stage-latency histograms.
 //!
-//! Each node keeps one [`TraceJournal`]; the node records an event at
-//! every stage a block passes through (submitted → proposed →
-//! confirmed → WAL-staged → flushed → applied → checkpointed) using
-//! `ctx.now()` — the sim clock in simulation, the monotonic wall clock
-//! in `LiveRuntime` (both surface as `TimeNs`). Stage-latency
-//! breakdowns — e.g. fsync-barrier wait (`staged→flushed`) vs.
-//! execution time (`flushed→applied`) — are then queryable from the
-//! journal alone.
+//! Each node keeps one [`TraceJournal`]; the node records every stage a
+//! block passes through (submitted → proposed → confirmed → flushed →
+//! checkpointed) using `ctx.now()` — the sim clock in simulation, the
+//! monotonic wall clock in `LiveRuntime` (both surface as `TimeNs`).
+//! Each adjacent pair of stages feeds one histogram, exported as
+//! `trace.<from>_to_<to>_ns`: `confirmed_to_flushed` is how long a block
+//! waited on its fsync barrier, `flushed_to_checkpointed` how long until
+//! a checkpoint covered it.
 //!
-//! The journal is bounded (default 4096 events) so a long run cannot
-//! grow memory without bound; `stage_latencies()` is computed
-//! incrementally as events arrive, so latency histograms cover the
-//! whole run even after old events are evicted from the ring.
+//! The journal keeps only each in-flight block's latest stage, in a
+//! window bounded by its capacity (default 4096 blocks), so a long run
+//! cannot grow memory without bound.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,24 +29,19 @@ pub enum Stage {
     Proposed = 1,
     /// Block confirmed (f+1 / QC observed) by this node.
     Confirmed = 2,
-    /// Confirm record staged into the WAL buffer (not yet durable).
-    WalStaged = 3,
-    /// WAL flush barrier completed; record durable.
-    Flushed = 4,
-    /// Transactions applied to the state machine.
-    Applied = 5,
+    /// WAL flush barrier completed: the block is durable and applied
+    /// (both happen in the same call).
+    Flushed = 3,
     /// Covered by a checkpoint (Merkle root published).
-    Checkpointed = 6,
+    Checkpointed = 4,
 }
 
 impl Stage {
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Submitted,
         Stage::Proposed,
         Stage::Confirmed,
-        Stage::WalStaged,
         Stage::Flushed,
-        Stage::Applied,
         Stage::Checkpointed,
     ];
 
@@ -58,9 +51,7 @@ impl Stage {
             Stage::Submitted => "submitted",
             Stage::Proposed => "proposed",
             Stage::Confirmed => "confirmed",
-            Stage::WalStaged => "staged",
             Stage::Flushed => "flushed",
-            Stage::Applied => "applied",
             Stage::Checkpointed => "checkpointed",
         }
     }
@@ -71,30 +62,13 @@ impl Stage {
     }
 }
 
-/// One recorded stage transition for a block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Global sequence number of the block's confirm record (or the
-    /// block id before one is assigned).
-    pub sn: u64,
-    /// Lane the block belongs to.
-    pub lane: u32,
-    /// The stage entered.
-    pub stage: Stage,
-    /// Timestamp: sim time in simulation, monotonic time live.
-    pub at: TimeNs,
-}
-
-/// Default ring capacity: enough to hold the full in-flight window of
+/// Default in-flight window: enough to hold every unfinished block of
 /// any realistic config while bounding memory.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
-/// Bounded ring-buffer journal of lifecycle events plus incrementally
-/// maintained stage-latency histograms.
+/// Stage-latency histograms, fed as blocks move through their stages.
 #[derive(Clone, Debug)]
 pub struct TraceJournal {
-    events: Vec<TraceEvent>,
-    head: usize,
     capacity: usize,
     /// Last seen (sn, stage, time) per in-flight sn, in sn order, to
     /// compute adjacent transition latencies incrementally. Entries are
@@ -105,10 +79,8 @@ pub struct TraceJournal {
     latency: [Histogram; Stage::ALL.len() - 1],
     recorded: u64,
     dropped_transitions: u64,
-    /// Out-of-band node events (mode transitions, quarantines, …):
-    /// timestamped tags outside the per-block stage machinery, bounded
-    /// by the same ring capacity. Per-tag counts survive eviction.
-    node_events: Vec<(&'static str, TimeNs)>,
+    /// Occurrences of each out-of-band node event (mode transitions,
+    /// quarantines, …), by tag.
     node_event_counts: BTreeMap<&'static str, u64>,
 }
 
@@ -125,69 +97,42 @@ impl TraceJournal {
 
     pub fn with_capacity(capacity: usize) -> Self {
         TraceJournal {
-            events: Vec::new(),
-            head: 0,
             capacity: capacity.max(1),
             inflight: VecDeque::new(),
             latency: Default::default(),
             recorded: 0,
             dropped_transitions: 0,
-            node_events: Vec::new(),
             node_event_counts: BTreeMap::new(),
         }
     }
 
-    /// Records a timestamped node-level event (e.g.
-    /// `"mode_degraded"` / `"mode_normal"` transitions of the
-    /// durability state machine, or a responder quarantine) outside the
-    /// per-block stage pipeline. The event list is bounded by the
-    /// journal capacity (oldest evicted first); per-tag counts are
-    /// kept exactly.
-    pub fn note_event(&mut self, tag: &'static str, at: TimeNs) {
-        if self.node_events.len() >= self.capacity {
-            self.node_events.remove(0);
-        }
-        self.node_events.push((tag, at));
+    /// Counts one node-level event (e.g. `"mode_degraded"` /
+    /// `"mode_normal"` transitions of the durability state machine, or a
+    /// responder quarantine) outside the per-block stage pipeline.
+    pub fn note_event(&mut self, tag: &'static str) {
         *self.node_event_counts.entry(tag).or_insert(0) += 1;
     }
 
-    /// Node-level events still held (oldest first).
-    pub fn node_events(&self) -> &[(&'static str, TimeNs)] {
-        &self.node_events
-    }
-
-    /// Exact occurrence count for one node-event tag.
+    /// Occurrence count for one node-event tag.
     pub fn node_event_count(&self, tag: &str) -> u64 {
         self.node_event_counts.get(tag).copied().unwrap_or(0)
     }
 
-    /// Records a stage transition for block `sn` at time `at`.
+    /// Records that block `sn` entered `stage` at time `at`. `_lane` is
+    /// unused (the `benchmark/` crate still passes it).
     ///
     /// Latency is credited to the `(previous stage → this stage)`
-    /// histogram when the previous event for `sn` is the immediately
-    /// preceding stage; out-of-order or skipped-stage transitions are
+    /// histogram when the previous stage seen for `sn` is the immediately
+    /// preceding one; out-of-order or skipped-stage transitions are
     /// counted in `dropped_transitions` instead of polluting the
     /// histograms.
-    pub fn record(&mut self, sn: u64, lane: u32, stage: Stage, at: TimeNs) {
-        let event = TraceEvent {
-            sn,
-            lane,
-            stage,
-            at,
-        };
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-        }
+    pub fn record(&mut self, sn: u64, _lane: u32, stage: Stage, at: TimeNs) {
         self.recorded += 1;
-
         match self.inflight_slot(sn) {
             Err(slot) => {
                 // A terminal stage with no history (e.g. a checkpoint
-                // sweeping sns that predate the journal) records the
-                // event but opens no in-flight entry.
+                // sweeping sns that predate the journal) opens no
+                // in-flight entry.
                 if stage != Stage::Checkpointed {
                     self.inflight.insert(slot, (sn, stage, at));
                 }
@@ -207,7 +152,7 @@ impl TraceJournal {
                 }
             }
         }
-        // Bound the in-flight window too: retire the oldest sn if a
+        // Bound the in-flight window: retire the oldest sn if a
         // pathological workload never completes blocks.
         if self.inflight.len() > self.capacity {
             self.inflight.pop_front();
@@ -238,61 +183,9 @@ impl TraceJournal {
         }
     }
 
-    /// Events currently held in the ring, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        if self.events.len() < self.capacity {
-            out.extend_from_slice(&self.events);
-        } else {
-            out.extend_from_slice(&self.events[self.head..]);
-            out.extend_from_slice(&self.events[..self.head]);
-        }
-        out
-    }
-
-    /// Total events ever recorded (not just those still in the ring).
+    /// Stage transitions recorded so far.
     pub fn recorded(&self) -> u64 {
         self.recorded
-    }
-
-    /// Transitions that arrived out of pipeline order.
-    pub fn dropped_transitions(&self) -> u64 {
-        self.dropped_transitions
-    }
-
-    /// The latency histogram for the transition out of `from` into the
-    /// next stage (`None` for the terminal stage).
-    pub fn stage_latency(&self, from: Stage) -> Option<&Histogram> {
-        self.latency.get(from as usize)
-    }
-
-    /// All adjacent-transition histograms, keyed
-    /// `"<from>_to_<to>"` (e.g. `"staged_to_flushed"`).
-    pub fn stage_latencies(&self) -> Vec<(String, &Histogram)> {
-        Stage::ALL
-            .iter()
-            .filter_map(|&from| {
-                let to = from.next()?;
-                Some((
-                    format!("{}_to_{}", from.name(), to.name()),
-                    &self.latency[from as usize],
-                ))
-            })
-            .collect()
-    }
-
-    /// Merges another journal's latency histograms (events are not
-    /// merged — the ring is per-node diagnostics; histograms are the
-    /// aggregatable product).
-    pub fn merge_latencies(&mut self, other: &TraceJournal) {
-        for (mine, theirs) in self.latency.iter_mut().zip(other.latency.iter()) {
-            mine.merge(theirs);
-        }
-        self.recorded += other.recorded;
-        self.dropped_transitions += other.dropped_transitions;
-        for (tag, count) in &other.node_event_counts {
-            *self.node_event_counts.entry(tag).or_insert(0) += count;
-        }
     }
 }
 
@@ -303,9 +196,10 @@ impl SnapshotInto for TraceJournal {
         for (tag, count) in &self.node_event_counts {
             registry.counter(&format!("trace.event.{tag}"), *count);
         }
-        for (name, h) in self.stage_latencies() {
+        for (pair, h) in Stage::ALL.windows(2).zip(&self.latency) {
             if !h.is_empty() {
-                registry.merge_histogram(&format!("trace.{name}_ns"), h);
+                let name = format!("trace.{}_to_{}_ns", pair[0].name(), pair[1].name());
+                registry.merge_histogram(&name, h);
             }
         }
     }
@@ -325,7 +219,7 @@ mod tests {
             assert_eq!(pair[0].next(), Some(pair[1]));
         }
         assert_eq!(Stage::Checkpointed.next(), None);
-        assert_eq!(Stage::WalStaged.name(), "staged");
+        assert_eq!(Stage::Flushed.name(), "flushed");
     }
 
     #[test]
@@ -334,19 +228,17 @@ mod tests {
         j.record(7, 0, Stage::Submitted, t(100));
         j.record(7, 0, Stage::Proposed, t(150));
         j.record(7, 0, Stage::Confirmed, t(400));
-        j.record(7, 0, Stage::WalStaged, t(410));
         j.record(7, 0, Stage::Flushed, t(1_000));
-        j.record(7, 0, Stage::Applied, t(1_200));
         j.record(7, 0, Stage::Checkpointed, t(5_000));
 
-        let staged_to_flushed = j.stage_latency(Stage::WalStaged).unwrap();
-        assert_eq!(staged_to_flushed.count(), 1);
-        assert!((staged_to_flushed.mean() - 590.0).abs() < 1e-9);
-        let flushed_to_applied = j.stage_latency(Stage::Flushed).unwrap();
-        assert!((flushed_to_applied.mean() - 200.0).abs() < 1e-9);
-        assert_eq!(j.dropped_transitions(), 0);
-        assert_eq!(j.recorded(), 7);
-        // Checkpointed retires the block from the in-flight map.
+        let confirmed_to_flushed = &j.latency[Stage::Confirmed as usize];
+        assert_eq!(confirmed_to_flushed.count(), 1);
+        assert!((confirmed_to_flushed.mean() - 600.0).abs() < 1e-9);
+        let flushed_to_checkpointed = &j.latency[Stage::Flushed as usize];
+        assert!((flushed_to_checkpointed.mean() - 4_000.0).abs() < 1e-9);
+        assert_eq!(j.dropped_transitions, 0);
+        assert_eq!(j.recorded(), 5);
+        // Checkpointed retires the block from the in-flight window.
         assert!(j.inflight.is_empty());
     }
 
@@ -355,24 +247,21 @@ mod tests {
         let mut j = TraceJournal::new();
         j.record(1, 0, Stage::Submitted, t(0));
         j.record(1, 0, Stage::Confirmed, t(10)); // skipped Proposed
-        assert_eq!(j.dropped_transitions(), 1);
-        assert_eq!(j.stage_latency(Stage::Submitted).unwrap().count(), 0);
+        assert_eq!(j.dropped_transitions, 1);
+        assert_eq!(j.latency[Stage::Submitted as usize].count(), 0);
     }
 
     #[test]
-    fn ring_is_bounded_but_histograms_cover_everything() {
+    fn window_is_bounded_but_histograms_cover_everything() {
         let mut j = TraceJournal::with_capacity(4);
         for sn in 0..10 {
-            j.record(sn, 0, Stage::WalStaged, t(sn * 100));
+            j.record(sn, 0, Stage::Confirmed, t(sn * 100));
             j.record(sn, 0, Stage::Flushed, t(sn * 100 + 50));
         }
-        let events = j.events();
-        assert_eq!(events.len(), 4);
-        // Oldest-first ordering after wraparound.
-        assert!(events.windows(2).all(|w| w[0].at.0 <= w[1].at.0));
-        // All 10 transitions observed despite eviction.
-        assert_eq!(j.stage_latency(Stage::WalStaged).unwrap().count(), 10);
-        assert!((j.stage_latency(Stage::WalStaged).unwrap().mean() - 50.0).abs() < 1e-9);
+        assert_eq!(j.inflight.len(), 4);
+        let h = &j.latency[Stage::Confirmed as usize];
+        assert_eq!(h.count(), 10);
+        assert!((h.mean() - 50.0).abs() < 1e-9);
     }
 
     /// The in-flight bookkeeping as it was kept in a `BTreeMap`: the
@@ -499,9 +388,8 @@ mod tests {
                 assert!(j.inflight.iter().copied().eq(expect), "step {step}");
                 assert_eq!(j.inflight.len(), reference.inflight.len(), "step {step}");
                 assert_eq!(j.recorded(), reference.recorded, "step {step}");
-                assert_eq!(j.dropped_transitions(), reference.dropped_transitions);
-                let latencies = j.stage_latencies().into_iter().map(|(_, h)| h);
-                assert!(latencies.eq(reference.latency.iter()), "step {step}");
+                assert_eq!(j.dropped_transitions, reference.dropped_transitions);
+                assert_eq!(j.latency, reference.latency, "step {step}");
             }
         }
         // The sequence reached every case it was written for.
@@ -511,33 +399,28 @@ mod tests {
     }
 
     #[test]
-    fn node_events_counted_and_bounded() {
-        let mut j = TraceJournal::with_capacity(2);
-        j.note_event("mode_degraded", t(10));
-        j.note_event("mode_normal", t(20));
-        j.note_event("mode_degraded", t(30));
-        assert_eq!(j.node_events().len(), 2, "ring bounded");
-        assert_eq!(j.node_event_count("mode_degraded"), 2, "counts exact");
+    fn node_events_are_counted() {
+        let mut j = TraceJournal::new();
+        j.note_event("mode_degraded");
+        j.note_event("mode_normal");
+        j.note_event("mode_degraded");
+        assert_eq!(j.node_event_count("mode_degraded"), 2);
         assert_eq!(j.node_event_count("mode_normal"), 1);
         let mut r = MetricsRegistry::new();
         j.snapshot_into(&mut r);
         assert_eq!(r.counter_value("trace.event.mode_degraded"), 2);
-
-        let mut other = TraceJournal::new();
-        other.note_event("mode_degraded", t(40));
-        j.merge_latencies(&other);
-        assert_eq!(j.node_event_count("mode_degraded"), 3);
     }
 
     #[test]
     fn snapshot_into_registry() {
         let mut j = TraceJournal::new();
-        j.record(1, 0, Stage::WalStaged, t(0));
+        j.record(1, 0, Stage::Confirmed, t(0));
         j.record(1, 0, Stage::Flushed, t(640));
         let mut r = MetricsRegistry::new();
         j.snapshot_into(&mut r);
         assert_eq!(r.counter_value("trace.events_recorded"), 2);
-        let h = r.histogram("trace.staged_to_flushed_ns").unwrap();
+        let h = r.histogram("trace.confirmed_to_flushed_ns").unwrap();
         assert_eq!(h.count(), 1);
+        assert!(r.histogram("trace.submitted_to_proposed_ns").is_none());
     }
 }

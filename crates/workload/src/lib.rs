@@ -28,6 +28,6 @@ pub mod runner;
 
 pub use client::ClientFleet;
 pub use deployment::Deployment;
-pub use metrics::{aggregate, Report, RunData, StageLatency};
+pub use metrics::{aggregate, Report, RunData};
 pub use report::{cs_fmt, f2, f3, scale, Scale, Table};
 pub use runner::{run_experiment, ExperimentConfig};

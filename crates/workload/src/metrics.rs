@@ -26,7 +26,10 @@ pub const CS_CLOCK_TOLERANCE: TimeNs = TimeNs::from_millis(100);
 /// Aggregated results of one experiment run: the values that need more
 /// than a sum (f+1 joins, ratios, reference-replica views, timelines).
 /// Every plain cross-replica counter is read by its registry name,
-/// `report.metrics.counter("wal.fsyncs")`.
+/// `report.metrics.counter("wal.fsyncs")`, and so are the run-level
+/// `crypto.*` and `net.*` counters and the `trace.*_ns` stage-latency
+/// histograms. Cross-replica state-root agreement is the oracle's
+/// ([`crate::Deployment::check`]).
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Throughput in kilo-transactions per second over the measurement
@@ -58,39 +61,12 @@ pub struct Report {
     pub new_view_times: Vec<f64>,
     /// Epoch advance times in seconds.
     pub epoch_times: Vec<f64>,
-    /// Total messages sent by replicas during the window.
-    pub msgs_total: u64,
-    /// Total bytes sent by replicas during the window.
-    pub bytes_total: u64,
     /// Blocks globally confirmed at the reference replica.
     pub confirmed_blocks: u64,
     /// Blocks still waiting at the reference replica when the run ended.
     pub waiting_blocks: usize,
-    /// Mean number of transactions per non-nil confirmed block.
-    pub mean_batch_fill: f64,
     /// Transactions executed by the reference replica's state machine.
     pub executed_txs: u64,
-    /// Executed-transaction throughput at the reference replica, over the
-    /// whole run (ktps).
-    pub executed_ktps: f64,
-    /// Epoch checkpoints at which at least two replicas reported a state
-    /// root (the comparable population).
-    pub state_checkpoints: u64,
-    /// Fraction of those checkpoints where *every* reporting replica's
-    /// root was identical (1.0 = perfect cross-replica state agreement).
-    pub state_root_agreement: f64,
-    /// Signature verifications actually performed over the window
-    /// (plain + aggregate; filled by the runner from
-    /// [`ladon_crypto::CryptoCounters`]).
-    pub sig_verifies: u64,
-    /// Messages dropped by the network model over the window, per
-    /// sending actor (filled by the runner from `NetStats`).
-    pub net_dropped: Vec<u64>,
-    /// Per-block lifecycle stage latencies at the reference replica:
-    /// one summary per adjacent stage transition (`staged_to_flushed` is
-    /// the fsync-barrier wait, `flushed_to_applied` the execution
-    /// stage). Sim-time derived, so deterministic.
-    pub stage_latencies: Vec<StageLatency>,
     /// Flush barriers whose durable step failed, summed across replicas
     /// — the alarm PR 7 un-swallowed: `flush_staged`/`submit_staged`
     /// used to discard the barrier outcome, so a failed fsync still
@@ -107,21 +83,6 @@ pub struct Report {
     /// exposition path; `deterministic_json()` must be byte-identical
     /// across same-seed runs.
     pub metrics: MetricsSnapshot,
-}
-
-/// Summary of one lifecycle stage transition's latency distribution.
-#[derive(Clone, Debug, Default)]
-pub struct StageLatency {
-    /// Transition name, e.g. `"staged_to_flushed"`.
-    pub transition: String,
-    /// Transitions observed.
-    pub count: u64,
-    /// Mean latency in milliseconds.
-    pub mean_ms: f64,
-    /// Median (log2-bucket resolution) in milliseconds.
-    pub p50_ms: f64,
-    /// 99th percentile (log2-bucket resolution) in milliseconds.
-    pub p99_ms: f64,
 }
 
 /// Inputs to aggregation.
@@ -195,7 +156,6 @@ pub fn aggregate(data: &RunData) -> Report {
     // the window.
     let mut txs: u64 = 0;
     let mut latency_weighted: f64 = 0.0;
-    let mut batch_blocks = 0u64;
     for c in ref_log.iter().filter(|c| !c.is_nil && c.tx_count > 0) {
         let Some(&t) = confirm_f1.get(&(c.instance, c.round)) else {
             continue;
@@ -204,7 +164,6 @@ pub fn aggregate(data: &RunData) -> Report {
             continue;
         }
         txs += c.tx_count as u64;
-        batch_blocks += 1;
         let mean_arrival = (c.arrival_sum_ns / c.tx_count as u128) as u64;
         let lat = t.saturating_sub(TimeNs(mean_arrival)).as_secs_f64();
         latency_weighted += lat * c.tx_count as f64;
@@ -258,32 +217,6 @@ pub fn aggregate(data: &RunData) -> Report {
     let causal_strength = cs_over(true);
     let causal_strength_tx = cs_over(false);
 
-    // Cross-replica state-root agreement, per checkpointed epoch, as the
-    // oracle judges it over whoever reported.
-    let evidence: Vec<_> = data.nodes.iter().enumerate().collect();
-    let mut divergent = Vec::new();
-    let state_checkpoints = crate::oracle::epoch_roots(&evidence, &mut divergent);
-    let state_root_agreement = if state_checkpoints > 0 {
-        (state_checkpoints - divergent.len() as u64) as f64 / state_checkpoints as f64
-    } else {
-        1.0
-    };
-
-    // Reference-replica lifecycle stage latencies (sim-time ns →
-    // milliseconds). Log2-bucketed, so p50/p99 carry bucket resolution.
-    let stage_latencies: Vec<StageLatency> = reference
-        .trace
-        .stage_latencies()
-        .into_iter()
-        .map(|(transition, h)| StageLatency {
-            transition,
-            count: h.count(),
-            mean_ms: h.mean() / 1e6,
-            p50_ms: h.quantile(0.50) as f64 / 1e6,
-            p99_ms: h.quantile(0.99) as f64 / 1e6,
-        })
-        .collect();
-
     // The unified snapshot: merge every replica's registry. The merge is
     // commutative and associative (counters add, gauges max, histograms
     // add bucket-wise), so replica order cannot perturb the result.
@@ -327,22 +260,9 @@ pub fn aggregate(data: &RunData) -> Report {
             .iter()
             .map(|&(t, _)| t.as_secs_f64())
             .collect(),
-        msgs_total: 0,
-        bytes_total: 0,
         confirmed_blocks: reference.confirms.len() as u64,
         waiting_blocks: data.waiting_blocks,
-        mean_batch_fill: if batch_blocks > 0 {
-            txs as f64 / batch_blocks as f64
-        } else {
-            0.0
-        },
         executed_txs,
-        executed_ktps: executed_txs as f64 / data.window_end.as_secs_f64().max(1e-9) / 1e3,
-        state_checkpoints,
-        state_root_agreement,
-        sig_verifies: 0,         // filled by the runner from CryptoCounters
-        net_dropped: Vec::new(), // filled by the runner from NetStats
-        stage_latencies,
         wal_flush_failures: metrics.counter("pipeline.wal_flush_failures"),
         metrics,
     }

@@ -86,7 +86,7 @@ pub fn agreement(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
 /// Compares checkpoint roots per epoch; returns how many epochs at least
 /// two replicas reported (the comparable population) and reports each
 /// one whose roots are not unanimous.
-pub fn epoch_roots(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) -> u64 {
+fn epoch_roots(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) -> u64 {
     let mut by_epoch: BTreeMap<u64, Vec<(usize, Digest)>> = BTreeMap::new();
     for &(r, metrics) in replicas {
         for &(_, epoch, root) in &metrics.state_roots {

@@ -301,13 +301,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Report {
     report.bandwidth_mbs = stats1.mean_bandwidth_mbs(n, window);
     // CPU proxy: per-replica crypto cost over the window, as % of a core.
     report.cpu_pct = crypto1.cpu_seconds_proxy() / n as f64 / window.as_secs_f64() * 100.0;
-    report.msgs_total = stats1.msgs_sent.iter().take(n).sum();
-    report.bytes_total = stats1.bytes_sent.iter().take(n).sum();
-    // Verification total over the window (thread-local counters, so
-    // it covers the whole simulated fleet).
-    report.sig_verifies = crypto1.sig_verifies();
-    // Per-actor drop counts (replicas + the client-fleet actor).
-    report.net_dropped = stats1.dropped.clone();
     // Fold the run-level network and crypto counters into the unified
     // snapshot next to the per-replica merge from `aggregate`.
     let mut run_registry = ladon_obs::MetricsRegistry::new();
@@ -337,21 +330,22 @@ mod tests {
         assert!(report.mean_latency_s > 0.0);
         assert!(report.causal_strength > 0.99);
         // Observability surface: crypto, per-actor network accounting and
-        // lifecycle stage latencies all reach the report.
+        // lifecycle stage latencies all reach the metrics snapshot.
+        let m = &report.metrics;
         assert!(
-            report.sig_verifies > 0,
+            m.counter("crypto.verifies") + m.counter("crypto.agg_verifies") > 0,
             "a confirming cluster must verify signatures: {report:?}"
         );
+        let dropped = m.registry().series("net.dropped_per_actor");
         assert_eq!(
-            report.net_dropped.iter().sum::<u64>(),
-            report.metrics.counter("net.dropped")
+            dropped.map_or(0, |d| d.iter().sum::<u64>()),
+            m.counter("net.dropped")
         );
-        let confirmed = report
-            .stage_latencies
-            .iter()
-            .find(|s| s.transition == "proposed_to_confirmed")
+        let confirmed = m
+            .registry()
+            .histogram("trace.proposed_to_confirmed_ns")
             .expect("lifecycle trace must cover proposed -> confirmed");
-        assert!(confirmed.count > 0 && confirmed.mean_ms > 0.0);
+        assert!(confirmed.count() > 0 && confirmed.mean() > 0.0);
         assert!(
             report.metrics.counter("pipeline.flush_barriers") > 0,
             "group-commit flushes must be counted: {report:?}"
@@ -373,7 +367,7 @@ mod tests {
     /// event. The digest covers every deterministic counter, so a change
     /// that adds, renames or moves one re-pins it (print
     /// `report.metrics.deterministic_json()` before and after, and check
-    /// the diff is only the counter you meant). Re-pinned six times
+    /// the diff is only the counter you meant). Re-pinned seven times
     /// since: the one-chain WAL moved `wal.appends`, `wal.fsyncs`,
     /// `wal.bytes_written` and `wal.segment_opens`; the mask-free record
     /// (8 B shorter) moved `wal.bytes_written` again and the replay
@@ -386,7 +380,13 @@ mod tests {
     /// votes unverified moved `LadonHotStuff`'s `crypto.{hashes,
     /// verifies}` (4 710 → 3 430, 961 → 321), that run alone; the wave
     /// plan's `exec.{waves, scheduled_ops, cross_lane_edges,
-    /// max_wave_ops}` keys went with the plan — nothing else any time.
+    /// max_wave_ops}` keys went with the plan; the trace's two
+    /// same-instant stages went (`trace.{confirmed_to_staged,
+    /// flushed_to_applied}_ns` held only zeros, `staged_to_flushed` and
+    /// `applied_to_checkpointed` kept their contents as
+    /// `confirmed_to_flushed` and `flushed_to_checkpointed`,
+    /// `trace.events_recorded` fell) and `node.refused_client_groups`
+    /// (0) arrived — nothing else any time.
     ///
     /// Two more rows pin a Ladon-PBFT run over 16-rank epochs, so its
     /// window crosses checkpoints and compactions (the 64-rank rows
@@ -409,31 +409,31 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "d6e48c73ec26e8dceb340fd903e0e44c9ec04f5718044570433a8774cfafc122",
+                "eb45653c115242c41cecd85c46ab09ecd252332b3177530f53ba936a17f54ad0",
             ),
             (
                 short(ProtocolKind::LadonHotStuff),
                 258_007,
                 83,
-                "ab04a59e6855fd462ffc5b9cf20e4a98a6f5a90a6e94570f9cb4318b495557e0",
+                "9bb3a2f812c688d4dfd6d6eb8a0bbc981c1d2c91e32236cdc4d83eb689c870e8",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
-                "1ce94c2ced447754ae97db076f403fce2619e90c24934cddb29749074a5cb640",
+                "b64cd0d43f5efefa55fdb61b7de74cceea2aa00f87753d8c0fd2cbc171a46aad",
             ),
             (
                 checkpointing.clone(),
                 327_657,
                 155,
-                "880bc1f2b269bfe490cc611d04e7d52f9ade64cfbff14ad1f6f872cc91e1db16",
+                "4143f6a83bd74790756ff657e4fa2dbdbbcc228926f225c868b09e2a2cc0ebfa",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "e6e360266e3eaf9c002fb4a12690cce99b846ffec42255ffb5edb700c81fe410",
+                "4ac13375a434df86fd619e7b2468e5346c4551121021bea7ce4bc16a070491f6",
             ),
         ];
         let reports: Vec<_> = pins
@@ -464,6 +464,29 @@ mod tests {
             2 * fsyncs <= 3 * barriers,
             "{fsyncs} fsyncs, {barriers} barriers"
         );
+    }
+
+    /// Every stage transition the lifecycle trace records takes time on
+    /// the checkpointing pin's run: a histogram whose samples are all 0
+    /// (two stages stamped in the same call) carries no information and
+    /// has no place in the trace.
+    #[test]
+    fn every_traced_transition_carries_information() {
+        let cfg = ExperimentConfig::new(ProtocolKind::LadonPbft, 4, NetEnv::Lan)
+            .duration_secs(3.0)
+            .warmup_secs(2.0)
+            .with_epoch_length(16)
+            .with_seed(7);
+        let report = run_experiment(&cfg);
+        for pair in ladon_obs::Stage::ALL.windows(2) {
+            let name = format!("trace.{}_to_{}_ns", pair[0].name(), pair[1].name());
+            let h = report
+                .metrics
+                .registry()
+                .histogram(&name)
+                .unwrap_or_else(|| panic!("{name} was never observed"));
+            assert!(h.count() > 0 && h.mean() > 0.0, "{name}: {h:?}");
+        }
     }
 
     /// A zero view timeout re-arms at its own instant and the run never

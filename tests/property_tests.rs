@@ -529,14 +529,15 @@ proptest! {
         }
     }
 
-    /// Bucket rotation is always a permutation of instances.
+    /// In every epoch the bucket assignment is a permutation of the
+    /// instances, and each instance serves the bucket that maps to it.
     #[test]
-    fn bucket_rotation_is_permutation(m in 1usize..32, rotations in 0usize..64) {
-        let mut rb = ladon::core::RotatingBuckets::new(m);
-        for _ in 0..rotations {
-            rb.rotate();
+    fn bucket_rotation_is_permutation(m in 1usize..32, epoch in any::<u64>()) {
+        let rb = ladon::core::RotatingBuckets::new(m);
+        let mut targets: Vec<u32> = (0..m as u32).map(|b| rb.instance_of(b, epoch).0).collect();
+        for (b, &i) in targets.iter().enumerate() {
+            prop_assert_eq!(rb.bucket_served_by(InstanceId(i), epoch), b as u32);
         }
-        let mut targets: Vec<u32> = (0..m as u32).map(|b| rb.instance_of(b).0).collect();
         targets.sort_unstable();
         prop_assert_eq!(targets, (0..m as u32).collect::<Vec<_>>());
     }

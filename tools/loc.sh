@@ -3,9 +3,12 @@
 # `benches/**/*.rs` (a bench target is code like any other), the lines
 # before the file's first `#[cfg(test)]` that are neither blank nor
 # start with `//` (doc comments included). A file another file pulls in
-# as `#[cfg(test)] mod <name>;` is test code from its first line. (So keep
-# `#[cfg(test)]` items below the product code: the count stops at the
-# first one.) `benchmark/` counts as a crate.
+# as `#[cfg(test)] mod <name>;` is test code from its first line. The
+# count stops at a file's first `#[cfg(test)]`, so a test-only item that
+# is not a `mod` (a helper, an accessor, a `#[cfg(test)] impl` block)
+# must come after all product code: when product code follows one, the
+# script names the file and line and exits nonzero. Indentation is read
+# as rustfmt writes it. `benchmark/` counts as a crate.
 # Usage: tools/loc.sh [crate ...]   (default: every crate)
 set -eu
 cd "$(dirname "$0")/.."
@@ -22,14 +25,28 @@ test_modules() {
         }
         { armed = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }' {} +
 }
+# After a non-`mod` `#[cfg(test)]` item (state 1: before its first
+# line, 2: inside it, 3: past it) only blank lines, comments, braces
+# closing an enclosing block and further `#[cfg(test)]` items may follow.
 count() {
     find "$@" -name '*.rs' -exec awk -v skip="$(test_modules "$@" | tr '\n' ' ')" '
         BEGIN { n = split(skip, files, " "); for (i = 1; i <= n; i++) tests[files[i]] }
-        FNR == 1 { test = (FILENAME in tests) }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        FNR == 1 { test = (FILENAME in tests); state = 0 }
+        { l = $0; sub(/^[[:space:]]+/, "", l); indent = length($0) - length(l) }
+        state == 4 || l == "" || substr(l, 1, 2) == "//" { next }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1; state = 1; at = indent; next }
+        state == 1 && substr(l, 1, 2) == "#[" { next }
+        state == 1 && l ~ /^(pub(\([a-z]+\))? )?mod / { state = 4; next }
+        state == 1 { state = (l ~ /;$/) ? 3 : 2; next }
+        state == 2 { if (indent == at && substr(l, 1, 1) == "}") state = 3; next }
+        state == 3 && indent < at && substr(l, 1, 1) == "}" { at = indent; next }
+        state == 3 {
+            printf "%s:%d: product code after a #[cfg(test)] item; move the item below it\n", FILENAME, FNR > "/dev/stderr"
+            bad = 1; state = 4; next
+        }
         test { next }
-        { l = $0; sub(/^[[:space:]]+/, "", l); if (l != "" && substr(l, 1, 2) != "//") c++ }
-        END { print c + 0 }' {} +
+        { c++ }
+        END { print c + 0; exit bad }' {} +
 }
 [ $# -gt 0 ] || set -- $(ls crates) benchmark
 total=0

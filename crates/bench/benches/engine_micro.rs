@@ -204,7 +204,6 @@ fn client_group(i: u64) -> NodeMsg {
         count: 1,
         payload_bytes: 500,
         arrival_sum_ns: 0,
-        earliest: TimeNs::ZERO,
         forwarded: false,
     })
 }

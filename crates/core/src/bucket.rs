@@ -10,7 +10,7 @@
 //! transactions (count + arrival-time aggregates) rather than individual
 //! 500-byte payloads, matching the batch model in `ladon-types`.
 
-use ladon_types::{Batch, InstanceId, TimeNs, TxId};
+use ladon_types::{Batch, InstanceId, TxId};
 use std::collections::VecDeque;
 
 /// The rotating bucket assignment: one bucket per instance, each served
@@ -50,8 +50,6 @@ pub struct TxGroup {
     pub count: u32,
     /// Sum of arrival times (ns).
     pub arrival_sum_ns: u128,
-    /// Earliest arrival.
-    pub earliest: TimeNs,
 }
 
 /// Per-bucket FIFO queues of pending transaction groups.
@@ -101,7 +99,6 @@ impl Mempool {
             }
             batch.count += take;
             batch.arrival_sum_ns += mean as u128 * take as u128;
-            batch.earliest_arrival = batch.earliest_arrival.min(g.earliest);
             remaining -= take;
             self.pending -= take as u64;
             if take < g.count {
@@ -121,6 +118,7 @@ impl Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ladon_types::TimeNs;
 
     #[test]
     fn buckets_partition_and_rotate() {
@@ -157,7 +155,6 @@ mod tests {
                 first_tx: TxId(0),
                 count: 10,
                 arrival_sum_ns: 1000,
-                earliest: TimeNs(50),
             },
         );
         mp.deposit(
@@ -166,7 +163,6 @@ mod tests {
                 first_tx: TxId(10),
                 count: 10,
                 arrival_sum_ns: 3000,
-                earliest: TimeNs(80),
             },
         );
         let b = mp.cut_batch(0, 7);
@@ -190,7 +186,6 @@ mod tests {
                 first_tx: TxId(u64::MAX - 1),
                 count: 4,
                 arrival_sum_ns: 400,
-                earliest: TimeNs(100),
             },
         );
         let head = mp.cut_batch(0, 3);
@@ -218,7 +213,6 @@ mod tests {
                 first_tx: TxId(0),
                 count: 4,
                 arrival_sum_ns: 400, // mean 100
-                earliest: TimeNs(100),
             },
         );
         let b1 = mp.cut_batch(0, 2);

@@ -32,7 +32,7 @@
 //! |---|---|---|---|
 //! | replica-deterministic commit frontier at epoch end ([`Instance::checkpoint_frontier`]) | its epoch's last round | `None` | commit height at epoch end depends on local dummy-commit timing, so it cannot go under the quorum-signed manifest root: HotStuff snapshots are **state-only** (empty frontier) |
 //! | jump the commit frontier ([`Instance::fast_forward`]) | yes | no-op | an installer fast-forwards its state machine only; consensus intake re-confirms history and execution skips it idempotently |
-//! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync** |
+//! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
 //! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer |
 //! | view-change completion timer ([`Input::ViewChangeTimer`]) | yes | no actions | HotStuff's pacemaker is the per-height timer alone |
 //!

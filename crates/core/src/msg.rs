@@ -16,7 +16,7 @@ use crate::epoch::CheckpointMsg;
 use crate::sync::{SyncRequest, SyncResponse};
 use ladon_hotstuff::HsMsg;
 use ladon_pbft::PbftMsg;
-use ladon_types::{InstanceId, TimeNs, TxId, WireSize};
+use ladon_types::{InstanceId, TxId, WireSize};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -33,8 +33,6 @@ pub struct ClientTxs {
     pub payload_bytes: u64,
     /// Sum of submission times.
     pub arrival_sum_ns: u128,
-    /// Earliest submission time.
-    pub earliest: TimeNs,
     /// Set once the group has been relayed replica → leader, to bound
     /// forwarding at one hop.
     pub forwarded: bool,
@@ -100,7 +98,6 @@ mod tests {
             count: 100,
             payload_bytes: 100 * 500,
             arrival_sum_ns: 0,
-            earliest: TimeNs::ZERO,
             forwarded: false,
         };
         assert_eq!(NodeMsg::ClientTxs(c).wire_size(), 24 + 50_000);

@@ -1010,7 +1010,6 @@ impl MultiBftNode {
                     first_tx: group.first_tx,
                     count: group.count,
                     arrival_sum_ns: group.arrival_sum_ns,
-                    earliest: group.earliest,
                 },
             );
         } else {
@@ -1284,7 +1283,8 @@ mod tests {
     /// vote's round timer used to panic `arm` on every honest node).
     #[test]
     fn hotstuff_proposal_in_an_unrepresentable_view_is_rejected() {
-        use ladon_hotstuff::msg::{node_bytes, DOMAIN_GENERIC};
+        use ladon_crypto::qc::prepare_bytes;
+        use ladon_hotstuff::msg::DOMAIN_GENERIC;
         use ladon_hotstuff::HsMsg;
         let byz = ReplicaId(2);
         // Instance 0's leader in view `v` is replica `v % n`.
@@ -1304,7 +1304,7 @@ mod tests {
                 .registry
                 .signer(byz),
             DOMAIN_GENERIC,
-            &node_bytes(view, g.node.height, &g.node.digest, instance, g.node.rank),
+            &prepare_bytes(view, g.node.height, &g.node.digest, instance, g.node.rank),
         );
         let msg = NodeMsg::Hs {
             instance,
@@ -1322,7 +1322,8 @@ mod tests {
     /// A first-round pre-prepare on `instance` from its view-0 leader,
     /// citing `cert` as the leader's rank certificate.
     fn preprepare_citing(instance: u32, cert: &Arc<ladon_crypto::QuorumCert>) -> NodeMsg {
-        use ladon_pbft::msg::{phase_bytes, PrePrepare, RankProof, DOMAIN_PREPREPARE};
+        use ladon_crypto::qc::prepare_bytes;
+        use ladon_pbft::msg::{PrePrepare, RankProof, DOMAIN_PREPREPARE};
         let leader = node(ProtocolKind::LadonPbft, instance)
             .cfg
             .registry
@@ -1330,7 +1331,7 @@ mod tests {
         let (view, round, instance) = (ladon_types::View(0), Round(1), InstanceId(instance));
         let (batch, rank) = (Batch::empty(0), cert.rank.next());
         let digest = ladon_crypto::digest_batch(&batch);
-        let body = phase_bytes(view, round, &digest, instance, rank);
+        let body = prepare_bytes(view, round, &digest, instance, rank);
         let pp = PrePrepare {
             view,
             round,
@@ -1426,7 +1427,6 @@ mod tests {
             count: 5,
             payload_bytes: 2500,
             arrival_sum_ns: 0,
-            earliest: TimeNs::ZERO,
             forwarded: true,
         };
         n.on_message(N, NodeMsg::ClientTxs(group), &mut ctx);
@@ -1450,7 +1450,6 @@ mod tests {
                         count: 5,
                         payload_bytes: 2500,
                         arrival_sum_ns: 0,
-                        earliest: TimeNs::ZERO,
                         forwarded,
                     };
                     n.on_message(from, NodeMsg::ClientTxs(group), &mut ctx);

@@ -91,11 +91,6 @@ impl PredeterminedOrderer {
         }
     }
 
-    /// The flavour of this orderer.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
-
     /// `sn = (round − 1)·m + instance` — the pre-determined global index.
     pub fn sn_of(&self, instance: InstanceId, round: Round) -> u64 {
         (round.0 - 1) * self.m as u64 + instance.0 as u64

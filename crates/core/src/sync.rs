@@ -626,7 +626,6 @@ mod tests {
                 count: 100,
                 payload_bytes: 50_000,
                 arrival_sum_ns: 0,
-                earliest_arrival: TimeNs::ZERO,
                 bucket: 0,
                 refs: Vec::new(),
             },

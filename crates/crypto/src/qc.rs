@@ -583,6 +583,10 @@ mod tests {
         );
         assert_ne!(
             base,
+            prepare_bytes(View(1), Round(3), &Digest([3; 32]), InstanceId(4), Rank(5))
+        );
+        assert_ne!(
+            base,
             prepare_bytes(View(1), Round(2), &Digest([3; 32]), InstanceId(4), Rank(6))
         );
     }

@@ -7,6 +7,14 @@
 //! proposal). Ladon rank collection rides the vote path: every vote
 //! carries the voter's `curRank` and its certificate.
 //!
+//! The chain is one map, nodes by digest, and its shape is the nodes'
+//! parent links. A node commits because a certified 3-chain descends
+//! from it: the commit follows ancestry from the new proposal's parent
+//! down to the committed tip, never "whichever node this replica holds
+//! at that height", which a lost or equivocated proposal can make differ
+//! between honest replicas. A replica missing an ancestor commits
+//! nothing past it.
+//!
 //! State follows the chain's live tail: nodes more than three heights
 //! below the commit frontier are dropped as it advances, and vote maps
 //! at or below it are collected, so an instance holds a handful of nodes
@@ -28,13 +36,13 @@
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 
 use crate::msg::{
-    node_bytes, HsGeneric, HsMsg, HsNewView, HsNode, HsQc, HsVote, DOMAIN_GENERIC, DOMAIN_NEWVIEW,
-    DOMAIN_VOTE,
+    HsGeneric, HsMsg, HsNewView, HsNode, HsQc, HsVote, DOMAIN_GENERIC, DOMAIN_NEWVIEW, DOMAIN_VOTE,
 };
 use ladon_crypto::keys::Signer;
+use ladon_crypto::qc::prepare_bytes;
 use ladon_crypto::{sha256_parts, AggregateSignature, CertCache, KeyRegistry, RankCert, Signature};
 use ladon_types::{
-    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -74,23 +82,11 @@ pub struct HsConfig {
     pub mode: HsRankMode,
 }
 
-impl HsConfig {
-    /// Quorum size `2f + 1`.
-    pub fn quorum(&self) -> usize {
-        2 * ((self.n - 1) / 3) + 1
-    }
-}
-
 /// Effects requested by the state machine: the shared vocabulary over
 /// this instance's wire message. HotStuff emits `StartRoundTimer` with
 /// the *height* that must be certified before the timer fires, and never
 /// `StartViewChangeTimer` or `NewViewInstalled`.
 pub type Action = ladon_types::Action<HsMsg>;
-
-struct NodeEntry {
-    node: HsNode,
-    committed: bool,
-}
 
 /// The chained HotStuff instance.
 pub struct HsInstance {
@@ -101,10 +97,11 @@ pub struct HsInstance {
     view: View,
     /// Known nodes by digest, from [`CHAIN_TAIL`] heights below the
     /// commit frontier up.
-    nodes: HashMap<Digest, NodeEntry>,
-    /// Nodes by height (happy path: exactly one per height), over the
-    /// same span as `nodes`.
-    by_height: BTreeMap<Round, Digest>,
+    nodes: HashMap<Digest, HsNode>,
+    /// The last committed node (the genesis QC's `Digest::NIL` before
+    /// any): the node at `committed_upto`, where every commit's ancestry
+    /// walk must end.
+    committed_tip: Digest,
     /// Highest certified node (the `genericQC`).
     generic_qc: HsQc,
     /// Votes collected by the leader for its latest proposal.
@@ -128,8 +125,6 @@ pub struct HsInstance {
     new_views: BTreeMap<View, BTreeMap<ReplicaId, HsNewView>>,
     /// Count of rejected messages (observability).
     pub rejected: u64,
-    /// Count of view changes completed.
-    pub view_changes_completed: u64,
 }
 
 /// Computes a node's digest from its identifying fields.
@@ -157,11 +152,11 @@ impl HsInstance {
     pub fn new(cfg: HsConfig, epoch_min: Rank, epoch_max: Rank) -> Self {
         Self {
             generic_qc: HsQc::genesis(cfg.n, cfg.instance),
-            certs: CertCache::new(cfg.registry.clone(), cfg.quorum()),
+            certs: CertCache::new(cfg.registry.clone(), quorum(cfg.n)),
             cfg,
             view: View(0),
             nodes: HashMap::new(),
-            by_height: BTreeMap::new(),
+            committed_tip: Digest::NIL,
             votes: HashMap::new(),
             proposed_height: Round(0),
             committed_upto: Round(0),
@@ -172,7 +167,6 @@ impl HsInstance {
             stopped_for_epoch: false,
             new_views: BTreeMap::new(),
             rejected: 0,
-            view_changes_completed: 0,
         }
     }
 
@@ -185,7 +179,7 @@ impl HsInstance {
 
     /// Leader of `view` (rotates from the instance index).
     pub fn leader_of(&self, view: View) -> ReplicaId {
-        ReplicaId(((self.cfg.instance.0 as u64 + view.0) % self.cfg.n as u64) as u32)
+        self.cfg.instance.leader(view, self.cfg.n)
     }
 
     /// Whether the local replica leads the current view.
@@ -293,7 +287,7 @@ impl HsInstance {
             _ => Vec::new(),
         };
 
-        let bytes = node_bytes(self.view, height, &digest, self.cfg.instance, rank);
+        let bytes = prepare_bytes(self.view, height, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_GENERIC, &bytes);
         let generic = Arc::new(HsGeneric {
             view: self.view,
@@ -352,14 +346,15 @@ impl HsInstance {
             self.rejected += 1;
             return;
         }
+        // What the leader signed and what a vote signs.
+        let bytes = prepare_bytes(
+            g.view,
+            g.node.height,
+            &g.node.digest,
+            g.instance,
+            g.node.rank,
+        );
         if from != self.cfg.me {
-            let bytes = node_bytes(
-                g.view,
-                g.node.height,
-                &g.node.digest,
-                g.instance,
-                g.node.rank,
-            );
             if !g.sig.verify(&self.cfg.registry, DOMAIN_GENERIC, &bytes) {
                 self.rejected += 1;
                 return;
@@ -422,32 +417,19 @@ impl HsInstance {
             *cur = RankCert::certified(g.justify.to_rank_qc());
         }
 
-        // Store the node.
-        self.by_height.insert(g.node.height, g.node.digest);
-        self.nodes.entry(g.node.digest).or_insert(NodeEntry {
-            node: g.node.clone(),
-            committed: false,
-        });
+        self.nodes
+            .entry(g.node.digest)
+            .or_insert_with(|| g.node.clone());
 
-        // Commit rule: the proposal's justify certifies height h − 1; the
-        // 3-chain predecessor (height h − 3) and everything below commit.
+        // Commit rule: the proposal's justify certifies its parent at
+        // height h − 1; the parent's ancestors up to height h − 3 commit.
         if g.node.height.0 >= 3 {
-            self.commit_through(Round(g.node.height.0 - 3), out);
+            self.commit_through(Round(g.node.height.0 - 3), g.node.parent, out);
         }
 
         // Vote for the proposal (Algorithm 3 lines 24–26), updating the
         // leader with our curRank.
-        let vote_sig = Signature::sign(
-            &self.cfg.signer,
-            DOMAIN_VOTE,
-            &node_bytes(
-                g.view,
-                g.node.height,
-                &g.node.digest,
-                g.instance,
-                g.node.rank,
-            ),
-        );
+        let vote_sig = Signature::sign(&self.cfg.signer, DOMAIN_VOTE, &bytes);
         let vote = Arc::new(HsVote {
             view: g.view,
             height: g.node.height,
@@ -518,51 +500,55 @@ impl HsInstance {
             && AggregateSignature::combine(g.vote_set.iter().map(|v| v.sig.tag)) == qc.agg.combined
     }
 
-    /// Commits all uncommitted nodes up to `height` (in order) and emits
-    /// the non-dummy ones, numbered by what is emitted: a block's `round`
-    /// is its ordinal among the instance's real blocks, which is what the
-    /// ordering layer's per-instance intake counts; heights stay private
-    /// to the chain. The ordinal is counted from genesis, so a replica
-    /// that cannot commit the chain from its first node (a hole no peer
-    /// refills, a state-only snapshot install) has no way to rejoin the
-    /// numbering and stays wedged: there is no HotStuff `fast_forward`.
-    fn commit_through(&mut self, height: Round, out: &mut Vec<Action>) {
-        while self.committed_upto < height {
-            let next = self.committed_upto.next();
-            let Some(digest) = self.by_height.get(&next) else {
-                return; // Hole (possible right after a view change).
-            };
-            let entry = self.nodes.get_mut(digest).expect("indexed node exists");
-            if entry.committed {
-                self.committed_upto = next;
-                continue;
+    /// Commits the ancestors of `tip` up to `height`, lowest first, and
+    /// emits the non-dummy ones, numbered by what is emitted: a block's
+    /// `round` is its ordinal among the instance's real blocks, which is
+    /// what the ordering layer's per-instance intake counts; heights stay
+    /// private to the chain.
+    ///
+    /// The walk follows parent links from `tip` down to `committed_tip`.
+    /// A missing ancestor, or an ancestry that reaches the frontier
+    /// anywhere but at `committed_tip`, commits nothing: the replica
+    /// waits at the hole, since nothing fetches a node. The ordinal is
+    /// counted from genesis, so a replica that cannot commit the chain
+    /// from its first node (a hole no peer refills, a state-only snapshot
+    /// install) has no way to rejoin the numbering and stays wedged:
+    /// there is no HotStuff `fast_forward`.
+    fn commit_through(&mut self, height: Round, tip: Digest, out: &mut Vec<Action>) {
+        if height <= self.committed_upto {
+            return;
+        }
+        let mut chain = Vec::new();
+        let mut at = tip;
+        while at != self.committed_tip {
+            match self.nodes.get(&at) {
+                Some(node) if node.height > self.committed_upto => {
+                    chain.push(node);
+                    at = node.parent;
+                }
+                _ => return,
             }
-            entry.committed = true;
-            self.committed_upto = next;
-            if !entry.node.dummy {
+        }
+        for node in chain.into_iter().rev().take_while(|n| n.height <= height) {
+            self.committed_upto = node.height;
+            self.committed_tip = node.digest;
+            if !node.dummy {
                 self.emitted += 1;
                 out.push(Action::Committed(Block {
                     header: BlockHeader {
                         index: self.cfg.instance,
                         round: Round(self.emitted),
-                        rank: entry.node.rank,
-                        payload_digest: entry.node.digest,
+                        rank: node.rank,
+                        payload_digest: node.digest,
                     },
-                    batch: entry.node.batch.clone(),
-                    proposed_at: entry.node.proposed_at,
+                    batch: node.batch.clone(),
+                    proposed_at: node.proposed_at,
                 }));
             }
         }
         // Nothing reads a node below the frontier's 3-chain tail again.
         let keep_from = Round(self.committed_upto.0.saturating_sub(CHAIN_TAIL));
-        if self
-            .by_height
-            .first_key_value()
-            .is_some_and(|(h, _)| *h < keep_from)
-        {
-            self.by_height = self.by_height.split_off(&keep_from);
-            self.nodes.retain(|_, e| e.node.height >= keep_from);
-        }
+        self.nodes.retain(|_, node| node.height >= keep_from);
     }
 
     fn handle_vote(&mut self, from: ReplicaId, v: Arc<HsVote>, cur: &mut RankCert) {
@@ -607,7 +593,7 @@ impl HsInstance {
         let (view, height, node, rank) = (v.view, v.height, v.node, v.rank);
         let votes = self.votes.entry(node).or_default();
         votes.insert(from, v);
-        if votes.len() >= self.cfg.quorum() {
+        if votes.len() >= quorum(self.cfg.n) {
             // Form the QC for this node (generateQC, Algorithm 3 line 3)
             // from every vote held: the quorum's, since later ones are
             // moot.
@@ -645,7 +631,7 @@ impl HsInstance {
         }
         // A height at or below the commit frontier was certified long
         // ago, whether or not its node is still held.
-        if height <= self.committed_upto || self.by_height.contains_key(&height) {
+        if height <= self.committed_upto || self.nodes.values().any(|node| node.height == height) {
             return out;
         }
         let new_view = self.view.next();
@@ -691,12 +677,11 @@ impl HsInstance {
         let view = nv.view;
         let entry = self.new_views.entry(view).or_default();
         entry.insert(from, nv);
-        if entry.len() >= self.cfg.quorum() {
+        if entry.len() >= quorum(self.cfg.n) {
             // Install the new view; the next propose() extends generic_qc.
             self.view = view;
             self.proposed_height = self.generic_qc.height();
             self.new_views.retain(|v, _| *v > view);
-            self.view_changes_completed += 1;
         }
     }
 }
@@ -711,7 +696,6 @@ mod tests {
             count,
             payload_bytes: count as u64 * 500,
             arrival_sum_ns: 0,
-            earliest_arrival: TimeNs::ZERO,
             bucket: 0,
             refs: Vec::new(),
         }
@@ -782,10 +766,38 @@ mod tests {
         }
 
         fn propose(&mut self, leader: usize, b: Batch) {
+            self.propose_missing(leader, b, &[]);
+        }
+
+        /// [`Self::propose`], with the proposal lost on its way to the
+        /// replicas in `miss`.
+        fn propose_missing(&mut self, leader: usize, b: Batch, miss: &[usize]) {
             assert!(self.nodes[leader].can_propose());
             let acts = self.nodes[leader].propose(b, TimeNs::ZERO, &mut self.curs[leader]);
             self.absorb(leader, acts);
+            self.queue
+                .retain(|(to, _, m)| !(miss.contains(to) && matches!(m, HsMsg::Generic(_))));
             self.run();
+        }
+
+        /// Asserts that the committed logs of `replicas` agree: each is a
+        /// prefix of every longer one.
+        fn assert_logs_agree(&self, replicas: &[usize]) {
+            for &a in replicas {
+                for &b in replicas {
+                    let (a, b) = (&self.committed[a], &self.committed[b]);
+                    let common = a.len().min(b.len());
+                    assert_eq!(a[..common], b[..common]);
+                }
+            }
+        }
+
+        /// The `first_tx` of each block `replica` committed.
+        fn first_txs(&self, replica: usize) -> Vec<u64> {
+            self.committed[replica]
+                .iter()
+                .map(|b| b.batch.first_tx.0)
+                .collect()
         }
     }
 
@@ -891,6 +903,87 @@ mod tests {
         for node in &c.nodes {
             assert_eq!(node.rejected, 0);
         }
+    }
+
+    #[test]
+    fn a_proposal_lost_across_a_view_change_commits_no_other_node() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        // Leader 0's A1 reaches everyone and is certified; its A2 reaches
+        // replica 3 only (and stays with leader 0).
+        c.propose(0, batch(0, 5));
+        c.propose_missing(0, batch(10, 5), &[1, 2]);
+        // Replica 2 times out on height 2; replicas 0 and 3, which hold
+        // A2, on height 3. Their new-views carry A1's QC to leader 1.
+        for (r, height) in [(0, 3), (3, 3), (2, 2)] {
+            let acts = c.nodes[r].on_height_timer(Round(height), View(0));
+            c.absorb(r, acts);
+        }
+        c.run();
+        assert!(c.nodes[1].can_propose());
+        // View 1 builds B2 on A1, lost to replica 0, then B3–B5.
+        c.propose_missing(1, batch(100, 5), &[0]);
+        for i in 1..4u64 {
+            c.propose(1, batch(100 + i * 10, 5));
+        }
+        c.assert_logs_agree(&[0, 1, 2, 3]);
+        for r in 1..4 {
+            assert_eq!(c.first_txs(r), [0, 100], "replica {r}");
+        }
+        // Replica 0 holds A2 at height 2, but B3 descends from B2: it
+        // waits at the missing ancestor instead of committing A2.
+        assert!(c.committed[0].is_empty(), "{:?}", c.first_txs(0));
+        assert_eq!(c.nodes[0].committed_upto(), Round(0));
+    }
+
+    #[test]
+    fn an_equivocating_leader_splits_no_honest_replicas() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        c.propose(0, batch(0, 5));
+        // Byzantine leader 0 proposes A2 at height 2 and sends it to
+        // replica 3 only; replicas 0–2 get a re-signed A2′ with another
+        // batch at the same height, which leader 0 certifies and extends.
+        let acts = c.nodes[0].propose(batch(10, 5), TimeNs::ZERO, &mut c.curs[0]);
+        let a2 = acts
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Broadcast(HsMsg::Generic(g)) => Some(g),
+                _ => None,
+            })
+            .expect("a proposal broadcasts its Generic");
+        let mut forked = (*a2).clone();
+        let node = &mut forked.node;
+        node.batch = batch(20, 5);
+        node.digest = node_digest(
+            forked.instance,
+            node.height,
+            &node.parent,
+            &node.batch,
+            node.rank,
+            node.dummy,
+        );
+        let bytes = prepare_bytes(
+            forked.view,
+            node.height,
+            &node.digest,
+            forked.instance,
+            node.rank,
+        );
+        let registry = c.nodes[0].cfg.registry.clone();
+        forked.sig = Signature::sign(&registry.signer(ReplicaId(0)), DOMAIN_GENERIC, &bytes);
+        let forked = HsMsg::Generic(Arc::new(forked));
+        c.queue.push_back((3, ReplicaId(0), HsMsg::Generic(a2)));
+        for to in 0..3 {
+            c.queue.push_back((to, ReplicaId(0), forked.clone()));
+        }
+        c.run();
+        for i in 3..6u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        c.assert_logs_agree(&[1, 2, 3]);
+        assert_eq!(c.first_txs(1), [0, 20]);
+        assert_eq!(c.first_txs(2), [0, 20]);
+        // Replica 3 holds A2 at height 2, but A3 descends from A2′.
+        assert!(c.committed[3].is_empty(), "{:?}", c.first_txs(3));
     }
 
     #[test]
@@ -1056,7 +1149,7 @@ mod tests {
         let share = Signature::sign(
             &registry.signer(ReplicaId(0)),
             DOMAIN_VOTE,
-            &node_bytes(View(0), Round(0), &fake_parent, InstanceId(0), Rank(0)),
+            &prepare_bytes(View(0), Round(0), &fake_parent, InstanceId(0), Rank(0)),
         );
         let forged = HsQc::from_votes(
             &[share],
@@ -1093,7 +1186,7 @@ mod tests {
             sig: Signature::sign(
                 &registry.signer(ReplicaId(0)),
                 DOMAIN_GENERIC,
-                &node_bytes(View(0), height, &digest, InstanceId(0), rank),
+                &prepare_bytes(View(0), height, &digest, InstanceId(0), rank),
             ),
         };
         let (rejected, acts, _) = deliver_to_backup(&mut c, generic);
@@ -1168,7 +1261,7 @@ mod tests {
                 Signature::sign(
                     &registry.signer(ReplicaId(r)),
                     DOMAIN_VOTE,
-                    &node_bytes(View(0), Round(9), &elsewhere, InstanceId(1), high),
+                    &prepare_bytes(View(0), Round(9), &elsewhere, InstanceId(1), high),
                 )
             })
             .collect();
@@ -1204,7 +1297,9 @@ mod tests {
             assert_eq!(node.committed_upto(), Round(497), "replica {r}");
             assert_eq!(c.committed[r].len(), 497, "replica {r}");
             assert!(node.nodes.len() <= 8, "replica {r}: {}", node.nodes.len());
-            assert_eq!(node.by_height.len(), node.nodes.len());
+            let heights: std::collections::BTreeSet<Round> =
+                node.nodes.values().map(|n| n.height).collect();
+            assert_eq!(heights.len(), node.nodes.len(), "one node per height");
             assert!(node.votes.len() <= 65, "replica {r}: {}", node.votes.len());
             assert_eq!(node.rejected, 0);
         }
@@ -1218,7 +1313,7 @@ mod tests {
         }
         // Height 5 was certified and committed long ago and its node is
         // gone; its 10-second timer must not read "never proposed".
-        assert!(!c.nodes[1].by_height.contains_key(&Round(5)));
+        assert!(c.nodes[1].nodes.values().all(|n| n.height != Round(5)));
         assert!(c.nodes[1].on_height_timer(Round(5), View(0)).is_empty());
         assert_eq!(c.nodes[1].view(), View(0));
         // A height nobody proposed still times out.

@@ -16,7 +16,7 @@
 //! and cited — not copied — in the next proposal's vote set. Every
 //! [`WireSize`] is what it was by value.
 
-use ladon_crypto::qc::CertDomain;
+use ladon_crypto::qc::{prepare_bytes, CertDomain};
 use ladon_crypto::{AggregateSignature, QuorumCert, Signature};
 use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
 use serde::{Deserialize, Serialize};
@@ -29,18 +29,6 @@ pub const DOMAIN_GENERIC: &[u8] = b"ladon/hs/generic";
 pub const DOMAIN_VOTE: &[u8] = ladon_crypto::qc::DOMAIN_HS_VOTE;
 /// Signing domain for new-view messages.
 pub const DOMAIN_NEWVIEW: &[u8] = b"ladon/hs/newview";
-
-/// Canonical bytes covered by a vote / node signature:
-/// `(view, height, node digest, instance, rank)`.
-pub fn node_bytes(
-    view: View,
-    height: Round,
-    digest: &Digest,
-    instance: InstanceId,
-    rank: Rank,
-) -> [u8; 60] {
-    ladon_crypto::qc::prepare_bytes(view, height, digest, instance, rank)
-}
 
 /// A quorum certificate over a tree node (aggregated votes).
 ///
@@ -194,7 +182,7 @@ pub struct HsVote {
 impl HsVote {
     /// The bytes this vote signs.
     pub fn signing_bytes(&self) -> [u8; 60] {
-        node_bytes(self.view, self.height, &self.node, self.instance, self.rank)
+        prepare_bytes(self.view, self.height, &self.node, self.instance, self.rank)
     }
 }
 
@@ -302,15 +290,5 @@ mod tests {
         let qc = HsQc::genesis(4, InstanceId(0));
         assert!(qc.is_genesis());
         assert!(qc.verify(&reg, 3));
-    }
-
-    #[test]
-    fn node_bytes_sensitive_to_height_and_rank() {
-        let d = Digest([1; 32]);
-        let a = node_bytes(View(0), Round(1), &d, InstanceId(0), Rank(1));
-        let b = node_bytes(View(0), Round(2), &d, InstanceId(0), Rank(1));
-        let c = node_bytes(View(0), Round(1), &d, InstanceId(0), Rank(2));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

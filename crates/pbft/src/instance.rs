@@ -17,7 +17,7 @@
 //!
 //! | stage | entered when | holds |
 //! |---|---|---|
-//! | **open** | first vote or the pre-prepare arrives | the proposal (`digest`, `rank`, `batch`, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
+//! | **open** | first vote or the pre-prepare arrives | the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
 //! | **prepared** | 2f+1 matching prepares (`sent_commit`) | the proposal, `prepare_qc`; the prepare tally is **freed** — its shares now live in the QC; the commit tally |
 //! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc` (state transfer and view changes serve from them) until the epoch horizon collects the round; the commit tally is **freed** |
 //!
@@ -38,16 +38,16 @@
 //! built on its own holds a private cache of the same type.
 
 use crate::msg::{
-    phase_bytes, NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody,
-    RankProof, RankReport, SignedRank, ViewChange, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK,
-    DOMAIN_VIEWCHANGE,
+    NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
+    SignedRank, ViewChange, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK, DOMAIN_VIEWCHANGE,
 };
 use ladon_crypto::keys::Signer;
+use ladon_crypto::qc::prepare_bytes;
 use ladon_crypto::{
     digest_batch, AggregateSignature, CertCache, KeyRegistry, QuorumCert, RankCert, Signature,
 };
 use ladon_types::{
-    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -107,13 +107,6 @@ pub struct InstanceConfig {
     pub strategy: RankStrategy,
 }
 
-impl InstanceConfig {
-    /// Quorum size `2f + 1`.
-    pub fn quorum(&self) -> usize {
-        2 * ((self.n - 1) / 3) + 1
-    }
-}
-
 /// Effects requested by the state machine: the shared vocabulary over
 /// this instance's wire message.
 pub type Action = ladon_types::Action<PbftMsg>;
@@ -169,14 +162,37 @@ impl Tally {
     }
 }
 
+/// A round's adopted proposal: a pre-prepare, a certified re-proposal, a
+/// nil fill or a fetched committed block.
+struct Proposal {
+    digest: Digest,
+    rank: Rank,
+    batch: Batch,
+    proposed_at: TimeNs,
+}
+
+impl Proposal {
+    /// The block this proposal commits as, at `round` of `instance`.
+    fn block(&self, instance: InstanceId, round: Round) -> Block {
+        Block {
+            header: BlockHeader {
+                index: instance,
+                round,
+                rank: self.rank,
+                payload_digest: self.digest,
+            },
+            batch: self.batch.clone(),
+            proposed_at: self.proposed_at,
+        }
+    }
+}
+
 /// Per-round bookkeeping (see the module docs for what each stage keeps).
 #[derive(Default)]
 struct RoundState {
-    /// Set once a valid pre-prepare (or certified re-proposal) is adopted.
-    digest: Option<Digest>,
-    rank: Rank,
-    batch: Option<Batch>,
-    proposed_at: TimeNs,
+    /// Set once a proposal is adopted; a view change that does not
+    /// re-propose it drops it.
+    proposal: Option<Proposal>,
     /// Prepare votes; `None` before the first one and once `sent_commit`.
     prepares: Option<Tally>,
     /// Commit votes; `None` before the first one and once `committed`.
@@ -197,13 +213,13 @@ impl RoundState {
         }
     }
 
-    /// Adopts a proposal: a pre-prepare, a certified re-proposal or a nil
-    /// fill.
     fn adopt(&mut self, digest: Digest, rank: Rank, batch: Batch, proposed_at: TimeNs) {
-        self.digest = Some(digest);
-        self.rank = rank;
-        self.batch = Some(batch);
-        self.proposed_at = proposed_at;
+        self.proposal = Some(Proposal {
+            digest,
+            rank,
+            batch,
+            proposed_at,
+        });
     }
 
     /// Re-opens the round for a new view: votes of the old one cannot
@@ -348,8 +364,6 @@ pub struct PbftInstance {
     certs: CertCache,
     /// Count of messages rejected by validation (observability).
     pub rejected: u64,
-    /// Count of view changes completed on this replica.
-    pub view_changes_completed: u64,
 }
 
 impl PbftInstance {
@@ -357,7 +371,7 @@ impl PbftInstance {
     /// rank range.
     pub fn new(cfg: InstanceConfig, epoch_min: Rank, epoch_max: Rank) -> Self {
         Self {
-            certs: CertCache::new(cfg.registry.clone(), cfg.quorum()),
+            certs: CertCache::new(cfg.registry.clone(), quorum(cfg.n)),
             cfg,
             view: View(0),
             view_start_round: Round(1),
@@ -375,7 +389,6 @@ impl PbftInstance {
             view_changes: BTreeMap::new(),
             epoch_start_round: Round(0),
             rejected: 0,
-            view_changes_completed: 0,
         }
     }
 
@@ -415,7 +428,7 @@ impl PbftInstance {
     /// The leader of `view` for this instance: instances start led by the
     /// replica with the same index and rotate on view changes.
     pub fn leader_of(&self, view: View) -> ReplicaId {
-        ReplicaId(((self.cfg.instance.0 as u64 + view.0) % self.cfg.n as u64) as u32)
+        self.cfg.instance.leader(view, self.cfg.n)
     }
 
     /// Whether the local replica currently leads this instance.
@@ -469,7 +482,7 @@ impl PbftInstance {
         };
         self.rank_reports
             .get(&prev)
-            .is_some_and(|m| m.len() >= self.cfg.quorum())
+            .is_some_and(|m| m.len() >= quorum(self.cfg.n))
     }
 
     /// Installs the next epoch's rank range, resuming proposals and
@@ -545,7 +558,7 @@ impl PbftInstance {
             self.stopped_for_epoch = true;
         }
 
-        let body = phase_bytes(self.view, round, &digest, self.cfg.instance, rank);
+        let body = prepare_bytes(self.view, round, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_PREPREPARE, &body);
         let pp = Arc::new(PrePrepare {
             view: self.view,
@@ -579,14 +592,14 @@ impl PbftInstance {
         let reports = self.rank_reports.get(&prev).expect("can_propose checked");
         // The quorum: the 2f+1 highest claims, so the maximum is among
         // them — or, for a minimizer, the 2f+1 lowest (Appendix B case 3).
-        let mut quorum: Vec<&(RankReport, Rank)> = reports.values().collect();
-        quorum.sort_by_key(|(_, claimed)| *claimed);
+        let mut picked: Vec<&(RankReport, Rank)> = reports.values().collect();
+        picked.sort_by_key(|(_, claimed)| *claimed);
         if self.cfg.strategy != RankStrategy::MinimizeLowest {
-            quorum.reverse();
+            picked.reverse();
         }
-        quorum.truncate(self.cfg.quorum());
+        picked.truncate(quorum(self.cfg.n));
         if self.cfg.mode == RankMode::Plain {
-            let (max_report, rank_m) = quorum
+            let (max_report, rank_m) = picked
                 .iter()
                 .max_by_key(|(_, claimed)| *claimed)
                 .copied()
@@ -595,7 +608,7 @@ impl PbftInstance {
                 rank: *rank_m,
                 cert: max_report.qc.clone(),
             };
-            let rank_set = quorum.iter().map(|(r, _)| r.signed).collect();
+            let rank_set = picked.iter().map(|(r, _)| r.signed).collect();
             (next(*rank_m), RankProof::Plain { rank_set, max_cert })
         } else {
             let base = reports
@@ -603,7 +616,7 @@ impl PbftInstance {
                 .next()
                 .map(|(r, _)| r.signed.body.rank)
                 .expect("quorum is non-empty");
-            let sigs: Vec<Signature> = quorum.iter().map(|(r, _)| r.signed.sig).collect();
+            let sigs: Vec<Signature> = picked.iter().map(|(r, _)| r.signed.sig).collect();
             let agg = AggregateSignature::aggregate(&sigs, self.cfg.n)
                 .expect("distinct signers by construction");
             let rank_m = base.offset(agg.max_key_idx().into());
@@ -672,7 +685,7 @@ impl PbftInstance {
         if self
             .rounds
             .get(&pp.round)
-            .is_some_and(|r| r.digest.is_some())
+            .is_some_and(|r| r.proposal.is_some())
         {
             self.rejected += 1; // Already have a proposal for this round.
             return;
@@ -733,19 +746,19 @@ impl PbftInstance {
         let Some(st) = self.rounds.get_mut(&round) else {
             return;
         };
-        let (Some(digest), false) = (st.digest, st.sent_prepare) else {
+        let (Some(p), false) = (&st.proposal, st.sent_prepare) else {
             return;
         };
-        st.sent_prepare = true;
         let vote = PhaseVote::sign(
             &self.cfg.signer,
             Phase::Prepare,
             self.view,
             round,
             self.cfg.instance,
-            digest,
-            st.rank,
+            p.digest,
+            p.rank,
         );
+        st.sent_prepare = true;
         out.push(Action::Broadcast(PbftMsg::Vote(vote)));
         self.handle_vote(self.cfg.me, vote, now, cur, out);
     }
@@ -755,7 +768,7 @@ impl PbftInstance {
     /// cache, so a `max_cert` this replica has met on any instance
     /// verifies once.
     fn validate_rank_proof(&self, pp: &PrePrepare) -> RankCheck {
-        let q = self.cfg.quorum();
+        let q = quorum(self.cfg.n);
         // A rank set or aggregate answers the reports of the previous
         // round of the same view; a view's first round has none.
         let prev = pp
@@ -807,9 +820,9 @@ impl PbftInstance {
                     return RankCheck::Invalid;
                 }
                 // The base must be the rank of our previous round.
-                match self.rounds.get(&prev) {
-                    Some(st) if st.digest.is_some() => {
-                        if st.rank != *base {
+                match self.rounds.get(&prev).and_then(|st| st.proposal.as_ref()) {
+                    Some(p) => {
+                        if p.rank != *base {
                             return RankCheck::Invalid;
                         }
                     }
@@ -923,14 +936,14 @@ impl PbftInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        let q = self.cfg.quorum();
+        let q = quorum(self.cfg.n);
         let Some(st) = self.rounds.get_mut(&round) else {
             return;
         };
-        let Some(digest) = st.digest else {
+        let Some(p) = &st.proposal else {
             return;
         };
-        let rank = st.rank;
+        let (digest, rank) = (p.digest, p.rank);
 
         // A tally exists only while its phase is undecided (`handle_vote`
         // is the one place that opens one, and it turns decided phases
@@ -993,17 +1006,7 @@ impl PbftInstance {
         // Final commit on 2f+1 matching commits (lines 31–35).
         if st.commits.take_if(quorum).is_some() {
             st.committed = true;
-            let batch = st.batch.clone().expect("digest implies batch");
-            let block = Block {
-                header: BlockHeader {
-                    index: self.cfg.instance,
-                    round,
-                    rank,
-                    payload_digest: digest,
-                },
-                batch,
-                proposed_at: st.proposed_at,
-            };
+            let block = p.block(self.cfg.instance, round);
             self.extend_frontier();
             out.push(Action::Committed(block));
             out.push(Action::StartRoundTimer {
@@ -1022,7 +1025,10 @@ impl PbftInstance {
     fn build_rank_report(&self, round: Round, cur: &RankCert) -> RankReport {
         let (rank, k) = match self.cfg.mode {
             RankMode::Opt => {
-                let base = self.rounds.get(&round).map_or(self.epoch_min, |st| st.rank);
+                // A round held without a proposal reports from rank 0.
+                let base = self.rounds.get(&round).map_or(self.epoch_min, |st| {
+                    st.proposal.as_ref().map_or(Rank(0), |p| p.rank)
+                });
                 (base, u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX))
             }
             RankMode::Plain | RankMode::None => (cur.rank, 0),
@@ -1156,15 +1162,17 @@ impl PbftInstance {
         // somewhere.
         let prepared: Vec<PreparedEntry> = self
             .rounds
-            .iter()
-            .filter(|(r, st)| **r > self.epoch_start_round && st.prepare_qc.is_some())
-            .map(|(r, st)| PreparedEntry {
-                round: *r,
-                digest: st.digest.expect("qc implies digest"),
-                rank: st.rank,
-                batch: st.batch.clone().expect("qc implies batch"),
-                proposed_at: st.proposed_at,
-                qc: st.prepare_qc.clone().expect("filtered on qc"),
+            .range(self.epoch_start_round.next()..)
+            .filter_map(|(&round, st)| {
+                let (p, qc) = (st.proposal.as_ref()?, st.prepare_qc.clone()?);
+                Some(PreparedEntry {
+                    round,
+                    digest: p.digest,
+                    rank: p.rank,
+                    batch: p.batch.clone(),
+                    proposed_at: p.proposed_at,
+                    qc,
+                })
             })
             .collect();
         let vc = Arc::new(ViewChange::sign(
@@ -1226,7 +1234,7 @@ impl PbftInstance {
         let new_view = vc.new_view;
         let entry = self.view_changes.entry(new_view).or_default();
         entry.insert(from, vc);
-        if entry.len() >= self.cfg.quorum() {
+        if entry.len() >= quorum(self.cfg.n) {
             self.install_new_view(new_view, now, cur, out);
         }
     }
@@ -1285,7 +1293,7 @@ impl PbftInstance {
                 .sig
                 .verify(&self.cfg.registry, DOMAIN_NEWVIEW, &nv.signing_bytes())
                 || !nv.vcs.iter().all(vc_valid)
-                || signers.len() < self.cfg.quorum()
+                || signers.len() < quorum(self.cfg.n)
             {
                 self.rejected += 1;
                 return;
@@ -1312,7 +1320,6 @@ impl PbftInstance {
         self.view_start_round = plan.resume_from;
         self.next_round = plan.resume_from;
         self.view_changes.retain(|v, _| *v > nv.view);
-        self.view_changes_completed += 1;
         out.push(Action::NewViewInstalled { view: nv.view });
 
         // Clear stale uncommitted per-round voting state: votes from the
@@ -1327,9 +1334,7 @@ impl PbftInstance {
             }
             st.reopen();
             if !planned.contains(r) {
-                st.digest = None;
-                st.batch = None;
-                st.rank = Rank(0);
+                st.proposal = None;
                 st.prepare_qc = None;
             }
         }
@@ -1394,24 +1399,10 @@ impl PbftInstance {
             if !st.committed {
                 break;
             }
-            let (Some(digest), Some(batch), Some(qc)) =
-                (st.digest, st.batch.clone(), st.prepare_qc.clone())
-            else {
+            let (Some(p), Some(qc)) = (&st.proposal, &st.prepare_qc) else {
                 break;
             };
-            out.push((
-                Block {
-                    header: BlockHeader {
-                        index: self.cfg.instance,
-                        round,
-                        rank: st.rank,
-                        payload_digest: digest,
-                    },
-                    batch,
-                    proposed_at: st.proposed_at,
-                },
-                qc,
-            ));
+            out.push((p.block(self.cfg.instance, round), qc.clone()));
             round = round.next();
         }
         out
@@ -1454,10 +1445,12 @@ impl PbftInstance {
         if st.committed {
             return out;
         }
-        st.digest = Some(h.payload_digest);
-        st.rank = h.rank;
-        st.batch = Some(block.batch.clone());
-        st.proposed_at = block.proposed_at;
+        st.adopt(
+            h.payload_digest,
+            h.rank,
+            block.batch.clone(),
+            block.proposed_at,
+        );
         st.prepare_qc = Some(qc.clone());
         st.committed = true;
         st.commits = None;
@@ -1529,7 +1522,7 @@ impl PbftInstance {
         self.rounds
             .iter()
             .rev()
-            .find(|(_, st)| st.digest.is_some())
+            .find(|(_, st)| st.proposal.is_some())
             .map(|(r, _)| *r)
             .unwrap_or(Round(0))
     }
@@ -1540,7 +1533,7 @@ impl PbftInstance {
         self.rounds
             .values()
             .filter(|st| st.committed)
-            .map(|st| st.rank)
+            .filter_map(|st| Some(st.proposal.as_ref()?.rank))
             .max()
     }
 }

@@ -15,6 +15,7 @@
 //! was when the messages were held by value.
 
 use ladon_crypto::keys::Signer;
+use ladon_crypto::qc::prepare_bytes;
 use ladon_crypto::{AggregateSignature, QuorumCert, RankCert, Sha256, Signature};
 use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
 use serde::{Deserialize, Serialize};
@@ -30,18 +31,6 @@ pub const DOMAIN_RANK: &[u8] = b"ladon/pbft/rank";
 pub const DOMAIN_VIEWCHANGE: &[u8] = b"ladon/pbft/viewchange";
 /// Signing domain for new-view messages.
 pub const DOMAIN_NEWVIEW: &[u8] = b"ladon/pbft/newview";
-
-/// Canonical encoding shared by phase messages:
-/// `(view, round, digest, instance, rank)`.
-pub fn phase_bytes(
-    view: View,
-    round: Round,
-    digest: &Digest,
-    instance: InstanceId,
-    rank: Rank,
-) -> [u8; 60] {
-    ladon_crypto::qc::prepare_bytes(view, round, digest, instance, rank)
-}
 
 /// The body of a rank message `⟨rank, v, n, ⊥, i, rank⟩` (Algorithm 2
 /// line 27). `round` is the round whose commit phase produced the report;
@@ -170,7 +159,7 @@ pub struct PrePrepare {
 impl PrePrepare {
     /// The bytes the leader signs.
     pub fn signing_bytes(&self) -> [u8; 60] {
-        phase_bytes(
+        prepare_bytes(
             self.view,
             self.round,
             &self.digest,
@@ -232,7 +221,7 @@ pub struct PhaseVote {
 
 impl PhaseVote {
     /// `signer`'s vote in `phase` for `(digest, rank)` at `(view, round,
-    /// instance)`: [`phase_bytes`] signed under [`Phase::domain`] — a
+    /// instance)`: [`prepare_bytes`] signed under [`Phase::domain`] — a
     /// prepare vote is a share of the round's [`QuorumCert`].
     pub fn sign(
         signer: &Signer,
@@ -243,7 +232,7 @@ impl PhaseVote {
         digest: Digest,
         rank: Rank,
     ) -> Self {
-        let body = phase_bytes(view, round, &digest, instance, rank);
+        let body = prepare_bytes(view, round, &digest, instance, rank);
         Self {
             phase,
             view,
@@ -257,7 +246,7 @@ impl PhaseVote {
 
     /// The bytes this vote signs.
     pub fn signing_bytes(&self) -> [u8; 60] {
-        phase_bytes(
+        prepare_bytes(
             self.view,
             self.round,
             &self.digest,
@@ -508,7 +497,6 @@ mod tests {
             count: 4096,
             payload_bytes: 4096 * 500,
             arrival_sum_ns: 0,
-            earliest_arrival: TimeNs::ZERO,
             bucket: 0,
             refs: Vec::new(),
         };

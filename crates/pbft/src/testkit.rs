@@ -18,7 +18,6 @@ pub fn test_batch(first: u64, count: u32) -> Batch {
         count,
         payload_bytes: count as u64 * 500,
         arrival_sum_ns: 0,
-        earliest_arrival: TimeNs::ZERO,
         bucket: 0,
         refs: Vec::new(),
     }

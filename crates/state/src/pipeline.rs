@@ -843,7 +843,6 @@ mod tests {
                 count,
                 payload_bytes: count as u64 * 500,
                 arrival_sum_ns: 0,
-                earliest_arrival: TimeNs::ZERO,
                 bucket: 0,
                 refs: Vec::new(),
             },

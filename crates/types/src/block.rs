@@ -146,7 +146,6 @@ impl Block {
                 count,
                 payload_bytes: count as u64 * 500,
                 arrival_sum_ns: 0,
-                earliest_arrival: TimeNs::ZERO,
                 bucket: 0,
                 refs: Vec::new(),
             },

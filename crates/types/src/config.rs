@@ -16,6 +16,11 @@ pub const MERKLE_LANES: u32 = 64;
 /// entries only (see [`SystemConfig::snapshot_min_lag`]).
 const SNAPSHOT_MIN_LAG: u64 = 16;
 
+/// Quorum size `2f + 1` among `n` replicas, `f = ⌊(n − 1) / 3⌋`.
+pub fn quorum(n: usize) -> usize {
+    2 * ((n - 1) / 3) + 1
+}
+
 /// Network environment preset (§6.1 deployment settings).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum NetEnv {
@@ -190,7 +195,7 @@ impl SystemConfig {
     /// Quorum size `2f + 1`.
     #[inline]
     pub fn quorum(&self) -> usize {
-        2 * self.f() + 1
+        quorum(self.n)
     }
 
     /// Per-leader proposal interval implied by the total block rate:

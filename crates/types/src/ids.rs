@@ -134,6 +134,14 @@ id_u64! {
     Epoch, "e"
 }
 
+impl InstanceId {
+    /// The leader of this instance in `view` among `n` replicas: instance
+    /// `i` starts led by replica `i`, and the lead rotates on view changes.
+    pub fn leader(self, view: View, n: usize) -> ReplicaId {
+        ReplicaId(((self.0 as u64 + view.0) % n as u64) as u32)
+    }
+}
+
 /// A monotonic rank (paper §4.1).
 ///
 /// Ranks are assigned to blocks at proposal time and drive the dynamic

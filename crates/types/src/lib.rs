@@ -22,7 +22,7 @@ pub mod wire;
 
 pub use action::Action;
 pub use block::{Block, BlockHeader, Digest, OrderKey};
-pub use config::{NetEnv, ProtocolKind, SystemConfig, MERKLE_LANES};
+pub use config::{quorum, NetEnv, ProtocolKind, SystemConfig, MERKLE_LANES};
 pub use error::LadonError;
 pub use ids::{ClientId, Epoch, InstanceId, Rank, ReplicaId, Round, View};
 pub use time::{TimeNs, NS_PER_MS, NS_PER_SEC, NS_PER_US};

@@ -129,8 +129,6 @@ pub struct Batch {
     pub payload_bytes: u64,
     /// Sum of member transactions' client-submission times, in ns.
     pub arrival_sum_ns: u128,
-    /// Earliest member submission time (for worst-case latency series).
-    pub earliest_arrival: TimeNs,
     /// Bucket the transactions were drawn from (rotating buckets, §5.1).
     pub bucket: u32,
     /// Block references `(instance, round)` — used only by DQBFT's
@@ -147,7 +145,6 @@ impl Batch {
             count: 0,
             payload_bytes: 0,
             arrival_sum_ns: 0,
-            earliest_arrival: TimeNs::MAX,
             bucket,
             refs: Vec::new(),
         }
@@ -217,7 +214,6 @@ mod tests {
             count: 4,
             payload_bytes: 2000,
             arrival_sum_ns: (100 + 200 + 300 + 400) as u128,
-            earliest_arrival: TimeNs(100),
             bucket: 0,
             refs: Vec::new(),
         };

@@ -98,7 +98,6 @@ mod tests {
             count: 4096,
             payload_bytes: 4096 * 500,
             arrival_sum_ns: 0,
-            earliest_arrival: TimeNs::ZERO,
             bucket: 0,
             refs: Vec::new(),
         };

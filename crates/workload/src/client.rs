@@ -95,7 +95,6 @@ impl Actor<NodeMsg> for ClientFleet {
                 count: take,
                 payload_bytes: take as u64 * self.tx_bytes,
                 arrival_sum_ns: mean_arrival.0 as u128 * take as u128,
-                earliest: mean_arrival,
                 forwarded: false,
             };
             self.next_tx += take as u64;

@@ -61,11 +61,10 @@
 //!   (`EpochPacemaker::abstain`): no checkpoint is taken (its root
 //!   would cover an undurable prefix), nothing is signed or sent, and
 //!   the epoch advances on the peers' 2f+1 matching-root quorum. The
-//!   checkpoint is not deferred to recovery either — by then the state
-//!   is past the epoch boundary and the root would diverge — so an
-//!   abstained epoch leaves no entry in `state_roots`, and the next
-//!   epoch that completes while `Normal` checkpoints (and compacts the
-//!   WAL) as usual.
+//!   checkpoint is not deferred to recovery either — the quorum does not
+//!   wait for it — so an abstained epoch leaves no entry in
+//!   `state_roots`, and the next epoch that completes while `Normal`
+//!   checkpoints (and compacts the WAL) as usual.
 //!
 //! `Degraded → Normal` happens only after a retry rewrote the log from
 //! the in-memory mirror *and* the staged backlog drained through a clean

@@ -1,11 +1,12 @@
 //! The epoch pacemaker (§5.2.1), extended with execution state roots.
 //!
 //! Ladon proceeds in epochs of `l(e)` ranks. An epoch ends when every
-//! instance has partially committed its `maxRank(e)` block; replicas then
-//! broadcast a checkpoint message, and a quorum of `2f + 1` checkpoint
-//! messages forms a *stable checkpoint* that lets the replica move to
-//! epoch `e + 1` (installing the next rank range in every instance and
-//! rotating the transaction buckets).
+//! instance has partially committed its `maxRank(e)` block — the global
+//! orderer decides that ([`crate::LadonOrderer::epoch_frontier`]), not
+//! this module; replicas then broadcast a checkpoint message, and a
+//! quorum of `2f + 1` checkpoint messages forms a *stable checkpoint*
+//! that lets the replica move to epoch `e + 1` (installing the next rank
+//! range in every instance and rotating the transaction buckets).
 //!
 //! On top of the paper's rank-marker checkpoints, every checkpoint message
 //! here carries the **execution state root** — the snapshot *manifest
@@ -15,13 +16,15 @@
 //! `ladon-state`: the signature must cover every snapshot field an
 //! installer acts on, or a Byzantine sync responder could splice forged
 //! metadata onto genuine state). When an epoch completes, all of its
-//! blocks are globally confirmed (every instance's tip sits at
-//! `maxRank(e)`, so the confirmation bar has passed the whole epoch), and
-//! execution is deterministic, so honest replicas sign identical roots: a
-//! stable checkpoint attests to *state*, not just ranks. Votes are
-//! therefore grouped by `(epoch, root)`; a quorum forming on a root
-//! different from our own is recorded as a root conflict instead of an
-//! advance — divergence must never be papered over.
+//! blocks are globally confirmed and none after them (every one of the
+//! orderer's tips sits at `maxRank(e)`, its ceiling until the next
+//! epoch: the confirmation bar has passed the whole epoch and nothing
+//! above it may join), and execution is deterministic, so honest
+//! replicas sign identical roots: a stable checkpoint attests to
+//! *state*, not just ranks. Votes are therefore grouped by
+//! `(epoch, root)`; a quorum forming on a root different from our own is
+//! recorded as a root conflict instead of an advance — divergence must
+//! never be papered over.
 
 use ladon_crypto::keys::Signer;
 use ladon_crypto::{AggregateSignature, KeyRegistry, Signature};
@@ -40,9 +43,10 @@ fn checkpoint_payload(epoch: Epoch, root: &Digest) -> [u8; 40] {
     b
 }
 
-/// A checkpoint message: "I have partially committed the `maxRank(e)`
-/// block of every instance in epoch `e`, and executing the epoch left my
-/// state machine at `state_root`".
+/// A checkpoint message: "I have globally confirmed every block of epoch
+/// `e` — each instance's up to its `maxRank(e)` block — and nothing
+/// after them, and executing them left my state machine at
+/// `state_root`".
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct CheckpointMsg {
     /// The completed epoch.
@@ -117,27 +121,12 @@ impl WireSize for StableCheckpoint {
     }
 }
 
-/// What the pacemaker asks the node to do.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EpochEvent {
-    /// A stable checkpoint formed: advance to the new epoch with the given
-    /// rank range.
-    Advance {
-        /// The new epoch.
-        epoch: Epoch,
-        /// `minRank(e)`.
-        min: Rank,
-        /// `maxRank(e)`.
-        max: Rank,
-    },
-}
-
-/// The per-replica epoch pacemaker.
+/// The per-replica epoch pacemaker. Each method that can complete the
+/// current epoch returns the epoch it advanced to; its rank range is
+/// [`SystemConfig::rank_range`] of it.
 pub struct EpochPacemaker {
     epoch: Epoch,
     sys: SystemConfig,
-    /// Instances that committed their `maxRank(e)` block this epoch.
-    reached: BTreeSet<usize>,
     /// Checkpoint votes per epoch: signer → (claimed root, signature).
     /// Retained for one completed epoch so stable checkpoints can be
     /// served to lagging replicas (§5.2.1).
@@ -148,7 +137,7 @@ pub struct EpochPacemaker {
     pending_stable: BTreeMap<Epoch, StableCheckpoint>,
     /// The current epoch completed locally and its checkpoint was made
     /// ([`Self::make_checkpoint`]) or abstained from ([`Self::abstain`]).
-    sent_checkpoint: bool,
+    closed: bool,
     /// The root we signed for the current epoch (set by
     /// [`Self::make_checkpoint`]; stays `None` after [`Self::abstain`]).
     my_root: Option<Digest>,
@@ -166,10 +155,9 @@ impl EpochPacemaker {
         Self {
             epoch: Epoch(0),
             sys: cfg.clone(),
-            reached: BTreeSet::new(),
             votes: BTreeMap::new(),
             pending_stable: BTreeMap::new(),
-            sent_checkpoint: false,
+            closed: false,
             my_root: None,
             root_conflicts: 0,
             conflicted: BTreeSet::new(),
@@ -219,7 +207,7 @@ impl EpochPacemaker {
     pub fn lag_evidence(&self) -> bool {
         self.votes.iter().any(|(e, v)| {
             self.quorum_group(v).is_some()
-                && (*e > self.epoch || (*e == self.epoch && !self.sent_checkpoint))
+                && (*e > self.epoch || (*e == self.epoch && !self.closed))
         })
     }
 
@@ -233,26 +221,18 @@ impl EpochPacemaker {
         self.sys.rank_range(self.epoch).1
     }
 
-    /// Notifies the pacemaker that `instance` partially committed a block
-    /// with `rank`. Returns `true` once all `m` instances have reached
-    /// `maxRank(e)`, and keeps returning it on every later commit until
-    /// the epoch is closed: the node must close it in the same handler —
-    /// compute its execution state root and call
-    /// [`Self::make_checkpoint`], or call [`Self::abstain`] — because a
-    /// checkpoint taken any later covers a state past the epoch boundary.
-    pub fn on_commit(&mut self, instance: usize, rank: Rank) -> bool {
-        if rank == self.max_rank() {
-            self.reached.insert(instance);
-        }
-        !self.sent_checkpoint && self.reached.len() == self.sys.m
+    /// Whether the current epoch is closed: checkpointed or abstained
+    /// from.
+    pub fn closed(&self) -> bool {
+        self.closed
     }
 
     /// Builds (and records) our checkpoint for the completed epoch at the
-    /// given execution state root. Call once, after [`Self::on_commit`]
-    /// returned `true`.
+    /// given execution state root. Call once per epoch, when the orderer
+    /// reports the epoch over.
     pub fn make_checkpoint(&mut self, signer: &Signer, state_root: Digest) -> CheckpointMsg {
-        debug_assert!(!self.sent_checkpoint, "checkpoint already sent this epoch");
-        self.sent_checkpoint = true;
+        debug_assert!(!self.closed, "checkpoint already sent this epoch");
+        self.closed = true;
         self.my_root = Some(state_root);
         let msg = CheckpointMsg::sign(signer, self.epoch, state_root);
         // Our own vote counts.
@@ -270,15 +250,15 @@ impl EpochPacemaker {
     /// a later [`Self::on_checkpoint`] / [`Self::on_stable_checkpoint`].
     /// For a replica that may not checkpoint when the epoch completes
     /// (its durable path is failing); call in place of
-    /// [`Self::make_checkpoint`], after [`Self::on_commit`] returned
-    /// `true`. With no root of our own there is nothing to compare the
-    /// quorum's against, so no conflict can be counted.
-    pub fn abstain(&mut self) -> Option<EpochEvent> {
-        debug_assert!(!self.sent_checkpoint, "epoch already closed");
-        self.sent_checkpoint = true;
+    /// [`Self::make_checkpoint`]. With no root of our own there is
+    /// nothing to compare the quorum's against, so no conflict can be
+    /// counted.
+    pub fn abstain(&mut self) -> Option<Epoch> {
+        debug_assert!(!self.closed, "epoch already closed");
+        self.closed = true;
         let voted = self.votes.get(&self.epoch);
         if voted.is_some_and(|v| self.quorum_group(v).is_some()) {
-            return Some(self.advance_to_next());
+            return Some(self.advance_to(self.epoch.next()));
         }
         self.try_pending_advance()
     }
@@ -289,23 +269,23 @@ impl EpochPacemaker {
         self.my_root.is_none_or(|mine| mine == root)
     }
 
-    /// Handles a checkpoint message from `from`. Returns the advance event
+    /// Handles a checkpoint message from `from`. Returns the next epoch
     /// when the stable checkpoint (2f+1 matching-root votes) forms.
     pub fn on_checkpoint(
         &mut self,
         from: ReplicaId,
         msg: &CheckpointMsg,
         registry: &KeyRegistry,
-    ) -> Option<EpochEvent> {
+    ) -> Option<Epoch> {
         if msg.epoch < self.epoch || from != msg.sig.signer() || !msg.verify(registry) {
             return None;
         }
         let votes = self.votes.entry(msg.epoch).or_default();
         votes.insert(from, (msg.state_root, msg.sig));
-        if msg.epoch == self.epoch && self.sent_checkpoint {
+        if msg.epoch == self.epoch && self.closed {
             if let Some((root, _)) = self.quorum_group(&self.votes[&self.epoch]) {
                 if self.agrees_with(root) {
-                    return Some(self.advance_to_next());
+                    return Some(self.advance_to(self.epoch.next()));
                 }
                 // A quorum agreed on a root we did not execute: divergence.
                 self.note_conflict(msg.epoch);
@@ -315,20 +295,20 @@ impl EpochPacemaker {
     }
 
     /// Accepts a whole stable checkpoint learned via state transfer.
-    /// Returns the advance event when it completes the current epoch (we
-    /// must still have finished the epoch locally first, with a matching
+    /// Returns the next epoch when it completes the current one (we must
+    /// still have finished the epoch locally first, with a matching
     /// root).
     pub fn on_stable_checkpoint(
         &mut self,
         sc: &StableCheckpoint,
         registry: &KeyRegistry,
-    ) -> Option<EpochEvent> {
+    ) -> Option<Epoch> {
         if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
             return None;
         }
-        if sc.epoch == self.epoch && self.sent_checkpoint {
+        if sc.epoch == self.epoch && self.closed {
             if self.agrees_with(sc.state_root) {
-                return Some(self.advance_to_next());
+                return Some(self.advance_to(self.epoch.next()));
             }
             self.note_conflict(sc.epoch);
             return None;
@@ -340,13 +320,13 @@ impl EpochPacemaker {
     /// Applies a stashed stable checkpoint once the local epoch completes
     /// (call after [`Self::make_checkpoint`]). A stashed checkpoint whose
     /// root contradicts the one we signed is a conflict, not an advance.
-    pub fn try_pending_advance(&mut self) -> Option<EpochEvent> {
-        if !self.sent_checkpoint {
+    pub fn try_pending_advance(&mut self) -> Option<Epoch> {
+        if !self.closed {
             return None;
         }
         if let Some(sc) = self.pending_stable.get(&self.epoch) {
             if self.agrees_with(sc.state_root) {
-                return Some(self.advance_to_next());
+                return Some(self.advance_to(self.epoch.next()));
             }
             let epoch = sc.epoch;
             self.note_conflict(epoch);
@@ -362,29 +342,14 @@ impl EpochPacemaker {
     /// have produced, so completing them locally is unnecessary (and, for
     /// a restarted replica whose peers pruned the old checkpoints,
     /// impossible).
-    pub fn fast_forward(
-        &mut self,
-        sc: &StableCheckpoint,
-        registry: &KeyRegistry,
-    ) -> Option<EpochEvent> {
+    pub fn fast_forward(&mut self, sc: &StableCheckpoint, registry: &KeyRegistry) -> Option<Epoch> {
         if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
             return None;
         }
-        let next = Epoch(sc.epoch.0 + 1);
-        let (min, max) = self.sys.rank_range(next);
-        self.epoch = next;
-        self.reached.clear();
-        self.sent_checkpoint = false;
-        self.my_root = None;
-        self.votes.retain(|e, _| e.0 + 1 >= next.0);
-        self.pending_stable.retain(|e, _| e.0 + 1 >= next.0);
+        let next = self.advance_to(sc.epoch.next());
         // Keep the checkpoint: we can serve it onward to other laggers.
         self.pending_stable.insert(sc.epoch, sc.clone());
-        Some(EpochEvent::Advance {
-            epoch: next,
-            min,
-            max,
-        })
+        Some(next)
     }
 
     /// Records a divergent quorum for `epoch`, once.
@@ -394,22 +359,16 @@ impl EpochPacemaker {
         }
     }
 
-    fn advance_to_next(&mut self) -> EpochEvent {
-        let next = self.epoch.next();
-        let (min, max) = self.sys.rank_range(next);
+    /// Opens epoch `next` and returns it.
+    fn advance_to(&mut self, next: Epoch) -> Epoch {
         self.epoch = next;
-        self.reached.clear();
-        self.sent_checkpoint = false;
+        self.closed = false;
         self.my_root = None;
         // Keep the just-completed epoch's signatures: its stable
         // checkpoint is what we serve to lagging replicas.
         self.votes.retain(|e, _| e.0 + 1 >= next.0);
         self.pending_stable.retain(|e, _| e.0 + 1 >= next.0);
-        EpochEvent::Advance {
-            epoch: next,
-            min,
-            max,
-        }
+        next
     }
 }
 
@@ -428,64 +387,34 @@ mod tests {
         Digest([0x5e; 32])
     }
 
-    fn setup(m: usize) -> (EpochPacemaker, KeyRegistry) {
+    fn setup() -> (EpochPacemaker, KeyRegistry) {
         let mut cfg = SystemConfig::paper_default(4, NetEnv::Lan);
-        cfg.m = m;
         cfg.epoch_length = 8;
         (EpochPacemaker::new(&cfg), KeyRegistry::generate(4, 1, 3))
     }
 
-    /// Commits `maxRank` on every instance: the epoch is complete and
-    /// waits to be closed.
-    fn reach_max_everywhere(p: &mut EpochPacemaker) {
-        let max = p.max_rank();
-        for i in 0..p.sys.m {
-            p.on_commit(i, max);
-        }
-        assert!(p.on_commit(0, max), "still open: re-signalled until closed");
-    }
-
-    /// Drives `p` through local epoch completion: commits `maxRank` on all
-    /// `m` instances and makes the checkpoint at `root()`.
+    /// Closes `p`'s epoch, as the node does once the orderer reports it
+    /// over, with a checkpoint at `root()`.
     fn complete_epoch(p: &mut EpochPacemaker, reg: &KeyRegistry, me: u32) -> CheckpointMsg {
-        reach_max_everywhere(p);
-        p.make_checkpoint(&reg.signer(ReplicaId(me)), root())
-    }
-
-    #[test]
-    fn checkpoint_after_all_instances_reach_max() {
-        let (mut p, reg) = setup(2);
-        assert_eq!(p.max_rank(), Rank(7));
-        assert!(!p.on_commit(0, Rank(5)));
-        assert!(!p.on_commit(0, Rank(7)));
-        // Second instance reaches maxRank: epoch ready.
-        assert!(p.on_commit(1, Rank(7)));
-        let msg = p.make_checkpoint(&reg.signer(ReplicaId(0)), root());
-        assert_eq!(msg.epoch, Epoch(0));
-        assert_eq!(msg.state_root, root());
-        assert!(msg.verify(&reg));
-        // Not re-signalled once sent.
-        assert!(!p.on_commit(0, Rank(7)));
+        assert!(!p.closed());
+        let msg = p.make_checkpoint(&reg.signer(ReplicaId(me)), root());
+        assert!(p.closed() && msg.verify(reg));
+        msg
     }
 
     #[test]
     fn stable_checkpoint_advances_epoch() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
+        assert_eq!(p.max_rank(), Rank(7));
         complete_epoch(&mut p, &reg, 0);
         // Two more matching votes (quorum = 3 for n = 4).
         let m1 = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
         assert!(p.on_checkpoint(ReplicaId(1), &m1, &reg).is_none());
         let m2 = CheckpointMsg::sign(&reg.signer(ReplicaId(2)), Epoch(0), root());
-        let adv = p.on_checkpoint(ReplicaId(2), &m2, &reg);
-        match adv {
-            Some(EpochEvent::Advance { epoch, min, max }) => {
-                assert_eq!(epoch, Epoch(1));
-                assert_eq!(min, Rank(8));
-                assert_eq!(max, Rank(15));
-            }
-            other => panic!("expected advance, got {other:?}"),
-        }
+        assert_eq!(p.on_checkpoint(ReplicaId(2), &m2, &reg), Some(Epoch(1)));
         assert_eq!(p.epoch(), Epoch(1));
+        assert_eq!(p.max_rank(), Rank(15));
+        assert!(!p.closed(), "the new epoch opens");
         assert_eq!(p.root_conflicts, 0);
     }
 
@@ -494,7 +423,7 @@ mod tests {
         // Two peers vote a different root than ours: their group reaches
         // quorum only with a third vote; ours never does. The conflict is
         // surfaced, the epoch does not advance on their root.
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), other_root());
@@ -515,7 +444,7 @@ mod tests {
 
     #[test]
     fn forged_checkpoint_rejected() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         complete_epoch(&mut p, &reg, 0);
         // Signature from replica 1 but claimed from replica 2.
         let forged = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
@@ -531,7 +460,7 @@ mod tests {
     fn early_checkpoints_buffer_until_local_completion() {
         // Peers may finish the epoch before us; their votes accumulate but
         // we only advance once we have also sent our checkpoint.
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         for r in 1..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
             assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
@@ -541,12 +470,12 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         let m = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
         let adv = p.on_checkpoint(ReplicaId(1), &m, &reg);
-        assert!(matches!(adv, Some(EpochEvent::Advance { .. })));
+        assert_eq!(adv, Some(Epoch(1)));
     }
 
     #[test]
     fn stable_checkpoint_built_and_verifies_after_quorum() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         assert!(p.stable_checkpoint(Epoch(0)).is_none());
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
@@ -563,9 +492,9 @@ mod tests {
 
     #[test]
     fn lag_evidence_when_quorum_finished_without_us() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         assert!(!p.lag_evidence());
-        // Three peers checkpoint epoch 0 while we never committed maxRank.
+        // Three peers checkpoint epoch 0 while we never finished it.
         for r in 1..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
             p.on_checkpoint(ReplicaId(r), &m, &reg);
@@ -583,9 +512,9 @@ mod tests {
     fn fetched_stable_checkpoint_advances_once_locally_complete() {
         // A synced replica holds a whole stable checkpoint but has not
         // finished the epoch: the checkpoint is stashed, and applies the
-        // moment the local commits reach maxRank with a matching root.
-        let (mut p, reg) = setup(1);
-        let (mut donor, _) = setup(1);
+        // moment the epoch closes locally with a matching root.
+        let (mut p, reg) = setup();
+        let (mut donor, _) = setup();
         complete_epoch(&mut donor, &reg, 1);
         for r in 2..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
@@ -600,7 +529,7 @@ mod tests {
         // Local completion with the same root: the stash applies.
         complete_epoch(&mut p, &reg, 0);
         let adv = p.try_pending_advance();
-        assert!(matches!(adv, Some(EpochEvent::Advance { .. })));
+        assert_eq!(adv, Some(Epoch(1)));
         assert_eq!(p.epoch(), Epoch(1));
         // The replica that advanced via a fetched checkpoint can serve it
         // onward (it never saw the individual votes).
@@ -610,8 +539,8 @@ mod tests {
 
     #[test]
     fn tampered_stable_checkpoint_rejected() {
-        let (mut p, reg) = setup(1);
-        let (mut donor, _) = setup(1);
+        let (mut p, reg) = setup();
+        let (mut donor, _) = setup();
         complete_epoch(&mut donor, &reg, 1);
         for r in 2..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
@@ -632,20 +561,12 @@ mod tests {
 
     #[test]
     fn abstaining_with_the_quorum_already_collected_advances_at_once() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         for r in 1..=3u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
             assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
         }
-        reach_max_everywhere(&mut p);
-        let adv = p.abstain();
-        assert!(matches!(
-            adv,
-            Some(EpochEvent::Advance {
-                epoch: Epoch(1),
-                ..
-            })
-        ));
+        assert_eq!(p.abstain(), Some(Epoch(1)));
         assert_eq!(p.root_conflicts, 0);
         // The peers' quorum is retained and served onward; our own
         // signature is not in it.
@@ -655,57 +576,33 @@ mod tests {
         assert!(sc.verify(&reg, 3));
         assert_eq!(sc.state_root, root());
         // The next epoch opens like any other.
-        assert!(!p.on_commit(0, Rank(9)));
+        assert!(!p.closed());
     }
 
     #[test]
     fn abstaining_before_the_quorum_advances_when_it_arrives() {
-        let (mut p, reg) = setup(1);
-        reach_max_everywhere(&mut p);
+        let (mut p, reg) = setup();
         assert!(p.abstain().is_none(), "no quorum yet");
-        assert!(!p.on_commit(0, p.max_rank()), "closed: not re-signalled");
+        assert!(p.closed());
         assert!(!p.lag_evidence());
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
             assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
         }
         let m = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), root());
-        let adv = p.on_checkpoint(ReplicaId(3), &m, &reg);
-        assert!(matches!(
-            adv,
-            Some(EpochEvent::Advance {
-                epoch: Epoch(1),
-                ..
-            })
-        ));
+        assert_eq!(p.on_checkpoint(ReplicaId(3), &m, &reg), Some(Epoch(1)));
         assert_eq!(p.root_conflicts, 0);
 
         // The same through a whole stable checkpoint learned via sync.
-        let (mut q, _) = setup(1);
-        reach_max_everywhere(&mut q);
+        let (mut q, _) = setup();
         assert!(q.abstain().is_none());
         let sc = p.stable_checkpoint(Epoch(0)).expect("quorum");
-        let adv = q.on_stable_checkpoint(&sc, &reg);
-        assert!(matches!(
-            adv,
-            Some(EpochEvent::Advance {
-                epoch: Epoch(1),
-                ..
-            })
-        ));
+        assert_eq!(q.on_stable_checkpoint(&sc, &reg), Some(Epoch(1)));
 
         // And when that checkpoint was stashed before the epoch closed.
-        let (mut q, _) = setup(1);
+        let (mut q, _) = setup();
         assert!(q.on_stable_checkpoint(&sc, &reg).is_none());
-        reach_max_everywhere(&mut q);
-        let adv = q.abstain();
-        assert!(matches!(
-            adv,
-            Some(EpochEvent::Advance {
-                epoch: Epoch(1),
-                ..
-            })
-        ));
+        assert_eq!(q.abstain(), Some(Epoch(1)));
     }
 
     #[test]
@@ -713,8 +610,7 @@ mod tests {
         // Peers disagree among themselves and no root reaches quorum:
         // an abstainer has no root to side with, so it waits — and has
         // nothing of its own a quorum could contradict.
-        let (mut p, reg) = setup(1);
-        reach_max_everywhere(&mut p);
+        let (mut p, reg) = setup();
         assert!(p.abstain().is_none());
         for (r, claimed) in [(1u32, root()), (2, other_root()), (3, root())] {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), claimed);
@@ -727,7 +623,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_checkpoints_ignored() {
-        let (mut p, reg) = setup(1);
+        let (mut p, reg) = setup();
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
             let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());

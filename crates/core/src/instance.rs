@@ -30,7 +30,7 @@
 //!
 //! | capability | PBFT | HotStuff default | consequence |
 //! |---|---|---|---|
-//! | replica-deterministic commit frontier at epoch end ([`Instance::checkpoint_frontier`]) | its epoch's last round | `None` | commit height at epoch end depends on local dummy-commit timing, so it cannot go under the quorum-signed manifest root: HotStuff snapshots are **state-only** (empty frontier) |
+//! | record the orderer's epoch frontier in a snapshot ([`Instance::snapshots_frontier`]) | yes | `false` | nothing could jump a HotStuff instance to it (next row), so HotStuff snapshots are **state-only** (empty frontier) |
 //! | jump the commit frontier ([`Instance::fast_forward`]) | yes | no-op | an installer fast-forwards its state machine only; consensus intake re-confirms history and execution skips it idempotently |
 //! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
 //! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer |
@@ -39,9 +39,9 @@
 //! Also: PBFT never proposes epoch-flush dummies
 //! ([`Instance::next_is_dummy`] is `false`), and HotStuff emits nothing
 //! on [`Input::AdvanceEpoch`] (PBFT re-evaluates buffered
-//! pre-prepares). Closing the gap — a deterministic frontier in the
-//! manifest plus an `HsInstance` jump — changes the HotStuff arms below
-//! and nothing else.
+//! pre-prepares). Closing the gap — an `HsInstance` jump to the
+//! orderer's epoch frontier — changes the HotStuff arms below and
+//! nothing else.
 //!
 //! A message of the other protocol's kind (a [`NodeMsg::Pbft`] reaching a
 //! HotStuff instance or vice versa) is ignored: honest peers run one
@@ -292,15 +292,11 @@ impl Instance {
         }
     }
 
-    /// The commit frontier to record under a checkpoint's quorum-signed
-    /// manifest root, if it is replica-deterministic. PBFT instances
-    /// freeze at their epoch's last round by checkpoint time; HotStuff
-    /// heights are not deterministic at that instant (`None`).
-    pub fn checkpoint_frontier(&self) -> Option<u64> {
-        match &self.proto {
-            Proto::Pbft(inst) => Some(inst.committed_upto().0),
-            Proto::Hs(_) => None,
-        }
+    /// Whether a checkpoint's snapshot records the orderer's epoch
+    /// frontier for this instance: only if an installer can jump the
+    /// instance to it ([`Self::fast_forward`]), which HotStuff cannot.
+    pub fn snapshots_frontier(&self) -> bool {
+        matches!(self.proto, Proto::Pbft(_))
     }
 
     /// Jumps the commit frontier to `round` after a snapshot install.

@@ -1,6 +1,7 @@
 //! Ladon Multi-BFT: the paper's core contribution.
 //!
-//! - [`ordering`]: the dynamic global ordering layer (Algorithm 1) and the
+//! - [`ordering`]: the dynamic global ordering layer (Algorithm 1), which
+//!   also decides where an epoch ends, and the
 //!   [`ordering::GlobalOrderer`] trait.
 //! - [`predetermined`]: ISS / Mir / RCC pre-determined-ordering baselines.
 //! - [`dqbft`]: the DQBFT dedicated-ordering-instance baseline.
@@ -53,7 +54,7 @@ pub mod timer;
 pub use bucket::{Mempool, RotatingBuckets, TxGroup};
 pub use dqbft::DqbftOrderer;
 pub use durability::NodeMode;
-pub use epoch::{CheckpointMsg, EpochEvent, EpochPacemaker, StableCheckpoint};
+pub use epoch::{CheckpointMsg, EpochPacemaker, StableCheckpoint};
 pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
 pub use node::{Behavior, MultiBftNode, NodeConfig};

@@ -26,7 +26,7 @@
 use crate::bucket::{Mempool, RotatingBuckets, TxGroup};
 use crate::dqbft::DqbftOrderer;
 use crate::durability::{Durability, DurabilityEvent, DurabilityStep, NodeMode};
-use crate::epoch::{EpochEvent, EpochPacemaker, StableCheckpoint};
+use crate::epoch::{EpochPacemaker, StableCheckpoint};
 use crate::instance::{Input, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
@@ -205,7 +205,10 @@ impl MultiBftNode {
 
         let orderer = match cfg.protocol {
             ProtocolKind::LadonPbft | ProtocolKind::LadonOptPbft | ProtocolKind::LadonHotStuff => {
-                Orderer::Ladon(LadonOrderer::new(m))
+                // Epoch 0's boundary: the pacemaker starts there.
+                let mut o = LadonOrderer::new(m);
+                o.set_ceiling(sys.rank_range(Epoch(0)).1);
+                Orderer::Ladon(o)
             }
             ProtocolKind::IssPbft | ProtocolKind::IssHotStuff => {
                 Orderer::Pre(PredeterminedOrderer::new(BaselineKind::Iss, m))
@@ -346,47 +349,26 @@ impl MultiBftNode {
 
     fn on_committed(&mut self, i: usize, block: Block, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
-        let rank = block.rank();
         self.inst_commits[i] += 1;
         self.metrics.commits.push(CommitRecord {
             instance: block.index().0,
             round: block.round().0,
-            rank: rank.0,
+            rank: block.rank().0,
             time: now,
         });
 
-        // Ordering layer + execution first: when this commit completes the
-        // epoch, every block of the epoch is below the confirmation bar
-        // and must be executed *before* the checkpoint's state root is
-        // computed, so the root covers the whole epoch deterministically.
+        // Ordering layer + execution first. The orderer confirms nothing
+        // past the epoch's `maxRank`, so when this commit completes the
+        // epoch, exactly the epoch's blocks are confirmed and staged
+        // before the checkpoint's state root is computed: the root covers
+        // the same prefix on every replica.
         let confirmed: Vec<ConfirmedBlock> = match &mut self.orderer {
             // The ordering instance sequenced a reference batch.
             Orderer::Dqbft(o) if i == self.cfg.sys.m => o.on_sequenced(&block.batch.refs, now),
             o => o.on_partial_commit(block, now),
         };
         self.record_confirms(confirmed, now);
-
-        // Epoch pacemaker (Ladon protocols, real instances only).
-        if i < self.cfg.sys.m {
-            let epoch_done = self
-                .pacemaker
-                .as_mut()
-                .is_some_and(|pm| pm.on_commit(i, rank));
-            if epoch_done && self.durability.is_normal() {
-                self.checkpoint_epoch(ctx);
-            } else if epoch_done {
-                // While degraded, abstain from the epoch's checkpoint:
-                // checkpointing flushes and compacts through the failing
-                // backend, and a root signed over an undurable prefix
-                // must never be broadcast. Nor may it be taken later —
-                // by then the state is past the epoch boundary and the
-                // root would diverge from the quorum's. The peers'
-                // quorum completes the epoch without our vote.
-                let ev = self.pacemaker.as_mut().and_then(EpochPacemaker::abstain);
-                self.on_epoch_event(ev, ctx);
-            }
-            self.sync_pacemaker_metrics();
-        }
+        self.close_epoch_if_ordered(ctx);
 
         // Both the confirm drain and the checkpoint above can resolve a
         // flush barrier: evaluate the degradation trigger while a timer
@@ -398,22 +380,52 @@ impl MultiBftNode {
         self.try_propose_all(ctx);
     }
 
+    /// Closes the current epoch once the orderer reports it over (every
+    /// instance's tip at `maxRank`): checkpoints it, or abstains while
+    /// degraded. The orderer's ceiling holds the confirmed state at the
+    /// boundary until the pacemaker advances, so whichever handler gets
+    /// here first signs the same root.
+    fn close_epoch_if_ordered(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+        if self.pacemaker.as_ref().is_none_or(EpochPacemaker::closed) {
+            return;
+        }
+        let Orderer::Ladon(o) = &self.orderer else {
+            return;
+        };
+        let Some(frontier) = o.epoch_frontier() else {
+            return;
+        };
+        if self.durability.is_normal() {
+            self.checkpoint_epoch(frontier, ctx);
+        } else {
+            // While degraded, abstain from the epoch's checkpoint:
+            // checkpointing flushes and compacts through the failing
+            // backend, and a root signed over an undurable prefix must
+            // never be broadcast. The peers' quorum completes the epoch
+            // without our vote.
+            let next = self.pacemaker.as_mut().and_then(EpochPacemaker::abstain);
+            self.enter_epoch(next, ctx);
+        }
+        self.sync_pacemaker_metrics();
+    }
+
     /// Epoch complete: checkpoint the executed state (this snapshots the
     /// KV contents and compacts the WAL), sign its root into the
-    /// checkpoint message and broadcast it.
-    fn checkpoint_epoch(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    /// checkpoint message and broadcast it. `frontier` is each instance's
+    /// last round of the epoch.
+    fn checkpoint_epoch(&mut self, frontier: Vec<u64>, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
         let epoch = self.epoch();
-        // The snapshot also records each instance's commit-round
-        // frontier so installers can fast-forward consensus intake, not
-        // just the state machine. It goes under the quorum-signed
-        // manifest root, so only replica-deterministic frontiers are
-        // recorded: under HotStuff there are none and the snapshot is
-        // state-only (empty frontier, installers skip the consensus jump).
-        let frontier: Vec<u64> = self.slots[..self.cfg.sys.m]
-            .iter()
-            .filter_map(Instance::checkpoint_frontier)
-            .collect();
+        // The snapshot also records the frontier so installers can
+        // fast-forward consensus intake, not just the state machine —
+        // where the instances can jump to it. Otherwise (HotStuff) the
+        // snapshot is state-only: an empty frontier, and installers skip
+        // the consensus jump.
+        let frontier = if self.slots.iter().all(Instance::snapshots_frontier) {
+            frontier
+        } else {
+            Vec::new()
+        };
         // Drain the pipeline here (the checkpoint would anyway) so the
         // flushed `sn` range is visible for lifecycle tracing.
         self.drain(Drain::Full, now);
@@ -437,9 +449,9 @@ impl MultiBftNode {
         let msg = NodeMsg::Checkpoint(pm.make_checkpoint(&signer, root));
         // A stable checkpoint fetched earlier via state transfer may
         // already prove this epoch complete.
-        let pending_advance = pm.try_pending_advance();
+        let next = pm.try_pending_advance();
         ctx.multicast(&self.peers, msg);
-        self.on_epoch_event(pending_advance, ctx);
+        self.enter_epoch(next, ctx);
     }
 
     fn record_confirms(&mut self, confirmed: Vec<ConfirmedBlock>, now: TimeNs) {
@@ -632,8 +644,8 @@ impl MultiBftNode {
                 let Some(pm) = &mut self.pacemaker else {
                     return;
                 };
-                let ev = pm.on_checkpoint(from, &cp, &self.cfg.registry);
-                self.on_epoch_event(ev, ctx);
+                let next = pm.on_checkpoint(from, &cp, &self.cfg.registry);
+                self.enter_epoch(next, ctx);
                 self.sync_pacemaker_metrics();
             }
             NodeMsg::SyncReq(req) => self.on_sync_request(from, req, ctx),
@@ -643,17 +655,30 @@ impl MultiBftNode {
         }
     }
 
-    /// Acts on what the pacemaker reported: on an advance, installs the
-    /// next epoch in every instance (the buckets rotate with the epoch).
-    fn on_epoch_event(&mut self, ev: Option<EpochEvent>, ctx: &mut dyn Context<NodeMsg>) {
-        let Some(EpochEvent::Advance { epoch, min, max }) = ev else {
+    /// Acts on what the pacemaker reported: on an advance to `next`,
+    /// raises the orderer's ceiling to its `maxRank` and confirms what
+    /// that releases, then installs the epoch in every instance (the
+    /// buckets rotate with the epoch). The released blocks may already
+    /// complete the new epoch (after a fast-forward, say), so the close
+    /// test runs again.
+    fn enter_epoch(&mut self, next: Option<Epoch>, ctx: &mut dyn Context<NodeMsg>) {
+        let Some(epoch) = next else {
             return;
         };
         let now = ctx.now();
+        let (min, max) = self.cfg.sys.rank_range(epoch);
         self.metrics.epochs.push((now, epoch.0));
+        // Before the instances step: a block they commit now belongs to
+        // the new epoch and must not wait behind the old boundary.
+        if let Orderer::Ladon(o) = &mut self.orderer {
+            let released = o.set_ceiling(max);
+            self.record_confirms(released, now);
+        }
         for i in 0..self.cfg.sys.m {
             self.step(i, Input::AdvanceEpoch(min, max), ctx);
         }
+        self.close_epoch_if_ordered(ctx);
+        self.check_durability(ctx);
         self.try_propose_all(ctx);
     }
 
@@ -909,7 +934,7 @@ impl MultiBftNode {
         installed: bool,
         ctx: &mut dyn Context<NodeMsg>,
     ) {
-        let ev = self.pacemaker.as_mut().and_then(|p| {
+        let next = self.pacemaker.as_mut().and_then(|p| {
             if installed || cp.epoch > p.epoch() {
                 // Jump the pacemaker. Either the installed snapshot
                 // supplies everything up to and including cp.epoch, so
@@ -925,7 +950,7 @@ impl MultiBftNode {
                 p.on_stable_checkpoint(cp, &self.cfg.registry)
             }
         });
-        self.on_epoch_event(ev, ctx);
+        self.enter_epoch(next, ctx);
     }
 
     /// Feeds fetched log entries through their instances (which verify
@@ -971,7 +996,7 @@ impl MultiBftNode {
         // the snapshot's sn. The frontier is covered by the
         // quorum-signed manifest root, so the rounds are as trustworthy
         // as the state itself. A state-only snapshot (empty frontier —
-        // see `Instance::checkpoint_frontier`) skips this: the state
+        // see `Instance::snapshots_frontier`) skips this: the state
         // machine fast-forwards, consensus intake re-confirms history
         // and execution skips it idempotently.
         if snap.frontier.len() != self.cfg.sys.m {
@@ -982,12 +1007,7 @@ impl MultiBftNode {
         }
         if let Orderer::Ladon(o) = &mut self.orderer {
             let max_rank = self.cfg.sys.rank_range(Epoch(snap.epoch)).1;
-            let tips: Vec<(Round, Rank)> = snap
-                .frontier
-                .iter()
-                .map(|&r| (Round(r), max_rank))
-                .collect();
-            o.fast_forward(&tips, snap.applied);
+            o.fast_forward(&snap.frontier, max_rank, snap.applied);
         }
     }
 
@@ -1390,13 +1410,7 @@ mod tests {
         assert_eq!(deliver(&mut two, 0, &cert), (0, 1, 0));
 
         // Entering the next epoch forgets the old epoch's certificates.
-        let (min, max) = three.cfg.sys.rank_range(Epoch(1));
-        let advance = EpochEvent::Advance {
-            epoch: Epoch(1),
-            min,
-            max,
-        };
-        three.on_epoch_event(Some(advance), &mut RecordingCtx::new(3, 1));
+        three.enter_epoch(Some(Epoch(1)), &mut RecordingCtx::new(3, 1));
         assert_eq!(deliver(&mut three, 2, &cert), (0, 1, 0));
     }
 

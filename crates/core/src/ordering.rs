@@ -38,30 +38,42 @@ pub trait GlobalOrderer {
 /// earlier rounds partially committed) before they join the candidate set.
 #[derive(Default)]
 struct InstanceIntake {
-    /// Out-of-order commits waiting for their predecessors.
+    /// Commits waiting for their predecessors or, ranked above the
+    /// ceiling, for the next epoch.
     ooo: BTreeMap<Round, Block>,
-    /// Highest contiguously committed round.
+    /// Highest round promoted into the candidate set.
     upto: Round,
     /// Ordering key of the last partially confirmed block (the instance's
     /// entry in the paper's set `S'`).
     tip: Option<OrderKey>,
 }
 
-/// Algorithm 1: Ladon's dynamic global ordering.
+/// Algorithm 1: Ladon's dynamic global ordering, held at an epoch
+/// boundary.
+///
+/// The orderer also owns the boundary (§5.2.1): a block ranked above the
+/// `ceiling` — the current epoch's `maxRank` — stays parked in its
+/// instance's `ooo`, so the global log stops at the epoch's last block.
+/// Once every instance's tip sits at the ceiling, the whole epoch is
+/// confirmed and nothing past it is: [`Self::epoch_frontier`] is then the
+/// same prefix on every replica, the one a checkpoint signs.
 pub struct LadonOrderer {
     intake: Vec<InstanceIntake>,
     /// The candidate set `S = G_in \ G_out`, ordered by `≺`.
     pending: BTreeMap<OrderKey, Block>,
     confirmed: u64,
+    /// The highest rank that may join the candidate set.
+    ceiling: Rank,
 }
 
 impl LadonOrderer {
-    /// An orderer over `m` instances.
+    /// An orderer over `m` instances with no ceiling (no epochs).
     pub fn new(m: usize) -> Self {
         Self {
             intake: (0..m).map(|_| InstanceIntake::default()).collect(),
             pending: BTreeMap::new(),
             confirmed: 0,
+            ceiling: Rank(u64::MAX),
         }
     }
 
@@ -88,21 +100,42 @@ impl LadonOrderer {
         }
     }
 
+    /// Moves the ceiling to `max` (the new epoch's `maxRank`) and returns
+    /// the blocks that the move lets confirm, in global-log order.
+    pub fn set_ceiling(&mut self, max: Rank) -> Vec<ConfirmedBlock> {
+        self.ceiling = max;
+        for i in 0..self.intake.len() {
+            self.promote(i);
+        }
+        self.drain_confirmable()
+    }
+
+    /// Each instance's last partially confirmed round, once every tip's
+    /// rank equals the ceiling: the epoch is over, all of it is confirmed
+    /// and nothing after it, so the rounds are the same on every replica.
+    /// `None` while some instance has not reached the ceiling.
+    pub fn epoch_frontier(&self) -> Option<Vec<u64>> {
+        self.intake
+            .iter()
+            .map(|it| it.tip.filter(|t| t.rank == self.ceiling).map(|_| it.upto.0))
+            .collect()
+    }
+
     /// Fast-forwards the whole orderer past a snapshot boundary: instance
-    /// `i`'s intake jumps to `frontier[i] = (round, rank)` — its last
-    /// partially confirmed block in the snapshotted prefix — and the
-    /// global confirmation counter jumps to `confirmed` (the snapshot's
-    /// applied count). Blocks at or below the new frontiers are history
-    /// the snapshot already covers; pending candidates are re-evaluated
-    /// under the new bar. Called only on snapshot install, where the
-    /// quorum-signed state root vouches for the skipped prefix.
-    pub fn fast_forward(&mut self, frontier: &[(Round, Rank)], confirmed: u64) {
-        assert_eq!(frontier.len(), self.intake.len());
+    /// `i`'s intake jumps to round `rounds[i]`, its last block in the
+    /// snapshotted prefix, ranked `rank` (the snapshot epoch's `maxRank`),
+    /// and the global confirmation counter jumps to `confirmed` (the
+    /// snapshot's applied count). Blocks at or below the new frontiers are
+    /// history the snapshot already covers; pending candidates are
+    /// re-evaluated under the new bar. Called only on snapshot install,
+    /// where the quorum-signed state root vouches for the skipped prefix.
+    pub fn fast_forward(&mut self, rounds: &[u64], rank: Rank, confirmed: u64) {
+        assert_eq!(rounds.len(), self.intake.len());
         if confirmed <= self.confirmed {
             return;
         }
-        for (i, &(round, rank)) in frontier.iter().enumerate() {
-            let it = &mut self.intake[i];
+        for (i, &round) in rounds.iter().enumerate() {
+            let (it, round) = (&mut self.intake[i], Round(round));
             if round <= it.upto {
                 continue;
             }
@@ -113,16 +146,26 @@ impl LadonOrderer {
             it.ooo = it.ooo.split_off(&round.next());
         }
         self.pending
-            .retain(|_, b| b.round() > frontier[b.index().as_usize()].0);
+            .retain(|_, b| b.round().0 > rounds[b.index().as_usize()]);
         self.confirmed = confirmed;
-        // Promote anything now contiguous with the new frontiers.
         for i in 0..self.intake.len() {
-            let it = &mut self.intake[i];
-            while let Some(b) = it.ooo.remove(&it.upto.next()) {
-                it.upto = it.upto.next();
-                it.tip = Some(b.key());
-                self.pending.insert(b.key(), b);
+            self.promote(i);
+        }
+    }
+
+    /// Moves instance `i`'s contiguous parked prefix, up to the ceiling,
+    /// into the candidate set and advances its tip (the "partially
+    /// confirmed" rule).
+    fn promote(&mut self, i: usize) {
+        let it = &mut self.intake[i];
+        while let Some(next) = it.ooo.first_entry() {
+            if *next.key() != it.upto.next() || next.get().rank() > self.ceiling {
+                break;
             }
+            let b = next.remove();
+            it.upto = b.round();
+            it.tip = Some(b.key());
+            self.pending.insert(b.key(), b);
         }
     }
 
@@ -160,13 +203,7 @@ impl GlobalOrderer for LadonOrderer {
             return Vec::new();
         }
         it.ooo.insert(block.round(), block);
-        // Promote the contiguous prefix into the candidate set and advance
-        // the instance tip (the "partially confirmed" rule).
-        while let Some(b) = it.ooo.remove(&it.upto.next()) {
-            it.upto = it.upto.next();
-            it.tip = Some(b.key());
-            self.pending.insert(b.key(), b);
-        }
+        self.promote(idx);
         self.drain_confirmable()
     }
 
@@ -319,6 +356,56 @@ mod tests {
         let order: Vec<u32> = got.iter().map(|c| c.block.index().0).collect();
         // rank-5 blocks first, instance 0 before instance 1.
         assert_eq!(&order[..2], &[0, 1]);
+    }
+
+    /// An orderer over `m` instances held at an epoch whose `maxRank` is 7.
+    fn epoch_orderer(m: usize) -> LadonOrderer {
+        let mut o = LadonOrderer::new(m);
+        assert!(o.set_ceiling(Rank(7)).is_empty());
+        o
+    }
+
+    #[test]
+    fn an_epoch_is_not_over_while_a_hole_sits_below_its_max_rank_block() {
+        let mut o = epoch_orderer(2);
+        // Both instances commit their rank-7 block, instance 0 ahead of
+        // its round 1: every instance "reached maxRank", yet instance 0's
+        // round 1 is missing and the epoch is not over.
+        assert!(feed(&mut o, blk(0, 2, 7)).is_empty());
+        feed(&mut o, blk(1, 1, 7));
+        assert_eq!(o.epoch_frontier(), None);
+        assert_eq!(feed(&mut o, blk(0, 1, 3)), vec![3, 7, 7]);
+        assert_eq!(o.epoch_frontier(), Some(vec![2, 1]));
+        assert_eq!(o.waiting_count(), 0);
+    }
+
+    #[test]
+    fn a_block_above_the_ceiling_stays_parked_until_the_ceiling_rises() {
+        let mut o = epoch_orderer(2);
+        feed(&mut o, blk(0, 1, 7));
+        // Epoch 1 blocks (synced early, say) behind each epoch-0 tip.
+        assert!(feed(&mut o, blk(0, 2, 9)).is_empty());
+        assert_eq!(feed(&mut o, blk(1, 1, 7)), vec![7, 7]);
+        assert!(feed(&mut o, blk(1, 2, 8)).is_empty());
+        assert_eq!(o.epoch_frontier(), Some(vec![1, 1]));
+        assert_eq!((o.confirmed_count(), o.waiting_count()), (2, 2));
+        // The next epoch's maxRank releases them in key order.
+        let released = o.set_ceiling(Rank(15));
+        let keys: Vec<(u64, u64)> = released.iter().map(|c| (c.sn, c.block.rank().0)).collect();
+        assert_eq!(keys, [(2, 8), (3, 9)]);
+        assert_eq!(o.epoch_frontier(), None);
+    }
+
+    #[test]
+    fn the_epoch_frontier_is_each_instances_last_round_at_the_ceiling() {
+        let mut o = epoch_orderer(3);
+        for (instance, round, rank) in [(0, 1, 1), (2, 1, 2), (0, 2, 4), (1, 1, 7), (2, 2, 7)] {
+            feed(&mut o, blk(instance, round, rank));
+        }
+        assert_eq!(o.epoch_frontier(), None, "instance 0 is below the ceiling");
+        feed(&mut o, blk(0, 3, 7));
+        assert_eq!(o.epoch_frontier(), Some(vec![3, 1, 2]));
+        assert_eq!(o.confirmed_count(), 6, "the whole epoch, nothing after it");
     }
 
     #[test]

@@ -1527,8 +1527,7 @@ impl PbftInstance {
             .unwrap_or(Round(0))
     }
 
-    /// The highest rank among this instance's committed blocks (used by
-    /// the epoch pacemaker to detect `maxRank(e)` commitment).
+    /// The highest rank among this instance's committed blocks.
     pub fn max_committed_rank(&self) -> Option<Rank> {
         self.rounds
             .values()

@@ -287,12 +287,12 @@ impl<M> Queue<M> {
         head.into_iter().chain(fallback).min()
     }
 
-    /// Removes the earliest event, if any, with its due time.
-    fn pop(&mut self) -> Option<(TimeNs, Pending<M>)> {
+    /// Removes the earliest event, if any, with its key.
+    fn pop(&mut self) -> Option<(Key, Pending<M>)> {
         let head = self.heads.peek().map(|Reverse((key, _))| *key);
         let first = self.fallback.first_key_value().map(|(key, _)| *key);
         if first.is_some_and(|f| head.is_none_or(|h| f < h)) {
-            return self.fallback.pop_first().map(|((time, _), p)| (time, p));
+            return self.fallback.pop_first();
         }
         let mut top = self.heads.peek_mut()?;
         let s = top.0 .1;
@@ -310,7 +310,7 @@ impl<M> Queue<M> {
                 PeekMut::pop(top);
             }
         }
-        Some((key.0, pending))
+        Some((key, pending))
     }
 }
 
@@ -321,6 +321,9 @@ struct EngineCore<M> {
     rng: SimRng,
     stats: NetStats,
     crashed: Vec<bool>,
+    /// Per actor, the queue's `seq` when it last restarted: a timer keyed
+    /// at or below it was armed by an earlier incarnation.
+    restarted_at: Vec<u64>,
     events_processed: u64,
 }
 
@@ -390,6 +393,7 @@ impl<M: WireSize + Clone> Engine<M> {
                 rng: SimRng::new(seed),
                 stats: NetStats::default(),
                 crashed: Vec::new(),
+                restarted_at: Vec::new(),
                 events_processed: 0,
             },
             actors: Vec::new(),
@@ -402,6 +406,7 @@ impl<M: WireSize + Clone> Engine<M> {
         let id = self.actors.len();
         self.actors.push(actor);
         self.core.crashed.push(false);
+        self.core.restarted_at.push(0);
         self.core.stats.ensure_len(self.actors.len());
         id
     }
@@ -439,13 +444,13 @@ impl<M: WireSize + Clone> Engine<M> {
     /// Replaces a (typically crashed) actor with a fresh instance and
     /// clears its crashed flag — a process restart. If the run has already
     /// started, the new actor's `on_start` executes at the current
-    /// simulated time so it can arm its timers. Stale timers scheduled by
-    /// the previous incarnation may still fire into the new one; actors
-    /// built for restart must treat unknown timer ids as benign (the
-    /// Multi-BFT node does).
+    /// simulated time so it can arm its timers. Timers armed for the
+    /// actor before the restart never fire; messages in flight to it
+    /// still arrive.
     pub fn restart_actor(&mut self, id: ActorId, actor: Box<dyn Actor<M>>) {
         self.actors[id] = actor;
         self.core.crashed[id] = false;
+        self.core.restarted_at[id] = self.core.queue.seq;
         if self.started {
             let mut ctx = SimCtx {
                 core: &mut self.core,
@@ -487,7 +492,7 @@ impl<M: WireSize + Clone> Engine<M> {
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        let Some((time, Pending { to, kind })) = self.core.queue.pop() else {
+        let Some(((time, seq), Pending { to, kind })) = self.core.queue.pop() else {
             return false;
         };
         debug_assert!(time >= self.core.now, "time went backwards");
@@ -505,9 +510,10 @@ impl<M: WireSize + Clone> Engine<M> {
                 ctx.core.stats.on_recv(to, bytes);
                 self.actors[to].on_message(from, msg, &mut ctx);
             }
-            EventKind::Timer { id } => {
+            EventKind::Timer { id } if seq > ctx.core.restarted_at[to] => {
                 self.actors[to].on_timer(id, &mut ctx);
             }
+            EventKind::Timer { .. } => {} // The previous incarnation's.
         }
         true
     }
@@ -724,7 +730,7 @@ mod tests {
                         assert!(q.pop().is_none());
                         continue;
                     };
-                    let (at, Pending { kind, .. }) =
+                    let ((at, _), Pending { kind, .. }) =
                         q.pop().expect("as many events as the reference");
                     let id = match kind {
                         EventKind::Deliver { msg, .. } => msg.0,
@@ -867,6 +873,38 @@ mod tests {
         assert_eq!(log.0, [1, 2, 3, 100, 200, 300, 4, 1100, 1200, 1300]);
         assert!(e.core.queue.heads.is_empty());
         assert_eq!(e.core.queue.fallbacks, 0);
+    }
+
+    /// Arms timer `.0` 10 ms after it starts; logs the timers that fire.
+    struct Arms(u64, Vec<u64>);
+    impl Actor<Num> for Arms {
+        fn on_start(&mut self, ctx: &mut dyn Context<Num>) {
+            ctx.set_timer(TimeNs::from_millis(10), self.0);
+        }
+        fn on_message(&mut self, _from: ActorId, _msg: Num, _ctx: &mut dyn Context<Num>) {}
+        fn on_timer(&mut self, id: u64, _ctx: &mut dyn Context<Num>) {
+            self.1.push(id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_restarted_actor_never_runs_its_predecessors_timers() {
+        let latency = TimeNs::from_millis(1);
+        let mut e = Engine::new(IdealNetwork { latency }, 7);
+        e.add_actor(Box::new(Arms(1, Vec::new())));
+        e.run_until(TimeNs::from_millis(5));
+        // Timer 1 is due at 10 ms, the new incarnation's timer 2 at 15.
+        e.restart_actor(0, Box::new(Arms(2, Vec::new())));
+        e.run_until(TimeNs::from_secs(1));
+        let a: &Arms = e.actor_as(0).unwrap();
+        assert_eq!(a.1, [2]);
+        assert_eq!(e.events_processed(), 2);
     }
 
     #[test]

@@ -296,6 +296,9 @@ fn restarted_replica_recovers_via_snapshot_and_wal_replay() {
         c.node(0).epoch(),
         "restarted replica must reach the cluster's epoch"
     );
+    // The dead process's round and view timers died with it: the new one
+    // starts no view change of its own.
+    assert_eq!(r3.metrics.view_changes, []);
     c.check(&[0, 1, 2, 3]).assert_safe();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,6 @@
 //! checkpoint, and rejoins the current epoch.
 
 use ladon::types::ProtocolKind;
-use ladon::workload::oracle::Violation;
 use ladon::workload::{Deployment, ExperimentConfig};
 
 /// Every `sn` below a replica's confirm frontier is either in its
@@ -66,11 +65,10 @@ fn partitioned_replica_catches_up_via_state_transfer() {
 /// A snapshot that installs while confirmed blocks sit staged or in
 /// flight skips only what was never recorded: those blocks already have
 /// their `ConfirmRecord`s, so `skipped_sns` is measured from the staging
-/// frontier. (Measured from `applied` it over-counted by 3 / 2 / 2 on
-/// these three partition windows.)
+/// frontier.
 #[test]
 fn skipped_sns_excludes_blocks_in_flight_at_install() {
-    for (from, until) in [(4.0, 9.0), (3.0, 8.0), (5.0, 11.0)] {
+    for (from, until) in [(6.0, 12.0), (3.0, 8.0), (5.0, 11.0)] {
         let mut c = Deployment::build(
             &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 20.0)
                 .with_epoch_length(16)
@@ -81,19 +79,7 @@ fn skipped_sns_excludes_blocks_in_flight_at_install() {
             c.node(3).metrics.snapshot_installs > 0,
             "partition {from}..{until} must be repaired by snapshot"
         );
-        // G-Agreement only: on the 4..9 window replica 3 checkpoints
-        // epoch 2 over a shorter confirmed prefix than its peers — the
-        // divergent-root defect of ROADMAP direction 1(a), here without
-        // message loss.
-        let verdict = c.check(&[0, 1, 2, 3]);
-        assert!(
-            !verdict
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::Disagreement { .. })),
-            "{:?}",
-            verdict.violations
-        );
+        c.check(&[0, 1, 2, 3]).assert_safe();
         assert_every_sn_accounted_for(&c);
     }
 }
@@ -139,37 +125,31 @@ fn intra_epoch_holes_block_confirmation_until_synced() {
 /// Random 1 % message loss (the paper assumes reliable links; this is a
 /// robustness check): every lost vote or proposal eventually surfaces as
 /// a persistent proposal-vs-commit gap at some replica, and state
-/// transfer repairs it — the cluster converges anyway.
+/// transfer repairs it — the cluster converges anyway, with one state
+/// root per epoch.
 #[test]
 fn random_message_loss_repaired_by_state_transfer() {
     let mut c = Deployment::build(
         &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 25.0).with_loss(0.01),
     );
     c.run_secs(35.0);
-    // G-Agreement only. Outside the paper's reliable-link model the
-    // checkpoint roots do diverge: a replica whose intake still has holes
-    // from lost messages completes the epoch (every instance reached
-    // `maxRank`) and checkpoints a shorter confirmed prefix than its
-    // peers. The oracle reports it; making it hold is ROADMAP direction
-    // 1(a).
-    let verdict = c.check(&[0, 1, 2, 3]);
-    let forks: Vec<_> = verdict
-        .violations
-        .iter()
-        .filter(|v| matches!(v, Violation::Disagreement { .. }))
-        .collect();
-    assert!(forks.is_empty(), "{forks:?}");
+    c.check(&[0, 1, 2, 3]).assert_safe();
     assert_every_sn_accounted_for(&c);
     let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
     let max = *fronts.iter().max().unwrap();
-    let min = *fronts.iter().min().unwrap();
     assert!(
         max > 100,
         "the run must make substantial progress: {fronts:?}"
     );
+    // A replica with a hole in an epoch does not sign over it: it waits
+    // at the boundary for sync, so at any instant it may trail by most
+    // of an epoch. Once the load has stopped it catches up.
+    c.run_secs(40.0);
+    c.check(&[0, 1, 2, 3]).assert_safe();
+    let later: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
     assert!(
-        min + 32 >= max,
-        "all replicas must stay near the confirmed frontier: {fronts:?}"
+        later.iter().all(|&f| f >= max),
+        "every replica must catch up to the 35 s maximum {max}: {later:?}"
     );
 }
 

@@ -15,6 +15,16 @@
 //! between honest replicas. A replica missing an ancestor commits
 //! nothing past it.
 //!
+//! An instance's epoch ends at its `maxRank` node, which three dummy
+//! nodes then flush through the 3-chain (footnote 4). Both facts are read
+//! from the chain, the same on every replica and in every view: the next
+//! proposal is a dummy while the highest certified node sits at
+//! `maxRank`, and the instance has stopped once it committed that node.
+//! A view change's new leader therefore carries on with the flush
+//! instead of proposing a second `maxRank` block, and a backup refuses a
+//! real node that does not rank above its parent: Algorithm 1's bar
+//! needs an instance's next block to rank strictly above its last.
+//!
 //! State follows the chain's live tail: nodes more than three heights
 //! below the commit frontier are dropped as it advances, and vote maps
 //! at or below it are collected, so an instance holds a handful of nodes
@@ -118,9 +128,6 @@ pub struct HsInstance {
     /// Epoch rank range.
     epoch_min: Rank,
     epoch_max: Rank,
-    /// Dummy nodes still to propose to flush the epoch (footnote 4).
-    dummies_left: u32,
-    stopped_for_epoch: bool,
     /// New-view messages collected by a prospective leader.
     new_views: BTreeMap<View, BTreeMap<ReplicaId, HsNewView>>,
     /// Count of rejected messages (observability).
@@ -163,8 +170,6 @@ impl HsInstance {
             emitted: 0,
             epoch_min,
             epoch_max,
-            dummies_left: 0,
-            stopped_for_epoch: false,
             new_views: BTreeMap::new(),
             rejected: 0,
         }
@@ -198,23 +203,33 @@ impl HsInstance {
         self.committed_upto
     }
 
-    /// Whether the leader has flushed and stopped for this epoch.
+    /// Whether the instance is done with this epoch: it has committed a
+    /// node at `maxRank`, which the third dummy after the `maxRank` node
+    /// does.
     pub fn stopped_for_epoch(&self) -> bool {
-        self.stopped_for_epoch
+        self.cfg.mode == HsRankMode::Ladon
+            && self
+                .nodes
+                .get(&self.committed_tip)
+                .is_some_and(|node| node.rank == self.epoch_max)
     }
 
     /// The leader may propose when it holds the QC for its previous node
     /// (or is at genesis / resuming a view).
     pub fn can_propose(&self) -> bool {
-        if !self.is_leader() || self.stopped_for_epoch {
+        if !self.is_leader() || self.stopped_for_epoch() {
             return false;
         }
         self.generic_qc.height() >= self.proposed_height
     }
 
-    /// Whether the next proposal would be an epoch-flush dummy.
+    /// Whether the next proposal is an epoch-flush dummy: the highest
+    /// certified node sits at `maxRank`, and past the `maxRank` node the
+    /// chain holds only dummies until the epoch advances.
     pub fn next_is_dummy(&self) -> bool {
-        self.dummies_left > 0
+        self.cfg.mode == HsRankMode::Ladon
+            && !self.generic_qc.is_genesis()
+            && self.generic_qc.rank() == self.epoch_max
     }
 
     /// Installs the next epoch's rank range.
@@ -222,9 +237,16 @@ impl HsInstance {
         assert!(min > self.epoch_max, "epochs must advance forward");
         self.epoch_min = min;
         self.epoch_max = max;
-        self.stopped_for_epoch = false;
-        self.dummies_left = 0;
         self.certs.advance_epoch(min);
+    }
+
+    /// Raises `cur` to `qc`'s rank when that is higher (Ladon): a node's
+    /// 2f+1 votes also certify its rank, so its QC doubles as a rank
+    /// certificate (Appendix D).
+    fn adopt_rank(&self, qc: &HsQc, cur: &mut RankCert) {
+        if self.cfg.mode == HsRankMode::Ladon && !qc.is_genesis() && qc.rank() > cur.rank {
+            *cur = RankCert::certified(qc.to_rank_qc());
+        }
     }
 
     /// Leader entry point: extend the chain with `batch` (or a dummy when
@@ -238,11 +260,15 @@ impl HsInstance {
 
         let parent_qc = self.generic_qc.clone();
         let height = parent_qc.height().next();
-        let dummy = self.dummies_left > 0;
+        let dummy = self.next_is_dummy();
         let batch = if dummy { Batch::empty(0) } else { batch };
 
+        // A leader that learned its parent's QC through new-views ranks
+        // above the parent too.
+        self.adopt_rank(&parent_qc, cur);
         let rank = match self.cfg.mode {
             HsRankMode::None => Rank(height.0),
+            HsRankMode::Ladon if dummy => self.epoch_max,
             HsRankMode::Ladon => Rank((cur.rank.0 + 1).min(self.epoch_max.0)),
         };
         let digest = node_digest(
@@ -262,17 +288,6 @@ impl HsInstance {
             proposed_at: now,
             dummy,
         };
-
-        // Ladon epoch flush: after the maxRank node, schedule 3 dummies.
-        if self.cfg.mode == HsRankMode::Ladon && !dummy && rank == self.epoch_max {
-            self.dummies_left = 3;
-        }
-        if dummy {
-            self.dummies_left -= 1;
-            if self.dummies_left == 0 {
-                self.stopped_for_epoch = true;
-            }
-        }
 
         // The vote set justifying the rank: the parent's votes, exactly
         // those `justify` aggregates and in its signer order — all of
@@ -410,12 +425,7 @@ impl HsInstance {
         if g.justify.height() > self.generic_qc.height() {
             self.generic_qc = g.justify.clone();
         }
-        if self.cfg.mode == HsRankMode::Ladon
-            && !g.justify.is_genesis()
-            && g.justify.rank() > cur.rank
-        {
-            *cur = RankCert::certified(g.justify.to_rank_qc());
-        }
+        self.adopt_rank(&g.justify, cur);
 
         self.nodes
             .entry(g.node.digest)
@@ -456,6 +466,12 @@ impl HsInstance {
     /// where `rank_m` is certified by `rank_qc` and consistent with the
     /// carried vote set. The caller has verified `g.justify`.
     ///
+    /// An instance has one block per rank (Lemma 2, which Algorithm 1's
+    /// bar rests on): a real node ranks above its parent, and only a
+    /// dummy, at `maxRank`, follows a node at `maxRank`. The parent's rank
+    /// is what `justify` certifies, so a Byzantine leader cannot make a
+    /// tie either.
+    ///
     /// No vote in the set is MAC-checked. A vote's tag covers `(view,
     /// height, node, instance, rank)` — not `rank_m` — so checking it
     /// proves only "this replica voted for the parent", and the verified
@@ -471,13 +487,15 @@ impl HsInstance {
         }) {
             return false;
         }
-        // Dummies reuse maxRank.
-        let expect = if g.node.dummy {
-            self.epoch_max
+        // Genesis has no rank to rise above: epoch 0 may end at rank 0.
+        let parent = (!g.justify.is_genesis()).then(|| g.justify.rank());
+        let in_order = if g.node.dummy {
+            g.node.rank == self.epoch_max && parent == Some(self.epoch_max)
         } else {
-            Rank((g.rank_m.0 + 1).min(self.epoch_max.0))
+            g.node.rank == Rank((g.rank_m.0 + 1).min(self.epoch_max.0))
+                && parent.is_none_or(|rank| g.node.rank > rank)
         };
-        if g.node.rank != expect {
+        if !in_order {
             return false;
         }
         // Vote-set consistency: after the first proposal of a view, the
@@ -606,9 +624,7 @@ impl HsInstance {
                 // the same rank, breaking Lemma 2's intra-instance
                 // monotonicity — and with it global-order agreement, since
                 // ordering keys are (rank, instance).
-                if self.cfg.mode == HsRankMode::Ladon && qc.rank() > cur.rank {
-                    *cur = RankCert::certified(qc.to_rank_qc());
-                }
+                self.adopt_rank(&qc, cur);
                 // Not moot, so above every height certified so far.
                 self.generic_qc = qc;
             }
@@ -626,7 +642,10 @@ impl HsInstance {
     /// chain did not advance.
     pub fn on_height_timer(&mut self, height: Round, view: View) -> Vec<Action> {
         let mut out = Vec::new();
-        if view != self.view || self.stopped_for_epoch {
+        // A leader whose instance is done with the epoch waits for
+        // nothing. A backup keeps its timer: it is the way out if the
+        // next epoch's leader is gone.
+        if view != self.view || (self.is_leader() && self.stopped_for_epoch()) {
             return out;
         }
         // A height at or below the commit frontier was certified long
@@ -880,6 +899,63 @@ mod tests {
     }
 
     #[test]
+    fn a_view_change_after_the_max_rank_node_carries_on_with_the_flush() {
+        // Epoch max rank 3: leader 0 proposes the rank-3 node and one
+        // dummy, then goes quiet. View 1's leader holds a certified node
+        // at maxRank, so it proposes dummies until the rank-3 node
+        // commits, never a second rank-3 block.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        for i in 0..4u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        for r in 1..4 {
+            let acts = c.nodes[r].on_height_timer(Round(5), View(0));
+            c.absorb(r, acts);
+        }
+        c.run();
+        assert!(c.nodes[1].is_leader());
+        while !c.nodes[1].stopped_for_epoch() {
+            assert!(c.nodes[1].next_is_dummy());
+            c.propose(1, batch(100, 5));
+        }
+        c.assert_logs_agree(&[0, 1, 2, 3]);
+        for (r, log) in c.committed.iter().enumerate() {
+            let ranks: Vec<Rank> = log.iter().map(Block::rank).collect();
+            assert_eq!(ranks, [Rank(1), Rank(2), Rank(3)], "replica {r}");
+            assert_eq!(c.nodes[r].rejected, 0, "replica {r}");
+        }
+    }
+
+    #[test]
+    fn a_backup_refuses_a_node_that_does_not_rank_above_its_parent() {
+        // Epoch max rank 3: after the rank-3 node, leader 0's proposal is
+        // a dummy; as a real node it would be a second rank-3 block.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        for i in 0..3u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let mut real = capture(&mut c, batch(30, 5));
+        assert!(real.node.dummy);
+        real.node.dummy = false;
+        reseal(&c, &mut real);
+        let (rejected, acts, _) = deliver_to_backup(&mut c, real);
+        assert_eq!(rejected, 1);
+        assert!(acts.is_empty(), "{acts:?}");
+
+        // Rank 1 over a rank-3 parent, on a genesis rank claim with no
+        // vote set: `min(rank_m + 1, maxRank)` holds, the order does not.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let mut low = fourth_proposal(&mut c);
+        assert_eq!(low.justify.rank(), Rank(3));
+        (low.rank_m, low.rank_qc, low.vote_set) = (Rank(0), None, Vec::new());
+        low.node.rank = Rank(1);
+        reseal(&c, &mut low);
+        let (rejected, acts, _) = deliver_to_backup(&mut c, low);
+        assert_eq!(rejected, 1);
+        assert!(acts.is_empty(), "{acts:?}");
+    }
+
+    #[test]
     fn view_change_rotates_leader() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
         c.propose(0, batch(0, 5));
@@ -942,36 +1018,13 @@ mod tests {
         // Byzantine leader 0 proposes A2 at height 2 and sends it to
         // replica 3 only; replicas 0–2 get a re-signed A2′ with another
         // batch at the same height, which leader 0 certifies and extends.
-        let acts = c.nodes[0].propose(batch(10, 5), TimeNs::ZERO, &mut c.curs[0]);
-        let a2 = acts
-            .into_iter()
-            .find_map(|a| match a {
-                Action::Broadcast(HsMsg::Generic(g)) => Some(g),
-                _ => None,
-            })
-            .expect("a proposal broadcasts its Generic");
-        let mut forked = (*a2).clone();
-        let node = &mut forked.node;
-        node.batch = batch(20, 5);
-        node.digest = node_digest(
-            forked.instance,
-            node.height,
-            &node.parent,
-            &node.batch,
-            node.rank,
-            node.dummy,
-        );
-        let bytes = prepare_bytes(
-            forked.view,
-            node.height,
-            &node.digest,
-            forked.instance,
-            node.rank,
-        );
-        let registry = c.nodes[0].cfg.registry.clone();
-        forked.sig = Signature::sign(&registry.signer(ReplicaId(0)), DOMAIN_GENERIC, &bytes);
+        let a2 = capture(&mut c, batch(10, 5));
+        let mut forked = a2.clone();
+        forked.node.batch = batch(20, 5);
+        reseal(&c, &mut forked);
         let forked = HsMsg::Generic(Arc::new(forked));
-        c.queue.push_back((3, ReplicaId(0), HsMsg::Generic(a2)));
+        c.queue
+            .push_back((3, ReplicaId(0), HsMsg::Generic(Arc::new(a2))));
         for to in 0..3 {
             c.queue.push_back((to, ReplicaId(0), forked.clone()));
         }
@@ -1044,7 +1097,13 @@ mod tests {
         for i in 0..3u64 {
             c.propose(0, batch(i * 10, 5));
         }
-        let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
+        capture(c, batch(30, 5))
+    }
+
+    /// Has leader 0 propose `b` and returns its `Generic`, delivered to
+    /// no one.
+    fn capture(c: &mut HsCluster, b: Batch) -> HsGeneric {
+        let acts = c.nodes[0].propose(b, TimeNs::ZERO, &mut c.curs[0]);
         let generic = acts
             .into_iter()
             .find_map(|a| match a {
@@ -1053,6 +1112,23 @@ mod tests {
             })
             .expect("a proposal broadcasts its Generic");
         Arc::unwrap_or_clone(generic)
+    }
+
+    /// Recomputes the digest of `g`'s edited node and re-signs `g` as
+    /// leader 0.
+    fn reseal(c: &HsCluster, g: &mut HsGeneric) {
+        let node = &mut g.node;
+        node.digest = node_digest(
+            g.instance,
+            node.height,
+            &node.parent,
+            &node.batch,
+            node.rank,
+            node.dummy,
+        );
+        let bytes = prepare_bytes(g.view, node.height, &node.digest, g.instance, node.rank);
+        let leader = c.nodes[0].cfg.registry.signer(ReplicaId(0));
+        g.sig = Signature::sign(&leader, DOMAIN_GENERIC, &bytes);
     }
 
     /// Delivers `g` to backup 1 of a cluster that accepted three heights

@@ -336,8 +336,6 @@ pub struct PbftInstance {
     /// Current epoch's rank range `[min, max]`.
     epoch_min: Rank,
     epoch_max: Rank,
-    /// Set after proposing the `maxRank(e)` block (Algorithm 2 line 9).
-    stopped_for_epoch: bool,
     /// Pre-prepares that failed only because our epoch lags (or, in Opt
     /// mode, because their previous round is unseen); retried on
     /// [`PbftInstance::advance_epoch`]. Bounded by [`MAX_PENDING_MSGS`].
@@ -381,7 +379,6 @@ impl PbftInstance {
             rank_reports: BTreeMap::new(),
             epoch_min,
             epoch_max,
-            stopped_for_epoch: false,
             pending_epoch: Vec::new(),
             pending_view_msgs: Vec::new(),
             in_view_change: false,
@@ -451,9 +448,24 @@ impl PbftInstance {
         self.committed_upto
     }
 
-    /// Whether the leader has stopped proposing for the current epoch.
+    /// Whether the round the leader would propose next follows this
+    /// epoch's `maxRank(e)` block, so the instance proposes nothing more
+    /// in the epoch.
     pub fn stopped_for_epoch(&self) -> bool {
-        self.stopped_for_epoch
+        self.follows_max_rank(self.next_round)
+    }
+
+    /// Whether the proposal held at `round − 1` is this epoch's
+    /// `maxRank(e)` block (Ladon modes), after which the instance stops
+    /// until the epoch advances (Algorithm 2 line 9). It is read from the
+    /// log, so every replica holding that round agrees, in every view:
+    /// `adopt_new_view` re-adopts each certified round of the epoch, so a
+    /// new leader holds its predecessor's `maxRank(e)` block.
+    fn follows_max_rank(&self, round: Round) -> bool {
+        let held = round
+            .prev()
+            .and_then(|p| self.rounds.get(&p)?.proposal.as_ref());
+        self.cfg.mode != RankMode::None && held.is_some_and(|p| p.rank == self.epoch_max)
     }
 
     /// The current epoch rank range.
@@ -470,7 +482,7 @@ impl PbftInstance {
     /// either this is the view's first round or 2f+1 rank reports for the
     /// previous round have been collected (Algorithm 2 line 1).
     pub fn can_propose(&self) -> bool {
-        if !self.is_leader() || self.stopped_for_epoch {
+        if !self.is_leader() || self.stopped_for_epoch() {
             return false;
         }
         if self.cfg.mode == RankMode::None || self.next_round == self.view_start_round {
@@ -497,7 +509,6 @@ impl PbftInstance {
         assert!(min > self.epoch_max, "epochs must advance forward");
         self.epoch_min = min;
         self.epoch_max = max;
-        self.stopped_for_epoch = false;
         self.epoch_start_round = self.committed_upto;
         // Old-epoch certificates will not legitimately re-arrive; keep
         // the cert cache bounded by the live epoch.
@@ -554,9 +565,6 @@ impl PbftInstance {
         }
 
         let (rank, proof) = self.choose_rank(round, cur);
-        if self.cfg.mode != RankMode::None && rank == self.epoch_max {
-            self.stopped_for_epoch = true;
-        }
 
         let body = prepare_bytes(self.view, round, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_PREPREPARE, &body);
@@ -725,6 +733,12 @@ impl PbftInstance {
                     self.rejected += 1;
                     return;
                 }
+            }
+            // One block per rank: whoever leads, nothing follows the
+            // epoch's maxRank block until the epoch advances.
+            if self.follows_max_rank(pp.round) {
+                self.rejected += 1;
+                return;
             }
         }
 
@@ -1120,9 +1134,10 @@ impl PbftInstance {
         if self.rounds.get(&round).is_some_and(|r| r.committed) || round <= self.committed_upto {
             return out;
         }
-        // Nothing to wait for if the leader legitimately stopped: the next
-        // proposal belongs to the next epoch.
-        if self.stopped_for_epoch {
+        // Nothing to wait for if this leader legitimately stopped: the
+        // next proposal belongs to the next epoch. A backup keeps its
+        // timer: it is the way out if the next epoch's leader is gone.
+        if self.is_leader() && self.stopped_for_epoch() {
             return out;
         }
         self.start_view_change(now, cur, &mut out);
@@ -1321,6 +1336,15 @@ impl PbftInstance {
         self.next_round = plan.resume_from;
         self.view_changes.retain(|v, _| *v > nv.view);
         out.push(Action::NewViewInstalled { view: nv.view });
+
+        // A re-proposal's certificate is a rank certificate, as a fetched
+        // one is in `install_committed`: the view's first proposal, which
+        // carries only `curRank`, then ranks above everything the view
+        // re-proposes, even on a leader that never formed those QCs.
+        let top = plan.reproposals.iter().max_by_key(|e| e.rank);
+        if let Some(e) = top.filter(|e| self.cfg.mode != RankMode::None && e.rank > cur.rank) {
+            *cur = RankCert::certified(e.qc.clone());
+        }
 
         // Clear stale uncommitted per-round voting state: votes from the
         // old view cannot count toward the new one. Rounds without a

@@ -2,10 +2,10 @@
 //! and the Appendix-B leader behaviors.
 
 use crate::instance::{PbftInstance, RankMode, RankStrategy, MAX_PENDING_MSGS};
-use crate::msg::{PbftMsg, RankProof, ViewChange, DOMAIN_PREPREPARE};
+use crate::msg::{PbftMsg, Phase, PrePrepare, RankProof, ViewChange, DOMAIN_PREPREPARE};
 use crate::testkit::{test_batch, Cluster};
 use ladon_crypto::{QuorumCert, Signature};
-use ladon_types::{Rank, ReplicaId, Round, View};
+use ladon_types::{InstanceId, Rank, ReplicaId, Round, View};
 use std::sync::Arc;
 
 #[test]
@@ -94,6 +94,96 @@ fn leader_stops_at_epoch_max_and_resumes_after_advance() {
     let blocks = c.assert_agreement();
     // minRank(1) = maxRank(0) + 1 = 4.
     assert_eq!(blocks.last().unwrap().rank(), Rank(4));
+}
+
+#[test]
+fn nothing_follows_the_max_rank_block_in_a_new_view() {
+    // Epoch 0 ends at rank 3, proposed by view 0's leader, which then
+    // crashes. View 1's leader re-adopts the rank-3 block from the
+    // view-change quorum: it cannot propose until the epoch advances, and
+    // a backup refuses a pre-prepare that follows that block.
+    let mut c = Cluster::new(4, RankMode::Plain, 3);
+    for i in 0..3 {
+        c.propose_and_run(0, test_batch(i * 10, 5));
+    }
+    c.crashed[0] = true;
+    c.fire_round_timers(Round(4), View(0));
+    assert!(c.nodes[1].is_leader());
+    assert!(!c.nodes[1].can_propose());
+
+    // What view 1's leader would propose at round 4: its first-round
+    // claim, curRank 3, clamped to maxRank.
+    let cur = c.cur_ranks[1].clone();
+    assert_eq!(cur.rank, Rank(3));
+    let leader = c.registry.signer(ReplicaId(1));
+    let batch = test_batch(100, 5);
+    let mut pp = PrePrepare {
+        view: View(1),
+        round: Round(4),
+        instance: InstanceId(0),
+        rank: Rank(3),
+        digest: ladon_crypto::digest_batch(&batch),
+        batch,
+        proposed_at: c.now,
+        rank_proof: RankProof::FirstRound(cur),
+        sig: Signature::sign(&leader, DOMAIN_PREPREPARE, b""),
+    };
+    pp.sig = Signature::sign(&leader, DOMAIN_PREPREPARE, &pp.signing_bytes());
+    let rejected = c.nodes[2].rejected;
+    let actions = c.nodes[2].on_message(
+        ReplicaId(1),
+        PbftMsg::PrePrepare(Arc::new(pp)),
+        c.now,
+        &mut c.cur_ranks[2],
+    );
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!(c.nodes[2].rejected, rejected + 1);
+
+    // The next epoch resumes the instance under the new leader.
+    for r in 1..4 {
+        let acts = {
+            let cur = &mut c.cur_ranks[r];
+            c.nodes[r].advance_epoch(Rank(4), Rank(7), c.now, cur)
+        };
+        c.absorb(r, acts);
+    }
+    c.run_to_quiescence();
+    c.propose_and_run(1, test_batch(200, 5));
+    let ranks: Vec<Rank> = c.assert_agreement().iter().map(|b| b.rank()).collect();
+    assert_eq!(ranks, [Rank(1), Rank(2), Rank(3), Rank(4)]);
+}
+
+#[test]
+fn a_new_views_first_proposal_ranks_above_what_it_reproposes() {
+    // Round 1 prepares at replicas 0, 2 and 3 and commits everywhere, but
+    // replica 1, view 1's leader, gets none of its prepares and so never
+    // forms its certificate. The view change hands it that certificate
+    // with the re-proposal; its first proposal, which claims only its
+    // curRank, must rank above round 1.
+    let one = ReplicaId(1);
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    propose_capturing(&mut c, 0);
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        if to == one && matches!(&msg, PbftMsg::Vote(v) if v.phase == Phase::Prepare) {
+            continue;
+        }
+        let who = to.as_usize();
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    assert_eq!(c.committed[1].len(), 1);
+    assert_eq!(
+        c.cur_ranks[1].rank,
+        Rank(0),
+        "replica 1 holds no certificate"
+    );
+
+    c.crashed[0] = true;
+    c.fire_round_timers(Round(2), View(0));
+    c.propose_and_run(1, test_batch(100, 5));
+    let blocks = c.assert_agreement();
+    assert_eq!(blocks.len(), 2);
+    assert!(blocks[1].rank() > blocks[0].rank(), "{blocks:?}");
 }
 
 #[test]

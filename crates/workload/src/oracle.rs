@@ -6,6 +6,12 @@
 //!   replica that installed an execution snapshot legitimately has no
 //!   confirm records for the `sn`s the snapshot covers, and an `sn` only
 //!   one replica recorded is not a disagreement.
+//! - **One block per rank per instance** (Lemma 2): along each replica's
+//!   confirm log, each instance's ranks strictly increase, nils
+//!   included. Algorithm 1's bar `(B*.rank + 1, B*.index)` is sound only
+//!   then: an instance's second block at one rank can be confirmed
+//!   before another instance's block at that rank on one replica and
+//!   after it on another.
 //! - **Equal checkpoints** (§5.2.1): every epoch at least two replicas
 //!   checkpointed has one state root. Crashed or lagging replicas simply
 //!   report fewer epochs.
@@ -30,6 +36,13 @@ pub enum Violation {
     /// Replica `b` confirmed a different block at `sn` than replica `a`
     /// (whose record was seen first).
     Disagreement { a: usize, b: usize, sn: u64 },
+    /// `replica` confirmed `instance`'s block at `round` without its rank
+    /// rising above the instance's previous confirmed block.
+    RankTie {
+        replica: usize,
+        instance: u32,
+        round: u64,
+    },
     /// Replicas checkpointed `epoch` with different state roots; `roots`
     /// is every `(replica, root)` reported for it.
     DivergentRoot {
@@ -83,6 +96,26 @@ pub fn agreement(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
     }
 }
 
+/// Reports every confirmed block whose rank does not rise above the
+/// previous block of its instance in the same replica's log.
+fn ranks_rise(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
+    for &(replica, metrics) in replicas {
+        let mut last: HashMap<u32, u64> = HashMap::new();
+        for c in &metrics.confirms {
+            if last
+                .insert(c.instance, c.rank)
+                .is_some_and(|prev| c.rank <= prev)
+            {
+                out.push(Violation::RankTie {
+                    replica,
+                    instance: c.instance,
+                    round: c.round,
+                });
+            }
+        }
+    }
+}
+
 /// Compares checkpoint roots per epoch; returns how many epochs at least
 /// two replicas reported (the comparable population) and reports each
 /// one whose roots are not unanimous.
@@ -110,6 +143,7 @@ fn epoch_roots(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) -> u64 {
 pub fn check(replicas: &[Evidence<'_>]) -> Verdict {
     let mut violations = Vec::new();
     agreement(replicas, &mut violations);
+    ranks_rise(replicas, &mut violations);
     let shared_epochs = epoch_roots(replicas, &mut violations);
     for &(replica, metrics) in replicas {
         if metrics.exec_gaps > 0 {
@@ -164,6 +198,26 @@ mod tests {
         assert_eq!(
             v.violations,
             vec![Violation::Disagreement { a: 0, b: 2, sn: 4 }]
+        );
+    }
+
+    #[test]
+    fn a_rank_that_does_not_rise_within_an_instance_is_a_tie() {
+        // sn 2 moves to instance 1: instance 0 confirms ranks 1, 2, 4 and
+        // instance 1 rank 3, so ranks rise within each instance though
+        // not across them.
+        let mut m = log(0..4);
+        m.confirms[2].instance = 1;
+        judge(std::slice::from_ref(&m)).assert_safe();
+        // Instance 0's round 4 reuses round 2's rank.
+        m.confirms[3].rank = 2;
+        assert_eq!(
+            judge(&[m]).violations,
+            vec![Violation::RankTie {
+                replica: 0,
+                instance: 0,
+                round: 4
+            }]
         );
     }
 

@@ -19,29 +19,29 @@
 //! and the round of an [`Input::RoundTimer`] are chain *heights*, private
 //! to the instance, and run ahead of the emitted rounds.
 //!
+//! # Snapshots
+//!
+//! Every snapshot records the orderer's epoch frontier, and an installer
+//! jumps each instance to it ([`Instance::fast_forward`]), whichever the
+//! protocol: PBFT drops the covered rounds, HotStuff makes the epoch's
+//! `maxRank` node on its certified chain the committed tip.
+//!
 //! # What HotStuff does not have
 //!
-//! This is the single statement of the "state-only snapshot / no log
-//! sync" gap.
+//! This is the single statement of the "no log sync" gap.
 //!
-//! `HsInstance` lacks five capabilities `PbftInstance` has. Each is
+//! `HsInstance` lacks three capabilities `PbftInstance` has. Each is
 //! answered here with a fixed default instead of a branch at the call
 //! site:
 //!
 //! | capability | PBFT | HotStuff default | consequence |
 //! |---|---|---|---|
-//! | record the orderer's epoch frontier in a snapshot ([`Instance::snapshots_frontier`]) | yes | `false` | nothing could jump a HotStuff instance to it (next row), so HotStuff snapshots are **state-only** (empty frontier) |
-//! | jump the commit frontier ([`Instance::fast_forward`]) | yes | no-op | an installer fast-forwards its state machine only; consensus intake re-confirms history and execution skips it idempotently |
 //! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
 //! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer |
 //! | view-change completion timer ([`Input::ViewChangeTimer`]) | yes | no actions | HotStuff's pacemaker is the per-height timer alone |
 //!
 //! Also: PBFT never proposes epoch-flush dummies
-//! ([`Instance::next_is_dummy`] is `false`), and HotStuff emits nothing
-//! on [`Input::AdvanceEpoch`] (PBFT re-evaluates buffered
-//! pre-prepares). Closing the gap — an `HsInstance` jump to the
-//! orderer's epoch frontier — changes the HotStuff arms below and
-//! nothing else.
+//! ([`Instance::next_is_dummy`] is `false`).
 //!
 //! A message of the other protocol's kind (a [`NodeMsg::Pbft`] reaching a
 //! HotStuff instance or vice versa) is ignored: honest peers run one
@@ -104,8 +104,8 @@ pub enum Input {
     RoundTimer(Round, View),
     /// The view-change completion timer fired (PBFT).
     ViewChangeTimer(View),
-    /// The next epoch's `(minRank, maxRank)`: PBFT may release buffered
-    /// pre-prepares, HotStuff resumes silently.
+    /// The next epoch's `(minRank, maxRank)`: the instance replays the
+    /// proposals it held for that epoch.
     AdvanceEpoch(Rank, Rank),
     /// A committed block fetched from a peer, with its prepare QC (PBFT);
     /// yields no effects when it was not useful (already held, bad
@@ -279,10 +279,7 @@ impl Instance {
                         inst.on_message(from, msg, now, cur)
                     }
                     Input::RoundTimer(height, view) => inst.on_height_timer(height, view),
-                    Input::AdvanceEpoch(min, max) => {
-                        inst.advance_epoch(min, max);
-                        return Actions::None;
-                    }
+                    Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, cur),
                     Input::ViewChangeTimer(_) | Input::Install(..) | Input::Message(..) => {
                         return Actions::None
                     }
@@ -292,19 +289,13 @@ impl Instance {
         }
     }
 
-    /// Whether a checkpoint's snapshot records the orderer's epoch
-    /// frontier for this instance: only if an installer can jump the
-    /// instance to it ([`Self::fast_forward`]), which HotStuff cannot.
-    pub fn snapshots_frontier(&self) -> bool {
-        matches!(self.proto, Proto::Pbft(_))
-    }
-
-    /// Jumps the commit frontier to `round` after a snapshot install.
-    /// HotStuff cannot (no-op).
-    pub fn fast_forward(&mut self, round: Round) {
+    /// Jumps the commit frontier to `round`, the instance's last round
+    /// in an installed snapshot, whose block is ranked `rank` (the
+    /// snapshot epoch's `maxRank`; PBFT has no use for it).
+    pub fn fast_forward(&mut self, round: Round, rank: Rank) {
         match &mut self.proto {
             Proto::Pbft(inst) => inst.fast_forward(round),
-            Proto::Hs(_) => {}
+            Proto::Hs(inst) => inst.fast_forward(round, rank),
         }
     }
 

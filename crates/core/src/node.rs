@@ -412,20 +412,11 @@ impl MultiBftNode {
     /// Epoch complete: checkpoint the executed state (this snapshots the
     /// KV contents and compacts the WAL), sign its root into the
     /// checkpoint message and broadcast it. `frontier` is each instance's
-    /// last round of the epoch.
+    /// last round of the epoch; the snapshot records it so installers can
+    /// fast-forward consensus intake, not just the state machine.
     fn checkpoint_epoch(&mut self, frontier: Vec<u64>, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
         let epoch = self.epoch();
-        // The snapshot also records the frontier so installers can
-        // fast-forward consensus intake, not just the state machine —
-        // where the instances can jump to it. Otherwise (HotStuff) the
-        // snapshot is state-only: an empty frontier, and installers skip
-        // the consensus jump.
-        let frontier = if self.slots.iter().all(Instance::snapshots_frontier) {
-            frontier
-        } else {
-            Vec::new()
-        };
         // Drain the pipeline here (the checkpoint would anyway) so the
         // flushed `sn` range is visible for lifecycle tracing.
         self.drain(Drain::Full, now);
@@ -881,10 +872,11 @@ impl MultiBftNode {
 
     /// Snapshot fast-forward: only with a verified stable checkpoint
     /// whose quorum-signed root matches the snapshot head's manifest
-    /// root. The head alone proves the lane-root vector; each chunk then
-    /// verifies against it — membership (its root is the one the head
-    /// names for that lane) plus content (entries recompute to the root,
-    /// stay in-lane, stay canonical). The response installs as a whole or
+    /// root, and a head that records one round per instance. The head
+    /// alone proves the lane-root vector; each chunk then verifies
+    /// against it — membership (its root is the one the head names for
+    /// that lane) plus content (entries recompute to the root, stay
+    /// in-lane, stay canonical). The response installs as a whole or
     /// not at all: one bad chunk, or one lane neither shipped nor held
     /// locally under the head's root, and nothing of it is kept.
     /// `useful` in the returned outcome means the snapshot installed;
@@ -897,6 +889,7 @@ impl MultiBftNode {
         outcome.head_rejected = !resp.checkpoint.as_ref().is_some_and(|cp| {
             cp.epoch.0 == head.epoch
                 && cp.state_root == head.root
+                && head.frontier.len() == self.cfg.sys.m
                 && head.verify()
                 && head.applied > self.exec.applied()
                 && cp.verify(&self.cfg.registry, self.cfg.sys.quorum())
@@ -995,18 +988,12 @@ impl MultiBftNode {
         // orderer's intake tips jump with it so confirmation resumes at
         // the snapshot's sn. The frontier is covered by the
         // quorum-signed manifest root, so the rounds are as trustworthy
-        // as the state itself. A state-only snapshot (empty frontier —
-        // see `Instance::snapshots_frontier`) skips this: the state
-        // machine fast-forwards, consensus intake re-confirms history
-        // and execution skips it idempotently.
-        if snap.frontier.len() != self.cfg.sys.m {
-            return;
-        }
+        // as the state itself.
+        let max_rank = self.cfg.sys.rank_range(Epoch(snap.epoch)).1;
         for (inst, &round) in self.slots.iter_mut().zip(&snap.frontier) {
-            inst.fast_forward(Round(round));
+            inst.fast_forward(Round(round), max_rank);
         }
         if let Orderer::Ladon(o) = &mut self.orderer {
-            let max_rank = self.cfg.sys.rank_range(Epoch(snap.epoch)).1;
             o.fast_forward(&snap.frontier, max_rank, snap.applied);
         }
     }

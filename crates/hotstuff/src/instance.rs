@@ -25,6 +25,19 @@
 //! real node that does not rank above its parent: Algorithm 1's bar
 //! needs an instance's next block to rank strictly above its last.
 //!
+//! A backup votes under chained HotStuff's lock: it locks the
+//! grandparent of each proposal it accepts and refuses one that neither
+//! extends the locked node nor justifies a higher one, so no quorum
+//! certifies a fork below a commit. A proposal ranked past the current
+//! epoch is held until [`HsInstance::advance_epoch`] replays it, as PBFT
+//! holds its pre-prepares: a replica one epoch behind still gets the
+//! next epoch's first nodes, which every later commit walks through.
+//!
+//! A snapshot install jumps the instance to the snapshot's frontier
+//! ([`HsInstance::fast_forward`]): the epoch's `maxRank` node, found on
+//! the certified chain, becomes the committed tip, and the next block is
+//! emitted as the round after the snapshot's.
+//!
 //! State follows the chain's live tail: nodes more than three heights
 //! below the commit frontier are dropped as it advances, and vote maps
 //! at or below it are collected, so an instance holds a handful of nodes
@@ -52,7 +65,8 @@ use ladon_crypto::keys::Signer;
 use ladon_crypto::qc::prepare_bytes;
 use ladon_crypto::{sha256_parts, AggregateSignature, CertCache, KeyRegistry, RankCert, Signature};
 use ladon_types::{
-    quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    push_bounded, quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round,
+    TimeNs, View,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -114,6 +128,9 @@ pub struct HsInstance {
     committed_tip: Digest,
     /// Highest certified node (the `genericQC`).
     generic_qc: HsQc,
+    /// The locked node, by height and digest (genesis before any): the
+    /// highest grandparent of a proposal this replica accepted.
+    locked: (Round, Digest),
     /// Votes collected by the leader for its latest proposal.
     votes: HashMap<Digest, BTreeMap<ReplicaId, Arc<HsVote>>>,
     /// Highest height proposed by the local leader.
@@ -130,6 +147,9 @@ pub struct HsInstance {
     epoch_max: Rank,
     /// New-view messages collected by a prospective leader.
     new_views: BTreeMap<View, BTreeMap<ReplicaId, HsNewView>>,
+    /// Proposals ranked past the current epoch, replayed by
+    /// [`Self::advance_epoch`]. Bounded by [`ladon_types::MAX_PENDING_MSGS`].
+    pending_epoch: Vec<(ReplicaId, Arc<HsGeneric>)>,
     /// Count of rejected messages (observability).
     pub rejected: u64,
 }
@@ -159,6 +179,7 @@ impl HsInstance {
     pub fn new(cfg: HsConfig, epoch_min: Rank, epoch_max: Rank) -> Self {
         Self {
             generic_qc: HsQc::genesis(cfg.n, cfg.instance),
+            locked: (Round(0), Digest::NIL),
             certs: CertCache::new(cfg.registry.clone(), quorum(cfg.n)),
             cfg,
             view: View(0),
@@ -171,6 +192,7 @@ impl HsInstance {
             epoch_min,
             epoch_max,
             new_views: BTreeMap::new(),
+            pending_epoch: Vec::new(),
             rejected: 0,
         }
     }
@@ -232,12 +254,56 @@ impl HsInstance {
             && self.generic_qc.rank() == self.epoch_max
     }
 
-    /// Installs the next epoch's rank range.
-    pub fn advance_epoch(&mut self, min: Rank, max: Rank) {
+    /// Installs the next epoch's rank range and replays the proposals
+    /// held for it; one of a still later epoch is held again.
+    pub fn advance_epoch(&mut self, min: Rank, max: Rank, cur: &mut RankCert) -> Vec<Action> {
         assert!(min > self.epoch_max, "epochs must advance forward");
         self.epoch_min = min;
         self.epoch_max = max;
         self.certs.advance_epoch(min);
+        let mut out = Vec::new();
+        for (from, g) in std::mem::take(&mut self.pending_epoch) {
+            self.handle_generic(from, &g, cur, &mut out);
+        }
+        out
+    }
+
+    /// Jumps the commit frontier to a snapshot's. `round` is the
+    /// instance's last round in the snapshotted prefix: the round of its
+    /// non-dummy node ranked `rank` (the snapshot epoch's `maxRank`).
+    /// That node is found on the certified chain, walking parent links
+    /// down from `generic_qc`'s node; it becomes the committed tip, and
+    /// the next block is emitted as `round + 1`. If it is not held, or
+    /// `round` was already emitted, nothing moves and a later install
+    /// tries again.
+    pub fn fast_forward(&mut self, round: Round, rank: Rank) {
+        if round.0 <= self.emitted {
+            return;
+        }
+        let mut at = self.generic_qc.node();
+        let (height, digest) = loop {
+            let Some(node) = self.nodes.get(&at) else {
+                return;
+            };
+            if node.height <= self.committed_upto {
+                return;
+            }
+            if node.rank == rank && !node.dummy {
+                break (node.height, node.digest);
+            }
+            at = node.parent;
+        };
+        self.committed_upto = height;
+        self.committed_tip = digest;
+        self.emitted = round.0;
+        self.prune_below_tail();
+    }
+
+    /// Drops the nodes more than [`CHAIN_TAIL`] heights below the commit
+    /// frontier: nothing reads them again.
+    fn prune_below_tail(&mut self) {
+        let keep_from = Round(self.committed_upto.0.saturating_sub(CHAIN_TAIL));
+        self.nodes.retain(|_, node| node.height >= keep_from);
     }
 
     /// Raises `cur` to `qc`'s rank when that is higher (Ladon): a node's
@@ -342,7 +408,7 @@ impl HsInstance {
     fn handle_generic(
         &mut self,
         from: ReplicaId,
-        g: &HsGeneric,
+        g: &Arc<HsGeneric>,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
@@ -391,9 +457,24 @@ impl HsInstance {
                 self.rejected += 1;
                 return;
             }
-            if self.cfg.mode == HsRankMode::Ladon && !self.validate_rank(g) {
+            // The vote rule: extend the locked node, or justify a higher
+            // one. The justified node is the parent, so below the lock's
+            // height only the locked node itself is extended.
+            let (locked_height, locked) = self.locked;
+            if g.justify.node() != locked && g.justify.height() <= locked_height {
                 self.rejected += 1;
                 return;
+            }
+            if self.cfg.mode == HsRankMode::Ladon {
+                if g.node.rank > self.epoch_max {
+                    let held = (from, Arc::clone(g));
+                    push_bounded(&mut self.pending_epoch, held, &mut self.rejected);
+                    return;
+                }
+                if !self.validate_rank(g) {
+                    self.rejected += 1;
+                    return;
+                }
             }
         }
 
@@ -430,6 +511,13 @@ impl HsInstance {
         self.nodes
             .entry(g.node.digest)
             .or_insert_with(|| g.node.clone());
+        // Lock the grandparent: the parent's own `justify` certified it.
+        if let Some(parent) = self.nodes.get(&g.node.parent) {
+            let grandparent = (Round(parent.height.0 - 1), parent.parent);
+            if grandparent.0 > self.locked.0 {
+                self.locked = grandparent;
+            }
+        }
 
         // Commit rule: the proposal's justify certifies its parent at
         // height h − 1; the parent's ancestors up to height h − 3 commit.
@@ -527,11 +615,8 @@ impl HsInstance {
     /// The walk follows parent links from `tip` down to `committed_tip`.
     /// A missing ancestor, or an ancestry that reaches the frontier
     /// anywhere but at `committed_tip`, commits nothing: the replica
-    /// waits at the hole, since nothing fetches a node. The ordinal is
-    /// counted from genesis, so a replica that cannot commit the chain
-    /// from its first node (a hole no peer refills, a state-only snapshot
-    /// install) has no way to rejoin the numbering and stays wedged:
-    /// there is no HotStuff `fast_forward`.
+    /// waits at the hole, since nothing fetches a node, until a snapshot
+    /// install moves `committed_tip` past it ([`Self::fast_forward`]).
     fn commit_through(&mut self, height: Round, tip: Digest, out: &mut Vec<Action>) {
         if height <= self.committed_upto {
             return;
@@ -564,9 +649,7 @@ impl HsInstance {
                 }));
             }
         }
-        // Nothing reads a node below the frontier's 3-chain tail again.
-        let keep_from = Round(self.committed_upto.0.saturating_sub(CHAIN_TAIL));
-        self.nodes.retain(|_, node| node.height >= keep_from);
+        self.prune_below_tail();
     }
 
     fn handle_vote(&mut self, from: ReplicaId, v: Arc<HsVote>, cur: &mut RankCert) {
@@ -708,6 +791,7 @@ impl HsInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ladon_types::MAX_PENDING_MSGS;
 
     fn batch(first: u64, count: u32) -> Batch {
         Batch {
@@ -799,6 +883,28 @@ mod tests {
             self.run();
         }
 
+        /// Moves `replicas` to the epoch ranked `min..=max`, delivering
+        /// what their held proposals produce.
+        fn advance_epoch(&mut self, replicas: &[usize], min: Rank, max: Rank) {
+            for &r in replicas {
+                let acts = self.nodes[r].advance_epoch(min, max, &mut self.curs[r]);
+                self.absorb(r, acts);
+            }
+            self.run();
+        }
+
+        /// Has leader 0 run epoch 0 of a cluster whose `maxRank` is 3:
+        /// the three real nodes, each lost to the replicas in `miss[i]`,
+        /// then the dummies that flush them, delivered to everyone.
+        fn run_first_epoch(&mut self, miss: [&[usize]; 3]) {
+            for (i, miss) in miss.into_iter().enumerate() {
+                self.propose_missing(0, batch(i as u64 * 10, 5), miss);
+            }
+            while !self.nodes[0].stopped_for_epoch() {
+                self.propose(0, Batch::empty(0));
+            }
+        }
+
         /// Asserts that the committed logs of `replicas` agree: each is a
         /// prefix of every longer one.
         fn assert_logs_agree(&self, replicas: &[usize]) {
@@ -880,9 +986,7 @@ mod tests {
             assert!(l.iter().all(|b| !b.is_nil()));
         }
         // Epoch advance re-enables proposing.
-        for r in 0..4 {
-            c.nodes[r].advance_epoch(Rank(4), Rank(7));
-        }
+        c.advance_epoch(&[0, 1, 2, 3], Rank(4), Rank(7));
         assert!(c.nodes[0].can_propose());
         // The three dummies took heights 4..=6 and were never emitted:
         // epoch 1's first block sits at height 7 and is emitted as the
@@ -953,6 +1057,123 @@ mod tests {
         let (rejected, acts, _) = deliver_to_backup(&mut c, low);
         assert_eq!(rejected, 1);
         assert!(acts.is_empty(), "{acts:?}");
+    }
+
+    #[test]
+    fn a_backup_one_epoch_behind_holds_the_next_epochs_proposal_until_it_advances() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        c.run_first_epoch([&[], &[], &[]]);
+        // Replica 3 has not advanced: epoch 1's first node, ranked 4, is
+        // past its epoch. It holds the node instead of refusing it.
+        c.advance_epoch(&[0, 1, 2], Rank(4), Rank(7));
+        c.propose(0, batch(30, 5));
+        assert_eq!(c.nodes[3].pending_epoch.len(), 1);
+        assert_eq!(c.nodes[3].rejected, 0);
+        // Its advance replays the node, which it now votes for.
+        let acts = c.nodes[3].advance_epoch(Rank(4), Rank(7), &mut c.curs[3]);
+        assert!(
+            acts.iter()
+                .any(|a| matches!(a, Action::Send(_, HsMsg::Vote(_)))),
+            "{acts:?}"
+        );
+        c.absorb(3, acts);
+        c.run();
+        assert!(c.nodes[3].pending_epoch.is_empty());
+        for i in 4..7u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        c.assert_logs_agree(&[0, 1, 2, 3]);
+        assert_eq!(c.first_txs(3), [0, 10, 20, 30]);
+        assert_eq!(c.nodes[3].rejected, 0);
+
+        // The hold is bounded: a leader may sign any number of nodes
+        // ranked past a lagging backup's epoch.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        c.run_first_epoch([&[], &[], &[]]);
+        c.advance_epoch(&[0, 2, 3], Rank(4), Rank(7));
+        let ahead = Arc::new(capture(&mut c, batch(30, 5)));
+        let flood = MAX_PENDING_MSGS as u64 + 10;
+        for _ in 0..flood {
+            let msg = HsMsg::Generic(ahead.clone());
+            let acts = c.nodes[1].on_message(ReplicaId(0), msg, TimeNs::ZERO, &mut c.curs[1]);
+            assert!(acts.is_empty(), "{acts:?}");
+        }
+        assert_eq!(c.nodes[1].pending_epoch.len(), MAX_PENDING_MSGS);
+        assert_eq!(c.nodes[1].rejected, 10);
+    }
+
+    #[test]
+    fn fast_forward_jumps_to_the_held_max_rank_node() {
+        // Replica 3 misses epoch 0's first two nodes, so its commit walk
+        // stops at the hole; it holds the rank-3 node and the dummies.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        c.run_first_epoch([&[3], &[3], &[]]);
+        assert!(c.committed[3].is_empty());
+        assert_eq!(c.first_txs(0), [0, 10, 20]);
+        // The snapshot of epoch 0 ends each instance at round 3, rank 3.
+        c.nodes[3].fast_forward(Round(3), Rank(3));
+        assert_eq!(c.nodes[3].committed_upto(), Round(3));
+        assert!(c.nodes[3].stopped_for_epoch());
+        // Epoch 1's blocks commit through the dummies on the jumped tip
+        // and are numbered from the snapshot's round on, as everywhere.
+        c.advance_epoch(&[0, 1, 2, 3], Rank(4), Rank(7));
+        for i in 3..7u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let rounds: Vec<Round> = c.committed[3].iter().map(Block::round).collect();
+        assert_eq!(rounds, [Round(4)]);
+        assert_eq!(c.committed[3][..], c.committed[0][3..]);
+        assert_eq!(c.nodes[3].rejected, 0);
+    }
+
+    #[test]
+    fn fast_forward_to_a_node_not_held_moves_nothing() {
+        // Replica 3 misses every real node of epoch 0, the rank-3 node
+        // included: it holds only the dummies above it.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        c.run_first_epoch([&[3], &[3], &[3]]);
+        c.nodes[3].fast_forward(Round(3), Rank(3));
+        assert_eq!(c.nodes[3].committed_upto(), Round(0));
+        assert!(!c.nodes[3].stopped_for_epoch());
+        c.advance_epoch(&[0, 1, 2, 3], Rank(4), Rank(7));
+        for i in 3..7u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        assert_eq!(c.first_txs(0), [0, 10, 20, 30]);
+        assert!(c.committed[3].is_empty(), "{:?}", c.first_txs(3));
+    }
+
+    #[test]
+    fn a_byzantine_leader_cannot_fork_below_a_commit() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        // Leader 0's A1–A3 reach everyone; its A4 reaches no one, but
+        // leader 0 commits A1 on it.
+        for i in 0..3u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
+        c.absorb(0, acts);
+        c.queue.clear();
+        assert_eq!(c.first_txs(0), [0]);
+        // View 1's leader, Byzantine replica 1, forgets the chain and
+        // builds C1 on the genesis QC.
+        let mut forgetful = HsInstance::new(c.nodes[1].cfg.clone(), Rank(0), Rank(1000));
+        forgetful.view = View(1);
+        c.nodes[1] = forgetful;
+        c.curs[1] = RankCert::genesis(Rank(0));
+        for i in 0..4u64 {
+            if !c.nodes[1].can_propose() {
+                break;
+            }
+            c.propose_missing(1, batch(500 + i * 10, 5), &[0]);
+        }
+        // Replicas 2 and 3 are locked on A1: C1 neither extends it nor
+        // justifies a higher node, so they refuse it.
+        for r in [2, 3] {
+            assert_eq!(c.nodes[r].rejected, 1, "replica {r}");
+        }
+        c.assert_logs_agree(&[0, 2, 3]);
+        assert!(c.committed[2].is_empty(), "{:?}", c.first_txs(2));
     }
 
     #[test]

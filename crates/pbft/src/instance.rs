@@ -47,16 +47,11 @@ use ladon_crypto::{
     digest_batch, AggregateSignature, CertCache, KeyRegistry, QuorumCert, RankCert, Signature,
 };
 use ladon_types::{
-    quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    push_bounded, quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round,
+    TimeNs, View,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Capacity of each buffer of messages held for later — the
-/// future-view buffer and the future-epoch buffer. A message that
-/// arrives at a full buffer is rejected, so a Byzantine flood of
-/// far-future messages costs an honest replica only this much memory.
-pub(crate) const MAX_PENDING_MSGS: usize = 8192;
 
 /// How the instance participates in rank coordination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -338,7 +333,8 @@ pub struct PbftInstance {
     epoch_max: Rank,
     /// Pre-prepares that failed only because our epoch lags (or, in Opt
     /// mode, because their previous round is unseen); retried on
-    /// [`PbftInstance::advance_epoch`]. Bounded by [`MAX_PENDING_MSGS`].
+    /// [`PbftInstance::advance_epoch`]. Bounded by
+    /// [`ladon_types::MAX_PENDING_MSGS`].
     pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>)>,
     /// Pre-prepares and votes from a view we have not installed yet
     /// (or from the pending view while a view change is in flight),
@@ -1558,16 +1554,6 @@ impl PbftInstance {
             .filter(|st| st.committed)
             .filter_map(|st| Some(st.proposal.as_ref()?.rank))
             .max()
-    }
-}
-
-/// Holds `item` in `buf` for later unless the buffer is at
-/// [`MAX_PENDING_MSGS`]; an overflow counts in `rejected`.
-fn push_bounded<T>(buf: &mut Vec<T>, item: T, rejected: &mut u64) {
-    if buf.len() < MAX_PENDING_MSGS {
-        buf.push(item);
-    } else {
-        *rejected += 1;
     }
 }
 

@@ -1,11 +1,11 @@
 //! Instance-level tests: normal case, rank rules, epochs, view changes,
 //! and the Appendix-B leader behaviors.
 
-use crate::instance::{PbftInstance, RankMode, RankStrategy, MAX_PENDING_MSGS};
+use crate::instance::{PbftInstance, RankMode, RankStrategy};
 use crate::msg::{PbftMsg, Phase, PrePrepare, RankProof, ViewChange, DOMAIN_PREPREPARE};
 use crate::testkit::{test_batch, Cluster};
 use ladon_crypto::{QuorumCert, Signature};
-use ladon_types::{InstanceId, Rank, ReplicaId, Round, View};
+use ladon_types::{InstanceId, Rank, ReplicaId, Round, View, MAX_PENDING_MSGS};
 use std::sync::Arc;
 
 #[test]

@@ -642,8 +642,7 @@ impl ExecutionPipeline {
     /// the WAL behind it, and returns the snapshot's manifest root for the
     /// checkpoint message (it authenticates the snapshot's metadata along
     /// with its contents). Called exactly when the epoch's blocks are all
-    /// confirmed. `frontier` must be replica-deterministic — pass an empty
-    /// vector when it is not (state-only snapshot, see
+    /// confirmed. `frontier` must be replica-deterministic (see
     /// [`crate::snapshot::SnapshotHead::frontier`]).
     pub fn checkpoint(&mut self, epoch: u64, frontier: Vec<u64>) -> Digest {
         // Drain whatever is staged or in flight first: the snapshot must

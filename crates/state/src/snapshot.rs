@@ -166,8 +166,6 @@ pub struct SnapshotHead {
     /// is instance `i`'s last committed round in the snapshotted prefix).
     /// Lets an installing replica fast-forward its consensus intake past
     /// the history the snapshot covers, not just its state machine.
-    /// Empty for state-only snapshots (HotStuff instances, whose commit
-    /// height at epoch completion is not replica-deterministic).
     pub frontier: Vec<u64>,
     /// Ordered lane roots of the sharded state at capture time (length
     /// [`MERKLE_LANES`]) — the content addresses of the 64 chunks, and

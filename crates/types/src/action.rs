@@ -10,6 +10,22 @@
 
 use crate::{Block, ReplicaId, Round, View};
 
+/// Capacity of each buffer in which an instance holds messages for later
+/// (a future view's, a future epoch's). A message that arrives at a full
+/// buffer is rejected, so a Byzantine flood of far-future messages costs
+/// an honest replica only this much memory.
+pub const MAX_PENDING_MSGS: usize = 8192;
+
+/// Holds `item` in `buf` for later unless the buffer is at
+/// [`MAX_PENDING_MSGS`]; an overflow counts in `rejected`.
+pub fn push_bounded<T>(buf: &mut Vec<T>, item: T, rejected: &mut u64) {
+    if buf.len() < MAX_PENDING_MSGS {
+        buf.push(item);
+    } else {
+        *rejected += 1;
+    }
+}
+
 /// An effect requested by a consensus instance.
 #[derive(Clone, Debug)]
 pub enum Action<M> {

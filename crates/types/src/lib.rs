@@ -20,7 +20,7 @@ pub mod time;
 pub mod tx;
 pub mod wire;
 
-pub use action::Action;
+pub use action::{push_bounded, Action, MAX_PENDING_MSGS};
 pub use block::{Block, BlockHeader, Digest, OrderKey};
 pub use config::{quorum, NetEnv, ProtocolKind, SystemConfig, MERKLE_LANES};
 pub use error::LadonError;

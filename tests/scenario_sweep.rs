@@ -15,10 +15,6 @@ use ladon::workload::{Deployment, ExperimentConfig};
 /// intake holding holes below a `maxRank` block and epoch e + 1 blocks
 /// above it. A checkpoint must cover exactly its epoch on every replica
 /// anyway: that is what the orderer's epoch boundary is for.
-///
-/// LadonHotStuff is not in the grid only because its partitioned replica
-/// never rejoins: a HotStuff instance cannot jump to a snapshot's
-/// frontier, so the rejoin bound cannot hold.
 #[test]
 fn a_partitioned_replica_rejoins_safely_on_every_window() {
     let windows = [
@@ -29,7 +25,11 @@ fn a_partitioned_replica_rejoins_safely_on_every_window() {
         (6.0, 12.0),
         (4.0, 14.0),
     ];
-    for protocol in [ProtocolKind::LadonPbft, ProtocolKind::LadonOptPbft] {
+    for protocol in [
+        ProtocolKind::LadonPbft,
+        ProtocolKind::LadonOptPbft,
+        ProtocolKind::LadonHotStuff,
+    ] {
         for (a, b) in windows {
             let mut c = Deployment::build(
                 &ExperimentConfig::scenario(protocol, 4, 20.0)

@@ -152,14 +152,14 @@ fn honest_replicas_agree_on_state_roots_at_every_checkpoint() {
     );
 }
 
-/// Under LadonHotStuff, snapshots are state-only: the commit height at
-/// epoch completion depends on local dummy-commit timing, so the frontier
-/// is excluded from the quorum-signed manifest (empty) rather than signed
-/// nondeterministically. Checkpoint quorums must still form — epochs
-/// advance, roots agree, no conflicts — and the captured snapshots must
-/// carry no consensus frontier.
+/// Under LadonHotStuff, as under PBFT, a snapshot records the orderer's
+/// epoch frontier: each instance's last round of the epoch, a block
+/// ordinal that dummies do not count, so every replica signs the same
+/// manifest. Checkpoint quorums form — epochs advance, roots agree, no
+/// conflicts — and every captured snapshot carries one round per
+/// instance.
 #[test]
-fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
+fn hotstuff_replicas_agree_on_state_roots_and_snapshot_frontiers() {
     let mut c = Deployment::build(&short_epochs(ProtocolKind::LadonHotStuff, 10.0));
     c.run_secs(15.0);
 
@@ -171,16 +171,12 @@ fn hotstuff_replicas_agree_on_state_roots_with_state_only_snapshots() {
         );
         assert_eq!(
             node.metrics.root_conflicts, 0,
-            "replica {r} saw a conflicting checkpoint quorum — the signed \
-             manifest must not include timing-dependent HotStuff heights"
+            "replica {r} saw a conflicting checkpoint quorum"
         );
         assert_eq!(node.metrics.exec_gaps, 0, "replica {r} hit an exec gap");
-        if let Some(snap) = node.exec.latest_snapshot() {
-            assert!(
-                snap.head.frontier.is_empty(),
-                "HotStuff snapshots must be state-only (empty frontier)"
-            );
-        }
+        let snap = node.exec.latest_snapshot().expect("checkpointed");
+        assert_eq!(snap.head.frontier.len(), c.sys.m, "replica {r}");
+        assert!(snap.head.frontier.iter().all(|&round| round > 0));
     }
     let checked = c.check(&[0, 1, 2, 3]).assert_safe().shared_epochs;
     assert!(
@@ -388,6 +384,28 @@ fn disk_loss_recovers_via_peer_snapshot_install() {
     });
     disk_loss_scenario(|sys| old_generation_pipeline("old-generation", sys));
     let _ = std::fs::remove_dir_all(scratch_dir("old-generation", 0));
+}
+
+/// The same worst case under LadonHotStuff: replica 3 crashes at 6 s and
+/// restarts at 10 s on an empty pipeline. It installs a peer snapshot,
+/// each HotStuff instance jumps to the snapshot's frontier on its
+/// certified chain, and the replica confirms on with its peers to the
+/// same frontier.
+#[test]
+fn a_hotstuff_replica_restarted_with_a_wiped_disk_rejoins() {
+    let mut c =
+        Deployment::build(&short_epochs(ProtocolKind::LadonHotStuff, 30.0).with_crash(3, 6.0));
+    c.run_secs(10.0);
+    let wiped = ExecutionPipeline::in_memory_opts(c.sys.exec_keyspace, WalOptions::from(&c.sys));
+    c.swap_replica(3, wiped);
+    c.run_secs(40.0);
+
+    assert!(c.node(3).metrics.snapshot_installs > 0);
+    let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
+    assert!(fronts[0] > 0);
+    assert!(fronts.iter().all(|&f| f == fronts[0]), "{fronts:?}");
+    assert_eq!(c.node(3).epoch(), c.node(0).epoch());
+    c.check(&[0, 1, 2, 3]).assert_safe();
 }
 
 fn disk_loss_scenario(restart_with: impl FnOnce(&SystemConfig) -> ExecutionPipeline) {

@@ -16,8 +16,16 @@
 //! counts. PBFT commits one block per round, so the two coincide.
 //! HotStuff's chain also holds three epoch-flush dummies per epoch that
 //! take heights and are never emitted: there [`Instance::committed_upto`]
-//! and the round of an [`Input::RoundTimer`] are chain *heights*, private
+//! and the height a liveness deadline awaits are chain *heights*, private
 //! to the instance, and run ahead of the emitted rounds.
+//!
+//! # Liveness deadlines
+//!
+//! Each instance holds at most one deadline ([`Instance::liveness_since`]):
+//! the round (PBFT) or height (HotStuff) it waits on, or a PBFT view
+//! change in flight. The node arms one timer for it and feeds
+//! [`Input::Timeout`] once it has expired; what expiry does is the
+//! instance's own state table (each protocol's module docs).
 //!
 //! # Snapshots
 //!
@@ -30,7 +38,7 @@
 //!
 //! This is the single statement of the "no log sync" gap.
 //!
-//! `HsInstance` lacks three capabilities `PbftInstance` has. Each is
+//! `HsInstance` lacks two capabilities `PbftInstance` has. Each is
 //! answered here with a fixed default instead of a branch at the call
 //! site:
 //!
@@ -38,7 +46,6 @@
 //! |---|---|---|---|
 //! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
 //! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer |
-//! | view-change completion timer ([`Input::ViewChangeTimer`]) | yes | no actions | HotStuff's pacemaker is the per-height timer alone |
 //!
 //! Also: PBFT never proposes epoch-flush dummies
 //! ([`Instance::next_is_dummy`] is `false`).
@@ -63,7 +70,7 @@ use ladon_crypto::{CertCache, QuorumCert, RankCert};
 use ladon_hotstuff::{HsConfig, HsInstance, HsRankMode};
 use ladon_pbft::{InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use ladon_types::{
-    Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, TimeNs, View,
+    Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, TimeNs,
 };
 use std::sync::Arc;
 use std::vec::IntoIter;
@@ -99,11 +106,8 @@ pub enum Input {
     Propose(Batch),
     /// Consensus traffic from a replica.
     Message(ReplicaId, NodeMsg),
-    /// The liveness timer of a round (PBFT) or height (HotStuff), armed
-    /// in the given view, fired.
-    RoundTimer(Round, View),
-    /// The view-change completion timer fired (PBFT).
-    ViewChangeTimer(View),
+    /// The liveness deadline expired.
+    Timeout,
     /// The next epoch's `(minRank, maxRank)`: the instance replays the
     /// proposals it held for that epoch.
     AdvanceEpoch(Rank, Rank),
@@ -235,6 +239,23 @@ impl Instance {
         }
     }
 
+    /// When the liveness deadline started, if the instance waits on one.
+    pub fn liveness_since(&self) -> Option<TimeNs> {
+        match &self.proto {
+            Proto::Pbft(inst) => inst.liveness_since(),
+            Proto::Hs(inst) => inst.liveness_since(),
+        }
+    }
+
+    /// Starts waiting on the lowest undecided round or height from
+    /// `now`, unless a deadline is already running.
+    pub fn wait_from(&mut self, now: TimeNs) {
+        match &mut self.proto {
+            Proto::Pbft(inst) => inst.wait_from(now),
+            Proto::Hs(inst) => inst.wait_from(now),
+        }
+    }
+
     /// Ready to accept a proposal from the local leader?
     pub fn can_propose(&self) -> bool {
         match &self.proto {
@@ -264,8 +285,7 @@ impl Instance {
                     Input::Message(from, NodeMsg::Pbft { msg, .. }) => {
                         inst.on_message(from, msg, now, cur)
                     }
-                    Input::RoundTimer(round, view) => inst.on_round_timer(round, view, now, cur),
-                    Input::ViewChangeTimer(view) => inst.on_view_change_timer(view, now, cur),
+                    Input::Timeout => inst.on_timeout(now, cur),
                     Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, now, cur),
                     Input::Install(block, qc) => inst.install_committed(block, qc, now, cur),
                     Input::Message(..) => return Actions::None,
@@ -278,11 +298,9 @@ impl Instance {
                     Input::Message(from, NodeMsg::Hs { msg, .. }) => {
                         inst.on_message(from, msg, now, cur)
                     }
-                    Input::RoundTimer(height, view) => inst.on_height_timer(height, view),
-                    Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, cur),
-                    Input::ViewChangeTimer(_) | Input::Install(..) | Input::Message(..) => {
-                        return Actions::None
-                    }
+                    Input::Timeout => inst.on_timeout(),
+                    Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, now, cur),
+                    Input::Install(..) | Input::Message(..) => return Actions::None,
                 };
                 Actions::Hs(self.id, actions.into_iter())
             }

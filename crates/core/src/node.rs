@@ -128,14 +128,9 @@ enum Drain {
     Full,
 }
 
-/// Arms `timer` on the calling node. Views and rounds originate in peer
-/// messages, so a timer whose fields do not fit an id is not armed rather
-/// than trusted to fit: the instance doors reject such a view before it
-/// gets here, and a lost liveness timer is the worst a miss can cost.
+/// Arms `timer` on the calling node.
 fn arm(ctx: &mut dyn Context<NodeMsg>, delay: TimeNs, timer: Timer) {
-    if let Ok(id) = timer.encode() {
-        ctx.set_timer(delay, id);
-    }
+    ctx.set_timer(delay, timer.encode());
 }
 
 /// The Multi-BFT replica.
@@ -152,11 +147,17 @@ pub struct MultiBftNode {
     mempool: Mempool,
     /// Pace timer fired but the instance was not ready to propose.
     want_propose: Vec<bool>,
-    /// Per-instance partial-commit counts, for the quiet-leader detector
-    /// (the SB failure detector `D`): a quiet timer that fires with an
-    /// unchanged count means the instance delivered nothing in a full
-    /// timeout window.
-    inst_commits: Vec<u64>,
+    /// A [`Timer::Pace`] is pending for the instance (only while this
+    /// replica leads it).
+    pacing: Vec<bool>,
+    /// A [`Timer::Liveness`] is pending for the instance: at most one,
+    /// due no later than the instance's deadline.
+    liveness_armed: Vec<bool>,
+    /// Per-instance "committed since the quiet window opened", for the
+    /// quiet-leader detector (the SB failure detector `D`): a quiet timer
+    /// that fires with it unset means the instance delivered nothing in
+    /// a full timeout window.
+    committed_in_window: Vec<bool>,
     /// The execution pipeline: KV state machine + commit WAL + snapshots.
     pub exec: ExecutionPipeline,
     /// State-transfer requester rotation and responder health.
@@ -234,7 +235,9 @@ impl MultiBftNode {
             buckets: RotatingBuckets::new(m),
             mempool: Mempool::new(m, sys.tx_bytes),
             want_propose: vec![false; m + extra],
-            inst_commits: vec![0; m + extra],
+            pacing: vec![false; m + extra],
+            liveness_armed: vec![false; m + extra],
+            committed_in_window: vec![false; m + extra],
             slots,
             cur_rank: RankCert::genesis(sys.rank_range(Epoch(0)).0),
             orderer,
@@ -299,6 +302,20 @@ impl MultiBftNode {
         self.cfg.behavior.straggler_k.is_some()
     }
 
+    /// Delay from `now` to instance `i`'s next pace tick. Ticks sit on a
+    /// fixed grid, `phase_i + 1 ms + k · interval`, staggered so leaders
+    /// do not fire in lockstep; the per-leader interval is
+    /// m / total_block_rate.
+    fn pace_delay(&self, i: usize, now: TimeNs) -> TimeNs {
+        let interval = self.pace_interval();
+        let m = self.cfg.sys.m as u64;
+        let first = TimeNs(interval.mul(i as u64 % m).0 / m) + TimeNs::from_millis(1);
+        match now.0.checked_sub(first.0) {
+            None => first - now,
+            Some(past) => TimeNs(interval.0 - past % interval.0),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Action plumbing
     // ------------------------------------------------------------------
@@ -307,6 +324,27 @@ impl MultiBftNode {
     fn step(&mut self, i: usize, input: Input, ctx: &mut dyn Context<NodeMsg>) {
         let actions = self.slots[i].step(input, ctx.now(), &mut self.cur_rank);
         self.handle_actions(i, actions, ctx);
+        self.watch(i, ctx);
+    }
+
+    /// Arms what instance `i` now waits on, and nothing else: its pace
+    /// tick while this replica leads it (back on the instance's grid when
+    /// leadership returns), and one liveness timer while it has a
+    /// deadline. A deadline only moves later, so a pending liveness timer
+    /// is never late; one that fires early re-arms for the rest.
+    fn watch(&mut self, i: usize, ctx: &mut dyn Context<NodeMsg>) {
+        let now = ctx.now();
+        if !self.pacing[i] && self.slots[i].is_leader() {
+            self.pacing[i] = true;
+            arm(ctx, self.pace_delay(i, now), Timer::Pace(i));
+        }
+        if let Some(since) = self.slots[i].liveness_since() {
+            if !self.liveness_armed[i] {
+                self.liveness_armed[i] = true;
+                let due = since + self.cfg.sys.view_change_timeout;
+                arm(ctx, due.saturating_sub(now), Timer::Liveness(i));
+            }
+        }
     }
 
     /// Performs an instance's effects — the one place consensus output
@@ -318,19 +356,12 @@ impl MultiBftNode {
         actions: impl Iterator<Item = Action<NodeMsg>>,
         ctx: &mut dyn Context<NodeMsg>,
     ) {
-        let timeout = self.cfg.sys.view_change_timeout;
         for a in actions {
             match a {
                 Action::Broadcast(msg) => ctx.multicast(&self.peers, msg),
                 Action::Send(r, msg) if r == self.cfg.me => self.on_node_msg(r, msg, ctx),
                 Action::Send(r, msg) => ctx.send(r.as_usize(), msg),
                 Action::Committed(block) => self.on_committed(i, block, ctx),
-                Action::StartRoundTimer { round, view } => {
-                    arm(ctx, timeout, Timer::Round(i, view, round));
-                }
-                Action::StartViewChangeTimer { view } => {
-                    arm(ctx, timeout, Timer::ViewChange(i, view));
-                }
                 Action::ViewChangeStarted { view } => {
                     self.metrics
                         .view_changes
@@ -349,7 +380,18 @@ impl MultiBftNode {
 
     fn on_committed(&mut self, i: usize, block: Block, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
-        self.inst_commits[i] += 1;
+        if self.metrics.commits.is_empty() {
+            // This replica's first commit: an instance that waits on
+            // nothing yet starts waiting now, so a leader that died
+            // before its instance's first commit is replaced. (Not at
+            // start: a restarted replica would time out instances it has
+            // not caught up on yet.)
+            for j in 0..self.slots.len() {
+                self.slots[j].wait_from(now);
+                self.watch(j, ctx);
+            }
+        }
+        self.committed_in_window[i] = true;
         self.metrics.commits.push(CommitRecord {
             instance: block.index().0,
             round: block.round().0,
@@ -965,6 +1007,7 @@ impl MultiBftNode {
                 installed = true;
             }
             self.handle_actions(i, actions, ctx);
+            self.watch(i, ctx);
         }
         installed
     }
@@ -1029,13 +1072,10 @@ impl MultiBftNode {
 
 impl Actor<NodeMsg> for MultiBftNode {
     fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
-        // Stagger per-instance pace timers so leaders do not fire in
-        // lockstep; the per-leader interval is m / total_block_rate.
-        let interval = self.pace_interval();
-        let m = self.cfg.sys.m;
+        // Pace the instances this replica leads. No liveness deadline
+        // yet: the first commit starts them.
         for i in 0..self.slots.len() {
-            let phase = interval.mul(i as u64 % m as u64).0 / m as u64;
-            arm(ctx, TimeNs(phase) + TimeNs::from_millis(1), Timer::Pace(i));
+            self.watch(i, ctx);
         }
         if let Some(at) = self.cfg.behavior.crash_at {
             arm(ctx, at, Timer::Crash);
@@ -1043,8 +1083,8 @@ impl Actor<NodeMsg> for MultiBftNode {
         // SB failure detector D (pre-determined orderers only): watch each
         // instance for quiet leaders.
         if matches!(self.orderer, Orderer::Pre(_)) {
-            for i in 0..m {
-                arm(ctx, self.cfg.sys.quiet_leader_timeout, Timer::Quiet(i, 0));
+            for i in 0..self.cfg.sys.m {
+                arm(ctx, self.cfg.sys.quiet_leader_timeout, Timer::Quiet(i));
             }
         }
         // State-transfer probe (epoch-running protocols only, §5.2.1).
@@ -1080,19 +1120,24 @@ impl Actor<NodeMsg> for MultiBftNode {
             return;
         };
         match timer {
-            Timer::Pace(i) => {
-                // Re-arm and mark the instance as wanting a proposal.
-                arm(ctx, self.pace_interval(), timer);
-                if self.slots.get(i).is_some_and(Instance::is_leader) {
+            // A tick on an instance this replica no longer leads lapses;
+            // `watch` re-arms it when leadership returns.
+            Timer::Pace(i) if i < self.slots.len() => {
+                self.pacing[i] = false;
+                if self.slots[i].is_leader() {
+                    self.watch(i, ctx);
                     self.want_propose[i] = true;
                     self.try_propose(i, ctx);
                 }
             }
-            Timer::Round(i, view, round) if i < self.slots.len() => {
-                self.step(i, Input::RoundTimer(round, view), ctx);
-            }
-            Timer::ViewChange(i, view) if i < self.slots.len() => {
-                self.step(i, Input::ViewChangeTimer(view), ctx);
+            Timer::Liveness(i) if i < self.slots.len() => {
+                self.liveness_armed[i] = false;
+                let timeout = self.cfg.sys.view_change_timeout;
+                match self.slots[i].liveness_since() {
+                    Some(since) if since + timeout > ctx.now() => self.watch(i, ctx),
+                    Some(_) => self.step(i, Input::Timeout, ctx),
+                    None => {}
+                }
             }
             Timer::Crash => {
                 self.crashed = true;
@@ -1119,26 +1164,21 @@ impl Actor<NodeMsg> for MultiBftNode {
                 arm(ctx, SYNC_PERIOD, Timer::Sync);
             }
             Timer::Retry => self.retry_degraded(ctx),
-            // The stamp is the commit count captured at arming time:
-            // unchanged means a full quiet window elapsed.
-            Timer::Quiet(i, armed_at) if i < self.cfg.sys.m => {
+            // Nothing committed since the window opened: a full quiet
+            // window elapsed.
+            Timer::Quiet(i) if i < self.cfg.sys.m => {
                 let now = ctx.now();
-                let stamp = Timer::commit_stamp(self.inst_commits[i]);
-                if stamp == armed_at {
+                if !std::mem::take(&mut self.committed_in_window[i]) {
                     if let Orderer::Pre(o) = &mut self.orderer {
                         let confirmed = o.on_quiet_leader(InstanceId(i as u32), now);
                         self.record_confirms(confirmed, now);
                         self.check_durability(ctx);
                     }
                 }
-                arm(
-                    ctx,
-                    self.cfg.sys.quiet_leader_timeout,
-                    Timer::Quiet(i, stamp),
-                );
+                arm(ctx, self.cfg.sys.quiet_leader_timeout, Timer::Quiet(i));
             }
             // A timer for an instance this node does not host.
-            Timer::Round(..) | Timer::ViewChange(..) | Timer::Quiet(..) => {}
+            Timer::Pace(_) | Timer::Liveness(_) | Timer::Quiet(_) => {}
         }
     }
 
@@ -1231,7 +1271,7 @@ mod tests {
     fn first_proposal(protocol: ProtocolKind) -> NodeMsg {
         let mut leader = node(protocol, 0);
         let mut ctx = RecordingCtx::new(0, 1);
-        leader.on_timer(Timer::Pace(0).encode().unwrap(), &mut ctx);
+        leader.on_timer(Timer::Pace(0).encode(), &mut ctx);
         let (_, msg) = ctx
             .sent
             .into_iter()
@@ -1251,6 +1291,58 @@ mod tests {
         let before = state(&n);
         n.on_message(from, msg, &mut ctx);
         state(&n) != before || !ctx.sent.is_empty() || !ctx.timers.is_empty()
+    }
+
+    /// Delivers every message the replicas' contexts recorded, in order,
+    /// until none is left.
+    fn deliver_all(nodes: &mut [MultiBftNode], ctxs: &mut [RecordingCtx<NodeMsg>]) {
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for from in 0..nodes.len() {
+                for (to, msg) in std::mem::take(&mut ctxs[from].sent) {
+                    nodes[to].on_message(from, msg, &mut ctxs[to]);
+                    moved = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_paces_where_it_leads_and_keeps_one_liveness_timer_per_instance() {
+        let mut nodes: Vec<_> = (0..N as u32)
+            .map(|r| node(ProtocolKind::LadonPbft, r))
+            .collect();
+        let mut ctxs: Vec<_> = (0..N).map(|r| RecordingCtx::new(r, 1)).collect();
+        let armed = |ctx: &RecordingCtx<NodeMsg>, wanted: fn(&Timer) -> bool| -> Vec<Timer> {
+            let timers = ctx.timers.iter().filter_map(|&(_, id)| Timer::decode(id));
+            timers.filter(wanted).collect()
+        };
+        let instance_timers = |t: &Timer| matches!(t, Timer::Pace(_) | Timer::Liveness(_));
+        for (r, n) in nodes.iter_mut().enumerate() {
+            n.on_start(&mut ctxs[r]);
+            // Replica r leads instance r alone in view 0, and waits on
+            // nothing before its first commit.
+            assert_eq!(armed(&ctxs[r], instance_timers), [Timer::Pace(r)]);
+        }
+        // Instance 0's leader proposes three rounds; each commits everywhere.
+        let interval = nodes[0].pace_interval();
+        for round in 1..=3 {
+            for ctx in &mut ctxs {
+                ctx.now += interval;
+            }
+            nodes[0].on_timer(Timer::Pace(0).encode(), &mut ctxs[0]);
+            deliver_all(&mut nodes, &mut ctxs);
+            for n in &nodes {
+                assert_eq!(n.commit_frontier()[0], Round(round));
+            }
+        }
+        // Three commits moved instance 0's deadline three times; one
+        // liveness timer serves them all.
+        for (r, ctx) in ctxs.iter().enumerate() {
+            let pending = armed(ctx, |t| *t == Timer::Liveness(0));
+            assert_eq!(pending.len(), 1, "replica {r}");
+        }
     }
 
     #[test]
@@ -1285,9 +1377,10 @@ mod tests {
     }
 
     /// One proposal from one Byzantine replica, valid in everything but a
-    /// view no timer id can carry: the instance door counts a rejection
-    /// and nothing else happens — no view adopted, no vote, no timer (the
-    /// vote's round timer used to panic `arm` on every honest node).
+    /// view past `ladon_hotstuff::MAX_VIEW`, which would leave its
+    /// timeout no room for the next view: the instance door counts a
+    /// rejection and nothing else happens — no view adopted, no vote, no
+    /// deadline, no timer.
     #[test]
     fn hotstuff_proposal_in_an_unrepresentable_view_is_rejected() {
         use ladon_crypto::qc::prepare_bytes;

@@ -56,6 +56,21 @@
 //! `validate_rank`), so a proposal costs a backup one signature check and
 //! at most two aggregate checks however many votes it carries.
 //!
+//! # What the instance waits on
+//!
+//! It holds one liveness deadline — [`HsInstance::liveness_since`]; the
+//! host arms a timer `view_change_timeout` after it and calls
+//! [`HsInstance::on_timeout`] on expiry. A new deadline replaces the old
+//! one. A height is *settled* once it is committed or its proposal held.
+//!
+//! | state | deadline | exit at expiry |
+//! |---|---|---|
+//! | voted at height `h` | height `h + 1`, from the vote (unless already settled) | a `NewView` to the next view's leader, unless the height settled meanwhile or this leader stopped for the epoch |
+//! | nothing committed yet on this replica | none until the host's first commit on any instance ([`HsInstance::wait_from`]) | as after a vote |
+//! | a leader that installed a view from `NewView`s | none until it votes for its own proposal | — |
+//! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(c)) |
+//! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(c)) |
+//!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 
 use crate::msg::{
@@ -75,9 +90,11 @@ use std::sync::Arc;
 const CHAIN_TAIL: u64 = 3;
 
 /// The highest view an instance enters. Views are chosen by peers (a
-/// proposal or new-view names one) and the hosting node multiplexes them
-/// into 16 bits of its timer ids, so a message naming a higher view is
-/// rejected at the door like any other malformed input.
+/// proposal or new-view names one), and a view this replica adopts must
+/// leave room for the [`View::next`] its timeout asks for: a Byzantine
+/// leader naming `View(u64::MAX)` would make that overflow. A message
+/// naming a view above this bound is rejected at the door like any other
+/// malformed input.
 pub const MAX_VIEW: View = View(u16::MAX as u64);
 
 /// Rank participation mode.
@@ -107,9 +124,7 @@ pub struct HsConfig {
 }
 
 /// Effects requested by the state machine: the shared vocabulary over
-/// this instance's wire message. HotStuff emits `StartRoundTimer` with
-/// the *height* that must be certified before the timer fires, and never
-/// `StartViewChangeTimer` or `NewViewInstalled`.
+/// this instance's wire message. HotStuff never emits `NewViewInstalled`.
 pub type Action = ladon_types::Action<HsMsg>;
 
 /// The chained HotStuff instance.
@@ -150,6 +165,9 @@ pub struct HsInstance {
     /// Proposals ranked past the current epoch, replayed by
     /// [`Self::advance_epoch`]. Bounded by [`ladon_types::MAX_PENDING_MSGS`].
     pending_epoch: Vec<(ReplicaId, Arc<HsGeneric>)>,
+    /// The liveness deadline: the height awaited and since when (see the
+    /// module docs).
+    deadline: Option<(Round, TimeNs)>,
     /// Count of rejected messages (observability).
     pub rejected: u64,
 }
@@ -193,6 +211,7 @@ impl HsInstance {
             epoch_max,
             new_views: BTreeMap::new(),
             pending_epoch: Vec::new(),
+            deadline: None,
             rejected: 0,
         }
     }
@@ -256,14 +275,20 @@ impl HsInstance {
 
     /// Installs the next epoch's rank range and replays the proposals
     /// held for it; one of a still later epoch is held again.
-    pub fn advance_epoch(&mut self, min: Rank, max: Rank, cur: &mut RankCert) -> Vec<Action> {
+    pub fn advance_epoch(
+        &mut self,
+        min: Rank,
+        max: Rank,
+        now: TimeNs,
+        cur: &mut RankCert,
+    ) -> Vec<Action> {
         assert!(min > self.epoch_max, "epochs must advance forward");
         self.epoch_min = min;
         self.epoch_max = max;
         self.certs.advance_epoch(min);
         let mut out = Vec::new();
         for (from, g) in std::mem::take(&mut self.pending_epoch) {
-            self.handle_generic(from, &g, cur, &mut out);
+            self.handle_generic(from, &g, now, cur, &mut out);
         }
         out
     }
@@ -382,23 +407,22 @@ impl HsInstance {
         });
         self.proposed_height = height;
         out.push(Action::Broadcast(HsMsg::Generic(generic.clone())));
-        self.handle_generic(self.cfg.me, &generic, cur, &mut out);
+        self.handle_generic(self.cfg.me, &generic, now, cur, &mut out);
         out
     }
 
-    /// Main entry point for network messages. No handler reads the clock
-    /// (a proposal carries its own `proposed_at`); `_now` keeps the
-    /// signature the PBFT instance shares.
+    /// Main entry point for network messages. The clock only starts
+    /// deadlines (a proposal carries its own `proposed_at`).
     pub fn on_message(
         &mut self,
         from: ReplicaId,
         msg: HsMsg,
-        _now: TimeNs,
+        now: TimeNs,
         cur: &mut RankCert,
     ) -> Vec<Action> {
         let mut out = Vec::new();
         match msg {
-            HsMsg::Generic(g) => self.handle_generic(from, &g, cur, &mut out),
+            HsMsg::Generic(g) => self.handle_generic(from, &g, now, cur, &mut out),
             HsMsg::Vote(v) => self.handle_vote(from, v, cur),
             HsMsg::NewView(nv) => self.handle_new_view(from, nv),
         }
@@ -409,6 +433,7 @@ impl HsInstance {
         &mut self,
         from: ReplicaId,
         g: &Arc<HsGeneric>,
+        now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
@@ -544,10 +569,10 @@ impl HsInstance {
         } else {
             out.push(Action::Send(leader, HsMsg::Vote(vote)));
         }
-        out.push(Action::StartRoundTimer {
-            round: g.node.height.next(),
-            view: self.view,
-        });
+        let next = g.node.height.next();
+        if !self.settled(next) {
+            self.deadline = Some((next, now));
+        }
     }
 
     /// Validates a Ladon proposal's rank: `rank = min(rank_m + 1, maxRank)`
@@ -721,19 +746,35 @@ impl HsInstance {
         }
     }
 
-    /// Node callback: the height timer fired; request a view change if the
-    /// chain did not advance.
-    pub fn on_height_timer(&mut self, height: Round, view: View) -> Vec<Action> {
+    /// When the liveness deadline started, if the instance waits on one.
+    pub fn liveness_since(&self) -> Option<TimeNs> {
+        self.deadline.map(|(_, since)| since)
+    }
+
+    /// Starts waiting on the height above the commit frontier from `now`,
+    /// unless a deadline is already running.
+    pub fn wait_from(&mut self, now: TimeNs) {
+        self.deadline
+            .get_or_insert((self.committed_upto.next(), now));
+    }
+
+    /// Whether `height` is settled: its proposal is held, or it is at or
+    /// below the commit frontier (certified long ago, whether or not its
+    /// node is still held).
+    fn settled(&self, height: Round) -> bool {
+        height <= self.committed_upto || self.nodes.values().any(|node| node.height == height)
+    }
+
+    /// Host callback: the liveness deadline expired; request a view
+    /// change if the awaited height did not settle. A leader whose
+    /// instance is done with the epoch waits for nothing. A backup keeps
+    /// its deadline: it is the way out if the next epoch's leader is gone.
+    pub fn on_timeout(&mut self) -> Vec<Action> {
         let mut out = Vec::new();
-        // A leader whose instance is done with the epoch waits for
-        // nothing. A backup keeps its timer: it is the way out if the
-        // next epoch's leader is gone.
-        if view != self.view || (self.is_leader() && self.stopped_for_epoch()) {
+        let Some((height, _)) = self.deadline.take() else {
             return out;
-        }
-        // A height at or below the commit frontier was certified long
-        // ago, whether or not its node is still held.
-        if height <= self.committed_upto || self.nodes.values().any(|node| node.height == height) {
+        };
+        if (self.is_leader() && self.stopped_for_epoch()) || self.settled(height) {
             return out;
         }
         let new_view = self.view.next();
@@ -780,8 +821,10 @@ impl HsInstance {
         let entry = self.new_views.entry(view).or_default();
         entry.insert(from, nv);
         if entry.len() >= quorum(self.cfg.n) {
-            // Install the new view; the next propose() extends generic_qc.
+            // Install the new view; the next propose() extends generic_qc,
+            // and this leader's vote for it starts the next deadline.
             self.view = view;
+            self.deadline = None;
             self.proposed_height = self.generic_qc.height();
             self.new_views.retain(|v, _| *v > view);
         }
@@ -810,6 +853,8 @@ mod tests {
         curs: Vec<RankCert>,
         committed: Vec<Vec<Block>>,
         queue: std::collections::VecDeque<(usize, ReplicaId, HsMsg)>,
+        /// Clock handed to every handler.
+        now: TimeNs,
         n: usize,
     }
 
@@ -837,6 +882,7 @@ mod tests {
                 curs: vec![RankCert::genesis(Rank(0)); n],
                 committed: vec![Vec::new(); n],
                 queue: Default::default(),
+                now: TimeNs::ZERO,
                 n,
             }
         }
@@ -863,7 +909,7 @@ mod tests {
 
         fn run(&mut self) {
             while let Some((to, from, m)) = self.queue.pop_front() {
-                let acts = self.nodes[to].on_message(from, m, TimeNs::ZERO, &mut self.curs[to]);
+                let acts = self.nodes[to].on_message(from, m, self.now, &mut self.curs[to]);
                 self.absorb(to, acts);
             }
         }
@@ -876,7 +922,7 @@ mod tests {
         /// replicas in `miss`.
         fn propose_missing(&mut self, leader: usize, b: Batch, miss: &[usize]) {
             assert!(self.nodes[leader].can_propose());
-            let acts = self.nodes[leader].propose(b, TimeNs::ZERO, &mut self.curs[leader]);
+            let acts = self.nodes[leader].propose(b, self.now, &mut self.curs[leader]);
             self.absorb(leader, acts);
             self.queue
                 .retain(|(to, _, m)| !(miss.contains(to) && matches!(m, HsMsg::Generic(_))));
@@ -887,7 +933,7 @@ mod tests {
         /// what their held proposals produce.
         fn advance_epoch(&mut self, replicas: &[usize], min: Rank, max: Rank) {
             for &r in replicas {
-                let acts = self.nodes[r].advance_epoch(min, max, &mut self.curs[r]);
+                let acts = self.nodes[r].advance_epoch(min, max, self.now, &mut self.curs[r]);
                 self.absorb(r, acts);
             }
             self.run();
@@ -1013,7 +1059,7 @@ mod tests {
             c.propose(0, batch(i * 10, 5));
         }
         for r in 1..4 {
-            let acts = c.nodes[r].on_height_timer(Round(5), View(0));
+            let acts = c.nodes[r].on_timeout();
             c.absorb(r, acts);
         }
         c.run();
@@ -1070,7 +1116,7 @@ mod tests {
         assert_eq!(c.nodes[3].pending_epoch.len(), 1);
         assert_eq!(c.nodes[3].rejected, 0);
         // Its advance replays the node, which it now votes for.
-        let acts = c.nodes[3].advance_epoch(Rank(4), Rank(7), &mut c.curs[3]);
+        let acts = c.nodes[3].advance_epoch(Rank(4), Rank(7), c.now, &mut c.curs[3]);
         assert!(
             acts.iter()
                 .any(|a| matches!(a, Action::Send(_, HsMsg::Vote(_)))),
@@ -1180,9 +1226,9 @@ mod tests {
     fn view_change_rotates_leader() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
         c.propose(0, batch(0, 5));
-        // Leader 0 goes quiet; height-2 timers fire on the backups.
+        // Leader 0 goes quiet; the backups' height-2 deadlines expire.
         for r in 1..4 {
-            let acts = c.nodes[r].on_height_timer(Round(2), View(0));
+            let acts = c.nodes[r].on_timeout();
             c.absorb(r, acts);
         }
         c.run();
@@ -1212,7 +1258,8 @@ mod tests {
         // Replica 2 times out on height 2; replicas 0 and 3, which hold
         // A2, on height 3. Their new-views carry A1's QC to leader 1.
         for (r, height) in [(0, 3), (3, 3), (2, 2)] {
-            let acts = c.nodes[r].on_height_timer(Round(height), View(0));
+            assert_eq!(c.nodes[r].deadline, Some((Round(height), c.now)));
+            let acts = c.nodes[r].on_timeout();
             c.absorb(r, acts);
         }
         c.run();
@@ -1603,18 +1650,27 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_for_a_pruned_height_emits_nothing() {
+    fn a_vote_replaces_the_deadline_and_a_settled_height_expires_quietly() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        assert_eq!(c.nodes[1].liveness_since(), None);
         for i in 0..20u64 {
+            c.now = TimeNs::from_millis(10 * (i + 1));
             c.propose(0, batch(i * 10, 3));
+            // The vote at height i + 1 waits on the next height, from now.
+            assert_eq!(c.nodes[1].deadline, Some((Round(i + 2), c.now)));
         }
         // Height 5 was certified and committed long ago and its node is
-        // gone; its 10-second timer must not read "never proposed".
+        // gone: a deadline on it must not read "never proposed".
         assert!(c.nodes[1].nodes.values().all(|n| n.height != Round(5)));
-        assert!(c.nodes[1].on_height_timer(Round(5), View(0)).is_empty());
+        c.nodes[1].deadline = Some((Round(5), TimeNs::ZERO));
+        assert!(c.nodes[1].on_timeout().is_empty());
         assert_eq!(c.nodes[1].view(), View(0));
-        // A height nobody proposed still times out.
-        assert!(!c.nodes[1].on_height_timer(Round(21), View(0)).is_empty());
+        // A height nobody proposed times out, once: the expiry consumes
+        // the deadline.
+        c.nodes[1].deadline = Some((Round(21), c.now));
+        assert!(!c.nodes[1].on_timeout().is_empty());
+        assert_eq!(c.nodes[1].liveness_since(), None);
+        assert!(c.nodes[1].on_timeout().is_empty());
     }
 
     #[test]

@@ -6,9 +6,24 @@
 //! proposals, and feeds committed blocks to the global ordering layer.
 //!
 //! The instance is a pure state machine: every entry point returns a list
-//! of [`Action`]s (sends, commits, timer requests) and performs no I/O, so
-//! it runs identically under the discrete-event engine, the live threaded
-//! runtime, and direct unit-test drivers.
+//! of [`Action`]s (sends, commits, view-change hooks) and performs no I/O,
+//! so it runs identically under the discrete-event engine, the live
+//! threaded runtime, and direct unit-test drivers.
+//!
+//! # What the instance waits on
+//!
+//! It holds one liveness deadline — [`PbftInstance::liveness_since`];
+//! the host arms a timer `view_change_timeout` after it and calls
+//! [`PbftInstance::on_timeout`] on expiry. A new deadline replaces the
+//! old one, and each waiting state has exactly one:
+//!
+//! | state | deadline | exit at expiry |
+//! |---|---|---|
+//! | round `r` committed | round `r + 1`, from that commit (unless `r + 1` already committed) | a view change, unless the round committed meanwhile or this leader stopped for the epoch |
+//! | view change to `v` in flight | from its start | escalate to `v + 1` |
+//! | new view installed | round `committed_upto + 1`, from the install | as for a commit |
+//! | nothing committed yet on this replica | none until the host's first commit on any instance ([`PbftInstance::wait_from`]) | as for a commit |
+//! | a lone view change abandoned by a fetched commit | none until the next commit | — |
 //!
 //! # What a round keeps, and for how long
 //!
@@ -340,13 +355,16 @@ pub struct PbftInstance {
     /// (or from the pending view while a view change is in flight),
     /// replayed after [`PbftInstance::adopt_new_view`]. Without this
     /// buffer, the new leader's first proposals race the (slower)
-    /// new-view dissemination and are silently lost, which re-triggers
-    /// the round timer and livelocks the view change.
+    /// new-view dissemination and are silently lost, which expires the
+    /// new view's deadline and livelocks the view change.
     pending_view_msgs: Vec<(ReplicaId, PbftMsg)>,
     /// View-change state.
     in_view_change: bool,
     pending_view: View,
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, Arc<ViewChange>>>,
+    /// The liveness deadline: the round awaited and since when (see the
+    /// module docs). While a view change is in flight it bounds that.
+    deadline: Option<(Round, TimeNs)>,
     /// First round of the current epoch (GC horizon for view changes).
     epoch_start_round: Round,
     /// Where certificates are verified: the replica's cache when the
@@ -380,6 +398,7 @@ impl PbftInstance {
             in_view_change: false,
             pending_view: View(0),
             view_changes: BTreeMap::new(),
+            deadline: None,
             epoch_start_round: Round(0),
             rejected: 0,
         }
@@ -1019,10 +1038,9 @@ impl PbftInstance {
             let block = p.block(self.cfg.instance, round);
             self.extend_frontier();
             out.push(Action::Committed(block));
-            out.push(Action::StartRoundTimer {
-                round: round.next(),
-                view: self.view,
-            });
+            if !self.settled(round.next()) {
+                self.deadline = Some((round.next(), now));
+            }
         }
     }
 
@@ -1114,42 +1132,36 @@ impl PbftInstance {
     // View changes
     // ------------------------------------------------------------------
 
-    /// Node callback: the round timer fired at `now`. Starts a view
-    /// change if the round has not committed and the view is unchanged.
-    pub fn on_round_timer(
-        &mut self,
-        round: Round,
-        view: View,
-        now: TimeNs,
-        cur: &mut RankCert,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        if view != self.view || self.in_view_change {
-            return out;
-        }
-        if self.rounds.get(&round).is_some_and(|r| r.committed) || round <= self.committed_upto {
-            return out;
-        }
-        // Nothing to wait for if this leader legitimately stopped: the
-        // next proposal belongs to the next epoch. A backup keeps its
-        // timer: it is the way out if the next epoch's leader is gone.
-        if self.is_leader() && self.stopped_for_epoch() {
-            return out;
-        }
-        self.start_view_change(now, cur, &mut out);
-        out
+    /// When the liveness deadline started, if the instance waits on one.
+    pub fn liveness_since(&self) -> Option<TimeNs> {
+        self.deadline.map(|(_, since)| since)
     }
 
-    /// Node callback: the view-change completion timer fired at `now`.
-    pub fn on_view_change_timer(
-        &mut self,
-        view: View,
-        now: TimeNs,
-        cur: &mut RankCert,
-    ) -> Vec<Action> {
+    /// Starts waiting on the lowest undecided round from `now`, unless a
+    /// deadline is already running.
+    pub fn wait_from(&mut self, now: TimeNs) {
+        self.deadline
+            .get_or_insert((self.committed_upto.next(), now));
+    }
+
+    /// Whether `round` committed here (or lies behind a fast-forward).
+    fn settled(&self, round: Round) -> bool {
+        round <= self.committed_upto || self.rounds.get(&round).is_some_and(|r| r.committed)
+    }
+
+    /// Host callback: the liveness deadline expired at `now`. Escalates a
+    /// view change in flight, or starts one if the awaited round is still
+    /// undecided. Nothing is awaited once this leader legitimately
+    /// stopped: its next proposal belongs to the next epoch. A backup
+    /// keeps its deadline: it is the way out if that epoch's leader is
+    /// gone.
+    pub fn on_timeout(&mut self, now: TimeNs, cur: &mut RankCert) -> Vec<Action> {
         let mut out = Vec::new();
-        if self.in_view_change && self.pending_view == view {
-            // Escalate to the next view.
+        let Some((round, _)) = self.deadline.take() else {
+            return out;
+        };
+        let stopped = self.is_leader() && self.stopped_for_epoch();
+        if self.in_view_change || !(self.settled(round) || stopped) {
             self.start_view_change(now, cur, &mut out);
         }
         out
@@ -1195,7 +1207,7 @@ impl PbftInstance {
         ));
 
         out.push(Action::ViewChangeStarted { view: new_view });
-        out.push(Action::StartViewChangeTimer { view: new_view });
+        self.deadline = Some((self.committed_upto.next(), now));
         let new_leader = self.leader_of(new_view);
         if new_leader == self.cfg.me {
             self.handle_view_change(self.cfg.me, vc, now, cur, out);
@@ -1380,11 +1392,8 @@ impl PbftInstance {
             st.adopt(digest, rank, batch, proposed_at);
             self.cast_prepare(round, now, cur, out);
         }
-        // Restart the liveness timer for the first uncommitted round.
-        out.push(Action::StartRoundTimer {
-            round: self.committed_upto.next(),
-            view: self.view,
-        });
+        // Wait on the first uncommitted round of the new view.
+        self.deadline = Some((self.committed_upto.next(), now));
         self.replay_view_msgs(now, cur, out);
     }
 
@@ -1483,14 +1492,16 @@ impl PbftInstance {
         }
         out.push(Action::Committed(block));
 
-        // A view change this replica started alone (its round timer fired
+        // A view change this replica started alone (its deadline expired
         // on rounds everyone else committed fine) can never gather a
         // quorum; the synced commit resolves its cause, so resume the
-        // current view and replay the traffic buffered behind it. If
-        // peers really did move to a higher view, their new-view message
-        // brings us along as usual.
+        // current view, waiting on nothing until the next commit, and
+        // replay the traffic buffered behind it. If peers really did
+        // move to a higher view, their new-view message brings us along
+        // as usual.
         if self.in_view_change {
             self.in_view_change = false;
+            self.deadline = None;
             self.replay_view_msgs(now, cur, &mut out);
         }
         out

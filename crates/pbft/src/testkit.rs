@@ -2,13 +2,14 @@
 //!
 //! Runs one logical consensus instance across `n` replica state machines
 //! with an in-memory message queue — no engine, no network model, no
-//! timers. Used by this crate's unit tests and by `ladon-core`'s
-//! integration tests to exercise rank rules and view changes directly.
+//! timers: a test expires the replicas' deadlines itself. Used by this
+//! crate's unit tests and by `ladon-core`'s integration tests to exercise
+//! rank rules and view changes directly.
 
 use crate::instance::{Action, InstanceConfig, PbftInstance, RankMode, RankStrategy};
 use crate::msg::PbftMsg;
 use ladon_crypto::{KeyRegistry, RankCert};
-use ladon_types::{Batch, Block, InstanceId, Rank, ReplicaId, Round, TimeNs, TxId, View};
+use ladon_types::{Batch, Block, InstanceId, Rank, ReplicaId, TimeNs, TxId};
 use std::collections::VecDeque;
 
 /// A synthetic batch with `count` transactions starting at `first`.
@@ -33,8 +34,6 @@ pub struct Cluster {
     pub cur_ranks: Vec<RankCert>,
     /// Blocks committed per replica, in commit order.
     pub committed: Vec<Vec<Block>>,
-    /// Timer requests emitted per replica (round timers only).
-    pub round_timers: Vec<Vec<(Round, View)>>,
     /// Pending deliveries: `(to, from, msg)`.
     pub queue: VecDeque<(ReplicaId, ReplicaId, PbftMsg)>,
     /// Replicas whose outbound messages are discarded (crashed).
@@ -82,7 +81,6 @@ impl Cluster {
             nodes,
             cur_ranks: vec![RankCert::genesis(Rank(0)); n],
             committed: vec![Vec::new(); n],
-            round_timers: vec![Vec::new(); n],
             queue: VecDeque::new(),
             crashed: vec![false; n],
             now: TimeNs::ZERO,
@@ -132,12 +130,7 @@ impl Cluster {
                     self.queue.push_back((to, ReplicaId(who as u32), msg));
                 }
                 Action::Committed(b) => self.committed[who].push(b),
-                Action::StartRoundTimer { round, view } => {
-                    self.round_timers[who].push((round, view));
-                }
-                Action::StartViewChangeTimer { .. }
-                | Action::ViewChangeStarted { .. }
-                | Action::NewViewInstalled { .. } => {}
+                Action::ViewChangeStarted { .. } | Action::NewViewInstalled { .. } => {}
             }
         }
     }
@@ -166,14 +159,14 @@ impl Cluster {
         self.run_to_quiescence();
     }
 
-    /// Fires the round timer on every live replica and runs to quiescence.
-    pub fn fire_round_timers(&mut self, round: Round, view: View) {
+    /// Expires the liveness deadline of every live replica and runs to
+    /// quiescence.
+    pub fn fire_timeouts(&mut self) {
         for who in 0..self.n {
             if self.crashed[who] {
                 continue;
             }
-            let actions =
-                self.nodes[who].on_round_timer(round, view, self.now, &mut self.cur_ranks[who]);
+            let actions = self.nodes[who].on_timeout(self.now, &mut self.cur_ranks[who]);
             self.absorb(who, actions);
         }
         self.run_to_quiescence();

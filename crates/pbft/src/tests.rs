@@ -107,7 +107,7 @@ fn nothing_follows_the_max_rank_block_in_a_new_view() {
         c.propose_and_run(0, test_batch(i * 10, 5));
     }
     c.crashed[0] = true;
-    c.fire_round_timers(Round(4), View(0));
+    c.fire_timeouts();
     assert!(c.nodes[1].is_leader());
     assert!(!c.nodes[1].can_propose());
 
@@ -179,7 +179,7 @@ fn a_new_views_first_proposal_ranks_above_what_it_reproposes() {
     );
 
     c.crashed[0] = true;
-    c.fire_round_timers(Round(2), View(0));
+    c.fire_timeouts();
     c.propose_and_run(1, test_batch(100, 5));
     let blocks = c.assert_agreement();
     assert_eq!(blocks.len(), 2);
@@ -302,9 +302,9 @@ fn view_change_replaces_crashed_leader() {
     c.propose_and_run(0, test_batch(0, 10));
     assert_eq!(c.assert_agreement().len(), 1);
 
-    // Leader (replica 0) crashes; the round-2 timer fires on the others.
+    // Leader (replica 0) crashes; round 2's deadline expires on the others.
     c.crashed[0] = true;
-    c.fire_round_timers(Round(2), View(0));
+    c.fire_timeouts();
 
     // Replica 1 is the leader of view 1 and should have installed it.
     assert_eq!(c.nodes[1].view(), View(1));
@@ -347,9 +347,14 @@ fn view_change_repropose_preserves_prepared_block() {
     }
     assert!(c.committed.iter().all(|l| l.is_empty()));
 
-    // Leader crashes; view change runs.
+    // Leader crashes before any commit; its backups wait on round 1
+    // from now (as after the node's first commit elsewhere), and the
+    // view change runs.
     c.crashed[0] = true;
-    c.fire_round_timers(Round(1), View(0));
+    for r in 1..4 {
+        c.nodes[r].wait_from(c.now);
+    }
+    c.fire_timeouts();
     let blocks = c.assert_agreement();
     assert_eq!(
         blocks.len(),
@@ -371,11 +376,11 @@ fn new_view_completed_by_the_new_leader() -> (Cluster, Arc<crate::msg::NewView>)
     }
     c.crashed[0] = true;
     for who in [2, 3] {
-        let actions = c.nodes[who].on_round_timer(Round(3), View(0), c.now, &mut c.cur_ranks[who]);
+        let actions = c.nodes[who].on_timeout(c.now, &mut c.cur_ranks[who]);
         c.absorb(who, actions);
     }
     c.run_to_quiescence();
-    let actions = c.nodes[1].on_round_timer(Round(3), View(0), c.now, &mut c.cur_ranks[1]);
+    let actions = c.nodes[1].on_timeout(c.now, &mut c.cur_ranks[1]);
     let nv = actions
         .iter()
         .find_map(|a| match a {
@@ -467,9 +472,9 @@ fn new_view_that_rewrites_a_view_change_is_refused() {
 #[test]
 fn nil_fill_completed_by_the_new_leader_carries_its_timer_clock() {
     // Round 2 is lost while round 3 commits; the leader crashes. The new
-    // leader's own view change completes the quorum, from its round
-    // timer: the nil block it fills round 2 with is stamped with that
-    // timer's clock, as on every backup, not with time zero.
+    // leader's own view change completes the quorum, from its expired
+    // deadline: the nil block it fills round 2 with is stamped with the
+    // clock of that expiry, as on every backup, not with time zero.
     let mut c = Cluster::new(4, RankMode::None, u64::MAX);
     c.propose_and_run(0, test_batch(0, 5));
     c.now += ladon_types::TimeNs::from_millis(10);
@@ -477,12 +482,12 @@ fn nil_fill_completed_by_the_new_leader_carries_its_timer_clock() {
     c.propose_and_run(0, test_batch(200, 5));
     c.crashed[0] = true;
     for who in [2, 3] {
-        let actions = c.nodes[who].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[who]);
+        let actions = c.nodes[who].on_timeout(c.now, &mut c.cur_ranks[who]);
         c.absorb(who, actions);
     }
     c.run_to_quiescence();
     c.now += ladon_types::TimeNs::from_millis(10);
-    let actions = c.nodes[1].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[1]);
+    let actions = c.nodes[1].on_timeout(c.now, &mut c.cur_ranks[1]);
     c.absorb(1, actions);
     c.run_to_quiescence();
 
@@ -493,15 +498,34 @@ fn nil_fill_completed_by_the_new_leader_carries_its_timer_clock() {
 }
 
 #[test]
-fn stale_round_timer_is_ignored() {
+fn a_view_zero_deadline_is_replaced_when_the_new_view_installs() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     c.propose_and_run(0, test_batch(0, 10));
-    // Round 1 already committed: its timer must not trigger a view change.
-    c.fire_round_timers(Round(1), View(0));
-    assert_eq!(c.nodes[1].view(), View(0));
-    // A timer from a stale view is also ignored.
-    let acts = c.nodes[1].on_round_timer(Round(2), View(5), c.now, &mut c.cur_ranks[1]);
-    assert!(acts.is_empty());
+    let committed_at = c.now;
+    for r in 0..4 {
+        assert_eq!(c.nodes[r].liveness_since(), Some(committed_at), "{r}");
+    }
+    // Round 2's deadline expires at replicas 2 and 3: each waits on its
+    // view change from then.
+    c.crashed[0] = true;
+    c.now += ladon_types::TimeNs::from_millis(10);
+    let vc_at = c.now;
+    for who in [2, 3] {
+        let actions = c.nodes[who].on_timeout(c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+        assert_eq!(c.nodes[who].liveness_since(), Some(vc_at));
+    }
+    c.run_to_quiescence();
+    // Replica 1's own expiry completes the quorum: view 1 installs
+    // everywhere, and every deadline is the new view's, from then.
+    c.now += ladon_types::TimeNs::from_millis(10);
+    let actions = c.nodes[1].on_timeout(c.now, &mut c.cur_ranks[1]);
+    c.absorb(1, actions);
+    c.run_to_quiescence();
+    for r in 1..4 {
+        assert_eq!(c.nodes[r].view(), View(1), "{r}");
+        assert_eq!(c.nodes[r].liveness_since(), Some(c.now), "{r}");
+    }
 }
 
 #[test]
@@ -717,9 +741,9 @@ fn view_change_nil_fills_unprepared_gap() {
     c.propose_and_run(0, test_batch(200, 5));
     assert_eq!(c.committed[1].len(), 2, "rounds 1 and 3");
 
-    // Leader crashes; the others view-change on the round-2 timer.
+    // Leader crashes; the others view-change on round 4's deadline.
     c.crashed[0] = true;
-    c.fire_round_timers(Round(2), View(0));
+    c.fire_timeouts();
 
     let blocks = c.assert_agreement();
     assert_eq!(blocks.len(), 3, "rounds 1, 2 (nil), 3");
@@ -753,7 +777,7 @@ fn new_leader_fresh_proposal_accepted_after_view_change() {
 
     // Leader crashes before anything commits; view change runs.
     c.crashed[0] = true;
-    c.fire_round_timers(Round(2), View(0));
+    c.fire_timeouts();
     assert!(c.nodes[1].is_leader());
 
     // Replica 1 (which saw the stale round-2 proposal) now leads and
@@ -954,8 +978,9 @@ fn install_committed_abandons_lone_view_change() {
     assert_eq!(c.committed[0].len(), 2);
     assert_eq!(c.committed[1].len(), 1, "replica 1 missed round 2");
 
-    // Replica 1's round-2 timer fires; its lone view change goes nowhere.
-    let acts = c.nodes[1].on_round_timer(Round(2), View(0), c.now, &mut c.cur_ranks[1]);
+    // Replica 1's round-2 deadline expires; its lone view change goes
+    // nowhere.
+    let acts = c.nodes[1].on_timeout(c.now, &mut c.cur_ranks[1]);
     c.absorb(1, acts);
     c.queue.clear(); // its view-change message is never answered
     assert!(c.nodes[1].in_view_change());
@@ -968,6 +993,7 @@ fn install_committed_abandons_lone_view_change() {
         .any(|a| matches!(a, crate::Action::Committed(_))));
     assert!(!c.nodes[1].in_view_change());
     assert_eq!(c.nodes[1].committed_upto(), Round(2));
+    assert_eq!(c.nodes[1].liveness_since(), None, "it waits on nothing");
 }
 
 // ---------------------------------------------------------------------

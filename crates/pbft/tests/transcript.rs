@@ -195,15 +195,6 @@ impl Transcript {
                     self.0.update(b"C");
                     self.block(b);
                 }
-                Action::StartRoundTimer { round, view } => {
-                    self.0.update(b"T");
-                    self.u64(round.0);
-                    self.u64(view.0);
-                }
-                Action::StartViewChangeTimer { view } => {
-                    self.0.update(b"V");
-                    self.u64(view.0);
-                }
                 Action::ViewChangeStarted { view } => {
                     self.0.update(b"W");
                     self.u64(view.0);
@@ -294,32 +285,32 @@ fn emitted_bytes_match_the_pinned_transcripts() {
         (
             4,
             RankMode::Plain,
-            "91e9b797d2e42b6de56365675a5becca305807bf46d35c5e9f6ebbe7b6c763a5",
+            "8a6256630d5a5f3845655964e675f691d1a8209934117ed5567c8c32684cba35",
         ),
         (
             4,
             RankMode::Opt,
-            "aae0c030b9ce3bedd3451677407ee24ad0cc8cd3c5f9041ff0c0b8ed61fad0a9",
+            "ba583e6105c045f7e7b30172a534468259459bba4e9902614bf6b558ee63a706",
         ),
         (
             7,
             RankMode::Plain,
-            "84a935f49a986ff2c391f7548e9d3ec4e379cec49aa4b5973da5adb9be496cda",
+            "56d1366b2995e9856ec4f04fbc2d93e17fbea05d38a24859936b0fb687742b87",
         ),
         (
             7,
             RankMode::Opt,
-            "99ed1996195d99792d4a170573c8e8b9aa5e941aebd56d1dfe19d275e8b9b3f8",
+            "78b4d2a717d95efd6c8c384cd4c7e2b2c7e1251eebaafa13283799db10dfb797",
         ),
         (
             16,
             RankMode::Plain,
-            "e1f30d3f0893669fe94808c55b338dc833cf3c4dae84ec0d9965f423f2ad4e43",
+            "5e0d576b98afaa069737ea542cbef154947008164694c40349c21e5fd2242e48",
         ),
         (
             16,
             RankMode::Opt,
-            "afd1c6eee66ca92965beca324a7fd7757f31ea642f476953e1bf8586766a9459",
+            "cb80a50d673363c865fdf28af59de36e8ac91da05e0175bdaadb6ce8dd721482",
         ),
     ];
     for (n, mode, pin) in pins {
@@ -340,10 +331,10 @@ fn propose(c: &mut Cluster, t: &mut Transcript, leader: usize, first_tx: u64) {
     c.absorb(leader, actions);
 }
 
-/// Fires `who`'s round timer for `round` of view 0, recording what it
-/// emits.
-fn round_timer(c: &mut Cluster, t: &mut Transcript, who: usize, round: Round) {
-    let actions = c.nodes[who].on_round_timer(round, View(0), c.now, &mut c.cur_ranks[who]);
+/// Expires `who`'s liveness deadline, recording what it emits.
+fn timeout(c: &mut Cluster, t: &mut Transcript, who: usize) {
+    assert!(c.nodes[who].liveness_since().is_some(), "replica {who}");
+    let actions = c.nodes[who].on_timeout(c.now, &mut c.cur_ranks[who]);
     t.actions(who, &actions);
     c.absorb(who, actions);
 }
@@ -386,8 +377,9 @@ fn is_vote(m: &PbftMsg, phase: Phase) -> bool {
 ///    nil-filled gap; under at most `f` faults this cannot happen, which is
 ///    why the reports are injected);
 /// 4. round 5 prepares everywhere and commits nowhere;
-/// 5. the leader crashes; `2f` backups' round timers fire, and the new
-///    leader's own view change, from its own timer, completes the quorum;
+/// 5. the leader crashes; `2f` backups' round-3 deadlines expire, and
+///    the new leader's own view change, from its own expiry, completes
+///    the quorum;
 /// 6. the new view's votes reach the backups before the new view does;
 /// 7. the new leader proposes rounds 6 and 7.
 fn view_change_transcript(n: usize, mode: RankMode) -> String {
@@ -434,11 +426,11 @@ fn view_change_transcript(n: usize, mode: RankMode) -> String {
     c.crashed[0] = true;
     c.now += TimeNs::from_millis(10);
     for who in 2..2 + 2 * f {
-        round_timer(&mut c, &mut t, who, Round(3));
+        timeout(&mut c, &mut t, who);
     }
     deliver(&mut c, &mut t, all);
     c.now += TimeNs::from_millis(10);
-    round_timer(&mut c, &mut t, 1, Round(3));
+    timeout(&mut c, &mut t, 1);
     deliver(&mut c, &mut t, all);
 
     for round in 6..=7 {
@@ -468,22 +460,22 @@ fn view_change_bytes_match_the_pinned_transcripts() {
         (
             4,
             RankMode::Plain,
-            "383dc9b72e2d62ce0256863444ca2306551d624d8b5e55b247c57d61f45624a4",
+            "a9291ca6ac9fde5e4003bcf3927b2986b61e2cdae59d0441922d9f561f28a38d",
         ),
         (
             4,
             RankMode::Opt,
-            "b0ed228f66cbe782a85421707027fc9871db3e89d6b17baeffb8d48f2f90ac74",
+            "2c7219d377ee8068804df6d9869ed4701527c7042bf12c7229ab3ec780e6d80c",
         ),
         (
             7,
             RankMode::Plain,
-            "88533bf1e0b5ff810664aee3e334183c32d75d49c5f78ad2754753514e8a718c",
+            "49da8a4806b6098026095db695c2b4ed5349690d92e80ab03ff230a7e51b2fc0",
         ),
         (
             7,
             RankMode::Opt,
-            "3679c52da898da3992ca288a83c368029dd1594df0d1ba6c3c7fe08082bc59ef",
+            "c1d804404b0916b5f68a1a6a693baf76429934f458ef552f8eec0dea77f4cc1a",
         ),
     ];
     let got: Vec<String> = pins

@@ -5,10 +5,10 @@
 //! performs them. The vocabulary is one type, generic only in the
 //! instance's own wire message `M`, so the node needs one handler and a
 //! protocol that lacks a capability simply never emits the variant
-//! (HotStuff has no view-change completion timer and installs no
-//! explicit new view).
+//! (HotStuff installs no explicit new view). Timers are not effects: an
+//! instance holds its own liveness deadline and the host reads it.
 
-use crate::{Block, ReplicaId, Round, View};
+use crate::{Block, ReplicaId, View};
 
 /// Capacity of each buffer in which an instance holds messages for later
 /// (a future view's, a future epoch's). A message that arrives at a full
@@ -37,20 +37,6 @@ pub enum Action<M> {
     /// A block became partially committed (HotStuff never emits this for
     /// epoch-flush dummies).
     Committed(Block),
-    /// Start the liveness timer for a round (PBFT) or height (HotStuff —
-    /// heights are [`Round`]s): it must commit, respectively be
-    /// certified, before the timer fires.
-    StartRoundTimer {
-        /// Round or height the timer guards.
-        round: Round,
-        /// View the timer belongs to (stale timers are ignored).
-        view: View,
-    },
-    /// Start a timer bounding view-change completion (PBFT only).
-    StartViewChangeTimer {
-        /// The pending view.
-        view: View,
-    },
     /// A view change was initiated (metrics hook).
     ViewChangeStarted {
         /// The view being moved to.
@@ -71,8 +57,6 @@ impl<M> Action<M> {
             Action::Broadcast(m) => Action::Broadcast(f(m)),
             Action::Send(to, m) => Action::Send(to, f(m)),
             Action::Committed(b) => Action::Committed(b),
-            Action::StartRoundTimer { round, view } => Action::StartRoundTimer { round, view },
-            Action::StartViewChangeTimer { view } => Action::StartViewChangeTimer { view },
             Action::ViewChangeStarted { view } => Action::ViewChangeStarted { view },
             Action::NewViewInstalled { view } => Action::NewViewInstalled { view },
         }

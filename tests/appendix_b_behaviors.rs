@@ -9,7 +9,7 @@
 
 use ladon::pbft::testkit::{test_batch, Cluster};
 use ladon::pbft::{RankMode, RankStrategy};
-use ladon::types::{Rank, Round, View};
+use ladon::types::Rank;
 
 /// Drives the cluster until the replicas' `curRank`s diverge like the
 /// appendix setup: replica 0 knows rank r+1 (it leads and commits first in
@@ -37,10 +37,10 @@ fn case_1_honest_leader_takes_max_plus_one() {
 fn case_2_detected_byzantine_leader_is_replaced() {
     let mut c = warm_cluster(|_| RankStrategy::Honest);
     let committed_before = c.assert_agreement().len();
-    // Leader 0 is "detected": it goes silent and the round timer fires.
+    // Leader 0 is "detected": it goes silent and the next round's
+    // deadline expires.
     c.crashed[0] = true;
-    let next_round = Round(committed_before as u64 + 1);
-    c.fire_round_timers(next_round, View(0));
+    c.fire_timeouts();
     // Replica 1 now leads view 1 and proposes with a fresh rank.
     assert!(c.nodes[1].is_leader());
     c.propose_and_run(1, test_batch(200, 4));

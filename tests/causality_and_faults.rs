@@ -115,6 +115,28 @@ fn crash_triggers_view_change_and_recovery() {
     );
 }
 
+/// Replica 1 crashes at 0.5 ms, before its first pace tick, so instance
+/// 1 never commits anything anywhere. The healthy replicas start waiting
+/// on it at their first commit on another instance and view-change it:
+/// otherwise Ladon's first epoch never closes and ISS's log waits on
+/// instance 1 forever, and no replica confirms a block.
+#[test]
+fn a_leader_that_dies_before_its_first_commit_is_replaced() {
+    use ProtocolKind::{IssPbft, LadonHotStuff, LadonPbft};
+    for protocol in [LadonPbft, LadonHotStuff, IssPbft] {
+        let mut c = Deployment::build(
+            &ExperimentConfig::scenario(protocol, 4, 30.0)
+                .with_crash(1, 0.0005)
+                .with_view_timeout(1.0),
+        );
+        c.run_secs(30.0);
+        let healthy = [0usize, 2, 3];
+        let fronts: Vec<u64> = healthy.iter().map(|&r| c.confirmed_frontier(r)).collect();
+        assert!(fronts.iter().all(|&f| f > 0), "{protocol:?}: {fronts:?}");
+        c.check(&healthy).assert_safe();
+    }
+}
+
 #[test]
 fn dqbft_sequences_through_ordering_instance() {
     let mut c = Deployment::build(&ExperimentConfig::scenario(ProtocolKind::DqbftPbft, 4, 5.0));

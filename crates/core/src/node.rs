@@ -153,6 +153,9 @@ pub struct MultiBftNode {
     /// A [`Timer::Liveness`] is pending for the instance: at most one,
     /// due no later than the instance's deadline.
     liveness_armed: Vec<bool>,
+    /// This replica has committed a block, so every instance keeps a
+    /// deadline (see `on_committed`).
+    liveness_started: bool,
     /// Per-instance "committed since the quiet window opened", for the
     /// quiet-leader detector (the SB failure detector `D`): a quiet timer
     /// that fires with it unset means the instance delivered nothing in
@@ -237,6 +240,7 @@ impl MultiBftNode {
             want_propose: vec![false; m + extra],
             pacing: vec![false; m + extra],
             liveness_armed: vec![false; m + extra],
+            liveness_started: false,
             committed_in_window: vec![false; m + extra],
             slots,
             cur_rank: RankCert::genesis(sys.rank_range(Epoch(0)).0),
@@ -380,7 +384,8 @@ impl MultiBftNode {
 
     fn on_committed(&mut self, i: usize, block: Block, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
-        if self.metrics.commits.is_empty() {
+        if !self.liveness_started {
+            self.liveness_started = true;
             // This replica's first commit: an instance that waits on
             // nothing yet starts waiting now, so a leader that died
             // before its instance's first commit is replaced. (Not at

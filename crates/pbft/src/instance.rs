@@ -19,7 +19,8 @@
 //!
 //! | state | deadline | exit at expiry |
 //! |---|---|---|
-//! | round `r` committed | round `r + 1`, from that commit (unless `r + 1` already committed) | a view change, unless the round committed meanwhile or this leader stopped for the epoch |
+//! | the awaited round committed | round `committed_upto + 1`, from when `committed_upto` committed (or the view installed, if later) | a view change, unless the round committed meanwhile or this leader stopped for the epoch |
+//! | a round above an undecided one committed | unchanged: the lowest undecided round keeps its older deadline | as for a commit |
 //! | view change to `v` in flight | from its start | escalate to `v + 1` |
 //! | new view installed | round `committed_upto + 1`, from the install | as for a commit |
 //! | nothing committed yet on this replica | none until the host's first commit on any instance ([`PbftInstance::wait_from`]) | as for a commit |
@@ -205,11 +206,12 @@ struct RoundState {
     proposal: Option<Proposal>,
     /// Prepare votes; `None` before the first one and once `sent_commit`.
     prepares: Option<Tally>,
-    /// Commit votes; `None` before the first one and once `committed`.
+    /// Commit votes; `None` before the first one and once committed.
     commits: Option<Tally>,
     sent_prepare: bool,
     sent_commit: bool,
-    committed: bool,
+    /// When the round committed here; `None` while it is open.
+    committed_at: Option<TimeNs>,
     prepare_qc: Option<Arc<QuorumCert>>,
 }
 
@@ -219,7 +221,7 @@ impl RoundState {
     fn decided(&self, phase: Phase) -> bool {
         match phase {
             Phase::Prepare => self.sent_commit,
-            Phase::Commit => self.committed,
+            Phase::Commit => self.committed_at.is_some(),
         }
     }
 
@@ -1034,13 +1036,11 @@ impl PbftInstance {
 
         // Final commit on 2f+1 matching commits (lines 31–35).
         if st.commits.take_if(quorum).is_some() {
-            st.committed = true;
+            st.committed_at = Some(now);
             let block = p.block(self.cfg.instance, round);
             self.extend_frontier();
             out.push(Action::Committed(block));
-            if !self.settled(round.next()) {
-                self.deadline = Some((round.next(), now));
-            }
+            self.await_frontier(round, now);
         }
     }
 
@@ -1144,9 +1144,20 @@ impl PbftInstance {
             .get_or_insert((self.committed_upto.next(), now));
     }
 
-    /// Whether `round` committed here (or lies behind a fast-forward).
-    fn settled(&self, round: Round) -> bool {
-        round <= self.committed_upto || self.rounds.get(&round).is_some_and(|r| r.committed)
+    /// After `round` commits at `now`: once the awaited round is behind
+    /// the frontier, the deadline moves to the lowest undecided round,
+    /// from when the round below it committed (never earlier than the old
+    /// deadline). A hole keeps its older deadline, and a view change its
+    /// own. The awaited round is thus never above `committed_upto + 1`.
+    fn await_frontier(&mut self, round: Round, now: TimeNs) {
+        let cu = self.committed_upto;
+        if self.in_view_change || self.deadline.is_some_and(|(r, _)| r > cu) {
+            return;
+        }
+        let at = self.rounds.get(&cu).and_then(|st| st.committed_at);
+        let since = at.filter(|_| cu >= round).unwrap_or(now);
+        let old = self.deadline.map_or(since, |(_, old)| old);
+        self.deadline = Some((cu.next(), since.max(old)));
     }
 
     /// Host callback: the liveness deadline expired at `now`. Escalates a
@@ -1161,7 +1172,7 @@ impl PbftInstance {
             return out;
         };
         let stopped = self.is_leader() && self.stopped_for_epoch();
-        if self.in_view_change || !(self.settled(round) || stopped) {
+        if self.in_view_change || !(round <= self.committed_upto || stopped) {
             self.start_view_change(now, cur, &mut out);
         }
         out
@@ -1361,7 +1372,7 @@ impl PbftInstance {
         // the round's nil fill or the new leader's fresh pre-prepare.
         let planned: BTreeSet<Round> = plan.reproposals.iter().map(|e| e.round).collect();
         for (r, st) in self.rounds.iter_mut() {
-            if st.committed {
+            if st.committed_at.is_some() {
                 continue;
             }
             st.reopen();
@@ -1386,7 +1397,7 @@ impl PbftInstance {
             .map(|e| (e.round, e.digest, e.rank, e.batch, e.proposed_at));
         for (round, digest, rank, batch, proposed_at) in nils.chain(reproposals) {
             let st = self.rounds.entry(round).or_default();
-            if st.committed {
+            if st.committed_at.is_some() {
                 continue;
             }
             st.adopt(digest, rank, batch, proposed_at);
@@ -1425,7 +1436,7 @@ impl PbftInstance {
             let Some(st) = self.rounds.get(&round) else {
                 break;
             };
-            if !st.committed {
+            if st.committed_at.is_none() {
                 break;
             }
             let (Some(p), Some(qc)) = (&st.proposal, &st.prepare_qc) else {
@@ -1471,7 +1482,7 @@ impl PbftInstance {
             return out;
         }
         let st = self.rounds.entry(h.round).or_default();
-        if st.committed {
+        if st.committed_at.is_some() {
             return out;
         }
         st.adopt(
@@ -1481,7 +1492,7 @@ impl PbftInstance {
             block.proposed_at,
         );
         st.prepare_qc = Some(qc.clone());
-        st.committed = true;
+        st.committed_at = Some(now);
         st.commits = None;
         self.extend_frontier();
         // A fetched certificate is also a rank certificate (Algorithm 2
@@ -1528,7 +1539,7 @@ impl PbftInstance {
         while self
             .rounds
             .get(&self.committed_upto.next())
-            .is_some_and(|st| st.committed)
+            .is_some_and(|st| st.committed_at.is_some())
         {
             self.committed_upto = self.committed_upto.next();
         }
@@ -1562,7 +1573,7 @@ impl PbftInstance {
     pub fn max_committed_rank(&self) -> Option<Rank> {
         self.rounds
             .values()
-            .filter(|st| st.committed)
+            .filter(|st| st.committed_at.is_some())
             .filter_map(|st| Some(st.proposal.as_ref()?.rank))
             .max()
     }

@@ -529,6 +529,30 @@ fn a_view_zero_deadline_is_replaced_when_the_new_view_installs() {
 }
 
 #[test]
+fn an_expiry_on_a_settled_round_is_quiet() {
+    // Replica 3 misses round 2's votes and fetches the block instead: the
+    // round its deadline awaits is settled, so the expiry starts no view
+    // change and leaves the instance waiting on nothing.
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 10));
+    c.crashed[3] = true;
+    c.propose_and_run(0, test_batch(100, 10));
+    c.crashed[3] = false;
+    assert_eq!(c.nodes[3].committed_upto(), Round(1));
+    for (block, qc) in c.nodes[0].committed_entries_from(Round(1), 16) {
+        let actions = c.nodes[3].install_committed(block, qc, c.now, &mut c.cur_ranks[3]);
+        assert_eq!(actions.len(), 1);
+    }
+    assert_eq!(c.nodes[3].committed_upto(), Round(2));
+    assert!(c.nodes[3].liveness_since().is_some());
+
+    let actions = c.nodes[3].on_timeout(c.now, &mut c.cur_ranks[3]);
+    assert!(actions.is_empty(), "no view change");
+    assert!(!c.nodes[3].in_view_change());
+    assert_eq!(c.nodes[3].liveness_since(), None);
+}
+
+#[test]
 fn rank_reports_accumulate_only_at_leader() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     c.propose_and_run(0, test_batch(0, 10));
@@ -741,7 +765,7 @@ fn view_change_nil_fills_unprepared_gap() {
     c.propose_and_run(0, test_batch(200, 5));
     assert_eq!(c.committed[1].len(), 2, "rounds 1 and 3");
 
-    // Leader crashes; the others view-change on round 4's deadline.
+    // Leader crashes; the others view-change on round 2's deadline.
     c.crashed[0] = true;
     c.fire_timeouts();
 
@@ -751,6 +775,32 @@ fn view_change_nil_fills_unprepared_gap() {
     assert!(blocks[1].is_nil(), "gap round must be a nil block");
     assert_eq!(blocks[0].batch.count, 5);
     assert_eq!(blocks[2].batch.count, 5);
+}
+
+#[test]
+fn a_hole_keeps_its_deadline_while_later_rounds_commit() {
+    // The leader pipelines on (vanilla mode has no in-flight bound) and
+    // stays up: rounds 3..=5 commit above the lost round 2. Their commits
+    // must not move the deadline off round 2, or it is never timed out
+    // and the global order waits on the hole forever.
+    let mut c = Cluster::new(4, RankMode::None, u64::MAX);
+    c.propose_and_run(0, test_batch(0, 5));
+    let round_1_at = c.now;
+    c.now += ladon_types::TimeNs::from_millis(10);
+    drop(c.nodes[0].propose(test_batch(100, 5), c.now, &mut c.cur_ranks[0]));
+    for k in 0..3 {
+        c.propose_and_run(0, test_batch(200 + 100 * k, 5));
+    }
+    assert_eq!(c.committed[1].len(), 4, "rounds 1 and 3..=5");
+    for r in 0..4 {
+        assert_eq!(c.nodes[r].liveness_since(), Some(round_1_at), "{r}");
+    }
+
+    c.fire_timeouts();
+    let blocks = c.assert_agreement();
+    assert_eq!(blocks.len(), 5, "rounds 1, 2 (nil), 3..=5");
+    let round_2 = blocks.iter().find(|b| b.round() == Round(2)).unwrap();
+    assert!(round_2.is_nil(), "the hole is nil-filled");
 }
 
 #[test]

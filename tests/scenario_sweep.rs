@@ -96,3 +96,29 @@ fn no_instance_confirms_two_blocks_of_one_rank() {
         );
     }
 }
+
+/// A lost round is timed out, not waited on. Vanilla PBFT (ISS) pipelines
+/// with no in-flight bound, so under 1 % message loss rounds commit above
+/// a round some replicas never saw decided. Its deadline must stay on
+/// that lowest undecided round while the later ones commit: a deadline
+/// that moved up with each commit was never reached, no replica
+/// view-changed, and the pre-determined global order stalled on the hole
+/// at 3 blocks everywhere (seed 7, 25 s).
+#[test]
+fn a_hole_under_message_loss_is_timed_out() {
+    let cfg = ExperimentConfig::scenario(ProtocolKind::IssPbft, 4, 20.0)
+        .with_seed(7)
+        .with_loss(0.01);
+    let mut c = Deployment::build(&cfg);
+    c.run_secs(25.0);
+    let verdict = c.check(&[0, 1, 2, 3]);
+    assert!(verdict.violations.is_empty(), "{:?}", verdict.violations);
+    for r in 0..4 {
+        let front = c.confirmed_frontier(r);
+        let vcs = c.node(r).metrics.view_changes.len();
+        assert!(
+            front >= 16 && vcs > 0,
+            "replica {r}: frontier {front}, {vcs} view changes"
+        );
+    }
+}

@@ -17,7 +17,7 @@ use ladon_obs::{Stage, TraceJournal};
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork, NicNetwork, Topology};
-use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE};
+use ladon_state::{ExecutionPipeline, KvState, Snapshot, DEFAULT_KEYSPACE};
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, NetEnv, Rank, ReplicaId, Round, TimeNs, TxId,
     TxOp, View, WireSize,
@@ -299,9 +299,9 @@ fn bench_pbft_round() {
 
 /// The `state.kv` ledger rows in isolation, at the paper's block size:
 /// executing one 4096-tx block the way a replica does (WAL record, op
-/// derivation and apply), applying 4096 pre-derived ops (table writes,
-/// no hashing), folding the keys they dirtied, and reading
-/// the root of a folded state.
+/// derivation and apply), applying 4096 pre-derived ops (page writes,
+/// no hashing), folding the keys they dirtied, reading
+/// the root of a folded state, and capturing a snapshot of one.
 fn bench_state() {
     let mut pipe = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
     let mut sn = 0u64;
@@ -332,6 +332,11 @@ fn bench_state() {
     });
     state.fold();
     microbench("kv_root_folded", 5_000, || state.root());
+
+    let full = KvState::from_entries((0..DEFAULT_KEYSPACE).map(|k| (k, k as u64 + 1)));
+    microbench("kv_capture_4096_keys", 2_000, || {
+        Snapshot::capture(1, 0, 0, Vec::new(), &full)
+    });
 }
 
 fn main() {

@@ -1091,8 +1091,12 @@ impl PbftInstance {
             self.rejected += 1;
             return;
         }
+        // No honest replica reaches the commit phase of a round this
+        // leader has not proposed, so a report for one is refused: it
+        // would be held until the epoch ends.
         if r.signed.body.instance != self.cfg.instance
             || r.signed.body.view != self.view
+            || r.signed.body.round >= self.next_round
             || self.leader_of(self.view) != self.cfg.me
             || from != r.signed.sig.signer()
         {
@@ -1584,4 +1588,12 @@ enum RankCheck {
     Invalid,
     /// The message references a future epoch; buffer and retry.
     EpochAhead,
+}
+
+#[cfg(test)]
+impl PbftInstance {
+    /// Rounds the leader holds rank reports for.
+    pub(crate) fn rank_report_rounds(&self) -> usize {
+        self.rank_reports.len()
+    }
 }

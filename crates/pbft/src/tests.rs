@@ -2,7 +2,10 @@
 //! and the Appendix-B leader behaviors.
 
 use crate::instance::{PbftInstance, RankMode, RankStrategy};
-use crate::msg::{PbftMsg, Phase, PrePrepare, RankProof, ViewChange, DOMAIN_PREPREPARE};
+use crate::msg::{
+    PbftMsg, Phase, PrePrepare, RankBody, RankProof, RankReport, SignedRank, ViewChange,
+    DOMAIN_PREPREPARE, DOMAIN_RANK,
+};
 use crate::testkit::{test_batch, Cluster};
 use ladon_crypto::{QuorumCert, Signature};
 use ladon_types::{InstanceId, Rank, ReplicaId, Round, View, MAX_PENDING_MSGS};
@@ -560,6 +563,43 @@ fn rank_reports_accumulate_only_at_leader() {
     assert!(c.nodes[0].can_propose());
     // A backup does not accumulate reports and cannot propose.
     assert!(!c.nodes[1].can_propose());
+}
+
+#[test]
+fn rank_reports_for_rounds_not_yet_proposed_are_refused() {
+    // A Byzantine member signs reports for rounds the leader has not
+    // proposed, each claiming the epoch minimum (no certificate needed):
+    // none is held, and each is counted.
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 10));
+    let byzantine = c.registry.signer(ReplicaId(1));
+    let rejected = c.nodes[0].rejected;
+    let flood = 10_000u64;
+    for round in c.nodes[0].next_round().0..c.nodes[0].next_round().0 + flood {
+        let body = RankBody {
+            view: View(0),
+            round: Round(round),
+            instance: InstanceId(0),
+            rank: Rank(0),
+        };
+        let report = RankReport {
+            signed: SignedRank {
+                body,
+                sig: Signature::sign_with_key(&byzantine, 0, DOMAIN_RANK, &body.bytes()),
+            },
+            qc: None,
+        };
+        let actions = c.nodes[0].on_message(
+            ReplicaId(1),
+            PbftMsg::Rank(report),
+            c.now,
+            &mut c.cur_ranks[0],
+        );
+        assert!(actions.is_empty());
+    }
+    assert!(c.nodes[0].rank_report_rounds() <= 3);
+    assert_eq!(c.nodes[0].rejected - rejected, flood);
+    assert!(c.nodes[0].can_propose(), "the honest reports still count");
 }
 
 #[test]

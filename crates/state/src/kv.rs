@@ -21,54 +21,54 @@
 //! multiplicative-knapsack/discrete-log-style problem in `Z_p^*` rather
 //! than a Wagner generalized-birthday subset *sum*.)
 //!
-//! A lane *is* a flat, linear-probed, power-of-two table of 16-byte
-//! slots `{ key, state, value }` — no tree, no per-entry allocation. One
-//! 64-bit mix of the key places it: the low bits name the lane, the high
-//! half the slot where its probe starts (bits the lane index does not
-//! use, since every key of a lane shares the low ones). A value of 0
-//! means *absent* (canonical form), so a deleted key stays behind as a
-//! zero placeholder — keys probed past it must stay findable — and the
-//! next rebuild drops it. A table is rebuilt when an insert would pass
-//! load ⅞, at the size that holds what is kept at load ≤ ½: larger,
-//! smaller, or the same size minus its placeholders, so churn cannot
-//! grow it. The table has no key order. The one consumer of key order,
-//! a snapshot chunk ([`KvState::lane_entries`]), sorts a lane's live
-//! entries when it is captured — **sorted only at capture**, once per
-//! epoch, never per op.
+//! # Storage
+//!
+//! A lane is a hash class of keys, not a container. Balances live in
+//! **pages** indexed by account id: page `key >> 12` holds accounts
+//! `4096·id .. 4096·id + 4095` as a flat `u64` array (0 = absent, the
+//! canonical form) and one dirty bit per account. A page is allocated on
+//! its first nonzero write and never moves an account, so a read or
+//! write is a directory lookup and an array index — no key hash, no
+//! probe, no placeholder. The directory is the allocated pages sorted by
+//! id: its size tracks the pages in use, not the highest key (a key near
+//! `u32::MAX` costs one page, not a million directory slots), and a
+//! keyspace `0..n` keeps every page at the index equal to its id, so
+//! the lookup's first comparison finds it. Storage is in key order:
+//! [`KvState::entries`] is the pages read in order, and a snapshot's
+//! chunks ([`KvState::lane_runs`]) are one ascending pass bucketed by
+//! [`lane_of`], sorted without a sort.
 //!
 //! **The fold rule.** A lane root is a pure function of the lane's
 //! *live contents* and is read once per epoch, so no hashing happens on
-//! the write path. The slot carries the fold state: a write to a `Clean`
-//! slot (or a new key) marks it `Dirty` and pushes `(slot, value at the
-//! last fold)` onto the lane's **dirty list** — one push per key touched
-//! since the last checkpoint, however often it is rewritten, and no
-//! second lookup to find out. [`KvState::fold`] then multiplies, per
-//! dirty key *whose value actually changed*, the old leaf into a removal
-//! product and the new leaf into an insert product — a key rewritten ten
-//! times, or written back to its folded value, costs two hashes or none
-//! — and sets `folded ← folded · inserted · removed⁻¹`. MuHash does not
-//! care in which order the dirty list is walked. The inverses of all
-//! dirty lanes' removal products come from **one** Fermat inverse per
+//! the write path. An account's first change since the last fold sets
+//! its dirty bit and pushes `(key, value at the last fold)` onto the
+//! state's one **dirty list** — one push per key touched since the last
+//! checkpoint, however often it is rewritten. [`KvState::fold`] then
+//! walks the list once, and [`lane_of`] runs there: per dirty key *whose
+//! value actually changed*, the old leaf goes into its lane's removal
+//! product and the new leaf into its insert product — a key rewritten
+//! ten times, or written back to its folded value, costs two hashes or
+//! none — and each lane sets `folded ← folded · inserted · removed⁻¹`.
+//! MuHash does not care in which order the list is walked. The inverses
+//! of all lanes' removal products come from **one** Fermat inverse per
 //! fold (Montgomery's trick: prefix products, invert the total,
-//! back-substitute — three multiplies per lane); a root read of an
-//! unfolded state pays a lane's own inverse instead. The folded value is
-//! the canonical residue of the product over the live leaves, whatever
-//! the write history and wherever the folds fell — which is what makes
-//! the root a content address (history independence). [`KvState::root`]
-//! and [`KvState::lane_roots`] take `&self` and fold pending dirty keys
-//! into a local copy, so a read nobody folded for is still correct;
-//! folding first only makes it cheap.
+//! back-substitute — three multiplies per lane). The folded value is the
+//! canonical residue of the product over the live leaves, whatever the
+//! write history and wherever the folds fell — which is what makes the
+//! root a content address (history independence). [`KvState::root`] and
+//! [`KvState::lane_roots`] take `&self` and fold pending dirty keys into
+//! a local copy, so a read nobody folded for is still correct; folding
+//! first only makes it cheap.
 //!
 //! # Execution
 //!
 //! [`KvState::apply_batch`] applies a batch's ops **in block order on
 //! the calling thread** — full read-your-writes semantics — in a
-//! **single pass**: each key is hashed once, the hash names the lane and
-//! the slot where the probe starts, and a read-modify-write reuses its
-//! probe. A `Put` or `Get` is one probe, a `Transfer` two.
+//! **single pass**: a `Put` or `Get` is one page lookup, a `Transfer`
+//! three (read the source, debit it, credit the destination).
 //! [`KvState::apply`] is the batch of one through the same code. At a
-//! few tens of nanoseconds an op is too small for any cross-thread
-//! hand-off to pay for itself.
+//! few nanoseconds an op is too small for any cross-thread hand-off to
+//! pay for itself.
 
 use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};
@@ -80,30 +80,13 @@ pub use ladon_types::MERKLE_LANES;
 /// (see [`ladon_types::SystemConfig::exec_keyspace`] for the knob).
 pub const DEFAULT_KEYSPACE: u32 = 4096;
 
-/// The one 64-bit mix of a key that places it: reduced modulo
-/// [`MERKLE_LANES`] it names the lane ([`lane_of`]), and its high half
-/// names the slot within the lane's table. Every key of a lane agrees on
-/// the low bits, so the slot index has to come from bits the lane index
-/// does not use — or a lane's keys would all probe from a few slots.
-#[inline]
-fn key_hash(key: u32) -> u64 {
-    let mut state = key as u64 ^ 0x1ad0_0000_0000_00a1;
-    splitmix64(&mut state)
-}
-
-/// A key's hash and the lane it names.
-#[inline]
-fn locate(key: u32) -> (u64, usize) {
-    let hash = key_hash(key);
-    (hash, (hash % MERKLE_LANES as u64) as usize)
-}
-
 /// The fixed lane a key lives in: a splitmix64 hash of the key, reduced
 /// modulo [`MERKLE_LANES`]. Hashing (rather than `key % lanes`) keeps the
 /// synthetic workload's low dense keys spread across every lane.
 #[inline]
 pub fn lane_of(key: u32) -> usize {
-    locate(key).1
+    let mut state = key as u64 ^ 0x1ad0_0000_0000_00a1;
+    (splitmix64(&mut state) % MERKLE_LANES as u64) as usize
 }
 
 /// Counters of applied operations (per block or cumulative).
@@ -337,262 +320,75 @@ fn invert_all(values: &mut [Acc]) {
 }
 
 // ---------------------------------------------------------------------
-// Lane: a flat open-addressed table that carries its own fold state.
+// Storage: account-id pages, and the folded state of each lane.
 // ---------------------------------------------------------------------
 
-/// What a slot holds, relative to the lane's last fold.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum SlotState {
-    /// No key: a probe stops here.
-    #[default]
-    Empty,
-    /// A key whose value is the one the last fold saw.
-    Clean,
-    /// A key written since the last fold; the lane's dirty list holds
-    /// the value it had then.
-    Dirty,
-}
+/// log₂ of the accounts one page holds.
+const PAGE_BITS: u32 = 12;
 
-/// One 16-byte table slot; the default one is empty. A value of 0 means
-/// the key is absent (canonical form) — an empty slot holds 0 too, so a
-/// probe for an absent key ends at its value — and a deleted key stays
-/// behind as a zero placeholder (linear probing must not lose the keys
-/// probed past it) until the next rehash drops it.
-#[derive(Clone, Copy, Debug, Default)]
-struct Slot {
-    key: u32,
-    state: SlotState,
-    value: u64,
-}
+/// Accounts per page: account `key` lives at offset `key % PAGE_KEYS` of
+/// page `key >> PAGE_BITS`.
+const PAGE_KEYS: usize = 1 << PAGE_BITS;
 
-/// Smallest table a lane holds.
-const MIN_SLOTS: usize = 8;
-
-/// Table size that holds `n` keys at load ≤ ½. A table is rebuilt when
-/// an insert would push it past load ⅞, so at least ⅜ of the new table
-/// is inserts away from the next rebuild.
-fn slots_for(n: usize) -> usize {
-    (2 * n).next_power_of_two().max(MIN_SLOTS)
-}
-
-/// One Merkle lane: a shard of the key space as a linear-probed,
-/// power-of-two table, with a lazily folded content root (the fold rule
-/// is in the module docs).
+/// The balances of [`PAGE_KEYS`] consecutive accounts (0 = absent), and
+/// one dirty bit per account: set exactly while the account is on the
+/// state's dirty list.
 #[derive(Clone, Debug)]
+struct Page {
+    /// `key >> PAGE_BITS` of every account the page holds.
+    id: u32,
+    values: Box<[u64; PAGE_KEYS]>,
+    dirty: [u64; PAGE_KEYS / 64],
+}
+
+impl Page {
+    fn new(id: u32) -> Self {
+        let values = vec![0; PAGE_KEYS].into_boxed_slice().try_into();
+        Self {
+            id,
+            values: values.expect("the slice has PAGE_KEYS elements"),
+            dirty: [0; PAGE_KEYS / 64],
+        }
+    }
+}
+
+/// One Merkle lane as of the last fold (the fold rule is in the module
+/// docs).
+#[derive(Clone, Copy, Debug)]
 struct Lane {
-    slots: Vec<Slot>,
-    /// Non-empty slots, zero placeholders included (the load).
-    used: usize,
-    /// Slots with a nonzero value: the lane's entry count.
-    live: usize,
-    /// MuHash accumulator of the contents as of the last fold: the
-    /// product (mod `2^256 − 189`) of the live entries' leaf residues.
+    /// MuHash accumulator of the lane's live entries: the product (mod
+    /// `2^256 − 189`) of their leaf residues.
     folded: Acc,
-    /// One `(slot index, value at the last fold)` per `Dirty` slot
-    /// (0 = absent then), in first-write order. Empty exactly when
-    /// `folded` describes the contents.
-    dirty: Vec<(u32, u64)>,
+    /// The lane's live entry count.
+    live: usize,
 }
 
 impl Lane {
-    fn with_slots(slots: usize) -> Self {
-        Self {
-            slots: vec![Slot::default(); slots],
-            used: 0,
-            live: 0,
-            folded: ACC_ONE,
-            dirty: Vec::new(),
-        }
-    }
-
-    /// A folded lane holding exactly the canonical `run`, its table
-    /// built at its final size.
-    fn from_run(run: &[(u32, u64)]) -> Self {
-        debug_assert!(
-            run.windows(2).all(|w| w[0].0 < w[1].0) && run.iter().all(|&(_, v)| v != 0),
-            "a lane run is canonical: strictly ascending keys, no zero values"
-        );
-        let mut lane = Self::with_slots(slots_for(run.len()));
-        for &(key, value) in run {
-            lane.place(Slot {
-                key,
-                state: SlotState::Clean,
-                value,
-            });
-        }
-        lane.used = run.len();
-        lane.live = run.len();
-        lane.folded = acc_of_entries(run);
-        lane
-    }
-
-    /// Where `hash`'s probe sequence starts. The lane index took the
-    /// hash's low bits ([`lane_of`]), which every key of this lane
-    /// shares; the slot index comes from the high half.
-    #[inline]
-    fn home(&self, hash: u64) -> usize {
-        (hash >> 32) as usize & (self.slots.len() - 1)
-    }
-
-    /// The one probe: the slot holding `key` and `true`, or the empty
-    /// slot a new `key` would take and `false`. Terminates because the
-    /// load never exceeds ⅞.
-    #[inline]
-    fn probe(&self, hash: u64, key: u32) -> (usize, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        loop {
-            let slot = &self.slots[i];
-            if slot.state == SlotState::Empty {
-                return (i, false);
-            }
-            if slot.key == key {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Reads `key` (0 when absent).
-    #[inline]
-    fn get(&self, hash: u64, key: u32) -> u64 {
-        self.slots[self.probe(hash, key).0].value
-    }
-
-    /// Overwrites the occupied slot `i` and, on its first write since
-    /// the last fold, remembers the value it replaced. No hashing.
-    #[inline]
-    fn write(&mut self, i: usize, value: u64) {
-        let slot = &mut self.slots[i];
-        if slot.state == SlotState::Clean {
-            slot.state = SlotState::Dirty;
-            self.dirty.push((i as u32, slot.value));
-        }
-        self.live = self.live + (value != 0) as usize - (slot.value != 0) as usize;
-        slot.value = value;
-    }
-
-    /// Takes the empty slot `i` that [`Self::probe`] found for an absent
-    /// `key`, rebuilding the table first if that would pass load ⅞.
-    fn insert(&mut self, mut i: usize, hash: u64, key: u32, value: u64) {
-        debug_assert!(value != 0, "absent keys are not stored");
-        if self.used == self.slots.len() / 8 * 7 {
-            self.rehash();
-            i = self.probe(hash, key).0;
-        }
-        self.slots[i] = Slot {
-            key,
-            state: SlotState::Dirty,
-            value,
-        };
-        self.dirty.push((i as u32, 0));
-        self.used += 1;
-        self.live += 1;
-    }
-
-    /// `key ← f(key)` in one probe. Zero is absent: writing 0 deletes,
-    /// and writing 0 to an absent key does nothing.
-    #[inline]
-    fn update(&mut self, hash: u64, key: u32, f: impl FnOnce(u64) -> u64) {
-        let (i, found) = self.probe(hash, key);
-        let value = f(self.slots[i].value);
-        if found {
-            self.write(i, value);
-        } else if value != 0 {
-            self.insert(i, hash, key, value);
-        }
-    }
-
-    /// Moves `slot` into the table (rebuilds only: its key is not in it).
-    fn place(&mut self, slot: Slot) -> usize {
-        let i = self.probe(key_hash(slot.key), slot.key).0;
-        self.slots[i] = slot;
-        i
-    }
-
-    /// Rebuilds the table at the size its contents need — larger,
-    /// smaller or the same — dropping the zero placeholders and
-    /// re-indexing the dirty list. What stays: live entries, and deleted
-    /// ones the pending fold still has to divide out.
-    fn rehash(&mut self) {
-        let gone = |&&(i, was): &&(u32, u64)| was != 0 && self.slots[i as usize].value == 0;
-        let kept = self.live + self.dirty.iter().filter(gone).count();
-        let mut old =
-            std::mem::replace(&mut self.slots, vec![Slot::default(); slots_for(kept + 1)]);
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.retain_mut(|(i, was)| {
-            let slot = std::mem::take(&mut old[*i as usize]);
-            let keep = slot.value != 0 || *was != 0;
-            if keep {
-                *i = self.place(slot) as u32;
-            }
-            keep
-        });
-        self.dirty = dirty;
-        for slot in old {
-            if slot.value != 0 {
-                self.place(slot);
-            }
-        }
-        self.used = kept;
-    }
-
-    /// The lane's live entries, in table order.
-    fn live_entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let live = self.slots.iter().filter(|s| s.value != 0);
-        live.map(|s| (s.key, s.value))
-    }
-
-    /// The fold's two products: `folded` times the new leaf of every
-    /// dirty key whose value changed since the last fold, and the
-    /// product of their old leaves, still to be divided out. MuHash is
-    /// order-independent, so the dirty list is walked as it lies.
-    fn fold_parts(&self) -> (Acc, Acc) {
-        let (mut acc, mut removed) = (self.folded, ACC_ONE);
-        for &(i, old) in &self.dirty {
-            let slot = &self.slots[i as usize];
-            if slot.value == old {
-                continue;
-            }
-            if old != 0 {
-                removed = mul_mod(&removed, &acc_of_leaf(&leaf_hash(slot.key, old)));
-            }
-            if slot.value != 0 {
-                acc = mul_mod(&acc, &acc_of_leaf(&leaf_hash(slot.key, slot.value)));
-            }
-        }
-        (acc, removed)
-    }
-
-    /// The accumulator of the *current* contents, paying this lane's own
-    /// inverse ([`KvState::fold`] shares one across lanes).
-    fn current_acc(&self) -> Acc {
-        match self.fold_parts() {
-            (acc, ACC_ONE) => acc,
-            (acc, removed) => mul_mod(&acc, &inv_mod(&removed)),
-        }
-    }
-
-    /// Ends a fold: `acc` describes the contents, nothing is dirty.
-    fn settle(&mut self, acc: Acc) {
-        self.folded = acc;
-        for (i, _) in self.dirty.drain(..) {
-            self.slots[i as usize].state = SlotState::Clean;
-        }
-    }
+    const EMPTY: Lane = Lane {
+        folded: ACC_ONE,
+        live: 0,
+    };
 
     /// The lane's content root: a digest over the entry count and the
-    /// accumulator of the current contents. One hash when the lane is
-    /// folded.
+    /// accumulator.
     fn root(&self) -> Digest {
-        lane_root(self.live, &self.current_acc())
+        lane_root(self.live, &self.folded)
     }
 }
 
 /// The replicated key-value state, sharded into [`MERKLE_LANES`] lanes.
 #[derive(Clone, Debug)]
 pub struct KvState {
+    /// The pages holding any account written nonzero, ascending by id.
+    pages: Vec<Page>,
+    /// One `(key, value at the last fold)` per account written since
+    /// (0 = absent then), in first-write order. Empty exactly when
+    /// `lanes` describes the contents.
+    dirty: Vec<(u32, u64)>,
+    /// Every lane as of the last fold, in lane order.
     lanes: Vec<Lane>,
+    /// Accounts with a nonzero value.
+    live: usize,
 }
 
 impl Default for KvState {
@@ -602,12 +398,10 @@ impl Default for KvState {
 }
 
 impl PartialEq for KvState {
-    /// Content equality: the same live entries. Table size, probe order,
-    /// zero placeholders and whether a fold is pending are not content.
+    /// Content equality: the same live entries. Which pages are
+    /// allocated and whether a fold is pending are not content.
     fn eq(&self, other: &Self) -> bool {
-        self.lanes.iter().zip(&other.lanes).all(|(a, b)| {
-            a.live == b.live && a.live_entries().all(|(k, v)| b.get(key_hash(k), k) == v)
-        })
+        self.live == other.live && self.entries().eq(other.entries())
     }
 }
 
@@ -616,7 +410,12 @@ impl Eq for KvState {}
 impl KvState {
     /// Empty state.
     pub fn new() -> Self {
-        Self::from_lanes([])
+        Self {
+            pages: Vec::new(),
+            dirty: Vec::new(),
+            lanes: vec![Lane::EMPTY; MERKLE_LANES as usize],
+            live: 0,
+        }
     }
 
     /// Builds state from `(key, value)` entries in any order, folded
@@ -625,26 +424,22 @@ impl KvState {
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut s = Self::new();
         for (k, v) in entries {
-            let (hash, lane) = locate(k);
-            s.lanes[lane].update(hash, k, |_| v);
+            s.update(k, |_| v);
         }
         s.fold();
         s
     }
 
     /// Rebuilds state from one canonical entry run per lane, in lane
-    /// order (snapshot install and recovery), folded. Each lane table is
-    /// built from its run as is, at its final size: the caller has
+    /// order (snapshot install and recovery), folded: the caller has
     /// verified the runs (canonical, confined to their lane).
     pub fn from_lanes<'a>(runs: impl IntoIterator<Item = &'a [(u32, u64)]>) -> Self {
-        let mut lanes: Vec<Lane> = runs.into_iter().map(Lane::from_run).collect();
-        lanes.resize_with(MERKLE_LANES as usize, || Lane::with_slots(MIN_SLOTS));
-        Self { lanes }
+        Self::from_entries(runs.into_iter().flatten().copied())
     }
 
     /// Number of live (nonzero) entries.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.live).sum()
+        self.live
     }
 
     /// True when no entry is set.
@@ -652,28 +447,85 @@ impl KvState {
         self.len() == 0
     }
 
+    /// Where page `id` sits in the directory, or where it would be
+    /// inserted. The pages of a keyspace `0..n` are pages `0..` in order,
+    /// each at its own index, so the first comparison finds it; any other
+    /// page is binary-searched.
+    #[inline]
+    fn find(&self, id: u32) -> Result<usize, usize> {
+        match self.pages.get(id as usize) {
+            Some(page) if page.id == id => Ok(id as usize),
+            _ => self.pages.binary_search_by_key(&id, |page| page.id),
+        }
+    }
+
     /// Reads `key` (0 when absent).
+    #[inline]
     pub fn get(&self, key: u32) -> u64 {
-        let (hash, lane) = locate(key);
-        self.lanes[lane].get(hash, key)
+        match self.find(key >> PAGE_BITS) {
+            Ok(i) => self.pages[i].values[key as usize % PAGE_KEYS],
+            Err(_) => 0,
+        }
     }
 
-    /// One lane's live entries in ascending key order: collected from
-    /// the table and sorted here, straight into the `Vec` a snapshot
-    /// chunk keeps — once per capture, never per op.
+    /// `key ← f(key)`. Zero is absent: writing 0 deletes, and writing
+    /// what is there already, 0 to an absent key included, does nothing.
+    /// A page is allocated on its first nonzero write, and an account's
+    /// first change since the last fold puts it on the dirty list. No
+    /// hashing.
+    #[inline]
+    fn update(&mut self, key: u32, f: impl FnOnce(u64) -> u64) {
+        let (id, at) = (key >> PAGE_BITS, key as usize % PAGE_KEYS);
+        let found = self.find(id);
+        let old = found.map_or(0, |i| self.pages[i].values[at]);
+        let value = f(old);
+        if value == old {
+            return;
+        }
+        let i = found.unwrap_or_else(|i| {
+            self.pages.insert(i, Page::new(id));
+            i
+        });
+        let page = &mut self.pages[i];
+        let (word, bit) = (at / 64, 1u64 << (at % 64));
+        if page.dirty[word] & bit == 0 {
+            page.dirty[word] |= bit;
+            self.dirty.push((key, old));
+        }
+        self.live = self.live + (value != 0) as usize - (old != 0) as usize;
+        page.values[at] = value;
+    }
+
+    /// Canonical `(key, value)` entries in ascending key order: the pages
+    /// read in directory order.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.pages.iter().flat_map(|page| {
+            let base = page.id << PAGE_BITS;
+            let live = page.values.iter().enumerate().filter(|&(_, &v)| v != 0);
+            live.map(move |(at, &v)| (base | at as u32, v))
+        })
+    }
+
+    /// Every lane's live entries in ascending key order, in lane order:
+    /// one ascending pass over the pages, bucketed by [`lane_of`] —
+    /// what a snapshot's chunks hold.
+    pub fn lane_runs(&self) -> Vec<Vec<(u32, u64)>> {
+        let mut runs: Vec<Vec<(u32, u64)>> = self
+            .lanes
+            .iter()
+            .map(|l| Vec::with_capacity(l.live))
+            .collect();
+        for (k, v) in self.entries() {
+            runs[lane_of(k)].push((k, v));
+        }
+        runs
+    }
+
+    /// One lane's live entries in ascending key order.
     pub fn lane_entries(&self, lane: usize) -> Vec<(u32, u64)> {
-        let mut out = Vec::with_capacity(self.lanes[lane].live);
-        out.extend(self.lanes[lane].live_entries());
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
-    }
-
-    /// Canonical `(key, value)` entries in ascending key order, merged
-    /// across lanes (assertions and figures).
-    pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self.lanes.iter().flat_map(Lane::live_entries).collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out.into_iter()
+        self.entries()
+            .filter(|&(k, _)| lane_of(k) == lane)
+            .collect()
     }
 
     /// Applies one operation with sequential (read-your-writes)
@@ -684,10 +536,9 @@ impl KvState {
 
     /// Applies a batch of ops in block order on the calling thread, with
     /// sequential (read-your-writes) semantics, and returns their summed
-    /// effects. Each key is hashed once: the hash names the lane and the
-    /// slot the probe starts at, and a read-modify-write reuses its
-    /// probe. Ops come by reference or by value, so a caller can stream
-    /// derived ops without collecting them first.
+    /// effects. An account is an index: its page, then its offset — no
+    /// key hash. Ops come by reference or by value, so a caller can
+    /// stream derived ops without collecting them first.
     pub fn apply_batch<O: Borrow<TxOp>>(
         &mut self,
         ops: impl IntoIterator<Item = O>,
@@ -696,27 +547,20 @@ impl KvState {
         for op in ops {
             match *op.borrow() {
                 TxOp::Put { key, value } => {
-                    let (hash, lane) = locate(key);
-                    self.lanes[lane].update(hash, key, |_| value);
+                    self.update(key, |_| value);
                     effects.puts += 1;
                 }
                 TxOp::Get { key } => {
-                    let (hash, lane) = locate(key);
-                    let _ = self.lanes[lane].get(hash, key);
+                    let _ = self.get(key);
                     effects.gets += 1;
                 }
                 TxOp::Transfer { from, to, amount } => {
-                    let ((debit, a), (credit, b)) = (locate(from), locate(to));
-                    // An absent source reads 0, so a nonzero `moved`
-                    // means `i` is `from`'s slot.
-                    let i = self.lanes[a].probe(debit, from).0;
-                    let have = self.lanes[a].slots[i].value;
-                    let moved = have.min(amount);
+                    let moved = self.get(from).min(amount);
                     if moved == 0 || from == to {
                         effects.empty_transfers += 1;
                     } else {
-                        self.lanes[a].write(i, have - moved);
-                        self.lanes[b].update(credit, to, |dest| dest.saturating_add(moved));
+                        self.update(from, |have| have - moved);
+                        self.update(to, |dest| dest.saturating_add(moved));
                         effects.transfers += 1;
                     }
                 }
@@ -725,20 +569,58 @@ impl KvState {
         effects
     }
 
-    /// Folds every lane's pending writes into its accumulator (the fold
-    /// rule is in the module docs): at most two leaf hashes per key
-    /// written since the last fold and one modular inverse shared by all
-    /// lanes (Montgomery's trick), after which [`Self::root`] costs
+    /// The fold's two parts, per lane: the lane with the new leaf of
+    /// every dirty key whose value changed since the last fold
+    /// multiplied in and its entry count updated, and the product of
+    /// those keys' old leaves, still to be divided out. One walk of the
+    /// dirty list, bucketed by [`lane_of`]; MuHash is order-independent,
+    /// so the list is walked as it lies.
+    fn fold_parts(&self) -> (Vec<Lane>, Vec<Acc>) {
+        let mut lanes = self.lanes.clone();
+        let mut removed = vec![ACC_ONE; lanes.len()];
+        for &(key, old) in &self.dirty {
+            let new = self.get(key);
+            if new == old {
+                continue;
+            }
+            let lane = lane_of(key);
+            if old != 0 {
+                removed[lane] = mul_mod(&removed[lane], &acc_of_leaf(&leaf_hash(key, old)));
+                lanes[lane].live -= 1;
+            }
+            if new != 0 {
+                let l = &mut lanes[lane];
+                l.folded = mul_mod(&l.folded, &acc_of_leaf(&leaf_hash(key, new)));
+                l.live += 1;
+            }
+        }
+        (lanes, removed)
+    }
+
+    /// Every lane as a fold would leave it: at most two leaf hashes per
+    /// dirty key and one modular inverse shared by all lanes
+    /// (Montgomery's trick).
+    fn folded_lanes(&self) -> Vec<Lane> {
+        if self.dirty.is_empty() {
+            return self.lanes.clone();
+        }
+        let (mut lanes, mut removed) = self.fold_parts();
+        invert_all(&mut removed);
+        for (lane, inv) in lanes.iter_mut().zip(&removed) {
+            lane.folded = mul_mod(&lane.folded, inv);
+        }
+        lanes
+    }
+
+    /// Folds the pending writes into the lanes' accumulators (the fold
+    /// rule is in the module docs), after which [`Self::root`] costs
     /// `MERKLE_LANES + 1` hashes. Never changes a root — only what the
     /// next read of one costs.
     pub fn fold(&mut self) {
-        let dirty = self.lanes.iter_mut().filter(|l| !l.dirty.is_empty());
-        let mut lanes: Vec<&mut Lane> = dirty.collect();
-        let (accs, mut removed): (Vec<Acc>, Vec<Acc>) =
-            lanes.iter().map(|l| l.fold_parts()).unzip();
-        invert_all(&mut removed);
-        for ((lane, acc), inv) in lanes.iter_mut().zip(accs).zip(removed) {
-            lane.settle(mul_mod(&acc, &inv));
+        self.lanes = self.folded_lanes();
+        self.dirty.clear();
+        for page in &mut self.pages {
+            page.dirty = [0; PAGE_KEYS / 64];
         }
     }
 
@@ -746,7 +628,7 @@ impl KvState {
     /// Merkle leaves the state root digests, recorded verbatim in every
     /// snapshot head.
     pub fn lane_roots(&self) -> Vec<Digest> {
-        self.lanes.iter().map(Lane::root).collect()
+        self.folded_lanes().iter().map(Lane::root).collect()
     }
 
     /// The two-level state root: SHA-256 over the ordered lane roots.
@@ -875,42 +757,56 @@ mod tests {
     }
 
     #[test]
-    fn lane_insert_remove_round_trips_and_duplicates_dont_cancel() {
+    fn insert_remove_round_trips_and_duplicates_dont_cancel() {
         // Round-trip: inserting then removing an entry restores the
-        // empty lane's root exactly (numerator/denominator finalize to
-        // the identity), across interleaved histories.
-        let empty_root = Lane::with_slots(MIN_SLOTS).root();
-        let set = |lane: &mut Lane, key: u32, value: u64| {
-            lane.update(key_hash(key), key, |_| value);
+        // empty state's lane roots exactly (numerator/denominator
+        // finalize to the identity), across interleaved histories.
+        let empty_roots = KvState::new().lane_roots();
+        let set = |s: &mut KvState, key: u32, value: u64| {
+            s.apply(&TxOp::Put { key, value });
         };
-        let mut lane = Lane::with_slots(MIN_SLOTS);
-        set(&mut lane, 7, 5);
-        let one_entry = lane.root();
-        assert_ne!(one_entry, empty_root);
-        set(&mut lane, 7, 0);
-        assert_eq!(lane.root(), empty_root, "insert/remove must round-trip");
-        set(&mut lane, 7, 5);
-        assert_eq!(lane.root(), one_entry, "re-insert must reproduce the root");
+        let mut s = KvState::new();
+        set(&mut s, 7, 5);
+        let one_entry = s.lane_roots();
+        assert_ne!(one_entry, empty_roots);
+        set(&mut s, 7, 0);
+        assert_eq!(s.lane_roots(), empty_roots, "insert/remove must round-trip");
+        set(&mut s, 7, 5);
+        assert_eq!(
+            s.lane_roots(),
+            one_entry,
+            "re-insert must reproduce the root"
+        );
         // Overwrite round-trip: set → overwrite → set back.
-        set(&mut lane, 7, 9);
-        let lane9 = lane.root();
-        set(&mut lane, 7, 5);
-        assert_eq!(lane.root(), one_entry);
-        // The same round trips with a fold after every write.
-        for (v, expect) in [(0, empty_root), (5, one_entry), (9, lane9), (5, one_entry)] {
-            set(&mut lane, 7, v);
-            let acc = lane.current_acc();
-            lane.settle(acc);
-            assert!(lane.dirty.is_empty());
-            assert_eq!(lane.root(), expect, "value {v}");
+        set(&mut s, 7, 9);
+        let nine = s.lane_roots();
+        set(&mut s, 7, 5);
+        assert_eq!(s.lane_roots(), one_entry);
+        // The same round trips with a fold after every write; a fold
+        // clears the dirty list and every dirty bit.
+        for (v, expect) in [
+            (0, &empty_roots),
+            (5, &one_entry),
+            (9, &nine),
+            (5, &one_entry),
+        ] {
+            set(&mut s, 7, v);
+            s.fold();
+            assert!(s.dirty.is_empty());
+            assert!(s.pages.iter().all(|p| p.dirty == [0; PAGE_KEYS / 64]));
+            assert_eq!(s.lane_roots(), *expect, "value {v}");
         }
-        // Two lanes holding {a} and {a, b} must differ even after the
-        // second removes b (histories differ, contents decide).
-        let mut other = Lane::with_slots(MIN_SLOTS);
-        set(&mut other, 7, 5);
-        set(&mut other, 9, 3);
-        set(&mut other, 9, 0);
-        assert_eq!(other.root(), one_entry);
+        // A state holding {a} and one that held {a, b} and removed b
+        // must agree (histories differ, contents decide) — b in the
+        // same lane as a, and b on another page.
+        let same_lane = (8..).find(|&k| lane_of(k) == lane_of(7)).unwrap();
+        for b in [same_lane, u32::MAX] {
+            let mut other = KvState::new();
+            set(&mut other, 7, 5);
+            set(&mut other, b, 3);
+            set(&mut other, b, 0);
+            assert_eq!(other.lane_roots(), one_entry);
+        }
         // Duplicated leaves must not cancel to the empty multiset the
         // way the old XOR accumulator's did: two entries with identical
         // leaf residues square the accumulator instead of erasing it.
@@ -919,36 +815,28 @@ mod tests {
         assert_ne!(mul_mod(&x, &x), x);
     }
 
-    /// The table's size, for the tests that watch it grow and shrink.
-    fn slots(s: &KvState) -> usize {
-        s.lanes.iter().map(|l| l.slots.len()).sum()
-    }
-
     #[test]
     fn content_is_not_layout() {
         // The same 300 entries by three histories: built in order and
-        // folded; written in reverse through bigger values, plus 300
-        // keys the others never saw, put and then deleted, nothing
-        // folded; and installed from a snapshot's runs.
+        // folded; written in reverse through bigger values, plus keys
+        // the others never saw — 300 more on page 0 and one on each of
+        // three other pages — put and then deleted, nothing folded; and
+        // installed from a snapshot's runs.
         let content = |k: u32| (k, k as u64 * 3 + 1);
         let a = KvState::from_entries((0..300).map(content));
         let mut b = KvState::new();
-        for k in (0..600u32).rev() {
+        let extra = [4_096, 1 << 20, u32::MAX];
+        for k in (0..600u32).rev().chain(extra) {
             b.apply(&TxOp::Put { key: k, value: 99 });
         }
-        for k in 0..600u32 {
+        for k in (0..600u32).chain(extra) {
             let value = if k < 300 { content(k).1 } else { 0 };
             b.apply(&TxOp::Put { key: k, value });
         }
-        let runs: Vec<Vec<(u32, u64)>> = (0..MERKLE_LANES as usize)
-            .map(|l| a.lane_entries(l))
-            .collect();
+        let runs = a.lane_runs();
         let c = KvState::from_lanes(runs.iter().map(Vec::as_slice));
-        assert!(slots(&b) > slots(&a), "b's tables grew for 600 keys");
-        assert!(b
-            .lanes
-            .iter()
-            .any(|l| l.used > l.live && !l.dirty.is_empty()));
+        assert_eq!((a.pages.len(), b.pages.len()), (1, 4));
+        assert!(!b.dirty.is_empty());
         for other in [&b, &c] {
             assert!(a == *other);
             assert!(*other == a);
@@ -970,54 +858,84 @@ mod tests {
 
     #[test]
     fn writing_zero_to_an_absent_key_is_a_noop() {
-        let mut s = KvState::new();
-        s.apply(&TxOp::Put { key: 9, value: 0 });
-        let fx = s.apply(&TxOp::Transfer {
-            from: 9,
-            to: 10,
-            amount: 4,
-        });
-        assert_eq!(fx.empty_transfers, 1);
-        assert!(s.lanes.iter().all(|l| l.used == 0 && l.dirty.is_empty()));
-        assert_eq!(hashes_in(|| s.fold()), 0);
-    }
-
-    #[test]
-    fn churn_reclaims_placeholders() {
-        // Put-then-delete of distinct keys, twenty times what the tables
-        // ever hold together, around a resident set of 100: a deleted
-        // key's placeholder is dropped at the next rebuild, whether a
-        // fold came in between (every 64 keys here) or never.
-        for fold_every in [64u32, u32::MAX] {
-            let mut s = KvState::from_entries((0..100).map(|k| (k, 1)));
-            let resident = slots(&s);
-            let mut peak = 0;
-            for k in 0..40 * resident as u32 {
-                let key = 1_000 + k;
-                s.apply(&TxOp::Put { key, value: 7 });
+        // No page, and on an allocated page: nothing is allocated,
+        // nothing is dirty, and the fold has nothing to hash.
+        for held in [None, Some(4_095u32)] {
+            let mut s = KvState::from_entries(held.map(|k| (k, 1)));
+            for key in [0u32, 4_094, 4_096, u32::MAX] {
                 s.apply(&TxOp::Put { key, value: 0 });
-                if k % fold_every == fold_every - 1 {
-                    s.fold();
-                }
-                peak = peak.max(slots(&s));
+                let fx = s.apply(&TxOp::Transfer {
+                    from: key,
+                    to: 10,
+                    amount: 4,
+                });
+                assert_eq!(fx.empty_transfers, 1);
             }
-            assert!(peak <= 2 * resident, "{peak} slots for {resident}");
-            assert_eq!(s.len(), 100);
-            assert_eq!(
-                s.root(),
-                KvState::from_entries((0..100).map(|k| (k, 1))).root()
-            );
+            assert_eq!(s.pages.len(), held.iter().count());
+            assert!(s.dirty.is_empty());
+            assert_eq!(hashes_in(|| s.fold()), 0);
         }
     }
 
     #[test]
-    fn rehash_while_dirty_keeps_the_fold_exact() {
-        // 29 keys of one lane, none folded: the table doubles three
-        // times (8 → 64) under a dirty list that has to follow its
-        // slots — among them a folded key deleted since (kept: the fold
-        // must still divide it out) and a key put and deleted since
-        // (dropped with its dirty entry: the fold owes it nothing).
-        let lane0: Vec<u32> = (0..).filter(|&k| lane_of(k) == 0).take(40).collect();
+    fn pages_track_the_pages_in_use() {
+        // Keys at page edges: each lands on its own page's first or last
+        // account, and the directory holds the pages written, in id
+        // order, however high the key.
+        let edges = [0u32, 4_095, 4_096, 8_191, u32::MAX - 4_095, u32::MAX];
+        let mut s = KvState::new();
+        for (n, &key) in edges.iter().enumerate().rev() {
+            s.apply(&TxOp::Put {
+                key,
+                value: n as u64 + 1,
+            });
+        }
+        let ids: Vec<u32> = s.pages.iter().map(|p| p.id).collect();
+        assert_eq!(ids, [0, 1, (1 << 20) - 1]);
+        for (n, &key) in edges.iter().enumerate() {
+            assert_eq!(s.get(key), n as u64 + 1, "key {key}");
+        }
+        for key in [1u32, 4_094, 4_097, 8_192, u32::MAX - 1, 1 << 20] {
+            assert_eq!(s.get(key), 0, "key {key}");
+        }
+        let expect: Vec<(u32, u64)> = edges.iter().zip(1..).map(|(&k, v)| (k, v)).collect();
+        assert!(s.entries().eq(expect.iter().copied()));
+        // Churn over the pages in use allocates nothing more: put and
+        // delete every account of pages 0 and 1, folding or not.
+        for fold_every in [64u32, u32::MAX] {
+            for k in 0..2 * PAGE_KEYS as u32 {
+                s.apply(&TxOp::Put { key: k, value: 7 });
+                s.apply(&TxOp::Put { key: k, value: 0 });
+                if k % fold_every == fold_every - 1 {
+                    s.fold();
+                }
+            }
+            assert_eq!(s.pages.len(), 3);
+            assert_eq!(s.len(), 2);
+        }
+        let left = [(u32::MAX - 4_095, 5), (u32::MAX, 6)];
+        assert_eq!(s.root(), KvState::from_entries(left).root());
+        // A keyspace 0..n sits in pages 0.. at their own index: the
+        // lookup's first comparison finds every page.
+        let mut dense = KvState::new();
+        for i in 0..1u64 << 20 {
+            dense.apply(&TxOp::for_id(TxId(i), 1 << 20));
+        }
+        assert_eq!(dense.pages.len(), 256);
+        assert!(dense
+            .pages
+            .iter()
+            .enumerate()
+            .all(|(i, p)| p.id == i as u32));
+    }
+
+    #[test]
+    fn a_page_allocated_while_dirty_keeps_the_fold_exact() {
+        // A dirty list holding a folded key deleted since (the fold must
+        // still divide it out) and a key put and deleted since (the fold
+        // owes it nothing) sees pages allocated below, between and above
+        // the one it started on, none folded.
+        let lane0: Vec<u32> = (4_096..).filter(|&k| lane_of(k) == 0).take(3).collect();
         let mut s = KvState::from_entries([(lane0[0], 5), (lane0[1], 6)]);
         s.apply(&TxOp::Put {
             key: lane0[0],
@@ -1031,19 +949,16 @@ mod tests {
             key: lane0[2],
             value: 0,
         });
-        assert_eq!((s.lanes[0].slots.len(), s.lanes[0].dirty.len()), (8, 2));
-        for &key in &lane0[3..32] {
+        assert_eq!((s.pages.len(), s.dirty.len()), (1, 2));
+        let later = [3u32, 3 << 12, 5 << 12, u32::MAX];
+        for &key in &later {
             s.apply(&TxOp::Put { key, value: 1 });
         }
-        let lane = &s.lanes[0];
-        assert_eq!((lane.slots.len(), lane.live, lane.used), (64, 30, 31));
-        assert_eq!(lane.dirty.len(), 30, "the put-then-deleted key is gone");
-        for &(i, _) in &lane.dirty {
-            assert_eq!(lane.slots[i as usize].state, SlotState::Dirty);
-        }
-        let expect = KvState::from_entries(
-            std::iter::once((lane0[1], 6)).chain(lane0[3..32].iter().map(|&k| (k, 1))),
-        );
+        let ids: Vec<u32> = s.pages.iter().map(|p| p.id).collect();
+        assert_eq!(ids, [0, 1, 3, 5, (1 << 20) - 1]);
+        assert_eq!(s.dirty.len(), 6);
+        let expect =
+            KvState::from_entries(std::iter::once((lane0[1], 6)).chain(later.map(|k| (k, 1))));
         assert_eq!(s.lane_roots(), expect.lane_roots());
         s.fold();
         assert_eq!(s.lane_roots(), expect.lane_roots());
@@ -1067,17 +982,21 @@ mod tests {
             let value = n as u64 % 3;
             s.apply(&TxOp::Put { key, value });
         }
-        let expect: Vec<Acc> = s.lanes.iter().map(Lane::current_acc).collect();
-        let removes = |l: &Lane| l.fold_parts().1 != ACC_ONE;
-        let shape = |l: &Lane| (l.dirty.is_empty(), removes(l));
-        assert_eq!(shape(&s.lanes[0]), (false, false));
-        assert_eq!(shape(&s.lanes[1]), (false, true));
-        assert_eq!(shape(&s.lanes[2]), (false, true));
-        assert_eq!(shape(&s.lanes[3]), (true, false));
+        let (lanes, removed) = s.fold_parts();
+        let expect: Vec<Acc> = lanes
+            .iter()
+            .zip(&removed)
+            .map(|(lane, removed)| mul_mod(&lane.folded, &inv_mod(removed)))
+            .collect();
+        let shape = |l: usize| (lanes[l].folded != s.lanes[l].folded, removed[l] != ACC_ONE);
+        assert_eq!(shape(0), (true, false));
+        assert_eq!(shape(1), (false, true));
+        assert_eq!(shape(2), (true, true));
+        assert_eq!(shape(3), (false, false));
         s.fold();
         let folded: Vec<Acc> = s.lanes.iter().map(|l| l.folded).collect();
         assert_eq!(folded, expect);
-        assert!(s.lanes.iter().all(|l| l.dirty.is_empty()));
+        assert!(s.dirty.is_empty());
         assert_eq!(s.lanes[3].folded, acc_of_entries(&s.lane_entries(3)));
         // The trick itself: every residue inverted, an empty slice and
         // an all-ones slice (no inverse to pay) included.
@@ -1095,57 +1014,21 @@ mod tests {
     }
 
     #[test]
-    fn probes_per_find_stay_short() {
-        // Under `TxOp::for_id`'s uniform keys a find is a couple of
-        // probes. A linear probe's length is the distance from the
-        // key's home slot to the slot `probe` returns, so the count
-        // needs no hook on the hot path. What it relies on: a table is
-        // rebuilt before an insert passes load 7/8 and rebuilt to load
-        // <= 1/2, so a lane sits between 1/4 and 7/8 full (asserted
-        // below, and that the tables together sit near 1/2) — and the
-        // slot index is independent of `lane_of`: were it taken from
-        // the bits all keys of a lane share, every key of a lane would
-        // start its probe in the same 1/64th of the table and the mean
-        // would be in the tens.
-        for keyspace in [4096u32, 1 << 20] {
-            let mut s = KvState::new();
-            let warm = 4 * keyspace as u64;
-            for i in 0..warm {
-                s.apply(&TxOp::for_id(TxId(i), keyspace));
-            }
-            let (used, size) = s.lanes.iter().fold((0, 0), |(u, c), l| {
-                assert!(l.used * 8 <= l.slots.len() * 7 && l.used * 4 >= l.slots.len());
-                (u + l.used, c + l.slots.len())
-            });
-            let load = used as f64 / size as f64;
-            assert!(
-                (0.4..=0.7).contains(&load),
-                "keyspace {keyspace}: load {load}"
-            );
-            let (mut finds, mut probes, mut max) = (0u64, 0u64, 0u64);
-            for i in warm..warm + keyspace as u64 {
-                let op = TxOp::for_id(TxId(i), keyspace);
-                let keys = match op {
-                    TxOp::Put { key, .. } | TxOp::Get { key } => [Some(key), None],
-                    TxOp::Transfer { from, to, .. } => [Some(from), Some(to)],
-                };
-                for key in keys.into_iter().flatten() {
-                    let (hash, lane) = locate(key);
-                    let lane = &s.lanes[lane];
-                    let (i, _) = lane.probe(hash, key);
-                    let steps = (i.wrapping_sub(lane.home(hash)) & (lane.slots.len() - 1)) + 1;
-                    finds += 1;
-                    probes += steps as u64;
-                    max = max.max(steps as u64);
-                }
-                s.apply(&op);
-            }
-            let mean = probes as f64 / finds as f64;
-            assert!(
-                mean <= 2.5 && max <= 48,
-                "keyspace {keyspace}: mean {mean}, max {max}"
-            );
+    fn lane_runs_are_the_lane_entries() {
+        // One ascending pass bucketed by lane equals each lane's entries
+        // read on their own: ascending, confined, and all of them.
+        let s = KvState::from_entries(
+            (0..5_000u32)
+                .map(|k| (k * 7 % 9_000, k as u64))
+                .chain([(u32::MAX, 1)]),
+        );
+        let runs = s.lane_runs();
+        assert_eq!(runs.len(), MERKLE_LANES as usize);
+        for (lane, run) in runs.iter().enumerate() {
+            assert_eq!(*run, s.lane_entries(lane));
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0));
         }
+        assert_eq!(runs.iter().map(Vec::len).sum::<usize>(), s.len());
     }
 
     #[test]

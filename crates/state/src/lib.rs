@@ -6,11 +6,11 @@
 //! execution-loop shape (confirmed blocks in, durable effects out):
 //!
 //! - [`kv`]: a deterministic key-value state machine ([`KvState`]) sharded
-//!   into [`MERKLE_LANES`] fixed Merkle lanes by key hash. Blocks apply
-//!   in block order on one thread, writes never hash, and each lane
-//!   folds the keys written since the last checkpoint into its content
-//!   root, so the two-level state root costs O(dirty keys + lanes) —
-//!   not O(keyspace).
+//!   into [`MERKLE_LANES`] fixed Merkle lanes by key hash, its balances
+//!   kept in pages indexed by account id. Blocks apply in block order on
+//!   one thread, writes never hash, and the fold buckets the keys written
+//!   since the last checkpoint into their lanes' content roots, so the
+//!   two-level state root costs O(dirty keys + lanes) — not O(keyspace).
 //! - [`wal`]: a segmented commit write-ahead log ([`CommitWal`]) of
 //!   confirmed block identities — checksummed, length-prefixed records
 //!   in one chain of segment files under a checksummed manifest, one

@@ -285,6 +285,15 @@ pub struct ExecutionPipeline {
     submitted_at: Instant,
 }
 
+/// Whether every account `snap` names is below `keyspace`, which bounds
+/// what installing it allocates to `keyspace / 4096 + 1` pages. A chunk's
+/// run is ascending once it verifies, so its last key is its largest;
+/// one that is not fails verification anyway.
+fn within_keyspace(snap: &Snapshot, keyspace: u32) -> bool {
+    let last = |c: &SnapshotChunk| c.entries.last().map(|&(k, _)| k);
+    snap.chunks.iter().filter_map(last).all(|k| k < keyspace)
+}
+
 impl ExecutionPipeline {
     /// In-memory pipeline (simulation default).
     pub fn in_memory(keyspace: u32) -> Self {
@@ -369,7 +378,10 @@ impl ExecutionPipeline {
         store: SnapshotStore,
         keyspace: u32,
     ) -> Self {
-        let snap = store.latest().cloned().filter(Snapshot::verify);
+        let snap = store
+            .latest()
+            .filter(|s| within_keyspace(s, keyspace) && s.verify())
+            .cloned();
         let floor = snap.as_ref().map_or(0, |s| s.head.applied);
         let mut p = Self::fresh(
             CommitWal::open_with_floor(backend, wal_opts, floor),
@@ -408,8 +420,8 @@ impl ExecutionPipeline {
         p
     }
 
-    /// Adopts a *verified* snapshot's state and execution position: each
-    /// lane map is built from its chunk.
+    /// Adopts a *verified* snapshot's state and execution position: the
+    /// state is built from its chunks.
     fn restore(&mut self, snap: &Snapshot) {
         self.kv = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
         self.applied = snap.head.applied;
@@ -694,14 +706,18 @@ impl ExecutionPipeline {
         self.install_snapshot(&snap).then_some(reused)
     }
 
-    /// Installs a snapshot when it verifies and is ahead of the local
-    /// applied frontier. Returns `true` when state advanced.
+    /// Installs a snapshot when it is ahead of the local applied
+    /// frontier, names no account past the keyspace, and verifies.
+    /// Returns `true` when state advanced.
     fn install_snapshot(&mut self, snap: &Snapshot) -> bool {
         // Staged blocks must settle before the frontier jumps: flushing
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
         self.flush_staged();
-        if snap.head.applied <= self.applied || !snap.verify() {
+        if snap.head.applied <= self.applied
+            || !within_keyspace(snap, self.keyspace)
+            || !snap.verify()
+        {
             return false;
         }
         self.restore(snap);
@@ -1292,6 +1308,43 @@ mod tests {
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         assert!(!lagger.install_snapshot(&snap));
         assert_eq!(lagger.applied(), 0);
+    }
+
+    #[test]
+    fn a_snapshot_past_the_keyspace_is_refused_on_install() {
+        // The donor's accounts span 0..4096; a pipeline over 0..1024
+        // refuses its snapshot, from zero and as a delta over lanes it
+        // already holds, though every chunk verifies.
+        let mut donor = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut donor, 0, 8);
+        donor.checkpoint(0, Vec::new());
+        let (head, chunks) = donor.latest_snapshot().unwrap().split();
+        assert!(chunks.iter().all(SnapshotChunk::verify));
+        let mut small = ExecutionPipeline::in_memory(1024);
+        assert_eq!(small.install_delta(&head, &chunks), None);
+        run_blocks(&mut small, 0, 2);
+        let before = small.state_root();
+        assert_eq!(small.install_delta(&head, &chunks), None);
+        assert_eq!((small.applied(), small.state_root()), (2, before));
+        let mut wide = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        assert_eq!(wide.install_delta(&head, &chunks), Some(0));
+        assert_eq!(wide.state_root(), donor.state_root());
+    }
+
+    #[test]
+    fn a_snapshot_past_the_keyspace_is_refused_on_recovery() {
+        let disk = SharedMem::default();
+        let mut p = on_disk(&disk);
+        run_blocks(&mut p, 0, 12);
+        p.checkpoint(0, Vec::new());
+        run_blocks(&mut p, 12, 3);
+        assert_eq!(restart(&p, &disk).state_root(), p.state_root());
+        let mut store = SnapshotStore::in_memory();
+        store.put(p.latest_snapshot().unwrap().clone());
+        let backend = Box::new(disk.clone());
+        let small = ExecutionPipeline::rebuild(backend, WalOptions::default(), store, 1024);
+        assert_eq!(small.applied(), 0, "nothing is restored, nothing replays");
+        assert!(small.kv().is_empty());
     }
 
     #[test]

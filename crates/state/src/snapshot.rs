@@ -8,10 +8,10 @@
 //! hashes to — plus one [`SnapshotChunk`] per Merkle lane, in lane
 //! order, holding that lane's canonical contents under the lane root the
 //! head names. It has that one shape in memory, in `snap-*.bin` and on
-//! the wire: capture reads the 64 lane maps in key order, a responder
-//! serves `chunks[lane]`, an installer builds each lane map from its
-//! chunk — a lane is a shard of the root and the unit of transfer, and
-//! nothing flattens, re-sorts or re-buckets entries in between.
+//! the wire: capture buckets the state's one ascending pass by lane, a
+//! responder serves `chunks[lane]`, an installer writes each chunk's
+//! accounts into its pages — a lane is a shard of the root and the unit
+//! of transfer, and nothing sorts entries on the way.
 //!
 //! The manifest root covers every field an installer acts on — epoch,
 //! `applied`, `executed_txs`, `frontier`, and the lane roots (which
@@ -265,8 +265,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the current state of `kv` at `epoch`: each lane's live
-    /// entries are sorted by key straight into its chunk.
+    /// Captures the current state of `kv` at `epoch`: one ascending pass
+    /// over the state fills every lane's chunk in key order
+    /// ([`KvState::lane_runs`]).
     pub fn capture(
         epoch: u64,
         applied: u64,
@@ -276,10 +277,11 @@ impl Snapshot {
     ) -> Self {
         let lane_roots = kv.lane_roots();
         let chunks = (0..MERKLE_LANES)
-            .map(|lane| SnapshotChunk {
+            .zip(kv.lane_runs())
+            .map(|(lane, entries)| SnapshotChunk {
                 lane,
                 root: lane_roots[lane as usize],
-                entries: kv.lane_entries(lane as usize),
+                entries,
             })
             .collect();
         let root = manifest_root(epoch, applied, executed_txs, &frontier, &lane_roots);
@@ -394,7 +396,8 @@ impl Snapshot {
     /// Requester side of a delta install: fills each lane slot of `head`
     /// from the chunk `fetched` holds under that lane's root
     /// or, when `local`'s lane already has the root, from that lane
-    /// (those were advertised, so the responder never shipped them).
+    /// (those were advertised, so the responder never shipped them; the
+    /// first such lane takes one [`KvState::lane_runs`] pass for all).
     /// Returns the snapshot and how many lanes came from `local`, or
     /// `None` while any lane is still missing. The result encodes
     /// byte-identically to the donor's snapshot; installing it still
@@ -409,13 +412,15 @@ impl Snapshot {
         }
         let have = local.lane_roots();
         let mut reused = 0u64;
+        let mut runs = None;
         let mut chunks = Vec::with_capacity(have.len());
         for (lane, &root) in head.lane_roots.iter().enumerate() {
             let entries = match fetched(&root) {
                 Some(chunk) => chunk.entries.clone(),
                 None if have[lane] == root => {
                     reused += 1;
-                    local.lane_entries(lane)
+                    let runs = runs.get_or_insert_with(|| local.lane_runs());
+                    std::mem::take(&mut runs[lane])
                 }
                 None => return None,
             };

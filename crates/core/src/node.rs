@@ -881,7 +881,7 @@ impl MultiBftNode {
             // newest one we hold: a verified future-epoch checkpoint
             // lets the requester fast-forward its pacemaker and rejoin
             // the live epoch schedule while log entries repair the gap.
-            if pm.epoch() > req.epoch.next() {
+            if pm.epoch().0.saturating_sub(req.epoch.0) > 1 {
                 pm.stable_checkpoint(Epoch(pm.epoch().0 - 1))
             } else {
                 None
@@ -1559,5 +1559,32 @@ mod tests {
         assert_eq!(n.metrics.refused_client_groups, refused);
         assert_eq!(n.metrics.deposited_txs, 0);
         assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
+    }
+
+    /// A sync request from a requester in `epoch` whose frontier is
+    /// `round` on every instance.
+    fn sync_request(epoch: u64, round: u64) -> SyncRequest {
+        SyncRequest {
+            epoch: Epoch(epoch),
+            applied: 0,
+            frontier: vec![Round(round); N],
+            lane_roots: Vec::new(),
+        }
+    }
+
+    /// A requester claiming the last representable epoch gets no epoch
+    /// proof, and the responder does not step past that epoch to decide.
+    #[test]
+    fn a_sync_request_in_the_last_epoch_is_answered_without_overflow() {
+        let n = node(ProtocolKind::LadonPbft, 0);
+        assert!(n.build_sync_response(&sync_request(u64::MAX, 0)).is_none());
+    }
+
+    /// A frontier at the last representable round has no entries after
+    /// it; serving them does not step past it.
+    #[test]
+    fn a_sync_frontier_at_the_last_round_is_served_without_overflow() {
+        let n = node(ProtocolKind::LadonPbft, 0);
+        assert!(n.build_sync_response(&sync_request(0, u64::MAX)).is_none());
     }
 }

@@ -67,6 +67,7 @@ use ladon_types::{
     TimeNs, View,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 /// How the instance participates in rank coordination.
@@ -1256,6 +1257,7 @@ impl PbftInstance {
             || vc.new_view <= self.view
             || self.leader_of(vc.new_view) != self.cfg.me
             || from != vc.sig.signer()
+            || !vc.leaves_a_next_round()
         {
             self.rejected += 1;
             return;
@@ -1316,11 +1318,13 @@ impl PbftInstance {
         }
         if from != self.cfg.me {
             // The embedded view-change quorum must be individually valid:
-            // 2f+1 distinct signers, each message for this view/instance,
-            // every prepared entry certified by its QC.
+            // 2f+1 distinct signers, each message for this view/instance
+            // with a round after its last committed one, every prepared
+            // entry certified by its QC.
             let vc_valid = |vc: &Arc<ViewChange>| {
                 vc.new_view == nv.view
                     && vc.instance == nv.instance
+                    && vc.leaves_a_next_round()
                     && vc
                         .sig
                         .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
@@ -1435,19 +1439,16 @@ impl PbftInstance {
         limit: usize,
     ) -> Vec<(Block, Arc<QuorumCert>)> {
         let mut out = Vec::new();
-        let mut round = from.next();
-        while out.len() < limit {
-            let Some(st) = self.rounds.get(&round) else {
-                break;
-            };
-            if st.committed_at.is_none() {
+        let mut prev = from;
+        for (&round, st) in self.rounds.range((Excluded(from), Unbounded)) {
+            if out.len() >= limit || round.0 - prev.0 != 1 || st.committed_at.is_none() {
                 break;
             }
             let (Some(p), Some(qc)) = (&st.proposal, &st.prepare_qc) else {
                 break;
             };
             out.push((p.block(self.cfg.instance, round), qc.clone()));
-            round = round.next();
+            prev = round;
         }
         out
     }

@@ -328,6 +328,13 @@ impl ViewChange {
         }
     }
 
+    /// Whether a round follows `last_committed`, for the new view to
+    /// resume from. A sender's claim of the last representable round
+    /// leaves none, and the message is refused.
+    pub fn leaves_a_next_round(&self) -> bool {
+        self.last_committed.0 < u64::MAX
+    }
+
     /// Canonical signing bytes: the header, then a SHA-256 over every
     /// prepared entry's `(round, digest, rank, qc.view)`, so a relaying
     /// new leader cannot rewrite what the sender reported (classical

@@ -3,7 +3,7 @@
 
 use crate::instance::{PbftInstance, RankMode, RankStrategy};
 use crate::msg::{
-    PbftMsg, Phase, PrePrepare, RankBody, RankProof, RankReport, SignedRank, ViewChange,
+    NewView, PbftMsg, Phase, PrePrepare, RankBody, RankProof, RankReport, SignedRank, ViewChange,
     DOMAIN_PREPREPARE, DOMAIN_RANK,
 };
 use crate::testkit::{test_batch, Cluster};
@@ -392,6 +392,42 @@ fn new_view_completed_by_the_new_leader() -> (Cluster, Arc<crate::msg::NewView>)
         })
         .expect("the leader's own view change completes the quorum");
     (c, nv)
+}
+
+/// A signed view change that reports the last representable round as
+/// committed leaves no round for the new view to resume from. The new
+/// leader refuses it at the door, and a backup refuses a new view that
+/// embeds it: neither installs anything.
+#[test]
+fn a_view_change_committed_through_the_last_round_is_refused() {
+    let mut c = Cluster::new(4, RankMode::Plain, 63);
+    let vc_by = |c: &Cluster, r: u32| {
+        let signer = c.registry.signer(ReplicaId(r));
+        Arc::new(ViewChange::sign(
+            &signer,
+            View(1),
+            InstanceId(0),
+            Round(u64::MAX),
+            Vec::new(),
+        ))
+    };
+    // Replica 1 leads view 1: a quorum of such view changes reaches it.
+    let rejected = c.nodes[1].rejected;
+    for r in [0, 2, 3] {
+        let msg = PbftMsg::ViewChange(vc_by(&c, r));
+        let actions = c.nodes[1].on_message(ReplicaId(r), msg, c.now, &mut c.cur_ranks[1]);
+        assert!(actions.is_empty(), "{actions:?}");
+    }
+    assert_eq!(c.nodes[1].rejected, rejected + 3);
+    let vcs = [0, 2, 3].map(|r| vc_by(&c, r)).to_vec();
+    let leader = c.registry.signer(ReplicaId(1));
+    let nv = NewView::sign(&leader, View(1), InstanceId(0), vcs);
+    let rejected = c.nodes[2].rejected;
+    let msg = PbftMsg::NewView(Arc::new(nv));
+    let actions = c.nodes[2].on_message(ReplicaId(1), msg, c.now, &mut c.cur_ranks[2]);
+    assert_eq!(c.nodes[2].rejected, rejected + 1);
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!(c.nodes[2].view(), View(0));
 }
 
 #[test]

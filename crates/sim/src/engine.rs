@@ -6,31 +6,29 @@
 //! run is bit-reproducible given its seed. The same [`Actor`] trait is
 //! driven in real time by [`crate::live::LiveRuntime`].
 //!
-//! # An event waits in its stream
+//! # A delivery waits in its stream, a timer in the ordered map
 //!
-//! Most pending events are already in the order they fire, once they are
-//! grouped the right way. The queue keeps them in FIFO *streams*, each
+//! Most pending deliveries are already in the order they fire, once they
+//! are grouped by recipient. The queue keeps them in FIFO *streams*, each
 //! entry a `(time, seq)` key with its payload beside it, moved in once
-//! and out once:
+//! and out once: a delivery (sender, message, size) joins its recipient's
+//! stream, except a self-send, which joins the one loopback stream. A
+//! small binary heap orders the streams' head keys, one per non-empty
+//! stream, so a pop is one sift on a cache-hot heap and a push onto a
+//! non-empty stream is an append.
 //!
-//! - a delivery (sender, message, size) joins its recipient's stream,
-//!   except a self-send, which joins the one loopback stream;
-//! - a timer joins the stream of its delay, as 16 bytes of recipient and
-//!   timer id. The delays share a fixed table of 32 streams; a stream
-//!   takes a new delay only while it is empty.
+//! Every timer waits in one map ordered by key, and so does a delivery
+//! whose key is below its stream's tail; a pop takes the smaller of the
+//! heads' top and the map's first key, which the queue keeps beside the
+//! map. Timers are at most a few percent of the events a run dispatches
+//! (each consensus instance keeps one liveness deadline), so one tree
+//! serves them all. A stream is a hint, never a correctness input:
+//! events come out in exactly `(time, seq)` order for any [`Network`],
+//! and `seq` is unique per scheduled event, so a seeded run is the one a
+//! single heap of every key gives. One door, `Queue::schedule`, takes
+//! every event, here and in the live runtime's clock thread.
 //!
-//! A small binary heap orders the streams' head keys, one per non-empty
-//! stream (20 on average in a 16-replica WAN run), so a pop is one sift
-//! on a cache-hot heap and a push onto a non-empty stream is an append.
-//!
-//! An event whose key is below its stream's tail, or a timer whose delay
-//! finds no stream, goes to a fallback map ordered by key; a pop takes
-//! the smaller of the heads' top and the fallback's first. A stream is a
-//! hint, never a correctness input: events come out in exactly `(time,
-//! seq)` order for any [`Network`], and `seq` is unique per scheduled
-//! event, so a seeded run is the one a single heap of every key gives.
-//!
-//! Why each stream stays in order, so the fallback stays empty:
+//! Why each stream stays in order, so deliveries stay out of the map:
 //!
 //! - **Time never goes back.** `now` only moves to a popped event's time
 //!   or a `run_until` deadline, and [`Engine::schedule_timer`] moves an
@@ -41,7 +39,6 @@
 //!   scheduled in non-decreasing time. [`IdealNetwork`](crate::IdealNetwork)
 //!   adds one constant to `now`.
 //! - **Self-sends.** Loopback is a constant 10 µs after `now`.
-//! - **Timers of one delay.** `now + d` for a fixed `d`.
 //! - **Ties.** Equal times within a stream keep schedule order, because
 //!   `seq` grows with every push.
 //!
@@ -154,7 +151,8 @@ pub trait Actor<M: WireSize + Clone> {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-enum EventKind<M> {
+/// What an event does to its recipient.
+pub(crate) enum EventKind<M> {
     Deliver { from: ActorId, msg: M, bytes: u64 },
     Timer { id: u64 },
 }
@@ -164,153 +162,97 @@ enum EventKind<M> {
 type Key = (TimeNs, u64);
 
 /// What happens when a key comes due.
-struct Pending<M> {
-    to: ActorId,
-    kind: EventKind<M>,
+pub(crate) struct Pending<M> {
+    pub(crate) to: ActorId,
+    pub(crate) kind: EventKind<M>,
 }
 
-/// Streams that serve timers, one delay each at a time. A bound, not a
-/// setting: an actor that uses more distinct delays at once sends the
-/// extra ones to the fallback instead of growing the stream set.
-const TIMER_STREAMS: usize = 32;
-
-/// Pending events in FIFO streams merged by their heads (module docs).
-struct Queue<M> {
+/// Pending events: deliveries in FIFO streams merged by their heads,
+/// timers in one ordered map (module docs).
+pub(crate) struct Queue<M> {
     seq: u64,
-    /// `TIMER_STREAMS` streams of `(recipient, timer id)`.
-    timers: Vec<VecDeque<(Key, (ActorId, u64))>>,
-    /// The delay each timer stream serves; any, while it is empty.
-    delays: Vec<TimeNs>,
     /// Deliveries: self-sends in stream 0, the others to `to` in `1 + to`.
-    deliveries: Vec<VecDeque<(Key, Pending<M>)>>,
-    /// The head key of every non-empty stream, timer stream `s` as `s`
-    /// and delivery stream `s` as `TIMER_STREAMS + s` (`Reverse`:
-    /// earliest on top).
+    streams: Vec<VecDeque<(Key, Pending<M>)>>,
+    /// The head key of every non-empty stream, with its index
+    /// (`Reverse`: earliest on top).
     heads: BinaryHeap<Reverse<(Key, usize)>>,
-    /// Events that would have broken their stream's order.
-    fallback: BTreeMap<Key, Pending<M>>,
-    /// Events ever sent to `fallback`.
+    /// Timers, and deliveries that would have broken their stream's order.
+    ordered: BTreeMap<Key, Pending<M>>,
+    /// `ordered`'s first key, kept beside it: every pop compares against
+    /// it, and a tree walk there costs the delivery path about a fifth.
+    first: Option<Key>,
+    /// Deliveries ever sent to `ordered`.
     fallbacks: u64,
 }
 
-/// Appends `item` to `fifo`, stream `s`, unless `key` is below its tail;
-/// hands `item` back then.
-fn append<T>(
-    heads: &mut BinaryHeap<Reverse<(Key, usize)>>,
-    fifo: &mut VecDeque<(Key, T)>,
-    s: usize,
-    key: Key,
-    item: T,
-) -> Result<(), T> {
-    match fifo.back() {
-        Some(&(tail, _)) if key < tail => return Err(item),
-        Some(_) => {}
-        None => heads.push(Reverse((key, s))),
-    }
-    fifo.push_back((key, item));
-    Ok(())
-}
-
-/// Takes `fifo`'s head, with the key of the entry behind it.
-fn take<T>(fifo: &mut VecDeque<(Key, T)>) -> ((Key, T), Option<Key>) {
-    let head = fifo.pop_front().expect("a stream in `heads` has a head");
-    (head, fifo.front().map(|&(key, _)| key))
-}
-
 impl<M> Queue<M> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             seq: 0,
-            timers: (0..TIMER_STREAMS).map(|_| VecDeque::new()).collect(),
-            delays: vec![TimeNs::ZERO; TIMER_STREAMS],
-            deliveries: Vec::new(),
+            streams: Vec::new(),
             heads: BinaryHeap::new(),
-            fallback: BTreeMap::new(),
+            ordered: BTreeMap::new(),
+            first: None,
             fallbacks: 0,
         }
     }
 
-    /// The key of an event due at `time`, behind everything already
-    /// scheduled for that instant.
-    fn next_key(&mut self, time: TimeNs) -> Key {
+    /// Queues `pending` at `time`, behind everything already scheduled
+    /// for that instant. Inlined into each caller: left out of line, the
+    /// call costs a one-event-in-flight run about a tenth of its speed.
+    #[inline(always)]
+    pub(crate) fn schedule(&mut self, time: TimeNs, pending: Pending<M>) {
         self.seq += 1;
-        (time, self.seq)
-    }
-
-    /// Files an event that fits no stream.
-    fn file(&mut self, key: Key, pending: Pending<M>) {
-        self.fallbacks += 1;
-        self.fallback.insert(key, pending);
-    }
-
-    /// Queues a delivery at `time`.
-    fn deliver(&mut self, time: TimeNs, from: ActorId, to: ActorId, msg: M, bytes: u64) {
-        let s = if from == to { 0 } else { 1 + to };
-        if s >= self.deliveries.len() {
-            self.deliveries.resize_with(s + 1, VecDeque::new);
+        let key = (time, self.seq);
+        if let EventKind::Deliver { from, .. } = pending.kind {
+            let to = pending.to;
+            let s = if from == to { 0 } else { 1 + to };
+            if s >= self.streams.len() {
+                self.streams.resize_with(s + 1, VecDeque::new);
+            }
+            let fifo = &mut self.streams[s];
+            match fifo.back() {
+                Some(&(tail, _)) if key < tail => self.fallbacks += 1,
+                tail => {
+                    if tail.is_none() {
+                        self.heads.push(Reverse((key, s)));
+                    }
+                    fifo.push_back((key, pending));
+                    return;
+                }
+            }
         }
-        let key = self.next_key(time);
-        let kind = EventKind::Deliver { from, msg, bytes };
-        let (fifo, pending) = (&mut self.deliveries[s], Pending { to, kind });
-        if let Err(pending) = append(&mut self.heads, fifo, TIMER_STREAMS + s, key, pending) {
-            self.file(key, pending);
+        if self.first.is_none_or(|f| key < f) {
+            self.first = Some(key);
         }
-    }
-
-    /// Queues timer `id` for `to` at `now + delay`.
-    fn timer(&mut self, now: TimeNs, delay: TimeNs, to: ActorId, id: u64) {
-        let key = self.next_key(now + delay);
-        let stream = self.timer_stream(delay);
-        let (heads, timers) = (&mut self.heads, &mut self.timers);
-        if stream.is_none_or(|s| append(heads, &mut timers[s], s, key, (to, id)).is_err()) {
-            let kind = EventKind::Timer { id };
-            self.file(key, Pending { to, kind });
-        }
-    }
-
-    /// The stream serving `delay`: the one keyed by it, else the first
-    /// empty one, re-keyed; `None` if every stream is busy with another
-    /// delay.
-    fn timer_stream(&mut self, delay: TimeNs) -> Option<usize> {
-        if let Some(s) = self.delays.iter().position(|&d| d == delay) {
-            return Some(s);
-        }
-        let s = self.timers.iter().position(VecDeque::is_empty)?;
-        self.delays[s] = delay;
-        Some(s)
+        self.ordered.insert(key, pending);
     }
 
     /// Due time of the earliest event.
-    fn next_time(&self) -> Option<TimeNs> {
+    pub(crate) fn next_time(&self) -> Option<TimeNs> {
         let head = self.heads.peek().map(|Reverse(((time, _), _))| *time);
-        let fallback = self.fallback.first_key_value().map(|((time, _), _)| *time);
-        head.into_iter().chain(fallback).min()
+        let ordered = self.first.map(|(time, _)| time);
+        head.into_iter().chain(ordered).min()
     }
 
     /// Removes the earliest event, if any, with its key.
-    fn pop(&mut self) -> Option<(Key, Pending<M>)> {
+    pub(crate) fn pop(&mut self) -> Option<(Key, Pending<M>)> {
         let head = self.heads.peek().map(|Reverse((key, _))| *key);
-        let first = self.fallback.first_key_value().map(|(key, _)| *key);
-        if first.is_some_and(|f| head.is_none_or(|h| f < h)) {
-            return self.fallback.pop_first();
+        if self.first.is_some_and(|f| head.is_none_or(|h| f < h)) {
+            let popped = self.ordered.pop_first();
+            self.first = self.ordered.first_key_value().map(|(key, _)| *key);
+            return popped;
         }
         let mut top = self.heads.peek_mut()?;
-        let s = top.0 .1;
-        let ((key, pending), next) = match s.checked_sub(TIMER_STREAMS) {
-            None => {
-                let ((key, (to, id)), next) = take(&mut self.timers[s]);
-                let kind = EventKind::Timer { id };
-                ((key, Pending { to, kind }), next)
-            }
-            Some(d) => take(&mut self.deliveries[d]),
-        };
-        match next {
-            Some(next) => top.0 .0 = next,
+        let fifo = &mut self.streams[top.0 .1];
+        let popped = fifo.pop_front().expect("a stream in `heads` has a head");
+        match fifo.front() {
+            Some(&(next, _)) => top.0 .0 = next,
             None => {
                 PeekMut::pop(top);
             }
         }
-        Some((key, pending))
+        Some(popped)
     }
 }
 
@@ -352,7 +294,9 @@ impl<M: WireSize + Clone> Context<M> for SimCtx<'_, M> {
         {
             Some(at) => {
                 debug_assert!(at >= core.now, "network produced a delivery in the past");
-                core.queue.deliver(at, self.self_id, to, msg, bytes);
+                let from = self.self_id;
+                let kind = EventKind::Deliver { from, msg, bytes };
+                core.queue.schedule(at, Pending { to, kind });
             }
             None => core.stats.on_drop(self.self_id),
         }
@@ -360,7 +304,8 @@ impl<M: WireSize + Clone> Context<M> for SimCtx<'_, M> {
 
     fn set_timer(&mut self, delay: TimeNs, id: u64) {
         let core = &mut *self.core;
-        core.queue.timer(core.now, delay, self.self_id, id);
+        let (to, kind) = (self.self_id, EventKind::Timer { id });
+        core.queue.schedule(core.now + delay, Pending { to, kind });
     }
 
     fn crash(&mut self, actor: ActorId) {
@@ -432,8 +377,9 @@ impl<M: WireSize + Clone> Engine<M> {
     /// An `at` already past fires at [`Engine::now`], after the events
     /// already due then: the clock never runs backwards.
     pub fn schedule_timer(&mut self, actor: ActorId, at: TimeNs, id: u64) {
-        let (now, queue) = (self.core.now, &mut self.core.queue);
-        queue.timer(now, at.saturating_sub(now), actor, id);
+        let kind = EventKind::Timer { id };
+        let at = at.max(self.core.now);
+        self.core.queue.schedule(at, Pending { to: actor, kind });
     }
 
     /// Marks an actor as crashed from outside the run.
@@ -688,17 +634,28 @@ mod tests {
         assert_eq!(a.log, [1, 2, 3].map(|id| (ten, usize::MAX, id)));
     }
 
+    fn timer(to: ActorId, id: u64) -> Pending<Num> {
+        let kind = EventKind::Timer { id };
+        Pending { to, kind }
+    }
+
+    fn delivery(from: ActorId, to: ActorId, n: u64) -> Pending<Num> {
+        let (msg, bytes) = (Num(n), 8);
+        let kind = EventKind::Deliver { from, msg, bytes };
+        Pending { to, kind }
+    }
+
     #[test]
     fn the_heap_holds_one_small_key_per_busy_stream() {
         assert!(std::mem::size_of::<Reverse<(Key, usize)>>() <= 24);
         let mut q: Queue<Num> = Queue::new();
         for i in 0..1_000 {
-            q.timer(TimeNs::ZERO, TimeNs::from_secs(10), i % 4, i as u64);
-            q.deliver(TimeNs::from_micros(i as u64), 0, 1 + i % 3, Num(0), 8);
+            q.schedule(TimeNs::from_secs(10), timer(i % 4, i as u64));
+            q.schedule(TimeNs::from_micros(i as u64), delivery(0, 1 + i % 3, 0));
         }
-        q.deliver(TimeNs::from_micros(5), 2, 2, Num(0), 8);
-        // One timer stream, three recipients, loopback.
-        assert_eq!(q.heads.len(), 5);
+        q.schedule(TimeNs::from_micros(5), delivery(2, 2, 0));
+        // Three recipients and loopback; the timers wait in the map.
+        assert_eq!(q.heads.len(), 4);
         assert_eq!(std::iter::from_fn(|| q.pop()).count(), 2_001);
         assert!(q.heads.is_empty());
         assert_eq!(q.fallbacks, 0);
@@ -707,12 +664,12 @@ mod tests {
     /// The queue against the order it must reproduce, a heap of `(time,
     /// seq)` keys, over seeded schedules: deliveries to three in-order
     /// recipients, self-sends, a recipient whose times go backwards, and
-    /// timers at 40 delays (more than `TIMER_STREAMS`), all in whole
-    /// milliseconds so that streams tie; pops interleaved, then a drain.
+    /// timers at 40 delays, all in whole milliseconds so that streams and
+    /// the map tie; pops interleaved, then a drain.
     #[test]
     fn queue_pops_in_the_reference_heap_order() {
         let ms = TimeNs::from_millis;
-        let (mut fallbacks, mut ties, mut table_full) = (0, 0, 0);
+        let (mut fallbacks, mut ties) = (0, 0);
         for seed in 0..64 {
             let mut rng = SimRng::new(seed);
             let mut q: Queue<Num> = Queue::new();
@@ -745,33 +702,31 @@ mod tests {
                 let to = rng.next_below(4) as usize;
                 let time = match rng.next_below(4) {
                     0 => {
-                        let delay = ms(rng.next_below(40));
-                        q.timer(now, delay, to, seq);
-                        now + delay
+                        let at = now + ms(rng.next_below(40));
+                        q.schedule(at, timer(to, seq));
+                        at
                     }
                     1 if to > 0 => {
                         rx_free[to] = rx_free[to].max(now) + ms(rng.next_below(3));
-                        q.deliver(rx_free[to], 0, to, Num(seq), 8);
+                        q.schedule(rx_free[to], delivery(0, to, seq));
                         rx_free[to]
                     }
                     2 => {
-                        q.deliver(now + ms(1), to, to, Num(seq), 8);
+                        q.schedule(now + ms(1), delivery(to, to, seq));
                         now + ms(1)
                     }
                     _ => {
                         let at = now + ms(rng.next_below(20));
-                        q.deliver(at, 1, 0, Num(seq), 8);
+                        q.schedule(at, delivery(1, 0, seq));
                         at
                     }
                 };
                 reference.push(Reverse((time, seq)));
-                table_full += u64::from(q.timers.iter().all(|t| !t.is_empty()));
             }
-            assert!(q.heads.is_empty() && q.fallback.is_empty());
+            assert!(q.heads.is_empty() && q.ordered.is_empty());
             fallbacks += q.fallbacks;
         }
         assert!(fallbacks > 1_000 && ties > 1_000, "{fallbacks} {ties}");
-        assert!(table_full > 1_000, "{table_full}");
     }
 
     /// Sends every actor, itself included, a message of a random size on
@@ -806,10 +761,11 @@ mod tests {
         }
     }
 
-    /// The stream gate: under the WAN NIC model every delivery and timer
-    /// arrives in its stream's order, so nothing takes the fallback. A
-    /// network-model change that breaks per-receiver order fails here
-    /// instead of only slowing the engine down.
+    /// The stream gate: under the WAN NIC model every delivery arrives in
+    /// its stream's order, so none falls back to the ordered map (timers
+    /// always wait there). A network-model change that breaks
+    /// per-receiver order fails here instead of only slowing the engine
+    /// down.
     #[test]
     fn nic_deliveries_and_timers_never_take_the_fallback() {
         let net = NicNetwork::new(Topology::paper(NetEnv::Wan, 16));
@@ -848,29 +804,33 @@ mod tests {
         let latency = TimeNs::from_millis(1);
         let mut e = Engine::new(IdealNetwork { latency }, 7);
         e.add_actor(Box::new(Log(Vec::new())));
-        // Three 1 ms timers fill one stream and fire, leaving its ring
-        // buffer empty with its head three cells in.
-        for id in 1..=3 {
-            e.schedule_timer(0, TimeNs::from_millis(1), id);
+        // Three timers at 0 send themselves: the self-sends fill the
+        // loopback stream and arrive at 1 ms, leaving its ring buffer
+        // empty with its head three cells in.
+        for id in 101..=103 {
+            e.schedule_timer(0, TimeNs::ZERO, id);
         }
         e.run_until(TimeNs::from_millis(2));
-        let stream = e.core.queue.timer_stream(TimeNs::from_millis(1)).unwrap();
-        let capacity = e.core.queue.timers[stream].capacity();
-        // Same instant and delay, scheduled 100, 200, 300: they reuse
-        // those cells and wrap around the buffer's end. A fourth timer is
-        // due when their sends arrive.
+        let capacity = e.core.queue.streams[0].capacity();
+        // Same instant, fired 100, 200, 300: their self-sends reuse those
+        // cells and wrap around the buffer's end. A fourth timer is due
+        // when they arrive.
         for id in [100, 200, 300] {
             e.schedule_timer(0, TimeNs::from_millis(3), id);
         }
         e.schedule_timer(0, TimeNs::from_millis(4), 4);
-        let fifo = &e.core.queue.timers[stream];
+        e.run_until(TimeNs::from_millis(3) + TimeNs(1));
+        let fifo = &e.core.queue.streams[0];
+        assert_eq!(fifo.len(), 3);
         assert_eq!(fifo.capacity(), capacity);
         assert!(!fifo.as_slices().1.is_empty(), "the stream wraps");
         e.run_until(TimeNs::from_secs(1));
         // Schedule order at 3 ms; at 4 ms the timer (scheduled before the
         // sends existed) and then the deliveries in send order.
         let log: &Log = e.actor_as(0).unwrap();
-        assert_eq!(log.0, [1, 2, 3, 100, 200, 300, 4, 1100, 1200, 1300]);
+        let first = [101, 102, 103, 1101, 1102, 1103];
+        let second = [100, 200, 300, 4, 1100, 1200, 1300];
+        assert_eq!(log.0, [&first[..], &second[..]].concat());
         assert!(e.core.queue.heads.is_empty());
         assert_eq!(e.core.queue.fallbacks, 0);
     }

@@ -3,8 +3,9 @@
 //! Drives the same [`Actor`] state machines as the discrete-event engine,
 //! but over real threads and `std::sync::mpsc` channels, with message
 //! latencies imposed by the same [`Network`] models. One thread per actor
-//! processes deliveries; a clock thread holds a delay queue and releases
-//! messages when they fall due. Used by the `live_cluster` example to
+//! processes deliveries and timers; a clock thread holds the engine's own
+//! event queue, keyed by wall-clock due time, and hands each event to its
+//! actor when it falls due. Used by the `live_cluster` example to
 //! demonstrate that the protocol crates are runtime-agnostic.
 //!
 //! ## Companion threads (per-node WAL writer)
@@ -19,7 +20,7 @@
 //! Shut down the runtime and drop (or inspect, then drop) the returned
 //! actors to tear the whole tree down; nothing detaches.
 
-use crate::engine::{Actor, ActorId, Context};
+use crate::engine::{Actor, ActorId, Context, EventKind, Pending, Queue};
 use crate::net::Network;
 use crate::rng::SimRng;
 use crate::trace::NetStats;
@@ -27,19 +28,13 @@ use ladon_types::{TimeNs, WireSize};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-enum LiveEvent<M> {
-    Deliver { from: ActorId, msg: M, bytes: u64 },
-    Timer { id: u64 },
-    Shutdown,
-}
+/// An event for the clock thread to queue, with its due time.
+type Scheduled<M> = (TimeNs, Pending<M>);
 
-struct Scheduled<M> {
-    due: TimeNs,
-    to: ActorId,
-    event: LiveEvent<M>,
-}
+/// What an actor thread receives: an event, or `None` to shut down.
+type ActorEvent<M> = Option<EventKind<M>>;
 
 struct Shared {
     start: Instant,
@@ -83,15 +78,12 @@ impl<M: WireSize + Clone> Context<M> for LiveCtx<M> {
         };
         match due {
             Some(due) => {
-                let _ = self.clock_tx.send(Scheduled {
-                    due,
-                    to,
-                    event: LiveEvent::Deliver {
-                        from: self.self_id,
-                        msg,
-                        bytes,
-                    },
-                });
+                let kind = EventKind::Deliver {
+                    from: self.self_id,
+                    msg,
+                    bytes,
+                };
+                let _ = self.clock_tx.send((due, Pending { to, kind }));
             }
             None => self.shared.stats.lock().unwrap().on_drop(self.self_id),
         }
@@ -99,11 +91,8 @@ impl<M: WireSize + Clone> Context<M> for LiveCtx<M> {
 
     fn set_timer(&mut self, delay: TimeNs, id: u64) {
         let due = self.shared.now() + delay;
-        let _ = self.clock_tx.send(Scheduled {
-            due,
-            to: self.self_id,
-            event: LiveEvent::Timer { id },
-        });
+        let (to, kind) = (self.self_id, EventKind::Timer { id });
+        let _ = self.clock_tx.send((due, Pending { to, kind }));
     }
 
     fn crash(&mut self, actor: ActorId) {
@@ -121,7 +110,7 @@ impl<M: WireSize + Clone> Context<M> for LiveCtx<M> {
 /// A running live cluster.
 pub struct LiveRuntime<M> {
     actor_handles: Vec<JoinHandle<Box<dyn Actor<M> + Send>>>,
-    actor_txs: Vec<SyncSender<LiveEvent<M>>>,
+    actor_txs: Vec<SyncSender<ActorEvent<M>>>,
     clock_tx: Sender<Scheduled<M>>,
     clock_handle: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
@@ -145,14 +134,14 @@ impl<M: WireSize + Clone + Send + 'static> LiveRuntime<M> {
 
         let (clock_tx, clock_rx) = channel::<Scheduled<M>>();
         let mut actor_txs = Vec::with_capacity(n);
-        let mut actor_rxs: Vec<Receiver<LiveEvent<M>>> = Vec::with_capacity(n);
+        let mut actor_rxs: Vec<Receiver<ActorEvent<M>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = sync_channel::<LiveEvent<M>>(100_000);
+            let (tx, rx) = sync_channel::<ActorEvent<M>>(100_000);
             actor_txs.push(tx);
             actor_rxs.push(rx);
         }
 
-        // Clock thread: a delay queue over wall-clock time.
+        // Clock thread: the event queue over wall-clock time.
         let clock_handle = {
             let shared = shared.clone();
             let actor_txs = actor_txs.clone();
@@ -178,22 +167,18 @@ impl<M: WireSize + Clone + Send + 'static> LiveRuntime<M> {
                     rng,
                 };
                 actor.on_start(&mut ctx);
-                while let Ok(ev) = rx.recv() {
+                while let Ok(Some(kind)) = rx.recv() {
                     if shared.crashed.lock().unwrap()[id] {
                         // Crashed actors drain and ignore everything but
                         // shutdown (so the runtime can still join them).
-                        if matches!(ev, LiveEvent::Shutdown) {
-                            break;
-                        }
                         continue;
                     }
-                    match ev {
-                        LiveEvent::Deliver { from, msg, bytes } => {
+                    match kind {
+                        EventKind::Deliver { from, msg, bytes } => {
                             shared.stats.lock().unwrap().on_recv(id, bytes);
                             actor.on_message(from, msg, &mut ctx);
                         }
-                        LiveEvent::Timer { id: t } => actor.on_timer(t, &mut ctx),
-                        LiveEvent::Shutdown => break,
+                        EventKind::Timer { id: t } => actor.on_timer(t, &mut ctx),
                     }
                 }
                 actor
@@ -235,7 +220,7 @@ impl<M: WireSize + Clone + Send + 'static> LiveRuntime<M> {
     /// (discarding any not-yet-due deliveries).
     pub fn shutdown(mut self) -> Vec<Box<dyn Actor<M> + Send>> {
         for tx in &self.actor_txs {
-            let _ = tx.send(LiveEvent::Shutdown);
+            let _ = tx.send(None);
         }
         let actors: Vec<Box<dyn Actor<M> + Send>> = self
             .actor_handles
@@ -252,48 +237,26 @@ impl<M: WireSize + Clone + Send + 'static> LiveRuntime<M> {
 
 fn clock_loop<M>(
     rx: Receiver<Scheduled<M>>,
-    actor_txs: Vec<SyncSender<LiveEvent<M>>>,
+    actor_txs: Vec<SyncSender<ActorEvent<M>>>,
     shared: Arc<Shared>,
 ) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    // Order by due time; sequence breaks ties FIFO.
-    let mut heap: BinaryHeap<Reverse<(TimeNs, u64, usize)>> = BinaryHeap::new();
-    let mut payloads: std::collections::HashMap<u64, (ActorId, LiveEvent<M>)> =
-        std::collections::HashMap::new();
-    let mut seq = 0u64;
-    let mut open = true;
-
-    while open {
+    let mut queue = Queue::new();
+    loop {
         // Deliver everything due.
         let now = shared.now();
-        while let Some(&Reverse((due, s, _))) = heap.peek() {
-            if due > now {
-                break;
-            }
-            heap.pop();
-            if let Some((to, ev)) = payloads.remove(&s) {
-                let _ = actor_txs[to].send(ev);
-            }
+        while queue.next_time().is_some_and(|due| due <= now) {
+            let (_, Pending { to, kind }) = queue.pop().expect("an event is due");
+            let _ = actor_txs[to].send(Some(kind));
         }
 
         // Wait for the next arrival or the next due instant.
-        let timeout = heap
-            .peek()
-            .map(|&Reverse((due, _, _))| {
-                std::time::Duration::from_nanos(due.saturating_sub(shared.now()).0.max(1))
-            })
-            .unwrap_or(std::time::Duration::from_millis(50));
-
+        let timeout = queue.next_time().map_or(Duration::from_millis(50), |due| {
+            Duration::from_nanos(due.saturating_sub(shared.now()).0.max(1))
+        });
         match rx.recv_timeout(timeout) {
-            Ok(s_ev) => {
-                seq += 1;
-                heap.push(Reverse((s_ev.due, seq, s_ev.to)));
-                payloads.insert(seq, (s_ev.to, s_ev.event));
-            }
+            Ok((due, pending)) => queue.schedule(due, pending),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => open = false,
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -389,5 +352,36 @@ mod tests {
         let finals = rt.shutdown();
         let c = finals[1].as_any().downcast_ref::<Counter>().unwrap();
         assert_eq!(c.received, 0);
+    }
+
+    /// Arms three timers out of due order; logs them as they fire.
+    struct Timers(Vec<u64>);
+    impl Actor<Tick> for Timers {
+        fn on_start(&mut self, ctx: &mut dyn Context<Tick>) {
+            for ms in [30, 10, 20] {
+                ctx.set_timer(TimeNs::from_millis(ms), ms);
+            }
+        }
+        fn on_message(&mut self, _from: ActorId, _msg: Tick, _ctx: &mut dyn Context<Tick>) {}
+        fn on_timer(&mut self, id: u64, _ctx: &mut dyn Context<Tick>) {
+            self.0.push(id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn live_timers_fire_in_due_order() {
+        let actors: Vec<Box<dyn Actor<Tick> + Send>> = vec![Box::new(Timers(Vec::new()))];
+        let latency = TimeNs::from_millis(1);
+        let rt = LiveRuntime::spawn(actors, Box::new(IdealNetwork { latency }), 3);
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        let finals = rt.shutdown();
+        let t = finals[0].as_any().downcast_ref::<Timers>().unwrap();
+        assert_eq!(t.0, [10, 20, 30]);
     }
 }

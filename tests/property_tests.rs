@@ -409,14 +409,14 @@ proptest! {
         prop_assert_eq!(folded.lane_roots(), rebuilt.lane_roots());
     }
 
-    /// The flat lane table against the model it replaced, a plain
-    /// `BTreeMap<u32, u64>`: random `Put` (incl. value 0 and values that
-    /// saturate a credit) / `Transfer` (incl. `from == to` and an empty
-    /// source) / `Get` over keyspaces {1, 64, 4096, 1 << 20}, keys at
-    /// `u32::MAX`, and a pool of keys confined to ONE lane. Every case
-    /// opens by putting 40 pool keys unfolded — the lane's table grows
-    /// 8 → 16 → 32 → 64 (three rehashes, where the keyspace has 29 keys
-    /// in a lane) while every slot is dirty — and then cuts the ops into
+    /// The page-indexed `KvState` against a plain `BTreeMap<u32, u64>`
+    /// model: random `Put` (incl. value 0 and values that saturate a
+    /// credit) / `Transfer` (incl. `from == to` and an empty source) /
+    /// `Get` over keyspaces {1, 64, 4096, 1 << 20}, keys at `u32::MAX`
+    /// (the last page), and a pool of keys confined to ONE lane. Every
+    /// case opens by putting 40 pool keys unfolded — their pages, up to
+    /// four where the keyspace spreads the lane over them, are allocated
+    /// while every account written is dirty — and then cuts the ops into
     /// batches at arbitrary points, folding at some of the cuts. After
     /// every batch the table and the model agree on entries, length and
     /// every touched key; the root is the root of the state rebuilt

@@ -2,8 +2,10 @@
 //! aggregate verification, a cert-cache hit, a block's lifecycle trace,
 //! the global ordering algorithm, raw engine event throughput (bare, with
 //! a deep queue of real envelopes, and with the timers and deliveries a
-//! WAN run keeps pending), one PBFT round at n = 16 and KV state
-//! execution. Plain timing loops (see `ladon_bench::microbench`);
+//! WAN run keeps pending), one PBFT round at n = 16, KV state
+//! execution, and execution across four pipelines sharing the executor
+//! (with the inline-vs-pooled hand-off its threshold rests on). Plain
+//! timing loops (see `ladon_bench::microbench`);
 //! printed, not gated.
 
 use ladon_bench::microbench;
@@ -17,7 +19,7 @@ use ladon_obs::{Stage, TraceJournal};
 use ladon_pbft::testkit::{test_batch, Cluster};
 use ladon_pbft::RankMode;
 use ladon_sim::{Actor, ActorId, Context, Engine, IdealNetwork, NicNetwork, Topology};
-use ladon_state::{ExecutionPipeline, KvState, Snapshot, DEFAULT_KEYSPACE};
+use ladon_state::{exec, ExecutionPipeline, KvState, Snapshot, DEFAULT_KEYSPACE};
 use ladon_types::{
     Batch, Block, BlockHeader, Digest, InstanceId, NetEnv, Rank, ReplicaId, Round, TimeNs, TxId,
     TxOp, View, WireSize,
@@ -339,6 +341,72 @@ fn bench_state() {
     });
 }
 
+/// Execution as `exec_heavy_n4` drives it: four in-memory pipelines fed
+/// one 4 096-tx block each per iteration, round-robin, through
+/// `stage_blocks` + `submit_staged` (each drain applies the previous
+/// barrier's batch, on the executor when a worker exists).
+fn bench_exec_pipelines() {
+    let mut pipes: Vec<ExecutionPipeline> = (0..4)
+        .map(|_| ExecutionPipeline::in_memory(DEFAULT_KEYSPACE))
+        .collect();
+    let mut sn = 0u64;
+    microbench("exec_4_pipelines_4096_tx", 1_000, || {
+        let block = [(sn, Block::synthetic(sn, sn * 4096, 4096))];
+        for p in &mut pipes {
+            p.stage_blocks(&block);
+            p.submit_staged();
+        }
+        sn += 1;
+    });
+    for p in &mut pipes {
+        p.flush_staged();
+    }
+}
+
+/// What the executor's hand-off threshold weighs: four states fed one
+/// `n`-op batch each per iteration, round-robin, each batch applied
+/// inline or handed to the executor as a job (at most one outstanding
+/// per state, settled before that state's next batch), at n = 32,
+/// 1 024 and 4 096. Ops are derived in the apply, as a pipeline's are.
+fn bench_exec_handoff() {
+    fn apply(kv: &mut KvState, first: u64, n: u64) -> ladon_state::ExecEffects {
+        kv.apply_batch((first..first + n).map(|i| TxOp::for_id(TxId(i), DEFAULT_KEYSPACE)))
+    }
+    println!("(executor workers: {})", exec::workers());
+    for n in [32u64, 1024, 4096] {
+        let iters = 4_000_000 / n / 4;
+        let mut states: Vec<KvState> = (0..4).map(|_| KvState::new()).collect();
+        let mut first = 0u64;
+        microbench(&format!("exec_handoff_{n}_ops_inline"), iters, || {
+            for kv in &mut states {
+                apply(kv, first, n);
+                first += n;
+            }
+        });
+        let mut slots: Vec<(KvState, Option<exec::Job<KvState>>)> =
+            (0..4).map(|_| (KvState::new(), None)).collect();
+        microbench(&format!("exec_handoff_{n}_ops_pooled"), iters, || {
+            for (kv, job) in &mut slots {
+                if let Some(j) = job.take() {
+                    *kv = j.wait().expect("the apply does not panic");
+                }
+                let mut mine = std::mem::take(kv);
+                let at = first;
+                *job = Some(exec::spawn(move || {
+                    apply(&mut mine, at, n);
+                    mine
+                }));
+                first += n;
+            }
+        });
+        for (_, job) in &mut slots {
+            if let Some(j) = job.take() {
+                j.wait().expect("the apply does not panic");
+            }
+        }
+    }
+}
+
 fn main() {
     println!("engine_micro: hot-path microbenchmarks\n");
     bench_crypto();
@@ -349,4 +417,6 @@ fn main() {
     bench_event_queue_timer_heavy();
     bench_pbft_round();
     bench_state();
+    bench_exec_pipelines();
+    bench_exec_handoff();
 }

@@ -160,8 +160,11 @@ pub struct HsInstance {
     /// Epoch rank range.
     epoch_min: Rank,
     epoch_max: Rank,
-    /// New-view messages collected by a prospective leader.
-    new_views: BTreeMap<View, BTreeMap<ReplicaId, HsNewView>>,
+    /// New-view messages collected by a prospective leader: the one
+    /// held from each sender, its highest view, so a member signing
+    /// new views for ever-higher views holds one entry, not one per
+    /// view.
+    new_views: BTreeMap<ReplicaId, HsNewView>,
     /// Proposals ranked past the current epoch, replayed by
     /// [`Self::advance_epoch`]. Bounded by [`ladon_types::MAX_PENDING_MSGS`].
     pending_epoch: Vec<(ReplicaId, Arc<HsGeneric>)>,
@@ -818,15 +821,22 @@ impl HsInstance {
             self.generic_qc = nv.justify.clone();
         }
         let view = nv.view;
-        let entry = self.new_views.entry(view).or_default();
-        entry.insert(from, nv);
-        if entry.len() >= quorum(self.cfg.n) {
+        if self
+            .new_views
+            .get(&from)
+            .is_some_and(|held| held.view >= view)
+        {
+            return;
+        }
+        self.new_views.insert(from, nv);
+        let naming = self.new_views.values().filter(|nv| nv.view == view);
+        if naming.count() >= quorum(self.cfg.n) {
             // Install the new view; the next propose() extends generic_qc,
             // and this leader's vote for it starts the next deadline.
             self.view = view;
             self.deadline = None;
             self.proposed_height = self.generic_qc.height();
-            self.new_views.retain(|v, _| *v > view);
+            self.new_views.retain(|_, nv| nv.view > view);
         }
     }
 }
@@ -1797,5 +1807,44 @@ mod tests {
         assert!(!qc.verify(&reg, 4), "quorum threshold enforced");
         qc.rank = Rank(qc.rank.0 + 1);
         assert!(!qc.verify(&reg, 3), "rank is bound by the signatures");
+    }
+
+    /// A member that signs new views for ever-higher views this replica
+    /// leads leaves one entry held, its highest; a quorum naming exactly
+    /// that view still installs it.
+    #[test]
+    fn a_member_signing_ever_higher_new_views_holds_one_entry() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let registry = c.nodes[0].cfg.registry.clone();
+        let nv_by = |r: u32, view: u64| {
+            HsMsg::NewView(HsNewView {
+                view: View(view),
+                instance: InstanceId(0),
+                justify: c.nodes[1].generic_qc.clone(),
+                sig: Signature::sign(
+                    &registry.signer(ReplicaId(r)),
+                    DOMAIN_NEWVIEW,
+                    &View(view).0.to_le_bytes(),
+                ),
+            })
+        };
+        // Replica 1 leads views 1, 5, 9, … of instance 0.
+        let top = 1 + 4 * 9_999;
+        let msgs: Vec<HsMsg> = (1..=top).step_by(4).map(|v| nv_by(0, v)).collect();
+        let late = nv_by(0, 1);
+        let quorum: Vec<(u32, HsMsg)> = [2, 3].map(|r| (r, nv_by(r, top))).to_vec();
+        let node = &mut c.nodes[1];
+        for msg in msgs {
+            node.on_message(ReplicaId(0), msg, TimeNs::ZERO, &mut c.curs[1]);
+        }
+        assert_eq!(node.rejected, 0, "every one verified");
+        assert_eq!(node.new_views.len(), 1);
+        node.on_message(ReplicaId(0), late, TimeNs::ZERO, &mut c.curs[1]);
+        assert_eq!(node.new_views.len(), 1, "a lower view is moot");
+        for (r, msg) in quorum {
+            node.on_message(ReplicaId(r), msg, TimeNs::ZERO, &mut c.curs[1]);
+        }
+        assert_eq!(node.view, View(top));
+        assert!(node.new_views.is_empty());
     }
 }

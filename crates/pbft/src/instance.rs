@@ -364,7 +364,10 @@ pub struct PbftInstance {
     /// View-change state.
     in_view_change: bool,
     pending_view: View,
-    view_changes: BTreeMap<View, BTreeMap<ReplicaId, Arc<ViewChange>>>,
+    /// The verified view change held from each sender: its highest
+    /// view among those this replica leads, so a member signing view
+    /// changes for ever-higher views holds one entry, not one per view.
+    view_changes: BTreeMap<ReplicaId, Arc<ViewChange>>,
     /// The liveness deadline: the round awaited and since when (see the
     /// module docs). While a view change is in flight it bounds that.
     deadline: Option<(Round, TimeNs)>,
@@ -1272,9 +1275,16 @@ impl PbftInstance {
             return;
         }
         let new_view = vc.new_view;
-        let entry = self.view_changes.entry(new_view).or_default();
-        entry.insert(from, vc);
-        if entry.len() >= quorum(self.cfg.n) {
+        if self
+            .view_changes
+            .get(&from)
+            .is_some_and(|held| held.new_view >= new_view)
+        {
+            return;
+        }
+        self.view_changes.insert(from, vc);
+        let naming = self.view_changes.values();
+        if naming.filter(|vc| vc.new_view == new_view).count() >= quorum(self.cfg.n) {
             self.install_new_view(new_view, now, cur, out);
         }
     }
@@ -1288,12 +1298,12 @@ impl PbftInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        let vcs = self.view_changes.remove(&view).expect("quorum present");
+        let vcs = self.view_changes.values().filter(|vc| vc.new_view == view);
         let nv = NewView::sign(
             &self.cfg.signer,
             view,
             self.cfg.instance,
-            vcs.into_values().collect(),
+            vcs.cloned().collect(),
         );
         let nv = Arc::new(nv);
         out.push(Action::Broadcast(PbftMsg::NewView(nv.clone())));
@@ -1361,7 +1371,7 @@ impl PbftInstance {
         self.in_view_change = false;
         self.view_start_round = plan.resume_from;
         self.next_round = plan.resume_from;
-        self.view_changes.retain(|v, _| *v > nv.view);
+        self.view_changes.retain(|_, vc| vc.new_view > nv.view);
         out.push(Action::NewViewInstalled { view: nv.view });
 
         // A re-proposal's certificate is a rank certificate, as a fetched
@@ -1596,5 +1606,10 @@ impl PbftInstance {
     /// Rounds the leader holds rank reports for.
     pub(crate) fn rank_report_rounds(&self) -> usize {
         self.rank_reports.len()
+    }
+
+    /// View changes held toward views this replica leads.
+    pub(crate) fn view_changes_held(&self) -> usize {
+        self.view_changes.len()
     }
 }

@@ -430,6 +430,45 @@ fn a_view_change_committed_through_the_last_round_is_refused() {
     assert_eq!(c.nodes[2].view(), View(0));
 }
 
+/// A member that signs view changes for ever-higher views this replica
+/// leads (each one verifies: an empty prepared set costs one check)
+/// leaves one entry held, its highest; a quorum naming exactly that view
+/// still installs it.
+#[test]
+fn a_member_signing_ever_higher_view_changes_holds_one_entry() {
+    let mut c = Cluster::new(4, RankMode::Plain, 63);
+    // Replica 1 leads views 1, 5, 9, … of instance 0.
+    let vc_by = |c: &Cluster, r: u32, view: u64| {
+        let signer = c.registry.signer(ReplicaId(r));
+        let vc = ViewChange::sign(&signer, View(view), InstanceId(0), Round(0), Vec::new());
+        PbftMsg::ViewChange(Arc::new(vc))
+    };
+    let rejected = c.nodes[1].rejected;
+    let top = 1 + 4 * 9_999;
+    for view in (1..=top).step_by(4) {
+        let msg = vc_by(&c, 0, view);
+        let actions = c.nodes[1].on_message(ReplicaId(0), msg, c.now, &mut c.cur_ranks[1]);
+        assert!(actions.is_empty(), "{actions:?}");
+    }
+    assert_eq!(c.nodes[1].rejected, rejected, "every one verified");
+    assert_eq!(c.nodes[1].view_changes_held(), 1);
+    // A lower view from a member already held higher is moot.
+    let msg = vc_by(&c, 0, 1);
+    c.nodes[1].on_message(ReplicaId(0), msg, c.now, &mut c.cur_ranks[1]);
+    assert_eq!(c.nodes[1].view_changes_held(), 1);
+    // Two more members naming the held view make the quorum.
+    let mut installed = Vec::new();
+    for r in [2, 3] {
+        let msg = vc_by(&c, r, top);
+        installed = c.nodes[1].on_message(ReplicaId(r), msg, c.now, &mut c.cur_ranks[1]);
+    }
+    assert!(installed
+        .iter()
+        .any(|a| matches!(a, crate::Action::NewViewInstalled { view } if *view == View(top))));
+    assert_eq!(c.nodes[1].view(), View(top));
+    assert_eq!(c.nodes[1].view_changes_held(), 0);
+}
+
 #[test]
 fn new_view_that_rewrites_a_view_change_is_refused() {
     // A view change signs the entries it reports, an entry's batch must

@@ -59,6 +59,9 @@ pub struct Topology {
     env: NetEnv,
     /// Region of each actor (replicas first, then clients).
     regions: Vec<Region>,
+    /// One-way base latency between each pair of regions, converted
+    /// once here rather than on every send.
+    base: [[TimeNs; 4]; 4],
     /// Per-NIC bandwidth in bytes/second (paper: 1 Gbps).
     pub bandwidth_bps: f64,
     /// Relative jitter bound: delivery latency is scaled by a uniform
@@ -80,9 +83,19 @@ impl Topology {
                 .map(|i| Region::ALL[i % Region::ALL.len()])
                 .collect(),
         };
+        let base = std::array::from_fn(|from| {
+            std::array::from_fn(|to| {
+                let ms = match env {
+                    NetEnv::Lan => LAN_ONE_WAY_MS,
+                    NetEnv::Wan => WAN_ONE_WAY_MS[from][to],
+                };
+                TimeNs::from_secs_f64(ms / 1e3)
+            })
+        });
         Self {
             env,
             regions,
+            base,
             bandwidth_bps: Self::GBPS,
             jitter: 0.1,
         }
@@ -110,11 +123,7 @@ impl Topology {
 
     /// Base one-way propagation latency between two actors.
     pub fn base_latency(&self, from: usize, to: usize) -> TimeNs {
-        let ms = match self.env {
-            NetEnv::Lan => LAN_ONE_WAY_MS,
-            NetEnv::Wan => WAN_ONE_WAY_MS[self.regions[from].idx()][self.regions[to].idx()],
-        };
-        TimeNs::from_secs_f64(ms / 1e3)
+        self.base[self.regions[from].idx()][self.regions[to].idx()]
     }
 
     /// Transmission (serialization) delay for `bytes` at the NIC rate.

@@ -63,12 +63,14 @@
 //! # Execution
 //!
 //! [`KvState::apply_batch`] applies a batch's ops **in block order on
-//! the calling thread** — full read-your-writes semantics — in a
-//! **single pass**: a `Put` or `Get` is one page lookup, a `Transfer`
-//! three (read the source, debit it, credit the destination).
-//! [`KvState::apply`] is the batch of one through the same code. At a
-//! few nanoseconds an op is too small for any cross-thread hand-off to
-//! pay for itself.
+//! one thread** — full read-your-writes semantics — in a **single
+//! pass**: a `Put` or `Get` is one page lookup, a `Transfer` three (read
+//! the source, debit it, credit the destination). [`KvState::apply`] is
+//! the batch of one through the same code. At a few nanoseconds an op
+//! is too small to hand to another thread by itself; a whole
+//! acknowledged batch is not, and the pipeline hands large ones to the
+//! shared executor ([`crate::exec`]), which applies each on one thread
+//! all the same.
 
 use ladon_crypto::{sha256_parts, Sha256};
 use ladon_types::{splitmix64, Digest, TxOp};

@@ -7,10 +7,11 @@
 //!
 //! - [`kv`]: a deterministic key-value state machine ([`KvState`]) sharded
 //!   into [`MERKLE_LANES`] fixed Merkle lanes by key hash, its balances
-//!   kept in pages indexed by account id. Blocks apply in block order on
-//!   one thread, writes never hash, and the fold buckets the keys written
-//!   since the last checkpoint into their lanes' content roots, so the
-//!   two-level state root costs O(dirty keys + lanes) — not O(keyspace).
+//!   kept in pages indexed by account id. A batch applies in block
+//!   order on one thread, writes never hash, and the fold buckets the
+//!   keys written since the last checkpoint into their lanes' content
+//!   roots, so the two-level state root costs O(dirty keys + lanes) —
+//!   not O(keyspace).
 //! - [`wal`]: a segmented commit write-ahead log ([`CommitWal`]) of
 //!   confirmed block identities — checksummed, length-prefixed records
 //!   in one chain of segment files under a checksummed manifest, one
@@ -27,6 +28,10 @@
 //! - [`pipeline`]: the [`ExecutionPipeline`] gluing the three together:
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
 //!   plus snapshot install and crash recovery (snapshot + WAL replay).
+//! - [`exec`]: the process-wide executor a pipeline hands each large
+//!   acknowledged batch to (one FIFO, `available_parallelism() − 1`
+//!   workers, waiters help), so execution overlaps consensus and the
+//!   other replicas' execution.
 //! - [`faults`]: deterministic, scriptable storage-fault injection
 //!   ([`FaultPlan`] driving [`FaultBackend`]) so every WAL failure path
 //!   above can be exercised from tests, benches, and the simulator with
@@ -40,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod exec;
 pub mod faults;
 pub mod kv;
 pub mod pipeline;
@@ -50,6 +56,7 @@ pub use faults::{FaultBackend, FaultPlan};
 pub use kv::{lane_of, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
     ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,
+    POOLED_MIN_OPS,
 };
 pub use snapshot::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{

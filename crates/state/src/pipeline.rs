@@ -9,9 +9,16 @@
 //! acknowledges it applies it: the record's ops, derived from its
 //! `(first_tx, count)`, stream into the sharded KV state —
 //! WAL-before-apply, so a crash between the two replays the block on
-//! recovery instead of losing it. Ops apply in block order on the
-//! calling thread (see [`crate::kv`]); everything one barrier
-//! acknowledges is one batch. At every epoch
+//! recovery instead of losing it. Everything one barrier acknowledges
+//! is one batch, and its ops apply in block order (see [`crate::kv`]).
+//! A batch of at least [`POOLED_MIN_OPS`] ops applies as one job on the
+//! process-wide executor ([`crate::exec`]), so the draining thread goes
+//! back to consensus while another core applies; a smaller one applies
+//! inline. A pipeline has at most one job outstanding: its next apply,
+//! and every read of its state, settles that job first — the roots, the
+//! effects and the snapshots are the ones an inline apply gives. The
+//! counts that do not depend on state (`applied`, the transaction
+//! totals, `batches`) advance at hand-off. At every epoch
 //! checkpoint it folds the lanes' pending writes into their accumulators, captures a
 //! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
 //! manifest root — covering the execution position, frontier, and the
@@ -38,13 +45,26 @@
 //! crash-recovery example and the WAL-replay property test assert
 //! exactly this.
 
+use crate::exec::{self, Job};
 use crate::kv::{ExecEffects, KvState};
 use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, WalRecord};
 use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest};
+use std::ops::Deref;
+use std::panic::resume_unwind;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Acknowledged ops from which a batch applies on the executor rather
+/// than inline. A hand-off costs a queue push, a worker wake-up and a
+/// settle: `engine_micro`'s `exec_handoff_*` rows (four states fed
+/// round-robin on two cores) read pooled 2.2× slower than inline at 32
+/// ops a batch and 0.6× at 1 024 and at 4 096, so the break-even lies
+/// between 32 and 1 024. Every `hotstuff_n16` barrier (one 32-tx
+/// record) stays inline; every `exec_heavy_n4` barrier (4 096 txs) goes.
+pub const POOLED_MIN_OPS: u64 = 1024;
 
 /// What [`ExecutionPipeline::execute`] did with a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +152,10 @@ pub struct PipelinePerf {
     /// Nanoseconds spent inside WAL flush barriers (submit + token
     /// wait).
     pub wall_wal_flush_ns: u64,
-    /// Nanoseconds spent executing staged ops.
+    /// Nanoseconds spent applying acknowledged batches, on whichever
+    /// thread applied them: a batch applied on the executor adds its own
+    /// timing when its job settles. Applies overlap, so the sum over
+    /// pipelines can exceed the wall time they ran in.
     pub wall_exec_ns: u64,
     /// Flush barriers submitted (denominator for per-barrier means).
     pub flush_barriers: u64,
@@ -249,9 +272,89 @@ impl SnapshotInto for PipelineStats {
     }
 }
 
+/// What one batch's apply did, wherever it ran.
+struct Applied {
+    kv: KvState,
+    fx: ExecEffects,
+    ns: u64,
+}
+
+/// Applies `records`' ops to `kv` in block order, timing itself.
+fn apply_to(kv: &mut KvState, records: &[WalRecord], keyspace: u32) -> (ExecEffects, u64) {
+    let t0 = Instant::now();
+    let fx = kv.apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
+    (fx, t0.elapsed().as_nanos() as u64)
+}
+
+/// The state half of a pipeline: the KV state, or the one job applying
+/// a batch to it, and what the settled batches did.
+struct Exec {
+    /// The state; an empty placeholder while `job` holds it.
+    kv: KvState,
+    /// The batch applying on the executor, which owns the state until
+    /// it settles.
+    job: Option<Job<Applied>>,
+    /// Cumulative operation effects of the settled batches.
+    effects: ExecEffects,
+    /// Apply time of the settled batches ([`PipelinePerf::wall_exec_ns`]).
+    exec_ns: u64,
+    /// Jobs handed to the executor (the executor tests read it).
+    jobs: u64,
+}
+
+impl Exec {
+    /// Settles the outstanding job, if any, and returns the state. A
+    /// job that panicked panics here.
+    fn settle(&mut self) -> &mut KvState {
+        if let Some(job) = self.job.take() {
+            let done = job.wait().unwrap_or_else(|p| resume_unwind(p));
+            self.kv = done.kv;
+            self.effects.absorb(done.fx);
+            self.exec_ns += done.ns;
+        }
+        &mut self.kv
+    }
+
+    /// Applies `records` after the outstanding job: as a job of its own
+    /// when `pooled`, else here.
+    fn apply(&mut self, records: &[WalRecord], keyspace: u32, pooled: bool) {
+        let kv = self.settle();
+        if pooled {
+            let mut kv = std::mem::take(kv);
+            let records = records.to_vec();
+            self.job = Some(exec::spawn(move || {
+                let (fx, ns) = apply_to(&mut kv, &records, keyspace);
+                Applied { kv, fx, ns }
+            }));
+            self.jobs += 1;
+        } else {
+            let (fx, ns) = apply_to(kv, records, keyspace);
+            self.effects.absorb(fx);
+            self.exec_ns += ns;
+        }
+    }
+}
+
+/// What a pipeline's state lock holds after a job's panic resurfaced
+/// through a `&self` read: the state it was applying to is gone.
+const POISONED: &str = "a batch applying to this pipeline's state panicked";
+
+/// A settled pipeline's state, borrowed ([`ExecutionPipeline::kv`]).
+struct KvGuard<'a>(MutexGuard<'a, Exec>);
+
+impl Deref for KvGuard<'_> {
+    type Target = KvState;
+
+    fn deref(&self) -> &KvState {
+        &self.0.kv
+    }
+}
+
 /// The replica's execution pipeline.
 pub struct ExecutionPipeline {
-    kv: KvState,
+    /// The state and the job applying to it. Behind a lock only so
+    /// that a `&self` read can settle the job; one thread owns it.
+    exec: Mutex<Exec>,
     /// The commit log, and the only place a block lives between its
     /// confirmation and its apply: its staged records are the blocks
     /// staged, its in-flight barrier's records the blocks submitted.
@@ -270,10 +373,11 @@ pub struct ExecutionPipeline {
     /// drains plus recovery replay — excluding totals inherited from a
     /// restored or installed snapshot: the per-process work counter.
     local_txs: u64,
-    /// Cumulative operation effects.
-    effects: ExecEffects,
     /// Accounts in the derived-op key space.
     keyspace: u32,
+    /// Acknowledged ops from which a batch is handed to the executor:
+    /// [`POOLED_MIN_OPS`] (tests move it to compare the two paths).
+    pooled_min_ops: u64,
     /// Batches applied (live barriers and replayed records).
     batches: u64,
     /// What the last rebuild replayed (all zeros for fresh pipelines).
@@ -313,14 +417,20 @@ impl ExecutionPipeline {
 
     fn fresh(wal: CommitWal, keyspace: u32) -> Self {
         Self {
-            kv: KvState::new(),
+            exec: Mutex::new(Exec {
+                kv: KvState::new(),
+                job: None,
+                effects: ExecEffects::default(),
+                exec_ns: 0,
+                jobs: 0,
+            }),
             wal,
             store: SnapshotStore::in_memory(),
             applied: 0,
             executed_txs: 0,
             local_txs: 0,
-            effects: ExecEffects::default(),
             keyspace,
+            pooled_min_ops: POOLED_MIN_OPS,
             batches: 0,
             recovery: ReplayStats::default(),
             perf: PipelinePerf::default(),
@@ -423,7 +533,8 @@ impl ExecutionPipeline {
     /// Adopts a *verified* snapshot's state and execution position: the
     /// state is built from its chunks.
     fn restore(&mut self, snap: &Snapshot) {
-        self.kv = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
+        *self.exec_mut().settle() =
+            KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
         self.applied = snap.head.applied;
         self.executed_txs = snap.head.executed_txs;
     }
@@ -516,9 +627,10 @@ impl ExecutionPipeline {
 
     /// The **pipelined** drain: hands everything staged to the WAL
     /// writer as one flush barrier and applies the *previous* submitted
-    /// batch, so batch N's write+fsync proceeds on the writer while this
-    /// thread applies batch N-1 (and stages batch N+1 into double-buffered
-    /// scratch). Acknowledgement and apply happen only
+    /// batch, so batch N's write+fsync proceeds on the writer while batch
+    /// N-1 applies (on the executor when it is large, see
+    /// [`POOLED_MIN_OPS`]) and this thread stages batch N+1.
+    /// Acknowledgement and apply happen only
     /// when a batch's barrier token resolves — WAL-before-apply holds at
     /// batch granularity, in submission order.
     ///
@@ -605,8 +717,12 @@ impl ExecutionPipeline {
     /// The one apply step, shared by live barriers and recovery replay:
     /// applies the acknowledged records at mirror positions `at` as one
     /// batch — each record's ops derived from its `(first_tx, count)`
-    /// and streamed into the state — and advances the applied frontier
-    /// past them. Returns the `sn` range applied.
+    /// and streamed into the state, on the executor when the batch holds
+    /// at least [`POOLED_MIN_OPS`] ops and a worker exists, here
+    /// otherwise — and advances the applied frontier past them. Returns
+    /// the `sn` range applied (or handed off: every later read settles
+    /// it). `mark` moves to the reading the step ends on; the apply
+    /// times itself.
     fn apply_records(
         &mut self,
         at: std::ops::Range<usize>,
@@ -618,18 +734,29 @@ impl ExecutionPipeline {
             return first..first;
         };
         debug_assert_eq!(records[0].sn, first, "acknowledged records apply densely");
-        let keyspace = self.keyspace;
-        let fx = self
-            .kv
-            .apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
-        self.applied = last.sn + 1;
         // An op is a transaction.
-        self.effects.absorb(fx);
-        self.executed_txs += fx.total();
-        self.local_txs += fx.total();
+        let ops: u64 = records.iter().map(|r| r.count as u64).sum();
+        let pooled = ops >= self.pooled_min_ops && exec::workers() > 0;
+        let exec = self.exec.get_mut().expect(POISONED);
+        exec.apply(records, self.keyspace, pooled);
+        self.applied = last.sn + 1;
+        self.executed_txs += ops;
+        self.local_txs += ops;
         self.batches += 1;
-        self.perf.wall_exec_ns += lap(mark);
+        *mark = Instant::now();
         first..self.applied
+    }
+
+    /// The state half, owned.
+    fn exec_mut(&mut self) -> &mut Exec {
+        self.exec.get_mut().expect(POISONED)
+    }
+
+    /// The state half, its job settled.
+    fn settled(&self) -> MutexGuard<'_, Exec> {
+        let mut exec = self.exec.lock().expect(POISONED);
+        exec.settle();
+        exec
     }
 
     /// Blocks staged but not yet submitted. Unacknowledged: a crash
@@ -660,8 +787,10 @@ impl ExecutionPipeline {
         // Drain whatever is staged or in flight first: the snapshot must
         // cover every confirmed block.
         self.flush_staged();
-        self.kv.fold();
-        let snap = Snapshot::capture(epoch, self.applied, self.executed_txs, frontier, &self.kv);
+        let (applied, executed_txs) = (self.applied, self.executed_txs);
+        let kv = self.exec_mut().settle();
+        kv.fold();
+        let snap = Snapshot::capture(epoch, applied, executed_txs, frontier, kv);
         let root = snap.head.root;
         // Compact only when the snapshot is durably stored: dropping the
         // WAL prefix a failed snapshot was meant to cover would make the
@@ -702,7 +831,7 @@ impl ExecutionPipeline {
     /// stable checkpoint.
     pub fn install_delta(&mut self, head: &SnapshotHead, chunks: &[SnapshotChunk]) -> Option<u64> {
         let fetched = |root: &Digest| chunks.iter().find(|c| c.root == *root);
-        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, &self.kv)?;
+        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, self.exec_mut().settle())?;
         self.install_snapshot(&snap).then_some(reused)
     }
 
@@ -731,12 +860,12 @@ impl ExecutionPipeline {
     /// checkpoint; otherwise it also hashes the keys written since (see
     /// [`KvState::root`]).
     pub fn state_root(&self) -> Digest {
-        self.kv.root()
+        self.settled().kv.root()
     }
 
     /// The ordered lane-root vector of the current state.
     pub fn lane_roots(&self) -> Vec<Digest> {
-        self.kv.lane_roots()
+        self.settled().kv.lane_roots()
     }
 
     /// Confirmed blocks applied (the first `sn` not yet applied).
@@ -752,7 +881,7 @@ impl ExecutionPipeline {
 
     /// Cumulative operation effects.
     pub fn effects(&self) -> ExecEffects {
-        self.effects
+        self.settled().effects
     }
 
     /// The latest checkpoint snapshot, if one has been taken.
@@ -785,7 +914,7 @@ impl ExecutionPipeline {
             io: self.wal.io_stats(),
             batches: self.batches,
             replay: self.recovery.clone(),
-            perf: self.perf.clone(),
+            perf: self.perf(),
             wal_write_failures: self.wal.write_failures(),
             snapshot_decode_failures: self.store.decode_failures(),
             locally_executed_txs: self.local_txs,
@@ -828,12 +957,33 @@ impl ExecutionPipeline {
     /// [`PipelinePerf::wal_flush_failures`], the alarm a caller must
     /// check before treating a drained range as durable.
     pub fn perf(&self) -> PipelinePerf {
-        self.perf.clone()
+        let exec = self.exec.lock().expect(POISONED);
+        PipelinePerf {
+            wall_exec_ns: exec.exec_ns,
+            ..self.perf.clone()
+        }
     }
 
-    /// Read access to the KV state (assertions and examples).
-    pub fn kv(&self) -> &KvState {
-        &self.kv
+    /// Read access to the KV state (assertions and examples), settled:
+    /// the guard holds the pipeline's state until it drops.
+    pub fn kv(&self) -> impl Deref<Target = KvState> + '_ {
+        KvGuard(self.settled())
+    }
+}
+
+impl Drop for ExecutionPipeline {
+    /// Settles the outstanding job, so no apply outlives its pipeline.
+    /// A job that panicked panics here, unless the thread is already
+    /// unwinding.
+    fn drop(&mut self) {
+        let exec = self.exec.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(job) = exec.job.take() {
+            if let Err(p) = job.wait() {
+                if !std::thread::panicking() {
+                    resume_unwind(p);
+                }
+            }
+        }
     }
 }
 
@@ -1345,6 +1495,221 @@ mod tests {
         let small = ExecutionPipeline::rebuild(backend, WalOptions::default(), store, 1024);
         assert_eq!(small.applied(), 0, "nothing is restored, nothing replays");
         assert!(small.kv().is_empty());
+    }
+
+    /// `n` 4 096-tx blocks from `from_sn`: each barrier of them is
+    /// pooled.
+    fn big_blocks(from_sn: u64, n: u64) -> Vec<(u64, Block)> {
+        (from_sn..from_sn + n)
+            .map(|sn| (sn, block(sn, sn * 4096, 4096)))
+            .collect()
+    }
+
+    /// A pipeline that applies every batch inline.
+    fn inline(keyspace: u32) -> ExecutionPipeline {
+        let mut p = ExecutionPipeline::in_memory(keyspace);
+        p.pooled_min_ops = u64::MAX;
+        p
+    }
+
+    /// Whether `p` has a job outstanding, and how many it handed off.
+    fn jobs(p: &ExecutionPipeline) -> (bool, u64) {
+        let exec = p.exec.lock().unwrap_or_else(PoisonError::into_inner);
+        (exec.job.is_some(), exec.jobs)
+    }
+
+    /// Whether a pooled hand-off leaves a job outstanding on this
+    /// platform (on one core every batch applies inline).
+    fn pooling() -> bool {
+        exec::workers() > 0
+    }
+
+    #[test]
+    fn pooled_and_inline_execution_agree_at_every_read() {
+        let mut pooled = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let mut reference = inline(DEFAULT_KEYSPACE);
+        let blocks = big_blocks(0, 24);
+        // Each read below runs with a job outstanding, then leaves none.
+        type Read = fn(&ExecutionPipeline) -> String;
+        let reads: [(&str, Read); 4] = [
+            ("state_root", |p| format!("{:?}", p.state_root())),
+            ("lane_roots", |p| format!("{:?}", p.lane_roots())),
+            ("effects", |p| format!("{:?}", p.effects())),
+            ("kv", |p| {
+                format!("{:?}", p.kv().entries().collect::<Vec<_>>())
+            }),
+        ];
+        for (i, chunk) in blocks.chunks(2).enumerate() {
+            pooled.stage_blocks(chunk);
+            reference.stage_blocks(chunk);
+            assert_eq!(pooled.submit_staged(), reference.submit_staged());
+            let (name, read) = reads[i % reads.len()];
+            assert_eq!(jobs(&pooled).0, pooling() && i > 0, "{name} at {i}");
+            assert_eq!(read(&pooled), read(&reference), "{name} at {i}");
+            assert!(!jobs(&pooled).0, "{name} settled the job");
+        }
+        assert_eq!(jobs(&reference), (false, 0));
+        // A checkpoint with a job outstanding: the same manifest root and
+        // byte-identical snapshots.
+        pooled.stage_blocks(&big_blocks(24, 2));
+        reference.stage_blocks(&big_blocks(24, 2));
+        pooled.submit_staged();
+        reference.submit_staged();
+        assert_eq!(jobs(&pooled).0, pooling());
+        assert_eq!(
+            pooled.checkpoint(1, vec![7]),
+            reference.checkpoint(1, vec![7])
+        );
+        let snap = |p: &ExecutionPipeline| p.latest_snapshot().unwrap().encode();
+        assert_eq!(snap(&pooled), snap(&reference));
+        assert_eq!(pooled.effects(), reference.effects());
+        assert_eq!(pooled.stats().batches, reference.stats().batches);
+        assert_eq!(jobs(&pooled).1, if pooling() { 13 } else { 0 });
+        // A delta install onto a pipeline with a job outstanding, and onto
+        // one without: the same result and the same state.
+        let (head, chunks) = pooled.latest_snapshot().unwrap().split();
+        let mut behind = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let mut behind_ref = inline(DEFAULT_KEYSPACE);
+        for p in [&mut behind, &mut behind_ref] {
+            p.stage_blocks(&big_blocks(0, 3));
+            p.submit_staged();
+            p.stage_blocks(&big_blocks(3, 1));
+            p.submit_staged();
+        }
+        assert_eq!(jobs(&behind).0, pooling());
+        let local = &chunks[..chunks.len() / 2];
+        assert_eq!(
+            behind.install_delta(&head, local),
+            behind_ref.install_delta(&head, local)
+        );
+        assert_eq!(
+            behind.install_delta(&head, &chunks),
+            behind_ref.install_delta(&head, &chunks)
+        );
+        assert_eq!(behind.state_root(), pooled.state_root());
+        assert_eq!(behind.lane_roots(), behind_ref.lane_roots());
+        assert_eq!(behind.effects(), behind_ref.effects());
+    }
+
+    #[test]
+    fn a_batch_below_the_threshold_never_reaches_the_queue() {
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        // Drains of 32-tx blocks; the largest barrier holds one op fewer
+        // than the threshold.
+        let below = POOLED_MIN_OPS - 1;
+        p.stage_blocks(&[(0, block(0, 0, 32))]);
+        p.submit_staged();
+        p.stage_blocks(&[
+            (1, block(1, 32, below as u32 - 32)),
+            (2, block(2, below, 32)),
+        ]);
+        p.submit_staged();
+        p.stage_blocks(&[(3, block(3, below + 32, 32))]);
+        p.submit_staged();
+        p.flush_staged();
+        assert_eq!(p.applied(), 4);
+        assert_eq!(jobs(&p), (false, 0));
+        // One op more and the barrier is handed off.
+        p.stage_blocks(&[(4, block(4, below + 64, POOLED_MIN_OPS as u32))]);
+        p.flush_staged();
+        assert_eq!(jobs(&p), (pooling(), pooling() as u64));
+    }
+
+    #[test]
+    fn at_most_one_job_per_pipeline_is_outstanding() {
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        let blocks = big_blocks(0, 40);
+        for (i, b) in blocks.chunks(1).enumerate() {
+            p.stage_blocks(b);
+            p.submit_staged();
+            if i == 0 || !pooling() {
+                continue;
+            }
+            // Barrier i - 1 is the one job outstanding; handing it off
+            // settled every batch before it, and nothing else.
+            assert_eq!(jobs(&p), (true, i as u64), "barrier {i}");
+            let settled = p.exec.lock().unwrap().effects.total();
+            assert_eq!(settled, (i as u64 - 1) * 4096, "barrier {i}");
+        }
+        p.flush_staged();
+        let mut reference = inline(DEFAULT_KEYSPACE);
+        reference.execute_batch(&blocks);
+        assert_eq!(p.state_root(), reference.state_root());
+    }
+
+    #[test]
+    fn a_pipeline_dropped_with_a_job_outstanding_does_not_hang() {
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        p.stage_blocks(&big_blocks(0, 4));
+        p.submit_staged();
+        p.stage_blocks(&big_blocks(4, 1));
+        p.submit_staged();
+        assert_eq!(jobs(&p).0, pooling());
+        drop(p);
+        // A job that panics: the drop settles it and the panic resurfaces
+        // in the owner instead of hanging it.
+        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        p.exec_mut().job = Some(exec::spawn(|| -> Applied { panic!("apply failed") }));
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
+        assert!(dropped.is_err(), "the job's panic resurfaces");
+        // And so does a read.
+        let p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        p.exec.lock().unwrap().job = Some(exec::spawn(|| -> Applied { panic!("apply failed") }));
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.state_root()));
+        assert!(read.is_err());
+        assert!(!jobs(&p).0);
+    }
+
+    #[test]
+    fn recovery_replay_of_pooled_records_reproduces_the_root() {
+        let disk = SharedMem::default();
+        let mut p = on_disk(&disk);
+        let blocks = big_blocks(0, 12);
+        p.execute_batch(&blocks[..5]);
+        p.checkpoint(0, Vec::new());
+        for b in blocks[5..].chunks(2) {
+            p.stage_blocks(b);
+            p.submit_staged();
+        }
+        p.flush_staged();
+        let recovered = restart(&p, &disk);
+        assert_eq!(recovered.recovery_stats().records_replayed, 7);
+        // One replayed 4 096-tx record per batch, each handed off.
+        assert_eq!(jobs(&recovered).1, 7 * pooling() as u64);
+        let mut reference = inline(DEFAULT_KEYSPACE);
+        reference.execute_batch(&blocks);
+        assert_eq!(recovered.state_root(), reference.state_root());
+        assert_eq!(recovered.lane_roots(), p.lane_roots());
+        assert_eq!(recovered.executed_txs(), reference.executed_txs());
+    }
+
+    #[test]
+    fn many_pipelines_share_the_pool_from_several_threads() {
+        // The live runtime's shape: each replica's thread drains its own
+        // pipelines, every pipeline hands its barriers to the one pool.
+        let blocks = big_blocks(0, 16);
+        let mut reference = inline(DEFAULT_KEYSPACE);
+        reference.execute_batch(&blocks);
+        let expect = reference.state_root();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut ps: Vec<ExecutionPipeline> = (0..3)
+                        .map(|_| ExecutionPipeline::in_memory(DEFAULT_KEYSPACE))
+                        .collect();
+                    for b in blocks.chunks(1) {
+                        for p in &mut ps {
+                            p.stage_blocks(b);
+                            p.submit_staged();
+                        }
+                    }
+                    for p in &mut ps {
+                        p.flush_staged();
+                        assert_eq!(p.state_root(), expect);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

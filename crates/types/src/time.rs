@@ -16,6 +16,20 @@ pub const NS_PER_MS: u64 = 1_000_000;
 /// Nanoseconds in a second.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64`, without a libm call: rounds half away from zero,
+/// and saturates the way the cast does (negatives and NaN to 0, past
+/// `u64::MAX` to it). The workspace builds for baseline x86-64, which
+/// has no `roundsd`, so `f64::round` is a call into libm; this is a
+/// truncation and one compare. The dropped fraction `x - t` is exact
+/// (Sterbenz: `t ≤ x < t + 1`), so ties and values a hair under a half
+/// round as `f64::round` does, and at or above 2⁵² every `f64` is an
+/// integer and `x - t` is 0.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 /// A point in (simulated) time, in nanoseconds since the start of the run.
 ///
 /// Also used for durations: `TimeNs` is closed under addition and
@@ -54,7 +68,7 @@ impl TimeNs {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        Self((s * NS_PER_SEC as f64).round() as u64)
+        Self(round_u64(s * NS_PER_SEC as f64))
     }
 
     /// This time expressed in fractional seconds.
@@ -96,7 +110,7 @@ impl TimeNs {
     #[inline]
     #[must_use]
     pub fn mul_f64(self, k: f64) -> Self {
-        Self((self.0 as f64 * k).round() as u64)
+        Self(round_u64(self.0 as f64 * k))
     }
 }
 
@@ -144,6 +158,55 @@ impl fmt::Display for TimeNs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_u64_is_f64_round_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            1.0 - f64::EPSILON / 2.0,
+            4503599627370495.5, // 2^52 - 0.5
+            4503599627370496.0, // 2^52
+            9007199254740993.0, // 2^53 + 1, not representable
+            9223372036854775808.0,
+            18446744073709549568.0, // the last f64 below 2^64
+            18446744073709551616.0, // 2^64
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e}");
+        }
+        let mut state = 0x7157_d00d;
+        for i in 0..1_000_000u32 {
+            let bits = crate::splitmix64(&mut state);
+            // Every bit pattern, and values spread over the range the
+            // simulator feeds (fractional nanoseconds up to hours).
+            let x = match i % 3 {
+                0 => f64::from_bits(bits),
+                1 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 1e13,
+                _ => (bits >> 32) as f64 + 0.5,
+            };
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({bits:#x})");
+        }
+    }
 
     #[test]
     fn conversions_roundtrip() {

@@ -307,7 +307,7 @@ proptest! {
             chunks.iter().filter(|c| delta.contains(&c.lane)).cloned().collect();
         let fetched = |root: &Digest| shipped.iter().find(|c| c.root == *root);
         let (rebuilt, reused) =
-            Snapshot::assemble(head.clone(), fetched, older.kv()).expect("delta assemble");
+            Snapshot::assemble(head.clone(), fetched, &older.kv()).expect("delta assemble");
         prop_assert_eq!(rebuilt.encode(), snap.encode());
         prop_assert!(reused as usize >= MERKLE_LANES as usize - delta.len());
 

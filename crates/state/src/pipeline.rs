@@ -157,6 +157,14 @@ pub struct PipelinePerf {
     /// timing when its job settles. Applies overlap, so the sum over
     /// pipelines can exceed the wall time they ran in.
     pub wall_exec_ns: u64,
+    /// Nanoseconds the draining thread spent in apply steps: applying
+    /// inline, or settling the previous job (running queued jobs while
+    /// it waits, then blocking) and handing the batch to the executor.
+    /// [`Self::wall_exec_ns`] counts apply work wherever it ran; this
+    /// counts the draining thread's time, so with
+    /// [`Self::wall_wal_flush_ns`] it accounts for a drain's time on
+    /// that thread. Every batch inline, the two agree.
+    pub wall_drain_apply_ns: u64,
     /// Flush barriers submitted (denominator for per-barrier means).
     pub flush_barriers: u64,
     /// Flush barriers whose durable step **failed** (deterministic
@@ -200,6 +208,7 @@ impl SnapshotInto for PipelinePerf {
     fn snapshot_into(&self, registry: &mut ladon_obs::MetricsRegistry) {
         registry.counter("pipeline.wall_wal_flush_ns", self.wall_wal_flush_ns);
         registry.counter("pipeline.wall_exec_ns", self.wall_exec_ns);
+        registry.counter("pipeline.wall_drain_apply_ns", self.wall_drain_apply_ns);
         registry.counter("pipeline.flush_barriers", self.flush_barriers);
         registry.counter("pipeline.wal_flush_failures", self.wal_flush_failures);
         registry.counter("pipeline.pipelined_submits", self.pipelined_submits);
@@ -298,8 +307,6 @@ struct Exec {
     effects: ExecEffects,
     /// Apply time of the settled batches ([`PipelinePerf::wall_exec_ns`]).
     exec_ns: u64,
-    /// Jobs handed to the executor (the executor tests read it).
-    jobs: u64,
 }
 
 impl Exec {
@@ -326,7 +333,6 @@ impl Exec {
                 let (fx, ns) = apply_to(&mut kv, &records, keyspace);
                 Applied { kv, fx, ns }
             }));
-            self.jobs += 1;
         } else {
             let (fx, ns) = apply_to(kv, records, keyspace);
             self.effects.absorb(fx);
@@ -422,7 +428,6 @@ impl ExecutionPipeline {
                 job: None,
                 effects: ExecEffects::default(),
                 exec_ns: 0,
-                jobs: 0,
             }),
             wal,
             store: SnapshotStore::in_memory(),
@@ -721,8 +726,9 @@ impl ExecutionPipeline {
     /// at least [`POOLED_MIN_OPS`] ops and a worker exists, here
     /// otherwise — and advances the applied frontier past them. Returns
     /// the `sn` range applied (or handed off: every later read settles
-    /// it). `mark` moves to the reading the step ends on; the apply
-    /// times itself.
+    /// it). The apply times itself ([`PipelinePerf::wall_exec_ns`]); the
+    /// step, from `mark` to the reading it ends on, is the draining
+    /// thread's ([`PipelinePerf::wall_drain_apply_ns`]).
     fn apply_records(
         &mut self,
         at: std::ops::Range<usize>,
@@ -743,7 +749,7 @@ impl ExecutionPipeline {
         self.executed_txs += ops;
         self.local_txs += ops;
         self.batches += 1;
-        *mark = Instant::now();
+        self.perf.wall_drain_apply_ns += lap(mark);
         first..self.applied
     }
 
@@ -964,8 +970,10 @@ impl ExecutionPipeline {
         }
     }
 
-    /// Read access to the KV state (assertions and examples), settled:
-    /// the guard holds the pipeline's state until it drops.
+    /// Read access to the KV state (assertions and examples), settled.
+    /// The guard holds the lock on the pipeline's state until it drops:
+    /// drop it before calling any other method on this pipeline, since
+    /// a second lock on the same thread may deadlock or panic.
     pub fn kv(&self) -> impl Deref<Target = KvState> + '_ {
         KvGuard(self.settled())
     }
@@ -1512,10 +1520,10 @@ mod tests {
         p
     }
 
-    /// Whether `p` has a job outstanding, and how many it handed off.
-    fn jobs(p: &ExecutionPipeline) -> (bool, u64) {
+    /// Whether `p` has a job outstanding.
+    fn outstanding(p: &ExecutionPipeline) -> bool {
         let exec = p.exec.lock().unwrap_or_else(PoisonError::into_inner);
-        (exec.job.is_some(), exec.jobs)
+        exec.job.is_some()
     }
 
     /// Whether a pooled hand-off leaves a job outstanding on this
@@ -1544,18 +1552,18 @@ mod tests {
             reference.stage_blocks(chunk);
             assert_eq!(pooled.submit_staged(), reference.submit_staged());
             let (name, read) = reads[i % reads.len()];
-            assert_eq!(jobs(&pooled).0, pooling() && i > 0, "{name} at {i}");
+            assert_eq!(outstanding(&pooled), pooling() && i > 0, "{name} at {i}");
+            assert!(!outstanding(&reference), "{name} at {i}");
             assert_eq!(read(&pooled), read(&reference), "{name} at {i}");
-            assert!(!jobs(&pooled).0, "{name} settled the job");
+            assert!(!outstanding(&pooled), "{name} settled the job");
         }
-        assert_eq!(jobs(&reference), (false, 0));
         // A checkpoint with a job outstanding: the same manifest root and
         // byte-identical snapshots.
         pooled.stage_blocks(&big_blocks(24, 2));
         reference.stage_blocks(&big_blocks(24, 2));
         pooled.submit_staged();
         reference.submit_staged();
-        assert_eq!(jobs(&pooled).0, pooling());
+        assert_eq!(outstanding(&pooled), pooling());
         assert_eq!(
             pooled.checkpoint(1, vec![7]),
             reference.checkpoint(1, vec![7])
@@ -1564,7 +1572,11 @@ mod tests {
         assert_eq!(snap(&pooled), snap(&reference));
         assert_eq!(pooled.effects(), reference.effects());
         assert_eq!(pooled.stats().batches, reference.stats().batches);
-        assert_eq!(jobs(&pooled).1, if pooling() { 13 } else { 0 });
+        // Every batch inline, the draining thread's apply steps hold the
+        // applies; pooled, they hold the settles and hand-offs.
+        let perf = reference.perf();
+        assert!(perf.wall_drain_apply_ns >= perf.wall_exec_ns);
+        assert!(pooled.perf().wall_drain_apply_ns > 0);
         // A delta install onto a pipeline with a job outstanding, and onto
         // one without: the same result and the same state.
         let (head, chunks) = pooled.latest_snapshot().unwrap().split();
@@ -1576,7 +1588,7 @@ mod tests {
             p.stage_blocks(&big_blocks(3, 1));
             p.submit_staged();
         }
-        assert_eq!(jobs(&behind).0, pooling());
+        assert_eq!(outstanding(&behind), pooling());
         let local = &chunks[..chunks.len() / 2];
         assert_eq!(
             behind.install_delta(&head, local),
@@ -1595,24 +1607,28 @@ mod tests {
     fn a_batch_below_the_threshold_never_reaches_the_queue() {
         let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         // Drains of 32-tx blocks; the largest barrier holds one op fewer
-        // than the threshold.
+        // than the threshold. A handed-off batch stays outstanding until
+        // the next apply or read, and each drain applies at most one
+        // batch, so a check after every drain sees every batch's path.
         let below = POOLED_MIN_OPS - 1;
         p.stage_blocks(&[(0, block(0, 0, 32))]);
         p.submit_staged();
+        assert!(!outstanding(&p));
         p.stage_blocks(&[
             (1, block(1, 32, below as u32 - 32)),
             (2, block(2, below, 32)),
         ]);
-        p.submit_staged();
+        assert_eq!(p.submit_staged(), 0..1);
+        assert!(!outstanding(&p));
         p.stage_blocks(&[(3, block(3, below + 32, 32))]);
-        p.submit_staged();
-        p.flush_staged();
-        assert_eq!(p.applied(), 4);
-        assert_eq!(jobs(&p), (false, 0));
+        assert_eq!(p.submit_staged(), 1..3);
+        assert!(!outstanding(&p));
+        assert_eq!(p.flush_staged(), 3..4);
+        assert!(!outstanding(&p));
         // One op more and the barrier is handed off.
         p.stage_blocks(&[(4, block(4, below + 64, POOLED_MIN_OPS as u32))]);
         p.flush_staged();
-        assert_eq!(jobs(&p), (pooling(), pooling() as u64));
+        assert_eq!(outstanding(&p), pooling());
     }
 
     #[test]
@@ -1627,7 +1643,7 @@ mod tests {
             }
             // Barrier i - 1 is the one job outstanding; handing it off
             // settled every batch before it, and nothing else.
-            assert_eq!(jobs(&p), (true, i as u64), "barrier {i}");
+            assert!(outstanding(&p), "barrier {i}");
             let settled = p.exec.lock().unwrap().effects.total();
             assert_eq!(settled, (i as u64 - 1) * 4096, "barrier {i}");
         }
@@ -1644,7 +1660,7 @@ mod tests {
         p.submit_staged();
         p.stage_blocks(&big_blocks(4, 1));
         p.submit_staged();
-        assert_eq!(jobs(&p).0, pooling());
+        assert_eq!(outstanding(&p), pooling());
         drop(p);
         // A job that panics: the drop settles it and the panic resurfaces
         // in the owner instead of hanging it.
@@ -1657,7 +1673,7 @@ mod tests {
         p.exec.lock().unwrap().job = Some(exec::spawn(|| -> Applied { panic!("apply failed") }));
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.state_root()));
         assert!(read.is_err());
-        assert!(!jobs(&p).0);
+        assert!(!outstanding(&p));
     }
 
     #[test]
@@ -1674,8 +1690,9 @@ mod tests {
         p.flush_staged();
         let recovered = restart(&p, &disk);
         assert_eq!(recovered.recovery_stats().records_replayed, 7);
-        // One replayed 4 096-tx record per batch, each handed off.
-        assert_eq!(jobs(&recovered).1, 7 * pooling() as u64);
+        // One replayed 4 096-tx record per batch, each handed off: the
+        // last is still applying.
+        assert_eq!(outstanding(&recovered), pooling());
         let mut reference = inline(DEFAULT_KEYSPACE);
         reference.execute_batch(&blocks);
         assert_eq!(recovered.state_root(), reference.state_root());

@@ -25,6 +25,6 @@ pub use block::{Block, BlockHeader, Digest, OrderKey};
 pub use config::{quorum, NetEnv, ProtocolKind, SystemConfig, MERKLE_LANES};
 pub use error::LadonError;
 pub use ids::{ClientId, Epoch, InstanceId, Rank, ReplicaId, Round, View};
-pub use time::{round_u64, TimeNs, NS_PER_MS, NS_PER_SEC, NS_PER_US};
+pub use time::{TimeNs, NS_PER_MS, NS_PER_SEC, NS_PER_US};
 pub use tx::{splitmix64, Batch, Tx, TxId, TxOp};
 pub use wire::{agg_sig_bytes, rank_set_bytes, sizes, WireSize};

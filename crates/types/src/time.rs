@@ -25,7 +25,7 @@ pub const NS_PER_SEC: u64 = 1_000_000_000;
 /// round as `f64::round` does, and at or above 2⁵² every `f64` is an
 /// integer and `x - t` is 0.
 #[inline]
-pub fn round_u64(x: f64) -> u64 {
+fn round_u64(x: f64) -> u64 {
     let t = x as u64;
     t.saturating_add((x - t as f64 >= 0.5) as u64)
 }

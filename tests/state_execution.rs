@@ -53,6 +53,7 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
         ("replay.replayed_txs", s.replay.replayed_txs),
         ("pipeline.wall_wal_flush_ns", s.perf.wall_wal_flush_ns),
         ("pipeline.wall_exec_ns", s.perf.wall_exec_ns),
+        ("pipeline.wall_drain_apply_ns", s.perf.wall_drain_apply_ns),
         ("pipeline.flush_barriers", s.perf.flush_barriers),
         ("pipeline.wal_flush_failures", s.perf.wal_flush_failures),
         ("pipeline.pipelined_submits", s.perf.pipelined_submits),

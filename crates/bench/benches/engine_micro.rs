@@ -4,7 +4,7 @@
 //! a deep queue of real envelopes, and with the timers and deliveries a
 //! WAN run keeps pending), one PBFT round at n = 16, KV state
 //! execution, and execution across four pipelines sharing the executor
-//! (with the inline-vs-pooled hand-off its threshold rests on). Plain
+//! (with the inline-vs-pooled hand-off cost its threshold weighs). Plain
 //! timing loops (see `ladon_bench::microbench`);
 //! printed, not gated.
 
@@ -368,6 +368,8 @@ fn bench_exec_pipelines() {
 /// inline or handed to the executor as a job (at most one outstanding
 /// per state, settled before that state's next batch), at n = 32,
 /// 1 024 and 4 096. Ops are derived in the apply, as a pipeline's are.
+/// The worker is never idle here, so these rows leave out the wake-up
+/// a burst of hand-offs pays (see `POOLED_MIN_OPS`).
 fn bench_exec_handoff() {
     fn apply(kv: &mut KvState, first: u64, n: u64) -> ladon_state::ExecEffects {
         kv.apply_batch((first..first + n).map(|i| TxOp::for_id(TxId(i), DEFAULT_KEYSPACE)))

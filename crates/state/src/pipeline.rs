@@ -58,13 +58,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Acknowledged ops from which a batch applies on the executor rather
-/// than inline. A hand-off costs a queue push, a worker wake-up and a
-/// settle: `engine_micro`'s `exec_handoff_*` rows (four states fed
-/// round-robin on two cores) read pooled 2.2× slower than inline at 32
-/// ops a batch and 0.6× at 1 024 and at 4 096, so the break-even lies
-/// between 32 and 1 024. Every `hotstuff_n16` barrier (one 32-tx
-/// record) stays inline; every `exec_heavy_n4` barrier (4 096 txs) goes.
-pub const POOLED_MIN_OPS: u64 = 1024;
+/// than inline: one full paper-default block. A hand-off costs a queue
+/// push, a worker wake-up and a settle. `engine_micro`'s
+/// `exec_handoff_*` rows (four states fed round-robin on two cores, the
+/// worker never idle) read pooled 2.2× slower than inline at 32 ops a
+/// batch and 0.6× at 1 024 and at 4 096. A run that hands off only in
+/// bursts pays more: each burst wakes an idle worker, and what that
+/// costs depends on when the worker gets a core. `straggler_n16`'s
+/// bursts of 2 993–3 959 ops, pooled, gained nothing resolvable and
+/// more than doubled its run-to-run spread, so they apply inline, as
+/// every `hotstuff_n16` barrier (at most 255 ops) does; `exec_heavy_n4`'s
+/// barriers of at least one full block go.
+pub const POOLED_MIN_OPS: u64 = 4096;
 
 /// What [`ExecutionPipeline::execute`] did with a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

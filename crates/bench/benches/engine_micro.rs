@@ -343,8 +343,8 @@ fn bench_state() {
 
 /// Execution as `exec_heavy_n4` drives it: four in-memory pipelines fed
 /// one 4 096-tx block each per iteration, round-robin, through
-/// `stage_blocks` + `submit_staged` (each drain applies the previous
-/// barrier's batch, on the executor when a worker exists).
+/// `stage_blocks` + `submit_staged` (each drain applies the batch its
+/// own barrier acknowledged, on the executor when a worker exists).
 fn bench_exec_pipelines() {
     let mut pipes: Vec<ExecutionPipeline> = (0..4)
         .map(|_| ExecutionPipeline::in_memory(DEFAULT_KEYSPACE))
@@ -358,9 +358,6 @@ fn bench_exec_pipelines() {
         }
         sn += 1;
     });
-    for p in &mut pipes {
-        p.flush_staged();
-    }
 }
 
 /// What the executor's hand-off threshold weighs: four states fed one

@@ -4,9 +4,10 @@
 //! The Multi-BFT node runs one extra vanilla consensus instance (index
 //! `m`) whose batches carry *block references* instead of transactions.
 //! The leader of that instance observes its own partial-commit stream,
-//! batches the references, and drives consensus over them; when a
-//! reference batch commits, the referenced blocks become globally
-//! confirmed in the batch's order.
+//! batches the references, and drives consensus over them; reference
+//! batches are sequenced in the ordering instance's round order (PBFT
+//! may commit them out of it), and the referenced blocks become globally
+//! confirmed in that order.
 //!
 //! Two modeled properties matter for the evaluation:
 //!
@@ -21,7 +22,7 @@
 
 use crate::ordering::{ConfirmedBlock, GlobalOrderer};
 use ladon_types::{Block, TimeNs};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A reference to a partially committed block: `(instance, round)`.
 pub type BlockRef = (u32, u64);
@@ -34,6 +35,12 @@ pub struct DqbftOrderer {
     sequenced: VecDeque<BlockRef>,
     /// References already sequenced (duplicate suppression).
     seen: std::collections::HashSet<BlockRef>,
+    /// Reference batches the ordering instance committed above
+    /// `next_round`, by round, waiting for the rounds below them.
+    committed: BTreeMap<u64, Vec<BlockRef>>,
+    /// The ordering instance's next round to sequence (rounds start at
+    /// 1).
+    next_round: u64,
     /// Leader-side outbox: references committed locally but not yet
     /// proposed to the ordering instance.
     pub unsequenced: Vec<BlockRef>,
@@ -50,6 +57,8 @@ impl DqbftOrderer {
             blocks: HashMap::new(),
             sequenced: VecDeque::new(),
             seen: std::collections::HashSet::new(),
+            committed: BTreeMap::new(),
+            next_round: 1,
             unsequenced: Vec::new(),
             is_ordering_leader,
             confirmed: 0,
@@ -70,12 +79,27 @@ impl DqbftOrderer {
         !self.unsequenced.is_empty()
     }
 
-    /// Called when the ordering instance commits a reference batch: the
-    /// references enter the global sequence.
-    pub fn on_sequenced(&mut self, refs: &[BlockRef], _now: TimeNs) -> Vec<ConfirmedBlock> {
-        for &r in refs {
-            if self.seen.insert(r) {
-                self.sequenced.push_back(r);
+    /// Called when the ordering instance commits its round-`round`
+    /// reference batch. Batches enter the global sequence in round
+    /// order, each once: PBFT commits rounds out of order, and replicas
+    /// that appended batches as they committed would sequence the same
+    /// references differently. A nil fill (no references) still takes
+    /// its round.
+    pub fn on_sequenced(
+        &mut self,
+        round: u64,
+        refs: &[BlockRef],
+        _now: TimeNs,
+    ) -> Vec<ConfirmedBlock> {
+        if round >= self.next_round {
+            self.committed.entry(round).or_insert_with(|| refs.to_vec());
+        }
+        while let Some(batch) = self.committed.remove(&self.next_round) {
+            self.next_round += 1;
+            for r in batch {
+                if self.seen.insert(r) {
+                    self.sequenced.push_back(r);
+                }
             }
         }
         self.drain()
@@ -142,7 +166,7 @@ mod tests {
         let mut o = DqbftOrderer::new(false);
         assert!(o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO).is_empty());
         assert!(o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO).is_empty());
-        let got = o.on_sequenced(&[(1, 1), (0, 1)], TimeNs::ZERO);
+        let got = o.on_sequenced(1, &[(1, 1), (0, 1)], TimeNs::ZERO);
         let order: Vec<u32> = got.iter().map(|c| c.block.index().0).collect();
         assert_eq!(order, vec![1, 0], "sequencing order wins");
         assert_eq!(o.confirmed_count(), 2);
@@ -151,7 +175,7 @@ mod tests {
     #[test]
     fn sequencing_before_commit_waits_for_block() {
         let mut o = DqbftOrderer::new(false);
-        assert!(o.on_sequenced(&[(0, 1)], TimeNs::ZERO).is_empty());
+        assert!(o.on_sequenced(1, &[(0, 1)], TimeNs::ZERO).is_empty());
         let got = o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         assert_eq!(got.len(), 1);
     }
@@ -160,7 +184,9 @@ mod tests {
     fn head_of_line_blocking_on_missing_block() {
         let mut o = DqbftOrderer::new(false);
         o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
-        assert!(o.on_sequenced(&[(0, 1), (1, 1)], TimeNs::ZERO).is_empty());
+        assert!(o
+            .on_sequenced(1, &[(0, 1), (1, 1)], TimeNs::ZERO)
+            .is_empty());
         // (0,1) arrives: both release in order.
         let got = o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         assert_eq!(got.len(), 2);
@@ -184,9 +210,33 @@ mod tests {
     fn duplicate_sequencing_suppressed() {
         let mut o = DqbftOrderer::new(false);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
-        let got = o.on_sequenced(&[(0, 1), (0, 1)], TimeNs::ZERO);
+        let got = o.on_sequenced(1, &[(0, 1), (0, 1)], TimeNs::ZERO);
         assert_eq!(got.len(), 1);
-        assert!(o.on_sequenced(&[(0, 1)], TimeNs::ZERO).is_empty());
+        assert!(o.on_sequenced(2, &[(0, 1)], TimeNs::ZERO).is_empty());
+    }
+
+    #[test]
+    fn batches_sequence_in_round_order_whatever_the_commit_order() {
+        let mut orders = Vec::new();
+        for commit_order in [[1, 2, 3], [3, 1, 2], [2, 3, 1]] {
+            let mut o = DqbftOrderer::new(false);
+            for instance in 0..3 {
+                o.on_partial_commit(blk(instance, 1, 0), TimeNs::ZERO);
+            }
+            let batch = |round| match round {
+                1 => vec![(2, 1)],
+                2 => vec![], // a nil fill still takes its round
+                _ => vec![(0, 1), (1, 1)],
+            };
+            let mut got = Vec::new();
+            for round in commit_order {
+                got.extend(o.on_sequenced(round, &batch(round), TimeNs::ZERO));
+                // A round committed again (state transfer) changes nothing.
+                assert!(o.on_sequenced(round, &[(2, 1)], TimeNs::ZERO).is_empty());
+            }
+            orders.push(got.iter().map(|c| c.block.index().0).collect::<Vec<_>>());
+        }
+        assert!(orders.iter().all(|o| *o == [2, 0, 1]), "{orders:?}");
     }
 
     #[test]

@@ -117,17 +117,6 @@ impl GlobalOrderer for Orderer {
 /// State-transfer probe period.
 const SYNC_PERIOD: TimeNs = TimeNs::from_millis(1000);
 
-/// Which barrier [`MultiBftNode::drain`] runs.
-#[derive(Clone, Copy)]
-enum Drain {
-    /// Submit what is staged; apply the previous batch
-    /// ([`ExecutionPipeline::submit_staged`]).
-    Pipelined,
-    /// Resolve, submit and complete everything
-    /// ([`ExecutionPipeline::flush_staged`]).
-    Full,
-}
-
 /// Arms `timer` on the calling node.
 fn arm(ctx: &mut dyn Context<NodeMsg>, delay: TimeNs, timer: Timer) {
     ctx.set_timer(delay, timer.encode());
@@ -411,7 +400,9 @@ impl MultiBftNode {
         // the same prefix on every replica.
         let confirmed: Vec<ConfirmedBlock> = match &mut self.orderer {
             // The ordering instance sequenced a reference batch.
-            Orderer::Dqbft(o) if i == self.cfg.sys.m => o.on_sequenced(&block.batch.refs, now),
+            Orderer::Dqbft(o) if i == self.cfg.sys.m => {
+                o.on_sequenced(block.round().0, &block.batch.refs, now)
+            }
             o => o.on_partial_commit(block, now),
         };
         self.record_confirms(confirmed, now);
@@ -464,9 +455,6 @@ impl MultiBftNode {
     fn checkpoint_epoch(&mut self, frontier: Vec<u64>, ctx: &mut dyn Context<NodeMsg>) {
         let now = ctx.now();
         let epoch = self.epoch();
-        // Drain the pipeline here (the checkpoint would anyway) so the
-        // flushed `sn` range is visible for lifecycle tracing.
-        self.drain(Drain::Full, now);
         let root = self.exec.checkpoint(epoch, frontier);
         // Every block below the new snapshot frontier is now covered by
         // a checkpoint: stamp the terminal lifecycle stage for the swept
@@ -498,12 +486,12 @@ impl MultiBftNode {
         }
         // The whole confirmed drain stages through the pipeline: each
         // block's WAL record is buffered, and that record is all the
-        // pipeline keeps of it. A drain that staged something submits
-        // ONE durability barrier (one write and one fsync, however many
+        // pipeline keeps of it. A drain that staged something runs ONE
+        // durability barrier (one write and one fsync, however many
         // blocks the drain held), and the records that barrier
         // acknowledges apply as ONE batch, in block order —
         // WAL-before-apply, preserved at batch granularity. Staged
-        // records stay unacknowledged until their barrier completes: a
+        // records stay unacknowledged until their barrier returns: a
         // crash loses exactly them, never an acknowledged block.
         let mut batch: Vec<(u64, Block)> = Vec::with_capacity(confirmed.len());
         for c in confirmed {
@@ -526,35 +514,14 @@ impl MultiBftNode {
             }
         }
         if self.durability.is_normal() && self.exec.staged_records() > 0 {
-            // Pipelined drain: submit this drain's barrier and apply the
-            // *previous* batch whose barrier token just resolved — in
-            // File mode batch N's write+fsync now runs on the writer
-            // thread while the next drain stages batch N+1. While
-            // degraded the drain is skipped: records keep *staging*
-            // (unacknowledged, memory only) but no new barrier touches
-            // the failing backend until a retry heals it.
-            self.drain(Drain::Pipelined, now);
-        }
-    }
-
-    /// Runs one flush barrier and accounts for it, in the order every
-    /// caller needs: the pipeline's counters are copied out (raising
-    /// `wal_flush_failures` on a failed barrier) **before** the resolved
-    /// range is stamped `Flushed` — a failed barrier must alarm before
-    /// any range is treated as durable. The flush and the apply complete
-    /// in the same call (the wall-clock split lives in
-    /// [`ladon_state::PipelinePerf`]), so one stamp covers both, and the
-    /// sim-time `confirmed → flushed` latency is how long a block waited
-    /// on its barrier. Handlers follow up with
-    /// [`Self::check_durability`] once, on their way out.
-    fn drain(&mut self, how: Drain, now: TimeNs) {
-        let flushed = match how {
-            Drain::Pipelined => self.exec.submit_staged(),
-            Drain::Full => self.exec.flush_staged(),
-        };
-        self.refresh_exec_stats();
-        for sn in flushed {
-            self.metrics.trace.record(sn, 0, Stage::Flushed, now);
+            // While degraded the drain is skipped: records keep
+            // *staging* (unacknowledged, memory only) but no new barrier
+            // touches the failing backend until a retry heals it. The
+            // counters are copied out at once, raising
+            // `wal_flush_failures` on a failed barrier; handlers follow up
+            // with `check_durability` on their way out.
+            self.exec.submit_staged();
+            self.refresh_exec_stats();
         }
     }
 
@@ -583,9 +550,9 @@ impl MultiBftNode {
     }
 
     /// One retry-timer expiry: if the machine asks for a repair,
-    /// re-attempt the durable path (resolve the failed in-flight barrier,
-    /// rewrite every segment from the in-memory mirror) and, when that
-    /// succeeds, drain the staged backlog through a real barrier — it was
+    /// re-attempt the durable path (rewrite every segment from the
+    /// in-memory mirror) and, when that succeeds, drain the staged
+    /// backlog through a real barrier — it was
     /// confirmed in dense order all along, so the resulting roots are
     /// byte-identical to a never-degraded run. The machine then either
     /// recovers or re-arms the timer with doubled (capped) backoff.
@@ -593,14 +560,12 @@ impl MultiBftNode {
         if self.durability.on(DurabilityEvent::RetryTimer) != DurabilityStep::AttemptRepair {
             return;
         }
-        let now = ctx.now();
         self.metrics.degraded_retries += 1;
         let repaired = self.exec.retry_durability();
         if repaired {
-            self.drain(Drain::Full, now);
-        } else {
-            self.refresh_exec_stats();
+            self.exec.submit_staged();
         }
+        self.refresh_exec_stats();
         let failures = self.metrics.exec.perf.consecutive_flush_failures;
         match self
             .durability
@@ -954,7 +919,7 @@ impl MultiBftNode {
         if outcome.bad_chunks > 0 {
             return outcome;
         }
-        // Blocks staged or in flight already have their ConfirmRecords
+        // Blocks staged already have their ConfirmRecords
         // and the install flushes them first: the prefix this replica
         // never recorded starts at the staging frontier, not at `applied`.
         let recorded_upto = self.exec.next_sn();

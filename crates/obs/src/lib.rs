@@ -10,8 +10,8 @@
 //!   registry names are written — and [`MetricsSnapshot::counter`] reads
 //!   a merged counter back by name.
 //! - [`trace`] — per-block lifecycle tracing: one latency histogram per
-//!   adjacent pair of stages (submitted → proposed → confirmed → flushed
-//!   → checkpointed), fed as blocks move through them.
+//!   adjacent pair of stages (submitted → proposed → confirmed →
+//!   checkpointed), fed as blocks move through them.
 //! - [`json`] — the deterministic JSON value type the registry renders
 //!   into (and the wall-clock `benchmark/` writes its reports with).
 //!

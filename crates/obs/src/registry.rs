@@ -150,7 +150,7 @@ impl Histogram {
 /// `histogram` / `series`; exposition goes through [`Self::snapshot`].
 ///
 /// Names are flat, dot-separated strings (`"wal.fsyncs"`,
-/// `"trace.confirmed_to_flushed_ns"`). `BTreeMap` keeps exposition ordering
+/// `"trace.confirmed_to_checkpointed_ns"`). `BTreeMap` keeps exposition ordering
 /// sorted and therefore deterministic.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {

@@ -1,13 +1,14 @@
 //! Per-block lifecycle tracing: stage-latency histograms.
 //!
 //! Each node keeps one [`TraceJournal`]; the node records every stage a
-//! block passes through (submitted → proposed → confirmed → flushed →
+//! block passes through (submitted → proposed → confirmed →
 //! checkpointed) using `ctx.now()` — the sim clock in simulation, the
 //! monotonic wall clock in `LiveRuntime` (both surface as `TimeNs`).
 //! Each adjacent pair of stages feeds one histogram, exported as
-//! `trace.<from>_to_<to>_ns`: `confirmed_to_flushed` is how long a block
-//! waited on its fsync barrier, `flushed_to_checkpointed` how long until
-//! a checkpoint covered it.
+//! `trace.<from>_to_<to>_ns`: `confirmed_to_checkpointed` is how long
+//! until a checkpoint covered a block. A confirmed block's WAL barrier
+//! and apply run in the handler that confirms it, so they are no stage
+//! of their own.
 //!
 //! The journal keeps only each in-flight block's latest stage, in a
 //! window bounded by its capacity (default 4096 blocks), so a long run
@@ -29,19 +30,15 @@ pub enum Stage {
     Proposed = 1,
     /// Block confirmed (f+1 / QC observed) by this node.
     Confirmed = 2,
-    /// WAL flush barrier completed: the block is durable and applied
-    /// (both happen in the same call).
-    Flushed = 3,
     /// Covered by a checkpoint (Merkle root published).
-    Checkpointed = 4,
+    Checkpointed = 3,
 }
 
 impl Stage {
-    pub const ALL: [Stage; 5] = [
+    pub const ALL: [Stage; 4] = [
         Stage::Submitted,
         Stage::Proposed,
         Stage::Confirmed,
-        Stage::Flushed,
         Stage::Checkpointed,
     ];
 
@@ -51,7 +48,6 @@ impl Stage {
             Stage::Submitted => "submitted",
             Stage::Proposed => "proposed",
             Stage::Confirmed => "confirmed",
-            Stage::Flushed => "flushed",
             Stage::Checkpointed => "checkpointed",
         }
     }
@@ -219,7 +215,7 @@ mod tests {
             assert_eq!(pair[0].next(), Some(pair[1]));
         }
         assert_eq!(Stage::Checkpointed.next(), None);
-        assert_eq!(Stage::Flushed.name(), "flushed");
+        assert_eq!(Stage::Confirmed.name(), "confirmed");
     }
 
     #[test]
@@ -228,16 +224,15 @@ mod tests {
         j.record(7, 0, Stage::Submitted, t(100));
         j.record(7, 0, Stage::Proposed, t(150));
         j.record(7, 0, Stage::Confirmed, t(400));
-        j.record(7, 0, Stage::Flushed, t(1_000));
         j.record(7, 0, Stage::Checkpointed, t(5_000));
 
-        let confirmed_to_flushed = &j.latency[Stage::Confirmed as usize];
-        assert_eq!(confirmed_to_flushed.count(), 1);
-        assert!((confirmed_to_flushed.mean() - 600.0).abs() < 1e-9);
-        let flushed_to_checkpointed = &j.latency[Stage::Flushed as usize];
-        assert!((flushed_to_checkpointed.mean() - 4_000.0).abs() < 1e-9);
+        let proposed_to_confirmed = &j.latency[Stage::Proposed as usize];
+        assert_eq!(proposed_to_confirmed.count(), 1);
+        assert!((proposed_to_confirmed.mean() - 250.0).abs() < 1e-9);
+        let confirmed_to_checkpointed = &j.latency[Stage::Confirmed as usize];
+        assert!((confirmed_to_checkpointed.mean() - 4_600.0).abs() < 1e-9);
         assert_eq!(j.dropped_transitions, 0);
-        assert_eq!(j.recorded(), 5);
+        assert_eq!(j.recorded(), 4);
         // Checkpointed retires the block from the in-flight window.
         assert!(j.inflight.is_empty());
     }
@@ -255,11 +250,11 @@ mod tests {
     fn window_is_bounded_but_histograms_cover_everything() {
         let mut j = TraceJournal::with_capacity(4);
         for sn in 0..10 {
-            j.record(sn, 0, Stage::Confirmed, t(sn * 100));
-            j.record(sn, 0, Stage::Flushed, t(sn * 100 + 50));
+            j.record(sn, 0, Stage::Proposed, t(sn * 100));
+            j.record(sn, 0, Stage::Confirmed, t(sn * 100 + 50));
         }
         assert_eq!(j.inflight.len(), 4);
-        let h = &j.latency[Stage::Confirmed as usize];
+        let h = &j.latency[Stage::Proposed as usize];
         assert_eq!(h.count(), 10);
         assert!((h.mean() - 50.0).abs() < 1e-9);
     }
@@ -415,11 +410,11 @@ mod tests {
     fn snapshot_into_registry() {
         let mut j = TraceJournal::new();
         j.record(1, 0, Stage::Confirmed, t(0));
-        j.record(1, 0, Stage::Flushed, t(640));
+        j.record(1, 0, Stage::Checkpointed, t(640));
         let mut r = MetricsRegistry::new();
         j.snapshot_into(&mut r);
         assert_eq!(r.counter_value("trace.events_recorded"), 2);
-        let h = r.histogram("trace.confirmed_to_flushed_ns").unwrap();
+        let h = r.histogram("trace.confirmed_to_checkpointed_ns").unwrap();
         assert_eq!(h.count(), 1);
         assert!(r.histogram("trace.submitted_to_proposed_ns").is_none());
     }

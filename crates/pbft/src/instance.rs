@@ -1500,6 +1500,7 @@ impl PbftInstance {
         if st.committed_at.is_some() {
             return out;
         }
+        let (round, reported) = (h.round, st.sent_commit);
         st.adopt(
             h.payload_digest,
             h.rank,
@@ -1529,6 +1530,19 @@ impl PbftInstance {
             self.in_view_change = false;
             self.deadline = None;
             self.replay_view_msgs(now, cur, &mut out);
+        }
+        // A replica reports its rank for a round with its commit vote
+        // (Algorithm 2 lines 27–28); one that missed the vote phases and
+        // fetched the round reports now, or a leader short of 2f+1
+        // reports for it waits out a view change.
+        if self.cfg.mode != RankMode::None && !reported {
+            let report = self.build_rank_report(round, cur);
+            let leader = self.leader_of(self.view);
+            if leader == self.cfg.me {
+                self.handle_rank_report(self.cfg.me, report);
+            } else {
+                out.push(Action::Send(leader, PbftMsg::Rank(report)));
+            }
         }
         out
     }

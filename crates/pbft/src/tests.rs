@@ -619,7 +619,7 @@ fn an_expiry_on_a_settled_round_is_quiet() {
     assert_eq!(c.nodes[3].committed_upto(), Round(1));
     for (block, qc) in c.nodes[0].committed_entries_from(Round(1), 16) {
         let actions = c.nodes[3].install_committed(block, qc, c.now, &mut c.cur_ranks[3]);
-        assert_eq!(actions.len(), 1);
+        assert_installed_and_reported(&actions);
     }
     assert_eq!(c.nodes[3].committed_upto(), Round(2));
     assert!(c.nodes[3].liveness_since().is_some());
@@ -958,6 +958,23 @@ fn new_leader_fresh_proposal_accepted_after_view_change() {
 // State transfer (§5.2.1): committed_entries_from / install_committed
 // ---------------------------------------------------------------------
 
+/// What installing one fetched round emits at a replica that never voted
+/// on it: the commit, then the rank report it never sent with a commit
+/// vote, to the leader (replica 0) — or a leader waiting on 2f+1 reports
+/// for that round waits out a view change.
+fn assert_installed_and_reported(actions: &[crate::Action]) {
+    assert!(
+        matches!(
+            actions,
+            [
+                crate::Action::Committed(_),
+                crate::Action::Send(ReplicaId(0), PbftMsg::Rank(_))
+            ]
+        ),
+        "{actions:?}"
+    );
+}
+
 #[test]
 fn committed_entries_roundtrip_into_lagging_instance() {
     // Cluster commits 4 rounds; replica 3 is "partitioned" (we use a
@@ -1019,7 +1036,7 @@ fn install_committed_rejects_tampered_entries() {
 
     // The genuine entry still installs afterwards.
     let actions = fresh.install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur);
-    assert_eq!(actions.len(), 1);
+    assert_installed_and_reported(&actions);
     assert_eq!(fresh.committed_upto(), Round(1));
 }
 
@@ -1030,17 +1047,12 @@ fn install_committed_is_idempotent() {
     let (block, qc) = c.nodes[0].committed_entries_from(Round(0), 1)[0].clone();
     let mut fresh = c.fresh_instance(3);
     let mut cur = ladon_crypto::RankCert::genesis(Rank(0));
-    assert_eq!(
-        fresh
-            .install_committed(
-                block.clone(),
-                qc.clone(),
-                ladon_types::TimeNs::ZERO,
-                &mut cur
-            )
-            .len(),
-        1
-    );
+    assert_installed_and_reported(&fresh.install_committed(
+        block.clone(),
+        qc.clone(),
+        ladon_types::TimeNs::ZERO,
+        &mut cur,
+    ));
     assert!(fresh
         .install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur)
         .is_empty());

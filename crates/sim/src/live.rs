@@ -8,17 +8,15 @@
 //! actor when it falls due. Used by the `live_cluster` example to
 //! demonstrate that the protocol crates are runtime-agnostic.
 //!
-//! ## Companion threads (per-node WAL writer)
+//! ## Threads
 //!
-//! Actors may own worker threads of their own: a file-backed
-//! `MultiBftNode` runs its WAL barriers on a dedicated `ladon-wal-writer`
-//! thread (pipelined durability), so a live cluster of `n` file-backed
-//! nodes runs `n` actor threads + `n` writer threads + 1 clock thread.
-//! The runtime never sees those companions — they are owned by the actor
-//! state returned from [`LiveRuntime::shutdown`], and each one drains its
-//! in-flight barrier and joins when that state (its `CommitWal`) drops.
-//! Shut down the runtime and drop (or inspect, then drop) the returned
-//! actors to tear the whole tree down; nothing detaches.
+//! A live cluster of `n` nodes runs `n` actor threads + 1 clock thread.
+//! A file-backed `MultiBftNode` runs each WAL barrier (one write, one
+//! fsync) on its own actor thread; a large acknowledged batch may apply
+//! on the process-wide `ladon-state` executor, whose workers every
+//! pipeline shares and which the runtime never sees. Shut down the
+//! runtime and drop (or inspect, then drop) the returned actors to tear
+//! the cluster down.
 
 use crate::engine::{Actor, ActorId, Context, EventKind, Pending, Queue};
 use crate::net::Network;
@@ -157,7 +155,7 @@ impl<M: WireSize + Clone + Send + 'static> LiveRuntime<M> {
             let clock_tx = clock_tx.clone();
             let rng = seed_rng.fork();
             // Named so a live cluster's thread tree reads cleanly next to
-            // the per-node "ladon-wal-writer" companions (see module doc).
+            // the executor's "ladon-exec-*" workers (see module doc).
             let builder = std::thread::Builder::new().name(format!("ladon-actor-{id}"));
             let handle = builder.spawn(move || {
                 let mut ctx = LiveCtx {

@@ -12,8 +12,7 @@
 //!   modeling an operator freeing space), a run of fsync failures, a
 //!   torn tail on the next append, and seeded random failures. All
 //!   knobs are plain atomics behind `Arc`s, so a test or bench holds a
-//!   clone of the plan and re-scripts it *while the backend is in use*
-//!   — including from the other side of the WAL writer thread.
+//!   clone of the plan and re-scripts it *while the backend is in use*.
 //! - [`FaultBackend`]: a [`WalBackend`] wrapper that consults the plan
 //!   on every mutating operation. Reads always pass through (the bytes
 //!   that reached storage are readable; that is what crash recovery
@@ -30,8 +29,7 @@ use std::sync::Arc;
 
 /// Shared handle to a scripted fault schedule. Cloning shares the
 /// underlying script, so mid-run re-scripting from the driving test is
-/// race-free and visible to the backend wherever it runs (inline or on
-/// the WAL writer thread).
+/// race-free and visible to the backend.
 #[derive(Clone)]
 pub struct FaultPlan {
     /// Mutating ops remaining before total storage death. `i64::MAX`
@@ -213,7 +211,7 @@ impl FaultPlan {
             return false;
         }
         // xorshift64 over the shared state; SeqCst CAS keeps the stream
-        // deterministic even across the writer thread.
+        // deterministic whichever thread draws.
         let mut cur = self.rng.load(Ordering::SeqCst);
         loop {
             let mut x = cur;
@@ -268,35 +266,23 @@ impl FaultPlan {
 pub struct FaultBackend<B: WalBackend> {
     inner: B,
     plan: FaultPlan,
-    /// Route barriers through the dedicated WAL writer thread (the
-    /// pipelined-durability path) instead of running them inline — the
-    /// plan is shared, so faults hit the same op boundaries either way.
-    threaded: bool,
 }
 
 impl<B: WalBackend> FaultBackend<B> {
     pub fn new(inner: B, plan: FaultPlan) -> Self {
-        FaultBackend {
-            inner,
-            plan,
-            threaded: false,
-        }
+        FaultBackend { inner, plan }
     }
 
     /// The kill-budget form the crash matrices use: storage silently
     /// fails every mutating op once `budget` hits zero, and the caller
     /// keeps the cell to re-arm (or zero) it mid-run.
-    pub fn kill_budget(inner: B, budget: Arc<AtomicI64>, threaded: bool) -> Self {
-        FaultBackend {
-            inner,
-            plan: FaultPlan::with_budget(budget),
-            threaded,
-        }
+    pub fn kill_budget(inner: B, budget: Arc<AtomicI64>) -> Self {
+        Self::new(inner, FaultPlan::with_budget(budget))
     }
 
-    /// Prefer the writer-thread barrier path.
-    pub fn threaded(mut self) -> Self {
-        self.threaded = true;
+    /// Kept for source compatibility with frozen `benchmark/`; no
+    /// effect — every barrier runs on the caller's thread.
+    pub fn threaded(self) -> Self {
         self
     }
 
@@ -358,14 +344,12 @@ impl<B: WalBackend> WalBackend for FaultBackend<B> {
     fn io_stats(&self) -> WalIoStats {
         self.inner.io_stats()
     }
-    fn prefers_writer_thread(&self) -> bool {
-        self.threaded
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::tests::append;
     use crate::wal::{CommitWal, MemBackend, WalOptions, WalRecord};
     use ladon_types::Digest;
 
@@ -443,14 +427,14 @@ mod tests {
         let plan = FaultPlan::unlimited();
         let mut wal = wal_with_plan(plan.clone());
         for sn in 0..4 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         assert_eq!(wal.write_failures(), 0);
         let _ = plan.clone().tear_next_append();
-        wal.append(rec(4));
+        append(&mut wal, rec(4));
         assert_eq!(wal.write_failures(), 1, "torn tail must raise the alarm");
         // Later appends are clean again.
-        wal.append(rec(5));
+        append(&mut wal, rec(5));
         assert_eq!(wal.write_failures(), 1);
         assert_eq!(plan.injected_faults(), 1);
     }
@@ -474,7 +458,7 @@ mod tests {
         let mut wal = wal_with_plan(plan.clone());
         let mut alarmed = 0u64;
         for sn in 0..16 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
             alarmed = wal.write_failures();
         }
         assert!(alarmed > 0, "disk-full run must raise durability alarms");

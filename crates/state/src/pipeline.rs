@@ -3,14 +3,16 @@
 //! [`ExecutionPipeline`] is the single entry point `ladon-core` feeds.
 //! A confirmed block is its [`WalRecord`]: staging a block is
 //! [`CommitWal::append_buffered`] and nothing else — the pipeline keeps
-//! no copy of its own, so the log's staged and in-flight records *are*
-//! the blocks between confirmation and apply. A record is acknowledged
-//! only by a flush barrier the pipeline submitted, and the call that
-//! acknowledges it applies it: the record's ops, derived from its
-//! `(first_tx, count)`, stream into the sharded KV state —
-//! WAL-before-apply, so a crash between the two replays the block on
-//! recovery instead of losing it. Everything one barrier acknowledges
-//! is one batch, and its ops apply in block order (see [`crate::kv`]).
+//! no copy of its own, so the log's staged records *are* the blocks
+//! between confirmation and apply. There is one drain,
+//! [`ExecutionPipeline::submit_staged`]: it runs one flush barrier (one
+//! write and one fsync, on the draining thread) over everything staged,
+//! and applies exactly the records that barrier acknowledged — their
+//! ops, derived from each record's `(first_tx, count)`, stream into the
+//! sharded KV state. WAL-before-apply, so a crash between the two
+//! replays the block on recovery instead of losing it. Everything one
+//! barrier acknowledges is one batch, and its ops apply in block order
+//! (see [`crate::kv`]).
 //! A batch of at least [`POOLED_MIN_OPS`] ops applies as one job on the
 //! process-wide executor ([`crate::exec`]), so the draining thread goes
 //! back to consensus while another core applies; a smaller one applies
@@ -135,8 +137,8 @@ pub struct ReplayStats {
 /// `benchmark/` reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecSchedStats {
-    /// Batches applied: one per completed flush barrier, one per
-    /// replayed record during recovery.
+    /// Batches applied: one per flush barrier, one per replayed record
+    /// during recovery.
     pub batches: u64,
     /// Always 0: nothing plans waves. Kept for source compatibility
     /// with frozen `benchmark/`.
@@ -147,15 +149,14 @@ pub struct ExecSchedStats {
 }
 
 /// Barrier accounting of the execution pipeline, cumulative: the
-/// wall-clock split between WAL durability (fsync-barrier wait) and
-/// execution (apply_batch), plus the deterministic barrier counters the
-/// durability alarms and the pipelining gates ride on. The `wall_`
-/// names mark those fields non-deterministic by the obs convention —
-/// they never enter the determinism gates, while the counters do.
+/// wall-clock split between WAL durability (the write + fsync barrier)
+/// and execution (apply_batch), plus the deterministic barrier counters
+/// the durability alarms ride on. The `wall_` names mark those fields
+/// non-deterministic by the obs convention — they never enter the
+/// determinism gates, while the counters do.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelinePerf {
-    /// Nanoseconds spent inside WAL flush barriers (submit + token
-    /// wait).
+    /// Nanoseconds spent inside WAL flush barriers.
     pub wall_wal_flush_ns: u64,
     /// Nanoseconds spent applying acknowledged batches, on whichever
     /// thread applied them: a batch applied on the executor adds its own
@@ -170,13 +171,12 @@ pub struct PipelinePerf {
     /// [`Self::wall_wal_flush_ns`] it accounts for a drain's time on
     /// that thread. Every batch inline, the two agree.
     pub wall_drain_apply_ns: u64,
-    /// Flush barriers submitted (denominator for per-barrier means).
+    /// Flush barriers run (denominator for per-barrier means).
     pub flush_barriers: u64,
     /// Flush barriers whose durable step **failed** (deterministic
     /// durability alarm): the batch was still applied — the WAL mirror
     /// stays authoritative — but its range must not be treated as
-    /// durable. Previously this outcome was swallowed inside
-    /// `flush_staged`.
+    /// durable.
     pub wal_flush_failures: u64,
     /// Flush barriers that failed with no intervening success — the
     /// degradation trigger: a node compares this against its
@@ -185,20 +185,9 @@ pub struct PipelinePerf {
     /// isolated hiccups never degrade, while a persistently broken
     /// backend crosses any threshold quickly.
     pub consecutive_flush_failures: u64,
-    /// Barriers submitted while the previous barrier was still in
-    /// flight — each one is a genuine write/execute overlap window
-    /// (deterministic: the submit/complete structure is identical in
-    /// pipelined and inline modes).
-    pub pipelined_submits: u64,
-    /// Peak records inside one in-flight barrier (deterministic;
-    /// snapshots as a max-merged gauge).
-    pub inflight_records_peak: u64,
-    /// Wall-clock ns blocked resolving a barrier token at complete time
-    /// (per-barrier samples).
+    /// Wall-clock ns of each barrier's write + fsync (per-barrier
+    /// samples).
     pub barrier_wait: ladon_obs::Histogram,
-    /// Wall-clock ns each barrier spent in flight before its completion
-    /// began — the window overlapped with staging/execution.
-    pub barrier_overlap: ladon_obs::Histogram,
 }
 
 /// Nanoseconds from `mark` to now, moving `mark` to now.
@@ -216,17 +205,11 @@ impl SnapshotInto for PipelinePerf {
         registry.counter("pipeline.wall_drain_apply_ns", self.wall_drain_apply_ns);
         registry.counter("pipeline.flush_barriers", self.flush_barriers);
         registry.counter("pipeline.wal_flush_failures", self.wal_flush_failures);
-        registry.counter("pipeline.pipelined_submits", self.pipelined_submits);
         registry.gauge(
             "pipeline.consecutive_flush_failures",
             self.consecutive_flush_failures as f64,
         );
-        registry.gauge(
-            "pipeline.inflight_records_peak",
-            self.inflight_records_peak as f64,
-        );
         registry.merge_histogram("pipeline.wall_barrier_wait_ns", &self.barrier_wait);
-        registry.merge_histogram("pipeline.wall_barrier_overlap_ns", &self.barrier_overlap);
     }
 }
 
@@ -368,14 +351,12 @@ pub struct ExecutionPipeline {
     exec: Mutex<Exec>,
     /// The commit log, and the only place a block lives between its
     /// confirmation and its apply: its staged records are the blocks
-    /// staged, its in-flight barrier's records the blocks submitted.
-    /// Neither is acknowledged nor applied — WAL-before-apply holds at
-    /// batch granularity — and a crash loses exactly them.
+    /// staged, neither acknowledged nor applied — WAL-before-apply holds
+    /// at batch granularity — and a crash loses exactly them.
     wal: CommitWal,
     store: SnapshotStore,
     /// Confirmed blocks applied so far. Every record the WAL has
-    /// acknowledged is applied; in-flight and staged records follow it
-    /// densely.
+    /// acknowledged is applied; staged records follow it densely.
     applied: u64,
     /// Cumulative transactions executed (consensus position: restored
     /// from snapshots, advanced by every applied block).
@@ -395,9 +376,6 @@ pub struct ExecutionPipeline {
     recovery: ReplayStats,
     /// Wall-clock split of the flush barrier (see [`PipelinePerf`]).
     perf: PipelinePerf,
-    /// When the last barrier was submitted (feeds the overlap
-    /// histogram).
-    submitted_at: Instant,
 }
 
 /// Whether every account `snap` names is below `keyspace`, which bounds
@@ -444,7 +422,6 @@ impl ExecutionPipeline {
             batches: 0,
             recovery: ReplayStats::default(),
             perf: PipelinePerf::default(),
-            submitted_at: Instant::now(),
         }
     }
 
@@ -549,7 +526,7 @@ impl ExecutionPipeline {
         self.executed_txs = snap.head.executed_txs;
     }
 
-    /// Executes confirmed block `sn` immediately (stage + flush as a
+    /// Executes confirmed block `sn` immediately (stage + drain as a
     /// batch of one). Blocks must arrive in dense global order; anything
     /// at or below the staged/applied frontier is skipped (the snapshot
     /// already covers it), and anything above the next expected `sn` is
@@ -558,29 +535,29 @@ impl ExecutionPipeline {
     /// error signal.
     pub fn execute(&mut self, sn: u64, block: &Block) -> ExecOutcome {
         let out = self.stage_block(sn, block);
-        self.flush_staged();
+        self.submit_staged();
         out
     }
 
     /// Executes a drained run of confirmed blocks through **one WAL
     /// group-commit barrier**: [`Self::stage_blocks`] followed by
-    /// [`Self::flush_staged`].
+    /// [`Self::submit_staged`].
     ///
     /// Outcomes are index-aligned with `blocks`, with the same per-block
     /// skip/gap discipline as [`Self::execute`] (a gap refuses the block
     /// and everything stays unstaged at its position).
     pub fn execute_batch(&mut self, blocks: &[(u64, Block)]) -> Vec<ExecOutcome> {
         let out = self.stage_blocks(blocks);
-        self.flush_staged();
+        self.submit_staged();
         out
     }
 
     /// Stages a drained run of confirmed blocks: each applicable block's
     /// WAL record is buffered (no backend I/O) for the next barrier.
     /// Staged blocks are **unacknowledged and unapplied** — a crash
-    /// before their barrier completes loses exactly them, and neither
+    /// before their barrier returns loses exactly them, and neither
     /// [`Self::applied`] nor the state root moves until it does. Staging
-    /// accumulates across calls until a barrier is submitted.
+    /// accumulates across calls until the next drain.
     pub fn stage_blocks(&mut self, blocks: &[(u64, Block)]) -> Vec<ExecOutcome> {
         blocks
             .iter()
@@ -604,124 +581,50 @@ impl ExecutionPipeline {
         }
     }
 
-    /// The **synchronous** durability + apply barrier for everything in
-    /// the pipeline: resolves any in-flight barrier (applying its
-    /// batch), then submits and completes everything staged — so on
-    /// return nothing is staged or in flight and every returned `sn` is
-    /// applied. One WAL flush barrier per submitted batch (one write and
-    /// one fsync, however many drains accumulated), then the
-    /// batch's ops apply in block order. WAL-before-apply, preserved at
-    /// batch granularity: a
-    /// crash before a batch's barrier completes loses only
-    /// unacknowledged blocks, and recovery replays a batched log
-    /// byte-identically to a per-record one (replaying record by record
-    /// applies the same ops in the same order).
+    /// The drain, and the one barrier path: writes everything staged
+    /// through **one** WAL flush barrier (one write and one fsync,
+    /// however many drains accumulated), then applies exactly the
+    /// records that barrier acknowledged as one batch, in block order —
+    /// on the executor when the batch holds at least [`POOLED_MIN_OPS`]
+    /// ops, here otherwise. WAL-before-apply, at batch granularity: a
+    /// crash before the barrier returns loses only unacknowledged
+    /// blocks, and recovery replays a batched log identically to a
+    /// per-record one (replaying record by record applies the same ops
+    /// in the same order). On return nothing is staged.
     ///
-    /// Returns the dense `sn` range drained and applied (`start..end`,
-    /// empty when nothing was pending) — the node's lifecycle tracer
-    /// uses it to stamp per-block `Flushed`/`Applied` events without
-    /// re-deriving the set. The range is durable only if no barrier
-    /// reported failure: a failed barrier raises the deterministic
-    /// [`PipelinePerf::wal_flush_failures`] alarm (and the WAL's own
-    /// `write_failures`), and callers must consult it before treating
-    /// the range as durable.
-    pub fn flush_staged(&mut self) -> std::ops::Range<u64> {
-        let first = self.applied;
-        let mut mark = Instant::now();
-        self.complete_inflight_from(&mut mark);
-        if self.submit_barrier(&mut mark) {
-            self.complete_inflight_from(&mut mark);
-        }
-        first..self.applied
-    }
-
-    /// The **pipelined** drain: hands everything staged to the WAL
-    /// writer as one flush barrier and applies the *previous* submitted
-    /// batch, so batch N's write+fsync proceeds on the writer while batch
-    /// N-1 applies (on the executor when it is large, see
-    /// [`POOLED_MIN_OPS`]) and this thread stages batch N+1.
-    /// Acknowledgement and apply happen only
-    /// when a batch's barrier token resolves — WAL-before-apply holds at
-    /// batch granularity, in submission order.
-    ///
-    /// Returns the applied range (the *previous* batch's; empty on the
-    /// first submit). In simulation (in-memory WAL) the barrier runs
-    /// inline at submit but resolves here all the same, so the
-    /// submit/apply structure — and every deterministic counter — is
-    /// identical to File mode. Barrier failures raise
-    /// [`PipelinePerf::wal_flush_failures`] exactly as in
-    /// [`Self::flush_staged`].
+    /// Returns the dense `sn` range applied (`start..end`, empty when
+    /// nothing was staged) — the node's lifecycle tracer stamps it. The
+    /// range is durable only if the barrier succeeded: a failed barrier
+    /// still applies its records (the WAL mirror is authoritative) but
+    /// raises the deterministic [`PipelinePerf::wal_flush_failures`]
+    /// alarm (and the WAL's own `write_failures`), which callers must
+    /// consult before treating the range as durable.
     pub fn submit_staged(&mut self) -> std::ops::Range<u64> {
-        // Resolve the previous token first (the writer is one-deep), but
-        // apply only after the new batch is on the writer: the apply is
-        // the work the in-flight barrier overlaps with.
-        let mut mark = Instant::now();
-        let prior = self.resolve_barrier(&mut mark);
-        let submitted = self.submit_barrier(&mut mark);
-        if prior.is_some() && submitted {
-            self.perf.pipelined_submits += 1;
+        if self.wal.staged_len() == 0 {
+            return self.applied..self.applied;
         }
-        match prior {
-            Some(acked) => self.apply_records(acked, &mut mark),
-            None => self.applied..self.applied,
-        }
-    }
-
-    /// Resolves the in-flight barrier (if any) and applies its batch.
-    /// Returns the applied range, or `None` when nothing was in flight.
-    pub fn complete_inflight(&mut self) -> Option<std::ops::Range<u64>> {
-        self.complete_inflight_from(&mut Instant::now())
-    }
-
-    /// [`Self::complete_inflight`] on the clock reading `mark`.
-    fn complete_inflight_from(&mut self, mark: &mut Instant) -> Option<std::ops::Range<u64>> {
-        let acked = self.resolve_barrier(mark)?;
-        Some(self.apply_records(acked, mark))
-    }
-
-    /// Submits everything staged as one WAL flush barrier (no barrier
-    /// may be in flight). Returns `false` when nothing was staged.
-    ///
-    /// This step and the two below are timed from `mark`, the clock
-    /// reading the previous step ended on, and each moves it to the
-    /// reading it ends on: one reading closes one interval and opens the
-    /// next, so a pipelined drain reads the clock four times.
-    fn submit_barrier(&mut self, mark: &mut Instant) -> bool {
-        let records = self.wal.staged_len() as u64;
-        if !self.wal.submit_flush() {
-            return false;
-        }
-        self.perf.wall_wal_flush_ns += lap(mark);
-        self.perf.flush_barriers += 1;
-        self.perf.inflight_records_peak = self.perf.inflight_records_peak.max(records);
-        self.submitted_at = *mark;
-        true
-    }
-
-    /// Waits out the in-flight barrier token and accounts its outcome:
-    /// `false` raises the deterministic failure alarm, so no caller can
-    /// mistake the batch for durable — its records still apply (the WAL
-    /// mirror is authoritative). Returns the mirror positions of the
-    /// records the barrier acknowledged; does **not** apply them.
-    fn resolve_barrier(&mut self, mark: &mut Instant) -> Option<std::ops::Range<usize>> {
-        if !self.wal.has_inflight_flush() {
-            return None;
-        }
-        self.perf
-            .barrier_overlap
-            .observe(mark.duration_since(self.submitted_at).as_nanos() as u64);
         let from = self.wal.len();
-        let ok = self.wal.complete_flush()?;
-        let wait = lap(mark);
-        self.perf.wall_wal_flush_ns += wait;
-        self.perf.barrier_wait.observe(wait);
+        let mut mark = Instant::now();
+        let ok = self.wal.flush();
+        let barrier = lap(&mut mark);
+        self.perf.wall_wal_flush_ns += barrier;
+        self.perf.barrier_wait.observe(barrier);
+        self.perf.flush_barriers += 1;
         if ok {
             self.perf.consecutive_flush_failures = 0;
         } else {
             self.perf.wal_flush_failures += 1;
             self.perf.consecutive_flush_failures += 1;
         }
-        Some(from..self.wal.len())
+        self.apply_records(from..self.wal.len(), &mut mark)
+    }
+
+    /// Kept for source compatibility with frozen `benchmark/`; no
+    /// effect: [`Self::submit_staged`] applies what its own barrier
+    /// acknowledged, so no barrier is ever left to complete. Always
+    /// `None`.
+    pub fn complete_inflight(&mut self) -> Option<std::ops::Range<u64>> {
+        None
     }
 
     /// The one apply step, shared by live barriers and recovery replay:
@@ -770,22 +673,16 @@ impl ExecutionPipeline {
         exec
     }
 
-    /// Blocks staged but not yet submitted. Unacknowledged: a crash
-    /// right now loses exactly these (plus any in-flight batch).
+    /// Blocks staged but not yet drained. Unacknowledged: a crash right
+    /// now loses exactly these.
     pub fn staged_records(&self) -> usize {
         self.wal.staged_len()
     }
 
-    /// Blocks submitted to the WAL writer whose barrier token has not
-    /// resolved — unacknowledged and unapplied.
-    pub fn inflight_records(&self) -> usize {
-        self.wal.inflight_len()
-    }
-
     /// The next `sn` the pipeline will accept: the dense-order frontier
-    /// over applied, in-flight and staged blocks.
+    /// over applied and staged blocks.
     pub fn next_sn(&self) -> u64 {
-        self.applied + (self.wal.inflight_len() + self.wal.staged_len()) as u64
+        self.applied + self.wal.staged_len() as u64
     }
 
     /// Epoch checkpoint: captures a snapshot of the current state, compacts
@@ -795,9 +692,9 @@ impl ExecutionPipeline {
     /// confirmed. `frontier` must be replica-deterministic (see
     /// [`crate::snapshot::SnapshotHead::frontier`]).
     pub fn checkpoint(&mut self, epoch: u64, frontier: Vec<u64>) -> Digest {
-        // Drain whatever is staged or in flight first: the snapshot must
-        // cover every confirmed block.
-        self.flush_staged();
+        // Drain whatever is staged first: the snapshot must cover every
+        // confirmed block.
+        self.submit_staged();
         let (applied, executed_txs) = (self.applied, self.executed_txs);
         let kv = self.exec_mut().settle();
         kv.fold();
@@ -812,17 +709,15 @@ impl ExecutionPipeline {
         root
     }
 
-    /// Degraded-mode repair: resolves (and applies) any in-flight
-    /// barrier, then asks the WAL to rewrite the backend from its
+    /// Degraded-mode repair: asks the WAL to rewrite the backend from its
     /// acknowledged mirror ([`CommitWal::repair_backend`]). Staged
     /// blocks are left staged — they reach storage through the caller's
-    /// next barrier ([`Self::flush_staged`]), and are applied there.
+    /// next barrier ([`Self::submit_staged`]), and are applied there.
     /// Returns `true` when the backend fully caught up with the mirror —
     /// every previously alarmed record is durable again,
     /// [`PipelinePerf::consecutive_flush_failures`] resets, and the
     /// caller may drain the staged backlog and resume acknowledging.
     pub fn retry_durability(&mut self) -> bool {
-        self.complete_inflight();
         let ok = self.wal.repair_backend();
         if ok {
             self.perf.consecutive_flush_failures = 0;
@@ -850,10 +745,10 @@ impl ExecutionPipeline {
     /// frontier, names no account past the keyspace, and verifies.
     /// Returns `true` when state advanced.
     fn install_snapshot(&mut self, snap: &Snapshot) -> bool {
-        // Staged blocks must settle before the frontier jumps: flushing
+        // Staged blocks must settle before the frontier jumps: draining
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
-        self.flush_staged();
+        self.submit_staged();
         if snap.head.applied <= self.applied
             || !within_keyspace(snap, self.keyspace)
             || !snap.verify()
@@ -1128,8 +1023,8 @@ mod tests {
     #[test]
     fn repair_with_a_staged_backlog_acks_each_block_once() {
         // Every step must keep the one lifecycle: nothing acknowledged is
-        // left unapplied, the frontier is applied + in flight + staged,
-        // and a barrier is counted exactly when storage sees an append.
+        // left unapplied, the frontier is applied + staged, and a barrier
+        // is counted exactly when storage sees an append.
         fn check(p: &ExecutionPipeline, last: &mut (u64, u64), step: &str) {
             assert!(
                 p.wal_len() as u64 <= p.applied(),
@@ -1137,8 +1032,11 @@ mod tests {
                 p.wal_len(),
                 p.applied()
             );
-            let pending = (p.inflight_records() + p.staged_records()) as u64;
-            assert_eq!(p.applied() + pending, p.next_sn(), "{step}");
+            assert_eq!(
+                p.applied() + p.staged_records() as u64,
+                p.next_sn(),
+                "{step}"
+            );
             let now = (p.perf().flush_barriers, p.wal_io_stats().appends);
             assert_eq!(
                 now.0 != last.0,
@@ -1160,7 +1058,7 @@ mod tests {
             (1, 2),
             "the backlog waits"
         );
-        p.flush_staged();
+        p.submit_staged();
         check(&p, &mut last, "flush");
         assert_eq!(last, (2, 2));
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
@@ -1237,8 +1135,8 @@ mod tests {
         assert_eq!(p.applied(), 2, "staged blocks must not apply");
         assert_eq!(p.state_root(), root_before);
         assert_eq!(p.wal_len(), 2, "staged records must not be acknowledged");
-        // The flush applies everything as one batch.
-        p.flush_staged();
+        // The drain applies everything as one batch.
+        p.submit_staged();
         assert_eq!(p.applied(), 5);
         assert_eq!(p.staged_records(), 0);
         assert_eq!(p.wal_len(), 5);
@@ -1247,97 +1145,6 @@ mod tests {
         run_blocks(&mut reference, 0, 5);
         assert_eq!(p.state_root(), reference.state_root());
         assert_eq!(p.executed_txs(), reference.executed_txs());
-    }
-
-    #[test]
-    fn submit_staged_applies_one_barrier_late() {
-        let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        // Batch A submits; nothing applies (its barrier is in flight).
-        p.stage_blocks(&[(0, block(0, 0, 50)), (1, block(1, 50, 50))]);
-        let r = p.submit_staged();
-        assert!(r.is_empty());
-        assert_eq!(p.applied(), 0, "apply waits for the barrier token");
-        assert_eq!(p.inflight_records(), 2);
-        assert_eq!(p.staged_records(), 0);
-        assert_eq!(p.wal_len(), 0, "in-flight records are unacknowledged");
-        assert_eq!(p.next_sn(), 2, "the frontier covers the in-flight batch");
-        // Batch B submits; batch A's token resolves and A applies.
-        p.stage_blocks(&[(2, block(2, 100, 50))]);
-        let r = p.submit_staged();
-        assert_eq!(r, 0..2);
-        assert_eq!(p.applied(), 2);
-        assert_eq!(p.inflight_records(), 1);
-        assert_eq!(p.wal_len(), 2);
-        let perf = p.perf();
-        assert_eq!(perf.flush_barriers, 2);
-        assert_eq!(perf.pipelined_submits, 1, "B overlapped A's barrier");
-        assert_eq!(perf.wal_flush_failures, 0);
-        // The synchronous drain resolves the tail; state matches the
-        // sequential reference.
-        let r = p.flush_staged();
-        assert_eq!(r, 2..3);
-        assert_eq!(p.applied(), 3);
-        assert_eq!(p.wal_len(), 3);
-        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        run_blocks(&mut reference, 0, 3);
-        assert_eq!(p.state_root(), reference.state_root());
-        assert_eq!(p.executed_txs(), reference.executed_txs());
-        // Same fsync count as the synchronous path at the same batch
-        // boundaries: pipelining moves the barrier, it never adds one.
-        let mut sync = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        sync.execute_batch(&[(0, block(0, 0, 50)), (1, block(1, 50, 50))]);
-        sync.execute_batch(&[(2, block(2, 100, 50))]);
-        assert_eq!(p.wal_io_stats(), sync.wal_io_stats());
-        assert_eq!(p.state_root(), sync.state_root());
-    }
-
-    #[test]
-    fn writer_thread_applies_a_batch_while_the_next_barrier_is_in_flight() {
-        // Every barrier's append parks at a gate until released, so "B's
-        // barrier has not completed" is a state the test holds, not a
-        // race it hopes to win.
-        use crate::wal::tests::GatedAppends;
-        let disk = SharedMem::default();
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, release_rx) = std::sync::mpsc::channel();
-        let gated = GatedAppends {
-            inner: disk.clone(),
-            entered: entered_tx,
-            release: release_rx,
-        };
-        let wal = CommitWal::open(Box::new(gated), WalOptions::default());
-        let mut p = ExecutionPipeline::fresh(wal, DEFAULT_KEYSPACE);
-        p.stage_blocks(&[(0, block(0, 0, 50)), (1, block(1, 50, 50))]);
-        assert!(p.submit_staged().is_empty(), "first submit applies nothing");
-        entered.recv().expect("A's barrier reaches the gate");
-        assert_eq!(p.inflight_records(), 2, "A in flight");
-        assert_eq!(p.applied(), 0, "no apply before A's token resolves");
-        p.stage_blocks(&[(2, block(2, 100, 50)), (3, block(3, 150, 50))]);
-        assert_eq!(p.staged_records(), 2, "staging proceeds mid-flight");
-        release.send(()).unwrap();
-        assert_eq!(p.submit_staged(), 0..2, "A applies once its token resolves");
-        entered.recv().expect("B's barrier reaches the gate");
-        assert_eq!(p.applied(), 2, "A executed while B's barrier is parked");
-        assert_eq!(p.inflight_records(), 2, "B still in flight");
-        assert_eq!(p.sched_stats().batches, 1);
-        release.send(()).unwrap();
-        assert_eq!(p.flush_staged(), 2..4, "the drain resolves B");
-        assert_eq!(p.applied(), 4);
-        let perf = p.perf();
-        assert_eq!(perf.wal_flush_failures, 0);
-        assert_eq!(perf.flush_barriers, 2);
-        assert_eq!(perf.pipelined_submits, 1, "B's submit overlapped A");
-        drop(p); // joins the writer
-        let r = ExecutionPipeline::rebuild(
-            Box::new(disk),
-            WalOptions::default(),
-            SnapshotStore::in_memory(),
-            DEFAULT_KEYSPACE,
-        );
-        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        run_blocks(&mut reference, 0, 4);
-        assert_eq!(r.applied(), 4);
-        assert_eq!(r.state_root(), reference.state_root());
     }
 
     #[test]
@@ -1353,15 +1160,18 @@ mod tests {
         run_blocks(&mut reference, 0, 96);
         {
             let mut p = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, opts).unwrap();
-            assert!(p.wal.pipelined(), "file-backed barriers run on the writer");
-            for chunk in blocks.chunks(8) {
+            for (i, chunk) in blocks.chunks(8).enumerate() {
                 p.stage_blocks(chunk);
-                p.submit_staged();
+                let end = 8 * (i as u64 + 1);
+                assert_eq!(
+                    p.submit_staged(),
+                    end - 8..end,
+                    "a drain applies its own barrier"
+                );
             }
-            p.flush_staged();
             let perf = p.perf();
             assert_eq!(perf.wal_flush_failures, 0);
-            assert_eq!(perf.pipelined_submits, 11, "every submit but the first");
+            assert_eq!(perf.flush_barriers, 12);
             assert_eq!(p.state_root(), reference.state_root());
         }
         let recovered = ExecutionPipeline::recover_opts(&dir, DEFAULT_KEYSPACE, 1, opts).unwrap();
@@ -1392,7 +1202,7 @@ mod tests {
         // One accumulated two-drain flush = ONE batch.
         p.stage_blocks(&[(0, block(0, 0, 50))]);
         p.stage_blocks(&[(1, block(1, 50, 50))]);
-        p.flush_staged();
+        p.submit_staged();
         let s1 = p.sched_stats();
         assert_eq!(s1.batches, 1, "one flush = one batch");
         assert_eq!(s1.scheduled_ops, 100);
@@ -1557,7 +1367,7 @@ mod tests {
             reference.stage_blocks(chunk);
             assert_eq!(pooled.submit_staged(), reference.submit_staged());
             let (name, read) = reads[i % reads.len()];
-            assert_eq!(outstanding(&pooled), pooling() && i > 0, "{name} at {i}");
+            assert_eq!(outstanding(&pooled), pooling(), "{name} at {i}");
             assert!(!outstanding(&reference), "{name} at {i}");
             assert_eq!(read(&pooled), read(&reference), "{name} at {i}");
             assert!(!outstanding(&pooled), "{name} settled the job");
@@ -1613,26 +1423,21 @@ mod tests {
         let mut p = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         // Drains of 32-tx blocks; the largest barrier holds one op fewer
         // than the threshold. A handed-off batch stays outstanding until
-        // the next apply or read, and each drain applies at most one
-        // batch, so a check after every drain sees every batch's path.
+        // the next apply or read, and each drain applies one batch, so a
+        // check after every drain sees every batch's path.
         let below = POOLED_MIN_OPS - 1;
         p.stage_blocks(&[(0, block(0, 0, 32))]);
-        p.submit_staged();
+        assert_eq!(p.submit_staged(), 0..1);
         assert!(!outstanding(&p));
         p.stage_blocks(&[
             (1, block(1, 32, below as u32 - 32)),
             (2, block(2, below, 32)),
         ]);
-        assert_eq!(p.submit_staged(), 0..1);
-        assert!(!outstanding(&p));
-        p.stage_blocks(&[(3, block(3, below + 32, 32))]);
         assert_eq!(p.submit_staged(), 1..3);
         assert!(!outstanding(&p));
-        assert_eq!(p.flush_staged(), 3..4);
-        assert!(!outstanding(&p));
         // One op more and the barrier is handed off.
-        p.stage_blocks(&[(4, block(4, below + 64, POOLED_MIN_OPS as u32))]);
-        p.flush_staged();
+        p.stage_blocks(&[(3, block(3, below + 32, POOLED_MIN_OPS as u32))]);
+        assert_eq!(p.submit_staged(), 3..4);
         assert_eq!(outstanding(&p), pooling());
     }
 
@@ -1643,16 +1448,15 @@ mod tests {
         for (i, b) in blocks.chunks(1).enumerate() {
             p.stage_blocks(b);
             p.submit_staged();
-            if i == 0 || !pooling() {
+            if !pooling() {
                 continue;
             }
-            // Barrier i - 1 is the one job outstanding; handing it off
+            // Barrier i is the one job outstanding; handing it off
             // settled every batch before it, and nothing else.
             assert!(outstanding(&p), "barrier {i}");
             let settled = p.exec.lock().unwrap().effects.total();
-            assert_eq!(settled, (i as u64 - 1) * 4096, "barrier {i}");
+            assert_eq!(settled, i as u64 * 4096, "barrier {i}");
         }
-        p.flush_staged();
         let mut reference = inline(DEFAULT_KEYSPACE);
         reference.execute_batch(&blocks);
         assert_eq!(p.state_root(), reference.state_root());
@@ -1692,7 +1496,6 @@ mod tests {
             p.stage_blocks(b);
             p.submit_staged();
         }
-        p.flush_staged();
         let recovered = restart(&p, &disk);
         assert_eq!(recovered.recovery_stats().records_replayed, 7);
         // One replayed 4 096-tx record per batch, each handed off: the
@@ -1725,8 +1528,7 @@ mod tests {
                             p.submit_staged();
                         }
                     }
-                    for p in &mut ps {
-                        p.flush_staged();
+                    for p in &ps {
                         assert_eq!(p.state_root(), expect);
                     }
                 });

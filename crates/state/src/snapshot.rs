@@ -338,7 +338,8 @@ impl Snapshot {
     }
 
     /// Deserializes, checking version, checksum and shape — exactly
-    /// [`MERKLE_LANES`] lane roots, one entry run each — but not the
+    /// [`MERKLE_LANES`] lane roots, one entry run each, nothing after
+    /// them — but not the
     /// roots; call [`Self::verify`] for that. Every older format
     /// generation is rejected here.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
@@ -365,6 +366,10 @@ impl Snapshot {
                 })
             })
             .collect::<Option<Vec<SnapshotChunk>>>()?;
+        // Nothing may follow the last run: a snapshot has one encoding.
+        if !r.0.is_empty() {
+            return None;
+        }
         Some(Self {
             head: SnapshotHead {
                 epoch,
@@ -610,6 +615,30 @@ mod tests {
         let restored = KvState::from_lanes(decoded.chunks.iter().map(|c| c.entries.as_slice()));
         assert_eq!(restored, kv);
         assert_eq!(restored.lane_roots(), snap.head.lane_roots);
+    }
+
+    #[test]
+    fn hostile_snapshot_bytes_never_panic_the_decoder() {
+        use crate::wal::tests::mutate;
+        let snap = Snapshot::capture(4, 200, 9000, vec![3, 5], &sample_state());
+        let bytes = snap.encode();
+        let mut seed = 8;
+        let mut parsed = 0;
+        for trial in 0..2000 {
+            // Rot the checksum catches, and rewrites resealed past it
+            // for the parser behind.
+            let rotted = mutate(&bytes, &mut seed);
+            let hostile = seal(mutate(&bytes[..bytes.len() - 8], &mut seed));
+            assert!(
+                Snapshot::decode(&rotted).is_none_or(|s| s == snap),
+                "trial {trial}"
+            );
+            if let Some(s) = Snapshot::decode(&hostile) {
+                parsed += 1;
+                assert!(!s.verify() || s.encode() == hostile, "trial {trial}");
+            }
+        }
+        assert!(parsed > 0, "some resealed rewrites reach a whole snapshot");
     }
 
     #[test]

@@ -46,22 +46,21 @@
 //! # Group commit
 //!
 //! The write path is built around explicit **durability barriers**, not
-//! per-record fsyncs. [`CommitWal::append_buffered`] encodes a record
-//! into the stage buffer (no backend I/O, no steady-state allocation) —
-//! it is the only way a record enters the log, and the execution
-//! pipeline stages a confirmed block through it and keeps no copy of
-//! its own. [`CommitWal::submit_flush`] then writes everything staged
-//! with **one** write and **one** fsync — however many records the
-//! batch held — via the backend's [`WalBackend::append_segment_batch`] /
-//! [`WalBackend::sync_group`] split, and [`CommitWal::complete_flush`]
-//! acknowledges the batch into the mirror. A record is **acknowledged
-//! only when its barrier completes**: a crash between staging and
-//! completion loses only unacknowledged records, never a previously
-//! acknowledged one (the crash matrix in `tests/state_execution.rs`
-//! sweeps a kill across exactly this boundary). Nothing else
-//! acknowledges a record — compaction and repair rewrite acknowledged
-//! records only. [`CommitWal::flush`] (submit + complete) and
-//! [`CommitWal::append`] (one record, flushed) are thin compositions.
+//! per-record fsyncs, and has one API. [`CommitWal::append_buffered`]
+//! encodes a record into the stage buffer (no backend I/O, no
+//! steady-state allocation) — it is the only way a record enters the
+//! log, and the execution pipeline stages a confirmed block through it
+//! and keeps no copy of its own. [`CommitWal::flush`] then writes
+//! everything staged with **one** write and **one** fsync — however many
+//! records the batch held — via the backend's
+//! [`WalBackend::append_segment_batch`] / [`WalBackend::sync_group`]
+//! split, and acknowledges the batch into the mirror. A record is
+//! **acknowledged only when its barrier returns**: a crash between
+//! staging and flush loses only unacknowledged records, never a
+//! previously acknowledged one (the crash matrices in
+//! `tests/state_execution.rs` sweep a kill across exactly this
+//! boundary). Nothing else acknowledges a record — compaction and repair
+//! rewrite acknowledged records only.
 //!
 //! Every contiguous run a flush appends (and every compaction rewrite)
 //! is closed by a checksummed **batch trailer** ([`TRAILER_LEN`] bytes:
@@ -87,21 +86,22 @@
 //! The WAL itself is sans-IO: it encodes/decodes records, segments and
 //! manifests; the backend moves bytes.
 //!
-//! # Writer thread or inline barrier
+//! # One barrier path
 //!
-//! A backend that [prefers a writer thread](WalBackend::prefers_writer_thread)
-//! (files) has each barrier run on a dedicated thread while the caller
-//! applies the previous batch; one that does not (memory) runs it inline
-//! at submit (see [`CommitWal`]). Both paths stay, selected by the
-//! backend: the hand-off pays only where a barrier is long enough to
-//! hide work behind. Measured on `benchmark/`'s `durable_file` with
-//! every check on and only `FaultBackend::threaded` toggled, six pairs
-//! in alternating order:
+//! Every barrier runs on the caller's thread, over memory and over files
+//! alike: the pipeline flushes what it staged and applies what that
+//! barrier acknowledged, and a large batch's apply already leaves the
+//! draining thread for the shared executor ([`crate::exec`]). A
+//! dedicated writer thread that overlapped each file-backed barrier with
+//! the previous batch's apply no longer paid for itself. Measured on
+//! `benchmark/`'s `durable_file` (real fsync, 2-core Xeon, every check
+//! on), 10 alternating pairs, seeds 601–610, medians, writer thread →
+//! inline:
 //!
-//! | block size | pairs won by the writer thread | median ktx/s, inline · threaded |
-//! |---|---|---|
-//! | 32 tx (shipped) | 3 / 6 — a tie | 114.2 · 115.9 |
-//! | 4096 tx (the paper's) | 6 / 6 | 3 684 · 4 341 (+18 %) |
+//! | block size | ktx/s | p50 latency | p95 latency | CPU ms per ktx |
+//! |---|---|---|---|---|
+//! | 32 tx (shipped) | 174 → 216 (10 / 10) | 0.243 → 0.096 ms | 0.424 → 0.166 ms | 2.80 → 1.85 |
+//! | 4 096 tx (the paper's) | 17 360 → 18 000 (5 / 10, a tie) | 0.325 → 0.158 ms | 0.579 → 0.255 ms | 0.059 → 0.054 |
 
 use crate::pipeline::ReplayStats;
 use ladon_crypto::fnv::Fnv64;
@@ -484,7 +484,8 @@ impl Manifest {
                 sealed,
             });
         }
-        Some(Self { next_seq, segments })
+        // Nothing may follow the last entry: a manifest has one encoding.
+        (at == payload.len()).then_some(Self { next_seq, segments })
     }
 }
 
@@ -579,14 +580,6 @@ pub trait WalBackend: Send {
     fn list_segments(&mut self) -> Vec<(u32, u64)>;
     /// The backend's deterministic I/O counters since construction.
     fn io_stats(&self) -> WalIoStats;
-    /// Whether [`CommitWal`] should run this backend's flush barriers on
-    /// a dedicated writer thread (pipelined durability). File-backed
-    /// logs say yes — their fsync latency is worth overlapping with
-    /// execution; in-memory backends say no, keeping every seeded
-    /// simulation run bit-deterministic with the writer inline.
-    fn prefers_writer_thread(&self) -> bool {
-        false
-    }
 }
 
 /// In-memory backend (simulation and tests). Storage never tears, but
@@ -900,22 +893,15 @@ impl WalBackend for FileBackend {
     fn io_stats(&self) -> WalIoStats {
         self.stats
     }
-
-    fn prefers_writer_thread(&self) -> bool {
-        true
-    }
 }
 
 // ---------------------------------------------------------------------
 // The WAL manager
 // ---------------------------------------------------------------------
 
-/// The writer back half of the commit log: owns the storage backend,
-/// the live segment set (manifest mirror), segment rolls, and manifest
-/// publication. In pipelined mode the whole struct shuttles to a
-/// dedicated writer thread for each flush barrier and comes back with
-/// the barrier's outcome; in simulation it stays on the caller and the
-/// barrier runs inline.
+/// The storage half of the commit log: owns the backend, the live
+/// segment set (manifest mirror), segment rolls, and manifest
+/// publication.
 struct WalBack {
     backend: Box<dyn WalBackend>,
     opts: WalOptions,
@@ -931,84 +917,30 @@ struct WalBack {
     write_failures: u64,
 }
 
-/// One flush barrier's worth of staged records, in `sn` order, with
-/// their encodings. Shuttles to the writer with its [`WalBack`] and is
-/// recycled (cleared, capacity retained) once the barrier completes, so
-/// staging never blocks on an in-flight flush and steady-state flushing
-/// allocates nothing.
+/// The records staged for the next flush barrier, in `sn` order, with
+/// their encodings. Cleared (capacity retained) by every barrier, so
+/// steady-state flushing allocates nothing.
 #[derive(Default)]
-struct FlushJob {
+struct Staged {
     bytes: Vec<u8>,
     recs: Vec<WalRecord>,
 }
 
-/// The dedicated writer thread (pipelined mode only): receives
-/// `(back, job)` per submitted barrier, runs the write+fsync barrier,
-/// and sends `(back, job, ok)` home. Depth is at most one in flight —
-/// the front cannot submit again until it completed the previous
-/// barrier, because the back itself is on the writer.
-struct WalWriter {
-    submit: std::sync::mpsc::Sender<(WalBack, FlushJob)>,
-    done: std::sync::mpsc::Receiver<(WalBack, FlushJob, bool)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// A submitted-but-uncompleted flush barrier: the records it carries
-/// are **not acknowledged** (absent from the mirror) until
-/// [`CommitWal::complete_flush`] resolves the barrier token.
-struct InFlightFlush {
-    /// Records inside the barrier.
-    len: usize,
-    /// The last of them (what the dense-`sn` check needs while the job
-    /// is away).
-    last_sn: u64,
-    /// Inline mode (simulation): the barrier already ran at submit time;
-    /// its job and outcome are parked here so acknowledgement still
-    /// happens at complete time — the pipeline observes the identical
-    /// submit/apply structure in both modes, keeping seeded runs
-    /// bit-deterministic. `None` in pipelined mode: the back and the job
-    /// are on the writer thread, and completing blocks until it reports.
-    done: Option<(FlushJob, bool)>,
-}
-
-/// The commit log: an in-memory mirror of the records past the last
-/// snapshot, plus a segmented storage backend holding their encoding.
-///
-/// Split into a staging **front** (this struct: stage buffer, record
-/// mirror, acknowledgement bookkeeping) and a writer **back**
-/// (`WalBack`: the active segment, rolls, manifest publication). When
-/// the backend [prefers a writer thread](WalBackend::prefers_writer_thread)
-/// the back runs each flush barrier on a dedicated thread —
-/// [`Self::submit_flush`] hands batch N to the writer and returns, and
-/// batch N+1 stages into the second buffer while N's fsync is in
-/// flight; [`Self::complete_flush`] resolves the barrier token,
-/// acknowledges the batch into the mirror, and surfaces the barrier's
-/// outcome. [`Self::flush`] remains the synchronous submit+complete
-/// composition.
+/// The commit log: an in-memory mirror of the acknowledged records past
+/// the last snapshot, the records staged for the next barrier, and the
+/// storage half (`WalBack`: the active segment, rolls, manifest
+/// publication). A record enters through [`Self::append_buffered`] and
+/// is acknowledged by the [`Self::flush`] that writes it — one write and
+/// one fsync, on the caller's thread.
 pub struct CommitWal {
-    /// The writer back. `None` exactly while a pipelined flush is in
-    /// flight (the back is on the writer thread).
-    back: Option<WalBack>,
-    /// Records currently in the log (ascending, dense `sn`).
+    back: WalBack,
+    /// Acknowledged records (ascending, dense `sn`).
     records: Vec<WalRecord>,
     /// Accounting of the open-time load.
     load_stats: ReplayStats,
     /// Records staged for the next flush barrier: unacknowledged — they
-    /// join the mirror only when their batch's barrier *completes*.
-    stage: FlushJob,
-    /// The dedicated writer thread (pipelined mode only).
-    writer: Option<WalWriter>,
-    /// The submitted-but-uncompleted barrier, if any (depth ≤ 1: the
-    /// stage buffer is double-buffered, not N-buffered).
-    inflight: Option<InFlightFlush>,
-    /// The second stage buffer, recycled from the last completed
-    /// barrier.
-    spare: FlushJob,
-    /// Backend I/O counters and write-failure count as of the last
-    /// submit — what [`Self::io_stats`] / [`Self::write_failures`]
-    /// report while the back is on the writer (counters reflect
-    /// *completed* barriers; the in-flight one lands at complete).
-    stats_at_submit: (WalIoStats, u64),
+    /// join the mirror only when their barrier returns.
+    stage: Staged,
 }
 
 impl CommitWal {
@@ -1047,7 +979,19 @@ impl CommitWal {
             stats.manifest_recovered = true;
             let mut listed = back.backend.list_segments();
             listed.retain(|&(chain, _)| chain == CHAIN);
-            back.next_seq = listed.iter().map(|&(_, seq)| seq + 1).max().unwrap_or(0);
+            listed.sort_unstable();
+            listed.dedup();
+            // The rewrite below replaces every listed file with one fresh
+            // segment, so its name need only be unused: the lowest free
+            // one. A name is storage's to choose, so `max + 1` could
+            // overflow.
+            back.next_seq = 0;
+            for &(_, seq) in &listed {
+                if seq != back.next_seq {
+                    break;
+                }
+                back.next_seq += 1;
+            }
             // Sealed (the true fill is unknown, and only one segment may
             // be active) and claiming a record past any floor, so the
             // floor-skip — which trusts the meta — never fires.
@@ -1167,16 +1111,11 @@ impl CommitWal {
                 back.write_failures += 1;
             }
         }
-        let pipelined = back.backend.prefers_writer_thread();
         let mut wal = Self {
-            back: Some(back),
+            back,
             records,
             load_stats: stats,
-            stage: FlushJob::default(),
-            writer: None,
-            inflight: None,
-            spare: FlushJob::default(),
-            stats_at_submit: (WalIoStats::default(), 0),
+            stage: Staged::default(),
         };
         // The mirror ended at the first gap; whatever lies past it was
         // kept out of the mirror but still sits in live segments. It can
@@ -1185,9 +1124,6 @@ impl CommitWal {
         // from here on, at the next open.
         if let Some(last) = wal.records.last().map(|r| r.sn) {
             wal.truncate_from(last + 1);
-        }
-        if pipelined {
-            wal.spawn_writer();
         }
         wal
     }
@@ -1208,31 +1144,9 @@ impl CommitWal {
         &self.load_stats
     }
 
-    /// The live segment set (manifest mirror). Only callable at rest —
-    /// while a pipelined flush is in flight the segment set is on the
-    /// writer thread; resolve the barrier ([`Self::complete_flush`] or
-    /// [`Self::flush`]) first.
+    /// The live segment set (manifest mirror).
     pub fn segments(&self) -> &[SegmentMeta] {
-        &self
-            .back
-            .as_ref()
-            .expect("segments(): flush barrier in flight; complete it first")
-            .segments
-    }
-
-    /// Whether flush barriers run on a dedicated writer thread (File
-    /// mode) rather than inline (simulation).
-    pub fn pipelined(&self) -> bool {
-        self.writer.is_some()
-    }
-
-    /// Appends one confirmed-block record durably: stage + flush as a
-    /// batch of one (one write, one fsync). Callers with more than one
-    /// record in hand should use [`Self::append_buffered`] +
-    /// [`Self::flush`] so the fsync barrier amortizes over the batch.
-    pub fn append(&mut self, rec: WalRecord) {
-        self.append_buffered(rec);
-        self.flush();
+        &self.back.segments
     }
 
     /// Stages one confirmed-block record for the next [`Self::flush`]:
@@ -1251,130 +1165,32 @@ impl CommitWal {
         self.stage.recs.push(rec);
     }
 
-    /// The group-commit barrier, synchronous form: resolves any
-    /// in-flight barrier, then submits and completes everything staged —
-    /// [`Self::submit_flush`] + [`Self::complete_flush`] back to back.
-    /// Returns `true` when every durable step (of both barriers)
-    /// succeeded; on failure the records still enter the (authoritative)
-    /// mirror and [`Self::write_failures`] is raised — same alarm
-    /// discipline as every other durable write.
+    /// The group-commit barrier: writes everything staged with **one**
+    /// backend write and **one** fsync (plus the amortized roll
+    /// bookkeeping when the batch crosses a segment roll), then
+    /// acknowledges the records into the mirror. Returns `true` when
+    /// every durable step succeeded; on failure the records still enter
+    /// the (authoritative) mirror and [`Self::write_failures`] is raised
+    /// — same alarm discipline as every other durable write. Nothing
+    /// staged: no I/O, `true`.
     ///
     /// Records staged but not yet flushed are **unacknowledged**: a crash
     /// in the stage→flush window loses exactly them and nothing else
     /// (previously flushed records sit behind their own barriers).
     pub fn flush(&mut self) -> bool {
-        let mut ok = self.complete_flush().unwrap_or(true);
-        if self.submit_flush() {
-            ok &= self.complete_flush().expect("barrier just submitted");
+        if self.stage.recs.is_empty() {
+            return true;
         }
+        let ok = self.back.flush_batch(&self.stage);
+        self.records.append(&mut self.stage.recs);
+        self.stage.bytes.clear();
         ok
     }
 
-    /// Submits everything staged as one flush barrier and returns
-    /// without waiting for durability. In pipelined mode the write+fsync
-    /// runs on the writer thread while the caller keeps working (new
-    /// records stage into the second buffer); inline mode runs the
-    /// barrier here but still parks the outcome, so the submit→complete
-    /// structure is identical in both modes. The batch's records stay
-    /// unacknowledged until [`Self::complete_flush`].
-    ///
-    /// Returns `false` (no barrier submitted) when nothing is staged. At
-    /// most one barrier may be in flight: complete the previous one
-    /// first.
-    pub fn submit_flush(&mut self) -> bool {
-        let Some(last) = self.stage.recs.last() else {
-            return false;
-        };
-        assert!(
-            self.inflight.is_none(),
-            "submit_flush: a flush barrier is already in flight; complete it first"
-        );
-        let (len, last_sn) = (self.stage.recs.len(), last.sn);
-        let job = std::mem::replace(&mut self.stage, std::mem::take(&mut self.spare));
-        let mut back = self
-            .back
-            .take()
-            .expect("back present when no barrier is in flight");
-        self.stats_at_submit = (back.backend.io_stats(), back.write_failures);
-        let done = match &self.writer {
-            None => {
-                let ok = back.flush_batch(&job);
-                self.back = Some(back);
-                Some((job, ok))
-            }
-            Some(w) => {
-                w.submit
-                    .send((back, job))
-                    .expect("WAL writer thread is alive");
-                None
-            }
-        };
-        self.inflight = Some(InFlightFlush { len, last_sn, done });
-        true
-    }
-
-    /// Resolves the in-flight barrier token: blocks until the writer
-    /// reports (pipelined mode), acknowledges the batch's records into
-    /// the mirror, and returns the barrier's outcome — `false` means a
-    /// durable step failed and the caller must treat the batch as
-    /// alarmed, not durable. Returns `None` when no barrier is in
-    /// flight.
-    pub fn complete_flush(&mut self) -> Option<bool> {
-        let (mut job, ok) = match self.inflight.take()?.done {
-            Some(done) => done,
-            None => {
-                let w = self.writer.as_ref().expect("in flight implies a writer");
-                let (back, job, ok) = w.done.recv().expect("WAL writer thread died");
-                self.back = Some(back);
-                (job, ok)
-            }
-        };
-        self.records.extend_from_slice(&job.recs);
-        job.bytes.clear();
-        job.recs.clear();
-        self.spare = job;
-        Some(ok)
-    }
-
-    /// True while a submitted barrier awaits [`Self::complete_flush`].
-    pub fn has_inflight_flush(&self) -> bool {
-        self.inflight.is_some()
-    }
-
-    /// Records inside the in-flight barrier, if any: submitted to the
-    /// writer but not yet acknowledged.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.as_ref().map_or(0, |f| f.len)
-    }
-
-    /// Highest sn known to the front across all acknowledgement states:
-    /// staged, in flight, or mirrored.
+    /// Highest sn known to the log, staged or acknowledged.
     fn last_known_sn(&self) -> Option<u64> {
         let staged = self.stage.recs.last().map(|r| r.sn);
-        let inflight = self.inflight.as_ref().map(|f| f.last_sn);
-        let acked = self.records.last().map(|r| r.sn);
-        staged.or(inflight).or(acked)
-    }
-
-    fn spawn_writer(&mut self) {
-        let (submit, submit_rx) = std::sync::mpsc::channel::<(WalBack, FlushJob)>();
-        let (done_tx, done) = std::sync::mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name("ladon-wal-writer".into())
-            .spawn(move || {
-                while let Ok((mut back, job)) = submit_rx.recv() {
-                    let ok = back.flush_batch(&job);
-                    if done_tx.send((back, job, ok)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn WAL writer thread");
-        self.writer = Some(WalWriter {
-            submit,
-            done,
-            handle: Some(handle),
-        });
+        staged.or(self.records.last().map(|r| r.sn))
     }
 
     /// Records staged by [`Self::append_buffered`] but not yet flushed —
@@ -1384,24 +1200,15 @@ impl CommitWal {
     }
 
     /// The backend's deterministic I/O counters (writes, fsyncs, segment
-    /// opens, bytes written). While a pipelined barrier is in flight
-    /// this reports the counters as of its submission — completed
-    /// barriers only, never a half-run one.
+    /// opens, bytes written).
     pub fn io_stats(&self) -> WalIoStats {
-        match &self.back {
-            Some(back) => back.backend.io_stats(),
-            None => self.stats_at_submit.0,
-        }
+        self.back.backend.io_stats()
     }
 
     /// Backend writes that reported failure since open (durability
-    /// alarm). Same as-of-submission discipline as [`Self::io_stats`]
-    /// while a barrier is in flight.
+    /// alarm).
     pub fn write_failures(&self) -> u64 {
-        match &self.back {
-            Some(back) => back.write_failures,
-            None => self.stats_at_submit.1,
-        }
+        self.back.write_failures
     }
 
     /// Records currently in the log.
@@ -1417,21 +1224,6 @@ impl CommitWal {
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Resolves the in-flight barrier, if any, and hands out the back,
-    /// home from the writer, next to the mirror — what every rotation
-    /// starts from. A rotation rewrites acknowledged records only:
-    /// staged records stay staged and reach storage through a barrier
-    /// of their own, so nothing is acknowledged here that the caller did
-    /// not submit.
-    fn settled(&mut self) -> (&mut WalBack, &mut Vec<WalRecord>) {
-        let _ = self.complete_flush();
-        let back = self
-            .back
-            .as_mut()
-            .expect("back home once no barrier is in flight");
-        (back, &mut self.records)
     }
 
     /// Drops records with `sn < upto` (they are covered by a snapshot).
@@ -1453,7 +1245,7 @@ impl CommitWal {
     /// sweeps away. No step ever modifies a file the current manifest
     /// references.
     pub fn compact(&mut self, upto: u64) {
-        let (back, records) = self.settled();
+        let (back, records) = (&mut self.back, &mut self.records);
         let keep_from = records.partition_point(|r| r.sn < upto);
         let affected = back
             .segments
@@ -1495,7 +1287,7 @@ impl CommitWal {
     /// without a single backend failure; on `false` the old manifest
     /// still governs a readable log and the caller should retry later.
     pub fn repair_backend(&mut self) -> bool {
-        let (back, records) = self.settled();
+        let (back, records) = (&mut self.back, &mut self.records);
         let before = back.write_failures;
         back.rotate_segments(records, |meta| {
             if meta.records == 0 {
@@ -1515,7 +1307,7 @@ impl CommitWal {
     /// Records the mirror no longer holds (covered, torn, or past the
     /// gap) are dropped with their segments.
     pub fn truncate_from(&mut self, from_sn: u64) {
-        let (back, records) = self.settled();
+        let (back, records) = (&mut self.back, &mut self.records);
         let cut = records.partition_point(|r| r.sn < from_sn);
         let affected = back
             .segments
@@ -1540,37 +1332,13 @@ impl CommitWal {
     }
 }
 
-impl Drop for CommitWal {
-    fn drop(&mut self) {
-        // Resolve any in-flight barrier so the writer is not mid-batch
-        // when its channels close, then drop the submit side and join —
-        // the writer loop exits on the hangup. Records staged but never
-        // submitted are lost by design (same as a crash in the
-        // stage→flush window).
-        let _ = self.complete_flush();
-        if let Some(WalWriter {
-            submit,
-            done,
-            handle,
-        }) = self.writer.take()
-        {
-            drop(submit);
-            drop(done);
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
 impl WalBack {
-    /// The group-commit barrier body: writes the job's staged bytes with
+    /// The group-commit barrier body: writes the staged bytes with
     /// **one** backend write + **one** fsync (plus the amortized
-    /// segment-roll bookkeeping when the batch crosses a roll). Runs on
-    /// the writer thread in pipelined mode, inline otherwise; the front
-    /// acknowledges the batch's records only once the outcome computed
-    /// here resolves.
-    fn flush_batch(&mut self, job: &FlushJob) -> bool {
+    /// segment-roll bookkeeping when the batch crosses a roll).
+    /// [`CommitWal::flush`] acknowledges the batch's records once this
+    /// returns.
+    fn flush_batch(&mut self, job: &Staged) -> bool {
         debug_assert_eq!(job.bytes.len(), job.recs.len() * ENCODED_RECORD_LEN);
         let mut failed = false;
         let mut sealed_any = false;
@@ -1662,7 +1430,7 @@ impl WalBack {
     ///
     /// 1. each live segment is kept, dropped, or — when it straddles the
     ///    cut — has its surviving `first..=last` records rewritten (from
-    ///    `records`, the front's mirror) to a *new* fsynced segment
+    ///    `records`, the mirror) to a *new* fsynced segment
     ///    file;
     /// 2. a manifest naming the new live set is published atomically
     ///    (temp + fsync + rename + dir-fsync) — the commit point;
@@ -1816,6 +1584,13 @@ pub(crate) mod tests {
         }
     }
 
+    /// One record through a barrier of its own (its outcome shows in
+    /// [`CommitWal::write_failures`]).
+    pub(crate) fn append(wal: &mut CommitWal, rec: WalRecord) {
+        wal.append_buffered(rec);
+        wal.flush();
+    }
+
     fn opts(seg: u32) -> WalOptions {
         WalOptions {
             segment_records: seg,
@@ -1847,7 +1622,7 @@ pub(crate) mod tests {
         let disk = SharedMem::default();
         let mut wal = CommitWal::open(Box::new(disk.clone()), opts(1024));
         for sn in 0..10 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         let dec = decode_segment(&disk.segment(0));
         assert_eq!(dec.records.len(), 10);
@@ -1897,7 +1672,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
             for sn in 0..5 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
             assert!(wal.segments().iter().all(|s| !s.sealed));
         }
@@ -1916,7 +1691,7 @@ pub(crate) mod tests {
                 wal.segments()
             );
             for sn in 4..7 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
             assert_eq!(wal.write_failures(), 0);
             assert_eq!(wal.segments().len(), 2, "the first flush rolled");
@@ -1945,7 +1720,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..12 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
         }
         // Rot record 5 (second of the middle segment): 8..=11 dangle.
@@ -1968,7 +1743,7 @@ pub(crate) mod tests {
                 wal.segments()
             );
             for sn in 5..10 {
-                wal.append(other(sn));
+                append(&mut wal, other(sn));
             }
             assert_eq!(wal.write_failures(), 0);
         }
@@ -1991,13 +1766,13 @@ pub(crate) mod tests {
             opts(4),
         );
         for sn in 0..6 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         assert_eq!(wal.write_failures(), 0);
         // Disk fills: further appends alarm but stay in the mirror.
         let _ = plan.clone().enospc_after(0);
         for sn in 6..10 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         assert!(wal.write_failures() > 0, "full disk must alarm");
         assert_eq!(wal.len(), 10, "mirror is authoritative regardless");
@@ -2020,7 +1795,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..20 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
             assert!(
                 wal.segments().iter().any(|s| s.sealed),
@@ -2039,7 +1814,7 @@ pub(crate) mod tests {
         let disk = SharedMem::default();
         let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
         for sn in 0..20 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         wal.compact(15);
         assert_eq!(wal.len(), 5);
@@ -2064,7 +1839,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..32 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
         }
         let wal = CommitWal::open_with_floor(Box::new(disk), opts(4), 24);
@@ -2084,7 +1859,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
             for sn in 0..8 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
         }
         let wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
@@ -2099,7 +1874,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
         for sn in 0..20 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         let before: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -2138,7 +1913,7 @@ pub(crate) mod tests {
             let open = || CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(3));
             let mut wal = open();
             for rec in &records {
-                wal.append(*rec);
+                append(&mut wal, *rec);
             }
             drop(wal);
             let manifest_path = dir.join("wal.manifest");
@@ -2192,7 +1967,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
             for sn in 0..6 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
         }
         // A mid-compaction crash leaves a new-tail file the manifest
@@ -2213,7 +1988,7 @@ pub(crate) mod tests {
         {
             let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
             for sn in 0..10 {
-                wal.append(rec(sn));
+                append(&mut wal, rec(sn));
             }
             wal.truncate_from(6);
             assert_eq!(wal.len(), 6);
@@ -2249,20 +2024,18 @@ pub(crate) mod tests {
     fn steady_state_barrier_is_one_write_and_one_fsync() {
         // Whatever the batch size, a barrier that crosses no segment
         // roll costs exactly one backend write and one fsync, and stores
-        // each record once — inline over memory and on the writer thread
-        // over files alike.
+        // each record once — over memory and over files alike.
         let dir = std::env::temp_dir().join(format!("ladon-wal-steady-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let backends: [(Box<dyn WalBackend>, bool); 2] = [
-            (Box::new(MemBackend::default()), false),
-            (Box::new(FileBackend::open_dir(&dir).unwrap()), true),
+        let backends: [Box<dyn WalBackend>; 2] = [
+            Box::new(MemBackend::default()),
+            Box::new(FileBackend::open_dir(&dir).unwrap()),
         ];
-        for (backend, threaded) in backends {
+        for backend in backends {
             let mut wal = CommitWal::open(backend, opts(1024));
-            assert_eq!(wal.pipelined(), threaded);
             // Warm batch: creates the active segment (the roll publishes
             // a manifest, which costs extra one-time fsyncs).
-            wal.append(rec(0));
+            append(&mut wal, rec(0));
             let mut sn = 1u64;
             for k in [1u64, 4, 16, 64] {
                 let s0 = wal.io_stats();
@@ -2329,7 +2102,7 @@ pub(crate) mod tests {
             let mut a = CommitWal::open(Box::new(per_record.clone()), opts(8));
             let mut b = CommitWal::open(Box::new(batched.clone()), opts(8));
             for sn in 0..30 {
-                a.append(rec(sn));
+                append(&mut a, rec(sn));
             }
             for chunk in (0..30u64).collect::<Vec<_>>().chunks(7) {
                 for &sn in chunk {
@@ -2539,138 +2312,133 @@ pub(crate) mod tests {
         );
     }
 
-    /// Storage that (a) asks for the writer thread and (b) gates every
-    /// staged append on an external channel pair: the writer signals
-    /// `entered` when it reaches the batch's append and blocks until
-    /// `release` fires (a hung-up gate releases). Lets a test hold a
-    /// barrier in flight at a deterministic point.
-    pub(crate) struct GatedAppends {
-        pub(crate) inner: SharedMem,
-        pub(crate) entered: std::sync::mpsc::Sender<()>,
-        pub(crate) release: std::sync::mpsc::Receiver<()>,
-    }
-
-    impl WalBackend for GatedAppends {
-        fn append_segment_batch(
-            &mut self,
-            group: u32,
-            seq: u64,
-            records: &[u8],
-            trailer: &[u8],
-        ) -> bool {
-            let _ = self.entered.send(());
-            let _ = self.release.recv();
-            self.inner
-                .append_segment_batch(group, seq, records, trailer)
-        }
-        fn sync_group(&mut self, group: u32) -> bool {
-            self.inner.sync_group(group)
-        }
-        fn write_segment(&mut self, group: u32, seq: u64, bytes: &[u8]) -> bool {
-            self.inner.write_segment(group, seq, bytes)
-        }
-        fn read_segment(&mut self, group: u32, seq: u64) -> Option<Vec<u8>> {
-            self.inner.read_segment(group, seq)
-        }
-        fn delete_segment(&mut self, group: u32, seq: u64) -> bool {
-            self.inner.delete_segment(group, seq)
-        }
-        fn publish_manifest(&mut self, bytes: &[u8]) -> bool {
-            self.inner.publish_manifest(bytes)
-        }
-        fn load_manifest(&mut self) -> Option<Vec<u8>> {
-            self.inner.load_manifest()
-        }
-        fn list_segments(&mut self) -> Vec<(u32, u64)> {
-            self.inner.list_segments()
-        }
-        fn io_stats(&self) -> WalIoStats {
-            self.inner.io_stats()
-        }
-        fn prefers_writer_thread(&self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn pipelined_barrier_overlaps_staging_and_acks_only_on_completion() {
-        let disk = SharedMem::default();
-        let (entered_tx, entered) = std::sync::mpsc::channel();
-        let (release, release_rx) = std::sync::mpsc::channel();
-        let mut wal = CommitWal::open(
-            Box::new(GatedAppends {
-                inner: disk.clone(),
-                entered: entered_tx,
-                release: release_rx,
-            }),
-            opts(1024),
-        );
-        assert!(wal.pipelined(), "the backend asked for the writer thread");
-        wal.append_buffered(rec(0));
-        wal.append_buffered(rec(1));
-        let io_at_submit = wal.io_stats();
-        assert!(wal.submit_flush());
-        entered.recv().expect("writer reached the batch's append");
-        // The barrier is provably in flight; nothing may be acknowledged.
-        assert!(wal.has_inflight_flush());
-        assert_eq!(wal.inflight_len(), 2);
-        assert_eq!(wal.len(), 0, "no acknowledgement before durability");
-        assert_eq!(wal.staged_len(), 0);
-        // Double-buffered scratch: staging proceeds against the in-flight
-        // barrier without blocking, and without acknowledging anything.
-        wal.append_buffered(rec(2));
-        assert_eq!(wal.staged_len(), 1);
-        assert_eq!(wal.len(), 0);
-        assert_eq!(
-            wal.io_stats(),
-            io_at_submit,
-            "in-flight I/O reports as of submission: completed barriers only"
-        );
-        // Resolve the token: acknowledgement happens exactly here.
-        release.send(()).unwrap();
-        assert_eq!(wal.complete_flush(), Some(true));
-        assert_eq!(wal.len(), 2);
-        assert!(!wal.has_inflight_flush());
-        // Drain the second batch through the same writer (the dropped
-        // gate releases every later append immediately).
-        drop(release);
-        assert!(wal.flush());
-        assert_eq!(wal.len(), 3);
-        // Dropping the WAL resolves/joins the writer; the storage must
-        // hold every acknowledged record.
-        drop(wal);
-        let reopened = CommitWal::open(Box::new(disk), opts(1024));
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(reopened.load_stats().records_torn, 0);
-        assert_eq!(reopened.load_stats().records_unacked_lost, 0);
-    }
-
-    #[test]
-    fn submit_complete_pair_is_flush_in_counts_and_content() {
-        // The split barrier must cost exactly what the synchronous
-        // composition costs: same backend op counts, same bytes, same
-        // storage content.
-        let run = |split: bool| -> (WalIoStats, BTreeMap<(u32, u64), Vec<u8>>) {
-            let disk = SharedMem::default();
-            let mut wal = CommitWal::open(Box::new(disk.clone()), opts(8));
-            for batch in 0..4u64 {
-                for i in 0..3u64 {
-                    wal.append_buffered(rec(batch * 3 + i));
-                }
-                if split {
-                    assert!(wal.submit_flush());
-                    assert_eq!(wal.complete_flush(), Some(true));
-                } else {
-                    assert!(wal.flush());
+    /// One seeded hostile rewrite of `bytes`: truncated at a random
+    /// length, one to four bits flipped, or extended by 1–64 random
+    /// bytes.
+    pub(crate) fn mutate(bytes: &[u8], seed: &mut u64) -> Vec<u8> {
+        let mut draw = |n: usize| (ladon_types::splitmix64(seed) % n.max(1) as u64) as usize;
+        let mut out = bytes.to_vec();
+        match draw(3) {
+            0 => out.truncate(draw(bytes.len())),
+            1 => {
+                for _ in 0..=draw(4) {
+                    let bit = draw(out.len() * 8);
+                    if let Some(byte) = out.get_mut(bit / 8) {
+                        *byte ^= 1 << (bit % 8);
+                    }
                 }
             }
-            let segments = disk.0.lock().unwrap().segments.clone();
-            (wal.io_stats(), segments)
+            _ => {
+                let n = 1 + draw(64);
+                out.extend((0..n).map(|_| draw(256) as u8));
+            }
+        }
+        out
+    }
+
+    /// `payload` with its FNV checksum appended: a hostile rewrite that
+    /// gets past the checksum to the parser behind it.
+    fn resealed(mut payload: Vec<u8>) -> Vec<u8> {
+        let sum = Fnv64::new().write(&payload).finish();
+        payload.extend_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn hostile_bytes_never_panic_and_open_recovers_a_dense_prefix() {
+        // Twelve records in 4-record segments: two sealed, one active.
+        let disk = SharedMem::default();
+        let mut wal = CommitWal::open(Box::new(disk.clone()), opts(4));
+        for batch in 0..4u64 {
+            for sn in batch * 3..batch * 3 + 3 {
+                wal.append_buffered(rec(sn));
+            }
+            assert!(wal.flush());
+        }
+        let written = wal.records().to_vec();
+        drop(wal);
+        let (manifest, active) = {
+            let mem = disk.0.lock().unwrap();
+            (
+                mem.manifest.clone().unwrap(),
+                mem.segments[&(CHAIN, 2)].clone(),
+            )
         };
-        let (io_split, bytes_split) = run(true);
-        let (io_flush, bytes_flush) = run(false);
-        assert_eq!(io_split, io_flush);
-        assert_eq!(bytes_split, bytes_flush);
+        let active_records = decode_segment(&active).records;
+        let payload = &manifest[..manifest.len() - 8];
+        let (mut scanned, mut short) = (0, 0);
+        let mut seed = 2026;
+        for trial in 0..1500 {
+            // A segment stream decodes to a prefix of its records.
+            let torn = mutate(&active, &mut seed);
+            let dec = decode_segment(&torn);
+            assert!(active_records.starts_with(&dec.records), "trial {trial}");
+            // Through `open`: a rotted manifest loses nothing, a hostile
+            // one that passes its checksum only leaves a dense log, and
+            // a torn active segment keeps a dense prefix.
+            let rotted = mutate(&manifest, &mut seed);
+            let hostile = resealed(mutate(payload, &mut seed));
+            for (what, manifest, segment) in [
+                ("rotted manifest", rotted, None),
+                ("hostile manifest", hostile, None),
+                ("torn segment", manifest.clone(), Some(torn)),
+            ] {
+                let mut mem = disk.0.lock().unwrap().clone();
+                mem.manifest = Some(manifest);
+                if let Some(segment) = segment {
+                    mem.segments.insert((CHAIN, 2), segment);
+                }
+                let wal = CommitWal::open(Box::new(mem), opts(4));
+                let got = wal.records();
+                let dense = got.windows(2).all(|w| w[0].sn + 1 == w[1].sn);
+                assert!(dense, "trial {trial}, {what}: {got:?}");
+                match what {
+                    "rotted manifest" if wal.load_stats().manifest_recovered => {
+                        scanned += 1;
+                        assert_eq!(got, written, "trial {trial}, {what}");
+                    }
+                    "torn segment" => {
+                        short += usize::from(got.len() < written.len());
+                        assert!(written.starts_with(got), "trial {trial}, {what}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // Most rotted manifests fail their checksum, most torn segments
+        // lose records: the sweep reached both recoveries.
+        assert!(
+            scanned > 1000 && short > 500,
+            "{scanned} scans, {short} short"
+        );
+    }
+
+    #[test]
+    fn scan_recovery_survives_a_segment_named_at_the_top_of_the_range() {
+        // A stray file whose name is the largest sequence number, next to
+        // an unreadable manifest: the rebuild must still find a free name.
+        let dir = std::env::temp_dir().join(format!("ladon-wal-topname-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(4));
+        let mut wal = open();
+        for sn in 0..10 {
+            append(&mut wal, rec(sn));
+        }
+        drop(wal);
+        std::fs::write(dir.join("wal.manifest"), b"rot").unwrap();
+        let stray = dir.join(FileBackend::segment_name(0, u64::MAX));
+        assert!(stray.ends_with("wal-g00-18446744073709551615.seg"));
+        std::fs::write(&stray, b"junk").unwrap();
+        let wal = open();
+        assert!(wal.load_stats().manifest_recovered);
+        assert_eq!(wal.records(), (0..10).map(rec).collect::<Vec<_>>());
+        assert_eq!(wal.write_failures(), 0);
+        drop(wal);
+        assert!(!stray.exists(), "the stray is not the log's: swept");
+        let wal = open();
+        assert!(!wal.load_stats().manifest_recovered);
+        assert_eq!(wal.len(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2679,7 +2447,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wal = CommitWal::open(Box::new(FileBackend::open_dir(&dir).unwrap()), opts(8));
         for sn in 0..64 {
-            wal.append(rec(sn));
+            append(&mut wal, rec(sn));
         }
         assert_eq!(wal.write_failures(), 0);
         let io = wal.io_stats();

@@ -68,9 +68,8 @@ pub struct Report {
     /// Transactions executed by the reference replica's state machine.
     pub executed_txs: u64,
     /// Flush barriers whose durable step failed, summed across replicas
-    /// — the alarm PR 7 un-swallowed: `flush_staged`/`submit_staged`
-    /// used to discard the barrier outcome, so a failed fsync still
-    /// reported its range as durable. Must be 0 in every healthy run;
+    /// — the alarm a drain raises instead of reporting a range whose
+    /// fsync failed as durable. Must be 0 in every healthy run;
     /// nonzero means ranges were applied whose durability storage never
     /// confirmed (deterministic, unlike the wall-clock barrier timers).
     /// Same value as `metrics.counter("pipeline.wal_flush_failures")`;
@@ -437,13 +436,13 @@ mod tests {
         nodes[2].exec.wal_write_failures = 1;
         nodes[1].exec.perf.wal_flush_failures = 1;
         nodes[3].exec.perf.wal_flush_failures = 2;
-        nodes[0].exec.perf.pipelined_submits = 7;
-        nodes[2].exec.perf.pipelined_submits = 5;
+        nodes[0].exec.perf.flush_barriers = 7;
+        nodes[2].exec.perf.flush_barriers = 5;
         let rep = aggregate(&run_data(nodes));
         assert_eq!(rep.metrics.counter("wal.write_failures"), 3);
         assert_eq!(rep.metrics.counter("pipeline.wal_flush_failures"), 3);
         assert_eq!(rep.wal_flush_failures, 3);
-        assert_eq!(rep.metrics.counter("pipeline.pipelined_submits"), 12);
+        assert_eq!(rep.metrics.counter("pipeline.flush_barriers"), 12);
         // And a healthy fleet reports zero.
         let rep = aggregate(&run_data(empty_nodes(4)));
         assert_eq!(rep.metrics.counter("wal.write_failures"), 0);

@@ -1,9 +1,9 @@
 //! Live (threaded, wall-clock) cluster: the *same* replica state machines
 //! that run under the deterministic simulator, driven by real threads and
-//! crossbeam channels for a few wall-clock seconds — with **file-backed**
-//! WAL pipelines, so each replica's durability barriers run on its own
-//! `ladon-wal-writer` thread (pipelined group commit) while its actor
-//! thread keeps staging and executing.
+//! channels for a few wall-clock seconds — with **file-backed** WAL
+//! pipelines: each replica's actor thread runs its own durability
+//! barriers (one write and one fsync per confirmed drain) and applies
+//! what each barrier acknowledged.
 //!
 //! ```sh
 //! cargo run --release --example live_cluster
@@ -23,8 +23,7 @@ fn main() {
         // Tone down the batch pipeline for a short wall-clock demo.
         .with_batch_size(512);
 
-    // One WAL directory per replica; file-backed pipelines spawn the
-    // per-node writer thread (LiveRuntime/File mode).
+    // One WAL directory per replica.
     let run_dir = std::env::temp_dir().join(format!("ladon-live-cluster-{}", std::process::id()));
     let (actors, net) = Deployment::live_parts(&cfg, |sys, r| {
         ExecutionPipeline::recover_opts(
@@ -36,9 +35,7 @@ fn main() {
         .expect("open file-backed pipeline")
     });
 
-    println!(
-        "spawning {n} replica threads (+{n} WAL writer threads) + 1 client thread for 3 s of wall time…"
-    );
+    println!("spawning {n} replica threads + 1 client thread for 3 s of wall time…");
     let rt = LiveRuntime::spawn(actors, net, cfg.seed);
     std::thread::sleep(std::time::Duration::from_secs(3));
     let stats = rt.stats();
@@ -52,12 +49,11 @@ fn main() {
             .expect("replica actor");
         println!(
             "replica {r}: partially committed {} blocks, globally confirmed {} blocks, {} txs; \
-             {} flush barriers ({} pipelined, {} failed)",
+             {} flush barriers ({} failed)",
             node.metrics.commits.len(),
             node.metrics.confirms.len(),
             node.metrics.confirmed_txs,
             node.metrics.exec.perf.flush_barriers,
-            node.metrics.exec.perf.pipelined_submits,
             node.metrics.exec.perf.wal_flush_failures,
         );
     }
@@ -78,8 +74,6 @@ fn main() {
         node0.metrics.exec.perf.wal_flush_failures, 0,
         "no durability barrier may fail on a healthy disk"
     );
-    // Dropping the actors joins each replica's WAL writer thread after
-    // draining its in-flight barrier.
     drop(finals);
     let _ = std::fs::remove_dir_all(&run_dir);
     println!("\nok: the same state machines run under real threads and wall-clock time.");

@@ -50,13 +50,13 @@ fn add_faulted_replica(c: &mut Deployment, dir: &std::path::Path, plan: &FaultPl
     c.swap_replica(3, exec);
 }
 
-/// Drains replica 3's pipeline (staged + in-flight) so its on-disk
+/// Drains replica 3's pipeline (whatever is staged) so its on-disk
 /// artifacts and in-memory frontier can be compared exactly, then
 /// asserts a fresh process recovering from the directory reproduces the
 /// applied frontier and root byte-for-byte.
 fn assert_disk_coherent(c: &mut Deployment, dir: &std::path::Path, tag: &str) {
     let n3 = c.engine.actor_as_mut::<MultiBftNode>(3).unwrap();
-    n3.exec.flush_staged();
+    n3.exec.submit_staged();
     let applied = n3.exec.applied();
     let root = n3.exec.state_root();
     let recovered =
@@ -142,13 +142,15 @@ fn disk_full_degrades_then_recovers() {
         );
         // Execution resumed past the degraded window.
         assert!(n3.exec.applied() > 0, "no execution after recovery");
-        // Every injected fault is accounted for: 4 failed barriers, the
-        // manifest publish of the first one's segment roll (the epoch-3
-        // checkpoint at 5.97 s had compacted the whole log away, so that
-        // barrier opened a fresh segment), and 11 failed retries (one
-        // denied rewrite each) before the 12th repaired the disk — 16 =
-        // 4 + 1 + (12 − 1). A run whose fault window holds no roll reads
-        // `failures + retries − 1`.
+        // Every injected fault is accounted for: 3 failed barriers (a
+        // drain sees its own barrier fail, so the replica degrades at
+        // the threshold and no fourth barrier reaches the full disk),
+        // the manifest publish of the first one's segment roll (the
+        // epoch-3 checkpoint at 5.97 s had compacted the whole log away,
+        // so that barrier opened a fresh segment), and 11 failed retries
+        // (one denied rewrite each) before the 12th repaired the disk —
+        // 15 = 3 + 1 + (12 − 1). A run whose fault window holds no roll
+        // reads `failures + retries − 1`.
         assert_eq!(
             (
                 plan.injected_faults(),
@@ -156,7 +158,7 @@ fn disk_full_degrades_then_recovers() {
                 n3.metrics.degraded_retries,
                 n3.metrics.degraded_entries,
             ),
-            (16, 4, 12, 1)
+            (15, 3, 12, 1)
         );
     }
     // Checkpoint roots at every epoch shared with a healthy peer are

@@ -2,6 +2,7 @@
 //! parameters, each cell judged by the full safety oracle.
 
 use ladon::types::ProtocolKind;
+use ladon::workload::oracle::Violation;
 use ladon::workload::{Deployment, ExperimentConfig};
 
 /// Replica 3 is cut off for each window `a..b` (seconds) of a 20 s load
@@ -121,4 +122,34 @@ fn a_hole_under_message_loss_is_timed_out() {
             "replica {r}: frontier {front}, {vcs} view changes"
         );
     }
+}
+
+/// DQBFT agrees under message loss. PBFT commits the ordering instance's
+/// rounds out of order when messages are lost, and replicas that
+/// sequenced each reference batch as it committed confirmed the same
+/// blocks in different orders (seed 0 disagreed at 95 positions). The
+/// batches are sequenced in round order now. Replicas may still confirm
+/// one instance's rounds out of rank order (`RankTie`, ROADMAP 1(a)), so
+/// this cell asserts agreement and checkpoint roots only.
+#[test]
+fn dqbft_agrees_under_message_loss() {
+    let cfg = ExperimentConfig::scenario(ProtocolKind::DqbftPbft, 4, 20.0)
+        .with_epoch_length(16)
+        .with_loss(0.01)
+        .with_seed(0);
+    let mut c = Deployment::build(&cfg);
+    c.run_secs(25.0);
+    let verdict = c.check(&[0, 1, 2, 3]);
+    let broken: Vec<&Violation> = verdict
+        .violations
+        .iter()
+        .filter(|v| {
+            matches!(
+                v,
+                Violation::Disagreement { .. } | Violation::DivergentRoot { .. }
+            )
+        })
+        .collect();
+    assert!(broken.is_empty(), "{broken:?}");
+    assert!((0..4).all(|r| c.confirmed_frontier(r) > 0));
 }

@@ -56,7 +56,6 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
         ("pipeline.wall_drain_apply_ns", s.perf.wall_drain_apply_ns),
         ("pipeline.flush_barriers", s.perf.flush_barriers),
         ("pipeline.wal_flush_failures", s.perf.wal_flush_failures),
-        ("pipeline.pipelined_submits", s.perf.pipelined_submits),
         ("wal.write_failures", s.wal_write_failures),
         ("node.snapshot_decode_failures", s.snapshot_decode_failures),
         ("node.executed_txs", s.locally_executed_txs),
@@ -64,12 +63,11 @@ fn assert_one_metrics_path(node: &MultiBftNode, r: usize) {
         assert_eq!(reg.counter_value(name), want, "replica {r}: {name}");
     }
     assert!(s.io.fsyncs > 0 && s.batches > 0 && s.perf.flush_barriers > 0);
-    for (name, h) in [
-        ("pipeline.wall_barrier_wait_ns", &s.perf.barrier_wait),
-        ("pipeline.wall_barrier_overlap_ns", &s.perf.barrier_overlap),
-    ] {
-        assert_eq!(reg.histogram(name), Some(h), "replica {r}: {name}");
-    }
+    assert_eq!(
+        reg.histogram("pipeline.wall_barrier_wait_ns"),
+        Some(&s.perf.barrier_wait),
+        "replica {r}"
+    );
     // The five scalars `benchmark/` reads come from the same copy.
     let m = &node.metrics;
     assert_eq!(
@@ -546,20 +544,9 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
 /// rewrite, delete, manifest publish, *and fsync* silently fails —
 /// exactly what a kill between two protocol steps leaves on disk.
 /// Shared with the whole fault matrix via `ladon::state::faults` (the
-/// old test-local `CrashBackend`, promoted to a first-class wrapper);
-/// `threaded` routes barriers through the dedicated `ladon-wal-writer`
-/// thread (the pipelined-durability path) — the budget cell is shared,
-/// so the sweep kills storage at the same op boundaries either way.
-fn crash_backend(
-    dir: &std::path::Path,
-    budget: &Arc<AtomicI64>,
-    threaded: bool,
-) -> FaultBackend<FileBackend> {
-    FaultBackend::kill_budget(
-        FileBackend::open_dir(dir).unwrap(),
-        budget.clone(),
-        threaded,
-    )
+/// old test-local `CrashBackend`, promoted to a first-class wrapper).
+fn crash_backend(dir: &std::path::Path, budget: &Arc<AtomicI64>) -> FaultBackend<FileBackend> {
+    FaultBackend::kill_budget(FileBackend::open_dir(dir).unwrap(), budget.clone())
 }
 
 fn scratch_dir(tag: &str, k: i64) -> std::path::PathBuf {
@@ -645,13 +632,14 @@ fn wal_append_crash_matrix_preserves_acked_records() {
     let opts = small_segments();
     kill_sweep("append-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(k));
-        let backend = crash_backend(dir, &budget, false);
+        let backend = crash_backend(dir, &budget);
         let plan = backend.plan();
         let mut acked = 0u64;
         {
             let mut wal = CommitWal::open(Box::new(backend), opts);
             for sn in 0..12 {
-                wal.append(raw_record(sn));
+                wal.append_buffered(raw_record(sn));
+                wal.flush();
                 if wal.write_failures() == 0 {
                     // Fully durable as far as the WAL reported: nothing
                     // failed through the end of this append.
@@ -683,13 +671,14 @@ fn wal_compaction_crash_matrix_loses_no_record() {
     let upto = 18u64; // mid-segment: forces a straddler rewrite
     kill_sweep("wal-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
-        let backend = crash_backend(dir, &budget, false);
+        let backend = crash_backend(dir, &budget);
         let plan = backend.plan();
         let armed_at;
         {
             let mut wal = CommitWal::open(Box::new(backend), opts);
             for sn in 0..records {
-                wal.append(raw_record(sn));
+                wal.append_buffered(raw_record(sn));
+                wal.flush();
             }
             assert_eq!(wal.write_failures(), 0, "k={k}: healthy run must be clean");
             // The power will die k storage ops into the compaction.
@@ -728,7 +717,7 @@ fn checkpoint_compaction_crash_matrix_recovers_exact_state() {
     let blocks = 16u64;
     kill_sweep("ckpt-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
-        let backend = crash_backend(&dir.join("wal"), &budget, false);
+        let backend = crash_backend(&dir.join("wal"), &budget);
         let plan = backend.plan();
         let armed_at;
         let (pre_root, pre_lane_roots) = {
@@ -845,7 +834,7 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
     let opts = small_segments();
     kill_sweep("group-commit-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(k));
-        let backend = crash_backend(dir, &budget, false);
+        let backend = crash_backend(dir, &budget);
         let plan = backend.plan();
         let mut acked = 0u64;
         {
@@ -890,12 +879,13 @@ fn wal_group_commit_crash_matrix_preserves_flushed_batches() {
 
 /// Cross-drain group-commit matrix: several `stage_blocks` calls
 /// accumulate as *staged* blocks — WAL records buffered, nothing
-/// applied, nothing acknowledged — before one deferred flush makes them
-/// durable. The matrix kills storage `k` ops
-/// into the run and, for each `k`, also dies once with the accumulation
-/// never flushed at all. Staged-but-unflushed records must NEVER be
-/// acknowledged: recovery may hold only the flushed prefix, and a clean
-/// deferred flush must land every accumulated drain.
+/// applied, nothing acknowledged — before one deferred drain makes them
+/// durable. The matrix kills storage `k` ops into the run and, for each
+/// `k`, ends it three ways: the process dies with the accumulation never
+/// drained; it drains; or it drains and then dies with one more drain
+/// staged behind the barrier. Staged-but-unflushed records must NEVER
+/// be acknowledged: recovery may hold only the flushed prefix, and a
+/// clean deferred drain must land every accumulated drain.
 #[test]
 fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
     let wal_opts = small_segments();
@@ -904,15 +894,11 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
-    for flush_staged in [false, true] {
-        let tag = if flush_staged {
-            "cross-drain-flush"
-        } else {
-            "cross-drain-die"
-        };
-        kill_sweep(tag, |k, dir| {
+    for end in ["die", "drain", "drain-then-stage"] {
+        let tag = format!("cross-drain-{end}");
+        kill_sweep(&tag, |k, dir| {
             let budget = Arc::new(AtomicI64::new(i64::MAX));
-            let backend = crash_backend(&dir.join("wal"), &budget, false);
+            let backend = crash_backend(&dir.join("wal"), &budget);
             let plan = backend.plan();
             let armed_at;
             let acked = {
@@ -937,14 +923,18 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
                 assert_eq!(p.staged_records(), 6, "k={k}");
                 assert_eq!(p.applied(), 4, "k={k}: staged blocks must not apply");
                 assert_eq!(p.next_sn(), 10, "k={k}");
-                if !flush_staged {
+                if end == "die" {
                     // Die in the accumulate window: the three drains
                     // were never flushed and must never be acknowledged.
                     4
                 } else {
-                    p.flush_staged();
-                    if p.wal_write_failures() == 0 {
-                        assert_eq!(p.applied(), 10, "k={k}: clean flush applies all");
+                    assert_eq!(p.submit_staged(), 4..10, "k={k}: the drain applies all");
+                    if end == "drain-then-stage" {
+                        // A drain staged behind the barrier, never run.
+                        p.stage_blocks(&batch_of(10, 2));
+                        assert_eq!((p.applied(), p.staged_records()), (10, 2), "k={k}");
+                    }
+                    if p.perf().wal_flush_failures == 0 && p.wal_write_failures() == 0 {
                         10
                     } else {
                         4
@@ -954,28 +944,23 @@ fn cross_drain_accumulation_crash_matrix_never_acks_unflushed_records() {
             let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
             assert!(
                 r.applied() >= acked,
-                "k={k} flush={flush_staged}: an acknowledged \
-                 prefix was lost (recovered {} < acked {acked})",
+                "k={k} {end}: an acknowledged prefix was lost \
+                 (recovered {} < acked {acked})",
                 r.applied()
             );
-            if !flush_staged {
-                assert_eq!(
-                    r.applied(),
-                    4,
-                    "k={k}: unflushed accumulated records \
-                     must never be acknowledged"
-                );
-            }
+            let never_flushed_from = if end == "die" { 4 } else { 10 };
+            assert!(
+                r.applied() <= never_flushed_from,
+                "k={k} {end}: records staged but never flushed must never \
+                 be acknowledged (recovered {})",
+                r.applied()
+            );
             // Whatever survived re-executes to the identical root.
             let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
             for sn in 0..r.applied() {
                 reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
             }
-            assert_eq!(
-                r.state_root(),
-                reference.state_root(),
-                "k={k} flush={flush_staged}"
-            );
+            assert_eq!(r.state_root(), reference.state_root(), "k={k} {end}");
             Window::since(&plan, armed_at)
         });
     }
@@ -997,7 +982,7 @@ fn batched_execution_crash_matrix_recovers_acked_prefix() {
     };
     kill_sweep("batched-exec-crash", |k, dir| {
         let budget = Arc::new(AtomicI64::new(i64::MAX));
-        let backend = crash_backend(&dir.join("wal"), &budget, false);
+        let backend = crash_backend(&dir.join("wal"), &budget);
         let plan = backend.plan();
         let armed_at;
         let acked = {
@@ -1235,15 +1220,11 @@ fn stale_records_past_a_gap_cannot_shadow_reexecuted_blocks() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The un-swallowed barrier alarm (the PR 7 bugfix): a failed durability
-/// barrier must propagate `PipelinePerf::wal_flush_failures` →
-/// `NodeMetrics::exec` → `Report.wal_flush_failures`, in
-/// both the inline (simulation) and writer-thread (File) barrier modes.
-/// `flush_staged` used to discard the `CommitWal::flush()` outcome
-/// entirely and report the drained range as durable; now the range is
-/// still returned (the in-memory mirror is authoritative and the blocks
-/// apply) but the alarm is raised before any caller can treat it as
-/// durable.
+/// The barrier alarm: a failed durability barrier must propagate
+/// `PipelinePerf::wal_flush_failures` → `NodeMetrics::exec` →
+/// `Report.wal_flush_failures`. The drained range is still returned (the
+/// in-memory mirror is authoritative and the blocks apply), but the
+/// alarm is raised before any caller can treat it as durable.
 #[test]
 fn failed_flush_barrier_raises_alarm_through_report() {
     use ladon::types::TimeNs;
@@ -1255,174 +1236,46 @@ fn failed_flush_barrier_raises_alarm_through_report() {
             .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
             .collect()
     };
-    for threaded in [false, true] {
-        let dir = scratch_dir(
-            if threaded {
-                "alarm-threaded"
-            } else {
-                "alarm-inline"
-            },
-            0,
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let budget = Arc::new(AtomicI64::new(i64::MAX));
-        let backend = crash_backend(&dir.join("wal"), &budget, threaded);
-        let mut p = ExecutionPipeline::recover_backend(
-            &dir,
-            Box::new(backend),
-            DEFAULT_KEYSPACE,
-            1,
-            wal_opts,
-        )
-        .unwrap();
-        p.execute_batch(&batch_of(0, 4));
-        assert_eq!(
-            p.perf().wal_flush_failures,
-            0,
-            "threaded={threaded}: a clean run must not alarm"
-        );
-        // The disk dies: every write in the next barrier fails.
-        budget.store(0, Ordering::SeqCst);
-        p.stage_blocks(&batch_of(4, 2));
-        let range = p.flush_staged();
-        assert_eq!(
-            range,
-            4..6,
-            "threaded={threaded}: the range is still reported"
-        );
-        assert!(
-            p.perf().wal_flush_failures >= 1,
-            "threaded={threaded}: the failed barrier must raise the alarm"
-        );
-        assert!(p.wal_write_failures() > 0, "threaded={threaded}");
-
-        // pipeline stats → NodeMetrics → Report: the exact chain the
-        // runner uses, so fault outcomes are assertable from the top
-        // document.
-        let mut nodes = empty_nodes(4);
-        nodes[0].exec = p.stats();
-        assert!(
-            nodes[0].exec.perf.wal_flush_failures >= 1,
-            "threaded={threaded}: NodeMetrics must carry the alarm"
-        );
-        let report = aggregate(&RunData {
-            nodes,
-            f: 1,
-            window_start: TimeNs::ZERO,
-            window_end: TimeNs::from_millis(1_000),
-            reference: 0,
-            waiting_blocks: 0,
-        });
-        assert!(
-            report.wal_flush_failures >= 1,
-            "threaded={threaded}: a failed barrier must surface as a \
-             nonzero Report.wal_flush_failures, never a silently \
-             \"durable\" range"
-        );
-        drop(p);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Writer-thread crash matrix (pipelined durability): storage dies `k`
-/// ops into the submit → write → fsync → ack-token window of the
-/// dedicated WAL writer, while a further accumulation stages into the
-/// double-buffered scratch mid-flight. Sweep contract, at every `k`:
-/// no acknowledgement before durability (nothing past a clean-barrier
-/// prefix is trusted), the staged-while-in-flight accumulation is never
-/// acknowledged, and the recovered root equals a clean re-execution of
-/// the recovered prefix.
-#[test]
-fn writer_thread_crash_matrix_never_acks_before_durability() {
-    let wal_opts = small_segments();
-    let batch_of = |from: u64, n: u64| -> Vec<(u64, ladon::types::Block)> {
-        (from..from + n)
-            .map(|sn| (sn, Block::synthetic(sn, sn * 50, 50)))
-            .collect()
-    };
-    kill_sweep("writer-crash", |k, dir| {
-        let budget = Arc::new(AtomicI64::new(i64::MAX));
-        let backend = crash_backend(&dir.join("wal"), &budget, true);
-        let plan = backend.plan();
-        let armed_at;
-        let acked = {
-            let mut p = ExecutionPipeline::recover_backend(
-                dir,
-                Box::new(backend),
-                DEFAULT_KEYSPACE,
-                1,
-                wal_opts,
-            )
+    let dir = scratch_dir("alarm", 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let budget = Arc::new(AtomicI64::new(i64::MAX));
+    let backend = crash_backend(&dir.join("wal"), &budget);
+    let mut p =
+        ExecutionPipeline::recover_backend(&dir, Box::new(backend), DEFAULT_KEYSPACE, 1, wal_opts)
             .unwrap();
-            // A clean pipelined prefix: two overlapped submits, drained.
-            p.stage_blocks(&batch_of(0, 2));
-            assert!(
-                p.submit_staged().is_empty(),
-                "k={k}: the first submit has no prior batch to apply"
-            );
-            p.stage_blocks(&batch_of(2, 2));
-            assert_eq!(
-                p.submit_staged(),
-                0..2,
-                "k={k}: the second submit applies batch 1 (whose token resolved)"
-            );
-            p.flush_staged();
-            assert_eq!(p.applied(), 4, "k={k}");
-            let perf = p.perf();
-            assert_eq!(perf.wal_flush_failures, 0, "k={k}: prefix must be clean");
-            assert!(
-                perf.pipelined_submits >= 1,
-                "k={k}: the prefix must have genuinely overlapped"
-            );
-            // The budgeted window: batch 3's barrier runs on the writer
-            // thread (submit → write → fsync → ack token) with `k` ops of
-            // storage life left.
-            armed_at = plan.mutating_ops();
-            budget.store(k, Ordering::SeqCst);
-            p.stage_blocks(&batch_of(4, 2));
-            p.submit_staged();
-            // In flight: submitted, not applied, not acknowledged.
-            assert_eq!(p.inflight_records(), 2, "k={k}");
-            assert_eq!(
-                p.applied(),
-                4,
-                "k={k}: no acknowledgement before the barrier token resolves"
-            );
-            // Double-buffered staging proceeds while the barrier flies —
-            // and this accumulation is never submitted before the crash.
-            p.stage_blocks(&batch_of(6, 2));
-            assert_eq!(p.staged_records(), 2, "k={k}");
-            p.complete_inflight();
-            if p.perf().wal_flush_failures == 0 && p.wal_write_failures() == 0 {
-                6
-            } else {
-                4
-            }
-            // Process dies here: batch 4 (sns 6..8) was never flushed.
-        };
-        let r = ExecutionPipeline::recover_opts(dir, DEFAULT_KEYSPACE, 1, wal_opts).unwrap();
-        assert!(
-            r.applied() >= acked,
-            "k={k}: an acknowledged prefix was lost \
-             (recovered {} < acked {acked})",
-            r.applied()
-        );
-        assert!(
-            r.applied() <= 6,
-            "k={k}: the unflushed double-buffered \
-             accumulation must never be acknowledged (recovered {})",
-            r.applied()
-        );
-        let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        for sn in 0..r.applied() {
-            reference.execute(sn, &Block::synthetic(sn, sn * 50, 50));
-        }
-        assert_eq!(
-            r.state_root(),
-            reference.state_root(),
-            "k={k}: recovered root diverges from a clean \
-             re-execution of the recovered prefix"
-        );
-        Window::since(&plan, armed_at)
+    p.execute_batch(&batch_of(0, 4));
+    assert_eq!(p.perf().wal_flush_failures, 0, "a clean run must not alarm");
+    // The disk dies: every write in the next barrier fails.
+    budget.store(0, Ordering::SeqCst);
+    p.stage_blocks(&batch_of(4, 2));
+    assert_eq!(p.submit_staged(), 4..6, "the range is still reported");
+    assert!(
+        p.perf().wal_flush_failures >= 1,
+        "the failed barrier must raise the alarm"
+    );
+    assert!(p.wal_write_failures() > 0);
+
+    // pipeline stats → NodeMetrics → Report: the exact chain the runner
+    // uses, so fault outcomes are assertable from the top document.
+    let mut nodes = empty_nodes(4);
+    nodes[0].exec = p.stats();
+    assert!(
+        nodes[0].exec.perf.wal_flush_failures >= 1,
+        "NodeMetrics must carry the alarm"
+    );
+    let report = aggregate(&RunData {
+        nodes,
+        f: 1,
+        window_start: TimeNs::ZERO,
+        window_end: TimeNs::from_millis(1_000),
+        reference: 0,
+        waiting_blocks: 0,
     });
+    assert!(
+        report.wal_flush_failures >= 1,
+        "a failed barrier must surface as a nonzero \
+         Report.wal_flush_failures, never a silently \"durable\" range"
+    );
+    drop(p);
+    let _ = std::fs::remove_dir_all(&dir);
 }

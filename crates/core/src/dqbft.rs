@@ -3,11 +3,14 @@
 //!
 //! The Multi-BFT node runs one extra vanilla consensus instance (index
 //! `m`) whose batches carry *block references* instead of transactions.
-//! The leader of that instance observes its own partial-commit stream,
-//! batches the references, and drives consensus over them; reference
-//! batches are sequenced in the ordering instance's round order (PBFT
-//! may commit them out of it), and the referenced blocks become globally
-//! confirmed in that order.
+//! Every replica keeps the references it has committed and not yet seen
+//! sequenced, so whichever replica leads the ordering instance's current
+//! view batches them from its own partial-commit stream and drives
+//! consensus over them. A cut takes each instance's references in round
+//! order only, from the round after the last one cut or sequenced.
+//! Reference batches are sequenced in the ordering instance's round
+//! order (PBFT may commit them out of it), and the referenced blocks
+//! become globally confirmed in that order.
 //!
 //! Two modeled properties matter for the evaluation:
 //!
@@ -22,61 +25,66 @@
 
 use crate::ordering::{ConfirmedBlock, GlobalOrderer};
 use ladon_types::{Block, TimeNs};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// A reference to a partially committed block: `(instance, round)`.
 pub type BlockRef = (u32, u64);
 
 /// The DQBFT ordering layer state at one replica.
+#[derive(Default)]
 pub struct DqbftOrderer {
     /// Blocks partially committed locally, by reference.
     blocks: HashMap<BlockRef, Block>,
     /// Sequenced references not yet confirmed (head-of-line order).
     sequenced: VecDeque<BlockRef>,
     /// References already sequenced (duplicate suppression).
-    seen: std::collections::HashSet<BlockRef>,
+    seen: HashSet<BlockRef>,
     /// Reference batches the ordering instance committed above
-    /// `next_round`, by round, waiting for the rounds below them.
+    /// `sequenced_upto + 1`, by round, waiting for the rounds below them.
     committed: BTreeMap<u64, Vec<BlockRef>>,
-    /// The ordering instance's next round to sequence (rounds start at
-    /// 1).
-    next_round: u64,
-    /// Leader-side outbox: references committed locally but not yet
-    /// proposed to the ordering instance.
-    pub unsequenced: Vec<BlockRef>,
-    /// Whether this replica leads the ordering instance.
-    pub is_ordering_leader: bool,
+    /// The ordering instance's rounds sequenced so far: `1..=` this
+    /// (rounds start at 1).
+    sequenced_upto: u64,
+    /// References committed here and not yet sequenced: what this
+    /// replica proposes whenever it leads the ordering instance.
+    unsequenced: BTreeSet<BlockRef>,
+    /// Per instance, the last round cut or sequenced (0 before any): a
+    /// cut may start only at the round after it.
+    cut_upto: HashMap<u32, u64>,
     confirmed: u64,
 }
 
 impl DqbftOrderer {
-    /// Creates the orderer; `is_ordering_leader` marks the replica that
-    /// leads the dedicated ordering instance.
-    pub fn new(is_ordering_leader: bool) -> Self {
-        Self {
-            blocks: HashMap::new(),
-            sequenced: VecDeque::new(),
-            seen: std::collections::HashSet::new(),
-            committed: BTreeMap::new(),
-            next_round: 1,
-            unsequenced: Vec::new(),
-            is_ordering_leader,
-            confirmed: 0,
-        }
+    /// The last round of instance `i` cut or sequenced.
+    fn cut_upto(&self, i: u32) -> u64 {
+        self.cut_upto.get(&i).copied().unwrap_or(0)
     }
 
-    /// Drains up to `max` references for the next ordering proposal,
-    /// sorted into the canonical `(round, instance)` interleave.
+    /// Up to `max` references for the next ordering proposal: each
+    /// instance's unsequenced references that continue its rounds from
+    /// the last one cut or sequenced, with no gap, sorted into the
+    /// canonical `(round, instance)` interleave. Empty when there is
+    /// nothing to propose.
     pub fn cut_refs(&mut self, max: usize) -> Vec<BlockRef> {
-        let n = self.unsequenced.len().min(max);
-        // Canonical slot order *within the batch* — the causality gap.
-        self.unsequenced.sort_by_key(|&(i, r)| (r, i));
-        self.unsequenced.drain(..n).collect()
-    }
-
-    /// Whether the leader has references waiting to be sequenced.
-    pub fn has_pending_refs(&self) -> bool {
-        !self.unsequenced.is_empty()
+        let mut refs: Vec<BlockRef> = Vec::new();
+        // `unsequenced` is sorted by instance, then round.
+        for &(i, r) in &self.unsequenced {
+            let next = match refs.last() {
+                Some(&(last_i, last_r)) if last_i == i => last_r + 1,
+                _ => self.cut_upto(i) + 1,
+            };
+            if r == next {
+                refs.push((i, r));
+            }
+        }
+        // Canonical slot order *within the batch* — the causality gap. A
+        // prefix of it still takes each instance's rounds in order.
+        refs.sort_by_key(|&(i, r)| (r, i));
+        refs.truncate(max);
+        for &(i, r) in &refs {
+            self.cut_upto.insert(i, r);
+        }
+        refs
     }
 
     /// Called when the ordering instance commits its round-`round`
@@ -91,14 +99,17 @@ impl DqbftOrderer {
         refs: &[BlockRef],
         _now: TimeNs,
     ) -> Vec<ConfirmedBlock> {
-        if round >= self.next_round {
+        if round > self.sequenced_upto {
             self.committed.entry(round).or_insert_with(|| refs.to_vec());
         }
-        while let Some(batch) = self.committed.remove(&self.next_round) {
-            self.next_round += 1;
+        while let Some(batch) = self.committed.remove(&(self.sequenced_upto + 1)) {
+            self.sequenced_upto += 1;
             for r in batch {
                 if self.seen.insert(r) {
                     self.sequenced.push_back(r);
+                    self.unsequenced.remove(&r);
+                    let upto = self.cut_upto(r.0).max(r.1);
+                    self.cut_upto.insert(r.0, upto);
                 }
             }
         }
@@ -127,8 +138,8 @@ impl DqbftOrderer {
 impl GlobalOrderer for DqbftOrderer {
     fn on_partial_commit(&mut self, block: Block, _now: TimeNs) -> Vec<ConfirmedBlock> {
         let r: BlockRef = (block.index().0, block.round().0);
-        if self.is_ordering_leader && !self.seen.contains(&r) {
-            self.unsequenced.push(r);
+        if !self.seen.contains(&r) {
+            self.unsequenced.insert(r);
         }
         self.blocks.insert(r, block);
         self.drain()
@@ -163,7 +174,7 @@ mod tests {
 
     #[test]
     fn blocks_confirm_in_sequenced_order() {
-        let mut o = DqbftOrderer::new(false);
+        let mut o = DqbftOrderer::default();
         assert!(o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO).is_empty());
         assert!(o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO).is_empty());
         let got = o.on_sequenced(1, &[(1, 1), (0, 1)], TimeNs::ZERO);
@@ -174,7 +185,7 @@ mod tests {
 
     #[test]
     fn sequencing_before_commit_waits_for_block() {
-        let mut o = DqbftOrderer::new(false);
+        let mut o = DqbftOrderer::default();
         assert!(o.on_sequenced(1, &[(0, 1)], TimeNs::ZERO).is_empty());
         let got = o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         assert_eq!(got.len(), 1);
@@ -182,7 +193,7 @@ mod tests {
 
     #[test]
     fn head_of_line_blocking_on_missing_block() {
-        let mut o = DqbftOrderer::new(false);
+        let mut o = DqbftOrderer::default();
         o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
         assert!(o
             .on_sequenced(1, &[(0, 1), (1, 1)], TimeNs::ZERO)
@@ -194,21 +205,29 @@ mod tests {
     }
 
     #[test]
-    fn leader_accumulates_and_cuts_canonical_refs() {
-        let mut o = DqbftOrderer::new(true);
+    fn every_replica_accumulates_and_cuts_refs_in_round_order() {
+        let mut o = DqbftOrderer::default();
         o.on_partial_commit(blk(2, 1, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
-        assert!(o.has_pending_refs());
-        let refs = o.cut_refs(10);
-        // Canonical (round, instance) interleave.
-        assert_eq!(refs, vec![(1, 1), (2, 1), (0, 2)]);
-        assert!(!o.has_pending_refs());
+        // Canonical (round, instance) interleave; instance 0's round 2
+        // waits for its round 1.
+        assert_eq!(o.cut_refs(10), vec![(1, 1), (2, 1)]);
+        assert!(
+            o.cut_refs(10).is_empty(),
+            "a cut reference is not cut again"
+        );
+        o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
+        o.on_partial_commit(blk(1, 3, 0), TimeNs::ZERO);
+        // A capped cut is a prefix of the interleave: still in round
+        // order per instance.
+        assert_eq!(o.cut_refs(1), vec![(0, 1)]);
+        assert_eq!(o.cut_refs(10), vec![(0, 2)]);
     }
 
     #[test]
     fn duplicate_sequencing_suppressed() {
-        let mut o = DqbftOrderer::new(false);
+        let mut o = DqbftOrderer::default();
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         let got = o.on_sequenced(1, &[(0, 1), (0, 1)], TimeNs::ZERO);
         assert_eq!(got.len(), 1);
@@ -219,7 +238,7 @@ mod tests {
     fn batches_sequence_in_round_order_whatever_the_commit_order() {
         let mut orders = Vec::new();
         for commit_order in [[1, 2, 3], [3, 1, 2], [2, 3, 1]] {
-            let mut o = DqbftOrderer::new(false);
+            let mut o = DqbftOrderer::default();
             for instance in 0..3 {
                 o.on_partial_commit(blk(instance, 1, 0), TimeNs::ZERO);
             }
@@ -240,9 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn non_leader_does_not_accumulate_refs() {
-        let mut o = DqbftOrderer::new(false);
+    fn sequenced_refs_are_pruned_and_move_the_cut() {
+        // Another replica led the ordering instance and sequenced
+        // instance 0's round 1: this replica prunes it and cuts from
+        // round 2.
+        let mut o = DqbftOrderer::default();
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
-        assert!(!o.has_pending_refs());
+        o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
+        assert_eq!(o.on_sequenced(1, &[(0, 1)], TimeNs::ZERO).len(), 1);
+        assert_eq!(o.cut_refs(10), vec![(0, 2)]);
+        // Sequenced before it committed here: never held at all.
+        o.on_sequenced(2, &[(0, 2), (0, 3)], TimeNs::ZERO);
+        o.on_partial_commit(blk(0, 3, 0), TimeNs::ZERO);
+        assert!(o.unsequenced.is_empty());
+        assert!(o.cut_refs(10).is_empty());
     }
 }

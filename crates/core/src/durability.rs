@@ -58,7 +58,7 @@
 //!   snapshot is served (log entries still are — they carry their own
 //!   QCs).
 //! - **Degraded × an epoch completes** — the replica *abstains*
-//!   (`EpochPacemaker::abstain`): no checkpoint is taken (its root
+//!   (`EpochInput::Close(None)`): no checkpoint is taken (its root
 //!   would cover an undurable prefix), nothing is signed or sent, and
 //!   the epoch advances on the peers' 2f+1 matching-root quorum. The
 //!   checkpoint is not deferred to recovery either — the quorum does not

@@ -25,12 +25,45 @@
 //! `(epoch, root)`; a quorum forming on a root different from our own is
 //! recorded as a root conflict instead of an advance — divergence must
 //! never be papered over.
+//!
+//! # The pacemaker's states
+//!
+//! [`EpochPacemaker::step`] takes three inputs ([`EpochInput`]): the
+//! close, a peer's vote and a fetched [`StableCheckpoint`]. After each
+//! one, one rule runs: **a closed epoch advances when it holds a vote
+//! quorum or a fetched stable checkpoint on a root it agrees with** —
+//! the root it signed, or any root if it abstained. A proof on any other
+//! root is a conflict, counted once per epoch, and the epoch does not
+//! advance. The proofs may arrive in any order: votes and checkpoints
+//! held before the close count at the close.
+//!
+//! | state | entered by | exit |
+//! |---|---|---|
+//! | open | the previous epoch's advance (or start) | the close: signed at the executed root, or abstained while the replica is degraded; or a fetched checkpoint for this epoch whose snapshot was just installed, or for a later epoch: the pacemaker jumps to that epoch, closed as abstained |
+//! | closed, signed at root `r` | the close with a signer | the rule, on a proof for `r` |
+//! | closed, abstained | the close without a signer, or a jump | the rule, on any proof |
+//!
+//! A fetched checkpoint for the current epoch with nothing installed is
+//! held until the close. A closed epoch with no proof leaves only
+//! through a vote or a fetched checkpoint. A PBFT replica fetches one
+//! once its instances report lag. A closed Ladon-HotStuff replica has no
+//! lag evidence until its peers complete a later epoch
+//! (`Instance::lag_evidence` is `None` under HotStuff, and
+//! [`EpochPacemaker::lag_evidence`] sees a quorum only for an epoch it
+//! has not closed), so nothing requests the missing proof yet
+//! (ROADMAP 1(c)).
+//!
+//! Votes are bounded per sender: its votes for the current epoch and the
+//! just-completed one (whose stable checkpoint is served to laggers),
+//! plus one vote for a later epoch, its newest. Older epochs' votes and
+//! fetched checkpoints are dropped at each advance. The stable checkpoint
+//! is aggregated only when it is served.
 
 use ladon_crypto::keys::Signer;
 use ladon_crypto::{AggregateSignature, KeyRegistry, Signature};
-use ladon_types::{sizes, Digest, Epoch, Rank, ReplicaId, SystemConfig, WireSize};
+use ladon_types::{sizes, Digest, Epoch, ReplicaId, SystemConfig, WireSize};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Signing domain for checkpoint messages.
 pub const DOMAIN_CHECKPOINT: &[u8] = b"ladon/checkpoint";
@@ -121,32 +154,62 @@ impl WireSize for StableCheckpoint {
     }
 }
 
-/// The per-replica epoch pacemaker. Each method that can complete the
-/// current epoch returns the epoch it advanced to; its rank range is
-/// [`SystemConfig::rank_range`] of it.
+/// What the pacemaker is told: the three inputs of the module docs.
+pub enum EpochInput<'a> {
+    /// The orderer reports the current epoch over. `Some((signer, root))`
+    /// signs it at the executed state root; `None` abstains (the replica
+    /// is degraded and must not sign over an undurable prefix).
+    Close(Option<(&'a Signer, Digest)>),
+    /// A peer's checkpoint vote.
+    Vote(ReplicaId, &'a CheckpointMsg),
+    /// A stable checkpoint fetched by state transfer, and whether the
+    /// snapshot it proves was just installed.
+    Fetched(&'a StableCheckpoint, bool),
+}
+
+/// What the pacemaker did with one input.
+#[derive(Debug, Default)]
+pub struct EpochStep {
+    /// The checkpoint this replica signed at the close: broadcast it.
+    pub signed: Option<CheckpointMsg>,
+    /// The epoch the pacemaker entered; its rank range is
+    /// [`SystemConfig::rank_range`] of it.
+    pub entered: Option<Epoch>,
+}
+
+/// Where the current epoch stands.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Close {
+    /// Not yet over on this replica.
+    Open,
+    /// Closed with our checkpoint at this root.
+    Signed(Digest),
+    /// Closed without a checkpoint of our own.
+    Abstained,
+}
+
+/// The per-replica epoch pacemaker: [`Self::step`] takes an
+/// [`EpochInput`], and one rule decides every advance.
 pub struct EpochPacemaker {
     epoch: Epoch,
     sys: SystemConfig,
     /// Checkpoint votes per epoch: signer → (claimed root, signature).
-    /// Retained for one completed epoch so stable checkpoints can be
-    /// served to lagging replicas (§5.2.1).
+    /// The current epoch's, the just-completed one's (its stable
+    /// checkpoint is served to laggers, §5.2.1), and per signer at most
+    /// one later epoch's: its newest.
     votes: BTreeMap<Epoch, BTreeMap<ReplicaId, (Digest, Signature)>>,
-    /// Stable checkpoints received whole via state transfer, applied once
-    /// we finish the epoch locally (peers moved on and will not re-send
-    /// their individual checkpoint votes).
-    pending_stable: BTreeMap<Epoch, StableCheckpoint>,
-    /// The current epoch completed locally and its checkpoint was made
-    /// ([`Self::make_checkpoint`]) or abstained from ([`Self::abstain`]).
-    closed: bool,
-    /// The root we signed for the current epoch (set by
-    /// [`Self::make_checkpoint`]; stays `None` after [`Self::abstain`]).
-    my_root: Option<Digest>,
+    /// Stable checkpoints fetched by state transfer, for the current and
+    /// the just-completed epoch (peers that moved on will not re-send
+    /// their individual votes).
+    fetched: BTreeMap<Epoch, StableCheckpoint>,
+    close: Close,
     /// Checkpoint quorums observed on a root different from ours —
     /// execution divergence, surfaced instead of advanced past. Counted
     /// once per epoch however many messages re-confirm it.
     pub root_conflicts: u64,
-    /// Epochs whose divergent quorum has already been counted.
-    conflicted: BTreeSet<Epoch>,
+    /// The last epoch whose divergent quorum was counted (epochs only
+    /// move forward).
+    conflicted: Option<Epoch>,
 }
 
 impl EpochPacemaker {
@@ -156,49 +219,54 @@ impl EpochPacemaker {
             epoch: Epoch(0),
             sys: cfg.clone(),
             votes: BTreeMap::new(),
-            pending_stable: BTreeMap::new(),
-            closed: false,
-            my_root: None,
+            fetched: BTreeMap::new(),
+            close: Close::Open,
             root_conflicts: 0,
-            conflicted: BTreeSet::new(),
+            conflicted: None,
         }
     }
 
     /// The stable checkpoint of `epoch`, if this replica holds a quorum of
     /// matching-root checkpoint signatures (the current and previous
-    /// epochs are retained).
+    /// epochs are retained), or fetched one.
     pub fn stable_checkpoint(&self, epoch: Epoch) -> Option<StableCheckpoint> {
-        if let Some(votes) = self.votes.get(&epoch) {
-            if let Some((root, shares)) = self.quorum_group(votes) {
-                if let Some(agg) = AggregateSignature::aggregate(&shares, self.sys.n) {
-                    return Some(StableCheckpoint {
-                        epoch,
-                        state_root: root,
-                        agg,
-                    });
-                }
-            }
-        }
-        // A replica that itself advanced via state transfer serves the
-        // checkpoint it received rather than one built from votes.
-        self.pending_stable.get(&epoch).cloned()
+        let built = self.votes.get(&epoch).and_then(|votes| {
+            let root = self.quorum_root(votes)?;
+            let shares: Vec<Signature> = (votes.values())
+                .filter(|(r, _)| *r == root)
+                .map(|&(_, sig)| sig)
+                .take(self.sys.quorum())
+                .collect();
+            Some(StableCheckpoint {
+                epoch,
+                state_root: root,
+                agg: AggregateSignature::aggregate(&shares, self.sys.n)?,
+            })
+        });
+        built.or_else(|| self.fetched.get(&epoch).cloned())
     }
 
-    /// The root group holding ≥ quorum votes, with `quorum` of its
-    /// signatures (votes are honest-majority: at most one group can reach
-    /// quorum).
-    fn quorum_group(
-        &self,
-        votes: &BTreeMap<ReplicaId, (Digest, Signature)>,
-    ) -> Option<(Digest, Vec<Signature>)> {
-        let quorum = self.sys.quorum();
-        let mut by_root: BTreeMap<Digest, Vec<Signature>> = BTreeMap::new();
-        for (root, sig) in votes.values() {
-            by_root.entry(*root).or_default().push(*sig);
-        }
-        by_root.into_iter().find_map(|(root, sigs)| {
-            (sigs.len() >= quorum).then(|| (root, sigs[..quorum].to_vec()))
+    /// The epoch proof to serve a requester in `requested`: its stable
+    /// checkpoint, or — when it is more than one epoch behind and its
+    /// proof has been pruned here — the newest one held, with which the
+    /// requester jumps to the live epoch while log entries repair the
+    /// gap.
+    pub fn proof_for(&self, requested: Epoch) -> Option<StableCheckpoint> {
+        self.stable_checkpoint(requested).or_else(|| {
+            let pruned = self.epoch.0.saturating_sub(requested.0) > 1;
+            pruned
+                .then(|| self.stable_checkpoint(Epoch(self.epoch.0 - 1)))
+                .flatten()
         })
+    }
+
+    /// The root a quorum of `votes` agrees on (votes are honest-majority:
+    /// at most one root can reach quorum).
+    fn quorum_root(&self, votes: &BTreeMap<ReplicaId, (Digest, Signature)>) -> Option<Digest> {
+        let agreeing = |root: &Digest| votes.values().filter(|(r, _)| r == root).count();
+        (votes.values())
+            .map(|&(root, _)| root)
+            .find(|root| agreeing(root) >= self.sys.quorum())
     }
 
     /// Whether a checkpoint quorum exists for an epoch we have not
@@ -206,8 +274,8 @@ impl EpochPacemaker {
     /// without us and we should fetch the missing log entries (§5.2.1).
     pub fn lag_evidence(&self) -> bool {
         self.votes.iter().any(|(e, v)| {
-            self.quorum_group(v).is_some()
-                && (*e > self.epoch || (*e == self.epoch && !self.closed))
+            self.quorum_root(v).is_some()
+                && (*e > self.epoch || (*e == self.epoch && !self.closed()))
         })
     }
 
@@ -216,158 +284,121 @@ impl EpochPacemaker {
         self.epoch
     }
 
-    /// `maxRank` of the current epoch.
-    pub fn max_rank(&self) -> Rank {
-        self.sys.rank_range(self.epoch).1
-    }
-
-    /// Whether the current epoch is closed: checkpointed or abstained
-    /// from.
+    /// Whether the current epoch is closed: signed or abstained from.
     pub fn closed(&self) -> bool {
-        self.closed
+        self.close != Close::Open
     }
 
-    /// Builds (and records) our checkpoint for the completed epoch at the
-    /// given execution state root. Call once per epoch, when the orderer
-    /// reports the epoch over.
-    pub fn make_checkpoint(&mut self, signer: &Signer, state_root: Digest) -> CheckpointMsg {
-        debug_assert!(!self.closed, "checkpoint already sent this epoch");
-        self.closed = true;
-        self.my_root = Some(state_root);
-        let msg = CheckpointMsg::sign(signer, self.epoch, state_root);
-        // Our own vote counts.
-        self.votes
-            .entry(self.epoch)
-            .or_default()
-            .insert(signer.replica, (state_root, msg.sig));
-        msg
-    }
-
-    /// Closes the completed epoch **without** a checkpoint of our own:
-    /// nothing is signed or sent, and the epoch advances on the peers'
-    /// 2f+1 matching-root quorum alone — at once when the votes already
-    /// collected (or a stashed stable checkpoint) prove it, otherwise on
-    /// a later [`Self::on_checkpoint`] / [`Self::on_stable_checkpoint`].
-    /// For a replica that may not checkpoint when the epoch completes
-    /// (its durable path is failing); call in place of
-    /// [`Self::make_checkpoint`]. With no root of our own there is
-    /// nothing to compare the quorum's against, so no conflict can be
-    /// counted.
-    pub fn abstain(&mut self) -> Option<Epoch> {
-        debug_assert!(!self.closed, "epoch already closed");
-        self.closed = true;
-        let voted = self.votes.get(&self.epoch);
-        if voted.is_some_and(|v| self.quorum_group(v).is_some()) {
-            return Some(self.advance_to(self.epoch.next()));
-        }
-        self.try_pending_advance()
-    }
-
-    /// Whether a quorum's root is one we can advance on: the root we
-    /// signed, or any root when we abstained.
-    fn agrees_with(&self, root: Digest) -> bool {
-        self.my_root.is_none_or(|mine| mine == root)
-    }
-
-    /// Handles a checkpoint message from `from`. Returns the next epoch
-    /// when the stable checkpoint (2f+1 matching-root votes) forms.
-    pub fn on_checkpoint(
-        &mut self,
-        from: ReplicaId,
-        msg: &CheckpointMsg,
-        registry: &KeyRegistry,
-    ) -> Option<Epoch> {
-        if msg.epoch < self.epoch || from != msg.sig.signer() || !msg.verify(registry) {
-            return None;
-        }
-        let votes = self.votes.entry(msg.epoch).or_default();
-        votes.insert(from, (msg.state_root, msg.sig));
-        if msg.epoch == self.epoch && self.closed {
-            if let Some((root, _)) = self.quorum_group(&self.votes[&self.epoch]) {
-                if self.agrees_with(root) {
-                    return Some(self.advance_to(self.epoch.next()));
+    /// Takes one input, then runs the advance rule.
+    pub fn step(&mut self, input: EpochInput<'_>, registry: &KeyRegistry) -> EpochStep {
+        let mut signed = None;
+        match input {
+            EpochInput::Close(sign) => {
+                debug_assert!(!self.closed(), "epoch already closed");
+                self.close = match sign {
+                    Some((signer, root)) => {
+                        let msg = CheckpointMsg::sign(signer, self.epoch, root);
+                        // Our own vote counts.
+                        self.votes
+                            .entry(self.epoch)
+                            .or_default()
+                            .insert(signer.replica, (root, msg.sig));
+                        signed = Some(msg);
+                        Close::Signed(root)
+                    }
+                    None => Close::Abstained,
+                };
+            }
+            EpochInput::Vote(from, msg) => {
+                if msg.epoch < self.epoch || from != msg.sig.signer() || !msg.verify(registry) {
+                    return EpochStep::default();
                 }
-                // A quorum agreed on a root we did not execute: divergence.
-                self.note_conflict(msg.epoch);
+                self.hold_vote(from, msg);
+            }
+            EpochInput::Fetched(sc, installed) => {
+                if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
+                    return EpochStep::default();
+                }
+                if installed || sc.epoch > self.epoch {
+                    // Jump: the installed snapshot supplies the state up to
+                    // and including `sc.epoch`, or this is an epoch we
+                    // have not even entered, whose predecessors' proofs
+                    // may be pruned cluster-wide; execution still follows
+                    // confirmed order as entries install. Either way there
+                    // is nothing of ours to compare the proof with.
+                    self.epoch = sc.epoch;
+                    self.close = Close::Abstained;
+                }
+                self.fetched.insert(sc.epoch, sc.clone());
             }
         }
-        None
+        EpochStep {
+            signed,
+            entered: self.advance_if_proven(),
+        }
     }
 
-    /// Accepts a whole stable checkpoint learned via state transfer.
-    /// Returns the next epoch when it completes the current one (we must
-    /// still have finished the epoch locally first, with a matching
-    /// root).
-    pub fn on_stable_checkpoint(
-        &mut self,
-        sc: &StableCheckpoint,
-        registry: &KeyRegistry,
-    ) -> Option<Epoch> {
-        if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
-            return None;
-        }
-        if sc.epoch == self.epoch && self.closed {
-            if self.agrees_with(sc.state_root) {
-                return Some(self.advance_to(self.epoch.next()));
+    /// Holds `from`'s vote under the bound: a vote for a later epoch
+    /// replaces the sender's older later-epoch vote, and one older than
+    /// the vote it already holds there is dropped.
+    fn hold_vote(&mut self, from: ReplicaId, msg: &CheckpointMsg) {
+        if msg.epoch > self.epoch {
+            if self
+                .votes
+                .range(msg.epoch.next()..)
+                .any(|(_, v)| v.contains_key(&from))
+            {
+                return;
             }
-            self.note_conflict(sc.epoch);
-            return None;
-        }
-        self.pending_stable.insert(sc.epoch, sc.clone());
-        None
-    }
-
-    /// Applies a stashed stable checkpoint once the local epoch completes
-    /// (call after [`Self::make_checkpoint`]). A stashed checkpoint whose
-    /// root contradicts the one we signed is a conflict, not an advance.
-    pub fn try_pending_advance(&mut self) -> Option<Epoch> {
-        if !self.closed {
-            return None;
-        }
-        if let Some(sc) = self.pending_stable.get(&self.epoch) {
-            if self.agrees_with(sc.state_root) {
-                return Some(self.advance_to(self.epoch.next()));
+            for (_, v) in self.votes.range_mut(self.epoch.next()..) {
+                v.remove(&from);
             }
-            let epoch = sc.epoch;
-            self.note_conflict(epoch);
+            self.votes.retain(|_, v| !v.is_empty());
         }
-        None
+        self.votes
+            .entry(msg.epoch)
+            .or_default()
+            .insert(from, (msg.state_root, msg.sig));
     }
 
-    /// Fast-forwards past epochs covered by an installed execution
-    /// snapshot: a verified stable checkpoint for `sc.epoch ≥ current`
-    /// moves the pacemaker directly into `sc.epoch + 1`. The caller must
-    /// only invoke this after installing the snapshot the checkpoint
-    /// authenticates — the snapshot supplies the state those epochs would
-    /// have produced, so completing them locally is unnecessary (and, for
-    /// a restarted replica whose peers pruned the old checkpoints,
-    /// impossible).
-    pub fn fast_forward(&mut self, sc: &StableCheckpoint, registry: &KeyRegistry) -> Option<Epoch> {
-        if sc.epoch < self.epoch || !sc.verify(registry, self.sys.quorum()) {
-            return None;
+    /// The one advance rule: a closed epoch advances when it holds a vote
+    /// quorum or a fetched stable checkpoint on a root it agrees with —
+    /// the root it signed, or any root when it abstained. A proof on any
+    /// other root is a conflict, counted once per epoch.
+    fn advance_if_proven(&mut self) -> Option<Epoch> {
+        let mine = match self.close {
+            Close::Open => return None,
+            Close::Signed(root) => Some(root),
+            Close::Abstained => None,
+        };
+        let votes = self.votes.get(&self.epoch);
+        let proofs = [
+            votes.and_then(|v| self.quorum_root(v)),
+            self.fetched.get(&self.epoch).map(|sc| sc.state_root),
+        ];
+        if proofs
+            .iter()
+            .flatten()
+            .any(|&root| mine.is_none_or(|m| m == root))
+        {
+            return Some(self.advance());
         }
-        let next = self.advance_to(sc.epoch.next());
-        // Keep the checkpoint: we can serve it onward to other laggers.
-        self.pending_stable.insert(sc.epoch, sc.clone());
-        Some(next)
-    }
-
-    /// Records a divergent quorum for `epoch`, once.
-    fn note_conflict(&mut self, epoch: Epoch) {
-        if self.conflicted.insert(epoch) {
+        if proofs.iter().any(Option::is_some) && self.conflicted != Some(self.epoch) {
+            self.conflicted = Some(self.epoch);
             self.root_conflicts += 1;
         }
+        None
     }
 
-    /// Opens epoch `next` and returns it.
-    fn advance_to(&mut self, next: Epoch) -> Epoch {
+    /// Opens the next epoch and returns it.
+    fn advance(&mut self) -> Epoch {
+        let next = self.epoch.next();
         self.epoch = next;
-        self.closed = false;
-        self.my_root = None;
-        // Keep the just-completed epoch's signatures: its stable
-        // checkpoint is what we serve to lagging replicas.
+        self.close = Close::Open;
+        // Keep the just-completed epoch's proofs: its stable checkpoint is
+        // what we serve to lagging replicas.
         self.votes.retain(|e, _| e.0 + 1 >= next.0);
-        self.pending_stable.retain(|e, _| e.0 + 1 >= next.0);
+        self.fetched.retain(|e, _| e.0 + 1 >= next.0);
         next
     }
 }
@@ -394,26 +425,86 @@ mod tests {
     }
 
     /// Closes `p`'s epoch, as the node does once the orderer reports it
-    /// over, with a checkpoint at `root()`.
-    fn complete_epoch(p: &mut EpochPacemaker, reg: &KeyRegistry, me: u32) -> CheckpointMsg {
+    /// over, with a checkpoint at `root()`; returns what was signed and
+    /// the epoch entered.
+    fn complete_epoch(
+        p: &mut EpochPacemaker,
+        reg: &KeyRegistry,
+        me: u32,
+    ) -> (CheckpointMsg, Option<Epoch>) {
         assert!(!p.closed());
-        let msg = p.make_checkpoint(&reg.signer(ReplicaId(me)), root());
-        assert!(p.closed() && msg.verify(reg));
-        msg
+        let signer = reg.signer(ReplicaId(me));
+        let step = p.step(EpochInput::Close(Some((&signer, root()))), reg);
+        let msg = step.signed.expect("a signed close returns its checkpoint");
+        assert!(msg.verify(reg));
+        (msg, step.entered)
+    }
+
+    /// Closes `p`'s epoch without a checkpoint; returns the epoch entered.
+    fn abstain(p: &mut EpochPacemaker, reg: &KeyRegistry) -> Option<Epoch> {
+        let step = p.step(EpochInput::Close(None), reg);
+        assert!(step.signed.is_none());
+        step.entered
+    }
+
+    /// Delivers `msg` as sent by `from`.
+    fn deliver(
+        p: &mut EpochPacemaker,
+        reg: &KeyRegistry,
+        from: u32,
+        msg: &CheckpointMsg,
+    ) -> Option<Epoch> {
+        p.step(EpochInput::Vote(ReplicaId(from), msg), reg).entered
+    }
+
+    /// Replica `r`'s vote for `epoch` at `claimed`, delivered.
+    fn vote(
+        p: &mut EpochPacemaker,
+        reg: &KeyRegistry,
+        r: u32,
+        epoch: u64,
+        claimed: Digest,
+    ) -> Option<Epoch> {
+        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(epoch), claimed);
+        deliver(p, reg, r, &m)
+    }
+
+    fn fetch(
+        p: &mut EpochPacemaker,
+        reg: &KeyRegistry,
+        sc: &StableCheckpoint,
+        installed: bool,
+    ) -> Option<Epoch> {
+        p.step(EpochInput::Fetched(sc, installed), reg).entered
+    }
+
+    /// A stable checkpoint of `epoch` at `root()`, signed by replicas 1–3.
+    fn stable(reg: &KeyRegistry, epoch: u64) -> StableCheckpoint {
+        let shares: Vec<Signature> = (1..=3u32)
+            .map(|r| CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(epoch), root()).sig)
+            .collect();
+        let sc = StableCheckpoint {
+            epoch: Epoch(epoch),
+            state_root: root(),
+            agg: AggregateSignature::aggregate(&shares, 4).expect("distinct signers"),
+        };
+        assert!(sc.verify(reg, 3));
+        sc
+    }
+
+    /// How many votes `p` holds, over every epoch.
+    fn held(p: &EpochPacemaker) -> usize {
+        p.votes.values().map(BTreeMap::len).sum()
     }
 
     #[test]
     fn stable_checkpoint_advances_epoch() {
         let (mut p, reg) = setup();
-        assert_eq!(p.max_rank(), Rank(7));
         complete_epoch(&mut p, &reg, 0);
         // Two more matching votes (quorum = 3 for n = 4).
-        let m1 = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        assert!(p.on_checkpoint(ReplicaId(1), &m1, &reg).is_none());
-        let m2 = CheckpointMsg::sign(&reg.signer(ReplicaId(2)), Epoch(0), root());
-        assert_eq!(p.on_checkpoint(ReplicaId(2), &m2, &reg), Some(Epoch(1)));
+        assert!(vote(&mut p, &reg, 1, 0, root()).is_none());
+        assert_eq!(vote(&mut p, &reg, 2, 0, root()), Some(Epoch(1)));
         assert_eq!(p.epoch(), Epoch(1));
-        assert_eq!(p.max_rank(), Rank(15));
         assert!(!p.closed(), "the new epoch opens");
         assert_eq!(p.root_conflicts, 0);
     }
@@ -426,19 +517,18 @@ mod tests {
         let (mut p, reg) = setup();
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), other_root());
-            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+            assert!(vote(&mut p, &reg, r, 0, other_root()).is_none());
         }
         assert_eq!(p.epoch(), Epoch(0));
         assert_eq!(p.root_conflicts, 0, "no quorum on either root yet");
-        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), other_root());
-        assert!(p.on_checkpoint(ReplicaId(3), &m, &reg).is_none());
+        assert!(vote(&mut p, &reg, 3, 0, other_root()).is_none());
         assert_eq!(p.epoch(), Epoch(0), "divergent quorum must not advance us");
         assert_eq!(p.root_conflicts, 1);
-        // Re-confirming messages for the same divergence do not inflate
-        // the incident count.
-        let again = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), other_root());
-        assert!(p.on_checkpoint(ReplicaId(3), &again, &reg).is_none());
+        // Re-confirming messages — a vote again, the same quorum fetched
+        // whole — do not inflate the incident count.
+        assert!(vote(&mut p, &reg, 3, 0, other_root()).is_none());
+        let sc = p.stable_checkpoint(Epoch(0)).expect("their quorum");
+        assert!(fetch(&mut p, &reg, &sc, false).is_none());
         assert_eq!(p.root_conflicts, 1);
     }
 
@@ -448,29 +538,79 @@ mod tests {
         complete_epoch(&mut p, &reg, 0);
         // Signature from replica 1 but claimed from replica 2.
         let forged = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        assert!(p.on_checkpoint(ReplicaId(2), &forged, &reg).is_none());
+        assert!(deliver(&mut p, &reg, 2, &forged).is_none());
         // Tampered root after signing.
         let mut tampered = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
         tampered.state_root = other_root();
         assert!(!tampered.verify(&reg));
-        assert!(p.on_checkpoint(ReplicaId(1), &tampered, &reg).is_none());
+        assert!(deliver(&mut p, &reg, 1, &tampered).is_none());
+        assert_eq!(held(&p), 1, "only our own vote");
     }
 
     #[test]
     fn early_checkpoints_buffer_until_local_completion() {
-        // Peers may finish the epoch before us; their votes accumulate but
-        // we only advance once we have also sent our checkpoint.
+        // Peers may finish the epoch before us; their votes accumulate,
+        // and we advance once we have also sent our checkpoint: at the
+        // close itself, since the quorum is already held.
         let (mut p, reg) = setup();
         for r in 1..=3u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+            assert!(vote(&mut p, &reg, r, 0, root()).is_none());
         }
-        // Now we finish locally; the next checkpoint (any, even a
-        // duplicate) completes it.
-        complete_epoch(&mut p, &reg, 0);
-        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        let adv = p.on_checkpoint(ReplicaId(1), &m, &reg);
-        assert_eq!(adv, Some(Epoch(1)));
+        assert_eq!(p.epoch(), Epoch(0), "open epochs never advance");
+        let (_, entered) = complete_epoch(&mut p, &reg, 0);
+        assert_eq!(entered, Some(Epoch(1)), "advances at the close");
+    }
+
+    #[test]
+    fn a_quorum_held_before_the_close_advances_at_the_close() {
+        // Signed: the close itself completes the epoch; and our own vote
+        // is not needed in the quorum.
+        let (mut p, reg) = setup();
+        for r in 1..=3u32 {
+            assert!(vote(&mut p, &reg, r, 0, root()).is_none());
+        }
+        let (_, entered) = complete_epoch(&mut p, &reg, 0);
+        assert_eq!(entered, Some(Epoch(1)));
+        assert_eq!(p.root_conflicts, 0);
+
+        // With a quorum of two peers and our own signature.
+        let (mut p, reg) = setup();
+        for r in 1..=2u32 {
+            assert!(vote(&mut p, &reg, r, 0, root()).is_none());
+        }
+        assert_eq!(complete_epoch(&mut p, &reg, 0).1, Some(Epoch(1)));
+
+        // Abstained: likewise, at the close.
+        let (mut q, _) = setup();
+        for r in 1..=3u32 {
+            assert!(vote(&mut q, &reg, r, 0, root()).is_none());
+        }
+        assert_eq!(abstain(&mut q, &reg), Some(Epoch(1)));
+
+        // A quorum on another root held before a signed close is a
+        // conflict at the close, not an advance.
+        let (mut p, _) = setup();
+        for r in 1..=3u32 {
+            assert!(vote(&mut p, &reg, r, 0, other_root()).is_none());
+        }
+        assert_eq!(complete_epoch(&mut p, &reg, 0).1, None);
+        assert_eq!(p.root_conflicts, 1);
+    }
+
+    #[test]
+    fn a_sender_holds_one_vote_for_a_later_epoch() {
+        let (mut p, reg) = setup();
+        for e in 1..=10_000u64 {
+            assert!(vote(&mut p, &reg, 1, e, root()).is_none());
+        }
+        assert_eq!(held(&p), 1, "only the newest later-epoch vote is held");
+        assert!(p.votes.contains_key(&Epoch(10_000)));
+        // An older later-epoch vote does not displace the newer one.
+        assert!(vote(&mut p, &reg, 1, 5, root()).is_none());
+        assert_eq!(p.votes.keys().collect::<Vec<_>>(), [&Epoch(10_000)]);
+        // Current-epoch votes are held beside it.
+        vote(&mut p, &reg, 1, 0, root());
+        assert_eq!(held(&p), 2);
     }
 
     #[test]
@@ -479,8 +619,7 @@ mod tests {
         assert!(p.stable_checkpoint(Epoch(0)).is_none());
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg);
+            vote(&mut p, &reg, r, 0, root());
         }
         // Advanced to epoch 1; epoch 0's stable checkpoint is retained.
         assert_eq!(p.epoch(), Epoch(1));
@@ -496,14 +635,11 @@ mod tests {
         assert!(!p.lag_evidence());
         // Three peers checkpoint epoch 0 while we never finished it.
         for r in 1..=3u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg);
+            vote(&mut p, &reg, r, 0, root());
         }
         assert!(p.lag_evidence(), "quorum completed an epoch we did not");
         // Once we complete it ourselves the evidence clears (we advance).
         complete_epoch(&mut p, &reg, 0);
-        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(1)), Epoch(0), root());
-        p.on_checkpoint(ReplicaId(1), &m, &reg);
         assert_eq!(p.epoch(), Epoch(1));
         assert!(!p.lag_evidence());
     }
@@ -511,25 +647,15 @@ mod tests {
     #[test]
     fn fetched_stable_checkpoint_advances_once_locally_complete() {
         // A synced replica holds a whole stable checkpoint but has not
-        // finished the epoch: the checkpoint is stashed, and applies the
+        // finished the epoch: the checkpoint is held, and applies the
         // moment the epoch closes locally with a matching root.
         let (mut p, reg) = setup();
-        let (mut donor, _) = setup();
-        complete_epoch(&mut donor, &reg, 1);
-        for r in 2..=3u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            donor.on_checkpoint(ReplicaId(r), &m, &reg);
-        }
-        let sc = donor.stable_checkpoint(Epoch(0)).expect("donor quorum");
-        assert_eq!(sc.state_root, root());
-
-        // Receiving it early: stashed, no advance.
-        assert!(p.on_stable_checkpoint(&sc, &reg).is_none());
+        let sc = stable(&reg, 0);
+        // Receiving it early: held, no advance.
+        assert!(fetch(&mut p, &reg, &sc, false).is_none());
         assert_eq!(p.epoch(), Epoch(0));
-        // Local completion with the same root: the stash applies.
-        complete_epoch(&mut p, &reg, 0);
-        let adv = p.try_pending_advance();
-        assert_eq!(adv, Some(Epoch(1)));
+        // Local completion with the same root: the held proof applies.
+        assert_eq!(complete_epoch(&mut p, &reg, 0).1, Some(Epoch(1)));
         assert_eq!(p.epoch(), Epoch(1));
         // The replica that advanced via a fetched checkpoint can serve it
         // onward (it never saw the individual votes).
@@ -538,35 +664,68 @@ mod tests {
     }
 
     #[test]
+    fn a_fetched_checkpoint_jumps_past_an_installed_or_unentered_epoch() {
+        let (mut p, reg) = setup();
+        let sc = stable(&reg, 0);
+        // Its snapshot installed: the pacemaker jumps from an open epoch.
+        assert_eq!(fetch(&mut p, &reg, &sc, true), Some(Epoch(1)));
+        assert!(!p.closed());
+        assert_eq!(p.proof_for(Epoch(0)), Some(sc.clone()));
+
+        // A later epoch than ours: jumps without an install, and past
+        // the epoch this replica closed on another root.
+        let (mut q, _) = setup();
+        let signer = reg.signer(ReplicaId(0));
+        q.step(EpochInput::Close(Some((&signer, other_root()))), &reg);
+        assert_eq!(fetch(&mut q, &reg, &stable(&reg, 3), false), Some(Epoch(4)));
+        assert_eq!(q.root_conflicts, 0);
+        // A stale one changes nothing.
+        assert!(fetch(&mut q, &reg, &sc, true).is_none());
+        assert_eq!(q.epoch(), Epoch(4));
+    }
+
+    #[test]
+    fn a_pruned_requester_is_served_the_newest_proof() {
+        let (mut p, reg) = setup();
+        for e in 0..3u64 {
+            complete_epoch(&mut p, &reg, 0);
+            for r in 1..=2u32 {
+                vote(&mut p, &reg, r, e, root());
+            }
+        }
+        assert_eq!(p.epoch(), Epoch(3));
+        let newest = p.stable_checkpoint(Epoch(2)).expect("retained");
+        assert_eq!(p.proof_for(Epoch(2)), Some(newest.clone()));
+        // Epoch 0's proof is pruned: a requester there gets epoch 2's.
+        assert_eq!(p.proof_for(Epoch(0)), Some(newest));
+        // One epoch behind, in the open epoch: nothing to serve yet.
+        assert_eq!(p.proof_for(Epoch(3)), None);
+    }
+
+    #[test]
     fn tampered_stable_checkpoint_rejected() {
         let (mut p, reg) = setup();
-        let (mut donor, _) = setup();
-        complete_epoch(&mut donor, &reg, 1);
-        for r in 2..=3u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            donor.on_checkpoint(ReplicaId(r), &m, &reg);
-        }
-        let good = donor.stable_checkpoint(Epoch(0)).expect("donor quorum");
+        let good = stable(&reg, 0);
         let mut bad_epoch = good.clone();
         bad_epoch.epoch = Epoch(1); // signatures no longer cover the epoch
-        assert!(p.on_stable_checkpoint(&bad_epoch, &reg).is_none());
+        assert!(fetch(&mut p, &reg, &bad_epoch, false).is_none());
         assert!(
             p.stable_checkpoint(Epoch(1)).is_none(),
-            "a forged checkpoint must not be stashed"
+            "a forged checkpoint must not be held"
         );
         let mut bad_root = good;
         bad_root.state_root = other_root(); // root swap breaks signatures
-        assert!(p.on_stable_checkpoint(&bad_root, &reg).is_none());
+        assert!(fetch(&mut p, &reg, &bad_root, true).is_none());
+        assert_eq!(p.epoch(), Epoch(0));
     }
 
     #[test]
     fn abstaining_with_the_quorum_already_collected_advances_at_once() {
         let (mut p, reg) = setup();
         for r in 1..=3u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+            assert!(vote(&mut p, &reg, r, 0, root()).is_none());
         }
-        assert_eq!(p.abstain(), Some(Epoch(1)));
+        assert_eq!(abstain(&mut p, &reg), Some(Epoch(1)));
         assert_eq!(p.root_conflicts, 0);
         // The peers' quorum is retained and served onward; our own
         // signature is not in it.
@@ -582,27 +741,25 @@ mod tests {
     #[test]
     fn abstaining_before_the_quorum_advances_when_it_arrives() {
         let (mut p, reg) = setup();
-        assert!(p.abstain().is_none(), "no quorum yet");
+        assert!(abstain(&mut p, &reg).is_none(), "no quorum yet");
         assert!(p.closed());
         assert!(!p.lag_evidence());
         for r in 1..=2u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+            assert!(vote(&mut p, &reg, r, 0, root()).is_none());
         }
-        let m = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), root());
-        assert_eq!(p.on_checkpoint(ReplicaId(3), &m, &reg), Some(Epoch(1)));
+        assert_eq!(vote(&mut p, &reg, 3, 0, root()), Some(Epoch(1)));
         assert_eq!(p.root_conflicts, 0);
 
         // The same through a whole stable checkpoint learned via sync.
         let (mut q, _) = setup();
-        assert!(q.abstain().is_none());
+        assert!(abstain(&mut q, &reg).is_none());
         let sc = p.stable_checkpoint(Epoch(0)).expect("quorum");
-        assert_eq!(q.on_stable_checkpoint(&sc, &reg), Some(Epoch(1)));
+        assert_eq!(fetch(&mut q, &reg, &sc, false), Some(Epoch(1)));
 
-        // And when that checkpoint was stashed before the epoch closed.
+        // And when that checkpoint was held before the epoch closed.
         let (mut q, _) = setup();
-        assert!(q.on_stable_checkpoint(&sc, &reg).is_none());
-        assert_eq!(q.abstain(), Some(Epoch(1)));
+        assert!(fetch(&mut q, &reg, &sc, false).is_none());
+        assert_eq!(abstain(&mut q, &reg), Some(Epoch(1)));
     }
 
     #[test]
@@ -611,10 +768,9 @@ mod tests {
         // an abstainer has no root to side with, so it waits — and has
         // nothing of its own a quorum could contradict.
         let (mut p, reg) = setup();
-        assert!(p.abstain().is_none());
+        assert!(abstain(&mut p, &reg).is_none());
         for (r, claimed) in [(1u32, root()), (2, other_root()), (3, root())] {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), claimed);
-            assert!(p.on_checkpoint(ReplicaId(r), &m, &reg).is_none());
+            assert!(vote(&mut p, &reg, r, 0, claimed).is_none());
         }
         assert_eq!(p.epoch(), Epoch(0), "2 + 1 split votes are no quorum of 3");
         assert_eq!(p.root_conflicts, 0);
@@ -626,11 +782,10 @@ mod tests {
         let (mut p, reg) = setup();
         complete_epoch(&mut p, &reg, 0);
         for r in 1..=2u32 {
-            let m = CheckpointMsg::sign(&reg.signer(ReplicaId(r)), Epoch(0), root());
-            p.on_checkpoint(ReplicaId(r), &m, &reg);
+            vote(&mut p, &reg, r, 0, root());
         }
         assert_eq!(p.epoch(), Epoch(1));
-        let stale = CheckpointMsg::sign(&reg.signer(ReplicaId(3)), Epoch(0), root());
-        assert!(p.on_checkpoint(ReplicaId(3), &stale, &reg).is_none());
+        assert!(vote(&mut p, &reg, 3, 0, root()).is_none());
+        assert_eq!(p.votes[&Epoch(0)].len(), 3, "the stale vote is not held");
     }
 }

@@ -45,7 +45,7 @@
 //! | capability | PBFT | HotStuff default | consequence |
 //! |---|---|---|---|
 //! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
-//! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer |
+//! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer, and it sees a quorum only for an epoch the replica has not closed: a closed epoch with no proof waits for a vote or a fetched checkpoint (the `epoch` module's state table) |
 //!
 //! Also: PBFT never proposes epoch-flush dummies
 //! ([`Instance::next_is_dummy`] is `false`).

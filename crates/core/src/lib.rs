@@ -54,7 +54,7 @@ pub mod timer;
 pub use bucket::{Mempool, RotatingBuckets, TxGroup};
 pub use dqbft::DqbftOrderer;
 pub use durability::NodeMode;
-pub use epoch::{CheckpointMsg, EpochPacemaker, StableCheckpoint};
+pub use epoch::{CheckpointMsg, EpochInput, EpochPacemaker, EpochStep, StableCheckpoint};
 pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
 pub use node::{Behavior, MultiBftNode, NodeConfig};

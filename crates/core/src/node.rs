@@ -26,7 +26,7 @@
 use crate::bucket::{Mempool, RotatingBuckets, TxGroup};
 use crate::dqbft::DqbftOrderer;
 use crate::durability::{Durability, DurabilityEvent, DurabilityStep, NodeMode};
-use crate::epoch::{EpochPacemaker, StableCheckpoint};
+use crate::epoch::{EpochInput, EpochPacemaker};
 use crate::instance::{Input, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
@@ -212,10 +212,7 @@ impl MultiBftNode {
                 p.rcc_lag_threshold = sys.rcc_lag_threshold;
                 Orderer::Pre(p)
             }
-            ProtocolKind::DqbftPbft => {
-                // The ordering instance (index m) is led by replica m % n.
-                Orderer::Dqbft(DqbftOrderer::new(cfg.me.as_usize() == m % sys.n))
-            }
+            ProtocolKind::DqbftPbft => Orderer::Dqbft(DqbftOrderer::default()),
         };
 
         // Epochs (and their checkpoints) exist only under Ladon ordering.
@@ -253,14 +250,6 @@ impl MultiBftNode {
     /// Per-peer state-transfer responder health (indexed by replica id).
     pub fn responder_health(&self) -> &[ResponderHealth] {
         self.sync.responders()
-    }
-
-    /// Mirrors pacemaker-side counters into the metrics sink (call after
-    /// any pacemaker interaction that can record a root conflict).
-    fn sync_pacemaker_metrics(&mut self) {
-        if let Some(pm) = &self.pacemaker {
-            self.metrics.root_conflicts = pm.root_conflicts;
-        }
     }
 
     /// Read access to the orderer's confirmed count.
@@ -419,10 +408,13 @@ impl MultiBftNode {
     }
 
     /// Closes the current epoch once the orderer reports it over (every
-    /// instance's tip at `maxRank`): checkpoints it, or abstains while
-    /// degraded. The orderer's ceiling holds the confirmed state at the
-    /// boundary until the pacemaker advances, so whichever handler gets
-    /// here first signs the same root.
+    /// instance's tip at `maxRank`). The orderer's ceiling holds the
+    /// confirmed state at the boundary until the pacemaker advances, so
+    /// whichever handler gets here first signs the same root. The
+    /// checkpoint snapshots the KV contents and compacts the WAL; the
+    /// snapshot records `frontier`, each instance's last round of the
+    /// epoch, so installers can fast-forward consensus intake, not just
+    /// the state machine.
     fn close_epoch_if_ordered(&mut self, ctx: &mut dyn Context<NodeMsg>) {
         if self.pacemaker.as_ref().is_none_or(EpochPacemaker::closed) {
             return;
@@ -433,51 +425,45 @@ impl MultiBftNode {
         let Some(frontier) = o.epoch_frontier() else {
             return;
         };
-        if self.durability.is_normal() {
-            self.checkpoint_epoch(frontier, ctx);
-        } else {
-            // While degraded, abstain from the epoch's checkpoint:
-            // checkpointing flushes and compacts through the failing
-            // backend, and a root signed over an undurable prefix must
-            // never be broadcast. The peers' quorum completes the epoch
-            // without our vote.
-            let next = self.pacemaker.as_mut().and_then(EpochPacemaker::abstain);
-            self.enter_epoch(next, ctx);
-        }
-        self.sync_pacemaker_metrics();
+        // While degraded, abstain from the epoch's checkpoint:
+        // checkpointing flushes and compacts through the failing backend,
+        // and a root signed over an undurable prefix must never be
+        // broadcast. The peers' quorum completes the epoch without our
+        // vote.
+        let signer = self.cfg.registry.signer(self.cfg.me);
+        let signed = self.durability.is_normal().then(|| {
+            let (now, epoch) = (ctx.now(), self.epoch());
+            let root = self.exec.checkpoint(epoch, frontier);
+            // Every block below the new snapshot frontier is now covered
+            // by a checkpoint: stamp the terminal lifecycle stage for the
+            // swept range.
+            for sn in self.ckpt_traced_upto..self.exec.applied() {
+                self.metrics.trace.record(sn, 0, Stage::Checkpointed, now);
+            }
+            self.ckpt_traced_upto = self.exec.applied();
+            // The checkpoint compacted the WAL (segment rotation):
+            // surface any failed rotation step, and the I/O it cost,
+            // immediately.
+            self.refresh_exec_stats();
+            self.metrics.state_roots.push((now, epoch, root));
+            (&signer, root)
+        });
+        self.pace(EpochInput::Close(signed), ctx);
     }
 
-    /// Epoch complete: checkpoint the executed state (this snapshots the
-    /// KV contents and compacts the WAL), sign its root into the
-    /// checkpoint message and broadcast it. `frontier` is each instance's
-    /// last round of the epoch; the snapshot records it so installers can
-    /// fast-forward consensus intake, not just the state machine.
-    fn checkpoint_epoch(&mut self, frontier: Vec<u64>, ctx: &mut dyn Context<NodeMsg>) {
-        let now = ctx.now();
-        let epoch = self.epoch();
-        let root = self.exec.checkpoint(epoch, frontier);
-        // Every block below the new snapshot frontier is now covered by
-        // a checkpoint: stamp the terminal lifecycle stage for the swept
-        // range.
-        for sn in self.ckpt_traced_upto..self.exec.applied() {
-            self.metrics.trace.record(sn, 0, Stage::Checkpointed, now);
+    /// Feeds one input to the pacemaker, broadcasts the checkpoint it
+    /// signed, mirrors its conflict count and enters the epoch it
+    /// reports.
+    fn pace(&mut self, input: EpochInput<'_>, ctx: &mut dyn Context<NodeMsg>) {
+        let Some(pm) = &mut self.pacemaker else {
+            return;
+        };
+        let step = pm.step(input, &self.cfg.registry);
+        self.metrics.root_conflicts = pm.root_conflicts;
+        if let Some(cp) = step.signed {
+            ctx.multicast(&self.peers, NodeMsg::Checkpoint(cp));
         }
-        self.ckpt_traced_upto = self.exec.applied();
-        // The checkpoint compacted the WAL (segment rotation): surface
-        // any failed rotation step, and the I/O it cost, immediately.
-        self.refresh_exec_stats();
-        self.metrics.state_roots.push((now, epoch, root));
-        let signer = self.cfg.registry.signer(self.cfg.me);
-        let pm = self
-            .pacemaker
-            .as_mut()
-            .expect("an epoch completed, so a pacemaker exists");
-        let msg = NodeMsg::Checkpoint(pm.make_checkpoint(&signer, root));
-        // A stable checkpoint fetched earlier via state transfer may
-        // already prove this epoch complete.
-        let next = pm.try_pending_advance();
-        ctx.multicast(&self.peers, msg);
-        self.enter_epoch(next, ctx);
+        self.enter_epoch(step.entered, ctx);
     }
 
     fn record_confirms(&mut self, confirmed: Vec<ConfirmedBlock>, now: TimeNs) {
@@ -605,14 +591,16 @@ impl MultiBftNode {
 
         // Phase 2: cut the batch from the appropriate source.
         let batch = if i == m {
-            // DQBFT ordering instance: propose pending refs.
+            // DQBFT ordering instance, led by this replica in its
+            // current view (`can_propose`): propose the refs it holds.
             let Orderer::Dqbft(o) = &mut self.orderer else {
                 unreachable!("instance m exists only under DQBFT");
             };
-            if !o.has_pending_refs() {
+            let refs = o.cut_refs(256);
+            if refs.is_empty() {
                 return;
             }
-            Batch::of_refs(o.cut_refs(256))
+            Batch::of_refs(refs)
         } else if self.is_straggler() || is_dummy {
             // Honest stragglers propose empty batches (§6.1); HotStuff
             // epoch-flush dummies are empty by definition.
@@ -643,14 +631,7 @@ impl MultiBftNode {
                     self.try_propose(i, ctx);
                 }
             }
-            NodeMsg::Checkpoint(cp) => {
-                let Some(pm) = &mut self.pacemaker else {
-                    return;
-                };
-                let next = pm.on_checkpoint(from, &cp, &self.cfg.registry);
-                self.enter_epoch(next, ctx);
-                self.sync_pacemaker_metrics();
-            }
+            NodeMsg::Checkpoint(cp) => self.pace(EpochInput::Vote(from, &cp), ctx),
             NodeMsg::SyncReq(req) => self.on_sync_request(from, req, ctx),
             // Sent to us alone: the unwrap moves, it does not copy.
             NodeMsg::SyncResp(resp) => self.on_sync_response(from, Arc::unwrap_or_clone(resp), ctx),
@@ -766,15 +747,18 @@ impl MultiBftNode {
     /// when it has nothing useful. Pure with respect to the network (the
     /// sync tests drive it directly). Three parts: the snapshot with its
     /// proving checkpoint (`serve_snapshot`), otherwise an epoch proof
-    /// alone (`serve_checkpoint`), and log entries (`serve_entries`)
-    /// either way.
+    /// alone ([`EpochPacemaker::proof_for`]), and log entries
+    /// (`serve_entries`) either way.
     pub fn build_sync_response(&self, req: &SyncRequest) -> Option<SyncResponse> {
         if req.frontier.len() != self.cfg.sys.m {
             return None;
         }
         // A served snapshot's checkpoint doubles as the epoch proof.
         let mut resp = self.serve_snapshot(req).unwrap_or_else(|| SyncResponse {
-            checkpoint: self.serve_checkpoint(req),
+            checkpoint: self
+                .pacemaker
+                .as_ref()
+                .and_then(|pm| pm.proof_for(req.epoch)),
             ..SyncResponse::default()
         });
         resp.entries = self.serve_entries(req);
@@ -835,25 +819,6 @@ impl MultiBftNode {
         })
     }
 
-    /// The epoch proof served without a snapshot: the requested epoch's
-    /// stable checkpoint, or the newest one we hold when the requester's
-    /// has been pruned.
-    fn serve_checkpoint(&self, req: &SyncRequest) -> Option<StableCheckpoint> {
-        let pm = self.pacemaker.as_ref()?;
-        pm.stable_checkpoint(req.epoch).or_else(|| {
-            // The requester is so far behind that its epoch's stable
-            // checkpoint has been pruned (we retain two). Serve the
-            // newest one we hold: a verified future-epoch checkpoint
-            // lets the requester fast-forward its pacemaker and rejoin
-            // the live epoch schedule while log entries repair the gap.
-            if pm.epoch().0.saturating_sub(req.epoch.0) > 1 {
-                pm.stable_checkpoint(Epoch(pm.epoch().0 - 1))
-            } else {
-                None
-            }
-        })
-    }
-
     /// Verifies and installs a peer's sync response — snapshot, then
     /// checkpoint, then entries — and scores `from`'s responder health
     /// from the three steps' combined outcome
@@ -865,12 +830,11 @@ impl MultiBftNode {
         ctx: &mut dyn Context<NodeMsg>,
     ) {
         let mut outcome = self.install_snapshot(&resp);
-        if let Some(cp) = &resp.checkpoint {
+        if let Some(sc) = &resp.checkpoint {
             // `useful` so far means exactly "the snapshot installed".
-            self.apply_checkpoint(cp, outcome.useful, ctx);
+            self.pace(EpochInput::Fetched(sc, outcome.useful), ctx);
             outcome.useful = true;
         }
-        self.sync_pacemaker_metrics();
         outcome.useful |= self.install_entries(resp.entries, ctx);
         if let Some(newly_quarantined) = self.sync.score_response(from.as_usize(), outcome) {
             self.metrics.sync_chunks_verified += outcome.ok_chunks;
@@ -892,7 +856,7 @@ impl MultiBftNode {
     /// not at all: one bad chunk, or one lane neither shipped nor held
     /// locally under the head's root, and nothing of it is kept.
     /// `useful` in the returned outcome means the snapshot installed;
-    /// the pacemaker's jump past it is the checkpoint step's.
+    /// the pacemaker's jump past it is [`EpochInput::Fetched`]'s.
     fn install_snapshot(&mut self, resp: &SyncResponse) -> ResponseOutcome {
         let mut outcome = ResponseOutcome::default();
         let Some(head) = &resp.snapshot else {
@@ -919,43 +883,19 @@ impl MultiBftNode {
         if outcome.bad_chunks > 0 {
             return outcome;
         }
-        // Blocks staged already have their ConfirmRecords
-        // and the install flushes them first: the prefix this replica
-        // never recorded starts at the staging frontier, not at `applied`.
-        let recorded_upto = self.exec.next_sn();
+        // Every block the orderer confirmed already has its
+        // ConfirmRecord (the install flushes the staged ones first): the
+        // prefix this replica never recorded starts at its own confirm
+        // frontier, not at `applied` — nor at the pipeline's staging
+        // frontier, which a pipeline recovered from disk starts above an
+        // empty log.
+        let recorded_upto = self.orderer.confirmed_count();
         if let Some(reused) = self.exec.install_delta(head, &resp.chunks) {
             outcome.useful = true;
             self.metrics.snapshot_chunks_reused += reused;
             self.after_snapshot_install(head, recorded_upto);
         }
         outcome
-    }
-
-    /// Hands a response's checkpoint to the pacemaker, which verifies
-    /// it. `installed`: the snapshot it proves was just installed.
-    fn apply_checkpoint(
-        &mut self,
-        cp: &StableCheckpoint,
-        installed: bool,
-        ctx: &mut dyn Context<NodeMsg>,
-    ) {
-        let next = self.pacemaker.as_mut().and_then(|p| {
-            if installed || cp.epoch > p.epoch() {
-                // Jump the pacemaker. Either the installed snapshot
-                // supplies everything up to and including cp.epoch, so
-                // there is no old epoch left to complete locally (and
-                // peers may have pruned its stable checkpoint); or this
-                // is a whole completed epoch we have not even entered:
-                // our own epoch's proof may be pruned cluster-wide, so
-                // waiting for local completion could strand us, and
-                // execution still proceeds strictly in confirmed order
-                // as entries install.
-                p.fast_forward(cp, &self.cfg.registry)
-            } else {
-                p.on_stable_checkpoint(cp, &self.cfg.registry)
-            }
-        });
-        self.enter_epoch(next, ctx);
     }
 
     /// Feeds fetched log entries through their instances (which verify
@@ -991,7 +931,7 @@ impl MultiBftNode {
         self.refresh_exec_stats();
         // The fast-forwarded prefix never gets ConfirmRecords here:
         // surface the gap instead of leaving it implicit in a shorter log.
-        self.metrics.skipped_sns += snap.applied - recorded_upto;
+        self.metrics.skipped_sns += snap.applied.saturating_sub(recorded_upto);
         // The prefix was never traced here either — jump the
         // checkpoint-trace frontier so the next epoch sweep does not
         // stamp blocks this replica never processed.

@@ -19,8 +19,12 @@
 //! responder can serve correct data or nothing at all.
 //!
 //! Fetched blocks flow through the normal commit pipeline (global
-//! ordering, epoch pacemaker), so catching up eventually re-arms the
-//! pacemaker and the replica rejoins the current epoch.
+//! ordering, epoch pacemaker), so catching up eventually closes the
+//! epoch and the replica rejoins the current one. The response's stable
+//! checkpoint goes to the pacemaker as its third input
+//! ([`crate::epoch::EpochInput::Fetched`]): it completes the epoch once
+//! the replica has closed it, or jumps the pacemaker past an epoch whose
+//! snapshot was just installed or that the replica has not entered.
 //!
 //! # Delta state sync
 //!

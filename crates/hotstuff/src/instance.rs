@@ -54,7 +54,10 @@
 //! still learned through its certificate — and a backup that has verified
 //! `justify` accepts the set only as that very quorum (see
 //! `validate_rank`), so a proposal costs a backup one signature check and
-//! at most two aggregate checks however many votes it carries.
+//! at most two aggregate checks however many votes it carries. A vote
+//! above the certified height counts only for a node the leader holds at
+//! the vote's height and rank, so no peer can grow the leader's vote maps
+//! with votes for nodes it never proposed.
 //!
 //! # What the instance waits on
 //!
@@ -694,6 +697,15 @@ impl HsInstance {
         // next proposal is the QC's own signers. Its rank claim still
         // counts: `rank_qc` certifies that, the vote's tag never did.
         let moot = v.height <= self.generic_qc.height();
+        // A vote above it counts only for a node this leader holds at the
+        // height and rank the vote names: one for a node it never
+        // proposed can form no QC it could extend, and holding it would
+        // let one signer grow `votes` without bound.
+        let held = |n: &HsNode| n.height == v.height && n.rank == v.rank;
+        if !moot && !self.nodes.get(&v.node).is_some_and(held) {
+            self.rejected += 1;
+            return;
+        }
         if from != self.cfg.me
             && !moot
             && !v
@@ -1639,6 +1651,46 @@ mod tests {
         assert_eq!(c.curs[0].rank, high);
         assert_eq!(c.nodes[0].votes[&node].len(), 5);
         assert_eq!(c.nodes[0].rejected, 0);
+    }
+
+    #[test]
+    fn votes_for_nodes_the_leader_does_not_hold_are_not_held() {
+        // One signer votes for 10 000 invented nodes far above the
+        // certified height: none is held, none is MAC-checked.
+        use ladon_crypto::CryptoCounters;
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        let signer = c.nodes[0].cfg.registry.signer(ReplicaId(1));
+        let before = CryptoCounters::snapshot();
+        for k in 0..10_000u64 {
+            let mut node = Digest([0; 32]);
+            node.0[..8].copy_from_slice(&k.to_le_bytes());
+            let (height, rank) = (Round(1 << 40 | k), Rank(k));
+            let bytes = prepare_bytes(View(0), height, &node, InstanceId(0), rank);
+            let vote = HsVote {
+                view: View(0),
+                height,
+                instance: InstanceId(0),
+                node,
+                rank,
+                rank_m: Rank(0),
+                rank_qc: None,
+                sig: Signature::sign(&signer, DOMAIN_VOTE, &bytes),
+            };
+            let acts = c.nodes[0].on_message(
+                ReplicaId(1),
+                HsMsg::Vote(Arc::new(vote)),
+                TimeNs::ZERO,
+                &mut c.curs[0],
+            );
+            assert!(acts.is_empty());
+        }
+        assert!(c.nodes[0].votes.is_empty());
+        assert_eq!(c.nodes[0].rejected, 10_000);
+        assert_eq!(CryptoCounters::snapshot().since(&before).verifies, 0);
+        // A vote for the node the leader did propose still counts.
+        c.propose(0, batch(0, 3));
+        assert_eq!(c.nodes[0].rejected, 10_000);
+        assert!(!c.nodes[0].generic_qc.is_genesis());
     }
 
     #[test]

@@ -1597,15 +1597,6 @@ impl PbftInstance {
             .map(|(r, _)| *r)
             .unwrap_or(Round(0))
     }
-
-    /// The highest rank among this instance's committed blocks.
-    pub fn max_committed_rank(&self) -> Option<Rank> {
-        self.rounds
-            .values()
-            .filter(|st| st.committed_at.is_some())
-            .filter_map(|st| Some(st.proposal.as_ref()?.rank))
-            .max()
-    }
 }
 
 enum RankCheck {

@@ -1,27 +1,111 @@
-//! Diagnostic runner: prints per-replica pipeline state for a small run.
-//! Useful when bringing up a new protocol composition.
+//! Diagnostic runner. Two modes:
+//!
+//! - `debug_run [ladon|opt|hs|iss|isshs|mir|rcc|dqbft] [n] [secs]` prints
+//!   per-replica pipeline state for a small run, in ten steps. Useful when
+//!   bringing up a new protocol composition.
+//! - `debug_run grid <protocol[,protocol…]|all> [seeds]` runs the 1 %
+//!   message-loss grid: `scenario(p, 4, 20.0).with_epoch_length(16)
+//!   .with_loss(0.01)` for 25 s per seed (`seeds` is `a-b` or a comma
+//!   list; default `0-19`), judges each run with the full oracle, and
+//!   prints one row per protocol: violating runs by kind, runs whose
+//!   frontiers spread by more than 16 blocks, the lowest frontier's sum,
+//!   median and minimum, and the highest frontier's median.
 
 use ladon_types::{ProtocolKind, TimeNs};
 use ladon_workload::{Deployment, ExperimentConfig};
+use std::collections::BTreeMap;
+
+const ALL: [(&str, ProtocolKind); 8] = [
+    ("ladon", ProtocolKind::LadonPbft),
+    ("opt", ProtocolKind::LadonOptPbft),
+    ("hs", ProtocolKind::LadonHotStuff),
+    ("iss", ProtocolKind::IssPbft),
+    ("isshs", ProtocolKind::IssHotStuff),
+    ("mir", ProtocolKind::MirPbft),
+    ("rcc", ProtocolKind::RccPbft),
+    ("dqbft", ProtocolKind::DqbftPbft),
+];
+
+fn protocol(name: &str) -> ProtocolKind {
+    ALL.iter()
+        .find(|(n, _)| *n == name)
+        .map_or(ProtocolKind::LadonPbft, |&(_, p)| p)
+}
 
 fn main() {
-    let proto = match std::env::args().nth(1).as_deref() {
-        Some("iss") => ProtocolKind::IssPbft,
-        Some("opt") => ProtocolKind::LadonOptPbft,
-        Some("dqbft") => ProtocolKind::DqbftPbft,
-        Some("hs") => ProtocolKind::LadonHotStuff,
-        Some("isshs") => ProtocolKind::IssHotStuff,
-        _ => ProtocolKind::LadonPbft,
-    };
-    let n: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let secs: f64 = std::env::args()
-        .nth(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5.0);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("grid") {
+        let protocols: Vec<ProtocolKind> = match args.get(1).map(String::as_str) {
+            None | Some("all") => ALL.iter().map(|&(_, p)| p).collect(),
+            Some(list) => list.split(',').map(protocol).collect(),
+        };
+        let seeds = parse_seeds(args.get(2).map_or("0-19", String::as_str));
+        for p in protocols {
+            loss_grid_row(p, &seeds);
+        }
+        return;
+    }
+    trace(
+        protocol(args.first().map_or("ladon", String::as_str)),
+        args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4),
+        args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5.0),
+    );
+}
 
+/// `a-b` (inclusive) or `a,b,c`.
+fn parse_seeds(spec: &str) -> Vec<u64> {
+    let num = |s: &str| s.trim().parse::<u64>().expect("a seed is a number");
+    match spec.split_once('-') {
+        Some((a, b)) => (num(a)..=num(b)).collect(),
+        None => spec.split(',').map(num).collect(),
+    }
+}
+
+/// One row of the loss grid for `p` over `seeds`.
+fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) {
+    let mut violating = 0;
+    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
+    let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
+    for &seed in seeds {
+        let cfg = ExperimentConfig::scenario(p, 4, 20.0)
+            .with_epoch_length(16)
+            .with_loss(0.01)
+            .with_seed(seed);
+        let mut d = Deployment::build(&cfg);
+        d.run_secs(25.0);
+        let verdict = d.check(&[0, 1, 2, 3]);
+        if !verdict.violations.is_empty() {
+            violating += 1;
+        }
+        for v in &verdict.violations {
+            let kind = format!("{v:?}");
+            let kind = kind.split([' ', '{']).next().unwrap_or_default();
+            *kinds.entry(kind.to_string()).or_default() += 1;
+        }
+        let fronts: Vec<u64> = (0..4).map(|r| d.confirmed_frontier(r)).collect();
+        let (lo, hi) = (fronts.iter().min().unwrap(), fronts.iter().max().unwrap());
+        spread += usize::from(hi - lo > 16);
+        let epochs: Vec<u64> = (0..4).map(|r| d.node(r).epoch()).collect();
+        println!("  {p:?} seed {seed}: frontiers {fronts:?} epochs {epochs:?}");
+        lows.push(*lo);
+        highs.push(*hi);
+    }
+    lows.sort_unstable();
+    highs.sort_unstable();
+    let runs = seeds.len();
+    let median = |v: &[u64]| v.get(v.len() / 2).copied().unwrap_or(0);
+    println!(
+        "{p:?}: violating {violating} / {runs} {kinds:?} | spread > 16: {spread} / {runs} | \
+         lowest frontier: sum {} median {} min {} | highest frontier median {}",
+        lows.iter().sum::<u64>(),
+        median(&lows),
+        lows.first().copied().unwrap_or(0),
+        median(&highs),
+    );
+}
+
+/// The ten-step trace of one small run (LAN, seed 7).
+fn trace(proto: ProtocolKind, n: usize, secs: f64) {
     let mut d = Deployment::build(&ExperimentConfig::scenario(proto, n, secs));
 
     let step = TimeNs::from_secs_f64(secs / 10.0);

@@ -17,6 +17,11 @@
 //!   report fewer epochs.
 //! - **Dense execution**: no pipeline was handed a confirmed block above
 //!   its next expected `sn` (`exec_gaps == 0`).
+//! - **Dense log**: every `sn` below a replica's confirm frontier is in
+//!   its confirm log or counted as skipped by a snapshot install
+//!   (`skipped_sns`), never both and never neither. The frontier is the
+//!   last record's `sn + 1`; a log with skips and no record yet ends at
+//!   its last install's `applied`, which is all its installs skipped.
 //! - **No foreign quorum**: no replica saw a checkpoint quorum form on a
 //!   root it did not execute (`root_conflicts == 0`).
 //!
@@ -52,6 +57,14 @@ pub enum Violation {
     /// `replica`'s pipeline refused `count` confirmed blocks that arrived
     /// above its next expected `sn`.
     ExecGaps { replica: usize, count: u64 },
+    /// `replica`'s `records` confirm records and `skipped` sns do not
+    /// add up to its confirm `frontier`.
+    LogGap {
+        replica: usize,
+        records: u64,
+        skipped: u64,
+        frontier: u64,
+    },
     /// `replica` saw `count` checkpoint quorums form on a root it did not
     /// execute.
     RootConflicts { replica: usize, count: u64 },
@@ -149,6 +162,16 @@ pub fn check(replicas: &[Evidence<'_>]) -> Verdict {
         if metrics.exec_gaps > 0 {
             let count = metrics.exec_gaps;
             violations.push(Violation::ExecGaps { replica, count });
+        }
+        let (records, skipped) = (metrics.confirms.len() as u64, metrics.skipped_sns);
+        let frontier = metrics.confirms.last().map_or(skipped, |last| last.sn + 1);
+        if records + skipped != frontier {
+            violations.push(Violation::LogGap {
+                replica,
+                records,
+                skipped,
+                frontier,
+            });
         }
         if metrics.root_conflicts > 0 {
             let count = metrics.root_conflicts;
@@ -253,6 +276,31 @@ mod tests {
         let v = judge(&[log(0..10), lagger]);
         v.assert_safe();
         assert_eq!(v.shared_epochs, 0);
+    }
+
+    #[test]
+    fn a_log_sn_neither_recorded_nor_skipped_is_a_gap() {
+        // A snapshot-only log: nothing recorded, everything skipped.
+        let synced = NodeMetrics {
+            skipped_sns: 7,
+            ..NodeMetrics::default()
+        };
+        judge(&[synced]).assert_safe();
+        // Sns 2..7 neither recorded nor counted as skipped.
+        let mut holed = log(0..2);
+        holed.confirms.extend(log(7..10).confirms);
+        assert_eq!(
+            judge(&[holed.clone()]).violations,
+            vec![Violation::LogGap {
+                replica: 0,
+                records: 5,
+                skipped: 0,
+                frontier: 10
+            }]
+        );
+        // Counted twice: skipped and recorded.
+        holed.skipped_sns = 6;
+        assert!(!judge(&[holed]).violations.is_empty());
     }
 
     #[test]

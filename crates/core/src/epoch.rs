@@ -64,6 +64,7 @@ use ladon_crypto::{AggregateSignature, KeyRegistry, Signature};
 use ladon_types::{sizes, Digest, Epoch, ReplicaId, SystemConfig, WireSize};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Signing domain for checkpoint messages.
 pub const DOMAIN_CHECKPOINT: &[u8] = b"ladon/checkpoint";
@@ -342,15 +343,17 @@ impl EpochPacemaker {
     /// replaces the sender's older later-epoch vote, and one older than
     /// the vote it already holds there is dropped.
     fn hold_vote(&mut self, from: ReplicaId, msg: &CheckpointMsg) {
+        // The epoch is the peer's choice: scan strictly later epochs
+        // without arithmetic on it.
         if msg.epoch > self.epoch {
             if self
                 .votes
-                .range(msg.epoch.next()..)
+                .range((Excluded(msg.epoch), Unbounded))
                 .any(|(_, v)| v.contains_key(&from))
             {
                 return;
             }
-            for (_, v) in self.votes.range_mut(self.epoch.next()..) {
+            for (_, v) in self.votes.range_mut((Excluded(self.epoch), Unbounded)) {
                 v.remove(&from);
             }
             self.votes.retain(|_, v| !v.is_empty());
@@ -392,14 +395,14 @@ impl EpochPacemaker {
 
     /// Opens the next epoch and returns it.
     fn advance(&mut self) -> Epoch {
-        let next = self.epoch.next();
-        self.epoch = next;
+        let done = self.epoch;
+        self.epoch = done.next();
         self.close = Close::Open;
         // Keep the just-completed epoch's proofs: its stable checkpoint is
         // what we serve to lagging replicas.
-        self.votes.retain(|e, _| e.0 + 1 >= next.0);
-        self.fetched.retain(|e, _| e.0 + 1 >= next.0);
-        next
+        self.votes.retain(|e, _| *e >= done);
+        self.fetched.retain(|e, _| *e >= done);
+        self.epoch
     }
 }
 
@@ -611,6 +614,17 @@ mod tests {
         // Current-epoch votes are held beside it.
         vote(&mut p, &reg, 1, 0, root());
         assert_eq!(held(&p), 2);
+        // A vote for the last representable epoch is held like any other
+        // and does not stop the pacemaker: the epoch completes and
+        // advances past it.
+        assert!(vote(&mut p, &reg, 2, u64::MAX, root()).is_none());
+        assert!(vote(&mut p, &reg, 2, 7, root()).is_none());
+        assert!(p.votes.contains_key(&Epoch(u64::MAX)));
+        assert!(!p.votes.contains_key(&Epoch(7)));
+        vote(&mut p, &reg, 2, 0, root());
+        assert_eq!(complete_epoch(&mut p, &reg, 0).1, Some(Epoch(1)));
+        assert!(vote(&mut p, &reg, 3, u64::MAX, root()).is_none());
+        assert_eq!(p.epoch(), Epoch(1));
     }
 
     #[test]

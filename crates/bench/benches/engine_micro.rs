@@ -302,8 +302,10 @@ fn bench_pbft_round() {
 /// The `state.kv` ledger rows in isolation, at the paper's block size:
 /// executing one 4096-tx block the way a replica does (WAL record, op
 /// derivation and apply), applying 4096 pre-derived ops (page writes,
-/// no hashing), folding the keys they dirtied, reading
-/// the root of a folded state, and capturing a snapshot of one.
+/// no hashing), applying 4096 transactions' ops drawn straight into the
+/// apply loop (the pipeline's entry, `KvState::apply_txs`), folding the
+/// accounts they changed, reading the root of a folded state, and
+/// capturing a snapshot of one.
 fn bench_state() {
     let mut pipe = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
     let mut sn = 0u64;
@@ -326,6 +328,11 @@ fn bench_state() {
     microbench("kv_apply_4096_ops", 2_000, || {
         next = (next + 1) % blocks.len();
         state.apply_batch(&blocks[next])
+    });
+    let mut first = 0u64;
+    microbench("kv_apply_4096_derived_ops", 2_000, || {
+        first = (first + 4096) % (8 * 4096);
+        state.apply_txs(TxId(first), 4096, DEFAULT_KEYSPACE)
     });
     microbench("kv_fold_after_4096_ops", 500, || {
         next = (next + 1) % blocks.len();
@@ -364,12 +371,13 @@ fn bench_exec_pipelines() {
 /// `n`-op batch each per iteration, round-robin, each batch applied
 /// inline or handed to the executor as a job (at most one outstanding
 /// per state, settled before that state's next batch), at n = 32,
-/// 1 024 and 4 096. Ops are derived in the apply, as a pipeline's are.
+/// 1 024 and 4 096. Ops are drawn in the apply, through the pipeline's
+/// entry (`KvState::apply_txs`).
 /// The worker is never idle here, so these rows leave out the wake-up
 /// a burst of hand-offs pays (see `POOLED_MIN_OPS`).
 fn bench_exec_handoff() {
     fn apply(kv: &mut KvState, first: u64, n: u64) -> ladon_state::ExecEffects {
-        kv.apply_batch((first..first + n).map(|i| TxOp::for_id(TxId(i), DEFAULT_KEYSPACE)))
+        kv.apply_txs(TxId(first), n as u32, DEFAULT_KEYSPACE)
     }
     println!("(executor workers: {})", exec::workers());
     for n in [32u64, 1024, 4096] {

@@ -331,6 +331,17 @@ impl ViewPlan {
     }
 }
 
+/// Rounds above the commit frontier (`committed_upto`) for which a vote
+/// may open round state. A vote can legitimately arrive before its
+/// round's pre-prepare — the leader's broadcast and a backup's prepare
+/// race — so the bound is a window of rounds, not "a round whose
+/// proposal this replica holds". A replica further behind its peers than
+/// this catches up by state transfer, not by held votes; and one signer
+/// voting for ever-higher rounds holds at most this many rounds here
+/// instead of growing `rounds` (and `highest_seen_round`'s scan) without
+/// bound.
+pub const VOTE_WINDOW: u64 = 1024;
+
 /// The PBFT instance state machine.
 pub struct PbftInstance {
     cfg: InstanceConfig,
@@ -927,12 +938,16 @@ impl PbftInstance {
         // checked: its phase is already decided for the round, or the
         // round is behind the commit frontier and its state collected (a
         // late vote must not resurrect it).
-        let moot = match self.rounds.get(&v.round) {
-            Some(st) => st.decided(v.phase),
-            None => v.round <= self.committed_upto,
-        };
-        if moot {
-            return;
+        match self.rounds.get(&v.round) {
+            Some(st) if st.decided(v.phase) => return,
+            None if v.round <= self.committed_upto => return,
+            // A vote that would open a round past the window is refused
+            // before its signature is checked.
+            None if v.round.0 - self.committed_upto.0 > VOTE_WINDOW => {
+                self.rejected += 1;
+                return;
+            }
+            _ => {}
         }
         if from != self.cfg.me {
             let body = v.signing_bytes();

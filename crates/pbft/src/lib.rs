@@ -35,7 +35,9 @@ pub mod instance;
 pub mod msg;
 pub mod testkit;
 
-pub use instance::{Action, InstanceConfig, PbftInstance, RankMode, RankStrategy, ViewPlan};
+pub use instance::{
+    Action, InstanceConfig, PbftInstance, RankMode, RankStrategy, ViewPlan, VOTE_WINDOW,
+};
 pub use msg::{
     NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
     SignedRank, ViewChange,

@@ -1306,6 +1306,40 @@ fn vote_slots_track_rounds_in_flight_not_rounds_run() {
 }
 
 #[test]
+fn far_future_votes_hold_at_most_a_window_of_rounds() {
+    // One member signs prepares for the 10 000 rounds above the commit
+    // frontier, each genuine: replica 1 opens state for the rounds within
+    // VOTE_WINDOW of its frontier, refuses the rest before checking a
+    // signature, and the next honest round still commits everywhere.
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    let (three, frontier) = (ReplicaId(3), c.nodes[1].committed_upto().0);
+    let (held, rejected) = (c.nodes[1].rounds_held(), c.nodes[1].rejected);
+    let signer = c.registry.signer(three);
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    for round in frontier + 2..frontier + 10_002 {
+        let v = crate::msg::PhaseVote::sign(
+            &signer,
+            Phase::Prepare,
+            View(0),
+            Round(round),
+            InstanceId(0),
+            ladon_types::Digest([7; 32]),
+            Rank(round),
+        );
+        let actions = c.nodes[1].on_message(three, PbftMsg::Vote(v), c.now, &mut c.cur_ranks[1]);
+        assert!(actions.is_empty(), "{actions:?}");
+    }
+    let inside = crate::VOTE_WINDOW - 1;
+    assert_eq!(c.nodes[1].rounds_held(), held + inside as usize);
+    assert_eq!(c.nodes[1].rejected, rejected + 10_000 - inside);
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert_eq!(cost.verifies, inside, "a refused vote is not checked");
+    c.propose_and_run(0, test_batch(5, 5));
+    assert!(c.committed.iter().all(|log| log.len() == 2));
+}
+
+#[test]
 fn decided_phase_vote_is_free_and_a_forged_live_vote_is_refused() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     let one = ladon_types::ReplicaId(1);

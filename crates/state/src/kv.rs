@@ -25,56 +25,68 @@
 //!
 //! A lane is a hash class of keys, not a container. Balances live in
 //! **pages** indexed by account id: page `key >> 12` holds accounts
-//! `4096·id .. 4096·id + 4095` as a flat `u64` array (0 = absent, the
-//! canonical form) and one dirty bit per account. A page is allocated on
-//! its first nonzero write and never moves an account, so a read or
-//! write is a directory lookup and an array index — no key hash, no
-//! probe, no placeholder. The directory is the allocated pages sorted by
-//! id: its size tracks the pages in use, not the highest key (a key near
-//! `u32::MAX` costs one page, not a million directory slots), and a
-//! keyspace `0..n` keeps every page at the index equal to its id, so
-//! the lookup's first comparison finds it. Storage is in key order:
-//! [`KvState::entries`] is the pages read in order, and a snapshot's
-//! chunks ([`KvState::lane_runs`]) are one ascending pass bucketed by
+//! `4096·id .. 4096·id + 4095`. Three flat arrays hold every allocated
+//! page, one page-sized run each, in allocation order: the balances
+//! (0 = absent, the canonical form), the same balances **as of the last
+//! fold**, and one **mark** byte per account. A page is allocated on its
+//! first nonzero write and never moves, so a read or write is a
+//! directory lookup and an array index — no key hash, no probe, no
+//! placeholder. The directory is the allocated pages' `(id, slot)`
+//! sorted by id: its size tracks the pages in use, not the highest key
+//! (a key near `u32::MAX` costs one page, not a million directory
+//! slots), and a keyspace `0..n` keeps every page at the index equal to
+//! its id, so one comparison finds it. [`KvState::entries`] is the pages
+//! read in directory order, so key order, and a snapshot's chunks
+//! ([`KvState::lane_runs`]) are one ascending pass bucketed by
 //! [`lane_of`], sorted without a sort.
 //!
 //! **The fold rule.** A lane root is a pure function of the lane's
 //! *live contents* and is read once per epoch, so no hashing happens on
-//! the write path. An account's first change since the last fold sets
-//! its dirty bit and pushes `(key, value at the last fold)` onto the
-//! state's one **dirty list** — one push per key touched since the last
-//! checkpoint, however often it is rewritten. [`KvState::fold`] then
-//! walks the list once, and [`lane_of`] runs there: per dirty key *whose
-//! value actually changed*, the old leaf goes into its lane's removal
-//! product and the new leaf into its insert product — a key rewritten
-//! ten times, or written back to its folded value, costs two hashes or
-//! none — and each lane sets `folded ← folded · inserted · removed⁻¹`.
-//! MuHash does not care in which order the list is walked. The inverses
-//! of all lanes' removal products come from **one** Fermat inverse per
-//! fold (Montgomery's trick: prefix products, invert the total,
-//! back-substitute — three multiplies per lane). The folded value is the
-//! canonical residue of the product over the live leaves, whatever the
-//! write history and wherever the folds fell — which is what makes the
-//! root a content address (history independence). [`KvState::root`] and
-//! [`KvState::lane_roots`] take `&self` and fold pending dirty keys into
-//! a local copy, so a read nobody folded for is still correct; folding
-//! first only makes it cheap.
+//! the write path: a write stores the value and sets the account's mark,
+//! two stores and no read. [`KvState::fold`] walks the marks, eight at a
+//! time, and [`lane_of`] runs there: per marked account *whose value
+//! differs from its folded copy*, the old leaf goes into its lane's
+//! removal product and the new leaf into its insert product — an
+//! account rewritten ten times, or written back to its folded value,
+//! costs two hashes or none — and each lane sets
+//! `folded ← folded · inserted · removed⁻¹`. MuHash does not care in
+//! which order the accounts are walked. The inverses of all lanes'
+//! removal products come from **one** Fermat inverse per fold
+//! (Montgomery's trick: prefix products, invert the total,
+//! back-substitute — three multiplies per lane). The fold then copies
+//! each marked group's values into the folded copy and clears its
+//! marks. The folded value is the canonical residue of the product over
+//! the live leaves, whatever the write history and wherever the folds
+//! fell — which is what makes the root a content address (history
+//! independence). [`KvState::root`] and [`KvState::lane_roots`] take
+//! `&self` and fold the marked accounts into a local copy, so a read
+//! nobody folded for is still correct; folding first only makes it
+//! cheap.
 //!
 //! # Execution
 //!
-//! [`KvState::apply_batch`] applies a batch's ops **in block order on
-//! one thread** — full read-your-writes semantics — in a **single
-//! pass**: a `Put` or `Get` is one page lookup, a `Transfer` three (read
-//! the source, debit it, credit the destination). [`KvState::apply`] is
-//! the batch of one through the same code. At a few nanoseconds an op
-//! is too small to hand to another thread by itself; a whole
-//! acknowledged batch is not, and the pipeline hands large ones to the
-//! shared executor ([`crate::exec`]), which applies each on one thread
-//! all the same.
+//! Every op goes through **one loop** and takes one shape: read the
+//! source and the destination, compute both new values by select, write
+//! both, mark both, and count the effects from the same selects — no
+//! branch on the op kind (a put's source and destination are its key; a
+//! get writes back what it read). The pipeline's entry,
+//! [`KvState::apply_txs`], draws each transaction's op from its id
+//! ([`ladon_types::OpDraw`]) straight into that shape;
+//! [`KvState::apply_batch`] lowers [`TxOp`]s into it and
+//! [`KvState::apply`] is the batch of one. The loop applies **in block
+//! order on one thread** — full read-your-writes semantics. A step with
+//! an account on a page away from its own directory index, or on a page
+//! not allocated, is the one branch: it takes the same outcome through
+//! the directory search, and a nonzero write allocates its page. At a
+//! few nanoseconds an op is too small to hand to another thread by
+//! itself; a whole acknowledged batch is not, and the pipeline hands
+//! large ones to the shared executor ([`crate::exec`]), which applies
+//! each on one thread all the same.
 
 use ladon_crypto::{sha256_parts, Sha256};
-use ladon_types::{splitmix64, Digest, TxOp};
+use ladon_types::{splitmix64, Digest, OpDraw, TxId, TxOp};
 use std::borrow::Borrow;
+use std::hint::select_unpredictable;
 
 pub use ladon_types::MERKLE_LANES;
 
@@ -108,6 +120,27 @@ impl ExecEffects {
     /// Total operations applied.
     pub fn total(&self) -> u64 {
         self.puts + self.gets + self.transfers + self.empty_transfers
+    }
+
+    /// A step's two new values from the two it read — every op's
+    /// arithmetic, by mask — counted into these effects from the same
+    /// masks.
+    #[inline(always)]
+    fn outcome(&mut self, (src, dst, arg, put, transfer): Step, s: u64, d: u64) -> (u64, u64) {
+        // The amount a transfer asks for (0 for any other op or a
+        // self-transfer), clamped to the balance. Every choice is a
+        // select the compiler must not turn into a branch: which way it
+        // goes depends on the op kind or on the data.
+        let want = select_unpredictable(transfer & (src != dst), arg, 0);
+        let moved = select_unpredictable(s < want, s, want);
+        let new_s = select_unpredictable(put, arg, s - moved);
+        let new_d = select_unpredictable(put, arg, d.saturating_add(moved));
+        let moves = (moved != 0) as u64;
+        self.puts += put as u64;
+        self.gets += !(put | transfer) as u64;
+        self.transfers += moves;
+        self.empty_transfers += transfer as u64 - moves;
+        (new_s, new_d)
     }
 
     /// Accumulates another effect set.
@@ -332,27 +365,8 @@ const PAGE_BITS: u32 = 12;
 /// page `key >> PAGE_BITS`.
 const PAGE_KEYS: usize = 1 << PAGE_BITS;
 
-/// The balances of [`PAGE_KEYS`] consecutive accounts (0 = absent), and
-/// one dirty bit per account: set exactly while the account is on the
-/// state's dirty list.
-#[derive(Clone, Debug)]
-struct Page {
-    /// `key >> PAGE_BITS` of every account the page holds.
-    id: u32,
-    values: Box<[u64; PAGE_KEYS]>,
-    dirty: [u64; PAGE_KEYS / 64],
-}
-
-impl Page {
-    fn new(id: u32) -> Self {
-        let values = vec![0; PAGE_KEYS].into_boxed_slice().try_into();
-        Self {
-            id,
-            values: values.expect("the slice has PAGE_KEYS elements"),
-            dirty: [0; PAGE_KEYS / 64],
-        }
-    }
-}
+/// Accounts whose marks the fold reads as one word.
+const MARK_GROUP: usize = 8;
 
 /// One Merkle lane as of the last fold (the fold rule is in the module
 /// docs).
@@ -378,19 +392,71 @@ impl Lane {
     }
 }
 
+/// One op in the shape the apply loop gives every op,
+/// `(src, dst, arg, put, transfer)`: read `src` and `dst`, write both. A
+/// put writes `arg` to its key (`src == dst`), a transfer moves up to
+/// `arg` from `src` to `dst`, and a get writes back what it read. `put`
+/// and `transfer` name the kind; the loop reads them through selects,
+/// never a branch.
+type Step = (u32, u32, u64, bool, bool);
+
+/// A [`TxOp`], lowered into a [`Step`].
+#[inline]
+fn lower(op: &TxOp) -> Step {
+    match *op {
+        TxOp::Put { key, value } => (key, key, value, true, false),
+        TxOp::Get { key } => (key, key, 0, false, false),
+        TxOp::Transfer { from, to, amount } => (from, to, amount, false, true),
+    }
+}
+
+/// A drawn op read as it is, into a [`Step`]: its kind picks the fields
+/// by select, so nothing branches on it.
+#[inline]
+fn step_of(d: OpDraw) -> Step {
+    let (put, transfer) = (d.is_put(), d.is_transfer());
+    let to = select_unpredictable(transfer, d.to, d.key);
+    (
+        d.key,
+        to,
+        select_unpredictable(put, d.value, d.amount),
+        put,
+        transfer,
+    )
+}
+
+/// Account `key`'s index in the flat arrays if its page sits at the
+/// directory index equal to its id — as every page of a keyspace `0..n`
+/// does, so one comparison finds it.
+#[inline(always)]
+fn in_place(dir: &[(u32, u32)], key: u32) -> Option<usize> {
+    let (id, slot) = *dir.get((key >> PAGE_BITS) as usize)?;
+    (id == key >> PAGE_BITS).then(|| flat(slot, key))
+}
+
+/// Account `key`'s index in the flat arrays, on the page at `slot`.
+#[inline(always)]
+fn flat(slot: u32, key: u32) -> usize {
+    ((slot as usize) << PAGE_BITS) | (key as usize % PAGE_KEYS)
+}
+
 /// The replicated key-value state, sharded into [`MERKLE_LANES`] lanes.
 #[derive(Clone, Debug)]
 pub struct KvState {
-    /// The pages holding any account written nonzero, ascending by id.
-    pages: Vec<Page>,
-    /// One `(key, value at the last fold)` per account written since
-    /// (0 = absent then), in first-write order. Empty exactly when
-    /// `lanes` describes the contents.
-    dirty: Vec<(u32, u64)>,
+    /// `(page id, slot)` of every page holding an account written
+    /// nonzero, ascending by id. Page `slot` is
+    /// `slot · PAGE_KEYS .. (slot + 1) · PAGE_KEYS` of each flat array
+    /// below; slots go in allocation order and never move.
+    dir: Vec<(u32, u32)>,
+    /// Every allocated account's balance (0 = absent).
+    values: Vec<u64>,
+    /// Every allocated account's balance as of the last fold.
+    folded: Vec<u64>,
+    /// One mark per allocated account: nonzero when it was written since
+    /// the last fold. An unmarked account holds its folded value.
+    marks: Vec<u8>,
     /// Every lane as of the last fold, in lane order.
     lanes: Vec<Lane>,
-    /// Accounts with a nonzero value.
-    live: usize,
 }
 
 impl Default for KvState {
@@ -403,7 +469,7 @@ impl PartialEq for KvState {
     /// Content equality: the same live entries. Which pages are
     /// allocated and whether a fold is pending are not content.
     fn eq(&self, other: &Self) -> bool {
-        self.live == other.live && self.entries().eq(other.entries())
+        self.entries().eq(other.entries())
     }
 }
 
@@ -413,10 +479,11 @@ impl KvState {
     /// Empty state.
     pub fn new() -> Self {
         Self {
-            pages: Vec::new(),
-            dirty: Vec::new(),
+            dir: Vec::new(),
+            values: Vec::new(),
+            folded: Vec::new(),
+            marks: Vec::new(),
             lanes: vec![Lane::EMPTY; MERKLE_LANES as usize],
-            live: 0,
         }
     }
 
@@ -424,10 +491,8 @@ impl KvState {
     /// (tests). Zero values are dropped to restore canonical
     /// form.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u64)>) -> Self {
-        let mut s = Self::new();
-        for (k, v) in entries {
-            s.update(k, |_| v);
-        }
+        let (mut s, entries) = (Self::new(), entries.into_iter());
+        s.apply_batch(entries.map(|(key, value)| TxOp::Put { key, value }));
         s.fold();
         s
     }
@@ -439,9 +504,10 @@ impl KvState {
         Self::from_entries(runs.into_iter().flatten().copied())
     }
 
-    /// Number of live (nonzero) entries.
+    /// Number of live (nonzero) entries: one pass over the allocated
+    /// pages.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries().count()
     }
 
     /// True when no entry is set.
@@ -450,61 +516,32 @@ impl KvState {
     }
 
     /// Where page `id` sits in the directory, or where it would be
-    /// inserted. The pages of a keyspace `0..n` are pages `0..` in order,
-    /// each at its own index, so the first comparison finds it; any other
-    /// page is binary-searched.
+    /// inserted.
+    fn search(&self, id: u32) -> Result<usize, usize> {
+        self.dir.binary_search_by_key(&id, |&(at, _)| at)
+    }
+
+    /// Account `key`'s index in the flat arrays, if its page is
+    /// allocated: in place, or binary-searched.
     #[inline]
-    fn find(&self, id: u32) -> Result<usize, usize> {
-        match self.pages.get(id as usize) {
-            Some(page) if page.id == id => Ok(id as usize),
-            _ => self.pages.binary_search_by_key(&id, |page| page.id),
-        }
+    fn slot(&self, key: u32) -> Option<usize> {
+        let searched = || Some(flat(self.dir[self.search(key >> PAGE_BITS).ok()?].1, key));
+        in_place(&self.dir, key).or_else(searched)
     }
 
     /// Reads `key` (0 when absent).
     #[inline]
     pub fn get(&self, key: u32) -> u64 {
-        match self.find(key >> PAGE_BITS) {
-            Ok(i) => self.pages[i].values[key as usize % PAGE_KEYS],
-            Err(_) => 0,
-        }
-    }
-
-    /// `key ← f(key)`. Zero is absent: writing 0 deletes, and writing
-    /// what is there already, 0 to an absent key included, does nothing.
-    /// A page is allocated on its first nonzero write, and an account's
-    /// first change since the last fold puts it on the dirty list. No
-    /// hashing.
-    #[inline]
-    fn update(&mut self, key: u32, f: impl FnOnce(u64) -> u64) {
-        let (id, at) = (key >> PAGE_BITS, key as usize % PAGE_KEYS);
-        let found = self.find(id);
-        let old = found.map_or(0, |i| self.pages[i].values[at]);
-        let value = f(old);
-        if value == old {
-            return;
-        }
-        let i = found.unwrap_or_else(|i| {
-            self.pages.insert(i, Page::new(id));
-            i
-        });
-        let page = &mut self.pages[i];
-        let (word, bit) = (at / 64, 1u64 << (at % 64));
-        if page.dirty[word] & bit == 0 {
-            page.dirty[word] |= bit;
-            self.dirty.push((key, old));
-        }
-        self.live = self.live + (value != 0) as usize - (old != 0) as usize;
-        page.values[at] = value;
+        self.slot(key).map_or(0, |i| self.values[i])
     }
 
     /// Canonical `(key, value)` entries in ascending key order: the pages
     /// read in directory order.
     pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.pages.iter().flat_map(|page| {
-            let base = page.id << PAGE_BITS;
-            let live = page.values.iter().enumerate().filter(|&(_, &v)| v != 0);
-            live.map(move |(at, &v)| (base | at as u32, v))
+        self.dir.iter().flat_map(|&(id, slot)| {
+            let page = &self.values[(slot as usize) << PAGE_BITS..][..PAGE_KEYS];
+            let live = page.iter().enumerate().filter(|&(_, &v)| v != 0);
+            live.map(move |(at, &v)| (id << PAGE_BITS | at as u32, v))
         })
     }
 
@@ -538,78 +575,119 @@ impl KvState {
 
     /// Applies a batch of ops in block order on the calling thread, with
     /// sequential (read-your-writes) semantics, and returns their summed
-    /// effects. An account is an index: its page, then its offset — no
-    /// key hash. Ops come by reference or by value, so a caller can
-    /// stream derived ops without collecting them first.
+    /// effects: each op lowered into the apply loop's shape. Ops come by
+    /// reference or by value.
     pub fn apply_batch<O: Borrow<TxOp>>(
         &mut self,
         ops: impl IntoIterator<Item = O>,
     ) -> ExecEffects {
-        let mut effects = ExecEffects::default();
-        for op in ops {
-            match *op.borrow() {
-                TxOp::Put { key, value } => {
-                    self.update(key, |_| value);
-                    effects.puts += 1;
-                }
-                TxOp::Get { key } => {
-                    let _ = self.get(key);
-                    effects.gets += 1;
-                }
-                TxOp::Transfer { from, to, amount } => {
-                    let moved = self.get(from).min(amount);
-                    if moved == 0 || from == to {
-                        effects.empty_transfers += 1;
-                    } else {
-                        self.update(from, |have| have - moved);
-                        self.update(to, |dest| dest.saturating_add(moved));
-                        effects.transfers += 1;
-                    }
-                }
-            }
+        self.run(ops.into_iter().map(|op| lower(op.borrow())))
+    }
+
+    /// Applies the ops of the `count` transactions from `first` on (ids
+    /// past `u64::MAX` wrap to 0), over a `keyspace`-account state, in
+    /// id order: each drawn ([`OpDraw`]) straight into the apply loop's
+    /// shape. What the pipeline applies a confirmed block with; equal
+    /// to [`Self::apply_batch`] over [`TxOp::for_id`] of the same ids.
+    pub fn apply_txs(&mut self, first: TxId, count: u32, keyspace: u32) -> ExecEffects {
+        let ids = (0..count as u64).map(|i| TxId(first.0.wrapping_add(i)));
+        self.run(ids.map(|id| step_of(OpDraw::of(id, keyspace))))
+    }
+
+    /// The apply loop (its shape is in the module docs): passes over the
+    /// pages in place, each ending at a step with an account elsewhere —
+    /// on a page away from its own directory index, or on none — which
+    /// takes the same outcome through the directory search, a nonzero
+    /// write allocating its page, before the next pass.
+    fn run(&mut self, steps: impl IntoIterator<Item = Step>) -> ExecEffects {
+        let (mut steps, mut fx) = (steps.into_iter(), ExecEffects::default());
+        loop {
+            // A pass: both loads, the outcome by mask, both stores, both
+            // marks, until a step has an account elsewhere.
+            let (dir, values, marks) = (&self.dir[..], &mut self.values[..], &mut self.marks[..]);
+            let elsewhere = steps.by_ref().find(|&step| {
+                let (Some(i), Some(j)) = (in_place(dir, step.0), in_place(dir, step.1)) else {
+                    return true;
+                };
+                let (new_s, new_d) = fx.outcome(step, values[i], values[j]);
+                values[j] = new_d;
+                values[i] = new_s;
+                (marks[j], marks[i]) = (1, 1);
+                false
+            });
+            let Some(step) = elsewhere else {
+                return fx;
+            };
+            let (new_s, new_d) = fx.outcome(step, self.get(step.0), self.get(step.1));
+            self.store_allocating(step.1, new_d);
+            self.store_allocating(step.0, new_s);
         }
-        effects
+    }
+
+    /// The apply loop's write for an account whose page may be absent:
+    /// a nonzero value allocates the page, and 0 to an absent page
+    /// stores nothing.
+    #[cold]
+    fn store_allocating(&mut self, key: u32, value: u64) {
+        let id = key >> PAGE_BITS;
+        if let (Err(at), true) = (self.search(id), value != 0) {
+            self.dir
+                .insert(at, (id, (self.values.len() / PAGE_KEYS) as u32));
+            self.values.resize(self.values.len() + PAGE_KEYS, 0);
+            self.folded.resize(self.values.len(), 0);
+            self.marks.resize(self.values.len(), 0);
+        }
+        if let Some(i) = self.slot(key) {
+            (self.values[i], self.marks[i]) = (value, 1);
+        }
     }
 
     /// The fold's two parts, per lane: the lane with the new leaf of
-    /// every dirty key whose value changed since the last fold
-    /// multiplied in and its entry count updated, and the product of
-    /// those keys' old leaves, still to be divided out. One walk of the
-    /// dirty list, bucketed by [`lane_of`]; MuHash is order-independent,
-    /// so the list is walked as it lies.
+    /// every account whose value changed since the last fold multiplied
+    /// in and its entry count updated, and the product of those
+    /// accounts' old leaves, still to be divided out. One walk of the
+    /// marked accounts, bucketed by [`lane_of`]; MuHash is
+    /// order-independent, so the pages are walked as they lie.
     fn fold_parts(&self) -> (Vec<Lane>, Vec<Acc>) {
         let mut lanes = self.lanes.clone();
         let mut removed = vec![ACC_ONE; lanes.len()];
-        for &(key, old) in &self.dirty {
-            let new = self.get(key);
-            if new == old {
-                continue;
-            }
-            let lane = lane_of(key);
-            if old != 0 {
-                removed[lane] = mul_mod(&removed[lane], &acc_of_leaf(&leaf_hash(key, old)));
-                lanes[lane].live -= 1;
-            }
-            if new != 0 {
-                let l = &mut lanes[lane];
-                l.folded = mul_mod(&l.folded, &acc_of_leaf(&leaf_hash(key, new)));
-                l.live += 1;
+        for &(id, slot) in &self.dir {
+            let base = (slot as usize) << PAGE_BITS;
+            let marks = &self.marks[base..base + PAGE_KEYS];
+            let groups = marks.chunks_exact(MARK_GROUP).enumerate();
+            let marked = groups.filter(|(_, group)| *group != [0; MARK_GROUP]);
+            for at in marked.flat_map(|(g, _)| g * MARK_GROUP..(g + 1) * MARK_GROUP) {
+                let (old, new) = (self.folded[base + at], self.values[base + at]);
+                if new == old {
+                    continue;
+                }
+                let key = id << PAGE_BITS | at as u32;
+                let lane = lane_of(key);
+                if old != 0 {
+                    removed[lane] = mul_mod(&removed[lane], &acc_of_leaf(&leaf_hash(key, old)));
+                    lanes[lane].live -= 1;
+                }
+                if new != 0 {
+                    let l = &mut lanes[lane];
+                    l.folded = mul_mod(&l.folded, &acc_of_leaf(&leaf_hash(key, new)));
+                    l.live += 1;
+                }
             }
         }
         (lanes, removed)
     }
 
     /// Every lane as a fold would leave it: at most two leaf hashes per
-    /// dirty key and one modular inverse shared by all lanes
-    /// (Montgomery's trick).
+    /// changed account and one modular inverse shared by the lanes with
+    /// a leaf to divide out (Montgomery's trick); a lane with none keeps
+    /// its accumulator, so a folded state's roots pay no multiply.
     fn folded_lanes(&self) -> Vec<Lane> {
-        if self.dirty.is_empty() {
-            return self.lanes.clone();
-        }
-        let (mut lanes, mut removed) = self.fold_parts();
-        invert_all(&mut removed);
-        for (lane, inv) in lanes.iter_mut().zip(&removed) {
-            lane.folded = mul_mod(&lane.folded, inv);
+        let (mut lanes, removed) = self.fold_parts();
+        let owing = removed.iter().enumerate().filter(|&(_, r)| *r != ACC_ONE);
+        let (at, mut inverses): (Vec<usize>, Vec<Acc>) = owing.map(|(l, r)| (l, *r)).unzip();
+        invert_all(&mut inverses);
+        for (l, inv) in at.into_iter().zip(&inverses) {
+            lanes[l].folded = mul_mod(&lanes[l].folded, inv);
         }
         lanes
     }
@@ -620,9 +698,12 @@ impl KvState {
     /// next read of one costs.
     pub fn fold(&mut self) {
         self.lanes = self.folded_lanes();
-        self.dirty.clear();
-        for page in &mut self.pages {
-            page.dirty = [0; PAGE_KEYS / 64];
+        for g in (0..self.marks.len()).step_by(MARK_GROUP) {
+            let group = g..g + MARK_GROUP;
+            if self.marks[group.clone()] != [0; MARK_GROUP] {
+                self.folded[group.clone()].copy_from_slice(&self.values[group.clone()]);
+                self.marks[group].fill(0);
+            }
         }
     }
 
@@ -660,13 +741,44 @@ mod tests {
     use super::*;
     use crate::snapshot::hex32;
     use ladon_crypto::CryptoCounters;
-    use ladon_types::TxId;
 
     /// SHA-256 finalizations `f` performs on this thread.
     fn hashes_in(f: impl FnOnce()) -> u64 {
         let before = CryptoCounters::snapshot();
         f();
         CryptoCounters::snapshot().since(&before).hashes
+    }
+
+    /// Every allocated account as `(key, flat index)`, ascending.
+    fn accounts(s: &KvState) -> impl Iterator<Item = (u32, usize)> + '_ {
+        s.dir.iter().flat_map(|&(id, slot)| {
+            let base = (slot as usize) << PAGE_BITS;
+            (0..PAGE_KEYS).map(move |at| (id << PAGE_BITS | at as u32, base + at))
+        })
+    }
+
+    /// Every account marked since the last fold, ascending.
+    fn marked(s: &KvState) -> Vec<u32> {
+        let marked = accounts(s).filter(|&(_, i)| s.marks[i] != 0);
+        marked.map(|(key, _)| key).collect()
+    }
+
+    /// What the next fold hashes: every account whose value differs
+    /// from its folded copy, as `(key, folded, value)`, ascending. Each
+    /// one is marked.
+    fn changed(s: &KvState) -> Vec<(u32, u64, u64)> {
+        let changed = accounts(s).filter(|&(_, i)| s.values[i] != s.folded[i]);
+        let out: Vec<_> = changed
+            .map(|(k, i)| (k, s.folded[i], s.values[i]))
+            .collect();
+        let marks = marked(s);
+        assert!(out.iter().all(|(k, ..)| marks.binary_search(k).is_ok()));
+        out
+    }
+
+    /// The allocated pages' ids, in directory order.
+    fn page_ids(s: &KvState) -> Vec<u32> {
+        s.dir.iter().map(|&(id, _)| id).collect()
     }
 
     #[test]
@@ -785,7 +897,8 @@ mod tests {
         set(&mut s, 7, 5);
         assert_eq!(s.lane_roots(), one_entry);
         // The same round trips with a fold after every write; a fold
-        // clears the dirty list and every dirty bit.
+        // clears every mark and leaves every folded copy equal to its
+        // value.
         for (v, expect) in [
             (0, &empty_roots),
             (5, &one_entry),
@@ -794,8 +907,7 @@ mod tests {
         ] {
             set(&mut s, 7, v);
             s.fold();
-            assert!(s.dirty.is_empty());
-            assert!(s.pages.iter().all(|p| p.dirty == [0; PAGE_KEYS / 64]));
+            assert!(marked(&s).is_empty() && changed(&s).is_empty());
             assert_eq!(s.lane_roots(), *expect, "value {v}");
         }
         // A state holding {a} and one that held {a, b} and removed b
@@ -837,8 +949,8 @@ mod tests {
         }
         let runs = a.lane_runs();
         let c = KvState::from_lanes(runs.iter().map(Vec::as_slice));
-        assert_eq!((a.pages.len(), b.pages.len()), (1, 4));
-        assert!(!b.dirty.is_empty());
+        assert_eq!((a.dir.len(), b.dir.len()), (1, 4));
+        assert_eq!((marked(&b).len(), changed(&b).len()), (603, 300));
         for other in [&b, &c] {
             assert!(a == *other);
             assert!(*other == a);
@@ -860,8 +972,9 @@ mod tests {
 
     #[test]
     fn writing_zero_to_an_absent_key_is_a_noop() {
-        // No page, and on an allocated page: nothing is allocated,
-        // nothing is dirty, and the fold has nothing to hash.
+        // No page, and on an allocated page: nothing is allocated, no
+        // account's value differs from its folded copy, and the fold has
+        // nothing to hash.
         for held in [None, Some(4_095u32)] {
             let mut s = KvState::from_entries(held.map(|k| (k, 1)));
             for key in [0u32, 4_094, 4_096, u32::MAX] {
@@ -873,8 +986,8 @@ mod tests {
                 });
                 assert_eq!(fx.empty_transfers, 1);
             }
-            assert_eq!(s.pages.len(), held.iter().count());
-            assert!(s.dirty.is_empty());
+            assert_eq!(s.dir.len(), held.iter().count());
+            assert!(changed(&s).is_empty());
             assert_eq!(hashes_in(|| s.fold()), 0);
         }
     }
@@ -892,8 +1005,7 @@ mod tests {
                 value: n as u64 + 1,
             });
         }
-        let ids: Vec<u32> = s.pages.iter().map(|p| p.id).collect();
-        assert_eq!(ids, [0, 1, (1 << 20) - 1]);
+        assert_eq!(page_ids(&s), [0, 1, (1 << 20) - 1]);
         for (n, &key) in edges.iter().enumerate() {
             assert_eq!(s.get(key), n as u64 + 1, "key {key}");
         }
@@ -912,7 +1024,7 @@ mod tests {
                     s.fold();
                 }
             }
-            assert_eq!(s.pages.len(), 3);
+            assert_eq!(s.dir.len(), 3);
             assert_eq!(s.len(), 2);
         }
         let left = [(u32::MAX - 4_095, 5), (u32::MAX, 6)];
@@ -923,20 +1035,17 @@ mod tests {
         for i in 0..1u64 << 20 {
             dense.apply(&TxOp::for_id(TxId(i), 1 << 20));
         }
-        assert_eq!(dense.pages.len(), 256);
-        assert!(dense
-            .pages
-            .iter()
-            .enumerate()
-            .all(|(i, p)| p.id == i as u32));
+        assert_eq!(dense.dir.len(), 256);
+        assert!(page_ids(&dense).into_iter().eq(0..256));
     }
 
     #[test]
     fn a_page_allocated_while_dirty_keeps_the_fold_exact() {
-        // A dirty list holding a folded key deleted since (the fold must
-        // still divide it out) and a key put and deleted since (the fold
-        // owes it nothing) sees pages allocated below, between and above
-        // the one it started on, none folded.
+        // A page holding a folded key deleted since (the fold must still
+        // divide it out) and a key put and deleted since (marked, but the
+        // fold owes it nothing) sees pages allocated below, between and
+        // above it, none folded: each new page's folded copy is all
+        // absent.
         let lane0: Vec<u32> = (4_096..).filter(|&k| lane_of(k) == 0).take(3).collect();
         let mut s = KvState::from_entries([(lane0[0], 5), (lane0[1], 6)]);
         s.apply(&TxOp::Put {
@@ -951,14 +1060,20 @@ mod tests {
             key: lane0[2],
             value: 0,
         });
-        assert_eq!((s.pages.len(), s.dirty.len()), (1, 2));
+        assert_eq!(s.dir.len(), 1);
+        assert_eq!(marked(&s), [lane0[0], lane0[2]]);
+        assert_eq!(changed(&s), [(lane0[0], 5, 0)]);
         let later = [3u32, 3 << 12, 5 << 12, u32::MAX];
         for &key in &later {
             s.apply(&TxOp::Put { key, value: 1 });
         }
-        let ids: Vec<u32> = s.pages.iter().map(|p| p.id).collect();
-        assert_eq!(ids, [0, 1, 3, 5, (1 << 20) - 1]);
-        assert_eq!(s.dirty.len(), 6);
+        assert_eq!(page_ids(&s), [0, 1, 3, 5, (1 << 20) - 1]);
+        assert_eq!(marked(&s).len(), 6);
+        let owed: Vec<u32> = changed(&s).iter().map(|&(k, ..)| k).collect();
+        let mut expect_owed = vec![lane0[0]];
+        expect_owed.extend(later);
+        expect_owed.sort_unstable();
+        assert_eq!(owed, expect_owed);
         let expect =
             KvState::from_entries(std::iter::once((lane0[1], 6)).chain(later.map(|k| (k, 1))));
         assert_eq!(s.lane_roots(), expect.lane_roots());
@@ -998,7 +1113,7 @@ mod tests {
         s.fold();
         let folded: Vec<Acc> = s.lanes.iter().map(|l| l.folded).collect();
         assert_eq!(folded, expect);
-        assert!(s.dirty.is_empty());
+        assert!(marked(&s).is_empty() && changed(&s).is_empty());
         assert_eq!(s.lanes[3].folded, acc_of_entries(&s.lane_entries(3)));
         // The trick itself: every residue inverted, an empty slice and
         // an all-ones slice (no inverse to pay) included.

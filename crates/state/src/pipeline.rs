@@ -7,10 +7,11 @@
 //! between confirmation and apply. There is one drain,
 //! [`ExecutionPipeline::submit_staged`]: it runs one flush barrier (one
 //! write and one fsync, on the draining thread) over everything staged,
-//! and applies exactly the records that barrier acknowledged — their
-//! ops, derived from each record's `(first_tx, count)`, stream into the
-//! sharded KV state. WAL-before-apply, so a crash between the two
-//! replays the block on recovery instead of losing it. Everything one
+//! and applies exactly the records that barrier acknowledged: each
+//! record's ops are drawn from its `(first_tx, count)` straight into the
+//! KV state's one apply loop ([`KvState::apply_txs`]), with no op value
+//! between the draw and the loop. WAL-before-apply, so a crash between
+//! the two replays the block on recovery instead of losing it. Everything one
 //! barrier acknowledges is one batch, and its ops apply in block order
 //! (see [`crate::kv`]).
 //! A batch of at least [`POOLED_MIN_OPS`] ops applies as one job on the
@@ -25,8 +26,10 @@
 //! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
 //! manifest root — covering the execution position, frontier, and the
 //! ordered lane-root vector — which the checkpoint quorum signs.
-//! Checkpoint root cost is O(keys written since the last checkpoint +
-//! lanes), not O(keyspace).
+//! Checkpoint root cost is the accounts changed since the last
+//! checkpoint (two leaf hashes each) plus the lanes, not the keyspace:
+//! the fold finds them by scanning one mark byte per allocated account,
+//! eight at a time.
 //!
 //! The `exec_lanes` parameter some constructors take is accepted for
 //! source compatibility with `benchmark/` and selects nothing.
@@ -52,7 +55,7 @@ use crate::kv::{ExecEffects, KvState};
 use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, WalRecord};
 use ladon_obs::SnapshotInto;
-use ladon_types::{Block, Digest};
+use ladon_types::{Block, Digest, TxId};
 use std::ops::Deref;
 use std::panic::resume_unwind;
 use std::path::Path;
@@ -276,10 +279,14 @@ struct Applied {
     ns: u64,
 }
 
-/// Applies `records`' ops to `kv` in block order, timing itself.
+/// Applies `records`' ops to `kv` in block order, each record's drawn
+/// from its `(first_tx, count)` straight into the apply loop
+/// ([`KvState::apply_txs`]), timing itself.
 fn apply_to(kv: &mut KvState, records: &[WalRecord], keyspace: u32) -> (ExecEffects, u64) {
-    let t0 = Instant::now();
-    let fx = kv.apply_batch(records.iter().flat_map(|r| r.ops(keyspace)));
+    let (t0, mut fx) = (Instant::now(), ExecEffects::default());
+    for r in records {
+        fx.absorb(kv.apply_txs(TxId(r.first_tx), r.count, keyspace));
+    }
     (fx, t0.elapsed().as_nanos() as u64)
 }
 
@@ -629,9 +636,9 @@ impl ExecutionPipeline {
 
     /// The one apply step, shared by live barriers and recovery replay:
     /// applies the acknowledged records at mirror positions `at` as one
-    /// batch — each record's ops derived from its `(first_tx, count)`
-    /// and streamed into the state, on the executor when the batch holds
-    /// at least [`POOLED_MIN_OPS`] ops and a worker exists, here
+    /// batch — each record's ops drawn from its `(first_tx, count)`
+    /// straight into the state's apply loop, on the executor when the
+    /// batch holds at least [`POOLED_MIN_OPS`] ops and a worker exists, here
     /// otherwise — and advances the applied frontier past them. Returns
     /// the `sn` range applied (or handed off: every later read settles
     /// it). The apply times itself ([`PipelinePerf::wall_exec_ns`]); the

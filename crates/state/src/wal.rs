@@ -105,7 +105,7 @@
 
 use crate::pipeline::ReplayStats;
 use ladon_crypto::fnv::Fnv64;
-use ladon_types::{Batch, Block, Digest, SystemConfig, TxId, TxOp};
+use ladon_types::{Block, Digest, SystemConfig};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -223,17 +223,6 @@ impl WalRecord {
             payload_bytes: block.batch.payload_bytes,
             payload_digest: block.header.payload_digest,
         }
-    }
-
-    /// The ops the record's block applies: [`Batch::txs`] over the
-    /// record's `(first_tx, count)`, the block's own derivation.
-    pub(crate) fn ops(&self, keyspace: u32) -> impl Iterator<Item = TxOp> {
-        let batch = Batch {
-            first_tx: TxId(self.first_tx),
-            count: self.count,
-            ..Batch::default()
-        };
-        batch.txs(keyspace).map(|tx| tx.op)
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {

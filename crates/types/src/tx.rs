@@ -67,18 +67,38 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl TxOp {
-    /// Derives the deterministic operation of transaction `id` over a key
-    /// space of `keyspace` accounts. Mix: 50% put, 30% transfer, 20% get.
-    ///
-    /// Two splitmix64 outputs `a`, `b` drive it: the key is `a` and a
-    /// transfer's credit account `b >> 32`, each reduced modulo
-    /// `keyspace`. A power-of-two keyspace (the default 4096 is one)
-    /// reduces with a mask, which is the same residue without a 64-bit
-    /// division; any other keyspace keeps `%`, since a multiply-by-
-    /// reciprocal reduction measured no faster than the division it would
-    /// replace on the workspace's default x86-64 target.
-    pub fn for_id(id: TxId, keyspace: u32) -> Self {
+/// The fields transaction `id`'s op is drawn from, before a kind names
+/// them: the one derivation. [`TxOp::for_id`] names them as a [`TxOp`];
+/// the state machine's apply loop reads them as they are, with the kind
+/// as masks rather than a branch.
+///
+/// Two splitmix64 outputs `a`, `b` drive it: the key is `a` and a
+/// transfer's credit account `b >> 32`, each reduced modulo `keyspace`;
+/// `b % 10` picks the kind (50% put, 30% transfer, 20% get). A
+/// power-of-two keyspace (the default 4096 is one) reduces with a mask,
+/// which is the same residue without a 64-bit division; any other
+/// keyspace keeps `%`, since a multiply-by-reciprocal reduction measured
+/// no faster than the division it would replace on the workspace's
+/// default x86-64 target.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OpDraw {
+    /// `b % 10`: 0–4 put, 5–7 transfer, 8–9 get.
+    class: u64,
+    /// The account a put writes, a get reads and a transfer debits.
+    pub key: u32,
+    /// The account a transfer credits.
+    pub to: u32,
+    /// The value a put writes.
+    pub value: u64,
+    /// The amount a transfer requests.
+    pub amount: u64,
+}
+
+impl OpDraw {
+    /// Draws transaction `id`'s op over a key space of `keyspace`
+    /// accounts.
+    #[inline]
+    pub fn of(id: TxId, keyspace: u32) -> Self {
         debug_assert!(keyspace > 0);
         let mut state = id.0 ^ 0x1ad0_0000_0000_0001;
         let a = splitmix64(&mut state);
@@ -91,26 +111,48 @@ impl TxOp {
             };
             residue as u32
         };
-        let key = reduce(a);
-        match b % 10 {
-            0..=4 => TxOp::Put { key, value: b >> 8 },
-            5..=7 => TxOp::Transfer {
-                from: key,
-                to: reduce(b >> 32),
-                amount: (b & 0xffff) + 1,
-            },
-            _ => TxOp::Get { key },
+        Self {
+            class: b % 10,
+            key: reduce(a),
+            to: reduce(b >> 32),
+            value: b >> 8,
+            amount: (b & 0xffff) + 1,
         }
+    }
+
+    /// Whether the op is a `Put`.
+    #[inline]
+    pub fn is_put(&self) -> bool {
+        self.class < 5
+    }
+
+    /// Whether the op is a `Transfer`.
+    #[inline]
+    pub fn is_transfer(&self) -> bool {
+        (5..8).contains(&self.class)
     }
 }
 
-/// A materialized transaction: id plus its derived state-machine op.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Tx {
-    /// Globally unique id, in submission order.
-    pub id: TxId,
-    /// The operation the execution layer applies.
-    pub op: TxOp,
+impl TxOp {
+    /// Derives the deterministic operation of transaction `id` over a key
+    /// space of `keyspace` accounts: its [`OpDraw`], named by kind.
+    pub fn for_id(id: TxId, keyspace: u32) -> Self {
+        let d = OpDraw::of(id, keyspace);
+        if d.is_put() {
+            TxOp::Put {
+                key: d.key,
+                value: d.value,
+            }
+        } else if d.is_transfer() {
+            TxOp::Transfer {
+                from: d.key,
+                to: d.to,
+                amount: d.amount,
+            }
+        } else {
+            TxOp::Get { key: d.key }
+        }
+    }
 }
 
 /// A batch of client transactions, as cut by a leader (paper: `txs`).
@@ -182,16 +224,6 @@ impl Batch {
         let first = self.first_tx.0;
         (0..self.count as u64).map(move |i| TxId(first.wrapping_add(i)))
     }
-
-    /// Iterator over the member transactions with their derived ops (see
-    /// [`TxOp::for_id`]), over a `keyspace`-account state machine — the
-    /// one derivation live execution and WAL replay both apply.
-    pub fn txs(&self, keyspace: u32) -> impl Iterator<Item = Tx> {
-        self.tx_ids().map(move |id| Tx {
-            id,
-            op: TxOp::for_id(id, keyspace),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -234,9 +266,6 @@ mod tests {
             ids,
             vec![TxId(u64::MAX - 1), TxId(u64::MAX), TxId(0), TxId(1)]
         );
-        let ops: Vec<_> = b.txs(4096).map(|tx| tx.op).collect();
-        let derived: Vec<_> = ids.iter().map(|&id| TxOp::for_id(id, 4096)).collect();
-        assert_eq!(ops, derived);
     }
 
     /// [`TxOp::for_id`] as it was first written: every reduction a `%`.

@@ -12,6 +12,7 @@ use ladon::state::{
 use ladon::types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
 use ladon::types::{TxId, TxOp};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A per-case unique scratch directory (proptest cases run in sequence
@@ -23,6 +24,37 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// Applies `op` to a plain map model of the state (absent = 0, a zero
+/// write deletes), counting what it did into `fx`.
+fn model_apply(model: &mut BTreeMap<u32, u64>, op: &TxOp, fx: &mut ladon::state::ExecEffects) {
+    fn set(model: &mut BTreeMap<u32, u64>, k: u32, v: u64) {
+        if v == 0 {
+            model.remove(&k);
+        } else {
+            model.insert(k, v);
+        }
+    }
+    match *op {
+        TxOp::Put { key, value } => {
+            set(model, key, value);
+            fx.puts += 1;
+        }
+        TxOp::Get { .. } => fx.gets += 1,
+        TxOp::Transfer { from, to, amount } => {
+            let have = model.get(&from).copied().unwrap_or(0);
+            let moved = have.min(amount);
+            if moved == 0 || from == to {
+                fx.empty_transfers += 1;
+            } else {
+                set(model, from, have - moved);
+                let dest = model.get(&to).copied().unwrap_or(0);
+                set(model, to, dest.saturating_add(moved));
+                fx.transfers += 1;
+            }
+        }
+    }
 }
 
 fn blk(instance: u32, round: u64, rank: u64) -> Block {
@@ -432,7 +464,6 @@ proptest! {
             1..300,
         ),
     ) {
-        use std::collections::BTreeMap;
         let keyspace = [1u32, 64, 4096, 1 << 20][shape];
         let pool: Vec<u32> = (0..keyspace.min(1 << 14))
             .filter(|&k| lane_of(k) == lane_of(0))
@@ -460,9 +491,6 @@ proptest! {
         }
         cuts.push((ops.len(), true));
 
-        let set = |m: &mut BTreeMap<u32, u64>, k: u32, v: u64| {
-            if v == 0 { m.remove(&k) } else { m.insert(k, v) };
-        };
         let mut model: BTreeMap<u32, u64> = BTreeMap::new();
         let mut kv = KvState::new();
         let mut twin = KvState::new();
@@ -472,25 +500,7 @@ proptest! {
             done = upto;
             let mut model_fx = ladon::state::ExecEffects::default();
             for op in batch {
-                match *op {
-                    TxOp::Put { key, value } => {
-                        set(&mut model, key, value);
-                        model_fx.puts += 1;
-                    }
-                    TxOp::Get { .. } => model_fx.gets += 1,
-                    TxOp::Transfer { from, to, amount } => {
-                        let have = model.get(&from).copied().unwrap_or(0);
-                        let moved = have.min(amount);
-                        if moved == 0 || from == to {
-                            model_fx.empty_transfers += 1;
-                        } else {
-                            set(&mut model, from, have - moved);
-                            let dest = model.get(&to).copied().unwrap_or(0);
-                            set(&mut model, to, dest.saturating_add(moved));
-                            model_fx.transfers += 1;
-                        }
-                    }
-                }
+                model_apply(&mut model, op, &mut model_fx);
             }
             let mut replay = twin.clone();
             let mut twin_fx = ladon::state::ExecEffects::default();
@@ -526,6 +536,58 @@ proptest! {
             let installed = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
             prop_assert!(installed == kv);
             prop_assert_eq!(installed.lane_roots(), kv.lane_roots());
+        }
+    }
+
+    /// The pipeline's apply entry (`KvState::apply_txs`: each
+    /// transaction's op drawn straight into the apply loop) against
+    /// `apply_batch` over `TxOp::for_id` of the same ids and against a
+    /// plain `BTreeMap` model, over keyspaces {1, 3, 1 000, 4 096, 2²⁰}:
+    /// random `(first_tx, count)` records — some starting just below
+    /// `u64::MAX`, so their ids wrap — cut into batches at random
+    /// records, each side folding at its own random cuts. After every
+    /// batch the three agree on effects, entries and length, and both
+    /// states hold all 64 lane roots and the root of the state rebuilt
+    /// from the model.
+    #[test]
+    fn derived_ops_match_the_lowered_ops_and_the_model(
+        shape in 0usize..5,
+        records in proptest::collection::vec((any::<u64>(), 0u32..300, any::<u8>()), 1..24),
+    ) {
+        let keyspace = [1u32, 3, 1000, 4096, 1 << 20][shape];
+        let mut model = BTreeMap::new();
+        let (mut derived, mut lowered) = (KvState::new(), KvState::new());
+        let mut fx = [ladon::state::ExecEffects::default(); 3];
+        for (n, &(first, count, flags)) in records.iter().enumerate() {
+            let first = if flags & 8 != 0 { u64::MAX - first % 300 } else { first };
+            fx[0].absorb(derived.apply_txs(TxId(first), count, keyspace));
+            let ids = (0..count as u64).map(|i| TxId(first.wrapping_add(i)));
+            let ops: Vec<TxOp> = ids.map(|id| TxOp::for_id(id, keyspace)).collect();
+            fx[1].absorb(lowered.apply_batch(&ops));
+            for op in &ops {
+                model_apply(&mut model, op, &mut fx[2]);
+            }
+            if flags & 3 != 0 && n + 1 < records.len() {
+                continue;
+            }
+            if flags & 16 != 0 {
+                derived.fold();
+            }
+            if flags & 32 != 0 {
+                lowered.fold();
+            }
+            prop_assert_eq!(fx[0], fx[2]);
+            prop_assert_eq!(fx[1], fx[2]);
+            let entries = || model.iter().map(|(&k, &v)| (k, v));
+            prop_assert!(derived.entries().eq(entries()));
+            prop_assert!(lowered.entries().eq(entries()));
+            prop_assert_eq!((derived.len(), lowered.len()), (model.len(), model.len()));
+            let rebuilt = KvState::from_entries(entries());
+            let roots = rebuilt.lane_roots();
+            prop_assert_eq!(derived.lane_roots(), roots.clone(), "keyspace {}", keyspace);
+            prop_assert_eq!(lowered.lane_roots(), roots);
+            prop_assert_eq!(derived.root(), rebuilt.root());
+            prop_assert_eq!(lowered.root(), rebuilt.root());
         }
     }
 

@@ -10,8 +10,10 @@
 //! - [`node`]: the Multi-BFT replica composing `m` consensus instances,
 //!   the shared `curRank`, an orderer, the pacemaker, the execution
 //!   pipeline and fault injection — runnable under both the simulation
-//!   engine and the live runtime. Its handlers do I/O; the decisions
-//!   they act on live in the modules below.
+//!   engine and the live runtime. It is one state machine,
+//!   `step(now, Input, &mut Vec<Output>)`, whose `Actor` impl is its one
+//!   I/O site; the decisions its handlers act on live in the modules
+//!   below.
 //! - [`instance`]: the consensus-instance seam — the only module that
 //!   knows PBFT from HotStuff.
 //! - [`msg`]: the replica's network message envelope.
@@ -57,7 +59,7 @@ pub use durability::NodeMode;
 pub use epoch::{CheckpointMsg, EpochInput, EpochPacemaker, EpochStep, StableCheckpoint};
 pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
-pub use node::{Behavior, MultiBftNode, NodeConfig};
+pub use node::{Behavior, Input, MultiBftNode, NodeConfig, Output};
 pub use ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 pub use predetermined::{BaselineKind, PredeterminedOrderer};
 pub use sync::{snapshot_worthwhile, ResponderHealth, SyncEntry, SyncRequest, SyncResponse};

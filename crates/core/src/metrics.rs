@@ -138,8 +138,9 @@ pub struct NodeMetrics {
     /// a bucket that does not exist (`bucket >= m`).
     pub refused_client_groups: u64,
     /// Per-block lifecycle journal: one latency histogram per stage
-    /// transition (submitted → proposed → confirmed → checkpointed). Timestamps come from `ctx.now()` — sim time in
-    /// simulation, the monotonic wall clock under `LiveRuntime`.
+    /// transition (submitted → proposed → confirmed → checkpointed).
+    /// Timestamps are the `now` of the step that recorded them — sim time
+    /// in simulation, the monotonic wall clock under `LiveRuntime`.
     pub trace: TraceJournal,
 }
 

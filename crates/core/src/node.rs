@@ -13,21 +13,28 @@
 //!   straggler / Byzantine / crash behavior injection;
 //! - metrics used by every figure and table.
 //!
-//! Handlers here perform I/O (`ctx.send`, timers, `exec` calls) and
-//! nothing else is decided in them that has a module of its own: the
-//! state-transfer rotation is [`crate::sync::StateTransfer`], the
+//! A replica is one state machine with one entry point,
+//! [`MultiBftNode::step`]: an [`Input`] (start, a message, a timer) and
+//! the time go in, and the [`Output`]s it asks for (send, broadcast to
+//! peers, arm a timer, crash) come out, in order, in a buffer the caller
+//! owns. No handler touches a network, a clock or a timer queue; the
+//! replica's execution pipeline is the one thing it drives directly.
+//! Nothing else is decided in the handlers that has a module of its own:
+//! the state-transfer rotation is [`crate::sync::StateTransfer`], the
 //! durability mode is [`crate::durability::Durability`], timer ids are
 //! [`crate::timer::Timer`], and every instance effect goes through the
 //! one action handler.
 //!
-//! The node implements `ladon-sim`'s [`Actor`] trait, so it runs under the
+//! The node's `ladon-sim` [`Actor`] impl is the one driver: it reads the
+//! context's clock once per event, calls `step`, and performs the
+//! outputs in the order they were produced, so the node runs under the
 //! deterministic engine and the live threaded runtime unchanged.
 
 use crate::bucket::{Mempool, RotatingBuckets, TxGroup};
 use crate::dqbft::DqbftOrderer;
 use crate::durability::{Durability, DurabilityEvent, DurabilityStep, NodeMode};
 use crate::epoch::{EpochInput, EpochPacemaker};
-use crate::instance::{Input, Instance};
+use crate::instance::{self, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
@@ -43,7 +50,7 @@ use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{ExecOutcome, ExecutionPipeline, SnapshotHead};
 use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig,
-    TimeNs, WireSize,
+    TimeNs, WireSize, MERKLE_LANES,
 };
 use std::sync::Arc;
 
@@ -117,9 +124,31 @@ impl GlobalOrderer for Orderer {
 /// State-transfer probe period.
 const SYNC_PERIOD: TimeNs = TimeNs::from_millis(1000);
 
-/// Arms `timer` on the calling node.
-fn arm(ctx: &mut dyn Context<NodeMsg>, delay: TimeNs, timer: Timer) {
-    ctx.set_timer(delay, timer.encode());
+/// One event a replica handles.
+#[derive(Debug)]
+pub enum Input {
+    /// The replica starts: it arms its first timers.
+    Start,
+    /// A message from an actor. A replica's actor id is its replica id;
+    /// any other sender (the client fleet's ids are `n` and up) may only
+    /// submit transactions.
+    Message(ActorId, NodeMsg),
+    /// A timer this replica armed fired.
+    Timer(Timer),
+}
+
+/// One effect a replica asks of its driver; a step's outputs are
+/// performed in the order it produced them.
+#[derive(Debug)]
+pub enum Output {
+    /// Send a message to one actor.
+    Send(ActorId, NodeMsg),
+    /// Send a message to every other replica, in replica order.
+    Broadcast(NodeMsg),
+    /// Feed [`Input::Timer`] back after a delay.
+    Arm(TimeNs, Timer),
+    /// Stop the replica: it takes no further input.
+    Crash,
 }
 
 /// The Multi-BFT replica.
@@ -164,6 +193,10 @@ pub struct MultiBftNode {
     /// Metrics sink.
     pub metrics: NodeMetrics,
     crashed: bool,
+    /// The time of the input being stepped.
+    now: TimeNs,
+    /// The [`Actor`] driver's output buffer, reused across events.
+    outputs: Vec<Output>,
 }
 
 impl MultiBftNode {
@@ -238,6 +271,8 @@ impl MultiBftNode {
             durability: Durability::default(),
             metrics: NodeMetrics::default(),
             crashed: false,
+            now: TimeNs::ZERO,
+            outputs: Vec::new(),
             cfg,
         }
     }
@@ -303,10 +338,10 @@ impl MultiBftNode {
     // ------------------------------------------------------------------
 
     /// Feeds `input` to instance `i` and performs what comes back.
-    fn step(&mut self, i: usize, input: Input, ctx: &mut dyn Context<NodeMsg>) {
-        let actions = self.slots[i].step(input, ctx.now(), &mut self.cur_rank);
-        self.handle_actions(i, actions, ctx);
-        self.watch(i, ctx);
+    fn feed(&mut self, i: usize, input: instance::Input, out: &mut Vec<Output>) {
+        let actions = self.slots[i].step(input, self.now, &mut self.cur_rank);
+        self.handle_actions(i, actions, out);
+        self.watch(i, out);
     }
 
     /// Arms what instance `i` now waits on, and nothing else: its pace
@@ -314,17 +349,17 @@ impl MultiBftNode {
     /// leadership returns), and one liveness timer while it has a
     /// deadline. A deadline only moves later, so a pending liveness timer
     /// is never late; one that fires early re-arms for the rest.
-    fn watch(&mut self, i: usize, ctx: &mut dyn Context<NodeMsg>) {
-        let now = ctx.now();
+    fn watch(&mut self, i: usize, out: &mut Vec<Output>) {
         if !self.pacing[i] && self.slots[i].is_leader() {
             self.pacing[i] = true;
-            arm(ctx, self.pace_delay(i, now), Timer::Pace(i));
+            out.push(Output::Arm(self.pace_delay(i, self.now), Timer::Pace(i)));
         }
         if let Some(since) = self.slots[i].liveness_since() {
             if !self.liveness_armed[i] {
                 self.liveness_armed[i] = true;
                 let due = since + self.cfg.sys.view_change_timeout;
-                arm(ctx, due.saturating_sub(now), Timer::Liveness(i));
+                let delay = due.saturating_sub(self.now);
+                out.push(Output::Arm(delay, Timer::Liveness(i)));
             }
         }
     }
@@ -336,21 +371,19 @@ impl MultiBftNode {
         &mut self,
         i: usize,
         actions: impl Iterator<Item = Action<NodeMsg>>,
-        ctx: &mut dyn Context<NodeMsg>,
+        out: &mut Vec<Output>,
     ) {
         for a in actions {
             match a {
-                Action::Broadcast(msg) => ctx.multicast(&self.peers, msg),
-                Action::Send(r, msg) if r == self.cfg.me => self.on_node_msg(r, msg, ctx),
-                Action::Send(r, msg) => ctx.send(r.as_usize(), msg),
-                Action::Committed(block) => self.on_committed(i, block, ctx),
+                Action::Broadcast(msg) => out.push(Output::Broadcast(msg)),
+                Action::Send(r, msg) if r == self.cfg.me => self.on_node_msg(r, msg, out),
+                Action::Send(r, msg) => out.push(Output::Send(r.as_usize(), msg)),
+                Action::Committed(block) => self.on_committed(i, block, out),
                 Action::ViewChangeStarted { view } => {
-                    self.metrics
-                        .view_changes
-                        .push((ctx.now(), i as u32, view.0));
+                    self.metrics.view_changes.push((self.now, i as u32, view.0));
                 }
                 Action::NewViewInstalled { view } => {
-                    self.metrics.new_views.push((ctx.now(), i as u32, view.0));
+                    self.metrics.new_views.push((self.now, i as u32, view.0));
                 }
             }
         }
@@ -360,8 +393,7 @@ impl MultiBftNode {
     // Commit / confirm pipeline
     // ------------------------------------------------------------------
 
-    fn on_committed(&mut self, i: usize, block: Block, ctx: &mut dyn Context<NodeMsg>) {
-        let now = ctx.now();
+    fn on_committed(&mut self, i: usize, block: Block, out: &mut Vec<Output>) {
         if !self.liveness_started {
             self.liveness_started = true;
             // This replica's first commit: an instance that waits on
@@ -370,8 +402,8 @@ impl MultiBftNode {
             // start: a restarted replica would time out instances it has
             // not caught up on yet.)
             for j in 0..self.slots.len() {
-                self.slots[j].wait_from(now);
-                self.watch(j, ctx);
+                self.slots[j].wait_from(self.now);
+                self.watch(j, out);
             }
         }
         self.committed_in_window[i] = true;
@@ -379,7 +411,7 @@ impl MultiBftNode {
             instance: block.index().0,
             round: block.round().0,
             rank: block.rank().0,
-            time: now,
+            time: self.now,
         });
 
         // Ordering layer + execution first. The orderer confirms nothing
@@ -390,21 +422,20 @@ impl MultiBftNode {
         let confirmed: Vec<ConfirmedBlock> = match &mut self.orderer {
             // The ordering instance sequenced a reference batch.
             Orderer::Dqbft(o) if i == self.cfg.sys.m => {
-                o.on_sequenced(block.round().0, &block.batch.refs, now)
+                o.on_sequenced(block.round().0, &block.batch.refs, self.now)
             }
-            o => o.on_partial_commit(block, now),
+            o => o.on_partial_commit(block, self.now),
         };
-        self.record_confirms(confirmed, now);
-        self.close_epoch_if_ordered(ctx);
+        self.record_confirms(confirmed, self.now);
+        self.close_epoch_if_ordered(out);
 
         // Both the confirm drain and the checkpoint above can resolve a
-        // flush barrier: evaluate the degradation trigger while a timer
-        // context is in hand.
-        self.check_durability(ctx);
+        // flush barrier: evaluate the degradation trigger.
+        self.check_durability(out);
 
         // A commit can unblock proposals (rank sets complete, HS QCs form,
         // DQBFT refs accumulate).
-        self.try_propose_all(ctx);
+        self.try_propose_all(out);
     }
 
     /// Closes the current epoch once the orderer reports it over (every
@@ -415,7 +446,7 @@ impl MultiBftNode {
     /// snapshot records `frontier`, each instance's last round of the
     /// epoch, so installers can fast-forward consensus intake, not just
     /// the state machine.
-    fn close_epoch_if_ordered(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    fn close_epoch_if_ordered(&mut self, out: &mut Vec<Output>) {
         if self.pacemaker.as_ref().is_none_or(EpochPacemaker::closed) {
             return;
         }
@@ -432,7 +463,7 @@ impl MultiBftNode {
         // vote.
         let signer = self.cfg.registry.signer(self.cfg.me);
         let signed = self.durability.is_normal().then(|| {
-            let (now, epoch) = (ctx.now(), self.epoch());
+            let (now, epoch) = (self.now, self.epoch());
             let root = self.exec.checkpoint(epoch, frontier);
             // Every block below the new snapshot frontier is now covered
             // by a checkpoint: stamp the terminal lifecycle stage for the
@@ -448,22 +479,22 @@ impl MultiBftNode {
             self.metrics.state_roots.push((now, epoch, root));
             (&signer, root)
         });
-        self.pace(EpochInput::Close(signed), ctx);
+        self.pace(EpochInput::Close(signed), out);
     }
 
     /// Feeds one input to the pacemaker, broadcasts the checkpoint it
     /// signed, mirrors its conflict count and enters the epoch it
     /// reports.
-    fn pace(&mut self, input: EpochInput<'_>, ctx: &mut dyn Context<NodeMsg>) {
+    fn pace(&mut self, input: EpochInput<'_>, out: &mut Vec<Output>) {
         let Some(pm) = &mut self.pacemaker else {
             return;
         };
         let step = pm.step(input, &self.cfg.registry);
         self.metrics.root_conflicts = pm.root_conflicts;
         if let Some(cp) = step.signed {
-            ctx.multicast(&self.peers, NodeMsg::Checkpoint(cp));
+            out.push(Output::Broadcast(NodeMsg::Checkpoint(cp)));
         }
-        self.enter_epoch(step.entered, ctx);
+        self.enter_epoch(step.entered, out);
     }
 
     fn record_confirms(&mut self, confirmed: Vec<ConfirmedBlock>, now: TimeNs) {
@@ -518,11 +549,11 @@ impl MultiBftNode {
         self.metrics.set_exec(self.exec.stats());
     }
 
-    /// Degradation trigger: call with `ctx` after any path that can
-    /// resolve a flush barrier. Feeds the consecutive-failure count to
-    /// the [`Durability`] machine; on `Normal → Degraded` records the
-    /// entry and arms the first retry.
-    fn check_durability(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    /// Degradation trigger: call after any path that can resolve a flush
+    /// barrier. Feeds the consecutive-failure count to the
+    /// [`Durability`] machine; on `Normal → Degraded` records the entry
+    /// and arms the first retry.
+    fn check_durability(&mut self, out: &mut Vec<Output>) {
         let failures = self.exec.perf().consecutive_flush_failures;
         let step = self
             .durability
@@ -531,7 +562,7 @@ impl MultiBftNode {
             self.metrics.degraded = true;
             self.metrics.degraded_entries += 1;
             self.metrics.trace.note_event("mode_degraded");
-            arm(ctx, retry_in, Timer::Retry);
+            out.push(Output::Arm(retry_in, Timer::Retry));
         }
     }
 
@@ -542,7 +573,7 @@ impl MultiBftNode {
     /// confirmed in dense order all along, so the resulting roots are
     /// byte-identical to a never-degraded run. The machine then either
     /// recovers or re-arms the timer with doubled (capped) backoff.
-    fn retry_degraded(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    fn retry_degraded(&mut self, out: &mut Vec<Output>) {
         if self.durability.on(DurabilityEvent::RetryTimer) != DurabilityStep::AttemptRepair {
             return;
         }
@@ -561,7 +592,7 @@ impl MultiBftNode {
                 self.metrics.degraded = false;
                 self.metrics.trace.note_event("mode_normal");
             }
-            DurabilityStep::RetryIn(delay) => arm(ctx, delay, Timer::Retry),
+            DurabilityStep::RetryIn(delay) => out.push(Output::Arm(delay, Timer::Retry)),
             step => unreachable!("a repair attempt while degraded cannot yield {step:?}"),
         }
     }
@@ -570,13 +601,13 @@ impl MultiBftNode {
     // Proposing
     // ------------------------------------------------------------------
 
-    fn try_propose_all(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    fn try_propose_all(&mut self, out: &mut Vec<Output>) {
         for i in 0..self.slots.len() {
-            self.try_propose(i, ctx);
+            self.try_propose(i, out);
         }
     }
 
-    fn try_propose(&mut self, i: usize, ctx: &mut dyn Context<NodeMsg>) {
+    fn try_propose(&mut self, i: usize, out: &mut Vec<Output>) {
         if !self.want_propose[i] {
             return;
         }
@@ -613,29 +644,29 @@ impl MultiBftNode {
 
         // Phase 3 (mutable): propose and plumb the actions.
         self.want_propose[i] = false;
-        self.step(i, Input::Propose(batch), ctx);
+        self.feed(i, instance::Input::Propose(batch), out);
     }
 
     // ------------------------------------------------------------------
     // Message handling
     // ------------------------------------------------------------------
 
-    fn on_node_msg(&mut self, from: ReplicaId, msg: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
+    fn on_node_msg(&mut self, from: ReplicaId, msg: NodeMsg, out: &mut Vec<Output>) {
         match msg {
             NodeMsg::Pbft { instance, .. } | NodeMsg::Hs { instance, .. } => {
                 // Consensus traffic: the instance decides whether the
                 // message is of its protocol's kind.
                 let i = instance.as_usize();
                 if i < self.slots.len() {
-                    self.step(i, Input::Message(from, msg), ctx);
-                    self.try_propose(i, ctx);
+                    self.feed(i, instance::Input::Message(from, msg), out);
+                    self.try_propose(i, out);
                 }
             }
-            NodeMsg::Checkpoint(cp) => self.pace(EpochInput::Vote(from, &cp), ctx),
-            NodeMsg::SyncReq(req) => self.on_sync_request(from, req, ctx),
+            NodeMsg::Checkpoint(cp) => self.pace(EpochInput::Vote(from, &cp), out),
+            NodeMsg::SyncReq(req) => self.on_sync_request(from, req, out),
             // Sent to us alone: the unwrap moves, it does not copy.
-            NodeMsg::SyncResp(resp) => self.on_sync_response(from, Arc::unwrap_or_clone(resp), ctx),
-            NodeMsg::ClientTxs(group) => self.on_client_txs(group, ctx),
+            NodeMsg::SyncResp(resp) => self.on_sync_response(from, Arc::unwrap_or_clone(resp), out),
+            NodeMsg::ClientTxs(group) => self.on_client_txs(group, out),
         }
     }
 
@@ -645,25 +676,24 @@ impl MultiBftNode {
     /// buckets rotate with the epoch). The released blocks may already
     /// complete the new epoch (after a fast-forward, say), so the close
     /// test runs again.
-    fn enter_epoch(&mut self, next: Option<Epoch>, ctx: &mut dyn Context<NodeMsg>) {
+    fn enter_epoch(&mut self, next: Option<Epoch>, out: &mut Vec<Output>) {
         let Some(epoch) = next else {
             return;
         };
-        let now = ctx.now();
         let (min, max) = self.cfg.sys.rank_range(epoch);
-        self.metrics.epochs.push((now, epoch.0));
+        self.metrics.epochs.push((self.now, epoch.0));
         // Before the instances step: a block they commit now belongs to
         // the new epoch and must not wait behind the old boundary.
         if let Orderer::Ladon(o) = &mut self.orderer {
             let released = o.set_ceiling(max);
-            self.record_confirms(released, now);
+            self.record_confirms(released, self.now);
         }
         for i in 0..self.cfg.sys.m {
-            self.step(i, Input::AdvanceEpoch(min, max), ctx);
+            self.feed(i, instance::Input::AdvanceEpoch(min, max), out);
         }
-        self.close_epoch_if_ordered(ctx);
-        self.check_durability(ctx);
-        self.try_propose_all(ctx);
+        self.close_epoch_if_ordered(out);
+        self.check_durability(out);
+        self.try_propose_all(out);
     }
 
     // ------------------------------------------------------------------
@@ -715,23 +745,18 @@ impl MultiBftNode {
     /// round-robin order (see [`StateTransfer`] for how silence and bad
     /// payloads move a peer out of the rotation, and why that never
     /// costs liveness). Called once per probe window.
-    fn send_sync_request(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    fn send_sync_request(&mut self, out: &mut Vec<Output>) {
         if self.sync.note_timeout() {
             self.metrics.sync_responder_timeouts += 1;
         }
         let req = self.build_sync_request();
         let target = self.sync.pick_target();
         self.metrics.sync_requests += 1;
-        ctx.send(target, NodeMsg::SyncReq(req));
+        out.push(Output::Send(target, NodeMsg::SyncReq(req)));
     }
 
     /// Serves a peer's state-transfer request from our committed log.
-    fn on_sync_request(
-        &mut self,
-        from: ReplicaId,
-        req: SyncRequest,
-        ctx: &mut dyn Context<NodeMsg>,
-    ) {
+    fn on_sync_request(&mut self, from: ReplicaId, req: SyncRequest, out: &mut Vec<Output>) {
         if let Some(resp) = self.build_sync_response(&req) {
             if resp.snapshot.is_some() {
                 self.metrics.snapshots_served += 1;
@@ -739,7 +764,8 @@ impl MultiBftNode {
                 self.metrics.snapshot_bytes_served +=
                     resp.chunks.iter().map(|c| c.wire_size()).sum::<u64>();
             }
-            ctx.send(from.as_usize(), NodeMsg::SyncResp(Arc::new(resp)));
+            let msg = NodeMsg::SyncResp(Arc::new(resp));
+            out.push(Output::Send(from.as_usize(), msg));
         }
     }
 
@@ -822,20 +848,20 @@ impl MultiBftNode {
     /// Verifies and installs a peer's sync response — snapshot, then
     /// checkpoint, then entries — and scores `from`'s responder health
     /// from the three steps' combined outcome
-    /// ([`StateTransfer::score_response`]).
-    pub fn on_sync_response(
-        &mut self,
-        from: ReplicaId,
-        resp: SyncResponse,
-        ctx: &mut dyn Context<NodeMsg>,
-    ) {
-        let mut outcome = self.install_snapshot(&resp);
-        if let Some(sc) = &resp.checkpoint {
-            // `useful` so far means exactly "the snapshot installed".
-            self.pace(EpochInput::Fetched(sc, outcome.useful), ctx);
-            outcome.useful = true;
-        }
-        outcome.useful |= self.install_entries(resp.entries, ctx);
+    /// ([`StateTransfer::score_response`]). A responder serves at most
+    /// [`SYNC_MAX_BLOCKS`] entries and one chunk per lane, so a response
+    /// past either cap is refused before anything in it is verified, and
+    /// scored like one that does not verify.
+    fn on_sync_response(&mut self, from: ReplicaId, resp: SyncResponse, out: &mut Vec<Output>) {
+        let outcome =
+            if resp.entries.len() > SYNC_MAX_BLOCKS || resp.chunks.len() > MERKLE_LANES as usize {
+                ResponseOutcome {
+                    refused: true,
+                    ..ResponseOutcome::default()
+                }
+            } else {
+                self.install_response(resp, out)
+            };
         if let Some(newly_quarantined) = self.sync.score_response(from.as_usize(), outcome) {
             self.metrics.sync_chunks_verified += outcome.ok_chunks;
             self.metrics.sync_chunks_rejected += outcome.bad_chunks;
@@ -844,6 +870,18 @@ impl MultiBftNode {
                 self.metrics.trace.note_event("responder_quarantined");
             }
         }
+    }
+
+    /// Installs what `resp` proves, in order, and reports the outcome.
+    fn install_response(&mut self, resp: SyncResponse, out: &mut Vec<Output>) -> ResponseOutcome {
+        let mut outcome = self.install_snapshot(&resp);
+        if let Some(sc) = &resp.checkpoint {
+            // `useful` so far means exactly "the snapshot installed".
+            self.pace(EpochInput::Fetched(sc, outcome.useful), out);
+            outcome.useful = true;
+        }
+        outcome.useful |= self.install_entries(resp.entries, out);
+        outcome
     }
 
     /// Snapshot fast-forward: only with a verified stable checkpoint
@@ -862,7 +900,7 @@ impl MultiBftNode {
         let Some(head) = &resp.snapshot else {
             return outcome;
         };
-        outcome.head_rejected = !resp.checkpoint.as_ref().is_some_and(|cp| {
+        outcome.refused = !resp.checkpoint.as_ref().is_some_and(|cp| {
             cp.epoch.0 == head.epoch
                 && cp.state_root == head.root
                 && head.frontier.len() == self.cfg.sys.m
@@ -870,7 +908,7 @@ impl MultiBftNode {
                 && head.applied > self.exec.applied()
                 && cp.verify(&self.cfg.registry, self.cfg.sys.quorum())
         });
-        if outcome.head_rejected {
+        if outcome.refused {
             return outcome;
         }
         for chunk in &resp.chunks {
@@ -900,24 +938,23 @@ impl MultiBftNode {
 
     /// Feeds fetched log entries through their instances (which verify
     /// each QC). Returns whether any of them installed.
-    fn install_entries(&mut self, entries: Vec<SyncEntry>, ctx: &mut dyn Context<NodeMsg>) -> bool {
-        let now = ctx.now();
+    fn install_entries(&mut self, entries: Vec<SyncEntry>, out: &mut Vec<Output>) -> bool {
         let mut installed = false;
         for e in entries {
             let i = e.instance.as_usize();
             if i >= self.cfg.sys.m {
                 continue;
             }
-            let input = Input::Install(e.block, e.qc);
+            let input = instance::Input::Install(e.block, e.qc);
             let mut actions = self.slots[i]
-                .step(input, now, &mut self.cur_rank)
+                .step(input, self.now, &mut self.cur_rank)
                 .peekable();
             if actions.peek().is_some() {
                 self.metrics.sync_installed += 1;
                 installed = true;
             }
-            self.handle_actions(i, actions, ctx);
-            self.watch(i, ctx);
+            self.handle_actions(i, actions, out);
+            self.watch(i, out);
         }
         installed
     }
@@ -954,7 +991,7 @@ impl MultiBftNode {
     /// Step ① relay semantics: deposit if we lead the bucket's instance,
     /// otherwise forward once toward the leader we believe is current. A
     /// group for a bucket that does not exist is refused and counted.
-    fn on_client_txs(&mut self, group: ClientTxs, ctx: &mut dyn Context<NodeMsg>) {
+    fn on_client_txs(&mut self, group: ClientTxs, out: &mut Vec<Output>) {
         if group.bucket as usize >= self.cfg.sys.m {
             self.metrics.refused_client_groups += 1;
             return;
@@ -975,90 +1012,92 @@ impl MultiBftNode {
         } else {
             let mut fwd = group;
             fwd.forwarded = true;
-            ctx.send(leader.as_usize(), NodeMsg::ClientTxs(fwd));
+            out.push(Output::Send(leader.as_usize(), NodeMsg::ClientTxs(fwd)));
         }
     }
-}
 
-impl Actor<NodeMsg> for MultiBftNode {
-    fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+    // ------------------------------------------------------------------
+    // The entry point
+    // ------------------------------------------------------------------
+
+    /// The replica's one entry point: handles `input` at `now` and
+    /// appends what it asks of its driver to `out`, in order. A crashed
+    /// replica takes no further input.
+    pub fn step(&mut self, now: TimeNs, input: Input, out: &mut Vec<Output>) {
+        self.now = now;
+        match input {
+            _ if self.crashed => {}
+            Input::Start => self.start(out),
+            // Actor id == replica id for replicas. Anything else (the
+            // client fleet's actors have ids >= n) is not a replica and
+            // may only submit transactions: consensus, checkpoint and
+            // state-transfer messages are replica-to-replica and are
+            // dropped at this door, so no handler ever sees a sender it
+            // cannot attribute.
+            Input::Message(from, msg) if from < self.cfg.sys.n => {
+                self.on_node_msg(ReplicaId(from as u32), msg, out)
+            }
+            Input::Message(_, NodeMsg::ClientTxs(group)) => self.on_client_txs(group, out),
+            Input::Message(..) => {}
+            Input::Timer(timer) => self.fire(timer, out),
+        }
+    }
+
+    fn start(&mut self, out: &mut Vec<Output>) {
         // Pace the instances this replica leads. No liveness deadline
         // yet: the first commit starts them.
         for i in 0..self.slots.len() {
-            self.watch(i, ctx);
+            self.watch(i, out);
         }
         if let Some(at) = self.cfg.behavior.crash_at {
-            arm(ctx, at, Timer::Crash);
+            out.push(Output::Arm(at, Timer::Crash));
         }
         // SB failure detector D (pre-determined orderers only): watch each
         // instance for quiet leaders.
         if matches!(self.orderer, Orderer::Pre(_)) {
-            for i in 0..self.cfg.sys.m {
-                arm(ctx, self.cfg.sys.quiet_leader_timeout, Timer::Quiet(i));
-            }
+            let window = self.cfg.sys.quiet_leader_timeout;
+            out.extend((0..self.cfg.sys.m).map(|i| Output::Arm(window, Timer::Quiet(i))));
         }
         // State-transfer probe (epoch-running protocols only, §5.2.1).
         if self.pacemaker.is_some() {
-            arm(ctx, SYNC_PERIOD, Timer::Sync);
+            out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
         }
         if let Some(every) = self.cfg.sample_interval {
-            arm(ctx, every, Timer::Sample);
+            out.push(Output::Arm(every, Timer::Sample));
         }
     }
 
-    fn on_message(&mut self, from: ActorId, msg: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
-        if self.crashed {
-            return;
-        }
-        // Actor id == replica id for replicas. Anything else (the client
-        // fleet's actors have ids >= n) is not a replica and may only
-        // submit transactions: consensus, checkpoint and state-transfer
-        // messages are replica-to-replica and are dropped at this door,
-        // so no handler ever sees a sender it cannot attribute.
-        if from < self.cfg.sys.n {
-            self.on_node_msg(ReplicaId(from as u32), msg, ctx);
-        } else if let NodeMsg::ClientTxs(group) = msg {
-            self.on_client_txs(group, ctx);
-        }
-    }
-
-    fn on_timer(&mut self, timer: u64, ctx: &mut dyn Context<NodeMsg>) {
-        if self.crashed {
-            return;
-        }
-        let Some(timer) = Timer::decode(timer) else {
-            return;
-        };
+    fn fire(&mut self, timer: Timer, out: &mut Vec<Output>) {
         match timer {
             // A tick on an instance this replica no longer leads lapses;
             // `watch` re-arms it when leadership returns.
             Timer::Pace(i) if i < self.slots.len() => {
                 self.pacing[i] = false;
                 if self.slots[i].is_leader() {
-                    self.watch(i, ctx);
+                    self.watch(i, out);
                     self.want_propose[i] = true;
-                    self.try_propose(i, ctx);
+                    self.try_propose(i, out);
                 }
             }
             Timer::Liveness(i) if i < self.slots.len() => {
                 self.liveness_armed[i] = false;
                 let timeout = self.cfg.sys.view_change_timeout;
                 match self.slots[i].liveness_since() {
-                    Some(since) if since + timeout > ctx.now() => self.watch(i, ctx),
-                    Some(_) => self.step(i, Input::Timeout, ctx),
+                    Some(since) if since + timeout > self.now => self.watch(i, out),
+                    Some(_) => self.feed(i, instance::Input::Timeout, out),
                     None => {}
                 }
             }
             Timer::Crash => {
                 self.crashed = true;
-                ctx.crash(ctx.self_id());
+                out.push(Output::Crash);
             }
             Timer::Sample => {
                 self.metrics
                     .samples
-                    .push((ctx.now(), self.metrics.confirmed_txs));
+                    .push((self.now, self.metrics.confirmed_txs));
                 if let Some(every) = self.cfg.sample_interval {
-                    arm(ctx, every, Timer::Sample);
+                    out.push(Output::Arm(every, Timer::Sample));
                 }
             }
             Timer::Sync => {
@@ -1069,26 +1108,46 @@ impl Actor<NodeMsg> for MultiBftNode {
                 // probe still outstanding there has had a full window).
                 self.sync.open_probe_window();
                 if self.sync_lagging() {
-                    self.send_sync_request(ctx);
+                    self.send_sync_request(out);
                 }
-                arm(ctx, SYNC_PERIOD, Timer::Sync);
+                out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
             }
-            Timer::Retry => self.retry_degraded(ctx),
+            Timer::Retry => self.retry_degraded(out),
             // Nothing committed since the window opened: a full quiet
             // window elapsed.
             Timer::Quiet(i) if i < self.cfg.sys.m => {
-                let now = ctx.now();
                 if !std::mem::take(&mut self.committed_in_window[i]) {
                     if let Orderer::Pre(o) = &mut self.orderer {
-                        let confirmed = o.on_quiet_leader(InstanceId(i as u32), now);
-                        self.record_confirms(confirmed, now);
-                        self.check_durability(ctx);
+                        let confirmed = o.on_quiet_leader(InstanceId(i as u32), self.now);
+                        self.record_confirms(confirmed, self.now);
+                        self.check_durability(out);
                     }
                 }
-                arm(ctx, self.cfg.sys.quiet_leader_timeout, Timer::Quiet(i));
+                let window = self.cfg.sys.quiet_leader_timeout;
+                out.push(Output::Arm(window, Timer::Quiet(i)));
             }
             // A timer for an instance this node does not host.
             Timer::Pace(_) | Timer::Liveness(_) | Timer::Quiet(_) => {}
+        }
+    }
+}
+
+/// The one driver of a replica under `ladon-sim`'s engine and live
+/// runtime: each event is one [`MultiBftNode::step`] at the context's
+/// clock, its outputs performed in order.
+impl Actor<NodeMsg> for MultiBftNode {
+    fn on_start(&mut self, ctx: &mut dyn Context<NodeMsg>) {
+        self.drive(Input::Start, ctx);
+    }
+
+    fn on_message(&mut self, from: ActorId, msg: NodeMsg, ctx: &mut dyn Context<NodeMsg>) {
+        self.drive(Input::Message(from, msg), ctx);
+    }
+
+    fn on_timer(&mut self, timer: u64, ctx: &mut dyn Context<NodeMsg>) {
+        // An id no `Timer::encode` produced is not this node's.
+        if let Some(timer) = Timer::decode(timer) {
+            self.drive(Input::Timer(timer), ctx);
         }
     }
 
@@ -1101,11 +1160,29 @@ impl Actor<NodeMsg> for MultiBftNode {
     }
 }
 
+impl MultiBftNode {
+    /// The [`Actor`] impl's one step: one clock read, then the outputs
+    /// performed through `ctx` in the order they were produced, through
+    /// a buffer kept across events.
+    fn drive(&mut self, input: Input, ctx: &mut dyn Context<NodeMsg>) {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        self.step(ctx.now(), input, &mut outputs);
+        for output in outputs.drain(..) {
+            match output {
+                Output::Send(to, msg) => ctx.send(to, msg),
+                Output::Broadcast(msg) => ctx.multicast(&self.peers, msg),
+                Output::Arm(delay, timer) => ctx.set_timer(delay, timer.encode()),
+                Output::Crash => ctx.crash(ctx.self_id()),
+            }
+        }
+        self.outputs = outputs;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::epoch::CheckpointMsg;
-    use ladon_sim::RecordingCtx;
 
     #[test]
     fn node_construction_per_protocol() {
@@ -1176,43 +1253,74 @@ mod tests {
         })
     }
 
+    /// Steps `n` once at time zero and returns what it asked for.
+    fn step(n: &mut MultiBftNode, input: Input) -> Vec<Output> {
+        let mut out = Vec::new();
+        n.step(TimeNs::ZERO, input, &mut out);
+        out
+    }
+
     /// Replica 0's first proposal on instance 0 (which it leads in view
     /// 0), exactly as it would go on the wire.
     fn first_proposal(protocol: ProtocolKind) -> NodeMsg {
         let mut leader = node(protocol, 0);
-        let mut ctx = RecordingCtx::new(0, 1);
-        leader.on_timer(Timer::Pace(0).encode(), &mut ctx);
-        let (_, msg) = ctx
-            .sent
+        step(&mut leader, Input::Timer(Timer::Pace(0)))
             .into_iter()
-            .find(|(_, m)| matches!(m, NodeMsg::Pbft { .. } | NodeMsg::Hs { .. }))
-            .expect("the paced leader proposes");
-        msg
+            .find_map(|o| match o {
+                Output::Broadcast(m @ (NodeMsg::Pbft { .. } | NodeMsg::Hs { .. })) => Some(m),
+                _ => None,
+            })
+            .expect("the paced leader proposes")
     }
 
     /// Delivers `msg` from actor `from` to a fresh replica 1 running
     /// `host` and reports whether anything observable happened: the
-    /// commit frontier, epoch or applied frontier moved, or a message or
-    /// timer went out.
+    /// commit frontier, epoch or applied frontier moved, or the replica
+    /// asked for anything.
     fn delivery_has_effect(host: ProtocolKind, from: ActorId, msg: NodeMsg) -> bool {
         let mut n = node(host, 1);
-        let mut ctx = RecordingCtx::new(1, 1);
         let state = |n: &MultiBftNode| (n.commit_frontier(), n.epoch(), n.exec.applied());
         let before = state(&n);
-        n.on_message(from, msg, &mut ctx);
-        state(&n) != before || !ctx.sent.is_empty() || !ctx.timers.is_empty()
+        let out = step(&mut n, Input::Message(from, msg));
+        state(&n) != before || !out.is_empty()
     }
 
-    /// Delivers every message the replicas' contexts recorded, in order,
-    /// until none is left.
-    fn deliver_all(nodes: &mut [MultiBftNode], ctxs: &mut [RecordingCtx<NodeMsg>]) {
-        let mut moved = true;
-        while moved {
-            moved = false;
-            for from in 0..nodes.len() {
-                for (to, msg) in std::mem::take(&mut ctxs[from].sent) {
-                    nodes[to].on_message(from, msg, &mut ctxs[to]);
-                    moved = true;
+    /// Replicas stepped by hand at one shared clock: every message they
+    /// send is delivered, in the order sent, and every timer they arm is
+    /// kept (none fires on its own).
+    struct Cluster {
+        nodes: Vec<MultiBftNode>,
+        now: TimeNs,
+        armed: Vec<Vec<Timer>>,
+    }
+
+    impl Cluster {
+        fn new(protocol: ProtocolKind) -> Self {
+            Self {
+                nodes: (0..N as u32).map(|r| node(protocol, r)).collect(),
+                now: TimeNs::ZERO,
+                armed: vec![Vec::new(); N],
+            }
+        }
+
+        /// Steps replica `r` with `input`, then delivers until nothing
+        /// is in flight.
+        fn run(&mut self, r: usize, input: Input) {
+            let mut inbox = std::collections::VecDeque::from([(r, input)]);
+            while let Some((to, input)) = inbox.pop_front() {
+                let mut out = Vec::new();
+                self.nodes[to].step(self.now, input, &mut out);
+                for o in out {
+                    match o {
+                        Output::Send(dst, msg) => inbox.push_back((dst, Input::Message(to, msg))),
+                        Output::Broadcast(msg) => inbox.extend(
+                            (0..N)
+                                .filter(|&dst| dst != to)
+                                .map(|dst| (dst, Input::Message(to, msg.clone()))),
+                        ),
+                        Output::Arm(_, timer) => self.armed[to].push(timer),
+                        Output::Crash => unreachable!("nothing here crashes"),
+                    }
                 }
             }
         }
@@ -1220,38 +1328,29 @@ mod tests {
 
     #[test]
     fn a_replica_paces_where_it_leads_and_keeps_one_liveness_timer_per_instance() {
-        let mut nodes: Vec<_> = (0..N as u32)
-            .map(|r| node(ProtocolKind::LadonPbft, r))
-            .collect();
-        let mut ctxs: Vec<_> = (0..N).map(|r| RecordingCtx::new(r, 1)).collect();
-        let armed = |ctx: &RecordingCtx<NodeMsg>, wanted: fn(&Timer) -> bool| -> Vec<Timer> {
-            let timers = ctx.timers.iter().filter_map(|&(_, id)| Timer::decode(id));
-            timers.filter(wanted).collect()
-        };
-        let instance_timers = |t: &Timer| matches!(t, Timer::Pace(_) | Timer::Liveness(_));
-        for (r, n) in nodes.iter_mut().enumerate() {
-            n.on_start(&mut ctxs[r]);
+        let mut c = Cluster::new(ProtocolKind::LadonPbft);
+        let instance_timers = |t: &&Timer| matches!(t, Timer::Pace(_) | Timer::Liveness(_));
+        for r in 0..N {
+            c.run(r, Input::Start);
             // Replica r leads instance r alone in view 0, and waits on
             // nothing before its first commit.
-            assert_eq!(armed(&ctxs[r], instance_timers), [Timer::Pace(r)]);
+            let armed: Vec<_> = c.armed[r].iter().filter(instance_timers).collect();
+            assert_eq!(armed, [&Timer::Pace(r)]);
         }
         // Instance 0's leader proposes three rounds; each commits everywhere.
-        let interval = nodes[0].pace_interval();
+        let interval = c.nodes[0].pace_interval();
         for round in 1..=3 {
-            for ctx in &mut ctxs {
-                ctx.now += interval;
-            }
-            nodes[0].on_timer(Timer::Pace(0).encode(), &mut ctxs[0]);
-            deliver_all(&mut nodes, &mut ctxs);
-            for n in &nodes {
+            c.now += interval;
+            c.run(0, Input::Timer(Timer::Pace(0)));
+            for n in &c.nodes {
                 assert_eq!(n.commit_frontier()[0], Round(round));
             }
         }
         // Three commits moved instance 0's deadline three times; one
         // liveness timer serves them all.
-        for (r, ctx) in ctxs.iter().enumerate() {
-            let pending = armed(ctx, |t| *t == Timer::Liveness(0));
-            assert_eq!(pending.len(), 1, "replica {r}");
+        for (r, armed) in c.armed.iter().enumerate() {
+            let pending = armed.iter().filter(|t| **t == Timer::Liveness(0));
+            assert_eq!(pending.count(), 1, "replica {r}");
         }
     }
 
@@ -1322,11 +1421,10 @@ mod tests {
         };
 
         let mut n = node(ProtocolKind::LadonHotStuff, 1);
-        let mut ctx = RecordingCtx::new(1, 1);
-        n.on_message(byz.as_usize(), msg, &mut ctx);
+        let out = step(&mut n, Input::Message(byz.as_usize(), msg));
         assert_eq!(n.slots[0].rejected(), 1);
         assert_eq!(n.slots[0].leader(), ReplicaId(0), "the view must not move");
-        assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
+        assert!(out.is_empty());
     }
 
     /// A first-round pre-prepare on `instance` from its view-0 leader,
@@ -1377,10 +1475,9 @@ mod tests {
         // Delivers instance `i`'s citation of `cert` to `n` and reports
         // (refused, agg_verifies, qc_verify_hits).
         let deliver = |n: &mut MultiBftNode, i: u32, cert: &Arc<QuorumCert>| {
-            let mut ctx = RecordingCtx::new(3, 1);
             let refused_before = n.slots[i as usize].rejected();
             let before = CryptoCounters::snapshot();
-            n.on_message(i as usize, preprepare_citing(i, cert), &mut ctx);
+            step(n, Input::Message(i as usize, preprepare_citing(i, cert)));
             let cost = CryptoCounters::snapshot().since(&before);
             let refused = n.slots[i as usize].rejected() - refused_before;
             (refused, cost.agg_verifies, cost.qc_verify_hits)
@@ -1400,7 +1497,7 @@ mod tests {
         assert_eq!(deliver(&mut two, 0, &cert), (0, 1, 0));
 
         // Entering the next epoch forgets the old epoch's certificates.
-        three.enter_epoch(Some(Epoch(1)), &mut RecordingCtx::new(3, 1));
+        three.enter_epoch(Some(Epoch(1)), &mut Vec::new());
         assert_eq!(deliver(&mut three, 2, &cert), (0, 1, 0));
     }
 
@@ -1424,7 +1521,6 @@ mod tests {
         }
         // Client transactions are what the door is for.
         let mut n = node(LadonPbft, 0);
-        let mut ctx = RecordingCtx::new(0, 1);
         let group = ClientTxs {
             bucket: 0,
             first_tx: ladon_types::TxId(0),
@@ -1433,7 +1529,7 @@ mod tests {
             arrival_sum_ns: 0,
             forwarded: true,
         };
-        n.on_message(N, NodeMsg::ClientTxs(group), &mut ctx);
+        step(&mut n, Input::Message(N, NodeMsg::ClientTxs(group)));
         assert_eq!(n.metrics.deposited_txs, 5);
     }
 
@@ -1443,7 +1539,6 @@ mod tests {
     #[test]
     fn a_client_group_for_a_bucket_that_does_not_exist_is_refused() {
         let mut n = node(ProtocolKind::LadonPbft, 0);
-        let mut ctx = RecordingCtx::new(0, 1);
         let mut refused = 0;
         for bucket in [N as u32, u32::MAX] {
             for forwarded in [true, false] {
@@ -1456,14 +1551,14 @@ mod tests {
                         arrival_sum_ns: 0,
                         forwarded,
                     };
-                    n.on_message(from, NodeMsg::ClientTxs(group), &mut ctx);
+                    let out = step(&mut n, Input::Message(from, NodeMsg::ClientTxs(group)));
+                    assert!(out.is_empty());
                     refused += 1;
                 }
             }
         }
         assert_eq!(n.metrics.refused_client_groups, refused);
         assert_eq!(n.metrics.deposited_txs, 0);
-        assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
     }
 
     /// A sync request from a requester in `epoch` whose frontier is

@@ -5,11 +5,15 @@
 //! corresponding stable checkpoint, which prove the integrity of the
 //! data."
 //!
-//! A replica detects that it fell behind in two ways: its instances
+//! A replica detects that it fell behind in three ways: its instances
 //! buffer pre-prepares whose ranks belong to a future epoch
-//! ([`ladon_pbft::PbftInstance::epoch_backlog`]), or the epoch pacemaker
+//! ([`ladon_pbft::PbftInstance::epoch_backlog`]), the epoch pacemaker
 //! sees a checkpoint quorum for an epoch it has not completed
-//! ([`crate::epoch::EpochPacemaker::lag_evidence`]). It then sends a
+//! ([`crate::epoch::EpochPacemaker::lag_evidence`]), or an instance's
+//! commit frontier stays far behind the highest proposal it has seen
+//! across two probes ([`StateTransfer::gap_persists`]: peers do not
+//! re-send the votes of a round it missed, so such a round never
+//! commits here on its own). It then sends a
 //! [`SyncRequest`] carrying its per-instance commit frontier to one peer
 //! (rotating through peers so a single unhelpful — or Byzantine — peer
 //! cannot starve recovery). The peer answers with a [`SyncResponse`]:
@@ -76,7 +80,7 @@
 //! BackedOff        skip windows elapsed                    Healthy              back in rotation
 //! any              answered: chunks verified, or useful    streak := 0          timeout backoff cleared
 //! any              answered: nothing useful, nothing bad   same                 timeout backoff cleared
-//! not Quarantined  answered: bad chunk or rejected head    streak += 1          timeout backoff cleared
+//! not Quarantined  answered: bad chunk or refused response streak += 1          timeout backoff cleared
 //! not Quarantined  ... and the streak reaches 3            Quarantined          node counts + traces the event
 //! Quarantined      answered (anything)                     Quarantined          scored, never re-admitted
 //! ```
@@ -170,8 +174,8 @@ pub fn delta_chunks(snap: &Snapshot, req: &SyncRequest) -> Vec<SnapshotChunk> {
         .collect()
 }
 
-/// Consecutive unverifiable responses (a bad chunk, or a rejected
-/// snapshot head) from one responder before the requester quarantines it
+/// Consecutive unverifiable responses (a bad chunk, a rejected
+/// snapshot head, or more than a responder serves) from one responder before the requester quarantines it
 /// out of the rotation. Honest responders never ship an unverifiable
 /// chunk, so a small threshold only tolerates re-requests racing a
 /// responder's own state advance; unresponsive (as opposed to Byzantine)
@@ -217,12 +221,13 @@ pub struct ResponseOutcome {
     pub ok_chunks: u64,
     /// Chunks that did not.
     pub bad_chunks: u64,
-    /// The response advertised a snapshot head we rejected (stale applied
-    /// frontier, root/checkpoint mismatch, failed proof). Counts like a
+    /// The response was refused whole: it advertised a snapshot head we
+    /// rejected (stale applied frontier, root/checkpoint mismatch, failed
+    /// proof), or it held more than a responder serves. Counts like a
     /// bad chunk: a stale-but-signed snapshot replayed forever would
     /// otherwise stall the transfer without ever tripping chunk
     /// verification.
-    pub head_rejected: bool,
+    pub refused: bool,
     /// Something else in it helped: a snapshot installed, a log entry
     /// installed, or it carried a checkpoint.
     pub useful: bool,
@@ -322,9 +327,9 @@ impl StateTransfer {
         if self.outstanding == Some(peer) {
             self.outstanding = None;
         }
-        let bad = outcome.bad_chunks > 0 || outcome.head_rejected;
+        let bad = outcome.bad_chunks > 0 || outcome.refused;
         h.verified_chunks += outcome.ok_chunks;
-        h.rejected_chunks += outcome.bad_chunks + u64::from(outcome.head_rejected);
+        h.rejected_chunks += outcome.bad_chunks + u64::from(outcome.refused);
         // It answered: whatever the payload quality, the peer is
         // responsive — timeout backoff resets independently of the
         // verification streak.
@@ -557,7 +562,7 @@ mod tests {
         assert_eq!(st.score_response(1, bad()), Some(false));
         // A rejected head counts like a bad chunk.
         let stale = ResponseOutcome {
-            head_rejected: true,
+            refused: true,
             ..Default::default()
         };
         st.score_response(1, stale);

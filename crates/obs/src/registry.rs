@@ -197,17 +197,8 @@ impl MetricsRegistry {
             .merge(h);
     }
 
-    /// Adds into an indexed series (e.g. per-actor drop counts).
-    /// The series grows to fit `index`.
-    pub fn series_add(&mut self, name: &str, index: usize, delta: u64) {
-        let s = self.series.entry(name.to_string()).or_default();
-        if s.len() <= index {
-            s.resize(index + 1, 0);
-        }
-        s[index] += delta;
-    }
-
-    /// Replaces/merges a whole series by element-wise addition.
+    /// Adds a whole indexed series (e.g. per-actor drop counts) into a
+    /// named slot element-wise; the slot grows to fit `values`.
     pub fn series_merge(&mut self, name: &str, values: &[u64]) {
         let s = self.series.entry(name.to_string()).or_default();
         if s.len() < values.len() {
@@ -395,14 +386,14 @@ mod tests {
         a.counter("x", 3);
         a.gauge("g", 1.5);
         a.observe("h", 100);
-        a.series_add("s", 2, 7);
+        a.series_merge("s", &[0, 0, 7]);
 
         let mut b = MetricsRegistry::new();
         b.counter("x", 4);
         b.counter("y", 1);
         b.gauge("g", 0.5);
         b.observe("h", 5);
-        b.series_add("s", 0, 2);
+        b.series_merge("s", &[2]);
 
         let mut ab = a.clone();
         ab.merge(&b);

@@ -2,8 +2,9 @@
 //!
 //! Each node keeps one [`TraceJournal`]; the node records every stage a
 //! block passes through (submitted → proposed → confirmed →
-//! checkpointed) using `ctx.now()` — the sim clock in simulation, the
-//! monotonic wall clock in `LiveRuntime` (both surface as `TimeNs`).
+//! checkpointed) at the time of the event that moved it — the sim clock
+//! in simulation, the monotonic wall clock in `LiveRuntime` (both surface
+//! as `TimeNs`).
 //! Each adjacent pair of stages feeds one histogram, exported as
 //! `trace.<from>_to_<to>_ns`: `confirmed_to_checkpointed` is how long
 //! until a checkpoint covered a block. A confirmed block's WAL barrier

@@ -362,7 +362,10 @@ pub struct PbftInstance {
     epoch_max: Rank,
     /// Pre-prepares that failed only because our epoch lags (or, in Opt
     /// mode, because their previous round is unseen); retried on
-    /// [`PbftInstance::advance_epoch`]. Bounded by
+    /// [`PbftInstance::advance_epoch`], which may bring their epoch, and
+    /// after [`PbftInstance::install_committed`] adopts a round, which
+    /// may be the previous round an Opt one waits on. A retried one that
+    /// still waits goes back in. Bounded by
     /// [`ladon_types::MAX_PENDING_MSGS`].
     pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>)>,
     /// Pre-prepares and votes from a view we have not installed yet
@@ -553,11 +556,15 @@ impl PbftInstance {
         self.rank_reports = self.rank_reports.split_off(&keep_reports);
 
         let mut out = Vec::new();
-        let pending = std::mem::take(&mut self.pending_epoch);
-        for (from, pp) in pending {
-            self.handle_preprepare(from, &pp, now, cur, &mut out);
-        }
+        self.retry_held(now, cur, &mut out);
         out
+    }
+
+    /// Re-checks every held pre-prepare (see `pending_epoch`).
+    fn retry_held(&mut self, now: TimeNs, cur: &mut RankCert, out: &mut Vec<Action>) {
+        for (from, pp) in std::mem::take(&mut self.pending_epoch) {
+            self.handle_preprepare(from, &pp, now, cur, out);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -751,9 +758,11 @@ impl PbftInstance {
             match self.validate_rank_proof(pp) {
                 RankCheck::Ok => {}
                 RankCheck::EpochAhead => {
-                    // The leader is in a future epoch; retry after advance.
-                    // Checked before the rank aggregate, so the buffer
-                    // is bounded: a leader may sign any number of them.
+                    // The leader is in a future epoch, or (Opt) the
+                    // previous round is unseen; held for a retry (see
+                    // `pending_epoch`). Checked before the rank
+                    // aggregate, so the buffer is bounded: a leader may
+                    // sign any number of them.
                     push_bounded(
                         &mut self.pending_epoch,
                         (from, pp.clone()),
@@ -873,7 +882,8 @@ impl PbftInstance {
                         }
                     }
                     // We have not seen the previous round yet; treat as an
-                    // ordering race and buffer via the epoch-retry path.
+                    // ordering race: held, and retried once that round is
+                    // installed or the epoch advances.
                     _ => return RankCheck::EpochAhead,
                 }
                 let body = RankBody {
@@ -1559,6 +1569,11 @@ impl PbftInstance {
                 out.push(Action::Send(leader, PbftMsg::Rank(report)));
             }
         }
+        // The adopted round may be the previous round a held Opt
+        // pre-prepare could not be checked without; nothing else would
+        // retry it before the epoch advances, and the epoch cannot close
+        // while this instance never prepares its later rounds.
+        self.retry_held(now, cur, &mut out);
         out
     }
 

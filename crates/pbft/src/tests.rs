@@ -1173,6 +1173,48 @@ fn install_committed_abandons_lone_view_change() {
     assert_eq!(c.nodes[1].liveness_since(), None, "it waits on nothing");
 }
 
+#[test]
+fn an_opt_preprepare_held_for_an_unseen_round_prepares_once_that_round_installs() {
+    // Replica 1 misses round 2 entirely, then receives round 3's
+    // pre-prepare: under Opt ranks its base is round 2's rank, which
+    // replica 1 cannot check yet, so the pre-prepare is held. State
+    // transfer then brings round 2, and with it the means to check
+    // round 3 — nothing else would before the epoch advances.
+    let one = ReplicaId(1);
+    let mut c = Cluster::new(4, RankMode::Opt, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    propose_capturing(&mut c, 10);
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        if to != one {
+            let who = to.as_usize();
+            let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+            c.absorb(who, actions);
+        }
+    }
+    assert_eq!(c.nodes[0].committed_upto(), Round(2));
+    assert_eq!(c.nodes[1].committed_upto(), Round(1));
+
+    let pp = propose_capturing(&mut c, 20);
+    c.queue.clear();
+    let held = c.nodes[1].on_message(
+        ReplicaId(0),
+        PbftMsg::PrePrepare(pp),
+        c.now,
+        &mut c.cur_ranks[1],
+    );
+    assert!(held.is_empty());
+    assert_eq!(c.nodes[1].epoch_backlog(), 1);
+
+    let (block, qc) = c.nodes[0].committed_entries_from(Round(1), 1)[0].clone();
+    let actions = c.nodes[1].install_committed(block, qc, c.now, &mut c.cur_ranks[1]);
+    let prepares_round_3 = actions.iter().any(|a| {
+        matches!(a, crate::Action::Broadcast(PbftMsg::Vote(v))
+            if v.phase == Phase::Prepare && v.round == Round(3))
+    });
+    assert!(prepares_round_3, "the held round-3 pre-prepare is prepared");
+    assert_eq!(c.nodes[1].epoch_backlog(), 0);
+}
+
 // ---------------------------------------------------------------------
 // State is per round in flight: tallies end at decision, collected
 // rounds stay collected, a vote nothing can read costs nothing

@@ -9,7 +9,8 @@
 //!   list; default `0-19`), judges each run with the full oracle, and
 //!   prints one row per protocol: violating runs by kind, runs whose
 //!   frontiers spread by more than 16 blocks, the lowest frontier's sum,
-//!   median and minimum, and the highest frontier's median.
+//!   median and minimum, and the highest frontier's median. It exits
+//!   nonzero when any run violated the oracle.
 
 use ladon_types::{ProtocolKind, TimeNs};
 use ladon_workload::{Deployment, ExperimentConfig};
@@ -40,8 +41,10 @@ fn main() {
             Some(list) => list.split(',').map(protocol).collect(),
         };
         let seeds = parse_seeds(args.get(2).map_or("0-19", String::as_str));
-        for p in protocols {
-            loss_grid_row(p, &seeds);
+        let violating: usize = protocols.iter().map(|&p| loss_grid_row(p, &seeds)).sum();
+        if violating > 0 {
+            eprintln!("{violating} run(s) violated the oracle");
+            std::process::exit(1);
         }
         return;
     }
@@ -61,8 +64,9 @@ fn parse_seeds(spec: &str) -> Vec<u64> {
     }
 }
 
-/// One row of the loss grid for `p` over `seeds`.
-fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) {
+/// One row of the loss grid for `p` over `seeds`; returns the number of
+/// violating runs.
+fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let mut violating = 0;
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
@@ -102,6 +106,7 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) {
         lows.first().copied().unwrap_or(0),
         median(&highs),
     );
+    violating
 }
 
 /// The ten-step trace of one small run (LAN, seed 7).

@@ -12,10 +12,9 @@
 //! test-local storage wrappers.
 
 use ladon::core::sync::SYNC_QUARANTINE_THRESHOLD;
-use ladon::core::{MultiBftNode, NodeMode, NodeMsg};
-use ladon::sim::RecordingCtx;
+use ladon::core::{Input, MultiBftNode, NodeMode, NodeMsg, SyncResponse};
 use ladon::state::{ExecutionPipeline, FaultBackend, FaultPlan, FileBackend, WalOptions};
-use ladon::types::{Digest, ProtocolKind, ReplicaId, Round};
+use ladon::types::{Digest, ProtocolKind, Round, TimeNs};
 use ladon::workload::{Deployment, ExperimentConfig};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -340,6 +339,13 @@ fn crash_while_degraded_loses_only_unacknowledged_records() {
 // with sender attribution, no network in between.
 // ---------------------------------------------------------------------
 
+/// Delivers `resp` from replica `from` to `requester` through its one
+/// entry point.
+fn deliver(requester: &mut MultiBftNode, from: usize, resp: SyncResponse) {
+    let msg = NodeMsg::SyncResp(resp.into());
+    requester.step(TimeNs::ZERO, Input::Message(from, msg), &mut Vec::new());
+}
+
 /// A Byzantine responder that keeps replaying a stale-but-signed
 /// snapshot (old head + its genuine checkpoint proof) is quarantined
 /// after `SYNC_QUARANTINE_THRESHOLD` consecutive rejections — and the
@@ -356,7 +362,6 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .clone();
 
     let mut requester = MultiBftNode::new(c.node_config(3));
-    let mut ctx = RecordingCtx::<NodeMsg>::new(3, 7);
 
     // Honest install from peer 0 first: the requester fast-forwards to
     // the snapshot, which also makes any replay of that snapshot stale.
@@ -367,7 +372,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .expect("a from-zero requester must be served");
     assert!(honest.snapshot.is_some());
     let stale = honest.clone();
-    requester.on_sync_response(ReplicaId(0), honest, &mut ctx);
+    deliver(&mut requester, 0, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(requester.exec.applied(), snap.head.applied);
     let h0 = &requester.responder_health()[0];
@@ -386,7 +391,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
             !requester.responder_health()[1].quarantined,
             "quarantined after {i} rejections, threshold is {threshold}"
         );
-        requester.on_sync_response(ReplicaId(1), stale.clone(), &mut ctx);
+        deliver(&mut requester, 1, stale.clone());
     }
     let h1 = &requester.responder_health()[1];
     assert!(
@@ -420,7 +425,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         .node(2)
         .build_sync_response(&req2)
         .expect("an honest peer must serve the lagging requester");
-    requester.on_sync_response(ReplicaId(2), resp2, &mut ctx);
+    deliver(&mut requester, 2, resp2);
     assert_eq!(
         requester.metrics.snapshot_installs, 2,
         "quarantining one responder must not stop syncing from others"

@@ -177,3 +177,24 @@ fn a_quorum_before_the_close_does_not_strand_a_hotstuff_replica() {
     let epochs: Vec<u64> = (0..4).map(|r| c.node(r).epoch()).collect();
     assert!(epochs[0] >= 1, "replica 0 stranded in epoch 0: {epochs:?}");
 }
+
+/// A Ladon-opt backup that misses round r of an instance holds round
+/// r + 1's pre-prepare: its rank proof builds on round r's rank, which
+/// the backup cannot check yet. State transfer later installs round r,
+/// and the held pre-prepare must be checked then; when only an epoch
+/// advance retried it, the instance never prepared its later rounds on
+/// that backup, the epoch never closed, and seed 9 stopped at frontier
+/// 12 on every replica.
+#[test]
+fn a_held_opt_preprepare_is_retried_once_its_round_installs() {
+    let cfg = ExperimentConfig::scenario(ProtocolKind::LadonOptPbft, 4, 20.0)
+        .with_epoch_length(16)
+        .with_loss(0.01)
+        .with_seed(9);
+    let mut c = Deployment::build(&cfg);
+    c.run_secs(25.0);
+    let verdict = c.check(&[0, 1, 2, 3]);
+    assert!(verdict.violations.is_empty(), "{:?}", verdict.violations);
+    let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
+    assert!(fronts.iter().all(|&f| f > 100), "{fronts:?}");
+}

@@ -138,10 +138,9 @@ fn random_message_loss_repaired_by_state_transfer() {
 // request/response handlers, no network in between.
 // ---------------------------------------------------------------------
 
-use ladon::core::{MultiBftNode, NodeMsg, SyncResponse};
-use ladon::sim::RecordingCtx;
+use ladon::core::{Input, MultiBftNode, NodeMsg, Output, SyncResponse};
 use ladon::state::{ExecutionPipeline, Snapshot};
-use ladon::types::ReplicaId;
+use ladon::types::{ReplicaId, TimeNs};
 
 /// The responder side of every exchange below: short epochs, 12 s of
 /// load, run to 15 s — replica 0 holds a checkpointed snapshot.
@@ -172,9 +171,13 @@ fn snapshot_response(c: &Deployment, requester: &MultiBftNode) -> SyncResponse {
     resp
 }
 
-/// The context the handlers under test run against: replica 3's, seeded.
-fn direct_ctx() -> RecordingCtx<NodeMsg> {
-    RecordingCtx::new(3, 7)
+/// Delivers `resp` from actor `from` to `requester` through its one
+/// entry point and returns what the requester asked for.
+fn deliver(requester: &mut MultiBftNode, from: usize, resp: SyncResponse) -> Vec<Output> {
+    let mut out = Vec::new();
+    let msg = NodeMsg::SyncResp(resp.into());
+    requester.step(TimeNs::ZERO, Input::Message(from, msg), &mut out);
+    out
 }
 
 /// The replica whose responses the requester is fed (attributed, so its
@@ -195,7 +198,6 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     let c = checkpointed_cluster();
     let snap = responder_snapshot(&c);
     let mut requester = from_zero_node(&c);
-    let mut ctx = direct_ctx();
     let req = requester.build_sync_request();
     let honest = snapshot_response(&c, &requester);
     let total = honest.chunks.len();
@@ -212,7 +214,7 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
         }
     }
     assert!(tampered > 0);
-    requester.on_sync_response(RESPONDER, byz, &mut ctx);
+    let mut out = deliver(&mut requester, RESPONDER.as_usize(), byz);
     assert_eq!(
         requester.metrics.snapshot_installs, 0,
         "a response with a bad chunk must not install"
@@ -239,7 +241,7 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     );
 
     // The next peer answers the same request honestly.
-    requester.on_sync_response(ReplicaId(1), honest, &mut ctx);
+    out.extend(deliver(&mut requester, 1, honest));
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(
         requester.exec.lane_roots(),
@@ -249,7 +251,8 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
     assert!(
-        ctx.sent.is_empty(),
+        !out.iter()
+            .any(|o| matches!(o, Output::Send(..) | Output::Broadcast(..))),
         "a response never triggers a request: probes are the timer's"
     );
 }
@@ -267,7 +270,6 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     use ladon::types::TxOp;
     let c = checkpointed_cluster();
     let mut requester = from_zero_node(&c);
-    let mut ctx = direct_ctx();
     let honest = snapshot_response(&c, &requester);
     let head = honest.snapshot.clone().expect("served with its head");
 
@@ -284,7 +286,7 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     let mut resp = honest.clone();
     resp.chunks = foreign[..3].to_vec();
     resp.chunks.push(past_the_vector);
-    requester.on_sync_response(RESPONDER, resp, &mut ctx);
+    deliver(&mut requester, RESPONDER.as_usize(), resp);
     assert_eq!(requester.metrics.sync_chunks_rejected, 4);
     assert_eq!(requester.metrics.sync_chunks_verified, 0);
 
@@ -302,7 +304,7 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
         forge(&mut forged);
         assert!(!forged.verify());
         resp.snapshot = Some(forged);
-        requester.on_sync_response(RESPONDER, resp, &mut ctx);
+        deliver(&mut requester, RESPONDER.as_usize(), resp);
     }
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.applied(), 0);
@@ -312,9 +314,51 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
         "every refusal is scored against its sender"
     );
 
-    requester.on_sync_response(ReplicaId(1), honest, &mut ctx);
+    deliver(&mut requester, 1, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(requester.exec.lane_roots(), head.lane_roots);
+}
+
+/// A responder serves at most `SYNC_MAX_BLOCKS` entries and one chunk
+/// per lane. A response past either cap — here an honest one padded with
+/// copies of its own valid parts — is refused before anything in it is
+/// verified: nothing of it installs, not even its checkpoint, and its
+/// sender is scored as for an unverifiable response.
+#[test]
+fn a_response_past_the_responders_caps_installs_nothing() {
+    use ladon::core::sync::SYNC_MAX_BLOCKS;
+    use ladon::types::{Round, MERKLE_LANES};
+    let c = checkpointed_cluster();
+    let mut requester = from_zero_node(&c);
+    let honest = snapshot_response(&c, &requester);
+    let mut chunks = honest.clone();
+    while chunks.chunks.len() <= MERKLE_LANES as usize {
+        chunks.chunks.push(honest.chunks[0].clone());
+    }
+    // Entries come in answer to a request from just behind the
+    // responder's commit frontier (the rounds it still holds).
+    let mut behind = requester.build_sync_request();
+    behind.applied = c.node(0).exec.applied();
+    behind.frontier = (c.node(0).commit_frontier().iter())
+        .map(|r| Round(r.0.saturating_sub(4)))
+        .collect();
+    let mut entries = c.node(0).build_sync_response(&behind).expect("served");
+    assert!(entries.snapshot.is_none() && !entries.entries.is_empty());
+    while entries.entries.len() <= SYNC_MAX_BLOCKS {
+        entries.entries.push(entries.entries[0].clone());
+    }
+    for (padded, rejected) in [(chunks, 1), (entries, 2)] {
+        deliver(&mut requester, RESPONDER.as_usize(), padded);
+        assert_eq!(requester.metrics.snapshot_installs, 0);
+        assert_eq!(requester.metrics.sync_installed, 0);
+        assert_eq!((requester.exec.applied(), requester.epoch()), (0, 0));
+        let health = &requester.responder_health()[RESPONDER.as_usize()];
+        assert_eq!(health.rejected_chunks, rejected);
+    }
+    assert_eq!(requester.metrics.sync_chunks_verified, 0);
+
+    deliver(&mut requester, 1, honest);
+    assert_eq!(requester.metrics.snapshot_installs, 1);
 }
 
 /// State transfer is replica-to-replica: the same genuine, quorum-proved
@@ -323,14 +367,12 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
 /// client fleet), leaving consensus, epoch and execution untouched.
 #[test]
 fn sync_response_from_a_non_replica_actor_is_dropped() {
-    use ladon::sim::Actor;
     let c = checkpointed_cluster();
     let mut requester = from_zero_node(&c);
-    let mut ctx = direct_ctx();
     let honest = snapshot_response(&c, &requester);
 
     let untouched = (requester.commit_frontier(), requester.epoch(), 0);
-    requester.on_message(c.sys.n, NodeMsg::SyncResp(honest.clone().into()), &mut ctx);
+    let out = deliver(&mut requester, c.sys.n, honest.clone());
     assert_eq!(
         (
             requester.commit_frontier(),
@@ -342,9 +384,9 @@ fn sync_response_from_a_non_replica_actor_is_dropped() {
     );
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.metrics.sync_installed, 0);
-    assert!(ctx.sent.is_empty() && ctx.timers.is_empty());
+    assert!(out.is_empty());
 
-    requester.on_message(0, NodeMsg::SyncResp(honest.into()), &mut ctx);
+    deliver(&mut requester, 0, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert!(requester.exec.applied() > 0);
 }
@@ -372,14 +414,13 @@ fn requester_crash_between_request_and_response_restarts_and_installs() {
     drop(requester);
 
     let mut requester = MultiBftNode::with_execution(c.node_config(3), durable());
-    let mut ctx = direct_ctx();
     assert_eq!(
         requester.build_sync_request(),
         req,
         "the restarted requester asks for the same thing"
     );
     let resp = snapshot_response(&c, &requester);
-    requester.on_sync_response(RESPONDER, resp, &mut ctx);
+    deliver(&mut requester, RESPONDER.as_usize(), resp);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(requester.exec.lane_roots(), snap.head.lane_roots);
     let installed = (requester.exec.applied(), requester.exec.state_root());
@@ -421,7 +462,6 @@ fn stale_requester_is_served_a_partial_delta_and_reuses_its_own_lanes() {
     assert!(exec.install_delta(&older.head, &older.chunks).is_some());
     assert!(exec.lane_roots() == older.head.lane_roots && exec.applied() > 0);
     let mut requester = MultiBftNode::with_execution(c.node_config(3), exec);
-    let mut ctx = direct_ctx();
     let resp = snapshot_response(&c, &requester);
     assert_eq!(resp.snapshot.as_ref().map(|h| h.root), Some(snap.head.root));
     let shipped = resp.chunks.len() as u64;
@@ -429,7 +469,7 @@ fn stale_requester_is_served_a_partial_delta_and_reuses_its_own_lanes() {
         0 < shipped && shipped < 64,
         "only the dirtied lanes travel: {shipped} chunks"
     );
-    requester.on_sync_response(RESPONDER, resp, &mut ctx);
+    deliver(&mut requester, RESPONDER.as_usize(), resp);
     assert_eq!(requester.metrics.snapshot_installs, 1);
     let reused = requester.metrics.snapshot_chunks_reused;
     assert!(

@@ -51,7 +51,7 @@
 //! (`Instance::lag_evidence` is `None` under HotStuff, and
 //! [`EpochPacemaker::lag_evidence`] sees a quorum only for an epoch it
 //! has not closed), so nothing requests the missing proof yet
-//! (ROADMAP 1(c)).
+//! (ROADMAP 2(a)).
 //!
 //! Votes are bounded per sender: its votes for the current epoch and the
 //! just-completed one (whose stable checkpoint is served to laggers),

@@ -3,7 +3,9 @@
 //! - [`ordering`]: the dynamic global ordering layer (Algorithm 1), which
 //!   also decides where an epoch ends, and the
 //!   [`ordering::GlobalOrderer`] trait.
-//! - [`predetermined`]: ISS / Mir / RCC pre-determined-ordering baselines.
+//! - [`predetermined`]: ISS / Mir / RCC pre-determined-ordering baselines
+//!   (RCC runs ISS's orderer); they confirm only committed blocks, so a
+//!   ⊥ comes from an instance's view change, never from the orderer.
 //! - [`dqbft`]: the DQBFT dedicated-ordering-instance baseline.
 //! - [`epoch`]: the epoch pacemaker with checkpoints (§5.2.1).
 //! - [`bucket`]: rotating transaction buckets and the synthetic mempool.

@@ -174,11 +174,6 @@ pub struct MultiBftNode {
     /// This replica has committed a block, so every instance keeps a
     /// deadline (see `on_committed`).
     liveness_started: bool,
-    /// Per-instance "committed since the quiet window opened", for the
-    /// quiet-leader detector (the SB failure detector `D`): a quiet timer
-    /// that fires with it unset means the instance delivered nothing in
-    /// a full timeout window.
-    committed_in_window: Vec<bool>,
     /// The execution pipeline: KV state machine + commit WAL + snapshots.
     pub exec: ExecutionPipeline,
     /// State-transfer requester rotation and responder health.
@@ -236,15 +231,11 @@ impl MultiBftNode {
                 o.set_ceiling(sys.rank_range(Epoch(0)).1);
                 Orderer::Ladon(o)
             }
-            ProtocolKind::IssPbft | ProtocolKind::IssHotStuff => {
+            // RCC's lag-based removal is not modelled: it runs ISS's order.
+            ProtocolKind::IssPbft | ProtocolKind::IssHotStuff | ProtocolKind::RccPbft => {
                 Orderer::Pre(PredeterminedOrderer::new(BaselineKind::Iss, m))
             }
             ProtocolKind::MirPbft => Orderer::Pre(PredeterminedOrderer::new(BaselineKind::Mir, m)),
-            ProtocolKind::RccPbft => {
-                let mut p = PredeterminedOrderer::new(BaselineKind::Rcc, m);
-                p.rcc_lag_threshold = sys.rcc_lag_threshold;
-                Orderer::Pre(p)
-            }
             ProtocolKind::DqbftPbft => Orderer::Dqbft(DqbftOrderer::default()),
         };
 
@@ -260,7 +251,6 @@ impl MultiBftNode {
             pacing: vec![false; m + extra],
             liveness_armed: vec![false; m + extra],
             liveness_started: false,
-            committed_in_window: vec![false; m + extra],
             slots,
             cur_rank: RankCert::genesis(sys.rank_range(Epoch(0)).0),
             orderer,
@@ -384,6 +374,9 @@ impl MultiBftNode {
                 }
                 Action::NewViewInstalled { view } => {
                     self.metrics.new_views.push((self.now, i as u32, view.0));
+                    if let Orderer::Pre(o) = &mut self.orderer {
+                        o.on_new_view(self.now);
+                    }
                 }
             }
         }
@@ -406,7 +399,6 @@ impl MultiBftNode {
                 self.watch(j, out);
             }
         }
-        self.committed_in_window[i] = true;
         self.metrics.commits.push(CommitRecord {
             instance: block.index().0,
             round: block.round().0,
@@ -1052,12 +1044,6 @@ impl MultiBftNode {
         if let Some(at) = self.cfg.behavior.crash_at {
             out.push(Output::Arm(at, Timer::Crash));
         }
-        // SB failure detector D (pre-determined orderers only): watch each
-        // instance for quiet leaders.
-        if matches!(self.orderer, Orderer::Pre(_)) {
-            let window = self.cfg.sys.quiet_leader_timeout;
-            out.extend((0..self.cfg.sys.m).map(|i| Output::Arm(window, Timer::Quiet(i))));
-        }
         // State-transfer probe (epoch-running protocols only, §5.2.1).
         if self.pacemaker.is_some() {
             out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
@@ -1113,21 +1099,8 @@ impl MultiBftNode {
                 out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
             }
             Timer::Retry => self.retry_degraded(out),
-            // Nothing committed since the window opened: a full quiet
-            // window elapsed.
-            Timer::Quiet(i) if i < self.cfg.sys.m => {
-                if !std::mem::take(&mut self.committed_in_window[i]) {
-                    if let Orderer::Pre(o) = &mut self.orderer {
-                        let confirmed = o.on_quiet_leader(InstanceId(i as u32), self.now);
-                        self.record_confirms(confirmed, self.now);
-                        self.check_durability(out);
-                    }
-                }
-                let window = self.cfg.sys.quiet_leader_timeout;
-                out.push(Output::Arm(window, Timer::Quiet(i)));
-            }
             // A timer for an instance this node does not host.
-            Timer::Pace(_) | Timer::Liveness(_) | Timer::Quiet(_) => {}
+            Timer::Pace(_) | Timer::Liveness(_) => {}
         }
     }
 }

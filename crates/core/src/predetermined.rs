@@ -3,74 +3,57 @@
 //! All three assign block `(instance i, round j)` the global index
 //! `sn = (j − 1)·m + i` *before* the block exists (§1, Fig. 1), and
 //! confirm strictly in `sn` order — so a missing block ("hole") from a
-//! slow instance stalls every later block. They differ in how they react
-//! to a quiet or lagging leader:
+//! slow instance stalls every later block.
 //!
-//! - **ISS** delivers a `⊥` (nil) block for a round once the leader's
-//!   quiet timeout fires, filling the hole without disturbing other
-//!   instances.
-//! - **Mir** suspects the leader and forces an *epoch change* that stalls
-//!   confirmation everywhere for a configured penalty before the hole is
-//!   filled (the coarser recovery the paper attributes to Mir-BFT).
-//! - **RCC** removes a leader whose instance lags the most advanced
-//!   instance by more than a threshold number of blocks; the removed
-//!   instance's future slots are filled with nils (wait-free recovery).
+//! The orderer confirms only blocks its instances committed; it never
+//! makes one. A hole is filled by the instance's own agreed output once
+//! its view-change timeout replaces the leader: the ⊥ (nil) blocks the
+//! new PBFT leader proposes for rounds nobody can re-propose
+//! (`ladon_pbft::ViewPlan`), or the new leader's fresh blocks. That is
+//! the paper's ⊥, which the instance agrees on (§2.1; the SB failure
+//! detector of §3.2), so every replica confirms the same block at every
+//! `sn`. The flavours differ only in what a view change costs:
+//!
+//! - **ISS** confirms a filled hole as soon as it commits.
+//! - **RCC** runs the ISS orderer. Its wait-free leader removal would
+//!   be a count of rounds each replica saw locally, which two replicas
+//!   can read differently, so it is not modelled (ROADMAP 1(c)).
+//! - **Mir** treats each installed new view (`Action::NewViewInstalled`,
+//!   which a quorum backs) as an epoch change that stalls confirmation
+//!   for [`EPOCH_CHANGE_PENALTY`] — the coarser recovery the paper
+//!   attributes to Mir-BFT. A stall delays confirmation and never
+//!   changes what is confirmed.
 //!
 //! The paper's honest stragglers calibrate their delays to stay *under*
 //! these timeouts (§6.1), which is exactly why pre-determined ordering
 //! suffers: the holes persist and throughput collapses to ~1/k (§2.1).
 
 use crate::ordering::{ConfirmedBlock, GlobalOrderer};
-use ladon_types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs};
+use ladon_types::{Block, InstanceId, Round, TimeNs};
 use std::collections::HashMap;
+
+/// How long Mir stalls confirmation after a new view installs.
+pub const EPOCH_CHANGE_PENALTY: TimeNs = TimeNs::from_secs(5);
 
 /// Which baseline flavour an [`PredeterminedOrderer`] implements.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BaselineKind {
-    /// ISS: ⊥-delivery on timeout.
+    /// ISS (and RCC): confirm in `sn` order, nothing else.
     Iss,
-    /// Mir: epoch-change stall, then ⊥-delivery.
+    /// Mir: an installed new view stalls confirmation.
     Mir,
-    /// RCC: lag-based leader removal.
-    Rcc,
-}
-
-/// A nil (`⊥`) block for a hole at `(instance, round)`.
-fn nil_block(instance: InstanceId, round: Round, now: TimeNs) -> Block {
-    Block {
-        header: BlockHeader {
-            index: instance,
-            round,
-            rank: Rank(round.0),
-            payload_digest: Digest::NIL,
-        },
-        batch: Batch::empty(0),
-        proposed_at: now,
-    }
 }
 
 /// Pre-determined orderer for ISS / Mir / RCC.
 pub struct PredeterminedOrderer {
     kind: BaselineKind,
     m: usize,
-    /// Received blocks waiting for their slot, keyed by `sn`.
+    /// Committed blocks waiting for their slot, keyed by `sn`.
     waiting: HashMap<u64, Block>,
-    /// Next global index to confirm.
+    /// Next global index to confirm; every `sn` below it is confirmed.
     next_sn: u64,
-    confirmed: u64,
-    /// Highest round committed per instance (for RCC lag detection).
-    highest_round: Vec<u64>,
-    /// RCC: instances whose leader was removed, with the round from which
-    /// their slots are auto-filled.
-    removed_from: Vec<Option<u64>>,
-    /// RCC removal threshold in blocks.
-    pub rcc_lag_threshold: u64,
     /// Mir: confirmation is stalled until this instant (epoch change).
     stalled_until: TimeNs,
-    /// Mir: epoch-change penalty applied when a leader is suspected.
-    pub mir_epoch_change_penalty: TimeNs,
-    /// Count of nil blocks delivered (observability).
-    pub nil_delivered: u64,
 }
 
 impl PredeterminedOrderer {
@@ -81,13 +64,7 @@ impl PredeterminedOrderer {
             m,
             waiting: HashMap::new(),
             next_sn: 0,
-            confirmed: 0,
-            highest_round: vec![0; m],
-            removed_from: vec![None; m],
-            rcc_lag_threshold: 16,
             stalled_until: TimeNs::ZERO,
-            mir_epoch_change_penalty: TimeNs::from_secs(5),
-            nil_delivered: 0,
         }
     }
 
@@ -96,77 +73,11 @@ impl PredeterminedOrderer {
         (round.0 - 1) * self.m as u64 + instance.0 as u64
     }
 
-    /// The `(instance, round)` owning a global index.
-    fn slot_of(&self, sn: u64) -> (InstanceId, Round) {
-        (
-            InstanceId((sn % self.m as u64) as u32),
-            Round(sn / self.m as u64 + 1),
-        )
-    }
-
-    /// The node calls this when an instance's quiet timeout fires (the SB
-    /// failure detector `D`): for ISS this delivers `⊥` for the lowest
-    /// missing round of that instance; for Mir it additionally stalls
-    /// confirmation (epoch change); RCC ignores it (removal is lag-based).
-    pub fn on_quiet_leader(&mut self, instance: InstanceId, now: TimeNs) -> Vec<ConfirmedBlock> {
-        match self.kind {
-            BaselineKind::Iss => {
-                self.fill_lowest_hole(instance, now);
-                self.drain(now)
-            }
-            BaselineKind::Mir => {
-                self.stalled_until = now + self.mir_epoch_change_penalty;
-                self.fill_lowest_hole(instance, now);
-                Vec::new()
-            }
-            BaselineKind::Rcc => Vec::new(),
-        }
-    }
-
-    fn fill_lowest_hole(&mut self, instance: InstanceId, now: TimeNs) {
-        // The lowest sn belonging to `instance` that is not yet confirmed
-        // and not waiting.
-        let mut sn = self.next_sn;
-        loop {
-            let (i, round) = self.slot_of(sn);
-            if i == instance {
-                if let std::collections::hash_map::Entry::Vacant(e) = self.waiting.entry(sn) {
-                    e.insert(nil_block(instance, round, now));
-                    self.nil_delivered += 1;
-                    return;
-                }
-            }
-            sn += 1;
-        }
-    }
-
-    /// RCC wait-free removal: if `instance` lags the most advanced
-    /// instance by more than the threshold, mark it removed and fill its
-    /// slots from its current position onward.
-    fn maybe_remove_laggards(&mut self, now: TimeNs) {
-        if self.kind != BaselineKind::Rcc {
-            return;
-        }
-        let max_round = self.highest_round.iter().copied().max().unwrap_or(0);
-        for i in 0..self.m {
-            if self.removed_from[i].is_some() {
-                continue;
-            }
-            if max_round.saturating_sub(self.highest_round[i]) > self.rcc_lag_threshold {
-                self.removed_from[i] = Some(self.highest_round[i] + 1);
-            }
-        }
-        // Fill slots owned by removed instances at the confirmation head.
-        loop {
-            let head = self.next_sn;
-            let (hi, hround) = self.slot_of(head);
-            match self.removed_from[hi.as_usize()] {
-                Some(from) if hround.0 >= from && !self.waiting.contains_key(&head) => {
-                    self.waiting.insert(head, nil_block(hi, hround, now));
-                    self.nil_delivered += 1;
-                }
-                _ => break,
-            }
+    /// An instance installed a new view at `now`: Mir's epoch change
+    /// stalls confirmation for [`EPOCH_CHANGE_PENALTY`]; ISS carries on.
+    pub fn on_new_view(&mut self, now: TimeNs) {
+        if self.kind == BaselineKind::Mir {
+            self.stalled_until = now + EPOCH_CHANGE_PENALTY;
         }
     }
 
@@ -181,7 +92,6 @@ impl PredeterminedOrderer {
                 block,
             });
             self.next_sn += 1;
-            self.confirmed += 1;
         }
         out
     }
@@ -190,19 +100,14 @@ impl PredeterminedOrderer {
 impl GlobalOrderer for PredeterminedOrderer {
     fn on_partial_commit(&mut self, block: Block, now: TimeNs) -> Vec<ConfirmedBlock> {
         let sn = self.sn_of(block.index(), block.round());
-        let i = block.index().as_usize();
-        self.highest_round[i] = self.highest_round[i].max(block.round().0);
-        // A removed RCC instance's late blocks are superseded by nils.
-        if self.waiting.contains_key(&sn) || sn < self.next_sn {
-            return self.drain(now);
+        if sn >= self.next_sn {
+            self.waiting.entry(sn).or_insert(block);
         }
-        self.waiting.insert(sn, block);
-        self.maybe_remove_laggards(now);
         self.drain(now)
     }
 
     fn confirmed_count(&self) -> u64 {
-        self.confirmed
+        self.next_sn
     }
 
     fn waiting_count(&self) -> usize {
@@ -213,7 +118,7 @@ impl GlobalOrderer for PredeterminedOrderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ladon_types::{Batch, BlockHeader};
+    use ladon_types::{Batch, BlockHeader, Digest, Rank};
 
     fn blk(instance: u32, round: u64) -> Block {
         Block {
@@ -228,6 +133,10 @@ mod tests {
         }
     }
 
+    fn sns(got: &[ConfirmedBlock]) -> Vec<u64> {
+        got.iter().map(|c| c.sn).collect()
+    }
+
     #[test]
     fn iss_confirms_in_predetermined_order() {
         let mut o = PredeterminedOrderer::new(BaselineKind::Iss, 3);
@@ -236,8 +145,7 @@ mod tests {
         assert!(o.on_partial_commit(blk(2, 1), TimeNs::ZERO).is_empty());
         assert_eq!(o.waiting_count(), 2);
         let got = o.on_partial_commit(blk(0, 1), TimeNs::ZERO);
-        let sns: Vec<u64> = got.iter().map(|c| c.sn).collect();
-        assert_eq!(sns, vec![0, 1, 2]);
+        assert_eq!(sns(&got), vec![0, 1, 2]);
     }
 
     #[test]
@@ -265,49 +173,36 @@ mod tests {
         assert_eq!(got.len(), 3);
     }
 
+    /// A hole waits for its instance, however long: the orderer makes no
+    /// block of its own. Once the instance commits the slot (here, as a
+    /// new view's first block), ISS confirms it at once and Mir only
+    /// after its epoch-change penalty, the same blocks either way.
     #[test]
-    fn iss_nil_delivery_fills_hole() {
-        let mut o = PredeterminedOrderer::new(BaselineKind::Iss, 2);
-        o.on_partial_commit(blk(0, 1), TimeNs::ZERO);
-        o.on_partial_commit(blk(0, 2), TimeNs::ZERO);
-        assert_eq!(o.confirmed_count(), 1); // sn0 confirmed, sn1 is i1's hole
-        let got = o.on_quiet_leader(InstanceId(1), TimeNs::from_secs(30));
-        // ⊥ fills sn1; sn2 (i0 round2) then confirms too.
-        assert_eq!(got.len(), 2);
-        assert!(got[0].block.is_nil());
-        assert_eq!(o.nil_delivered, 1);
-    }
-
-    #[test]
-    fn mir_epoch_change_stalls_confirmation() {
-        let mut o = PredeterminedOrderer::new(BaselineKind::Mir, 2);
-        o.on_partial_commit(blk(0, 1), TimeNs::ZERO);
-        o.on_partial_commit(blk(0, 2), TimeNs::ZERO);
-        let got = o.on_quiet_leader(InstanceId(1), TimeNs::from_secs(30));
-        assert!(got.is_empty(), "Mir stalls during the epoch change");
-        // After the penalty, the next commit flushes the contiguous
-        // prefix: the nil at sn1 and instance 0's round 2 at sn2 (sn3 is
-        // instance 1's still-missing round-2 slot).
-        let later = TimeNs::from_secs(36);
-        let got = o.on_partial_commit(blk(0, 3), later);
-        assert_eq!(got.len(), 2);
-        assert!(got[0].block.is_nil());
-    }
-
-    #[test]
-    fn rcc_removes_lagging_leader() {
-        let mut o = PredeterminedOrderer::new(BaselineKind::Rcc, 2);
-        o.rcc_lag_threshold = 2;
-        o.on_partial_commit(blk(0, 1), TimeNs::ZERO);
-        o.on_partial_commit(blk(1, 1), TimeNs::ZERO);
-        assert_eq!(o.confirmed_count(), 2);
-        // Instance 1 stops; instance 0 runs ahead by > threshold.
-        for r in 2..=5 {
-            o.on_partial_commit(blk(0, r), TimeNs::ZERO);
+    fn a_new_view_stalls_mir_and_not_iss() {
+        let new_view = TimeNs::from_secs(30);
+        let after_penalty = new_view + EPOCH_CHANGE_PENALTY;
+        for kind in [BaselineKind::Iss, BaselineKind::Mir] {
+            let mut o = PredeterminedOrderer::new(kind, 2);
+            o.on_partial_commit(blk(0, 1), TimeNs::ZERO);
+            o.on_partial_commit(blk(0, 2), TimeNs::ZERO);
+            // sn 0 confirmed; sn 1 is instance 1's hole.
+            assert_eq!(o.confirmed_count(), 1, "{kind:?}");
+            o.on_new_view(new_view);
+            let got = o.on_partial_commit(blk(1, 1), new_view);
+            let later = o.on_partial_commit(blk(1, 2), after_penalty);
+            match kind {
+                BaselineKind::Iss => {
+                    assert_eq!(sns(&got), vec![1, 2]);
+                    assert_eq!(sns(&later), vec![3]);
+                }
+                BaselineKind::Mir => {
+                    assert!(got.is_empty(), "Mir stalls during the epoch change");
+                    assert_eq!(sns(&later), vec![1, 2, 3]);
+                }
+            }
+            assert_eq!(o.confirmed_count(), 4, "{kind:?}");
+            assert_eq!(o.waiting_count(), 0, "{kind:?}");
         }
-        // Lag = 5 - 1 = 4 > 2: instance 1 removed, nils fill its slots.
-        assert!(o.nil_delivered > 0);
-        assert!(o.confirmed_count() > 2, "removal must unblock ordering");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The node's timers as a type.
 //!
-//! `ladon-sim` timers are opaque `u64` ids; the node multiplexes seven
+//! `ladon-sim` timers are opaque `u64` ids; the node multiplexes six
 //! kinds of timer over them. A timer names its kind and, for the
 //! instance-scoped kinds, the instance — nothing else:
 //!
@@ -30,9 +30,6 @@ pub enum Timer {
     Crash,
     /// Confirmed-transaction timeline sample.
     Sample,
-    /// Quiet-leader detector window for an instance: nothing committed
-    /// on it since the window opened means a quiet leader.
-    Quiet(usize),
     /// State-transfer probe period.
     Sync,
     /// Durability retry while degraded (see [`crate::durability`]).
@@ -47,9 +44,8 @@ impl Timer {
             Timer::Liveness(i) => (2, i),
             Timer::Crash => (3, 0),
             Timer::Sample => (4, 0),
-            Timer::Quiet(i) => (5, i),
-            Timer::Sync => (6, 0),
-            Timer::Retry => (7, 0),
+            Timer::Sync => (5, 0),
+            Timer::Retry => (6, 0),
         };
         kind | (instance as u64) << KIND_BITS
     }
@@ -62,9 +58,8 @@ impl Timer {
             2 => Timer::Liveness(i),
             3 => Timer::Crash,
             4 => Timer::Sample,
-            5 => Timer::Quiet(i),
-            6 => Timer::Sync,
-            7 => Timer::Retry,
+            5 => Timer::Sync,
+            6 => Timer::Retry,
             _ => return None,
         })
     }
@@ -78,7 +73,7 @@ mod tests {
     fn kind_and_instance_roundtrip() {
         let wide = usize::MAX >> KIND_BITS;
         for i in [0, 1, 130, wide] {
-            for t in [Timer::Pace(i), Timer::Liveness(i), Timer::Quiet(i)] {
+            for t in [Timer::Pace(i), Timer::Liveness(i)] {
                 assert_eq!(Timer::decode(t.encode()), Some(t), "{t:?}");
             }
         }
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn an_unknown_kind_decodes_to_none() {
-        for kind in [0, 8, 15] {
+        for kind in [0, 7, 15] {
             assert_eq!(Timer::decode(kind | 5 << KIND_BITS), None, "kind {kind}");
         }
     }

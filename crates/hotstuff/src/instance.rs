@@ -71,8 +71,8 @@
 //! | voted at height `h` | height `h + 1`, from the vote (unless already settled) | a `NewView` to the next view's leader, unless the height settled meanwhile or this leader stopped for the epoch |
 //! | nothing committed yet on this replica | none until the host's first commit on any instance ([`HsInstance::wait_from`]) | as after a vote |
 //! | a leader that installed a view from `NewView`s | none until it votes for its own proposal | — |
-//! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(c)) |
-//! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(c)) |
+//! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(a)) |
+//! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(a)) |
 //!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 

@@ -52,11 +52,15 @@ pub enum ProtocolKind {
     /// Ladon-opt: Ladon-PBFT with the aggregate-signature rank refinement
     /// (§5.3), reducing pre-prepare complexity from O(n²) to O(n).
     LadonOptPbft,
-    /// ISS: pre-determined ordering, ⊥-delivery on leader timeout.
+    /// ISS: pre-determined ordering. A slow instance's hole is filled by
+    /// the instance itself: after a view change, by the new leader's ⊥
+    /// or fresh block.
     IssPbft,
-    /// RCC: pre-determined ordering, wait-free lag-based leader removal.
+    /// RCC: runs ISS's orderer. Its lag-based leader removal is not
+    /// modelled, because each replica would count the lag locally.
     RccPbft,
-    /// Mir-BFT: pre-determined ordering, epoch change on leader suspicion.
+    /// Mir-BFT: ISS's order, but each installed new view is an epoch
+    /// change that stalls confirmation for a fixed penalty.
     MirPbft,
     /// DQBFT: a dedicated ordering instance sequences other instances'
     /// partially committed blocks.
@@ -137,17 +141,6 @@ pub struct SystemConfig {
     pub view_change_timeout: TimeNs,
     /// Number of Ladon-opt sub-keys `K` per replica (§5.3).
     pub opt_keys: u32,
-    /// RCC: remove a leader once its instance lags by this many blocks.
-    ///
-    /// Note: §6.1's honest stragglers stay under every detection
-    /// mechanism (the paper measures RCC losing ≈ 90 % throughput to one
-    /// straggler, so its removal never fires there); the experiment runner
-    /// raises this threshold for straggler runs accordingly.
-    pub rcc_lag_threshold: u64,
-    /// ISS/Mir: deliver ⊥ (ISS) or suspect the leader (Mir) if an instance
-    /// produces nothing for this long. The paper's honest stragglers stay
-    /// under this bound so the mechanisms do not fire.
-    pub quiet_leader_timeout: TimeNs,
     /// Accepted (and validated to `1..=MERKLE_LANES`) for source
     /// compatibility with `benchmark/`; no effect — execution applies
     /// ops in block order on one thread.
@@ -177,8 +170,6 @@ impl SystemConfig {
             epoch_length: 64,
             view_change_timeout: TimeNs::from_secs(10),
             opt_keys: 16,
-            rcc_lag_threshold: 16,
-            quiet_leader_timeout: TimeNs::from_secs(30),
             exec_lanes: 4,
             exec_keyspace: 4096,
             wal_lane_groups: 1,
@@ -264,11 +255,6 @@ impl SystemConfig {
         // A zero timer re-arms at its own instant: the run livelocks.
         if self.view_change_timeout == TimeNs::ZERO {
             return Err(LadonError::Config("view_change_timeout must be > 0".into()));
-        }
-        if self.quiet_leader_timeout == TimeNs::ZERO {
-            return Err(LadonError::Config(
-                "quiet_leader_timeout must be > 0".into(),
-            ));
         }
         if self.opt_keys == 0 {
             return Err(LadonError::Config("opt_keys must be > 0".into()));
@@ -387,7 +373,7 @@ mod tests {
         // or huge rate rounds the proposal interval to 0.
         type Break = fn(&mut SystemConfig);
         let base = SystemConfig::paper_default(16, NetEnv::Wan);
-        let cases: [(&str, Break); 11] = [
+        let cases: [(&str, Break); 10] = [
             ("n", |c| c.n = 3),
             ("m", |c| c.m = 17),
             ("epoch_length", |c| c.epoch_length = 0),
@@ -400,9 +386,6 @@ mod tests {
             ("view_change_timeout", |c| {
                 c.view_change_timeout = TimeNs::ZERO
             }),
-            ("quiet_leader_timeout", |c| {
-                c.quiet_leader_timeout = TimeNs::ZERO
-            }),
         ];
         for (field, break_it) in cases {
             let mut c = base.clone();
@@ -414,7 +397,6 @@ mod tests {
         // and a rate whose proposal interval is 1 ns.
         let mut c = base;
         c.view_change_timeout = TimeNs(1);
-        c.quiet_leader_timeout = TimeNs(1);
         c.batch_size = 1;
         c.total_block_rate = 1.6e10;
         assert_eq!(c.proposal_interval(), TimeNs(1));

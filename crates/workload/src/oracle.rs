@@ -2,7 +2,10 @@
 //! consistent" means, judged from their [`NodeMetrics`] after a run.
 //!
 //! - **G-Agreement** (§3.3): no two replicas confirmed different blocks
-//!   at the same `sn`. Logs are joined on `sn`, not on position: a
+//!   at the same `sn`: a block is its `(instance, round, rank)` slot and
+//!   its content as recorded (`is_nil`, `tx_count`, `arrival_sum_ns`),
+//!   so a ⊥ on one replica and a block on another at one slot disagree.
+//!   Logs are joined on `sn`, not on position: a
 //!   replica that installed an execution snapshot legitimately has no
 //!   confirm records for the `sn`s the snapshot covers, and an `sn` only
 //!   one replica recorded is not a disagreement.
@@ -39,7 +42,8 @@ pub type Evidence<'a> = (usize, &'a NodeMetrics);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
     /// Replica `b` confirmed a different block at `sn` than replica `a`
-    /// (whose record was seen first).
+    /// (whose record was seen first): the two records differ in
+    /// `(instance, round, rank, is_nil, tx_count, arrival_sum_ns)`.
     Disagreement { a: usize, b: usize, sn: u64 },
     /// `replica` confirmed `instance`'s block at `round` without its rank
     /// rising above the instance's previous confirmed block.
@@ -93,14 +97,25 @@ impl Verdict {
     }
 }
 
+/// What two replicas must agree on at one `sn`: the block's slot and
+/// the content its confirm record carries.
+type Confirmed = (u32, u64, u64, bool, u32, u128);
+
 /// Reports every `sn` two replicas recorded differently: each record is
 /// compared with the first one seen for its `sn`, which finds a
 /// disagreement whenever any pair has one.
 pub fn agreement(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
-    let mut first: HashMap<u64, (usize, (u32, u64, u64))> = HashMap::new();
+    let mut first: HashMap<u64, (usize, Confirmed)> = HashMap::new();
     for &(b, metrics) in replicas {
         for c in &metrics.confirms {
-            let block = (c.instance, c.round, c.rank);
+            let block = (
+                c.instance,
+                c.round,
+                c.rank,
+                c.is_nil,
+                c.tx_count,
+                c.arrival_sum_ns,
+            );
             let &mut (a, seen) = first.entry(c.sn).or_insert((b, block));
             if seen != block {
                 out.push(Violation::Disagreement { a, b, sn: c.sn });
@@ -222,6 +237,33 @@ mod tests {
             v.violations,
             vec![Violation::Disagreement { a: 0, b: 2, sn: 4 }]
         );
+    }
+
+    /// One slot, different content: a replica that confirmed a ⊥, fewer
+    /// transactions or other transactions where its peer confirmed the
+    /// block disagrees with it. The local confirm time does not count.
+    #[test]
+    fn one_slot_with_different_content_is_a_disagreement() {
+        type Edit = fn(&mut ConfirmRecord);
+        let edits: [Edit; 3] = [
+            |c| {
+                c.is_nil = true;
+                c.tx_count = 0;
+            },
+            |c| c.tx_count = 2,
+            |c| c.arrival_sum_ns = 9,
+        ];
+        for edit in edits {
+            let mut nodes = vec![log(0..4), log(0..4)];
+            edit(&mut nodes[1].confirms[2]);
+            assert_eq!(
+                judge(&nodes).violations,
+                vec![Violation::Disagreement { a: 0, b: 1, sn: 2 }]
+            );
+        }
+        let mut nodes = vec![log(0..4), log(0..4)];
+        nodes[1].confirms[2].time = TimeNs::from_secs(9);
+        judge(&nodes).assert_safe();
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! - [`hotstuff`]: chained HotStuff instances (Appendix D).
 //! - [`core`]: monotonic ranks, global ordering (Algorithm 1), epochs,
 //!   rotating buckets, the Multi-BFT node, and baseline orderers
-//!   (ISS / Mir / RCC / DQBFT).
+//!   (ISS / Mir / RCC / DQBFT). A baseline confirms only blocks its
+//!   instances committed: a slow instance's ⊥ is the one its view
+//!   change agrees on, Mir stalls confirmation after each new view, and
+//!   RCC runs ISS's orderer (its lag-based removal is not modelled).
 //! - [`state`]: the execution layer — deterministic KV state machine,
 //!   commit write-ahead log, and epoch-aligned snapshots with
 //!   content-addressed state roots (checkpoints attest to state, and

@@ -118,12 +118,21 @@ fn crash_triggers_view_change_and_recovery() {
 /// Replica 1 crashes at 0.5 ms, before its first pace tick, so instance
 /// 1 never commits anything anywhere. The healthy replicas start waiting
 /// on it at their first commit on another instance and view-change it:
-/// otherwise Ladon's first epoch never closes and ISS's log waits on
-/// instance 1 forever, and no replica confirms a block.
+/// otherwise Ladon's first epoch never closes and a baseline's log waits
+/// on instance 1 forever, and no replica confirms a block. The view
+/// change is also the only way a baseline's hole is filled: the orderer
+/// makes no ⊥ of its own.
 #[test]
 fn a_leader_that_dies_before_its_first_commit_is_replaced() {
-    use ProtocolKind::{IssPbft, LadonHotStuff, LadonPbft};
-    for protocol in [LadonPbft, LadonHotStuff, IssPbft] {
+    use ProtocolKind::{IssHotStuff, IssPbft, LadonHotStuff, LadonPbft, MirPbft, RccPbft};
+    for protocol in [
+        LadonPbft,
+        LadonHotStuff,
+        IssPbft,
+        MirPbft,
+        RccPbft,
+        IssHotStuff,
+    ] {
         let mut c = Deployment::build(
             &ExperimentConfig::scenario(protocol, 4, 30.0)
                 .with_crash(1, 0.0005)
@@ -143,46 +152,4 @@ fn dqbft_sequences_through_ordering_instance() {
     c.run_secs(6.0);
     assert!(c.node(0).metrics.confirmed_txs > 0);
     c.check(&[0, 1, 2, 3]).assert_safe();
-}
-
-/// The SB failure detector `D` (§3.2): when a baseline (pre-determined
-/// ordering) leader crashes and stays quiet past the detector timeout,
-/// ISS delivers ⊥ for its slots so the global log keeps advancing — the
-/// paper's justification for why ISS tolerates *crash* faults even
-/// though it collapses under timeout-evading stragglers.
-#[test]
-fn iss_quiet_leader_nil_delivery_unblocks_log() {
-    let mut c = Deployment::build(
-        &ExperimentConfig::scenario(ProtocolKind::IssPbft, 4, 45.0)
-            .with_crash(2, 3.0)
-            // Keep the view change out of the way (its 10 s default would
-            // replace the crashed leader before the 30 s quiet detector
-            // fires) so this test isolates the ⊥-delivery path.
-            .with_view_timeout(600.0),
-    );
-    // Default quiet timeout is 30 s; run past two detector windows.
-    c.run_secs(70.0);
-    let honest = [0usize, 1, 3];
-    c.check(&honest).assert_safe();
-    // Confirmation continued after the crash + detector horizon: nils
-    // filled the crashed instance's slots.
-    let late = c
-        .node(0)
-        .metrics
-        .confirms
-        .iter()
-        .filter(|cf| cf.time > ladon::types::TimeNs::from_secs(40))
-        .count();
-    assert!(
-        late > 0,
-        "⊥ delivery must unblock the pre-determined log after a crash"
-    );
-    let nils = c
-        .node(0)
-        .metrics
-        .confirms
-        .iter()
-        .filter(|cf| cf.is_nil)
-        .count();
-    assert!(nils > 0, "the crashed instance's slots must be ⊥-filled");
 }

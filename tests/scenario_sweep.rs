@@ -123,6 +123,31 @@ fn a_hole_under_message_loss_is_timed_out() {
     }
 }
 
+/// A baseline's hole is filled by its instance, never by one replica.
+/// Under 1 % message loss a pre-determined log stalls on a round some
+/// replicas never saw decided; when the orderer filled such a hole with
+/// a ⊥ from a replica-local 30 s quiet timer, one replica confirmed ⊥
+/// where its peers later confirmed the instance's block (the oracle,
+/// which compares content, read 3, 3 and 5 `Disagreement`s on these
+/// cells). Every cell must be safe.
+#[test]
+fn a_baseline_hole_under_message_loss_is_filled_by_its_instance() {
+    use ProtocolKind::{IssHotStuff, IssPbft, MirPbft};
+    for (protocol, seed) in [(IssPbft, 9), (MirPbft, 9), (IssHotStuff, 0)] {
+        let cfg = ExperimentConfig::scenario(protocol, 4, 65.0)
+            .with_loss(0.01)
+            .with_seed(seed);
+        let mut c = Deployment::build(&cfg);
+        c.run_secs(70.0);
+        let verdict = c.check(&[0, 1, 2, 3]);
+        assert!(
+            verdict.violations.is_empty(),
+            "{protocol:?}, seed {seed}: {:?}",
+            verdict.violations
+        );
+    }
+}
+
 /// DQBFT is safe under message loss. PBFT commits the ordering
 /// instance's rounds out of order when messages are lost, and replicas
 /// that sequenced each reference batch as it committed confirmed the same
@@ -134,7 +159,7 @@ fn a_hole_under_message_loss_is_timed_out() {
 /// references it committed, so a new leader of the ordering instance has
 /// something to propose. Every cell must be safe, rank ties included,
 /// and every replica must confirm a block — except seed 9's replica 1:
-/// DQBFT repairs nothing lost (ROADMAP 1(d)), and that replica misses a
+/// DQBFT repairs nothing lost (ROADMAP 2(b)), and that replica misses a
 /// round it never recovers, so it confirms nothing before and after the
 /// round-order cut.
 #[test]

@@ -330,6 +330,15 @@ impl Instance {
         }
     }
 
+    /// Rounds of state the instance holds: a PBFT instance's rounds in
+    /// flight plus its committed log, a HotStuff instance's chain nodes.
+    pub fn rounds_held(&self) -> usize {
+        match &self.proto {
+            Proto::Pbft(inst) => inst.rounds_held(),
+            Proto::Hs(inst) => inst.nodes_held(),
+        }
+    }
+
     /// What the instance knows about having fallen behind. HotStuff
     /// offers no evidence.
     pub fn lag_evidence(&self) -> Option<LagEvidence> {

@@ -287,6 +287,12 @@ impl MultiBftNode {
         self.orderer.waiting_count()
     }
 
+    /// Rounds of consensus state held, summed over the instances (see
+    /// [`Instance::rounds_held`]).
+    pub fn rounds_held(&self) -> usize {
+        self.slots.iter().map(Instance::rounds_held).sum()
+    }
+
     /// The replica's current certified rank.
     pub fn cur_rank(&self) -> Rank {
         self.cur_rank.rank

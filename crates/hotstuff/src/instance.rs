@@ -250,6 +250,12 @@ impl HsInstance {
         self.committed_upto
     }
 
+    /// Chain nodes held: the uncommitted ones and a tail below the commit
+    /// frontier.
+    pub fn nodes_held(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Whether the instance is done with this epoch: it has committed a
     /// node at `maxRank`, which the third dummy after the `maxRank` node
     /// does.

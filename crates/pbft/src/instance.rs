@@ -28,25 +28,34 @@
 //!
 //! # What a round keeps, and for how long
 //!
-//! State is proportional to the rounds *in flight*. A `RoundState`
-//! moves through three stages and sheds what the next one cannot read:
+//! State is proportional to the rounds *in flight*, plus one to two
+//! epochs of committed log. A round moves through four stages and sheds
+//! what the next one cannot read:
 //!
 //! | stage | entered when | holds |
 //! |---|---|---|
-//! | **open** | first vote or the pre-prepare arrives | the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
+//! | **open** | first vote or the pre-prepare arrives | a `RoundState` in `rounds`: the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
 //! | **prepared** | 2f+1 matching prepares (`sent_commit`) | the proposal, `prepare_qc`; the prepare tally is **freed** — its shares now live in the QC; the commit tally |
-//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc` (state transfer and view changes serve from them) until the epoch horizon collects the round; the commit tally is **freed** |
+//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc`; the commit tally is **freed**. A round above a hole waits here for the frontier |
+//! | **logged** | the contiguous commit frontier passes the round | nothing in `rounds`: one `LogEntry` (digest, rank, batch, `proposed_at`, prepare QC) at the back of the instance's dense log, which state transfer, view changes and the rank checks read. [`PbftInstance::advance_epoch`] drops the entries below the frontier the previous epoch began at, [`PbftInstance::fast_forward`] all of them |
 //!
-//! (The two phases decide independently: a replica that sees the commit
-//! quorum first commits while its prepare tally is still open.) A tally
+//! So a replica keeps one to two epochs of committed history, however
+//! long it runs: a peer further behind is repaired from a stable
+//! checkpoint (§5.2.1), not from the log. The two phases decide
+//! independently: a replica that sees the commit quorum first commits
+//! while its prepare tally is still open. Such a round is logged with no
+//! certificate yet and also stays in `rounds` until the tally decides:
+//! its late quorum still sends the commit vote and rank report, and
+//! hands the log entry its certificate. A tally
 //! is read only while its phase is undecided, so a vote for a decided
 //! phase — a `Prepare` after `sent_commit`, a `Commit` after `committed` —
 //! can change nothing and is dropped at the door, *before* its signature
 //! is checked. Behind the commit frontier nothing re-opens: a pre-prepare
-//! for a round at or below it is refused, and a vote for one whose state
-//! has been collected is dropped, so a replayed or late message cannot
-//! resurrect a round. A view change re-opens every uncommitted round
-//! (both tallies dropped, flags cleared).
+//! for a round at or below it is refused, a vote for one no longer in
+//! flight is dropped, and a new view re-proposes none of them, so a
+//! replayed or late message cannot resurrect a round. A view change
+//! re-opens every uncommitted round (both tallies dropped, flags
+//! cleared).
 //!
 //! Certificates are verified through the replica's
 //! [`ladon_crypto::CertCache`]: the hosting node installs one handle in
@@ -66,8 +75,7 @@ use ladon_types::{
     push_bounded, quorum, Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round,
     TimeNs, View,
 };
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// How the instance participates in rank coordination.
@@ -176,6 +184,7 @@ impl Tally {
 
 /// A round's adopted proposal: a pre-prepare, a certified re-proposal, a
 /// nil fill or a fetched committed block.
+#[derive(Clone)]
 struct Proposal {
     digest: Digest,
     rank: Rank,
@@ -197,6 +206,15 @@ impl Proposal {
             proposed_at: self.proposed_at,
         }
     }
+}
+
+/// A committed round at or below the commit frontier.
+struct LogEntry {
+    proposal: Proposal,
+    /// The round's prepare QC: the fetched one, or the one this replica
+    /// formed. `None` while a round that committed before its prepare
+    /// quorum waits for it.
+    prepare_qc: Option<Arc<QuorumCert>>,
 }
 
 /// Per-round bookkeeping (see the module docs for what each stage keeps).
@@ -353,17 +371,26 @@ pub struct PbftInstance {
     next_round: Round,
     /// Highest round `r` such that all rounds `1..=r` are committed.
     committed_upto: Round,
+    /// The rounds in flight: those above `committed_upto`, plus a logged
+    /// one whose prepare phase is still undecided.
     rounds: BTreeMap<Round, RoundState>,
+    /// The committed log: rounds `committed_upto − log.len() + 1 ..=
+    /// committed_upto`, one entry each (see the module docs).
+    log: VecDeque<LogEntry>,
+    /// When the round at `committed_upto` committed here; `None` until
+    /// one does, and after a snapshot install until the next.
+    frontier_at: Option<TimeNs>,
     /// Leader-side rank reports, keyed by the round whose commit phase
     /// produced them (used to propose `round + 1`).
     rank_reports: BTreeMap<Round, BTreeMap<ReplicaId, (RankReport, Rank)>>,
     /// Current epoch's rank range `[min, max]`.
     epoch_min: Rank,
     epoch_max: Rank,
-    /// Pre-prepares that failed only because our epoch lags (or, in Opt
-    /// mode, because their previous round is unseen); retried on
-    /// [`PbftInstance::advance_epoch`], which may bring their epoch, and
-    /// after [`PbftInstance::install_committed`] adopts a round, which
+    /// Pre-prepares whose batch digest and signature passed, held only
+    /// because our epoch lags (or, in Opt mode, because their previous
+    /// round is unseen); retried on [`PbftInstance::advance_epoch`],
+    /// which may bring their epoch, and after
+    /// [`PbftInstance::install_committed`] adopts a round, which
     /// may be the previous round an Opt one waits on. A retried one that
     /// still waits goes back in. Bounded by
     /// [`ladon_types::MAX_PENDING_MSGS`].
@@ -385,7 +412,9 @@ pub struct PbftInstance {
     /// The liveness deadline: the round awaited and since when (see the
     /// module docs). While a view change is in flight it bounds that.
     deadline: Option<(Round, TimeNs)>,
-    /// First round of the current epoch (GC horizon for view changes).
+    /// The commit frontier when the current epoch began: a view change
+    /// reports the rounds above it, and the next epoch's advance trims
+    /// the log below it.
     epoch_start_round: Round,
     /// Where certificates are verified: the replica's cache when the
     /// hosting node shared one, a private one otherwise. The same
@@ -410,6 +439,8 @@ impl PbftInstance {
             next_round: Round(1),
             committed_upto: Round(0),
             rounds: BTreeMap::new(),
+            log: VecDeque::new(),
+            frontier_at: None,
             rank_reports: BTreeMap::new(),
             epoch_min,
             epoch_max,
@@ -451,10 +482,39 @@ impl PbftInstance {
             .sum()
     }
 
-    /// Rounds with any state held (open, prepared or committed and not
-    /// yet collected).
+    /// Rounds with any state held: those in flight above the commit
+    /// frontier and those in the log.
     pub fn rounds_held(&self) -> usize {
-        self.rounds.len()
+        let above = self.rounds.range(self.committed_upto.next()..).count();
+        above + self.log.len()
+    }
+
+    /// The first round the log holds (`committed_upto + 1` when empty).
+    fn log_start(&self) -> Round {
+        Round(self.committed_upto.0 - self.log.len() as u64).next()
+    }
+
+    /// Where the log holds `round`, if it does.
+    fn log_index(&self, round: Round) -> Option<usize> {
+        let i = round.0.checked_sub(self.log_start().0)?;
+        usize::try_from(i).ok().filter(|&i| i < self.log.len())
+    }
+
+    /// The log's entries from `round` on, oldest first, each with its
+    /// round.
+    fn log_from(&self, round: Round) -> impl Iterator<Item = (Round, &LogEntry)> {
+        let start = self.log_start();
+        let skip = usize::try_from(round.0.saturating_sub(start.0)).unwrap_or(usize::MAX);
+        (start.0..).map(Round).zip(&self.log).skip(skip)
+    }
+
+    /// The proposal held for `round`: the log's at or below the commit
+    /// frontier, the one in flight above it.
+    fn proposal(&self, round: Round) -> Option<&Proposal> {
+        match self.log_index(round) {
+            Some(i) => Some(&self.log[i].proposal),
+            None => self.rounds.get(&round)?.proposal.as_ref(),
+        }
     }
 
     /// The leader of `view` for this instance: instances start led by the
@@ -497,9 +557,7 @@ impl PbftInstance {
     /// `adopt_new_view` re-adopts each certified round of the epoch, so a
     /// new leader holds its predecessor's `maxRank(e)` block.
     fn follows_max_rank(&self, round: Round) -> bool {
-        let held = round
-            .prev()
-            .and_then(|p| self.rounds.get(&p)?.proposal.as_ref());
+        let held = round.prev().and_then(|p| self.proposal(p));
         self.cfg.mode != RankMode::None && held.is_some_and(|p| p.rank == self.epoch_max)
     }
 
@@ -544,13 +602,19 @@ impl PbftInstance {
         assert!(min > self.epoch_max, "epochs must advance forward");
         self.epoch_min = min;
         self.epoch_max = max;
-        self.epoch_start_round = self.committed_upto;
         // Old-epoch certificates will not legitimately re-arrive; keep
         // the cert cache bounded by the live epoch.
         self.certs.advance_epoch(min);
-        // Garbage-collect state from two epochs ago; the previous epoch is
-        // kept for late votes and view changes.
-        let keep_from = Round(self.epoch_start_round.0.saturating_sub(64));
+        // Committed history goes back to the frontier the previous epoch
+        // began at — one to two epochs, whatever their length in rounds.
+        // A view change reports only the current epoch's rounds, and a
+        // peer further behind is repaired from a stable checkpoint
+        // (§5.2.1); trimmed at the current epoch's start, the log would
+        // leave a peer a few rounds behind it nothing to fetch.
+        let keep_from = std::mem::replace(&mut self.epoch_start_round, self.committed_upto);
+        let above = usize::try_from(self.committed_upto.0 - keep_from.0).unwrap_or(usize::MAX);
+        let drop = self.log.len().saturating_sub(above.saturating_add(1));
+        self.log.drain(..drop);
         self.rounds = self.rounds.split_off(&keep_from);
         let keep_reports = Round(self.next_round.0.saturating_sub(2));
         self.rank_reports = self.rank_reports.split_off(&keep_reports);
@@ -560,10 +624,15 @@ impl PbftInstance {
         out
     }
 
-    /// Re-checks every held pre-prepare (see `pending_epoch`).
+    /// Re-checks every held pre-prepare (see `pending_epoch`). Its batch
+    /// digest and signature passed before it was held, so only what may
+    /// have changed since is checked again: view, leader, frontier and
+    /// the rank proof.
     fn retry_held(&mut self, now: TimeNs, cur: &mut RankCert, out: &mut Vec<Action>) {
         for (from, pp) in std::mem::take(&mut self.pending_epoch) {
-            self.handle_preprepare(from, &pp, now, cur, out);
+            if self.preprepare_open(from, &pp) {
+                self.admit_preprepare(from, &pp, now, cur, out);
+            }
         }
     }
 
@@ -717,44 +786,65 @@ impl PbftInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        if pp.instance != self.cfg.instance {
+        if !self.preprepare_open(from, pp) {
+            return;
+        }
+        if digest_batch(&pp.batch) != pp.digest
+            || (from != self.cfg.me
+                && !pp
+                    .sig
+                    .verify(&self.cfg.registry, DOMAIN_PREPREPARE, &pp.signing_bytes()))
+        {
             self.rejected += 1;
             return;
+        }
+        self.admit_preprepare(from, pp, now, cur, out);
+    }
+
+    /// Whether `pp` may open its round now: it is for this instance, from
+    /// the leader of the installed view, for a round above the commit
+    /// frontier without a proposal yet. One from a view not installed yet
+    /// is buffered; any other failure counts as rejected.
+    fn preprepare_open(&mut self, from: ReplicaId, pp: &Arc<PrePrepare>) -> bool {
+        if pp.instance != self.cfg.instance {
+            self.rejected += 1;
+            return false;
         }
         if pp.view > self.view || (pp.view == self.view && self.in_view_change) {
             self.buffer_view_msg(from, PbftMsg::PrePrepare(pp.clone()));
-            return;
-        }
-        if pp.view < self.view || from != self.leader_of(pp.view) {
-            self.rejected += 1;
-            return;
-        }
-        if self
-            .rounds
-            .get(&pp.round)
-            .is_some_and(|r| r.proposal.is_some())
-        {
-            self.rejected += 1; // Already have a proposal for this round.
-            return;
+            return false;
         }
         // At or below the commit frontier there is nothing left to
-        // propose — whether the round's state is still held or was
-        // collected (epoch horizon, snapshot fast-forward): a replayed
-        // genuine pre-prepare must not re-open it.
-        if pp.round <= self.committed_upto {
+        // propose — whether the round is in the log or was dropped from
+        // it (epoch trim, snapshot fast-forward): a replayed genuine
+        // pre-prepare must not re-open it.
+        let adopted = self
+            .rounds
+            .get(&pp.round)
+            .is_some_and(|r| r.proposal.is_some());
+        if pp.view < self.view
+            || from != self.leader_of(pp.view)
+            || adopted
+            || pp.round <= self.committed_upto
+        {
             self.rejected += 1;
-            return;
+            return false;
         }
-        if digest_batch(&pp.batch) != pp.digest {
-            self.rejected += 1;
-            return;
-        }
+        true
+    }
+
+    /// Adopts `pp`, whose batch digest and signature have passed, and
+    /// prepares it, once its rank proof holds. One that waits on a later
+    /// epoch or (Opt) an unseen round is held for a retry.
+    fn admit_preprepare(
+        &mut self,
+        from: ReplicaId,
+        pp: &Arc<PrePrepare>,
+        now: TimeNs,
+        cur: &mut RankCert,
+        out: &mut Vec<Action>,
+    ) {
         if from != self.cfg.me {
-            let body = pp.signing_bytes();
-            if !pp.sig.verify(&self.cfg.registry, DOMAIN_PREPREPARE, &body) {
-                self.rejected += 1;
-                return;
-            }
             match self.validate_rank_proof(pp) {
                 RankCheck::Ok => {}
                 RankCheck::EpochAhead => {
@@ -875,7 +965,7 @@ impl PbftInstance {
                     return RankCheck::Invalid;
                 }
                 // The base must be the rank of our previous round.
-                match self.rounds.get(&prev).and_then(|st| st.proposal.as_ref()) {
+                match self.proposal(prev) {
                     Some(p) => {
                         if p.rank != *base {
                             return RankCheck::Invalid;
@@ -1031,7 +1121,17 @@ impl PbftInstance {
             )
             .expect("distinct signers: one slot per replica");
             let qc = Arc::new(qc);
-            st.prepare_qc = Some(qc.clone());
+            if round <= self.committed_upto {
+                // The round committed before this quorum (see
+                // `extend_frontier`): its log entry takes the certificate,
+                // and nothing of it is in flight any more.
+                self.rounds.remove(&round);
+                if let Some(i) = self.log_index(round) {
+                    self.log[i].prepare_qc = Some(qc.clone());
+                }
+            } else {
+                st.prepare_qc = Some(qc.clone());
+            }
 
             let vote = PhaseVote::sign(
                 &self.cfg.signer,
@@ -1082,10 +1182,13 @@ impl PbftInstance {
     fn build_rank_report(&self, round: Round, cur: &RankCert) -> RankReport {
         let (rank, k) = match self.cfg.mode {
             RankMode::Opt => {
-                // A round held without a proposal reports from rank 0.
-                let base = self.rounds.get(&round).map_or(self.epoch_min, |st| {
-                    st.proposal.as_ref().map_or(Rank(0), |p| p.rank)
-                });
+                // A round held without a proposal reports from rank 0, one
+                // not held from the epoch's first rank.
+                let base = match (self.proposal(round), self.rounds.contains_key(&round)) {
+                    (Some(p), _) => p.rank,
+                    (None, true) => Rank(0),
+                    (None, false) => self.epoch_min,
+                };
                 (base, u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX))
             }
             RankMode::Plain | RankMode::None => (cur.rank, 0),
@@ -1187,8 +1290,7 @@ impl PbftInstance {
         if self.in_view_change || self.deadline.is_some_and(|(r, _)| r > cu) {
             return;
         }
-        let at = self.rounds.get(&cu).and_then(|st| st.committed_at);
-        let since = at.filter(|_| cu >= round).unwrap_or(now);
+        let since = self.frontier_at.filter(|_| cu >= round).unwrap_or(now);
         let old = self.deadline.map_or(since, |(_, old)| old);
         self.deadline = Some((cu.next(), since.max(old)));
     }
@@ -1224,24 +1326,27 @@ impl PbftInstance {
         self.in_view_change = true;
         self.pending_view = new_view;
 
-        // Collect prepared (and committed) rounds of the current epoch so
-        // the new leader can re-propose anything that may have committed
-        // somewhere.
-        let prepared: Vec<PreparedEntry> = self
-            .rounds
-            .range(self.epoch_start_round.next()..)
-            .filter_map(|(&round, st)| {
-                let (p, qc) = (st.proposal.as_ref()?, st.prepare_qc.clone()?);
-                Some(PreparedEntry {
-                    round,
-                    digest: p.digest,
-                    rank: p.rank,
-                    batch: p.batch.clone(),
-                    proposed_at: p.proposed_at,
-                    qc,
-                })
-            })
-            .collect();
+        // Collect the certified rounds of the current epoch, logged and in
+        // flight, so the new leader can re-propose anything that may have
+        // committed somewhere.
+        let entry = |round, p: &Proposal, qc: &Arc<QuorumCert>| PreparedEntry {
+            round,
+            digest: p.digest,
+            rank: p.rank,
+            batch: p.batch.clone(),
+            proposed_at: p.proposed_at,
+            qc: qc.clone(),
+        };
+        let logged = self
+            .log_from(self.epoch_start_round.next())
+            .filter_map(|(round, e)| Some(entry(round, &e.proposal, e.prepare_qc.as_ref()?)));
+        let in_flight =
+            self.rounds
+                .range(self.committed_upto.next()..)
+                .filter_map(|(&round, st)| {
+                    Some(entry(round, st.proposal.as_ref()?, st.prepare_qc.as_ref()?))
+                });
+        let prepared: Vec<PreparedEntry> = logged.chain(in_flight).collect();
         let vc = Arc::new(ViewChange::sign(
             &self.cfg.signer,
             new_view,
@@ -1439,6 +1544,9 @@ impl PbftInstance {
             .into_iter()
             .map(|e| (e.round, e.digest, e.rank, e.batch, e.proposed_at));
         for (round, digest, rank, batch, proposed_at) in nils.chain(reproposals) {
+            if round <= self.committed_upto {
+                continue;
+            }
             let st = self.rounds.entry(round).or_default();
             if st.committed_at.is_some() {
                 continue;
@@ -1466,26 +1574,39 @@ impl PbftInstance {
 
     /// Committed blocks with rounds in `(from, from + limit]`, each with
     /// the prepare QC that certifies it — the "missing log entries" a
-    /// lagging replica fetches (§5.2.1). Stops at the first hole or at a
-    /// round whose state was garbage-collected.
+    /// lagging replica fetches (§5.2.1): the log's, then any committed
+    /// above a hole in this replica's own frontier. Stops at the first
+    /// round it cannot serve, so none when round `from + 1` is below the
+    /// log (that peer is repaired from a snapshot).
     pub fn committed_entries_from(
         &self,
         from: Round,
         limit: usize,
     ) -> Vec<(Block, Arc<QuorumCert>)> {
-        let mut out = Vec::new();
-        let mut prev = from;
-        for (&round, st) in self.rounds.range((Excluded(from), Unbounded)) {
-            if out.len() >= limit || round.0 - prev.0 != 1 || st.committed_at.is_none() {
-                break;
-            }
-            let (Some(p), Some(qc)) = (&st.proposal, &st.prepare_qc) else {
-                break;
-            };
-            out.push((p.block(self.cfg.instance, round), qc.clone()));
-            prev = round;
-        }
-        out
+        // A peer may name any round, the last representable one too.
+        let Some(first) = from.0.checked_add(1).map(Round) else {
+            return Vec::new();
+        };
+        let logged = self
+            .log_from(first)
+            .map(|(round, e)| (round, Some(&e.proposal), e.prepare_qc.as_ref()));
+        let above = self
+            .rounds
+            .range(self.committed_upto.next().max(first)..)
+            .take_while(|(_, st)| st.committed_at.is_some())
+            .map(|(&round, st)| (round, st.proposal.as_ref(), st.prepare_qc.as_ref()));
+        // Contiguous from `first`: the log is, a round above a hole may
+        // not be.
+        (first.0..)
+            .zip(logged.chain(above))
+            .map_while(|(want, (round, p, qc))| {
+                if round.0 != want {
+                    return None;
+                }
+                Some((p?.block(self.cfg.instance, round), qc?.clone()))
+            })
+            .take(limit)
+            .collect()
     }
 
     /// Installs a block fetched from a peer as committed, after verifying
@@ -1579,28 +1700,48 @@ impl PbftInstance {
 
     /// Fast-forwards the commit frontier to `round` after an execution
     /// snapshot install: every round up to and including `round` is
-    /// declared covered by the snapshot. Per-round state at or below the
-    /// new frontier is dropped — those blocks can no longer be served to
-    /// other laggers from here (the snapshot is served instead) — and any
-    /// already-committed rounds contiguously past the jump re-extend the
-    /// frontier.
+    /// declared covered by the snapshot. The log and any state at or
+    /// below the new frontier are dropped — those blocks can no longer be
+    /// served to other laggers from here (the snapshot is served instead)
+    /// — and any already-committed rounds contiguously past the jump
+    /// re-extend the frontier.
     pub fn fast_forward(&mut self, round: Round) {
         if round <= self.committed_upto {
             return;
         }
         self.committed_upto = round;
+        self.log.clear();
+        self.frontier_at = None;
         self.rounds = self.rounds.split_off(&round.next());
         self.extend_frontier();
     }
 
-    /// Moves the commit frontier over the committed rounds right above it.
+    /// Moves the commit frontier over the committed rounds right above
+    /// it, appending each to the log. One whose prepare phase is still
+    /// undecided stays in flight too, so its late prepare quorum still
+    /// sends this replica's commit vote and rank report.
     fn extend_frontier(&mut self) {
-        while self
-            .rounds
-            .get(&self.committed_upto.next())
-            .is_some_and(|st| st.committed_at.is_some())
-        {
-            self.committed_upto = self.committed_upto.next();
+        loop {
+            let round = self.committed_upto.next();
+            let Some(st) = self.rounds.get_mut(&round) else {
+                return;
+            };
+            let Some(at) = st.committed_at else {
+                return;
+            };
+            let prepare_qc = st.prepare_qc.take();
+            let proposal = if st.sent_commit {
+                self.rounds.remove(&round).and_then(|st| st.proposal)
+            } else {
+                st.proposal.clone()
+            };
+            let proposal = proposal.expect("a round commits on an adopted proposal");
+            self.log.push_back(LogEntry {
+                proposal,
+                prepare_qc,
+            });
+            self.committed_upto = round;
+            self.frontier_at = Some(at);
         }
     }
 
@@ -1620,12 +1761,13 @@ impl PbftInstance {
     /// the vote phases of those rounds (peers will not re-vote), so only
     /// state transfer can commit them here.
     pub fn highest_seen_round(&self) -> Round {
-        self.rounds
+        let logged = Some(self.committed_upto).filter(|_| !self.log.is_empty());
+        let in_flight = self
+            .rounds
             .iter()
             .rev()
-            .find(|(_, st)| st.proposal.is_some())
-            .map(|(r, _)| *r)
-            .unwrap_or(Round(0))
+            .find(|(_, st)| st.proposal.is_some());
+        in_flight.map(|(r, _)| *r).max(logged).unwrap_or(Round(0))
     }
 }
 
@@ -1646,5 +1788,12 @@ impl PbftInstance {
     /// View changes held toward views this replica leads.
     pub(crate) fn view_changes_held(&self) -> usize {
         self.view_changes.len()
+    }
+
+    /// The lowest round any state is held for, logged or in flight.
+    pub(crate) fn oldest_round_held(&self) -> Option<Round> {
+        let logged = Some(self.log_start()).filter(|_| !self.log.is_empty());
+        let in_flight = self.rounds.keys().next().copied();
+        logged.into_iter().chain(in_flight).min()
     }
 }

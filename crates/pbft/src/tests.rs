@@ -1215,6 +1215,50 @@ fn an_opt_preprepare_held_for_an_unseen_round_prepares_once_that_round_installs(
     assert_eq!(c.nodes[1].epoch_backlog(), 0);
 }
 
+#[test]
+fn a_retry_that_releases_no_held_preprepare_costs_no_crypto() {
+    // Replica 1 misses round 2, then receives the pre-prepares of rounds
+    // 3..=10: under Opt ranks each one's base is the round before it,
+    // which replica 1 has not adopted, so all eight are held. Their
+    // digests and signatures were checked on the way in; an epoch
+    // advance that brings none of the missing rounds retries every one
+    // without hashing or verifying anything again.
+    let one = ReplicaId(1);
+    let mut c = Cluster::new(4, RankMode::Opt, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    let mut held = Vec::new();
+    for round in 2..=10u64 {
+        let pp = propose_capturing(&mut c, round * 10);
+        while let Some((to, from, msg)) = c.queue.pop_front() {
+            if to != one {
+                let who = to.as_usize();
+                let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+                c.absorb(who, actions);
+            }
+        }
+        if round > 2 {
+            held.push(pp);
+        }
+    }
+    for pp in held {
+        let actions = c.nodes[1].on_message(
+            ReplicaId(0),
+            PbftMsg::PrePrepare(pp),
+            c.now,
+            &mut c.cur_ranks[1],
+        );
+        assert!(actions.is_empty(), "{actions:?}");
+    }
+    assert_eq!(c.nodes[1].epoch_backlog(), 8);
+
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    let actions = c.nodes[1].advance_epoch(Rank(1001), Rank(2000), c.now, &mut c.cur_ranks[1]);
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!(c.nodes[1].epoch_backlog(), 8, "every one still waits");
+    assert_eq!((cost.verifies, cost.agg_verifies, cost.hashes), (0, 0, 0));
+}
+
 // ---------------------------------------------------------------------
 // State is per round in flight: tallies end at decision, collected
 // rounds stay collected, a vote nothing can read costs nothing
@@ -1309,6 +1353,65 @@ fn late_vote_cannot_resurrect_a_collected_round() {
     assert_eq!(c.nodes[1].live_vote_slots(), 0);
     let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
     assert_eq!(cost.verifies, 0, "nothing can read the vote: not checked");
+}
+
+#[test]
+fn a_new_view_reopens_no_round_behind_the_frontier() {
+    // Replica 1 jumped past rounds 1..=3, which its peers committed and
+    // report as prepared when they view-change to view 1, led by replica
+    // 1. The new view re-proposes those rounds; behind replica 1's
+    // frontier they are settled, so it neither re-opens nor re-votes them.
+    let (mut c, _, _) = replica_one_fast_forwarded();
+    c.fire_timeouts();
+    assert_eq!(c.nodes[1].view(), View(1));
+    assert!(c.nodes[1].is_leader());
+    assert_eq!(c.nodes[1].rounds_held(), 0);
+    assert_eq!(c.nodes[1].live_vote_slots(), 0);
+}
+
+#[test]
+fn a_round_committed_before_its_prepare_quorum_is_certified_late() {
+    // Replica 1 hears its peers' commits for round 1 before their
+    // prepares: it commits on the commit quorum while its prepare tally
+    // is still open. The round is logged without a certificate, so it
+    // serves nothing yet; the late prepare quorum still sends its commit
+    // vote and rank report, and hands the log entry its certificate.
+    let one = ReplicaId(1);
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    propose_capturing(&mut c, 0);
+    let mut held = Vec::new();
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        if let (true, PbftMsg::Vote(v)) = (to == one && from != one, &msg) {
+            if v.phase == Phase::Prepare {
+                held.push((from, msg));
+                continue;
+            }
+        }
+        let who = to.as_usize();
+        let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+        c.absorb(who, actions);
+    }
+    assert_eq!(c.committed[1].len(), 1, "committed on the commit quorum");
+    assert_eq!(c.nodes[1].committed_upto(), Round(1));
+    assert!(c.nodes[1].committed_entries_from(Round(0), 16).is_empty());
+
+    let mut late = Vec::new();
+    for (from, msg) in held {
+        late.extend(c.nodes[1].on_message(from, msg, c.now, &mut c.cur_ranks[1]));
+    }
+    let commit_vote = late.iter().any(|a| {
+        matches!(a, crate::Action::Broadcast(PbftMsg::Vote(v))
+            if v.phase == Phase::Commit && v.round == Round(1))
+    });
+    let report = late
+        .iter()
+        .any(|a| matches!(a, crate::Action::Send(to, PbftMsg::Rank(_)) if *to == ReplicaId(0)));
+    assert!(commit_vote && report, "{late:?}");
+    let served = c.nodes[1].committed_entries_from(Round(0), 16);
+    assert_eq!(served.len(), 1);
+    assert_eq!(served[0].1.round, Round(1));
+    assert_eq!(c.nodes[1].rounds_held(), 1);
+    assert_eq!(c.nodes[1].live_vote_slots(), 0);
 }
 
 #[test]
@@ -1467,4 +1570,55 @@ fn decided_phase_vote_is_free_and_a_forged_live_vote_is_refused() {
     // The genuine third vote is what moves the round on.
     c.run_to_quiescence();
     assert_eq!(c.committed[1].len(), 2);
+}
+
+// ---------------------------------------------------------------------
+// Committed history is one to two epochs, however long the run
+// ---------------------------------------------------------------------
+
+#[test]
+fn the_log_keeps_the_previous_epoch_and_nothing_older() {
+    // Eight ranks per epoch: epoch 0 commits rounds 1..=7 (ranks 1..=7),
+    // each later epoch eight rounds. Every advance trims committed
+    // history at the frontier the previous epoch began at; the previous
+    // epoch itself is still served in full.
+    const RANKS: u64 = 8;
+    let mut c = Cluster::new(4, RankMode::Plain, RANKS - 1);
+    // The frontier each epoch began at: epoch `e` starts above `starts[e]`.
+    let mut starts = vec![0u64];
+    let mut held_after = Vec::new();
+    for epoch in 1..=9u64 {
+        while !c.nodes[0].stopped_for_epoch() {
+            let first = c.nodes[0].next_round().0 * 10;
+            c.propose_and_run(0, test_batch(first, 5));
+        }
+        let frontier = c.nodes[1].committed_upto();
+        starts.push(frontier.0);
+        for r in 0..4 {
+            let (min, max) = (Rank(epoch * RANKS), Rank(epoch * RANKS + RANKS - 1));
+            let actions = c.nodes[r].advance_epoch(min, max, c.now, &mut c.cur_ranks[r]);
+            c.absorb(r, actions);
+        }
+        c.run_to_quiescence();
+
+        let previous = starts[starts.len() - 2];
+        let oldest = c.nodes[1]
+            .oldest_round_held()
+            .expect("the log is not empty");
+        assert_eq!(oldest, Round(previous.max(1)), "epoch {epoch}");
+        let served = c.nodes[1].committed_entries_from(Round(previous), usize::MAX);
+        let rounds: Vec<u64> = served.iter().map(|(b, _)| b.round().0).collect();
+        assert_eq!(rounds, (previous + 1..=frontier.0).collect::<Vec<_>>());
+        if previous >= 2 {
+            let older = c.nodes[1].committed_entries_from(Round(previous - 2), usize::MAX);
+            assert!(older.is_empty(), "epoch {epoch}: served below the log");
+        }
+        held_after.push(c.nodes[1].rounds_held());
+    }
+    assert_eq!(c.nodes[1].committed_upto(), Round(7 + 8 * 8));
+    let (at_3, at_9) = (held_after[2], held_after[8]);
+    assert!(
+        at_9.abs_diff(at_3) <= RANKS as usize,
+        "rounds held grew with the run: {held_after:?}"
+    );
 }

@@ -1,8 +1,10 @@
 //! Diagnostic runner. Two modes:
 //!
 //! - `debug_run [ladon|opt|hs|iss|isshs|mir|rcc|dqbft] [n] [secs]` prints
-//!   per-replica pipeline state for a small run, in ten steps. Useful when
-//!   bringing up a new protocol composition.
+//!   per-replica pipeline state for a small run, in ten steps, then each
+//!   replica's totals, with the rounds of consensus state it still holds
+//!   (flat in `secs` under the Ladon protocols, whose instances trim at
+//!   every epoch). Useful when bringing up a new protocol composition.
 //! - `debug_run grid <protocol[,protocol…]|all> [seeds]` runs the 1 %
 //!   message-loss grid: `scenario(p, 4, 20.0).with_epoch_length(16)
 //!   .with_loss(0.01)` for 25 s per seed (`seeds` is `a-b` or a comma
@@ -136,11 +138,12 @@ fn trace(proto: ProtocolKind, n: usize, secs: f64) {
     for r in 0..n {
         let node = d.node(r);
         println!(
-            "r{r}: commits={} confirms={} txs={} vc={} epochs={:?}",
+            "r{r}: commits={} confirms={} txs={} vc={} rounds_held={} epochs={:?}",
             node.metrics.commits.len(),
             node.metrics.confirms.len(),
             node.metrics.confirmed_txs,
             node.metrics.view_changes.len(),
+            node.rounds_held(),
             node.metrics
                 .epochs
                 .iter()

@@ -331,7 +331,8 @@ impl Instance {
     }
 
     /// Rounds of state the instance holds: a PBFT instance's rounds in
-    /// flight plus its committed log, a HotStuff instance's chain nodes.
+    /// flight and committed ones it keeps, a HotStuff instance's chain
+    /// nodes.
     pub fn rounds_held(&self) -> usize {
         match &self.proto {
             Proto::Pbft(inst) => inst.rounds_held(),

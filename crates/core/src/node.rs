@@ -1050,8 +1050,11 @@ impl MultiBftNode {
         if let Some(at) = self.cfg.behavior.crash_at {
             out.push(Output::Arm(at, Timer::Crash));
         }
-        // State-transfer probe (epoch-running protocols only, §5.2.1).
-        if self.pacemaker.is_some() {
+        // State-transfer probe (§5.2.1): it repairs a round whose vote
+        // phases this replica missed. Not under DQBFT: with the probe
+        // armed, its runs under message loss confirm two blocks at one
+        // rank (`RankTie`), an open fault of its ordering.
+        if !matches!(self.orderer, Orderer::Dqbft(_)) {
             out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
         }
         if let Some(every) = self.cfg.sample_interval {

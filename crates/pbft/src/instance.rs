@@ -28,34 +28,38 @@
 //!
 //! # What a round keeps, and for how long
 //!
-//! State is proportional to the rounds *in flight*, plus one to two
-//! epochs of committed log. A round moves through four stages and sheds
-//! what the next one cannot read:
+//! One dense window of `RoundState`s holds every round from the oldest
+//! one kept up to the highest one opened, at `round − base`; a round
+//! between two opened ones holds an empty slot. A round moves through
+//! three stages in its slot and sheds what the next one cannot read:
 //!
 //! | stage | entered when | holds |
 //! |---|---|---|
-//! | **open** | first vote or the pre-prepare arrives | a `RoundState` in `rounds`: the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
+//! | **open** | a vote, the pre-prepare, a new view's nil fill or re-proposal, or a fetched block names it | the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
 //! | **prepared** | 2f+1 matching prepares (`sent_commit`) | the proposal, `prepare_qc`; the prepare tally is **freed** — its shares now live in the QC; the commit tally |
-//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc`; the commit tally is **freed**. A round above a hole waits here for the frontier |
-//! | **logged** | the contiguous commit frontier passes the round | nothing in `rounds`: one `LogEntry` (digest, rank, batch, `proposed_at`, prepare QC) at the back of the instance's dense log, which state transfer, view changes and the rank checks read. [`PbftInstance::advance_epoch`] drops the entries below the frontier the previous epoch began at, [`PbftInstance::fast_forward`] all of them |
+//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc`; the commit tally is **freed**. A round above a hole waits here for the frontier; one at or below the frontier is what state transfer, view changes and the rank checks read |
 //!
-//! So a replica keeps one to two epochs of committed history, however
-//! long it runs: a peer further behind is repaired from a stable
-//! checkpoint (§5.2.1), not from the log. The two phases decide
-//! independently: a replica that sees the commit quorum first commits
-//! while its prepare tally is still open. Such a round is logged with no
-//! certificate yet and also stays in `rounds` until the tally decides:
-//! its late quorum still sends the commit vote and rank report, and
-//! hands the log entry its certificate. A tally
-//! is read only while its phase is undecided, so a vote for a decided
-//! phase — a `Prepare` after `sent_commit`, a `Commit` after `committed` —
-//! can change nothing and is dropped at the door, *before* its signature
-//! is checked. Behind the commit frontier nothing re-opens: a pre-prepare
-//! for a round at or below it is refused, a vote for one no longer in
-//! flight is dropped, and a new view re-proposes none of them, so a
-//! replayed or late message cannot resurrect a round. A view change
-//! re-opens every uncommitted round (both tallies dropped, flags
-//! cleared).
+//! Nothing moves when the contiguous commit frontier (`committed_upto`)
+//! passes a round. [`PbftInstance::advance_epoch`] drains the rounds
+//! below the frontier the previous epoch began at, and
+//! [`PbftInstance::fast_forward`] those at or below its new frontier. So
+//! a replica keeps one to two epochs of committed history, however long
+//! it runs — a peer further behind is repaired from a stable checkpoint
+//! (§5.2.1) — plus at most [`VOTE_WINDOW`] rounds above its frontier.
+//!
+//! The two phases decide independently: a replica that sees the commit
+//! quorum first commits while its prepare tally is still open, with no
+//! certificate to serve yet. The late quorum finds the round in its slot,
+//! still sends the commit vote and rank report, and gives the round its
+//! certificate. A tally is read only while its phase is undecided, so a
+//! vote for a decided phase — a `Prepare` after `sent_commit`, a `Commit`
+//! after `committed` — can change nothing and is dropped at the door,
+//! *before* its signature is checked. Behind the commit frontier nothing
+//! re-opens: a pre-prepare for a round at or below it is refused, a vote
+//! for one drained from the window is dropped, and a new view re-proposes
+//! none of them, so a replayed or late message cannot resurrect a round.
+//! A view change re-opens every uncommitted round (both tallies dropped,
+//! flags cleared).
 //!
 //! Certificates are verified through the replica's
 //! [`ladon_crypto::CertCache`]: the hosting node installs one handle in
@@ -208,16 +212,8 @@ impl Proposal {
     }
 }
 
-/// A committed round at or below the commit frontier.
-struct LogEntry {
-    proposal: Proposal,
-    /// The round's prepare QC: the fetched one, or the one this replica
-    /// formed. `None` while a round that committed before its prepare
-    /// quorum waits for it.
-    prepare_qc: Option<Arc<QuorumCert>>,
-}
-
-/// Per-round bookkeeping (see the module docs for what each stage keeps).
+/// One slot of the round window (see the module docs for what each stage
+/// keeps).
 #[derive(Default)]
 struct RoundState {
     /// Set once a proposal is adopted; a view change that does not
@@ -231,10 +227,19 @@ struct RoundState {
     sent_commit: bool,
     /// When the round committed here; `None` while it is open.
     committed_at: Option<TimeNs>,
+    /// The round's prepare QC: the one this replica formed, or a fetched
+    /// one. `None` while a round that committed before its prepare quorum
+    /// waits for it.
     prepare_qc: Option<Arc<QuorumCert>>,
 }
 
 impl RoundState {
+    /// Whether the slot holds anything: an empty one only fills the
+    /// window below a round opened above it.
+    fn held(&self) -> bool {
+        self.proposal.is_some() || self.prepares.is_some() || self.commits.is_some()
+    }
+
     /// Whether `phase` is decided for this round, i.e. nothing reads its
     /// votes any more.
     fn decided(&self, phase: Phase) -> bool {
@@ -349,15 +354,20 @@ impl ViewPlan {
     }
 }
 
-/// Rounds above the commit frontier (`committed_upto`) for which a vote
-/// may open round state. A vote can legitimately arrive before its
-/// round's pre-prepare — the leader's broadcast and a backup's prepare
-/// race — so the bound is a window of rounds, not "a round whose
-/// proposal this replica holds". A replica further behind its peers than
-/// this catches up by state transfer, not by held votes; and one signer
-/// voting for ever-higher rounds holds at most this many rounds here
-/// instead of growing `rounds` (and `highest_seen_round`'s scan) without
-/// bound.
+/// Rounds above the commit frontier (`committed_upto`) for which round
+/// state may be opened. The round window is dense, so opening a round
+/// allocates every round below it: each way to open one obeys this bound,
+/// checked before any signature — a vote, a new view's nil fill or
+/// re-proposal and a fetched block past it are refused, the leader does
+/// not propose past it ([`PbftInstance::can_propose`]), and a pre-prepare
+/// past it is held unchecked, within the bound on held pre-prepares, until
+/// a retry finds its round within the window. A vote can legitimately
+/// arrive before its round's pre-prepare — the leader's broadcast and a
+/// backup's prepare race — so the bound is a window of rounds, not "a
+/// round whose proposal this replica holds". A replica further behind
+/// its peers than this catches up by state transfer; and one signer
+/// naming ever-higher rounds holds at most this many rounds here instead
+/// of growing the window without bound.
 pub const VOTE_WINDOW: u64 = 1024;
 
 /// The PBFT instance state machine.
@@ -371,30 +381,28 @@ pub struct PbftInstance {
     next_round: Round,
     /// Highest round `r` such that all rounds `1..=r` are committed.
     committed_upto: Round,
-    /// The rounds in flight: those above `committed_upto`, plus a logged
-    /// one whose prepare phase is still undecided.
-    rounds: BTreeMap<Round, RoundState>,
-    /// The committed log: rounds `committed_upto − log.len() + 1 ..=
-    /// committed_upto`, one entry each (see the module docs).
-    log: VecDeque<LogEntry>,
-    /// When the round at `committed_upto` committed here; `None` until
-    /// one does, and after a snapshot install until the next.
-    frontier_at: Option<TimeNs>,
+    /// The round window: every round from `base` up to the highest one
+    /// opened, at `round − base` (see the module docs). The rounds from
+    /// `base` to `committed_upto` are committed.
+    window: VecDeque<RoundState>,
+    /// The round at the window's front: at most `committed_upto + 1`.
+    base: Round,
     /// Leader-side rank reports, keyed by the round whose commit phase
     /// produced them (used to propose `round + 1`).
     rank_reports: BTreeMap<Round, BTreeMap<ReplicaId, (RankReport, Rank)>>,
     /// Current epoch's rank range `[min, max]`.
     epoch_min: Rank,
     epoch_max: Rank,
-    /// Pre-prepares whose batch digest and signature passed, held only
-    /// because our epoch lags (or, in Opt mode, because their previous
-    /// round is unseen); retried on [`PbftInstance::advance_epoch`],
-    /// which may bring their epoch, and after
-    /// [`PbftInstance::install_committed`] adopts a round, which
-    /// may be the previous round an Opt one waits on. A retried one that
-    /// still waits goes back in. Bounded by
-    /// [`ladon_types::MAX_PENDING_MSGS`].
-    pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>)>,
+    /// Pre-prepares held for a retry, each with whether its batch digest
+    /// and signature passed: one that did, held only because our epoch
+    /// lags (or, in Opt mode, because its previous round is unseen), and
+    /// one for a round past [`VOTE_WINDOW`], held unchecked. Retried on
+    /// [`PbftInstance::advance_epoch`], which may bring their epoch, and
+    /// after [`PbftInstance::install_committed`] adopts a round, which may
+    /// be the previous round an Opt one waits on and moves the frontier
+    /// toward a far one. A retried one that still waits goes back in.
+    /// Bounded by [`ladon_types::MAX_PENDING_MSGS`].
+    pending_epoch: Vec<(ReplicaId, Arc<PrePrepare>, bool)>,
     /// Pre-prepares and votes from a view we have not installed yet
     /// (or from the pending view while a view change is in flight),
     /// replayed after [`PbftInstance::adopt_new_view`]. Without this
@@ -413,8 +421,8 @@ pub struct PbftInstance {
     /// module docs). While a view change is in flight it bounds that.
     deadline: Option<(Round, TimeNs)>,
     /// The commit frontier when the current epoch began: a view change
-    /// reports the rounds above it, and the next epoch's advance trims
-    /// the log below it.
+    /// reports the rounds above it, and the next epoch's advance drains
+    /// the window below it.
     epoch_start_round: Round,
     /// Where certificates are verified: the replica's cache when the
     /// hosting node shared one, a private one otherwise. The same
@@ -438,9 +446,8 @@ impl PbftInstance {
             view_start_round: Round(1),
             next_round: Round(1),
             committed_upto: Round(0),
-            rounds: BTreeMap::new(),
-            log: VecDeque::new(),
-            frontier_at: None,
+            window: VecDeque::new(),
+            base: Round(1),
             rank_reports: BTreeMap::new(),
             epoch_min,
             epoch_max,
@@ -474,47 +481,70 @@ impl PbftInstance {
     /// tally): what the instance holds per round *in flight*. Zero at
     /// quiescence on the fault-free path, however long the run.
     pub fn live_vote_slots(&self) -> usize {
-        self.rounds
-            .values()
+        self.window
+            .iter()
             .flat_map(|st| [&st.prepares, &st.commits])
             .flatten()
             .map(|t| t.slots.len())
             .sum()
     }
 
-    /// Rounds with any state held: those in flight above the commit
-    /// frontier and those in the log.
+    /// Rounds with any state held, committed or in flight; the window's
+    /// empty slots are not counted.
     pub fn rounds_held(&self) -> usize {
-        let above = self.rounds.range(self.committed_upto.next()..).count();
-        above + self.log.len()
+        self.window.iter().filter(|st| st.held()).count()
     }
 
-    /// The first round the log holds (`committed_upto + 1` when empty).
-    fn log_start(&self) -> Round {
-        Round(self.committed_upto.0 - self.log.len() as u64).next()
+    /// `round`'s offset from the window's front; `None` below the front.
+    fn index(&self, round: Round) -> Option<usize> {
+        usize::try_from(round.0.checked_sub(self.base.0)?).ok()
     }
 
-    /// Where the log holds `round`, if it does.
-    fn log_index(&self, round: Round) -> Option<usize> {
-        let i = round.0.checked_sub(self.log_start().0)?;
-        usize::try_from(i).ok().filter(|&i| i < self.log.len())
+    /// The slot of `round`, if the window holds it.
+    fn slot(&self, round: Round) -> Option<&RoundState> {
+        self.window.get(self.index(round)?)
     }
 
-    /// The log's entries from `round` on, oldest first, each with its
-    /// round.
-    fn log_from(&self, round: Round) -> impl Iterator<Item = (Round, &LogEntry)> {
-        let start = self.log_start();
-        let skip = usize::try_from(round.0.saturating_sub(start.0)).unwrap_or(usize::MAX);
-        (start.0..).map(Round).zip(&self.log).skip(skip)
+    /// The window's slots from `round` on, each with its round.
+    fn slots_from(&self, round: Round) -> impl Iterator<Item = (Round, &RoundState)> {
+        let skip = self.index(round).unwrap_or(0);
+        (self.base.0..).map(Round).zip(&self.window).skip(skip)
     }
 
-    /// The proposal held for `round`: the log's at or below the commit
-    /// frontier, the one in flight above it.
-    fn proposal(&self, round: Round) -> Option<&Proposal> {
-        match self.log_index(round) {
-            Some(i) => Some(&self.log[i].proposal),
-            None => self.rounds.get(&round)?.proposal.as_ref(),
+    /// Whether opening `round` would take the window more than
+    /// [`VOTE_WINDOW`] rounds past the commit frontier.
+    fn past_window(&self, round: Round) -> bool {
+        round.0.saturating_sub(self.committed_upto.0) > VOTE_WINDOW
+    }
+
+    /// The slot of `round`, growing the window up to it. The caller has
+    /// checked that `round` is not below the window nor past
+    /// [`VOTE_WINDOW`].
+    fn open(&mut self, round: Round) -> &mut RoundState {
+        let i = self
+            .index(round)
+            .expect("a round below the window is not opened");
+        if i >= self.window.len() {
+            self.window.resize_with(i + 1, RoundState::default);
         }
+        &mut self.window[i]
+    }
+
+    /// Drains the window's rounds below `round`.
+    fn drain_below(&mut self, round: Round) {
+        let below = self.index(round).unwrap_or(0).min(self.window.len());
+        self.window.drain(..below);
+        self.base = self.base.max(round);
+    }
+
+    /// The proposal held for `round`.
+    fn proposal(&self, round: Round) -> Option<&Proposal> {
+        self.slot(round)?.proposal.as_ref()
+    }
+
+    /// When `round` committed here, if the window holds it committed.
+    fn committed_at(&self, round: Round) -> Option<TimeNs> {
+        self.slot(round)?.committed_at
     }
 
     /// The leader of `view` for this instance: instances start led by the
@@ -553,7 +583,8 @@ impl PbftInstance {
     /// Whether the proposal held at `round − 1` is this epoch's
     /// `maxRank(e)` block (Ladon modes), after which the instance stops
     /// until the epoch advances (Algorithm 2 line 9). It is read from the
-    /// log, so every replica holding that round agrees, in every view:
+    /// round's slot, so every replica holding that round agrees, in every
+    /// view:
     /// `adopt_new_view` re-adopts each certified round of the epoch, so a
     /// new leader holds its predecessor's `maxRank(e)` block.
     fn follows_max_rank(&self, round: Round) -> bool {
@@ -571,11 +602,12 @@ impl PbftInstance {
         self.cfg.mode
     }
 
-    /// True when the leader may propose: it leads the current view and
-    /// either this is the view's first round or 2f+1 rank reports for the
-    /// previous round have been collected (Algorithm 2 line 1).
+    /// True when the leader may propose: it leads the current view, its
+    /// next round is within [`VOTE_WINDOW`], and either this is the view's
+    /// first round or 2f+1 rank reports for the previous round have been
+    /// collected (Algorithm 2 line 1).
     pub fn can_propose(&self) -> bool {
-        if !self.is_leader() || self.stopped_for_epoch() {
+        if !self.is_leader() || self.stopped_for_epoch() || self.past_window(self.next_round) {
             return false;
         }
         if self.cfg.mode == RankMode::None || self.next_round == self.view_start_round {
@@ -609,13 +641,10 @@ impl PbftInstance {
         // began at — one to two epochs, whatever their length in rounds.
         // A view change reports only the current epoch's rounds, and a
         // peer further behind is repaired from a stable checkpoint
-        // (§5.2.1); trimmed at the current epoch's start, the log would
+        // (§5.2.1); drained at the current epoch's start, the window would
         // leave a peer a few rounds behind it nothing to fetch.
         let keep_from = std::mem::replace(&mut self.epoch_start_round, self.committed_upto);
-        let above = usize::try_from(self.committed_upto.0 - keep_from.0).unwrap_or(usize::MAX);
-        let drop = self.log.len().saturating_sub(above.saturating_add(1));
-        self.log.drain(..drop);
-        self.rounds = self.rounds.split_off(&keep_from);
+        self.drain_below(keep_from);
         let keep_reports = Round(self.next_round.0.saturating_sub(2));
         self.rank_reports = self.rank_reports.split_off(&keep_reports);
 
@@ -624,15 +653,10 @@ impl PbftInstance {
         out
     }
 
-    /// Re-checks every held pre-prepare (see `pending_epoch`). Its batch
-    /// digest and signature passed before it was held, so only what may
-    /// have changed since is checked again: view, leader, frontier and
-    /// the rank proof.
+    /// Re-checks every held pre-prepare (see `pending_epoch`).
     fn retry_held(&mut self, now: TimeNs, cur: &mut RankCert, out: &mut Vec<Action>) {
-        for (from, pp) in std::mem::take(&mut self.pending_epoch) {
-            if self.preprepare_open(from, &pp) {
-                self.admit_preprepare(from, &pp, now, cur, out);
-            }
+        for (from, pp, checked) in std::mem::take(&mut self.pending_epoch) {
+            self.handle_preprepare(from, &pp, checked, now, cur, out);
         }
     }
 
@@ -690,7 +714,7 @@ impl PbftInstance {
         self.next_round = self.next_round.next();
         out.push(Action::Broadcast(PbftMsg::PrePrepare(pp.clone())));
         // Process our own copy (leader acts as a backup of its instance).
-        self.handle_preprepare(self.cfg.me, &pp, now, cur, &mut out);
+        self.handle_preprepare(self.cfg.me, &pp, false, now, cur, &mut out);
         out
     }
 
@@ -766,7 +790,7 @@ impl PbftInstance {
         out: &mut Vec<Action>,
     ) {
         match msg {
-            PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, now, cur, out),
+            PbftMsg::PrePrepare(pp) => self.handle_preprepare(from, &pp, false, now, cur, out),
             PbftMsg::Vote(v) => self.handle_vote(from, v, now, cur, out),
             PbftMsg::Rank(r) => self.handle_rank_report(from, r),
             PbftMsg::ViewChange(vc) => self.handle_view_change(from, vc, now, cur, out),
@@ -778,10 +802,14 @@ impl PbftInstance {
     // Pre-prepare (backup side)
     // ------------------------------------------------------------------
 
+    /// Takes in `pp`. A held one whose batch digest and signature passed
+    /// (`checked`) is not checked for them again: only what may have
+    /// changed since is — view, leader, frontier, window and rank proof.
     fn handle_preprepare(
         &mut self,
         from: ReplicaId,
         pp: &Arc<PrePrepare>,
+        checked: bool,
         now: TimeNs,
         cur: &mut RankCert,
         out: &mut Vec<Action>,
@@ -789,11 +817,18 @@ impl PbftInstance {
         if !self.preprepare_open(from, pp) {
             return;
         }
-        if digest_batch(&pp.batch) != pp.digest
-            || (from != self.cfg.me
-                && !pp
-                    .sig
-                    .verify(&self.cfg.registry, DOMAIN_PREPREPARE, &pp.signing_bytes()))
+        // Past the window its round cannot open yet: held for a retry
+        // before its batch is hashed or its signature checked.
+        if self.past_window(pp.round) {
+            self.hold(from, pp, false);
+            return;
+        }
+        if !checked
+            && (digest_batch(&pp.batch) != pp.digest
+                || (from != self.cfg.me
+                    && !pp
+                        .sig
+                        .verify(&self.cfg.registry, DOMAIN_PREPREPARE, &pp.signing_bytes())))
         {
             self.rejected += 1;
             return;
@@ -801,10 +836,19 @@ impl PbftInstance {
         self.admit_preprepare(from, pp, now, cur, out);
     }
 
-    /// Whether `pp` may open its round now: it is for this instance, from
-    /// the leader of the installed view, for a round above the commit
-    /// frontier without a proposal yet. One from a view not installed yet
-    /// is buffered; any other failure counts as rejected.
+    /// Holds `pp` for a retry (see `pending_epoch`). Only the view's
+    /// leader gets this far, and the buffer is bounded: a leader may sign
+    /// any number of them.
+    fn hold(&mut self, from: ReplicaId, pp: &Arc<PrePrepare>, checked: bool) {
+        let held = (from, pp.clone(), checked);
+        push_bounded(&mut self.pending_epoch, held, &mut self.rejected);
+    }
+
+    /// Whether `pp` may open its round, now or (past [`VOTE_WINDOW`])
+    /// once the frontier nears it: it is for this instance, from the
+    /// leader of the installed view, for a round above the commit frontier
+    /// without a proposal yet. One from a view not installed yet is
+    /// buffered; any other failure counts as rejected.
     fn preprepare_open(&mut self, from: ReplicaId, pp: &Arc<PrePrepare>) -> bool {
         if pp.instance != self.cfg.instance {
             self.rejected += 1;
@@ -815,16 +859,12 @@ impl PbftInstance {
             return false;
         }
         // At or below the commit frontier there is nothing left to
-        // propose — whether the round is in the log or was dropped from
-        // it (epoch trim, snapshot fast-forward): a replayed genuine
+        // propose — whether the round is in the window or was drained
+        // from it (epoch trim, snapshot fast-forward): a replayed genuine
         // pre-prepare must not re-open it.
-        let adopted = self
-            .rounds
-            .get(&pp.round)
-            .is_some_and(|r| r.proposal.is_some());
         if pp.view < self.view
             || from != self.leader_of(pp.view)
-            || adopted
+            || self.proposal(pp.round).is_some()
             || pp.round <= self.committed_upto
         {
             self.rejected += 1;
@@ -849,15 +889,9 @@ impl PbftInstance {
                 RankCheck::Ok => {}
                 RankCheck::EpochAhead => {
                     // The leader is in a future epoch, or (Opt) the
-                    // previous round is unseen; held for a retry (see
-                    // `pending_epoch`). Checked before the rank
-                    // aggregate, so the buffer is bounded: a leader may
-                    // sign any number of them.
-                    push_bounded(
-                        &mut self.pending_epoch,
-                        (from, pp.clone()),
-                        &mut self.rejected,
-                    );
+                    // previous round is unseen: held for a retry, before
+                    // the rank aggregate is checked.
+                    self.hold(from, pp, true);
                     return;
                 }
                 RankCheck::Invalid => {
@@ -873,8 +907,8 @@ impl PbftInstance {
             }
         }
 
-        let st = self.rounds.entry(pp.round).or_default();
-        st.adopt(pp.digest, pp.rank, pp.batch.clone(), pp.proposed_at);
+        self.open(pp.round)
+            .adopt(pp.digest, pp.rank, pp.batch.clone(), pp.proposed_at);
         self.cast_prepare(pp.round, now, cur, out);
     }
 
@@ -888,7 +922,7 @@ impl PbftInstance {
         cur: &mut RankCert,
         out: &mut Vec<Action>,
     ) {
-        let Some(st) = self.rounds.get_mut(&round) else {
+        let Some(st) = self.index(round).and_then(|i| self.window.get_mut(i)) else {
             return;
         };
         let (Some(p), false) = (&st.proposal, st.sent_prepare) else {
@@ -1036,14 +1070,14 @@ impl PbftInstance {
         }
         // A vote nothing can read is dropped before its signature is
         // checked: its phase is already decided for the round, or the
-        // round is behind the commit frontier and its state collected (a
-        // late vote must not resurrect it).
-        match self.rounds.get(&v.round) {
+        // round is behind the commit frontier and drained from the window
+        // (a late vote must not resurrect it).
+        match self.slot(v.round) {
             Some(st) if st.decided(v.phase) => return,
             None if v.round <= self.committed_upto => return,
             // A vote that would open a round past the window is refused
             // before its signature is checked.
-            None if v.round.0 - self.committed_upto.0 > VOTE_WINDOW => {
+            None if self.past_window(v.round) => {
                 self.rejected += 1;
                 return;
             }
@@ -1057,7 +1091,7 @@ impl PbftInstance {
             }
         }
         let n = self.cfg.n;
-        let st = self.rounds.entry(v.round).or_default();
+        let st = self.open(v.round);
         let tally = match v.phase {
             Phase::Prepare => &mut st.prepares,
             Phase::Commit => &mut st.commits,
@@ -1087,7 +1121,7 @@ impl PbftInstance {
         out: &mut Vec<Action>,
     ) {
         let q = quorum(self.cfg.n);
-        let Some(st) = self.rounds.get_mut(&round) else {
+        let Some(st) = self.index(round).and_then(|i| self.window.get_mut(i)) else {
             return;
         };
         let Some(p) = &st.proposal else {
@@ -1121,17 +1155,7 @@ impl PbftInstance {
             )
             .expect("distinct signers: one slot per replica");
             let qc = Arc::new(qc);
-            if round <= self.committed_upto {
-                // The round committed before this quorum (see
-                // `extend_frontier`): its log entry takes the certificate,
-                // and nothing of it is in flight any more.
-                self.rounds.remove(&round);
-                if let Some(i) = self.log_index(round) {
-                    self.log[i].prepare_qc = Some(qc.clone());
-                }
-            } else {
-                st.prepare_qc = Some(qc.clone());
-            }
+            st.prepare_qc = Some(qc.clone());
 
             let vote = PhaseVote::sign(
                 &self.cfg.signer,
@@ -1184,10 +1208,9 @@ impl PbftInstance {
             RankMode::Opt => {
                 // A round held without a proposal reports from rank 0, one
                 // not held from the epoch's first rank.
-                let base = match (self.proposal(round), self.rounds.contains_key(&round)) {
-                    (Some(p), _) => p.rank,
-                    (None, true) => Rank(0),
-                    (None, false) => self.epoch_min,
+                let base = match self.slot(round) {
+                    Some(st) => st.proposal.as_ref().map_or(Rank(0), |p| p.rank),
+                    None => self.epoch_min,
                 };
                 (base, u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX))
             }
@@ -1290,7 +1313,7 @@ impl PbftInstance {
         if self.in_view_change || self.deadline.is_some_and(|(r, _)| r > cu) {
             return;
         }
-        let since = self.frontier_at.filter(|_| cu >= round).unwrap_or(now);
+        let since = self.committed_at(cu).filter(|_| cu >= round).unwrap_or(now);
         let old = self.deadline.map_or(since, |(_, old)| old);
         self.deadline = Some((cu.next(), since.max(old)));
     }
@@ -1326,27 +1349,23 @@ impl PbftInstance {
         self.in_view_change = true;
         self.pending_view = new_view;
 
-        // Collect the certified rounds of the current epoch, logged and in
-        // flight, so the new leader can re-propose anything that may have
-        // committed somewhere.
-        let entry = |round, p: &Proposal, qc: &Arc<QuorumCert>| PreparedEntry {
-            round,
-            digest: p.digest,
-            rank: p.rank,
-            batch: p.batch.clone(),
-            proposed_at: p.proposed_at,
-            qc: qc.clone(),
-        };
-        let logged = self
-            .log_from(self.epoch_start_round.next())
-            .filter_map(|(round, e)| Some(entry(round, &e.proposal, e.prepare_qc.as_ref()?)));
-        let in_flight =
-            self.rounds
-                .range(self.committed_upto.next()..)
-                .filter_map(|(&round, st)| {
-                    Some(entry(round, st.proposal.as_ref()?, st.prepare_qc.as_ref()?))
-                });
-        let prepared: Vec<PreparedEntry> = logged.chain(in_flight).collect();
+        // Collect the certified rounds of the current epoch, committed and
+        // in flight, so the new leader can re-propose anything that may
+        // have committed somewhere.
+        let prepared: Vec<PreparedEntry> = self
+            .slots_from(self.epoch_start_round.next())
+            .filter_map(|(round, st)| {
+                let (p, qc) = (st.proposal.as_ref()?, st.prepare_qc.as_ref()?);
+                Some(PreparedEntry {
+                    round,
+                    digest: p.digest,
+                    rank: p.rank,
+                    batch: p.batch.clone(),
+                    proposed_at: p.proposed_at,
+                    qc: qc.clone(),
+                })
+            })
+            .collect();
         let vc = Arc::new(ViewChange::sign(
             &self.cfg.signer,
             new_view,
@@ -1519,12 +1538,13 @@ impl PbftInstance {
         // never quorum again, and a lingering digest would make us reject
         // the round's nil fill or the new leader's fresh pre-prepare.
         let planned: BTreeSet<Round> = plan.reproposals.iter().map(|e| e.round).collect();
-        for (r, st) in self.rounds.iter_mut() {
+        let rounds = (self.base.0..).map(Round);
+        for (r, st) in rounds.zip(self.window.iter_mut()) {
             if st.committed_at.is_some() {
                 continue;
             }
             st.reopen();
-            if !planned.contains(r) {
+            if !planned.contains(&r) {
                 st.proposal = None;
                 st.prepare_qc = None;
             }
@@ -1534,7 +1554,9 @@ impl PbftInstance {
         // below the resume point that no quorum member saw certified cannot
         // have committed anywhere (quorum intersection), so every replica
         // prepares the same ⊥ block for them. Then re-run the prepare
-        // phase of every certified re-proposal.
+        // phase of every certified re-proposal. Neither opens a round
+        // past the window: one that far ahead is repaired by state
+        // transfer.
         let nils = plan
             .nils
             .iter()
@@ -1544,10 +1566,10 @@ impl PbftInstance {
             .into_iter()
             .map(|e| (e.round, e.digest, e.rank, e.batch, e.proposed_at));
         for (round, digest, rank, batch, proposed_at) in nils.chain(reproposals) {
-            if round <= self.committed_upto {
+            if round <= self.committed_upto || self.past_window(round) {
                 continue;
             }
-            let st = self.rounds.entry(round).or_default();
+            let st = self.open(round);
             if st.committed_at.is_some() {
                 continue;
             }
@@ -1574,10 +1596,10 @@ impl PbftInstance {
 
     /// Committed blocks with rounds in `(from, from + limit]`, each with
     /// the prepare QC that certifies it — the "missing log entries" a
-    /// lagging replica fetches (§5.2.1): the log's, then any committed
-    /// above a hole in this replica's own frontier. Stops at the first
-    /// round it cannot serve, so none when round `from + 1` is below the
-    /// log (that peer is repaired from a snapshot).
+    /// lagging replica fetches (§5.2.1): those up to the commit frontier,
+    /// then any committed above a hole in it. Stops at the first round it
+    /// cannot serve, so none when round `from + 1` is below the window
+    /// (that peer is repaired from a snapshot).
     pub fn committed_entries_from(
         &self,
         from: Round,
@@ -1587,23 +1609,14 @@ impl PbftInstance {
         let Some(first) = from.0.checked_add(1).map(Round) else {
             return Vec::new();
         };
-        let logged = self
-            .log_from(first)
-            .map(|(round, e)| (round, Some(&e.proposal), e.prepare_qc.as_ref()));
-        let above = self
-            .rounds
-            .range(self.committed_upto.next().max(first)..)
-            .take_while(|(_, st)| st.committed_at.is_some())
-            .map(|(&round, st)| (round, st.proposal.as_ref(), st.prepare_qc.as_ref()));
-        // Contiguous from `first`: the log is, a round above a hole may
-        // not be.
-        (first.0..)
-            .zip(logged.chain(above))
-            .map_while(|(want, (round, p, qc))| {
-                if round.0 != want {
-                    return None;
-                }
-                Some((p?.block(self.cfg.instance, round), qc?.clone()))
+        if first < self.base {
+            return Vec::new();
+        }
+        self.slots_from(first)
+            .map_while(|(round, st)| {
+                st.committed_at?;
+                let qc = st.prepare_qc.clone()?;
+                Some((st.proposal.as_ref()?.block(self.cfg.instance, round), qc))
             })
             .take(limit)
             .collect()
@@ -1616,7 +1629,8 @@ impl PbftInstance {
     /// The certificate is a prepare QC: 2f+1 replicas bound this exact
     /// `(digest, rank)` to `(instance, round)`, and quorum intersection
     /// forbids a conflicting commit, so installing it preserves agreement
-    /// even though this replica skipped the vote phases.
+    /// even though this replica skipped the vote phases. A block past
+    /// [`VOTE_WINDOW`] is refused before its certificate is checked.
     pub fn install_committed(
         &mut self,
         block: Block,
@@ -1627,6 +1641,7 @@ impl PbftInstance {
         let mut out = Vec::new();
         let h = &block.header;
         if h.index != self.cfg.instance
+            || self.past_window(h.round)
             || qc.instance != h.index
             || qc.round != h.round
             || qc.digest != h.payload_digest
@@ -1642,7 +1657,7 @@ impl PbftInstance {
             // that fast-forwarded the frontier past it.
             return out;
         }
-        let st = self.rounds.entry(h.round).or_default();
+        let st = self.open(h.round);
         if st.committed_at.is_some() {
             return out;
         }
@@ -1700,8 +1715,8 @@ impl PbftInstance {
 
     /// Fast-forwards the commit frontier to `round` after an execution
     /// snapshot install: every round up to and including `round` is
-    /// declared covered by the snapshot. The log and any state at or
-    /// below the new frontier are dropped — those blocks can no longer be
+    /// declared covered by the snapshot. The window's rounds at or below
+    /// the new frontier are drained — those blocks can no longer be
     /// served to other laggers from here (the snapshot is served instead)
     /// — and any already-committed rounds contiguously past the jump
     /// re-extend the frontier.
@@ -1710,38 +1725,17 @@ impl PbftInstance {
             return;
         }
         self.committed_upto = round;
-        self.log.clear();
-        self.frontier_at = None;
-        self.rounds = self.rounds.split_off(&round.next());
+        self.drain_below(round.next());
         self.extend_frontier();
     }
 
     /// Moves the commit frontier over the committed rounds right above
-    /// it, appending each to the log. One whose prepare phase is still
-    /// undecided stays in flight too, so its late prepare quorum still
-    /// sends this replica's commit vote and rank report.
+    /// it. They stay in their slots: one whose prepare phase is still
+    /// undecided still sends this replica's commit vote and rank report
+    /// on its late prepare quorum.
     fn extend_frontier(&mut self) {
-        loop {
-            let round = self.committed_upto.next();
-            let Some(st) = self.rounds.get_mut(&round) else {
-                return;
-            };
-            let Some(at) = st.committed_at else {
-                return;
-            };
-            let prepare_qc = st.prepare_qc.take();
-            let proposal = if st.sent_commit {
-                self.rounds.remove(&round).and_then(|st| st.proposal)
-            } else {
-                st.proposal.clone()
-            };
-            let proposal = proposal.expect("a round commits on an adopted proposal");
-            self.log.push_back(LogEntry {
-                proposal,
-                prepare_qc,
-            });
-            self.committed_upto = round;
-            self.frontier_at = Some(at);
+        while self.committed_at(self.committed_upto.next()).is_some() {
+            self.committed_upto = self.committed_upto.next();
         }
     }
 
@@ -1761,13 +1755,8 @@ impl PbftInstance {
     /// the vote phases of those rounds (peers will not re-vote), so only
     /// state transfer can commit them here.
     pub fn highest_seen_round(&self) -> Round {
-        let logged = Some(self.committed_upto).filter(|_| !self.log.is_empty());
-        let in_flight = self
-            .rounds
-            .iter()
-            .rev()
-            .find(|(_, st)| st.proposal.is_some());
-        in_flight.map(|(r, _)| *r).max(logged).unwrap_or(Round(0))
+        let seen = self.window.iter().rposition(|st| st.proposal.is_some());
+        seen.map_or(Round(0), |i| Round(self.base.0 + i as u64))
     }
 }
 
@@ -1790,10 +1779,9 @@ impl PbftInstance {
         self.view_changes.len()
     }
 
-    /// The lowest round any state is held for, logged or in flight.
+    /// The lowest round any state is held for, committed or in flight.
     pub(crate) fn oldest_round_held(&self) -> Option<Round> {
-        let logged = Some(self.log_start()).filter(|_| !self.log.is_empty());
-        let in_flight = self.rounds.keys().next().copied();
-        logged.into_iter().chain(in_flight).min()
+        let i = self.window.iter().position(RoundState::held)?;
+        Some(Round(self.base.0 + i as u64))
     }
 }

@@ -1485,6 +1485,68 @@ fn far_future_votes_hold_at_most_a_window_of_rounds() {
 }
 
 #[test]
+fn a_preprepare_past_the_window_opens_no_round() {
+    // The view's leader signs genuine pre-prepares for the last round
+    // within replica 1's window and the first past it. Vanilla ranks need
+    // no rank proof, so only the window stands between each and a
+    // prepare: the one past it is held unchecked — no round opened, no
+    // hash, no verify — and the one within it is prepared.
+    let mut c = Cluster::new(4, RankMode::None, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    let last = c.nodes[1].committed_upto().0 + crate::VOTE_WINDOW;
+    let leader = c.registry.signer(ReplicaId(0));
+    let signed = |round: u64| {
+        let batch = test_batch(round * 10, 5);
+        let mut pp = PrePrepare {
+            view: View(0),
+            round: Round(round),
+            instance: InstanceId(0),
+            rank: Rank(round),
+            digest: ladon_crypto::digest_batch(&batch),
+            batch,
+            proposed_at: c.now,
+            rank_proof: RankProof::None,
+            sig: Signature::sign(&leader, DOMAIN_PREPREPARE, b""),
+        };
+        pp.sig = Signature::sign(&leader, DOMAIN_PREPREPARE, &pp.signing_bytes());
+        PbftMsg::PrePrepare(Arc::new(pp))
+    };
+    let (past, within) = (signed(last + 1), signed(last));
+    let held = c.nodes[1].rounds_held();
+
+    let before = ladon_crypto::CryptoCounters::snapshot();
+    let actions = c.nodes[1].on_message(ReplicaId(0), past, c.now, &mut c.cur_ranks[1]);
+    let cost = ladon_crypto::CryptoCounters::snapshot().since(&before);
+    assert!(actions.is_empty(), "{actions:?}");
+    assert_eq!((cost.verifies, cost.hashes), (0, 0));
+    assert_eq!(c.nodes[1].rounds_held(), held);
+
+    let actions = c.nodes[1].on_message(ReplicaId(0), within, c.now, &mut c.cur_ranks[1]);
+    let prepared = actions.iter().any(|a| {
+        matches!(a, crate::Action::Broadcast(PbftMsg::Vote(v))
+            if v.phase == Phase::Prepare && v.round == Round(last))
+    });
+    assert!(prepared, "{actions:?}");
+    assert_eq!(c.nodes[1].rounds_held(), held + 1);
+}
+
+#[test]
+fn a_leader_does_not_propose_past_the_window() {
+    // Vanilla ranks: the leader proposes without waiting for rank
+    // reports. None of its proposals reaches a peer, so its frontier
+    // stays at 0 and it stops at the window's last round.
+    let mut c = Cluster::new(4, RankMode::None, 1000);
+    let mut proposed = 0;
+    while c.nodes[0].can_propose() && proposed <= crate::VOTE_WINDOW {
+        c.nodes[0].propose(test_batch(proposed, 1), c.now, &mut c.cur_ranks[0]);
+        proposed += 1;
+    }
+    assert_eq!(proposed, crate::VOTE_WINDOW);
+    assert_eq!(c.nodes[0].committed_upto(), Round(0));
+    assert_eq!(c.nodes[0].rounds_held(), crate::VOTE_WINDOW as usize);
+}
+
+#[test]
 fn decided_phase_vote_is_free_and_a_forged_live_vote_is_refused() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     let one = ladon_types::ReplicaId(1);

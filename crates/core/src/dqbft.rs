@@ -3,14 +3,24 @@
 //!
 //! The Multi-BFT node runs one extra vanilla consensus instance (index
 //! `m`) whose batches carry *block references* instead of transactions.
-//! Every replica keeps the references it has committed and not yet seen
-//! sequenced, so whichever replica leads the ordering instance's current
-//! view batches them from its own partial-commit stream and drives
-//! consensus over them. A cut takes each instance's references in round
-//! order only, from the round after the last one cut or sequenced.
-//! Reference batches are sequenced in the ordering instance's round
-//! order (PBFT may commit them out of it), and the referenced blocks
-//! become globally confirmed in that order.
+//! Whichever replica leads the ordering instance's current view cuts
+//! references from its own partial-commit stream and drives consensus
+//! over them. A cut takes each instance's committed rounds in order,
+//! from the round after the last one cut or sequenced. Reference batches
+//! are sequenced in the ordering instance's round order (PBFT may commit
+//! them out of it), and a sequenced reference `(i, r)` sequences every
+//! round of instance `i` not sequenced yet, up to `r`, in round order.
+//! Each instance's blocks therefore confirm in round order whatever the
+//! batches hold: a cut lost to a nil fill is covered by the instance's
+//! next sequenced reference, and a reference to a round already
+//! sequenced sequences nothing.
+//!
+//! The state is bounded by what is in flight: the blocks committed and
+//! not yet confirmed, two frontiers per instance (the last round
+//! sequenced, and the last round cut or sequenced), the reference
+//! batches committed ahead of the next round to sequence, and one run
+//! `(instance, first, last)` per sequenced reference still confirming —
+//! a reference naming a far round costs one entry.
 //!
 //! Two modeled properties matter for the evaluation:
 //!
@@ -25,64 +35,62 @@
 
 use crate::ordering::{ConfirmedBlock, GlobalOrderer};
 use ladon_types::{Block, TimeNs};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A reference to a partially committed block: `(instance, round)`.
 pub type BlockRef = (u32, u64);
 
+/// One instance's two frontiers (0 before any round).
+#[derive(Default)]
+struct Tip {
+    /// The last round sequenced.
+    sequenced: u64,
+    /// The last round cut or sequenced: a cut starts at the round after.
+    cut: u64,
+}
+
 /// The DQBFT ordering layer state at one replica.
 #[derive(Default)]
 pub struct DqbftOrderer {
-    /// Blocks partially committed locally, by reference.
+    /// Blocks partially committed locally and not yet confirmed.
     blocks: HashMap<BlockRef, Block>,
-    /// Sequenced references not yet confirmed (head-of-line order).
-    sequenced: VecDeque<BlockRef>,
-    /// References already sequenced (duplicate suppression).
-    seen: HashSet<BlockRef>,
+    /// The frontiers of every instance committed here or named by a
+    /// sequenced reference.
+    tips: BTreeMap<u32, Tip>,
+    /// Sequenced runs `(instance, first, last)` not yet confirmed, in
+    /// sequence order: the head run's `first` round confirms next.
+    sequenced: VecDeque<(u32, u64, u64)>,
     /// Reference batches the ordering instance committed above
     /// `sequenced_upto + 1`, by round, waiting for the rounds below them.
     committed: BTreeMap<u64, Vec<BlockRef>>,
     /// The ordering instance's rounds sequenced so far: `1..=` this
     /// (rounds start at 1).
     sequenced_upto: u64,
-    /// References committed here and not yet sequenced: what this
-    /// replica proposes whenever it leads the ordering instance.
-    unsequenced: BTreeSet<BlockRef>,
-    /// Per instance, the last round cut or sequenced (0 before any): a
-    /// cut may start only at the round after it.
-    cut_upto: HashMap<u32, u64>,
     confirmed: u64,
 }
 
 impl DqbftOrderer {
-    /// The last round of instance `i` cut or sequenced.
-    fn cut_upto(&self, i: u32) -> u64 {
-        self.cut_upto.get(&i).copied().unwrap_or(0)
-    }
-
     /// Up to `max` references for the next ordering proposal: each
-    /// instance's unsequenced references that continue its rounds from
-    /// the last one cut or sequenced, with no gap, sorted into the
-    /// canonical `(round, instance)` interleave. Empty when there is
-    /// nothing to propose.
+    /// instance's committed rounds that continue from the last one cut
+    /// or sequenced, with no gap, sorted into the canonical
+    /// `(round, instance)` interleave. Empty when there is nothing to
+    /// propose.
     pub fn cut_refs(&mut self, max: usize) -> Vec<BlockRef> {
         let mut refs: Vec<BlockRef> = Vec::new();
-        // `unsequenced` is sorted by instance, then round.
-        for &(i, r) in &self.unsequenced {
-            let next = match refs.last() {
-                Some(&(last_i, last_r)) if last_i == i => last_r + 1,
-                _ => self.cut_upto(i) + 1,
-            };
-            if r == next {
-                refs.push((i, r));
-            }
+        for (&i, tip) in &self.tips {
+            let rounds = (tip.cut..=u64::MAX).skip(1).take(max);
+            refs.extend(
+                rounds
+                    .take_while(|&r| self.blocks.contains_key(&(i, r)))
+                    .map(|r| (i, r)),
+            );
         }
         // Canonical slot order *within the batch* — the causality gap. A
         // prefix of it still takes each instance's rounds in order.
         refs.sort_by_key(|&(i, r)| (r, i));
         refs.truncate(max);
         for &(i, r) in &refs {
-            self.cut_upto.insert(i, r);
+            self.tips.entry(i).or_default().cut = r;
         }
         refs
     }
@@ -92,7 +100,8 @@ impl DqbftOrderer {
     /// order, each once: PBFT commits rounds out of order, and replicas
     /// that appended batches as they committed would sequence the same
     /// references differently. A nil fill (no references) still takes
-    /// its round.
+    /// its round. Each reference sequences its instance's rounds up to
+    /// it, as one run.
     pub fn on_sequenced(
         &mut self,
         round: u64,
@@ -104,12 +113,12 @@ impl DqbftOrderer {
         }
         while let Some(batch) = self.committed.remove(&(self.sequenced_upto + 1)) {
             self.sequenced_upto += 1;
-            for r in batch {
-                if self.seen.insert(r) {
-                    self.sequenced.push_back(r);
-                    self.unsequenced.remove(&r);
-                    let upto = self.cut_upto(r.0).max(r.1);
-                    self.cut_upto.insert(r.0, upto);
+            for (i, r) in batch {
+                let tip = self.tips.entry(i).or_default();
+                if r > tip.sequenced {
+                    self.sequenced.push_back((i, tip.sequenced + 1, r));
+                    tip.sequenced = r;
+                    tip.cut = tip.cut.max(r);
                 }
             }
         }
@@ -118,18 +127,22 @@ impl DqbftOrderer {
 
     fn drain(&mut self) -> Vec<ConfirmedBlock> {
         let mut out = Vec::new();
-        while let Some(&head) = self.sequenced.front() {
-            match self.blocks.remove(&head) {
-                Some(block) => {
-                    self.sequenced.pop_front();
-                    out.push(ConfirmedBlock {
-                        sn: self.confirmed,
-                        block,
-                    });
-                    self.confirmed += 1;
-                }
-                None => break, // Wait for the block to commit locally.
+        while let Some(run) = self.sequenced.front_mut() {
+            let (i, first, last) = *run;
+            // Wait for the block to commit locally.
+            let Some(block) = self.blocks.remove(&(i, first)) else {
+                break;
+            };
+            if first == last {
+                self.sequenced.pop_front();
+            } else {
+                run.1 += 1;
             }
+            out.push(ConfirmedBlock {
+                sn: self.confirmed,
+                block,
+            });
+            self.confirmed += 1;
         }
         out
     }
@@ -138,9 +151,7 @@ impl DqbftOrderer {
 impl GlobalOrderer for DqbftOrderer {
     fn on_partial_commit(&mut self, block: Block, _now: TimeNs) -> Vec<ConfirmedBlock> {
         let r: BlockRef = (block.index().0, block.round().0);
-        if !self.seen.contains(&r) {
-            self.unsequenced.insert(r);
-        }
+        self.tips.entry(r.0).or_default();
         self.blocks.insert(r, block);
         self.drain()
     }
@@ -271,7 +282,38 @@ mod tests {
         // Sequenced before it committed here: never held at all.
         o.on_sequenced(2, &[(0, 2), (0, 3)], TimeNs::ZERO);
         o.on_partial_commit(blk(0, 3, 0), TimeNs::ZERO);
-        assert!(o.unsequenced.is_empty());
+        assert_eq!(o.waiting_count(), 0);
         assert!(o.cut_refs(10).is_empty());
+    }
+
+    #[test]
+    fn a_reference_sequences_the_rounds_a_nil_fill_dropped() {
+        // This replica cut rounds 1 and 2 of instance 0, and the batch
+        // carrying them was nil-filled. Its next cut starts at round 3,
+        // and sequencing round 3 sequences rounds 1 and 2 before it.
+        let mut o = DqbftOrderer::default();
+        o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
+        o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
+        assert_eq!(o.cut_refs(10), vec![(0, 1), (0, 2)]);
+        assert!(o.on_sequenced(1, &[], TimeNs::ZERO).is_empty());
+        o.on_partial_commit(blk(0, 3, 0), TimeNs::ZERO);
+        assert_eq!(o.cut_refs(10), vec![(0, 3)]);
+        let got = o.on_sequenced(2, &[(0, 3)], TimeNs::ZERO);
+        let rounds: Vec<u64> = got.iter().map(|c| c.block.round().0).collect();
+        assert_eq!(rounds, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_reference_to_the_last_round_confirms_what_committed_and_waits() {
+        let mut o = DqbftOrderer::default();
+        o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
+        let got = o.on_sequenced(1, &[(0, u64::MAX)], TimeNs::ZERO);
+        assert_eq!(got.len(), 1);
+        // One run stands for the whole range: nothing per round is held.
+        assert_eq!(o.sequenced.len(), 1);
+        assert_eq!(o.waiting_count(), 0);
+        assert!(o.cut_refs(10).is_empty(), "every round is sequenced");
+        let got = o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
+        assert_eq!(got[0].block.round(), Round(2));
     }
 }

@@ -23,7 +23,10 @@
 //! the state-transfer rotation is [`crate::sync::StateTransfer`], the
 //! durability mode is [`crate::durability::Durability`], timer ids are
 //! [`crate::timer::Timer`], and every instance effect goes through the
-//! one action handler.
+//! one action handler. `start` arms the state-transfer probe under every
+//! protocol, and the probe covers every hosted instance: DQBFT's ordering
+//! instance is probed, served and fetched like the data instances, and
+//! [`MultiBftNode::commit_frontier`] has one round per hosted instance.
 //!
 //! The node's `ladon-sim` [`Actor`] impl is the one driver: it reads the
 //! context's clock once per event, calls `step`, and performs the
@@ -256,7 +259,7 @@ impl MultiBftNode {
             orderer,
             pacemaker,
             exec,
-            sync: StateTransfer::new(cfg.me.as_usize(), sys.n, m),
+            sync: StateTransfer::new(cfg.me.as_usize(), sys.n, m + extra),
             ckpt_traced_upto: applied_at_start,
             durability: Durability::default(),
             metrics: NodeMetrics::default(),
@@ -709,7 +712,7 @@ impl MultiBftNode {
     /// refreshes the hysteresis state.
     fn sync_lagging(&mut self) -> bool {
         let mut lagging = self.pacemaker.as_ref().is_some_and(|p| p.lag_evidence());
-        for (i, inst) in self.slots[..self.cfg.sys.m].iter().enumerate() {
+        for (i, inst) in self.slots.iter().enumerate() {
             if let Some(lag) = inst.lag_evidence() {
                 lagging |= lag.future_epoch_backlog;
                 lagging |= self.sync.gap_persists(i, lag.commit_gap);
@@ -719,12 +722,10 @@ impl MultiBftNode {
     }
 
     /// Per-instance committed-round frontier (`frontier[i]` is instance
-    /// `i`'s highest contiguously committed round).
+    /// `i`'s highest contiguously committed round), one per hosted
+    /// instance: DQBFT's ordering instance is the last.
     pub fn commit_frontier(&self) -> Vec<Round> {
-        self.slots[..self.cfg.sys.m]
-            .iter()
-            .map(Instance::committed_upto)
-            .collect()
+        self.slots.iter().map(Instance::committed_upto).collect()
     }
 
     /// Builds the state-transfer request this replica would send right
@@ -774,7 +775,7 @@ impl MultiBftNode {
     /// alone ([`EpochPacemaker::proof_for`]), and log entries
     /// (`serve_entries`) either way.
     pub fn build_sync_response(&self, req: &SyncRequest) -> Option<SyncResponse> {
-        if req.frontier.len() != self.cfg.sys.m {
+        if req.frontier.len() != self.slots.len() {
             return None;
         }
         // A served snapshot's checkpoint doubles as the epoch proof.
@@ -792,7 +793,7 @@ impl MultiBftNode {
     /// Log entries past the requester's frontier, each with its QC.
     fn serve_entries(&self, req: &SyncRequest) -> Vec<SyncEntry> {
         let mut entries = Vec::new();
-        for (i, inst) in self.slots[..self.cfg.sys.m].iter().enumerate() {
+        for (i, inst) in self.slots.iter().enumerate() {
             for (block, qc) in inst.committed_entries_from(req.frontier[i], SYNC_PER_INSTANCE) {
                 entries.push(SyncEntry {
                     instance: InstanceId(i as u32),
@@ -940,7 +941,7 @@ impl MultiBftNode {
         let mut installed = false;
         for e in entries {
             let i = e.instance.as_usize();
-            if i >= self.cfg.sys.m {
+            if i >= self.slots.len() {
                 continue;
             }
             let input = instance::Input::Install(e.block, e.qc);
@@ -1051,12 +1052,8 @@ impl MultiBftNode {
             out.push(Output::Arm(at, Timer::Crash));
         }
         // State-transfer probe (§5.2.1): it repairs a round whose vote
-        // phases this replica missed. Not under DQBFT: with the probe
-        // armed, its runs under message loss confirm two blocks at one
-        // rank (`RankTie`), an open fault of its ordering.
-        if !matches!(self.orderer, Orderer::Dqbft(_)) {
-            out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
-        }
+        // phases this replica missed, on every hosted instance.
+        out.push(Output::Arm(SYNC_PERIOD, Timer::Sync));
         if let Some(every) = self.cfg.sample_interval {
             out.push(Output::Arm(every, Timer::Sample));
         }
@@ -1568,5 +1565,41 @@ mod tests {
     fn a_sync_frontier_at_the_last_round_is_served_without_overflow() {
         let n = node(ProtocolKind::LadonPbft, 0);
         assert!(n.build_sync_response(&sync_request(0, u64::MAX)).is_none());
+    }
+
+    /// DQBFT's ordering instance (index `m`) is synced like the data
+    /// instances: requests carry its frontier, a peer serves its
+    /// committed rounds, and a replica that missed them confirms the
+    /// blocks they sequence once it installs them.
+    #[test]
+    fn state_transfer_repairs_the_dqbft_ordering_instance() {
+        let mut c = Cluster::new(ProtocolKind::DqbftPbft);
+        for r in 0..N {
+            c.run(r, Input::Start);
+        }
+        // Instance 0 commits round 1; replica 0, which leads the
+        // ordering instance in view 0, sequences it in ordering round 1.
+        c.run(0, Input::Timer(Timer::Pace(0)));
+        c.run(0, Input::Timer(Timer::Pace(N)));
+        assert_eq!(c.nodes[1].commit_frontier()[N], Round(1));
+        assert_eq!(c.nodes[1].confirmed_count(), 1);
+
+        let mut behind = node(ProtocolKind::DqbftPbft, 3);
+        let req = behind.build_sync_request();
+        assert_eq!(req.frontier.len(), N + 1);
+        let resp = c.nodes[1].build_sync_response(&req).expect("entries");
+        let ordering = resp.entries.iter().filter(|e| e.instance.as_usize() == N);
+        assert_eq!(ordering.count(), 1);
+        step(
+            &mut behind,
+            Input::Message(1, NodeMsg::SyncResp(Arc::new(resp))),
+        );
+        assert_eq!(behind.commit_frontier(), c.nodes[1].commit_frontier());
+        assert_eq!(behind.confirmed_count(), 1);
+
+        // A request that leaves the ordering instance out is refused.
+        assert!(c.nodes[1]
+            .build_sync_response(&sync_request(0, 0))
+            .is_none());
     }
 }

@@ -136,8 +136,10 @@ pub struct SyncRequest {
     /// includes the snapshot so the requester can fast-forward instead of
     /// re-executing history it missed.
     pub applied: u64,
-    /// The requester's highest contiguously committed round, per instance
-    /// (`frontier[i]` for instance `i`; length `m`).
+    /// The requester's highest contiguously committed round, one per
+    /// hosted instance (`frontier[i]` for instance `i`; DQBFT's ordering
+    /// instance is the last). A responder hosting another count refuses
+    /// the request.
     pub frontier: Vec<Round>,
     /// The requester's local state's lane-root vector. The responder
     /// serves only chunks whose roots differ

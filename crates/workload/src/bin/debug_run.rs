@@ -9,10 +9,11 @@
 //!   message-loss grid: `scenario(p, 4, 20.0).with_epoch_length(16)
 //!   .with_loss(0.01)` for 25 s per seed (`seeds` is `a-b` or a comma
 //!   list; default `0-19`), judges each run with the full oracle, and
-//!   prints one row per protocol: violating runs by kind, runs whose
-//!   frontiers spread by more than 16 blocks, the lowest frontier's sum,
-//!   median and minimum, and the highest frontier's median. It exits
-//!   nonzero when any run violated the oracle.
+//!   prints one line per seed (frontiers, epochs, and the violations of
+//!   a run that has any) and one row per protocol: violating runs by
+//!   kind, runs whose frontiers spread by more than 16 blocks, the lowest
+//!   frontier's sum, median and minimum, and the highest frontier's
+//!   median. It exits nonzero when any run violated the oracle.
 
 use ladon_types::{ProtocolKind, TimeNs};
 use ladon_workload::{Deployment, ExperimentConfig};
@@ -92,7 +93,12 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
         let (lo, hi) = (fronts.iter().min().unwrap(), fronts.iter().max().unwrap());
         spread += usize::from(hi - lo > 16);
         let epochs: Vec<u64> = (0..4).map(|r| d.node(r).epoch()).collect();
-        println!("  {p:?} seed {seed}: frontiers {fronts:?} epochs {epochs:?}");
+        print!("  {p:?} seed {seed}: frontiers {fronts:?} epochs {epochs:?}");
+        if verdict.violations.is_empty() {
+            println!();
+        } else {
+            println!(" violations {:?}", verdict.violations);
+        }
         lows.push(*lo);
         highs.push(*hi);
     }

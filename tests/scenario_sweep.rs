@@ -158,20 +158,19 @@ fn a_baseline_hole_under_message_loss_is_filled_by_its_instance() {
     }
 }
 
-/// DQBFT is safe under message loss. PBFT commits the ordering
-/// instance's rounds out of order when messages are lost, and replicas
-/// that sequenced each reference batch as it committed confirmed the same
-/// blocks in different orders (seed 0 disagreed at 95 positions); the
-/// batches are sequenced in round order now. A leader that cut one
-/// instance's references in commit order could sequence its round r + 1
-/// before round r (`RankTie` on seeds 8, 9, 11 and 12); a cut now takes
-/// each instance's rounds in order. And every replica holds the
-/// references it committed, so a new leader of the ordering instance has
-/// something to propose. Every cell must be safe, rank ties included,
-/// and every replica must confirm a block — except seed 9's replica 1:
-/// DQBFT repairs nothing lost (ROADMAP 2(b)), and that replica misses a
-/// round it never recovers, so it confirms nothing before and after the
-/// round-order cut.
+/// DQBFT is safe and live under message loss. PBFT commits the
+/// ordering instance's rounds out of order when messages are lost, and
+/// replicas that sequenced each reference batch as it committed
+/// confirmed the same blocks in different orders (seed 0 disagreed at 95
+/// positions); the batches are sequenced in round order now. A leader
+/// that cut one instance's references in commit order could sequence its
+/// round r + 1 before round r (`RankTie` on seeds 8, 9, 11 and 12); a
+/// sequenced reference now sequences every round of its instance not yet
+/// sequenced up to it, in round order. State transfer repairs the
+/// ordering instance like the data instances, so a replica that misses
+/// an ordering round fetches it: every replica must confirm at least 400
+/// blocks (the lowest reads 457; seed 9 read [248, 0, 11, 75] while the
+/// ordering instance was not repaired).
 #[test]
 fn dqbft_agrees_under_message_loss() {
     for seed in [0, 8, 9, 11, 12] {
@@ -188,8 +187,7 @@ fn dqbft_agrees_under_message_loss() {
             verdict.violations
         );
         let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();
-        let live = |r: usize| fronts[r] > 0 || (seed == 9 && r == 1);
-        assert!((0..4).all(live), "seed {seed}: {fronts:?}");
+        assert!(fronts.iter().all(|&f| f >= 400), "seed {seed}: {fronts:?}");
     }
 }
 

@@ -13,7 +13,9 @@
 //! Each instance's blocks therefore confirm in round order whatever the
 //! batches hold: a cut lost to a nil fill is covered by the instance's
 //! next sequenced reference, and a reference to a round already
-//! sequenced sequences nothing.
+//! sequenced sequences nothing. A reference to no data instance (the
+//! ordering instance `m`, or above) names no block that will ever
+//! commit, so every replica drops it alike when its batch is sequenced.
 //!
 //! The state is bounded by what is in flight: the blocks committed and
 //! not yet confirmed, two frontiers per instance (the last round
@@ -50,8 +52,9 @@ struct Tip {
 }
 
 /// The DQBFT ordering layer state at one replica.
-#[derive(Default)]
 pub struct DqbftOrderer {
+    /// The data instances: a reference names one of `0..m`.
+    m: usize,
     /// Blocks partially committed locally and not yet confirmed.
     blocks: HashMap<BlockRef, Block>,
     /// The frontiers of every instance committed here or named by a
@@ -70,6 +73,19 @@ pub struct DqbftOrderer {
 }
 
 impl DqbftOrderer {
+    /// The ordering layer over `m` data instances.
+    pub fn new(m: usize) -> Self {
+        Self {
+            m,
+            blocks: HashMap::new(),
+            tips: BTreeMap::new(),
+            sequenced: VecDeque::new(),
+            committed: BTreeMap::new(),
+            sequenced_upto: 0,
+            confirmed: 0,
+        }
+    }
+
     /// Up to `max` references for the next ordering proposal: each
     /// instance's committed rounds that continue from the last one cut
     /// or sequenced, with no gap, sorted into the canonical
@@ -100,8 +116,8 @@ impl DqbftOrderer {
     /// order, each once: PBFT commits rounds out of order, and replicas
     /// that appended batches as they committed would sequence the same
     /// references differently. A nil fill (no references) still takes
-    /// its round. Each reference sequences its instance's rounds up to
-    /// it, as one run.
+    /// its round. Each reference to a data instance sequences its
+    /// instance's rounds up to it, as one run.
     pub fn on_sequenced(
         &mut self,
         round: u64,
@@ -113,7 +129,7 @@ impl DqbftOrderer {
         }
         while let Some(batch) = self.committed.remove(&(self.sequenced_upto + 1)) {
             self.sequenced_upto += 1;
-            for (i, r) in batch {
+            for (i, r) in batch.into_iter().filter(|&(i, _)| (i as usize) < self.m) {
                 let tip = self.tips.entry(i).or_default();
                 if r > tip.sequenced {
                     self.sequenced.push_back((i, tip.sequenced + 1, r));
@@ -185,7 +201,7 @@ mod tests {
 
     #[test]
     fn blocks_confirm_in_sequenced_order() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         assert!(o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO).is_empty());
         assert!(o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO).is_empty());
         let got = o.on_sequenced(1, &[(1, 1), (0, 1)], TimeNs::ZERO);
@@ -196,7 +212,7 @@ mod tests {
 
     #[test]
     fn sequencing_before_commit_waits_for_block() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         assert!(o.on_sequenced(1, &[(0, 1)], TimeNs::ZERO).is_empty());
         let got = o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         assert_eq!(got.len(), 1);
@@ -204,7 +220,7 @@ mod tests {
 
     #[test]
     fn head_of_line_blocking_on_missing_block() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
         assert!(o
             .on_sequenced(1, &[(0, 1), (1, 1)], TimeNs::ZERO)
@@ -217,7 +233,7 @@ mod tests {
 
     #[test]
     fn every_replica_accumulates_and_cuts_refs_in_round_order() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(2, 1, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
@@ -238,7 +254,7 @@ mod tests {
 
     #[test]
     fn duplicate_sequencing_suppressed() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         let got = o.on_sequenced(1, &[(0, 1), (0, 1)], TimeNs::ZERO);
         assert_eq!(got.len(), 1);
@@ -249,7 +265,7 @@ mod tests {
     fn batches_sequence_in_round_order_whatever_the_commit_order() {
         let mut orders = Vec::new();
         for commit_order in [[1, 2, 3], [3, 1, 2], [2, 3, 1]] {
-            let mut o = DqbftOrderer::default();
+            let mut o = DqbftOrderer::new(3);
             for instance in 0..3 {
                 o.on_partial_commit(blk(instance, 1, 0), TimeNs::ZERO);
             }
@@ -274,7 +290,7 @@ mod tests {
         // Another replica led the ordering instance and sequenced
         // instance 0's round 1: this replica prunes it and cuts from
         // round 2.
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
         assert_eq!(o.on_sequenced(1, &[(0, 1)], TimeNs::ZERO).len(), 1);
@@ -291,7 +307,7 @@ mod tests {
         // This replica cut rounds 1 and 2 of instance 0, and the batch
         // carrying them was nil-filled. Its next cut starts at round 3,
         // and sequencing round 3 sequences rounds 1 and 2 before it.
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
         assert_eq!(o.cut_refs(10), vec![(0, 1), (0, 2)]);
@@ -305,7 +321,7 @@ mod tests {
 
     #[test]
     fn a_reference_to_the_last_round_confirms_what_committed_and_waits() {
-        let mut o = DqbftOrderer::default();
+        let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
         let got = o.on_sequenced(1, &[(0, u64::MAX)], TimeNs::ZERO);
         assert_eq!(got.len(), 1);
@@ -315,5 +331,19 @@ mod tests {
         assert!(o.cut_refs(10).is_empty(), "every round is sequenced");
         let got = o.on_partial_commit(blk(0, 2, 0), TimeNs::ZERO);
         assert_eq!(got[0].block.round(), Round(2));
+    }
+
+    #[test]
+    fn a_reference_to_no_data_instance_is_dropped() {
+        // The ordering instance is `m` = 3: no block of it ever reaches
+        // `on_partial_commit`, so a run for it would wait forever.
+        let mut o = DqbftOrderer::new(3);
+        assert!(o
+            .on_sequenced(1, &[(3, 1), (0, 1)], TimeNs::ZERO)
+            .is_empty());
+        let got = o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].block.index(), InstanceId(0));
+        assert!(o.cut_refs(10).is_empty(), "no tip for the dropped instance");
     }
 }

@@ -1,11 +1,12 @@
 //! Ladon Multi-BFT: the paper's core contribution.
 //!
-//! - [`ordering`]: the dynamic global ordering layer (Algorithm 1), which
-//!   also decides where an epoch ends, and the
-//!   [`ordering::GlobalOrderer`] trait.
-//! - [`predetermined`]: ISS / Mir / RCC pre-determined-ordering baselines
-//!   (RCC runs ISS's orderer); they confirm only committed blocks, so a
-//!   ⊥ comes from an instance's view change, never from the orderer.
+//! - [`ordering`]: the global ordering layer (Algorithm 1), which also
+//!   decides where an epoch ends, and the [`ordering::GlobalOrderer`]
+//!   trait. The ISS / RCC / Mir baselines run the same orderer with
+//!   ranks fixed to rounds, which is their pre-determined order; Mir
+//!   adds a hold after each new view. It confirms only committed
+//!   blocks, so a ⊥ comes from an instance's view change, never from
+//!   the orderer.
 //! - [`dqbft`]: the DQBFT dedicated-ordering-instance baseline.
 //! - [`epoch`]: the epoch pacemaker with checkpoints (§5.2.1).
 //! - [`bucket`]: rotating transaction buckets and the synthetic mempool.
@@ -51,7 +52,6 @@ pub mod metrics;
 pub mod msg;
 pub mod node;
 pub mod ordering;
-pub mod predetermined;
 pub mod sync;
 pub mod timer;
 
@@ -63,5 +63,4 @@ pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
 pub use node::{Behavior, Input, MultiBftNode, NodeConfig, Output};
 pub use ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
-pub use predetermined::{BaselineKind, PredeterminedOrderer};
 pub use sync::{snapshot_worthwhile, ResponderHealth, SyncEntry, SyncRequest, SyncResponse};

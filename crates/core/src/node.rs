@@ -6,7 +6,9 @@
 //!   state machine from `ladon-pbft` / `ladon-hotstuff` behind the
 //!   [`crate::instance`] seam — this module never learns which;
 //! - the shared `curRank` state (Algorithm 2's `curRank`);
-//! - a global orderer (Ladon's Algorithm 1 or a baseline);
+//! - a global orderer: Algorithm 1 (Ladon's, or with ranks fixed to
+//!   rounds for ISS, RCC and Mir, Mir holding it after each new view) or
+//!   DQBFT's sequencer;
 //! - the epoch pacemaker and rotating buckets (Ladon protocols);
 //! - the synthetic mempool fed by relayed client transaction groups;
 //! - per-instance proposal pacing (the paper's fixed total block rate),
@@ -41,7 +43,6 @@ use crate::instance::{self, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
-use crate::predetermined::{BaselineKind, PredeterminedOrderer};
 use crate::sync::{
     delta_chunks, snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry,
     SyncRequest, SyncResponse, SYNC_MAX_BLOCKS, SYNC_PER_INSTANCE,
@@ -92,9 +93,9 @@ pub struct NodeConfig {
     pub sample_interval: Option<TimeNs>,
 }
 
+/// Algorithm 1 (every protocol but DQBFT) or DQBFT's sequencer.
 enum Orderer {
     Ladon(LadonOrderer),
-    Pre(PredeterminedOrderer),
     Dqbft(DqbftOrderer),
 }
 
@@ -102,7 +103,6 @@ impl GlobalOrderer for Orderer {
     fn on_partial_commit(&mut self, block: Block, now: TimeNs) -> Vec<ConfirmedBlock> {
         match self {
             Orderer::Ladon(o) => o.on_partial_commit(block, now),
-            Orderer::Pre(o) => o.on_partial_commit(block, now),
             Orderer::Dqbft(o) => o.on_partial_commit(block, now),
         }
     }
@@ -110,7 +110,6 @@ impl GlobalOrderer for Orderer {
     fn confirmed_count(&self) -> u64 {
         match self {
             Orderer::Ladon(o) => o.confirmed_count(),
-            Orderer::Pre(o) => o.confirmed_count(),
             Orderer::Dqbft(o) => o.confirmed_count(),
         }
     }
@@ -118,7 +117,6 @@ impl GlobalOrderer for Orderer {
     fn waiting_count(&self) -> usize {
         match self {
             Orderer::Ladon(o) => o.waiting_count(),
-            Orderer::Pre(o) => o.waiting_count(),
             Orderer::Dqbft(o) => o.waiting_count(),
         }
     }
@@ -126,6 +124,10 @@ impl GlobalOrderer for Orderer {
 
 /// State-transfer probe period.
 const SYNC_PERIOD: TimeNs = TimeNs::from_millis(1000);
+
+/// How long Mir holds confirmation after a new view installs: the epoch
+/// change the paper attributes to Mir-BFT.
+const EPOCH_CHANGE_PENALTY: TimeNs = TimeNs::from_secs(5);
 
 /// One event a replica handles.
 #[derive(Debug)]
@@ -227,23 +229,23 @@ impl MultiBftNode {
             .map(|i| Instance::new(&cfg, &signer, i, &certs))
             .collect();
 
-        let orderer = match cfg.protocol {
+        // Epochs (and their checkpoints) exist only under Ladon ordering.
+        let (orderer, pacemaker) = match cfg.protocol {
             ProtocolKind::LadonPbft | ProtocolKind::LadonOptPbft | ProtocolKind::LadonHotStuff => {
                 // Epoch 0's boundary: the pacemaker starts there.
                 let mut o = LadonOrderer::new(m);
                 o.set_ceiling(sys.rank_range(Epoch(0)).1);
-                Orderer::Ladon(o)
+                (Orderer::Ladon(o), Some(EpochPacemaker::new(sys)))
             }
-            // RCC's lag-based removal is not modelled: it runs ISS's order.
-            ProtocolKind::IssPbft | ProtocolKind::IssHotStuff | ProtocolKind::RccPbft => {
-                Orderer::Pre(PredeterminedOrderer::new(BaselineKind::Iss, m))
-            }
-            ProtocolKind::MirPbft => Orderer::Pre(PredeterminedOrderer::new(BaselineKind::Mir, m)),
-            ProtocolKind::DqbftPbft => Orderer::Dqbft(DqbftOrderer::default()),
+            // Vanilla instances rank blocks at their rounds: Algorithm 1
+            // confirms the pre-determined order. RCC's lag-based removal
+            // is not modelled, so it is ISS.
+            ProtocolKind::IssPbft
+            | ProtocolKind::IssHotStuff
+            | ProtocolKind::RccPbft
+            | ProtocolKind::MirPbft => (Orderer::Ladon(LadonOrderer::pre_determined(m)), None),
+            ProtocolKind::DqbftPbft => (Orderer::Dqbft(DqbftOrderer::new(m)), None),
         };
-
-        // Epochs (and their checkpoints) exist only under Ladon ordering.
-        let pacemaker = matches!(orderer, Orderer::Ladon(_)).then(|| EpochPacemaker::new(sys));
 
         let applied_at_start = exec.applied();
         Self {
@@ -383,8 +385,11 @@ impl MultiBftNode {
                 }
                 Action::NewViewInstalled { view } => {
                     self.metrics.new_views.push((self.now, i as u32, view.0));
-                    if let Orderer::Pre(o) = &mut self.orderer {
-                        o.on_new_view(self.now);
+                    // Mir's epoch change: confirmation stalls.
+                    if let (ProtocolKind::MirPbft, Orderer::Ladon(o)) =
+                        (self.cfg.protocol, &mut self.orderer)
+                    {
+                        o.hold_until(self.now + EPOCH_CHANGE_PENALTY);
                     }
                 }
             }

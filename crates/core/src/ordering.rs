@@ -1,12 +1,25 @@
-//! The dynamic global ordering layer (Algorithm 1) and the orderer trait.
+//! The global ordering layer (Algorithm 1) and the orderer trait.
 //!
 //! Every replica runs an orderer over its stream of partially committed
 //! blocks. [`LadonOrderer`] implements the paper's Algorithm 1: blocks are
 //! globally confirmed once their `(rank, index)` key falls below the
 //! *confirmation bar* `(B*.rank + 1, B*.index)`, where `B*` is the
-//! `≺`-minimal *last partially confirmed* block across instances. Baseline
-//! orderers (ISS/Mir/RCC pre-determined, DQBFT sequenced) live in
-//! [`crate::predetermined`] and [`crate::dqbft`].
+//! `≺`-minimal *last partially confirmed* block across instances.
+//!
+//! Pre-determined ordering (ISS, RCC, Mir; §1, Fig. 1) is the same rule
+//! with ranks fixed to rounds ([`LadonOrderer::pre_determined`]):
+//! - a vanilla instance ranks its round-`r` block `r`, so the key
+//!   `(r, i)` sorts blocks as `sn = (r − 1)·m + i` does;
+//! - with tips `(u_i, i)`, the bar `(u + 1, j)` over the minimal tip is
+//!   the first `sn` not committed, so a block confirms exactly once every
+//!   smaller `sn` has committed, and a hole stalls every later slot.
+//!
+//! Mir differs only by its stall after a new view
+//! ([`LadonOrderer::hold_until`]). DQBFT's sequenced order is
+//! [`crate::dqbft`]. Ladon itself keeps the initial bar `(0, 0)` until
+//! every instance has a partially confirmed block: its ranks are not
+//! rounds, and a nil fill can carry rank 0 (epoch 0's `minRank`), so a
+//! tip started at rank 0 could confirm a block ahead of such a nil.
 
 use ladon_types::{Block, InstanceId, OrderKey, Rank, Round, TimeNs};
 use std::collections::BTreeMap;
@@ -64,6 +77,8 @@ pub struct LadonOrderer {
     confirmed: u64,
     /// The highest rank that may join the candidate set.
     ceiling: Rank,
+    /// A partial commit before this instant confirms nothing.
+    hold: TimeNs,
 }
 
 impl LadonOrderer {
@@ -74,7 +89,27 @@ impl LadonOrderer {
             pending: BTreeMap::new(),
             confirmed: 0,
             ceiling: Rank(u64::MAX),
+            hold: TimeNs::ZERO,
         }
+    }
+
+    /// An orderer over `m` vanilla instances, which rank each block at
+    /// its round: pre-determined ordering (see the module docs). Every
+    /// tip starts at its instance's round 0, rank 0, which is sound only
+    /// because an instance's next block ranks at its round.
+    pub fn pre_determined(m: usize) -> Self {
+        let mut o = Self::new(m);
+        for (i, it) in o.intake.iter_mut().enumerate() {
+            it.tip = Some(OrderKey::of_block(Rank(0), InstanceId(i as u32), Round(0)));
+        }
+        o
+    }
+
+    /// Holds confirmation until `t`: a partial commit before `t` confirms
+    /// nothing, and the first one at or after `t` confirms everything
+    /// that waited. What is confirmed never changes, only when.
+    pub fn hold_until(&mut self, t: TimeNs) {
+        self.hold = t;
     }
 
     /// The current confirmation bar: `(B*.rank + 1, B*.index)` over the
@@ -189,7 +224,7 @@ impl LadonOrderer {
 }
 
 impl GlobalOrderer for LadonOrderer {
-    fn on_partial_commit(&mut self, block: Block, _now: TimeNs) -> Vec<ConfirmedBlock> {
+    fn on_partial_commit(&mut self, block: Block, now: TimeNs) -> Vec<ConfirmedBlock> {
         let idx = block.index().as_usize();
         assert!(
             idx < self.intake.len(),
@@ -204,6 +239,9 @@ impl GlobalOrderer for LadonOrderer {
         }
         it.ooo.insert(block.round(), block);
         self.promote(idx);
+        if now < self.hold {
+            return Vec::new();
+        }
         self.drain_confirmable()
     }
 
@@ -406,6 +444,115 @@ mod tests {
         feed(&mut o, blk(0, 3, 7));
         assert_eq!(o.epoch_frontier(), Some(vec![3, 1, 2]));
         assert_eq!(o.confirmed_count(), 6, "the whole epoch, nothing after it");
+    }
+
+    /// A vanilla instance's block: ranked at its round.
+    fn vanilla(instance: u32, round: u64) -> Block {
+        blk(instance, round, round)
+    }
+
+    fn sns(got: &[ConfirmedBlock]) -> Vec<u64> {
+        got.iter().map(|c| c.sn).collect()
+    }
+
+    #[test]
+    fn pre_determined_confirms_in_sn_order() {
+        let mut o = LadonOrderer::pre_determined(3);
+        // Round 1 of instances 1 and 2 arrive first: they wait for i0.
+        assert!(o.on_partial_commit(vanilla(1, 1), TimeNs::ZERO).is_empty());
+        assert!(o.on_partial_commit(vanilla(2, 1), TimeNs::ZERO).is_empty());
+        assert_eq!(o.waiting_count(), 2);
+        let got = o.on_partial_commit(vanilla(0, 1), TimeNs::ZERO);
+        assert_eq!(sns(&got), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_pre_determined_hole_stalls_every_later_slot() {
+        // §2.1: a straggling instance 1 stalls blocks 5, 6, 8, 9 …
+        let mut o = LadonOrderer::pre_determined(3);
+        for i in 0..3 {
+            o.on_partial_commit(vanilla(i, 1), TimeNs::ZERO);
+        }
+        // Instance 1 goes quiet; instances 0 and 2 keep producing. The
+        // slot right after the confirmed prefix (instance 0, round 2)
+        // still confirms, then instance 1's hole at sn 4 stalls the rest.
+        let got = o.on_partial_commit(vanilla(0, 2), TimeNs::ZERO);
+        assert_eq!(sns(&got), vec![3]);
+        assert!(o.on_partial_commit(vanilla(2, 2), TimeNs::ZERO).is_empty());
+        for r in 3..=4 {
+            assert!(o.on_partial_commit(vanilla(0, r), TimeNs::ZERO).is_empty());
+            assert!(o.on_partial_commit(vanilla(2, r), TimeNs::ZERO).is_empty());
+        }
+        assert_eq!(o.confirmed_count(), 4);
+        assert_eq!(o.waiting_count(), 5);
+        // The straggler's round-2 block fills sn 4; sn 4..6 release (sn 7
+        // is the straggler's still-missing round-3 slot).
+        let got = o.on_partial_commit(vanilla(1, 2), TimeNs::ZERO);
+        assert_eq!(sns(&got), vec![4, 5, 6]);
+    }
+
+    /// A hole waits for its instance, however long: the orderer makes no
+    /// block of its own. Once the instance commits the slot (here, as a
+    /// new view's first block), ISS confirms it at once and Mir, held
+    /// after the new view, only once its hold ends: the same blocks
+    /// either way.
+    #[test]
+    fn a_new_view_stalls_mir_and_not_iss() {
+        let new_view = TimeNs::from_secs(30);
+        let after_hold = new_view + TimeNs::from_secs(5);
+        for mir in [false, true] {
+            let mut o = LadonOrderer::pre_determined(2);
+            o.on_partial_commit(vanilla(0, 1), TimeNs::ZERO);
+            o.on_partial_commit(vanilla(0, 2), TimeNs::ZERO);
+            // sn 0 confirmed; sn 1 is instance 1's hole.
+            assert_eq!(o.confirmed_count(), 1, "mir: {mir}");
+            if mir {
+                o.hold_until(after_hold);
+            }
+            let got = o.on_partial_commit(vanilla(1, 1), new_view);
+            let later = o.on_partial_commit(vanilla(1, 2), after_hold);
+            if mir {
+                assert!(got.is_empty(), "Mir stalls during the epoch change");
+                assert_eq!(sns(&later), vec![1, 2, 3]);
+            } else {
+                assert_eq!(sns(&got), vec![1, 2]);
+                assert_eq!(sns(&later), vec![3]);
+            }
+            assert_eq!(o.confirmed_count(), 4, "mir: {mir}");
+            assert_eq!(o.waiting_count(), 0, "mir: {mir}");
+        }
+    }
+
+    #[test]
+    fn pre_determined_sns_match_fig1() {
+        // Rounds 1..=4 of three instances, committed latest round first.
+        let mut o = LadonOrderer::pre_determined(3);
+        let mut got = Vec::new();
+        for r in (1..=4).rev() {
+            for i in 0..3 {
+                got.extend(o.on_partial_commit(vanilla(i, r), TimeNs::ZERO));
+            }
+        }
+        let at = |i: u32, r: u64| {
+            let c = got
+                .iter()
+                .find(|c| c.block.index().0 == i && c.block.round().0 == r);
+            c.expect("every block confirms").sn
+        };
+        // Fig. 1: instance 0 blocks get 0, 3, 6, 9; instance 2 gets 2, 5, 8, 11.
+        assert_eq!([at(0, 1), at(0, 2), at(0, 3), at(0, 4)], [0, 3, 6, 9]);
+        assert_eq!([at(2, 1), at(2, 2), at(2, 3), at(2, 4)], [2, 5, 8, 11]);
+        assert_eq!(at(1, 2), 4);
+    }
+
+    #[test]
+    fn a_duplicate_commit_is_idempotent() {
+        let mut o = LadonOrderer::pre_determined(1);
+        let got = o.on_partial_commit(vanilla(0, 1), TimeNs::ZERO);
+        assert_eq!(got.len(), 1);
+        let got = o.on_partial_commit(vanilla(0, 1), TimeNs::ZERO);
+        assert!(got.is_empty());
+        assert_eq!(o.confirmed_count(), 1);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! A view change's new leader therefore carries on with the flush
 //! instead of proposing a second `maxRank` block, and a backup refuses a
 //! real node that does not rank above its parent: Algorithm 1's bar
-//! needs an instance's next block to rank strictly above its last.
+//! needs an instance's next block to rank strictly above its last. A
+//! vanilla backup refuses a node not ranked at its height, or marked a
+//! dummy: the pre-determined order ranks each block at its round.
 //!
 //! A backup votes under chained HotStuff's lock: it locks the
 //! grandparent of each proposal it accepts and refuses one that neither
@@ -103,7 +105,8 @@ pub const MAX_VIEW: View = View(u16::MAX as u64);
 /// Rank participation mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HsRankMode {
-    /// Vanilla chained HotStuff (ISS-HotStuff baseline).
+    /// Vanilla chained HotStuff (ISS-HotStuff baseline): a node ranks
+    /// at its height and none is a dummy.
     None,
     /// Ladon-HotStuff: rank piggybacking per Algorithm 3.
     Ladon,
@@ -502,15 +505,26 @@ impl HsInstance {
                 self.rejected += 1;
                 return;
             }
-            if self.cfg.mode == HsRankMode::Ladon {
-                if g.node.rank > self.epoch_max {
-                    let held = (from, Arc::clone(g));
-                    push_bounded(&mut self.pending_epoch, held, &mut self.rejected);
-                    return;
+            match self.cfg.mode {
+                HsRankMode::Ladon => {
+                    if g.node.rank > self.epoch_max {
+                        let held = (from, Arc::clone(g));
+                        push_bounded(&mut self.pending_epoch, held, &mut self.rejected);
+                        return;
+                    }
+                    if !self.validate_rank(g) {
+                        self.rejected += 1;
+                        return;
+                    }
                 }
-                if !self.validate_rank(g) {
-                    self.rejected += 1;
-                    return;
+                // A vanilla node ranks at its height, which is its round
+                // (no dummies), and is never a dummy: the pre-determined
+                // order rests on rank = round.
+                HsRankMode::None => {
+                    if g.node.dummy || g.node.rank != Rank(g.node.height.0) {
+                        self.rejected += 1;
+                        return;
+                    }
                 }
             }
         }
@@ -1509,6 +1523,35 @@ mod tests {
             .iter()
             .any(|a| matches!(a, Action::Send(_, HsMsg::Vote(_)))));
         assert!(cur.rank >= rank_m);
+    }
+
+    #[test]
+    fn a_vanilla_backup_refuses_a_node_not_ranked_at_its_height() {
+        let mut c = HsCluster::new(4, HsRankMode::None, 1000);
+        let good = fourth_proposal(&mut c);
+        assert_eq!((good.node.rank, good.node.dummy), (Rank(4), false));
+        let edit = |f: &dyn Fn(&mut HsNode)| {
+            let mut g = good.clone();
+            f(&mut g.node);
+            reseal(&c, &mut g);
+            g
+        };
+        let cases: Vec<(&str, HsGeneric)> = vec![
+            ("a higher rank", edit(&|n| n.rank = Rank(9))),
+            ("a lower rank", edit(&|n| n.rank = Rank(3))),
+            ("marked a dummy", edit(&|n| n.dummy = true)),
+        ];
+        for (what, forged) in cases {
+            let (rejected, acts, _) = deliver_to_backup(&mut c, forged);
+            assert_eq!(rejected, 1, "{what}");
+            assert!(acts.is_empty(), "{what}: {acts:?}");
+        }
+        // The node as the leader sent it gets the backup's vote.
+        let (rejected, acts, _) = deliver_to_backup(&mut c, good);
+        assert_eq!(rejected, 0);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Send(_, HsMsg::Vote(_)))));
     }
 
     #[test]

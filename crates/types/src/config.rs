@@ -52,7 +52,8 @@ pub enum ProtocolKind {
     /// Ladon-opt: Ladon-PBFT with the aggregate-signature rank refinement
     /// (§5.3), reducing pre-prepare complexity from O(n²) to O(n).
     LadonOptPbft,
-    /// ISS: pre-determined ordering. A slow instance's hole is filled by
+    /// ISS: pre-determined ordering, which is Algorithm 1 with each block
+    /// ranked at its round. A slow instance's hole is filled by
     /// the instance itself: after a view change, by the new leader's ⊥
     /// or fresh block.
     IssPbft,
@@ -84,18 +85,6 @@ impl ProtocolKind {
             ProtocolKind::LadonHotStuff => "Ladon-HotStuff",
             ProtocolKind::IssHotStuff => "ISS-HotStuff",
         }
-    }
-
-    /// True for the protocols whose global ordering is dynamic (rank-based
-    /// or sequenced at confirmation time) rather than pre-determined.
-    pub fn is_dynamic_ordering(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::LadonPbft
-                | ProtocolKind::LadonOptPbft
-                | ProtocolKind::DqbftPbft
-                | ProtocolKind::LadonHotStuff
-        )
     }
 
     /// True for HotStuff-instance compositions.
@@ -405,9 +394,6 @@ mod tests {
 
     #[test]
     fn protocol_kind_properties() {
-        assert!(ProtocolKind::LadonPbft.is_dynamic_ordering());
-        assert!(ProtocolKind::DqbftPbft.is_dynamic_ordering());
-        assert!(!ProtocolKind::IssPbft.is_dynamic_ordering());
         assert!(ProtocolKind::LadonHotStuff.is_hotstuff());
         assert!(!ProtocolKind::LadonPbft.is_hotstuff());
         assert_eq!(ProtocolKind::LadonPbft.label(), "Ladon");

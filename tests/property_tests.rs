@@ -3,7 +3,7 @@
 //! execution recovery (WAL replay from any snapshot prefix; torn-write
 //! tolerance of the segmented WAL — both over real scratch directories).
 
-use ladon::core::{GlobalOrderer, LadonOrderer, PredeterminedOrderer};
+use ladon::core::{GlobalOrderer, LadonOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
     delta_lanes, lane_of, ExecOutcome, ExecutionPipeline, KvState, Snapshot, SnapshotChunk,
@@ -12,7 +12,7 @@ use ladon::state::{
 use ladon::types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
 use ladon::types::{TxId, TxOp};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A per-case unique scratch directory (proptest cases run in sequence
@@ -157,30 +157,45 @@ proptest! {
         }
     }
 
-    /// Pre-determined ordering confirms exactly in sn order regardless of
-    /// arrival interleaving.
+    /// Pre-determined ordering is Algorithm 1 with ranks fixed to rounds.
+    /// Over any commit order, an instance's rounds out of order too, block
+    /// `(i, r)` confirms as `sn = (r − 1)·m + i`, and at the first commit
+    /// after which every smaller `sn` has committed: the ISS rule, written
+    /// out below as the reference.
     #[test]
-    fn predetermined_confirms_in_sn_order(perm in proptest::collection::vec(any::<usize>(), 0..40)) {
-        let m = 3usize;
-        let rounds = 5u64;
-        let mut orderer = PredeterminedOrderer::new(ladon::core::BaselineKind::Iss, m);
-        let mut next = vec![0u64; m];
-        let mut sns = Vec::new();
-        let mut p = 0usize;
-        loop {
-            let avail: Vec<usize> = (0..m).filter(|&i| next[i] < rounds).collect();
-            if avail.is_empty() { break; }
-            let pick = avail[perm.get(p).copied().unwrap_or(0) % avail.len()];
-            p += 1;
-            next[pick] += 1;
-            for c in orderer.on_partial_commit(blk(pick as u32, next[pick], next[pick]), TimeNs::ZERO) {
-                sns.push(c.sn);
+    fn predetermined_confirms_in_sn_order(
+        m in 1usize..5,
+        rounds in 1u64..7,
+        swaps in proptest::collection::vec(any::<usize>(), 0..40),
+    ) {
+        let sn_of = |i: u32, r: u64| (r - 1) * m as u64 + u64::from(i);
+        let mut order: Vec<(u32, u64)> = (1..=rounds)
+            .flat_map(|r| (0..m as u32).map(move |i| (i, r)))
+            .collect();
+        for (k, s) in swaps.iter().enumerate() {
+            let len = order.len();
+            order.swap(k % len, s % len);
+        }
+        let mut orderer = LadonOrderer::pre_determined(m);
+        // The reference: committed sns not yet confirmed, and the next.
+        let mut committed = BTreeSet::new();
+        let mut next_sn = 0u64;
+        for (i, r) in order {
+            committed.insert(sn_of(i, r));
+            let mut want = Vec::new();
+            while committed.remove(&next_sn) {
+                want.push(next_sn);
+                next_sn += 1;
             }
+            let mut got = Vec::new();
+            for c in orderer.on_partial_commit(blk(i, r, r), TimeNs::ZERO) {
+                prop_assert_eq!(c.sn, sn_of(c.block.index().0, c.block.round().0));
+                got.push(c.sn);
+            }
+            prop_assert_eq!(got, want, "commit of ({}, {})", i, r);
         }
-        prop_assert_eq!(sns.len() as u64, rounds * m as u64);
-        for (i, sn) in sns.iter().enumerate() {
-            prop_assert_eq!(*sn, i as u64);
-        }
+        prop_assert_eq!(orderer.confirmed_count(), rounds * m as u64);
+        prop_assert_eq!(orderer.waiting_count(), 0);
     }
 
     /// SHA-256 incremental hashing equals one-shot for arbitrary chunkings,

@@ -8,6 +8,12 @@
 //! that lets the replica move to epoch `e + 1` (installing the next rank
 //! range in every instance and rotating the transaction buckets).
 //!
+//! Every replica runs the pacemaker, whatever its protocol. Under ISS,
+//! RCC, Mir and ISS-HotStuff a block ranks at its round, so an epoch is a
+//! fixed range of rounds per instance, and their epochs close, checkpoint
+//! and drain as Ladon's do. DQBFT's sequencer reports no epoch frontier,
+//! so a DQBFT replica stays in epoch 0.
+//!
 //! On top of the paper's rank-marker checkpoints, every checkpoint message
 //! here carries the **execution state root** — the snapshot *manifest
 //! root* covering the replica's KV state after applying every block of
@@ -46,7 +52,7 @@
 //! A fetched checkpoint for the current epoch with nothing installed is
 //! held until the close. A closed epoch with no proof leaves only
 //! through a vote or a fetched checkpoint. A PBFT replica fetches one
-//! once its instances report lag. A closed Ladon-HotStuff replica has no
+//! once its instances report lag. A closed HotStuff replica has no
 //! lag evidence until its peers complete a later epoch
 //! (`Instance::lag_evidence` is `None` under HotStuff, and
 //! [`EpochPacemaker::lag_evidence`] sees a quorum only for an epoch it

@@ -150,8 +150,10 @@ impl Iterator for Actions {
 
 impl Instance {
     /// Builds instance `i` of the replica described by `cfg`: HotStuff or
-    /// PBFT by protocol family, ranked (Ladon) or vanilla, confined to
-    /// epoch 0's rank range when ranked. Index `m` exists only under
+    /// PBFT by protocol family, ranked (Ladon) or vanilla, in epoch 0's
+    /// rank range (a vanilla instance ranks each block at its round and
+    /// never stops for an epoch; the range only marks where its epochs
+    /// begin in the order). Index `m` exists only under
     /// DQBFT — its dedicated vanilla ordering instance. The instance
     /// verifies certificates through `certs`, the replica's one cache.
     pub fn new(cfg: &NodeConfig, signer: &Signer, i: usize, certs: &CertCache) -> Self {
@@ -189,13 +191,6 @@ impl Instance {
             } else {
                 RankStrategy::Honest
             };
-            // Ladon instances use the epoch range; vanilla instances
-            // never stop for epochs.
-            let (lo, hi) = if mode == RankMode::None {
-                (Rank(0), Rank(u64::MAX))
-            } else {
-                (emin, emax)
-            };
             let pbft = InstanceConfig {
                 instance: id,
                 me: cfg.me,
@@ -205,7 +200,7 @@ impl Instance {
                 mode,
                 strategy,
             };
-            let mut inst = PbftInstance::new(pbft, lo, hi);
+            let mut inst = PbftInstance::new(pbft, emin, emax);
             inst.share_cert_cache(certs.clone());
             Proto::Pbft(inst)
         };

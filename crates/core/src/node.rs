@@ -9,7 +9,9 @@
 //! - a global orderer: Algorithm 1 (Ladon's, or with ranks fixed to
 //!   rounds for ISS, RCC and Mir, Mir holding it after each new view) or
 //!   DQBFT's sequencer;
-//! - the epoch pacemaker and rotating buckets (Ladon protocols);
+//! - the epoch pacemaker and rotating buckets (every protocol; DQBFT's
+//!   sequencer reports no epoch frontier, so a DQBFT replica stays in
+//!   epoch 0);
 //! - the synthetic mempool fed by relayed client transaction groups;
 //! - per-instance proposal pacing (the paper's fixed total block rate),
 //!   straggler / Byzantine / crash behavior injection;
@@ -165,7 +167,7 @@ pub struct MultiBftNode {
     slots: Vec<Instance>,
     cur_rank: RankCert,
     orderer: Orderer,
-    pacemaker: Option<EpochPacemaker>,
+    pacemaker: EpochPacemaker,
     buckets: RotatingBuckets,
     mempool: Mempool,
     /// Pace timer fired but the instance was not ready to propose.
@@ -229,22 +231,20 @@ impl MultiBftNode {
             .map(|i| Instance::new(&cfg, &signer, i, &certs))
             .collect();
 
-        // Epochs (and their checkpoints) exist only under Ladon ordering.
-        let (orderer, pacemaker) = match cfg.protocol {
+        // Vanilla instances rank blocks at their rounds: Algorithm 1
+        // confirms the pre-determined order. RCC's lag-based removal is
+        // not modelled, so it is ISS.
+        let mut ladon = match cfg.protocol {
             ProtocolKind::LadonPbft | ProtocolKind::LadonOptPbft | ProtocolKind::LadonHotStuff => {
-                // Epoch 0's boundary: the pacemaker starts there.
-                let mut o = LadonOrderer::new(m);
-                o.set_ceiling(sys.rank_range(Epoch(0)).1);
-                (Orderer::Ladon(o), Some(EpochPacemaker::new(sys)))
+                LadonOrderer::new(m)
             }
-            // Vanilla instances rank blocks at their rounds: Algorithm 1
-            // confirms the pre-determined order. RCC's lag-based removal
-            // is not modelled, so it is ISS.
-            ProtocolKind::IssPbft
-            | ProtocolKind::IssHotStuff
-            | ProtocolKind::RccPbft
-            | ProtocolKind::MirPbft => (Orderer::Ladon(LadonOrderer::pre_determined(m)), None),
-            ProtocolKind::DqbftPbft => (Orderer::Dqbft(DqbftOrderer::new(m)), None),
+            _ => LadonOrderer::pre_determined(m),
+        };
+        // Epoch 0's boundary: the pacemaker starts there.
+        ladon.set_ceiling(sys.rank_range(Epoch(0)).1);
+        let orderer = match cfg.protocol {
+            ProtocolKind::DqbftPbft => Orderer::Dqbft(DqbftOrderer::new(m)),
+            _ => Orderer::Ladon(ladon),
         };
 
         let applied_at_start = exec.applied();
@@ -259,7 +259,7 @@ impl MultiBftNode {
             slots,
             cur_rank: RankCert::genesis(sys.rank_range(Epoch(0)).0),
             orderer,
-            pacemaker,
+            pacemaker: EpochPacemaker::new(sys),
             exec,
             sync: StateTransfer::new(cfg.me.as_usize(), sys.n, m + extra),
             ckpt_traced_upto: applied_at_start,
@@ -303,9 +303,9 @@ impl MultiBftNode {
         self.cur_rank.rank
     }
 
-    /// Current epoch (Ladon protocols; 0 otherwise).
+    /// Current epoch (always 0 under DQBFT).
     pub fn epoch(&self) -> u64 {
-        self.pacemaker.as_ref().map(|p| p.epoch().0).unwrap_or(0)
+        self.pacemaker.epoch().0
     }
 
     fn pace_interval(&self) -> TimeNs {
@@ -453,7 +453,7 @@ impl MultiBftNode {
     /// epoch, so installers can fast-forward consensus intake, not just
     /// the state machine.
     fn close_epoch_if_ordered(&mut self, out: &mut Vec<Output>) {
-        if self.pacemaker.as_ref().is_none_or(EpochPacemaker::closed) {
+        if self.pacemaker.closed() {
             return;
         }
         let Orderer::Ladon(o) = &self.orderer else {
@@ -492,11 +492,8 @@ impl MultiBftNode {
     /// signed, mirrors its conflict count and enters the epoch it
     /// reports.
     fn pace(&mut self, input: EpochInput<'_>, out: &mut Vec<Output>) {
-        let Some(pm) = &mut self.pacemaker else {
-            return;
-        };
-        let step = pm.step(input, &self.cfg.registry);
-        self.metrics.root_conflicts = pm.root_conflicts;
+        let step = self.pacemaker.step(input, &self.cfg.registry);
+        self.metrics.root_conflicts = self.pacemaker.root_conflicts;
         if let Some(cp) = step.signed {
             out.push(Output::Broadcast(NodeMsg::Checkpoint(cp)));
         }
@@ -716,7 +713,7 @@ impl MultiBftNode {
     /// edge and its own votes start counting again. Call once per probe:
     /// refreshes the hysteresis state.
     fn sync_lagging(&mut self) -> bool {
-        let mut lagging = self.pacemaker.as_ref().is_some_and(|p| p.lag_evidence());
+        let mut lagging = self.pacemaker.lag_evidence();
         for (i, inst) in self.slots.iter().enumerate() {
             if let Some(lag) = inst.lag_evidence() {
                 lagging |= lag.future_epoch_backlog;
@@ -785,10 +782,7 @@ impl MultiBftNode {
         }
         // A served snapshot's checkpoint doubles as the epoch proof.
         let mut resp = self.serve_snapshot(req).unwrap_or_else(|| SyncResponse {
-            checkpoint: self
-                .pacemaker
-                .as_ref()
-                .and_then(|pm| pm.proof_for(req.epoch)),
+            checkpoint: self.pacemaker.proof_for(req.epoch),
             ..SyncResponse::default()
         });
         resp.entries = self.serve_entries(req);
@@ -838,7 +832,6 @@ impl MultiBftNode {
             .filter(|snap| snapshot_worthwhile(snap.head.applied, req.applied, min_lag))?;
         let cp = self
             .pacemaker
-            .as_ref()?
             .stable_checkpoint(Epoch(snap.head.epoch))
             .filter(|cp| cp.state_root == snap.head.root)?;
         Some(SyncResponse {

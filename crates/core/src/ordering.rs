@@ -20,6 +20,12 @@
 //! every instance has a partially confirmed block: its ranks are not
 //! rounds, and a nil fill can carry rank 0 (epoch 0's `minRank`), so a
 //! tip started at rank 0 could confirm a block ahead of such a nil.
+//!
+//! Under every protocol it orders, the orderer holds the epoch boundary
+//! ([`LadonOrderer::set_ceiling`]), so the baselines close, checkpoint and
+//! drain epochs as Ladon does. With ranks fixed to rounds an epoch is a
+//! fixed range of rounds per instance: a vanilla instance does not stop
+//! at the boundary, and its rounds past it park until the next epoch.
 
 use ladon_types::{Block, InstanceId, OrderKey, Rank, Round, TimeNs};
 use std::collections::BTreeMap;
@@ -146,10 +152,14 @@ impl LadonOrderer {
     }
 
     /// Each instance's last partially confirmed round, once every tip's
-    /// rank equals the ceiling: the epoch is over, all of it is confirmed
-    /// and nothing after it, so the rounds are the same on every replica.
-    /// `None` while some instance has not reached the ceiling.
+    /// rank equals the ceiling and no candidate waits: the epoch is over,
+    /// all of it is confirmed and nothing after it, so the rounds are the
+    /// same on every replica. `None` while some instance has not reached
+    /// the ceiling, or while a hold keeps the epoch's blocks pending.
     pub fn epoch_frontier(&self) -> Option<Vec<u64>> {
+        if !self.pending.is_empty() {
+            return None;
+        }
         self.intake
             .iter()
             .map(|it| it.tip.filter(|t| t.rank == self.ceiling).map(|_| it.upto.0))
@@ -521,6 +531,27 @@ mod tests {
             assert_eq!(o.confirmed_count(), 4, "mir: {mir}");
             assert_eq!(o.waiting_count(), 0, "mir: {mir}");
         }
+    }
+
+    /// Under a hold the tips reach the ceiling while their blocks wait:
+    /// the epoch is not over until they confirm, or replicas would
+    /// checkpoint different prefixes.
+    #[test]
+    fn a_held_epoch_is_not_over_until_its_blocks_confirm() {
+        let t = TimeNs::from_secs(5);
+        let mut o = LadonOrderer::pre_determined(2);
+        assert!(o.set_ceiling(Rank(2)).is_empty());
+        o.hold_until(t);
+        for r in 1..=2 {
+            for i in 0..2 {
+                assert!(o.on_partial_commit(vanilla(i, r), TimeNs::ZERO).is_empty());
+                assert_eq!(o.epoch_frontier(), None, "held: instance {i} round {r}");
+            }
+        }
+        // Round 3 parks above the ceiling; the commit ends the hold.
+        let got = o.on_partial_commit(vanilla(0, 3), t);
+        assert_eq!(sns(&got), vec![0, 1, 2, 3]);
+        assert_eq!(o.epoch_frontier(), Some(vec![2, 2]));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!
 //! Nothing moves when the contiguous commit frontier (`committed_upto`)
 //! passes a round. [`PbftInstance::advance_epoch`] drains the rounds
-//! below the frontier the previous epoch began at, and
+//! below the round the previous epoch began at in the order, and
 //! [`PbftInstance::fast_forward`] those at or below its new frontier. So
 //! a replica keeps one to two epochs of committed history, however long
 //! it runs — a peer further behind is repaired from a stable checkpoint
@@ -420,7 +420,8 @@ pub struct PbftInstance {
     /// The liveness deadline: the round awaited and since when (see the
     /// module docs). While a view change is in flight it bounds that.
     deadline: Option<(Round, TimeNs)>,
-    /// The commit frontier when the current epoch began: a view change
+    /// The round after which the current epoch began in the order (the
+    /// last round ranked within the previous epoch): a view change
     /// reports the rounds above it, and the next epoch's advance drains
     /// the window below it.
     epoch_start_round: Round,
@@ -632,18 +633,27 @@ impl PbftInstance {
         cur: &mut RankCert,
     ) -> Vec<Action> {
         assert!(min > self.epoch_max, "epochs must advance forward");
+        let old_max = std::mem::replace(&mut self.epoch_max, max);
         self.epoch_min = min;
-        self.epoch_max = max;
+        // The new epoch begins in the order after the last committed round
+        // ranked within the old one: the frontier itself when the instance
+        // stopped at `maxRank`, an earlier round when it ran past the
+        // boundary (a vanilla one ranks each block at its round).
+        let mut begins = self.committed_upto;
+        while self.proposal(begins).is_some_and(|p| p.rank > old_max) {
+            begins = Round(begins.0 - 1);
+        }
         // Old-epoch certificates will not legitimately re-arrive; keep
         // the cert cache bounded by the live epoch.
         self.certs.advance_epoch(min);
-        // Committed history goes back to the frontier the previous epoch
-        // began at — one to two epochs, whatever their length in rounds.
-        // A view change reports only the current epoch's rounds, and a
-        // peer further behind is repaired from a stable checkpoint
-        // (§5.2.1); drained at the current epoch's start, the window would
-        // leave a peer a few rounds behind it nothing to fetch.
-        let keep_from = std::mem::replace(&mut self.epoch_start_round, self.committed_upto);
+        // Committed history goes back to where the previous epoch began
+        // in the order, what the checkpoint before last covers: one to two
+        // epochs, whatever their length in rounds. A view change reports
+        // only the rounds past where the current epoch began, and a peer
+        // further behind is repaired from a stable checkpoint (§5.2.1);
+        // drained any higher, the window would leave a peer a few rounds
+        // behind it, or behind the last checkpoint, nothing to fetch.
+        let keep_from = std::mem::replace(&mut self.epoch_start_round, begins);
         self.drain_below(keep_from);
         let keep_reports = Round(self.next_round.0.saturating_sub(2));
         self.rank_reports = self.rank_reports.split_off(&keep_reports);

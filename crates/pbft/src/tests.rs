@@ -1684,3 +1684,31 @@ fn the_log_keeps_the_previous_epoch_and_nothing_older() {
         "rounds held grew with the run: {held_after:?}"
     );
 }
+
+#[test]
+fn a_vanilla_instance_past_the_boundary_keeps_the_previous_epoch_in_the_order() {
+    // Eight ranks per epoch, and a vanilla block ranks at its round, so
+    // epoch 1 is rounds 8..=15 in the order. The instance never stops
+    // for an epoch: each advance finds its frontier an epoch past the
+    // boundary. The window still keeps where the previous epoch began in
+    // the order, not where the frontier stood at the previous advance.
+    const RANKS: u64 = 8;
+    let mut c = Cluster::new(4, RankMode::None, RANKS - 1);
+    for epoch in 1..=2u64 {
+        while c.nodes[1].committed_upto() < Round((epoch + 1) * RANKS - 1) {
+            let first = c.nodes[0].next_round().0 * 10;
+            c.propose_and_run(0, test_batch(first, 5));
+        }
+        for r in 0..4 {
+            let (min, max) = (Rank(epoch * RANKS), Rank(epoch * RANKS + RANKS - 1));
+            let actions = c.nodes[r].advance_epoch(min, max, c.now, &mut c.cur_ranks[r]);
+            c.absorb(r, actions);
+        }
+        c.run_to_quiescence();
+    }
+    assert_eq!(c.nodes[1].committed_upto(), Round(23));
+    let served = c.nodes[1].committed_entries_from(Round(RANKS - 1), 1);
+    let rounds: Vec<u64> = served.iter().map(|(b, _)| b.round().0).collect();
+    assert_eq!(rounds, [RANKS], "epoch 1's first round is served");
+    assert_eq!(c.nodes[1].oldest_round_held(), Some(Round(RANKS - 1)));
+}

@@ -3,8 +3,9 @@
 //! - `debug_run [ladon|opt|hs|iss|isshs|mir|rcc|dqbft] [n] [secs]` prints
 //!   per-replica pipeline state for a small run, in ten steps, then each
 //!   replica's totals, with the rounds of consensus state it still holds
-//!   (flat in `secs` under the Ladon protocols, whose instances trim at
-//!   every epoch). Useful when bringing up a new protocol composition.
+//!   (flat in `secs` under every protocol but DQBFT, whose replicas stay
+//!   in epoch 0: the others' instances trim at every epoch). Useful when
+//!   bringing up a new protocol composition.
 //! - `debug_run grid <protocol[,protocol…]|all> [seeds]` runs the 1 %
 //!   message-loss grid: `scenario(p, 4, 20.0).with_epoch_length(16)
 //!   .with_loss(0.01)` for 25 s per seed (`seeds` is `a-b` or a comma

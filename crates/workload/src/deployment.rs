@@ -178,7 +178,7 @@ impl Deployment {
     pub fn check(&self, replicas: &[usize]) -> Verdict {
         let evidence: Vec<_> = replicas
             .iter()
-            .map(|&r| (r, &self.node(r).metrics))
+            .map(|&r| (r, &self.node(r).metrics, self.node(r).confirmed_count()))
             .collect();
         oracle::check(&evidence)
     }

@@ -20,11 +20,11 @@
 //!   report fewer epochs.
 //! - **Dense execution**: no pipeline was handed a confirmed block above
 //!   its next expected `sn` (`exec_gaps == 0`).
-//! - **Dense log**: every `sn` below a replica's confirm frontier is in
-//!   its confirm log or counted as skipped by a snapshot install
-//!   (`skipped_sns`), never both and never neither. The frontier is the
-//!   last record's `sn + 1`; a log with skips and no record yet ends at
-//!   its last install's `applied`, which is all its installs skipped.
+//! - **Dense log**: every block a replica's orderer confirmed
+//!   ([`ladon_core::MultiBftNode::confirmed_count`]) is in its confirm log
+//!   or counted as skipped by a snapshot install (`skipped_sns`), never
+//!   both and never neither: records and skips add up to that count,
+//!   whether the replica's last event was a confirm or an install.
 //! - **No foreign quorum**: no replica saw a checkpoint quorum form on a
 //!   root it did not execute (`root_conflicts == 0`).
 //!
@@ -35,8 +35,9 @@ use ladon_core::NodeMetrics;
 use ladon_types::Digest;
 use std::collections::{BTreeMap, HashMap};
 
-/// One replica's id and what it recorded.
-pub type Evidence<'a> = (usize, &'a NodeMetrics);
+/// One replica's id, what it recorded, and how many blocks its orderer
+/// confirmed ([`ladon_core::MultiBftNode::confirmed_count`]).
+pub type Evidence<'a> = (usize, &'a NodeMetrics, u64);
 
 /// One broken safety property.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,12 +63,12 @@ pub enum Violation {
     /// above its next expected `sn`.
     ExecGaps { replica: usize, count: u64 },
     /// `replica`'s `records` confirm records and `skipped` sns do not
-    /// add up to its confirm `frontier`.
+    /// add up to the `confirmed` blocks its orderer confirmed.
     LogGap {
         replica: usize,
         records: u64,
         skipped: u64,
-        frontier: u64,
+        confirmed: u64,
     },
     /// `replica` saw `count` checkpoint quorums form on a root it did not
     /// execute.
@@ -106,7 +107,7 @@ type Confirmed = (u32, u64, u64, bool, u32, u128);
 /// disagreement whenever any pair has one.
 pub fn agreement(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
     let mut first: HashMap<u64, (usize, Confirmed)> = HashMap::new();
-    for &(b, metrics) in replicas {
+    for &(b, metrics, _) in replicas {
         for c in &metrics.confirms {
             let block = (
                 c.instance,
@@ -127,7 +128,7 @@ pub fn agreement(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
 /// Reports every confirmed block whose rank does not rise above the
 /// previous block of its instance in the same replica's log.
 fn ranks_rise(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
-    for &(replica, metrics) in replicas {
+    for &(replica, metrics, _) in replicas {
         let mut last: HashMap<u32, u64> = HashMap::new();
         for c in &metrics.confirms {
             if last
@@ -149,7 +150,7 @@ fn ranks_rise(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) {
 /// one whose roots are not unanimous.
 fn epoch_roots(replicas: &[Evidence<'_>], out: &mut Vec<Violation>) -> u64 {
     let mut by_epoch: BTreeMap<u64, Vec<(usize, Digest)>> = BTreeMap::new();
-    for &(r, metrics) in replicas {
+    for &(r, metrics, _) in replicas {
         for &(_, epoch, root) in &metrics.state_roots {
             by_epoch.entry(epoch).or_default().push((r, root));
         }
@@ -173,19 +174,18 @@ pub fn check(replicas: &[Evidence<'_>]) -> Verdict {
     agreement(replicas, &mut violations);
     ranks_rise(replicas, &mut violations);
     let shared_epochs = epoch_roots(replicas, &mut violations);
-    for &(replica, metrics) in replicas {
+    for &(replica, metrics, confirmed) in replicas {
         if metrics.exec_gaps > 0 {
             let count = metrics.exec_gaps;
             violations.push(Violation::ExecGaps { replica, count });
         }
         let (records, skipped) = (metrics.confirms.len() as u64, metrics.skipped_sns);
-        let frontier = metrics.confirms.last().map_or(skipped, |last| last.sn + 1);
-        if records + skipped != frontier {
+        if records + skipped != confirmed {
             violations.push(Violation::LogGap {
                 replica,
                 records,
                 skipped,
-                frontier,
+                confirmed,
             });
         }
         if metrics.root_conflicts > 0 {
@@ -224,8 +224,14 @@ mod tests {
         m
     }
 
+    /// Judges `nodes` as replicas whose orderers confirmed exactly up to
+    /// their last record, or their skips when they recorded nothing.
     fn judge(nodes: &[NodeMetrics]) -> Verdict {
-        check(&nodes.iter().enumerate().collect::<Vec<_>>())
+        let confirmed = |m: &NodeMetrics| m.confirms.last().map_or(m.skipped_sns, |c| c.sn + 1);
+        let evidence: Vec<_> = (nodes.iter().enumerate())
+            .map(|(r, m)| (r, m, confirmed(m)))
+            .collect();
+        check(&evidence)
     }
 
     #[test]
@@ -327,22 +333,29 @@ mod tests {
             skipped_sns: 7,
             ..NodeMetrics::default()
         };
-        judge(&[synced]).assert_safe();
+        check(&[(0, &synced, 7)]).assert_safe();
+        // A log whose last event is an install: sn 0 recorded, then a
+        // snapshot applied through sn 59 skipped the other 59.
+        let installed = NodeMetrics {
+            skipped_sns: 59,
+            ..log(0..1)
+        };
+        check(&[(0, &installed, 60)]).assert_safe();
         // Sns 2..7 neither recorded nor counted as skipped.
         let mut holed = log(0..2);
         holed.confirms.extend(log(7..10).confirms);
         assert_eq!(
-            judge(&[holed.clone()]).violations,
+            check(&[(0, &holed, 10)]).violations,
             vec![Violation::LogGap {
                 replica: 0,
                 records: 5,
                 skipped: 0,
-                frontier: 10
+                confirmed: 10
             }]
         );
         // Counted twice: skipped and recorded.
         holed.skipped_sns = 6;
-        assert!(!judge(&[holed]).violations.is_empty());
+        assert!(!check(&[(0, &holed, 10)]).violations.is_empty());
     }
 
     #[test]

@@ -94,13 +94,17 @@ fn straggler_slows_epoch_boundaries_but_not_confirmation() {
 /// commitment — at the end no more than `lag_per_instance` blocks per
 /// instance wait for the global order, however many epoch boundaries were
 /// crossed (a stall leaves hundreds) — and that at least `min_epochs`
-/// were.
+/// were. Under every protocol but DQBFT, which stays in epoch 0, each
+/// replica also ends holding at most three epochs of rounds per
+/// instance: every advance drained its windows.
 fn assert_confirms_keep_pace(protocol: ProtocolKind, min_epochs: usize, lag_per_instance: usize) {
     let cfg = ExperimentConfig::scenario(protocol, 4, 10.0).with_epoch_length(16);
     let mut c = Deployment::build(&cfg);
     c.run_secs(10.0);
     c.check(&[0, 1, 2, 3]).assert_safe();
-    let m = c.node_config(0).sys.m;
+    let sys = c.node_config(0).sys;
+    let m = sys.m;
+    let bound = 3 * sys.epoch_length as usize * m;
     for r in 0..4 {
         let node = c.node(r);
         // (DQBFT's ordering instance, index m, commits sequencing
@@ -119,6 +123,11 @@ fn assert_confirms_keep_pace(protocol: ProtocolKind, min_epochs: usize, lag_per_
             "{protocol:?} replica {r}: {commits} commits, {confirms} confirms, epochs {:?}",
             node.metrics.epochs
         );
+        assert!(
+            protocol == ProtocolKind::DqbftPbft || node.rounds_held() <= bound,
+            "{protocol:?} replica {r} holds {} rounds, over {bound}",
+            node.rounds_held()
+        );
     }
 }
 
@@ -134,18 +143,20 @@ fn hotstuff_liveness() {
 #[test]
 fn every_protocol_keeps_confirming_across_epoch_boundaries() {
     use ProtocolKind::*;
-    // The baselines have no epochs to cross: the lag bound only. A DQBFT
+    // Every protocol Algorithm 1 orders crosses epochs and drains its
+    // windows at each advance. DQBFT's sequencer reports no epoch frontier,
+    // so it stays in epoch 0 and never drains: the lag bound only. A DQBFT
     // block waits one more consensus round, on the ordering instance, so
     // about two per instance are in flight at any instant.
     for (protocol, min_epochs, lag_per_instance) in [
         (LadonPbft, 2, 1),
         (LadonOptPbft, 2, 1),
         (LadonHotStuff, 2, 1),
-        (IssPbft, 0, 1),
-        (RccPbft, 0, 1),
-        (MirPbft, 0, 1),
+        (IssPbft, 2, 1),
+        (RccPbft, 2, 1),
+        (MirPbft, 2, 1),
         (DqbftPbft, 0, 3),
-        (IssHotStuff, 0, 1),
+        (IssHotStuff, 2, 1),
     ] {
         assert_confirms_keep_pace(protocol, min_epochs, lag_per_instance);
     }

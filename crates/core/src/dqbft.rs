@@ -16,6 +16,17 @@
 //! sequenced sequences nothing. A reference to no data instance (the
 //! ordering instance `m`, or above) names no block that will ever
 //! commit, so every replica drops it alike when its batch is sequenced.
+//! So is a reference more than [`VOTE_WINDOW`] rounds past its
+//! instance's sequenced frontier: an honest cut never names one
+//! ([`DqbftOrderer::cut_refs`] stays inside that window), and such a
+//! reference (a Byzantine ordering leader's `(i, u64::MAX)`, say) would
+//! queue every later reference behind a run that may never end. The
+//! rule reads the sequenced stream alone, so every replica drops the
+//! same references. What stays open: a Byzantine ordering leader's
+//! reference inside the window to a round its instance has not committed
+//! yet still holds every later reference until the instance commits
+//! that far, up to [`VOTE_WINDOW`] rounds at the instance's pace; no
+//! view change of the ordering instance undoes a sequenced reference.
 //!
 //! The state is bounded by what is in flight: the blocks committed and
 //! not yet confirmed, two frontiers per instance (the last round
@@ -36,6 +47,7 @@
 //!    violations Table 2 reports for DQBFT.
 
 use crate::ordering::{ConfirmedBlock, GlobalOrderer};
+use ladon_pbft::VOTE_WINDOW;
 use ladon_types::{Block, TimeNs};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -88,13 +100,22 @@ impl DqbftOrderer {
 
     /// Up to `max` references for the next ordering proposal: each
     /// instance's committed rounds that continue from the last one cut
-    /// or sequenced, with no gap, sorted into the canonical
-    /// `(round, instance)` interleave. Empty when there is nothing to
-    /// propose.
+    /// or sequenced, with no gap and at most [`VOTE_WINDOW`] past the
+    /// last one sequenced, sorted into the canonical `(round, instance)`
+    /// interleave. Empty when there is nothing to propose.
     pub fn cut_refs(&mut self, max: usize) -> Vec<BlockRef> {
         let mut refs: Vec<BlockRef> = Vec::new();
         for (&i, tip) in &self.tips {
-            let rounds = (tip.cut..=u64::MAX).skip(1).take(max);
+            // Only rounds `on_sequenced` keeps. A cut frontier at the
+            // window's edge (its batches nil-filled) restarts from the
+            // sequenced one: a reference to a sequenced round is moot.
+            let last = tip.sequenced.saturating_add(VOTE_WINDOW);
+            let from = if tip.cut < last {
+                tip.cut
+            } else {
+                tip.sequenced
+            };
+            let rounds = (from + 1..=last).take(max);
             refs.extend(
                 rounds
                     .take_while(|&r| self.blocks.contains_key(&(i, r)))
@@ -131,7 +152,7 @@ impl DqbftOrderer {
             self.sequenced_upto += 1;
             for (i, r) in batch.into_iter().filter(|&(i, _)| (i as usize) < self.m) {
                 let tip = self.tips.entry(i).or_default();
-                if r > tip.sequenced {
+                if r > tip.sequenced && r - tip.sequenced <= VOTE_WINDOW {
                     self.sequenced.push_back((i, tip.sequenced + 1, r));
                     tip.sequenced = r;
                     tip.cut = tip.cut.max(r);
@@ -323,7 +344,7 @@ mod tests {
     fn a_reference_to_the_last_round_confirms_what_committed_and_waits() {
         let mut o = DqbftOrderer::new(3);
         o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO);
-        let got = o.on_sequenced(1, &[(0, u64::MAX)], TimeNs::ZERO);
+        let got = o.on_sequenced(1, &[(0, VOTE_WINDOW)], TimeNs::ZERO);
         assert_eq!(got.len(), 1);
         // One run stands for the whole range: nothing per round is held.
         assert_eq!(o.sequenced.len(), 1);
@@ -345,5 +366,44 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].block.index(), InstanceId(0));
         assert!(o.cut_refs(10).is_empty(), "no tip for the dropped instance");
+    }
+
+    #[test]
+    fn a_reference_past_the_window_is_dropped() {
+        // A Byzantine ordering leader names instance 0's last round: a
+        // run from round 1 to it would hold every later reference behind
+        // instance 0 for good.
+        let mut o = DqbftOrderer::new(3);
+        assert!(o.on_sequenced(1, &[(0, u64::MAX)], TimeNs::ZERO).is_empty());
+        assert!(o.on_sequenced(2, &[(1, 1)], TimeNs::ZERO).is_empty());
+        let got = o.on_partial_commit(blk(1, 1, 0), TimeNs::ZERO);
+        assert_eq!(got.len(), 1, "(1, 1) confirms");
+        assert_eq!(got[0].block.index(), InstanceId(1));
+        // Instance 0 is sequenced where it was, so an honest reference
+        // one window past its frontier still counts.
+        let got = o.on_sequenced(3, &[(0, VOTE_WINDOW + 1)], TimeNs::ZERO);
+        assert!(got.is_empty());
+        assert_eq!(o.sequenced.len(), 0, "one past the window is dropped");
+        o.on_sequenced(4, &[(0, VOTE_WINDOW)], TimeNs::ZERO);
+        assert_eq!(o.on_partial_commit(blk(0, 1, 0), TimeNs::ZERO).len(), 1);
+    }
+
+    #[test]
+    fn a_cut_stays_inside_the_window() {
+        let mut o = DqbftOrderer::new(3);
+        for r in 1..=VOTE_WINDOW + 2 {
+            o.on_partial_commit(blk(0, r, 0), TimeNs::ZERO);
+        }
+        let window: Vec<BlockRef> = (1..=VOTE_WINDOW).map(|r| (0, r)).collect();
+        assert_eq!(o.cut_refs(2048), window);
+        // The batch was nil-filled: the cut frontier sits at the window's
+        // edge, so the next cut names the same rounds again.
+        assert!(o.on_sequenced(1, &[], TimeNs::ZERO).is_empty());
+        assert_eq!(o.cut_refs(2048), window);
+        assert_eq!(o.on_sequenced(2, &window, TimeNs::ZERO).len(), window.len());
+        assert_eq!(
+            o.cut_refs(2048),
+            [(0, VOTE_WINDOW + 1), (0, VOTE_WINDOW + 2)]
+        );
     }
 }

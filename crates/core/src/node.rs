@@ -13,8 +13,9 @@
 //!   sequencer reports no epoch frontier, so a DQBFT replica stays in
 //!   epoch 0);
 //! - the synthetic mempool fed by relayed client transaction groups;
-//! - per-instance proposal pacing (the paper's fixed total block rate),
-//!   straggler / Byzantine / crash behavior injection;
+//! - per-instance proposal pacing (the paper's fixed total block rate;
+//!   HotStuff's epoch-flush dummies go out unpaced), straggler /
+//!   Byzantine / crash behavior injection;
 //! - metrics used by every figure and table.
 //!
 //! A replica is one state machine with one entry point,
@@ -610,18 +611,23 @@ impl MultiBftNode {
         }
     }
 
+    /// Proposes on instance `i` when this replica leads it and may. A
+    /// real batch waits for a [`Timer::Pace`] tick (`want_propose` holds
+    /// a tick that found the instance not ready), so batches stay on the
+    /// instance's grid. An epoch-flush dummy (HotStuff's three after
+    /// `maxRank`) carries nothing to pace: it goes out as soon as the
+    /// leader holds its parent's QC, so the flush takes three quorum
+    /// round trips, not three intervals. A straggler paces every
+    /// proposal, dummies included: its slowness is the straggler model.
     fn try_propose(&mut self, i: usize, out: &mut Vec<Output>) {
-        if !self.want_propose[i] {
+        // Phase 1 (immutable): readiness and batch characteristics.
+        let is_dummy = self.slots[i].next_is_dummy();
+        let eager = is_dummy && !self.is_straggler();
+        if !(self.want_propose[i] || eager) || !self.slots[i].can_propose() {
             return;
         }
         let m = self.cfg.sys.m;
         let batch_size = self.cfg.sys.batch_size;
-
-        // Phase 1 (immutable): readiness and batch characteristics.
-        if !self.slots[i].can_propose() {
-            return;
-        }
-        let is_dummy = self.slots[i].next_is_dummy();
 
         // Phase 2: cut the batch from the appropriate source.
         let batch = if i == m {

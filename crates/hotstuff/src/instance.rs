@@ -21,11 +21,16 @@
 //! proposal is a dummy while the highest certified node sits at
 //! `maxRank`, and the instance has stopped once it committed that node.
 //! A view change's new leader therefore carries on with the flush
-//! instead of proposing a second `maxRank` block, and a backup refuses a
-//! real node that does not rank above its parent: Algorithm 1's bar
-//! needs an instance's next block to rank strictly above its last. A
-//! vanilla backup refuses a node not ranked at its height, or marked a
-//! dummy: the pre-determined order ranks each block at its round.
+//! instead of proposing a second `maxRank` block. A dummy carries no
+//! batch, so the hosting node does not pace it: the leader proposes each
+//! as soon as [`HsInstance::can_propose`] holds (it holds the previous
+//! node's QC), and the flush takes three quorum round trips rather than
+//! three block intervals. Only a straggler paces its dummies like its
+//! batches. A backup refuses a real node that does not rank above its
+//! parent: Algorithm 1's bar needs an instance's next block to rank
+//! strictly above its last. A vanilla backup refuses a node not ranked
+//! at its height, or marked a dummy: the pre-determined order ranks each
+//! block at its round.
 //!
 //! A backup votes under chained HotStuff's lock: it locks the
 //! grandparent of each proposal it accepts and refuses one that neither
@@ -73,6 +78,7 @@
 //! | voted at height `h` | height `h + 1`, from the vote (unless already settled) | a `NewView` to the next view's leader, unless the height settled meanwhile or this leader stopped for the epoch |
 //! | nothing committed yet on this replica | none until the host's first commit on any instance ([`HsInstance::wait_from`]) | as after a vote |
 //! | a leader that installed a view from `NewView`s | none until it votes for its own proposal | — |
+//! | leading, the highest certified node at `maxRank` ([`HsInstance::next_is_dummy`]) | as after a vote | none needed: the host proposes the next flush dummy on the QC that made it ready, without waiting for a pace tick (a straggler waits for one) |
 //! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(a)) |
 //! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(a)) |
 //!

@@ -165,13 +165,13 @@ impl Deployment {
         self.engine.restart_actor(r, Box::new(node));
     }
 
-    /// The highest `sn` replica `r` has confirmed (its log frontier), or 0
-    /// for an empty log. A replica that fast-forwarded over a snapshot has
-    /// a *gap* in its confirm records but the same frontier as its peers,
-    /// so progress comparisons should use this, not log length.
+    /// The highest `sn` replica `r`'s orderer has confirmed, or 0 before
+    /// any. A replica that fast-forwarded over a snapshot has a *gap* in
+    /// its confirm records but the same frontier as its peers, even when
+    /// the install came last, so progress comparisons should use this,
+    /// not log length.
     pub fn confirmed_frontier(&self, r: usize) -> u64 {
-        let confirms = &self.node(r).metrics.confirms;
-        confirms.iter().map(|c| c.sn).max().unwrap_or(0)
+        self.node(r).confirmed_count().saturating_sub(1)
     }
 
     /// Judges `replicas` (the honest ones) with the safety oracle.

@@ -161,3 +161,102 @@ fn every_protocol_keeps_confirming_across_epoch_boundaries() {
         assert_confirms_keep_pace(protocol, min_epochs, lag_per_instance);
     }
 }
+
+/// Epoch-advance instants on replica 0, in seconds, of `protocol` at
+/// n = 4 with 16-rank epochs and a fifth of the load (blocks small
+/// enough that no NIC queue moves a proposal), over 12 s.
+fn advance_times(protocol: ProtocolKind) -> (Vec<f64>, f64) {
+    let cfg = ExperimentConfig::scenario(protocol, 4, 12.0)
+        .with_epoch_length(16)
+        .load(0.2);
+    let mut c = Deployment::build(&cfg);
+    c.run_secs(12.0);
+    c.check(&[0, 1, 2, 3]).assert_safe();
+    let sys = c.node_config(0).sys;
+    let epoch = sys.epoch_length as f64 * sys.proposal_interval().as_secs_f64();
+    let times = c.node(0).metrics.epochs.iter();
+    (times.map(|(t, _)| t.as_secs_f64()).collect(), epoch)
+}
+
+/// Asserts that consecutive advances lie one epoch of pace ticks apart,
+/// give or take `slack` seconds.
+fn assert_on_the_pace_grid(protocol: ProtocolKind, times: &[f64], epoch: f64, slack: f64) {
+    assert!(times.len() >= 4, "{protocol:?}: advances at {times:?}");
+    for w in times.windows(2) {
+        let gap = w[1] - w[0];
+        assert!(
+            (gap - epoch).abs() < slack,
+            "{protocol:?}: advances at {times:?}, {gap:.4} s apart, not {epoch} s"
+        );
+    }
+}
+
+#[test]
+fn ladon_hotstuff_flush_keeps_epochs_on_the_pace_grid() {
+    // The three dummies after each instance's `maxRank` node go out on
+    // their parents' QCs, not on pace ticks: an epoch of 16 ranks lasts
+    // 16 intervals (2 s), not 19.
+    let (times, epoch) = advance_times(ProtocolKind::LadonHotStuff);
+    assert_on_the_pace_grid(ProtocolKind::LadonHotStuff, &times, epoch, 0.005);
+}
+
+#[test]
+fn iss_hotstuff_has_no_flush_and_keeps_its_epoch_clock() {
+    // A vanilla instance proposes no dummy, so ISS-HotStuff's advances
+    // stay where they were (the first at 2.2357 s), and Ladon-HotStuff's
+    // epochs now last exactly as long as its.
+    let (iss, epoch) = advance_times(ProtocolKind::IssHotStuff);
+    assert!((iss[0] - 2.2357).abs() < 0.001, "ISS-HotStuff: {iss:?}");
+    assert_on_the_pace_grid(ProtocolKind::IssHotStuff, &iss, epoch, 0.001);
+    let (ladon, _) = advance_times(ProtocolKind::LadonHotStuff);
+    for (l, i) in ladon.windows(2).zip(iss.windows(2)) {
+        let (gl, gi) = (l[1] - l[0], i[1] - i[0]);
+        assert!(
+            (gl - gi).abs() < 0.005,
+            "Ladon {ladon:?} against ISS {iss:?}"
+        );
+    }
+}
+
+#[test]
+fn a_stragglers_flush_keeps_its_pace() {
+    // Replica 1 leads instance 1 at a tenth of the rate. Its slowness is
+    // the straggler model, dummies included: each of its `maxRank` blocks
+    // commits three of its intervals after it was proposed. Every other
+    // instance's commits within one normal interval.
+    let k = 10.0;
+    let cfg = ExperimentConfig::scenario(ProtocolKind::LadonHotStuff, 4, 30.0)
+        .with_epoch_length(16)
+        .load(0.2)
+        .with_straggler_ids(&[1], k);
+    let mut c = Deployment::build(&cfg);
+    c.run_secs(30.0);
+    c.check(&[0, 1, 2, 3]).assert_safe();
+    let sys = c.node_config(0).sys;
+    let interval = sys.proposal_interval().as_secs_f64();
+    let m = &c.node(0).metrics;
+    let mut flushes = 0;
+    for cf in m
+        .confirms
+        .iter()
+        .filter(|cf| (cf.rank + 1) % sys.epoch_length == 0)
+    {
+        let commit = m
+            .commits
+            .iter()
+            .find(|c| (c.instance, c.round) == (cf.instance, cf.round));
+        let took = commit.unwrap().time.as_secs_f64() - cf.proposed_at.as_secs_f64();
+        let (lo, hi) = match cf.instance {
+            1 => (3.0 * k * interval, (3.0 * k + 1.0) * interval),
+            _ => (0.0, interval),
+        };
+        assert!(
+            (lo..hi).contains(&took),
+            "instance {}'s rank-{} block committed {took:.4} s after it was proposed",
+            cf.instance,
+            cf.rank
+        );
+        flushes += usize::from(cf.instance == 1);
+    }
+    assert!(flushes >= 3, "the straggler flushed {flushes} epochs");
+}

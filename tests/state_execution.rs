@@ -390,6 +390,13 @@ fn disk_loss_recovers_via_peer_snapshot_install() {
 /// each HotStuff instance jumps to the snapshot's frontier on its
 /// certified chain, and the replica confirms on with its peers to the
 /// same frontier.
+///
+/// Replica 3 is last in every peer's multicast order, so it hears each
+/// full proposal one NIC slot (about 16 ms here) after the others and
+/// takes each epoch advance that much later. The frontiers are compared
+/// where no advance is in flight: once all four replicas share one
+/// epoch, which holds its confirmed prefix at the boundary until the
+/// next epoch's first 3-chain forms.
 #[test]
 fn a_hotstuff_replica_restarted_with_a_wiped_disk_rejoins() {
     let mut c =
@@ -397,7 +404,13 @@ fn a_hotstuff_replica_restarted_with_a_wiped_disk_rejoins() {
     c.run_secs(10.0);
     let wiped = ExecutionPipeline::in_memory_opts(c.sys.exec_keyspace, WalOptions::from(&c.sys));
     c.swap_replica(3, wiped);
-    c.run_secs(40.0);
+    let mut t = 40.0;
+    c.run_secs(t);
+    while (1..4).any(|r| c.node(r).epoch() != c.node(0).epoch()) {
+        assert!(t < 41.0, "an epoch advance stayed in flight for a second");
+        t += 0.01;
+        c.run_secs(t);
+    }
 
     assert!(c.node(3).metrics.snapshot_installs > 0);
     let fronts: Vec<u64> = (0..4).map(|r| c.confirmed_frontier(r)).collect();

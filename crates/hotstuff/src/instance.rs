@@ -3,9 +3,26 @@
 //! Mirrors [`ladon-pbft`]'s instance structure: a pure state machine with
 //! an [`Action`] output vocabulary, hosted by the Multi-BFT node. The
 //! chain grows one node per proposal; a node commits when its 3-chain
-//! successor is certified (observed through the justify QC of a later
-//! proposal). Ladon rank collection rides the vote path: every vote
-//! carries the voter's `curRank` and its certificate.
+//! successor is certified (observed through the QC the leader announces,
+//! or the justify QC of a later proposal). Ladon rank collection rides
+//! the vote path: every vote carries the voter's `curRank` and its
+//! certificate.
+//!
+//! The leader broadcasts each QC the moment it forms it
+//! ([`HsMsg::Qc`], basic HotStuff's Decide message). Chained HotStuff
+//! leaves that step out because its next proposal follows the QC at
+//! once; under a fixed block rate that proposal waits for the next pace
+//! tick, and a backup that learned the QC only from it would commit one
+//! block interval late. A backup accepts an announcement that names its
+//! instance, comes from the leader of the QC's view and verifies (through
+//! the cache, so the next proposal's `justify` is a hit), and runs on it
+//! the one rule that proposal's `justify` would run: with the QC's node
+//! at height `h` held, its ancestors through `h − 2` commit. Nothing else
+//! moves on an announcement — `generic_qc`, the lock, `curRank` and the
+//! deadline change only on proposals and votes — and every QC still
+//! reaches every replica inside a proposal (the epoch flush keeps its
+//! three dummies), so a lost announcement costs only what it saves. The
+//! leader itself commits through its own next proposal.
 //!
 //! The chain is one map, nodes by digest, and its shape is the nodes'
 //! parent links. A node commits because a certified 3-chain descends
@@ -28,9 +45,14 @@
 //! three block intervals. Only a straggler paces its dummies like its
 //! batches. A backup refuses a real node that does not rank above its
 //! parent: Algorithm 1's bar needs an instance's next block to rank
-//! strictly above its last. A vanilla backup refuses a node not ranked
-//! at its height, or marked a dummy: the pre-determined order ranks each
-//! block at its round.
+//! strictly above its last. A dummy ranks with its parent, at this
+//! epoch's `maxRank` — or it is the last epoch's third dummy, three
+//! heights above the `maxRank` node the backup committed: a backup that
+//! committed that node on an announced QC (below) may enter the next
+//! epoch before a paced leader's third dummy arrives, and the leader
+//! needs that dummy's QC to propose again. A vanilla backup refuses a node
+//! not ranked at its height, or marked a dummy: the pre-determined order
+//! ranks each block at its round.
 //!
 //! A backup votes under chained HotStuff's lock: it locks the
 //! grandparent of each proposal it accepts and refuses one that neither
@@ -81,6 +103,7 @@
 //! | leading, the highest certified node at `maxRank` ([`HsInstance::next_is_dummy`]) | as after a vote | none needed: the host proposes the next flush dummy on the QC that made it ready, without waiting for a pace tick (a straggler waits for one) |
 //! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(a)) |
 //! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(a)) |
+//! | a backup given the leader's announced QC of height `h` | unchanged: an announcement starts, replaces and ends none | unchanged: it commits through `h − 2` if it holds the QC's node, and nothing else moves |
 //!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
 
@@ -444,8 +467,9 @@ impl HsInstance {
         let mut out = Vec::new();
         match msg {
             HsMsg::Generic(g) => self.handle_generic(from, &g, now, cur, &mut out),
-            HsMsg::Vote(v) => self.handle_vote(from, v, cur),
+            HsMsg::Vote(v) => self.handle_vote(from, v, cur, &mut out),
             HsMsg::NewView(nv) => self.handle_new_view(from, nv),
+            HsMsg::Qc(qc) => self.handle_qc(from, &qc, &mut out),
         }
         out
     }
@@ -597,7 +621,7 @@ impl HsInstance {
         });
         let leader = self.leader_of(self.view);
         if leader == self.cfg.me {
-            self.handle_vote(self.cfg.me, vote, cur);
+            self.handle_vote(self.cfg.me, vote, cur, out);
         } else {
             out.push(Action::Send(leader, HsMsg::Vote(vote)));
         }
@@ -635,7 +659,21 @@ impl HsInstance {
         // Genesis has no rank to rise above: epoch 0 may end at rank 0.
         let parent = (!g.justify.is_genesis()).then(|| g.justify.rank());
         let in_order = if g.node.dummy {
-            g.node.rank == self.epoch_max && parent == Some(self.epoch_max)
+            // A dummy ranks with its parent, at this epoch's `maxRank` —
+            // or it is the last epoch's third dummy, three heights above
+            // the `maxRank` node this replica committed: a backup commits
+            // that node on the second dummy's announced QC, so its epoch
+            // may advance before the third dummy arrives from a paced
+            // leader, which needs the dummy's QC to propose again.
+            let third = |tip: &HsNode| {
+                !tip.dummy
+                    && tip.rank == g.node.rank
+                    && g.node.height.0 == tip.height.0 + 3
+                    && g.node.rank.0.checked_add(1) == Some(self.epoch_min.0)
+            };
+            parent == Some(g.node.rank)
+                && (g.node.rank == self.epoch_max
+                    || self.nodes.get(&self.committed_tip).is_some_and(third))
         } else {
             g.node.rank == Rank((g.rank_m.0 + 1).min(self.epoch_max.0))
                 && parent.is_none_or(|rank| g.node.rank > rank)
@@ -709,7 +747,13 @@ impl HsInstance {
         self.prune_below_tail();
     }
 
-    fn handle_vote(&mut self, from: ReplicaId, v: Arc<HsVote>, cur: &mut RankCert) {
+    fn handle_vote(
+        &mut self,
+        from: ReplicaId,
+        v: Arc<HsVote>,
+        cur: &mut RankCert,
+        out: &mut Vec<Action>,
+    ) {
         if v.instance != self.cfg.instance
             || self.leader_of(self.view) != self.cfg.me
             || from != v.sig.signer()
@@ -774,6 +818,9 @@ impl HsInstance {
                 // monotonicity — and with it global-order agreement, since
                 // ordering keys are (rank, instance).
                 self.adopt_rank(&qc, cur);
+                // Announced at once, so backups commit on it now rather
+                // than when the next proposal carries it.
+                out.push(Action::Broadcast(HsMsg::Qc(qc.clone())));
                 // Not moot, so above every height certified so far.
                 self.generic_qc = qc;
             }
@@ -785,6 +832,26 @@ impl HsInstance {
             self.votes
                 .retain(|_, m| m.values().next().is_some_and(|v| v.height > horizon));
         }
+    }
+
+    /// A QC the leader of its view announced: the commit rule the next
+    /// proposal's `justify` would run, `commit_through(h − 2, node)`, run
+    /// now. It commits nothing unless this replica holds the certified
+    /// node (the walk starts from it). Nothing else moves: `generic_qc`,
+    /// the lock, `curRank` and the deadline change only on the proposal
+    /// and vote paths. The certificate is verified through the cache, so
+    /// the next proposal's `justify` is a hit.
+    fn handle_qc(&mut self, from: ReplicaId, qc: &HsQc, out: &mut Vec<Action>) {
+        let cert = qc.cert();
+        if cert.instance != self.cfg.instance
+            || from != self.leader_of(cert.view)
+            || !qc.verified(&self.certs)
+        {
+            self.rejected += 1;
+            return;
+        }
+        let below = Round(qc.height().0.saturating_sub(2));
+        self.commit_through(below, qc.node(), out);
     }
 
     /// When the liveness deadline started, if the instance waits on one.
@@ -904,6 +971,9 @@ mod tests {
         /// Clock handed to every handler.
         now: TimeNs,
         n: usize,
+        /// While set, the leader's QC announcements are kept here, one
+        /// per recipient, instead of being delivered.
+        held_qcs: Option<Vec<(usize, ReplicaId, HsMsg)>>,
     }
 
     impl HsCluster {
@@ -932,6 +1002,7 @@ mod tests {
                 queue: Default::default(),
                 now: TimeNs::ZERO,
                 n,
+                held_qcs: None,
             }
         }
 
@@ -940,8 +1011,11 @@ mod tests {
                 match a {
                     Action::Broadcast(m) => {
                         for to in 0..self.n {
-                            if to != who {
-                                self.queue.push_back((to, ReplicaId(who as u32), m.clone()));
+                            let sent = (to, ReplicaId(who as u32), m.clone());
+                            match (&mut self.held_qcs, &m) {
+                                _ if to == who => {}
+                                (Some(held), HsMsg::Qc(_)) => held.push(sent),
+                                _ => self.queue.push_back(sent),
                             }
                         }
                     }
@@ -975,6 +1049,26 @@ mod tests {
             self.queue
                 .retain(|(to, _, m)| !(miss.contains(to) && matches!(m, HsMsg::Generic(_))));
             self.run();
+        }
+
+        /// [`Self::propose`], with the QC announced for the proposal kept
+        /// from the replicas and returned, one message per recipient.
+        fn propose_holding_qc(
+            &mut self,
+            leader: usize,
+            b: Batch,
+        ) -> Vec<(usize, ReplicaId, HsMsg)> {
+            self.held_qcs = Some(Vec::new());
+            self.propose(leader, b);
+            self.held_qcs.take().expect("set above")
+        }
+
+        /// Delivers `msg` from `from` to replica `to` and reports its
+        /// actions after absorbing them.
+        fn deliver(&mut self, to: usize, from: ReplicaId, msg: HsMsg) -> Vec<Action> {
+            let acts = self.nodes[to].on_message(from, msg, self.now, &mut self.curs[to]);
+            self.absorb(to, acts.clone());
+            acts
         }
 
         /// Moves `replicas` to the epoch ranked `min..=max`, delivering
@@ -1023,22 +1117,203 @@ mod tests {
     #[test]
     fn three_chain_commit_rule() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
-        // Heights 1..=3 proposed: nothing commits yet (3-chain not full).
-        for i in 0..3u64 {
+        // Heights 1 and 2 certified: nothing commits yet (3-chain not full).
+        for i in 0..2u64 {
             c.propose(0, batch(i * 10, 5));
         }
         assert!(c.committed.iter().all(|l| l.is_empty()));
-        // Height 4 commits height 1.
-        c.propose(0, batch(30, 5));
-        for l in &c.committed {
+        // Height 3's QC completes the 3-chain over height 1: the backups
+        // commit it on the leader's announcement, the leader on height 4.
+        c.propose(0, batch(20, 5));
+        assert!(c.committed[0].is_empty());
+        for l in &c.committed[1..] {
             assert_eq!(l.len(), 1);
             assert_eq!(l[0].round(), Round(1));
         }
-        // Height 5 commits height 2.
+        // Height 4 commits height 1 on the leader, and its QC height 2 on
+        // the backups; height 5 commits height 2 on the leader.
+        c.propose(0, batch(30, 5));
+        assert_eq!(c.committed[0].len(), 1);
+        assert_eq!(c.committed[0][0].round(), Round(1));
         c.propose(0, batch(40, 5));
         for l in &c.committed {
-            assert_eq!(l.len(), 2);
+            assert_eq!(l[1].round(), Round(2));
         }
+        assert_eq!(c.committed[0].len(), 2);
+    }
+
+    /// What an announcement must leave as it is: `generic_qc`, the lock,
+    /// `curRank` and the deadline.
+    type ChainState = (HsQc, (Round, Digest), RankCert, Option<(Round, TimeNs)>);
+
+    fn chain_state(c: &HsCluster, r: usize) -> ChainState {
+        let node = &c.nodes[r];
+        (
+            node.generic_qc.clone(),
+            node.locked,
+            c.curs[r].clone(),
+            node.deadline,
+        )
+    }
+
+    #[test]
+    fn a_backup_commits_on_the_announced_qc_and_moves_nothing_else() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..2u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let held = c.propose_holding_qc(0, batch(20, 5));
+        assert!(c.committed.iter().all(|l| l.is_empty()));
+        let (to, from, qc) = held
+            .into_iter()
+            .find(|(to, ..)| *to == 1)
+            .expect("one per backup");
+        let HsMsg::Qc(cert) = &qc else {
+            panic!("the leader announces its QC: {qc:?}");
+        };
+        assert_eq!(cert.height(), Round(3));
+        c.now = TimeNs::from_millis(50);
+        let before = chain_state(&c, 1);
+        // QC(3) commits height 1 before proposal 4 exists, and nothing
+        // else: the backup's genericQC is still height 2's QC.
+        c.deliver(to, from, qc);
+        assert_eq!(c.first_txs(1), [0]);
+        assert_eq!(c.nodes[1].committed_upto(), Round(1));
+        assert_eq!(chain_state(&c, 1), before);
+        assert_eq!(before.0.height(), Round(2));
+        assert_eq!(c.nodes[1].rejected, 0);
+        // Proposal 4 carries the same QC and commits nothing more.
+        let held = c.propose_holding_qc(0, batch(30, 5));
+        assert_eq!(c.first_txs(1), [0]);
+        assert_eq!(c.first_txs(0), [0]);
+        assert_eq!(held.len(), 3);
+    }
+
+    #[test]
+    fn a_backup_whose_announcement_is_lost_commits_on_the_next_proposal() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..2u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        drop(c.propose_holding_qc(0, batch(20, 5)));
+        assert!(c.committed.iter().all(|l| l.is_empty()));
+        // Proposal 4's `justify` is QC(3): height 1 commits on it, on the
+        // leader and the backups alike, as without announcements.
+        let held = c.propose_holding_qc(0, batch(30, 5));
+        for (r, l) in c.committed.iter().enumerate() {
+            assert_eq!(
+                l.iter().map(Block::round).collect::<Vec<_>>(),
+                [Round(1)],
+                "replica {r}"
+            );
+        }
+        // QC(4), delivered late, still commits height 2 on its backup.
+        let (to, from, qc) = held
+            .into_iter()
+            .find(|(to, ..)| *to == 2)
+            .expect("one per backup");
+        c.deliver(to, from, qc);
+        assert_eq!(c.first_txs(2), [0, 10]);
+        assert_eq!(c.first_txs(1), [0]);
+        assert!(c.nodes.iter().all(|n| n.rejected == 0));
+    }
+
+    #[test]
+    fn a_forged_foreign_or_misrouted_qc_is_refused() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..2u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        let held = c.propose_holding_qc(0, batch(20, 5));
+        let (_, _, genuine) = held
+            .into_iter()
+            .find(|(to, ..)| *to == 1)
+            .expect("one per backup");
+        let HsMsg::Qc(cert) = &genuine else {
+            panic!("the leader announces its QC: {genuine:?}");
+        };
+        let q = cert.cert().clone();
+        let registry = c.nodes[0].cfg.registry.clone();
+        // QCs naming the certified node, signed by `signers` over
+        // `instance` and `rank`.
+        let qc_by = |signers: &[u32], instance: InstanceId, rank: Rank| {
+            let shares: Vec<Signature> = signers
+                .iter()
+                .map(|&r| {
+                    let bytes = prepare_bytes(q.view, q.round, &q.digest, instance, rank);
+                    Signature::sign(&registry.signer(ReplicaId(r)), DOMAIN_VOTE, &bytes)
+                })
+                .collect();
+            let qc = HsQc::from_votes(&shares, 4, q.view, q.round, instance, q.digest, q.rank);
+            HsMsg::Qc(qc.expect("distinct signers"))
+        };
+        let cases = [
+            (
+                "short of a quorum",
+                ReplicaId(0),
+                qc_by(&[0, 1], q.instance, q.rank),
+            ),
+            (
+                "a share over another rank",
+                ReplicaId(0),
+                qc_by(&[0, 1, 2], q.instance, Rank(9)),
+            ),
+            // A valid QC, of instance 1, over this instance's node.
+            (
+                "another instance",
+                ReplicaId(0),
+                qc_by(&[0, 1, 2], InstanceId(1), q.rank),
+            ),
+            ("not from the leader", ReplicaId(2), genuine.clone()),
+        ];
+        for (what, from, msg) in cases {
+            let before = c.nodes[1].rejected;
+            let acts = c.deliver(1, from, msg);
+            assert!(acts.is_empty(), "{what}: {acts:?}");
+            assert_eq!(c.nodes[1].rejected, before + 1, "{what}");
+            assert!(c.committed[1].is_empty(), "{what}");
+        }
+        // The genuine announcement from the leader commits height 1.
+        c.deliver(1, ReplicaId(0), genuine);
+        assert_eq!(c.first_txs(1), [0]);
+        assert_eq!(c.nodes[1].rejected, 4);
+    }
+
+    #[test]
+    fn a_qc_for_a_node_the_backup_does_not_hold_commits_nothing() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..2u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        // Proposal 3 is lost to replica 3, whose chain stops at height 2;
+        // QC(3), from replicas 0–2, still reaches it.
+        c.propose_missing(0, batch(20, 5), &[3]);
+        assert_eq!(c.first_txs(1), [0]);
+        assert!(c.committed[3].is_empty(), "{:?}", c.first_txs(3));
+        assert_eq!(c.nodes[3].committed_upto(), Round(0));
+        assert_eq!(c.nodes[3].rejected, 0);
+    }
+
+    #[test]
+    fn the_leader_commits_only_through_its_own_next_proposal() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        for i in 0..3u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        // Leader 0 formed and announced QC(3), on which every backup
+        // committed height 1; it commits height 1 itself on proposal 4.
+        assert_eq!(c.nodes[0].generic_qc.height(), Round(3));
+        assert!(c.committed[0].is_empty(), "{:?}", c.first_txs(0));
+        assert_eq!(c.nodes[0].committed_upto(), Round(0));
+        for r in 1..4 {
+            assert_eq!(c.first_txs(r), [0], "replica {r}");
+        }
+        let acts = c.nodes[0].propose(batch(30, 5), c.now, &mut c.curs[0]);
+        let commits = acts
+            .iter()
+            .filter(|a| matches!(a, Action::Committed(_)))
+            .count();
+        assert_eq!(commits, 1, "{acts:?}");
     }
 
     #[test]
@@ -1084,16 +1359,77 @@ mod tests {
         assert!(c.nodes[0].can_propose());
         // The three dummies took heights 4..=6 and were never emitted:
         // epoch 1's first block sits at height 7 and is emitted as the
-        // round after the last emitted one, on every replica.
+        // round after the last emitted one, on every replica. Height 10
+        // commits height 7 on the leader; its QC commits height 8 on the
+        // backups.
         for i in 3..7u64 {
             c.propose(0, batch(i * 10, 5));
         }
         for (r, l) in c.committed.iter().enumerate() {
+            let upto = if r == 0 { 7 } else { 8 };
             let rounds: Vec<Round> = l.iter().map(Block::round).collect();
-            assert_eq!(rounds, (1..=4).map(Round).collect::<Vec<_>>(), "{r}");
+            assert_eq!(rounds, (1..=upto - 3).map(Round).collect::<Vec<_>>(), "{r}");
             assert_eq!(l[3].rank(), Rank(4), "replica {r}");
-            assert_eq!(c.nodes[r].committed_upto(), Round(7), "replica {r}");
+            assert_eq!(c.nodes[r].committed_upto(), Round(upto), "replica {r}");
         }
+    }
+
+    #[test]
+    fn a_backup_in_the_next_epoch_still_votes_for_the_last_dummy() {
+        // Epoch max rank 3. The second dummy's announced QC commits the
+        // rank-3 node on the backups, which enter epoch 1 before leader
+        // 0, paced, sends the third dummy.
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 3);
+        for i in 0..5u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        for r in 1..4 {
+            assert!(c.nodes[r].stopped_for_epoch(), "replica {r}");
+        }
+        assert!(!c.nodes[0].stopped_for_epoch());
+        c.advance_epoch(&[1, 2, 3], Rank(4), Rank(7));
+        // Its QC lets the leader, once it committed the rank-3 node and
+        // advanced too, propose epoch 1's first block.
+        assert!(c.nodes[0].next_is_dummy());
+        c.propose(0, Batch::empty(0));
+        assert!(c.nodes.iter().all(|n| n.rejected == 0));
+        assert!(c.nodes[0].stopped_for_epoch());
+        // A fourth dummy, on the third's QC, is one no flush needs: a
+        // backup in epoch 1 refuses it, so a leader that cannot commit
+        // the rank-3 node does not keep its backups voting on dummies.
+        let justify = c.nodes[0].generic_qc.clone();
+        assert_eq!(justify.height(), Round(6));
+        let mut fourth = HsGeneric {
+            view: View(0),
+            instance: InstanceId(0),
+            node: HsNode {
+                height: Round(7),
+                digest: Digest::NIL,
+                parent: justify.node(),
+                batch: Batch::empty(0),
+                rank: Rank(3),
+                proposed_at: c.now,
+                dummy: true,
+            },
+            justify,
+            rank_m: c.curs[0].rank,
+            rank_qc: c.curs[0].cert.clone(),
+            vote_set: Vec::new(),
+            sig: Signature::sign(&c.nodes[0].cfg.signer, DOMAIN_GENERIC, b""),
+        };
+        reseal(&c, &mut fourth);
+        let (rejected, acts, _) = deliver_to_backup(&mut c, fourth);
+        assert_eq!(rejected, 1);
+        assert!(acts.is_empty(), "{acts:?}");
+        c.advance_epoch(&[0], Rank(4), Rank(7));
+        assert!(c.nodes[0].can_propose() && !c.nodes[0].next_is_dummy());
+        for i in 5..9u64 {
+            c.propose(0, batch(i * 10, 5));
+        }
+        c.assert_logs_agree(&[0, 1, 2, 3]);
+        assert_eq!(c.first_txs(0), [0, 10, 20, 50]);
+        let rejected: Vec<u64> = c.nodes.iter().map(|n| n.rejected).collect();
+        assert_eq!(rejected, [0, 1, 0, 0]);
     }
 
     #[test]
@@ -1177,7 +1513,10 @@ mod tests {
             c.propose(0, batch(i * 10, 5));
         }
         c.assert_logs_agree(&[0, 1, 2, 3]);
-        assert_eq!(c.first_txs(3), [0, 10, 20, 30]);
+        // Height 10 commits height 7 on the leader, its QC height 8 on
+        // every backup, the one that was behind included.
+        assert_eq!(c.first_txs(0), [0, 10, 20, 30]);
+        assert_eq!(c.first_txs(3), [0, 10, 20, 30, 40]);
         assert_eq!(c.nodes[3].rejected, 0);
 
         // The hold is bounded: a leader may sign any number of nodes
@@ -1209,14 +1548,15 @@ mod tests {
         assert_eq!(c.nodes[3].committed_upto(), Round(3));
         assert!(c.nodes[3].stopped_for_epoch());
         // Epoch 1's blocks commit through the dummies on the jumped tip
-        // and are numbered from the snapshot's round on, as everywhere.
+        // and are numbered from the snapshot's round on, as on the other
+        // backups.
         c.advance_epoch(&[0, 1, 2, 3], Rank(4), Rank(7));
         for i in 3..7u64 {
             c.propose(0, batch(i * 10, 5));
         }
         let rounds: Vec<Round> = c.committed[3].iter().map(Block::round).collect();
-        assert_eq!(rounds, [Round(4)]);
-        assert_eq!(c.committed[3][..], c.committed[0][3..]);
+        assert_eq!(rounds, [Round(4), Round(5)]);
+        assert_eq!(c.committed[3][..], c.committed[1][3..]);
         assert_eq!(c.nodes[3].rejected, 0);
     }
 
@@ -1240,11 +1580,12 @@ mod tests {
     #[test]
     fn a_byzantine_leader_cannot_fork_below_a_commit() {
         let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
-        // Leader 0's A1–A3 reach everyone; its A4 reaches no one, but
-        // leader 0 commits A1 on it.
-        for i in 0..3u64 {
+        // Leader 0's A1–A3 reach everyone, A3's QC no one; its A4 reaches
+        // no one, but leader 0 commits A1 on it.
+        for i in 0..2u64 {
             c.propose(0, batch(i * 10, 5));
         }
+        c.propose_holding_qc(0, batch(20, 5));
         let acts = c.nodes[0].propose(batch(30, 5), TimeNs::ZERO, &mut c.curs[0]);
         c.absorb(0, acts);
         c.queue.clear();
@@ -1318,8 +1659,10 @@ mod tests {
             c.propose(1, batch(100 + i * 10, 5));
         }
         c.assert_logs_agree(&[0, 1, 2, 3]);
-        for r in 1..4 {
-            assert_eq!(c.first_txs(r), [0, 100], "replica {r}");
+        // B5 commits B2 on leader 1; its QC commits B3 on replicas 2, 3.
+        assert_eq!(c.first_txs(1), [0, 100]);
+        for r in 2..4 {
+            assert_eq!(c.first_txs(r), [0, 100, 110], "replica {r}");
         }
         // Replica 0 holds A2 at height 2, but B3 descends from B2: it
         // waits at the missing ancestor instead of committing A2.
@@ -1349,8 +1692,9 @@ mod tests {
             c.propose(0, batch(i * 10, 5));
         }
         c.assert_logs_agree(&[1, 2, 3]);
-        assert_eq!(c.first_txs(1), [0, 20]);
-        assert_eq!(c.first_txs(2), [0, 20]);
+        // Height 5's QC commits height 3 on the backups.
+        assert_eq!(c.first_txs(1), [0, 20, 30]);
+        assert_eq!(c.first_txs(2), [0, 20, 30]);
         // Replica 3 holds A2 at height 2, but A3 descends from A2′.
         assert!(c.committed[3].is_empty(), "{:?}", c.first_txs(3));
     }
@@ -1394,16 +1738,17 @@ mod tests {
         let cost = CryptoCounters::snapshot().since(&before);
         assert_eq!(c.nodes[1].rejected, 0);
         assert!(cur.rank >= generic.rank_m, "the disclosure was adopted");
-        // `justify` and `rank_qc` are each checked once — and here they
-        // are the same certificate (the QC the leader just formed is its
-        // curRank), so the second check is a cache hit. The only plain
-        // verification is the leader's signature: the quorum behind the
-        // vote set was checked once, as `justify`.
+        // `justify` and `rank_qc` are the same certificate (the QC the
+        // leader just formed is its curRank), which replica 1 verified
+        // once already, on the leader's announcement of it: both checks
+        // here are cache hits. The only plain verification is the
+        // leader's signature: the quorum behind the vote set was checked
+        // once, as that certificate.
         assert_eq!(generic.rank_qc, Some(generic.justify.to_rank_qc()));
         assert_eq!(generic.vote_set.len(), 3);
         assert_eq!(
             (cost.verifies, cost.agg_verifies, cost.qc_verify_hits),
-            (1, 1, 1)
+            (1, 0, 2)
         );
     }
 
@@ -1754,9 +2099,12 @@ mod tests {
         for i in 0..500u64 {
             c.propose(0, batch(i * 10, 3));
         }
+        // Height 500 commits height 497 on the leader; its QC commits
+        // height 498 on the backups.
         for (r, node) in c.nodes.iter().enumerate() {
-            assert_eq!(node.committed_upto(), Round(497), "replica {r}");
-            assert_eq!(c.committed[r].len(), 497, "replica {r}");
+            let upto = if r == 0 { 497 } else { 498 };
+            assert_eq!(node.committed_upto(), Round(upto), "replica {r}");
+            assert_eq!(c.committed[r].len(), upto as usize, "replica {r}");
             assert!(node.nodes.len() <= 8, "replica {r}: {}", node.nodes.len());
             let heights: std::collections::BTreeSet<Round> =
                 node.nodes.values().map(|n| n.height).collect();

@@ -268,6 +268,10 @@ pub enum HsMsg {
     Vote(Arc<HsVote>),
     /// View-change request.
     NewView(HsNewView),
+    /// A QC the leader just formed, broadcast so backups commit on it
+    /// (see [`crate::instance`]) instead of one block interval later,
+    /// when the next proposal carries it as `justify`.
+    Qc(HsQc),
 }
 
 impl WireSize for HsMsg {
@@ -276,6 +280,7 @@ impl WireSize for HsMsg {
             HsMsg::Generic(m) => m.wire_size(),
             HsMsg::Vote(m) => m.wire_size(),
             HsMsg::NewView(m) => m.wire_size(),
+            HsMsg::Qc(m) => m.wire_size(),
         }
     }
 }

@@ -72,16 +72,11 @@ pub struct NodeMetrics {
     /// Snapshots served to lagging peers: one per sync response that
     /// carried one (a transfer is one response).
     pub snapshots_served: u64,
-    /// Per-lane snapshot chunks shipped in sync responses. With delta
-    /// sync this scales with *changed* lanes, not state size — a
-    /// requester that already holds most lanes costs chunks ∝ the delta.
+    /// Per-lane snapshot chunks shipped in sync responses: all 64 of
+    /// each snapshot served.
     pub snapshot_chunks_served: u64,
     /// Wire bytes of the chunks behind `snapshot_chunks_served`.
     pub snapshot_bytes_served: u64,
-    /// Requester-side: snapshot lanes satisfied from *local* state
-    /// (the lane root in the peer's head matched a lane we already
-    /// held, so the lane was reconstructed in place, never shipped).
-    pub snapshot_chunks_reused: u64,
     /// Confirmed `sn`s this replica never recorded a `ConfirmRecord` for
     /// because a snapshot install fast-forwarded past them (the
     /// confirm-record gap a log join on `sn` must tolerate). Summed over
@@ -200,7 +195,6 @@ impl SnapshotInto for NodeMetrics {
         registry.counter("node.snapshots_served", self.snapshots_served);
         registry.counter("sync.snapshot_chunks_served", self.snapshot_chunks_served);
         registry.counter("sync.snapshot_bytes_served", self.snapshot_bytes_served);
-        registry.counter("sync.snapshot_chunks_reused", self.snapshot_chunks_reused);
         registry.counter("node.skipped_sns", self.skipped_sns);
         registry.counter("node.exec_gaps", self.exec_gaps);
         registry.counter("node.root_conflicts", self.root_conflicts);

@@ -47,8 +47,8 @@ use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 use crate::sync::{
-    delta_chunks, snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry,
-    SyncRequest, SyncResponse, SYNC_MAX_BLOCKS, SYNC_PER_INSTANCE,
+    snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry, SyncRequest,
+    SyncResponse, SYNC_MAX_BLOCKS, SYNC_PER_INSTANCE,
 };
 use crate::timer::Timer;
 use ladon_crypto::{CertCache, KeyRegistry, RankCert};
@@ -744,7 +744,6 @@ impl MultiBftNode {
             epoch: Epoch(self.epoch()),
             applied: self.exec.applied(),
             frontier: self.commit_frontier(),
-            lane_roots: self.exec.lane_roots(),
         }
     }
 
@@ -817,12 +816,9 @@ impl MultiBftNode {
     /// `sys.snapshot_min_lag()` blocks ahead of the requester's applied
     /// frontier ([`snapshot_worthwhile`] — a barely-behind
     /// replica gets log sync alone) AND we can prove its root with the
-    /// matching stable checkpoint, that checkpoint, the snapshot *head*,
-    /// and the chunk of every lane whose root differs from the
-    /// requester's advertisement (delta sync): bytes shipped scale with
-    /// changed lanes, not state size. The snapshot is held as its head
-    /// plus lane chunks, so serving copies what is asked for and encodes
-    /// nothing.
+    /// matching stable checkpoint, that checkpoint, the snapshot *head*
+    /// and its 64 lane chunks. The snapshot is held as its head plus lane
+    /// chunks, so serving clones them and encodes nothing.
     fn serve_snapshot(&self, req: &SyncRequest) -> Option<SyncResponse> {
         // A degraded replica stops serving snapshots: its own durable
         // path is failing, so it must not become the source other
@@ -843,7 +839,7 @@ impl MultiBftNode {
         Some(SyncResponse {
             checkpoint: Some(cp),
             snapshot: Some(snap.head.clone()),
-            chunks: delta_chunks(snap, req),
+            chunks: snap.chunks.clone(),
             entries: Vec::new(),
         })
     }
@@ -894,8 +890,8 @@ impl MultiBftNode {
     /// against it — membership (its root is the one the head names for
     /// that lane) plus content (entries recompute to the root, stay
     /// in-lane, stay canonical). The response installs as a whole or
-    /// not at all: one bad chunk, or one lane neither shipped nor held
-    /// locally under the head's root, and nothing of it is kept.
+    /// not at all: one bad chunk, or one lane missing, and nothing of it
+    /// is kept ([`ladon_state::ExecutionPipeline::install`]).
     /// `useful` in the returned outcome means the snapshot installed;
     /// the pacemaker's jump past it is [`EpochInput::Fetched`]'s.
     fn install_snapshot(&mut self, resp: &SyncResponse) -> ResponseOutcome {
@@ -931,9 +927,8 @@ impl MultiBftNode {
         // frontier, which a pipeline recovered from disk starts above an
         // empty log.
         let recorded_upto = self.orderer.confirmed_count();
-        if let Some(reused) = self.exec.install_delta(head, &resp.chunks) {
+        if self.exec.install(head, &resp.chunks) {
             outcome.useful = true;
-            self.metrics.snapshot_chunks_reused += reused;
             self.after_snapshot_install(head, recorded_upto);
         }
         outcome
@@ -1551,7 +1546,6 @@ mod tests {
             epoch: Epoch(epoch),
             applied: 0,
             frontier: vec![Round(round); N],
-            lane_roots: Vec::new(),
         }
     }
 

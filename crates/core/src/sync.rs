@@ -30,26 +30,21 @@
 //! the replica has closed it, or jumps the pacemaker past an epoch whose
 //! snapshot was just installed or that the replica has not entered.
 //!
-//! # Delta state sync
+//! # Snapshot transfer
 //!
-//! Deep lag is repaired by snapshot, in one exchange: the requester
-//! advertises its own lane roots in the [`SyncRequest`], and the
-//! responder ships the quorum-attested manifest head
-//! ([`ladon_state::SnapshotHead`]) plus every chunk whose lane root
-//! differs from the advertisement ([`ladon_state::delta_lanes`]) in that
-//! one response. Bytes shipped are therefore proportional to the
-//! **changed lanes**, not the state size — and the whole state of a
-//! from-zero requester is ~52 KB, 2.6 % of one 4096-tx block, in a
-//! message that already carries up to [`SYNC_MAX_BLOCKS`] blocks. A
-//! snapshot is held as its head plus 64 lane chunks, so serving is
-//! indexing ([`delta_chunks`]). The requester verifies each chunk against
-//! the head's lane-root vector, fills unchanged lanes from its local
-//! state ([`ladon_state::Snapshot::assemble`]) and installs in the
-//! handler call that received the response. A response installs as a
-//! whole or leaves nothing behind: with any chunk bad or any lane
-//! missing, nothing is installed and nothing is kept, the sender is
-//! scored, and the next probe asks the next healthy peer for the delta
-//! again — a Byzantine responder can serve a correct delta or nothing.
+//! Deep lag is repaired by snapshot, in one exchange: the responder
+//! ships the quorum-attested manifest head ([`ladon_state::SnapshotHead`])
+//! of its latest snapshot plus all 64 of its lane chunks, as it holds
+//! them, in the response that also carries up to [`SYNC_MAX_BLOCKS`]
+//! blocks. The chunks of a full 4 096-account state are 52 544 B, 2.6 %
+//! of one 4096-tx block. The requester verifies each chunk against the
+//! head's lane-root vector and installs the snapshot
+//! ([`ladon_state::ExecutionPipeline::install`]) in the handler call
+//! that received the response. A response installs as a whole or leaves
+//! nothing behind: with any chunk bad or any lane missing, nothing is
+//! installed and nothing is kept, the sender is scored, and the next
+//! probe asks the next healthy peer — a Byzantine responder can serve a
+//! correct snapshot or nothing.
 //!
 //! # The requester's rotation, as a state machine
 //!
@@ -100,10 +95,9 @@
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
-use ladon_state::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead};
-use ladon_types::{sizes, Block, Digest, Epoch, InstanceId, Round, WireSize};
+use ladon_state::{SnapshotChunk, SnapshotHead};
+use ladon_types::{sizes, Block, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Snapshot serving minimum-gap policy: ship a snapshot only when the
@@ -141,39 +135,12 @@ pub struct SyncRequest {
     /// instance is the last). A responder hosting another count refuses
     /// the request.
     pub frontier: Vec<Round>,
-    /// The requester's local state's lane-root vector. The responder
-    /// serves only chunks whose roots differ
-    /// ([`ladon_state::delta_lanes`]) — lanes the requester already
-    /// holds are never shipped. Empty (or wrong-length) means nothing can
-    /// be reused and every lane differs. Purely an optimization hint: a
-    /// forged advertisement only changes *which* chunks come back, and
-    /// every chunk is verified against the quorum-attested head on
-    /// arrival.
-    pub lane_roots: Vec<Digest>,
 }
 
 impl WireSize for SyncRequest {
     fn wire_size(&self) -> u64 {
-        sizes::MSG_HEADER
-            + 16
-            + 8 * self.frontier.len() as u64
-            + sizes::DIGEST * self.lane_roots.len() as u64
+        sizes::MSG_HEADER + 16 + 8 * self.frontier.len() as u64
     }
-}
-
-/// Responder side: the chunks of `snap` to ship for `req` — every lane
-/// whose root differs from the requester's advertisement, deduplicated by
-/// root (all-empty lanes share one root — one chunk fills every one of
-/// them). The snapshot holds its chunks in lane order: serving is
-/// indexing.
-pub fn delta_chunks(snap: &Snapshot, req: &SyncRequest) -> Vec<SnapshotChunk> {
-    let mut sent = BTreeSet::new();
-    delta_lanes(&snap.head.lane_roots, &req.lane_roots)
-        .into_iter()
-        .map(|lane| &snap.chunks[lane as usize])
-        .filter(|chunk| sent.insert(chunk.root))
-        .cloned()
-        .collect()
 }
 
 /// Consecutive unverifiable responses (a bad chunk, a rejected
@@ -392,10 +359,7 @@ pub struct SyncResponse {
     /// checkpoint root is a function of the state and its position, so
     /// it equals the donor's.
     pub snapshot: Option<SnapshotHead>,
-    /// The delta: the chunk of every lane whose root differs from the
-    /// requester's advertisement, ascending by lane, one per distinct
-    /// root. Lanes the requester already holds are reconstructed locally
-    /// and never shipped.
+    /// The snapshot's 64 lane chunks, in lane order.
     pub chunks: Vec<SnapshotChunk>,
     /// Missing log entries past the requester's frontier.
     pub entries: Vec<SyncEntry>,
@@ -604,23 +568,14 @@ mod tests {
             epoch: Epoch(1),
             applied: 0,
             frontier: vec![Round(0); 4],
-            lane_roots: Vec::new(),
         };
         let big = SyncRequest {
             epoch: Epoch(1),
             applied: 0,
             frontier: vec![Round(0); 128],
-            lane_roots: Vec::new(),
         };
-        assert!(big.wire_size() > small.wire_size());
-        assert_eq!(big.wire_size() - small.wire_size(), 8 * 124);
-        // The lane-root advertisement is counted too: 64 digests.
-        let mut advertised = small.clone();
-        advertised.lane_roots = vec![Digest::NIL; 64];
-        assert_eq!(
-            advertised.wire_size() - small.wire_size(),
-            64 * sizes::DIGEST
-        );
+        assert_eq!(small.wire_size(), sizes::MSG_HEADER + 16 + 8 * 4);
+        assert_eq!(big.wire_size(), sizes::MSG_HEADER + 16 + 8 * 128);
     }
 
     #[test]
@@ -697,22 +652,20 @@ mod tests {
         };
         let full = SyncResponse {
             checkpoint: None,
-            snapshot: Some(head.clone()),
+            snapshot: Some(head),
             chunks: chunks.clone(),
             entries: Vec::new(),
         };
-        // A full transfer still carries every entry's bytes.
+        // A transfer carries every entry's bytes.
         assert!(full.wire_size() >= without.wire_size() + 100 * 12);
-        // A delta of one chunk costs the head plus that chunk — not the
-        // state: the per-lane payload scales with changed lanes.
-        let one = chunks.iter().find(|c| !c.entries.is_empty()).unwrap();
-        let delta = SyncResponse {
-            checkpoint: None,
-            snapshot: Some(head),
-            chunks: vec![one.clone()],
-            entries: Vec::new(),
+        // Each chunk is counted: one chunk fewer is that chunk's bytes fewer.
+        let one_short = SyncResponse {
+            chunks: chunks[1..].to_vec(),
+            ..full.clone()
         };
-        assert!(delta.wire_size() < full.wire_size());
-        assert!(delta.wire_size() >= without.wire_size() + one.entries.len() as u64 * 12);
+        assert_eq!(
+            full.wire_size() - one_short.wire_size(),
+            chunks[0].wire_size()
+        );
     }
 }

@@ -289,8 +289,10 @@ impl HsInstance {
     }
 
     /// Whether the instance is done with this epoch: it has committed a
-    /// node at `maxRank`, which the third dummy after the `maxRank` node
-    /// does.
+    /// node at `maxRank`. A backup commits it on the QC the leader
+    /// announces for the second dummy after the `maxRank` node; the third
+    /// dummy commits it at the leader, and at a backup that missed the
+    /// announcement.
     pub fn stopped_for_epoch(&self) -> bool {
         self.cfg.mode == HsRankMode::Ladon
             && self

@@ -22,12 +22,13 @@
 //! - [`snapshot`]: epoch-aligned state snapshots ([`Snapshot`]) kept the
 //!   way they are shipped — a manifest head ([`SnapshotHead`]) plus one
 //!   chunk per lane ([`SnapshotChunk`]) content-addressed by lane root —
-//!   with a [`SnapshotStore`] that can persist them on disk. Delta state
-//!   sync falls out of the shape: a receiver fetches only lanes whose
-//!   roots changed and reassembles byte-identically.
+//!   with a [`SnapshotStore`] that can persist them on disk. A responder
+//!   ships a snapshot as it holds it; the receiver verifies every chunk
+//!   against the head and installs the whole.
 //! - [`pipeline`]: the [`ExecutionPipeline`] gluing the three together:
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
-//!   plus snapshot install and crash recovery (snapshot + WAL replay).
+//!   plus snapshot install ([`ExecutionPipeline::install`]) and crash
+//!   recovery (snapshot + WAL replay).
 //! - [`exec`]: the process-wide executor a pipeline hands each large
 //!   acknowledged batch to (one FIFO, `available_parallelism() − 1`
 //!   workers, waiters help), so execution overlaps consensus and the
@@ -58,7 +59,7 @@ pub use pipeline::{
     ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,
     POOLED_MIN_OPS,
 };
-pub use snapshot::{delta_lanes, Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
+pub use snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{
     decode_segment, CommitWal, FileBackend, MemBackend, SegmentDecode, SegmentMeta, WalBackend,
     WalIoStats, WalOptions, WalRecord, ENCODED_RECORD_LEN, TRAILER_LEN,

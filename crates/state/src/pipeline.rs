@@ -43,7 +43,8 @@
 //! proportional to the dirty tail, not to the total log length — and the
 //! tail itself re-executes through the same apply step as live
 //! execution. A peer's state comes in one way only,
-//! [`ExecutionPipeline::install_delta`].
+//! [`ExecutionPipeline::install`]: the head and all 64 chunks of a
+//! snapshot, verified whole.
 //! [`ReplayStats`] records what recovery touched (segments scanned vs
 //! skipped, records replayed). Because execution is
 //! deterministic, the recovered root equals the pre-crash root — the
@@ -732,38 +733,30 @@ impl ExecutionPipeline {
         ok
     }
 
-    /// The delta install, and the one way a peer's state gets in:
-    /// assembles `head`'s snapshot from `chunks` (looked up by lane root)
-    /// plus the lanes the local state already holds under the head's
-    /// roots ([`Snapshot::assemble`]), and installs it when it is ahead
-    /// of the local applied frontier. Returns how many lanes came from
-    /// local state, or `None` when nothing was installed — a lane is
-    /// missing, the assembled snapshot fails [`Snapshot::verify`], or it
-    /// is not ahead — in which case nothing of `chunks` is kept. The
-    /// caller must have authenticated `head` against a quorum-signed
-    /// stable checkpoint.
-    pub fn install_delta(&mut self, head: &SnapshotHead, chunks: &[SnapshotChunk]) -> Option<u64> {
-        let fetched = |root: &Digest| chunks.iter().find(|c| c.root == *root);
-        let (snap, reused) = Snapshot::assemble(head.clone(), fetched, self.exec_mut().settle())?;
-        self.install_snapshot(&snap).then_some(reused)
-    }
-
-    /// Installs a snapshot when it is ahead of the local applied
-    /// frontier, names no account past the keyspace, and verifies.
-    /// Returns `true` when state advanced.
-    fn install_snapshot(&mut self, snap: &Snapshot) -> bool {
+    /// The one way a peer's state gets in: installs the snapshot `head`
+    /// and `chunks` make when it is ahead of the local applied frontier,
+    /// names no account past the keyspace, and verifies — all 64 lanes,
+    /// in lane order ([`Snapshot::verify`]). Returns `true` when state
+    /// advanced; otherwise nothing of `chunks` is kept. The caller must
+    /// have authenticated `head` against a quorum-signed stable
+    /// checkpoint.
+    pub fn install(&mut self, head: &SnapshotHead, chunks: &[SnapshotChunk]) -> bool {
         // Staged blocks must settle before the frontier jumps: draining
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
         self.submit_staged();
-        if snap.head.applied <= self.applied
-            || !within_keyspace(snap, self.keyspace)
-            || !snap.verify()
-        {
+        if head.applied <= self.applied {
             return false;
         }
-        self.restore(snap);
-        if self.store.put(snap.clone()) {
+        let snap = Snapshot {
+            head: head.clone(),
+            chunks: chunks.to_vec(),
+        };
+        if !within_keyspace(&snap, self.keyspace) || !snap.verify() {
+            return false;
+        }
+        self.restore(&snap);
+        if self.store.put(snap) {
             self.wal.compact(self.applied);
         }
         true
@@ -1254,7 +1247,7 @@ mod tests {
 
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut lagger, 0, 4);
-        assert!(lagger.install_snapshot(&snap));
+        assert!(lagger.install(&snap.head, &snap.chunks));
         assert_eq!(lagger.applied(), 16);
         assert_eq!(lagger.state_root(), donor.state_root());
         // Re-delivered old blocks are skipped idempotently.
@@ -1286,28 +1279,52 @@ mod tests {
         let victim = snap.chunks.iter_mut().find(|c| !c.entries.is_empty());
         victim.expect("a populated lane").entries[0].1 ^= 1;
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        assert!(!lagger.install_snapshot(&snap));
+        assert!(!lagger.install(&snap.head, &snap.chunks));
         assert_eq!(lagger.applied(), 0);
+    }
+
+    #[test]
+    fn a_snapshot_installs_only_with_all_its_chunks() {
+        // The lagger holds every lane under the head's roots — the donor's
+        // last four blocks are empty — but is four blocks behind: an
+        // install without chunks must not take its own lanes for the
+        // snapshot's.
+        let mut donor = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut donor, 0, 8);
+        for sn in 8..12 {
+            donor.execute(sn, &Block::synthetic(sn, sn * 50, 0));
+        }
+        donor.checkpoint(0, Vec::new());
+        let (head, chunks) = donor.latest_snapshot().unwrap().split();
+        let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
+        run_blocks(&mut lagger, 0, 8);
+        assert_eq!(lagger.lane_roots(), head.lane_roots);
+        let before = lagger.state_root();
+        assert!(!lagger.install(&head, &[]));
+        assert_eq!((lagger.applied(), lagger.state_root()), (8, before));
+        assert!(lagger.install(&head, &chunks));
+        assert_eq!(lagger.applied(), 12);
+        assert_eq!(lagger.state_root(), donor.state_root());
     }
 
     #[test]
     fn a_snapshot_past_the_keyspace_is_refused_on_install() {
         // The donor's accounts span 0..4096; a pipeline over 0..1024
-        // refuses its snapshot, from zero and as a delta over lanes it
-        // already holds, though every chunk verifies.
+        // refuses its snapshot, from zero and ahead of state of its own,
+        // though every chunk verifies.
         let mut donor = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut donor, 0, 8);
         donor.checkpoint(0, Vec::new());
         let (head, chunks) = donor.latest_snapshot().unwrap().split();
         assert!(chunks.iter().all(SnapshotChunk::verify));
         let mut small = ExecutionPipeline::in_memory(1024);
-        assert_eq!(small.install_delta(&head, &chunks), None);
+        assert!(!small.install(&head, &chunks));
         run_blocks(&mut small, 0, 2);
         let before = small.state_root();
-        assert_eq!(small.install_delta(&head, &chunks), None);
+        assert!(!small.install(&head, &chunks));
         assert_eq!((small.applied(), small.state_root()), (2, before));
         let mut wide = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        assert_eq!(wide.install_delta(&head, &chunks), Some(0));
+        assert!(wide.install(&head, &chunks));
         assert_eq!(wide.state_root(), donor.state_root());
     }
 
@@ -1399,8 +1416,8 @@ mod tests {
         let perf = reference.perf();
         assert!(perf.wall_drain_apply_ns >= perf.wall_exec_ns);
         assert!(pooled.perf().wall_drain_apply_ns > 0);
-        // A delta install onto a pipeline with a job outstanding, and onto
-        // one without: the same result and the same state.
+        // An install onto a pipeline with a job outstanding, and onto one
+        // without: the same result and the same state.
         let (head, chunks) = pooled.latest_snapshot().unwrap().split();
         let mut behind = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         let mut behind_ref = inline(DEFAULT_KEYSPACE);
@@ -1411,14 +1428,11 @@ mod tests {
             p.submit_staged();
         }
         assert_eq!(outstanding(&behind), pooling());
-        let local = &chunks[..chunks.len() / 2];
+        let half = &chunks[..chunks.len() / 2];
+        assert_eq!(behind.install(&head, half), behind_ref.install(&head, half));
         assert_eq!(
-            behind.install_delta(&head, local),
-            behind_ref.install_delta(&head, local)
-        );
-        assert_eq!(
-            behind.install_delta(&head, &chunks),
-            behind_ref.install_delta(&head, &chunks)
+            behind.install(&head, &chunks),
+            behind_ref.install(&head, &chunks)
         );
         assert_eq!(behind.state_root(), pooled.state_root());
         assert_eq!(behind.lane_roots(), behind_ref.lane_roots());

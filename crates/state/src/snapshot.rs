@@ -26,23 +26,21 @@
 //! can serve a correct snapshot or nothing, and cannot splice a forged
 //! `applied` or `frontier` onto genuine entries.
 //!
-//! # Delta state sync
+//! # Transfer
 //!
 //! Each chunk is content-addressed by its **lane root** — a name the
 //! quorum-signed head already commits to, so per-chunk verification
 //! ([`SnapshotChunk::verify`], one lane's root recomputed from its
-//! entries) adds no new trust. A receiver that holds *any* prior state
-//! compares lane-root vectors ([`delta_lanes`]), fetches only the lanes
-//! that changed, and [`Snapshot::assemble`] fills every other lane slot
-//! from its own state's lane of the same root; the result encodes
-//! byte-identically to the donor's snapshot.
+//! entries) adds no new trust. A responder ships its snapshot's head and
+//! all 64 chunks as it holds them; the receiver installs them together
+//! (`ExecutionPipeline::install`), after [`Snapshot::verify`].
 //!
 //! The [`SnapshotStore`] retains the latest snapshot in memory and, when
 //! given a directory, persists each snapshot to
 //! `snap-<epoch>-<root8>.bin` and re-loads the newest on recovery.
-//! Those are the only files it reads or writes: a peer's delta is
-//! assembled and installed in one call, so a fetched chunk never outlives
-//! the response that carried it.
+//! Those are the only files it reads or writes: a peer's snapshot is
+//! installed in the call that received it, so a fetched chunk never
+//! outlives the response that carried it.
 
 use crate::kv::{lane_of, lane_root_of, KvState};
 use ladon_crypto::fnv::Fnv64;
@@ -397,56 +395,6 @@ impl Snapshot {
     pub fn split(&self) -> (SnapshotHead, Vec<SnapshotChunk>) {
         (self.head.clone(), self.chunks.clone())
     }
-
-    /// Requester side of a delta install: fills each lane slot of `head`
-    /// from the chunk `fetched` holds under that lane's root
-    /// or, when `local`'s lane already has the root, from that lane
-    /// (those were advertised, so the responder never shipped them; the
-    /// first such lane takes one [`KvState::lane_runs`] pass for all).
-    /// Returns the snapshot and how many lanes came from `local`, or
-    /// `None` while any lane is still missing. The result encodes
-    /// byte-identically to the donor's snapshot; installing it still
-    /// runs [`Self::verify`].
-    pub fn assemble<'a>(
-        head: SnapshotHead,
-        fetched: impl Fn(&Digest) -> Option<&'a SnapshotChunk>,
-        local: &KvState,
-    ) -> Option<(Snapshot, u64)> {
-        if head.lane_roots.len() != MERKLE_LANES as usize {
-            return None;
-        }
-        let have = local.lane_roots();
-        let mut reused = 0u64;
-        let mut runs = None;
-        let mut chunks = Vec::with_capacity(have.len());
-        for (lane, &root) in head.lane_roots.iter().enumerate() {
-            let entries = match fetched(&root) {
-                Some(chunk) => chunk.entries.clone(),
-                None if have[lane] == root => {
-                    reused += 1;
-                    let runs = runs.get_or_insert_with(|| local.lane_runs());
-                    std::mem::take(&mut runs[lane])
-                }
-                None => return None,
-            };
-            chunks.push(SnapshotChunk {
-                lane: lane as u32,
-                root,
-                entries,
-            });
-        }
-        Some((Snapshot { head, chunks }, reused))
-    }
-}
-
-/// The lanes of `snap_roots` whose content differs from `have_roots` —
-/// the chunks a delta sync must actually ship. A missing or
-/// wrong-length advertisement means nothing can be reused: every lane
-/// differs.
-pub fn delta_lanes(snap_roots: &[Digest], have_roots: &[Digest]) -> Vec<u32> {
-    (0..snap_roots.len() as u32)
-        .filter(|&l| have_roots.get(l as usize) != Some(&snap_roots[l as usize]))
-        .collect()
 }
 
 /// Holds the latest snapshot, optionally persisting each one to disk.
@@ -586,12 +534,6 @@ mod tests {
         kv
     }
 
-    /// A lookup over a slice of chunks, by root (what `install_delta`
-    /// does over a response's chunks).
-    fn by_root<'a>(chunks: &'a [SnapshotChunk]) -> impl Fn(&Digest) -> Option<&'a SnapshotChunk> {
-        move |root| chunks.iter().find(|c| c.root == *root)
-    }
-
     /// Rewrites the version byte and re-seals (a well-formed artifact of
     /// another format generation, not a corrupted one).
     fn with_version(mut bytes: Vec<u8>, version: u8) -> Vec<u8> {
@@ -712,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn split_assemble_roundtrips_byte_identically() {
+    fn split_roundtrips_byte_identically() {
         let kv = sample_state();
         let snap = Snapshot::capture(3, 120, 5000, vec![7, 9, 11], &kv);
         let (head, chunks) = snap.split();
@@ -720,35 +662,25 @@ mod tests {
         assert_eq!(chunks.len(), MERKLE_LANES as usize);
         assert!(chunks.iter().all(SnapshotChunk::verify));
         assert_eq!(head.state_root(), snap.head.state_root());
-        // Everything fetched, nothing local.
-        let empty = KvState::new();
-        let nonempty: Vec<SnapshotChunk> = chunks
-            .iter()
-            .filter(|c| !c.entries.is_empty())
-            .cloned()
-            .collect();
-        let (rebuilt, reused) =
-            Snapshot::assemble(head.clone(), by_root(&chunks), &empty).expect("all lanes present");
-        assert_eq!(rebuilt, snap);
+        let rebuilt = Snapshot {
+            head: head.clone(),
+            chunks: chunks.clone(),
+        };
+        assert!(rebuilt.verify());
         assert_eq!(rebuilt.encode(), snap.encode(), "byte-identical wire form");
-        assert_eq!(reused, 0);
-        // An empty local lane already holds every empty lane's root:
-        // those slots need no chunk at all.
-        let (rebuilt, reused) =
-            Snapshot::assemble(head.clone(), by_root(&nonempty), &empty).expect("assemble");
-        assert_eq!(rebuilt, snap);
-        assert_eq!(reused as usize, chunks.len() - nonempty.len());
-        // Nothing fetched, every lane from an identical local state.
-        let (rebuilt, reused) =
-            Snapshot::assemble(head.clone(), |_| None, &kv).expect("all lanes local");
-        assert_eq!(rebuilt.encode(), snap.encode());
-        assert_eq!(reused, MERKLE_LANES as u64);
-        // A missing non-empty lane blocks assembly.
-        assert!(Snapshot::assemble(head.clone(), by_root(&nonempty[1..]), &empty).is_none());
-        // So does a head of the wrong shape, without a panic.
-        let mut short = head;
-        short.lane_roots.pop();
-        assert!(Snapshot::assemble(short, by_root(&chunks), &empty).is_none());
+        // A missing lane — even an empty one — fails verification.
+        for lane in [
+            0,
+            chunks.iter().position(|c| !c.entries.is_empty()).unwrap(),
+        ] {
+            let mut missing = chunks.clone();
+            missing.remove(lane);
+            let partial = Snapshot {
+                head: head.clone(),
+                chunks: missing,
+            };
+            assert!(!partial.verify(), "lane {lane} missing");
+        }
     }
 
     #[test]
@@ -796,75 +728,6 @@ mod tests {
         let mut forged_head = head;
         forged_head.lane_roots[0] = Digest([0xab; 32]);
         assert!(!forged_head.verify());
-    }
-
-    #[test]
-    fn delta_lanes_names_exactly_the_changed_lanes() {
-        let a = Snapshot::capture(1, 10, 100, Vec::new(), &sample_state());
-        let mut kv = sample_state();
-        kv.apply(&TxOp::Put { key: 3, value: 999 });
-        let b = Snapshot::capture(2, 20, 200, Vec::new(), &kv);
-        let delta = delta_lanes(&b.head.lane_roots, &a.head.lane_roots);
-        assert_eq!(delta, vec![lane_of(3) as u32]);
-        // No prior state (or a wrong-length advertisement) = all lanes.
-        assert_eq!(
-            delta_lanes(&b.head.lane_roots, &[]).len(),
-            MERKLE_LANES as usize
-        );
-        // Identical state = nothing to ship.
-        assert!(delta_lanes(&a.head.lane_roots, &a.head.lane_roots).is_empty());
-        // The one shipped chunk plus the older state's lanes assemble the
-        // newer snapshot.
-        let shipped = [b.chunks[lane_of(3)].clone()];
-        let (rebuilt, reused) =
-            Snapshot::assemble(b.head.clone(), by_root(&shipped), &sample_state()).unwrap();
-        assert_eq!(rebuilt.encode(), b.encode());
-        assert_eq!(reused, MERKLE_LANES as u64 - 1);
-
-        // Over a state that populates every lane, k dirty lanes ship
-        // exactly k chunks (deduplicated by root, as a responder ships
-        // them), the bytes grow with k, and one lane's delta is a small
-        // fraction of the whole snapshot.
-        let base = KvState::from_entries((0..2048u32).map(|k| (k, k as u64 * 37 + 11)));
-        let mut lane_key = vec![None; MERKLE_LANES as usize];
-        for k in 0..2048u32 {
-            lane_key[lane_of(k)].get_or_insert(k);
-        }
-        assert!(lane_key.iter().all(Option::is_some), "every lane populated");
-        let old = Snapshot::capture(1, 64, 4096, Vec::new(), &base);
-        let whole = old.encode().len() as u64;
-        let mut shipped_bytes = Vec::new();
-        for k in [1, 8, 64] {
-            let mut kv = base.clone();
-            for &key in lane_key[..k].iter().flatten() {
-                let value = kv.get(key) + 1;
-                kv.apply(&TxOp::Put { key, value });
-            }
-            let new = Snapshot::capture(2, 128, 8192, Vec::new(), &kv);
-            let delta = delta_lanes(&new.head.lane_roots, &old.head.lane_roots);
-            let mut roots = std::collections::BTreeSet::new();
-            let shipped: Vec<SnapshotChunk> = delta
-                .iter()
-                .map(|&lane| &new.chunks[lane as usize])
-                .filter(|c| roots.insert(c.root))
-                .cloned()
-                .collect();
-            assert_eq!((delta.len(), shipped.len()), (k, k), "k={k}");
-            let (rebuilt, reused) =
-                Snapshot::assemble(new.head.clone(), by_root(&shipped), &base).unwrap();
-            assert_eq!(rebuilt.encode(), new.encode(), "k={k}");
-            assert_eq!(reused, (MERKLE_LANES as usize - k) as u64);
-            shipped_bytes.push(shipped.iter().map(WireSize::wire_size).sum::<u64>());
-        }
-        assert!(
-            shipped_bytes.windows(2).all(|w| w[0] < w[1]),
-            "{shipped_bytes:?}"
-        );
-        assert!(
-            shipped_bytes[0] * 8 < whole,
-            "one lane {} B vs whole {whole} B",
-            shipped_bytes[0]
-        );
     }
 
     #[test]

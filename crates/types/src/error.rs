@@ -7,28 +7,17 @@ use std::fmt;
 ///
 /// Protocol-level *rejections* (an invalid pre-prepare, a stale rank QC) are
 /// not errors — honest replicas silently ignore invalid messages, per the
-/// paper. `LadonError` covers configuration and harness misuse instead.
+/// paper. `LadonError` covers configuration misuse instead.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LadonError {
     /// Invalid system configuration.
     Config(String),
-    /// A cryptographic verification failed where the caller required
-    /// success (e.g. verifying a self-generated certificate in tests).
-    Crypto(String),
-    /// The simulation harness was driven incorrectly (e.g. scheduling an
-    /// event in the past).
-    Sim(String),
-    /// An experiment preset referenced an unknown protocol/figure.
-    Experiment(String),
 }
 
 impl fmt::Display for LadonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LadonError::Config(s) => write!(f, "configuration error: {s}"),
-            LadonError::Crypto(s) => write!(f, "crypto error: {s}"),
-            LadonError::Sim(s) => write!(f, "simulation error: {s}"),
-            LadonError::Experiment(s) => write!(f, "experiment error: {s}"),
         }
     }
 }
@@ -43,13 +32,11 @@ mod tests {
     fn display_includes_category_and_detail() {
         let e = LadonError::Config("n too small".into());
         assert_eq!(e.to_string(), "configuration error: n too small");
-        let e = LadonError::Sim("event in the past".into());
-        assert!(e.to_string().contains("simulation error"));
     }
 
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn Error) {}
-        takes_err(&LadonError::Crypto("bad sig".into()));
+        takes_err(&LadonError::Config("n too small".into()));
     }
 }

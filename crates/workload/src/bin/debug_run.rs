@@ -13,8 +13,10 @@
 //!   prints one line per seed (frontiers, epochs, and the violations of
 //!   a run that has any) and one row per protocol: violating runs by
 //!   kind, runs whose frontiers spread by more than 16 blocks, the lowest
-//!   frontier's sum, median and minimum, and the highest frontier's
-//!   median. It exits nonzero when any run violated the oracle.
+//!   frontier's sum, median and minimum, the highest frontier's median,
+//!   and the state-transfer traffic summed over runs and replicas (sync
+//!   requests sent; snapshots, chunks and chunk bytes served). It exits
+//!   nonzero when any run violated the oracle.
 
 use ladon_types::{ProtocolKind, TimeNs};
 use ladon_workload::{Deployment, ExperimentConfig};
@@ -74,6 +76,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let mut violating = 0;
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
+    // Sync requests sent; snapshots, chunks and chunk bytes served.
+    let mut sync = [0u64; 4];
     for &seed in seeds {
         let cfg = ExperimentConfig::scenario(p, 4, 20.0)
             .with_epoch_length(16)
@@ -102,6 +106,18 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
         }
         lows.push(*lo);
         highs.push(*hi);
+        for r in 0..4 {
+            let m = &d.node(r).metrics;
+            let counts = [
+                m.sync_requests,
+                m.snapshots_served,
+                m.snapshot_chunks_served,
+                m.snapshot_bytes_served,
+            ];
+            for (sum, count) in sync.iter_mut().zip(counts) {
+                *sum += count;
+            }
+        }
     }
     lows.sort_unstable();
     highs.sort_unstable();
@@ -109,11 +125,16 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let median = |v: &[u64]| v.get(v.len() / 2).copied().unwrap_or(0);
     println!(
         "{p:?}: violating {violating} / {runs} {kinds:?} | spread > 16: {spread} / {runs} | \
-         lowest frontier: sum {} median {} min {} | highest frontier median {}",
+         lowest frontier: sum {} median {} min {} | highest frontier median {} | \
+         sync requests {} | snapshots served {} chunks {} bytes {}",
         lows.iter().sum::<u64>(),
         median(&lows),
         lows.first().copied().unwrap_or(0),
         median(&highs),
+        sync[0],
+        sync[1],
+        sync[2],
+        sync[3],
     );
     violating
 }

@@ -418,13 +418,11 @@ mod tests {
         nodes[2].snapshots_served = 1;
         nodes[2].snapshot_chunks_served = 3;
         nodes[2].snapshot_bytes_served = 300;
-        nodes[3].snapshot_chunks_reused = 61;
         nodes[1].exec.snapshot_decode_failures = 1;
         let rep = aggregate(&run_data(nodes));
         let m = &rep.metrics;
         assert_eq!(m.counter("sync.snapshot_chunks_served"), 12);
         assert_eq!(m.counter("sync.snapshot_bytes_served"), 1200);
-        assert_eq!(m.counter("sync.snapshot_chunks_reused"), 61);
         assert_eq!(m.counter("node.snapshots_served"), 3);
         assert_eq!(m.counter("node.snapshot_decode_failures"), 1);
     }

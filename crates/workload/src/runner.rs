@@ -411,7 +411,7 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "a476aef21957cf3bfef20aa183f5bf6a5ccca3f468f741e35c8f18bd390c6acc",
+                "b0a956ae0cfa085ac19d5e5fe6f04a7ec05511da5e546a83a6ee9a1f70da46c4",
             ),
             // HotStuff backups commit on the leader's announced QC, so
             // blocks reach f+1 confirmation 30–50 ms sooner and two more
@@ -420,25 +420,25 @@ mod tests {
                 short(ProtocolKind::LadonHotStuff),
                 248_998,
                 83,
-                "98f73fb43e25f9d573214b62ed738f5e782e1814b6c0f9546f2724ff11e2b7f0",
+                "261eb3c23959e14c82ab2c00b29fa6f95102583639bd68e86b3ee09fccae86a1",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
-                "089e2bd7229dd99b5f1f959479ae78f2051e795328cd6aa4529d080286680b5c",
+                "3a5e0d470545976b0df22777065d415762c241138551e962adc7cae24d0d5381",
             ),
             (
                 checkpointing.clone(),
                 327_657,
                 155,
-                "973c747f555aef0aef7facf9669949e90f92eaf64b1604b9c96ab340d5662d6a",
+                "9398e2f9631a44aa9af6ddeeef8be42fc5aded82c1c5aa61585da93caee9d0b1",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "d4d2933b4e7b24ce7a5d8de7878a0da67a25376317c1808a3996a4725371a9be",
+                "67bd6da4aea64bf796c793e86ad09840f5ebb69ed014fedad61d43f4f8fd9664",
             ),
         ];
         let reports: Vec<_> = pins

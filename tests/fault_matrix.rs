@@ -454,7 +454,6 @@ fn degraded_replica_stops_serving_snapshots_but_serves_entries() {
             *r = Round(r.0.saturating_sub(2));
         }
         req.applied = 0;
-        req.lane_roots = Vec::new();
         req
     };
 

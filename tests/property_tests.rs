@@ -6,8 +6,8 @@
 use ladon::core::{GlobalOrderer, LadonOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
-    delta_lanes, lane_of, ExecOutcome, ExecutionPipeline, KvState, Snapshot, SnapshotChunk,
-    WalOptions, DEFAULT_KEYSPACE, MERKLE_LANES,
+    lane_of, ExecOutcome, ExecutionPipeline, KvState, Snapshot, WalOptions, DEFAULT_KEYSPACE,
+    MERKLE_LANES,
 };
 use ladon::types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
 use ladon::types::{TxId, TxOp};
@@ -303,19 +303,18 @@ proptest! {
         prop_assert_eq!(&decoded.head.lane_roots, &snap.head.lane_roots);
         prop_assert!(decoded.verify());
         let mut restored = ExecutionPipeline::in_memory(keyspace);
-        prop_assert!(restored.install_delta(&snap.head, &snap.chunks).is_some());
+        prop_assert!(restored.install(&snap.head, &snap.chunks));
         prop_assert_eq!(restored.lane_roots(), p.lane_roots());
         prop_assert_eq!(restored.state_root(), p.state_root());
     }
 
     /// Chunked wire form ≡ stored form: for arbitrary executed states the
     /// snapshot splits into one chunk per Merkle lane, every chunk
-    /// verifies against its lane root, and reassembly — from the full
-    /// chunk set, or from *delta* chunks plus the lanes an older local
-    /// state already holds under the same roots — reproduces the donor's
-    /// snapshot byte for byte, installs to the donor's lane roots, and
-    /// leaves an installer whose *next* checkpoint root equals the donor's
-    /// (nothing descriptive is left under the signed root to disagree on).
+    /// verifies against its lane root, and the head with the chunk set
+    /// reproduces the donor's snapshot byte for byte, installs to the
+    /// donor's lane roots, and leaves an installer whose *next* checkpoint
+    /// root equals the donor's (nothing descriptive is left under the
+    /// signed root to disagree on).
     #[test]
     fn chunked_snapshot_roundtrips_byte_identically(
         counts in proptest::collection::vec(0u32..96, 2..24),
@@ -342,26 +341,13 @@ proptest! {
         for chunk in &chunks {
             prop_assert!(chunk.verify(), "lane {} chunk failed verify", chunk.lane);
         }
-        let all = |root: &Digest| chunks.iter().find(|c| c.root == *root);
-        let (rebuilt, _) =
-            Snapshot::assemble(head.clone(), all, &KvState::new()).expect("assemble");
+        let rebuilt = Snapshot { head: head.clone(), chunks: chunks.clone() };
         prop_assert_eq!(rebuilt.encode(), snap.encode());
-
-        // Delta reassembly: ship only the changed lanes; every other
-        // lane comes from the older local state.
-        let delta = delta_lanes(&head.lane_roots, &older.lane_roots());
-        let shipped: Vec<SnapshotChunk> =
-            chunks.iter().filter(|c| delta.contains(&c.lane)).cloned().collect();
-        let fetched = |root: &Digest| shipped.iter().find(|c| c.root == *root);
-        let (rebuilt, reused) =
-            Snapshot::assemble(head.clone(), fetched, &older.kv()).expect("delta assemble");
-        prop_assert_eq!(rebuilt.encode(), snap.encode());
-        prop_assert!(reused as usize >= MERKLE_LANES as usize - delta.len());
 
         // Install (a no-op only when the older state is not behind), then
         // one more block and a checkpoint on both sides.
-        let installed = older.install_delta(&head, &shipped);
-        prop_assert_eq!(installed.is_some(), cut + 1 < counts.len());
+        let installed = older.install(&head, &chunks);
+        prop_assert_eq!(installed, cut + 1 < counts.len());
         prop_assert_eq!(older.lane_roots(), full.lane_roots());
         let sn = counts.len() as u64;
         let next = Block::synthetic(sn, first_tx, 40);

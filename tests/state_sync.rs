@@ -130,10 +130,10 @@ fn random_message_loss_repaired_by_state_transfer() {
 }
 
 // ---------------------------------------------------------------------
-// Delta state sync, one exchange at a time: every chunk of a response is
+// Snapshot transfer, one exchange at a time: every chunk of a response is
 // verified against the quorum-proved head, and the response installs as
 // a whole or leaves nothing behind — a Byzantine responder can serve a
-// correct delta or nothing, and a requester crash loses nothing because
+// correct snapshot or nothing, and a requester crash loses nothing because
 // nothing is held between responses. Driven through the real node
 // request/response handlers, no network in between.
 // ---------------------------------------------------------------------
@@ -231,13 +231,13 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
         "the sender is scored for every tampered chunk"
     );
     // (Its quorum-signed checkpoint stands on its own and did move the
-    // epoch; the state advertisement is what must not have moved.)
+    // epoch; the execution position and commit frontier must not have.)
     let again = requester.build_sync_request();
     assert_eq!(
-        (again.applied, &again.lane_roots),
-        (req.applied, &req.lane_roots),
+        (again.applied, &again.frontier),
+        (req.applied, &req.frontier),
         "nothing of the refused response is kept: the next request \
-         advertises what the first one did"
+         asks for what the first one did"
     );
 
     // The next peer answers the same request honestly.
@@ -246,7 +246,7 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     assert_eq!(
         requester.exec.lane_roots(),
         snap.head.lane_roots,
-        "delta-synced lane roots must be byte-identical to the snapshot's"
+        "installed lane roots must be byte-identical to the snapshot's"
     );
     assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
@@ -439,46 +439,4 @@ fn requester_crash_between_request_and_response_restarts_and_installs() {
     assert_eq!(recovered.snapshot_decode_failures(), 0);
     assert_eq!((recovered.applied(), recovered.state_root()), installed);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The delta path at node level: a requester holding an *older,
-/// non-empty* state advertises its lane roots, is served only the lanes
-/// an epoch of small blocks dirtied (fewer than 64 chunks), and installs
-/// in the same handler call by reusing its own unchanged lanes.
-#[test]
-fn stale_requester_is_served_a_partial_delta_and_reuses_its_own_lanes() {
-    let mut c = Deployment::build(
-        &ExperimentConfig::scenario(ProtocolKind::LadonPbft, 4, 12.0)
-            .with_epoch_length(16)
-            .with_batch_size(1),
-    );
-    c.run_secs(10.0);
-    let older = responder_snapshot(&c);
-    c.run_secs(15.0);
-    let snap = responder_snapshot(&c);
-    assert!(snap.head.applied >= older.head.applied + c.sys.snapshot_min_lag());
-
-    let mut exec = ExecutionPipeline::in_memory(c.sys.exec_keyspace);
-    assert!(exec.install_delta(&older.head, &older.chunks).is_some());
-    assert!(exec.lane_roots() == older.head.lane_roots && exec.applied() > 0);
-    let mut requester = MultiBftNode::with_execution(c.node_config(3), exec);
-    let resp = snapshot_response(&c, &requester);
-    assert_eq!(resp.snapshot.as_ref().map(|h| h.root), Some(snap.head.root));
-    let shipped = resp.chunks.len() as u64;
-    assert!(
-        0 < shipped && shipped < 64,
-        "only the dirtied lanes travel: {shipped} chunks"
-    );
-    deliver(&mut requester, RESPONDER.as_usize(), resp);
-    assert_eq!(requester.metrics.snapshot_installs, 1);
-    let reused = requester.metrics.snapshot_chunks_reused;
-    assert!(
-        0 < reused && reused <= 64 - shipped,
-        "lanes not shipped came from local state: {reused} reused, {shipped} shipped"
-    );
-    assert_eq!(requester.exec.lane_roots(), snap.head.lane_roots);
-    assert_eq!(requester.exec.applied(), snap.head.applied);
-    // Its log records nothing: the older state came in outside the
-    // node, so every sn below the snapshot was skipped here.
-    assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
 }

@@ -109,8 +109,7 @@ fn scalability(sc: Scale, envs: &[NetEnv], protocols: &[ProtocolKind]) -> Vec<Ca
     out
 }
 
-/// The five PBFT-family protocols at n = 16, WAN, each with 1–5
-/// stragglers.
+/// The PBFT-family protocols at n = 16, WAN, each with 1–5 stragglers.
 fn pbft_family_1_to_5_stragglers(_: Scale) -> Vec<Case> {
     let mut out = Vec::new();
     for p in ProtocolKind::PBFT_FAMILY {
@@ -178,11 +177,14 @@ pub const FIGURES: &[Figure] = &[
     // At 128 replicas, WAN, 1 straggler, the paper has Ladon at 9.1x /
     // 9.4x / 9.6x the throughput of ISS / RCC / Mir: pre-determined
     // orderers lose ~90% of their no-straggler throughput, Ladon ~9%,
-    // DQBFT ~17%.
+    // DQBFT ~17%. Here RCC has no row of its own in any PBFT-family
+    // figure: its lag-based leader removal is not modelled, so it would
+    // run ISS's order and print ISS's rows.
     Figure {
         name: "fig5_scalability",
         title: "Fig 5 — WAN and LAN, 0/1 straggler, k = 10 \
-                (paper @128 WAN 1s: Ladon ~9x ISS tput, -62% latency)",
+                (paper @128 WAN 1s: Ladon ~9x ISS tput, -62% latency; \
+                the ISS row stands for RCC: its removal is not modelled, so its order is ISS's)",
         headers: &[
             "env",
             "stragglers",
@@ -198,15 +200,32 @@ pub const FIGURES: &[Figure] = &[
         },
     },
     // §6.2.1: performance is bound by the *slowest* straggler, so from 1
-    // to 5 stragglers throughput drops only 10% / 1% / 1% / 2% / 24%
-    // (Ladon, ISS, RCC, Mir, DQBFT).
+    // to 5 stragglers the paper's throughput drops only 10% / 1% / 1% /
+    // 2% / 24% (Ladon, ISS, RCC, Mir, DQBFT). §6.4: CS = e^(−N/n), N
+    // counting pairs ordered against generation / commit causality; in
+    // the paper Mir degrades gently (0.154 → 0.002), and ISS, RCC and
+    // DQBFT collapse to ~1e-5 … 1e-16. CS counts every block, empty
+    // straggler blocks included; the tx-only variant is the §4.3
+    // front-running exposure. Ladon's all-blocks residual below 1.0 comes
+    // entirely from empty straggler cap blocks tying at maxRank(e). One
+    // sweep fills both: each run's throughput, latency and both CS cells.
     Figure {
-        name: "fig6_straggler_count",
-        title: "Fig 6 — n = 16, WAN, k = 10 (paper: largely flat vs straggler count)",
-        headers: &["protocol", "stragglers", "throughput (ktps)", "latency (s)"],
+        name: "fig6_tab2_straggler_count",
+        title: "Fig 6 + Table 2 (left) — n = 16, WAN, k = 10 \
+                (paper: largely flat vs straggler count; Ladon CS 1.0 everywhere, \
+                ISS ~1e-5 @1 straggler; \
+                the ISS row stands for RCC: its removal is not modelled, so its order is ISS's)",
+        headers: &[
+            "protocol",
+            "stragglers",
+            "throughput (ktps)",
+            "latency (s)",
+            "CS",
+            "CS (tx-only)",
+        ],
         rows: Rows::Sweep {
             cases: pbft_family_1_to_5_stragglers,
-            cells: |r, _| tput_lat(r, []),
+            cells: |r, _| tput_lat(r, [cs_fmt(r.causal_strength), cs_fmt(r.causal_strength_tx)]),
         },
     },
     // §4.4: certification bounds rank manipulation, so rank-minimizing
@@ -296,28 +315,13 @@ pub const FIGURES: &[Figure] = &[
             cells: |r, _| vec![f2(r.cpu_pct), f2(r.bandwidth_mbs)],
         },
     },
-    // §6.4: CS = e^(−N/n), N counting pairs ordered against generation /
-    // commit causality. Mir degrades gently (0.154 → 0.002); ISS, RCC and
-    // DQBFT collapse to ~1e-5 … 1e-16. CS counts every block, empty
-    // straggler blocks included; the tx-only variant is the §4.3
-    // front-running exposure. Ladon's all-blocks residual below 1.0 comes
-    // entirely from empty straggler cap blocks tying at maxRank(e).
-    Figure {
-        name: "tab2_causality",
-        title: "Table 2 (left) — CS vs #stragglers, n = 16, WAN, k = 10 \
-                (paper: Ladon 1.0 everywhere; ISS ~1e-5 @1 straggler)",
-        headers: &["protocol", "stragglers", "CS", "CS (tx-only)"],
-        rows: Rows::Sweep {
-            cases: pbft_family_1_to_5_stragglers,
-            cells: |r, _| vec![cs_fmt(r.causal_strength), cs_fmt(r.causal_strength_tx)],
-        },
-    },
     // Normal leaders propose 1 b/s at m = n = 16 WAN, so a straggler
     // proposing at rate r has k = 1/r.
     Figure {
         name: "tab2_causality_rate",
         title: "Table 2 (right) — CS vs straggler proposal rate, 1 straggler, n = 16, WAN \
-                (paper: Mir 0.241→0.154; ISS 0.078→1e-5; Ladon 1.0)",
+                (paper: Mir 0.241→0.154; ISS 0.078→1e-5; Ladon 1.0; \
+                the ISS row stands for RCC: its removal is not modelled, so its order is ISS's)",
         headers: &["protocol", "rate (b/s)", "CS"],
         rows: Rows::Sweep {
             cases: |_| {

@@ -9,7 +9,7 @@
 //! range in every instance and rotating the transaction buckets).
 //!
 //! Every replica runs the pacemaker, whatever its protocol. Under ISS,
-//! RCC, Mir and ISS-HotStuff a block ranks at its round, so an epoch is a
+//! Mir and ISS-HotStuff a block ranks at its round, so an epoch is a
 //! fixed range of rounds per instance, and their epochs close, checkpoint
 //! and drain as Ladon's do. DQBFT's sequencer reports no epoch frontier,
 //! so a DQBFT replica stays in epoch 0.

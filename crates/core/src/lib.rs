@@ -2,7 +2,7 @@
 //!
 //! - [`ordering`]: the global ordering layer (Algorithm 1), which also
 //!   decides where an epoch ends, and the [`ordering::GlobalOrderer`]
-//!   trait. The ISS / RCC / Mir baselines run the same orderer with
+//!   trait. The ISS / Mir baselines run the same orderer with
 //!   ranks fixed to rounds, which is their pre-determined order; Mir
 //!   adds a hold after each new view. It confirms only committed
 //!   blocks, so a ⊥ comes from an instance's view change, never from

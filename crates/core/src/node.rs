@@ -7,7 +7,7 @@
 //!   [`crate::instance`] seam — this module never learns which;
 //! - the shared `curRank` state (Algorithm 2's `curRank`);
 //! - a global orderer: Algorithm 1 (Ladon's, or with ranks fixed to
-//!   rounds for ISS, RCC and Mir, Mir holding it after each new view) or
+//!   rounds for ISS and Mir, Mir holding it after each new view) or
 //!   DQBFT's sequencer;
 //! - the epoch pacemaker and rotating buckets (every protocol; DQBFT's
 //!   sequencer reports no epoch frontier, so a DQBFT replica stays in
@@ -233,8 +233,7 @@ impl MultiBftNode {
             .collect();
 
         // Vanilla instances rank blocks at their rounds: Algorithm 1
-        // confirms the pre-determined order. RCC's lag-based removal is
-        // not modelled, so it is ISS.
+        // confirms the pre-determined order.
         let mut ladon = match cfg.protocol {
             ProtocolKind::LadonPbft | ProtocolKind::LadonOptPbft | ProtocolKind::LadonHotStuff => {
                 LadonOrderer::new(m)
@@ -1035,7 +1034,12 @@ impl MultiBftNode {
             Input::Message(from, msg) if from < self.cfg.sys.n => {
                 self.on_node_msg(ReplicaId(from as u32), msg, out)
             }
-            Input::Message(_, NodeMsg::ClientTxs(group)) => self.on_client_txs(group, out),
+            // Only a replica relays: a client's group claims no hop, so
+            // it cannot be deposited where its bucket is not served.
+            Input::Message(_, NodeMsg::ClientTxs(mut group)) => {
+                group.forwarded = false;
+                self.on_client_txs(group, out)
+            }
             Input::Message(..) => {}
             Input::Timer(timer) => self.fire(timer, out),
         }
@@ -1170,7 +1174,6 @@ mod tests {
             ProtocolKind::LadonPbft,
             ProtocolKind::LadonOptPbft,
             ProtocolKind::IssPbft,
-            ProtocolKind::RccPbft,
             ProtocolKind::MirPbft,
             ProtocolKind::DqbftPbft,
             ProtocolKind::LadonHotStuff,
@@ -1509,6 +1512,28 @@ mod tests {
         };
         step(&mut n, Input::Message(N, NodeMsg::ClientTxs(group)));
         assert_eq!(n.metrics.deposited_txs, 5);
+    }
+
+    /// A client's group marked as relayed, sent to a replica that does not
+    /// lead its bucket's instance, is relayed to the leader, not deposited
+    /// where no proposal would take it.
+    #[test]
+    fn a_client_cannot_mark_its_group_as_relayed() {
+        let mut n = node(ProtocolKind::LadonPbft, 1);
+        let group = ClientTxs {
+            bucket: 0,
+            first_tx: ladon_types::TxId(0),
+            count: 5,
+            payload_bytes: 2500,
+            arrival_sum_ns: 0,
+            forwarded: true,
+        };
+        let out = step(&mut n, Input::Message(N, NodeMsg::ClientTxs(group)));
+        assert_eq!(n.metrics.deposited_txs, 0);
+        assert!(
+            matches!(&out[..], [Output::Send(0, NodeMsg::ClientTxs(g))] if *g == group),
+            "{out:?}"
+        );
     }
 
     /// A group naming bucket `m` or beyond — from the client fleet or

@@ -6,7 +6,7 @@
 //! *confirmation bar* `(B*.rank + 1, B*.index)`, where `B*` is the
 //! `≺`-minimal *last partially confirmed* block across instances.
 //!
-//! Pre-determined ordering (ISS, RCC, Mir; §1, Fig. 1) is the same rule
+//! Pre-determined ordering (ISS, Mir; §1, Fig. 1) is the same rule
 //! with ranks fixed to rounds ([`LadonOrderer::pre_determined`]):
 //! - a vanilla instance ranks its round-`r` block `r`, so the key
 //!   `(r, i)` sorts blocks as `sn = (r − 1)·m + i` does;

@@ -3,7 +3,7 @@
 //! Implements Algorithm 2 of the paper in three modes:
 //!
 //! - [`RankMode::None`] — vanilla PBFT, used by the baseline Multi-BFT
-//!   protocols (ISS, RCC, Mir, DQBFT) whose global ordering is
+//!   protocols (ISS, Mir, DQBFT) whose global ordering is
 //!   pre-determined and needs no ranks.
 //! - [`RankMode::Plain`] — Ladon-PBFT: rank collection piggybacked on the
 //!   commit phase, rank sets + QCs in pre-prepares (§5.2.2).

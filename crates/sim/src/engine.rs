@@ -382,11 +382,6 @@ impl<M: WireSize + Clone> Engine<M> {
         self.core.queue.schedule(at, Pending { to: actor, kind });
     }
 
-    /// Marks an actor as crashed from outside the run.
-    pub fn set_crashed(&mut self, actor: ActorId, crashed: bool) {
-        self.core.crashed[actor] = crashed;
-    }
-
     /// Replaces a (typically crashed) actor with a fresh instance and
     /// clears its crashed flag — a process restart. If the run has already
     /// started, the new actor's `on_start` executes at the current
@@ -404,11 +399,6 @@ impl<M: WireSize + Clone> Engine<M> {
             };
             self.actors[id].on_start(&mut ctx);
         }
-    }
-
-    /// Whether an actor is crashed.
-    pub fn is_crashed(&self, actor: ActorId) -> bool {
-        self.core.crashed[actor]
     }
 
     /// Immutable access to an actor as a concrete type.
@@ -566,13 +556,36 @@ mod tests {
 
     #[test]
     fn crashed_actor_receives_nothing() {
-        let mut e = engine2(true);
-        e.set_crashed(1, true);
+        /// Crashes actor 1 on its timer, then sends it a message.
+        struct Crasher;
+        impl Actor<Num> for Crasher {
+            fn on_message(&mut self, _: ActorId, _: Num, _: &mut dyn Context<Num>) {}
+            fn on_timer(&mut self, id: u64, ctx: &mut dyn Context<Num>) {
+                ctx.crash(1);
+                ctx.send(1, Num(id));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut e = Engine::new(
+            IdealNetwork {
+                latency: TimeNs::from_millis(1),
+            },
+            7,
+        );
+        e.add_actor(Box::new(Crasher));
+        e.add_actor(Box::new(Recorder {
+            log: vec![],
+            reply: true,
+        }));
         e.schedule_timer(0, TimeNs::ZERO, 5);
         e.run_until(TimeNs::from_secs(1));
         let b: &Recorder = e.actor_as(1).unwrap();
         assert!(b.log.is_empty());
-        assert!(e.is_crashed(1));
         // Events were still consumed (and counted).
         assert!(e.events_processed() >= 2);
     }

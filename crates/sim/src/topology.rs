@@ -116,11 +116,6 @@ impl Topology {
         self.regions.is_empty()
     }
 
-    /// Region of actor `i`.
-    pub fn region_of(&self, i: usize) -> Region {
-        self.regions[i]
-    }
-
     /// Base one-way propagation latency between two actors.
     pub fn base_latency(&self, from: usize, to: usize) -> TimeNs {
         self.base[self.regions[from].idx()][self.regions[to].idx()]
@@ -139,10 +134,11 @@ mod tests {
     #[test]
     fn wan_round_robin_regions() {
         let t = Topology::paper(NetEnv::Wan, 8);
-        assert_eq!(t.region_of(0), Region::France);
-        assert_eq!(t.region_of(1), Region::Virginia);
-        assert_eq!(t.region_of(4), Region::France);
         assert_eq!(t.len(), 8);
+        // Actors 0 and 4 share France, 1 and 5 Virginia.
+        assert_eq!(t.base_latency(0, 4), t.base_latency(0, 0));
+        assert_eq!(t.base_latency(1, 5), t.base_latency(1, 1));
+        assert_ne!(t.base_latency(0, 1), t.base_latency(0, 0));
     }
 
     #[test]

@@ -55,11 +55,10 @@ pub enum ProtocolKind {
     /// ISS: pre-determined ordering, which is Algorithm 1 with each block
     /// ranked at its round. A slow instance's hole is filled by
     /// the instance itself: after a view change, by the new leader's ⊥
-    /// or fresh block.
+    /// or fresh block. It also stands for the paper's RCC baseline, which
+    /// has no entry: RCC's lag-based leader removal is not modelled (each
+    /// replica would count the lag locally), so its order is ISS's.
     IssPbft,
-    /// RCC: runs ISS's orderer. Its lag-based leader removal is not
-    /// modelled, because each replica would count the lag locally.
-    RccPbft,
     /// Mir-BFT: ISS's order, but each installed new view is an epoch
     /// change that stalls confirmation for a fixed penalty.
     MirPbft,
@@ -79,7 +78,6 @@ impl ProtocolKind {
             ProtocolKind::LadonPbft => "Ladon",
             ProtocolKind::LadonOptPbft => "Ladon-opt",
             ProtocolKind::IssPbft => "ISS",
-            ProtocolKind::RccPbft => "RCC",
             ProtocolKind::MirPbft => "Mir",
             ProtocolKind::DqbftPbft => "DQBFT",
             ProtocolKind::LadonHotStuff => "Ladon-HotStuff",
@@ -95,11 +93,11 @@ impl ProtocolKind {
         )
     }
 
-    /// The five PBFT-based protocols compared in Fig. 5/6 and Table 2.
-    pub const PBFT_FAMILY: [ProtocolKind; 5] = [
+    /// The PBFT-based protocols compared in Fig. 5/6 and Table 2 (ISS
+    /// standing for RCC too).
+    pub const PBFT_FAMILY: [ProtocolKind; 4] = [
         ProtocolKind::LadonPbft,
         ProtocolKind::IssPbft,
-        ProtocolKind::RccPbft,
         ProtocolKind::MirPbft,
         ProtocolKind::DqbftPbft,
     ];
@@ -205,11 +203,6 @@ impl SystemConfig {
         SNAPSHOT_MIN_LAG.min(self.epoch_length)
     }
 
-    /// The epoch that owns a given rank.
-    pub fn epoch_of_rank(&self, rank: Rank) -> Epoch {
-        Epoch(rank.0 / self.epoch_length)
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), crate::error::LadonError> {
         use crate::error::LadonError;
@@ -306,8 +299,6 @@ mod tests {
         assert_eq!(max0, Rank(63));
         assert_eq!(min1, Rank(64));
         assert_eq!(max1, Rank(127));
-        assert_eq!(c.epoch_of_rank(Rank(63)), Epoch(0));
-        assert_eq!(c.epoch_of_rank(Rank(64)), Epoch(1));
     }
 
     #[test]
@@ -397,6 +388,6 @@ mod tests {
         assert!(ProtocolKind::LadonHotStuff.is_hotstuff());
         assert!(!ProtocolKind::LadonPbft.is_hotstuff());
         assert_eq!(ProtocolKind::LadonPbft.label(), "Ladon");
-        assert_eq!(ProtocolKind::PBFT_FAMILY.len(), 5);
+        assert_eq!(ProtocolKind::PBFT_FAMILY.len(), 4);
     }
 }

@@ -1,6 +1,6 @@
 //! Diagnostic runner. Two modes:
 //!
-//! - `debug_run [ladon|opt|hs|iss|isshs|mir|rcc|dqbft] [n] [secs]` prints
+//! - `debug_run [ladon|opt|hs|iss|isshs|mir|dqbft] [n] [secs]` prints
 //!   per-replica pipeline state for a small run, in ten steps, then each
 //!   replica's totals, with the rounds of consensus state it still holds
 //!   (flat in `secs` under every protocol but DQBFT, whose replicas stay
@@ -17,26 +17,34 @@
 //!   and the state-transfer traffic summed over runs and replicas (sync
 //!   requests sent; snapshots, chunks and chunk bytes served). It exits
 //!   nonzero when any run violated the oracle.
+//!
+//! An unknown protocol name exits 2 and lists the valid ones.
 
 use ladon_types::{ProtocolKind, TimeNs};
 use ladon_workload::{Deployment, ExperimentConfig};
 use std::collections::BTreeMap;
 
-const ALL: [(&str, ProtocolKind); 8] = [
+const ALL: [(&str, ProtocolKind); 7] = [
     ("ladon", ProtocolKind::LadonPbft),
     ("opt", ProtocolKind::LadonOptPbft),
     ("hs", ProtocolKind::LadonHotStuff),
     ("iss", ProtocolKind::IssPbft),
     ("isshs", ProtocolKind::IssHotStuff),
     ("mir", ProtocolKind::MirPbft),
-    ("rcc", ProtocolKind::RccPbft),
     ("dqbft", ProtocolKind::DqbftPbft),
 ];
 
+fn lookup(name: &str) -> Option<ProtocolKind> {
+    ALL.iter().find(|(n, _)| *n == name).map(|&(_, p)| p)
+}
+
+/// The protocol named `name`; an unknown name exits 2.
 fn protocol(name: &str) -> ProtocolKind {
-    ALL.iter()
-        .find(|(n, _)| *n == name)
-        .map_or(ProtocolKind::LadonPbft, |&(_, p)| p)
+    lookup(name).unwrap_or_else(|| {
+        let valid: Vec<&str> = ALL.iter().map(|&(n, _)| n).collect();
+        eprintln!("unknown protocol `{name}`; valid: {}", valid.join(", "));
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -178,5 +186,26 @@ fn trace(proto: ProtocolKind, n: usize, secs: f64) {
                 .map(|&(t, e)| (t.as_secs_f64(), e))
                 .collect::<Vec<_>>(),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Each name selects its own protocol, and a name outside the table
+    /// selects none (rather than falling back to Ladon-PBFT).
+    #[test]
+    fn every_name_selects_one_protocol_and_unknown_names_none() {
+        let names: BTreeSet<&str> = ALL.iter().map(|&(n, _)| n).collect();
+        let labels: BTreeSet<&str> = ALL.iter().map(|&(_, p)| p.label()).collect();
+        assert_eq!((names.len(), labels.len()), (ALL.len(), ALL.len()));
+        for (name, p) in ALL {
+            assert_eq!(lookup(name), Some(p), "{name}");
+        }
+        for name in ["rcc", "Ladon", "pbft", "iss ", ""] {
+            assert_eq!(lookup(name), None, "{name:?}");
+        }
     }
 }

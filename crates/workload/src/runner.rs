@@ -226,7 +226,7 @@ impl ExperimentConfig {
             // both come from a view change), so raise it comfortably
             // above the straggler interval, or every slow round
             // degenerates into view changes and the run stops
-            // representing the paper's setting (whose RCC and ISS both
+            // representing the paper's setting (whose ISS and RCC both
             // lose ≈ 90 % to a straggler).
             let floor = 2.5 * self.straggler_interval_s();
             if sys.view_change_timeout.as_secs_f64() < floor {

@@ -1,6 +1,8 @@
 //! Causality audit (§4.3, §6.4): measures the inter-block causal strength
-//! of ISS vs Ladon under a straggler and explains the front-running window
-//! that pre-determined ordering opens.
+//! of ISS, Mir and DQBFT vs Ladon under a straggler and explains the
+//! front-running window that pre-determined ordering opens. The ISS row
+//! stands for RCC too: RCC's lag-based leader removal is not modelled, so
+//! its order is ISS's.
 //!
 //! A front-runner watches partially committed blocks. Under ISS, a
 //! straggler's block is *assigned its global position before creation*, so
@@ -25,7 +27,6 @@ fn main() {
     );
     for proto in [
         ProtocolKind::IssPbft,
-        ProtocolKind::RccPbft,
         ProtocolKind::MirPbft,
         ProtocolKind::DqbftPbft,
         ProtocolKind::LadonPbft,

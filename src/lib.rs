@@ -10,10 +10,11 @@
 //! - [`hotstuff`]: chained HotStuff instances (Appendix D).
 //! - [`core`]: monotonic ranks, global ordering (Algorithm 1), epochs,
 //!   rotating buckets, the Multi-BFT node, and baseline orderers
-//!   (ISS / Mir / RCC / DQBFT). A baseline confirms only blocks its
+//!   (ISS / Mir / DQBFT). A baseline confirms only blocks its
 //!   instances committed: a slow instance's ⊥ is the one its view
-//!   change agrees on, Mir stalls confirmation after each new view, and
-//!   RCC runs ISS's orderer (its lag-based removal is not modelled).
+//!   change agrees on, and Mir stalls confirmation after each new view.
+//!   ISS stands for RCC too: RCC's lag-based removal is not modelled,
+//!   so its order is ISS's.
 //! - [`state`]: the execution layer — deterministic KV state machine,
 //!   commit write-ahead log, and epoch-aligned snapshots with
 //!   content-addressed state roots (checkpoints attest to state, and

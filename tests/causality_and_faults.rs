@@ -124,15 +124,8 @@ fn crash_triggers_view_change_and_recovery() {
 /// makes no ⊥ of its own.
 #[test]
 fn a_leader_that_dies_before_its_first_commit_is_replaced() {
-    use ProtocolKind::{IssHotStuff, IssPbft, LadonHotStuff, LadonPbft, MirPbft, RccPbft};
-    for protocol in [
-        LadonPbft,
-        LadonHotStuff,
-        IssPbft,
-        MirPbft,
-        RccPbft,
-        IssHotStuff,
-    ] {
+    use ProtocolKind::{IssHotStuff, IssPbft, LadonHotStuff, LadonPbft, MirPbft};
+    for protocol in [LadonPbft, LadonHotStuff, IssPbft, MirPbft, IssHotStuff] {
         let mut c = Deployment::build(
             &ExperimentConfig::scenario(protocol, 4, 30.0)
                 .with_crash(1, 0.0005)

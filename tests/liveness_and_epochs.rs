@@ -153,7 +153,6 @@ fn every_protocol_keeps_confirming_across_epoch_boundaries() {
         (LadonOptPbft, 2, 1),
         (LadonHotStuff, 2, 1),
         (IssPbft, 2, 1),
-        (RccPbft, 2, 1),
         (MirPbft, 2, 1),
         (DqbftPbft, 0, 3),
         (IssHotStuff, 2, 1),

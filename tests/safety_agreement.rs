@@ -32,11 +32,6 @@ fn iss_pbft_agreement() {
 }
 
 #[test]
-fn rcc_pbft_agreement() {
-    agreement_for(ProtocolKind::RccPbft, 4, 6.0);
-}
-
-#[test]
 fn mir_pbft_agreement() {
     agreement_for(ProtocolKind::MirPbft, 4, 6.0);
 }

@@ -72,10 +72,8 @@ pub struct NodeMetrics {
     /// Snapshots served to lagging peers: one per sync response that
     /// carried one (a transfer is one response).
     pub snapshots_served: u64,
-    /// Per-lane snapshot chunks shipped in sync responses: all 64 of
-    /// each snapshot served.
-    pub snapshot_chunks_served: u64,
-    /// Wire bytes of the chunks behind `snapshot_chunks_served`.
+    /// Wire bytes of the lane chunks of the snapshots served (all 64
+    /// of each).
     pub snapshot_bytes_served: u64,
     /// Confirmed `sn`s this replica never recorded a `ConfirmRecord` for
     /// because a snapshot install fast-forwarded past them (the
@@ -124,11 +122,10 @@ pub struct NodeMetrics {
     /// responses ([`crate::sync::SYNC_QUARANTINE_THRESHOLD`] consecutive
     /// failures). Counts quarantine *events*.
     pub sync_responders_quarantined: u64,
-    /// Sync-response chunks that failed verification against the
-    /// quorum-proven head (Byzantine or corrupt responder payloads).
-    pub sync_chunks_rejected: u64,
-    /// Sync-response chunks that verified against a quorum-proven head.
-    pub sync_chunks_verified: u64,
+    /// Sync responses refused whole (a snapshot that failed its proof or
+    /// verification, a stale one, or more entries than a responder
+    /// serves): Byzantine or corrupt responder payloads.
+    pub sync_responses_refused: u64,
     /// Client transaction groups refused at the door because they named
     /// a bucket that does not exist (`bucket >= m`).
     pub refused_client_groups: u64,
@@ -193,7 +190,6 @@ impl SnapshotInto for NodeMetrics {
         registry.counter("node.sync_installed", self.sync_installed);
         registry.counter("node.snapshot_installs", self.snapshot_installs);
         registry.counter("node.snapshots_served", self.snapshots_served);
-        registry.counter("sync.snapshot_chunks_served", self.snapshot_chunks_served);
         registry.counter("sync.snapshot_bytes_served", self.snapshot_bytes_served);
         registry.counter("node.skipped_sns", self.skipped_sns);
         registry.counter("node.exec_gaps", self.exec_gaps);
@@ -207,8 +203,7 @@ impl SnapshotInto for NodeMetrics {
             "sync.responders_quarantined",
             self.sync_responders_quarantined,
         );
-        registry.counter("sync.chunks_rejected", self.sync_chunks_rejected);
-        registry.counter("sync.chunks_verified", self.sync_chunks_verified);
+        registry.counter("sync.responses_refused", self.sync_responses_refused);
         registry.counter("node.refused_client_groups", self.refused_client_groups);
         self.exec.snapshot_into(registry);
         self.trace.snapshot_into(registry);

@@ -41,7 +41,7 @@
 use crate::bucket::{Mempool, RotatingBuckets, TxGroup};
 use crate::dqbft::DqbftOrderer;
 use crate::durability::{Durability, DurabilityEvent, DurabilityStep, NodeMode};
-use crate::epoch::{EpochInput, EpochPacemaker};
+use crate::epoch::{EpochInput, EpochPacemaker, StableCheckpoint};
 use crate::instance::{self, Instance};
 use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
@@ -54,10 +54,10 @@ use crate::timer::Timer;
 use ladon_crypto::{CertCache, KeyRegistry, RankCert};
 use ladon_obs::Stage;
 use ladon_sim::{Actor, ActorId, Context};
-use ladon_state::{ExecOutcome, ExecutionPipeline, SnapshotHead};
+use ladon_state::{ExecOutcome, ExecutionPipeline, InstallOutcome, Snapshot};
 use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig,
-    TimeNs, WireSize, MERKLE_LANES,
+    TimeNs, WireSize,
 };
 use std::sync::Arc;
 
@@ -763,11 +763,10 @@ impl MultiBftNode {
     /// Serves a peer's state-transfer request from our committed log.
     fn on_sync_request(&mut self, from: ReplicaId, req: SyncRequest, out: &mut Vec<Output>) {
         if let Some(resp) = self.build_sync_response(&req) {
-            if resp.snapshot.is_some() {
+            if let Some(snap) = &resp.snapshot {
                 self.metrics.snapshots_served += 1;
-                self.metrics.snapshot_chunks_served += resp.chunks.len() as u64;
                 self.metrics.snapshot_bytes_served +=
-                    resp.chunks.iter().map(|c| c.wire_size()).sum::<u64>();
+                    snap.chunks.iter().map(WireSize::wire_size).sum::<u64>();
             }
             let msg = NodeMsg::SyncResp(Arc::new(resp));
             out.push(Output::Send(from.as_usize(), msg));
@@ -815,9 +814,9 @@ impl MultiBftNode {
     /// `sys.snapshot_min_lag()` blocks ahead of the requester's applied
     /// frontier ([`snapshot_worthwhile`] — a barely-behind
     /// replica gets log sync alone) AND we can prove its root with the
-    /// matching stable checkpoint, that checkpoint, the snapshot *head*
-    /// and its 64 lane chunks. The snapshot is held as its head plus lane
-    /// chunks, so serving clones them and encodes nothing.
+    /// matching stable checkpoint, that checkpoint and the snapshot. The
+    /// snapshot is held in its shipped form, so serving clones it and
+    /// encodes nothing.
     fn serve_snapshot(&self, req: &SyncRequest) -> Option<SyncResponse> {
         // A degraded replica stops serving snapshots: its own durable
         // path is failing, so it must not become the source other
@@ -837,8 +836,7 @@ impl MultiBftNode {
             .filter(|cp| cp.state_root == snap.head.root)?;
         Some(SyncResponse {
             checkpoint: Some(cp),
-            snapshot: Some(snap.head.clone()),
-            chunks: snap.chunks.clone(),
+            snapshot: Some(snap.clone()),
             entries: Vec::new(),
         })
     }
@@ -847,22 +845,19 @@ impl MultiBftNode {
     /// checkpoint, then entries — and scores `from`'s responder health
     /// from the three steps' combined outcome
     /// ([`StateTransfer::score_response`]). A responder serves at most
-    /// [`SYNC_MAX_BLOCKS`] entries and one chunk per lane, so a response
-    /// past either cap is refused before anything in it is verified, and
-    /// scored like one that does not verify.
+    /// [`SYNC_MAX_BLOCKS`] entries, so a response past that cap is
+    /// refused before anything in it is verified.
     fn on_sync_response(&mut self, from: ReplicaId, resp: SyncResponse, out: &mut Vec<Output>) {
-        let outcome =
-            if resp.entries.len() > SYNC_MAX_BLOCKS || resp.chunks.len() > MERKLE_LANES as usize {
-                ResponseOutcome {
-                    refused: true,
-                    ..ResponseOutcome::default()
-                }
-            } else {
-                self.install_response(resp, out)
-            };
+        let outcome = if resp.entries.len() > SYNC_MAX_BLOCKS {
+            ResponseOutcome {
+                refused: true,
+                ..ResponseOutcome::default()
+            }
+        } else {
+            self.install_response(resp, out)
+        };
         if let Some(newly_quarantined) = self.sync.score_response(from.as_usize(), outcome) {
-            self.metrics.sync_chunks_verified += outcome.ok_chunks;
-            self.metrics.sync_chunks_rejected += outcome.bad_chunks;
+            self.metrics.sync_responses_refused += u64::from(outcome.refused);
             if newly_quarantined {
                 self.metrics.sync_responders_quarantined += 1;
                 self.metrics.trace.note_event("responder_quarantined");
@@ -872,7 +867,7 @@ impl MultiBftNode {
 
     /// Installs what `resp` proves, in order, and reports the outcome.
     fn install_response(&mut self, resp: SyncResponse, out: &mut Vec<Output>) -> ResponseOutcome {
-        let mut outcome = self.install_snapshot(&resp);
+        let mut outcome = self.install_snapshot(resp.snapshot, resp.checkpoint.as_ref());
         if let Some(sc) = &resp.checkpoint {
             // `useful` so far means exactly "the snapshot installed".
             self.pace(EpochInput::Fetched(sc, outcome.useful), out);
@@ -884,40 +879,35 @@ impl MultiBftNode {
 
     /// Snapshot fast-forward: only with a verified stable checkpoint
     /// whose quorum-signed root matches the snapshot head's manifest
-    /// root, and a head that records one round per instance. The head
-    /// alone proves the lane-root vector; each chunk then verifies
-    /// against it — membership (its root is the one the head names for
-    /// that lane) plus content (entries recompute to the root, stay
-    /// in-lane, stay canonical). The response installs as a whole or
-    /// not at all: one bad chunk, or one lane missing, and nothing of it
-    /// is kept ([`ladon_state::ExecutionPipeline::install`]).
+    /// root, and a head that records one round per instance and is ahead
+    /// of `applied`. [`ladon_state::ExecutionPipeline::install`] then
+    /// verifies the snapshot once — the manifest root over the head, the
+    /// chunk count, every chunk against its lane root — and installs it
+    /// whole or keeps nothing of it. A snapshot that fails any of these
+    /// is refused; one that verifies but is not installed is not.
     /// `useful` in the returned outcome means the snapshot installed;
     /// the pacemaker's jump past it is [`EpochInput::Fetched`]'s.
-    fn install_snapshot(&mut self, resp: &SyncResponse) -> ResponseOutcome {
-        let mut outcome = ResponseOutcome::default();
-        let Some(head) = &resp.snapshot else {
-            return outcome;
+    fn install_snapshot(
+        &mut self,
+        snap: Option<Snapshot>,
+        cp: Option<&StableCheckpoint>,
+    ) -> ResponseOutcome {
+        let Some(snap) = snap else {
+            return ResponseOutcome::default();
         };
-        outcome.refused = !resp.checkpoint.as_ref().is_some_and(|cp| {
+        let head = &snap.head;
+        let proven = cp.is_some_and(|cp| {
             cp.epoch.0 == head.epoch
                 && cp.state_root == head.root
                 && head.frontier.len() == self.cfg.sys.m
-                && head.verify()
                 && head.applied > self.exec.applied()
                 && cp.verify(&self.cfg.registry, self.cfg.sys.quorum())
         });
-        if outcome.refused {
-            return outcome;
-        }
-        for chunk in &resp.chunks {
-            if head.lane_roots.get(chunk.lane as usize) == Some(&chunk.root) && chunk.verify() {
-                outcome.ok_chunks += 1;
-            } else {
-                outcome.bad_chunks += 1;
-            }
-        }
-        if outcome.bad_chunks > 0 {
-            return outcome;
+        if !proven {
+            return ResponseOutcome {
+                refused: true,
+                ..ResponseOutcome::default()
+            };
         }
         // Every block the orderer confirmed already has its
         // ConfirmRecord (the install flushes the staged ones first): the
@@ -926,11 +916,14 @@ impl MultiBftNode {
         // frontier, which a pipeline recovered from disk starts above an
         // empty log.
         let recorded_upto = self.orderer.confirmed_count();
-        if self.exec.install(head, &resp.chunks) {
-            outcome.useful = true;
-            self.after_snapshot_install(head, recorded_upto);
+        let installed = self.exec.install(snap);
+        if installed == InstallOutcome::Installed {
+            self.after_snapshot_install(recorded_upto);
         }
-        outcome
+        ResponseOutcome {
+            refused: installed == InstallOutcome::Unverified,
+            useful: installed == InstallOutcome::Installed,
+        }
     }
 
     /// Feeds fetched log entries through their instances (which verify
@@ -956,13 +949,17 @@ impl MultiBftNode {
         installed
     }
 
-    /// Bookkeeping once a peer snapshot is installed, and the consensus
-    /// layers' jump past the snapshotted prefix.
-    fn after_snapshot_install(&mut self, snap: &SnapshotHead, recorded_upto: u64) {
+    /// Bookkeeping once a peer snapshot is installed (the pipeline's
+    /// latest snapshot now), and the consensus layers' jump past the
+    /// snapshotted prefix.
+    fn after_snapshot_install(&mut self, recorded_upto: u64) {
         self.metrics.snapshot_installs += 1;
         // Installing drained staged blocks and compacted the WAL behind
         // the snapshot.
         self.refresh_exec_stats();
+        let snap = &(self.exec.latest_snapshot())
+            .expect("an installed snapshot is the pipeline's latest")
+            .head;
         // The fast-forwarded prefix never gets ConfirmRecords here:
         // surface the gap instead of leaving it implicit in a shorter log.
         self.metrics.skipped_sns += snap.applied.saturating_sub(recorded_upto);

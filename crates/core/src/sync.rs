@@ -33,18 +33,20 @@
 //! # Snapshot transfer
 //!
 //! Deep lag is repaired by snapshot, in one exchange: the responder
-//! ships the quorum-attested manifest head ([`ladon_state::SnapshotHead`])
-//! of its latest snapshot plus all 64 of its lane chunks, as it holds
-//! them, in the response that also carries up to [`SYNC_MAX_BLOCKS`]
-//! blocks. The chunks of a full 4 096-account state are 52 544 B, 2.6 %
-//! of one 4096-tx block. The requester verifies each chunk against the
-//! head's lane-root vector and installs the snapshot
-//! ([`ladon_state::ExecutionPipeline::install`]) in the handler call
-//! that received the response. A response installs as a whole or leaves
-//! nothing behind: with any chunk bad or any lane missing, nothing is
-//! installed and nothing is kept, the sender is scored, and the next
-//! probe asks the next healthy peer — a Byzantine responder can serve a
-//! correct snapshot or nothing.
+//! ships its latest [`ladon_state::Snapshot`] whole, as it holds it — the
+//! quorum-attested manifest head plus all 64 lane chunks — in the
+//! response that also carries up to [`SYNC_MAX_BLOCKS`] blocks. The
+//! chunks of a full 4 096-account state are 52 544 B, 2.6 % of one
+//! 4096-tx block. The requester checks the head against the response's
+//! stable checkpoint and hands the snapshot to
+//! [`ladon_state::ExecutionPipeline::install`], which verifies it once
+//! (head, chunk count, then every lane) and installs it, in the handler
+//! call that received the response. A snapshot installs as a whole or
+//! leaves nothing behind: with any chunk bad or any lane missing or
+//! extra, nothing is installed and nothing is kept, the response is
+//! refused and its sender scored, and the next probe asks the next
+//! healthy peer — a Byzantine responder can serve a correct snapshot or
+//! nothing.
 //!
 //! # The requester's rotation, as a state machine
 //!
@@ -73,9 +75,9 @@
 //! any              picked as target                        same                 outstanding := (peer, window)
 //! any              its probe outstanding, window advanced  BackedOff(2^k more)  timeouts += 1; k = min(streak, 6)
 //! BackedOff        skip windows elapsed                    Healthy              back in rotation
-//! any              answered: chunks verified, or useful    streak := 0          timeout backoff cleared
+//! any              answered: useful                        streak := 0          timeout backoff cleared
 //! any              answered: nothing useful, nothing bad   same                 timeout backoff cleared
-//! not Quarantined  answered: bad chunk or refused response streak += 1          timeout backoff cleared
+//! not Quarantined  answered: refused response              streak += 1          timeout backoff cleared
 //! not Quarantined  ... and the streak reaches 3            Quarantined          node counts + traces the event
 //! Quarantined      answered (anything)                     Quarantined          scored, never re-admitted
 //! ```
@@ -89,13 +91,13 @@
 //! forever — crash faults heal. (2) If *every* peer is unhealthy, plain
 //! round-robin (skipping only self) resumes, quarantined peers included:
 //! health trades probe placement, never liveness. (3) A responder whose
-//! chunks keep failing is simply left behind — nothing of its response is
-//! kept, the next probe goes to the *next* peer, and the third bad answer
-//! in a row quarantines it.
+//! responses keep being refused is simply left behind — nothing of its
+//! response is kept, the next probe goes to the *next* peer, and the
+//! third refused answer in a row quarantines it.
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
-use ladon_state::{SnapshotChunk, SnapshotHead};
+use ladon_state::Snapshot;
 use ladon_types::{sizes, Block, Epoch, InstanceId, Round, WireSize};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -143,12 +145,13 @@ impl WireSize for SyncRequest {
     }
 }
 
-/// Consecutive unverifiable responses (a bad chunk, a rejected
-/// snapshot head, or more than a responder serves) from one responder before the requester quarantines it
-/// out of the rotation. Honest responders never ship an unverifiable
-/// chunk, so a small threshold only tolerates re-requests racing a
-/// responder's own state advance; unresponsive (as opposed to Byzantine)
-/// peers are handled separately by timeout backoff.
+/// Consecutive refused responses (a snapshot that fails verification or
+/// does not match its checkpoint, or more entries than a responder
+/// serves) from one responder before the requester quarantines it out of
+/// the rotation. Honest responders never ship an unverifiable snapshot,
+/// so a small threshold only tolerates re-requests racing a responder's
+/// own state advance; unresponsive (as opposed to Byzantine) peers are
+/// handled separately by timeout backoff.
 pub const SYNC_QUARANTINE_THRESHOLD: u32 = 3;
 
 /// Cap on the timeout-backoff exponent: a silent responder is skipped
@@ -160,20 +163,18 @@ const TIMEOUT_BACKOFF_MAX_EXP: u32 = 6;
 /// one round, so their gap never nears this.
 const LIVE_EDGE_GAP: u64 = 4;
 
-/// Per-peer state-transfer responder health. Verified chunks reset the
-/// failure streak; unverifiable responses and timeouts grow it.
-/// Timeouts put the responder on exponential probe backoff; repeated
-/// unverifiable payloads quarantine it outright (only a liveness
-/// fallback — every other peer also unhealthy — sends to it again).
+/// Per-peer state-transfer responder health. A useful response resets
+/// the failure streak; a refused one grows it. Timeouts put the
+/// responder on exponential probe backoff; repeated refused responses
+/// quarantine it outright (only a liveness fallback — every other peer
+/// also unhealthy — sends to it again).
 #[derive(Clone, Debug, Default)]
 pub struct ResponderHealth {
-    /// Chunks from this responder that verified against a proven head.
-    pub verified_chunks: u64,
-    /// Chunks (or whole responses) that failed verification.
-    pub rejected_chunks: u64,
+    /// Responses from this responder that were refused.
+    pub rejected: u64,
     /// Probes this responder never answered before the next window.
     pub timeouts: u64,
-    /// Consecutive unverifiable responses (quarantine trigger).
+    /// Consecutive refused responses (quarantine trigger).
     fail_streak: u32,
     /// Consecutive timeouts (probe-backoff exponent).
     timeout_streak: u32,
@@ -186,16 +187,11 @@ pub struct ResponderHealth {
 /// What one sync response amounted to, for scoring its sender.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResponseOutcome {
-    /// Chunks that verified against the quorum-proven head.
-    pub ok_chunks: u64,
-    /// Chunks that did not.
-    pub bad_chunks: u64,
-    /// The response was refused whole: it advertised a snapshot head we
-    /// rejected (stale applied frontier, root/checkpoint mismatch, failed
-    /// proof), or it held more than a responder serves. Counts like a
-    /// bad chunk: a stale-but-signed snapshot replayed forever would
-    /// otherwise stall the transfer without ever tripping chunk
-    /// verification.
+    /// The response was refused whole: its snapshot failed verification,
+    /// or was stale, did not match the checkpoint or the checkpoint's
+    /// proof failed, or it held more entries than a responder serves.
+    /// A stale-but-signed snapshot counts too: replayed forever it would
+    /// otherwise stall the transfer without ever failing verification.
     pub refused: bool,
     /// Something else in it helped: a snapshot installed, a log entry
     /// installed, or it carried a checkpoint.
@@ -296,21 +292,19 @@ impl StateTransfer {
         if self.outstanding == Some(peer) {
             self.outstanding = None;
         }
-        let bad = outcome.bad_chunks > 0 || outcome.refused;
-        h.verified_chunks += outcome.ok_chunks;
-        h.rejected_chunks += outcome.bad_chunks + u64::from(outcome.refused);
+        h.rejected += u64::from(outcome.refused);
         // It answered: whatever the payload quality, the peer is
         // responsive — timeout backoff resets independently of the
         // verification streak.
         h.timeout_streak = 0;
         h.skip_until = 0;
-        if bad {
+        if outcome.refused {
             h.fail_streak = h.fail_streak.saturating_add(1);
             if !h.quarantined && h.fail_streak >= SYNC_QUARANTINE_THRESHOLD {
                 h.quarantined = true;
                 return Some(true);
             }
-        } else if outcome.ok_chunks > 0 || outcome.useful {
+        } else if outcome.useful {
             h.fail_streak = 0;
         }
         Some(false)
@@ -346,21 +340,18 @@ pub struct SyncResponse {
     /// otherwise it is the checkpoint of the requested epoch, when the
     /// responder has completed it.
     pub checkpoint: Option<StableCheckpoint>,
-    /// The manifest head of the responder's latest execution snapshot,
-    /// when it is ahead of the requester's applied frontier. The
-    /// receiver recomputes its manifest root — which covers the
-    /// `applied`/`frontier`/`executed_txs` metadata and the **lane-root
-    /// vector** — and checks it against `checkpoint.state_root` before
-    /// trusting anything, so a Byzantine responder can serve correct
-    /// state or nothing: neither the contents nor the metadata the
-    /// installer fast-forwards by can be forged. The contents arrive
-    /// separately in `chunks`, each verified against the head's lane
-    /// roots. Nothing descriptive rides along: the installer's next
-    /// checkpoint root is a function of the state and its position, so
-    /// it equals the donor's.
-    pub snapshot: Option<SnapshotHead>,
-    /// The snapshot's 64 lane chunks, in lane order.
-    pub chunks: Vec<SnapshotChunk>,
+    /// The responder's latest execution snapshot, whole, when it is
+    /// ahead of the requester's applied frontier. The receiver checks
+    /// its manifest root against `checkpoint.state_root` and verifies it
+    /// once ([`Snapshot::verify`]: the root over the
+    /// `applied`/`frontier`/`executed_txs` metadata and the lane-root
+    /// vector, then every chunk against its lane root) before trusting
+    /// anything, so a Byzantine responder can serve correct state or
+    /// nothing: neither the contents nor the metadata the installer
+    /// fast-forwards by can be forged. Nothing descriptive rides along:
+    /// the installer's next checkpoint root is a function of the state
+    /// and its position, so it equals the donor's.
+    pub snapshot: Option<Snapshot>,
     /// Missing log entries past the requester's frontier.
     pub entries: Vec<SyncEntry>,
 }
@@ -370,7 +361,6 @@ impl WireSize for SyncResponse {
         sizes::MSG_HEADER
             + self.checkpoint.as_ref().map_or(0, WireSize::wire_size)
             + self.snapshot.as_ref().map_or(0, WireSize::wire_size)
-            + self.chunks.iter().map(WireSize::wire_size).sum::<u64>()
             + self.entries.iter().map(WireSize::wire_size).sum::<u64>()
     }
 }
@@ -384,14 +374,14 @@ mod tests {
 
     fn bad() -> ResponseOutcome {
         ResponseOutcome {
-            bad_chunks: 1,
+            refused: true,
             ..Default::default()
         }
     }
 
     fn good() -> ResponseOutcome {
         ResponseOutcome {
-            ok_chunks: 2,
+            useful: true,
             ..Default::default()
         }
     }
@@ -506,7 +496,7 @@ mod tests {
         assert_eq!(st.score_response(ME, bad()), None, "ourselves");
         assert_eq!(st.score_response(4, bad()), None, "not a replica");
         assert_eq!(st.score_response(u32::MAX as usize, bad()), None);
-        assert!(st.responders().iter().all(|h| h.rejected_chunks == 0));
+        assert!(st.responders().iter().all(|h| h.rejected == 0));
     }
 
     #[test]
@@ -526,14 +516,9 @@ mod tests {
         };
         st.score_response(1, useful);
         assert_eq!(st.score_response(1, bad()), Some(false));
-        // A rejected head counts like a bad chunk.
-        let stale = ResponseOutcome {
-            refused: true,
-            ..Default::default()
-        };
-        st.score_response(1, stale);
-        assert_eq!(st.score_response(1, stale), Some(true));
-        assert_eq!(st.responders()[1].rejected_chunks, 5);
+        st.score_response(1, bad());
+        assert_eq!(st.score_response(1, bad()), Some(true));
+        assert_eq!(st.responders()[1].rejected, 5, "one per refused response");
     }
 
     #[test]
@@ -624,7 +609,6 @@ mod tests {
         let resp = SyncResponse {
             checkpoint: None,
             snapshot: None,
-            chunks: Vec::new(),
             entries: vec![entry],
         };
         assert!(
@@ -642,30 +626,34 @@ mod tests {
                 value: k as u64 + 1,
             });
         }
-        let snap = ladon_state::Snapshot::capture(2, 500, 10_000, vec![0; 4], &kv);
+        let snap = Snapshot::capture(2, 500, 10_000, vec![0; 4], &kv);
+        let reg = ladon_crypto::KeyRegistry::generate(4, 1, 1);
+        let shares: Vec<_> = (0..3u32)
+            .map(|r| {
+                let signer = reg.signer(ladon_types::ReplicaId(r));
+                crate::epoch::CheckpointMsg::sign(&signer, Epoch(2), snap.head.root).sig
+            })
+            .collect();
+        let checkpoint = StableCheckpoint {
+            epoch: Epoch(2),
+            state_root: snap.head.root,
+            agg: ladon_crypto::AggregateSignature::aggregate(&shares, 4).unwrap(),
+        };
         let (head, chunks) = snap.split();
-        let without = SyncResponse {
-            checkpoint: None,
-            snapshot: None,
-            chunks: Vec::new(),
+        let resp = SyncResponse {
+            checkpoint: Some(checkpoint.clone()),
+            snapshot: Some(snap),
             entries: Vec::new(),
         };
-        let full = SyncResponse {
-            checkpoint: None,
-            snapshot: Some(head),
-            chunks: chunks.clone(),
-            entries: Vec::new(),
-        };
-        // A transfer carries every entry's bytes.
-        assert!(full.wire_size() >= without.wire_size() + 100 * 12);
-        // Each chunk is counted: one chunk fewer is that chunk's bytes fewer.
-        let one_short = SyncResponse {
-            chunks: chunks[1..].to_vec(),
-            ..full.clone()
-        };
+        // The checkpoint, the head and every chunk, each at its own size:
+        // a transfer carries every entry's bytes.
         assert_eq!(
-            full.wire_size() - one_short.wire_size(),
-            chunks[0].wire_size()
+            resp.wire_size(),
+            sizes::MSG_HEADER
+                + checkpoint.wire_size()
+                + head.wire_size()
+                + chunks.iter().map(WireSize::wire_size).sum::<u64>()
         );
+        assert!(resp.wire_size() >= sizes::MSG_HEADER + 100 * 12);
     }
 }

@@ -46,13 +46,6 @@ impl Fnv64 {
         self
     }
 
-    /// Absorbs a u64 (little-endian).
-    #[inline]
-    #[must_use]
-    pub fn write_u64(self, v: u64) -> Self {
-        self.write(&v.to_le_bytes())
-    }
-
     /// Final hash value.
     #[inline]
     pub fn finish(self) -> u64 {
@@ -76,12 +69,5 @@ mod tests {
     fn incremental_matches_oneshot() {
         let h = Fnv64::new().write(b"foo").write(b"bar").finish();
         assert_eq!(h, fnv1a(b"foobar"));
-    }
-
-    #[test]
-    fn write_u64_is_le_bytes() {
-        let h1 = Fnv64::new().write_u64(0x0102030405060708).finish();
-        let h2 = fnv1a(&[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
-        assert_eq!(h1, h2);
     }
 }

@@ -47,12 +47,6 @@ pub struct FaultPlan {
     enospc_denials: Arc<AtomicU64>,
     /// `sync_group` calls that fail before fsync recovers.
     fsync_failures: Arc<AtomicI64>,
-    /// Repeating fsync cycle: fail `lo` barriers, pass `hi` barriers
-    /// (packed `lo << 32 | hi`); 0 disables. Models flaky storage that
-    /// flutters between working and broken.
-    fsync_cycle: Arc<AtomicU64>,
-    /// Position within the fsync cycle.
-    fsync_clock: Arc<AtomicU64>,
     /// Tear the next `append_segment_batch`: write only a prefix of the
     /// records and no trailer, then report failure.
     torn_next: Arc<AtomicBool>,
@@ -81,8 +75,6 @@ impl FaultPlan {
             heal_after_denials: Arc::new(AtomicI64::new(0)),
             enospc_denials: Arc::new(AtomicU64::new(0)),
             fsync_failures: Arc::new(AtomicI64::new(0)),
-            fsync_cycle: Arc::new(AtomicU64::new(0)),
-            fsync_clock: Arc::new(AtomicU64::new(0)),
             torn_next: Arc::new(AtomicBool::new(false)),
             rng: Arc::new(AtomicU64::new(0)),
             fail_per_mille: Arc::new(AtomicU64::new(0)),
@@ -128,14 +120,6 @@ impl FaultPlan {
     /// Fail the next `k` `sync_group` barriers.
     pub fn fail_fsyncs(self, k: i64) -> Self {
         self.fsync_failures.store(k, Ordering::SeqCst);
-        self
-    }
-
-    /// Flutter: repeat a cycle of `fail` failing fsync barriers followed
-    /// by `pass` succeeding ones.
-    pub fn fsync_flutter(self, fail: u32, pass: u32) -> Self {
-        self.fsync_cycle
-            .store(((fail as u64) << 32) | pass as u64, Ordering::SeqCst);
         self
     }
 
@@ -229,7 +213,7 @@ impl FaultPlan {
     }
 
     /// Gate one fsync barrier: the budget/ENOSPC/random gates apply
-    /// (an fsync is a mutating op), plus the fsync-specific scripts.
+    /// (an fsync is a mutating op), plus the scripted fsync failures.
     fn permit_sync(&self) -> bool {
         let mut ok = self.permit(0);
         if self.fsync_failures.fetch_sub(1, Ordering::SeqCst) > 0 {
@@ -237,17 +221,6 @@ impl FaultPlan {
                 self.note_injected();
             }
             ok = false;
-        }
-        let cycle = self.fsync_cycle.load(Ordering::SeqCst);
-        if cycle != 0 {
-            let (fail, pass) = (cycle >> 32, cycle & 0xffff_ffff);
-            let at = self.fsync_clock.fetch_add(1, Ordering::SeqCst) % (fail + pass).max(1);
-            if at < fail {
-                if ok {
-                    self.note_injected();
-                }
-                ok = false;
-            }
         }
         ok
     }
@@ -416,10 +389,6 @@ mod tests {
         assert!(!plan.permit_sync());
         assert!(!plan.permit_sync());
         assert!(plan.permit_sync());
-
-        let flutter = FaultPlan::unlimited().fsync_flutter(1, 2);
-        let outcomes: Vec<bool> = (0..6).map(|_| flutter.permit_sync()).collect();
-        assert_eq!(outcomes, [false, true, true, false, true, true]);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   way they are shipped — a manifest head ([`SnapshotHead`]) plus one
 //!   chunk per lane ([`SnapshotChunk`]) content-addressed by lane root —
 //!   with a [`SnapshotStore`] that can persist them on disk. A responder
-//!   ships a snapshot as it holds it; the receiver verifies every chunk
-//!   against the head and installs the whole.
+//!   ships a snapshot as it holds it, one value; the receiver's
+//!   [`ExecutionPipeline::install`] verifies it once, head and every
+//!   chunk, and installs the whole or nothing.
 //! - [`pipeline`]: the [`ExecutionPipeline`] gluing the three together:
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
 //!   plus snapshot install ([`ExecutionPipeline::install`]) and crash
@@ -56,8 +57,8 @@ pub mod wal;
 pub use faults::{FaultBackend, FaultPlan};
 pub use kv::{lane_of, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
 pub use pipeline::{
-    ExecOutcome, ExecSchedStats, ExecutionPipeline, PipelinePerf, PipelineStats, ReplayStats,
-    POOLED_MIN_OPS,
+    ExecOutcome, ExecSchedStats, ExecutionPipeline, InstallOutcome, PipelinePerf, PipelineStats,
+    ReplayStats, POOLED_MIN_OPS,
 };
 pub use snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
 pub use wal::{

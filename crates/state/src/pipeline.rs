@@ -53,7 +53,7 @@
 
 use crate::exec::{self, Job};
 use crate::kv::{ExecEffects, KvState};
-use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotHead, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotStore};
 use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, WalRecord};
 use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest, TxId};
@@ -98,6 +98,20 @@ pub enum ExecOutcome {
         /// The `sn` the pipeline expected.
         expected: u64,
     },
+}
+
+/// What [`ExecutionPipeline::install`] did with a peer's snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InstallOutcome {
+    /// Verified and installed: the pipeline stands at the snapshot and
+    /// holds it as its latest.
+    Installed,
+    /// Verified but not installed: no longer ahead of the applied
+    /// frontier once the staged blocks drained, or it names an account
+    /// at or past the keyspace.
+    Declined,
+    /// Failed [`Snapshot::verify`]; nothing was drained or kept.
+    Unverified,
 }
 
 /// What the last recovery (rebuild from snapshot + WAL) touched:
@@ -386,10 +400,9 @@ pub struct ExecutionPipeline {
     perf: PipelinePerf,
 }
 
-/// Whether every account `snap` names is below `keyspace`, which bounds
-/// what installing it allocates to `keyspace / 4096 + 1` pages. A chunk's
-/// run is ascending once it verifies, so its last key is its largest;
-/// one that is not fails verification anyway.
+/// Whether every account a verified `snap` names is below `keyspace`,
+/// which bounds what installing it allocates to `keyspace / 4096 + 1`
+/// pages. A verified chunk's run ascends, so its last key is its largest.
 fn within_keyspace(snap: &Snapshot, keyspace: u32) -> bool {
     let last = |c: &SnapshotChunk| c.entries.last().map(|&(k, _)| k);
     snap.chunks.iter().filter_map(last).all(|k| k < keyspace)
@@ -733,33 +746,28 @@ impl ExecutionPipeline {
         ok
     }
 
-    /// The one way a peer's state gets in: installs the snapshot `head`
-    /// and `chunks` make when it is ahead of the local applied frontier,
-    /// names no account past the keyspace, and verifies — all 64 lanes,
-    /// in lane order ([`Snapshot::verify`]). Returns `true` when state
-    /// advanced; otherwise nothing of `chunks` is kept. The caller must
-    /// have authenticated `head` against a quorum-signed stable
-    /// checkpoint.
-    pub fn install(&mut self, head: &SnapshotHead, chunks: &[SnapshotChunk]) -> bool {
+    /// The one way a peer's state gets in: verifies `snap` once — all 64
+    /// lanes, in lane order ([`Snapshot::verify`]) — and installs it when
+    /// it is ahead of the local applied frontier and names no account
+    /// past the keyspace. Nothing of a snapshot that is not installed is
+    /// kept. The caller must have authenticated `snap.head` against a
+    /// quorum-signed stable checkpoint.
+    pub fn install(&mut self, snap: Snapshot) -> InstallOutcome {
+        if !snap.verify() {
+            return InstallOutcome::Unverified;
+        }
         // Staged blocks must settle before the frontier jumps: draining
         // first keeps the WAL's dense-sn invariant (their records are
         // already buffered) and is a no-op when nothing is staged.
         self.submit_staged();
-        if head.applied <= self.applied {
-            return false;
-        }
-        let snap = Snapshot {
-            head: head.clone(),
-            chunks: chunks.to_vec(),
-        };
-        if !within_keyspace(&snap, self.keyspace) || !snap.verify() {
-            return false;
+        if snap.head.applied <= self.applied || !within_keyspace(&snap, self.keyspace) {
+            return InstallOutcome::Declined;
         }
         self.restore(&snap);
         if self.store.put(snap) {
             self.wal.compact(self.applied);
         }
-        true
+        InstallOutcome::Installed
     }
 
     /// Current state root. O([`crate::MERKLE_LANES`]) right after a
@@ -1247,7 +1255,7 @@ mod tests {
 
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut lagger, 0, 4);
-        assert!(lagger.install(&snap.head, &snap.chunks));
+        assert_eq!(lagger.install(snap), InstallOutcome::Installed);
         assert_eq!(lagger.applied(), 16);
         assert_eq!(lagger.state_root(), donor.state_root());
         // Re-delivered old blocks are skipped idempotently.
@@ -1279,7 +1287,7 @@ mod tests {
         let victim = snap.chunks.iter_mut().find(|c| !c.entries.is_empty());
         victim.expect("a populated lane").entries[0].1 ^= 1;
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        assert!(!lagger.install(&snap.head, &snap.chunks));
+        assert_eq!(lagger.install(snap), InstallOutcome::Unverified);
         assert_eq!(lagger.applied(), 0);
     }
 
@@ -1295,14 +1303,18 @@ mod tests {
             donor.execute(sn, &Block::synthetic(sn, sn * 50, 0));
         }
         donor.checkpoint(0, Vec::new());
-        let (head, chunks) = donor.latest_snapshot().unwrap().split();
+        let snap = donor.latest_snapshot().unwrap().clone();
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut lagger, 0, 8);
-        assert_eq!(lagger.lane_roots(), head.lane_roots);
+        assert_eq!(lagger.lane_roots(), snap.head.lane_roots);
         let before = lagger.state_root();
-        assert!(!lagger.install(&head, &[]));
+        let chunkless = Snapshot {
+            chunks: Vec::new(),
+            ..snap.clone()
+        };
+        assert_eq!(lagger.install(chunkless), InstallOutcome::Unverified);
         assert_eq!((lagger.applied(), lagger.state_root()), (8, before));
-        assert!(lagger.install(&head, &chunks));
+        assert_eq!(lagger.install(snap), InstallOutcome::Installed);
         assert_eq!(lagger.applied(), 12);
         assert_eq!(lagger.state_root(), donor.state_root());
     }
@@ -1310,21 +1322,21 @@ mod tests {
     #[test]
     fn a_snapshot_past_the_keyspace_is_refused_on_install() {
         // The donor's accounts span 0..4096; a pipeline over 0..1024
-        // refuses its snapshot, from zero and ahead of state of its own,
-        // though every chunk verifies.
+        // declines its snapshot, from zero and ahead of state of its own,
+        // though it verifies.
         let mut donor = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut donor, 0, 8);
         donor.checkpoint(0, Vec::new());
-        let (head, chunks) = donor.latest_snapshot().unwrap().split();
-        assert!(chunks.iter().all(SnapshotChunk::verify));
+        let snap = donor.latest_snapshot().unwrap().clone();
+        assert!(snap.verify());
         let mut small = ExecutionPipeline::in_memory(1024);
-        assert!(!small.install(&head, &chunks));
+        assert_eq!(small.install(snap.clone()), InstallOutcome::Declined);
         run_blocks(&mut small, 0, 2);
         let before = small.state_root();
-        assert!(!small.install(&head, &chunks));
+        assert_eq!(small.install(snap.clone()), InstallOutcome::Declined);
         assert_eq!((small.applied(), small.state_root()), (2, before));
         let mut wide = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
-        assert!(wide.install(&head, &chunks));
+        assert_eq!(wide.install(snap), InstallOutcome::Installed);
         assert_eq!(wide.state_root(), donor.state_root());
     }
 
@@ -1418,7 +1430,7 @@ mod tests {
         assert!(pooled.perf().wall_drain_apply_ns > 0);
         // An install onto a pipeline with a job outstanding, and onto one
         // without: the same result and the same state.
-        let (head, chunks) = pooled.latest_snapshot().unwrap().split();
+        let snap = pooled.latest_snapshot().unwrap().clone();
         let mut behind = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         let mut behind_ref = inline(DEFAULT_KEYSPACE);
         for p in [&mut behind, &mut behind_ref] {
@@ -1428,12 +1440,12 @@ mod tests {
             p.submit_staged();
         }
         assert_eq!(outstanding(&behind), pooling());
-        let half = &chunks[..chunks.len() / 2];
-        assert_eq!(behind.install(&head, half), behind_ref.install(&head, half));
-        assert_eq!(
-            behind.install(&head, &chunks),
-            behind_ref.install(&head, &chunks)
-        );
+        let mut half = snap.clone();
+        half.chunks.truncate(half.chunks.len() / 2);
+        assert_eq!(behind.install(half.clone()), InstallOutcome::Unverified);
+        assert_eq!(behind_ref.install(half), InstallOutcome::Unverified);
+        assert_eq!(behind.install(snap.clone()), InstallOutcome::Installed);
+        assert_eq!(behind_ref.install(snap), InstallOutcome::Installed);
         assert_eq!(behind.state_root(), pooled.state_root());
         assert_eq!(behind.lane_roots(), behind_ref.lane_roots());
         assert_eq!(behind.effects(), behind_ref.effects());

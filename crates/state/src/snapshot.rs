@@ -29,11 +29,12 @@
 //! # Transfer
 //!
 //! Each chunk is content-addressed by its **lane root** — a name the
-//! quorum-signed head already commits to, so per-chunk verification
+//! quorum-signed head already commits to, so checking a chunk
 //! ([`SnapshotChunk::verify`], one lane's root recomputed from its
-//! entries) adds no new trust. A responder ships its snapshot's head and
-//! all 64 chunks as it holds them; the receiver installs them together
-//! (`ExecutionPipeline::install`), after [`Snapshot::verify`].
+//! entries) adds no new trust. A responder ships its snapshot whole, as
+//! it holds it; the receiver hands it to `ExecutionPipeline::install`,
+//! which runs [`Snapshot::verify`] once — the chunk count first, then
+//! each lane — and installs all of it or nothing.
 //!
 //! The [`SnapshotStore`] retains the latest snapshot in memory and, when
 //! given a directory, persists each snapshot to
@@ -145,8 +146,8 @@ impl<'a> Reader<'a> {
 /// A snapshot's manifest head: every quorum-attested field, no contents.
 /// [`SnapshotHead::verify`] recomputes the manifest root over the
 /// metadata — it authenticates the *lane-root vector* (and the rest)
-/// without holding any entries, and each chunk is then verified against
-/// its lane root independently.
+/// without holding any entries; [`Snapshot::verify`] then checks each
+/// chunk against its lane root.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotHead {
     /// The epoch whose completion the snapshot captures.
@@ -175,8 +176,8 @@ pub struct SnapshotHead {
 impl SnapshotHead {
     /// Recomputes the manifest root from the metadata and compares. A
     /// head that passes binds its lane-root vector under the root the
-    /// quorum-signed checkpoint attests — chunks can then be verified
-    /// against those roots one at a time. Forging `applied`, `frontier`
+    /// quorum-signed checkpoint attests, which the chunks are then
+    /// verified against. Forging `applied`, `frontier`
     /// or a lane root fails here; re-hashing around the forgery changes
     /// `root`, which then no longer matches the signed checkpoint.
     pub fn verify(&self) -> bool {
@@ -299,7 +300,8 @@ impl Snapshot {
     /// [`SnapshotHead::verify`] plus every chunk verifying at its slot:
     /// lane `l`'s chunk sits at index `l`, carries the root the head
     /// names for `l`, and its entries recompute to it. Tampering with
-    /// the entries *or* the metadata fails this check.
+    /// the entries *or* the metadata fails this check, and a chunk count
+    /// other than 64 fails it before any chunk is hashed.
     pub fn verify(&self) -> bool {
         self.head.verify()
             && self.chunks.len() == self.head.lane_roots.len()
@@ -390,10 +392,17 @@ impl Snapshot {
         )
     }
 
-    /// The chunked wire form: the head plus the 64 lane chunks — a clone
-    /// of what is held.
+    /// The head and the 64 lane chunks apart — a clone of what is held.
     pub fn split(&self) -> (SnapshotHead, Vec<SnapshotChunk>) {
         (self.head.clone(), self.chunks.clone())
+    }
+}
+
+/// The head plus every chunk: what a sync response carrying the
+/// snapshot spends on it.
+impl WireSize for Snapshot {
+    fn wire_size(&self) -> u64 {
+        self.head.wire_size() + self.chunks.iter().map(WireSize::wire_size).sum::<u64>()
     }
 }
 

@@ -15,7 +15,7 @@
 //!   kind, runs whose frontiers spread by more than 16 blocks, the lowest
 //!   frontier's sum, median and minimum, the highest frontier's median,
 //!   and the state-transfer traffic summed over runs and replicas (sync
-//!   requests sent; snapshots, chunks and chunk bytes served). It exits
+//!   requests sent; snapshots and chunk bytes served). It exits
 //!   nonzero when any run violated the oracle.
 //!
 //! An unknown protocol name exits 2 and lists the valid ones.
@@ -84,8 +84,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let mut violating = 0;
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
-    // Sync requests sent; snapshots, chunks and chunk bytes served.
-    let mut sync = [0u64; 4];
+    // Sync requests sent; snapshots and chunk bytes served.
+    let mut sync = [0u64; 3];
     for &seed in seeds {
         let cfg = ExperimentConfig::scenario(p, 4, 20.0)
             .with_epoch_length(16)
@@ -116,12 +116,7 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
         highs.push(*hi);
         for r in 0..4 {
             let m = &d.node(r).metrics;
-            let counts = [
-                m.sync_requests,
-                m.snapshots_served,
-                m.snapshot_chunks_served,
-                m.snapshot_bytes_served,
-            ];
+            let counts = [m.sync_requests, m.snapshots_served, m.snapshot_bytes_served];
             for (sum, count) in sync.iter_mut().zip(counts) {
                 *sum += count;
             }
@@ -134,7 +129,7 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     println!(
         "{p:?}: violating {violating} / {runs} {kinds:?} | spread > 16: {spread} / {runs} | \
          lowest frontier: sum {} median {} min {} | highest frontier median {} | \
-         sync requests {} | snapshots served {} chunks {} bytes {}",
+         sync requests {} | snapshots served {} bytes {}",
         lows.iter().sum::<u64>(),
         median(&lows),
         lows.first().copied().unwrap_or(0),
@@ -142,7 +137,6 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
         sync[0],
         sync[1],
         sync[2],
-        sync[3],
     );
     violating
 }

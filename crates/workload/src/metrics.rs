@@ -413,15 +413,12 @@ mod tests {
     fn snapshot_serve_counters_summed_across_replicas() {
         let mut nodes = empty_nodes(4);
         nodes[0].snapshots_served = 2;
-        nodes[0].snapshot_chunks_served = 9;
         nodes[0].snapshot_bytes_served = 900;
         nodes[2].snapshots_served = 1;
-        nodes[2].snapshot_chunks_served = 3;
         nodes[2].snapshot_bytes_served = 300;
         nodes[1].exec.snapshot_decode_failures = 1;
         let rep = aggregate(&run_data(nodes));
         let m = &rep.metrics;
-        assert_eq!(m.counter("sync.snapshot_chunks_served"), 12);
         assert_eq!(m.counter("sync.snapshot_bytes_served"), 1200);
         assert_eq!(m.counter("node.snapshots_served"), 3);
         assert_eq!(m.counter("node.snapshot_decode_failures"), 1);
@@ -455,7 +452,7 @@ mod tests {
         nodes[2].exec.snapshot_decode_failures = 3;
         nodes[0].sync_responder_timeouts = 4;
         nodes[3].sync_responders_quarantined = 1;
-        nodes[3].sync_chunks_rejected = 9;
+        nodes[3].sync_responses_refused = 9;
         let rep = aggregate(&run_data(nodes));
         let m = &rep.metrics;
         assert_eq!(m.counter("node.degraded_entries"), 2);
@@ -463,7 +460,7 @@ mod tests {
         assert_eq!(m.counter("node.snapshot_decode_failures"), 3);
         assert_eq!(m.counter("sync.responder_timeouts"), 4);
         assert_eq!(m.counter("sync.responders_quarantined"), 1);
-        assert_eq!(m.counter("sync.chunks_rejected"), 9);
+        assert_eq!(m.counter("sync.responses_refused"), 9);
         // And a healthy fleet reports zero everywhere.
         let rep = aggregate(&run_data(empty_nodes(4)));
         assert_eq!(rep.metrics.counter("node.degraded_entries"), 0);

@@ -411,7 +411,7 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "b0a956ae0cfa085ac19d5e5fe6f04a7ec05511da5e546a83a6ee9a1f70da46c4",
+                "2dca9cb3aa38b589d5bd33a3d7cce83ba249c033b5b6e13a94610cea1e2fc3f9",
             ),
             // HotStuff backups commit on the leader's announced QC, so
             // blocks reach f+1 confirmation 30–50 ms sooner and two more
@@ -420,25 +420,25 @@ mod tests {
                 short(ProtocolKind::LadonHotStuff),
                 248_998,
                 83,
-                "261eb3c23959e14c82ab2c00b29fa6f95102583639bd68e86b3ee09fccae86a1",
+                "182ede79ff2ec5e54744ed107a8557963604b0287203e6ce4bcd123cef2bea38",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
-                "3a5e0d470545976b0df22777065d415762c241138551e962adc7cae24d0d5381",
+                "4f4143cef65d391ccd7d399096a4fb1e58442ca8077a59da16824b8bf39d33da",
             ),
             (
                 checkpointing.clone(),
                 327_657,
                 155,
-                "9398e2f9631a44aa9af6ddeeef8be42fc5aded82c1c5aa61585da93caee9d0b1",
+                "6e7591a19239fec687560040c9091df6767fbcec4bd62f5e79928d164d34907d",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "67bd6da4aea64bf796c793e86ad09840f5ebb69ed014fedad61d43f4f8fd9664",
+                "22e440725e8cd7d65394d9b84d715fa7c2a3b9048f7b71d2dbfc407284759210",
             ),
         ];
         let reports: Vec<_> = pins

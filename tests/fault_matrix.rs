@@ -376,10 +376,7 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(requester.exec.applied(), snap.head.applied);
     let h0 = &requester.responder_health()[0];
-    assert!(
-        h0.verified_chunks > 0,
-        "peer 0's chunks must score verified"
-    );
+    assert_eq!(h0.rejected, 0, "peer 0's response must not score refused");
     assert!(!h0.quarantined);
 
     // Peer 1 replays the same (now stale) snapshot over and over. Every
@@ -398,7 +395,8 @@ fn stale_snapshot_responder_quarantined_while_cluster_still_syncs() {
         h1.quarantined,
         "{threshold} stale replays must quarantine the responder"
     );
-    assert_eq!(h1.rejected_chunks, threshold as u64);
+    assert_eq!(h1.rejected, threshold as u64);
+    assert_eq!(requester.metrics.sync_responses_refused, threshold as u64);
     assert_eq!(requester.metrics.sync_responders_quarantined, 1);
     assert_eq!(
         requester.metrics.snapshot_installs, 1,

@@ -6,8 +6,8 @@
 use ladon::core::{GlobalOrderer, LadonOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
-    lane_of, ExecOutcome, ExecutionPipeline, KvState, Snapshot, WalOptions, DEFAULT_KEYSPACE,
-    MERKLE_LANES,
+    lane_of, ExecOutcome, ExecutionPipeline, InstallOutcome, KvState, Snapshot, WalOptions,
+    DEFAULT_KEYSPACE, MERKLE_LANES,
 };
 use ladon::types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
 use ladon::types::{TxId, TxOp};
@@ -303,7 +303,7 @@ proptest! {
         prop_assert_eq!(&decoded.head.lane_roots, &snap.head.lane_roots);
         prop_assert!(decoded.verify());
         let mut restored = ExecutionPipeline::in_memory(keyspace);
-        prop_assert!(restored.install(&snap.head, &snap.chunks));
+        prop_assert_eq!(restored.install(snap.clone()), InstallOutcome::Installed);
         prop_assert_eq!(restored.lane_roots(), p.lane_roots());
         prop_assert_eq!(restored.state_root(), p.state_root());
     }
@@ -341,13 +341,18 @@ proptest! {
         for chunk in &chunks {
             prop_assert!(chunk.verify(), "lane {} chunk failed verify", chunk.lane);
         }
-        let rebuilt = Snapshot { head: head.clone(), chunks: chunks.clone() };
+        let rebuilt = Snapshot { head, chunks };
         prop_assert_eq!(rebuilt.encode(), snap.encode());
 
-        // Install (a no-op only when the older state is not behind), then
-        // one more block and a checkpoint on both sides.
-        let installed = older.install(&head, &chunks);
-        prop_assert_eq!(installed, cut + 1 < counts.len());
+        // Install (declined, though it verifies, only when the older
+        // state is not behind), then one more block and a checkpoint on
+        // both sides.
+        let expect = if cut + 1 < counts.len() {
+            InstallOutcome::Installed
+        } else {
+            InstallOutcome::Declined
+        };
+        prop_assert_eq!(older.install(rebuilt), expect);
         prop_assert_eq!(older.lane_roots(), full.lane_roots());
         let sn = counts.len() as u64;
         let next = Block::synthetic(sn, first_tx, 40);

@@ -209,17 +209,13 @@ fn straggler_cluster_still_agrees_on_state_roots() {
     // The straggler executes the same log as everyone else.
     assert!(c.node(1).metrics.exec.locally_executed_txs > 0);
     // A straggler is slow to *propose*, not to apply: it never lags the
-    // snapshot-serving threshold, so no replica ships snapshot chunks —
-    // the minimum-gap policy holds at the serve counters.
+    // snapshot-serving threshold, so no replica ships a snapshot — the
+    // minimum-gap policy holds at the serve counters.
     for r in 0..4 {
         let m = &c.node(r).metrics;
         assert_eq!(
-            (
-                m.snapshots_served,
-                m.snapshot_chunks_served,
-                m.snapshot_bytes_served
-            ),
-            (0, 0, 0),
+            (m.snapshots_served, m.snapshot_bytes_served),
+            (0, 0),
             "replica {r} served snapshot chunks in a cluster where \
              nobody's applied frontier lagged"
         );
@@ -449,20 +445,16 @@ fn disk_loss_scenario(restart_with: impl FnOnce(&SystemConfig) -> ExecutionPipel
     // Serve-side accounting: some peer shipped the snapshot head with
     // real chunk bytes behind the install counted above, and no replica's
     // snapshot store saw a decode failure along the way.
-    let (served, chunks, bytes): (u64, u64, u64) = (0..3)
+    let (served, bytes): (u64, u64) = (0..3)
         .map(|r| {
             let m = &c.node(r).metrics;
-            (
-                m.snapshots_served,
-                m.snapshot_chunks_served,
-                m.snapshot_bytes_served,
-            )
+            (m.snapshots_served, m.snapshot_bytes_served)
         })
-        .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     assert!(
-        served > 0 && chunks > 0 && bytes > 0,
+        served > 0 && bytes > 0,
         "a from-zero install must show up in the peers' serve counters \
-         (served={served} chunks={chunks} bytes={bytes})"
+         (served={served} bytes={bytes})"
     );
     for r in 0..3 {
         assert_eq!(c.node(r).metrics.exec.snapshot_decode_failures, 0);
@@ -526,14 +518,12 @@ fn one_block_behind_gets_log_sync_not_snapshot() {
     let resp = responder
         .build_sync_response(&deep)
         .expect("a deep lagger must be served");
-    let shipped = resp.snapshot.expect("deep lag must ship the snapshot head");
-    assert_eq!(shipped.applied, snap.head.applied);
-    assert!(shipped.verify(), "served head must self-verify");
+    let shipped = resp.snapshot.expect("deep lag must ship the snapshot");
+    assert!(shipped.verify(), "served snapshot must self-verify");
     let cp = resp.checkpoint.expect("snapshot must come with its proof");
-    assert_eq!(cp.state_root, shipped.root);
-    // The snapshot ships whole: every lane's chunk, as the responder
-    // holds it.
-    assert_eq!(resp.chunks, snap.chunks);
+    assert_eq!(cp.state_root, shipped.head.root);
+    // The snapshot ships whole, as the responder holds it.
+    assert_eq!(&shipped, snap);
 }
 
 // ---------------------------------------------------------------------

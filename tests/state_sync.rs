@@ -130,12 +130,13 @@ fn random_message_loss_repaired_by_state_transfer() {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot transfer, one exchange at a time: every chunk of a response is
-// verified against the quorum-proved head, and the response installs as
-// a whole or leaves nothing behind — a Byzantine responder can serve a
-// correct snapshot or nothing, and a requester crash loses nothing because
-// nothing is held between responses. Driven through the real node
-// request/response handlers, no network in between.
+// Snapshot transfer, one exchange at a time: a response's snapshot is
+// checked against its quorum-proved checkpoint and verified once, whole —
+// head, chunk count, every lane — and installs as a whole or leaves
+// nothing behind. A Byzantine responder can serve a correct snapshot or
+// nothing, and a requester crash loses nothing because nothing is held
+// between responses. Driven through the real node request/response
+// handlers, no network in between.
 // ---------------------------------------------------------------------
 
 use ladon::core::{Input, MultiBftNode, NodeMsg, Output, SyncResponse};
@@ -171,6 +172,12 @@ fn snapshot_response(c: &Deployment, requester: &MultiBftNode) -> SyncResponse {
     resp
 }
 
+/// `resp` with its snapshot changed by `f`.
+fn with_snapshot(mut resp: SyncResponse, f: impl FnOnce(&mut Snapshot)) -> SyncResponse {
+    f(resp.snapshot.as_mut().expect("served with its snapshot"));
+    resp
+}
+
 /// Delivers `resp` from actor `from` to `requester` through its one
 /// entry point and returns what the requester asked for.
 fn deliver(requester: &mut MultiBftNode, from: usize, resp: SyncResponse) -> Vec<Output> {
@@ -188,11 +195,17 @@ fn from_zero_node(c: &Deployment) -> MultiBftNode {
     MultiBftNode::new(c.node_config(3))
 }
 
+/// Refused responses scored against `RESPONDER`.
+fn rejected(requester: &MultiBftNode) -> u64 {
+    requester.responder_health()[RESPONDER.as_usize()].rejected
+}
+
 /// A Byzantine responder serves chunks whose payload does not match the
 /// lane root it claims. The response installs nothing and nothing of it
 /// is kept — the clean chunks beside the tampered ones included — its
-/// sender is scored for every tampered chunk, and the next peer's honest
-/// response to the *same* request installs byte-identical lane roots.
+/// sender is scored once for the refused response, and the next peer's
+/// honest response to the *same* request installs byte-identical lane
+/// roots.
 #[test]
 fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     let c = checkpointed_cluster();
@@ -200,35 +213,31 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     let mut requester = from_zero_node(&c);
     let req = requester.build_sync_request();
     let honest = snapshot_response(&c, &requester);
-    let total = honest.chunks.len();
-    assert!(total > 2, "need several chunks to corrupt some of them");
 
     // Tamper every other chunk's payload; lane label and claimed root
-    // stay intact, so only per-chunk content verification can catch it.
-    let mut byz = honest.clone();
+    // stay intact, so only the chunks' content verification can catch
+    // it.
     let mut tampered = 0;
-    for chunk in byz.chunks.iter_mut().skip(1).step_by(2) {
-        if let Some(e) = chunk.entries.first_mut() {
-            e.1 ^= 1;
-            tampered += 1;
+    let byz = with_snapshot(honest.clone(), |s| {
+        for chunk in s.chunks.iter_mut().skip(1).step_by(2) {
+            if let Some(e) = chunk.entries.first_mut() {
+                e.1 ^= 1;
+                tampered += 1;
+            }
         }
-    }
-    assert!(tampered > 0);
+    });
+    assert!(tampered > 1, "need several chunks to corrupt");
     let mut out = deliver(&mut requester, RESPONDER.as_usize(), byz);
     assert_eq!(
         requester.metrics.snapshot_installs, 0,
         "a response with a bad chunk must not install"
     );
     assert_eq!(requester.exec.applied(), 0);
-    assert_eq!(requester.metrics.sync_chunks_rejected, tampered);
+    assert_eq!(requester.metrics.sync_responses_refused, 1);
     assert_eq!(
-        requester.metrics.sync_chunks_verified,
-        total as u64 - tampered
-    );
-    assert_eq!(
-        requester.responder_health()[RESPONDER.as_usize()].rejected_chunks,
-        tampered,
-        "the sender is scored for every tampered chunk"
+        rejected(&requester),
+        1,
+        "the sender is scored once for the refused response"
     );
     // (Its quorum-signed checkpoint stands on its own and did move the
     // epoch; the execution position and commit frontier must not have.)
@@ -250,6 +259,7 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     );
     assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
+    assert_eq!(requester.metrics.sync_responses_refused, 1);
     assert!(
         !out.iter()
             .any(|o| matches!(o, Output::Send(..) | Output::Broadcast(..))),
@@ -258,20 +268,20 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
 }
 
 /// Hostile shapes are refused where responses are handled, without a
-/// panic and without touching state: a chunk that is perfectly
-/// self-consistent but is not what the quorum-signed head names at its
-/// lane (another state's lane, or a lane index past the vector), and a
-/// head whose lane-root vector is not 64 long or whose metadata was
-/// forged under the genuine checkpoint. The honest response still
-/// installs afterwards.
+/// panic and without touching state: chunks that are perfectly
+/// self-consistent but are not what the quorum-signed head names at
+/// their lanes (another state's lanes, or a lane index past the vector),
+/// and a head whose lane-root vector is not 64 long or whose metadata
+/// was forged under the genuine checkpoint. Each response is refused
+/// and scored once. The honest response still installs afterwards.
 #[test]
 fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
-    use ladon::state::KvState;
-    use ladon::types::TxOp;
+    use ladon::state::{KvState, SnapshotHead};
+    use ladon::types::{Digest, TxOp};
     let c = checkpointed_cluster();
     let mut requester = from_zero_node(&c);
     let honest = snapshot_response(&c, &requester);
-    let head = honest.snapshot.clone().expect("served with its head");
+    let lane_roots = honest.snapshot.as_ref().unwrap().head.lane_roots.clone();
 
     // Chunks of some other state: each verifies on its own, none is a
     // member of this head.
@@ -281,60 +291,59 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     }
     let foreign = Snapshot::capture(0, 1, 1, Vec::new(), &other).chunks;
     assert!(foreign.iter().all(|c| c.verify()));
-    let mut past_the_vector = honest.chunks[0].clone();
-    past_the_vector.lane = 64;
-    let mut resp = honest.clone();
-    resp.chunks = foreign[..3].to_vec();
-    resp.chunks.push(past_the_vector);
-    deliver(&mut requester, RESPONDER.as_usize(), resp);
-    assert_eq!(requester.metrics.sync_chunks_rejected, 4);
-    assert_eq!(requester.metrics.sync_chunks_verified, 0);
+    let swap_foreign = with_snapshot(honest.clone(), |s| {
+        s.chunks[..3].clone_from_slice(&foreign[..3]);
+    });
+    let past_the_vector = with_snapshot(honest.clone(), |s| s.chunks[0].lane = 64);
+    for resp in [swap_foreign, past_the_vector] {
+        deliver(&mut requester, RESPONDER.as_usize(), resp);
+    }
+    assert_eq!(requester.metrics.sync_responses_refused, 2);
 
     // Heads: the wrong shape, then forged fields under the real proof.
-    let forgeries: [fn(&mut ladon::state::SnapshotHead); 5] = [
+    let forgeries: [fn(&mut SnapshotHead); 5] = [
         |h| h.lane_roots.truncate(63),
-        |h| h.lane_roots.push(ladon::types::Digest([9; 32])),
+        |h| h.lane_roots.push(Digest([9; 32])),
         |h| h.applied += 1,
         |h| h.frontier[0] += 1,
-        |h| h.lane_roots[5] = ladon::types::Digest([9; 32]),
+        |h| h.lane_roots[5] = Digest([9; 32]),
     ];
     for forge in forgeries {
-        let mut resp = honest.clone();
-        let mut forged = head.clone();
-        forge(&mut forged);
-        assert!(!forged.verify());
-        resp.snapshot = Some(forged);
+        let resp = with_snapshot(honest.clone(), |s| {
+            forge(&mut s.head);
+            assert!(!s.head.verify());
+        });
         deliver(&mut requester, RESPONDER.as_usize(), resp);
     }
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.applied(), 0);
     assert_eq!(
-        requester.responder_health()[RESPONDER.as_usize()].rejected_chunks,
-        4 + 5,
+        rejected(&requester),
+        2 + 5,
         "every refusal is scored against its sender"
     );
+    assert_eq!(requester.metrics.sync_responses_refused, 2 + 5);
 
     deliver(&mut requester, 1, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
-    assert_eq!(requester.exec.lane_roots(), head.lane_roots);
+    assert_eq!(requester.exec.lane_roots(), lane_roots);
 }
 
-/// A responder serves at most `SYNC_MAX_BLOCKS` entries and one chunk
-/// per lane. A response past either cap — here an honest one padded with
-/// copies of its own valid parts — is refused before anything in it is
-/// verified: nothing of it installs, not even its checkpoint, and its
-/// sender is scored as for an unverifiable response.
+/// A responder serves at most `SYNC_MAX_BLOCKS` entries, so a response
+/// past that cap — here an honest one padded with copies of its own
+/// valid entries — is refused before anything in it is verified: nothing
+/// of it installs, not even its checkpoint. A snapshot of 65 chunks
+/// (one lane twice) is refused by its one verification at the chunk
+/// count, before any chunk is hashed. Each is scored as one refused
+/// response.
 #[test]
 fn a_response_past_the_responders_caps_installs_nothing() {
     use ladon::core::sync::SYNC_MAX_BLOCKS;
-    use ladon::types::{Round, MERKLE_LANES};
+    use ladon::crypto::CryptoCounters;
+    use ladon::types::Round;
     let c = checkpointed_cluster();
     let mut requester = from_zero_node(&c);
     let honest = snapshot_response(&c, &requester);
-    let mut chunks = honest.clone();
-    while chunks.chunks.len() <= MERKLE_LANES as usize {
-        chunks.chunks.push(honest.chunks[0].clone());
-    }
     // Entries come in answer to a request from just behind the
     // responder's commit frontier (the rounds it still holds).
     let mut behind = requester.build_sync_request();
@@ -347,18 +356,52 @@ fn a_response_past_the_responders_caps_installs_nothing() {
     while entries.entries.len() <= SYNC_MAX_BLOCKS {
         entries.entries.push(entries.entries[0].clone());
     }
-    for (padded, rejected) in [(chunks, 1), (entries, 2)] {
-        deliver(&mut requester, RESPONDER.as_usize(), padded);
-        assert_eq!(requester.metrics.snapshot_installs, 0);
-        assert_eq!(requester.metrics.sync_installed, 0);
-        assert_eq!((requester.exec.applied(), requester.epoch()), (0, 0));
-        let health = &requester.responder_health()[RESPONDER.as_usize()];
-        assert_eq!(health.rejected_chunks, rejected);
-    }
-    assert_eq!(requester.metrics.sync_chunks_verified, 0);
+    deliver(&mut requester, RESPONDER.as_usize(), entries);
+    assert_eq!(requester.metrics.sync_installed, 0);
+    assert_eq!((requester.exec.applied(), requester.epoch()), (0, 0));
+    assert_eq!(rejected(&requester), 1);
+
+    let chunks = with_snapshot(honest.clone(), |s| s.chunks.push(s.chunks[0].clone()));
+    let before = CryptoCounters::snapshot();
+    deliver(&mut requester, RESPONDER.as_usize(), chunks);
+    let spent = CryptoCounters::snapshot().since(&before);
+    assert!(
+        spent.hashes < 64,
+        "no chunk of a 65-chunk snapshot is hashed ({} hashes)",
+        spent.hashes
+    );
+    assert_eq!(requester.metrics.snapshot_installs, 0);
+    assert_eq!(requester.exec.applied(), 0);
+    assert_eq!(rejected(&requester), 2);
+    assert_eq!(requester.metrics.sync_responses_refused, 2);
 
     deliver(&mut requester, 1, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
+}
+
+/// A snapshot that verifies but that the requester's pipeline declines —
+/// here it names accounts past the requester's keyspace — is not
+/// installed, and is not held against its sender: verification, not
+/// installation, is what a responder answers for.
+#[test]
+fn a_verified_snapshot_the_pipeline_declines_is_not_scored_against_its_sender() {
+    let c = checkpointed_cluster();
+    let snap = responder_snapshot(&c);
+    let keyspace = 64;
+    let names_past = |s: &Snapshot| {
+        s.chunks
+            .iter()
+            .any(|c| c.entries.iter().any(|&(k, _)| k >= keyspace))
+    };
+    assert!(snap.verify() && names_past(&snap));
+    let mut requester =
+        MultiBftNode::with_execution(c.node_config(3), ExecutionPipeline::in_memory(keyspace));
+    let resp = snapshot_response(&c, &requester);
+    deliver(&mut requester, RESPONDER.as_usize(), resp);
+    assert_eq!(requester.metrics.snapshot_installs, 0);
+    assert_eq!(requester.exec.applied(), 0);
+    assert_eq!(rejected(&requester), 0);
+    assert_eq!(requester.metrics.sync_responses_refused, 0);
 }
 
 /// State transfer is replica-to-replica: the same genuine, quorum-proved

@@ -115,9 +115,6 @@ pub struct NodeMetrics {
     /// Durability retry attempts fired while degraded (each retry-timer
     /// expiry, successful or not).
     pub degraded_retries: u64,
-    /// State-transfer probes whose responder never answered before the
-    /// next probe window (per-responder health: feeds rotation backoff).
-    pub sync_responder_timeouts: u64,
     /// Responders quarantined for repeatedly serving unverifiable
     /// responses ([`crate::sync::SYNC_QUARANTINE_THRESHOLD`] consecutive
     /// failures). Counts quarantine *events*.
@@ -198,7 +195,6 @@ impl SnapshotInto for NodeMetrics {
         registry.gauge("node.mode", if self.degraded { 1.0 } else { 0.0 });
         registry.counter("node.degraded_entries", self.degraded_entries);
         registry.counter("node.degraded_retries", self.degraded_retries);
-        registry.counter("sync.responder_timeouts", self.sync_responder_timeouts);
         registry.counter(
             "sync.responders_quarantined",
             self.sync_responders_quarantined,

@@ -746,14 +746,11 @@ impl MultiBftNode {
         }
     }
 
-    /// Sends one state-transfer request to the next *healthy* peer in
-    /// round-robin order (see [`StateTransfer`] for how silence and bad
-    /// payloads move a peer out of the rotation, and why that never
-    /// costs liveness). Called once per probe window.
+    /// Sends one state-transfer request to the next peer in round-robin
+    /// order that is not quarantined (see [`StateTransfer`] for how
+    /// refused responses move a peer out of the rotation, and why that
+    /// never costs liveness). Called once per sync timer period.
     fn send_sync_request(&mut self, out: &mut Vec<Output>) {
-        if self.sync.note_timeout() {
-            self.metrics.sync_responder_timeouts += 1;
-        }
         let req = self.build_sync_request();
         let target = self.sync.pick_target();
         self.metrics.sync_requests += 1;
@@ -1093,12 +1090,6 @@ impl MultiBftNode {
                 }
             }
             Timer::Sync => {
-                // Each probe window advances the health clock responder
-                // backoff is expressed in (timeout detection happens in
-                // `send_sync_request`, where the previous outstanding
-                // probe is inspected — this is its only caller, so a
-                // probe still outstanding there has had a full window).
-                self.sync.open_probe_window();
                 if self.sync_lagging() {
                     self.send_sync_request(out);
                 }
@@ -1585,6 +1576,40 @@ mod tests {
     fn a_sync_frontier_at_the_last_round_is_served_without_overflow() {
         let n = node(ProtocolKind::LadonPbft, 0);
         assert!(n.build_sync_response(&sync_request(0, u64::MAX)).is_none());
+    }
+
+    /// A lagging requester asks every peer that is not quarantined in
+    /// turn, whether or not it answered the last time: peers 1 and 2
+    /// never answer (a responder with nothing newer sends nothing), and
+    /// peer 3 answers every request with a response that helps nothing.
+    #[test]
+    fn a_lagging_requester_asks_every_peer_in_turn_whether_or_not_it_answers() {
+        let mut n = node(ProtocolKind::LadonPbft, 0);
+        // A checkpoint quorum for an epoch this replica has not closed is
+        // lag evidence at every probe.
+        for r in 1..N as u32 {
+            let signer = n.cfg.registry.signer(ReplicaId(r));
+            let cp = CheckpointMsg::sign(&signer, Epoch(0), ladon_types::Digest::NIL);
+            step(&mut n, Input::Message(r as usize, NodeMsg::Checkpoint(cp)));
+        }
+        let mut targets = Vec::new();
+        for _ in 0..9 {
+            let out = step(&mut n, Input::Timer(Timer::Sync));
+            let mut sent = out.into_iter().filter_map(|o| match o {
+                Output::Send(to, NodeMsg::SyncReq(_)) => Some(to),
+                _ => None,
+            });
+            let to = sent.next().expect("a lagging replica probes every period");
+            assert_eq!(sent.next(), None, "one probe per period");
+            if to == 3 {
+                let resp = Arc::new(SyncResponse::default());
+                step(&mut n, Input::Message(3, NodeMsg::SyncResp(resp)));
+            }
+            targets.push(to);
+        }
+        assert_eq!(targets, [1, 2, 3, 1, 2, 3, 1, 2, 3]);
+        assert_eq!(n.metrics.sync_requests, 9);
+        assert!(n.responder_health().iter().all(|h| !h.quarantined));
     }
 
     /// DQBFT's ordering instance (index `m`) is synced like the data

@@ -50,50 +50,41 @@
 //!
 //! # The requester's rotation, as a state machine
 //!
-//! Who to ask next, and what an answer (or silence) does to a peer's
-//! standing, is [`StateTransfer`]: plain data plus pure decision methods
-//! (pick target, note timeout, score response). The node
-//! keeps only the I/O around them. Time is counted in **probe windows**
-//! (one per sync timer period, [`StateTransfer::open_probe_window`]).
+//! Who to ask next, and what an answer does to a peer's standing, is
+//! [`StateTransfer`]: plain data plus pure decision methods (pick target,
+//! score response). The node keeps only the I/O around them. Silence
+//! moves nothing: a responder with nothing newer to serve sends nothing,
+//! so an unanswered probe says nothing about the peer.
 //!
 //! Per responder ([`ResponderHealth`]):
 //!
 //! ```mermaid
 //! stateDiagram-v2
 //!     [*] --> Healthy
-//!     Healthy --> BackedOff : probe unanswered for a full window
-//!     BackedOff --> BackedOff : unanswered again / skip doubles, cap 2^6 windows
-//!     BackedOff --> Healthy : skip window elapsed | any answer
 //!     Healthy --> Healthy : unverifiable answer (streak < 3)
 //!     Healthy --> Quarantined : 3rd consecutive unverifiable answer
 //!     Quarantined --> Quarantined : (never leaves)
 //! ```
 //!
 //! ```text
-//! state            event                                   next                 action
-//! ---------------  --------------------------------------  -------------------  ------------------------------
-//! any              picked as target                        same                 outstanding := (peer, window)
-//! any              its probe outstanding, window advanced  BackedOff(2^k more)  timeouts += 1; k = min(streak, 6)
-//! BackedOff        skip windows elapsed                    Healthy              back in rotation
-//! any              answered: useful                        streak := 0          timeout backoff cleared
-//! any              answered: nothing useful, nothing bad   same                 timeout backoff cleared
-//! not Quarantined  answered: refused response              streak += 1          timeout backoff cleared
-//! not Quarantined  ... and the streak reaches 3            Quarantined          node counts + traces the event
-//! Quarantined      answered (anything)                     Quarantined          scored, never re-admitted
+//! state            event                                   next         action
+//! ---------------  --------------------------------------  -----------  ------------------------------
+//! any              answered: useful                        same         streak := 0
+//! any              answered: nothing useful, nothing bad   same         -
+//! not Quarantined  answered: refused response              same         streak += 1
+//! not Quarantined  ... and the streak reaches 3            Quarantined  node counts + traces the event
+//! Quarantined      answered (anything)                     Quarantined  scored, never re-admitted
 //! ```
 //!
 //! Target choice ([`StateTransfer::pick_target`]): round-robin from the
-//! cursor over peers that are neither self, nor `Quarantined`, nor still
-//! `BackedOff` in the current window.
+//! cursor over peers that are neither self nor `Quarantined`.
 //!
-//! **Bounded exits.** (1) The timeout backoff exponent is capped at 6: a
-//! silent peer costs one probe per 64 windows at worst and is retried
-//! forever — crash faults heal. (2) If *every* peer is unhealthy, plain
-//! round-robin (skipping only self) resumes, quarantined peers included:
-//! health trades probe placement, never liveness. (3) A responder whose
-//! responses keep being refused is simply left behind — nothing of its
-//! response is kept, the next probe goes to the *next* peer, and the
-//! third refused answer in a row quarantines it.
+//! **Bounded exits.** (1) If *every* peer is quarantined, plain
+//! round-robin (skipping only self) resumes: quarantine trades probe
+//! placement, never liveness. (2) A responder whose responses keep being
+//! refused is simply left behind — nothing of its response is kept, the
+//! next probe goes to the *next* peer, and the third refused answer in a
+//! row quarantines it.
 
 use crate::epoch::StableCheckpoint;
 use ladon_crypto::QuorumCert;
@@ -150,13 +141,9 @@ impl WireSize for SyncRequest {
 /// serves) from one responder before the requester quarantines it out of
 /// the rotation. Honest responders never ship an unverifiable snapshot,
 /// so a small threshold only tolerates re-requests racing a responder's
-/// own state advance; unresponsive (as opposed to Byzantine) peers are
-/// handled separately by timeout backoff.
+/// own state advance. Silence is not scored: an honest responder with
+/// nothing newer to serve sends nothing.
 pub const SYNC_QUARANTINE_THRESHOLD: u32 = 3;
-
-/// Cap on the timeout-backoff exponent: a silent responder is skipped
-/// for at most `2^6` probe windows before it is tried again.
-const TIMEOUT_BACKOFF_MAX_EXP: u32 = 6;
 
 /// Proposal-vs-commit gap (in rounds) at or above which an instance
 /// counts as off the live edge. Healthy Ladon-PBFT instances pipeline
@@ -164,22 +151,15 @@ const TIMEOUT_BACKOFF_MAX_EXP: u32 = 6;
 const LIVE_EDGE_GAP: u64 = 4;
 
 /// Per-peer state-transfer responder health. A useful response resets
-/// the failure streak; a refused one grows it. Timeouts put the
-/// responder on exponential probe backoff; repeated refused responses
-/// quarantine it outright (only a liveness fallback — every other peer
-/// also unhealthy — sends to it again).
+/// the failure streak; a refused one grows it, and repeated refused
+/// responses quarantine the responder outright (only a liveness fallback
+/// — every other peer also quarantined — sends to it again).
 #[derive(Clone, Debug, Default)]
 pub struct ResponderHealth {
     /// Responses from this responder that were refused.
     pub rejected: u64,
-    /// Probes this responder never answered before the next window.
-    pub timeouts: u64,
     /// Consecutive refused responses (quarantine trigger).
     fail_streak: u32,
-    /// Consecutive timeouts (probe-backoff exponent).
-    timeout_streak: u32,
-    /// Probe window until which rotation skips this responder.
-    skip_until: u64,
     /// Permanently distrusted (Byzantine payloads); rotation skips it.
     pub quarantined: bool,
 }
@@ -210,12 +190,6 @@ pub struct StateTransfer {
     /// missing rounds will never commit here on their own).
     gap_snapshot: Vec<u64>,
     responders: Vec<ResponderHealth>,
-    /// Monotonic count of probe windows (the clock responder backoff is
-    /// expressed in).
-    probes: u64,
-    /// The responder of the probe in flight. Still present when the next
-    /// probe is sent — one per window — ⇒ it timed out.
-    outstanding: Option<usize>,
 }
 
 impl StateTransfer {
@@ -234,11 +208,6 @@ impl StateTransfer {
         &self.responders
     }
 
-    /// A sync timer period elapsed: the health clock ticks.
-    pub fn open_probe_window(&mut self) {
-        self.probes += 1;
-    }
-
     /// Records `instance`'s proposal-vs-commit gap for this probe and
     /// reports whether it sat off the live edge at the previous probe
     /// *and* this one. Call once per instance per probe.
@@ -247,37 +216,17 @@ impl StateTransfer {
         gap_now >= LIVE_EDGE_GAP && gap_before >= LIVE_EDGE_GAP
     }
 
-    /// Call before sending a request (one per probe window): if the
-    /// previous one is still unanswered its responder timed out — its
-    /// streak grows and rotation skips it for exponentially more windows
-    /// (capped). Returns whether a timeout was charged.
-    pub fn note_timeout(&mut self) -> bool {
-        let Some(peer) = self.outstanding.take() else {
-            return false;
-        };
-        let h = &mut self.responders[peer];
-        h.timeouts += 1;
-        h.timeout_streak = h.timeout_streak.saturating_add(1);
-        h.skip_until = self.probes + (1u64 << h.timeout_streak.min(TIMEOUT_BACKOFF_MAX_EXP));
-        true
-    }
-
-    /// Picks the next responder — the first healthy peer in round-robin
-    /// order, or plain round-robin when none is healthy — and records
-    /// the probe as outstanding.
+    /// Picks the next responder: the first peer in round-robin order
+    /// that is neither self nor quarantined, or plain round-robin when
+    /// every peer is quarantined.
     pub fn pick_target(&mut self) -> usize {
         let n = self.responders.len();
-        let healthy = |peer: &usize| {
-            let h = &self.responders[*peer];
-            *peer != self.me && !h.quarantined && h.skip_until <= self.probes
-        };
         let rotation = || (0..n).map(|k| (self.rr + k) % n);
         let target = rotation()
-            .find(healthy)
+            .find(|&peer| peer != self.me && !self.responders[peer].quarantined)
             .or_else(|| rotation().find(|&peer| peer != self.me))
             .unwrap_or(self.me);
         self.rr = (target + 1) % n;
-        self.outstanding = Some(target);
         target
     }
 
@@ -289,15 +238,7 @@ impl StateTransfer {
             return None;
         }
         let h = self.responders.get_mut(peer)?;
-        if self.outstanding == Some(peer) {
-            self.outstanding = None;
-        }
         h.rejected += u64::from(outcome.refused);
-        // It answered: whatever the payload quality, the peer is
-        // responsive — timeout backoff resets independently of the
-        // verification streak.
-        h.timeout_streak = 0;
-        h.skip_until = 0;
         if outcome.refused {
             h.fail_streak = h.fail_streak.saturating_add(1);
             if !h.quarantined && h.fail_streak >= SYNC_QUARANTINE_THRESHOLD {
@@ -386,15 +327,6 @@ mod tests {
         }
     }
 
-    /// Picks a target, lets a full window pass without an answer, and
-    /// charges the timeout. Returns who was picked.
-    fn probe_unanswered(st: &mut StateTransfer) -> usize {
-        let target = st.pick_target();
-        st.open_probe_window();
-        assert!(st.note_timeout(), "an unanswered full window is a timeout");
-        target
-    }
-
     #[test]
     fn rotation_is_round_robin_and_never_picks_self() {
         let mut st = StateTransfer::new(ME, 4, 4);
@@ -407,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn rotation_skips_quarantined_and_backed_off_peers() {
+    fn rotation_skips_quarantined_peers() {
         let mut st = StateTransfer::new(ME, 4, 4);
         // Peer 0 turns Byzantine: quarantined exactly at the threshold.
         for i in 1..=SYNC_QUARANTINE_THRESHOLD {
@@ -420,18 +352,7 @@ mod tests {
             Some(false),
             "quarantine is an event, counted once"
         );
-        // Peer 1 goes silent for a window: backed off for 2 windows.
-        assert_eq!(probe_unanswered(&mut st), 1);
-        assert_eq!(st.responders()[1].timeouts, 1);
-        // Only peer 2 is healthy now, whatever the cursor says.
-        assert_eq!(st.pick_target(), 2);
-        assert_eq!(st.score_response(2, good()), Some(false));
-        assert_eq!(st.pick_target(), 2);
-        assert_eq!(st.score_response(2, good()), Some(false));
-        // Once peer 1's skip window elapses it is back in rotation;
-        // quarantined peer 0 is not.
-        st.open_probe_window();
-        st.open_probe_window();
+        // Quarantined peer 0 is left out of the rotation for good.
         let picks: Vec<usize> = (0..4)
             .map(|_| {
                 let t = st.pick_target();
@@ -455,39 +376,6 @@ mod tests {
         // self is still never picked.
         let picks: Vec<usize> = (0..6).map(|_| st.pick_target()).collect();
         assert_eq!(picks, [0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn timeout_backoff_doubles_and_caps_at_64_windows() {
-        // n = 2: the only peer is always the (fallback) target, so its
-        // skip window is observable as the gap between timeouts.
-        let mut st = StateTransfer::new(1, 2, 1);
-        let mut skips = Vec::new();
-        for _ in 0..9 {
-            assert_eq!(probe_unanswered(&mut st), 0);
-            let h = &st.responders()[0];
-            skips.push(h.skip_until - st.probes);
-        }
-        assert_eq!(skips, [2, 4, 8, 16, 32, 64, 64, 64, 64]);
-        assert_eq!(st.responders()[0].timeouts, 9);
-        // Any answer — even an unverifiable one — proves the peer is
-        // responsive again and clears the backoff.
-        st.pick_target();
-        st.score_response(0, bad());
-        let h = &st.responders()[0];
-        assert_eq!((h.timeout_streak, h.skip_until), (0, 0));
-    }
-
-    #[test]
-    fn an_answered_probe_is_not_a_timeout() {
-        let mut st = StateTransfer::new(ME, 4, 4);
-        st.open_probe_window();
-        assert!(!st.note_timeout(), "nothing outstanding yet");
-        assert_eq!(st.pick_target(), 0);
-        st.score_response(0, good());
-        st.open_probe_window();
-        assert!(!st.note_timeout());
-        assert_eq!(st.responders()[0].timeouts, 0);
     }
 
     #[test]

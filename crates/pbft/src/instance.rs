@@ -1183,13 +1183,7 @@ impl PbftInstance {
                 if rank > cur.rank {
                     *cur = RankCert::certified(qc);
                 }
-                let report = self.build_rank_report(round, cur);
-                let leader = self.leader_of(self.view);
-                if leader == self.cfg.me {
-                    self.handle_rank_report(self.cfg.me, report);
-                } else {
-                    out.push(Action::Send(leader, PbftMsg::Rank(report)));
-                }
+                self.report_rank(round, cur, out);
             }
 
             // Our own commit vote.
@@ -1236,6 +1230,18 @@ impl PbftInstance {
         RankReport {
             signed: SignedRank { body, sig },
             qc: cur.cert.clone(),
+        }
+    }
+
+    /// Delivers this replica's rank report for `round` to the current
+    /// view's leader: sent, or taken in directly when we lead.
+    fn report_rank(&mut self, round: Round, cur: &RankCert, out: &mut Vec<Action>) {
+        let report = self.build_rank_report(round, cur);
+        let leader = self.leader_of(self.view);
+        if leader == self.cfg.me {
+            self.handle_rank_report(self.cfg.me, report);
+        } else {
+            out.push(Action::Send(leader, PbftMsg::Rank(report)));
         }
     }
 
@@ -1407,6 +1413,19 @@ impl PbftInstance {
             && self.certs.verified(&e.qc)
     }
 
+    /// Whether a view change delivered by `from` is valid: it leaves a
+    /// round after its last committed one and — unless it is our own —
+    /// its signature verifies and every prepared entry is certified by
+    /// its QC.
+    fn view_change_valid(&self, from: ReplicaId, vc: &ViewChange) -> bool {
+        vc.leaves_a_next_round()
+            && (from == self.cfg.me
+                || vc
+                    .sig
+                    .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
+                    && vc.prepared.iter().all(|e| self.entry_certified(e)))
+    }
+
     fn handle_view_change(
         &mut self,
         from: ReplicaId,
@@ -1419,16 +1438,7 @@ impl PbftInstance {
             || vc.new_view <= self.view
             || self.leader_of(vc.new_view) != self.cfg.me
             || from != vc.sig.signer()
-            || !vc.leaves_a_next_round()
-        {
-            self.rejected += 1;
-            return;
-        }
-        if from != self.cfg.me
-            && (!vc
-                .sig
-                .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
-                || !vc.prepared.iter().all(|e| self.entry_certified(e)))
+            || !self.view_change_valid(from, &vc)
         {
             self.rejected += 1;
             return;
@@ -1488,16 +1498,11 @@ impl PbftInstance {
         if from != self.cfg.me {
             // The embedded view-change quorum must be individually valid:
             // 2f+1 distinct signers, each message for this view/instance
-            // with a round after its last committed one, every prepared
-            // entry certified by its QC.
+            // and valid as a view change delivered by the new leader.
             let vc_valid = |vc: &Arc<ViewChange>| {
                 vc.new_view == nv.view
                     && vc.instance == nv.instance
-                    && vc.leaves_a_next_round()
-                    && vc
-                        .sig
-                        .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
-                    && vc.prepared.iter().all(|e| self.entry_certified(e))
+                    && self.view_change_valid(from, vc)
             };
             let signers: BTreeSet<ReplicaId> = nv.vcs.iter().map(|vc| vc.sig.signer()).collect();
             if !nv
@@ -1707,13 +1712,7 @@ impl PbftInstance {
         // fetched the round reports now, or a leader short of 2f+1
         // reports for it waits out a view change.
         if self.cfg.mode != RankMode::None && !reported {
-            let report = self.build_rank_report(round, cur);
-            let leader = self.leader_of(self.view);
-            if leader == self.cfg.me {
-                self.handle_rank_report(self.cfg.me, report);
-            } else {
-                out.push(Action::Send(leader, PbftMsg::Rank(report)));
-            }
+            self.report_rank(round, cur, &mut out);
         }
         // The adopted round may be the previous round a held Opt
         // pre-prepare could not be checked without; nothing else would

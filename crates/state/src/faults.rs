@@ -8,11 +8,11 @@
 //!
 //! - [`FaultPlan`]: a shared, atomically-scripted schedule of storage
 //!   faults — a kill budget (power loss after N mutating ops), ENOSPC
-//!   after K bytes (optionally self-healing after a number of denials,
-//!   modeling an operator freeing space), a run of fsync failures, a
-//!   torn tail on the next append, and seeded random failures. All
-//!   knobs are plain atomics behind `Arc`s, so a test or bench holds a
-//!   clone of the plan and re-scripts it *while the backend is in use*.
+//!   after K bytes (until [`FaultPlan::free_space`], modeling an
+//!   operator clearing the disk), a run of fsync failures and a torn
+//!   tail on the next append. All knobs are plain atomics behind `Arc`s, so a test
+//!   or bench holds a clone of the plan and re-scripts it *while the
+//!   backend is in use*.
 //! - [`FaultBackend`]: a [`WalBackend`] wrapper that consults the plan
 //!   on every mutating operation. Reads always pass through (the bytes
 //!   that reached storage are readable; that is what crash recovery
@@ -20,8 +20,8 @@
 //!
 //! Determinism contract: with the same plan script and the same
 //! operation sequence, the same operations fail — across runs, machines,
-//! and worker counts. Nothing here consults wall-clock time or global
-//! randomness; the seeded mode uses its own xorshift stream.
+//! and worker counts. Nothing here consults wall-clock time or
+//! randomness.
 
 use crate::wal::{WalBackend, WalIoStats};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -40,20 +40,11 @@ pub struct FaultPlan {
     /// Bytes of append/write capacity left before ENOSPC. `i64::MAX`
     /// means unlimited.
     space_left: Arc<AtomicI64>,
-    /// Denied-for-ENOSPC ops after which space is restored (an operator
-    /// freeing the disk); 0 = never self-heal.
-    heal_after_denials: Arc<AtomicI64>,
-    /// ENOSPC denials so far.
-    enospc_denials: Arc<AtomicU64>,
     /// `sync_group` calls that fail before fsync recovers.
     fsync_failures: Arc<AtomicI64>,
     /// Tear the next `append_segment_batch`: write only a prefix of the
     /// records and no trailer, then report failure.
     torn_next: Arc<AtomicBool>,
-    /// Seeded random-failure stream: xorshift64 state (0 = disabled).
-    rng: Arc<AtomicU64>,
-    /// Fail probability numerator out of 1000, for the seeded stream.
-    fail_per_mille: Arc<AtomicU64>,
     /// Mutating ops observed.
     ops: Arc<AtomicU64>,
     /// Faults injected (ops denied or mangled by the plan).
@@ -72,12 +63,8 @@ impl FaultPlan {
         FaultPlan {
             budget: Arc::new(AtomicI64::new(i64::MAX)),
             space_left: Arc::new(AtomicI64::new(i64::MAX)),
-            heal_after_denials: Arc::new(AtomicI64::new(0)),
-            enospc_denials: Arc::new(AtomicU64::new(0)),
             fsync_failures: Arc::new(AtomicI64::new(0)),
             torn_next: Arc::new(AtomicBool::new(false)),
-            rng: Arc::new(AtomicU64::new(0)),
-            fail_per_mille: Arc::new(AtomicU64::new(0)),
             ops: Arc::new(AtomicU64::new(0)),
             injected: Arc::new(AtomicU64::new(0)),
         }
@@ -92,28 +79,10 @@ impl FaultPlan {
         FaultPlan { budget, ..plan }
     }
 
-    /// Seeded random-failure plan: each mutating op fails independently
-    /// with probability `per_mille`/1000, drawn from a deterministic
-    /// xorshift stream.
-    pub fn seeded(seed: u64, per_mille: u64) -> Self {
-        let plan = Self::unlimited();
-        plan.rng.store(seed.max(1), Ordering::SeqCst);
-        plan.fail_per_mille.store(per_mille, Ordering::SeqCst);
-        plan
-    }
-
     /// ENOSPC: byte-consuming writes fail once `bytes` of capacity are
-    /// used up.
+    /// used up, until [`FaultPlan::free_space`].
     pub fn enospc_after(self, bytes: i64) -> Self {
         self.space_left.store(bytes, Ordering::SeqCst);
-        self
-    }
-
-    /// After `denials` operations have been denied for ENOSPC, restore
-    /// unlimited space — a deterministic stand-in for an operator
-    /// freeing the disk mid-run.
-    pub fn heal_enospc_after_denials(self, denials: i64) -> Self {
-        self.heal_after_denials.store(denials, Ordering::SeqCst);
         self
     }
 
@@ -162,9 +131,6 @@ impl FaultPlan {
         if bytes > 0 && !self.take_space(bytes) {
             ok = false;
         }
-        if self.random_fault() {
-            ok = false;
-        }
         if !ok {
             self.note_injected();
         }
@@ -180,39 +146,10 @@ impl FaultPlan {
             self.space_left.fetch_sub(bytes as i64, Ordering::SeqCst);
             return true;
         }
-        // Denied for ENOSPC; maybe the scripted operator frees space.
-        let denials = self.enospc_denials.fetch_add(1, Ordering::SeqCst) + 1;
-        let heal = self.heal_after_denials.load(Ordering::SeqCst);
-        if heal > 0 && denials as i64 >= heal {
-            self.free_space();
-        }
         false
     }
 
-    fn random_fault(&self) -> bool {
-        let per_mille = self.fail_per_mille.load(Ordering::SeqCst);
-        if per_mille == 0 {
-            return false;
-        }
-        // xorshift64 over the shared state; SeqCst CAS keeps the stream
-        // deterministic whichever thread draws.
-        let mut cur = self.rng.load(Ordering::SeqCst);
-        loop {
-            let mut x = cur;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match self
-                .rng
-                .compare_exchange(cur, x, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return x % 1000 < per_mille,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Gate one fsync barrier: the budget/ENOSPC/random gates apply
+    /// Gate one fsync barrier: the budget and ENOSPC gates apply
     /// (an fsync is a mutating op), plus the scripted fsync failures.
     fn permit_sync(&self) -> bool {
         let mut ok = self.permit(0);
@@ -369,15 +306,14 @@ mod tests {
 
     #[test]
     fn enospc_denies_after_capacity_then_heals() {
-        let plan = FaultPlan::unlimited()
-            .enospc_after(100)
-            .heal_enospc_after_denials(3);
+        let plan = FaultPlan::unlimited().enospc_after(100);
         assert!(plan.permit(60));
         assert!(plan.permit(40));
-        // Disk is full now; three denials heal it.
+        // Disk is full now: denied until the operator frees space.
         assert!(!plan.permit(10));
         assert!(!plan.permit(10));
         assert!(!plan.permit(10));
+        plan.free_space();
         assert!(plan.permit(10));
         assert_eq!(plan.injected_faults(), 3);
     }
@@ -409,32 +345,24 @@ mod tests {
     }
 
     #[test]
-    fn seeded_plan_is_deterministic() {
-        let a = FaultPlan::seeded(42, 300);
-        let b = FaultPlan::seeded(42, 300);
-        let run = |p: &FaultPlan| (0..64).map(|_| p.permit(8)).collect::<Vec<_>>();
-        let (ra, rb) = (run(&a), run(&b));
-        assert_eq!(ra, rb);
-        assert!(ra.iter().any(|ok| !ok), "some ops must fail at 30%");
-        assert!(ra.iter().any(|ok| *ok), "some ops must pass at 30%");
-    }
-
-    #[test]
     fn wal_through_enospc_plan_alarms_then_recovers_after_heal() {
-        let plan = FaultPlan::unlimited()
-            .enospc_after(200)
-            .heal_enospc_after_denials(2);
+        let plan = FaultPlan::unlimited().enospc_after(200);
         let mut wal = wal_with_plan(plan.clone());
-        let mut alarmed = 0u64;
-        for sn in 0..16 {
+        for sn in 0..8 {
             append(&mut wal, rec(sn));
-            alarmed = wal.write_failures();
         }
+        let alarmed = wal.write_failures();
         assert!(alarmed > 0, "disk-full run must raise durability alarms");
         assert!(
             plan.injected_faults() >= 2,
             "the scripted denials must have fired"
         );
+        // The operator frees the disk: later appends are clean again.
+        plan.free_space();
+        for sn in 8..16 {
+            append(&mut wal, rec(sn));
+        }
+        assert_eq!(wal.write_failures(), alarmed);
         // Mirror stays authoritative regardless of storage luck.
         assert_eq!(wal.len(), 16);
     }

@@ -450,7 +450,6 @@ mod tests {
         nodes[1].degraded_entries = 2;
         nodes[1].degraded_retries = 5;
         nodes[2].exec.snapshot_decode_failures = 3;
-        nodes[0].sync_responder_timeouts = 4;
         nodes[3].sync_responders_quarantined = 1;
         nodes[3].sync_responses_refused = 9;
         let rep = aggregate(&run_data(nodes));
@@ -458,7 +457,6 @@ mod tests {
         assert_eq!(m.counter("node.degraded_entries"), 2);
         assert_eq!(m.counter("node.degraded_retries"), 5);
         assert_eq!(m.counter("node.snapshot_decode_failures"), 3);
-        assert_eq!(m.counter("sync.responder_timeouts"), 4);
         assert_eq!(m.counter("sync.responders_quarantined"), 1);
         assert_eq!(m.counter("sync.responses_refused"), 9);
         // And a healthy fleet reports zero everywhere.

@@ -411,7 +411,7 @@ mod tests {
                 short(ProtocolKind::LadonPbft),
                 241_661,
                 86,
-                "2dca9cb3aa38b589d5bd33a3d7cce83ba249c033b5b6e13a94610cea1e2fc3f9",
+                "7db26751dcad3123914b6350fcd7363ecc4cdc4d08b334e780ef21430526b06d",
             ),
             // HotStuff backups commit on the leader's announced QC, so
             // blocks reach f+1 confirmation 30–50 ms sooner and two more
@@ -420,25 +420,25 @@ mod tests {
                 short(ProtocolKind::LadonHotStuff),
                 248_998,
                 83,
-                "182ede79ff2ec5e54744ed107a8557963604b0287203e6ce4bcd123cef2bea38",
+                "f66b4d50bb7d21a8fb047b5d7e2d4f1ef230aa8b00ce07161d9fc722b6ec504d",
             ),
             (
                 short(ProtocolKind::DqbftPbft),
                 241_632,
                 84,
-                "4f4143cef65d391ccd7d399096a4fb1e58442ca8077a59da16824b8bf39d33da",
+                "34838c2e4b3ffafbe5de41bd5a56c2bed346ea522da12b91eecf7b24b8c71da2",
             ),
             (
                 checkpointing.clone(),
                 327_657,
                 155,
-                "6e7591a19239fec687560040c9091df6767fbcec4bd62f5e79928d164d34907d",
+                "96bae7f5107a41697e98f34dfbb523caba4a76cdb624b1e29455c5511fd58777",
             ),
             (
                 checkpointing.with_stragglers(1, 10.0),
                 136_791,
                 80,
-                "22e440725e8cd7d65394d9b84d715fa7c2a3b9048f7b71d2dbfc407284759210",
+                "2e7816cba74108c2b7e625436fca4d18b2280dcf2ad2c713efd1ddcf902c28d3",
             ),
         ];
         let reports: Vec<_> = pins

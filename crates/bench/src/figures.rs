@@ -338,36 +338,6 @@ pub const FIGURES: &[Figure] = &[
             cells: |r, _| vec![cs_fmt(r.causal_strength)],
         },
     },
-    // Algorithm 2 collects rank reports during the *previous* round's
-    // commit phase, so a slow leader's reports are up to one pacing
-    // interval stale when it finally proposes. The implementation
-    // refreshes the leader's own report at proposal time; the ablation
-    // runs the literal algorithm and measures what stale maxima cost in
-    // causal strength.
-    Figure {
-        name: "ablation_rank_refresh",
-        title: "Ablation (a) — proposal-time rank refresh, Ladon-PBFT, n = 16, WAN, \
-                1 straggler k = 10",
-        headers: &[
-            "variant",
-            "throughput (ktps)",
-            "latency (s)",
-            "CS",
-            "CS (tx-only)",
-        ],
-        rows: Rows::Sweep {
-            cases: |_| {
-                vec![
-                    (key(&[&"refreshed (ours)"]), ladon_n16_wan(1)),
-                    (
-                        key(&[&"stale (Alg. 2 literal)"]),
-                        ladon_n16_wan(1).stale_ranks(),
-                    ),
-                ]
-            },
-            cells: |r, _| tput_lat(r, [cs_fmt(r.causal_strength), cs_fmt(r.causal_strength_tx)]),
-        },
-    },
     // Shorter epochs checkpoint more often (a nearer recovery horizon,
     // more frequent bucket rotation) but stall every instance at each
     // boundary waiting for the slowest one.

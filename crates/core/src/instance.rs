@@ -186,8 +186,6 @@ impl Instance {
             };
             let strategy = if cfg.behavior.rank_minimize {
                 RankStrategy::MinimizeLowest
-            } else if cfg.behavior.stale_rank_reports {
-                RankStrategy::HonestStale
             } else {
                 RankStrategy::Honest
             };

@@ -68,12 +68,10 @@ pub struct Behavior {
     /// `1/k` of the normal rate and carry empty batches (§6.1).
     pub straggler_k: Option<f64>,
     /// Byzantine straggler: additionally manipulate rank selection by
-    /// using the lowest 2f+1 collected ranks (§6.3.1).
+    /// using the lowest 2f+1 collected ranks and skipping the
+    /// proposal-time refresh of its own report that every honest leader
+    /// makes (§6.3.1; [`ladon_pbft::RankStrategy`]).
     pub rank_minimize: bool,
-    /// Ablation: skip the leader's proposal-time refresh of its own rank
-    /// report (Algorithm 2 taken literally; see
-    /// [`ladon_pbft::RankStrategy::HonestStale`]).
-    pub stale_rank_reports: bool,
     /// Crash at this instant (Fig. 8).
     pub crash_at: Option<TimeNs>,
 }

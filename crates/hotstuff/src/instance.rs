@@ -99,10 +99,10 @@
 //! |---|---|---|
 //! | voted at height `h` | height `h + 1`, from the vote (unless already settled) | a `NewView` to the next view's leader, unless the height settled meanwhile or this leader stopped for the epoch |
 //! | nothing committed yet on this replica | none until the host's first commit on any instance ([`HsInstance::wait_from`]) | as after a vote |
-//! | a leader that installed a view from `NewView`s | none until it votes for its own proposal | — |
+//! | a leader that installed a view from 2f+1 `NewView`s (emitting `NewViewInstalled`) | none until it votes for its own proposal | — |
 //! | leading, the highest certified node at `maxRank` ([`HsInstance::next_is_dummy`]) | as after a vote | none needed: the host proposes the next flush dummy on the QC that made it ready, without waiting for a pace tick (a straggler waits for one) |
 //! | waiting at a missing ancestor | as after a vote: later heights are still voted on | none yet: nothing fetches the node, and a snapshot install an epoch later jumps past it (ROADMAP 2(a)) |
-//! | after sending `NewView` | none | none yet: the instance waits for a proposal of a higher view (ROADMAP 2(a)) |
+//! | after sending `NewView(v + 1)` | none | none yet: the instance waits for a proposal of a higher view, which it enters emitting `NewViewInstalled` (ROADMAP 2(a)). Meanwhile it still votes in view `v`: sending `NewView` promises nothing, and agreement rests on the lock rule |
 //! | a backup given the leader's announced QC of height `h` | unchanged: an announcement starts, replaces and ends none | unchanged: it commits through `h − 2` if it holds the QC's node, and nothing else moves |
 //!
 //! [`ladon-pbft`]: ../ladon_pbft/index.html
@@ -159,7 +159,9 @@ pub struct HsConfig {
 }
 
 /// Effects requested by the state machine: the shared vocabulary over
-/// this instance's wire message. HotStuff never emits `NewViewInstalled`.
+/// this instance's wire message. `NewViewInstalled` marks a leader
+/// entering a view from 2f+1 `NewView`s and a backup entering one from
+/// a valid proposal of a higher view.
 pub type Action = ladon_types::Action<HsMsg>;
 
 /// The chained HotStuff instance.
@@ -470,7 +472,7 @@ impl HsInstance {
         match msg {
             HsMsg::Generic(g) => self.handle_generic(from, &g, now, cur, &mut out),
             HsMsg::Vote(v) => self.handle_vote(from, v, cur, &mut out),
-            HsMsg::NewView(nv) => self.handle_new_view(from, nv),
+            HsMsg::NewView(nv) => self.handle_new_view(from, nv, &mut out),
             HsMsg::Qc(qc) => self.handle_qc(from, &qc, &mut out),
         }
         out
@@ -565,6 +567,7 @@ impl HsInstance {
         // of a higher view moves us there.
         if g.view > self.view {
             self.view = g.view;
+            out.push(Action::NewViewInstalled { view: g.view });
         }
 
         // Update curRank from the leader's disclosure (lines 15–17). A
@@ -898,14 +901,14 @@ impl HsInstance {
         out.push(Action::ViewChangeStarted { view: new_view });
         let leader = self.leader_of(new_view);
         if leader == self.cfg.me {
-            self.handle_new_view(self.cfg.me, nv);
+            self.handle_new_view(self.cfg.me, nv, &mut out);
         } else {
             out.push(Action::Send(leader, HsMsg::NewView(nv)));
         }
         out
     }
 
-    fn handle_new_view(&mut self, from: ReplicaId, nv: HsNewView) {
+    fn handle_new_view(&mut self, from: ReplicaId, nv: HsNewView, out: &mut Vec<Action>) {
         if nv.instance != self.cfg.instance
             || nv.view <= self.view
             || nv.view > MAX_VIEW
@@ -944,6 +947,7 @@ impl HsInstance {
             self.deadline = None;
             self.proposed_height = self.generic_qc.height();
             self.new_views.retain(|_, nv| nv.view > view);
+            out.push(Action::NewViewInstalled { view });
         }
     }
 }
@@ -969,6 +973,8 @@ mod tests {
         nodes: Vec<HsInstance>,
         curs: Vec<RankCert>,
         committed: Vec<Vec<Block>>,
+        /// Views each replica reported installed.
+        installed: Vec<Vec<View>>,
         queue: std::collections::VecDeque<(usize, ReplicaId, HsMsg)>,
         /// Clock handed to every handler.
         now: TimeNs,
@@ -1001,6 +1007,7 @@ mod tests {
                 nodes,
                 curs: vec![RankCert::genesis(Rank(0)); n],
                 committed: vec![Vec::new(); n],
+                installed: vec![Vec::new(); n],
                 queue: Default::default(),
                 now: TimeNs::ZERO,
                 n,
@@ -1026,6 +1033,7 @@ mod tests {
                             .push_back((to.as_usize(), ReplicaId(who as u32), m))
                     }
                     Action::Committed(b) => self.committed[who].push(b),
+                    Action::NewViewInstalled { view } => self.installed[who].push(view),
                     _ => {}
                 }
             }
@@ -1637,6 +1645,24 @@ mod tests {
         for node in &c.nodes {
             assert_eq!(node.rejected, 0);
         }
+    }
+
+    #[test]
+    fn a_view_change_installs_on_the_new_leader_and_on_each_backup() {
+        let mut c = HsCluster::new(4, HsRankMode::Ladon, 1000);
+        c.propose(0, batch(0, 5));
+        // Leader 0 crashes; the backups' height-2 deadlines expire.
+        for r in 1..4 {
+            let acts = c.nodes[r].on_timeout();
+            c.absorb(r, acts);
+        }
+        c.run();
+        // Leader 1 installs view 1 from the three `NewView`s …
+        assert_eq!(c.installed, [vec![], vec![View(1)], vec![], vec![]]);
+        // … and each live backup enters it with the first proposal.
+        c.propose_missing(1, batch(100, 3), &[0]);
+        let v1 = || vec![View(1)];
+        assert_eq!(c.installed, [vec![], v1(), v1(), v1()]);
     }
 
     #[test]

@@ -98,15 +98,10 @@ pub enum RankMode {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RankStrategy {
     /// Honest: choose the maximum of the collected ranks, refreshing the
-    /// leader's own report at proposal time (see the refresh comment in
-    /// [`PbftInstance::propose`]).
+    /// leader's own report at proposal time, where Algorithm 2 ranks from
+    /// the collected reports alone; the comment in
+    /// [`PbftInstance::propose`] says what the literal rule costs.
     Honest,
-    /// Honest but without the proposal-time refresh — Algorithm 2 taken
-    /// literally, where the collected reports can be one pacing interval
-    /// stale. Exists for the ablation bench: stale maxima let slow
-    /// leaders' ranks tie with blocks committed since collection, which
-    /// is measurable as causal-strength loss.
-    HonestStale,
     /// Byzantine rank minimization: collect more than 2f+1 reports,
     /// discard the highest, and use the lowest 2f+1 (Appendix B case 3).
     MinimizeLowest,
@@ -691,7 +686,11 @@ impl PbftInstance {
         // the meantime — exactly the causality leak monotonic ranks exist
         // to prevent. The leader's current `curRank` is always a valid,
         // certified report. Byzantine minimizers skip this (they want
-        // stale, low ranks; §4.4 bounds the damage).
+        // stale, low ranks; §4.4 bounds the damage). Algorithm 2 taken
+        // literally (no refresh) read causal strength 0.706 and 3.28 ktps
+        // at n = 8, WAN, one k = 10 straggler, against 1.000 and 37.06
+        // with it; at n = 16 with the same straggler, 0.400 at 15.7 s
+        // mean latency against 0.976 at 6.9 s.
         if self.cfg.mode != RankMode::None
             && round != self.view_start_round
             && self.cfg.strategy == RankStrategy::Honest

@@ -7,8 +7,8 @@ use crate::msg::{
     DOMAIN_PREPREPARE, DOMAIN_RANK,
 };
 use crate::testkit::{test_batch, Cluster};
-use ladon_crypto::{QuorumCert, Signature};
-use ladon_types::{InstanceId, Rank, ReplicaId, Round, View, MAX_PENDING_MSGS};
+use ladon_crypto::{QuorumCert, RankCert, Signature};
+use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, View, MAX_PENDING_MSGS};
 use std::sync::Arc;
 
 #[test]
@@ -638,6 +638,37 @@ fn rank_reports_accumulate_only_at_leader() {
     assert!(c.nodes[0].can_propose());
     // A backup does not accumulate reports and cannot propose.
     assert!(!c.nodes[1].can_propose());
+}
+
+#[test]
+fn a_leader_ranks_above_its_current_rank_not_the_collected_maximum() {
+    // Round 1's reports arrive with its commit votes; the leader's
+    // curRank then rises to a rank certified on another instance before
+    // it proposes round 2. It refreshes its own report, so round 2 ranks
+    // one above that rank rather than one above the stale maximum, and
+    // the backups accept the refreshed proof.
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.propose_and_run(0, test_batch(0, 5));
+    assert!(c.nodes[0].can_propose(), "round 1's reports are collected");
+    let collected = c.cur_ranks.iter().map(|cur| cur.rank).max();
+    assert_eq!(collected, Some(Rank(1)));
+
+    let (view, round, instance, digest) = (View(0), Round(9), InstanceId(1), Digest([9; 32]));
+    let high = Rank(40);
+    let shares: Vec<_> = (0..3)
+        .map(|r| {
+            let signer = c.registry.signer(ReplicaId(r));
+            QuorumCert::sign_share(&signer, view, round, &digest, instance, high)
+        })
+        .collect();
+    let cert = QuorumCert::from_shares(&shares, 4, view, round, instance, digest, high);
+    c.cur_ranks[0] = RankCert::certified(cert.expect("distinct signers"));
+
+    let pp = propose_capturing(&mut c, 10);
+    assert_eq!(pp.rank, Rank(41));
+    c.run_to_quiescence();
+    let blocks = c.assert_agreement();
+    assert_eq!(blocks.last().map(|b| b.rank()), Some(Rank(41)));
 }
 
 #[test]

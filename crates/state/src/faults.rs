@@ -9,10 +9,9 @@
 //! - [`FaultPlan`]: a shared, atomically-scripted schedule of storage
 //!   faults — a kill budget (power loss after N mutating ops), ENOSPC
 //!   after K bytes (until [`FaultPlan::free_space`], modeling an
-//!   operator clearing the disk), a run of fsync failures and a torn
-//!   tail on the next append. All knobs are plain atomics behind `Arc`s, so a test
-//!   or bench holds a clone of the plan and re-scripts it *while the
-//!   backend is in use*.
+//!   operator clearing the disk) and a run of fsync failures. All knobs
+//!   are plain atomics behind `Arc`s, so a test or bench holds a clone of
+//!   the plan and re-scripts it *while the backend is in use*.
 //! - [`FaultBackend`]: a [`WalBackend`] wrapper that consults the plan
 //!   on every mutating operation. Reads always pass through (the bytes
 //!   that reached storage are readable; that is what crash recovery
@@ -24,7 +23,7 @@
 //! randomness.
 
 use crate::wal::{WalBackend, WalIoStats};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared handle to a scripted fault schedule. Cloning shares the
@@ -42,12 +41,9 @@ pub struct FaultPlan {
     space_left: Arc<AtomicI64>,
     /// `sync_group` calls that fail before fsync recovers.
     fsync_failures: Arc<AtomicI64>,
-    /// Tear the next `append_segment_batch`: write only a prefix of the
-    /// records and no trailer, then report failure.
-    torn_next: Arc<AtomicBool>,
     /// Mutating ops observed.
     ops: Arc<AtomicU64>,
-    /// Faults injected (ops denied or mangled by the plan).
+    /// Faults injected (ops denied by the plan).
     injected: Arc<AtomicU64>,
 }
 
@@ -64,7 +60,6 @@ impl FaultPlan {
             budget: Arc::new(AtomicI64::new(i64::MAX)),
             space_left: Arc::new(AtomicI64::new(i64::MAX)),
             fsync_failures: Arc::new(AtomicI64::new(0)),
-            torn_next: Arc::new(AtomicBool::new(false)),
             ops: Arc::new(AtomicU64::new(0)),
             injected: Arc::new(AtomicU64::new(0)),
         }
@@ -92,13 +87,6 @@ impl FaultPlan {
         self
     }
 
-    /// Tear the next append: a prefix of its records reaches storage
-    /// with no closing trailer, and the append reports failure.
-    pub fn tear_next_append(self) -> Self {
-        self.torn_next.store(true, Ordering::SeqCst);
-        self
-    }
-
     /// Restore unlimited space immediately (the operator freed the disk).
     pub fn free_space(&self) {
         self.space_left.store(i64::MAX, Ordering::SeqCst);
@@ -109,7 +97,7 @@ impl FaultPlan {
         self.ops.load(Ordering::SeqCst)
     }
 
-    /// Operations the plan denied or mangled.
+    /// Operations the plan denied.
     pub fn injected_faults(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)
     }
@@ -161,11 +149,6 @@ impl FaultPlan {
         }
         ok
     }
-
-    /// Whether the next append should be torn (consumes the flag).
-    fn take_torn(&self) -> bool {
-        self.torn_next.swap(false, Ordering::SeqCst)
-    }
 }
 
 /// A [`WalBackend`] that injects the faults scripted in a [`FaultPlan`].
@@ -209,17 +192,6 @@ impl<B: WalBackend> WalBackend for FaultBackend<B> {
         records: &[u8],
         trailer: &[u8],
     ) -> bool {
-        if self.plan.take_torn() {
-            // Torn tail: a prefix of the batch reaches the file, the
-            // trailer never does, and the append reports failure — the
-            // on-disk stream now ends mid-batch, exactly what a power
-            // cut during the write() leaves behind.
-            self.plan.note_injected();
-            let cut = records.len() / 2;
-            self.inner
-                .append_segment_batch(group, seq, &records[..cut], &[]);
-            return false;
-        }
         self.plan.permit(records.len() + trailer.len())
             && self
                 .inner
@@ -325,23 +297,6 @@ mod tests {
         assert!(!plan.permit_sync());
         assert!(!plan.permit_sync());
         assert!(plan.permit_sync());
-    }
-
-    #[test]
-    fn torn_append_raises_wal_alarm_and_recovery_survives() {
-        let plan = FaultPlan::unlimited();
-        let mut wal = wal_with_plan(plan.clone());
-        for sn in 0..4 {
-            append(&mut wal, rec(sn));
-        }
-        assert_eq!(wal.write_failures(), 0);
-        let _ = plan.clone().tear_next_append();
-        append(&mut wal, rec(4));
-        assert_eq!(wal.write_failures(), 1, "torn tail must raise the alarm");
-        // Later appends are clean again.
-        append(&mut wal, rec(5));
-        assert_eq!(wal.write_failures(), 1);
-        assert_eq!(plan.injected_faults(), 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum Action<M> {
         /// The view being moved to.
         view: View,
     },
-    /// A new view was installed (metrics hook; PBFT only).
+    /// A new view was installed (metrics hook).
     NewViewInstalled {
         /// The installed view.
         view: View,

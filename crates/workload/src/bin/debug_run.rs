@@ -14,9 +14,10 @@
 //!   a run that has any) and one row per protocol: violating runs by
 //!   kind, runs whose frontiers spread by more than 16 blocks, the lowest
 //!   frontier's sum, median and minimum, the highest frontier's median,
-//!   and the state-transfer traffic summed over runs and replicas (sync
-//!   requests sent; snapshots and chunk bytes served). It exits
-//!   nonzero when any run violated the oracle.
+//!   and, summed over runs and replicas, the state-transfer traffic (sync
+//!   requests sent; snapshots and chunk bytes served) and the view
+//!   changes started and installed. It exits nonzero when any run
+//!   violated the oracle.
 //!
 //! An unknown protocol name exits 2 and lists the valid ones.
 
@@ -86,6 +87,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
     // Sync requests sent; snapshots and chunk bytes served.
     let mut sync = [0u64; 3];
+    // View changes started and installed.
+    let mut views = [0usize; 2];
     for &seed in seeds {
         let cfg = ExperimentConfig::scenario(p, 4, 20.0)
             .with_epoch_length(16)
@@ -120,6 +123,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
             for (sum, count) in sync.iter_mut().zip(counts) {
                 *sum += count;
             }
+            views[0] += m.view_changes.len();
+            views[1] += m.new_views.len();
         }
     }
     lows.sort_unstable();
@@ -129,7 +134,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     println!(
         "{p:?}: violating {violating} / {runs} {kinds:?} | spread > 16: {spread} / {runs} | \
          lowest frontier: sum {} median {} min {} | highest frontier median {} | \
-         sync requests {} | snapshots served {} bytes {}",
+         sync requests {} | snapshots served {} bytes {} | \
+         view changes started {} installed {}",
         lows.iter().sum::<u64>(),
         median(&lows),
         lows.first().copied().unwrap_or(0),
@@ -137,6 +143,8 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
         sync[0],
         sync[1],
         sync[2],
+        views[0],
+        views[1],
     );
     violating
 }

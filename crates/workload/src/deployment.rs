@@ -67,7 +67,6 @@ fn node_config(
         behavior: Behavior {
             straggler_k: straggler.then_some(cfg.straggler_k),
             rank_minimize: cfg.byzantine_stragglers && straggler,
-            stale_rank_reports: cfg.stale_rank_reports,
             crash_at: cfg
                 .crash
                 .and_then(|(cr, at)| (cr == r).then(|| TimeNs::from_secs_f64(at))),

@@ -26,9 +26,6 @@ pub struct ExperimentConfig {
     pub straggler_k: f64,
     /// Make stragglers Byzantine rank-minimizers (§6.3.1).
     pub byzantine_stragglers: bool,
-    /// Ablation: run all honest leaders without the proposal-time rank
-    /// refresh (Algorithm 2 taken literally).
-    pub stale_rank_reports: bool,
     /// Crash `(replica, at_seconds)` (Fig. 8).
     pub crash: Option<(usize, f64)>,
     /// Offered load as a fraction of nominal capacity
@@ -67,7 +64,6 @@ impl ExperimentConfig {
             stragglers: 0,
             straggler_k: 10.0,
             byzantine_stragglers: false,
-            stale_rank_reports: false,
             crash: None,
             load_factor: 1.0,
             sample_interval_s: None,
@@ -125,12 +121,6 @@ impl ExperimentConfig {
     /// Makes the stragglers Byzantine rank minimizers.
     pub fn byzantine(mut self) -> Self {
         self.byzantine_stragglers = true;
-        self
-    }
-
-    /// Ablation: disable the proposal-time rank refresh on all leaders.
-    pub fn stale_ranks(mut self) -> Self {
-        self.stale_rank_reports = true;
         self
     }
 

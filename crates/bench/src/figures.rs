@@ -56,7 +56,7 @@ impl Figure {
     pub fn print(&self, sc: Scale) {
         println!("\n################################################################");
         println!(
-            "# {} (scale = {sc:?}; LADON_SCALE=medium|full widens it)",
+            "# {} (scale = {sc:?}; LADON_SCALE=full widens it)",
             self.name
         );
         println!("################################################################");
@@ -480,7 +480,6 @@ fn per_round_traffic(n: usize, mode: RankMode, rounds: u64) -> [u64; 4] {
 fn appendix_a(sc: Scale) -> Built {
     let sizes: &[usize] = match sc {
         Scale::Quick => &[4, 16, 31],
-        Scale::Medium => &[4, 16, 31, 64],
         Scale::Full => &[4, 16, 31, 64, 127],
     };
     let mut rows = Vec::new();
@@ -526,7 +525,7 @@ mod tests {
             let Rows::Sweep { cases, cells } = fig.rows else {
                 continue;
             };
-            for sc in [Scale::Quick, Scale::Medium, Scale::Full] {
+            for sc in [Scale::Quick, Scale::Full] {
                 let cases = cases(sc);
                 assert!(!cases.is_empty(), "{}: no cases at {sc:?}", fig.name);
                 for (key, cfg) in cases {

@@ -10,10 +10,10 @@
 //!
 //! # Rounds
 //!
-//! Under both protocols a committed [`Block`]'s `round` is the ordinal
-//! of the block among those its instance has emitted — 1, 2, 3, … with
-//! no holes — which is what the ordering layer's per-instance intake
-//! counts. PBFT commits one block per round, so the two coincide.
+//! Under both protocols a committed [`ladon_types::Block`]'s `round` is
+//! the ordinal of the block among those its instance has emitted — 1, 2,
+//! 3, … with no holes — which is what the ordering layer's per-instance
+//! intake counts. PBFT commits one block per round, so the two coincide.
 //! HotStuff's chain also holds three epoch-flush dummies per epoch that
 //! take heights and are never emitted: there [`Instance::committed_upto`]
 //! and the height a liveness deadline awaits are chain *heights*, private
@@ -44,7 +44,7 @@
 //!
 //! | capability | PBFT | HotStuff default | consequence |
 //! |---|---|---|---|
-//! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | block + prepare QC | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
+//! | serve / install committed log entries ([`Instance::committed_entries_from`], [`Input::Install`]) | a [`CertifiedBlock`]: block + prepare QC, bound by one rule ([`CertifiedBlock::binds`], then the QC verifies) | nothing to serve, nothing installed | a lagging HotStuff replica is repaired by snapshot or by replaying the chain, never by **log sync**; one missing an ancestor commits nothing past it and waits, since nothing fetches a node |
 //! | lag evidence ([`Instance::lag_evidence`]) | future-epoch backlog, proposal-vs-commit gap | `None` | only the pacemaker's checkpoint-quorum evidence triggers state transfer, and it sees a quorum only for an epoch the replica has not closed: a closed epoch with no proof waits for a vote or a fetched checkpoint (the `epoch` module's state table) |
 //!
 //! Also: PBFT never proposes epoch-flush dummies
@@ -66,13 +66,10 @@
 use crate::msg::NodeMsg;
 use crate::node::NodeConfig;
 use ladon_crypto::keys::Signer;
-use ladon_crypto::{CertCache, QuorumCert, RankCert};
+use ladon_crypto::{CertCache, RankCert};
 use ladon_hotstuff::{HsConfig, HsInstance, HsRankMode};
-use ladon_pbft::{InstanceConfig, PbftInstance, RankMode, RankStrategy};
-use ladon_types::{
-    Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, TimeNs,
-};
-use std::sync::Arc;
+use ladon_pbft::{CertifiedBlock, InstanceConfig, PbftInstance, RankMode, RankStrategy};
+use ladon_types::{Action, Batch, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, TimeNs};
 use std::vec::IntoIter;
 
 /// One hosted consensus instance, PBFT or chained HotStuff.
@@ -111,10 +108,9 @@ pub enum Input {
     /// The next epoch's `(minRank, maxRank)`: the instance replays the
     /// proposals it held for that epoch.
     AdvanceEpoch(Rank, Rank),
-    /// A committed block fetched from a peer, with its prepare QC (PBFT);
-    /// yields no effects when it was not useful (already held, bad
-    /// certificate).
-    Install(Block, Arc<QuorumCert>),
+    /// A committed round fetched from a peer (PBFT); yields no effects
+    /// when it was not useful (already held, bad certificate).
+    Install(CertifiedBlock),
 }
 
 /// An instance's pending effects, lifted into the node's envelope as
@@ -280,7 +276,7 @@ impl Instance {
                     }
                     Input::Timeout => inst.on_timeout(now, cur),
                     Input::AdvanceEpoch(min, max) => inst.advance_epoch(min, max, now, cur),
-                    Input::Install(block, qc) => inst.install_committed(block, qc, now, cur),
+                    Input::Install(entry) => inst.install_committed(entry, now, cur),
                     Input::Message(..) => return Actions::None,
                 };
                 Actions::Pbft(self.id, actions.into_iter())
@@ -312,11 +308,7 @@ impl Instance {
 
     /// Committed blocks past `from`, each with its prepare QC, for a
     /// lagging peer. HotStuff serves none.
-    pub fn committed_entries_from(
-        &self,
-        from: Round,
-        limit: usize,
-    ) -> Vec<(Block, Arc<QuorumCert>)> {
+    pub fn committed_entries_from(&self, from: Round, limit: usize) -> Vec<CertifiedBlock> {
         match &self.proto {
             Proto::Pbft(inst) => inst.committed_entries_from(from, limit),
             Proto::Hs(_) => Vec::new(),

@@ -63,4 +63,4 @@ pub use metrics::{CommitRecord, ConfirmRecord, NodeMetrics};
 pub use msg::{ClientTxs, NodeMsg};
 pub use node::{Behavior, Input, MultiBftNode, NodeConfig, Output};
 pub use ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
-pub use sync::{snapshot_worthwhile, ResponderHealth, SyncEntry, SyncRequest, SyncResponse};
+pub use sync::{snapshot_worthwhile, ResponderHealth, SyncRequest, SyncResponse};

@@ -47,12 +47,13 @@ use crate::metrics::{CommitRecord, NodeMetrics};
 use crate::msg::{ClientTxs, NodeMsg};
 use crate::ordering::{ConfirmedBlock, GlobalOrderer, LadonOrderer};
 use crate::sync::{
-    snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncEntry, SyncRequest,
-    SyncResponse, SYNC_MAX_BLOCKS, SYNC_PER_INSTANCE,
+    snapshot_worthwhile, ResponderHealth, ResponseOutcome, StateTransfer, SyncRequest,
+    SyncResponse, SYNC_MAX_BLOCKS,
 };
 use crate::timer::Timer;
 use ladon_crypto::{CertCache, KeyRegistry, RankCert};
 use ladon_obs::Stage;
+use ladon_pbft::CertifiedBlock;
 use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{ExecOutcome, ExecutionPipeline, InstallOutcome, Snapshot};
 use ladon_types::{
@@ -787,22 +788,18 @@ impl MultiBftNode {
         (!resp.entries.is_empty() || resp.checkpoint.is_some()).then_some(resp)
     }
 
-    /// Log entries past the requester's frontier, each with its QC.
-    fn serve_entries(&self, req: &SyncRequest) -> Vec<SyncEntry> {
-        let mut entries = Vec::new();
-        for (i, inst) in self.slots.iter().enumerate() {
-            for (block, qc) in inst.committed_entries_from(req.frontier[i], SYNC_PER_INSTANCE) {
-                entries.push(SyncEntry {
-                    instance: InstanceId(i as u32),
-                    block,
-                    qc,
-                });
-                if entries.len() >= SYNC_MAX_BLOCKS {
-                    return entries;
-                }
-            }
-        }
-        entries
+    /// Log entries past the requester's frontier, each with its QC: an
+    /// equal share of [`SYNC_MAX_BLOCKS`] per hosted instance (at least
+    /// one, and never more than the cap in all), so no instance's backlog
+    /// crowds out another's — DQBFT's ordering instance, which comes last,
+    /// included.
+    fn serve_entries(&self, req: &SyncRequest) -> Vec<CertifiedBlock> {
+        let share = (SYNC_MAX_BLOCKS / self.slots.len()).max(1);
+        let frontiers = self.slots.iter().zip(&req.frontier);
+        frontiers
+            .flat_map(|(inst, &from)| inst.committed_entries_from(from, share))
+            .take(SYNC_MAX_BLOCKS)
+            .collect()
     }
 
     /// Execution fast-forward: when our latest snapshot is at least
@@ -923,14 +920,14 @@ impl MultiBftNode {
 
     /// Feeds fetched log entries through their instances (which verify
     /// each QC). Returns whether any of them installed.
-    fn install_entries(&mut self, entries: Vec<SyncEntry>, out: &mut Vec<Output>) -> bool {
+    fn install_entries(&mut self, entries: Vec<CertifiedBlock>, out: &mut Vec<Output>) -> bool {
         let mut installed = false;
         for e in entries {
-            let i = e.instance.as_usize();
+            let i = e.block.index().as_usize();
             if i >= self.slots.len() {
                 continue;
             }
-            let input = instance::Input::Install(e.block, e.qc);
+            let input = instance::Input::Install(e);
             let mut actions = self.slots[i]
                 .step(input, self.now, &mut self.cur_rank)
                 .peekable();
@@ -1397,27 +1394,30 @@ mod tests {
     /// A first-round pre-prepare on `instance` from its view-0 leader,
     /// citing `cert` as the leader's rank certificate.
     fn preprepare_citing(instance: u32, cert: &Arc<ladon_crypto::QuorumCert>) -> NodeMsg {
-        use ladon_crypto::qc::prepare_bytes;
         use ladon_pbft::msg::{PrePrepare, RankProof, DOMAIN_PREPREPARE};
         let leader = node(ProtocolKind::LadonPbft, instance)
             .cfg
             .registry
             .signer(ReplicaId(instance));
-        let (view, round, instance) = (ladon_types::View(0), Round(1), InstanceId(instance));
-        let (batch, rank) = (Batch::empty(0), cert.rank.next());
-        let digest = ladon_crypto::digest_batch(&batch);
-        let body = prepare_bytes(view, round, &digest, instance, rank);
-        let pp = PrePrepare {
-            view,
-            round,
-            instance,
-            rank,
-            digest,
-            batch,
-            proposed_at: TimeNs::ZERO,
-            rank_proof: RankProof::FirstRound(RankCert::certified(cert.clone())),
-            sig: ladon_crypto::Signature::sign(&leader, DOMAIN_PREPREPARE, &body),
+        let instance = InstanceId(instance);
+        let batch = Batch::empty(0);
+        let header = ladon_types::BlockHeader {
+            index: instance,
+            round: Round(1),
+            rank: cert.rank.next(),
+            payload_digest: ladon_crypto::digest_batch(&batch),
         };
+        let mut pp = PrePrepare {
+            view: ladon_types::View(0),
+            block: Block {
+                header,
+                batch,
+                proposed_at: TimeNs::ZERO,
+            },
+            rank_proof: RankProof::FirstRound(RankCert::certified(cert.clone())),
+            sig: ladon_crypto::Signature::sign(&leader, DOMAIN_PREPREPARE, b""),
+        };
+        pp.sig = ladon_crypto::Signature::sign(&leader, DOMAIN_PREPREPARE, &pp.signing_bytes());
         let msg = ladon_pbft::PbftMsg::PrePrepare(Arc::new(pp));
         NodeMsg::Pbft { instance, msg }
     }
@@ -1613,7 +1613,9 @@ mod tests {
     /// DQBFT's ordering instance (index `m`) is synced like the data
     /// instances: requests carry its frontier, a peer serves its
     /// committed rounds, and a replica that missed them confirms the
-    /// blocks they sequence once it installs them.
+    /// blocks they sequence once it installs them. The ordering instance
+    /// comes last, so it gets its share of a response even when every
+    /// data instance lags by more than a whole response could carry.
     #[test]
     fn state_transfer_repairs_the_dqbft_ordering_instance() {
         let mut c = Cluster::new(ProtocolKind::DqbftPbft);
@@ -1626,18 +1628,33 @@ mod tests {
         c.run(0, Input::Timer(Timer::Pace(N)));
         assert_eq!(c.nodes[1].commit_frontier()[N], Round(1));
         assert_eq!(c.nodes[1].confirmed_count(), 1);
+        // Then each data instance commits more rounds than a response
+        // serves spread over the data instances alone.
+        let deep = (SYNC_MAX_BLOCKS / N + 1) as u64;
+        for i in 0..N {
+            for _ in 0..deep {
+                c.run(i, Input::Timer(Timer::Pace(i)));
+            }
+        }
+        let frontier = c.nodes[1].commit_frontier();
+        assert!(frontier[..N].iter().all(|r| r.0 >= deep), "{frontier:?}");
+        assert_eq!(frontier[N], Round(1));
 
         let mut behind = node(ProtocolKind::DqbftPbft, 3);
         let req = behind.build_sync_request();
         assert_eq!(req.frontier.len(), N + 1);
         let resp = c.nodes[1].build_sync_response(&req).expect("entries");
-        let ordering = resp.entries.iter().filter(|e| e.instance.as_usize() == N);
+        assert!(resp.entries.len() <= SYNC_MAX_BLOCKS);
+        let ordering = resp
+            .entries
+            .iter()
+            .filter(|e| e.block.index().as_usize() == N);
         assert_eq!(ordering.count(), 1);
         step(
             &mut behind,
             Input::Message(1, NodeMsg::SyncResp(Arc::new(resp))),
         );
-        assert_eq!(behind.commit_frontier(), c.nodes[1].commit_frontier());
+        assert_eq!(behind.commit_frontier()[N], Round(1));
         assert_eq!(behind.confirmed_count(), 1);
 
         // A request that leaves the ordering instance out is refused.

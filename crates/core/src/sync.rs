@@ -17,8 +17,13 @@
 //! [`SyncRequest`] carrying its per-instance commit frontier to one peer
 //! (rotating through peers so a single unhelpful — or Byzantine — peer
 //! cannot starve recovery). The peer answers with a [`SyncResponse`]:
-//! the stable checkpoint of the completed epoch plus the blocks past the
-//! requester's frontier, each certified by its prepare QC. The requester
+//! the stable checkpoint of the completed epoch plus the committed rounds
+//! past the requester's frontier, each a [`CertifiedBlock`] — the block
+//! and the prepare QC that certifies it. Each hosted instance gets an
+//! equal share of the response's [`SYNC_MAX_BLOCKS`] entries (at least
+//! one), taken in round order from its frontier: an instance far behind
+//! cannot crowd out the others, DQBFT's ordering instance, which comes
+//! last and through which alone DQBFT confirms, included. The requester
 //! verifies every certificate before installing anything, so a Byzantine
 //! responder can serve correct data or nothing at all.
 //!
@@ -87,11 +92,10 @@
 //! row quarantines it.
 
 use crate::epoch::StableCheckpoint;
-use ladon_crypto::QuorumCert;
+use ladon_pbft::CertifiedBlock;
 use ladon_state::Snapshot;
-use ladon_types::{sizes, Block, Epoch, InstanceId, Round, WireSize};
+use ladon_types::{sizes, Epoch, Round, WireSize};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Snapshot serving minimum-gap policy: ship a snapshot only when the
 /// requester's applied frontier lags the responder's latest snapshot by
@@ -104,8 +108,6 @@ pub fn snapshot_worthwhile(snap_applied: u64, req_applied: u64, min_lag: u64) ->
     snap_applied.saturating_sub(req_applied) >= min_lag.max(1)
 }
 
-/// Maximum blocks per instance served in one response.
-pub const SYNC_PER_INSTANCE: usize = 32;
 /// Maximum total blocks served in one response (bounds message size; a
 /// deeply lagging replica catches up over several request rounds). Sized
 /// so one response per probe period outruns block production by a wide
@@ -252,25 +254,6 @@ impl StateTransfer {
     }
 }
 
-/// One fetched log entry: a committed block and the prepare QC binding its
-/// `(digest, rank)` to `(instance, round)`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct SyncEntry {
-    /// The instance the block belongs to.
-    pub instance: InstanceId,
-    /// The committed block (with payload — this is the one transfer that
-    /// genuinely re-ships data the replica missed).
-    pub block: Block,
-    /// Certificate for the block (the responder's own copy, shared).
-    pub qc: Arc<QuorumCert>,
-}
-
-impl WireSize for SyncEntry {
-    fn wire_size(&self) -> u64 {
-        4 + self.block.wire_size() + self.qc.wire_size()
-    }
-}
-
 /// A peer's response: integrity proof plus missing entries, optionally
 /// with an execution snapshot for state fast-forward.
 #[derive(Clone, Default, PartialEq, Debug, Serialize, Deserialize)]
@@ -293,23 +276,32 @@ pub struct SyncResponse {
     /// the installer's next checkpoint root is a function of the state
     /// and its position, so it equals the donor's.
     pub snapshot: Option<Snapshot>,
-    /// Missing log entries past the requester's frontier.
-    pub entries: Vec<SyncEntry>,
+    /// Missing log entries past the requester's frontier, each a
+    /// committed block (with its payload — the one transfer that re-ships
+    /// data the replica missed) and its prepare QC (the responder's own
+    /// copy, shared). The instance is the block's own index.
+    pub entries: Vec<CertifiedBlock>,
 }
 
 impl WireSize for SyncResponse {
+    /// A served entry counts `4 + block + QC` bytes: the block with its
+    /// payload, its certificate, and 4 bytes of per-entry framing. Every
+    /// seeded run that sends a sync response reads this figure, so it
+    /// moves only with a re-pin.
     fn wire_size(&self) -> u64 {
+        let entry = |e: &CertifiedBlock| 4 + e.block.wire_size() + e.qc.wire_size();
         sizes::MSG_HEADER
             + self.checkpoint.as_ref().map_or(0, WireSize::wire_size)
             + self.snapshot.as_ref().map_or(0, WireSize::wire_size)
-            + self.entries.iter().map(WireSize::wire_size).sum::<u64>()
+            + self.entries.iter().map(entry).sum::<u64>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ladon_types::{Batch, BlockHeader, Digest, Rank, TimeNs};
+    use ladon_crypto::QuorumCert;
+    use ladon_types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, TimeNs};
 
     const ME: usize = 3;
 
@@ -489,16 +481,17 @@ mod tests {
             Rank(1),
         )
         .unwrap();
-        let entry = SyncEntry {
-            instance: InstanceId(0),
+        let entry = CertifiedBlock {
             block,
-            qc: Arc::new(qc),
+            qc: std::sync::Arc::new(qc),
         };
+        let modeled = 4 + entry.block.wire_size() + entry.qc.wire_size();
         let resp = SyncResponse {
             checkpoint: None,
             snapshot: None,
             entries: vec![entry],
         };
+        assert_eq!(resp.wire_size(), sizes::MSG_HEADER + modeled);
         assert!(
             resp.wire_size() > 50_000,
             "payload must dominate the response size"

@@ -35,9 +35,9 @@
 //!
 //! | stage | entered when | holds |
 //! |---|---|---|
-//! | **open** | a vote, the pre-prepare, a new view's nil fill or re-proposal, or a fetched block names it | the `Proposal` (digest, rank, batch, `proposed_at`) once adopted; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
+//! | **open** | a vote, the pre-prepare, a new view's nil fill or re-proposal, or a fetched block names it | the proposal, the adopted `Block` whichever way it came; a prepare `Tally` and a commit `Tally`, each allocated on its phase's first vote |
 //! | **prepared** | 2f+1 matching prepares (`sent_commit`) | the proposal, `prepare_qc`; the prepare tally is **freed** — its shares now live in the QC; the commit tally |
-//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc`; the commit tally is **freed**. A round above a hole waits here for the frontier; one at or below the frontier is what state transfer, view changes and the rank checks read |
+//! | **committed** | 2f+1 matching commits, or [`PbftInstance::install_committed`] | the proposal and `prepare_qc`, which together are the round's `CertifiedBlock` when served or reported; the commit tally is **freed**. A round above a hole waits here for the frontier; one at or below the frontier is what state transfer, view changes and the rank checks read |
 //!
 //! Nothing moves when the contiguous commit frontier (`committed_upto`)
 //! passes a round. [`PbftInstance::advance_epoch`] drains the rounds
@@ -67,8 +67,9 @@
 //! built on its own holds a private cache of the same type.
 
 use crate::msg::{
-    NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
-    SignedRank, ViewChange, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK, DOMAIN_VIEWCHANGE,
+    CertifiedBlock, NewView, PbftMsg, Phase, PhaseVote, PrePrepare, RankBody, RankProof,
+    RankReport, SignedRank, ViewChange, DOMAIN_NEWVIEW, DOMAIN_PREPREPARE, DOMAIN_RANK,
+    DOMAIN_VIEWCHANGE,
 };
 use ladon_crypto::keys::Signer;
 use ladon_crypto::qc::prepare_bytes;
@@ -181,39 +182,14 @@ impl Tally {
     }
 }
 
-/// A round's adopted proposal: a pre-prepare, a certified re-proposal, a
-/// nil fill or a fetched committed block.
-#[derive(Clone)]
-struct Proposal {
-    digest: Digest,
-    rank: Rank,
-    batch: Batch,
-    proposed_at: TimeNs,
-}
-
-impl Proposal {
-    /// The block this proposal commits as, at `round` of `instance`.
-    fn block(&self, instance: InstanceId, round: Round) -> Block {
-        Block {
-            header: BlockHeader {
-                index: instance,
-                round,
-                rank: self.rank,
-                payload_digest: self.digest,
-            },
-            batch: self.batch.clone(),
-            proposed_at: self.proposed_at,
-        }
-    }
-}
-
 /// One slot of the round window (see the module docs for what each stage
 /// keeps).
 #[derive(Default)]
 struct RoundState {
-    /// Set once a proposal is adopted; a view change that does not
-    /// re-propose it drops it.
-    proposal: Option<Proposal>,
+    /// The adopted proposal: a pre-prepare's block, a certified
+    /// re-proposal, a nil fill or a fetched committed block. A view
+    /// change that does not re-propose it drops it.
+    proposal: Option<Block>,
     /// Prepare votes; `None` before the first one and once `sent_commit`.
     prepares: Option<Tally>,
     /// Commit votes; `None` before the first one and once committed.
@@ -244,15 +220,6 @@ impl RoundState {
         }
     }
 
-    fn adopt(&mut self, digest: Digest, rank: Rank, batch: Batch, proposed_at: TimeNs) {
-        self.proposal = Some(Proposal {
-            digest,
-            rank,
-            batch,
-            proposed_at,
-        });
-    }
-
     /// Re-opens the round for a new view: votes of the old one cannot
     /// count toward it.
     fn reopen(&mut self) {
@@ -274,7 +241,7 @@ pub struct ViewPlan {
     /// Highest contiguously-committed round any quorum member reported.
     pub max_lc: Round,
     /// Certified proposals to re-run, one per round, sorted by round.
-    pub reproposals: Vec<PreparedEntry>,
+    pub reproposals: Vec<CertifiedBlock>,
     /// Gap rounds to fill with nil blocks, with their assigned ranks.
     pub nils: Vec<(Round, Rank)>,
     /// First round the new leader proposes fresh batches for.
@@ -302,13 +269,13 @@ impl ViewPlan {
         mode: RankMode,
         epoch_min: Rank,
     ) -> Self {
-        let mut by_round: BTreeMap<Round, PreparedEntry> = BTreeMap::new();
+        let mut by_round: BTreeMap<Round, CertifiedBlock> = BTreeMap::new();
         let mut max_lc = Round(0);
         for vc in vcs {
             max_lc = max_lc.max(vc.last_committed);
             for e in &vc.prepared {
                 by_round
-                    .entry(e.round)
+                    .entry(e.block.round())
                     .and_modify(|old| {
                         if e.qc.view > old.qc.view {
                             *old = e.clone();
@@ -325,12 +292,12 @@ impl ViewPlan {
         let mut last_rank = by_round
             .range(..=max_lc)
             .next_back()
-            .map(|(_, e)| e.rank)
+            .map(|(_, e)| e.block.rank())
             .unwrap_or(epoch_min);
         for r in max_lc.0 + 1..resume_from.0 {
             let round = Round(r);
             match by_round.get(&round) {
-                Some(e) => last_rank = e.rank,
+                Some(e) => last_rank = e.block.rank(),
                 None => {
                     let rank = match mode {
                         RankMode::None => Rank(r),
@@ -501,10 +468,9 @@ impl PbftInstance {
         self.window.get(self.index(round)?)
     }
 
-    /// The window's slots from `round` on, each with its round.
-    fn slots_from(&self, round: Round) -> impl Iterator<Item = (Round, &RoundState)> {
-        let skip = self.index(round).unwrap_or(0);
-        (self.base.0..).map(Round).zip(&self.window).skip(skip)
+    /// The window's slots from `round` on.
+    fn slots_from(&self, round: Round) -> impl Iterator<Item = &RoundState> {
+        self.window.iter().skip(self.index(round).unwrap_or(0))
     }
 
     /// Whether opening `round` would take the window more than
@@ -534,7 +500,7 @@ impl PbftInstance {
     }
 
     /// The proposal held for `round`.
-    fn proposal(&self, round: Round) -> Option<&Proposal> {
+    fn proposal(&self, round: Round) -> Option<&Block> {
         self.slot(round)?.proposal.as_ref()
     }
 
@@ -585,7 +551,7 @@ impl PbftInstance {
     /// new leader holds its predecessor's `maxRank(e)` block.
     fn follows_max_rank(&self, round: Round) -> bool {
         let held = round.prev().and_then(|p| self.proposal(p));
-        self.cfg.mode != RankMode::None && held.is_some_and(|p| p.rank == self.epoch_max)
+        self.cfg.mode != RankMode::None && held.is_some_and(|p| p.rank() == self.epoch_max)
     }
 
     /// The current epoch rank range.
@@ -635,7 +601,7 @@ impl PbftInstance {
         // stopped at `maxRank`, an earlier round when it ran past the
         // boundary (a vanilla one ranks each block at its round).
         let mut begins = self.committed_upto;
-        while self.proposal(begins).is_some_and(|p| p.rank > old_max) {
+        while self.proposal(begins).is_some_and(|p| p.rank() > old_max) {
             begins = Round(begins.0 - 1);
         }
         // Old-epoch certificates will not legitimately re-arrive; keep
@@ -709,14 +675,19 @@ impl PbftInstance {
 
         let body = prepare_bytes(self.view, round, &digest, self.cfg.instance, rank);
         let sig = Signature::sign(&self.cfg.signer, DOMAIN_PREPREPARE, &body);
+        let header = BlockHeader {
+            index: self.cfg.instance,
+            round,
+            rank,
+            payload_digest: digest,
+        };
         let pp = Arc::new(PrePrepare {
             view: self.view,
-            round,
-            instance: self.cfg.instance,
-            rank,
-            digest,
-            batch,
-            proposed_at: now,
+            block: Block {
+                header,
+                batch,
+                proposed_at: now,
+            },
             rank_proof: proof,
             sig,
         });
@@ -828,12 +799,12 @@ impl PbftInstance {
         }
         // Past the window its round cannot open yet: held for a retry
         // before its batch is hashed or its signature checked.
-        if self.past_window(pp.round) {
+        if self.past_window(pp.block.round()) {
             self.hold(from, pp, false);
             return;
         }
         if !checked
-            && (digest_batch(&pp.batch) != pp.digest
+            && (digest_batch(&pp.block.batch) != pp.block.header.payload_digest
                 || (from != self.cfg.me
                     && !pp
                         .sig
@@ -859,7 +830,8 @@ impl PbftInstance {
     /// without a proposal yet. One from a view not installed yet is
     /// buffered; any other failure counts as rejected.
     fn preprepare_open(&mut self, from: ReplicaId, pp: &Arc<PrePrepare>) -> bool {
-        if pp.instance != self.cfg.instance {
+        let round = pp.block.round();
+        if pp.block.index() != self.cfg.instance {
             self.rejected += 1;
             return false;
         }
@@ -873,8 +845,8 @@ impl PbftInstance {
         // pre-prepare must not re-open it.
         if pp.view < self.view
             || from != self.leader_of(pp.view)
-            || self.proposal(pp.round).is_some()
-            || pp.round <= self.committed_upto
+            || self.proposal(round).is_some()
+            || round <= self.committed_upto
         {
             self.rejected += 1;
             return false;
@@ -910,15 +882,15 @@ impl PbftInstance {
             }
             // One block per rank: whoever leads, nothing follows the
             // epoch's maxRank block until the epoch advances.
-            if self.follows_max_rank(pp.round) {
+            if self.follows_max_rank(pp.block.round()) {
                 self.rejected += 1;
                 return;
             }
         }
 
-        self.open(pp.round)
-            .adopt(pp.digest, pp.rank, pp.batch.clone(), pp.proposed_at);
-        self.cast_prepare(pp.round, now, cur, out);
+        let round = pp.block.round();
+        self.open(round).proposal = Some(pp.block.clone());
+        self.cast_prepare(round, now, cur, out);
     }
 
     /// Enters the prepare phase of `round`, whose proposal was just
@@ -943,8 +915,8 @@ impl PbftInstance {
             self.view,
             round,
             self.cfg.instance,
-            p.digest,
-            p.rank,
+            p.header.payload_digest,
+            p.rank(),
         );
         st.sent_prepare = true;
         out.push(Action::Broadcast(PbftMsg::Vote(vote)));
@@ -957,21 +929,19 @@ impl PbftInstance {
     /// verifies once.
     fn validate_rank_proof(&self, pp: &PrePrepare) -> RankCheck {
         let q = quorum(self.cfg.n);
+        let (round, rank) = (pp.block.round(), pp.block.rank());
         // A rank set or aggregate answers the reports of the previous
         // round of the same view; a view's first round has none.
-        let prev = pp
-            .round
-            .prev()
-            .filter(|_| pp.round != self.view_start_round);
+        let prev = round.prev().filter(|_| round != self.view_start_round);
         match (self.cfg.mode, &pp.rank_proof, prev) {
-            (RankMode::None, RankProof::None, _) if pp.rank == Rank(pp.round.0) => RankCheck::Ok,
+            (RankMode::None, RankProof::None, _) if rank == Rank(round.0) => RankCheck::Ok,
             (RankMode::Plain | RankMode::Opt, RankProof::FirstRound(rc), _) => {
-                if pp.round != self.view_start_round
+                if round != self.view_start_round
                     || !self.rank_claim_verified(rc.rank, rc.cert.as_ref())
                 {
                     return RankCheck::Invalid;
                 }
-                self.check_expected_rank(pp.rank, rc.rank)
+                self.check_expected_rank(rank, rc.rank)
             }
             (RankMode::Plain, RankProof::Plain { rank_set, max_cert }, Some(prev)) => {
                 // 2f+1 distinct signers, correct view/round/instance.
@@ -1001,7 +971,7 @@ impl PbftInstance {
                 {
                     return RankCheck::Invalid;
                 }
-                self.check_expected_rank(pp.rank, rank_m)
+                self.check_expected_rank(rank, rank_m)
             }
             (RankMode::Opt, RankProof::Opt { agg, base }, Some(prev)) => {
                 if !agg.has_quorum(q) {
@@ -1010,7 +980,7 @@ impl PbftInstance {
                 // The base must be the rank of our previous round.
                 match self.proposal(prev) {
                     Some(p) => {
-                        if p.rank != *base {
+                        if p.rank() != *base {
                             return RankCheck::Invalid;
                         }
                     }
@@ -1028,7 +998,7 @@ impl PbftInstance {
                 if !agg.verify(&self.cfg.registry, DOMAIN_RANK, &body.bytes()) {
                     return RankCheck::Invalid;
                 }
-                self.check_expected_rank(pp.rank, base.offset(agg.max_key_idx().into()))
+                self.check_expected_rank(rank, base.offset(agg.max_key_idx().into()))
             }
             _ => RankCheck::Invalid,
         }
@@ -1136,7 +1106,7 @@ impl PbftInstance {
         let Some(p) = &st.proposal else {
             return;
         };
-        let (digest, rank) = (p.digest, p.rank);
+        let (digest, rank) = (p.header.payload_digest, p.rank());
 
         // A tally exists only while its phase is undecided (`handle_vote`
         // is the one place that opens one, and it turns decided phases
@@ -1193,7 +1163,7 @@ impl PbftInstance {
         // Final commit on 2f+1 matching commits (lines 31–35).
         if st.commits.take_if(quorum).is_some() {
             st.committed_at = Some(now);
-            let block = p.block(self.cfg.instance, round);
+            let block = p.clone();
             self.extend_frontier();
             out.push(Action::Committed(block));
             self.await_frontier(round, now);
@@ -1212,7 +1182,7 @@ impl PbftInstance {
                 // A round held without a proposal reports from rank 0, one
                 // not held from the epoch's first rank.
                 let base = match self.slot(round) {
-                    Some(st) => st.proposal.as_ref().map_or(Rank(0), |p| p.rank),
+                    Some(st) => st.proposal.as_ref().map_or(Rank(0), Block::rank),
                     None => self.epoch_min,
                 };
                 (base, u32::try_from(cur.rank.diff(base)).unwrap_or(u32::MAX))
@@ -1367,17 +1337,12 @@ impl PbftInstance {
         // Collect the certified rounds of the current epoch, committed and
         // in flight, so the new leader can re-propose anything that may
         // have committed somewhere.
-        let prepared: Vec<PreparedEntry> = self
+        let prepared: Vec<CertifiedBlock> = self
             .slots_from(self.epoch_start_round.next())
-            .filter_map(|(round, st)| {
-                let (p, qc) = (st.proposal.as_ref()?, st.prepare_qc.as_ref()?);
-                Some(PreparedEntry {
-                    round,
-                    digest: p.digest,
-                    rank: p.rank,
-                    batch: p.batch.clone(),
-                    proposed_at: p.proposed_at,
-                    qc: qc.clone(),
+            .filter_map(|st| {
+                Some(CertifiedBlock {
+                    qc: st.prepare_qc.clone()?,
+                    block: st.proposal.clone()?,
                 })
             })
             .collect();
@@ -1399,30 +1364,21 @@ impl PbftInstance {
         }
     }
 
-    /// Whether a prepared entry of a view change is what its certificate
-    /// certifies: the QC names this instance and the entry's round, digest
-    /// and rank, the batch a re-proposal would adopt is the one the digest
-    /// names, and the QC verifies (through the cert cache).
-    fn entry_certified(&self, e: &PreparedEntry) -> bool {
-        e.qc.instance == self.cfg.instance
-            && e.qc.round == e.round
-            && e.qc.digest == e.digest
-            && e.qc.rank == e.rank
-            && digest_batch(&e.batch) == e.digest
-            && self.certs.verified(&e.qc)
-    }
-
     /// Whether a view change delivered by `from` is valid: it leaves a
     /// round after its last committed one and — unless it is our own —
-    /// its signature verifies and every prepared entry is certified by
-    /// its QC.
+    /// its signature verifies and every entry is a certified round of
+    /// this instance ([`CertifiedBlock::binds`], then its QC verifies
+    /// through the cert cache).
     fn view_change_valid(&self, from: ReplicaId, vc: &ViewChange) -> bool {
         vc.leaves_a_next_round()
             && (from == self.cfg.me
                 || vc
                     .sig
                     .verify(&self.cfg.registry, DOMAIN_VIEWCHANGE, &vc.signing_bytes())
-                    && vc.prepared.iter().all(|e| self.entry_certified(e)))
+                    && vc
+                        .prepared
+                        .iter()
+                        .all(|e| e.binds(self.cfg.instance) && self.certs.verified(&e.qc)))
     }
 
     fn handle_view_change(
@@ -1541,8 +1497,9 @@ impl PbftInstance {
         // one is in `install_committed`: the view's first proposal, which
         // carries only `curRank`, then ranks above everything the view
         // re-proposes, even on a leader that never formed those QCs.
-        let top = plan.reproposals.iter().max_by_key(|e| e.rank);
-        if let Some(e) = top.filter(|e| self.cfg.mode != RankMode::None && e.rank > cur.rank) {
+        let top = plan.reproposals.iter().max_by_key(|e| e.block.rank());
+        let ladon = self.cfg.mode != RankMode::None;
+        if let Some(e) = top.filter(|e| ladon && e.block.rank() > cur.rank) {
             *cur = RankCert::certified(e.qc.clone());
         }
 
@@ -1551,7 +1508,7 @@ impl PbftInstance {
         // certified re-proposal additionally forget their proposal: it can
         // never quorum again, and a lingering digest would make us reject
         // the round's nil fill or the new leader's fresh pre-prepare.
-        let planned: BTreeSet<Round> = plan.reproposals.iter().map(|e| e.round).collect();
+        let planned: BTreeSet<Round> = plan.reproposals.iter().map(|e| e.block.round()).collect();
         let rounds = (self.base.0..).map(Round);
         for (r, st) in rounds.zip(self.window.iter_mut()) {
             if st.committed_at.is_some() {
@@ -1571,15 +1528,20 @@ impl PbftInstance {
         // phase of every certified re-proposal. Neither opens a round
         // past the window: one that far ahead is repaired by state
         // transfer.
-        let nils = plan
-            .nils
-            .iter()
-            .map(|&(round, rank)| (round, Digest::NIL, rank, Batch::empty(0), now));
-        let reproposals = plan
-            .reproposals
-            .into_iter()
-            .map(|e| (e.round, e.digest, e.rank, e.batch, e.proposed_at));
-        for (round, digest, rank, batch, proposed_at) in nils.chain(reproposals) {
+        let index = self.cfg.instance;
+        let nils = plan.nils.iter().map(|&(round, rank)| Block {
+            header: BlockHeader {
+                index,
+                round,
+                rank,
+                payload_digest: Digest::NIL,
+            },
+            batch: Batch::empty(0),
+            proposed_at: now,
+        });
+        let reproposals = plan.reproposals.into_iter().map(|e| e.block);
+        for block in nils.chain(reproposals) {
+            let round = block.round();
             if round <= self.committed_upto || self.past_window(round) {
                 continue;
             }
@@ -1587,7 +1549,7 @@ impl PbftInstance {
             if st.committed_at.is_some() {
                 continue;
             }
-            st.adopt(digest, rank, batch, proposed_at);
+            st.proposal = Some(block);
             self.cast_prepare(round, now, cur, out);
         }
         // Wait on the first uncommitted round of the new view.
@@ -1614,11 +1576,7 @@ impl PbftInstance {
     /// then any committed above a hole in it. Stops at the first round it
     /// cannot serve, so none when round `from + 1` is below the window
     /// (that peer is repaired from a snapshot).
-    pub fn committed_entries_from(
-        &self,
-        from: Round,
-        limit: usize,
-    ) -> Vec<(Block, Arc<QuorumCert>)> {
+    pub fn committed_entries_from(&self, from: Round, limit: usize) -> Vec<CertifiedBlock> {
         // A peer may name any round, the last representable one too.
         let Some(first) = from.0.checked_add(1).map(Round) else {
             return Vec::new();
@@ -1627,16 +1585,18 @@ impl PbftInstance {
             return Vec::new();
         }
         self.slots_from(first)
-            .map_while(|(round, st)| {
+            .map_while(|st| {
                 st.committed_at?;
-                let qc = st.prepare_qc.clone()?;
-                Some((st.proposal.as_ref()?.block(self.cfg.instance, round), qc))
+                Some(CertifiedBlock {
+                    qc: st.prepare_qc.clone()?,
+                    block: st.proposal.clone()?,
+                })
             })
             .take(limit)
             .collect()
     }
 
-    /// Installs a block fetched from a peer as committed, after verifying
+    /// Installs a round fetched from a peer as committed, after verifying
     /// its certificate. Returns the commit actions (empty if the round was
     /// already committed or the certificate is invalid).
     ///
@@ -1647,41 +1607,31 @@ impl PbftInstance {
     /// [`VOTE_WINDOW`] is refused before its certificate is checked.
     pub fn install_committed(
         &mut self,
-        block: Block,
-        qc: Arc<QuorumCert>,
+        entry: CertifiedBlock,
         now: TimeNs,
         cur: &mut RankCert,
     ) -> Vec<Action> {
         let mut out = Vec::new();
-        let h = &block.header;
-        if h.index != self.cfg.instance
-            || self.past_window(h.round)
-            || qc.instance != h.index
-            || qc.round != h.round
-            || qc.digest != h.payload_digest
-            || qc.rank != h.rank
-            || digest_batch(&block.batch) != h.payload_digest
-            || !self.certs.verified(&qc)
+        let round = entry.block.round();
+        if self.past_window(round)
+            || !entry.binds(self.cfg.instance)
+            || !self.certs.verified(&entry.qc)
         {
             self.rejected += 1;
             return out;
         }
-        if h.round <= self.committed_upto {
+        if round <= self.committed_upto {
             // Already committed here — or covered by a snapshot install
             // that fast-forwarded the frontier past it.
             return out;
         }
-        let st = self.open(h.round);
+        let st = self.open(round);
         if st.committed_at.is_some() {
             return out;
         }
-        let (round, reported) = (h.round, st.sent_commit);
-        st.adopt(
-            h.payload_digest,
-            h.rank,
-            block.batch.clone(),
-            block.proposed_at,
-        );
+        let CertifiedBlock { block, qc } = entry;
+        let reported = st.sent_commit;
+        st.proposal = Some(block.clone());
         st.prepare_qc = Some(qc.clone());
         st.committed_at = Some(now);
         st.commits = None;

@@ -27,7 +27,8 @@
 //! | commit on 2f+1 prepares, update and report `curRank` (lines 19–28) | `try_advance`; the report is `build_rank_report`: `(curRank, 0)` in Plain, `(base, curRank − base)` as `(body rank, sub-key)` in Opt |
 //! | commit on 2f+1 commits (lines 31–35) | `try_advance`; the frontier moves in `extend_frontier` (also after a synced commit or a snapshot jump) |
 //! | the leader collects reports (lines 37–41) | `handle_rank_report`: `claimed_rank`, then [`ladon_crypto::RankCert::validate_claim`] (Plain, exact) or [`ladon_crypto::RankCert::validate_lower_bound`] (Opt, whose clamped sub-keys under-report) |
-//! | view change | [`ViewChange::sign`] binds the prepared entries it reports; `entry_certified` checks each (its QC and its batch); [`ViewPlan::from_vcs`] plans the new view; `adopt_new_view` installs it and `replay_view_msgs` replays what waited for it |
+//! | view change | [`ViewChange::sign`] binds the certified rounds it reports; `view_change_valid` checks each; [`ViewPlan::from_vcs`] plans the new view; `adopt_new_view` installs it and `replay_view_msgs` replays what waited for it |
+//! | a certified round (view-change entry, served entry, fetched entry) | [`CertifiedBlock`], one rule: [`CertifiedBlock::binds`], then the QC verifies through the cert cache — in `view_change_valid` and [`PbftInstance::install_committed`] alike |
 
 #![forbid(unsafe_code)]
 
@@ -39,8 +40,8 @@ pub use instance::{
     Action, InstanceConfig, PbftInstance, RankMode, RankStrategy, ViewPlan, VOTE_WINDOW,
 };
 pub use msg::{
-    NewView, PbftMsg, Phase, PhaseVote, PrePrepare, PreparedEntry, RankBody, RankProof, RankReport,
-    SignedRank, ViewChange,
+    CertifiedBlock, NewView, PbftMsg, Phase, PhaseVote, PrePrepare, RankBody, RankProof,
+    RankReport, SignedRank, ViewChange,
 };
 
 #[cfg(test)]

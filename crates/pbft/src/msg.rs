@@ -16,8 +16,8 @@
 
 use ladon_crypto::keys::Signer;
 use ladon_crypto::qc::prepare_bytes;
-use ladon_crypto::{AggregateSignature, QuorumCert, RankCert, Sha256, Signature};
-use ladon_types::{sizes, Batch, Digest, InstanceId, Rank, Round, TimeNs, View, WireSize};
+use ladon_crypto::{digest_batch, AggregateSignature, QuorumCert, RankCert, Sha256, Signature};
+use ladon_types::{sizes, Block, Digest, InstanceId, Rank, Round, View, WireSize};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -138,44 +138,27 @@ impl WireSize for RankProof {
 pub struct PrePrepare {
     /// View.
     pub view: View,
-    /// Round being proposed.
-    pub round: Round,
-    /// Instance.
-    pub instance: InstanceId,
-    /// Assigned monotonic rank (`min(rank_m + 1, maxRank(e))`).
-    pub rank: Rank,
-    /// Digest of the batch.
-    pub digest: Digest,
-    /// The transaction batch.
-    pub batch: Batch,
-    /// Leader-side generation timestamp (causality metric, §6.4).
-    pub proposed_at: TimeNs,
-    /// Proof that `rank` follows the collection rules.
+    /// The proposed block: its instance, round, assigned monotonic rank
+    /// (`min(rank_m + 1, maxRank(e))`), batch digest, batch, and the
+    /// leader-side generation timestamp (causality metric, §6.4).
+    pub block: Block,
+    /// Proof that the block's rank follows the collection rules.
     pub rank_proof: RankProof,
     /// Leader signature over the phase bytes.
     pub sig: Signature,
 }
 
 impl PrePrepare {
-    /// The bytes the leader signs.
+    /// The bytes the leader signs: the phase bytes of the block's header.
     pub fn signing_bytes(&self) -> [u8; 60] {
-        prepare_bytes(
-            self.view,
-            self.round,
-            &self.digest,
-            self.instance,
-            self.rank,
-        )
+        let h = &self.block.header;
+        prepare_bytes(self.view, h.round, &h.payload_digest, h.index, h.rank)
     }
 }
 
 impl WireSize for PrePrepare {
     fn wire_size(&self) -> u64 {
-        sizes::MSG_HEADER
-            + sizes::DIGEST
-            + self.batch.wire_size()
-            + self.rank_proof.wire_size()
-            + sizes::SIGNATURE
+        self.block.wire_size() + self.rank_proof.wire_size() + sizes::SIGNATURE
     }
 }
 
@@ -262,35 +245,31 @@ impl WireSize for PhaseVote {
     }
 }
 
-/// A round the sender prepared but did not commit, carried in view-change
-/// messages so the new leader can re-propose it.
+/// A certified round: a block and the prepare QC by which 2f+1 replicas
+/// bound its `(digest, rank)` to its `(instance, round)`. A view change
+/// reports its sender's certified rounds in this shape, and state
+/// transfer serves and installs committed rounds in it.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct PreparedEntry {
-    /// Round of the prepared proposal.
-    pub round: Round,
-    /// Its digest.
-    pub digest: Digest,
-    /// Its rank.
-    pub rank: Rank,
-    /// The batch (so the new leader can re-propose without a fetch).
-    pub batch: Batch,
-    /// Original proposal timestamp.
-    pub proposed_at: TimeNs,
-    /// The prepare QC proving 2f+1 replicas prepared it.
+pub struct CertifiedBlock {
+    /// The certified block, batch included.
+    pub block: Block,
+    /// Its prepare QC (shared with the holder's copy).
     pub qc: Arc<QuorumCert>,
 }
 
-impl WireSize for PreparedEntry {
-    /// On the wire a prepared entry is `(round, digest, rank, QC)` — as in
-    /// PBFT, view-change messages carry request *digests*, not payloads.
-    /// The batch rides along in this struct for the re-proposal logic (the
-    /// new leader and every backup participated in the prepare phase, so
-    /// they hold the payload locally; the rare miss is a fetch we fold
-    /// into the re-proposal broadcast), but it does not count toward the
-    /// message size — otherwise one view change would ship hundreds of
-    /// megabytes of already-disseminated payload through the NIC model.
-    fn wire_size(&self) -> u64 {
-        sizes::MSG_HEADER + sizes::DIGEST + self.qc.wire_size()
+impl CertifiedBlock {
+    /// Whether the QC certifies this block as a round of `instance`: the
+    /// block belongs to `instance`, the QC names the header's instance,
+    /// round, digest and rank, and the batch is the one the digest names.
+    /// Structure only: the caller verifies the QC itself.
+    pub fn binds(&self, instance: InstanceId) -> bool {
+        let (h, qc) = (&self.block.header, &self.qc);
+        h.index == instance
+            && qc.instance == h.index
+            && qc.round == h.round
+            && qc.digest == h.payload_digest
+            && qc.rank == h.rank
+            && digest_batch(&self.block.batch) == h.payload_digest
     }
 }
 
@@ -303,8 +282,9 @@ pub struct ViewChange {
     pub instance: InstanceId,
     /// Highest contiguously committed round of the sender.
     pub last_committed: Round,
-    /// Prepared-but-uncommitted rounds above `last_committed`.
-    pub prepared: Vec<PreparedEntry>,
+    /// The sender's certified rounds of the current epoch, committed and
+    /// in flight.
+    pub prepared: Vec<CertifiedBlock>,
     /// Sender signature.
     pub sig: Signature,
 }
@@ -316,7 +296,7 @@ impl ViewChange {
         new_view: View,
         instance: InstanceId,
         last_committed: Round,
-        prepared: Vec<PreparedEntry>,
+        prepared: Vec<CertifiedBlock>,
     ) -> Self {
         let bytes = Self::bytes(new_view, instance, last_committed, &prepared);
         Self {
@@ -336,10 +316,11 @@ impl ViewChange {
     }
 
     /// Canonical signing bytes: the header, then a SHA-256 over every
-    /// prepared entry's `(round, digest, rank, qc.view)`, so a relaying
-    /// new leader cannot rewrite what the sender reported (classical
-    /// PBFT signs its prepared set for the same reason). An entry's batch
-    /// is bound through its digest, which receivers check.
+    /// entry's `(round, digest, rank, qc.view)`, so a relaying new leader
+    /// cannot rewrite what the sender reported (classical PBFT signs its
+    /// prepared set for the same reason). An entry's batch and index are
+    /// bound through its digest and QC, which receivers check
+    /// ([`CertifiedBlock::binds`]).
     pub fn signing_bytes(&self) -> [u8; 60] {
         Self::bytes(
             self.new_view,
@@ -353,13 +334,14 @@ impl ViewChange {
         new_view: View,
         instance: InstanceId,
         last_committed: Round,
-        prepared: &[PreparedEntry],
+        prepared: &[CertifiedBlock],
     ) -> [u8; 60] {
         let mut entries = Sha256::new();
         for e in prepared {
-            entries.update(&e.round.0.to_le_bytes());
-            entries.update(&e.digest.0);
-            entries.update(&e.rank.0.to_le_bytes());
+            let h = &e.block.header;
+            entries.update(&h.round.0.to_le_bytes());
+            entries.update(&h.payload_digest.0);
+            entries.update(&h.rank.0.to_le_bytes());
             entries.update(&e.qc.view.0.to_le_bytes());
         }
         let mut out = [0u8; 60];
@@ -373,10 +355,17 @@ impl ViewChange {
 }
 
 impl WireSize for ViewChange {
+    /// On the wire a certified round is its header and QC: as in PBFT, a
+    /// view change carries request *digests*, not payloads. The batch
+    /// rides along in [`CertifiedBlock`] for the re-proposal (the new
+    /// leader and every backup took part in the prepare phase, so they
+    /// hold the payload; the rare miss is a fetch folded into the
+    /// re-proposal broadcast), but it is not counted: one view change
+    /// would otherwise ship hundreds of megabytes of already-disseminated
+    /// payload through the NIC model.
     fn wire_size(&self) -> u64 {
-        sizes::MSG_HEADER
-            + self.prepared.iter().map(WireSize::wire_size).sum::<u64>()
-            + sizes::SIGNATURE
+        let entry = |e: &CertifiedBlock| e.block.header.wire_size() + e.qc.wire_size();
+        sizes::MSG_HEADER + self.prepared.iter().map(entry).sum::<u64>() + sizes::SIGNATURE
     }
 }
 
@@ -498,26 +487,12 @@ mod tests {
 
     #[test]
     fn preprepare_size_dominated_by_batch() {
-        use ladon_types::TxId;
-        let batch = Batch {
-            first_tx: TxId(0),
-            count: 4096,
-            payload_bytes: 4096 * 500,
-            arrival_sum_ns: 0,
-            bucket: 0,
-            refs: Vec::new(),
-        };
         // A fabricated signature is fine for size accounting.
         let reg = ladon_crypto::KeyRegistry::generate(4, 1, 1);
         let sig = Signature::sign(&reg.signer(ladon_types::ReplicaId(0)), b"x", b"y");
         let pp = PrePrepare {
             view: View(0),
-            round: Round(1),
-            instance: InstanceId(0),
-            rank: Rank(0),
-            digest: Digest::NIL,
-            batch,
-            proposed_at: TimeNs::ZERO,
+            block: Block::synthetic(0, 0, 4096),
             rank_proof: RankProof::None,
             sig,
         };

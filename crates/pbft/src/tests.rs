@@ -3,13 +3,31 @@
 
 use crate::instance::{PbftInstance, RankMode, RankStrategy};
 use crate::msg::{
-    NewView, PbftMsg, Phase, PrePrepare, RankBody, RankProof, RankReport, SignedRank, ViewChange,
-    DOMAIN_PREPREPARE, DOMAIN_RANK,
+    CertifiedBlock, NewView, PbftMsg, Phase, PrePrepare, RankBody, RankProof, RankReport,
+    SignedRank, ViewChange, DOMAIN_PREPREPARE, DOMAIN_RANK,
 };
 use crate::testkit::{test_batch, Cluster};
 use ladon_crypto::{QuorumCert, RankCert, Signature};
-use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, View, MAX_PENDING_MSGS};
+use ladon_types::{
+    Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    MAX_PENDING_MSGS,
+};
 use std::sync::Arc;
+
+/// Instance 0's block of `batch` at `round`, ranked `rank`.
+fn block_at(round: u64, rank: u64, batch: Batch, proposed_at: TimeNs) -> Block {
+    let header = BlockHeader {
+        index: InstanceId(0),
+        round: Round(round),
+        rank: Rank(rank),
+        payload_digest: ladon_crypto::digest_batch(&batch),
+    };
+    Block {
+        header,
+        batch,
+        proposed_at,
+    }
+}
 
 #[test]
 fn happy_path_single_round_commits_everywhere() {
@@ -119,15 +137,9 @@ fn nothing_follows_the_max_rank_block_in_a_new_view() {
     let cur = c.cur_ranks[1].clone();
     assert_eq!(cur.rank, Rank(3));
     let leader = c.registry.signer(ReplicaId(1));
-    let batch = test_batch(100, 5);
     let mut pp = PrePrepare {
         view: View(1),
-        round: Round(4),
-        instance: InstanceId(0),
-        rank: Rank(3),
-        digest: ladon_crypto::digest_batch(&batch),
-        batch,
-        proposed_at: c.now,
+        block: block_at(4, 3, test_batch(100, 5), c.now),
         rank_proof: RankProof::FirstRound(cur),
         sig: Signature::sign(&leader, DOMAIN_PREPREPARE, b""),
     };
@@ -223,7 +235,7 @@ fn preprepare_with_wrong_digest_is_rejected() {
     for a in actions {
         if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(pp)) = a {
             let mut pp = Arc::unwrap_or_clone(pp);
-            pp.batch.count += 1; // digest no longer matches
+            pp.block.batch.count += 1; // digest no longer matches
             let before = c.nodes[1].rejected;
             let acts = c.nodes[1].on_message(
                 ladon_types::ReplicaId(0),
@@ -249,7 +261,7 @@ fn forged_rank_proof_is_rejected() {
         if let crate::instance::Action::Broadcast(PbftMsg::PrePrepare(pp)) = a {
             let mut pp = Arc::unwrap_or_clone(pp);
             // Claim rank 100 with a certificate-free "genesis" cert.
-            pp.rank = Rank(100);
+            pp.block.header.rank = Rank(100);
             pp.rank_proof = RankProof::FirstRound(ladon_crypto::RankCert {
                 rank: Rank(99),
                 cert: None,
@@ -281,7 +293,7 @@ fn far_future_opt_preprepares_cannot_grow_the_epoch_buffer() {
     let flood = 10_000u64;
     for round in 3..3 + flood {
         let mut pp = (*honest).clone();
-        pp.round = Round(round);
+        pp.block.header.round = Round(round);
         pp.sig = Signature::sign(&leader, DOMAIN_PREPREPARE, &pp.signing_bytes());
         let actions = c.nodes[1].on_message(
             ReplicaId(0),
@@ -490,20 +502,11 @@ fn new_view_that_rewrites_a_view_change_is_refused() {
             prepared[0] = prepared[1].clone();
         }),
         ("a batch altered", |_, nv| {
-            vc_of(nv, 2).prepared[0].batch = test_batch(999, 7);
+            vc_of(nv, 2).prepared[0].block.batch = test_batch(999, 7);
         }),
         ("another instance's certificate", |c, nv| {
             let vc = vc_of(nv, 1);
-            let e = &mut vc.prepared[0];
-            let (view, instance) = (e.qc.view, ladon_types::InstanceId(1));
-            let shares: Vec<Signature> = [0, 2, 3]
-                .map(|r| {
-                    let signer = c.registry.signer(ReplicaId(r));
-                    QuorumCert::sign_share(&signer, view, e.round, &e.digest, instance, e.rank)
-                })
-                .to_vec();
-            let qc = QuorumCert::from_shares(&shares, 4, view, e.round, instance, e.digest, e.rank);
-            e.qc = Arc::new(qc.expect("distinct signers"));
+            vc.prepared[0].qc = qc_of_instance_one(c, &vc.prepared[0]);
             let prepared = std::mem::take(&mut vc.prepared);
             let signer = c.registry.signer(ReplicaId(1));
             *vc = ViewChange::sign(
@@ -617,8 +620,8 @@ fn an_expiry_on_a_settled_round_is_quiet() {
     c.propose_and_run(0, test_batch(100, 10));
     c.crashed[3] = false;
     assert_eq!(c.nodes[3].committed_upto(), Round(1));
-    for (block, qc) in c.nodes[0].committed_entries_from(Round(1), 16) {
-        let actions = c.nodes[3].install_committed(block, qc, c.now, &mut c.cur_ranks[3]);
+    for entry in c.nodes[0].committed_entries_from(Round(1), 16) {
+        let actions = c.nodes[3].install_committed(entry, c.now, &mut c.cur_ranks[3]);
         assert_installed_and_reported(&actions);
     }
     assert_eq!(c.nodes[3].committed_upto(), Round(2));
@@ -665,7 +668,7 @@ fn a_leader_ranks_above_its_current_rank_not_the_collected_maximum() {
     c.cur_ranks[0] = RankCert::certified(cert.expect("distinct signers"));
 
     let pp = propose_capturing(&mut c, 10);
-    assert_eq!(pp.rank, Rank(41));
+    assert_eq!(pp.block.rank(), Rank(41));
     c.run_to_quiescence();
     let blocks = c.assert_agreement();
     assert_eq!(blocks.last().map(|b| b.rank()), Some(Rank(41)));
@@ -767,25 +770,30 @@ fn epoch_advance_rejects_backward_ranges() {
 
 mod view_plan {
     use crate::instance::ViewPlan;
-    use crate::msg::{PreparedEntry, ViewChange};
+    use crate::msg::{CertifiedBlock, ViewChange};
     use crate::testkit::test_batch;
     use crate::RankMode;
     use ladon_crypto::qc::CertDomain;
     use ladon_crypto::{AggregateSignature, KeyRegistry, QuorumCert, Signature};
-    use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, View};
+    use ladon_types::{Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, View};
 
     fn dummy_sig() -> Signature {
         let reg = KeyRegistry::generate(4, 1, 9);
         Signature::sign(&reg.signer(ReplicaId(0)), b"t", b"t")
     }
 
-    fn entry(round: u64, rank: u64, qc_view: u64) -> PreparedEntry {
-        PreparedEntry {
-            round: Round(round),
-            digest: Digest([round as u8; 32]),
-            rank: Rank(rank),
-            batch: test_batch(round * 100, 1),
-            proposed_at: ladon_types::TimeNs::ZERO,
+    fn entry(round: u64, rank: u64, qc_view: u64) -> CertifiedBlock {
+        CertifiedBlock {
+            block: Block {
+                header: BlockHeader {
+                    index: InstanceId(0),
+                    round: Round(round),
+                    rank: Rank(rank),
+                    payload_digest: Digest([round as u8; 32]),
+                },
+                batch: test_batch(round * 100, 1),
+                proposed_at: ladon_types::TimeNs::ZERO,
+            },
             qc: std::sync::Arc::new(QuorumCert {
                 view: View(qc_view),
                 round: Round(round),
@@ -802,7 +810,7 @@ mod view_plan {
         }
     }
 
-    fn vc(last_committed: u64, prepared: Vec<PreparedEntry>) -> ViewChange {
+    fn vc(last_committed: u64, prepared: Vec<CertifiedBlock>) -> ViewChange {
         ViewChange {
             new_view: View(1),
             instance: InstanceId(0),
@@ -863,16 +871,17 @@ mod view_plan {
     fn newest_view_qc_wins_per_round() {
         let old = entry(2, 5, 0);
         let mut new = entry(2, 6, 1);
-        new.digest = Digest([0xcc; 32]);
-        std::sync::Arc::make_mut(&mut new.qc).digest = new.digest;
+        let digest = Digest([0xcc; 32]);
+        new.block.header.payload_digest = digest;
+        std::sync::Arc::make_mut(&mut new.qc).digest = digest;
         let plan = ViewPlan::from_vcs(
             &[vc(1, vec![old]), vc(1, vec![new.clone()])],
             RankMode::Plain,
             Rank(0),
         );
         assert_eq!(plan.reproposals.len(), 1);
-        assert_eq!(plan.reproposals[0].digest, new.digest);
-        assert_eq!(plan.reproposals[0].rank, Rank(6));
+        assert_eq!(plan.reproposals[0], new);
+        assert_eq!(plan.reproposals[0].block.rank(), Rank(6));
     }
 
     #[test]
@@ -1017,15 +1026,15 @@ fn committed_entries_roundtrip_into_lagging_instance() {
     }
     let entries = c.nodes[0].committed_entries_from(Round(0), 16);
     assert_eq!(entries.len(), 4);
-    assert_eq!(entries[0].0.round(), Round(1));
-    assert_eq!(entries[3].0.round(), Round(4));
+    assert_eq!(entries[0].block.round(), Round(1));
+    assert_eq!(entries[3].block.round(), Round(4));
 
     // A fresh instance (same registry/instance id) installs them.
     let mut fresh = c.fresh_instance(3);
     let mut cur = ladon_crypto::RankCert::genesis(Rank(0));
     let mut committed = Vec::new();
-    for (block, qc) in entries {
-        let actions = fresh.install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur);
+    for entry in entries {
+        let actions = fresh.install_committed(entry, ladon_types::TimeNs::ZERO, &mut cur);
         for a in actions {
             if let crate::Action::Committed(b) = a {
                 committed.push(b);
@@ -1039,53 +1048,109 @@ fn committed_entries_roundtrip_into_lagging_instance() {
     assert!(cur.cert.is_some());
 }
 
+/// A valid prepare QC of instance 1 for `e`'s round, digest and rank.
+fn qc_of_instance_one(c: &Cluster, e: &CertifiedBlock) -> Arc<QuorumCert> {
+    let (h, view, instance) = (e.block.header, e.qc.view, InstanceId(1));
+    let shares: Vec<Signature> = [0, 2, 3]
+        .map(|r| {
+            let signer = c.registry.signer(ReplicaId(r));
+            QuorumCert::sign_share(&signer, view, h.round, &h.payload_digest, instance, h.rank)
+        })
+        .to_vec();
+    let qc = QuorumCert::from_shares(
+        &shares,
+        4,
+        view,
+        h.round,
+        instance,
+        h.payload_digest,
+        h.rank,
+    );
+    Arc::new(qc.expect("distinct signers"))
+}
+
 #[test]
-fn install_committed_rejects_tampered_entries() {
-    let mut c = Cluster::new(4, RankMode::Plain, 1000);
-    c.propose_and_run(0, test_batch(0, 5));
-    let entries = c.nodes[0].committed_entries_from(Round(0), 16);
-    let (block, qc) = entries[0].clone();
+fn a_certified_round_is_bound_by_one_rule_at_both_doors() {
+    // A fetched entry (`install_committed`) and a view-change entry inside
+    // a `NewView` pass one rule, `CertifiedBlock::binds` and then the QC.
+    // Starting from a genuine entry of a view change, each row tampers
+    // with one part; the sender re-signs its view change, so only the
+    // rule stands between the entry and either door.
+    type Tamper = fn(&Cluster, &mut CertifiedBlock);
+    let rows: [(&str, Tamper); 7] = [
+        ("genuine", |_, _| {}),
+        ("header.index", |_, e| e.block.header.index = InstanceId(1)),
+        ("round", |_, e| e.block.header.round = Round(9)),
+        ("rank", |_, e| e.block.header.rank = Rank(99)),
+        ("payload_digest", |_, e| {
+            e.block.header.payload_digest = Digest([0xee; 32]);
+        }),
+        ("batch", |_, e| e.block.batch = test_batch(999, 7)),
+        ("another instance's QC", |c, e| {
+            e.qc = qc_of_instance_one(c, e)
+        }),
+    ];
+    for (what, tamper) in rows {
+        let (mut c, nv) = new_view_completed_by_the_new_leader();
+        let mut nv = (*nv).clone();
+        let vc = nv.vcs.iter_mut().find(|vc| vc.sig.signer() == ReplicaId(2));
+        let vc = Arc::make_mut(vc.expect("a view change by replica 2"));
+        let mut entry = vc.prepared[0].clone();
+        tamper(&c, &mut entry);
 
-    let mut fresh = c.fresh_instance(3);
-    let mut cur = ladon_crypto::RankCert::genesis(Rank(0));
+        let mut fresh = c.fresh_instance(3);
+        let mut cur = RankCert::genesis(Rank(0));
+        let actions = fresh.install_committed(entry.clone(), c.now, &mut cur);
+        if what == "genuine" {
+            assert_installed_and_reported(&actions);
+        } else {
+            assert!(actions.is_empty(), "{what}: {actions:?}");
+            assert_eq!(fresh.rejected, 1, "{what}");
+        }
 
-    // Forged rank: QC no longer matches the header.
-    let mut forged = block.clone();
-    forged.header.rank = Rank(99);
-    let before = fresh.rejected;
-    assert!(fresh
-        .install_committed(forged, qc.clone(), ladon_types::TimeNs::ZERO, &mut cur)
-        .is_empty());
-    assert!(fresh.rejected > before);
-
-    // Batch swapped: digest check fails.
-    let mut swapped = block.clone();
-    swapped.batch = test_batch(999, 7);
-    assert!(fresh
-        .install_committed(swapped, qc.clone(), ladon_types::TimeNs::ZERO, &mut cur)
-        .is_empty());
-
-    // The genuine entry still installs afterwards.
-    let actions = fresh.install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur);
-    assert_installed_and_reported(&actions);
-    assert_eq!(fresh.committed_upto(), Round(1));
+        vc.prepared[0] = entry;
+        let prepared = std::mem::take(&mut vc.prepared);
+        let signer = c.registry.signer(ReplicaId(2));
+        *vc = ViewChange::sign(
+            &signer,
+            vc.new_view,
+            vc.instance,
+            vc.last_committed,
+            prepared,
+        );
+        let rejected = c.nodes[2].rejected;
+        let actions = c.nodes[2].on_message(
+            ReplicaId(1),
+            PbftMsg::NewView(Arc::new(nv)),
+            c.now,
+            &mut c.cur_ranks[2],
+        );
+        let installed = actions
+            .iter()
+            .any(|a| matches!(a, crate::Action::NewViewInstalled { .. }));
+        if what == "genuine" {
+            assert!(installed, "{actions:?}");
+        } else {
+            assert!(actions.is_empty(), "{what}: {actions:?}");
+            assert_eq!(c.nodes[2].rejected, rejected + 1, "{what}");
+        }
+    }
 }
 
 #[test]
 fn install_committed_is_idempotent() {
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     c.propose_and_run(0, test_batch(0, 5));
-    let (block, qc) = c.nodes[0].committed_entries_from(Round(0), 1)[0].clone();
+    let entry = c.nodes[0].committed_entries_from(Round(0), 1)[0].clone();
     let mut fresh = c.fresh_instance(3);
     let mut cur = ladon_crypto::RankCert::genesis(Rank(0));
     assert_installed_and_reported(&fresh.install_committed(
-        block.clone(),
-        qc.clone(),
+        entry.clone(),
         ladon_types::TimeNs::ZERO,
         &mut cur,
     ));
     assert!(fresh
-        .install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur)
+        .install_committed(entry, ladon_types::TimeNs::ZERO, &mut cur)
         .is_empty());
     assert_eq!(fresh.committed_upto(), Round(1));
 }
@@ -1098,22 +1163,17 @@ fn repeated_certificates_verify_once_via_cache() {
     // work and a `qc_verify_hits` count to show for it.
     let mut c = Cluster::new(4, RankMode::Plain, 1000);
     c.propose_and_run(0, test_batch(0, 5));
-    let (block, qc) = c.nodes[0].committed_entries_from(Round(0), 1)[0].clone();
+    let entry = c.nodes[0].committed_entries_from(Round(0), 1)[0].clone();
     let mut fresh = c.fresh_instance(3);
     let mut cur = ladon_crypto::RankCert::genesis(Rank(0));
     let before = ladon_crypto::CryptoCounters::snapshot();
-    fresh.install_committed(
-        block.clone(),
-        qc.clone(),
-        ladon_types::TimeNs::ZERO,
-        &mut cur,
-    );
+    fresh.install_committed(entry.clone(), ladon_types::TimeNs::ZERO, &mut cur);
     let mid = ladon_crypto::CryptoCounters::snapshot();
     assert_eq!(
         mid.qc_verify_hits, before.qc_verify_hits,
         "the first arrival verifies in full"
     );
-    fresh.install_committed(block, qc, ladon_types::TimeNs::ZERO, &mut cur);
+    fresh.install_committed(entry, ladon_types::TimeNs::ZERO, &mut cur);
     let after = ladon_crypto::CryptoCounters::snapshot();
     assert_eq!(
         after.qc_verify_hits,
@@ -1194,8 +1254,8 @@ fn install_committed_abandons_lone_view_change() {
     assert!(c.nodes[1].in_view_change());
 
     // State transfer repairs it and the view change is abandoned.
-    let (block, qc) = c.nodes[0].committed_entries_from(Round(1), 1)[0].clone();
-    let actions = c.nodes[1].install_committed(block, qc, c.now, &mut c.cur_ranks[1]);
+    let entry = c.nodes[0].committed_entries_from(Round(1), 1)[0].clone();
+    let actions = c.nodes[1].install_committed(entry, c.now, &mut c.cur_ranks[1]);
     assert!(actions
         .iter()
         .any(|a| matches!(a, crate::Action::Committed(_))));
@@ -1236,8 +1296,8 @@ fn an_opt_preprepare_held_for_an_unseen_round_prepares_once_that_round_installs(
     assert!(held.is_empty());
     assert_eq!(c.nodes[1].epoch_backlog(), 1);
 
-    let (block, qc) = c.nodes[0].committed_entries_from(Round(1), 1)[0].clone();
-    let actions = c.nodes[1].install_committed(block, qc, c.now, &mut c.cur_ranks[1]);
+    let entry = c.nodes[0].committed_entries_from(Round(1), 1)[0].clone();
+    let actions = c.nodes[1].install_committed(entry, c.now, &mut c.cur_ranks[1]);
     let prepares_round_3 = actions.iter().any(|a| {
         matches!(a, crate::Action::Broadcast(PbftMsg::Vote(v))
             if v.phase == Phase::Prepare && v.round == Round(3))
@@ -1440,7 +1500,7 @@ fn a_round_committed_before_its_prepare_quorum_is_certified_late() {
     assert!(commit_vote && report, "{late:?}");
     let served = c.nodes[1].committed_entries_from(Round(0), 16);
     assert_eq!(served.len(), 1);
-    assert_eq!(served[0].1.round, Round(1));
+    assert_eq!(served[0].qc.round, Round(1));
     assert_eq!(c.nodes[1].rounds_held(), 1);
     assert_eq!(c.nodes[1].live_vote_slots(), 0);
 }
@@ -1527,15 +1587,9 @@ fn a_preprepare_past_the_window_opens_no_round() {
     let last = c.nodes[1].committed_upto().0 + crate::VOTE_WINDOW;
     let leader = c.registry.signer(ReplicaId(0));
     let signed = |round: u64| {
-        let batch = test_batch(round * 10, 5);
         let mut pp = PrePrepare {
             view: View(0),
-            round: Round(round),
-            instance: InstanceId(0),
-            rank: Rank(round),
-            digest: ladon_crypto::digest_batch(&batch),
-            batch,
-            proposed_at: c.now,
+            block: block_at(round, round, test_batch(round * 10, 5), c.now),
             rank_proof: RankProof::None,
             sig: Signature::sign(&leader, DOMAIN_PREPREPARE, b""),
         };
@@ -1700,7 +1754,7 @@ fn the_log_keeps_the_previous_epoch_and_nothing_older() {
             .expect("the log is not empty");
         assert_eq!(oldest, Round(previous.max(1)), "epoch {epoch}");
         let served = c.nodes[1].committed_entries_from(Round(previous), usize::MAX);
-        let rounds: Vec<u64> = served.iter().map(|(b, _)| b.round().0).collect();
+        let rounds: Vec<u64> = served.iter().map(|e| e.block.round().0).collect();
         assert_eq!(rounds, (previous + 1..=frontier.0).collect::<Vec<_>>());
         if previous >= 2 {
             let older = c.nodes[1].committed_entries_from(Round(previous - 2), usize::MAX);
@@ -1739,7 +1793,7 @@ fn a_vanilla_instance_past_the_boundary_keeps_the_previous_epoch_in_the_order() 
     }
     assert_eq!(c.nodes[1].committed_upto(), Round(23));
     let served = c.nodes[1].committed_entries_from(Round(RANKS - 1), 1);
-    let rounds: Vec<u64> = served.iter().map(|(b, _)| b.round().0).collect();
+    let rounds: Vec<u64> = served.iter().map(|e| e.block.round().0).collect();
     assert_eq!(rounds, [RANKS], "epoch 1's first round is served");
     assert_eq!(c.nodes[1].oldest_round_held(), Some(Round(RANKS - 1)));
 }

@@ -168,18 +168,25 @@ fn rejected_counter_stays_zero_on_honest_runs() {
 mod view_plan_props {
     use ladon_crypto::qc::CertDomain;
     use ladon_crypto::{AggregateSignature, KeyRegistry, QuorumCert, Signature};
-    use ladon_pbft::{PreparedEntry, RankMode, ViewChange, ViewPlan};
-    use ladon_types::{Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View};
+    use ladon_pbft::{CertifiedBlock, RankMode, ViewChange, ViewPlan};
+    use ladon_types::{
+        Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs, View,
+    };
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    fn entry(round: u64, rank: u64) -> PreparedEntry {
-        PreparedEntry {
-            round: Round(round),
-            digest: Digest([round as u8; 32]),
-            rank: Rank(rank),
-            batch: ladon_pbft::testkit::test_batch(round, 1),
-            proposed_at: TimeNs::ZERO,
+    fn entry(round: u64, rank: u64) -> CertifiedBlock {
+        CertifiedBlock {
+            block: Block {
+                header: BlockHeader {
+                    index: InstanceId(0),
+                    round: Round(round),
+                    rank: Rank(rank),
+                    payload_digest: Digest([round as u8; 32]),
+                },
+                batch: ladon_pbft::testkit::test_batch(round, 1),
+                proposed_at: TimeNs::ZERO,
+            },
             qc: std::sync::Arc::new(QuorumCert {
                 view: View(0),
                 round: Round(round),
@@ -249,7 +256,7 @@ mod view_plan_props {
             let max_lc = lcs.iter().copied().max().unwrap();
             prop_assert_eq!(plan.max_lc, Round(max_lc));
 
-            let repro: BTreeSet<u64> = plan.reproposals.iter().map(|e| e.round.0).collect();
+            let repro: BTreeSet<u64> = plan.reproposals.iter().map(|e| e.block.round().0).collect();
             let nils: BTreeSet<u64> = plan.nils.iter().map(|(r, _)| r.0).collect();
             // Disjoint.
             prop_assert!(repro.is_disjoint(&nils));
@@ -270,11 +277,11 @@ mod view_plan_props {
             }
             // Nil ranks stay below the next certified round's rank.
             for &(nil_round, nil_rank) in &plan.nils {
-                if let Some(e) = plan.reproposals.iter().find(|e| e.round > nil_round) {
+                if let Some(e) = plan.reproposals.iter().find(|e| e.block.round() > nil_round) {
                     prop_assert!(
-                        nil_rank <= e.rank,
+                        nil_rank <= e.block.rank(),
                         "nil at {} rank {} exceeds next certified rank {}",
-                        nil_round.0, nil_rank.0, e.rank.0
+                        nil_round.0, nil_rank.0, e.block.rank().0
                     );
                 }
             }

@@ -102,9 +102,9 @@ impl Transcript {
         self.u64(vc.new_view.0);
         self.u64(vc.last_committed.0);
         for e in &vc.prepared {
-            self.u64(e.round.0);
-            self.0.update(&e.digest.0);
-            self.u64(e.rank.0);
+            self.u64(e.block.header.round.0);
+            self.0.update(&e.block.header.payload_digest.0);
+            self.u64(e.block.header.rank.0);
             self.cert(Some(&*e.qc));
         }
         self.sig(&vc.sig);
@@ -114,14 +114,15 @@ impl Transcript {
         match m {
             PbftMsg::PrePrepare(pp) => {
                 self.0.update(b"pp");
-                for v in [pp.view.0, pp.round.0, pp.instance.0.into(), pp.rank.0] {
+                let (h, b) = (&pp.block.header, &pp.block);
+                for v in [pp.view.0, h.round.0, h.index.0.into(), h.rank.0] {
                     self.u64(v);
                 }
-                self.0.update(&pp.digest.0);
-                self.u64(pp.batch.first_tx.0);
-                self.u64(pp.batch.count.into());
-                self.u64(pp.batch.payload_bytes);
-                self.u64(pp.proposed_at.0);
+                self.0.update(&h.payload_digest.0);
+                self.u64(b.batch.first_tx.0);
+                self.u64(b.batch.count.into());
+                self.u64(b.batch.payload_bytes);
+                self.u64(b.proposed_at.0);
                 match &pp.rank_proof {
                     RankProof::None => self.0.update(b"none"),
                     RankProof::FirstRound(rc) => {
@@ -270,9 +271,9 @@ fn transcript(n: usize, mode: RankMode) -> String {
     for r in 0..n {
         assert_eq!(c.committed[r].len() as u64, ROUNDS, "replica {r}");
         assert_eq!(c.nodes[r].rejected, 0, "replica {r}");
-        for (block, qc) in c.nodes[r].committed_entries_from(Round(0), ROUNDS as usize) {
-            t.block(&block);
-            t.cert(Some(&*qc));
+        for e in c.nodes[r].committed_entries_from(Round(0), ROUNDS as usize) {
+            t.block(&e.block);
+            t.cert(Some(&*e.qc));
         }
         t.rank_cert(&c.cur_ranks[r]);
     }
@@ -441,13 +442,13 @@ fn view_change_transcript(n: usize, mode: RankMode) -> String {
     for r in 1..n {
         assert_eq!(c.nodes[r].view(), View(1), "replica {r}");
         let entries = c.nodes[r].committed_entries_from(Round(0), 7);
-        let first_txs: Vec<u64> = entries.iter().map(|(b, _)| b.batch.first_tx.0).collect();
+        let first_txs: Vec<u64> = entries.iter().map(|e| e.block.batch.first_tx.0).collect();
         assert_eq!(first_txs, [100, 200, 300, 0, 500, 600, 700], "replica {r}");
-        assert!(entries[3].0.is_nil(), "replica {r}");
+        assert!(entries[3].block.is_nil(), "replica {r}");
         assert_eq!(c.nodes[r].rejected, 0, "replica {r}");
-        for (block, qc) in entries {
-            t.block(&block);
-            t.cert(Some(&*qc));
+        for e in entries {
+            t.block(&e.block);
+            t.cert(Some(&*e.qc));
         }
         t.rank_cert(&c.cur_ranks[r]);
     }

@@ -90,7 +90,6 @@ pub fn cs_fmt(v: f64) -> String {
 pub fn scale() -> Scale {
     match std::env::var("LADON_SCALE").as_deref() {
         Ok("full") => Scale::Full,
-        Ok("medium") => Scale::Medium,
         _ => Scale::Quick,
     }
 }
@@ -100,8 +99,6 @@ pub fn scale() -> Scale {
 pub enum Scale {
     /// Small replica counts, short windows (CI-friendly).
     Quick,
-    /// Mid-size sweep.
-    Medium,
     /// The paper's full 8–128 replica sweep.
     Full,
 }
@@ -111,7 +108,6 @@ impl Scale {
     pub fn replica_counts(self) -> Vec<usize> {
         match self {
             Scale::Quick => vec![8, 16],
-            Scale::Medium => vec![8, 16, 32],
             Scale::Full => vec![8, 16, 32, 64, 128],
         }
     }
@@ -124,7 +120,6 @@ impl Scale {
     pub fn duration_s(self) -> f64 {
         match self {
             Scale::Quick => 24.0,
-            Scale::Medium => 30.0,
             Scale::Full => 45.0,
         }
     }
@@ -134,7 +129,6 @@ impl Scale {
     pub fn warmup_s(self) -> f64 {
         match self {
             Scale::Quick => 12.0,
-            Scale::Medium => 12.0,
             Scale::Full => 15.0,
         }
     }

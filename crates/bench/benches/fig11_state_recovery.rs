@@ -1,6 +1,6 @@
 //! Recovery microbenchmark (new subsystem; no paper analog):
 //! restart-from-snapshot+WAL recovery latency as the WAL tail grows.
-//! Apply throughput and checkpoint cost are `fig_lane_scaling`'s
+//! Apply throughput and checkpoint cost are `fig_state_root`'s
 //! `execute_blocks` and `pipeline_checkpoint`.
 
 use ladon_bench::{microbench, scratch_dir};

@@ -1,10 +1,12 @@
-//! Lane-scaling microbenchmarks (execution scale-out; no paper analog):
+//! State-root microbenchmarks (execution layer; no paper analog):
 //!
-//! 1. **Checkpoint-root cost vs keyspace.** The sharded state keeps a
-//!    lazily folded MuHash accumulator per lane, so once folded the state
-//!    root is O(MERKLE_LANES) — flat as the keyspace grows — where the
-//!    seed design re-hashed every live entry (reproduced here as the
-//!    `full_scan` baseline). The hash counts behind "flat" are pinned by
+//! 1. **Checkpoint-root cost vs keyspace.** The state keeps one lazily
+//!    folded MuHash accumulator over every live account, so once folded
+//!    the state root is one hash at any keyspace, where the seed design
+//!    re-hashed every live entry (reproduced here as the `full_scan`
+//!    baseline). What still grows with the keyspace is the scan that
+//!    finds nothing left to fold: one mark byte per allocated account,
+//!    eight at a time. The hash counts are pinned by
 //!    `kv::tests::hashing_happens_at_fold_not_on_write`.
 //! 2. **Apply throughput.** Blocks of 4096 derived ops through the
 //!    pipeline.
@@ -12,12 +14,12 @@
 
 use ladon_bench::microbench;
 use ladon_crypto::Sha256;
-use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
+use ladon_state::{ExecutionPipeline, KvState, DEFAULT_KEYSPACE};
 use ladon_types::{Block, Digest, TxOp};
 use ladon_workload::{scale, Scale};
 
 /// The seed's root algorithm: one SHA-256 pass over every canonical
-/// entry. Kept here as the scaling baseline the lane roots replace.
+/// entry. Kept here as the scaling baseline the accumulator replaces.
 fn full_scan_root(kv: &KvState) -> Digest {
     let mut h = Sha256::new();
     h.update(b"ladon/state-root/v1");
@@ -30,14 +32,14 @@ fn full_scan_root(kv: &KvState) -> Digest {
 }
 
 fn main() {
-    println!("fig_lane_scaling: sharded execution lanes & incremental Merkle roots\n");
+    println!("fig_state_root: one folded accumulator against a full scan\n");
 
     let full = scale() == Scale::Full;
 
     // ------------------------------------------------------------------
     // 1. Checkpoint-root cost vs keyspace size.
     // ------------------------------------------------------------------
-    println!("checkpoint root cost, folded ({MERKLE_LANES} lanes) vs full scan (seed design):");
+    println!("checkpoint root cost, folded accumulator vs full scan (seed design):");
     let keyspaces: &[u32] = if full {
         &[1 << 12, 1 << 16, 1 << 18, 1 << 20]
     } else {

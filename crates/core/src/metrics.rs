@@ -72,8 +72,8 @@ pub struct NodeMetrics {
     /// Snapshots served to lagging peers: one per sync response that
     /// carried one (a transfer is one response).
     pub snapshots_served: u64,
-    /// Wire bytes of the lane chunks of the snapshots served (all 64
-    /// of each).
+    /// Wire bytes of the entry runs of the snapshots served (the whole
+    /// run of each).
     pub snapshot_bytes_served: u64,
     /// Confirmed `sn`s this replica never recorded a `ConfirmRecord` for
     /// because a snapshot install fast-forwarded past them (the

@@ -58,7 +58,7 @@ use ladon_sim::{Actor, ActorId, Context};
 use ladon_state::{ExecOutcome, ExecutionPipeline, InstallOutcome, Snapshot};
 use ladon_types::{
     Action, Batch, Block, Epoch, InstanceId, ProtocolKind, Rank, ReplicaId, Round, SystemConfig,
-    TimeNs, WireSize,
+    TimeNs,
 };
 use std::sync::Arc;
 
@@ -761,8 +761,7 @@ impl MultiBftNode {
         if let Some(resp) = self.build_sync_response(&req) {
             if let Some(snap) = &resp.snapshot {
                 self.metrics.snapshots_served += 1;
-                self.metrics.snapshot_bytes_served +=
-                    snap.chunks.iter().map(WireSize::wire_size).sum::<u64>();
+                self.metrics.snapshot_bytes_served += snap.run_size();
             }
             let msg = NodeMsg::SyncResp(Arc::new(resp));
             out.push(Output::Send(from.as_usize(), msg));
@@ -873,8 +872,8 @@ impl MultiBftNode {
     /// whose quorum-signed root matches the snapshot head's manifest
     /// root, and a head that records one round per instance and is ahead
     /// of `applied`. [`ladon_state::ExecutionPipeline::install`] then
-    /// verifies the snapshot once — the manifest root over the head, the
-    /// chunk count, every chunk against its lane root — and installs it
+    /// verifies the snapshot once — the manifest root over the head, then
+    /// the run's canonical form and its root — and installs it
     /// whole or keeps nothing of it. A snapshot that fails any of these
     /// is refused; one that verifies but is not installed is not.
     /// `useful` in the returned outcome means the snapshot installed;

@@ -39,19 +39,19 @@
 //!
 //! Deep lag is repaired by snapshot, in one exchange: the responder
 //! ships its latest [`ladon_state::Snapshot`] whole, as it holds it — the
-//! quorum-attested manifest head plus all 64 lane chunks — in the
-//! response that also carries up to [`SYNC_MAX_BLOCKS`] blocks. The
-//! chunks of a full 4 096-account state are 52 544 B, 2.6 % of one
-//! 4096-tx block. The requester checks the head against the response's
-//! stable checkpoint and hands the snapshot to
+//! quorum-attested manifest head plus one ascending entry run — in the
+//! response that also carries up to [`SYNC_MAX_BLOCKS`] blocks. The run
+//! of a full 4 096-account state is 49 160 B, 2.4 % of one 4096-tx
+//! block. The requester checks the head against the response's stable
+//! checkpoint and hands the snapshot to
 //! [`ladon_state::ExecutionPipeline::install`], which verifies it once
-//! (head, chunk count, then every lane) and installs it, in the handler
-//! call that received the response. A snapshot installs as a whole or
-//! leaves nothing behind: with any chunk bad or any lane missing or
-//! extra, nothing is installed and nothing is kept, the response is
-//! refused and its sender scored, and the next probe asks the next
-//! healthy peer — a Byzantine responder can serve a correct snapshot or
-//! nothing.
+//! (head, the run's canonical form, then its root) and installs it, in
+//! the handler call that received the response. A snapshot installs as
+//! a whole or leaves nothing behind: with any entry tampered, missing,
+//! extra or out of order, nothing is installed and nothing is kept, the
+//! response is refused and its sender scored, and the next probe asks
+//! the next healthy peer — a Byzantine responder can serve a correct
+//! snapshot or nothing.
 //!
 //! # The requester's rotation, as a state machine
 //!
@@ -268,8 +268,8 @@ pub struct SyncResponse {
     /// ahead of the requester's applied frontier. The receiver checks
     /// its manifest root against `checkpoint.state_root` and verifies it
     /// once ([`Snapshot::verify`]: the root over the
-    /// `applied`/`frontier`/`executed_txs` metadata and the lane-root
-    /// vector, then every chunk against its lane root) before trusting
+    /// `applied`/`frontier`/`executed_txs` metadata and the state root,
+    /// then the run against the state root) before trusting
     /// anything, so a Byzantine responder can serve correct state or
     /// nothing: neither the contents nor the metadata the installer
     /// fast-forwards by can be forged. Nothing descriptive rides along:
@@ -499,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_bytes_counted_in_response_size() {
+    fn snapshot_bytes_counted_in_response_size() {
         let mut kv = ladon_state::KvState::new();
         for k in 0..100u32 {
             kv.apply(&ladon_types::TxOp::Put {
@@ -520,21 +520,18 @@ mod tests {
             state_root: snap.head.root,
             agg: ladon_crypto::AggregateSignature::aggregate(&shares, 4).unwrap(),
         };
-        let (head, chunks) = snap.split();
+        let (head, run) = (snap.head.clone(), snap.run_size());
         let resp = SyncResponse {
             checkpoint: Some(checkpoint.clone()),
             snapshot: Some(snap),
             entries: Vec::new(),
         };
-        // The checkpoint, the head and every chunk, each at its own size:
-        // a transfer carries every entry's bytes.
+        // The checkpoint, the head and the run, each at its own size: a
+        // transfer carries every entry's bytes.
         assert_eq!(
             resp.wire_size(),
-            sizes::MSG_HEADER
-                + checkpoint.wire_size()
-                + head.wire_size()
-                + chunks.iter().map(WireSize::wire_size).sum::<u64>()
+            sizes::MSG_HEADER + checkpoint.wire_size() + head.wire_size() + run
         );
-        assert!(resp.wire_size() >= sizes::MSG_HEADER + 100 * 12);
+        assert_eq!(run, 8 + 100 * 12);
     }
 }

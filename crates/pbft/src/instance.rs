@@ -1539,8 +1539,8 @@ impl PbftInstance {
             batch: Batch::empty(0),
             proposed_at: now,
         });
-        let reproposals = plan.reproposals.into_iter().map(|e| e.block);
-        for block in nils.chain(reproposals) {
+        let reproposals = plan.reproposals.into_iter().map(|e| (e.block, Some(e.qc)));
+        for (block, qc) in nils.map(|b| (b, None)).chain(reproposals) {
             let round = block.round();
             if round <= self.committed_upto || self.past_window(round) {
                 continue;
@@ -1548,6 +1548,17 @@ impl PbftInstance {
             let st = self.open(round);
             if st.committed_at.is_some() {
                 continue;
+            }
+            // A QC this replica alone formed for another block of the
+            // round (in a view it then missed) gives way to the plan's:
+            // the round's block and its QC stay one certified round.
+            let named = (block.header.payload_digest, block.rank());
+            if st
+                .prepare_qc
+                .as_ref()
+                .is_some_and(|q| (q.digest, q.rank) != named)
+            {
+                st.prepare_qc = qc;
             }
             st.proposal = Some(block);
             self.cast_prepare(round, now, cur, out);

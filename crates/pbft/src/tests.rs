@@ -380,6 +380,52 @@ fn view_change_repropose_preserves_prepared_block() {
     assert_eq!(blocks[0].round(), Round(1));
 }
 
+/// Replica 3 alone forms QC(A) for round 1 in view 0 and misses view 1,
+/// where round 1 commits block B on the other three. Adopting view 2,
+/// whose plan re-proposes B, it must take B's QC with B: holding B with
+/// QC(A), its view change for view 3 binds no certified round, and every
+/// backup refuses the new view it then leads.
+#[test]
+fn a_reproposed_round_adopts_the_plans_certificate_with_its_block() {
+    let mut c = Cluster::new(4, RankMode::Plain, 1000);
+    c.now += TimeNs::from_millis(1);
+    let actions = c.nodes[0].propose(test_batch(0, 5), c.now, &mut c.cur_ranks[0]);
+    c.absorb(0, actions);
+    // Pre-prepares reach everyone, prepares only replica 3; nothing else.
+    while let Some((to, from, msg)) = c.queue.pop_front() {
+        let prepare = matches!(&msg, PbftMsg::Vote(v) if v.phase == Phase::Prepare);
+        if matches!(msg, PbftMsg::PrePrepare(_)) || (prepare && to == ReplicaId(3)) {
+            let who = to.as_usize();
+            let actions = c.nodes[who].on_message(from, msg, c.now, &mut c.cur_ranks[who]);
+            c.absorb(who, actions);
+        }
+    }
+    assert!(c.committed.iter().all(Vec::is_empty));
+
+    // View 1 without replica 3: B commits at round 1.
+    c.crashed[3] = true;
+    for r in 0..3 {
+        c.nodes[r].wait_from(c.now);
+    }
+    c.fire_timeouts();
+    c.propose_and_run(1, test_batch(100, 7));
+    assert!((0..3).all(|r| c.committed[r].len() == 1 && c.nodes[r].view() == View(1)));
+
+    // View 2: replica 3 hears only its new view, which re-proposes B.
+    c.crashed[3] = false;
+    for r in 0..3 {
+        let actions = c.nodes[r].on_timeout(c.now, &mut c.cur_ranks[r]);
+        c.absorb(r, actions);
+    }
+    c.run_to_quiescence();
+    assert!(c.nodes.iter().all(|n| n.view() == View(2)));
+
+    // View 3, led by replica 3: everyone installs it.
+    c.fire_timeouts();
+    let views: Vec<View> = c.nodes.iter().map(PbftInstance::view).collect();
+    assert_eq!(views, [View(3); 4]);
+}
+
 /// Two rounds commit under replica 0, which then crashes; replicas 2 and
 /// 3 time out on round 3 and replica 1's own view change completes the
 /// quorum. Returns the cluster (the new view reached no backup yet) and

@@ -5,13 +5,12 @@
 //! that stream *mean* something. It follows the sans-IO replica
 //! execution-loop shape (confirmed blocks in, durable effects out):
 //!
-//! - [`kv`]: a deterministic key-value state machine ([`KvState`]) sharded
-//!   into [`MERKLE_LANES`] fixed Merkle lanes by key hash, its balances
-//!   kept in pages indexed by account id. A batch applies in block
-//!   order on one thread, writes never hash, and the fold buckets the
-//!   keys written since the last checkpoint into their lanes' content
-//!   roots, so the two-level state root costs O(dirty keys + lanes) —
-//!   not O(keyspace).
+//! - [`kv`]: a deterministic key-value state machine ([`KvState`]), its
+//!   balances kept in pages indexed by account id. A batch applies in
+//!   block order on one thread, writes never hash, and the fold
+//!   multiplies the keys written since the last checkpoint into one
+//!   MuHash accumulator over every live account, so the state root
+//!   hashes O(dirty keys) leaves — not O(keyspace).
 //! - [`wal`]: a segmented commit write-ahead log ([`CommitWal`]) of
 //!   confirmed block identities — checksummed, length-prefixed records
 //!   in one chain of segment files under a checksummed manifest, one
@@ -21,11 +20,11 @@
 //!   durability).
 //! - [`snapshot`]: epoch-aligned state snapshots ([`Snapshot`]) kept the
 //!   way they are shipped — a manifest head ([`SnapshotHead`]) plus one
-//!   chunk per lane ([`SnapshotChunk`]) content-addressed by lane root —
-//!   with a [`SnapshotStore`] that can persist them on disk. A responder
-//!   ships a snapshot as it holds it, one value; the receiver's
-//!   [`ExecutionPipeline::install`] verifies it once, head and every
-//!   chunk, and installs the whole or nothing.
+//!   ascending entry run under the state root the head names — with a
+//!   [`SnapshotStore`] that can persist them on disk. A responder ships
+//!   a snapshot as it holds it, one value; the receiver's
+//!   [`ExecutionPipeline::install`] verifies it once, head then run, and
+//!   installs the whole or nothing.
 //! - [`pipeline`]: the [`ExecutionPipeline`] gluing the three together:
 //!   WAL-append → apply → per-epoch checkpoint (snapshot + WAL compaction),
 //!   plus snapshot install ([`ExecutionPipeline::install`]) and crash
@@ -55,7 +54,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use faults::{FaultBackend, FaultPlan};
-pub use kv::{lane_of, ExecEffects, KvState, DEFAULT_KEYSPACE, MERKLE_LANES};
+pub use kv::{ExecEffects, KvState, DEFAULT_KEYSPACE};
 pub use pipeline::{
     ExecOutcome, ExecSchedStats, ExecutionPipeline, InstallOutcome, PipelinePerf, PipelineStats,
     ReplayStats, POOLED_MIN_OPS,

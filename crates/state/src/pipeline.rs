@@ -22,14 +22,13 @@
 //! effects and the snapshots are the ones an inline apply gives. The
 //! counts that do not depend on state (`applied`, the transaction
 //! totals, `batches`) advance at hand-off. At every epoch
-//! checkpoint it folds the lanes' pending writes into their accumulators, captures a
-//! [`Snapshot`], compacts the WAL behind it, and returns the snapshot's
-//! manifest root — covering the execution position, frontier, and the
-//! ordered lane-root vector — which the checkpoint quorum signs.
-//! Checkpoint root cost is the accounts changed since the last
-//! checkpoint (two leaf hashes each) plus the lanes, not the keyspace:
-//! the fold finds them by scanning one mark byte per allocated account,
-//! eight at a time.
+//! checkpoint it folds the pending writes into the state's accumulator,
+//! captures a [`Snapshot`], compacts the WAL behind it, and returns the
+//! snapshot's manifest root — covering the execution position, frontier,
+//! and the state root — which the checkpoint quorum signs. Checkpoint
+//! root cost is the accounts changed since the last checkpoint (two leaf
+//! hashes each) plus one, not the keyspace: the fold finds them by
+//! scanning one mark byte per allocated account, eight at a time.
 //!
 //! The `exec_lanes` parameter some constructors take is accepted for
 //! source compatibility with `benchmark/` and selects nothing.
@@ -43,8 +42,8 @@
 //! proportional to the dirty tail, not to the total log length — and the
 //! tail itself re-executes through the same apply step as live
 //! execution. A peer's state comes in one way only,
-//! [`ExecutionPipeline::install`]: the head and all 64 chunks of a
-//! snapshot, verified whole.
+//! [`ExecutionPipeline::install`]: the head and the run of a snapshot,
+//! verified whole.
 //! [`ReplayStats`] records what recovery touched (segments scanned vs
 //! skipped, records replayed). Because execution is
 //! deterministic, the recovered root equals the pre-crash root — the
@@ -53,7 +52,7 @@
 
 use crate::exec::{self, Job};
 use crate::kv::{ExecEffects, KvState};
-use crate::snapshot::{Snapshot, SnapshotChunk, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::wal::{CommitWal, FileBackend, WalBackend, WalIoStats, WalOptions, WalRecord};
 use ladon_obs::SnapshotInto;
 use ladon_types::{Block, Digest, TxId};
@@ -402,10 +401,9 @@ pub struct ExecutionPipeline {
 
 /// Whether every account a verified `snap` names is below `keyspace`,
 /// which bounds what installing it allocates to `keyspace / 4096 + 1`
-/// pages. A verified chunk's run ascends, so its last key is its largest.
+/// pages. A verified run ascends, so its last key is its largest.
 fn within_keyspace(snap: &Snapshot, keyspace: u32) -> bool {
-    let last = |c: &SnapshotChunk| c.entries.last().map(|&(k, _)| k);
-    snap.chunks.iter().filter_map(last).all(|k| k < keyspace)
+    snap.entries.last().is_none_or(|&(k, _)| k < keyspace)
 }
 
 impl ExecutionPipeline {
@@ -539,10 +537,9 @@ impl ExecutionPipeline {
     }
 
     /// Adopts a *verified* snapshot's state and execution position: the
-    /// state is built from its chunks.
+    /// state is built from its run.
     fn restore(&mut self, snap: &Snapshot) {
-        *self.exec_mut().settle() =
-            KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
+        *self.exec_mut().settle() = KvState::from_entries(snap.entries.iter().copied());
         self.applied = snap.head.applied;
         self.executed_txs = snap.head.executed_txs;
     }
@@ -746,8 +743,8 @@ impl ExecutionPipeline {
         ok
     }
 
-    /// The one way a peer's state gets in: verifies `snap` once — all 64
-    /// lanes, in lane order ([`Snapshot::verify`]) — and installs it when
+    /// The one way a peer's state gets in: verifies `snap` once — the
+    /// head, then the run ([`Snapshot::verify`]) — and installs it when
     /// it is ahead of the local applied frontier and names no account
     /// past the keyspace. Nothing of a snapshot that is not installed is
     /// kept. The caller must have authenticated `snap.head` against a
@@ -770,16 +767,10 @@ impl ExecutionPipeline {
         InstallOutcome::Installed
     }
 
-    /// Current state root. O([`crate::MERKLE_LANES`]) right after a
-    /// checkpoint; otherwise it also hashes the keys written since (see
-    /// [`KvState::root`]).
+    /// Current state root. One hash right after a checkpoint; otherwise
+    /// it also hashes the keys written since (see [`KvState::root`]).
     pub fn state_root(&self) -> Digest {
         self.settled().kv.root()
-    }
-
-    /// The ordered lane-root vector of the current state.
-    pub fn lane_roots(&self) -> Vec<Digest> {
-        self.settled().kv.lane_roots()
     }
 
     /// Confirmed blocks applied (the first `sn` not yet applied).
@@ -906,7 +897,7 @@ impl Drop for ExecutionPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{DEFAULT_KEYSPACE, MERKLE_LANES};
+    use crate::kv::DEFAULT_KEYSPACE;
     use crate::snapshot::hex32;
     use crate::wal::tests::SharedMem;
     use ladon_types::{Batch, BlockHeader, Digest, InstanceId, Rank, Round, TimeNs, TxId};
@@ -951,11 +942,10 @@ mod tests {
 
     #[test]
     fn checkpoint_artifacts_are_pinned() {
-        // The state root is the one every executor generation produced
-        // for this drain (state never moved), applied as one batch. The
-        // manifest root and the encoded bytes are format
-        // generation 8's: manifest domain v4 (no descriptive covered-sn
-        // vector under the signed root), entries stored lane by lane.
+        // The state root is the one accumulator's over this drain,
+        // applied as one batch. The manifest root and the encoded bytes
+        // are format generation 9's: manifest domain v4 over the state
+        // root, entries stored as one ascending run.
         let mut p = ExecutionPipeline::in_memory(512);
         let blocks: Vec<(u64, Block)> = (0..8)
             .map(|sn| (sn, Block::synthetic(sn, sn * 300, 300)))
@@ -972,16 +962,16 @@ mod tests {
         let manifest = p.checkpoint(1, vec![]);
         assert_eq!(
             hex32(&p.state_root()),
-            "7ae71d00d402c40a7a9ea6e58c90edcfa3880aa1f1ce27ea28dd783c3ed1b38f"
+            "45cba31fdd5c4cd3516c76116f12f775be3be524e59641cd544028636794da7c"
         );
         assert_eq!(
             hex32(&manifest),
-            "eb7b73130fa7b5e9ef0afcc9005cd1a8aa147f233107da16a0cbaa42860e5ab8"
+            "8a071f73fb4116a5d36335be0b047823ac49f10d9b7f25d34b8d136dc09fbc3c"
         );
         let bytes = p.latest_snapshot().unwrap().encode();
         assert_eq!(
             hex32(&Digest(ladon_crypto::sha256(&bytes))),
-            "66e3b5775e3914201f0f6ada3365788011649091251913995a9dc70fca724c59"
+            "114816a8fcb9c8ff311dc59107f950963e2d3ba7b9ad1945eaff0e72e5c75dbb"
         );
         assert!(Snapshot::decode(&bytes).is_some_and(|s| s.verify()));
     }
@@ -994,7 +984,7 @@ mod tests {
         let before = ladon_crypto::CryptoCounters::snapshot();
         p.state_root();
         let spent = ladon_crypto::CryptoCounters::snapshot().since(&before);
-        assert_eq!(spent.hashes, MERKLE_LANES as u64 + 1);
+        assert_eq!(spent.hashes, 1);
     }
 
     /// An in-memory pipeline whose WAL storage outlives it.
@@ -1091,7 +1081,6 @@ mod tests {
         assert_eq!(batched.applied(), per_block.applied());
         assert_eq!(batched.executed_txs(), per_block.executed_txs());
         assert_eq!(batched.state_root(), per_block.state_root());
-        assert_eq!(batched.lane_roots(), per_block.lane_roots());
         // One drain applies as one batch.
         let (b, pb) = (batched.sched_stats(), per_block.sched_stats());
         assert_eq!((b.batches, pb.batches), (3, 20));
@@ -1284,19 +1273,18 @@ mod tests {
         run_blocks(&mut donor, 0, 8);
         donor.checkpoint(0, Vec::new());
         let mut snap = donor.latest_snapshot().unwrap().clone();
-        let victim = snap.chunks.iter_mut().find(|c| !c.entries.is_empty());
-        victim.expect("a populated lane").entries[0].1 ^= 1;
+        snap.entries[0].1 ^= 1;
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         assert_eq!(lagger.install(snap), InstallOutcome::Unverified);
         assert_eq!(lagger.applied(), 0);
     }
 
     #[test]
-    fn a_snapshot_installs_only_with_all_its_chunks() {
-        // The lagger holds every lane under the head's roots — the donor's
-        // last four blocks are empty — but is four blocks behind: an
-        // install without chunks must not take its own lanes for the
-        // snapshot's.
+    fn a_snapshot_installs_only_with_its_whole_run() {
+        // The lagger holds the state under the head's state root — the
+        // donor's last four blocks are empty — but is four blocks behind:
+        // an install without the run must not take the lagger's own
+        // state for the snapshot's.
         let mut donor = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut donor, 0, 8);
         for sn in 8..12 {
@@ -1306,13 +1294,13 @@ mod tests {
         let snap = donor.latest_snapshot().unwrap().clone();
         let mut lagger = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         run_blocks(&mut lagger, 0, 8);
-        assert_eq!(lagger.lane_roots(), snap.head.lane_roots);
+        assert_eq!(lagger.state_root(), snap.head.state_root);
         let before = lagger.state_root();
-        let chunkless = Snapshot {
-            chunks: Vec::new(),
+        let runless = Snapshot {
+            entries: Vec::new(),
             ..snap.clone()
         };
-        assert_eq!(lagger.install(chunkless), InstallOutcome::Unverified);
+        assert_eq!(lagger.install(runless), InstallOutcome::Unverified);
         assert_eq!((lagger.applied(), lagger.state_root()), (8, before));
         assert_eq!(lagger.install(snap), InstallOutcome::Installed);
         assert_eq!(lagger.applied(), 12);
@@ -1390,9 +1378,8 @@ mod tests {
         let blocks = big_blocks(0, 24);
         // Each read below runs with a job outstanding, then leaves none.
         type Read = fn(&ExecutionPipeline) -> String;
-        let reads: [(&str, Read); 4] = [
+        let reads: [(&str, Read); 3] = [
             ("state_root", |p| format!("{:?}", p.state_root())),
-            ("lane_roots", |p| format!("{:?}", p.lane_roots())),
             ("effects", |p| format!("{:?}", p.effects())),
             ("kv", |p| {
                 format!("{:?}", p.kv().entries().collect::<Vec<_>>())
@@ -1441,13 +1428,13 @@ mod tests {
         }
         assert_eq!(outstanding(&behind), pooling());
         let mut half = snap.clone();
-        half.chunks.truncate(half.chunks.len() / 2);
+        half.entries.truncate(half.entries.len() / 2);
         assert_eq!(behind.install(half.clone()), InstallOutcome::Unverified);
         assert_eq!(behind_ref.install(half), InstallOutcome::Unverified);
         assert_eq!(behind.install(snap.clone()), InstallOutcome::Installed);
         assert_eq!(behind_ref.install(snap), InstallOutcome::Installed);
         assert_eq!(behind.state_root(), pooled.state_root());
-        assert_eq!(behind.lane_roots(), behind_ref.lane_roots());
+        assert_eq!(behind.state_root(), behind_ref.state_root());
         assert_eq!(behind.effects(), behind_ref.effects());
     }
 
@@ -1537,7 +1524,7 @@ mod tests {
         let mut reference = inline(DEFAULT_KEYSPACE);
         reference.execute_batch(&blocks);
         assert_eq!(recovered.state_root(), reference.state_root());
-        assert_eq!(recovered.lane_roots(), p.lane_roots());
+        assert_eq!(recovered.state_root(), p.state_root());
         assert_eq!(recovered.executed_txs(), reference.executed_txs());
     }
 

@@ -3,19 +3,17 @@
 //! A [`Snapshot`] is kept the way it is shipped: a [`SnapshotHead`] —
 //! the epoch, the execution position (`applied` confirmed blocks,
 //! cumulative executed transactions), the consensus `frontier`, the
-//! ordered **lane-root vector** of the sharded state
-//! ([`crate::kv::KvState::lane_roots`]) and the *manifest root* all of it
-//! hashes to — plus one [`SnapshotChunk`] per Merkle lane, in lane
-//! order, holding that lane's canonical contents under the lane root the
-//! head names. It has that one shape in memory, in `snap-*.bin` and on
-//! the wire: capture buckets the state's one ascending pass by lane, a
-//! responder serves `chunks[lane]`, an installer writes each chunk's
-//! accounts into its pages — a lane is a shard of the root and the unit
-//! of transfer, and nothing sorts entries on the way.
+//! **state root** ([`crate::kv::KvState::root`]) and the *manifest root*
+//! all of it hashes to — plus the state's canonical contents as one
+//! entry run in ascending key order, under the state root the head
+//! names. It has that one shape in memory, in `snap-*.bin` and on the
+//! wire: capture reads the state's one ascending pass, a responder ships
+//! the snapshot as it holds it, and an installer writes the run's
+//! accounts into its pages — nothing sorts entries on the way.
 //!
 //! The manifest root covers every field an installer acts on — epoch,
-//! `applied`, `executed_txs`, `frontier`, and the lane roots (which
-//! commit to the KV contents) — not just the entries: execution is
+//! `applied`, `executed_txs`, `frontier`, and the state root (which
+//! commits to the KV contents) — not just the entries: execution is
 //! deterministic, so honest replicas completing the same epoch produce
 //! identical manifests, and the checkpoint quorum's signature over the
 //! root therefore attests to the metadata as much as to the state.
@@ -28,47 +26,44 @@
 //!
 //! # Transfer
 //!
-//! Each chunk is content-addressed by its **lane root** — a name the
-//! quorum-signed head already commits to, so checking a chunk
-//! ([`SnapshotChunk::verify`], one lane's root recomputed from its
-//! entries) adds no new trust. A responder ships its snapshot whole, as
-//! it holds it; the receiver hands it to `ExecutionPipeline::install`,
-//! which runs [`Snapshot::verify`] once — the chunk count first, then
-//! each lane — and installs all of it or nothing.
+//! A responder ships its snapshot whole, as it holds it; the receiver
+//! hands it to `ExecutionPipeline::install`, which runs
+//! [`Snapshot::verify`] once — the head, then the run's canonical form,
+//! then the run against the state root — and installs all of it or
+//! nothing.
 //!
 //! The [`SnapshotStore`] retains the latest snapshot in memory and, when
 //! given a directory, persists each snapshot to
 //! `snap-<epoch>-<root8>.bin` and re-loads the newest on recovery.
 //! Those are the only files it reads or writes: a peer's snapshot is
-//! installed in the call that received it, so a fetched chunk never
+//! installed in the call that received it, so a fetched run never
 //! outlives the response that carried it.
 
-use crate::kv::{lane_of, lane_root_of, KvState};
+use crate::kv::{root_of, KvState};
 use ladon_crypto::fnv::Fnv64;
-use ladon_types::{sizes, Digest, WireSize, MERKLE_LANES};
+use ladon_types::{sizes, Digest, WireSize};
 use std::path::{Path, PathBuf};
 
-/// Snapshot format version. v8 is the native form: the head, then the 64
-/// lanes' entry runs in lane order, under manifest-root domain v4. Older
-/// generations (a flat, globally sorted entry list and a descriptive
-/// per-lane covered-sn vector under the signed root) hash to different
-/// manifest roots, so none of them can match a checkpoint this
+/// Snapshot format version. v9 is the native form: the head with its
+/// state root, then the one entry run, under manifest-root domain v4.
+/// Older generations (64 lane runs under a lane-root vector, a flat
+/// entry list under a descriptive per-lane covered-sn vector) hash to
+/// different manifest roots, so none of them can match a checkpoint this
 /// generation signs; they are rejected at decode, with no decode branch,
 /// and a restarting replica that finds one falls back to peer sync
 /// (counted in [`SnapshotStore::decode_failures`]).
-const SNAP_VERSION: u8 = 8;
+const SNAP_VERSION: u8 = 9;
 
 /// Computes the attested manifest root: a digest over the snapshot's
 /// complete manifest — epoch, execution position, consensus frontier, and
-/// the ordered lane-root vector of the sharded KV state. This is what
-/// checkpoint quorums sign, so every one of these fields is authenticated
-/// on install.
+/// the state root. This is what checkpoint quorums sign, so every one of
+/// these fields is authenticated on install.
 fn manifest_root(
     epoch: u64,
     applied: u64,
     executed_txs: u64,
     frontier: &[u64],
-    lane_roots: &[Digest],
+    state_root: &Digest,
 ) -> Digest {
     let mut h = ladon_crypto::Sha256::new();
     h.update(b"ladon/snapshot-manifest/v4");
@@ -79,17 +74,16 @@ fn manifest_root(
     for &r in frontier {
         h.update(&r.to_le_bytes());
     }
-    h.update(&KvState::root_of_lane_roots(lane_roots).0);
+    h.update(&state_root.0);
     Digest(h.finalize())
 }
 
-/// Appends an entry run — count, then `(key, value)` pairs.
-fn put_entries(out: &mut Vec<u8>, entries: &[(u32, u64)]) {
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for &(k, v) in entries {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+/// Whether `entries` is canonical — strictly ascending keys, so no
+/// duplicate, and no zero value — and then hashes to `root`. Canonical
+/// form is checked before any leaf is hashed.
+fn run_verifies(entries: &[(u32, u64)], root: &Digest) -> bool {
+    let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+    ascending && entries.iter().all(|&(_, v)| v != 0) && root_of(entries) == *root
 }
 
 /// Appends the FNV checksum of everything written so far.
@@ -132,8 +126,9 @@ impl<'a> Reader<'a> {
         Some(Digest(self.take(32)?.try_into().ok()?))
     }
 
-    /// An entry run written by [`put_entries`]. The claimed count is
-    /// checked against the bytes left before anything is allocated.
+    /// An entry run — count, then `(key, value)` pairs. The claimed
+    /// count is checked against the bytes left before anything is
+    /// allocated.
     fn entries(&mut self) -> Option<Vec<(u32, u64)>> {
         let len = self.u64()? as usize;
         if len > self.0.len() / 12 {
@@ -145,9 +140,9 @@ impl<'a> Reader<'a> {
 
 /// A snapshot's manifest head: every quorum-attested field, no contents.
 /// [`SnapshotHead::verify`] recomputes the manifest root over the
-/// metadata — it authenticates the *lane-root vector* (and the rest)
-/// without holding any entries; [`Snapshot::verify`] then checks each
-/// chunk against its lane root.
+/// metadata — it authenticates the *state root* (and the rest) without
+/// holding any entries; [`Snapshot::verify`] then checks the run against
+/// the state root.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotHead {
     /// The epoch whose completion the snapshot captures.
@@ -157,98 +152,60 @@ pub struct SnapshotHead {
     /// Cumulative transactions executed.
     pub executed_txs: u64,
     /// Manifest root: digest over `epoch`, `applied`, `executed_txs`,
-    /// `frontier`, and the state root folded from `lane_roots` (content
-    /// address of the whole snapshot, and the root checkpoint quorums
-    /// sign).
+    /// `frontier`, and `state_root` (content address of the whole
+    /// snapshot, and the root checkpoint quorums sign).
     pub root: Digest,
     /// Per-instance commit-round frontier at capture time (`frontier[i]`
     /// is instance `i`'s last committed round in the snapshotted prefix).
     /// Lets an installing replica fast-forward its consensus intake past
     /// the history the snapshot covers, not just its state machine.
     pub frontier: Vec<u64>,
-    /// Ordered lane roots of the sharded state at capture time (length
-    /// [`MERKLE_LANES`]) — the content addresses of the 64 chunks, and
-    /// what an installer compares with its own state to see which lanes
-    /// differ without rehashing anything.
-    pub lane_roots: Vec<Digest>,
+    /// The state root at capture time: the content address of the run,
+    /// and what an installer's own [`KvState::root`] reports after
+    /// installing it.
+    pub state_root: Digest,
 }
 
 impl SnapshotHead {
     /// Recomputes the manifest root from the metadata and compares. A
-    /// head that passes binds its lane-root vector under the root the
-    /// quorum-signed checkpoint attests, which the chunks are then
-    /// verified against. Forging `applied`, `frontier`
-    /// or a lane root fails here; re-hashing around the forgery changes
-    /// `root`, which then no longer matches the signed checkpoint.
+    /// head that passes binds its state root under the root the
+    /// quorum-signed checkpoint attests, which the run is then verified
+    /// against. Forging `applied`, `frontier` or the state root fails
+    /// here; re-hashing around the forgery changes `root`, which then no
+    /// longer matches the signed checkpoint.
     pub fn verify(&self) -> bool {
-        self.lane_roots.len() == MERKLE_LANES as usize
-            && manifest_root(
-                self.epoch,
-                self.applied,
-                self.executed_txs,
-                &self.frontier,
-                &self.lane_roots,
-            ) == self.root
-    }
-
-    /// The state root the lane-root vector folds to — what a replica's
-    /// own [`KvState::root`] reports after installing the snapshot.
-    pub fn state_root(&self) -> Digest {
-        KvState::root_of_lane_roots(&self.lane_roots)
+        manifest_root(
+            self.epoch,
+            self.applied,
+            self.executed_txs,
+            &self.frontier,
+            &self.state_root,
+        ) == self.root
     }
 }
 
 impl WireSize for SnapshotHead {
     fn wire_size(&self) -> u64 {
-        1 + 24
-            + sizes::DIGEST
-            + 8
-            + self.frontier.len() as u64 * 8
-            + 8
-            + self.lane_roots.len() as u64 * sizes::DIGEST
+        1 + 24 + sizes::DIGEST + 8 + self.frontier.len() as u64 * 8 + sizes::DIGEST
     }
 }
 
-/// One Merkle lane's canonical contents, content-addressed by the lane
-/// root the snapshot head already commits to.
+/// A snapshot's whole run under its state root, as [`Snapshot::split`]
+/// hands it out: the shape `benchmark/` splits and verifies. Nothing
+/// else uses it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotChunk {
-    /// The lane the chunk was captured from; pins [`Self::verify`]'s
-    /// confinement check.
-    pub lane: u32,
-    /// The lane root: content address of `entries`, and the value at
-    /// index `lane` of the head's lane-root vector.
+    /// The state root: content address of `entries`.
     pub root: Digest,
-    /// The lane's live entries, ascending key order, no zero values.
+    /// The live entries, ascending key order, no zero values.
     pub entries: Vec<(u32, u64)>,
 }
 
 impl SnapshotChunk {
-    /// Recomputes this one lane's root from the entries and compares,
-    /// after checking canonical form: strictly ascending keys (no
-    /// duplicates), no zero values, and every key confined to `lane` —
-    /// without the confinement check a chunk could smuggle entries of
-    /// *other* lanes past an empty lane's root. A verified chunk is
-    /// exactly the content its root names; a Byzantine responder can
-    /// serve correct chunks or nothing.
+    /// Canonical form, then the entries against the root (see
+    /// [`Snapshot::verify`]).
     pub fn verify(&self) -> bool {
-        if self.lane >= MERKLE_LANES {
-            return false;
-        }
-        let mut prev: Option<u32> = None;
-        for &(k, v) in &self.entries {
-            if v == 0 || lane_of(k) != self.lane as usize || prev.is_some_and(|p| p >= k) {
-                return false;
-            }
-            prev = Some(k);
-        }
-        lane_root_of(&self.entries) == self.root
-    }
-}
-
-impl WireSize for SnapshotChunk {
-    fn wire_size(&self) -> u64 {
-        1 + 4 + sizes::DIGEST + 8 + self.entries.len() as u64 * 12 + 8
+        run_verifies(&self.entries, &self.root)
     }
 }
 
@@ -257,16 +214,15 @@ impl WireSize for SnapshotChunk {
 pub struct Snapshot {
     /// The manifest: everything the checkpoint quorum signs.
     pub head: SnapshotHead,
-    /// The contents, one chunk per Merkle lane in lane order:
-    /// `chunks[l].lane == l` and `chunks[l].root == head.lane_roots[l]`
-    /// ([`Self::verify`] checks both, and each chunk against its root).
-    pub chunks: Vec<SnapshotChunk>,
+    /// The contents: every live entry in ascending key order, no zero
+    /// values, hashing to `head.state_root` ([`Self::verify`] checks
+    /// all three).
+    pub entries: Vec<(u32, u64)>,
 }
 
 impl Snapshot {
-    /// Captures the current state of `kv` at `epoch`: one ascending pass
-    /// over the state fills every lane's chunk in key order
-    /// ([`KvState::lane_runs`]).
+    /// Captures the current state of `kv` at `epoch`: its root, and its
+    /// one ascending pass as the run ([`KvState::entries`]).
     pub fn capture(
         epoch: u64,
         applied: u64,
@@ -274,16 +230,8 @@ impl Snapshot {
         frontier: Vec<u64>,
         kv: &KvState,
     ) -> Self {
-        let lane_roots = kv.lane_roots();
-        let chunks = (0..MERKLE_LANES)
-            .zip(kv.lane_runs())
-            .map(|(lane, entries)| SnapshotChunk {
-                lane,
-                root: lane_roots[lane as usize],
-                entries,
-            })
-            .collect();
-        let root = manifest_root(epoch, applied, executed_txs, &frontier, &lane_roots);
+        let state_root = kv.root();
+        let root = manifest_root(epoch, applied, executed_txs, &frontier, &state_root);
         Self {
             head: SnapshotHead {
                 epoch,
@@ -291,33 +239,30 @@ impl Snapshot {
                 executed_txs,
                 root,
                 frontier,
-                lane_roots,
+                state_root,
             },
-            chunks,
+            entries: kv.entries().collect(),
         }
     }
 
-    /// [`SnapshotHead::verify`] plus every chunk verifying at its slot:
-    /// lane `l`'s chunk sits at index `l`, carries the root the head
-    /// names for `l`, and its entries recompute to it. Tampering with
-    /// the entries *or* the metadata fails this check, and a chunk count
-    /// other than 64 fails it before any chunk is hashed.
+    /// [`SnapshotHead::verify`], then the run: canonical form (strictly
+    /// ascending keys, no zero value) before any leaf is hashed, then
+    /// its root against the head's state root. Tampering with the
+    /// entries *or* the metadata fails this check.
     pub fn verify(&self) -> bool {
-        self.head.verify()
-            && self.chunks.len() == self.head.lane_roots.len()
-            && self.chunks.iter().enumerate().all(|(lane, c)| {
-                c.lane as usize == lane && c.root == self.head.lane_roots[lane] && c.verify()
-            })
+        self.head.verify() && run_verifies(&self.entries, &self.head.state_root)
     }
 
-    /// Serializes to the versioned binary format: the head, then each
-    /// lane's entry run in lane order (a chunk's lane and root are its
-    /// position and the head's lane root), then the FNV checksum.
+    /// Wire bytes of the run — its count, then 12 B per entry: what
+    /// serving the snapshot ships past its head.
+    pub fn run_size(&self) -> u64 {
+        8 + self.entries.len() as u64 * 12
+    }
+
+    /// Serializes to the versioned binary format: the head, then the
+    /// entry run, then the FNV checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let entries: usize = self.chunks.iter().map(|c| c.entries.len()).sum();
-        let mut out = Vec::with_capacity(
-            self.head.wire_size() as usize + self.chunks.len() * 8 + entries * 12 + 8,
-        );
+        let mut out = Vec::with_capacity((self.wire_size() + 8) as usize);
         out.push(SNAP_VERSION);
         out.extend_from_slice(&self.head.epoch.to_le_bytes());
         out.extend_from_slice(&self.head.applied.to_le_bytes());
@@ -327,21 +272,19 @@ impl Snapshot {
         for &r in &self.head.frontier {
             out.extend_from_slice(&r.to_le_bytes());
         }
-        out.extend_from_slice(&(self.head.lane_roots.len() as u64).to_le_bytes());
-        for r in &self.head.lane_roots {
-            out.extend_from_slice(&r.0);
-        }
-        for c in &self.chunks {
-            put_entries(&mut out, &c.entries);
+        out.extend_from_slice(&self.head.state_root.0);
+        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        for &(k, v) in &self.entries {
+            out.extend_from_slice(&k.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
         }
         seal(out)
     }
 
-    /// Deserializes, checking version, checksum and shape — exactly
-    /// [`MERKLE_LANES`] lane roots, one entry run each, nothing after
-    /// them — but not the
-    /// roots; call [`Self::verify`] for that. Every older format
-    /// generation is rejected here.
+    /// Deserializes, checking version, checksum and shape — one state
+    /// root, one entry run, nothing after it — but not the roots; call
+    /// [`Self::verify`] for that. Every older format generation is
+    /// rejected here.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::open(bytes, SNAP_VERSION)?;
         let (epoch, applied, executed_txs) = (r.u64()?, r.u64()?, r.u64()?);
@@ -351,22 +294,9 @@ impl Snapshot {
             return None;
         }
         let frontier = (0..flen).map(|_| r.u64()).collect::<Option<Vec<u64>>>()?;
-        if r.u64()? != MERKLE_LANES as u64 {
-            return None;
-        }
-        let lane_roots = (0..MERKLE_LANES)
-            .map(|_| r.digest())
-            .collect::<Option<Vec<Digest>>>()?;
-        let chunks = (0..MERKLE_LANES)
-            .map(|lane| {
-                Some(SnapshotChunk {
-                    lane,
-                    root: lane_roots[lane as usize],
-                    entries: r.entries()?,
-                })
-            })
-            .collect::<Option<Vec<SnapshotChunk>>>()?;
-        // Nothing may follow the last run: a snapshot has one encoding.
+        let state_root = r.digest()?;
+        let entries = r.entries()?;
+        // Nothing may follow the run: a snapshot has one encoding.
         if !r.0.is_empty() {
             return None;
         }
@@ -377,9 +307,9 @@ impl Snapshot {
                 executed_txs,
                 root,
                 frontier,
-                lane_roots,
+                state_root,
             },
-            chunks,
+            entries,
         })
     }
 
@@ -392,17 +322,22 @@ impl Snapshot {
         )
     }
 
-    /// The head and the 64 lane chunks apart — a clone of what is held.
+    /// The head and the run apart, the run as one [`SnapshotChunk`] — a
+    /// clone of what is held.
     pub fn split(&self) -> (SnapshotHead, Vec<SnapshotChunk>) {
-        (self.head.clone(), self.chunks.clone())
+        let chunk = SnapshotChunk {
+            root: self.head.state_root,
+            entries: self.entries.clone(),
+        };
+        (self.head.clone(), vec![chunk])
     }
 }
 
-/// The head plus every chunk: what a sync response carrying the
-/// snapshot spends on it.
+/// The head plus the run: what a sync response carrying the snapshot
+/// spends on it.
 impl WireSize for Snapshot {
     fn wire_size(&self) -> u64 {
-        self.head.wire_size() + self.chunks.iter().map(WireSize::wire_size).sum::<u64>()
+        self.head.wire_size() + self.run_size()
     }
 }
 
@@ -556,16 +491,17 @@ mod tests {
         let kv = sample_state();
         let snap = Snapshot::capture(3, 120, 5000, vec![7, 9, 11], &kv);
         assert!(snap.verify());
-        assert_eq!(snap.head.lane_roots.len(), MERKLE_LANES as usize);
-        assert_eq!(snap.chunks.len(), MERKLE_LANES as usize);
-        assert_eq!(snap.head.state_root(), kv.root());
-        let decoded = Snapshot::decode(&snap.encode()).expect("decode");
+        assert_eq!(snap.head.state_root, kv.root());
+        assert!(snap.entries.iter().copied().eq(kv.entries()));
+        let bytes = snap.encode();
+        assert_eq!(bytes.len() as u64, snap.wire_size() + 8);
+        let decoded = Snapshot::decode(&bytes).expect("decode");
         assert_eq!(decoded, snap);
         assert!(decoded.verify());
-        // Installing it rebuilds the captured state, lane by lane.
-        let restored = KvState::from_lanes(decoded.chunks.iter().map(|c| c.entries.as_slice()));
+        // Installing it rebuilds the captured state.
+        let restored = KvState::from_entries(decoded.entries.iter().copied());
         assert_eq!(restored, kv);
-        assert_eq!(restored.lane_roots(), snap.head.lane_roots);
+        assert_eq!(restored.root(), snap.head.state_root);
     }
 
     #[test]
@@ -600,17 +536,9 @@ mod tests {
         assert!(Snapshot::decode(&bytes).is_none(), "checksum must catch it");
         // A tampered-but-rechecksummed snapshot fails the content check.
         let mut tampered = snap.clone();
-        let victim = tampered.chunks.iter_mut().find(|c| !c.entries.is_empty());
-        victim.unwrap().entries[0].1 += 1;
+        tampered.entries[0].1 += 1;
         assert!(!tampered.verify());
         assert!(Snapshot::decode(&tampered.encode()).is_some_and(|s| !s.verify()));
-        // Chunks out of their slots fail it too.
-        let mut swapped = snap.clone();
-        swapped.chunks.swap(0, 1);
-        assert!(!swapped.verify());
-        let mut short = snap;
-        short.chunks.pop();
-        assert!(!short.verify());
     }
 
     #[test]
@@ -618,19 +546,15 @@ mod tests {
         let snap = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
         let bytes = snap.encode();
         assert!(Snapshot::decode(&with_version(bytes.clone(), SNAP_VERSION)).is_some());
-        for version in [2, 7, SNAP_VERSION + 1] {
+        for version in [2, 7, 8, SNAP_VERSION + 1] {
             assert!(
                 Snapshot::decode(&with_version(bytes.clone(), version)).is_none(),
                 "v{version} must be rejected"
             );
         }
-        // A lane-root count other than 64, and an entry count the
-        // payload cannot hold, are refused before anything is built.
-        let lanes_at = 1 + 24 + 32 + 8 + 8;
-        let mut hostile = bytes.clone();
-        hostile[lanes_at..lanes_at + 8].copy_from_slice(&63u64.to_le_bytes());
-        assert!(Snapshot::decode(&with_version(hostile, SNAP_VERSION)).is_none());
-        let run_at = lanes_at + 8 + 64 * 32;
+        // An entry count the payload cannot hold is refused before
+        // anything is built.
+        let run_at = 1 + 24 + 32 + 8 + 8 + 32;
         let mut hostile = bytes.clone();
         hostile[run_at..run_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(Snapshot::decode(&with_version(hostile, SNAP_VERSION)).is_none());
@@ -658,8 +582,7 @@ mod tests {
         forge(|h| h.frontier = vec![u64::MAX, u64::MAX]);
         forge(|h| h.executed_txs += 1);
         forge(|h| h.epoch += 1);
-        forge(|h| h.lane_roots[0] = Digest([0xab; 32]));
-        forge(|h| h.lane_roots.truncate(63));
+        forge(|h| h.state_root = Digest([0xab; 32]));
     }
 
     #[test]
@@ -668,75 +591,47 @@ mod tests {
         let snap = Snapshot::capture(3, 120, 5000, vec![7, 9, 11], &kv);
         let (head, chunks) = snap.split();
         assert!(head.verify());
-        assert_eq!(chunks.len(), MERKLE_LANES as usize);
-        assert!(chunks.iter().all(SnapshotChunk::verify));
-        assert_eq!(head.state_root(), snap.head.state_root());
+        assert_eq!(chunks.len(), 1);
+        assert!(chunks[0].verify());
+        assert_eq!(chunks[0].root, kv.root());
         let rebuilt = Snapshot {
-            head: head.clone(),
-            chunks: chunks.clone(),
+            head,
+            entries: chunks[0].entries.clone(),
         };
         assert!(rebuilt.verify());
         assert_eq!(rebuilt.encode(), snap.encode(), "byte-identical wire form");
-        // A missing lane — even an empty one — fails verification.
-        for lane in [
-            0,
-            chunks.iter().position(|c| !c.entries.is_empty()).unwrap(),
-        ] {
-            let mut missing = chunks.clone();
-            missing.remove(lane);
-            let partial = Snapshot {
-                head: head.clone(),
-                chunks: missing,
-            };
-            assert!(!partial.verify(), "lane {lane} missing");
-        }
     }
 
     #[test]
-    fn chunk_verification_rejects_tampering() {
+    fn run_verification_rejects_tampering() {
+        use ladon_crypto::CryptoCounters;
         let snap = Snapshot::capture(1, 10, 100, vec![2], &sample_state());
-        let (head, chunks) = snap.split();
-        let victim = chunks.iter().find(|c| c.entries.len() >= 2).unwrap();
-
-        // Flipped value: root no longer matches the content.
-        let mut forged = victim.clone();
-        forged.entries[0].1 += 1;
-        assert!(!forged.verify());
-
-        // Relabeled lane: entries are confined to the wrong lane.
-        let mut forged = victim.clone();
-        forged.lane = (forged.lane + 1) % MERKLE_LANES;
-        assert!(!forged.verify());
-        forged.lane = MERKLE_LANES;
-        assert!(!forged.verify());
-
-        // Smuggling a foreign-lane entry past an *empty* lane's root:
-        // the confinement check catches what the root alone cannot.
-        let empty = chunks.iter().find(|c| c.entries.is_empty()).unwrap();
-        let mut forged = empty.clone();
-        forged.entries = victim.entries.clone();
-        assert!(!forged.verify());
-
-        // Duplicate keys / unsorted order / zero values break canonical
-        // form.
-        let mut forged = victim.clone();
-        let first = forged.entries[0];
-        forged.entries.insert(0, first);
-        assert!(!forged.verify());
-        let mut forged = victim.clone();
-        forged.entries.swap(0, 1);
-        assert!(!forged.verify());
-        let mut forged = victim.clone();
-        forged.entries[0].1 = 0;
-        assert!(!forged.verify());
-
-        // A tampered head no longer matches the manifest root.
-        let mut forged_head = head.clone();
-        forged_head.applied += 1;
-        assert!(!forged_head.verify());
-        let mut forged_head = head;
-        forged_head.lane_roots[0] = Digest([0xab; 32]);
-        assert!(!forged_head.verify());
+        let tamper = |f: fn(&mut Vec<(u32, u64)>)| {
+            let mut forged = snap.clone();
+            f(&mut forged.entries);
+            assert!(!forged.verify());
+            assert!(!forged.split().1[0].verify());
+            forged
+        };
+        // Content the root does not name: a flipped value, an extra
+        // entry, a missing one.
+        tamper(|e| e[0].1 += 1);
+        tamper(|e| e.push((u32::MAX, 1)));
+        tamper(|e| {
+            e.pop();
+        });
+        // A run out of canonical form — a duplicate key, a descending
+        // pair, a zero value — is refused before any leaf is hashed:
+        // the head's manifest root is the one hash paid.
+        for forged in [
+            tamper(|e| e.insert(0, e[0])),
+            tamper(|e| e.swap(0, 1)),
+            tamper(|e| e[0].1 = 0),
+        ] {
+            let before = CryptoCounters::snapshot();
+            assert!(!forged.verify());
+            assert_eq!(CryptoCounters::snapshot().since(&before).hashes, 1);
+        }
     }
 
     #[test]

@@ -4,12 +4,9 @@ use crate::ids::{Epoch, Rank};
 use crate::time::TimeNs;
 use serde::{Deserialize, Serialize};
 
-/// Number of fixed Merkle lanes the execution keyspace is partitioned
-/// into. This is a *protocol constant*, not a tuning knob: every key maps
-/// to one of these lanes by hash, each lane has a content root, and the
-/// checkpoint state root is a digest over the ordered lane-root vector.
-/// Keeping the partition fixed is what makes the state root bit-identical
-/// across replicas.
+/// The largest [`SystemConfig::exec_lanes`] that validates, and nothing
+/// more: the state root is one accumulator over every live account, so
+/// no lane partitions the keyspace.
 pub const MERKLE_LANES: u32 = 64;
 
 /// Blocks of applied-frontier lag below which state transfer ships log

@@ -15,7 +15,7 @@
 //!   kind, runs whose frontiers spread by more than 16 blocks, the lowest
 //!   frontier's sum, median and minimum, the highest frontier's median,
 //!   and, summed over runs and replicas, the state-transfer traffic (sync
-//!   requests sent; snapshots and chunk bytes served) and the view
+//!   requests sent; snapshots and their run bytes served) and the view
 //!   changes started and installed. It exits nonzero when any run
 //!   violated the oracle.
 //!
@@ -85,7 +85,7 @@ fn loss_grid_row(p: ProtocolKind, seeds: &[u64]) -> usize {
     let mut violating = 0;
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     let (mut spread, mut lows, mut highs) = (0, Vec::new(), Vec::new());
-    // Sync requests sent; snapshots and chunk bytes served.
+    // Sync requests sent; snapshots and their run bytes served.
     let mut sync = [0u64; 3];
     // View changes started and installed.
     let mut views = [0usize; 2];

@@ -100,9 +100,10 @@ fn restart_from_snapshot() {
         recovered.applied(),
         recovered.state_root().short_hex(),
     );
-    // The segmented WAL's partial-replay breakdown: the snapshot decides
-    // a per-lane covered frontier, covered segments are skipped without
-    // being read, and only the dirty tail re-executes.
+    // The segmented WAL's partial-replay breakdown: the snapshot's
+    // `applied` floor decides which segments are covered, covered
+    // segments are skipped without being read, and only the dirty tail
+    // re-executes.
     print_recovery_breakdown(recovered.recovery_stats());
 
     d.swap_replica(3, recovered);

@@ -6,8 +6,7 @@
 use ladon::core::{GlobalOrderer, LadonOrderer};
 use ladon::crypto::{sha256, sha256_portable, AggregateSignature, KeyRegistry, Sha256, Signature};
 use ladon::state::{
-    lane_of, ExecOutcome, ExecutionPipeline, InstallOutcome, KvState, Snapshot, WalOptions,
-    DEFAULT_KEYSPACE, MERKLE_LANES,
+    ExecOutcome, ExecutionPipeline, InstallOutcome, KvState, Snapshot, WalOptions, DEFAULT_KEYSPACE,
 };
 use ladon::types::{Batch, Block, BlockHeader, Digest, InstanceId, Rank, ReplicaId, Round, TimeNs};
 use ladon::types::{TxId, TxOp};
@@ -279,10 +278,10 @@ proptest! {
 
     /// For arbitrary op sequences (random block sizes over a random
     /// keyspace) the checkpoint's fold changes no root, and a snapshot
-    /// taken at the end round-trips the lane-root vector byte-identically
+    /// taken at the end round-trips the state root byte-identically
     /// through encode/decode.
     #[test]
-    fn sharded_root_round_trips_through_a_snapshot(
+    fn state_root_round_trips_through_a_snapshot(
         counts in proptest::collection::vec(0u32..96, 1..24),
         keyspace in 64u32..1024,
     ) {
@@ -294,27 +293,26 @@ proptest! {
             let out = p.execute(sn as u64, &block);
             prop_assert_eq!(out, ExecOutcome::Applied { txs: count as u64 });
         }
-        let unfolded = (p.state_root(), p.lane_roots());
+        let unfolded = p.state_root();
         p.checkpoint(0, vec![0; 4]);
-        prop_assert_eq!((p.state_root(), p.lane_roots()), unfolded);
+        prop_assert_eq!(p.state_root(), unfolded);
         let snap = p.latest_snapshot().unwrap();
-        prop_assert_eq!(&snap.head.lane_roots, &p.lane_roots());
+        prop_assert_eq!(snap.head.state_root, p.state_root());
         let decoded = ladon::state::Snapshot::decode(&snap.encode()).expect("decode");
-        prop_assert_eq!(&decoded.head.lane_roots, &snap.head.lane_roots);
+        prop_assert_eq!(decoded.head.state_root, snap.head.state_root);
         prop_assert!(decoded.verify());
         let mut restored = ExecutionPipeline::in_memory(keyspace);
         prop_assert_eq!(restored.install(snap.clone()), InstallOutcome::Installed);
-        prop_assert_eq!(restored.lane_roots(), p.lane_roots());
         prop_assert_eq!(restored.state_root(), p.state_root());
     }
 
-    /// Chunked wire form ≡ stored form: for arbitrary executed states the
-    /// snapshot splits into one chunk per Merkle lane, every chunk
-    /// verifies against its lane root, and the head with the chunk set
+    /// Split form ≡ stored form: for arbitrary executed states the
+    /// snapshot splits into its head and one chunk, the whole run, which
+    /// verifies against the state root; the head with the chunk's run
     /// reproduces the donor's snapshot byte for byte, installs to the
-    /// donor's lane roots, and leaves an installer whose *next* checkpoint
-    /// root equals the donor's (nothing descriptive is left under the
-    /// signed root to disagree on).
+    /// donor's state root, and leaves an installer whose *next*
+    /// checkpoint root equals the donor's (nothing descriptive is left
+    /// under the signed root to disagree on).
     #[test]
     fn chunked_snapshot_roundtrips_byte_identically(
         counts in proptest::collection::vec(0u32..96, 2..24),
@@ -335,13 +333,13 @@ proptest! {
         }
         full.checkpoint(0, vec![0; 4]);
         let snap = full.latest_snapshot().unwrap().clone();
-        let (head, chunks) = snap.split();
-        prop_assert_eq!(chunks.len(), MERKLE_LANES as usize);
+        let (head, mut chunks) = snap.split();
+        prop_assert_eq!(chunks.len(), 1);
         prop_assert!(head.verify());
-        for chunk in &chunks {
-            prop_assert!(chunk.verify(), "lane {} chunk failed verify", chunk.lane);
-        }
-        let rebuilt = Snapshot { head, chunks };
+        prop_assert!(chunks[0].verify());
+        prop_assert_eq!(chunks[0].root, head.state_root);
+        let entries = chunks.remove(0).entries;
+        let rebuilt = Snapshot { head, entries };
         prop_assert_eq!(rebuilt.encode(), snap.encode());
 
         // Install (declined, though it verifies, only when the older
@@ -353,7 +351,7 @@ proptest! {
             InstallOutcome::Declined
         };
         prop_assert_eq!(older.install(rebuilt), expect);
-        prop_assert_eq!(older.lane_roots(), full.lane_roots());
+        prop_assert_eq!(older.state_root(), full.state_root());
         let sn = counts.len() as u64;
         let next = Block::synthetic(sn, first_tx, 40);
         full.execute(sn, &next);
@@ -362,10 +360,10 @@ proptest! {
     }
 
     /// `apply_batch` is folding `apply` over the ops in order: for random
-    /// transfer/cross-lane workloads (derived ops over a random keyspace,
-    /// plus a crafted chain where an op must read a same-block cross-lane
-    /// credit), the entries, ALL 64 lane roots, the state root and the
-    /// effects are identical.
+    /// transfer workloads (derived ops over a random keyspace, plus a
+    /// crafted chain where an op must read a same-block credit to another
+    /// account), the entries, the state root and the effects are
+    /// identical.
     #[test]
     fn batch_apply_matches_sequential_reference(
         ids in proptest::collection::vec(any::<u64>(), 1..1400),
@@ -379,16 +377,12 @@ proptest! {
         for &id in &ids {
             ops.push(TxOp::for_id(TxId(id), keyspace));
         }
-        // Read-your-writes chain: a → b → c across three distinct lanes,
-        // where b starts from whatever the random prefix left it — the
-        // b → c transfer can only move the a → b credit if it observes
-        // the earlier op of the same batch.
-        let a = 0u32;
-        let b = (1..keyspace).find(|&k| lane_of(k) != lane_of(a));
-        let c = b.and_then(|b| {
-            (1..keyspace).find(|&k| lane_of(k) != lane_of(a) && lane_of(k) != lane_of(b))
-        });
-        if let (Some(b), Some(c)) = (b, c) {
+        // Read-your-writes chain: a → b → c across three distinct
+        // accounts, where b starts from whatever the random prefix left
+        // it — the b → c transfer can only move the a → b credit if it
+        // observes the earlier op of the same batch.
+        let (a, b, c) = (0u32, 1, 2);
+        if c < keyspace {
             ops.push(TxOp::Put { key: a, value: 77 });
             ops.push(TxOp::Transfer { from: a, to: b, amount: 77 });
             ops.push(TxOp::Transfer { from: b, to: c, amount: u64::MAX });
@@ -402,10 +396,6 @@ proptest! {
 
         let mut s = KvState::new();
         prop_assert_eq!(s.apply_batch(&ops), ref_fx);
-        prop_assert_eq!(
-            s.lane_roots(), reference.lane_roots(),
-            "all 64 lane roots must match the sequential reference"
-        );
         prop_assert_eq!(s.root(), reference.root());
         prop_assert!(s.entries().eq(reference.entries()));
     }
@@ -414,9 +404,9 @@ proptest! {
     /// `Put`/`Get`/`Transfer` sequences over a tiny keyspace (so keys
     /// are deleted and re-inserted, written back to the value they had
     /// at the last fold, and rewritten many times) with `fold` at
-    /// arbitrary cut points end at the lane roots and state root of
+    /// arbitrary cut points end at the state root of
     /// `KvState::from_entries(entries)` — and a clone that never folded
-    /// reads the same roots through `&self`.
+    /// reads the same root through `&self`.
     #[test]
     fn fold_points_never_change_a_root(
         raw in proptest::collection::vec(
@@ -439,29 +429,27 @@ proptest! {
             }
         }
         let rebuilt = KvState::from_entries(folded.entries());
-        prop_assert_eq!(folded.lane_roots(), rebuilt.lane_roots());
         prop_assert_eq!(folded.root(), rebuilt.root());
-        prop_assert_eq!(unfolded.lane_roots(), rebuilt.lane_roots());
         prop_assert_eq!(unfolded.root(), rebuilt.root());
         folded.fold();
-        prop_assert_eq!(folded.lane_roots(), rebuilt.lane_roots());
+        prop_assert_eq!(folded.root(), rebuilt.root());
     }
 
     /// The page-indexed `KvState` against a plain `BTreeMap<u32, u64>`
     /// model: random `Put` (incl. value 0 and values that saturate a
     /// credit) / `Transfer` (incl. `from == to` and an empty source) /
     /// `Get` over keyspaces {1, 64, 4096, 1 << 20}, keys at `u32::MAX`
-    /// (the last page), and a pool of keys confined to ONE lane. Every
-    /// case opens by putting 40 pool keys unfolded — their pages, up to
-    /// four where the keyspace spreads the lane over them, are allocated
-    /// while every account written is dirty — and then cuts the ops into
+    /// (the last page), and a pool of keys 64 apart. Every case opens by
+    /// putting 40 pool keys unfolded — their pages, up to three where the
+    /// keyspace spreads the pool over them, are allocated while every
+    /// account written is dirty — and then cuts the ops into
     /// batches at arbitrary points, folding at some of the cuts. After
     /// every batch the table and the model agree on entries, length and
     /// every touched key; the root is the root of the state rebuilt
     /// from the model; `apply_batch` equals folding `apply` (a twin that
     /// never folds) and applied to a copy of the twin ends equal; and a
-    /// snapshot captured from the table rebuilds an equal state with
-    /// equal lane roots.
+    /// snapshot captured from the table rebuilds an equal state with an
+    /// equal root.
     #[test]
     fn kv_table_matches_btreemap_model(
         shape in 0usize..4,
@@ -471,10 +459,7 @@ proptest! {
         ),
     ) {
         let keyspace = [1u32, 64, 4096, 1 << 20][shape];
-        let pool: Vec<u32> = (0..keyspace.min(1 << 14))
-            .filter(|&k| lane_of(k) == lane_of(0))
-            .take(160)
-            .collect();
+        let pool: Vec<u32> = (0..keyspace.min(1 << 14)).step_by(64).take(160).collect();
         let key = |mode: u8, r: u32| match mode >> 3 {
             0 => u32::MAX - r % 3,
             1..=12 => pool[r as usize % pool.len()],
@@ -539,9 +524,9 @@ proptest! {
             prop_assert!(kv == twin && kv == rebuilt && replay == kv);
             let snap = Snapshot::capture(0, 0, 0, Vec::new(), &kv);
             prop_assert!(snap.verify());
-            let installed = KvState::from_lanes(snap.chunks.iter().map(|c| c.entries.as_slice()));
+            let installed = KvState::from_entries(snap.entries.iter().copied());
             prop_assert!(installed == kv);
-            prop_assert_eq!(installed.lane_roots(), kv.lane_roots());
+            prop_assert_eq!(installed.root(), kv.root());
         }
     }
 
@@ -553,8 +538,7 @@ proptest! {
     /// `u64::MAX`, so their ids wrap — cut into batches at random
     /// records, each side folding at its own random cuts. After every
     /// batch the three agree on effects, entries and length, and both
-    /// states hold all 64 lane roots and the root of the state rebuilt
-    /// from the model.
+    /// states hold the root of the state rebuilt from the model.
     #[test]
     fn derived_ops_match_the_lowered_ops_and_the_model(
         shape in 0usize..5,
@@ -589,10 +573,7 @@ proptest! {
             prop_assert!(lowered.entries().eq(entries()));
             prop_assert_eq!((derived.len(), lowered.len()), (model.len(), model.len()));
             let rebuilt = KvState::from_entries(entries());
-            let roots = rebuilt.lane_roots();
-            prop_assert_eq!(derived.lane_roots(), roots.clone(), "keyspace {}", keyspace);
-            prop_assert_eq!(lowered.lane_roots(), roots);
-            prop_assert_eq!(derived.root(), rebuilt.root());
+            prop_assert_eq!(derived.root(), rebuilt.root(), "keyspace {}", keyspace);
             prop_assert_eq!(lowered.root(), rebuilt.root());
         }
     }
@@ -692,7 +673,6 @@ proptest! {
         );
         prop_assert_eq!(again.applied(), applied);
         prop_assert_eq!(again.state_root(), r1.state_root());
-        prop_assert_eq!(again.lane_roots(), r1.lane_roots());
 
         let mut reference = ExecutionPipeline::in_memory(DEFAULT_KEYSPACE);
         for sn in 0..applied {
@@ -782,7 +762,6 @@ proptest! {
         prop_assert_eq!(r.applied(), reference.applied());
         prop_assert_eq!(r.executed_txs(), reference.executed_txs());
         prop_assert_eq!(r.state_root(), reference.state_root());
-        prop_assert_eq!(r.lane_roots(), reference.lane_roots());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

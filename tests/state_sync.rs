@@ -200,12 +200,12 @@ fn rejected(requester: &MultiBftNode) -> u64 {
     requester.responder_health()[RESPONDER.as_usize()].rejected
 }
 
-/// A Byzantine responder serves chunks whose payload does not match the
-/// lane root it claims. The response installs nothing and nothing of it
-/// is kept — the clean chunks beside the tampered ones included — its
+/// A Byzantine responder serves a run whose values do not match the
+/// state root it claims. The response installs nothing and nothing of it
+/// is kept — the clean entries beside the tampered ones included — its
 /// sender is scored once for the refused response, and the next peer's
-/// honest response to the *same* request installs byte-identical lane
-/// roots.
+/// honest response to the *same* request installs a byte-identical
+/// state root.
 #[test]
 fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     let c = checkpointed_cluster();
@@ -214,23 +214,20 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     let req = requester.build_sync_request();
     let honest = snapshot_response(&c, &requester);
 
-    // Tamper every other chunk's payload; lane label and claimed root
-    // stay intact, so only the chunks' content verification can catch
-    // it.
+    // Tamper every other entry's value; keys and the claimed root stay
+    // intact, so only the run's content verification can catch it.
     let mut tampered = 0;
     let byz = with_snapshot(honest.clone(), |s| {
-        for chunk in s.chunks.iter_mut().skip(1).step_by(2) {
-            if let Some(e) = chunk.entries.first_mut() {
-                e.1 ^= 1;
-                tampered += 1;
-            }
+        for e in s.entries.iter_mut().skip(1).step_by(2) {
+            e.1 ^= 1;
+            tampered += 1;
         }
     });
-    assert!(tampered > 1, "need several chunks to corrupt");
+    assert!(tampered > 1, "need several entries to corrupt");
     let mut out = deliver(&mut requester, RESPONDER.as_usize(), byz);
     assert_eq!(
         requester.metrics.snapshot_installs, 0,
-        "a response with a bad chunk must not install"
+        "a response with a bad entry must not install"
     );
     assert_eq!(requester.exec.applied(), 0);
     assert_eq!(requester.metrics.sync_responses_refused, 1);
@@ -253,9 +250,9 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     out.extend(deliver(&mut requester, 1, honest));
     assert_eq!(requester.metrics.snapshot_installs, 1);
     assert_eq!(
-        requester.exec.lane_roots(),
-        snap.head.lane_roots,
-        "installed lane roots must be byte-identical to the snapshot's"
+        requester.exec.state_root(),
+        snap.head.state_root,
+        "the installed state root must be byte-identical to the snapshot's"
     );
     assert_eq!(requester.exec.applied(), snap.head.applied);
     assert_eq!(requester.metrics.skipped_sns, snap.head.applied);
@@ -267,46 +264,55 @@ fn tampered_response_installs_nothing_and_the_next_peer_repairs() {
     );
 }
 
-/// Hostile shapes are refused where responses are handled, without a
-/// panic and without touching state: chunks that are perfectly
-/// self-consistent but are not what the quorum-signed head names at
-/// their lanes (another state's lanes, or a lane index past the vector),
-/// and a head whose lane-root vector is not 64 long or whose metadata
-/// was forged under the genuine checkpoint. Each response is refused
-/// and scored once. The honest response still installs afterwards.
+/// Hostile snapshots are refused where responses are handled, without
+/// a panic and without touching state: runs the quorum-signed head does
+/// not name — a tampered value, an extra or a missing entry, another
+/// state's whole run — or that are not canonical — a duplicate or a
+/// descending key, a zero value — and heads whose state root or
+/// metadata was forged under the genuine checkpoint. Each response is
+/// refused and scored once. The honest response still installs
+/// afterwards.
 #[test]
-fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
+fn hostile_runs_and_misshapen_heads_are_refused_at_the_handler() {
     use ladon::state::{KvState, SnapshotHead};
     use ladon::types::{Digest, TxOp};
     let c = checkpointed_cluster();
     let mut requester = from_zero_node(&c);
     let honest = snapshot_response(&c, &requester);
-    let lane_roots = honest.snapshot.as_ref().unwrap().head.lane_roots.clone();
+    let state_root = honest.snapshot.as_ref().unwrap().head.state_root;
 
-    // Chunks of some other state: each verifies on its own, none is a
-    // member of this head.
+    // Another state's run verifies under its own root, not this head's.
     let mut other = KvState::new();
     for key in 0..256 {
         other.apply(&TxOp::Put { key, value: 7 });
     }
-    let foreign = Snapshot::capture(0, 1, 1, Vec::new(), &other).chunks;
-    assert!(foreign.iter().all(|c| c.verify()));
-    let swap_foreign = with_snapshot(honest.clone(), |s| {
-        s.chunks[..3].clone_from_slice(&foreign[..3]);
-    });
-    let past_the_vector = with_snapshot(honest.clone(), |s| s.chunks[0].lane = 64);
-    for resp in [swap_foreign, past_the_vector] {
+    let foreign = Snapshot::capture(0, 1, 1, Vec::new(), &other);
+    assert!(foreign.verify());
+    let resp = with_snapshot(honest.clone(), |s| s.entries = foreign.entries);
+    deliver(&mut requester, RESPONDER.as_usize(), resp);
+    type Run = Vec<(u32, u64)>;
+    let runs: [fn(&mut Run); 6] = [
+        |e| e[0].1 += 1,
+        |e| e.push((u32::MAX, 1)),
+        |e| {
+            e.pop();
+        },
+        |e| e.insert(1, e[0]),
+        |e| e.swap(0, 1),
+        |e| e[0].1 = 0,
+    ];
+    for tamper in runs {
+        let resp = with_snapshot(honest.clone(), |s| tamper(&mut s.entries));
         deliver(&mut requester, RESPONDER.as_usize(), resp);
     }
-    assert_eq!(requester.metrics.sync_responses_refused, 2);
+    assert_eq!(requester.metrics.sync_responses_refused, 7);
 
-    // Heads: the wrong shape, then forged fields under the real proof.
-    let forgeries: [fn(&mut SnapshotHead); 5] = [
-        |h| h.lane_roots.truncate(63),
-        |h| h.lane_roots.push(Digest([9; 32])),
+    // Heads: forged fields under the real proof.
+    let forgeries: [fn(&mut SnapshotHead); 4] = [
+        |h| h.state_root = Digest([9; 32]),
         |h| h.applied += 1,
         |h| h.frontier[0] += 1,
-        |h| h.lane_roots[5] = Digest([9; 32]),
+        |h| h.epoch += 1,
     ];
     for forge in forgeries {
         let resp = with_snapshot(honest.clone(), |s| {
@@ -319,23 +325,23 @@ fn foreign_chunks_and_misshapen_heads_are_refused_at_the_handler() {
     assert_eq!(requester.exec.applied(), 0);
     assert_eq!(
         rejected(&requester),
-        2 + 5,
+        7 + 4,
         "every refusal is scored against its sender"
     );
-    assert_eq!(requester.metrics.sync_responses_refused, 2 + 5);
+    assert_eq!(requester.metrics.sync_responses_refused, 7 + 4);
 
     deliver(&mut requester, 1, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
-    assert_eq!(requester.exec.lane_roots(), lane_roots);
+    assert_eq!(requester.exec.state_root(), state_root);
 }
 
 /// A responder serves at most `SYNC_MAX_BLOCKS` entries, so a response
 /// past that cap — here an honest one padded with copies of its own
 /// valid entries — is refused before anything in it is verified: nothing
-/// of it installs, not even its checkpoint. A snapshot of 65 chunks
-/// (one lane twice) is refused by its one verification at the chunk
-/// count, before any chunk is hashed. Each is scored as one refused
-/// response.
+/// of it installs, not even its checkpoint. A snapshot whose run
+/// repeats a key is refused by its one verification at the canonical
+/// form, before any leaf is hashed: it costs what a forged head costs.
+/// Each is scored as one refused response.
 #[test]
 fn a_response_past_the_responders_caps_installs_nothing() {
     use ladon::core::sync::SYNC_MAX_BLOCKS;
@@ -361,19 +367,26 @@ fn a_response_past_the_responders_caps_installs_nothing() {
     assert_eq!((requester.exec.applied(), requester.epoch()), (0, 0));
     assert_eq!(rejected(&requester), 1);
 
-    let chunks = with_snapshot(honest.clone(), |s| s.chunks.push(s.chunks[0].clone()));
-    let before = CryptoCounters::snapshot();
-    deliver(&mut requester, RESPONDER.as_usize(), chunks);
-    let spent = CryptoCounters::snapshot().since(&before);
-    assert!(
-        spent.hashes < 64,
-        "no chunk of a 65-chunk snapshot is hashed ({} hashes)",
-        spent.hashes
+    let hashes = |requester: &mut MultiBftNode, resp| {
+        let before = CryptoCounters::snapshot();
+        deliver(requester, RESPONDER.as_usize(), resp);
+        CryptoCounters::snapshot().since(&before).hashes
+    };
+    let forged = |n| with_snapshot(honest.clone(), |s| s.head.executed_txs += n);
+    let repeated = with_snapshot(honest.clone(), |s| s.entries.insert(1, s.entries[0]));
+    // The first refusal pays for the checkpoint's verification; the
+    // ones after it find the checkpoint verified.
+    deliver(&mut requester, RESPONDER.as_usize(), forged(1));
+    let repeated_costs = hashes(&mut requester, repeated);
+    assert_eq!(
+        repeated_costs,
+        hashes(&mut requester, forged(2)),
+        "no leaf of a run that repeats a key is hashed"
     );
     assert_eq!(requester.metrics.snapshot_installs, 0);
     assert_eq!(requester.exec.applied(), 0);
-    assert_eq!(rejected(&requester), 2);
-    assert_eq!(requester.metrics.sync_responses_refused, 2);
+    assert_eq!(rejected(&requester), 4);
+    assert_eq!(requester.metrics.sync_responses_refused, 4);
 
     deliver(&mut requester, 1, honest);
     assert_eq!(requester.metrics.snapshot_installs, 1);
@@ -388,11 +401,7 @@ fn a_verified_snapshot_the_pipeline_declines_is_not_scored_against_its_sender() 
     let c = checkpointed_cluster();
     let snap = responder_snapshot(&c);
     let keyspace = 64;
-    let names_past = |s: &Snapshot| {
-        s.chunks
-            .iter()
-            .any(|c| c.entries.iter().any(|&(k, _)| k >= keyspace))
-    };
+    let names_past = |s: &Snapshot| s.entries.iter().any(|&(k, _)| k >= keyspace);
     assert!(snap.verify() && names_past(&snap));
     let mut requester =
         MultiBftNode::with_execution(c.node_config(3), ExecutionPipeline::in_memory(keyspace));
@@ -465,7 +474,7 @@ fn requester_crash_between_request_and_response_restarts_and_installs() {
     let resp = snapshot_response(&c, &requester);
     deliver(&mut requester, RESPONDER.as_usize(), resp);
     assert_eq!(requester.metrics.snapshot_installs, 1);
-    assert_eq!(requester.exec.lane_roots(), snap.head.lane_roots);
+    assert_eq!(requester.exec.state_root(), snap.head.state_root);
     let installed = (requester.exec.applied(), requester.exec.state_root());
     assert_eq!(installed.0, snap.head.applied);
     drop(requester);
